@@ -311,113 +311,6 @@ func BenchmarkSQLParse(b *testing.B) {
 	}
 }
 
-// BenchmarkPublishTuple measures the end-to-end cost of Procedure 1
-// plus all triggered processing for one tuple on a loaded network.
-func BenchmarkPublishTuple(b *testing.B) {
-	net := MustNetwork(Options{Nodes: 128, Seed: 11})
-	net.MustDefineRelation("R", "A", "B")
-	net.MustDefineRelation("S", "A", "B")
-	// Distinct window sizes keep the 100 standing queries in 100
-	// distinct pipelines: exact-duplicate dedup would otherwise
-	// collapse them into one and the bench would stop measuring
-	// per-tuple cost against a populated query store.
-	for i := 0; i < 100; i++ {
-		net.MustSubscribe(fmt.Sprintf("select R.B, S.B from R,S where R.A=S.A within %d ticks", 1_000_000+i))
-	}
-	net.Run()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.MustPublish("R", i%50, i)
-		net.Run()
-	}
-}
-
-// BenchmarkPublishTupleReplicated is BenchmarkPublishTuple with durable
-// state replication at factor 2: every state mutation the publish
-// cascade performs additionally batches into replica-update messages
-// for the owner's successor. Comparing ns/op and allocs/op against the
-// unreplicated benchmark quantifies the durability overhead on the hot
-// path (see CHANGES.md for the A/B numbers).
-func BenchmarkPublishTupleReplicated(b *testing.B) {
-	net := MustNetwork(Options{Nodes: 128, Seed: 11, ReplicationFactor: 2})
-	net.MustDefineRelation("R", "A", "B")
-	net.MustDefineRelation("S", "A", "B")
-	// Distinct window sizes, as in BenchmarkPublishTuple: keep 100
-	// standing pipelines instead of one exact-dedup'd class.
-	for i := 0; i < 100; i++ {
-		net.MustSubscribe(fmt.Sprintf("select R.B, S.B from R,S where R.A=S.A within %d ticks", 1_000_000+i))
-	}
-	net.Run()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.MustPublish("R", i%50, i)
-		net.Run()
-	}
-}
-
-// BenchmarkEngineThroughput measures raw simulator throughput: events
-// processed per second on a mixed workload.
-func BenchmarkEngineThroughput(b *testing.B) {
-	net := MustNetwork(Options{Nodes: 100, Seed: 13})
-	net.MustDefineRelation("R", "A", "B")
-	net.MustDefineRelation("S", "A", "B")
-	// Distinct window sizes, as in BenchmarkPublishTuple: keep 50
-	// standing pipelines instead of one exact-dedup'd class.
-	for i := 0; i < 50; i++ {
-		net.MustSubscribe(fmt.Sprintf("select R.B, S.B from R,S where R.A=S.A within %d ticks", 1_000_000+i))
-	}
-	net.Run()
-	before := net.Engine().Sim().Fired()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.MustPublish("R", i%10, i)
-		net.MustPublish("S", i%10, i)
-		net.Run()
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(net.Engine().Sim().Fired()-before)/float64(b.N), "events/op")
-}
-
-// BenchmarkEngineThroughputWorkers is the serial-vs-parallel A/B on a
-// wide workload: bursts of publications drain together, so every
-// virtual tick carries events for many logical shards and the parallel
-// engine's sub-rounds have real width. workers=0 is the serial engine;
-// the parallel variants must produce bit-identical results to each
-// other (TestGoldenDeterminismParallel), so this benchmark measures
-// pure scheduling cost/benefit. On a single-core runner the parallel
-// engine pays barrier overhead for no gain; the speedup target lives
-// on multi-core CI runners.
-func BenchmarkEngineThroughputWorkers(b *testing.B) {
-	for _, workers := range []int{0, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			net := MustNetwork(Options{Nodes: 256, Seed: 13, Workers: workers})
-			net.MustDefineRelation("R", "A", "B")
-			net.MustDefineRelation("S", "A", "B")
-			// Distinct window sizes, as in BenchmarkPublishTuple: keep
-			// 100 standing pipelines instead of one exact-dedup'd class.
-			for i := 0; i < 100; i++ {
-				net.MustSubscribe(fmt.Sprintf("select R.B, S.B from R,S where R.A=S.A within %d ticks", 1_000_000+i))
-			}
-			net.Run()
-			before := net.Engine().Sim().Fired()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < 16; j++ {
-					net.MustPublish("R", (i*16+j)%10, i)
-					net.MustPublish("S", (i*16+j)%10, i)
-				}
-				net.Run()
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(net.Engine().Sim().Fired()-before)/float64(b.N), "events/op")
-		})
-	}
-}
-
 // BenchmarkAblationGrouping compares grouped vs independent multiSend
 // (Section 2's message-grouping optimization) on the tuple-publication
 // path: the 2k index messages of Procedure 1 either chain along the

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+	"slices"
 	"sort"
 
 	"rjoin/internal/agg"
@@ -43,10 +45,9 @@ func aggKeyOf(queryID, groupKey string) relation.Key {
 // aggGroup is the aggregator-node state of one group of one aggregate
 // query: the ring of per-epoch mergeable partials plus the dirty set of
 // epochs whose view rows changed since the last flush. It is keyed
-// under its aggregator key in Proc.aggs, which makes it a first-class
-// citizen of membership handover: graceful leaves drain it to the
-// successor, runtime joins carve it out by arc, and crashes count it
-// as loss.
+// under its aggregator key in the node's state (see state.go), which
+// makes it a first-class citizen of handover, replication and loss
+// accounting.
 type aggGroup struct {
 	qid    string
 	owner  id.ID
@@ -143,11 +144,40 @@ func (g *aggGroup) mergeInto(sliding bool, dst *aggGroup) {
 		} else {
 			dst.epochs[e] = part
 		}
-		dst.dirty[e] = true
-		if sliding {
-			dst.dirty[e+1] = true
+		dst.markDirty(e, sliding)
+	}
+}
+
+// markDirty flags an epoch's view row for the next flush. The next
+// epoch's sliding view merges this epoch's partial, so its row changed
+// too.
+func (g *aggGroup) markDirty(epoch int64, sliding bool) {
+	g.dirty[epoch] = true
+	if sliding {
+		g.dirty[epoch+1] = true
+	}
+}
+
+// clone deep-copies the group for a mirror, which must own its partials
+// and lineage sets outright: the live copy keeps folding rows in. The
+// dirty set is flush bookkeeping of the live copy and starts empty.
+func (g *aggGroup) clone() *aggGroup {
+	cp := &aggGroup{
+		qid: g.qid, owner: g.owner, gkey: g.gkey, group: slices.Clone(g.group),
+		epochs: make(map[int64]*agg.Partial, len(g.epochs)),
+		dirty:  make(map[int64]bool),
+		pubAt:  g.pubAt,
+	}
+	for e, part := range g.epochs {
+		cp.epochs[e] = part.Clone()
+	}
+	if len(g.lins) > 0 {
+		cp.lins = make(map[int64]map[query.LineageStep]struct{}, len(g.lins))
+		for e, set := range g.lins {
+			cp.lins[e] = maps.Clone(set)
 		}
 	}
+	return cp
 }
 
 // epochCount reports the stored (group, epoch) partials — the unit the
@@ -192,14 +222,14 @@ func (p *Proc) emitTo(now sim.Time, qid string, owner id.ID, spec *agg.Spec, val
 		// previous partial for this group was routed to (the same trick
 		// Section 7 plays for Eval messages); the ground-truth ownership
 		// check guards against stale addresses mid-churn.
-		if ent, ok := p.ct.fresh(key, now, p.eng.Cfg.CTValidity); ok {
+		if ent, ok := p.st.ct.fresh(key, now, p.eng.Cfg.CTValidity); ok {
 			if tgt := p.eng.ring.Node(ent.Addr); tgt != nil && p.stillOwns(tgt.ID(), key) {
 				p.eng.net.SendDirect(p.node, tgt.ID(), msg)
 				return
 			}
 		}
 		if owner := p.eng.net.Send(p.node, key.ID(), msg); owner != nil {
-			p.ctMerge(ricInfo{Key: key, Addr: owner.ID(), At: now})
+			p.st.ctMerge(ricInfo{Key: key, Addr: owner.ID(), At: now})
 		}
 	})
 }
@@ -226,38 +256,9 @@ func (p *Proc) onAggPartial(now sim.Time, m *aggPartialMsg) {
 			Trace: m.QueryID, Key: m.Key.String(), Arg: m.Epoch,
 		})
 	}
-	g, ok := p.aggs[m.Key]
-	if !ok {
-		g = &aggGroup{
-			qid:    m.QueryID,
-			owner:  m.Owner,
-			gkey:   spec.GroupKey(m.Row),
-			group:  spec.GroupValues(m.Row),
-			epochs: make(map[int64]*agg.Partial),
-			dirty:  make(map[int64]bool),
-		}
-		p.aggs[m.Key] = g
+	if p.st.aggFold(m.Key, m.QueryID, m.Owner, m.Epoch, m.Row, m.Lineage, m.PubAt) {
 		p.sl.Add(p.node.ID(), 1)
 	}
-	part, ok := g.epochs[m.Epoch]
-	if !ok {
-		part = agg.NewPartial(spec)
-		g.epochs[m.Epoch] = part
-	}
-	part.Add(spec, m.Row)
-	if m.PubAt > g.pubAt {
-		g.pubAt = m.PubAt
-	}
-	if p.eng.prov {
-		g.foldLineage(m.Epoch, m.Lineage)
-	}
-	g.dirty[m.Epoch] = true
-	if spec.Sliding() {
-		// The next epoch's sliding view merges this epoch's partial, so
-		// its row changed too.
-		g.dirty[m.Epoch+1] = true
-	}
-	p.replAggFold(m.Key, m.QueryID, m.Owner, m.Epoch, m.Row, m.Lineage)
 }
 
 // viewKey addresses one row of a query's aggregate view.
@@ -420,7 +421,7 @@ func (e *Engine) flushAggregates() bool {
 	// per-proc key sort just to discover there is nothing to emit.
 	ids := make([]id.ID, 0, len(e.procs))
 	for nid, p := range e.procs {
-		for _, g := range p.aggs {
+		for _, g := range p.st.aggs {
 			if len(g.dirty) > 0 {
 				ids = append(ids, nid)
 				break
@@ -431,8 +432,8 @@ func (e *Engine) flushAggregates() bool {
 	emitted := false
 	for _, nid := range ids {
 		p := e.procs[nid]
-		for _, key := range sortedStateKeys(p.aggs) {
-			g := p.aggs[key]
+		for _, key := range sortedStateKeys(p.st.aggs) {
+			g := p.st.aggs[key]
 			if len(g.dirty) == 0 {
 				continue
 			}

@@ -34,7 +34,7 @@ func aggHolder(eng *Engine) *chord.Node {
 	var best *chord.Node
 	bestCount := 0
 	for _, p := range eng.procs {
-		c := len(p.aggs)
+		c := len(p.st.aggs)
 		if c > bestCount || (c == bestCount && c > 0 && best != nil && p.node.ID() < best.ID()) {
 			best, bestCount = p.node, c
 		}
@@ -215,7 +215,7 @@ func TestCrashCountsLostAggState(t *testing.T) {
 	}
 	eng.Run()
 	victim := aggHolder(eng)
-	if victim == nil || len(eng.procs[victim.ID()].aggs) == 0 {
+	if victim == nil || len(eng.procs[victim.ID()].st.aggs) == 0 {
 		t.Fatal("no aggregator state accumulated")
 	}
 	if err := eng.CrashNode(victim); err != nil {
@@ -280,6 +280,72 @@ func TestAggValidateRejections(t *testing.T) {
 	for _, sql := range bad {
 		if _, err := sqlparse.Parse(sql, testCat); err == nil {
 			t.Fatalf("%q parsed and validated; want rejection", sql)
+		}
+	}
+}
+
+// TestMoveNodeRehomesAggState is the Figure 9 path with an aggregate
+// subscription: the heaviest aggregator changes identifier mid-stream,
+// RehomeKeys must carry its groups (and rate statistics) to their keys'
+// new owners along with the queries and tuples, nothing is created or
+// dropped by the move, and the final view equals the reference fold.
+// With replication on, the resynced mirrors equal the re-homed state.
+func TestMoveNodeRehomesAggState(t *testing.T) {
+	for _, k := range []int{1, 2} {
+		eng, nodes := testNet(t, 32, 31, replCfg(k), churnNetCfg())
+		sql := "select R.A, count(*), sum(S.B) from R,S where R.A=S.A group by R.A"
+		qid, err := eng.SubmitQuery(nodes[1], sqlparse.MustParse(sql, testCat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+		var published []*relation.Tuple
+		pub := func(i int) {
+			r := mkTuple("R", int64(i%5), int64(i), 0)
+			s := mkTuple("S", int64(i%5), int64(i%7), 0)
+			published = append(published, r, s)
+			eng.PublishTuple(nodes[2], r)
+			eng.PublishTuple(nodes[3], s)
+			eng.Run()
+		}
+		for i := 0; i < 20; i++ {
+			pub(i)
+		}
+		total := func() (c stateCounts) {
+			for _, p := range eng.procs {
+				pc := p.st.counts()
+				c.queries += pc.queries
+				c.tuples += pc.tuples
+				c.altt += pc.altt
+				c.pending += pc.pending
+				c.aggEpochs += pc.aggEpochs
+			}
+			return c
+		}
+		victim := aggHolder(eng)
+		if victim == nil || victim == nodes[1] || victim == nodes[2] || victim == nodes[3] {
+			t.Fatal("no usable aggregator to move; workload too weak")
+		}
+		before := total()
+		if _, err := eng.MoveNode(victim, victim.ID()+1<<60); err != nil {
+			t.Fatal(err)
+		}
+		if after := total(); after != before {
+			t.Fatalf("k=%d: the move changed the stored entries: before %+v, after %+v", k, before, after)
+		}
+		for _, p := range eng.procs {
+			for _, op := range p.st.ops(classKeyed, nil) {
+				if o := eng.Ring().Owner(op.key.ID()); o.ID() != p.node.ID() {
+					t.Fatalf("k=%d: entry kind %d under key %s left at %s, owner is %s", k, op.kind, op.key, p.node.ID(), o.ID())
+				}
+			}
+		}
+		for i := 20; i < 40; i++ {
+			pub(i)
+		}
+		aggViewsMatch(t, "moved-aggregator", sql, eng, qid, published)
+		if k >= 2 {
+			mirrorsTrackLiveState(t, eng)
 		}
 	}
 }

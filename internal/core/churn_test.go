@@ -62,7 +62,7 @@ func rewriteHolder(eng *Engine) *chord.Node {
 	bestCount := 0
 	for _, p := range eng.procs {
 		c := 0
-		for _, list := range p.queries {
+		for _, list := range p.st.queries {
 			for _, sq := range list {
 				if sq.q.Depth > 0 {
 					c++
@@ -80,7 +80,7 @@ func rewriteHolder(eng *Engine) *chord.Node {
 func inputHolder(eng *Engine) *chord.Node {
 	var best *chord.Node
 	for _, p := range eng.procs {
-		for _, list := range p.queries {
+		for _, list := range p.st.queries {
 			for _, sq := range list {
 				if sq.q.Depth == 0 && (best == nil || p.node.ID() < best.ID()) {
 					best = p.node
@@ -276,6 +276,51 @@ func TestCrashCountsLostState(t *testing.T) {
 	}
 }
 
+// TestLeaveWithNoSuccessorCountsLoss: the last node leaves; there is
+// nobody to hand to, so everything it holds is charged to the loss
+// counters — except entries of a retired pipeline, which nobody is
+// waiting for and which CrashNode skips as well.
+func TestLeaveWithNoSuccessorCountsLoss(t *testing.T) {
+	eng, nodes := testNet(t, 1, 3, DefaultConfig(), churnNetCfg())
+	var qids []string
+	for i := 0; i < 2; i++ {
+		qid, err := eng.SubmitQuery(nodes[0], sqlparse.MustParse(
+			"select R.B, S.B from R,S where R.A=S.A", testCat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		qids = append(qids, qid)
+	}
+	eng.Run()
+	for i := 0; i < 4; i++ {
+		eng.PublishTuple(nodes[0], mkTuple("R", int64(i), int64(i), 0))
+	}
+	eng.Run()
+	st := eng.procs[nodes[0].ID()].st
+	c := st.counts()
+	retired := 0
+	eng.retiredQ[qids[1]] = true // tombstoned, its stored copies not yet swept
+	for _, list := range st.queries {
+		for _, sq := range list {
+			if sq.q.ID == qids[1] {
+				retired++
+			}
+		}
+	}
+	if retired == 0 || retired == c.queries || c.tuples == 0 {
+		t.Fatalf("workload too weak: %d of %d stored queries retired, %d tuples", retired, c.queries, c.tuples)
+	}
+	if err := eng.LeaveNode(nodes[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.Counters.QueriesLost + eng.Counters.RewritesLost; got != int64(c.queries-retired) {
+		t.Fatalf("leave with no successor charged %d queries, want %d (retired pipeline skipped)", got, c.queries-retired)
+	}
+	if got := eng.Counters.TuplesLost; got != int64(c.tuples+c.altt) {
+		t.Fatalf("leave with no successor charged %d tuples, want %d", got, c.tuples+c.altt)
+	}
+}
+
 // JoinNode splits an existing node's arc: the stored state in the new
 // arc moves to the joiner, and a workload spanning the join stays
 // exactly-once.
@@ -304,8 +349,8 @@ func TestJoinNodeTakesOverArc(t *testing.T) {
 	}
 	hp := eng.procs[holder.ID()]
 	var targetKey relation.Key
-	for _, key := range sortedStateKeys(hp.queries) {
-		for _, sq := range hp.queries[key] {
+	for _, key := range sortedStateKeys(hp.st.queries) {
+		for _, sq := range hp.st.queries[key] {
 			if sq.q.Depth > 0 {
 				targetKey = key
 			}
@@ -320,7 +365,7 @@ func TestJoinNodeTakesOverArc(t *testing.T) {
 	}
 	eng.Run()
 	jp := eng.procs[joined.ID()]
-	if len(jp.queries[targetKey]) == 0 {
+	if len(jp.st.queries[targetKey]) == 0 {
 		t.Fatal("joined node did not receive the stored queries of its arc")
 	}
 	for i := 0; i < 4; i++ {

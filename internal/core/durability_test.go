@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"rjoin/internal/refeval"
@@ -290,7 +293,7 @@ func TestLeaveWithReplicationInFlight(t *testing.T) {
 	}
 	// Replica-group targets of the victim: removing one mid-stream
 	// leaves its inbound update batches undeliverable.
-	targets := eng.procs[victim.ID()].repl.links.Targets()
+	targets := eng.procs[victim.ID()].repl.Targets()
 	if len(targets) == 0 {
 		t.Fatal("victim has no replica targets")
 	}
@@ -336,99 +339,27 @@ func TestLeaveWithReplicationInFlight(t *testing.T) {
 
 // mirrorsTrackLiveState asserts the replication invariant at
 // quiescence: for every node, every replica target holds a mirror equal
-// to the node's live keyed state — same stored queries (by replication
-// identity, with equal DISTINCT memory), same tuples, same unexpired
-// ALTT entries, same aggregation row counts, same candidate table.
+// to the node's live state over the mirrored classes (state.equal:
+// stored queries with their identity and DISTINCT/combine memory,
+// tuples, unexpired ALTT entries, aggregator groups down to partials,
+// watermark and lineage, candidate table, placement walks).
 func mirrorsTrackLiveState(t *testing.T, eng *Engine) {
 	t.Helper()
-	now := eng.Sim().Now()
 	checked := 0
 	for _, n := range eng.Ring().Nodes() {
 		p := eng.procs[n.ID()]
-		for _, tgt := range p.repl.links.Targets() {
+		for _, tgt := range p.repl.Targets() {
 			tp := eng.procs[tgt]
 			if tp == nil {
 				t.Fatalf("node %s lists dead target %s", n.ID(), tgt)
 			}
-			ib := tp.replInboxes[n.ID()]
-			var mr *replMirror
-			if ib != nil {
-				mr = ib.mirror
-			} else {
-				mr = newReplMirror() // stream never opened: state must be empty
+			mirror := newMirror(eng.aggSpec) // stream never opened: state must be empty
+			if ib := tp.replInboxes[n.ID()]; ib != nil {
+				mirror = ib.mirror
 			}
 			checked++
-
-			for key, list := range p.queries {
-				if len(mr.queries[key]) != len(list) {
-					t.Fatalf("node %s → %s: key %s mirrors %d queries, live %d",
-						n.ID(), tgt, key, len(mr.queries[key]), len(list))
-				}
-				for _, sq := range list {
-					mq := mr.bySq[sq.replID]
-					if mq == nil || mq.q != sq.q {
-						t.Fatalf("node %s → %s: stored query %d not mirrored", n.ID(), tgt, sq.replID)
-					}
-					if len(mq.seen) != len(sq.seen) {
-						t.Fatalf("node %s → %s: query %d DISTINCT memory diverged: mirror %d, live %d",
-							n.ID(), tgt, sq.replID, len(mq.seen), len(sq.seen))
-					}
-					for proj := range sq.seen {
-						if !mq.seen[proj] {
-							t.Fatalf("node %s → %s: query %d missing mirrored projection", n.ID(), tgt, sq.replID)
-						}
-					}
-				}
-			}
-			for key, list := range p.tuples {
-				if len(mr.tuples[key]) != len(list) {
-					t.Fatalf("node %s → %s: key %s mirrors %d tuples, live %d",
-						n.ID(), tgt, key, len(mr.tuples[key]), len(list))
-				}
-				for i, tu := range list {
-					if mr.tuples[key][i] != tu {
-						t.Fatalf("node %s → %s: tuple %d of key %s diverged", n.ID(), tgt, i, key)
-					}
-				}
-			}
-			unexpired := func(list []alttEntry) int {
-				c := 0
-				for _, e := range list {
-					if e.expireAt >= now {
-						c++
-					}
-				}
-				return c
-			}
-			for key, list := range p.altt {
-				if live := unexpired(list); unexpired(mr.altt[key]) != live {
-					t.Fatalf("node %s → %s: key %s mirrors %d live ALTT entries, want %d",
-						n.ID(), tgt, key, unexpired(mr.altt[key]), live)
-				}
-			}
-			for key, g := range p.aggs {
-				mg := mr.aggs[key]
-				if mg == nil || len(mg.epochs) != len(g.epochs) {
-					t.Fatalf("node %s → %s: agg group %s not mirrored", n.ID(), tgt, key)
-				}
-				for ep, part := range g.epochs {
-					if mg.epochs[ep] == nil || mg.epochs[ep].Rows() != part.Rows() {
-						t.Fatalf("node %s → %s: agg group %s epoch %d diverged", n.ID(), tgt, key, ep)
-					}
-				}
-			}
-			if len(mr.ct) != p.ct.size() {
-				t.Fatalf("node %s → %s: candidate table mirrors %d entries, live %d",
-					n.ID(), tgt, len(mr.ct), p.ct.size())
-			}
-			if len(mr.pending) != len(p.pending) {
-				t.Fatalf("node %s → %s: mirrors %d pending walks, live %d",
-					n.ID(), tgt, len(mr.pending), len(p.pending))
-			}
-			for reqID, pp := range p.pending {
-				if mr.pending[reqID] != pp.q {
-					t.Fatalf("node %s → %s: pending walk %d not mirrored", n.ID(), tgt, reqID)
-				}
+			if err := p.st.equal(mirror, classMirrored, eng.Sim().Now()); err != nil {
+				t.Fatalf("node %s → %s: %v", n.ID(), tgt, err)
 			}
 		}
 	}
@@ -547,7 +478,7 @@ func TestCrashDuringPlacementWalk(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No Run: the walk is pending at nodes[0] when it crashes.
-	if len(eng.procs[nodes[0].ID()].pending) == 0 {
+	if len(eng.procs[nodes[0].ID()].st.pending) == 0 {
 		t.Fatal("submission left no pending walk; placement completed synchronously")
 	}
 	if err := eng.CrashNode(nodes[0]); err != nil {
@@ -613,4 +544,97 @@ func TestMoveNodeKeepsMirrorsConsistent(t *testing.T) {
 	}
 	eng.Run()
 	mirrorsTrackLiveState(t, eng)
+}
+
+// aggGroupsOf exposes a node's aggregator groups to the tests below.
+func aggGroupsOf(p *Proc) map[relation.Key]*aggGroup { return p.st.aggs }
+
+// TestSnapshotPromotionKeepsAggProvenance: a replica that received its mirror
+// by repair snapshot (not by the incremental stream) must promote
+// aggregator groups with their provenance and latency watermark intact.
+// The origin's replica target leaves gracefully, so the repair pass
+// snapshots the origin to its next successor; then the origin crashes.
+// The promoted groups' next updates must carry the lineage an uncrashed
+// run carries, and their watermark must equal the dead primary's.
+func TestSnapshotPromotionKeepsAggProvenance(t *testing.T) {
+	// R.C=S.C pairs each R tuple with exactly one S tuple, so a view row's
+	// lineage is the union over its rows and later rows cannot stand in
+	// for the provenance of earlier ones.
+	sql := "select R.A, count(*) from R,S where R.A=S.A and R.C=S.C group by R.A"
+	run := func(churn bool) map[string][]int64 {
+		cfg := replCfg(2)
+		cfg.Provenance = true
+		eng, nodes := testNet(t, 48, 5, cfg, churnNetCfg())
+		qid, err := eng.SubmitQuery(nodes[0], sqlparse.MustParse(sql, testCat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+		pub := func(i int) {
+			eng.PublishTuple(nodes[1], mkTuple("R", int64(i%4), int64(i), int64(i)))
+			eng.PublishTuple(nodes[2], mkTuple("S", int64(i%4), int64(i%3), int64(i)))
+			eng.Run()
+		}
+		for i := 0; i < 16; i++ {
+			pub(i)
+		}
+		if churn {
+			origin := aggHolder(eng)
+			if origin == nil || origin == nodes[0] || origin == nodes[1] || origin == nodes[2] {
+				t.Fatal("no usable aggregator to crash; workload too weak")
+			}
+			replica := eng.Ring().Node(eng.replTargetsOf(origin)[0])
+			if replica == nodes[0] || replica == nodes[1] || replica == nodes[2] {
+				t.Fatal("replica target is a publisher or the owner; pick another seed")
+			}
+			syncs := eng.Counters.ReplSyncs
+			if err := eng.LeaveNode(replica); err != nil {
+				t.Fatal(err)
+			}
+			eng.Run()
+			if eng.Counters.ReplSyncs == syncs {
+				t.Fatal("the replica's departure opened no repair snapshot")
+			}
+			want := make(map[relation.Key]int64)
+			for key, g := range aggGroupsOf(eng.procs[origin.ID()]) {
+				want[key] = g.pubAt
+			}
+			if err := eng.CrashNode(origin); err != nil {
+				t.Fatal(err)
+			}
+			eng.Ring().TickStabilize()
+			eng.Run()
+			promoted := aggGroupsOf(eng.procs[eng.Ring().Owner(origin.ID()).ID()])
+			for key, pubAt := range want {
+				if g := promoted[key]; g == nil || g.pubAt != pubAt || pubAt == 0 {
+					t.Fatalf("group %s promoted with watermark %v, the primary's was %d", key, g, pubAt)
+				}
+			}
+			if eng.Counters.AggStateLost != 0 || eng.Counters.ReplPromotions != 1 {
+				t.Fatalf("crash lost %d partials over %d promotions", eng.Counters.AggStateLost, eng.Counters.ReplPromotions)
+			}
+		}
+		for i := 16; i < 24; i++ {
+			pub(i)
+		}
+		// Lineage steps name the node that consumed each tuple, which the
+		// churn legitimately changes; the publication sequences do not.
+		out := make(map[string][]int64)
+		for _, r := range eng.AggRows(qid) {
+			seqs := make([]int64, 0, len(r.Lineage))
+			for _, s := range r.Lineage {
+				seqs = append(seqs, s.Seq)
+			}
+			slices.Sort(seqs)
+			out[fmt.Sprintf("%s/%d", r.Group, r.Epoch)] = slices.Compact(seqs)
+		}
+		return out
+	}
+	want, got := run(false), run(true)
+	if len(want) == 0 {
+		t.Fatal("reference run produced no view rows")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("aggregate provenance diverged across a snapshot-fed promotion:\ngot  %v\nwant %v", got, want)
+	}
 }

@@ -646,7 +646,7 @@ func (e *Engine) ResetMetrics() {
 func (e *Engine) SweepALTT() {
 	now := e.sim.Now()
 	for _, p := range e.procs {
-		for key := range p.altt {
+		for key := range p.st.altt {
 			p.alttScan(key, now)
 		}
 	}
@@ -657,15 +657,10 @@ func (e *Engine) SweepALTT() {
 // metric). Used by window tests to show state stays bounded.
 func (e *Engine) StoredState() (queries, tuples, altt int) {
 	for _, p := range e.procs {
-		for _, qs := range p.queries {
-			queries += len(qs)
-		}
-		for _, ts := range p.tuples {
-			tuples += len(ts)
-		}
-		for _, es := range p.altt {
-			altt += len(es)
-		}
+		c := p.st.counts()
+		queries += c.queries
+		tuples += c.tuples
+		altt += c.altt
 	}
 	return
 }

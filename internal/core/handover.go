@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"rjoin/internal/chord"
 	"rjoin/internal/id"
@@ -23,186 +22,21 @@ import (
 // moved rather than being a single flat message.
 const handoverChunk = 48
 
-// sortedStateKeys returns a map's keys ordered by their string form —
-// the deterministic iteration order every handover is built in, so
-// equal seeds replay identically regardless of map layout.
-func sortedStateKeys[V any](m map[relation.Key]V) []relation.Key {
-	keys := make([]relation.Key, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
-	return keys
-}
-
-// sortedReqIDs is sortedStateKeys for the pending-placement table: the
-// one deterministic iteration order shared by handover construction
-// and crash recovery.
-func sortedReqIDs(pending map[int64]*pendingPlacement) []int64 {
-	reqIDs := make([]int64, 0, len(pending))
-	for reqID := range pending {
-		reqIDs = append(reqIDs, reqID)
-	}
-	sort.Slice(reqIDs, func(i, j int) bool { return reqIDs[i] < reqIDs[j] })
-	return reqIDs
-}
-
-// handoverBuilder accumulates state entries into chunked messages.
-type handoverBuilder struct {
-	from, to id.ID
-	msgs     []*handoverMsg
-}
-
-func (b *handoverBuilder) chunk() *handoverMsg {
-	if n := len(b.msgs); n > 0 && b.msgs[n-1].entryCount() < handoverChunk {
-		return b.msgs[n-1]
-	}
-	m := &handoverMsg{From: b.from, To: b.to}
-	b.msgs = append(b.msgs, m)
-	return m
-}
-
-// buildFullHandover drains every piece of a processor's state — stored
-// queries (both levels), value-level tuples, ALTT entries, rate
-// statistics, candidate-table entries and in-flight placements — into
-// handover messages for the given recipient. The processor is left
-// empty.
-func buildFullHandover(p *Proc, to id.ID) []*handoverMsg {
-	b := &handoverBuilder{from: p.node.ID(), to: to}
-	for _, key := range sortedStateKeys(p.queries) {
-		for _, sq := range p.queries[key] {
-			c := b.chunk()
-			c.Queries = append(c.Queries, sq)
-		}
-	}
-	for _, key := range sortedStateKeys(p.tuples) {
-		for _, t := range p.tuples[key] {
-			c := b.chunk()
-			c.Tuples = append(c.Tuples, handedTuple{Key: key, T: t})
-		}
-	}
-	for _, key := range sortedStateKeys(p.altt) {
-		for _, e := range p.altt[key] {
-			c := b.chunk()
-			c.ALTT = append(c.ALTT, handedALTT{Key: key, E: e})
-		}
-	}
-	for _, key := range sortedStateKeys(p.stats) {
-		c := b.chunk()
-		c.Stats = append(c.Stats, handedStat{Key: key, S: *p.stats[key]})
-	}
-	for _, key := range sortedStateKeys(p.ct.entries) {
-		e := p.ct.entries[key]
-		c := b.chunk()
-		c.CT = append(c.CT, ricInfo{Key: key, Rate: e.Rate, Addr: e.Addr, At: e.At})
-	}
-	for _, reqID := range sortedReqIDs(p.pending) {
-		c := b.chunk()
-		c.Pending = append(c.Pending, handedPending{ReqID: reqID, PP: p.pending[reqID]})
-	}
-	for _, key := range sortedStateKeys(p.aggs) {
-		c := b.chunk()
-		c.Aggs = append(c.Aggs, handedAgg{Key: key, G: p.aggs[key]})
-	}
-	p.queries = make(map[relation.Key][]*storedQuery)
-	p.tuples = make(map[relation.Key][]*relation.Tuple)
-	p.altt = make(map[relation.Key][]alttEntry)
-	p.aggs = make(map[relation.Key]*aggGroup)
-	p.stats = make(map[relation.Key]*rateStat)
-	p.ct = newCandidateTable()
-	p.pending = make(map[int64]*pendingPlacement)
-	return b.msgs
-}
-
-// buildArcHandover extracts from sp the stored state whose keys now
-// belong to the freshly joined node n (ground truth after the join) and
-// returns it as handover messages addressed to n. Candidate-table
-// entries and pending placements stay: they are bound to sp itself, not
-// to the keys it stores. Every moved key is dropped from sp's replica
-// mirrors (it is no longer sp's to guarantee; n re-replicates it on
-// arrival), keeping groups consistent as ownership moves.
-func buildArcHandover(e *Engine, sp *Proc, n *chord.Node) []*handoverMsg {
-	moved := func(key relation.Key) bool {
-		o := e.ring.Owner(key.ID())
-		return o != nil && o.ID() == n.ID()
-	}
-	dropped := make(map[relation.Key]bool)
-	drop := func(key relation.Key) {
-		if !dropped[key] {
-			dropped[key] = true
-			sp.replDropKey(key)
-		}
-	}
-	b := &handoverBuilder{from: sp.node.ID(), to: n.ID()}
-	for _, key := range sortedStateKeys(sp.queries) {
-		if !moved(key) {
-			continue
-		}
-		for _, sq := range sp.queries[key] {
-			c := b.chunk()
-			c.Queries = append(c.Queries, sq)
-		}
-		delete(sp.queries, key)
-		drop(key)
-	}
-	for _, key := range sortedStateKeys(sp.tuples) {
-		if !moved(key) {
-			continue
-		}
-		for _, t := range sp.tuples[key] {
-			c := b.chunk()
-			c.Tuples = append(c.Tuples, handedTuple{Key: key, T: t})
-		}
-		delete(sp.tuples, key)
-		drop(key)
-	}
-	for _, key := range sortedStateKeys(sp.altt) {
-		if !moved(key) {
-			continue
-		}
-		for _, en := range sp.altt[key] {
-			c := b.chunk()
-			c.ALTT = append(c.ALTT, handedALTT{Key: key, E: en})
-		}
-		delete(sp.altt, key)
-		drop(key)
-	}
-	for _, key := range sortedStateKeys(sp.stats) {
-		if !moved(key) {
-			continue
-		}
-		c := b.chunk()
-		c.Stats = append(c.Stats, handedStat{Key: key, S: *sp.stats[key]})
-		delete(sp.stats, key)
-	}
-	for _, key := range sortedStateKeys(sp.aggs) {
-		if !moved(key) {
-			continue
-		}
-		c := b.chunk()
-		c.Aggs = append(c.Aggs, handedAgg{Key: key, G: sp.aggs[key]})
-		delete(sp.aggs, key)
-		drop(key)
-	}
-	sp.replFlush()
-	return b.msgs
-}
-
-// sendHandover ships prepared handover chunks as instantaneous
-// transfers, charged under the churn traffic tag.
-func (e *Engine) sendHandover(from *chord.Node, to id.ID, msgs []*handoverMsg) {
+// sendHandover ships state entries as chunked, instantaneous transfers,
+// charged under the churn traffic tag.
+func (e *Engine) sendHandover(from *chord.Node, to id.ID, ops []stateOp) {
 	e.net.WithTag(from, TagChurn, func() {
-		for _, m := range msgs {
-			if m.entryCount() == 0 {
-				continue
-			}
+		for len(ops) > 0 {
+			n := min(len(ops), handoverChunk)
+			m := &handoverMsg{From: from.ID(), To: to, Ops: ops[:n:n]}
+			ops = ops[n:]
 			e.Counters.HandoverMessages++
-			e.Counters.HandoverEntries += int64(m.entryCount())
+			e.Counters.HandoverEntries += int64(n)
 			if tr := e.trace; tr != nil {
 				// Handover runs from churn-manager (coordinator) context.
 				tr.Emit(sim.NoShard, obs.Event{
 					At: int64(e.sim.Now()), Kind: obs.KindHandover,
-					Node: uint64(from.ID()), Arg: int64(m.entryCount()),
+					Node: uint64(from.ID()), Arg: int64(n),
 				})
 			}
 			e.net.Transfer(from, to, m)
@@ -210,155 +44,50 @@ func (e *Engine) sendHandover(from *chord.Node, to id.ID, msgs []*handoverMsg) {
 	})
 }
 
-// onHandover merges transferred state into the local stores. Entries
-// whose key this node does not own (the ring moved again while the
-// handover was in flight, or a chunk was bounced past its intended
-// recipient) are forwarded to their key's current owner, up to the
-// rerouting budget.
+// onHandover applies transferred state to the local store. A keyed
+// entry whose key this node does not own (the ring moved again while
+// the handover was in flight, or a chunk was bounced past its intended
+// recipient) is forwarded to its key's current owner, one message per
+// key in first-encounter order; once the forwarding budget has run out
+// it is dropped and counted as lost exactly once — storing it here
+// would leave state no traffic can reach while exposing it to double
+// counting by a later crash of this node. Rate statistics are soft
+// state and merge wherever they end up; candidate-table entries and
+// placement walks are bound to the node, not to a key, and never
+// forward. Entries of pipelines or subscriptions retired while the
+// handover was in flight are dropped.
 func (p *Proc) onHandover(now sim.Time, m *handoverMsg) {
 	e := p.eng
 	var fwdKeys []relation.Key
 	fwd := make(map[relation.Key]*handoverMsg)
-	forward := func(key relation.Key) *handoverMsg {
-		f, ok := fwd[key]
-		if !ok {
-			f = &handoverMsg{From: p.node.ID(), To: key.ID(), Hops: m.Hops + 1}
-			fwd[key] = f
-			fwdKeys = append(fwdKeys, key)
+	for _, op := range m.Ops {
+		if e.retiredOp(op) {
+			continue
 		}
-		return f
-	}
-	canForward := m.Hops < maxReroutes
-	// strayed reports an entry that reached a node that does not own
-	// its key after the forwarding budget ran out (the ring changed
-	// ownership repeatedly while the handover was in flight). Such an
-	// entry is dropped and counted as lost exactly once — storing it
-	// here would leave state no traffic can reach while exposing it to
-	// double counting by a later crash of this node.
-	strayed := func(key relation.Key) bool {
-		return !canForward && !p.ownsKey(key)
-	}
-
-	for _, sq := range m.Queries {
-		if p.eng.retiredPipeline(sq.q.ID) {
-			continue // pipeline torn down while the handover was in flight
-		}
-		if !p.ownsKey(sq.key) {
-			if canForward {
-				f := forward(sq.key)
-				f.Queries = append(f.Queries, sq)
-			} else if sq.q.Depth == 0 {
-				p.ctr.QueriesLost++
-			} else {
-				p.ctr.RewritesLost++
+		if op.keyed() && !p.ownsKey(op.key) {
+			if m.Hops < maxReroutes {
+				f, ok := fwd[op.key]
+				if !ok {
+					f = &handoverMsg{From: p.node.ID(), To: op.key.ID(), Hops: m.Hops + 1}
+					fwd[op.key] = f
+					fwdKeys = append(fwdKeys, op.key)
+				}
+				f.Ops = append(f.Ops, op)
+				continue
 			}
-			continue
-		}
-		p.queries[sq.key] = append(p.queries[sq.key], sq)
-		p.replQueryAdd(sq) // handed-over state re-replicates at its new home
-	}
-	for _, h := range m.Tuples {
-		if canForward && !p.ownsKey(h.Key) {
-			f := forward(h.Key)
-			f.Tuples = append(f.Tuples, h)
-			continue
-		}
-		if strayed(h.Key) {
-			p.ctr.TuplesLost++
-			continue
-		}
-		p.tuples[h.Key] = append(p.tuples[h.Key], h.T)
-		p.replTupleAdd(h.Key, h.T)
-	}
-	for _, h := range m.ALTT {
-		if canForward && !p.ownsKey(h.Key) {
-			f := forward(h.Key)
-			f.ALTT = append(f.ALTT, h)
-			continue
-		}
-		if strayed(h.Key) {
-			p.ctr.TuplesLost++
-			continue
-		}
-		p.insertALTT(h.Key, h.E)
-		p.replALTTAdd(h.Key, h.E)
-	}
-	for _, h := range m.Stats {
-		if canForward && !p.ownsKey(h.Key) {
-			f := forward(h.Key)
-			f.Stats = append(f.Stats, h)
-			continue
-		}
-		if cur, ok := p.stats[h.Key]; ok {
-			// Keep whichever estimate saw traffic more recently.
-			if h.S.epoch > cur.epoch {
-				*cur = h.S
+			if op.kind != opStat {
+				op.chargeLost(p.ctr)
+				continue
 			}
-		} else {
-			s := h.S
-			p.stats[h.Key] = &s
 		}
+		p.st.apply(op) // logged: handed-over state re-replicates at its new home
 	}
-	for _, info := range m.CT {
-		p.ctMerge(info)
-	}
-	for _, h := range m.Pending {
-		if p.eng.retiredPipeline(h.PP.q.ID) {
-			continue // pipeline torn down while the handover was in flight
-		}
-		p.pending[h.ReqID] = h.PP
-		p.replPendingAdd(h.ReqID, h.PP.q)
-	}
-	for _, h := range m.Aggs {
-		if p.eng.retiredSub(h.G.qid) {
-			continue // subscriber gone; its aggregator state is moot
-		}
-		if canForward && !p.ownsKey(h.Key) {
-			f := forward(h.Key)
-			f.Aggs = append(f.Aggs, h)
-			continue
-		}
-		if strayed(h.Key) {
-			p.ctr.AggStateLost += h.G.epochCount()
-			continue
-		}
-		// Mirror the transferred delta before merging: mergeInto moves
-		// the partial pointers into the destination group.
-		p.replAggMerge(h.Key, h.G)
-		if cur, ok := p.aggs[h.Key]; ok {
-			// Partials for this group reached the new owner before the
-			// handover landed: merge the transferred epochs in and mark
-			// them dirty so the next flush re-emits their rows.
-			h.G.mergeInto(p.eng.aggSpec(h.G.qid).Sliding(), cur)
-		} else {
-			p.aggs[h.Key] = h.G
-		}
-	}
-
 	for _, key := range fwdKeys {
-		f := fwd[key]
 		p.ctr.MessagesRerouted++
 		e.net.WithTag(p.node, TagChurn, func() {
-			e.net.Send(p.node, key.ID(), f)
+			e.net.Send(p.node, key.ID(), fwd[key])
 		})
 	}
-}
-
-// insertALTT splices a transferred ALTT entry into the expiry-ordered
-// list for its key, preserving the invariant alttScan relies on (the
-// expired prefix is contiguous). Like every other handed-over state
-// class, a moved entry is not a new admission: ALTTStored counted it
-// when it first entered the network.
-func (p *Proc) insertALTT(key relation.Key, e alttEntry) {
-	list := p.altt[key]
-	i := len(list)
-	for i > 0 && list[i-1].expireAt > e.expireAt {
-		i--
-	}
-	list = append(list, alttEntry{})
-	copy(list[i+1:], list[i:])
-	list[i] = e
-	p.altt[key] = list
 }
 
 // JoinNode adds a node with the given identifier to a running network:
@@ -379,7 +108,15 @@ func (e *Engine) JoinNode(nid id.ID) (*chord.Node, error) {
 	succ := n.Successor()
 	if succ != n {
 		if sp, ok := e.procs[succ.ID()]; ok {
-			e.sendHandover(succ, n.ID(), buildArcHandover(e, sp, n))
+			// The stored state whose keys now belong to n (ground truth
+			// after the join) moves to it; sp's mirrors drop each moved
+			// key, and n re-replicates it on arrival.
+			ops := sp.st.take(func(key relation.Key) bool {
+				o := e.ring.Owner(key.ID())
+				return o != nil && o.ID() == n.ID()
+			})
+			sp.replFlush()
+			e.sendHandover(succ, n.ID(), ops)
 		}
 	}
 	// The join shifts the successor lists of the new node's
@@ -405,17 +142,19 @@ func (e *Engine) LeaveNode(n *chord.Node) error {
 	e.net.FlushNode(n)
 	succ := n.Successor()
 	if succ != n && succ.Alive() {
-		e.sendHandover(n, succ.ID(), buildFullHandover(p, succ.ID()))
+		ops := p.st.ops(classAll, nil)
+		p.st.clear()
+		e.sendHandover(n, succ.ID(), ops)
 	} else {
-		e.countLostState(p)
+		p.st.chargeLost(&e.Counters, e.retiredOp)
 	}
 	// The departed node's mirrors are obsolete: its state lives on at
 	// the successor (which re-replicates it as its own on arrival), or
 	// is already counted lost. Update batches still in flight to a
 	// dropped mirror are discarded by the stream versioning.
 	if p.repl != nil {
-		p.repl.outbox = nil
-		for _, t := range p.repl.links.Targets() {
+		p.st.outbox = nil
+		for _, t := range p.repl.Targets() {
 			e.replDropMirror(n.ID(), t)
 		}
 	}
@@ -462,50 +201,6 @@ func (e *Engine) CrashNode(n *chord.Node) error {
 	now := e.sim.Now()
 	promotee, replicated := e.replPromotee(p)
 
-	// Lost placements of input queries, deterministically ordered.
-	// Under promotion the stored queries survive in the mirror, so only
-	// the pending placement walks need engine-side recovery.
-	type lostPlacement struct {
-		q     *query.Query
-		key   relation.Key
-		level query.Level
-	}
-	var lost []lostPlacement
-	if !replicated {
-		for _, key := range sortedStateKeys(p.queries) {
-			for _, sq := range p.queries[key] {
-				switch {
-				case e.retiredQ[sq.q.ID]:
-					// torn-down shared pipeline: nothing to recover or count
-				case sq.q.Depth == 0 && !sq.q.OneTime:
-					lost = append(lost, lostPlacement{q: sq.q, key: sq.key, level: sq.level})
-				case sq.q.Depth == 0:
-					e.Counters.QueriesLost++
-				default:
-					e.Counters.RewritesLost++
-				}
-			}
-		}
-	}
-	// In-flight placement walks. Under promotion the mirror carries
-	// them — every walk restarts at the promotee, rewrites included —
-	// so the engine-side pass only runs for the unreplicated model.
-	var rePlace []*query.Query
-	if !replicated {
-		for _, reqID := range sortedReqIDs(p.pending) {
-			pp := p.pending[reqID]
-			switch {
-			case e.retiredQ[pp.q.ID]:
-				// torn-down shared pipeline: nothing to recover or count
-			case pp.q.Depth == 0 && !pp.q.OneTime:
-				rePlace = append(rePlace, pp.q)
-			case pp.q.Depth == 0:
-				e.Counters.QueriesLost++
-			default:
-				e.Counters.RewritesLost++
-			}
-		}
-	}
 	if replicated {
 		// Surviving replicas other than the promotee hold mirrors of the
 		// dead node that will never be promoted; discard them. The
@@ -516,22 +211,41 @@ func (e *Engine) CrashNode(n *chord.Node) error {
 		if pp, ok := e.procs[promotee]; ok {
 			promoIb = pp.replInboxes[n.ID()]
 		}
-		for _, t := range p.repl.links.Targets() {
+		for _, t := range p.repl.Targets() {
 			if t != promotee {
 				e.replDropMirror(n.ID(), t)
 			}
 		}
 		e.schedulePromotion(n.ID(), promotee, promoIb)
-	} else {
-		// No promotion possible: count the loss and discard every
-		// mirror of the dead origin so nothing lingers unconsumed.
-		e.countLostTuples(p)
-		e.countLostAggState(p)
-		if p.repl != nil {
-			for _, t := range p.repl.links.Targets() {
-				e.replDropMirror(n.ID(), t)
-			}
+	} else if p.repl != nil {
+		// No promotion possible: discard every mirror of the dead origin
+		// so nothing lingers unconsumed.
+		for _, t := range p.repl.Targets() {
+			e.replDropMirror(n.ID(), t)
 		}
+	}
+
+	// Without a promotion, input continuous queries the dead node was
+	// storing (lost) or still placing (rePlace) are recovered from their
+	// owner's side, in the state's deterministic order; everything else
+	// it held is counted lost. Under promotion the mirror carries all of
+	// it — walks included, which restart at the promotee.
+	var lost []*storedQuery
+	var rePlace []*query.Query
+	if !replicated {
+		p.st.each(classAll, nil, func(op stateOp) {
+			q := op.query()
+			switch {
+			case e.retiredOp(op):
+				// torn-down pipeline: nothing to recover or count
+			case q == nil || q.Depth > 0 || q.OneTime:
+				op.chargeLost(&e.Counters)
+			case op.kind == opAddQuery:
+				lost = append(lost, op.sq)
+			default:
+				rePlace = append(rePlace, q)
+			}
+		})
 	}
 
 	// Coordinator-context section: crash recovery sends originate from
@@ -578,46 +292,4 @@ func (e *Engine) CrashNode(n *chord.Node) error {
 // (where the owner's answers are bounced to as well).
 func (e *Engine) recoveryHome(q *query.Query) *chord.Node {
 	return e.ring.Owner(id.ID(q.Owner))
-}
-
-// countLostState charges every entry of a processor that disappears
-// without handover — a departure with no live successor to hand to —
-// to the loss counters, pending placements included.
-func (e *Engine) countLostState(p *Proc) {
-	for _, list := range p.queries {
-		for _, sq := range list {
-			if sq.q.Depth == 0 {
-				e.Counters.QueriesLost++
-			} else {
-				e.Counters.RewritesLost++
-			}
-		}
-	}
-	for _, pp := range p.pending {
-		if pp.q.Depth == 0 {
-			e.Counters.QueriesLost++
-		} else {
-			e.Counters.RewritesLost++
-		}
-	}
-	e.countLostTuples(p)
-	e.countLostAggState(p)
-}
-
-// countLostAggState charges every (group, epoch) aggregation partial
-// that dies with a node; the answers folded into it are the aggregate
-// view's loss.
-func (e *Engine) countLostAggState(p *Proc) {
-	for _, g := range p.aggs {
-		e.Counters.AggStateLost += g.epochCount()
-	}
-}
-
-func (e *Engine) countLostTuples(p *Proc) {
-	for _, list := range p.tuples {
-		e.Counters.TuplesLost += int64(len(list))
-	}
-	for _, list := range p.altt {
-		e.Counters.TuplesLost += int64(len(list))
-	}
 }

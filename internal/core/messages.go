@@ -222,9 +222,10 @@ func (m *ricReplyMsg) RingKey() id.ID { return m.Origin }
 // handoverMsg moves RJoin state between nodes during membership
 // changes: a gracefully leaving node drains its entire store to its
 // successor, and a freshly joined node receives the slice of its
-// successor's store that falls in its new arc. Entries are ordered
-// deterministically (keys sorted by their string form) and chunked so
-// the traffic charged for a handover scales with the state moved.
+// successor's store that falls in its new arc. Ops come in the state's
+// deterministic enumeration order (see state.each) and are chunked so
+// the traffic charged for a handover scales with the state moved; one
+// op is one entry.
 type handoverMsg struct {
 	From id.ID
 	// To is the intended recipient, kept for bouncing: if the recipient
@@ -232,46 +233,8 @@ type handoverMsg struct {
 	// current successor of this identifier.
 	To   id.ID
 	Hops uint8 // forwarding steps taken by entries that missed their owner
-
-	Queries []*storedQuery
-	Tuples  []handedTuple
-	ALTT    []handedALTT
-	Stats   []handedStat
-	CT      []ricInfo
-	Pending []handedPending
-	Aggs    []handedAgg
+	Ops  []stateOp
 }
 
 // RingKey implements overlay.Rekeyable.
 func (m *handoverMsg) RingKey() id.ID { return m.To }
-
-// entryCount returns how many state entries the chunk carries.
-func (m *handoverMsg) entryCount() int {
-	return len(m.Queries) + len(m.Tuples) + len(m.ALTT) +
-		len(m.Stats) + len(m.CT) + len(m.Pending) + len(m.Aggs)
-}
-
-type handedTuple struct {
-	Key relation.Key
-	T   *relation.Tuple
-}
-
-type handedALTT struct {
-	Key relation.Key
-	E   alttEntry
-}
-
-type handedStat struct {
-	Key relation.Key
-	S   rateStat
-}
-
-type handedPending struct {
-	ReqID int64
-	PP    *pendingPlacement
-}
-
-type handedAgg struct {
-	Key relation.Key
-	G   *aggGroup
-}

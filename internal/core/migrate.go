@@ -40,54 +40,31 @@ func (e *Engine) MoveNode(n *chord.Node, newID id.ID) (*chord.Node, error) {
 	return nn, nil
 }
 
-// RehomeKeys moves every stored query, tuple and ALTT entry to the node
-// currently responsible for its key. It must be called after membership
-// changes that redistribute the identifier space (joins, id movement)
-// so that subsequent deliveries find the stored state. It returns the
-// number of list entries moved.
+// RehomeKeys moves every piece of keyed state — stored queries, tuples,
+// ALTT entries, rate statistics, aggregator groups — to the node
+// currently responsible for its key, in deterministic node and entry
+// order. It must be called after membership changes that redistribute
+// the identifier space (joins, id movement) so that subsequent
+// deliveries find the stored state. It returns the number of entries
+// moved.
 func (e *Engine) RehomeKeys() int {
 	moved := 0
 	owner := func(key relation.Key) *Proc {
-		o := e.ring.Owner(key.ID())
-		if o == nil {
-			return nil
+		if o := e.ring.Owner(key.ID()); o != nil {
+			return e.procs[o.ID()]
 		}
-		return e.procs[o.ID()]
+		return nil
 	}
-	for _, p := range e.procs {
-		for key, list := range p.queries {
+	for _, nid := range sortedProcIDs(e.procs) {
+		p := e.procs[nid]
+		ops := p.st.take(func(key relation.Key) bool {
 			dst := owner(key)
-			if dst == nil || dst == p {
-				continue
-			}
-			// Replication identities are per-proc namespaces: a moved
-			// query must be re-numbered at its destination, or the
-			// resync snapshot would emit colliding sqIDs.
-			for _, sq := range list {
-				sq.replID = 0
-			}
-			dst.queries[key] = append(dst.queries[key], list...)
-			delete(p.queries, key)
-			moved += len(list)
+			return dst != nil && dst != p
+		})
+		for _, op := range ops {
+			owner(op.key).st.apply(op)
 		}
-		for key, list := range p.tuples {
-			dst := owner(key)
-			if dst == nil || dst == p {
-				continue
-			}
-			dst.tuples[key] = append(dst.tuples[key], list...)
-			delete(p.tuples, key)
-			moved += len(list)
-		}
-		for key, list := range p.altt {
-			dst := owner(key)
-			if dst == nil || dst == p {
-				continue
-			}
-			dst.altt[key] = append(dst.altt[key], list...)
-			delete(p.altt, key)
-			moved += len(list)
-		}
+		moved += len(ops)
 	}
 	// Identifier movement redistributes keys wholesale; incremental
 	// drop/add mirroring cannot track it, so replication rebuilds every
@@ -104,15 +81,6 @@ func (e *Engine) StoredOccupancy(n *chord.Node) int {
 	if !ok {
 		return 0
 	}
-	total := 0
-	for _, l := range p.queries {
-		total += len(l)
-	}
-	for _, l := range p.tuples {
-		total += len(l)
-	}
-	for _, l := range p.altt {
-		total += len(l)
-	}
-	return total
+	c := p.st.counts()
+	return c.queries + c.tuples + c.altt
 }

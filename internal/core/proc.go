@@ -33,10 +33,8 @@ type storedQuery struct {
 	triggers int
 	combined []int64
 
-	// replID is the identity replica-update streams reference this
-	// stored copy by (see replicate.go); zero when replication is off.
-	// It is local to the node currently storing the query: handover
-	// re-assigns it at the new home.
+	// replID is the identity the logged op stream names this stored
+	// copy by (see state.go); zero when replication is off.
 	replID int64
 }
 
@@ -48,31 +46,6 @@ func (sq *storedQuery) allowTrigger(t *relation.Tuple) bool {
 		return true
 	}
 	return !sq.seen[sq.q.TriggerProjection(t)]
-}
-
-// markTrigger records a successful trigger's projection and returns it
-// ("" for non-DISTINCT queries), so the replication hook can mirror the
-// consumed projection without rendering it a second time.
-func (sq *storedQuery) markTrigger(t *relation.Tuple) string {
-	if !sq.q.Distinct {
-		return ""
-	}
-	proj := sq.q.TriggerProjection(t)
-	if sq.seen == nil {
-		sq.seen = make(map[string]bool)
-	}
-	sq.seen[proj] = true
-	return proj
-}
-
-// noteCombine records a successful combination for the migration
-// extension; a no-op unless migration is enabled.
-func (sq *storedQuery) noteCombine(enabled bool, t *relation.Tuple) {
-	if !enabled {
-		return
-	}
-	sq.triggers++
-	sq.combined = append(sq.combined, t.PubSeq)
 }
 
 // pubQualifies implements the publication-time predicate of Definition
@@ -131,37 +104,24 @@ type Proc struct {
 	sl    *metrics.Load // storage-load slot
 	rng   *sim.RNG      // placement draws (nil: use the engine source)
 
-	queries map[relation.Key][]*storedQuery    // by index key, both levels
-	tuples  map[relation.Key][]*relation.Tuple // value-level tuple store
-	altt    map[relation.Key][]alttEntry       // attribute-level tuple table
-	aggs    map[relation.Key]*aggGroup         // aggregator state by group key
+	// st is every piece of state the node keeps on behalf of the keys it
+	// owns and the placements it has in flight (see state.go); handlers
+	// read its maps directly and write them only through its mutators.
+	st *state
 
-	stats   map[relation.Key]*rateStat
-	ct      *candidateTable
-	pending map[int64]*pendingPlacement
-
-	// Replication state (see replicate.go): repl is the origin side
-	// (targets, streams, the per-handler op batch), nil when
-	// Config.ReplicationFactor < 2; replInboxes holds the mirrors this
-	// node maintains as a replica, keyed by origin.
-	repl        *procRepl
+	// Replication (see replicate.go): repl holds the origin-side streams
+	// to this node's replica targets, nil when Config.ReplicationFactor
+	// < 2 (st then logs nothing); replInboxes holds the mirrors this node
+	// maintains as a replica, keyed by origin.
+	repl        *reliable.Links
 	replInboxes map[id.ID]*replInbox
 }
 
 func newProc(eng *Engine, node *chord.Node) *Proc {
-	p := &Proc{
-		eng:     eng,
-		node:    node,
-		queries: make(map[relation.Key][]*storedQuery),
-		tuples:  make(map[relation.Key][]*relation.Tuple),
-		altt:    make(map[relation.Key][]alttEntry),
-		aggs:    make(map[relation.Key]*aggGroup),
-		stats:   make(map[relation.Key]*rateStat),
-		ct:      newCandidateTable(),
-		pending: make(map[int64]*pendingPlacement),
-	}
+	p := &Proc{eng: eng, node: node, st: newState(eng.aggSpec)}
 	if eng.Cfg.ReplicationFactor >= 2 {
-		p.repl = &procRepl{links: reliable.NewLinks()}
+		p.st.logging = true
+		p.repl = reliable.NewLinks()
 		p.replInboxes = make(map[id.ID]*replInbox)
 	}
 	if eng.par {
@@ -197,10 +157,10 @@ func (p *Proc) nextReqID() int64 {
 // everything they retain. Keyed messages that arrive at a node that no
 // longer owns their key (stale routing state mid-churn) are re-routed
 // before any processing, and are not recycled on that path: they are
-// still in flight. Handlers that mutate keyed state leave replication
-// operations in the outbox; the trailing replFlush ships them as one
-// batch per replica target, so a mirror is never more than one handler
-// behind its primary.
+// still in flight. Handlers that mutate state leave the logged ops in
+// its outbox; the trailing replFlush ships them as one batch per
+// replica target, so a mirror is never more than one handler behind its
+// primary.
 func (p *Proc) HandleMessage(now sim.Time, msg overlay.Message) {
 	// In unreliable-network mode the sender retains every message for
 	// possible retransmission, so consumed structs must not be recycled
@@ -323,18 +283,9 @@ func (p *Proc) profStateDrop(now sim.Time, sq *storedQuery) {
 	pf.State(p.shard, int64(now), sq.q.ID, -sz)
 }
 
-func (p *Proc) recordArrival(key relation.Key, now sim.Time) {
-	st, ok := p.stats[key]
-	if !ok {
-		st = &rateStat{epoch: epochOf(now, p.eng.Cfg.RICWindow)}
-		p.stats[key] = st
-	}
-	st.record(now, p.eng.Cfg.RICWindow)
-}
-
 // rate returns the node's current RIC estimate for a key.
 func (p *Proc) rate(key relation.Key, now sim.Time) float64 {
-	st, ok := p.stats[key]
+	st, ok := p.st.stats[key]
 	if !ok {
 		return 0
 	}
@@ -361,7 +312,7 @@ func (p *Proc) ownsKey(key relation.Key) bool {
 // value level the tuple is then stored, at attribute level it enters
 // the ALTT for Δ ticks.
 func (p *Proc) onTuple(now sim.Time, m *tupleMsg) {
-	p.recordArrival(m.Key, now)
+	p.st.recordArrival(m.Key, now, p.eng.Cfg.RICWindow)
 	p.qpl.Add(p.node.ID(), 1)
 	p.ctr.TuplesReceived++
 	if pf := p.eng.prof; pf != nil {
@@ -378,33 +329,21 @@ func (p *Proc) onTuple(now sim.Time, m *tupleMsg) {
 		})
 	}
 
-	list := p.queries[m.Key]
-	if len(list) > 0 {
-		kept := list[:0]
-		for _, sq := range list {
-			clock := sq.q.Window.Clock(m.T)
-			// Section 5 rule: a rewritten query found outside its
-			// window when triggered is deleted.
-			if sq.q.Depth > 0 && sq.q.Window.Enabled() && !sq.q.Window.Valid(sq.q.Start, clock) {
-				p.ctr.QueriesExpired++
-				p.profStateDrop(now, sq)
-				p.replQueryRemove(sq)
-				continue
-			}
-			p.tryTrigger(now, sq, m.T)
-			if p.eng.Cfg.EnableMigration && p.maybeMigrate(now, sq) {
-				p.profStateDrop(now, sq)
-				p.replQueryRemove(sq)
-				continue // relocated to a colder candidate
-			}
-			kept = append(kept, sq)
+	p.st.filterQueries(m.Key, func(sq *storedQuery) bool {
+		// Section 5 rule: a rewritten query found outside its window
+		// when triggered is deleted.
+		if sq.q.Depth > 0 && sq.q.Window.Enabled() && !sq.q.Window.Valid(sq.q.Start, sq.q.Window.Clock(m.T)) {
+			p.ctr.QueriesExpired++
+			p.profStateDrop(now, sq)
+			return false
 		}
-		if len(kept) == 0 {
-			delete(p.queries, m.Key)
-		} else {
-			p.queries[m.Key] = kept
+		p.tryTrigger(now, sq, m.T)
+		if p.eng.Cfg.EnableMigration && p.maybeMigrate(now, sq) {
+			p.profStateDrop(now, sq)
+			return false // relocated to a colder candidate
 		}
-	}
+		return true
+	})
 
 	if m.Level == query.ValueLevel {
 		p.storeTuple(now, m.Key, m.T)
@@ -416,10 +355,8 @@ func (p *Proc) onTuple(now sim.Time, m *tupleMsg) {
 			})
 		}
 	} else if p.eng.delta >= 0 {
-		e := alttEntry{t: m.T, expireAt: now + sim.Time(p.eng.delta)}
-		p.altt[m.Key] = append(p.altt[m.Key], e)
+		p.st.addALTT(m.Key, alttEntry{t: m.T, expireAt: now + sim.Time(p.eng.delta)})
 		p.ctr.ALTTStored++
-		p.replALTTAdd(m.Key, e)
 		if tr := p.eng.trace; tr != nil {
 			tr.Emit(p.shard, obs.Event{
 				At: int64(now), Kind: obs.KindALTTStore, Node: p.nid(),
@@ -472,9 +409,7 @@ func (p *Proc) tryTrigger(now sim.Time, sq *storedQuery, t *relation.Tuple) {
 		q2.Lineage = query.AppendLineage(sq.q.Lineage,
 			query.LineageStep{Pub: t.Publisher, Seq: t.PubSeq, Node: p.nid()})
 	}
-	proj := sq.markTrigger(t)
-	sq.noteCombine(p.eng.Cfg.EnableMigration, t)
-	p.replTrigger(sq, t, proj)
+	p.consume(sq, t)
 	p.profTrigger(sq, q2.IsComplete())
 	p.dispatch(now, q2, t.PubTime)
 }
@@ -493,9 +428,7 @@ func (p *Proc) completeTrigger(now sim.Time, sq *storedQuery, t *relation.Tuple)
 	if !ok {
 		return
 	}
-	proj := sq.markTrigger(t)
-	sq.noteCombine(p.eng.Cfg.EnableMigration, t)
-	p.replTrigger(sq, t, proj)
+	p.consume(sq, t)
 	p.ctr.RewritesCreated++
 	if sq.q.Depth+1 >= 2 {
 		p.ctr.DeepRewrites++
@@ -529,6 +462,22 @@ func (p *Proc) completeTrigger(now sim.Time, sq *storedQuery, t *relation.Tuple)
 	p.eng.net.SendDirect(p.node, id.ID(sq.q.Owner), newAnswerMsg(sq.q.ID, id.ID(sq.q.Owner), vals, t.PubTime, lin))
 }
 
+// consume records the memory a successful trigger leaves on the stored
+// query: the DISTINCT projection it used up and, when the migration
+// extension (Section 10 future work) is enabled, the publication
+// sequence it combined.
+func (p *Proc) consume(sq *storedQuery, t *relation.Tuple) {
+	var proj string
+	if sq.q.Distinct {
+		proj = sq.q.TriggerProjection(t)
+	}
+	var pubSeq int64
+	if p.eng.Cfg.EnableMigration {
+		pubSeq = t.PubSeq
+	}
+	p.st.trigger(sq, proj, pubSeq)
+}
+
 // observeComplete records one completed rewrite chain: its depth into
 // the histogram and a completion trace event. Both trigger paths —
 // tuple-meets-stored-query and query-meets-stored-tuple — converge
@@ -551,47 +500,26 @@ func (p *Proc) observeComplete(now sim.Time, qid string, depth int64) {
 // storeTuple stores a value-level tuple (counted as storage load) and
 // optionally garbage-collects stored tuples no window can reach.
 func (p *Proc) storeTuple(now sim.Time, key relation.Key, t *relation.Tuple) {
-	p.tuples[key] = append(p.tuples[key], t)
+	p.st.addTuple(key, t)
 	p.sl.Add(p.node.ID(), 1)
 	p.ctr.TuplesStored++
-	p.replTupleAdd(key, t)
 
 	cfg := p.eng.Cfg
-	if cfg.TupleGC && cfg.MaxWindowHint > 0 && len(p.tuples[key])%32 == 0 {
+	if cfg.TupleGC && cfg.MaxWindowHint > 0 && len(p.st.tuples[key])%32 == 0 {
 		seqNow, timeNow := p.eng.pubSeq, int64(now)
-		kept := p.tuples[key][:0]
-		for _, old := range p.tuples[key] {
-			// Conservative: drop only when out of reach on both clocks.
-			if seqNow-old.PubSeq > cfg.MaxWindowHint && timeNow-old.PubTime > cfg.MaxWindowHint {
-				p.ctr.TuplesCollected++
-				p.replTupleRemove(key, old.PubSeq)
-				continue
-			}
-			kept = append(kept, old)
-		}
-		p.tuples[key] = kept
+		// Conservative: drop only when out of reach on both clocks.
+		p.ctr.TuplesCollected += int64(p.st.filterTuples(key, func(old *relation.Tuple) bool {
+			return seqNow-old.PubSeq <= cfg.MaxWindowHint || timeNow-old.PubTime <= cfg.MaxWindowHint
+		}))
 	}
 }
 
 // alttScan returns the live ALTT entries for a key, pruning expired
 // ones in passing.
 func (p *Proc) alttScan(key relation.Key, now sim.Time) []alttEntry {
-	entries := p.altt[key]
-	// Entries expire in arrival order (constant Δ): pop the prefix.
-	i := 0
-	for i < len(entries) && entries[i].expireAt < now {
-		i++
-	}
-	if i > 0 {
-		entries = entries[i:]
-		if len(entries) == 0 {
-			delete(p.altt, key)
-		} else {
-			p.altt[key] = entries
-		}
-		p.ctr.ALTTExpired += int64(i)
-	}
-	return entries
+	live, expired := p.st.alttScan(key, now)
+	p.ctr.ALTTExpired += int64(expired)
+	return live
 }
 
 // onEval is Procedure 3 (and the input-query indexing step): the node
@@ -601,7 +529,7 @@ func (p *Proc) alttScan(key relation.Key, now sim.Time) []alttEntry {
 // covers rewritten queries placed at attribute level per Section 6).
 func (p *Proc) onEval(now sim.Time, m *evalMsg) {
 	for _, info := range m.RIC {
-		p.ctMerge(info)
+		p.st.ctMerge(info)
 	}
 	if p.eng.retiredPipeline(m.Q.ID) {
 		return // torn-down shared pipeline: never re-index stragglers
@@ -624,8 +552,7 @@ func (p *Proc) onEval(now sim.Time, m *evalMsg) {
 			p.qpl.Add(p.node.ID(), 1)
 		}
 	} else {
-		p.queries[m.Key] = append(p.queries[m.Key], sq)
-		p.replQueryAdd(sq)
+		p.st.addQuery(sq)
 		if pf := p.eng.prof; pf != nil {
 			sz := stateSizeOf(m.Q)
 			pf.Add(p.shard, m.Q.ID, m.Key.String(), profile.StoredQueries, 1)
@@ -642,7 +569,7 @@ func (p *Proc) onEval(now sim.Time, m *evalMsg) {
 	}
 
 	if m.Level == query.ValueLevel {
-		for _, t := range p.tuples[m.Key] {
+		for _, t := range p.st.tuples[m.Key] {
 			p.scanTrigger(now, sq, t)
 		}
 	} else {
@@ -696,9 +623,7 @@ func (p *Proc) scanTrigger(now sim.Time, sq *storedQuery, t *relation.Tuple) {
 		q2.Lineage = query.AppendLineage(sq.q.Lineage,
 			query.LineageStep{Pub: t.Publisher, Seq: t.PubSeq, Node: p.nid()})
 	}
-	proj := sq.markTrigger(t)
-	sq.noteCombine(p.eng.Cfg.EnableMigration, t)
-	p.replTrigger(sq, t, proj)
+	p.consume(sq, t)
 	p.profTrigger(sq, q2.IsComplete())
 	p.dispatch(now, q2, t.PubTime)
 }
@@ -742,7 +667,7 @@ func (p *Proc) maybeMigrate(now sim.Time, sq *storedQuery) bool {
 		if c.Level != query.ValueLevel || c.Key == sq.key {
 			continue
 		}
-		if e, ok := p.ct.fresh(c.Key, now, cfg.CTValidity); ok {
+		if e, ok := p.st.ct.fresh(c.Key, now, cfg.CTValidity); ok {
 			if !found || e.Rate < best {
 				best, found = e.Rate, true
 			}
@@ -872,7 +797,7 @@ func (p *Proc) placeRIC(now sim.Time, q *query.Query, cands []query.Candidate) {
 	tr := p.eng.trace
 	for _, c := range cands {
 		if p.eng.Cfg.UseCT {
-			if e, ok := p.ct.fresh(c.Key, now, p.eng.Cfg.CTValidity); ok {
+			if e, ok := p.st.ct.fresh(c.Key, now, p.eng.Cfg.CTValidity); ok {
 				known = append(known, ricInfo{Key: c.Key, Rate: e.Rate, Addr: e.Addr, At: e.At})
 				if pf := p.eng.prof; pf != nil {
 					pf.Add(p.shard, q.ID, c.Key.String(), profile.CTHits, 1)
@@ -908,8 +833,7 @@ func (p *Proc) placeRIC(now sim.Time, q *query.Query, cands []query.Candidate) {
 			id.Dist(p.node.ID(), unknown[j].ID())
 	})
 	reqID := p.nextReqID()
-	p.pending[reqID] = &pendingPlacement{q: q, cands: cands, known: known}
-	p.replPendingAdd(reqID, q)
+	p.st.addPending(reqID, &pendingPlacement{q: q, cands: cands, known: known})
 	p.ctr.RICRequests++
 	if tr != nil {
 		// The walk visits the unknown candidates in ring order; the
@@ -960,15 +884,14 @@ func (p *Proc) onRICRequest(now sim.Time, m *ricRequestMsg) {
 
 // onRICReply completes a pending placement.
 func (p *Proc) onRICReply(now sim.Time, m *ricReplyMsg) {
-	pp, ok := p.pending[m.ReqID]
+	pp, ok := p.st.pending[m.ReqID]
 	if !ok {
 		return
 	}
-	delete(p.pending, m.ReqID)
-	p.replPendingRemove(m.ReqID)
+	p.st.removePending(m.ReqID)
 	p.ctr.RICReplies++
 	for _, info := range m.Got {
-		p.ctMerge(info)
+		p.st.ctMerge(info)
 		pp.known = append(pp.known, info)
 	}
 	p.decide(pp.q, pp.cands, pp.known)
@@ -1034,7 +957,7 @@ func (p *Proc) sendEval(q *query.Query, c query.Candidate, piggy []ricInfo, dire
 }
 
 func (p *Proc) addrFor(key relation.Key, piggy []ricInfo) id.ID {
-	if e, ok := p.ct.get(key); ok {
+	if e, ok := p.st.ct.get(key); ok {
 		return e.Addr
 	}
 	for _, info := range piggy {

@@ -67,7 +67,7 @@ func TestReplicationSpreadsAttrLoad(t *testing.T) {
 				key := replicaKey(relation.KeyOf(base), i)
 				owner := eng.Ring().Owner(key.ID())
 				p := eng.Proc(owner)
-				if st, ok := p.stats[key]; ok {
+				if st, ok := p.st.stats[key]; ok {
 					total := st.countCur + st.countPrev
 					if total > max {
 						max = total

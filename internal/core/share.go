@@ -191,7 +191,7 @@ func (e *Engine) Unsubscribe(subQID string) error {
 	// aggregator groups look their spec up by QID, and a nil spec on
 	// those paths would be indistinguishable from a bug. One immutable
 	// spec per departed aggregate query is the price of that safety.
-	e.sweepSubscriberAggState(subQID)
+	e.sweepState(classAggs, func(op stateOp) bool { return op.g.qid == subQID })
 	if cls.Empty() {
 		e.teardownClass(cls)
 	} else {
@@ -219,65 +219,30 @@ func (e *Engine) teardownClass(cls *share.Class) {
 		}
 		return
 	}
-	e.sweepPipeline(cls.QID)
+	// The input query and all its rewrites share the pipeline's QID.
+	e.sweepState(classQueries|classPending, func(op stateOp) bool { return op.query().ID == cls.QID })
 }
 
-// sweepPipeline removes every stored copy and pending placement of a
-// retired pipeline (the input query and all its rewrites share its
-// QID), in deterministic node/key order, mirroring each removal to the
-// replica group. Rewrites still in flight are caught by the retiredQ
-// guard when they arrive.
-func (e *Engine) sweepPipeline(qid string) {
-	for _, nid := range sortedProcIDs(e.procs) {
-		p := e.procs[nid]
-		touched := false
-		for _, key := range sortedStateKeys(p.queries) {
-			list := p.queries[key]
-			kept := list[:0]
-			for _, sq := range list {
-				if sq.q.ID == qid {
-					p.replQueryRemove(sq)
-					touched = true
-					continue
-				}
-				kept = append(kept, sq)
-			}
-			if len(kept) == 0 {
-				delete(p.queries, key)
-			} else {
-				p.queries[key] = kept
-			}
-		}
-		for _, reqID := range sortedReqIDs(p.pending) {
-			if p.pending[reqID].q.ID == qid {
-				delete(p.pending, reqID)
-				p.replPendingRemove(reqID)
-				touched = true
-			}
-		}
-		if touched {
-			p.replFlush() // coordinator context: ship the removals now
-		}
+// retiredOp reports whether a state entry belongs to a torn-down
+// pipeline (stored queries and placement walks carry its QID) or an
+// unsubscribed aggregate (its aggregator groups): every resurrection
+// path — handover, mirror promotion, crash recovery — skips such
+// entries, and no loss counter charges them.
+func (e *Engine) retiredOp(op stateOp) bool {
+	if q := op.query(); q != nil {
+		return e.retiredQ[q.ID]
 	}
+	return op.kind == opAggMerge && e.retiredS[op.g.qid]
 }
 
-// sweepSubscriberAggState removes every aggregator group of an
-// unsubscribed aggregate query, in deterministic node/key order. New
-// partials for the QID are dropped by the retiredS guard in
-// onAggPartial.
-func (e *Engine) sweepSubscriberAggState(subQID string) {
+// sweepState removes the matching entries of the wanted classes from
+// every node in deterministic node/entry order, mirroring each removal
+// to the replica group. Stragglers still in flight are caught by the
+// retiredQ/retiredS guards when they arrive.
+func (e *Engine) sweepState(want class, match func(stateOp) bool) {
 	for _, nid := range sortedProcIDs(e.procs) {
-		p := e.procs[nid]
-		touched := false
-		for _, key := range sortedStateKeys(p.aggs) {
-			if p.aggs[key].qid == subQID {
-				delete(p.aggs, key)
-				p.replDropKey(key)
-				touched = true
-			}
-		}
-		if touched {
-			p.replFlush()
+		if p := e.procs[nid]; p.st.sweep(want, match) {
+			p.replFlush() // coordinator context: ship the removals now
 		}
 	}
 }
