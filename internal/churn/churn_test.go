@@ -139,7 +139,7 @@ func TestLeaveOnlyChurnStaysExact(t *testing.T) {
 	}
 	var got []string
 	for _, a := range eng.Answers(qid) {
-		got = append(got, refeval.Row(a.Values).Key())
+		got = append(got, refeval.Row(a.Row).Key())
 	}
 	sort.Strings(want)
 	sort.Strings(got)

@@ -116,6 +116,23 @@ func (g *aggGroup) lineageOf(epochs ...int64) []query.LineageStep {
 	return out
 }
 
+// viewRow finalizes the view row of one epoch — for a sliding window the
+// merge of the epoch's partial with its predecessor's — versioned by the
+// number of rows folded into it. ok is false while the epoch holds no
+// data (it was marked dirty by a neighbour).
+func (g *aggGroup) viewRow(spec *agg.Spec, epoch int64) (row viewEntry, ok bool) {
+	parts, epochs := [2]*agg.Partial{g.epochs[epoch]}, [2]int64{epoch}
+	n := 1
+	if spec.Sliding() {
+		parts[1], epochs[1], n = g.epochs[epoch-1], epoch-1, 2
+	}
+	ver := agg.MergedRows(parts[:n]...)
+	if ver == 0 {
+		return viewEntry{}, false
+	}
+	return viewEntry{row: spec.FinalizeRow(g.group, parts[:n]...), ver: ver, lin: g.lineageOf(epochs[:n]...)}, true
+}
+
 // mergeInto folds g into dst (the handover-collision path: partials for
 // the same group arrived at the new owner before the handed-over state
 // did). Per-epoch merges are commutative and associative, so the final
@@ -184,39 +201,28 @@ func (g *aggGroup) clone() *aggGroup {
 // loss counters charge when aggregator state dies with a node.
 func (g *aggGroup) epochCount() int64 { return int64(len(g.epochs)) }
 
-// aggSpec returns the immutable aggregation spec of a query. Specs are
-// registered at submission (coordinator context) and never mutated, so
-// worker-context reads are safe without locking.
-func (e *Engine) aggSpec(queryID string) *agg.Spec { return e.aggSpecs[queryID] }
-
-// emitCompletion routes one completed answer row: plain queries ship it
-// directly to the owner (the pre-aggregation behaviour), aggregate
-// queries fold it into the aggregation pipeline. clock is the
-// completion clock — the maximum window-clock over the combined tuples
-// — which assigns the row to its epoch.
-func (p *Proc) emitCompletion(now sim.Time, q *query.Query, vals []relation.Value, clock int64, pubAt int64, lin []query.LineageStep) {
-	p.emitTo(now, q.ID, id.ID(q.Owner), p.eng.aggSpec(q.ID), vals, clock, pubAt, lin)
-}
-
-// emitTo is emitCompletion with the routing identity (query ID, owner,
-// spec) supplied by the caller instead of read off a query object: the
+// emitTo ships one completed row to one subscriber: a plain query's
+// row goes directly to the owner (the pre-aggregation behaviour), an
+// aggregate query's row is folded into the aggregation pipeline, its
+// epoch assigned by the completion clock. The routing identity (query
+// ID, owner, spec) is the caller's, not a query object's: the
 // shared-pipeline fan-out emits one subscriber-shaped row per attached
 // query, each under its own identity and aggregation spec, through
 // exactly this path.
-func (p *Proc) emitTo(now sim.Time, qid string, owner id.ID, spec *agg.Spec, vals []relation.Value, clock int64, pubAt int64, lin []query.LineageStep) {
+func (p *Proc) emitTo(now sim.Time, qid string, owner id.ID, spec *agg.Spec, c completion) {
 	if spec == nil {
-		p.eng.net.SendDirect(p.node, owner, newAnswerMsg(qid, owner, vals, pubAt, lin))
+		p.eng.net.SendDirect(p.node, owner, newAnswerMsg(qid, owner, c.vals, c.pubAt, c.lin))
 		return
 	}
-	epoch := spec.Window.EpochOf(clock)
+	epoch := spec.Window.EpochOf(c.clock)
 	if p.eng.Cfg.SubscriberSideAgg {
 		p.eng.net.WithTag(p.node, TagAgg, func() {
-			p.eng.net.SendDirect(p.node, owner, newAggRowMsg(qid, owner, epoch, vals, pubAt, lin))
+			p.eng.net.SendDirect(p.node, owner, newAggRowMsg(qid, owner, epoch, c.vals, c.pubAt, c.lin))
 		})
 		return
 	}
-	key := aggKeyOf(qid, spec.GroupKey(vals))
-	msg := newAggPartialMsg(qid, key, owner, epoch, vals, pubAt, lin)
+	key := aggKeyOf(qid, spec.GroupKey(c.vals))
+	msg := newAggPartialMsg(qid, key, owner, epoch, c.vals, c.pubAt, c.lin)
 	p.eng.net.WithTag(p.node, TagAgg, func() {
 		// One-hop fast path: the candidate table remembers which node a
 		// previous partial for this group was routed to (the same trick
@@ -238,12 +244,8 @@ func (p *Proc) emitTo(now sim.Time, qid string, owner id.ID, spec *agg.Spec, val
 // group. Aggregation work is query processing, so it is charged to the
 // QPL; a group's first partial also charges one unit of storage load.
 func (p *Proc) onAggPartial(now sim.Time, m *aggPartialMsg) {
-	spec := p.eng.aggSpec(m.QueryID)
-	if spec == nil {
-		return // unknown query (cannot happen in-run; dropped defensively)
-	}
-	if p.eng.retiredSub(m.QueryID) {
-		return // unsubscribed while the partial was in flight
+	if s := p.eng.sub(m.QueryID); s == nil || s.spec == nil || s.retired {
+		return // unsubscribed while the partial was in flight (an unknown query cannot happen in-run)
 	}
 	p.qpl.Add(p.node.ID(), 1)
 	p.ctr.AggPartials++
@@ -261,159 +263,13 @@ func (p *Proc) onAggPartial(now sim.Time, m *aggPartialMsg) {
 	}
 }
 
-// viewKey addresses one row of a query's aggregate view.
-type viewKey struct {
-	group string
-	epoch int64
-}
-
-// viewEntry is the latest version of one view row.
-type viewEntry struct {
-	row []relation.Value
-	ver int64
-	// lin is the row's provenance snapshot (see aggUpdateMsg.Lineage);
-	// nil unless Config.Provenance is set.
-	lin []query.LineageStep
-}
-
-// recordAggUpdate installs a group-update row into the owner-side
-// aggregate view, keeping the highest version per (group, epoch) so
-// reordered deliveries cannot regress the view. p is the owner's
-// processor.
-func (e *Engine) recordAggUpdate(now sim.Time, m *aggUpdateMsg, p *Proc) {
-	if e.retiredS[m.QueryID] {
-		return // unsubscribed while the update was in flight
-	}
-	e.answersMu.Lock()
-	defer e.answersMu.Unlock()
-	p.ctr.AggUpdates++
-	lat := int64(now) - m.PubAt
-	if om := e.obsM; om != nil {
-		om.ObserveLatency(m.QueryID, lat)
-		om.IncQuery(p.shard, int64(now), m.QueryID)
-	}
-	if tr := e.trace; tr != nil {
-		tr.Emit(p.shard, obs.Event{
-			At: int64(now), Kind: obs.KindAggUpdate, Node: p.nid(),
-			Trace: m.QueryID, Key: m.Group, Arg: m.Epoch,
-		})
-	}
-	vw, ok := e.aggViews[m.QueryID]
-	if !ok {
-		vw = make(map[viewKey]viewEntry)
-		e.aggViews[m.QueryID] = vw
-	}
-	k := viewKey{group: m.Group, epoch: m.Epoch}
-	if cur, ok := vw[k]; ok && cur.ver > m.Ver {
-		return
-	}
-	vw[k] = viewEntry{row: m.Row, ver: m.Ver, lin: m.Lineage}
-}
-
-// localAggGroup is the subscriber-side fold state of one group when
-// in-network aggregation is disabled.
-type localAggGroup struct {
-	group  []relation.Value
-	epochs map[int64]*agg.Partial
-	// lins mirrors aggGroup.lins for the subscriber-side fold; nil
-	// unless Config.Provenance is set.
-	lins map[int64]map[query.LineageStep]struct{}
-}
-
-// recordAggRow folds a raw answer row into the owner-held aggregate
-// state (the SubscriberSideAgg ablation) and refreshes the affected
-// view rows immediately — the subscriber pays one message per raw row,
-// which is exactly the load the aggregation figure measures against.
-func (e *Engine) recordAggRow(now sim.Time, m *aggRowMsg, p *Proc) {
-	spec := e.aggSpec(m.QueryID)
-	if spec == nil || e.retiredS[m.QueryID] {
-		return
-	}
-	e.answersMu.Lock()
-	defer e.answersMu.Unlock()
-	p.ctr.AggPartials++
-	if om := e.obsM; om != nil {
-		om.ObserveLatency(m.QueryID, int64(now)-m.PubAt)
-		om.IncQuery(p.shard, int64(now), m.QueryID)
-	}
-	if tr := e.trace; tr != nil {
-		tr.Emit(p.shard, obs.Event{
-			At: int64(now), Kind: obs.KindAggPartial, Node: p.nid(),
-			Trace: m.QueryID, Arg: m.Epoch,
-		})
-	}
-	groups, ok := e.aggLocal[m.QueryID]
-	if !ok {
-		groups = make(map[string]*localAggGroup)
-		e.aggLocal[m.QueryID] = groups
-	}
-	gk := spec.GroupKey(m.Row)
-	lg, ok := groups[gk]
-	if !ok {
-		lg = &localAggGroup{group: spec.GroupValues(m.Row), epochs: make(map[int64]*agg.Partial)}
-		groups[gk] = lg
-	}
-	part, ok := lg.epochs[m.Epoch]
-	if !ok {
-		part = agg.NewPartial(spec)
-		lg.epochs[m.Epoch] = part
-	}
-	part.Add(spec, m.Row)
-	if e.prov && len(m.Lineage) > 0 {
-		if lg.lins == nil {
-			lg.lins = make(map[int64]map[query.LineageStep]struct{})
-		}
-		set, ok := lg.lins[m.Epoch]
-		if !ok {
-			set = make(map[query.LineageStep]struct{}, len(m.Lineage))
-			lg.lins[m.Epoch] = set
-		}
-		for _, s := range m.Lineage {
-			set[s] = struct{}{}
-		}
-	}
-
-	vw, ok := e.aggViews[m.QueryID]
-	if !ok {
-		vw = make(map[viewKey]viewEntry)
-		e.aggViews[m.QueryID] = vw
-	}
-	refresh := func(epoch int64) {
-		parts := []*agg.Partial{lg.epochs[epoch]}
-		if spec.Sliding() {
-			parts = append(parts, lg.epochs[epoch-1])
-		}
-		if agg.MergedRows(parts...) == 0 {
-			return
-		}
-		var lin []query.LineageStep
-		if lg.lins != nil {
-			g := aggGroup{lins: lg.lins}
-			if spec.Sliding() {
-				lin = g.lineageOf(epoch, epoch-1)
-			} else {
-				lin = g.lineageOf(epoch)
-			}
-		}
-		vw[viewKey{group: gk, epoch: epoch}] = viewEntry{
-			row: spec.FinalizeRow(lg.group, parts...),
-			ver: agg.MergedRows(parts...),
-			lin: lin,
-		}
-	}
-	refresh(m.Epoch)
-	if spec.Sliding() {
-		refresh(m.Epoch + 1)
-	}
-}
-
 // flushAggregates emits one group-update row per dirty (group, epoch)
 // across every aggregator node, in deterministic order (node, key,
 // epoch), and reports whether anything was emitted. It runs from
 // coordinator context between drains; Engine.Run loops until a drain
 // produces no new dirty state.
 func (e *Engine) flushAggregates() bool {
-	if len(e.aggSpecs) == 0 || e.Cfg.SubscriberSideAgg {
+	if e.aggLive == 0 || e.Cfg.SubscriberSideAgg {
 		return false
 	}
 	// Enumerate only procs with dirty groups: the loop's final
@@ -444,28 +300,19 @@ func (e *Engine) flushAggregates() bool {
 			}
 			sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
 			for _, ep := range epochs {
-				parts := []*agg.Partial{g.epochs[ep]}
-				if spec.Sliding() {
-					parts = append(parts, g.epochs[ep-1])
-				}
-				if agg.MergedRows(parts...) == 0 {
-					continue // dirty via a neighbour that has no data yet
-				}
-				var lin []query.LineageStep
-				if spec.Sliding() {
-					lin = g.lineageOf(ep, ep-1)
-				} else {
-					lin = g.lineageOf(ep)
+				row, ok := g.viewRow(spec, ep)
+				if !ok {
+					continue
 				}
 				msg := &aggUpdateMsg{
 					QueryID: g.qid,
 					Owner:   g.owner,
 					Group:   g.gkey,
 					Epoch:   ep,
-					Ver:     agg.MergedRows(parts...),
-					Row:     spec.FinalizeRow(g.group, parts...),
+					Ver:     row.ver,
+					Row:     row.row,
 					PubAt:   g.pubAt,
-					Lineage: lin,
+					Lineage: row.lin,
 				}
 				e.net.WithTag(p.node, TagAgg, func() {
 					e.net.SendDirect(p.node, g.owner, msg)
@@ -476,20 +323,4 @@ func (e *Engine) flushAggregates() bool {
 		}
 	}
 	return emitted
-}
-
-// AggRows returns the current aggregate view of a query: the latest
-// finalized row of every (group, epoch), sorted by group key then
-// epoch. Aggregate views are complete as of the last Run() quiescence
-// flush.
-func (e *Engine) AggRows(queryID string) []agg.ViewRow {
-	e.answersMu.Lock()
-	defer e.answersMu.Unlock()
-	vw := e.aggViews[queryID]
-	out := make([]agg.ViewRow, 0, len(vw))
-	for k, ent := range vw {
-		out = append(out, agg.ViewRow{Group: k.group, Epoch: k.epoch, Row: ent.row, Lineage: ent.lin})
-	}
-	agg.SortViewRows(out)
-	return out
 }

@@ -68,13 +68,13 @@ func TestAllAnswersSnapshot(t *testing.T) {
 	// the value rows in place (the slices must be deep copies).
 	for k, list := range snap {
 		for i := range list {
-			list[i].QueryID = "corrupted"
-			for j := range list[i].Values {
-				list[i].Values[j] = relation.Int64(-999)
+			list[i].Query = "corrupted"
+			for j := range list[i].Row {
+				list[i].Row[j] = relation.Int64(-999)
 			}
-			list[i].Values = nil
+			list[i].Row = nil
 		}
-		snap[k] = append(list, Answer{QueryID: "injected"})
+		snap[k] = append(list, Answer{Query: "injected"})
 	}
 	delete(snap, qid)
 
@@ -83,10 +83,10 @@ func TestAllAnswersSnapshot(t *testing.T) {
 		t.Fatalf("live answer stream length changed: %d -> %d", before, len(live))
 	}
 	for _, a := range live {
-		if a.QueryID != qid || a.Values == nil {
+		if a.Query != qid || a.Row == nil {
 			t.Fatalf("live answer corrupted through AllAnswers: %+v", a)
 		}
-		for _, v := range a.Values {
+		for _, v := range a.Row {
 			if v.Kind == relation.KindInt && v.Int == -999 {
 				t.Fatalf("live answer values mutated through shallow snapshot: %+v", a)
 			}

@@ -24,7 +24,7 @@ func churnNetCfg() overlay.Config {
 func answerBag(eng *Engine, qid string) []string {
 	var rows []string
 	for _, a := range eng.Answers(qid) {
-		rows = append(rows, refeval.Row(a.Values).Key())
+		rows = append(rows, refeval.Row(a.Row).Key())
 	}
 	sort.Strings(rows)
 	return rows

@@ -219,7 +219,7 @@ type Config struct {
 	// pubSeq, node) to the query's Lineage, completed rows carry it to
 	// the subscriber (through sharing fan-out and aggregation, whose
 	// group lineage is the union of contributing rows'), and
-	// Engine.AnswerLineages / ViewRow.Lineage expose it. Off by
+	// Answer.Lineage / ViewRow.Lineage expose it. Off by
 	// default: the hot path then never touches lineage slices and
 	// allocates nothing for them.
 	Provenance bool

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 
-	"rjoin/internal/agg"
 	"rjoin/internal/chord"
 	"rjoin/internal/id"
 	"rjoin/internal/metrics"
@@ -27,13 +26,6 @@ const TagRIC = "ric"
 // charged: state handover chunks, their forwarding hops, and crash
 // recovery re-submissions.
 const TagChurn = "churn"
-
-// Answer is one result row delivered to a query owner.
-type Answer struct {
-	QueryID string
-	Values  []relation.Value
-	At      sim.Time
-}
 
 // Counters aggregates engine-wide event counts, useful for tests,
 // ablations and the experiment reports.
@@ -163,31 +155,22 @@ type Engine struct {
 	net   *overlay.Network
 	procs map[id.ID]*Proc
 
-	answersMu  sync.Mutex // guards answers, seenRows and the aggregate views (parallel owners)
-	answers    map[string][]Answer
-	distinctQs map[string]bool
-	seenRows   map[string]map[string]bool // owner-side DISTINCT filter
+	// subs holds one record per submitted query (see subs.go), written
+	// only from coordinator context; aggLive counts the live aggregate
+	// ones, so flushAggregates can leave in O(1) when there are none.
+	subs    map[string]*subscription
+	aggLive int
 
-	// Aggregation registry and owner-side views. aggSpecs is written at
-	// submission (coordinator context) and immutable afterwards, so
-	// worker reads need no lock; the views are guarded by answersMu.
-	aggSpecs map[string]*agg.Spec
-	aggViews map[string]map[viewKey]viewEntry
-	aggLocal map[string]map[string]*localAggGroup // SubscriberSideAgg fold state
-
-	// Multi-query sharing state (see share.go). All four structures are
+	// Multi-query sharing state (see share.go). All three structures are
 	// written only from coordinator context (SubmitQuery, Unsubscribe);
-	// handlers read them lock-free, the same discipline aggSpecs
-	// follows. fanouts maps a shared pipeline's QID to the immutable
-	// completion fan-out snapshot — mutation replaces the snapshot
-	// wholesale. retiredS marks unsubscribed subscriber QIDs (their
-	// in-flight answers are dropped at the owner); retiredQ marks
-	// torn-down pipeline QIDs (their in-flight rewrites are dropped
-	// instead of being re-indexed, including on the handover, promotion
-	// and crash-recovery resurrection paths).
+	// handlers read them lock-free, the same discipline subs follows.
+	// fanouts maps a shared pipeline's QID to the immutable completion
+	// fan-out snapshot — mutation replaces the snapshot wholesale.
+	// retiredQ marks torn-down pipeline QIDs (their in-flight rewrites are
+	// dropped instead of being re-indexed, including on the handover,
+	// promotion and crash-recovery resurrection paths).
 	reg      *share.Registry
 	fanouts  map[string]*share.Fanout
-	retiredS map[string]bool
 	retiredQ map[string]bool
 
 	delta    int64
@@ -205,15 +188,8 @@ type Engine struct {
 
 	// prof/prov mirror Cfg.Profile/Cfg.Provenance under the same
 	// discipline: nil/false disables every hook with one branch.
-	// submitted retains each submitted query (coordinator-written at
-	// SubmitQuery, immutable afterwards) so Explain can render the
-	// static plan; provRows holds, when provenance is on, each
-	// delivered answer's lineage index-aligned with answers (guarded by
-	// answersMu like the answers themselves).
-	prof      *profile.Profiler
-	prov      bool
-	submitted map[string]*query.Query
-	provRows  map[string][][]query.LineageStep
+	prof *profile.Profiler
+	prov bool
 
 	// Parallel-mode accumulators: while workers run, every hot-path
 	// count goes to the acting node's shard slot and merges into the
@@ -236,23 +212,17 @@ func NewEngine(ring *chord.Ring, se *sim.Engine, net *overlay.Network, cfg Confi
 		cfg.CTValidity = DefaultConfig().CTValidity
 	}
 	e := &Engine{
-		Cfg:        cfg,
-		QPL:        metrics.NewLoad(),
-		SL:         metrics.NewLoad(),
-		ring:       ring,
-		sim:        se,
-		net:        net,
-		procs:      make(map[id.ID]*Proc),
-		answers:    make(map[string][]Answer),
-		distinctQs: make(map[string]bool),
-		seenRows:   make(map[string]map[string]bool),
-		aggSpecs:   make(map[string]*agg.Spec),
-		aggViews:   make(map[string]map[viewKey]viewEntry),
-		aggLocal:   make(map[string]map[string]*localAggGroup),
-		reg:        share.NewRegistry(),
-		fanouts:    make(map[string]*share.Fanout),
-		retiredS:   make(map[string]bool),
-		retiredQ:   make(map[string]bool),
+		Cfg:      cfg,
+		QPL:      metrics.NewLoad(),
+		SL:       metrics.NewLoad(),
+		ring:     ring,
+		sim:      se,
+		net:      net,
+		procs:    make(map[id.ID]*Proc),
+		subs:     make(map[string]*subscription),
+		reg:      share.NewRegistry(),
+		fanouts:  make(map[string]*share.Fanout),
+		retiredQ: make(map[string]bool),
 	}
 	e.delta = cfg.Delta
 	if cfg.Delta == 0 {
@@ -263,10 +233,6 @@ func NewEngine(ring *chord.Ring, se *sim.Engine, net *overlay.Network, cfg Confi
 	e.obsM = cfg.Metrics
 	e.prof = cfg.Profile
 	e.prov = cfg.Provenance
-	e.submitted = make(map[string]*query.Query)
-	if e.prov {
-		e.provRows = make(map[string][][]query.LineageStep)
-	}
 	if se.Workers() > 0 {
 		e.par = true
 		e.shardCtr = make([]Counters, sim.Shards)
@@ -362,14 +328,7 @@ func (e *Engine) SubmitQuery(owner *chord.Node, q *query.Query) (string, error) 
 	q.MinPub = math.MaxInt64
 	e.Counters.QueriesSubmitted++
 	qid := q.ID
-	e.submitted[qid] = q
-	if q.Distinct {
-		e.distinctQs[qid] = true
-	}
-	if spec := agg.SpecOf(q); spec != nil {
-		e.aggSpecs[qid] = spec
-	}
-	e.obsM.RegisterQuery(qid)
+	e.addSub(q)
 	if tr := e.trace; tr != nil {
 		tr.Emit(sim.NoShard, obs.Event{
 			At: int64(e.sim.Now()), Kind: obs.KindSubmit,
@@ -459,104 +418,6 @@ func replicaKey(base relation.Key, i int) relation.Key {
 	return k
 }
 
-// recordAnswer collects an answer at its owner, applying the owner-side
-// set-semantics filter for DISTINCT queries (a final local safety net on
-// top of the distributed projection rule). p is the owner's processor
-// (its counter slot, shard and node identity). The mutex serializes
-// only the shared map bookkeeping: per-query delivery order is already
-// fixed by the owner's shard schedule, so locking cannot perturb it.
-func (e *Engine) recordAnswer(now sim.Time, m *answerMsg, p *Proc) {
-	if e.retiredS[m.QueryID] {
-		return // unsubscribed while the answer was in flight
-	}
-	e.answersMu.Lock()
-	defer e.answersMu.Unlock()
-	if e.distinctQs[m.QueryID] {
-		rows, ok := e.seenRows[m.QueryID]
-		if !ok {
-			rows = make(map[string]bool)
-			e.seenRows[m.QueryID] = rows
-		}
-		key := rowKey(m.Values)
-		if rows[key] {
-			p.ctr.AnswerDupesFiltered++
-			return
-		}
-		rows[key] = true
-	}
-	p.ctr.AnswersDelivered++
-	e.answers[m.QueryID] = append(e.answers[m.QueryID], Answer{
-		QueryID: m.QueryID,
-		Values:  m.Values,
-		At:      now,
-	})
-	if e.prov {
-		// Index-aligned with answers: suppressed duplicates returned
-		// above, so row i's lineage is provRows[qid][i].
-		e.provRows[m.QueryID] = append(e.provRows[m.QueryID], m.Lineage)
-	}
-	lat := int64(now) - m.PubAt
-	if om := e.obsM; om != nil {
-		om.ObserveLatency(m.QueryID, lat)
-		om.IncQuery(p.shard, int64(now), m.QueryID)
-	}
-	if tr := e.trace; tr != nil {
-		tr.Emit(p.shard, obs.Event{
-			At: int64(now), Kind: obs.KindAnswer, Node: p.nid(),
-			Trace: m.QueryID, Arg: lat,
-		})
-	}
-}
-
-// rowKey canonicalizes a row for the DISTINCT filter using the shared
-// injective encoding (relation.AppendCanonical — kind tag plus
-// length-prefixed payload): no choice of values — strings containing
-// NUL, strings resembling a separator, or an integer rendering
-// identically to a string (Int64(12) vs String64("12")) — can make two
-// distinct rows collide, which a bare separator-joined rendering
-// allowed (rows differing only in where a NUL fell deduplicated
-// against each other, silently dropping a real answer).
-func rowKey(vals []relation.Value) string {
-	var b []byte
-	for _, v := range vals {
-		b = relation.AppendCanonical(b, v)
-	}
-	return string(b)
-}
-
-// Answers returns the rows delivered so far for a query, in delivery
-// order. The returned slice is shared; callers must not mutate it.
-func (e *Engine) Answers(queryID string) []Answer { return e.answers[queryID] }
-
-// AnswerLineages returns, index-aligned with Answers, each delivered
-// row's provenance: the (publisher, pubSeq, node) steps of the rewrite
-// chain that produced it. Nil unless Config.Provenance was set. The
-// returned slices are shared; callers must not mutate them.
-func (e *Engine) AnswerLineages(queryID string) [][]query.LineageStep {
-	if !e.prov {
-		return nil
-	}
-	return e.provRows[queryID]
-}
-
-// AllAnswers returns a snapshot of every query's delivered answers
-// keyed by query ID: the map, its slices and each answer's value row
-// are copies, so callers may mutate or retain them without corrupting
-// engine state. The churn experiments use this to compare whole answer
-// sets against a reference run.
-func (e *Engine) AllAnswers() map[string][]Answer {
-	out := make(map[string][]Answer, len(e.answers))
-	for qid, list := range e.answers {
-		cp := make([]Answer, len(list))
-		for i, a := range list {
-			a.Values = append([]relation.Value(nil), a.Values...)
-			cp[i] = a
-		}
-		out[qid] = cp
-	}
-	return out
-}
-
 // TotalAnswers returns the number of answers delivered across all
 // queries.
 func (e *Engine) TotalAnswers() int64 {
@@ -637,6 +498,7 @@ func (e *Engine) ResetMetrics() {
 	e.Counters = Counters{}
 	e.net.ResetTraffic()
 	e.obsM.Reset()
+	e.resetLatency()
 	e.prof.Reset()
 }
 

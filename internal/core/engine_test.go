@@ -86,8 +86,8 @@ func TestPaperFigure1Example(t *testing.T) {
 		if len(ans) != 1 {
 			t.Fatalf("strategy %v: got %d answers, want 1", strat, len(ans))
 		}
-		if ans[0].Values[0].Int != 6 || ans[0].Values[1].Int != 9 {
-			t.Fatalf("strategy %v: answer %v, want (6, 9)", strat, ans[0].Values)
+		if ans[0].Row[0].Int != 6 || ans[0].Row[1].Int != 9 {
+			t.Fatalf("strategy %v: answer %v, want (6, 9)", strat, ans[0].Row)
 		}
 	}
 }
@@ -111,7 +111,7 @@ func TestTupleBeforeQueryExcluded(t *testing.T) {
 	eng.PublishTuple(nodes[5], mkTuple("R", 1, 7, 0))
 	eng.Run()
 	ans := eng.Answers(qid)
-	if len(ans) != 1 || ans[0].Values[0].Int != 7 {
+	if len(ans) != 1 || ans[0].Row[0].Int != 7 {
 		t.Fatalf("answers %v", ans)
 	}
 }
@@ -345,8 +345,8 @@ func TestDuplicateExample2(t *testing.T) {
 	if len(set) != 1 {
 		t.Fatalf("set semantics: %d answers, want 1", len(set))
 	}
-	if set[0].Values[0].Int != 1 || set[0].Values[1].Int != 50 {
-		t.Fatalf("distinct answer %v", set[0].Values)
+	if set[0].Row[0].Int != 1 || set[0].Row[1].Int != 50 {
+		t.Fatalf("distinct answer %v", set[0].Row)
 	}
 }
 
@@ -391,7 +391,7 @@ func TestDistinctMatchesReferenceSet(t *testing.T) {
 func answersToRows(ans []Answer) []refeval.Row {
 	rows := make([]refeval.Row, len(ans))
 	for i, a := range ans {
-		rows[i] = refeval.Row(a.Values)
+		rows[i] = refeval.Row(a.Row)
 	}
 	return rows
 }

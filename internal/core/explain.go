@@ -23,12 +23,14 @@ import (
 // Explain returns the introspection report of one submitted query.
 // With Config.Profile unset the report still carries the static plan
 // and delivery totals; the observed counters are zero and the report
-// says so. Unknown (never-submitted) query IDs error.
+// says so. An unsubscribed query reports zero subscribers and zero
+// deliveries. Unknown (never-submitted) query IDs error.
 func (e *Engine) Explain(queryID string) (*profile.Report, error) {
-	q, ok := e.submitted[queryID]
-	if !ok {
+	sub := e.sub(queryID)
+	if sub == nil {
 		return nil, fmt.Errorf("core: Explain of unknown query %s", queryID)
 	}
+	q := sub.q
 	r := &profile.Report{
 		Query:       queryID,
 		SQL:         q.String(),
@@ -42,7 +44,9 @@ func (e *Engine) Explain(queryID string) (*profile.Report, error) {
 	// in-network work, how many subscribers ride it, and what residual
 	// this subscriber applies at the completion node.
 	pipe := q
-	if cls := e.reg.ClassOf(queryID); cls != nil {
+	if sub.retired {
+		r.Subscribers = 0 // unsubscribed: what follows is the query's own plan, as history
+	} else if cls := e.reg.ClassOf(queryID); cls != nil {
 		r.Pipeline = cls.QID
 		r.Subscribers = len(cls.Subs)
 		if cls.Pipeline != nil {
@@ -92,10 +96,10 @@ func (e *Engine) Explain(queryID string) (*profile.Report, error) {
 		r.Series = pf.SeriesFor(r.Pipeline)
 	}
 
-	e.answersMu.Lock()
-	r.Answers = int64(len(e.answers[queryID]))
-	r.AggUpdates = int64(len(e.aggViews[queryID]))
-	e.answersMu.Unlock()
+	sub.mu.Lock()
+	r.Answers = int64(len(sub.rows))
+	r.AggUpdates = int64(len(sub.view))
+	sub.mu.Unlock()
 	return r, nil
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"rjoin/internal/agg"
 	"rjoin/internal/chord"
 	"rjoin/internal/id"
 	"rjoin/internal/metrics"
@@ -337,7 +338,7 @@ func (p *Proc) onTuple(now sim.Time, m *tupleMsg) {
 			p.profStateDrop(now, sq)
 			return false
 		}
-		p.tryTrigger(now, sq, m.T)
+		p.trigger(now, sq, m.T, false)
 		if p.eng.Cfg.EnableMigration && p.maybeMigrate(now, sq) {
 			p.profStateDrop(now, sq)
 			return false // relocated to a colder candidate
@@ -367,99 +368,130 @@ func (p *Proc) onTuple(now sim.Time, m *tupleMsg) {
 	}
 }
 
-// tryTrigger applies one incoming tuple to one stored query: the
-// semantic checks (publication order, window validity, DISTINCT
-// projection), the rewrite itself, and dispatch of the result.
-func (p *Proc) tryTrigger(now sim.Time, sq *storedQuery, t *relation.Tuple) {
-	if !pubQualifies(sq.q, t) {
+// trigger applies one tuple to one stored query: the semantic checks
+// (publication order, window validity, DISTINCT projection), the rewrite
+// itself, and dispatch of the result. It serves both sites — an arriving
+// tuple meeting a waiting query (Procedure 2) and, with stored set, a
+// just-arrived query meeting a locally stored tuple (Procedure 3's loop)
+// — which differ in the Section 5 window rules alone. An arriving tuple
+// that finds a rewritten query outside its window deletes it, which
+// onTuple has done before calling; a stored tuple outside the window is
+// skipped and the query kept. A rewritten query's rewrite inherits the
+// window start (rule 2) unless the tuple was stored, when it starts at
+// max(start, clock) (rule 3); an input query's rewrite starts at the
+// tuple's clock either way (rule 1).
+func (p *Proc) trigger(now sim.Time, sq *storedQuery, t *relation.Tuple, stored bool) {
+	q := sq.q
+	if !pubQualifies(q, t) {
 		return
 	}
-	if sq.q.Excluded(t.PubSeq) {
+	if q.Excluded(t.PubSeq) {
 		return // already combined at a previous home (migration)
+	}
+	clock := q.Window.Clock(t)
+	if stored && q.Depth > 0 && q.Window.Enabled() && !q.Window.Valid(q.Start, clock) {
+		return
 	}
 	if !sq.allowTrigger(t) {
 		p.ctr.DuplicatesSuppressed++
 		return
 	}
-	if len(sq.q.Relations) == 1 {
-		p.completeTrigger(now, sq, t)
+	if len(q.Relations) == 1 {
+		// The final rewriting step: substitution completes the query, so
+		// the row is produced without materialising the child. A completed
+		// query never consults its window again, so no start is derived.
+		vals, ok := query.RewriteComplete(q, t)
+		if !ok {
+			return
+		}
+		p.consume(sq, t)
+		p.profTrigger(sq, true)
+		p.countRewrite(q.Depth + 1)
+		p.complete(now, q, sq.agg, q.Depth+1, completion{
+			vals: vals, clock: max(clock, q.AggClock), minPub: min(t.PubTime, q.MinPub),
+			pubAt: t.PubTime, lin: p.lineage(q, t),
+		})
 		return
 	}
-	q2, ok := query.Rewrite(sq.q, t)
+	q2, ok := query.Rewrite(q, t)
 	if !ok {
 		return
 	}
-	clock := sq.q.Window.Clock(t)
-	if sq.q.Depth == 0 {
-		// Rule 1: rewrites of an input query start their window at the
-		// triggering tuple's clock.
-		q2.Start = clock
-	} else {
-		// Rule 2: rewrites triggered by an incoming tuple inherit the
-		// window start.
-		q2.Start = sq.q.Start
+	q2.Start = clock
+	if q.Depth > 0 {
+		q2.Start = q.Start
+		if stored && clock > q2.Start {
+			q2.Start = clock
+		}
 	}
-	if clock > q2.AggClock {
-		q2.AggClock = clock // completion clock: max over combined tuples
-	}
-	if t.PubTime < q2.MinPub {
-		q2.MinPub = t.PubTime // fan-out filter: min over combined tuples
-	}
-	if p.eng.prov {
-		q2.Lineage = query.AppendLineage(sq.q.Lineage,
-			query.LineageStep{Pub: t.Publisher, Seq: t.PubSeq, Node: p.nid()})
-	}
+	q2.AggClock = max(q2.AggClock, clock)
+	q2.MinPub = min(q2.MinPub, t.PubTime)
+	q2.Lineage = p.lineage(q, t)
 	p.consume(sq, t)
 	p.profTrigger(sq, q2.IsComplete())
 	p.dispatch(now, q2, t.PubTime)
 }
 
-// completeTrigger is the final-rewriting-step fast path shared by both
-// trigger sites: the query has one remaining relation, so substitution
-// completes it and the answer row is shipped directly to the owner —
-// or, for aggregate queries, folded into the aggregation pipeline —
-// without materialising the child query. Window start bookkeeping is
-// skipped because a completed query never consults its window again;
-// only the completion clock (max window-clock over combined tuples) is
-// derived, for epoch assignment. The counters match what dispatch would
-// have recorded for the materialised child.
-func (p *Proc) completeTrigger(now sim.Time, sq *storedQuery, t *relation.Tuple) {
-	vals, ok := query.RewriteComplete(sq.q, t)
-	if !ok {
+// lineage extends q's provenance by the step of consuming t here; nil
+// unless Config.Provenance is set.
+func (p *Proc) lineage(q *query.Query, t *relation.Tuple) []query.LineageStep {
+	if !p.eng.prov {
+		return nil
+	}
+	return query.AppendLineage(q.Lineage, query.LineageStep{Pub: t.Publisher, Seq: t.PubSeq, Node: p.nid()})
+}
+
+// completion is one completed row leaving the join pipeline.
+type completion struct {
+	vals   []relation.Value
+	clock  int64 // completion clock: max window-clock over the combined tuples; assigns the epoch
+	minPub int64 // min publication time over the combined tuples: the fan-out's insertion-time filter
+	pubAt  int64 // publication time of the triggering tuple, for the latency measurement
+	lin    []query.LineageStep
+}
+
+// complete is what happens to a query whose WHERE clause has become
+// true, and the only place it happens: the chain's depth is observed and
+// traced, then a shared pipeline fans the row out to its subscribers, a
+// torn-down pipeline has nobody listening, and any other pipeline is its
+// own single subscriber, whose row goes into its aggregation pipeline or
+// directly to its owner. q names the pipeline (ID, Owner), isAgg is its
+// cached IsAggregate, depth the completed chain's length. Whether a
+// tuple met a stored query or a query met a stored tuple, the trace
+// event is the same, which keeps the trace multiset schedule-independent
+// when both reach a node on the same tick (they fire in engine-dependent
+// order, but exactly one fires either way).
+func (p *Proc) complete(now sim.Time, q *query.Query, isAgg bool, depth int, c completion) {
+	if om := p.eng.obsM; om != nil {
+		om.RewriteDepth.Observe(int64(depth))
+	}
+	if tr := p.eng.trace; tr != nil {
+		tr.Emit(p.shard, obs.Event{
+			At: int64(now), Kind: obs.KindComplete, Node: p.nid(),
+			Trace: q.ID, Arg: int64(depth),
+		})
+	}
+	if fo := p.eng.fanoutOf(q.ID); fo != nil {
+		p.fanoutComplete(now, fo, c)
 		return
 	}
-	p.consume(sq, t)
+	if p.eng.retiredPipeline(q.ID) {
+		return
+	}
+	var spec *agg.Spec
+	if isAgg {
+		spec = p.eng.aggSpec(q.ID)
+	}
+	p.emitTo(now, q.ID, id.ID(q.Owner), spec, c)
+}
+
+// countRewrite counts one rewriting step producing a query of the given
+// depth.
+func (p *Proc) countRewrite(depth int) {
 	p.ctr.RewritesCreated++
-	if sq.q.Depth+1 >= 2 {
+	if depth >= 2 {
 		p.ctr.DeepRewrites++
 	}
-	p.profTrigger(sq, true)
-	p.observeComplete(now, sq.q.ID, int64(sq.q.Depth)+1)
-	var lin []query.LineageStep
-	if p.eng.prov {
-		lin = query.AppendLineage(sq.q.Lineage,
-			query.LineageStep{Pub: t.Publisher, Seq: t.PubSeq, Node: p.nid()})
-	}
-	clock := sq.q.Window.Clock(t)
-	if sq.q.AggClock > clock {
-		clock = sq.q.AggClock
-	}
-	minPub := t.PubTime
-	if sq.q.MinPub < minPub {
-		minPub = sq.q.MinPub
-	}
-	if fo := p.eng.fanoutOf(sq.q.ID); fo != nil {
-		p.fanoutComplete(now, fo, vals, clock, minPub, t.PubTime, lin)
-		return
-	}
-	if p.eng.retiredPipeline(sq.q.ID) {
-		return // shared pipeline torn down; nobody is listening
-	}
-	if sq.agg {
-		p.emitCompletion(now, sq.q, vals, clock, t.PubTime, lin)
-		return
-	}
-	p.eng.net.SendDirect(p.node, id.ID(sq.q.Owner), newAnswerMsg(sq.q.ID, id.ID(sq.q.Owner), vals, t.PubTime, lin))
 }
 
 // consume records the memory a successful trigger leaves on the stored
@@ -476,25 +508,6 @@ func (p *Proc) consume(sq *storedQuery, t *relation.Tuple) {
 		pubSeq = t.PubSeq
 	}
 	p.st.trigger(sq, proj, pubSeq)
-}
-
-// observeComplete records one completed rewrite chain: its depth into
-// the histogram and a completion trace event. Both trigger paths —
-// tuple-meets-stored-query and query-meets-stored-tuple — converge
-// here with identical event content, which is what keeps the trace
-// multiset schedule-independent when a tuple and a query reach the
-// same node on the same tick (the paths fire in engine-dependent
-// order, but exactly one fires either way).
-func (p *Proc) observeComplete(now sim.Time, qid string, depth int64) {
-	if om := p.eng.obsM; om != nil {
-		om.RewriteDepth.Observe(depth)
-	}
-	if tr := p.eng.trace; tr != nil {
-		tr.Emit(p.shard, obs.Event{
-			At: int64(now), Kind: obs.KindComplete, Node: p.nid(),
-			Trace: qid, Arg: depth,
-		})
-	}
 }
 
 // storeTuple stores a value-level tuple (counted as storage load) and
@@ -570,62 +583,13 @@ func (p *Proc) onEval(now sim.Time, m *evalMsg) {
 
 	if m.Level == query.ValueLevel {
 		for _, t := range p.st.tuples[m.Key] {
-			p.scanTrigger(now, sq, t)
+			p.trigger(now, sq, t, true)
 		}
 	} else {
 		for _, e := range p.alttScan(m.Key, now) {
-			p.scanTrigger(now, sq, e.t)
+			p.trigger(now, sq, e.t, true)
 		}
 	}
-}
-
-// scanTrigger applies one locally stored tuple to a just-arrived query
-// (Procedure 3's loop). Window rule 3: the result's start is
-// max(start(q), clock(t)).
-func (p *Proc) scanTrigger(now sim.Time, sq *storedQuery, t *relation.Tuple) {
-	if !pubQualifies(sq.q, t) {
-		return
-	}
-	if sq.q.Excluded(t.PubSeq) {
-		return // already combined at a previous home (migration)
-	}
-	clock := sq.q.Window.Clock(t)
-	if sq.q.Depth > 0 && sq.q.Window.Enabled() && !sq.q.Window.Valid(sq.q.Start, clock) {
-		return // stored tuple outside the query's window: skip, keep query
-	}
-	if !sq.allowTrigger(t) {
-		p.ctr.DuplicatesSuppressed++
-		return
-	}
-	if len(sq.q.Relations) == 1 {
-		p.completeTrigger(now, sq, t)
-		return
-	}
-	q2, ok := query.Rewrite(sq.q, t)
-	if !ok {
-		return
-	}
-	if sq.q.Depth == 0 {
-		q2.Start = clock
-	} else {
-		q2.Start = sq.q.Start
-		if clock > q2.Start {
-			q2.Start = clock
-		}
-	}
-	if clock > q2.AggClock {
-		q2.AggClock = clock
-	}
-	if t.PubTime < q2.MinPub {
-		q2.MinPub = t.PubTime
-	}
-	if p.eng.prov {
-		q2.Lineage = query.AppendLineage(sq.q.Lineage,
-			query.LineageStep{Pub: t.Publisher, Seq: t.PubSeq, Node: p.nid()})
-	}
-	p.consume(sq, t)
-	p.profTrigger(sq, q2.IsComplete())
-	p.dispatch(now, q2, t.PubTime)
 }
 
 // maybeMigrate implements the Section 10 future-work extension:
@@ -708,21 +672,11 @@ func mergeExclude(exclude, combined []int64) []int64 {
 // the tuple that triggered the rewrite, threaded to the answer path
 // for the latency measurement.
 func (p *Proc) dispatch(now sim.Time, q2 *query.Query, pubAt int64) {
-	p.ctr.RewritesCreated++
-	if q2.Depth >= 2 {
-		p.ctr.DeepRewrites++
-	}
+	p.countRewrite(q2.Depth)
 	if q2.IsComplete() {
-		p.observeComplete(now, q2.ID, int64(q2.Depth))
-		if fo := p.eng.fanoutOf(q2.ID); fo != nil {
-			p.fanoutComplete(now, fo, q2.AnswerValues(), q2.AggClock, q2.MinPub, pubAt, q2.Lineage)
-		} else if p.eng.retiredPipeline(q2.ID) {
-			// shared pipeline torn down; drop the straggler
-		} else if q2.IsAggregate() {
-			p.emitCompletion(now, q2, q2.AnswerValues(), q2.AggClock, pubAt, q2.Lineage)
-		} else {
-			p.eng.net.SendDirect(p.node, id.ID(q2.Owner), newAnswerMsg(q2.ID, id.ID(q2.Owner), q2.AnswerValues(), pubAt, q2.Lineage))
-		}
+		p.complete(now, q2, q2.IsAggregate(), q2.Depth, completion{
+			vals: q2.AnswerValues(), clock: q2.AggClock, minPub: q2.MinPub, pubAt: pubAt, lin: q2.Lineage,
+		})
 		query.Release(q2)
 		return
 	}

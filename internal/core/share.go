@@ -3,12 +3,13 @@ package core
 // This file wires the multi-query sharing subsystem (internal/share)
 // into the engine: submission-time registration/attachment, the
 // completion-node fan-out, containment replay, and the unsubscribe /
-// teardown path. The registry and both tombstone maps are written only
-// from coordinator context (SubmitQuery, Unsubscribe run between
-// drains); handlers read them lock-free, exactly like aggSpecs. Fan-out
-// tables are immutable snapshots replaced wholesale on every membership
-// change, so a handler either sees the old table or the new one, never
-// a partially updated list.
+// teardown path. The registry, the fan-out tables and the retired-pipeline
+// tombstones are written only from coordinator context (SubmitQuery,
+// Unsubscribe run between drains); handlers read them lock-free, exactly
+// like the subscription records (subs.go). Fan-out tables are immutable
+// snapshots replaced wholesale on every membership change, so a handler
+// either sees the old table or the new one, never a partially updated
+// list.
 
 import (
 	"fmt"
@@ -31,10 +32,6 @@ func (e *Engine) fanoutOf(qid string) *share.Fanout { return e.fanouts[qid] }
 // retiredPipeline reports whether qid names a torn-down shared
 // pipeline: its straggler rewrites must be dropped, not re-indexed.
 func (e *Engine) retiredPipeline(qid string) bool { return e.retiredQ[qid] }
-
-// retiredSub reports whether qid names an unsubscribed subscriber: its
-// in-flight answers and aggregation partials must be dropped.
-func (e *Engine) retiredSub(qid string) bool { return e.retiredS[qid] }
 
 // SharedClasses reports the number of live pipeline equivalence
 // classes (every live subscription belongs to exactly one).
@@ -169,7 +166,7 @@ func (e *Engine) registerCanonical(can *share.Canonical, sub *share.Subscriber, 
 // class's fan-out, its owner-side answer and aggregate state is
 // released, and — when it was the class's last member — the shared
 // pipeline itself is torn down network-wide. Safe under churn and
-// replication: the tombstone maps make every resurrection path
+// replication: the retired marks make every resurrection path
 // (handover, mirror promotion, crash recovery) skip retired state, and
 // in-flight messages for retired IDs are dropped at their destination.
 func (e *Engine) Unsubscribe(subQID string) error {
@@ -177,20 +174,8 @@ func (e *Engine) Unsubscribe(subQID string) error {
 	if cls == nil {
 		return fmt.Errorf("core: unknown or already-removed subscription %s", subQID)
 	}
-	e.retiredS[subQID] = true
+	e.retireSub(subQID)
 	e.Counters.QueriesUnsubscribed++
-	e.answersMu.Lock()
-	delete(e.answers, subQID)
-	delete(e.seenRows, subQID)
-	delete(e.aggViews, subQID)
-	delete(e.aggLocal, subQID)
-	delete(e.provRows, subQID)
-	e.answersMu.Unlock()
-	delete(e.distinctQs, subQID)
-	// aggSpecs is deliberately kept: in-flight partials and mirrored
-	// aggregator groups look their spec up by QID, and a nil spec on
-	// those paths would be indistinguishable from a bug. One immutable
-	// spec per departed aggregate query is the price of that safety.
 	e.sweepState(classAggs, func(op stateOp) bool { return op.g.qid == subQID })
 	if cls.Empty() {
 		e.teardownClass(cls)
@@ -232,7 +217,7 @@ func (e *Engine) retiredOp(op stateOp) bool {
 	if q := op.query(); q != nil {
 		return e.retiredQ[q.ID]
 	}
-	return op.kind == opAggMerge && e.retiredS[op.g.qid]
+	return op.kind == opAggMerge && e.retiredSub(op.g.qid)
 }
 
 // sweepState removes the matching entries of the wanted classes from
@@ -271,35 +256,30 @@ func sortedProcIDs(procs map[id.ID]*Proc) []id.ID {
 // every subscriber's copy of the row shares it, and containment replays
 // inherit it — the child's rows are built from exactly the parent
 // row's base tuples.
-func (p *Proc) fanoutComplete(now sim.Time, fo *share.Fanout, vals []relation.Value, clock, minPub, pubAt int64, lin []query.LineageStep) {
+func (p *Proc) fanoutComplete(now sim.Time, fo *share.Fanout, c completion) {
 	for i := range fo.Subs {
 		s := &fo.Subs[i]
-		if minPub < s.InsertTime {
+		if c.minPub < s.InsertTime {
 			continue
 		}
-		if s.Res != nil && !s.Res.Eval(vals) {
+		if s.Res != nil && !s.Res.Eval(c.vals) {
 			continue
 		}
-		row := vals
+		row := c
 		if s.Res != nil {
-			row = s.Res.Project(vals)
+			row.vals = s.Res.Project(c.vals)
 		}
 		p.ctr.SharedFanoutRows++
 		if pf := p.eng.prof; pf != nil {
 			pf.Add(p.shard, s.QID, "", profile.FanoutRows, 1)
 		}
-		owner := id.ID(s.Owner)
-		if spec := p.eng.aggSpec(s.QID); spec != nil {
-			p.emitTo(now, s.QID, owner, spec, row, clock, pubAt, lin)
-		} else {
-			p.eng.net.SendDirect(p.node, owner, newAnswerMsg(s.QID, owner, row, pubAt, lin))
-		}
+		p.emitTo(now, s.QID, id.ID(s.Owner), p.eng.aggSpec(s.QID), row)
 	}
 	for _, kid := range fo.Kids {
-		if minPub < kid.InsertTime {
+		if c.minPub < kid.InsertTime {
 			continue
 		}
-		p.spawnContainment(now, kid, vals, clock, minPub, pubAt, lin)
+		p.spawnContainment(now, kid, c)
 	}
 }
 
@@ -313,12 +293,12 @@ func (p *Proc) fanoutComplete(now sim.Time, fo *share.Fanout, vals []relation.Va
 // locally triggered rewrite would be. The pseudo-tuples carry the
 // row's minimum publication time so downstream subscriber filtering
 // stays exact; they are never stored, only substituted.
-func (p *Proc) spawnContainment(now sim.Time, kid *share.Kid, vals []relation.Value, clock, minPub, pubAt int64, lin []query.LineageStep) {
+func (p *Proc) spawnContainment(now sim.Time, kid *share.Kid, c completion) {
 	cur := kid.Pipeline
 	owned := false
 	for _, rs := range kid.Rels {
-		t := relation.MustTuple(rs.Schema, vals[rs.Off:rs.Off+rs.Schema.Arity()]...)
-		t.PubTime = minPub
+		t := relation.MustTuple(rs.Schema, c.vals[rs.Off:rs.Off+rs.Schema.Arity()]...)
+		t.PubTime = c.minPub
 		next, ok := query.Rewrite(cur, t)
 		if owned {
 			query.Release(cur)
@@ -328,11 +308,11 @@ func (p *Proc) spawnContainment(now sim.Time, kid *share.Kid, vals []relation.Va
 		}
 		cur, owned = next, true
 	}
-	cur.MinPub = minPub
-	cur.AggClock = clock
+	cur.MinPub = c.minPub
+	cur.AggClock = c.clock
 	// The pseudo-tuples are carved out of the parent row, so the
 	// replayed rewrite's provenance is the parent row's, not new steps.
-	cur.Lineage = lin
+	cur.Lineage = c.lin
 	p.ctr.ContainmentRewrites++
-	p.dispatch(now, cur, pubAt)
+	p.dispatch(now, cur, c.pubAt)
 }

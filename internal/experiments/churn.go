@@ -64,7 +64,7 @@ func answerMultisets(eng *core.Engine) map[string]map[string]int64 {
 	for qid, answers := range eng.AllAnswers() {
 		rows := make(map[string]int64, len(answers))
 		for _, a := range answers {
-			rows[refeval.Row(a.Values).Key()]++
+			rows[refeval.Row(a.Row).Key()]++
 		}
 		out[qid] = rows
 	}

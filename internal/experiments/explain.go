@@ -111,8 +111,8 @@ func FigExplain(p Params) []*metrics.Table {
 		if rp.Answers > 0 {
 			answered++
 		}
-		for _, lin := range r.eng.AnswerLineages(qids[i]) {
-			lineageSteps += int64(len(lin))
+		for _, a := range r.eng.Answers(qids[i]) {
+			lineageSteps += int64(len(a.Lineage))
 		}
 	}
 	ctRate, stepsPer := 0.0, 0.0

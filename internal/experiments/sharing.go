@@ -163,7 +163,7 @@ func runSharing(p Params, stream []*query.Query, share bool, rf int, rates workl
 		}
 		got := make(map[string]int64)
 		for _, a := range r.eng.Answers(s.qid) {
-			got[refeval.Row(a.Values).Key()]++
+			got[refeval.Row(a.Row).Key()]++
 		}
 		res.checked++
 		if multisetsEqual(want, got) {

@@ -116,7 +116,7 @@ func TestRebalancePreservesCorrectness(t *testing.T) {
 	want := refeval.Evaluate(q, tuples)
 	got := make([]refeval.Row, 0)
 	for _, a := range eng.Answers(qid) {
-		got = append(got, refeval.Row(a.Values))
+		got = append(got, refeval.Row(a.Row))
 	}
 	if !refeval.EqualBags(got, want) {
 		t.Fatalf("rebalancing changed answers: got %d want %d", len(got), len(want))

@@ -186,7 +186,8 @@ type cell struct {
 }
 
 // Metrics is the virtual-time metrics registry: the fixed histogram
-// set, per-query latency histograms, and the windowed rate series. A
+// set and the windowed rate series (a query's own latency histogram
+// lives on the engine's subscription record). A
 // nil *Metrics is a valid disabled registry — every method is a no-op
 // — and hook sites additionally nil-guard so the disabled path makes
 // no calls at all.
@@ -195,7 +196,8 @@ type Metrics struct {
 	interval int64
 
 	// AnswerLatency observes answer-delivery vtime minus triggering
-	// publish vtime, for plain answers and aggregate updates alike.
+	// publish vtime, for plain answers and aggregate updates alike,
+	// across all queries.
 	AnswerLatency *Histogram
 	// RewriteDepth observes the rewrite chain depth of every completed
 	// query.
@@ -206,12 +208,6 @@ type Metrics struct {
 	// RetransmitRounds observes the retry number of every reliable-
 	// channel retransmission.
 	RetransmitRounds *Histogram
-
-	// queries holds per-query answer-latency histograms. Written only
-	// at query submission (driver context), read concurrently by
-	// handlers afterwards — the same publication discipline the
-	// engine's aggregate-spec table uses.
-	queries map[string]*Histogram
 
 	cells  [sim.ShardSlots]cell
 	series []Sample
@@ -229,7 +225,6 @@ func NewMetrics(interval int64) *Metrics {
 		RewriteDepth:     &Histogram{},
 		HopCount:         &Histogram{},
 		RetransmitRounds: &Histogram{},
-		queries:          make(map[string]*Histogram),
 	}
 }
 
@@ -297,37 +292,6 @@ func (m *Metrics) IncQuery(shard int, at int64, qid string) {
 		c.query = make(map[winKey]int64)
 	}
 	c.query[winKey{m.win(at), qid}]++
-}
-
-// RegisterQuery creates the per-query latency histogram. Must be
-// called from driver context (query submission), before handlers can
-// observe the query.
-func (m *Metrics) RegisterQuery(qid string) {
-	if m == nil {
-		return
-	}
-	if _, ok := m.queries[qid]; !ok {
-		m.queries[qid] = &Histogram{}
-	}
-}
-
-// QueryHist returns a query's latency histogram (nil when unknown or
-// on a nil receiver) — nil is safe to Observe on.
-func (m *Metrics) QueryHist(qid string) *Histogram {
-	if m == nil {
-		return nil
-	}
-	return m.queries[qid]
-}
-
-// ObserveLatency feeds one answer latency into both the global and the
-// per-query histogram.
-func (m *Metrics) ObserveLatency(qid string, v int64) {
-	if m == nil {
-		return
-	}
-	m.AnswerLatency.Observe(v)
-	m.queries[qid].Observe(v)
 }
 
 // Drain folds every window that closed strictly before `now` out of
@@ -411,9 +375,6 @@ func (m *Metrics) Reset() {
 	*m.RewriteDepth = Histogram{}
 	*m.HopCount = Histogram{}
 	*m.RetransmitRounds = Histogram{}
-	for _, h := range m.queries {
-		*h = Histogram{}
-	}
 	for i := range m.cells {
 		m.cells[i] = cell{}
 	}

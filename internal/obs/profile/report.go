@@ -75,7 +75,8 @@ type Report struct {
 	// query's in-network work — its own ID, or the shared class
 	// leader's when multi-query sharing attached it.
 	Pipeline string `json:"pipeline"`
-	// Subscribers counts queries fanning out of that pipeline.
+	// Subscribers counts queries fanning out of that pipeline; zero
+	// means this query has been unsubscribed.
 	Subscribers int `json:"subscribers"`
 	// Residual renders this subscriber's residual filter/projection
 	// ("" when the pipeline's completions are delivered as-is).
@@ -112,7 +113,9 @@ func (r *Report) Text() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "EXPLAIN ANALYZE %s (at tick %d)\n", r.Query, r.Now)
 	fmt.Fprintf(&b, "  %s\n", r.SQL)
-	if r.Pipeline != r.Query {
+	if r.Subscribers == 0 {
+		b.WriteString("  unsubscribed: no live subscriber\n")
+	} else if r.Pipeline != r.Query {
 		fmt.Fprintf(&b, "  shared pipeline: %s (%d subscribers)\n", r.Pipeline, r.Subscribers)
 	} else if r.Subscribers > 1 {
 		fmt.Fprintf(&b, "  pipeline shared by %d subscribers\n", r.Subscribers)

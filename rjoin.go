@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
 
 	"rjoin/internal/chord"
 	"rjoin/internal/churn"
@@ -99,11 +98,6 @@ type Options struct {
 	// keys that turn hot relocate themselves to colder candidates,
 	// carrying an exclusion set so no answer is duplicated.
 	EnableMigration bool
-	// SubscriberSideAgg disables in-network aggregation for GROUP BY /
-	// aggregate queries: raw answer rows ship to the subscriber, which
-	// folds them locally. The aggregate view is identical either way;
-	// this is the ablation baseline of the aggregation experiment.
-	SubscriberSideAgg bool
 	// Sharing enables multi-query optimization: queries whose join
 	// graphs are equivalent up to relation/predicate ordering, constant
 	// selections and projections collapse onto one shared in-network
@@ -294,20 +288,13 @@ type ChurnOptions struct {
 	MinNodes int
 }
 
-// Answer is one delivered result row.
-type Answer struct {
-	// Query is the subscription's query ID.
-	Query string
-	// Row holds the select-list values.
-	Row []Value
-	// At is the virtual time of delivery.
-	At int64
-	// Lineage is the row's provenance: the base tuples that joined into
-	// it, by (publisher, publish sequence), with the node each rewrite
-	// hop executed on, in consumption order. Nil unless
-	// Options.Provenance is set.
-	Lineage []LineageStep
-}
+// Answer is one delivered result row: Query is the subscription's query
+// ID, Row holds the select-list values, At is the virtual time of
+// delivery, and Lineage — nil unless Options.Provenance is set — is the
+// row's provenance: the base tuples that joined into it, by (publisher,
+// publish sequence), with the node each rewrite hop executed on, in
+// consumption order.
+type Answer = core.Answer
 
 // LineageStep is one hop of an answer row's provenance: the base tuple
 // consumed (Pub, Seq) and the node whose stored rewrite it triggered.
@@ -339,9 +326,8 @@ type Stats struct {
 	Answers int64
 	// RewritesCreated counts rewriting steps performed.
 	RewritesCreated int64
-	// AggPartials counts answer rows folded into aggregation state (at
-	// aggregator nodes, or at the subscriber with SubscriberSideAgg);
-	// AggUpdates counts finalized group-update rows delivered to
+	// AggPartials counts answer rows folded into aggregation state at
+	// aggregator nodes; AggUpdates counts finalized group-update rows delivered to
 	// subscribers; AggStateLost counts (group, epoch) partials dropped
 	// by crashes or unrecoverable departures. All zero without
 	// aggregate queries.
@@ -446,7 +432,6 @@ type Network struct {
 	cat   *relation.Catalog
 	mgr   *churn.Manager
 	rng   *rand.Rand
-	subs  map[string]*Subscription
 	trace *obs.Tracer       // nil unless Options.Trace was set
 	obsM  *obs.Metrics      // nil unless Options.Metrics was set
 	prof  *profile.Profiler // nil unless Options.Profile was set
@@ -459,8 +444,7 @@ type Subscription struct {
 	// SQL is the submitted query text (as parsed and rendered).
 	SQL string
 
-	net   *Network
-	cache []Answer // answers already converted; extended incrementally
+	net *Network
 }
 
 // NewNetwork builds a converged overlay of opts.Nodes nodes and attaches
@@ -629,7 +613,6 @@ func NewNetwork(opts Options) (*Network, error) {
 	cfg.PiggybackRIC = !opts.DisablePiggyback
 	cfg.AllowAttrRewrites = opts.AllowAttrRewrites
 	cfg.EnableMigration = opts.EnableMigration
-	cfg.SubscriberSideAgg = opts.SubscriberSideAgg
 	cfg.AttrReplicas = opts.AttrReplicas
 	cfg.ReplicationFactor = opts.ReplicationFactor
 	cfg.Trace = tracer
@@ -663,7 +646,6 @@ func NewNetwork(opts Options) (*Network, error) {
 		cat:   cat,
 		mgr:   mgr,
 		rng:   rand.New(rand.NewSource(opts.Seed + 1)),
-		subs:  make(map[string]*Subscription),
 		trace: tracer,
 		obsM:  om,
 		prof:  prof,
@@ -708,9 +690,7 @@ func (n *Network) Subscribe(sql string) (*Subscription, error) {
 	if err != nil {
 		return nil, err
 	}
-	sub := &Subscription{ID: qid, SQL: q.String(), net: n}
-	n.subs[qid] = sub
-	return sub, nil
+	return &Subscription{ID: qid, SQL: q.String(), net: n}, nil
 }
 
 // MustSubscribe is Subscribe that panics on error.
@@ -962,7 +942,8 @@ func (n *Network) WriteMetricsCSV(w io.Writer) error {
 }
 
 // Explain returns the introspection report of one live or past
-// subscription by query ID; see Subscription.Explain.
+// subscription by query ID; see Subscription.Explain. A past
+// (unsubscribed) query reports zero subscribers.
 func (n *Network) Explain(queryID string) (*ExplainReport, error) {
 	n.eng.Sync()
 	return n.eng.Explain(queryID)
@@ -976,14 +957,10 @@ func (n *Network) Explain(queryID string) (*ExplainReport, error) {
 // has no live subscriptions to report on.
 func (n *Network) WriteProfileJSON(w io.Writer) error {
 	n.eng.Sync()
-	if len(n.subs) == 0 {
+	ids := n.eng.LiveSubscriptions()
+	if len(ids) == 0 {
 		return fmt.Errorf("rjoin: no live subscriptions to profile")
 	}
-	ids := make([]string, 0, len(n.subs))
-	for qid := range n.subs {
-		ids = append(ids, qid)
-	}
-	sort.Strings(ids)
 	reports := make(map[string]*ExplainReport, len(ids))
 	for _, qid := range ids {
 		r, err := n.eng.Explain(qid)
@@ -1003,25 +980,9 @@ func (n *Network) WriteProfileJSON(w io.Writer) error {
 func (n *Network) Engine() *core.Engine { return n.eng }
 
 // Answers returns the rows delivered so far for this subscription, in
-// delivery order. Conversion is incremental: each call converts only
-// the rows that arrived since the previous one. The returned slice is
-// shared with the subscription; callers must not mutate it.
-func (s *Subscription) Answers() []Answer {
-	raw := s.net.eng.Answers(s.ID)
-	if len(s.cache) == len(raw) {
-		return s.cache
-	}
-	lins := s.net.eng.AnswerLineages(s.ID) // index-aligned; nil unless provenance is on
-	for i := len(s.cache); i < len(raw); i++ {
-		a := raw[i]
-		out := Answer{Query: a.QueryID, Row: a.Values, At: int64(a.At)}
-		if i < len(lins) {
-			out.Lineage = lins[i]
-		}
-		s.cache = append(s.cache, out)
-	}
-	return s.cache
-}
+// delivery order; none once it is unsubscribed. The returned slice is
+// shared with the engine; callers must not mutate it.
+func (s *Subscription) Answers() []Answer { return s.net.eng.Answers(s.ID) }
 
 // AnswersSince returns the answers delivered at or after the given
 // cursor position (an index into the delivery order). A consumer polls
@@ -1039,8 +1000,7 @@ func (s *Subscription) AnswersSince(cursor int) []Answer {
 	return all[cursor:]
 }
 
-// Count returns the number of answers delivered so far, without
-// converting or allocating anything.
+// Count returns the number of answers delivered so far.
 func (s *Subscription) Count() int { return len(s.net.eng.Answers(s.ID)) }
 
 // Unsubscribe removes this continuous query from the network. The
@@ -1051,11 +1011,7 @@ func (s *Subscription) Count() int { return len(s.net.eng.Answers(s.ID)) }
 // Answers already in flight are discarded on arrival. A second call
 // returns an error.
 func (s *Subscription) Unsubscribe() error {
-	if err := s.net.eng.Unsubscribe(s.ID); err != nil {
-		return err
-	}
-	delete(s.net.subs, s.ID)
-	return nil
+	return s.net.eng.Unsubscribe(s.ID)
 }
 
 // LatencyStats summarizes this subscription's answer latency: the
@@ -1064,10 +1020,7 @@ func (s *Subscription) Unsubscribe() error {
 // back when Options.Metrics is off.
 func (s *Subscription) LatencyStats() LatencySummary {
 	s.net.eng.Sync()
-	if s.net.obsM == nil {
-		return LatencySummary{}
-	}
-	return s.net.obsM.QueryHist(s.ID).Summary()
+	return s.net.eng.QueryLatency(s.ID)
 }
 
 // Explain returns this subscription's introspection report: the

@@ -3,6 +3,7 @@ package rjoin
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -208,4 +209,41 @@ func TestUnsubscribe(t *testing.T) {
 		t.Fatalf("QueriesUnsubscribed = %d, want 2", got)
 	}
 	_ = warm // keeps its own pipeline live through the teardown above
+}
+
+// TestUnsubscribedReadsAgree: every read of an unsubscribed subscription
+// says the same thing — no rows, no view, and an EXPLAIN that reports a
+// departed query instead of a live singleton pipeline — for a plain and
+// an aggregate query, with and without Sharing.
+func TestUnsubscribedReadsAgree(t *testing.T) {
+	for _, sharing := range []bool{false, true} {
+		net := quickNet(t, Options{Seed: 15, Sharing: sharing})
+		defineShareRels(net)
+		plain := net.MustSubscribe("select Trades.Px, Quotes.Bid from Trades,Quotes where Trades.Sym=Quotes.Sym")
+		grouped := net.MustSubscribe("select Trades.Sym, count(*) from Trades,Quotes where Trades.Sym=Quotes.Sym group by Trades.Sym")
+		net.Run()
+		publishShareWorkload(net)
+		if len(plain.Answers()) == 0 || len(grouped.AggregateRows()) == 0 {
+			t.Fatalf("sharing %v: nothing delivered before unsubscribe", sharing)
+		}
+		for _, sub := range []*Subscription{plain, grouped} {
+			if r, err := sub.Explain(); err != nil || r.Subscribers == 0 {
+				t.Fatalf("sharing %v: live %s explains %d subscribers (%v)", sharing, sub.SQL, r.Subscribers, err)
+			}
+			if err := sub.Unsubscribe(); err != nil {
+				t.Fatal(err)
+			}
+			if a, s, c, v := len(sub.Answers()), len(sub.AnswersSince(0)), sub.Count(), len(sub.AggregateRows()); a+s+c+v != 0 {
+				t.Fatalf("sharing %v: unsubscribed %s reads Answers %d, AnswersSince(0) %d, Count %d, AggregateRows %d; want all empty",
+					sharing, sub.SQL, a, s, c, v)
+			}
+			r, err := sub.Explain()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Subscribers != 0 || r.Answers != 0 || r.AggUpdates != 0 || !strings.Contains(r.Text(), "unsubscribed") {
+				t.Fatalf("sharing %v: unsubscribed %s explains as live:\n%s", sharing, sub.SQL, r.Text())
+			}
+		}
+	}
 }
