@@ -378,9 +378,17 @@ func (n *Node) closestPrecedingNode(target id.ID) *Node {
 // metric of the experiments is built from: len(path) messages are needed
 // to deliver one keyed message.
 func (n *Node) Lookup(target id.ID) (owner *Node, path []*Node) {
+	return n.LookupAppend(nil, target)
+}
+
+// LookupAppend is Lookup appending the hop path to buf, for callers
+// that consume the path before their next lookup and can reuse one
+// buffer across calls.
+func (n *Node) LookupAppend(buf []*Node, target id.ID) (owner *Node, path []*Node) {
+	path = buf
 	// A node knows its own arc (pred, n]: keys there resolve locally.
 	if p := n.pred; p != nil && p.alive && id.BetweenRightIncl(target, p.id, n.id) {
-		return n, nil
+		return n, path
 	}
 	cur := n
 	for hops := 0; hops < 2*id.Bits; hops++ {

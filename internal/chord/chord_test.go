@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -227,6 +228,32 @@ func TestLookupPathExcludesOrigin(t *testing.T) {
 				t.Fatal("origin appears in its own hop path")
 			}
 		}
+	}
+}
+
+// TestLookupAppendReusesBuffer: the appending form walks the same route
+// as Lookup, keeps what the buffer already held, and once the buffer
+// has grown to the longest path it allocates nothing.
+func TestLookupAppendReusesBuffer(t *testing.T) {
+	r := buildRing(t, 128, 10)
+	nodes := r.Nodes()
+	rng := rand.New(rand.NewSource(12))
+	prefix := []*Node{nodes[0], nodes[1]}
+	buf := make([]*Node, 0, 2*id.Bits+1)
+	for i := 0; i < 200; i++ {
+		from, target := nodes[rng.Intn(len(nodes))], id.ID(rng.Uint64())
+		owner, path := from.Lookup(target)
+		gotOwner, got := from.LookupAppend(prefix, target)
+		if gotOwner != owner || !slices.Equal(got[:2], prefix) || !slices.Equal(got[2:], path) {
+			t.Fatalf("LookupAppend(%v) = %v, %v; Lookup gives %v, %v", prefix, gotOwner, got, owner, path)
+		}
+		if _, got = from.LookupAppend(buf[:0], target); !slices.Equal(got, path) || (len(got) > 0 && &got[0] != &buf[:1][0]) {
+			t.Fatalf("LookupAppend into a large enough buffer returned %v (want %v) or moved off the buffer", got, path)
+		}
+	}
+	from, target := nodes[3], id.ID(rng.Uint64())
+	if n := testing.AllocsPerRun(100, func() { from.LookupAppend(buf[:0], target) }); n != 0 {
+		t.Fatalf("LookupAppend into a large enough buffer allocates %v times", n)
 	}
 }
 

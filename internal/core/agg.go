@@ -3,7 +3,6 @@ package core
 import (
 	"maps"
 	"slices"
-	"sort"
 
 	"rjoin/internal/agg"
 	"rjoin/internal/id"
@@ -267,38 +266,30 @@ func (p *Proc) onAggPartial(now sim.Time, m *aggPartialMsg) {
 // across every aggregator node, in deterministic order (node, key,
 // epoch), and reports whether anything was emitted. It runs from
 // coordinator context between drains; Engine.Run loops until a drain
-// produces no new dirty state.
+// produces no new dirty state. Only nodes whose dirty-key set (see
+// state.go) is non-empty are visited, so the loop's final iteration —
+// and every Run on a quiet engine — allocates and sorts nothing.
 func (e *Engine) flushAggregates() bool {
 	if e.aggLive == 0 || e.Cfg.SubscriberSideAgg {
 		return false
 	}
-	// Enumerate only procs with dirty groups: the loop's final
-	// iteration (and every Run on a quiet engine) must not pay the
-	// per-proc key sort just to discover there is nothing to emit.
-	ids := make([]id.ID, 0, len(e.procs))
+	var ids []id.ID
 	for nid, p := range e.procs {
-		for _, g := range p.st.aggs {
-			if len(g.dirty) > 0 {
-				ids = append(ids, nid)
-				break
-			}
+		if len(p.st.dirtyAggs) > 0 {
+			ids = append(ids, nid)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	emitted := false
 	for _, nid := range ids {
 		p := e.procs[nid]
-		for _, key := range sortedStateKeys(p.st.aggs) {
-			g := p.st.aggs[key]
-			if len(g.dirty) == 0 {
-				continue
-			}
+		p.st.flushDirty(func(g *aggGroup) {
 			spec := e.aggSpec(g.qid)
 			epochs := make([]int64, 0, len(g.dirty))
 			for ep := range g.dirty {
 				epochs = append(epochs, ep)
 			}
-			sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
+			slices.Sort(epochs)
 			for _, ep := range epochs {
 				row, ok := g.viewRow(spec, ep)
 				if !ok {
@@ -319,8 +310,7 @@ func (e *Engine) flushAggregates() bool {
 				})
 				emitted = true
 			}
-			g.dirty = make(map[int64]bool)
-		}
+		})
 	}
 	return emitted
 }

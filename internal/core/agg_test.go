@@ -1,12 +1,17 @@
 package core
 
 import (
+	"maps"
+	"slices"
 	"testing"
 
 	"rjoin/internal/agg"
 	"rjoin/internal/chord"
+	"rjoin/internal/id"
+	"rjoin/internal/overlay"
 	"rjoin/internal/refeval"
 	"rjoin/internal/relation"
+	"rjoin/internal/sim"
 	"rjoin/internal/sqlparse"
 )
 
@@ -348,4 +353,209 @@ func TestMoveNodeRehomesAggState(t *testing.T) {
 			mirrorsTrackLiveState(t, eng)
 		}
 	}
+}
+
+// flushRef names one group update a flush sends.
+type flushRef struct {
+	node  id.ID // the aggregator sending it
+	qid   string
+	group string
+	epoch int64
+	local bool // the aggregator is the subscriber: delivered without a hop
+}
+
+// scanFlushOrder is flushAggregates' send sequence by definition: every
+// group of every node scanned, nodes by identifier, keys by string,
+// epochs ascending, rows whose epoch holds data. The dirty-key sets
+// replaced the scan; this stays as the test oracle.
+func scanFlushOrder(e *Engine) []flushRef {
+	var out []flushRef
+	for _, nid := range sortedProcIDs(e.procs) {
+		p := e.procs[nid]
+		for _, key := range sortedStateKeys(p.st.aggs) {
+			g := p.st.aggs[key]
+			epochs := slices.Sorted(maps.Keys(g.dirty))
+			for _, ep := range epochs {
+				if _, ok := g.viewRow(e.aggSpec(g.qid), ep); ok {
+					out = append(out, flushRef{nid, g.qid, g.gkey, ep, g.owner == nid})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestFlushOrderMatchesFullScan: through a join, a leave, a crash at
+// rf=2, an identifier move (RehomeKeys) and an unsubscribe — each while
+// groups hold un-flushed epochs, over sliding, tumbling and unwindowed
+// aggregates — every flush sends exactly the (node, key, epoch) sequence
+// the scan over all groups computes, and leaves nothing dirty behind.
+// Updates are observed where they are delivered: one flush's sends all
+// take the same single hop, so they arrive in the order sent, the
+// subscriber's own groups (no hop) first.
+func TestFlushOrderMatchesFullScan(t *testing.T) {
+	eng, nodes := testNet(t, 32, 41, replCfg(2), churnNetCfg())
+	sub := nodes[0] // subscribes and publishes; never churns
+	var qids []string
+	for _, sql := range []string{
+		"select R.A, count(*), max(S.B) from R,S where R.A=S.A group by R.A within 16 tuples",
+		"select R.A, count(*), sum(S.B) from R,S where R.A=S.A group by R.A within 16 tuples tumbling",
+		"select R.A, count(*), sum(S.B), min(S.B) from R,S where R.A=S.A group by R.A",
+		"select S.B, sum(R.B), avg(R.B) from R,S where R.A=S.A group by S.B",
+	} {
+		qid, err := eng.SubmitQuery(sub, sqlparse.MustParse(sql, testCat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		qids = append(qids, qid)
+	}
+
+	var delivered []aggUpdateMsg
+	record := func() { // membership changes attach bare processors
+		for _, p := range eng.procs {
+			eng.net.Attach(p.node, overlay.HandlerFunc(func(now sim.Time, msg overlay.Message) {
+				if m, ok := msg.(*aggUpdateMsg); ok {
+					delivered = append(delivered, *m)
+				}
+				p.HandleMessage(now, msg)
+			}))
+		}
+	}
+	record()
+
+	// run is Engine.Run with each flush checked against the scan; it
+	// returns the nodes that sent updates.
+	flushes, sent := 0, 0
+	run := func(label string) map[id.ID]bool {
+		t.Helper()
+		senders := make(map[id.ID]bool)
+		for {
+			eng.sim.Run()
+			eng.Sync()
+			want := scanFlushOrder(eng)
+			delivered = delivered[:0]
+			if !eng.flushAggregates() {
+				if len(want) != 0 {
+					t.Fatalf("%s: flush sent nothing, the scan finds %d dirty rows", label, len(want))
+				}
+				return senders
+			}
+			for _, p := range eng.procs {
+				if len(p.st.dirtyAggs) != 0 {
+					t.Fatalf("%s: node %s left %d keys dirty after a flush", label, p.node.ID(), len(p.st.dirtyAggs))
+				}
+				for key, g := range p.st.aggs {
+					if len(g.dirty) != 0 {
+						t.Fatalf("%s: group %s at %s still dirty after a flush", label, key, p.node.ID())
+					}
+				}
+			}
+			eng.sim.Run()
+			want = append(pick(want, true), pick(want, false)...) // no hop arrives before one hop
+			if len(delivered) != len(want) {
+				t.Fatalf("%s: flush sent %d updates, the scan finds %d", label, len(delivered), len(want))
+			}
+			for i, w := range want {
+				senders[w.node] = true
+				if m := delivered[i]; m.QueryID != w.qid || m.Group != w.group || m.Epoch != w.epoch {
+					t.Fatalf("%s: update %d is (%s, %x, %d), the scan's is (%s, %x, %d) from node %s",
+						label, i, m.QueryID, m.Group, m.Epoch, w.qid, w.group, w.epoch, w.node)
+				}
+			}
+			flushes++
+			sent += len(want)
+		}
+	}
+	run("submit")
+
+	round := 0
+	publish := func(n int) { // leaves deliveries in flight and groups dirty
+		for ; n > 0; n-- {
+			eng.PublishTuple(sub, mkTuple("R", int64(round%4), int64(round%7), 0))
+			eng.PublishTuple(sub, mkTuple("S", int64(round%4), int64(round%5), 0))
+			eng.RunUntil(eng.Sim().Now() + 4)
+			round++
+		}
+	}
+	// dirtyHolder returns the node other than the subscriber with the
+	// most un-flushed groups (ties to the smaller identifier) and the
+	// first of those groups' keys.
+	dirtyHolder := func(label string) (*chord.Node, relation.Key) {
+		t.Helper()
+		var best *Proc
+		for _, nid := range sortedProcIDs(eng.procs) {
+			if p := eng.procs[nid]; p.node != sub && len(p.st.dirtyAggs) > 0 &&
+				(best == nil || len(p.st.dirtyAggs) > len(best.st.dirtyAggs)) {
+				best = p
+			}
+		}
+		if best == nil {
+			t.Fatalf("%s: no node holds un-flushed groups; workload too weak", label)
+		}
+		return best.node, sortedStateKeys(best.st.dirtyAggs)[0]
+	}
+
+	publish(6)
+	run("stream")
+
+	publish(5)
+	_, key := dirtyHolder("join")
+	if _, err := eng.JoinNode(key.ID()); err != nil { // the joiner takes over the dirty group at key
+		t.Fatal(err)
+	}
+	record()
+	if !run("join")[key.ID()] {
+		t.Fatal("join: the joiner flushed nothing; the handed-over group did not arrive dirty")
+	}
+
+	publish(5)
+	victim, _ := dirtyHolder("leave")
+	if err := eng.LeaveNode(victim); err != nil {
+		t.Fatal(err)
+	}
+	eng.Ring().TickStabilize()
+	run("leave")
+
+	publish(5)
+	victim, _ = dirtyHolder("crash")
+	if err := eng.CrashNode(victim); err != nil {
+		t.Fatal(err)
+	}
+	eng.Ring().TickStabilize()
+	run("crash")
+	if eng.Counters.ReplPromotions == 0 || eng.Counters.AggStateLost != 0 {
+		t.Fatalf("crash: %d promotions, %d aggregation partials lost", eng.Counters.ReplPromotions, eng.Counters.AggStateLost)
+	}
+
+	publish(5)
+	victim, _ = dirtyHolder("move")
+	if _, err := eng.MoveNode(victim, victim.ID()+1<<59); err != nil {
+		t.Fatal(err)
+	}
+	record()
+	run("move")
+
+	publish(5)
+	dirtyHolder("unsubscribe")
+	if err := eng.Unsubscribe(qids[0]); err != nil {
+		t.Fatal(err)
+	}
+	run("unsubscribe")
+
+	publish(8)
+	run("tail")
+	if flushes < 7 || sent < 100 {
+		t.Fatalf("only %d flushes with %d updates were checked; workload too weak", flushes, sent)
+	}
+}
+
+// pick returns the refs sent with (local) or without a hop, in order.
+func pick(refs []flushRef, local bool) []flushRef {
+	var out []flushRef
+	for _, r := range refs {
+		if r.local == local {
+			out = append(out, r)
+		}
+	}
+	return out
 }

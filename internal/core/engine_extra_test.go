@@ -3,10 +3,12 @@ package core
 import (
 	"testing"
 
+	"rjoin/internal/id"
 	"rjoin/internal/overlay"
 	"rjoin/internal/query"
 	"rjoin/internal/refeval"
 	"rjoin/internal/relation"
+	"rjoin/internal/sim"
 	"rjoin/internal/sqlparse"
 )
 
@@ -175,4 +177,77 @@ func TestStrategyStringer(t *testing.T) {
 		StrategyWorst.String() != "Worst" || Strategy(99).String() != "unknown" {
 		t.Fatal("Strategy.String wrong")
 	}
+}
+
+// TestIdleRunAllocatesNothing pins what Run costs when there is nothing
+// to do: with thousands of live aggregator groups, and with a zero-rate
+// fault plan after a thousand reliable channels have carried traffic
+// (their trailing acks still pending in the background), a Run on the
+// quiescent engine allocates nothing and moves neither the clock, the
+// counters nor the traffic metric.
+func TestIdleRunAllocatesNothing(t *testing.T) {
+	pinIdle := func(t *testing.T, eng *Engine) {
+		t.Helper()
+		eng.Run()
+		now, ctr, sent := eng.Sim().Now(), eng.Counters, eng.Net().MessagesSent
+		if allocs := testing.AllocsPerRun(100, eng.Run); allocs != 0 {
+			t.Fatalf("an idle Run allocates %v times", allocs)
+		}
+		if eng.Sim().Now() != now || eng.Counters != ctr || eng.Net().MessagesSent != sent {
+			t.Fatalf("idle Runs moved the engine: clock %d→%d, messages %d→%d, counters %+v → %+v",
+				now, eng.Sim().Now(), sent, eng.Net().MessagesSent, ctr, eng.Counters)
+		}
+	}
+
+	t.Run("aggregator groups", func(t *testing.T) {
+		eng, nodes := testNet(t, 64, 7, DefaultConfig(), overlay.DefaultConfig())
+		_, err := eng.SubmitQuery(nodes[0], sqlparse.MustParse(
+			"select R.B, count(*) from R,S where R.A=S.A group by R.B", testCat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+		eng.PublishTuple(nodes[1], mkTuple("S", 1, 0, 0))
+		for i := 0; i < 2000; i++ { // one group per R.B value
+			eng.PublishTuple(nodes[i%len(nodes)], mkTuple("R", 1, int64(i), 0))
+			if i%50 == 49 {
+				eng.Run()
+			}
+		}
+		eng.Run()
+		groups := 0
+		for _, p := range eng.procs {
+			groups += len(p.st.aggs)
+		}
+		if groups < 2000 {
+			t.Fatalf("only %d aggregator groups are live; workload too weak", groups)
+		}
+		pinIdle(t, eng)
+	})
+
+	t.Run("reliable channels", func(t *testing.T) {
+		eng, nodes := lossyNet(t, 64, 7, 0, DefaultConfig(), lossyNetCfg(&overlay.Faults{}))
+		// A tuple message that arrives at a node other than its publisher
+		// came over the (publisher → node) channel.
+		channels := make(map[[2]id.ID]bool)
+		for _, p := range eng.procs {
+			at := p.node.ID()
+			eng.net.Attach(p.node, overlay.HandlerFunc(func(now sim.Time, msg overlay.Message) {
+				if m, ok := msg.(*tupleMsg); ok && m.Publisher != at {
+					channels[[2]id.ID{m.Publisher, at}] = true
+				}
+				p.HandleMessage(now, msg)
+			}))
+		}
+		for i := 0; i < 1600; i++ {
+			eng.PublishTuple(nodes[i%len(nodes)], mkTuple("R", int64(i), int64(7*i), int64(13*i)))
+			if i%16 == 15 {
+				eng.Run()
+			}
+		}
+		if len(channels) < 1000 {
+			t.Fatalf("only %d channels carried traffic; workload too weak", len(channels))
+		}
+		pinIdle(t, eng)
+	})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"rjoin/internal/chord"
@@ -283,5 +284,53 @@ func TestLossyExactlyOnceParallel(t *testing.T) {
 				workers, len(got), len(want))
 		}
 		faultCounters(t, eng, "parallel")
+	}
+}
+
+// TestLossyMoveNodeRejectedByName: identifier movement cannot carry
+// reliable-channel state (sequence numbers and dedup filters are keyed
+// by ring identifier on both ends), so on a network with Faults it is
+// refused with an error that names the option, before anything is
+// touched. Where it used to go through, even a zero-rate plan ran full
+// retransmit ladders, abandoned messages and lost answers; the refused
+// moves leave the run exact with nothing abandoned.
+func TestLossyMoveNodeRejectedByName(t *testing.T) {
+	const q = "select R.B, S.B from R,S where R.A=S.A"
+	for seed := int64(1); seed <= 8; seed++ {
+		eng, nodes := lossyNet(t, 16, seed, 0, DefaultConfig(), lossyNetCfg(&overlay.Faults{}))
+		qid, err := eng.SubmitQuery(nodes[0], sqlparse.MustParse(q, testCat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+		var published []*relation.Tuple
+		publish := func(rounds int) {
+			for ; rounds > 0; rounds-- {
+				i := len(published)
+				r := mkTuple("R", int64(i%5), int64(i), 0)
+				s := mkTuple("S", int64(i%5), int64(i%7), 0)
+				published = append(published, r, s)
+				eng.PublishTuple(nodes[i%len(nodes)], r)
+				eng.PublishTuple(nodes[(i+3)%len(nodes)], s)
+				eng.Run()
+			}
+		}
+		publish(40)
+		for _, n := range nodes[1:11] {
+			nn, err := eng.MoveNode(n, n.ID()+1<<58)
+			if err == nil || nn != nil || !strings.Contains(err.Error(), "Faults") {
+				t.Fatalf("seed %d: MoveNode on a lossy network returned (%v, %v), want an error naming Faults", seed, nn, err)
+			}
+			if !n.Alive() || eng.Proc(n) == nil {
+				t.Fatalf("seed %d: the refused move detached node %s", seed, n.ID())
+			}
+		}
+		publish(80)
+		if want, got := expectedBag(t, q, published), answerBag(eng, qid); len(want) == 0 || !bagsEqual(got, want) {
+			t.Fatalf("seed %d: got %d answers, want %d", seed, len(got), len(want))
+		}
+		if nw := eng.Net(); nw.Abandoned != 0 {
+			t.Fatalf("seed %d: a zero-rate plan abandoned %d messages (%d retransmits)", seed, nw.Abandoned, nw.Retransmits)
+		}
 	}
 }

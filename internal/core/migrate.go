@@ -14,7 +14,17 @@ import (
 // across the network are then re-homed to their current owners, which
 // models the key handoff that accompanies an id change. It returns the
 // node's new ring handle.
+//
+// It is rejected on an unreliable network: reliable channels are keyed
+// by ring identifier on both ends, so after a move the mover's
+// continuing sequence numbers would meet a fresh receiver filter whose
+// watermark can never pass the gap, and its peers' fresh channels would
+// meet the mover's old filter, which has already seen their numbers.
 func (e *Engine) MoveNode(n *chord.Node, newID id.ID) (*chord.Node, error) {
+	if e.lossy {
+		return nil, fmt.Errorf("core: MoveNode is not supported with Faults " +
+			"(reliable-channel sequence state is keyed by ring identifier and does not survive the move)")
+	}
 	p, ok := e.procs[n.ID()]
 	if !ok {
 		return nil, fmt.Errorf("core: node %s has no processor", n.ID())

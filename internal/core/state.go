@@ -172,6 +172,13 @@ type state struct {
 	ct      *candidateTable
 	pending map[int64]*pendingPlacement
 
+	// dirtyAggs is the set of aggregator keys whose group holds epochs
+	// marked since its last flush: {k : len(aggs[k].dirty) > 0}, so a
+	// flush visits what changed instead of every group. Only a live
+	// state keeps it — a mirror folds but never flushes, and promotion
+	// re-enters every promoted group through aggMerge.
+	dirtyAggs map[relation.Key]struct{}
+
 	specOf func(qid string) *agg.Spec
 
 	// Origin side (ReplicationFactor >= 2): every mutation appends its
@@ -209,6 +216,7 @@ func (s *state) clear() {
 	s.aggs = make(map[relation.Key]*aggGroup)
 	s.ct = newCandidateTable()
 	s.pending = make(map[int64]*pendingPlacement)
+	s.dirtyAggs = nil
 }
 
 func (s *state) log(op stateOp) { s.outbox = append(s.outbox, op.clone()) }
@@ -397,6 +405,7 @@ func (s *state) aggFold(key relation.Key, qid string, owner id.ID, epoch int64, 
 	g.pubAt = max(g.pubAt, pubAt)
 	g.foldLineage(epoch, lin)
 	g.markDirty(epoch, spec.Sliding())
+	s.noteDirty(key, g)
 	if s.logging {
 		s.log(stateOp{kind: opAggFold, key: key, qid: qid, owner: owner, epoch: epoch, row: row, lin: lin, pubAt: pubAt})
 	}
@@ -417,9 +426,37 @@ func (s *state) aggMerge(key relation.Key, g *aggGroup) {
 	}
 	if cur, ok := s.aggs[key]; ok {
 		g.mergeInto(spec.Sliding(), cur)
+		g = cur
 	} else {
 		s.aggs[key] = g
 	}
+	s.noteDirty(key, g) // an un-flushed group moved in: handover, re-homing, promotion
+}
+
+// noteDirty enters key into the dirty set if its group g has un-flushed
+// epochs.
+func (s *state) noteDirty(key relation.Key, g *aggGroup) {
+	if s.bySq != nil || len(g.dirty) == 0 {
+		return
+	}
+	if s.dirtyAggs == nil {
+		s.dirtyAggs = make(map[relation.Key]struct{})
+	}
+	s.dirtyAggs[key] = struct{}{}
+}
+
+// flushDirty hands visit every group with un-flushed epochs, in key
+// order, and marks it flushed. visit must not mutate s.
+func (s *state) flushDirty(visit func(*aggGroup)) {
+	if len(s.dirtyAggs) == 0 {
+		return
+	}
+	for _, key := range sortedStateKeys(s.dirtyAggs) {
+		g := s.aggs[key]
+		visit(g)
+		g.dirty = make(map[int64]bool)
+	}
+	clear(s.dirtyAggs)
 }
 
 // ctMerge is the candidate-table write path.
@@ -460,6 +497,7 @@ func (s *state) dropKey(key relation.Key) {
 	delete(s.altt, key)
 	delete(s.stats, key)
 	delete(s.aggs, key)
+	delete(s.dirtyAggs, key)
 	if s.logging && mirrored {
 		s.log(stateOp{kind: opDropKey, key: key})
 	}
@@ -609,8 +647,13 @@ func (s *state) take(keyOK func(relation.Key) bool) []stateOp {
 
 // sweep removes every entry of the wanted classes (stored queries,
 // placement walks, aggregator groups) that match selects, and reports
-// whether anything went.
+// whether anything went. A teardown sweeps every node for a pipeline
+// that a handful hold, so the ordered pass — a string sort of every key
+// — runs only where the unordered one finds a match.
 func (s *state) sweep(want class, match func(stateOp) bool) bool {
+	if !s.holds(want, match) {
+		return false
+	}
 	var hit []stateOp
 	s.each(want, nil, func(op stateOp) {
 		if match(op) {
@@ -627,7 +670,36 @@ func (s *state) sweep(want class, match func(stateOp) bool) bool {
 			s.dropKey(op.key)
 		}
 	}
-	return len(hit) > 0
+	return true
+}
+
+// holds reports whether any entry of the wanted sweepable classes
+// matches, visiting them in no particular order.
+func (s *state) holds(want class, match func(stateOp) bool) bool {
+	if want&classQueries != 0 {
+		for key, list := range s.queries {
+			for _, sq := range list {
+				if match(stateOp{kind: opAddQuery, key: key, sq: sq}) {
+					return true
+				}
+			}
+		}
+	}
+	if want&classPending != 0 {
+		for reqID, pp := range s.pending {
+			if match(stateOp{kind: opAddPending, id: reqID, pp: pp}) {
+				return true
+			}
+		}
+	}
+	if want&classAggs != 0 {
+		for key, g := range s.aggs {
+			if match(stateOp{kind: opAggMerge, key: key, g: g}) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // stateCounts is the instantaneous occupancy of a state, per class in

@@ -304,22 +304,49 @@ func TestStateCopyOwnsMutableParts(t *testing.T) {
 	}
 }
 
-// TestStateRandomSequences is the store's one property: whatever
-// sequence of mutators runs against a logging primary, the logged ops
-// replayed into an empty mirror and each() replayed into an empty state
-// both equal the primary.
+// checkDirtySet asserts the flush bookkeeping invariant: a live state's
+// dirty-key set is exactly the keys of its groups with un-flushed
+// epochs; a mirror tracks none, whatever its groups' own dirty maps say.
+func checkDirtySet(t *testing.T, s *state, label string) {
+	t.Helper()
+	want := make(map[relation.Key]struct{})
+	if s.bySq == nil {
+		for k, g := range s.aggs {
+			if len(g.dirty) > 0 {
+				want[k] = struct{}{}
+			}
+		}
+	}
+	if !maps.Equal(s.dirtyAggs, want) {
+		t.Fatalf("%s: dirty-key set has %d keys, %d groups hold un-flushed epochs", label, len(s.dirtyAggs), len(want))
+	}
+}
+
+// TestStateRandomSequences is the store's property suite: whatever
+// sequence of mutators runs against a logging primary, (1) the logged
+// ops replayed into an empty mirror and each() replayed into an empty
+// state both equal the primary, and (2) after every mutator the
+// dirty-key set of the primary — and of a second live state that
+// receives what the primary hands over — names exactly the groups with
+// un-flushed epochs, while the mirror following the log tracks none.
 func TestStateRandomSequences(t *testing.T) {
 	f := newStateFixture()
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		a := f.logging()
+		heir := newState(f.specOf) // applies what take() hands over
+		mirror, applied := newMirror(f.specOf), 0
 		var now sim.Time
 		var live []*storedQuery
 		var pubSeq, reqID int64
 		key := func() relation.Key { return f.keys[rng.Intn(len(f.keys))] }
+		aggKey := func() (relation.Key, int64) {
+			g := int64(rng.Intn(3))
+			return aggKeyOf("agg", fmt.Sprint(g)), g
+		}
 		for step := 0; step < 300; step++ {
 			now += sim.Time(rng.Intn(3))
-			switch rng.Intn(14) {
+			switch rng.Intn(19) {
 			case 0, 1:
 				q := []*query.Query{f.plain, f.distinct}[rng.Intn(2)]
 				sq := f.stored(q, key())
@@ -350,31 +377,134 @@ func TestStateRandomSequences(t *testing.T) {
 				a.alttScan(key(), now)
 			case 9:
 				a.recordArrival(key(), now, 8)
-			case 10:
-				g := int64(rng.Intn(3))
-				a.aggFold(aggKeyOf("agg", fmt.Sprint(g)), "agg", 42, int64(rng.Intn(2)), f.row(g, int64(rng.Intn(9))), f.lin(int64(step)), int64(now))
-			case 11:
-				a.ctMerge(ricInfo{Key: key(), Rate: float64(rng.Intn(5)), Addr: id.ID(rng.Intn(9)), At: now - sim.Time(rng.Intn(4))})
+			case 10, 11:
+				k, g := aggKey()
+				a.aggFold(k, "agg", 42, int64(rng.Intn(2)), f.row(g, int64(rng.Intn(9))), f.lin(int64(step)), int64(now))
 			case 12:
+				a.ctMerge(ricInfo{Key: key(), Rate: float64(rng.Intn(5)), Addr: id.ID(rng.Intn(9)), At: now - sim.Time(rng.Intn(4))})
+			case 13:
 				if rng.Intn(2) == 0 || len(a.pending) == 0 {
 					reqID++
 					a.addPending(reqID, &pendingPlacement{q: f.plain})
 				} else {
 					a.removePending(int64(rng.Intn(int(reqID))) + 1)
 				}
-			case 13:
+			case 14:
 				k := key()
 				a.dropKey(k)
 				live = slices.DeleteFunc(live, func(sq *storedQuery) bool { return sq.key == k })
 				if rng.Intn(2) == 0 {
-					a.dropKey(aggKeyOf("agg", fmt.Sprint(rng.Intn(3))))
+					k, _ := aggKey()
+					a.dropKey(k)
+				}
+			case 15:
+				// A whole group arrives (handover, re-homing, promotion):
+				// un-flushed, or flushed at its previous home.
+				k, g := aggKey()
+				src := newState(f.specOf)
+				src.aggFold(k, "agg", 42, int64(rng.Intn(2)), f.row(g, int64(rng.Intn(9))), f.lin(int64(step)), int64(now))
+				if rng.Intn(2) == 0 {
+					src.flushDirty(func(*aggGroup) {})
+				}
+				a.aggMerge(k, src.aggs[k])
+			case 16:
+				// Keys move to a new owner, dirty groups among them.
+				gk, _ := aggKey()
+				qk := key()
+				for _, op := range a.take(func(k relation.Key) bool { return k == gk || k == qk }) {
+					heir.apply(op)
+				}
+				live = slices.DeleteFunc(live, func(sq *storedQuery) bool { return sq.key == qk })
+			case 17:
+				// A flush visits exactly the dirty groups, in key order.
+				var want, got []*aggGroup
+				for _, k := range sortedStateKeys(a.dirtyAggs) {
+					want = append(want, a.aggs[k])
+				}
+				a.flushDirty(func(g *aggGroup) { got = append(got, g) })
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d step %d: flush visited %d groups, want the %d dirty ones in key order", seed, step, len(got), len(want))
+				}
+				if rng.Intn(2) == 0 {
+					heir.flushDirty(func(*aggGroup) {})
+				}
+			case 18:
+				if rng.Intn(8) == 0 { // the state moved away wholesale; its mirror goes with it
+					a.clear()
+					a.outbox, live = nil, nil
+					mirror, applied = newMirror(f.specOf), 0
 				}
 			}
+			for ; applied < len(a.outbox); applied++ {
+				mirror.apply(a.outbox[applied])
+			}
+			label := fmt.Sprintf("seed %d step %d", seed, step)
+			checkDirtySet(t, a, label+" (primary)")
+			checkDirtySet(t, heir, label+" (heir)")
+			checkDirtySet(t, mirror, label+" (mirror)")
+		}
+		if err := a.equal(mirror, classMirrored, now); err != nil {
+			t.Fatalf("seed %d: mirror following the log: %v", seed, err)
 		}
 		checkCopies(t, f, a, now)
 		c := a.counts()
 		if c.queries != len(live) {
 			t.Fatalf("seed %d: counts() reports %d queries, %d are live", seed, c.queries, len(live))
+		}
+	}
+}
+
+// TestStateSweepOrder: a sweep that matches nothing reports so and logs
+// nothing; one that matches removes — and mirrors the removals of —
+// exactly the matching entries in each()'s order, whatever order the
+// unordered first pass happened to meet them in.
+func TestStateSweepOrder(t *testing.T) {
+	f := newStateFixture()
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a := f.logging()
+		for i := 0; i < 30; i++ {
+			q := []*query.Query{f.plain, f.distinct}[rng.Intn(2)]
+			a.addQuery(f.stored(q, relation.KeyOf(fmt.Sprintf("R+A+%d", rng.Intn(12)))))
+			a.addPending(int64(i+1), &pendingPlacement{q: q})
+			g := int64(rng.Intn(12))
+			a.aggFold(aggKeyOf("agg", fmt.Sprint(g)), "agg", 42, 0, f.row(g, 1), nil, 0)
+		}
+		a.outbox = nil
+		if a.sweep(classQueries|classPending, func(op stateOp) bool { return op.query().ID == "nobody" }) || len(a.outbox) != 0 {
+			t.Fatalf("seed %d: a sweep matching nothing reported a hit or logged %d ops", seed, len(a.outbox))
+		}
+		for _, sw := range []struct {
+			want  class
+			match func(stateOp) bool
+		}{
+			{classQueries | classPending, func(op stateOp) bool { return op.query().ID == f.distinct.ID }},
+			{classAggs, func(op stateOp) bool { return op.g.qid == "agg" }},
+		} {
+			var want []stateOp
+			a.each(sw.want, nil, func(op stateOp) {
+				switch {
+				case !sw.match(op):
+				case op.kind == opAddQuery:
+					want = append(want, stateOp{kind: opRemoveQuery, key: op.key, id: op.sq.replID})
+				case op.kind == opAddPending:
+					want = append(want, stateOp{kind: opRemovePending, id: op.id})
+				default:
+					want = append(want, stateOp{kind: opDropKey, key: op.key})
+				}
+			})
+			a.outbox = nil
+			if !a.sweep(sw.want, sw.match) || len(want) == 0 {
+				t.Fatalf("seed %d: sweep over classes %b found nothing", seed, sw.want)
+			}
+			if !reflect.DeepEqual(a.outbox, want) {
+				t.Fatalf("seed %d: sweep over classes %b logged %d removals out of each() order (want %d)", seed, sw.want, len(a.outbox), len(want))
+			}
+			a.each(sw.want, nil, func(op stateOp) {
+				if sw.match(op) {
+					t.Fatalf("seed %d: a matching entry of kind %d survived the sweep", seed, op.kind)
+				}
+			})
 		}
 	}
 }

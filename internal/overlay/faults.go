@@ -40,7 +40,8 @@
 // message is abandoned so a black-holed peer cannot spin the
 // simulation forever.
 //
-// Shard discipline (parallel engine): a channel's sender-side state is
+// Shard discipline (parallel engine): a channel's sender-side state —
+// its retained entries and its membership in the sender's busy set — is
 // touched only at send time, at ack arrival, and by retransmit timers —
 // all events bound to the sender's shard. Receiver-side state is
 // touched only at envelope delivery and ack emission — both bound to
@@ -141,6 +142,7 @@ func (f *Faults) validate() error {
 // registries plus the resolved timer parameters.
 type relState struct {
 	nodes      map[id.ID]*relNode
+	order      []*relNode // the values of nodes: NextRetransmit ranges a slice several times faster than the map
 	rto        int64
 	maxRetries int
 	ackDelay   int64
@@ -150,10 +152,18 @@ type relState struct {
 // sender-side channels by destination, and its receiver-side channels
 // by source. The nodes map is only mutated from coordinator context
 // (Attach); each relNode's interior is touched only by its own shard.
+//
+// busy is the subset of tx holding at least one unacknowledged entry —
+// what NextRetransmit ranges over instead of every channel that ever
+// spoke. It changes exactly where a channel's unacked map goes from
+// empty to non-empty or back (retain, release), so it is sender-shard
+// state like the entries themselves.
 type relNode struct {
-	rng *sim.RNG
-	tx  map[id.ID]*txChan
-	rx  map[id.ID]*rxChan
+	id   id.ID
+	rng  *sim.RNG
+	tx   map[id.ID]*txChan
+	rx   map[id.ID]*rxChan
+	busy map[id.ID]*txChan
 }
 
 // txChan is the sender side of one (src → dst) channel.
@@ -265,11 +275,14 @@ func (nw *Network) relNodeFor(n id.ID) *relNode {
 	rn, ok := nw.rel.nodes[n]
 	if !ok {
 		rn = &relNode{
-			rng: sim.NewRNG(nw.Engine.Seed(), uint64(n), faultSalt),
-			tx:  make(map[id.ID]*txChan),
-			rx:  make(map[id.ID]*rxChan),
+			id:   n,
+			rng:  sim.NewRNG(nw.Engine.Seed(), uint64(n), faultSalt),
+			tx:   make(map[id.ID]*txChan),
+			rx:   make(map[id.ID]*rxChan),
+			busy: make(map[id.ID]*txChan),
 		}
 		nw.rel.nodes[n] = rn
+		nw.rel.order = append(nw.rel.order, rn)
 	}
 	return rn
 }
@@ -306,7 +319,7 @@ func (nw *Network) sendReliable(a actor, from, owner *chord.Node, delay int64, m
 	}
 	tc.next++
 	e := &txEntry{seq: tc.next, msg: msg}
-	tc.unacked[e.seq] = e
+	rn.retain(tc, e)
 	nw.transmit(a, rn, from, tc.dst, e.seq, delay, msg, false)
 	nw.armTimer(a, from, owner.ID(), e, delay+nw.rel.rto)
 }
@@ -374,9 +387,7 @@ func deliverReliableEvent(now sim.Time, c sim.Ctx) {
 	a := nw.actorFor(owner)
 	rn := nw.relNodeFor(owner.ID())
 	if env.ack > 0 {
-		if tc, ok := rn.tx[env.src.ID()]; ok {
-			tc.ackUpTo(env.ack)
-		}
+		rn.ackUpTo(env.src.ID(), env.ack)
 	}
 	h, ok := nw.handlers[owner.ID()]
 	if !ok || !owner.Alive() {
@@ -397,12 +408,33 @@ func deliverReliableEvent(now sim.Time, c sim.Ctx) {
 	h.HandleMessage(now, env.msg)
 }
 
-// ackUpTo releases every retained entry the cumulative watermark
-// covers.
-func (tc *txChan) ackUpTo(cum uint64) {
+// retain adds one entry to a channel's retransmit buffer.
+func (rn *relNode) retain(tc *txChan, e *txEntry) {
+	if len(tc.unacked) == 0 {
+		rn.busy[tc.dst.ID()] = tc
+	}
+	tc.unacked[e.seq] = e
+}
+
+// release drops one entry from a channel's retransmit buffer:
+// acknowledged, re-routed or abandoned.
+func (rn *relNode) release(tc *txChan, seq uint64) {
+	delete(tc.unacked, seq)
+	if len(tc.unacked) == 0 {
+		delete(rn.busy, tc.dst.ID())
+	}
+}
+
+// ackUpTo releases every entry retained for dst that the cumulative
+// watermark covers. Only a busy channel can hold any.
+func (rn *relNode) ackUpTo(dst id.ID, cum uint64) {
+	tc, ok := rn.busy[dst]
+	if !ok {
+		return
+	}
 	for seq := range tc.unacked {
 		if seq <= cum {
-			delete(tc.unacked, seq)
+			rn.release(tc, seq)
 		}
 	}
 }
@@ -463,10 +495,7 @@ func ackDeliverEvent(_ sim.Time, c sim.Ctx) {
 	nw := c.A.(*Network)
 	src := c.B.(*chord.Node)
 	ack := c.C.(*relAck)
-	rn := nw.relNodeFor(src.ID())
-	if tc, ok := rn.tx[ack.from.ID()]; ok {
-		tc.ackUpTo(ack.cum)
-	}
+	nw.relNodeFor(src.ID()).ackUpTo(ack.from.ID(), ack.cum)
 }
 
 // relTimerEvent fires a retransmit timer: a still-unacknowledged entry
@@ -530,7 +559,7 @@ func (nw *Network) escalate(a actor, rn *relNode, tc *txChan, tm *relTimer, e *t
 	}
 	if owner != nil && owner.ID() == tm.dst {
 		if e.ladders >= relMaxLadders {
-			delete(tc.unacked, tm.seq)
+			rn.release(tc, tm.seq)
 			nw.addAbandoned(a.l, 1)
 			return
 		}
@@ -553,7 +582,7 @@ func (nw *Network) escalate(a actor, rn *relNode, tc *txChan, tm *relTimer, e *t
 		nw.armTimer(a, tm.src, tm.dst, e, delay+nw.rel.rto)
 		return
 	}
-	delete(tc.unacked, tm.seq)
+	rn.release(tc, tm.seq)
 	if owner == nil {
 		nw.addAbandoned(a.l, 1)
 		return // not rekeyable, or the ring is empty: the message is lost
@@ -574,6 +603,8 @@ func (nw *Network) escalate(a actor, rn *relNode, tc *txChan, tm *relTimer, e *t
 // heap and needs no clock driving. The core engine's drain loop
 // advances the clock here when foreground work runs dry, so every lost
 // payload is retransmitted, escalated or abandoned before Run returns.
+// Only busy channels are visited, so the cost follows what is in
+// flight, not how many (src, dst) pairs ever spoke.
 // Coordinator context only: the cross-shard read of receiver dedup
 // state is safe because the simulation is quiescent between drains.
 func (nw *Network) NextRetransmit() (sim.Time, bool) {
@@ -582,14 +613,14 @@ func (nw *Network) NextRetransmit() (sim.Time, bool) {
 	}
 	var best sim.Time
 	found := false
-	for srcID, rn := range nw.rel.nodes {
-		for dstID, tc := range rn.tx {
-			if len(tc.unacked) == 0 {
-				continue
-			}
+	for _, rn := range nw.rel.order {
+		if len(rn.busy) == 0 {
+			continue // starting a range over an empty map is not free; this is the idle path
+		}
+		for dstID, tc := range rn.busy {
 			var rx *rxChan
 			if rdn, ok := nw.rel.nodes[dstID]; ok {
-				rx = rdn.rx[srcID]
+				rx = rdn.rx[rn.id]
 			}
 			for seq, e := range tc.unacked {
 				if rx != nil && rx.dedup.Seen(seq) {

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -233,6 +234,168 @@ func TestMaxDeltaCoversRetransmits(t *testing.T) {
 	}
 	if d1 < d0+500 {
 		t.Fatalf("faulty MaxDelta %d does not absorb the 500-tick partition (base %d)", d1, d0)
+	}
+}
+
+// nextRetransmitScan is NextRetransmit by definition: the scan over
+// every channel that ever spoke, which the busy sets replaced. Kept as
+// the test oracle.
+func nextRetransmitScan(nw *Network) (sim.Time, bool) {
+	var best sim.Time
+	found := false
+	for srcID, rn := range nw.rel.nodes {
+		for dstID, tc := range rn.tx {
+			var rx *rxChan
+			if rdn, ok := nw.rel.nodes[dstID]; ok {
+				rx = rdn.rx[srcID]
+			}
+			for seq, e := range tc.unacked {
+				if rx != nil && rx.dedup.Seen(seq) {
+					continue
+				}
+				if !found || e.deadline < best {
+					best, found = e.deadline, true
+				}
+			}
+		}
+	}
+	return best, found
+}
+
+// checkBusySets asserts that NextRetransmit answers as the full scan
+// does and that a channel is in its sender's busy set exactly while it
+// retains something.
+func checkBusySets(t *testing.T, nw *Network, label string) {
+	t.Helper()
+	got, gok := nw.NextRetransmit()
+	want, wok := nextRetransmitScan(nw)
+	if got != want || gok != wok {
+		t.Fatalf("%s at %d: NextRetransmit = (%d, %v), full scan = (%d, %v)", label, nw.Engine.Now(), got, gok, want, wok)
+	}
+	for src, rn := range nw.rel.nodes {
+		for dst, tc := range rn.tx {
+			if _, busy := rn.busy[dst]; busy != (len(tc.unacked) > 0) {
+				t.Fatalf("%s at %d: channel %s→%s busy=%v with %d unacked", label, nw.Engine.Now(), src, dst, busy, len(tc.unacked))
+			}
+		}
+		for dst, tc := range rn.busy {
+			if rn.tx[dst] != tc {
+				t.Fatalf("%s: busy set of %s holds a channel to %s that tx does not", label, src, dst)
+			}
+		}
+	}
+}
+
+// TestNextRetransmitMatchesFullScan drives three fault scenarios — the
+// lossy plan, a partition window that outlasts a backoff ladder, and a
+// receiver that crashes mid-stream so escalation must re-route or
+// abandon — one event at a time (one tick at a time on the parallel
+// engine, which has no finer step) and checks the busy-set bookkeeping
+// against the full scan after every one. Once the clock has been driven
+// past every pending timer and ack, no channel retains anything.
+func TestNextRetransmitMatchesFullScan(t *testing.T) {
+	short := Faults{RTO: 4, MaxRetries: 3} // a ladder of ~70 ticks
+	scenarios := []struct {
+		name  string
+		plan  Faults
+		setup func(f *fixture)           // before the stream
+		mid   func(f *fixture, wave int) // between waves
+	}{
+		{name: "lossy", plan: Faults{DropProb: 0.10, DupProb: 0.05, SpikeProb: 0.05, SpikeMax: 4}},
+		{name: "partition", plan: short, setup: func(f *fixture) {
+			side := make(map[id.ID]bool)
+			for _, n := range f.nodes[:len(f.nodes)/2] {
+				side[n.ID()] = true
+			}
+			if err := f.nw.AddPartition(Partition{Start: 3, End: 300, Side: side}); err != nil {
+				panic(err)
+			}
+		}},
+		{name: "crash", plan: short, mid: func(f *fixture, wave int) {
+			if wave != 3 {
+				return
+			}
+			victim := f.nodes[5]
+			// Unkeyed payloads to the victim cannot re-route: they run
+			// every ladder and are abandoned.
+			f.nw.SendDirect(f.nodes[1], victim.ID(), "unkeyed")
+			f.nw.SendDirect(f.nodes[2], victim.ID(), "unkeyed")
+			f.ring.Fail(victim)
+			f.nw.Detach(victim)
+		}},
+	}
+	var retransmits, bounced, abandoned int64
+	for _, sc := range scenarios {
+		for _, workers := range []int{0, 2} {
+			for seed := int64(1); seed <= 20; seed++ {
+				label := fmt.Sprintf("%s/workers=%d/seed=%d", sc.name, workers, seed)
+				plan := sc.plan // AddPartition appends to the plan the network was given
+				f := &fixture{ring: chord.NewRing(), engine: sim.NewEngine(seed)}
+				if workers > 0 {
+					f.engine.SetWorkers(workers)
+				}
+				rng := sim.NewRNG(seed, 0, 0)
+				for f.ring.Size() < 24 {
+					_, _ = f.ring.Join(id.ID(rng.Uint64())) // a taken identifier draws again
+				}
+				f.ring.BuildPerfect()
+				f.nw = MustNetwork(f.ring, f.engine, lossyCfg(&plan))
+				f.nodes = f.ring.Nodes()
+				for _, n := range f.nodes {
+					f.nw.Attach(n, HandlerFunc(func(sim.Time, Message) {}))
+				}
+				// step makes the smallest progress the engine supports and
+				// reports whether there was any to make.
+				step := func() bool {
+					if workers == 0 {
+						return f.engine.Step()
+					}
+					if f.engine.Pending() == 0 {
+						return false
+					}
+					f.engine.RunUntil(f.engine.Now() + 1)
+					return true
+				}
+				if sc.setup != nil {
+					sc.setup(f)
+				}
+				for wave := 0; wave < 8; wave++ {
+					for i := 0; i < 12; i++ {
+						from := f.nodes[rng.Intn(len(f.nodes))]
+						if !from.Alive() {
+							continue
+						}
+						key := id.ID(rng.Uint64())
+						f.nw.Send(from, key, keyedMsg{key: key, body: "m"})
+						checkBusySets(t, f.nw, label)
+					}
+					if sc.mid != nil {
+						sc.mid(f, wave)
+					}
+					for i := 0; i < 6 && step(); i++ {
+						checkBusySets(t, f.nw, label)
+					}
+				}
+				for step() {
+					checkBusySets(t, f.nw, label)
+				}
+				for src, rn := range f.nw.rel.nodes {
+					if len(rn.busy) != 0 {
+						t.Fatalf("%s: %s still has %d busy channels with the event heap empty", label, src, len(rn.busy))
+					}
+				}
+				f.nw.Sync()
+				retransmits += f.nw.Retransmits
+				bounced += f.nw.Bounced
+				abandoned += f.nw.Abandoned
+				if sc.name != "crash" && f.nw.Abandoned != 0 {
+					t.Fatalf("%s: %d messages abandoned", label, f.nw.Abandoned)
+				}
+			}
+		}
+	}
+	if retransmits == 0 || bounced == 0 || abandoned == 0 {
+		t.Fatalf("scenarios too weak: %d retransmits, %d re-routed, %d abandoned", retransmits, bounced, abandoned)
 	}
 }
 

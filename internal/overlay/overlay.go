@@ -117,6 +117,7 @@ type lane struct {
 	tagged       map[string]*metrics.Load
 	tag          string
 	legs         []leg
+	path         []*chord.Node
 	outboxes     map[id.ID]*outbox
 	messagesSent int64
 	delivered    int64
@@ -150,7 +151,8 @@ type Network struct {
 	tagged   map[string]*metrics.Load
 	tag      string
 	outboxes map[id.ID]*outbox
-	legs     []leg // scratch for grouped multiSend, reused across calls
+	legs     []leg         // scratch for grouped multiSend, reused across calls
+	path     []*chord.Node // scratch for one lookup's hop path, consumed by chargePath
 
 	par   bool               // parallel engine: lane-per-shard accounting
 	lanes []lane             // one per logical shard when par
@@ -616,7 +618,10 @@ func (nw *Network) Sync() {
 }
 
 // RenameNode transfers a node's accumulated traffic accounting to a new
-// identifier (identifier movement keeps the physical node).
+// identifier (identifier movement keeps the physical node). Reliable
+// channels do not follow: they are keyed by ring identifier on both
+// ends, which is why the core engine refuses identifier movement on a
+// network with Faults.
 func (nw *Network) RenameNode(old, new id.ID) {
 	nw.Sync()
 	nw.Traffic.Rename(old, new)
@@ -626,11 +631,6 @@ func (nw *Network) RenameNode(old, new id.ID) {
 	if nw.par {
 		if rng, ok := nw.rngs[old]; ok {
 			nw.rngs[new] = rng
-		}
-	}
-	if nw.rel != nil {
-		if rn, ok := nw.rel.nodes[old]; ok {
-			nw.rel.nodes[new] = rn
 		}
 	}
 }
@@ -669,10 +669,23 @@ func (nw *Network) Send(from *chord.Node, key id.ID, msg Message) *chord.Node {
 
 // sendNow performs an immediate routed delivery, bypassing batching.
 func (nw *Network) sendNow(a actor, from *chord.Node, key id.ID, msg Message) *chord.Node {
-	owner, path := from.Lookup(key)
-	delay := nw.chargePath(a, from, path)
+	owner, delay := nw.route(a, from, key)
 	nw.deliverFrom(a, from, owner, delay, msg)
 	return owner
+}
+
+// route looks key up from node from and charges the walk, returning the
+// owner and the walk's total delay. The hop path lives in a scratch
+// buffer owned by the acting lane: chargePath reads it and keeps
+// nothing, so the next lookup may overwrite it.
+func (nw *Network) route(a actor, from *chord.Node, key id.ID) (*chord.Node, int64) {
+	scratch := &nw.path
+	if a.l != nil {
+		scratch = &a.l.path
+	}
+	owner, path := from.LookupAppend((*scratch)[:0], key)
+	*scratch = path
+	return owner, nw.chargePath(a, from, path)
 }
 
 // outboxFor returns the acting context's outbox map.
@@ -862,8 +875,8 @@ func (nw *Network) multiSendNow(a actor, from *chord.Node, msgs []Message, keys 
 	cur := from
 	var accumulated int64
 	for _, lg := range legs {
-		owner, path := cur.Lookup(lg.key)
-		accumulated += nw.chargePath(a, cur, path)
+		owner, delay := nw.route(a, cur, lg.key)
+		accumulated += delay
 		// The reliable channel is end-to-end: the origin retains and
 		// retransmits, even for legs forwarded along the ring.
 		nw.deliverFrom(a, from, owner, accumulated, lg.msg)
