@@ -370,7 +370,7 @@ type flushRef struct {
 // replaced the scan; this stays as the test oracle.
 func scanFlushOrder(e *Engine) []flushRef {
 	var out []flushRef
-	for _, nid := range sortedProcIDs(e.procs) {
+	for _, nid := range slices.Sorted(maps.Keys(e.procs)) {
 		p := e.procs[nid]
 		for _, key := range sortedStateKeys(p.st.aggs) {
 			g := p.st.aggs[key]
@@ -483,7 +483,7 @@ func TestFlushOrderMatchesFullScan(t *testing.T) {
 	dirtyHolder := func(label string) (*chord.Node, relation.Key) {
 		t.Helper()
 		var best *Proc
-		for _, nid := range sortedProcIDs(eng.procs) {
+		for _, nid := range slices.Sorted(maps.Keys(eng.procs)) {
 			if p := eng.procs[nid]; p.node != sub && len(p.st.dirtyAggs) > 0 &&
 				(best == nil || len(p.st.dirtyAggs) > len(best.st.dirtyAggs)) {
 				best = p

@@ -191,14 +191,21 @@ type Engine struct {
 	prof *profile.Profiler
 	prov bool
 
-	// Parallel-mode accumulators: while workers run, every hot-path
-	// count goes to the acting node's shard slot and merges into the
-	// public Counters/QPL/SL at the next Sync. Nil on a serial engine.
-	par      bool
-	shardCtr []Counters
-	shardQPL []*metrics.Load
-	shardSL  []*metrics.Load
-	shardReq []int64 // per-shard RIC request id counters
+	// Accounting slots, laid out like the overlay's lanes: slots[0]
+	// aliases the public Counters/QPL/SL and is all a serial engine has;
+	// a parallel engine (par) adds slots[s+1] for every logical shard s.
+	// Handlers count into the slot Proc.bind resolved for their node, and
+	// Sync folds the shard slots into slot 0.
+	par   bool
+	slots []acctSlot
+}
+
+// acctSlot is one accounting context of the engine.
+type acctSlot struct {
+	ctr *Counters
+	qpl *metrics.Load
+	sl  *metrics.Load
+	req int64 // RIC request ids issued from this shard (parallel engines)
 }
 
 // NewEngine attaches an RJoin processor to every node of the ring. The
@@ -223,6 +230,7 @@ func NewEngine(ring *chord.Ring, se *sim.Engine, net *overlay.Network, cfg Confi
 		reg:      share.NewRegistry(),
 		fanouts:  make(map[string]*share.Fanout),
 		retiredQ: make(map[string]bool),
+		slots:    make([]acctSlot, 1),
 	}
 	e.delta = cfg.Delta
 	if cfg.Delta == 0 {
@@ -235,14 +243,11 @@ func NewEngine(ring *chord.Ring, se *sim.Engine, net *overlay.Network, cfg Confi
 	e.prov = cfg.Provenance
 	if se.Workers() > 0 {
 		e.par = true
-		e.shardCtr = make([]Counters, sim.Shards)
-		e.shardQPL = make([]*metrics.Load, sim.Shards)
-		e.shardSL = make([]*metrics.Load, sim.Shards)
-		e.shardReq = make([]int64, sim.Shards)
-		for i := 0; i < sim.Shards; i++ {
-			e.shardQPL[i] = metrics.NewLoad()
-			e.shardSL[i] = metrics.NewLoad()
-		}
+		e.slots = make([]acctSlot, sim.ShardSlots)
+	}
+	e.slots[0] = acctSlot{ctr: &e.Counters, qpl: e.QPL, sl: e.SL}
+	for i := range e.slots[1:] {
+		e.slots[1+i] = acctSlot{ctr: new(Counters), qpl: metrics.NewLoad(), sl: metrics.NewLoad()}
 	}
 	for _, n := range ring.Nodes() {
 		e.NodeJoined(n)
@@ -338,8 +343,7 @@ func (e *Engine) SubmitQuery(owner *chord.Node, q *query.Query) (string, error) 
 	// The sharing registry decides what actually gets indexed: the query
 	// itself (no sharing possible), a canonical full-row pipeline (first
 	// member of a new equivalence class), or nothing (attached to an
-	// existing pipeline's fan-out). place may drop (and pool-Release) an
-	// unplaceable query, so the ID was captured before it runs.
+	// existing pipeline's fan-out).
 	if pq := e.shareSubmit(q); pq != nil {
 		p.place(e.sim.Now(), pq)
 	}
@@ -427,8 +431,9 @@ func (e *Engine) TotalAnswers() int64 {
 
 // Sync merges the parallel engine's per-shard accumulators — counters,
 // QPL/SL and the overlay's traffic lanes — into the public aggregates.
-// It runs after every drain and before metric reads; on a serial
-// engine it is a no-op. Must be called from coordinator context only.
+// It runs after every drain and before metric reads; a serial engine
+// has no shard slots and leaves early. Must be called from coordinator
+// context only.
 func (e *Engine) Sync() {
 	// Trace flushes belong to sync barriers: Sync runs from driver
 	// context only (no handlers executing), at virtual times that are a
@@ -441,15 +446,14 @@ func (e *Engine) Sync() {
 	// barriers keeps reports a pure function of the event timeline.
 	e.prof.Flush()
 	if !e.par {
-		return
+		return // nothing to merge; every idle Run() comes through here
 	}
-	for i := range e.shardCtr {
-		e.Counters.add(&e.shardCtr[i])
-		e.shardCtr[i] = Counters{}
-	}
-	for i := range e.shardQPL {
-		e.shardQPL[i].DrainInto(e.QPL)
-		e.shardSL[i].DrainInto(e.SL)
+	for i := range e.slots[1:] {
+		s := &e.slots[1+i]
+		e.Counters.add(s.ctr)
+		*s.ctr = Counters{}
+		s.qpl.DrainInto(e.QPL)
+		s.sl.DrainInto(e.SL)
 	}
 	e.net.Sync()
 }

@@ -119,6 +119,98 @@ func TestMoveNodeTransfersState(t *testing.T) {
 	}
 }
 
+// TestMoveNodeFlushesBatchedOutbox: with batch routing on, a tuple the
+// mover published but had not yet flushed must survive the move. The
+// outbox's flush event is addressed to the vacated ring handle, so
+// MoveNode empties the outbox first, as LeaveNode does.
+func TestMoveNodeFlushesBatchedOutbox(t *testing.T) {
+	netCfg := overlay.DefaultConfig()
+	netCfg.BatchWindow = 4
+	eng, nodes := testNet(t, 48, 105, DefaultConfig(), netCfg)
+	qid, err := eng.SubmitQuery(nodes[0], sqlparse.MustParse("select R.B, S.B from R,S where R.A=S.A", testCat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	eng.PublishTuple(nodes[1], mkTuple("R", 1, 10, 0))
+	eng.Run()
+	mover := nodes[7]
+	eng.PublishTuple(mover, mkTuple("S", 1, 20, 0)) // sits in the mover's outbox
+	if _, err := eng.MoveNode(mover, mover.ID()+1<<60); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	if got := len(eng.Answers(qid)); got != 1 {
+		t.Fatalf("%d answers after moving a node with a batched outbox, want 1", got)
+	}
+}
+
+// TestMoveNodeRebindsShard: on a parallel engine a moved processor must
+// run and count where its new identifier lives. Every shard-dependent
+// field comes from Proc.bind, which MoveNode calls like newProc does.
+func TestMoveNodeRebindsShard(t *testing.T) {
+	eng, nodes := lossyNet(t, 48, 131, 2, DefaultConfig(), overlay.DefaultConfig())
+	changed := 0
+	for i := 0; i < 20; i++ {
+		old := nodes[1+i]
+		nn, err := eng.MoveNode(old, old.ID()+1<<60+id.ID(1+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := eng.Proc(nn)
+		want := eng.Sim().ShardOf(uint64(nn.ID()))
+		if want != eng.Sim().ShardOf(uint64(old.ID())) {
+			changed++
+		}
+		if slot := &eng.slots[want+1]; p.node != nn || p.shard != want || p.ctr != slot.ctr || p.qpl != slot.qpl || p.sl != slot.sl {
+			t.Fatalf("move %d: proc of %s still bound to shard %d, its identifier lives on %d", i, nn.ID(), p.shard, want)
+		}
+	}
+	if changed == 0 {
+		t.Fatal("no move changed shard; the test has no teeth")
+	}
+}
+
+// TestMoveNodeParallelExact: identifier movement followed by a parallel
+// stream. Under -race this is the test that catches a moved processor
+// counting into another shard's slots; without it, it pins that the
+// answer bag stays refeval-exact across the moves.
+func TestMoveNodeParallelExact(t *testing.T) {
+	eng, nodes := lossyNet(t, 48, 132, 4, DefaultConfig(), overlay.DefaultConfig())
+	q := sqlparse.MustParse("select R.B, S.B from R,S where R.A=S.A", testCat)
+	qid, err := eng.SubmitQuery(nodes[0], q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	q.InsertTime = 0
+	rng := sim.NewRNG(132, 0, 1)
+	for i := 0; i < 40; i++ {
+		alive := eng.Ring().Nodes()
+		n := alive[rng.Intn(len(alive))]
+		if n == nodes[0] {
+			continue // the subscriber keeps its handle
+		}
+		if _, err := eng.MoveNode(n, id.ID(rng.Uint64())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var tuples []*relation.Tuple
+	for burst := 0; burst < 30; burst++ {
+		alive := eng.Ring().Nodes()
+		for i := 0; i < 20; i++ {
+			tu := mkTuple([]string{"R", "S"}[rng.Intn(2)], int64(rng.Intn(20)), int64(len(tuples)), 0)
+			tuples = append(tuples, tu)
+			eng.PublishTuple(alive[rng.Intn(len(alive))], tu)
+		}
+		eng.Run()
+	}
+	want := refeval.Evaluate(q, tuples)
+	if got := answersToRows(eng.Answers(qid)); len(want) == 0 || !refeval.EqualBags(got, want) {
+		t.Fatalf("answers after 40 moves: got %d want %d", len(got), len(want))
+	}
+}
+
 func TestMoveNodeUnknownNode(t *testing.T) {
 	eng, _ := testNet(t, 8, 106, DefaultConfig(), overlay.DefaultConfig())
 	other, _ := testNet(t, 8, 107, DefaultConfig(), overlay.DefaultConfig())

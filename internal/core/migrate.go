@@ -29,6 +29,10 @@ func (e *Engine) MoveNode(n *chord.Node, newID id.ID) (*chord.Node, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: node %s has no processor", n.ID())
 	}
+	// The batched outbox does not travel: its flush event is addressed to
+	// the old ring handle, which is about to die. Empty it first, exactly
+	// as a graceful leave does.
+	e.net.FlushNode(n)
 	e.net.Detach(n)
 	delete(e.procs, n.ID())
 	e.ring.Leave(n)
@@ -37,7 +41,7 @@ func (e *Engine) MoveNode(n *chord.Node, newID id.ID) (*chord.Node, error) {
 		return nil, err
 	}
 	e.ring.BuildPerfect()
-	p.node = nn
+	p.bind(nn)
 	e.procs[nn.ID()] = p
 	e.net.Attach(nn, p)
 	// The physical node keeps its accumulated load; only its ring
@@ -65,8 +69,11 @@ func (e *Engine) RehomeKeys() int {
 		}
 		return nil
 	}
-	for _, nid := range sortedProcIDs(e.procs) {
-		p := e.procs[nid]
+	for _, n := range e.ring.Nodes() { // identifier order: deterministic
+		p := e.procs[n.ID()]
+		if p == nil {
+			continue
+		}
 		ops := p.st.take(func(key relation.Key) bool {
 			dst := owner(key)
 			return dst != nil && dst != p

@@ -90,8 +90,9 @@ func findInfo(known []ricInfo, key relation.Key) (ricInfo, bool) {
 // store, tuple store, ALTT, rate statistics and candidate table, plus
 // the message handlers of Procedures 2 and 3.
 //
-// ctr, qpl and sl are the slots the processor's handlers count into.
-// On a serial engine they alias the engine's public aggregates; on a
+// shard, ctr, qpl and sl are where the processor's handlers run and
+// count, all derived from the node's identifier by bind. On a serial
+// engine the counters alias the engine's public aggregates; on a
 // parallel engine they point at the node's shard accumulator, which
 // only the worker currently executing that shard touches, and which
 // Engine.Sync merges at the next barrier.
@@ -119,25 +120,29 @@ type Proc struct {
 }
 
 func newProc(eng *Engine, node *chord.Node) *Proc {
-	p := &Proc{eng: eng, node: node, st: newState(eng.aggSpec)}
+	p := &Proc{eng: eng, st: newState(eng.aggSpec)}
 	if eng.Cfg.ReplicationFactor >= 2 {
 		p.st.logging = true
 		p.repl = reliable.NewLinks()
 		p.replInboxes = make(map[id.ID]*replInbox)
 	}
+	p.bind(node)
 	if eng.par {
-		p.shard = sim.ShardOfID(uint64(node.ID()))
-		p.ctr = &eng.shardCtr[p.shard]
-		p.qpl = eng.shardQPL[p.shard]
-		p.sl = eng.shardSL[p.shard]
 		p.rng = sim.NewRNG(eng.sim.Seed(), uint64(node.ID()), 0x91ac)
-	} else {
-		p.shard = sim.NoShard
-		p.ctr = &eng.Counters
-		p.qpl = eng.QPL
-		p.sl = eng.SL
 	}
 	return p
+}
+
+// bind places the processor at a ring handle: the node it acts as, the
+// shard its handlers run on and the accounting slot they count into.
+// newProc and MoveNode are its only callers. The placement stream is
+// not rebound — it belongs to the physical node and follows it to a new
+// identifier, as the overlay's delay stream does.
+func (p *Proc) bind(node *chord.Node) {
+	p.node = node
+	p.shard = p.eng.shardOf(node.ID())
+	s := &p.eng.slots[p.shard+1]
+	p.ctr, p.qpl, p.sl = s.ctr, s.qpl, s.sl
 }
 
 // nextReqID stamps a placement walk. Serial engines use one global
@@ -149,8 +154,9 @@ func (p *Proc) nextReqID() int64 {
 	if !p.eng.par {
 		return p.eng.nextReqID()
 	}
-	p.eng.shardReq[p.shard]++
-	return p.eng.shardReq[p.shard]*sim.Shards + int64(p.shard)
+	s := &p.eng.slots[p.shard+1]
+	s.req++
+	return s.req*sim.Shards + int64(p.shard)
 }
 
 // HandleMessage dispatches overlay deliveries. The pooled message
@@ -667,17 +673,15 @@ func mergeExclude(exclude, combined []int64) []int64 {
 // dispatch routes a freshly created rewrite: completed queries become
 // answers sent directly to the owner; contradictory queries are
 // discarded; everything else is indexed at the node the placement
-// strategy selects. Dropped rewrites are returned to the free list —
-// they never escaped this function. pubAt is the publication vtime of
-// the tuple that triggered the rewrite, threaded to the answer path
-// for the latency measurement.
+// strategy selects. pubAt is the publication vtime of the tuple that
+// triggered the rewrite, threaded to the answer path for the latency
+// measurement.
 func (p *Proc) dispatch(now sim.Time, q2 *query.Query, pubAt int64) {
 	p.countRewrite(q2.Depth)
 	if q2.IsComplete() {
 		p.complete(now, q2, q2.IsAggregate(), q2.Depth, completion{
 			vals: q2.AnswerValues(), clock: q2.AggClock, minPub: q2.MinPub, pubAt: pubAt, lin: q2.Lineage,
 		})
-		query.Release(q2)
 		return
 	}
 	if tr := p.eng.trace; tr != nil {
@@ -688,7 +692,6 @@ func (p *Proc) dispatch(now sim.Time, q2 *query.Query, pubAt int64) {
 	}
 	if q2.Contradictory() {
 		p.ctr.ContradictoryDropped++
-		query.Release(q2)
 		return
 	}
 	p.place(now, q2)
@@ -715,7 +718,6 @@ func (p *Proc) place(now sim.Time, q *query.Query) {
 	}
 	if len(cands) == 0 {
 		p.ctr.UnplaceableDropped++
-		query.Release(q)
 		return
 	}
 	switch p.eng.Cfg.Strategy {

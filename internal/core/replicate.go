@@ -304,22 +304,16 @@ type promoteCtx struct {
 // bounced off the dead node re-routes with a fresh (later) sequence and
 // therefore observes the promoted state.
 func (e *Engine) schedulePromotion(dead, promotee id.ID, ib *replInbox) {
-	dst := sim.NoShard
-	if e.par {
-		dst = sim.ShardOfID(uint64(promotee))
-	}
-	e.sim.AfterCtxShard(0, promoteEvent, sim.Ctx{A: e, B: &promoteCtx{dead: dead, promotee: promotee, ib: ib}}, sim.NoShard, dst)
+	e.sim.AfterCtxShard(0, promoteEvent, sim.Ctx{A: e, B: &promoteCtx{dead: dead, promotee: promotee, ib: ib}}, sim.NoShard, e.shardOf(promotee))
 }
 
-// ctrAt returns the counter slot a promotion event may write: the shard
-// slot of the node the event executes on (exclusively owned by the
-// running worker), or the engine counters on a serial engine.
-func (e *Engine) ctrAt(nid id.ID) *Counters {
-	if !e.par {
-		return &e.Counters
-	}
-	return &e.shardCtr[sim.ShardOfID(uint64(nid))]
-}
+// shardOf resolves the shard a node's events are scheduled on.
+func (e *Engine) shardOf(nid id.ID) int { return e.sim.ShardOf(uint64(nid)) }
+
+// ctrAt returns the counter slot a promotion event may write: the slot
+// of the shard the event executes on (exclusively owned by the running
+// worker).
+func (e *Engine) ctrAt(nid id.ID) *Counters { return e.slots[e.shardOf(nid)+1].ctr }
 
 // promoteEvent executes a scheduled promotion.
 func promoteEvent(now sim.Time, c sim.Ctx) {
@@ -334,14 +328,10 @@ func promoteEvent(now sim.Time, c sim.Ctx) {
 		// ring emptied, the mirror is unrecoverable — count it, so the
 		// zero-loss counters never lie.
 		if owner := e.ring.Owner(pc.dead); owner != nil && pc.hops < maxReroutes {
-			src, dst := sim.NoShard, sim.NoShard
-			if e.par {
-				src = sim.ShardOfID(uint64(pc.promotee)) // the shard this event ran on
-				dst = sim.ShardOfID(uint64(owner.ID()))
-			}
+			src := e.shardOf(pc.promotee) // the shard this event ran on
 			pc.hops++
 			pc.promotee = owner.ID()
-			e.sim.AfterCtxShard(0, promoteEvent, c, src, dst)
+			e.sim.AfterCtxShard(0, promoteEvent, c, src, e.shardOf(pc.promotee))
 			return
 		}
 		if pc.ib != nil {

@@ -14,7 +14,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"rjoin/internal/id"
 	"rjoin/internal/obs/profile"
@@ -225,23 +224,11 @@ func (e *Engine) retiredOp(op stateOp) bool {
 // to the replica group. Stragglers still in flight are caught by the
 // retiredQ/retiredS guards when they arrive.
 func (e *Engine) sweepState(want class, match func(stateOp) bool) {
-	for _, nid := range sortedProcIDs(e.procs) {
-		if p := e.procs[nid]; p.st.sweep(want, match) {
+	for _, n := range e.ring.Nodes() { // identifier order: deterministic
+		if p := e.procs[n.ID()]; p != nil && p.st.sweep(want, match) {
 			p.replFlush() // coordinator context: ship the removals now
 		}
 	}
-}
-
-// sortedProcIDs returns the engine's node identifiers in ascending
-// order — the deterministic iteration sequence for coordinator-side
-// sweeps.
-func sortedProcIDs(procs map[id.ID]*Proc) []id.ID {
-	ids := make([]id.ID, 0, len(procs))
-	for nid := range procs {
-		ids = append(ids, nid)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // fanoutComplete delivers one completed pipeline row through the
@@ -295,18 +282,14 @@ func (p *Proc) fanoutComplete(now sim.Time, fo *share.Fanout, c completion) {
 // stays exact; they are never stored, only substituted.
 func (p *Proc) spawnContainment(now sim.Time, kid *share.Kid, c completion) {
 	cur := kid.Pipeline
-	owned := false
 	for _, rs := range kid.Rels {
 		t := relation.MustTuple(rs.Schema, c.vals[rs.Off:rs.Off+rs.Schema.Arity()]...)
 		t.PubTime = c.minPub
 		next, ok := query.Rewrite(cur, t)
-		if owned {
-			query.Release(cur)
-		}
 		if !ok {
 			return // a child-stricter conjunct rejected the row
 		}
-		cur, owned = next, true
+		cur = next
 	}
 	cur.MinPub = c.minPub
 	cur.AggClock = c.clock

@@ -7,9 +7,12 @@
 // sized by sim.ShardSlots or sim.Shards. The contract has two halves:
 //
 //  1. Handler context may touch only its own slot, reached through
-//     sim.ShardSlot / sim.ShardOfID (or a value derived from one — by
-//     convention a variable or field whose name mentions shard, slot,
-//     lane or src).
+//     sim.ShardSlot / sim.ShardOfID / Engine.ShardOf (or a value derived
+//     from one — by convention a variable or field whose name mentions
+//     shard, slot, lane or src), optionally offset by one: the
+//     aggregate-first layout of the overlay's lanes and the core
+//     engine's accounting slots keeps the aggregate, which serves
+//     NoShard (-1), in slot 0 and shard s in slot s+1.
 //  2. Cross-slot access — iterating the lanes, or indexing with
 //     anything else — is reserved for barrier functions: the
 //     Sync/Flush/Drain/merge family that runs in coordinator context
@@ -170,11 +173,17 @@ func isShardConst(info *types.Info, e ast.Expr) bool {
 }
 
 // allowedIndex reports whether an index expression follows the
-// handler-context discipline: a ShardSlot/ShardOfID call, a
+// handler-context discipline: a ShardSlot/ShardOfID/ShardOf call, a
 // conventionally named shard variable, or a local assigned from such a
-// call earlier in the enclosing function.
+// call earlier in the enclosing function — any of them plus one for the
+// aggregate-first layout.
 func allowedIndex(info *types.Info, stack []ast.Node, idx ast.Expr) bool {
 	idx = ast.Unparen(idx)
+	if be, ok := idx.(*ast.BinaryExpr); ok && be.Op == token.ADD {
+		if one, ok := ast.Unparen(be.Y).(*ast.BasicLit); ok && one.Kind == token.INT && one.Value == "1" {
+			idx = ast.Unparen(be.X)
+		}
+	}
 	if isShardMapCall(info, idx) {
 		return true
 	}
@@ -231,7 +240,14 @@ func isShardMapCall(info *types.Info, e ast.Expr) bool {
 		return false
 	}
 	callee := lintutil.CalleeObject(info, call)
-	return callee != nil && (callee.Name() == "ShardSlot" || callee.Name() == "ShardOfID")
+	if callee == nil {
+		return false
+	}
+	switch callee.Name() {
+	case "ShardSlot", "ShardOfID", "ShardOf":
+		return true
+	}
+	return false
 }
 
 // insideFlaggedRange reports whether an index expression is the loop

@@ -43,3 +43,23 @@ func newNet() *net {
 	}
 	return n
 }
+
+// Aggregate-first layout: slot 0 is the aggregate (NoShard is -1), shard
+// s counts in slot s+1 — a shard-derived index offset by exactly one.
+type acct struct {
+	byShard []int
+}
+
+func newAcct() *acct {
+	a := &acct{}
+	a.byShard = make([]int, sim.ShardSlots)
+	return a
+}
+
+func (a *acct) count(shard int) {
+	a.byShard[shard+1]++
+}
+
+func (a *acct) countAt(e *sim.Engine, node uint64) {
+	a.byShard[e.ShardOf(node)+1]++
+}

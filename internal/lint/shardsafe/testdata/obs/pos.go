@@ -33,3 +33,10 @@ func (g *gauges) bumpAll() {
 		g.lanes[i] = c
 	}
 }
+
+// The +1 offset of the aggregate-first layout excuses nothing by
+// itself: the operand must still be shard-derived, and the offset one.
+func (t *tracer) emitOffsetWrong(i, shard, v int) {
+	t.slots[i+1] = append(t.slots[i+1], v)         // want `write to per-shard lane slots indexed by i \+ 1`
+	t.slots[shard+2] = append(t.slots[shard+2], v) // want `write to per-shard lane slots indexed by shard \+ 2`
+}

@@ -45,8 +45,8 @@
 // touched only at send time, at ack arrival, and by retransmit timers —
 // all events bound to the sender's shard. Receiver-side state is
 // touched only at envelope delivery and ack emission — both bound to
-// the receiver's shard. Fault counters ride the per-shard lanes and
-// fold at Sync like all overlay accounting.
+// the receiver's shard. Fault counters ride the acting peer's lane like
+// all overlay accounting.
 package overlay
 
 import (
@@ -138,11 +138,10 @@ func (f *Faults) validate() error {
 	return nil
 }
 
-// relState is the network's reliable-channel state: per-node channel
-// registries plus the resolved timer parameters.
+// relState is the network's reliable-channel state: the resolved timer
+// parameters, plus every peer's channel registry in creation order.
 type relState struct {
-	nodes      map[id.ID]*relNode
-	order      []*relNode // the values of nodes: NextRetransmit ranges a slice several times faster than the map
+	order      []*relNode // every peer's rel: NextRetransmit ranges a slice several times faster than the peers map
 	rto        int64
 	maxRetries int
 	ackDelay   int64
@@ -150,8 +149,8 @@ type relState struct {
 
 // relNode is one node's channel state: its private fault stream, its
 // sender-side channels by destination, and its receiver-side channels
-// by source. The nodes map is only mutated from coordinator context
-// (Attach); each relNode's interior is touched only by its own shard.
+// by source. It is created with its peer record, from coordinator
+// context; its interior is touched only by its own shard.
 //
 // busy is the subset of tx holding at least one unacknowledged entry —
 // what NextRetransmit ranges over instead of every channel that ever
@@ -235,7 +234,6 @@ func (nw *Network) initFaults() {
 		ackDelay = 2
 	}
 	nw.rel = &relState{
-		nodes:      make(map[id.ID]*relNode),
 		rto:        rto,
 		maxRetries: maxRetries,
 		ackDelay:   ackDelay,
@@ -268,31 +266,18 @@ func (nw *Network) partitioned(x, y id.ID, now sim.Time) bool {
 	return false
 }
 
-// relNodeFor returns a node's channel state, creating it on first use.
-// Creation happens from Attach (coordinator context); later calls only
-// read the map.
-func (nw *Network) relNodeFor(n id.ID) *relNode {
-	rn, ok := nw.rel.nodes[n]
-	if !ok {
-		rn = &relNode{
-			id:   n,
-			rng:  sim.NewRNG(nw.Engine.Seed(), uint64(n), faultSalt),
-			tx:   make(map[id.ID]*txChan),
-			rx:   make(map[id.ID]*rxChan),
-			busy: make(map[id.ID]*txChan),
-		}
-		nw.rel.nodes[n] = rn
-		nw.rel.order = append(nw.rel.order, rn)
+// newRelNode creates the channel state of a new peer record, deriving
+// its fault stream.
+func (nw *Network) newRelNode(n id.ID) *relNode {
+	rn := &relNode{
+		id:   n,
+		rng:  sim.NewRNG(nw.Engine.Seed(), uint64(n), faultSalt),
+		tx:   make(map[id.ID]*txChan),
+		rx:   make(map[id.ID]*rxChan),
+		busy: make(map[id.ID]*txChan),
 	}
+	nw.rel.order = append(nw.rel.order, rn)
 	return rn
-}
-
-// shardOf resolves a node's destination shard for event scheduling.
-func (nw *Network) shardOf(n *chord.Node) int {
-	if !nw.par {
-		return sim.NoShard
-	}
-	return sim.ShardOfID(uint64(n.ID()))
 }
 
 // relHop draws a single-hop delay for transport-control traffic
@@ -310,8 +295,8 @@ func (nw *Network) relHop(rng *sim.RNG) int64 {
 // retained message: assign the next sequence number, transmit under the
 // fault plan, and arm the first retransmit timer. delay is the routed
 // delivery delay already charged by the caller.
-func (nw *Network) sendReliable(a actor, from, owner *chord.Node, delay int64, msg Message) {
-	rn := nw.relNodeFor(from.ID())
+func (nw *Network) sendReliable(p *peer, from, owner *chord.Node, delay int64, msg Message) {
+	rn := p.rel
 	tc, ok := rn.tx[owner.ID()]
 	if !ok {
 		tc = &txChan{dst: owner, unacked: make(map[uint64]*txEntry)}
@@ -320,8 +305,8 @@ func (nw *Network) sendReliable(a actor, from, owner *chord.Node, delay int64, m
 	tc.next++
 	e := &txEntry{seq: tc.next, msg: msg}
 	rn.retain(tc, e)
-	nw.transmit(a, rn, from, tc.dst, e.seq, delay, msg, false)
-	nw.armTimer(a, from, owner.ID(), e, delay+nw.rel.rto)
+	nw.transmit(p, from, tc.dst, e.seq, delay, msg, false)
+	nw.armTimer(p, from, owner.ID(), e, delay+nw.rel.rto)
 }
 
 // transmit puts one copy of a channel sequence number on the wire,
@@ -332,21 +317,21 @@ func (nw *Network) sendReliable(a actor, from, owner *chord.Node, delay int64, m
 // application's work); retransmissions are background — they must not
 // perturb quiescence, which is what keeps a zero-rate plan's clock
 // identical to a faults-off run even when a timer fires spuriously.
-func (nw *Network) transmit(a actor, rn *relNode, src, dst *chord.Node, seq uint64, delay int64, msg Message, retx bool) {
-	f := nw.cfg.Faults
+func (nw *Network) transmit(p *peer, src, dst *chord.Node, seq uint64, delay int64, msg Message, retx bool) {
+	f, rn := nw.cfg.Faults, p.rel
 	now := nw.Engine.Now()
 	if nw.partitioned(src.ID(), dst.ID(), now) {
-		nw.addFaultDropped(a.l, 1)
+		p.l.tot.Dropped++
 		return
 	}
 	if f.DropProb > 0 && rn.rng.Float64() < f.DropProb {
-		nw.addFaultDropped(a.l, 1)
+		p.l.tot.Dropped++
 		return
 	}
 	copies := 1
 	if f.DupProb > 0 && rn.rng.Float64() < f.DupProb {
 		copies = 2
-		nw.addDuplicated(a.l, 1)
+		p.l.tot.Duplicated++
 	}
 	var ack uint64
 	if rx, ok := rn.rx[dst.ID()]; ok {
@@ -360,19 +345,20 @@ func (nw *Network) transmit(a actor, rn *relNode, src, dst *chord.Node, seq uint
 			d += rn.rng.Int63n(f.SpikeMax + 1)
 		}
 		if retx {
-			nw.Engine.AfterCtxShardBg(d, deliverReliableEvent, sim.Ctx{A: nw, B: dst, C: env}, a.shard, dstShard)
+			nw.Engine.AfterCtxShardBg(d, deliverReliableEvent, sim.Ctx{A: nw, B: dst, C: env}, p.shard, dstShard)
 		} else {
-			nw.Engine.AfterCtxShard(d, deliverReliableEvent, sim.Ctx{A: nw, B: dst, C: env}, a.shard, dstShard)
+			nw.Engine.AfterCtxShard(d, deliverReliableEvent, sim.Ctx{A: nw, B: dst, C: env}, p.shard, dstShard)
 		}
 	}
 }
 
 // armTimer schedules the retransmit timer guarding one entry, after
-// ticks from now, as a background event in the sender's shard.
-func (nw *Network) armTimer(a actor, src *chord.Node, dst id.ID, e *txEntry, after int64) {
+// ticks from now, as a background event in the sender's shard (p is
+// the sender's record).
+func (nw *Network) armTimer(p *peer, src *chord.Node, dst id.ID, e *txEntry, after int64) {
 	e.deadline = nw.Engine.Now() + sim.Time(after)
 	tm := &relTimer{src: src, dst: dst, seq: e.seq}
-	nw.Engine.AtCtxShardBg(e.deadline, relTimerEvent, sim.Ctx{A: nw, B: tm}, a.shard, nw.shardOf(src))
+	nw.Engine.AtCtxShardBg(e.deadline, relTimerEvent, sim.Ctx{A: nw, B: tm}, p.shard, p.shard)
 }
 
 // deliverReliableEvent completes one envelope's delivery at the
@@ -384,13 +370,12 @@ func deliverReliableEvent(now sim.Time, c sim.Ctx) {
 	nw := c.A.(*Network)
 	owner := c.B.(*chord.Node)
 	env := c.C.(*relEnv)
-	a := nw.actorFor(owner)
-	rn := nw.relNodeFor(owner.ID())
+	p := nw.peerFor(owner.ID())
+	rn := p.rel
 	if env.ack > 0 {
 		rn.ackUpTo(env.src.ID(), env.ack)
 	}
-	h, ok := nw.handlers[owner.ID()]
-	if !ok || !owner.Alive() {
+	if p.h == nil || !owner.Alive() {
 		return
 	}
 	rx, ok := rn.rx[env.src.ID()]
@@ -399,13 +384,13 @@ func deliverReliableEvent(now sim.Time, c sim.Ctx) {
 		rn.rx[env.src.ID()] = rx
 	}
 	first := rx.dedup.Mark(env.seq)
-	nw.scheduleAck(a, owner, rx)
+	nw.scheduleAck(p, owner, rx)
 	if !first {
 		return // duplicate suppressed
 	}
-	nw.addDelivered(a.l, 1)
-	nw.obsM.IncNode(a.shard, int64(now), uint64(owner.ID()))
-	h.HandleMessage(now, env.msg)
+	p.l.tot.Delivered++
+	nw.obsM.IncNode(p.shard, int64(now), uint64(owner.ID()))
+	p.h.HandleMessage(now, env.msg)
 }
 
 // retain adds one entry to a channel's retransmit buffer.
@@ -444,13 +429,13 @@ func (rn *relNode) ackUpTo(dst id.ID, cum uint64) {
 // clock passes it, but a trailing ack never extends a drain — the
 // sender-side entry it would clear is already marked seen on the
 // receiver, which is what NextRetransmit consults.
-func (nw *Network) scheduleAck(a actor, owner *chord.Node, rx *rxChan) {
+func (nw *Network) scheduleAck(p *peer, owner *chord.Node, rx *rxChan) {
 	if rx.ackScheduled {
 		return
 	}
 	rx.ackScheduled = true
 	nw.Engine.AfterCtxShardBg(nw.rel.ackDelay, ackSendEvent,
-		sim.Ctx{A: nw, B: owner, C: rx}, a.shard, nw.shardOf(owner))
+		sim.Ctx{A: nw, B: owner, C: rx}, p.shard, p.shard)
 }
 
 // ackSendEvent emits one coalesced cumulative ack. The ack itself rides
@@ -464,30 +449,30 @@ func ackSendEvent(now sim.Time, c sim.Ctx) {
 	if !owner.Alive() {
 		return
 	}
-	a := nw.actorFor(owner)
-	rn := nw.relNodeFor(owner.ID())
-	nw.addAckMessages(a.l, 1)
+	p := nw.peerFor(owner.ID())
+	rn := p.rel
+	p.l.tot.AckMessages++
 	if tr := nw.trace; tr != nil {
 		// Arg annotates the ack with the receiver's out-of-order backlog —
 		// how many sequence numbers the dedup filter holds above the
 		// cumulative watermark this ack carries.
-		tr.Emit(a.shard, obs.Event{
+		tr.Emit(p.shard, obs.Event{
 			At: int64(now), Kind: obs.KindAck, Node: uint64(owner.ID()),
 			Arg: int64(rx.dedup.Outstanding()),
 		})
 	}
 	if nw.partitioned(owner.ID(), rx.src.ID(), now) {
-		nw.addFaultDropped(a.l, 1)
+		p.l.tot.Dropped++
 		return
 	}
 	f := nw.cfg.Faults
 	if f.DropProb > 0 && rn.rng.Float64() < f.DropProb {
-		nw.addFaultDropped(a.l, 1)
+		p.l.tot.Dropped++
 		return
 	}
 	ack := &relAck{from: owner, cum: rx.dedup.Cum()}
 	nw.Engine.AfterCtxShardBg(nw.relHop(rn.rng), ackDeliverEvent,
-		sim.Ctx{A: nw, B: rx.src, C: ack}, a.shard, nw.shardOf(rx.src))
+		sim.Ctx{A: nw, B: rx.src, C: ack}, p.shard, nw.shardOf(rx.src))
 }
 
 // ackDeliverEvent applies a standalone ack at the original sender.
@@ -495,7 +480,7 @@ func ackDeliverEvent(_ sim.Time, c sim.Ctx) {
 	nw := c.A.(*Network)
 	src := c.B.(*chord.Node)
 	ack := c.C.(*relAck)
-	nw.relNodeFor(src.ID()).ackUpTo(ack.from.ID(), ack.cum)
+	nw.peerFor(src.ID()).rel.ackUpTo(ack.from.ID(), ack.cum)
 }
 
 // relTimerEvent fires a retransmit timer: a still-unacknowledged entry
@@ -504,7 +489,8 @@ func ackDeliverEvent(_ sim.Time, c sim.Ctx) {
 func relTimerEvent(now sim.Time, c sim.Ctx) {
 	nw := c.A.(*Network)
 	tm := c.B.(*relTimer)
-	rn := nw.relNodeFor(tm.src.ID())
+	p := nw.peerFor(tm.src.ID())
+	rn := p.rel
 	tc, ok := rn.tx[tm.dst]
 	if !ok {
 		return
@@ -513,27 +499,26 @@ func relTimerEvent(now sim.Time, c sim.Ctx) {
 	if !ok || e.deadline != now {
 		return // acknowledged, or superseded by a re-armed timer
 	}
-	a := nw.actorFor(tm.src)
 	if e.retries >= nw.rel.maxRetries {
-		nw.escalate(a, rn, tc, tm, e)
+		nw.escalate(p, tc, tm, e)
 		return
 	}
 	e.retries++
-	nw.addRetransmits(a.l, 1)
+	p.l.tot.Retransmits++
 	if m := nw.obsM; m != nil {
 		m.RetransmitRounds.Observe(int64(e.retries))
 	}
 	if tr := nw.trace; tr != nil {
-		tr.Emit(a.shard, obs.Event{
+		tr.Emit(p.shard, obs.Event{
 			At: int64(now), Kind: obs.KindRetransmit,
 			Node: uint64(tm.src.ID()), Arg: int64(e.retries),
 		})
 	}
 	delay := nw.relHop(rn.rng)
-	nw.transmit(a, rn, tm.src, tc.dst, e.seq, delay, e.msg, true)
+	nw.transmit(p, tm.src, tc.dst, e.seq, delay, e.msg, true)
 	backoff := nw.rel.rto << e.retries
 	jitter := rn.rng.Int63n(nw.rel.rto/2 + 1)
-	nw.armTimer(a, tm.src, tm.dst, e, delay+backoff+jitter)
+	nw.armTimer(p, tm.src, tm.dst, e, delay+backoff+jitter)
 }
 
 // escalate handles an exhausted backoff ladder. During an active
@@ -545,11 +530,11 @@ func relTimerEvent(now sim.Time, c sim.Ctx) {
 // masking); a departed peer's message re-routes to the key's current
 // owner over a fresh channel, exactly the bounce path — the dead peer
 // never processed these deliveries, so the re-send cannot duplicate.
-func (nw *Network) escalate(a actor, rn *relNode, tc *txChan, tm *relTimer, e *txEntry) {
-	now := nw.Engine.Now()
+func (nw *Network) escalate(p *peer, tc *txChan, tm *relTimer, e *txEntry) {
+	now, rn := nw.Engine.Now(), p.rel
 	if nw.partitioned(tm.src.ID(), tm.dst, now) {
 		e.retries = 0
-		nw.armTimer(a, tm.src, tm.dst, e, nw.rel.rto<<nw.rel.maxRetries)
+		nw.armTimer(p, tm.src, tm.dst, e, nw.rel.rto<<nw.rel.maxRetries)
 		return
 	}
 	rk, rekeyable := e.msg.(Rekeyable)
@@ -560,41 +545,41 @@ func (nw *Network) escalate(a actor, rn *relNode, tc *txChan, tm *relTimer, e *t
 	if owner != nil && owner.ID() == tm.dst {
 		if e.ladders >= relMaxLadders {
 			rn.release(tc, tm.seq)
-			nw.addAbandoned(a.l, 1)
+			p.l.tot.Abandoned++
 			return
 		}
 		e.ladders++
 		e.retries = 0
-		nw.addRetransmits(a.l, 1)
+		p.l.tot.Retransmits++
 		if m := nw.obsM; m != nil {
 			// A fresh ladder restarts the count; observe the full ladder
 			// it exhausted so the histogram's tail records escalations.
 			m.RetransmitRounds.Observe(int64(nw.rel.maxRetries) + 1)
 		}
 		if tr := nw.trace; tr != nil {
-			tr.Emit(a.shard, obs.Event{
+			tr.Emit(p.shard, obs.Event{
 				At: int64(now), Kind: obs.KindRetransmit,
 				Node: uint64(tm.src.ID()), Arg: int64(nw.rel.maxRetries) + 1,
 			})
 		}
 		delay := nw.relHop(rn.rng)
-		nw.transmit(a, rn, tm.src, tc.dst, e.seq, delay, e.msg, true)
-		nw.armTimer(a, tm.src, tm.dst, e, delay+nw.rel.rto)
+		nw.transmit(p, tm.src, tc.dst, e.seq, delay, e.msg, true)
+		nw.armTimer(p, tm.src, tm.dst, e, delay+nw.rel.rto)
 		return
 	}
 	rn.release(tc, tm.seq)
 	if owner == nil {
-		nw.addAbandoned(a.l, 1)
+		p.l.tot.Abandoned++
 		return // not rekeyable, or the ring is empty: the message is lost
 	}
-	nw.addBounced(a.l, 1)
-	nw.addSent(a.l, 1)
-	nw.charge(a.l, owner.ID(), 1)
+	p.l.tot.Bounced++
+	p.l.tot.MessagesSent++
+	p.l.charge(owner.ID(), 1)
 	if owner == tm.src {
-		nw.deliver(a, owner, 0, e.msg) // the key came home; deliver locally
+		nw.deliver(p, owner, 0, e.msg) // the key came home; deliver locally
 		return
 	}
-	nw.sendReliable(a, tm.src, owner, nw.relHop(rn.rng), e.msg)
+	nw.sendReliable(p, tm.src, owner, nw.relHop(rn.rng), e.msg)
 }
 
 // NextRetransmit returns the earliest outstanding retransmit deadline
@@ -608,7 +593,7 @@ func (nw *Network) escalate(a actor, rn *relNode, tc *txChan, tm *relTimer, e *t
 // Coordinator context only: the cross-shard read of receiver dedup
 // state is safe because the simulation is quiescent between drains.
 func (nw *Network) NextRetransmit() (sim.Time, bool) {
-	if nw.rel == nil {
+	if !nw.Lossy() {
 		return 0, false
 	}
 	var best sim.Time
@@ -619,8 +604,8 @@ func (nw *Network) NextRetransmit() (sim.Time, bool) {
 		}
 		for dstID, tc := range rn.busy {
 			var rx *rxChan
-			if rdn, ok := nw.rel.nodes[dstID]; ok {
-				rx = rdn.rx[rn.id]
+			if dst, ok := nw.peers[dstID]; ok {
+				rx = dst.rel.rx[rn.id]
 			}
 			for seq, e := range tc.unacked {
 				if rx != nil && rx.dedup.Seen(seq) {

@@ -243,11 +243,11 @@ func TestMaxDeltaCoversRetransmits(t *testing.T) {
 func nextRetransmitScan(nw *Network) (sim.Time, bool) {
 	var best sim.Time
 	found := false
-	for srcID, rn := range nw.rel.nodes {
-		for dstID, tc := range rn.tx {
+	for srcID, src := range nw.peers {
+		for dstID, tc := range src.rel.tx {
 			var rx *rxChan
-			if rdn, ok := nw.rel.nodes[dstID]; ok {
-				rx = rdn.rx[srcID]
+			if dst, ok := nw.peers[dstID]; ok {
+				rx = dst.rel.rx[srcID]
 			}
 			for seq, e := range tc.unacked {
 				if rx != nil && rx.dedup.Seen(seq) {
@@ -272,7 +272,8 @@ func checkBusySets(t *testing.T, nw *Network, label string) {
 	if got != want || gok != wok {
 		t.Fatalf("%s at %d: NextRetransmit = (%d, %v), full scan = (%d, %v)", label, nw.Engine.Now(), got, gok, want, wok)
 	}
-	for src, rn := range nw.rel.nodes {
+	for src, p := range nw.peers {
+		rn := p.rel
 		for dst, tc := range rn.tx {
 			if _, busy := rn.busy[dst]; busy != (len(tc.unacked) > 0) {
 				t.Fatalf("%s at %d: channel %s→%s busy=%v with %d unacked", label, nw.Engine.Now(), src, dst, busy, len(tc.unacked))
@@ -379,9 +380,9 @@ func TestNextRetransmitMatchesFullScan(t *testing.T) {
 				for step() {
 					checkBusySets(t, f.nw, label)
 				}
-				for src, rn := range f.nw.rel.nodes {
-					if len(rn.busy) != 0 {
-						t.Fatalf("%s: %s still has %d busy channels with the event heap empty", label, src, len(rn.busy))
+				for src, p := range f.nw.peers {
+					if len(p.rel.busy) != 0 {
+						t.Fatalf("%s: %s still has %d busy channels with the event heap empty", label, src, len(p.rel.busy))
 					}
 				}
 				f.nw.Sync()

@@ -13,15 +13,20 @@
 // protocols"), and every hop adds a bounded random delay on the virtual
 // clock, realising the relaxed asynchronous model with maximum delay δ.
 //
-// On a parallel engine (sim.Engine with workers) the overlay keeps one
-// accounting lane per logical shard: traffic counters, the active
-// traffic tag, the grouped-send scratch buffer and the batching
-// outboxes all live in the lane of the acting node, so concurrent
-// handlers never share mutable state. Hop-delay draws come from the
-// acting node's private counter-based stream instead of the engine's
-// shared source, making the draw sequence independent of scheduling
-// interleave. Lane deltas merge into the public aggregate counters at
-// Sync, which the core engine calls after every drain.
+// Everything the network keeps for one ring identifier lives in one
+// peer record — handler, scheduling shard, accounting lane, hop-delay
+// stream, batching outbox and (under Faults) reliable-channel state —
+// and every operation resolves the acting node's record once and counts
+// through its lane: traffic charges, the active traffic tag, the integer
+// totals and the lookup scratch buffers. Lane 0 is the aggregate itself
+// (its loads are the public Traffic and tagged counters, its totals the
+// public integer fields), and a serial network has no other; on a
+// parallel engine (sim.Engine with workers) every logical shard gets a
+// lane of its own, so concurrent handlers never share mutable state, and
+// Sync — which the core engine calls after every drain — folds them into
+// lane 0. There hop-delay draws also come from the acting node's private
+// counter-based stream instead of the engine's shared source, making the
+// draw sequence independent of scheduling interleave.
 package overlay
 
 import (
@@ -107,57 +112,10 @@ func DefaultConfig() Config {
 	return Config{MinHopDelay: 1, MaxHopDelay: 1, GroupMultiSend: true}
 }
 
-// lane is the per-shard accounting state of a parallel network. Every
-// mutation the message layer performs while a handler runs — traffic
-// charges, tag scoping, grouped-send scratch, outbox batching — goes to
-// the lane of the acting node's shard, which the sub-round schedule
-// guarantees is touched by at most one worker at a time.
-type lane struct {
-	traffic      *metrics.Load
-	tagged       map[string]*metrics.Load
-	tag          string
-	legs         []leg
-	path         []*chord.Node
-	outboxes     map[id.ID]*outbox
-	messagesSent int64
-	delivered    int64
-	bounced      int64
-	dropped      int64
-	duplicated   int64
-	retransmits  int64
-	ackMessages  int64
-	abandoned    int64
-}
-
-// actor resolves the execution context of one overlay operation: the
-// accounting lane, the hop-delay stream and the logical shard of the
-// node performing it. On a serial network all three are zero values and
-// the shared root fields are used instead.
-type actor struct {
-	l     *lane
-	rng   *sim.RNG
-	shard int
-}
-
-// Network binds a Chord ring to the event engine and implements the
-// messaging API.
-type Network struct {
-	Ring    *chord.Ring
-	Engine  *sim.Engine
-	Traffic *metrics.Load
-	cfg     Config
-
-	handlers map[id.ID]Handler
-	tagged   map[string]*metrics.Load
-	tag      string
-	outboxes map[id.ID]*outbox
-	legs     []leg         // scratch for grouped multiSend, reused across calls
-	path     []*chord.Node // scratch for one lookup's hop path, consumed by chargePath
-
-	par   bool               // parallel engine: lane-per-shard accounting
-	lanes []lane             // one per logical shard when par
-	rngs  map[id.ID]*sim.RNG // per-node hop-delay streams when par
-
+// totals are the network-wide integer counts. Network embeds the
+// aggregate instance, so they read as nw.MessagesSent and so on; every
+// write goes through the acting lane's pointer to its own instance.
+type totals struct {
 	// MessagesSent counts every point-to-point transmission, i.e. the
 	// network-wide total of the traffic metric.
 	MessagesSent int64
@@ -187,8 +145,84 @@ type Network struct {
 	// Abandoned counts messages given up on after exhausting every
 	// escalation round — zero in any run the exactness guarantees cover.
 	Abandoned int64
+}
 
-	rel *relState // reliable-channel state; nil when Faults is nil
+// add accumulates o into t (the Sync merge; addition commutes).
+func (t *totals) add(o *totals) {
+	t.MessagesSent += o.MessagesSent
+	t.Delivered += o.Delivered
+	t.Bounced += o.Bounced
+	t.Dropped += o.Dropped
+	t.Duplicated += o.Duplicated
+	t.Retransmits += o.Retransmits
+	t.AckMessages += o.AckMessages
+	t.Abandoned += o.Abandoned
+}
+
+// lane is one accounting context. Every mutation the message layer
+// performs on behalf of an acting node — traffic charges, tag scoping,
+// integer totals, lookup and grouped-send scratch — goes to that node's
+// lane. Lane 0 aliases the network's aggregates and serves every node
+// of a serial network; a parallel network adds one lane per logical
+// shard, which the sub-round schedule guarantees is touched by at most
+// one worker at a time.
+type lane struct {
+	traffic *metrics.Load
+	tagged  map[string]*metrics.Load
+	tot     *totals
+	tag     string
+	legs    []leg         // scratch for grouped multiSend, reused across calls
+	path    []*chord.Node // scratch for one lookup's hop path, consumed by chargePath
+}
+
+// tagLoad returns the lane's counter for a traffic tag, creating it on
+// first use.
+func (l *lane) tagLoad(tag string) *metrics.Load {
+	tl, ok := l.tagged[tag]
+	if !ok {
+		tl = metrics.NewLoad()
+		l.tagged[tag] = tl
+	}
+	return tl
+}
+
+// charge attributes n sent messages to a node, and to the lane's active
+// traffic tag if one is set.
+func (l *lane) charge(node id.ID, n int64) {
+	l.traffic.Add(node, n)
+	if l.tag != "" {
+		l.tagLoad(l.tag).Add(node, n)
+	}
+}
+
+// peer is everything the network keeps for one ring identifier. shard,
+// l and rel belong to the ring position and never change; h is set and
+// cleared by Attach and Detach; rng belongs to the physical node and
+// follows it across RenameNode. Records are never deleted: a departed
+// node's in-flight messages still bounce through its record, drawing
+// from its stream and counting in its lane.
+type peer struct {
+	h     Handler  // nil while detached
+	shard int      // scheduling shard; sim.NoShard on a serial engine
+	l     *lane    // accounting lane of that shard
+	rng   *sim.RNG // hop-delay stream; nil on a serial network (the engine's shared source draws)
+	ob    outbox   // keyed messages buffered until the batch window closes
+	rel   *relNode // reliable-channel state; nil unless Config.Faults
+}
+
+// Network binds a Chord ring to the event engine and implements the
+// messaging API.
+type Network struct {
+	Ring    *chord.Ring
+	Engine  *sim.Engine
+	Traffic *metrics.Load
+	totals
+	cfg Config
+
+	peers map[id.ID]*peer
+	lanes []lane // lanes[0] is the aggregate; lanes[s+1] belongs to shard s
+
+	rel *relState // reliable-channel parameters; nil when Faults is nil
 
 	trace *obs.Tracer  // nil unless Config.Trace is set
 	obsM  *obs.Metrics // nil unless Config.Metrics is set
@@ -220,27 +254,21 @@ func NewNetwork(ring *chord.Ring, engine *sim.Engine, cfg Config) (*Network, err
 		}
 	}
 	nw := &Network{
-		Ring:     ring,
-		Engine:   engine,
-		Traffic:  metrics.NewLoad(),
-		cfg:      cfg,
-		handlers: make(map[id.ID]Handler),
-		tagged:   make(map[string]*metrics.Load),
-		outboxes: make(map[id.ID]*outbox),
-		trace:    cfg.Trace,
-		obsM:     cfg.Metrics,
+		Ring:    ring,
+		Engine:  engine,
+		Traffic: metrics.NewLoad(),
+		cfg:     cfg,
+		peers:   make(map[id.ID]*peer),
+		lanes:   make([]lane, 1),
+		trace:   cfg.Trace,
+		obsM:    cfg.Metrics,
 	}
 	if engine.Workers() > 0 {
-		nw.par = true
-		nw.lanes = make([]lane, sim.Shards)
-		for i := range nw.lanes {
-			nw.lanes[i] = lane{
-				traffic:  metrics.NewLoad(),
-				tagged:   make(map[string]*metrics.Load),
-				outboxes: make(map[id.ID]*outbox),
-			}
-		}
-		nw.rngs = make(map[id.ID]*sim.RNG)
+		nw.lanes = make([]lane, sim.ShardSlots)
+	}
+	nw.lanes[0] = lane{traffic: nw.Traffic, tagged: make(map[string]*metrics.Load), tot: &nw.totals}
+	for i := range nw.lanes[1:] {
+		nw.lanes[1+i] = lane{traffic: metrics.NewLoad(), tagged: make(map[string]*metrics.Load), tot: new(totals)}
 	}
 	if cfg.Faults != nil {
 		nw.initFaults()
@@ -269,37 +297,46 @@ type outbox struct {
 // Config returns the network's configuration.
 func (nw *Network) Config() Config { return nw.cfg }
 
-// actorFor resolves the execution context of the given acting node.
-// Must only be called with a node that has been Attached at some point
-// (every ring node is), so its delay stream exists.
-func (nw *Network) actorFor(n *chord.Node) actor {
-	if !nw.par {
-		return actor{shard: sim.NoShard}
+// peerFor resolves the record of the node an operation acts as or
+// delivers to. A node that was never Attached gets a handler-less record
+// on first use (tests inject failures that way); that write is safe only
+// from coordinator context, so on a parallel network every node must be
+// Attached before it sends or receives — every ring node is.
+func (nw *Network) peerFor(n id.ID) *peer {
+	if p, ok := nw.peers[n]; ok {
+		return p
 	}
-	s := sim.ShardOfID(uint64(n.ID()))
-	return actor{l: &nw.lanes[s], rng: nw.rngs[n.ID()], shard: s}
+	return nw.newPeer(n)
 }
 
-// Attach registers the message handler for a node. A node without a
-// handler silently drops deliveries (tests rely on this for failure
-// injection). On a parallel network Attach also derives the node's
-// private hop-delay stream; streams outlive Detach so messages bounced
-// off a departed node still draw deterministically.
-func (nw *Network) Attach(n *chord.Node, h Handler) {
-	nw.handlers[n.ID()] = h
-	if nw.par {
-		if _, ok := nw.rngs[n.ID()]; !ok {
-			nw.rngs[n.ID()] = sim.NewRNG(nw.Engine.Seed(), uint64(n.ID()), 0x0e7a)
-		}
+// newPeer creates the record of an identifier: its shard and lane, and
+// the streams that derive from (seed, identifier).
+func (nw *Network) newPeer(n id.ID) *peer {
+	p := &peer{shard: nw.Engine.ShardOf(uint64(n))}
+	p.l = &nw.lanes[p.shard+1]
+	if nw.Engine.Workers() > 0 {
+		p.rng = sim.NewRNG(nw.Engine.Seed(), uint64(n), 0x0e7a)
 	}
 	if nw.rel != nil {
-		nw.relNodeFor(n.ID()) // derive the fault stream in coordinator context
+		p.rel = nw.newRelNode(n)
 	}
+	nw.peers[n] = p
+	return p
 }
 
-// Detach removes a node's handler.
+// Attach registers the message handler for a node, creating its peer
+// record — and with it the node's private streams — or reviving the one
+// an earlier holder of the identifier left behind. A node without a
+// handler silently drops deliveries (tests rely on this for failure
+// injection).
+func (nw *Network) Attach(n *chord.Node, h Handler) { nw.peerFor(n.ID()).h = h }
+
+// Detach removes a node's handler. The rest of the record outlives it,
+// so messages bounced off a departed node still draw deterministically.
 func (nw *Network) Detach(n *chord.Node) {
-	delete(nw.handlers, n.ID())
+	if p, ok := nw.peers[n.ID()]; ok {
+		p.h = nil
+	}
 }
 
 // hopDelay draws one hop's delay: from the acting node's private stream
@@ -317,28 +354,34 @@ func (nw *Network) hopDelay(rng *sim.RNG) int64 {
 
 // chargePath charges one sent message to the origin and to every
 // intermediate router on the path (the final element of path is the
-// recipient, which receives rather than sends), and returns the total
-// virtual delay of the walk.
-func (nw *Network) chargePath(a actor, from *chord.Node, path []*chord.Node) int64 {
-	senders := 1 + len(path) - 1 // origin + intermediates
-	if len(path) == 0 {
-		senders = 0 // local delivery, no transmission
-	}
-	nw.addSent(a.l, int64(senders))
+// recipient, which receives rather than sends; an empty path is a local
+// delivery with no transmission), and returns the total virtual delay
+// of the walk.
+func (nw *Network) chargePath(p *peer, from *chord.Node, path []*chord.Node) int64 {
+	senders := int64(len(path)) // origin + intermediates
+	p.l.tot.MessagesSent += senders
 	if m := nw.obsM; m != nil {
-		m.HopCount.Observe(int64(len(path)))
-		nw.obsSent(a, int64(senders))
+		m.HopCount.Observe(senders)
+		nw.obsSent(p, senders)
 	}
 	var delay int64
 	if len(path) > 0 {
-		nw.charge(a.l, from.ID(), 1)
-		delay += nw.hopDelay(a.rng)
+		p.l.charge(from.ID(), 1)
+		delay += nw.hopDelay(p.rng)
 		for _, hop := range path[:len(path)-1] {
-			nw.charge(a.l, hop.ID(), 1)
-			delay += nw.hopDelay(a.rng)
+			p.l.charge(hop.ID(), 1)
+			delay += nw.hopDelay(p.rng)
 		}
 	}
 	return delay
+}
+
+// chargeHop charges one single-hop transmission to node, on behalf of
+// the acting peer.
+func (nw *Network) chargeHop(p *peer, node id.ID) {
+	p.l.charge(node, 1)
+	p.l.tot.MessagesSent++
+	nw.obsSent(p, 1)
 }
 
 // deliverEvent completes a delivery at its scheduled time. It is a
@@ -350,15 +393,15 @@ func (nw *Network) chargePath(a actor, from *chord.Node, path []*chord.Node) int
 func deliverEvent(now sim.Time, c sim.Ctx) {
 	nw := c.A.(*Network)
 	owner := c.B.(*chord.Node)
-	a := nw.actorFor(owner)
-	if h, ok := nw.handlers[owner.ID()]; ok && owner.Alive() {
-		nw.addDelivered(a.l, 1)
-		nw.obsM.IncNode(a.shard, int64(now), uint64(owner.ID()))
-		h.HandleMessage(now, c.C)
+	p := nw.peerFor(owner.ID())
+	if p.h != nil && owner.Alive() {
+		p.l.tot.Delivered++
+		nw.obsM.IncNode(p.shard, int64(now), uint64(owner.ID()))
+		p.h.HandleMessage(now, c.C)
 		return
 	}
 	if !owner.Alive() {
-		nw.bounce(a, c.C)
+		nw.bounce(p, c.C)
 	}
 }
 
@@ -369,10 +412,10 @@ func deliverEvent(now sim.Time, c sim.Ctx) {
 // repair) and takes one hop delay. If the new owner also dies before
 // delivery, the bounce repeats against fresh ground truth, so the
 // message survives any churn that leaves the ring non-empty. The
-// actor is the context the failure was discovered in (the dead
-// recipient's shard, or the sender's for an already-dead direct
+// acting peer is the context the failure was discovered in (the dead
+// recipient's record, or the sender's for an already-dead direct
 // target).
-func (nw *Network) bounce(a actor, msg Message) {
+func (nw *Network) bounce(p *peer, msg Message) {
 	if !nw.cfg.Bounce {
 		return
 	}
@@ -384,28 +427,25 @@ func (nw *Network) bounce(a actor, msg Message) {
 	if tgt == nil {
 		return // ring is empty; nothing can take the message
 	}
-	nw.addBounced(a.l, 1)
-	nw.addSent(a.l, 1)
-	nw.obsSent(a, 1)
-	nw.charge(a.l, tgt.ID(), 1)
+	p.l.tot.Bounced++
+	nw.chargeHop(p, tgt.ID())
 	if tr := nw.trace; tr != nil {
-		tr.Emit(a.shard, obs.Event{
+		tr.Emit(p.shard, obs.Event{
 			At: int64(nw.Engine.Now()), Kind: obs.KindBounce,
 			Node: uint64(tgt.ID()), Key: rk.RingKey().String(),
 		})
 	}
-	nw.deliver(a, tgt, nw.hopDelay(a.rng), msg)
+	nw.deliver(p, tgt, nw.hopDelay(p.rng), msg)
 }
 
+// shardOf resolves the shard a node's events are scheduled on.
+func (nw *Network) shardOf(n *chord.Node) int { return nw.Engine.ShardOf(uint64(n.ID())) }
+
 // deliver schedules the completion of one delivery. The event is bound
-// to the recipient's shard; the actor supplies the source shard the
-// barrier merge orders by.
-func (nw *Network) deliver(a actor, owner *chord.Node, delay int64, msg Message) {
-	dst := sim.NoShard
-	if nw.par {
-		dst = sim.ShardOfID(uint64(owner.ID()))
-	}
-	nw.Engine.AfterCtxShard(delay, deliverEvent, sim.Ctx{A: nw, B: owner, C: msg}, a.shard, dst)
+// to the recipient's shard; the acting peer supplies the source shard
+// the barrier merge orders by.
+func (nw *Network) deliver(p *peer, owner *chord.Node, delay int64, msg Message) {
+	nw.Engine.AfterCtxShard(delay, deliverEvent, sim.Ctx{A: nw, B: owner, C: msg}, p.shard, nw.shardOf(owner))
 }
 
 // deliverFrom is deliver with a known sender: in unreliable mode a
@@ -414,133 +454,35 @@ func (nw *Network) deliver(a actor, owner *chord.Node, delay int64, msg Message)
 // Transfer and ReplicateTo deliberately bypass this — their
 // instantaneous-handoff semantics model an already-acknowledged
 // primary-backup exchange.
-func (nw *Network) deliverFrom(a actor, from, owner *chord.Node, delay int64, msg Message) {
-	if nw.rel == nil || owner == from {
-		nw.deliver(a, owner, delay, msg)
+func (nw *Network) deliverFrom(p *peer, from, owner *chord.Node, delay int64, msg Message) {
+	if nw.Lossy() && owner != from {
+		nw.sendReliable(p, from, owner, delay, msg)
 		return
 	}
-	nw.sendReliable(a, from, owner, delay, msg)
+	nw.deliver(p, owner, delay, msg)
 }
 
-// charge attributes n sent messages to a node, in the lane's counters
-// when a lane is given, in the root counters otherwise.
-func (nw *Network) charge(l *lane, node id.ID, n int64) {
-	if l == nil {
-		nw.Traffic.Add(node, n)
-		if nw.tag != "" {
-			tl, ok := nw.tagged[nw.tag]
-			if !ok {
-				tl = metrics.NewLoad()
-				nw.tagged[nw.tag] = tl
-			}
-			tl.Add(node, n)
-		}
-		return
-	}
-	l.traffic.Add(node, n)
-	if l.tag != "" {
-		tl, ok := l.tagged[l.tag]
-		if !ok {
-			tl = metrics.NewLoad()
-			l.tagged[l.tag] = tl
-		}
-		tl.Add(node, n)
-	}
-}
-
-// obsSent records n sent messages against the acting context's traffic
-// tag in the metrics rate series (an empty tag maps to the "app" lane).
+// obsSent records n sent messages against the acting lane's traffic tag
+// in the metrics rate series (an empty tag maps to the "app" lane).
 // Window attribution uses the current virtual time, so the series is
 // schedule-independent. No-op when metrics are disabled.
-func (nw *Network) obsSent(a actor, n int64) {
+func (nw *Network) obsSent(p *peer, n int64) {
 	if nw.obsM == nil || n == 0 {
 		return
 	}
-	tag := nw.tag
-	if a.l != nil {
-		tag = a.l.tag
-	}
-	nw.obsM.IncTag(a.shard, int64(nw.Engine.Now()), tag, n)
-}
-
-func (nw *Network) addSent(l *lane, n int64) {
-	if l == nil {
-		nw.MessagesSent += n
-	} else {
-		l.messagesSent += n
-	}
-}
-
-func (nw *Network) addDelivered(l *lane, n int64) {
-	if l == nil {
-		nw.Delivered += n
-	} else {
-		l.delivered += n
-	}
-}
-
-func (nw *Network) addBounced(l *lane, n int64) {
-	if l == nil {
-		nw.Bounced += n
-	} else {
-		l.bounced += n
-	}
-}
-
-func (nw *Network) addFaultDropped(l *lane, n int64) {
-	if l == nil {
-		nw.Dropped += n
-	} else {
-		l.dropped += n
-	}
-}
-
-func (nw *Network) addDuplicated(l *lane, n int64) {
-	if l == nil {
-		nw.Duplicated += n
-	} else {
-		l.duplicated += n
-	}
-}
-
-func (nw *Network) addRetransmits(l *lane, n int64) {
-	if l == nil {
-		nw.Retransmits += n
-	} else {
-		l.retransmits += n
-	}
-}
-
-func (nw *Network) addAckMessages(l *lane, n int64) {
-	if l == nil {
-		nw.AckMessages += n
-	} else {
-		l.ackMessages += n
-	}
-}
-
-func (nw *Network) addAbandoned(l *lane, n int64) {
-	if l == nil {
-		nw.Abandoned += n
-	} else {
-		l.abandoned += n
-	}
+	nw.obsM.IncTag(p.shard, int64(nw.Engine.Now()), p.l.tag, n)
 }
 
 // WithTag runs fn with every message the given node sends inside it
 // additionally charged to the named traffic tag. The experiments use
 // the tag "ric" to report the Request-RIC share of total traffic
-// separately, as the figures do. The acting node names the lane the
-// tag scopes to; on a serial network it is ignored.
+// separately, as the figures do. The tag scopes to the acting node's
+// lane — on a serial network, where there is one lane, to every send.
 func (nw *Network) WithTag(n *chord.Node, tag string, fn func()) {
-	if !nw.par {
-		prev := nw.tag
-		nw.tag = tag
-		fn()
-		nw.tag = prev
-		return
-	}
-	l := &nw.lanes[sim.ShardOfID(uint64(n.ID()))]
+	withTag(nw.peerFor(n.ID()).l, tag, fn)
+}
+
+func withTag(l *lane, tag string, fn func()) {
 	prev := l.tag
 	l.tag = tag
 	fn()
@@ -553,10 +495,6 @@ func (nw *Network) WithTag(n *chord.Node, tag string, fn func()) {
 //
 //lint:allow shardsafe coordinator-context by contract: callers run between drains with no handlers in flight
 func (nw *Network) WithTagAll(tag string, fn func()) {
-	if !nw.par {
-		nw.WithTag(nil, tag, fn)
-		return
-	}
 	prevs := make([]string, len(nw.lanes))
 	for i := range nw.lanes {
 		prevs[i] = nw.lanes[i].tag
@@ -571,67 +509,49 @@ func (nw *Network) WithTagAll(tag string, fn func()) {
 // TaggedTraffic returns the per-node traffic charged under a tag (nil
 // Load semantics: an unused tag returns an empty counter).
 func (nw *Network) TaggedTraffic(tag string) *metrics.Load {
-	if l, ok := nw.tagged[tag]; ok {
+	if l, ok := nw.lanes[0].tagged[tag]; ok {
 		return l
 	}
 	return metrics.NewLoad()
 }
 
-// TagTotals returns the network-wide message count charged under each
-// traffic tag. It folds outstanding lane deltas first, so like Sync it
-// must only be called from coordinator context.
-func (nw *Network) TagTotals() map[string]int64 {
-	nw.Sync()
-	out := make(map[string]int64, len(nw.tagged))
-	for tag, l := range nw.tagged {
-		out[tag] = l.Total()
-	}
-	return out
-}
-
-// Sync folds every lane's accounting deltas into the public aggregate
-// counters. The core engine calls it after each drain; it is a no-op on
-// a serial network and must only run from coordinator context.
+// Sync folds every shard lane's accounting deltas into lane 0, the
+// public aggregate. The core engine calls it after each drain; a serial
+// network has no shard lanes, so there it does nothing. Coordinator
+// context only.
 func (nw *Network) Sync() {
-	for i := range nw.lanes {
-		l := &nw.lanes[i]
-		l.traffic.DrainInto(nw.Traffic)
+	agg := &nw.lanes[0]
+	for i := range nw.lanes[1:] {
+		l := &nw.lanes[1+i]
+		l.traffic.DrainInto(agg.traffic)
 		for tag, tl := range l.tagged {
-			dst, ok := nw.tagged[tag]
-			if !ok {
-				dst = metrics.NewLoad()
-				nw.tagged[tag] = dst
-			}
-			tl.DrainInto(dst)
+			tl.DrainInto(agg.tagLoad(tag))
 		}
-		nw.MessagesSent += l.messagesSent
-		nw.Delivered += l.delivered
-		nw.Bounced += l.bounced
-		nw.Dropped += l.dropped
-		nw.Duplicated += l.duplicated
-		nw.Retransmits += l.retransmits
-		nw.AckMessages += l.ackMessages
-		nw.Abandoned += l.abandoned
-		l.messagesSent, l.delivered, l.bounced = 0, 0, 0
-		l.dropped, l.duplicated, l.retransmits, l.ackMessages, l.abandoned = 0, 0, 0, 0, 0
+		agg.tot.add(l.tot)
+		*l.tot = totals{}
 	}
 }
 
-// RenameNode transfers a node's accumulated traffic accounting to a new
-// identifier (identifier movement keeps the physical node). Reliable
-// channels do not follow: they are keyed by ring identifier on both
-// ends, which is why the core engine refuses identifier movement on a
-// network with Faults.
+// RenameNode follows a physical node to a new identifier (identifier
+// movement: the caller has Detached the old ring handle and Attached the
+// new one). Its accumulated traffic accounting is re-filed under the new
+// identifier and its hop-delay stream moves to the new record — swapped
+// with the one Attach derived there, so the vacated position keeps a
+// live stream of its own for messages still bouncing off it. The
+// batching outbox does not travel: its flush event is addressed to the
+// old ring handle, so the caller flushes before the move (FlushNode).
+// Reliable channels do not follow either: they are keyed by ring
+// identifier on both ends, which is why the core engine refuses
+// identifier movement on a network with Faults.
 func (nw *Network) RenameNode(old, new id.ID) {
 	nw.Sync()
 	nw.Traffic.Rename(old, new)
-	for _, l := range nw.tagged {
+	for _, l := range nw.lanes[0].tagged {
 		l.Rename(old, new)
 	}
-	if nw.par {
-		if rng, ok := nw.rngs[old]; ok {
-			nw.rngs[new] = rng
-		}
+	if from, ok := nw.peers[old]; ok {
+		to := nw.peerFor(new)
+		to.rng, from.rng = from.rng, to.rng
 	}
 }
 
@@ -640,17 +560,10 @@ func (nw *Network) RenameNode(old, new id.ID) {
 func (nw *Network) ResetTraffic() {
 	nw.Sync()
 	nw.Traffic.Reset()
-	for _, l := range nw.tagged {
+	for _, l := range nw.lanes[0].tagged {
 		l.Reset()
 	}
-	nw.MessagesSent = 0
-	nw.Delivered = 0
-	nw.Bounced = 0
-	nw.Dropped = 0
-	nw.Duplicated = 0
-	nw.Retransmits = 0
-	nw.AckMessages = 0
-	nw.Abandoned = 0
+	nw.totals = totals{}
 }
 
 // Send routes msg from node "from" to Successor(key) through the DHT
@@ -659,86 +572,63 @@ func (nw *Network) ResetTraffic() {
 // owner is resolved at flush time); delivery is asynchronous either
 // way.
 func (nw *Network) Send(from *chord.Node, key id.ID, msg Message) *chord.Node {
-	a := nw.actorFor(from)
+	p := nw.peerFor(from.ID())
 	if nw.cfg.BatchWindow > 0 {
-		nw.enqueue(a, from, key, msg)
+		nw.enqueue(p, from, key, msg)
 		return nil
 	}
-	return nw.sendNow(a, from, key, msg)
+	return nw.sendNow(p, from, key, msg)
 }
 
 // sendNow performs an immediate routed delivery, bypassing batching.
-func (nw *Network) sendNow(a actor, from *chord.Node, key id.ID, msg Message) *chord.Node {
-	owner, delay := nw.route(a, from, key)
-	nw.deliverFrom(a, from, owner, delay, msg)
+func (nw *Network) sendNow(p *peer, from *chord.Node, key id.ID, msg Message) *chord.Node {
+	owner, delay := nw.route(p, from, key)
+	nw.deliverFrom(p, from, owner, delay, msg)
 	return owner
 }
 
-// route looks key up from node from and charges the walk, returning the
-// owner and the walk's total delay. The hop path lives in a scratch
-// buffer owned by the acting lane: chargePath reads it and keeps
-// nothing, so the next lookup may overwrite it.
-func (nw *Network) route(a actor, from *chord.Node, key id.ID) (*chord.Node, int64) {
-	scratch := &nw.path
-	if a.l != nil {
-		scratch = &a.l.path
-	}
-	owner, path := from.LookupAppend((*scratch)[:0], key)
-	*scratch = path
-	return owner, nw.chargePath(a, from, path)
-}
-
-// outboxFor returns the acting context's outbox map.
-func (nw *Network) outboxFor(a actor, node id.ID) *outbox {
-	boxes := nw.outboxes
-	if a.l != nil {
-		boxes = a.l.outboxes
-	}
-	ob, ok := boxes[node]
-	if !ok {
-		ob = &outbox{}
-		boxes[node] = ob
-	}
-	return ob
+// route looks key up from node from and charges the walk to the acting
+// peer, returning the owner and the walk's total delay. The hop path
+// lives in a scratch buffer owned by the acting lane: chargePath reads
+// it and keeps nothing, so the next lookup may overwrite it.
+func (nw *Network) route(p *peer, from *chord.Node, key id.ID) (*chord.Node, int64) {
+	owner, path := from.LookupAppend(p.l.path[:0], key)
+	p.l.path = path
+	return owner, nw.chargePath(p, from, path)
 }
 
 // enqueue buffers a keyed message in the sender's outbox and schedules
 // a flush at the end of the current batch window.
-func (nw *Network) enqueue(a actor, from *chord.Node, key id.ID, msg Message) {
-	ob := nw.outboxFor(a, from.ID())
+func (nw *Network) enqueue(p *peer, from *chord.Node, key id.ID, msg Message) {
+	ob := &p.ob
 	ob.msgs = append(ob.msgs, msg)
 	ob.keys = append(ob.keys, key)
 	if !ob.scheduled {
 		ob.scheduled = true
-		nw.Engine.AfterCtxShard(nw.cfg.BatchWindow, flushEvent, sim.Ctx{A: nw, B: from}, a.shard, a.shard)
+		nw.Engine.AfterCtxShard(nw.cfg.BatchWindow, flushEvent, sim.Ctx{A: nw, B: from}, p.shard, p.shard)
 	}
 }
 
 // flushEvent is the batch-window expiry callback; see deliverEvent for
 // why it is a package-level CtxFunc. It executes in the sending node's
 // shard.
-func flushEvent(_ sim.Time, c sim.Ctx) {
-	nw := c.A.(*Network)
-	from := c.B.(*chord.Node)
-	nw.flush(nw.actorFor(from), from)
-}
+func flushEvent(_ sim.Time, c sim.Ctx) { c.A.(*Network).FlushNode(c.B.(*chord.Node)) }
 
-// flush sends a node's buffered messages as one grouped multiSend.
-func (nw *Network) flush(a actor, from *chord.Node) {
-	boxes := nw.outboxes
-	if a.l != nil {
-		boxes = a.l.outboxes
-	}
-	ob, ok := boxes[from.ID()]
-	if !ok || len(ob.msgs) == 0 {
+// FlushNode sends a node's buffered messages now, as one grouped
+// multiSend — what the batch window's expiry does, and what a node about
+// to leave or change identifier does first, so batching cannot turn a
+// clean departure into message loss.
+func (nw *Network) FlushNode(from *chord.Node) {
+	p := nw.peerFor(from.ID())
+	if len(p.ob.msgs) == 0 {
 		return
 	}
-	msgs, keys := ob.msgs, ob.keys
-	ob.msgs, ob.keys, ob.scheduled = nil, nil, false
+	msgs, keys := p.ob.msgs, p.ob.keys
+	p.ob = outbox{}
 	if !from.Alive() {
 		return // sender failed before the window closed
 	}
-	nw.multiSendNow(a, from, msgs, keys)
+	nw.multiSendNow(p, from, msgs, keys)
 }
 
 // SendDirect delivers msg to a node whose address is already known, in a
@@ -746,20 +636,18 @@ func (nw *Network) flush(a actor, from *chord.Node) {
 // already left the network loses the message, unless bouncing is
 // enabled and the message carries a ring key to re-route by.
 func (nw *Network) SendDirect(from *chord.Node, to id.ID, msg Message) {
-	a := nw.actorFor(from)
+	p := nw.peerFor(from.ID())
 	owner := nw.Ring.Node(to)
 	if owner == nil {
-		nw.bounce(a, msg)
+		nw.bounce(p, msg)
 		return
 	}
 	var delay int64
 	if owner != from {
-		nw.charge(a.l, from.ID(), 1)
-		nw.addSent(a.l, 1)
-		nw.obsSent(a, 1)
-		delay = nw.hopDelay(a.rng)
+		nw.chargeHop(p, from.ID())
+		delay = nw.hopDelay(p.rng)
 	}
-	nw.deliverFrom(a, from, owner, delay, msg)
+	nw.deliverFrom(p, from, owner, delay, msg)
 }
 
 // Transfer delivers msg to a known alive recipient at the current
@@ -770,25 +658,21 @@ func (nw *Network) SendDirect(from *chord.Node, to id.ID, msg Message) {
 // regular (≥ one hop delay) message can observe the new owner before
 // its state has arrived. It reports whether the recipient accepted.
 func (nw *Network) Transfer(from *chord.Node, to id.ID, msg Message) bool {
-	a := nw.actorFor(from)
+	return nw.transfer(nw.peerFor(from.ID()), from, to, msg)
+}
+
+func (nw *Network) transfer(p *peer, from *chord.Node, to id.ID, msg Message) bool {
 	owner := nw.Ring.Node(to)
 	if owner == nil {
-		nw.bounce(a, msg)
+		nw.bounce(p, msg)
 		return false
 	}
 	if owner != from {
-		nw.charge(a.l, from.ID(), 1)
-		nw.addSent(a.l, 1)
-		nw.obsSent(a, 1)
+		nw.chargeHop(p, from.ID())
 	}
-	nw.deliver(a, owner, 0, msg)
+	nw.deliver(p, owner, 0, msg)
 	return true
 }
-
-// FlushNode immediately flushes a node's batched outbox. A node about
-// to leave gracefully empties its buffers first so batching cannot turn
-// a clean departure into message loss.
-func (nw *Network) FlushNode(from *chord.Node) { nw.flush(nw.actorFor(from), from) }
 
 // TagRepl is the traffic tag replica-update fan-out is charged under,
 // so the recovery experiment can report the durability overhead as its
@@ -808,23 +692,26 @@ func (nw *Network) ReplicateTo(from *chord.Node, targets []id.ID, mk func(target
 	if len(targets) == 0 {
 		return
 	}
+	p := nw.peerFor(from.ID())
 	if tr := nw.trace; tr != nil {
-		tr.Emit(nw.actorFor(from).shard, obs.Event{
+		tr.Emit(p.shard, obs.Event{
 			At: int64(nw.Engine.Now()), Kind: obs.KindReplFanout,
 			Node: uint64(from.ID()), Arg: int64(len(targets)),
 		})
 	}
-	nw.WithTag(from, TagRepl, func() {
+	withTag(p.l, TagRepl, func() {
 		for _, t := range targets {
-			nw.Transfer(from, t, mk(t))
+			nw.transfer(p, from, t, mk(t))
 		}
 	})
 }
 
-// MultiSend delivers msgs[j] to Successor(keys[j]) for every j. With
-// grouping disabled each delivery is an independent O(log N) lookup
-// (cost h*O(log N) as in Section 2); with grouping enabled deliveries
-// are chained along the ring so shared route prefixes are paid once.
+// MultiSend delivers msgs[j] to Successor(keys[j]) for every j (the
+// paper's multiSend(M, I); multiSend(msg, I) is the same call with one
+// message repeated). With grouping disabled each delivery is an
+// independent O(log N) lookup (cost h*O(log N) as in Section 2); with
+// grouping enabled deliveries are chained along the ring so shared route
+// prefixes are paid once.
 func (nw *Network) MultiSend(from *chord.Node, msgs []Message, keys []id.ID) {
 	if len(msgs) != len(keys) {
 		panic(fmt.Sprintf("overlay: MultiSend length mismatch %d vs %d", len(msgs), len(keys)))
@@ -832,14 +719,14 @@ func (nw *Network) MultiSend(from *chord.Node, msgs []Message, keys []id.ID) {
 	if len(msgs) == 0 {
 		return
 	}
-	a := nw.actorFor(from)
+	p := nw.peerFor(from.ID())
 	if nw.cfg.BatchWindow > 0 {
 		for j := range msgs {
-			nw.enqueue(a, from, keys[j], msgs[j])
+			nw.enqueue(p, from, keys[j], msgs[j])
 		}
 		return
 	}
-	nw.multiSendNow(a, from, msgs, keys)
+	nw.multiSendNow(p, from, msgs, keys)
 }
 
 // leg is one delivery of a grouped multiSend.
@@ -850,10 +737,10 @@ type leg struct {
 
 // multiSendNow performs the actual delivery for MultiSend and for batch
 // flushes.
-func (nw *Network) multiSendNow(a actor, from *chord.Node, msgs []Message, keys []id.ID) {
+func (nw *Network) multiSendNow(p *peer, from *chord.Node, msgs []Message, keys []id.ID) {
 	if !nw.cfg.GroupMultiSend || len(msgs) == 1 {
 		for j := range msgs {
-			nw.sendNow(a, from, keys[j], msgs[j])
+			nw.sendNow(p, from, keys[j], msgs[j])
 		}
 		return
 	}
@@ -861,11 +748,7 @@ func (nw *Network) multiSendNow(a actor, from *chord.Node, msgs []Message, keys 
 	// origin, each leg routed from the previous owner. The legs buffer
 	// is scratch owned by the acting lane; deliveries copy what they
 	// need before this function returns.
-	scratch := &nw.legs
-	if a.l != nil {
-		scratch = &a.l.legs
-	}
-	legs := (*scratch)[:0]
+	legs := p.l.legs[:0]
 	for j := range msgs {
 		legs = append(legs, leg{keys[j], msgs[j]})
 	}
@@ -875,27 +758,17 @@ func (nw *Network) multiSendNow(a actor, from *chord.Node, msgs []Message, keys 
 	cur := from
 	var accumulated int64
 	for _, lg := range legs {
-		owner, delay := nw.route(a, cur, lg.key)
+		owner, delay := nw.route(p, cur, lg.key)
 		accumulated += delay
 		// The reliable channel is end-to-end: the origin retains and
 		// retransmits, even for legs forwarded along the ring.
-		nw.deliverFrom(a, from, owner, accumulated, lg.msg)
+		nw.deliverFrom(p, from, owner, accumulated, lg.msg)
 		cur = owner
 	}
 	for j := range legs {
 		legs[j].msg = nil // drop payload references until next use
 	}
-	*scratch = legs[:0]
-}
-
-// Broadcast delivers one message to every key in keys (the paper's
-// multiSend(msg, I) form).
-func (nw *Network) Broadcast(from *chord.Node, keys []id.ID, msg Message) {
-	msgs := make([]Message, len(keys))
-	for i := range keys {
-		msgs[i] = msg
-	}
-	nw.MultiSend(from, msgs, keys)
+	p.l.legs = legs[:0]
 }
 
 // MaxDelta returns a safe upper bound Δ on end-to-end message delay:

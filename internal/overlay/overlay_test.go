@@ -292,19 +292,6 @@ func TestGroupedMultiSendCheaper(t *testing.T) {
 	}
 }
 
-func TestBroadcast(t *testing.T) {
-	f := newFixture(t, 64, DefaultConfig())
-	keys := []id.ID{id.HashKey("x"), id.HashKey("y")}
-	f.nw.Broadcast(f.nodes[0], keys, "all")
-	f.engine.Run()
-	for _, k := range keys {
-		owner := f.ring.Owner(k)
-		if len(f.received[owner.ID()]) == 0 {
-			t.Fatalf("broadcast missed owner of %v", k)
-		}
-	}
-}
-
 func TestDelaysBounded(t *testing.T) {
 	cfg := Config{MinHopDelay: 2, MaxHopDelay: 9, GroupMultiSend: true}
 	f := newFixture(t, 64, cfg)

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"rjoin/internal/relation"
 )
@@ -402,21 +401,13 @@ func (q *Query) Matches(t *relation.Tuple) bool {
 	return true
 }
 
-// rewritePool recycles rewrite-churned Query structs. A triggered
-// rewrite that completes into an answer or turns out contradictory
-// lives for a few microseconds; recycling the struct keeps the rewrite
-// hot path free of per-trigger header allocations. Only the struct is
-// pooled — slices are either shared with the parent (copy-on-write) or
-// freshly sized for the child.
-var rewritePool = sync.Pool{New: func() interface{} { return new(Query) }}
-
-// Release returns a rewritten query to the free list. Callers must
-// guarantee no reference to q escaped (e.g. a rewrite that was dropped
-// without being sent anywhere). Shared parent slices are unaffected.
-func Release(q *Query) {
-	*q = Query{}
-	rewritePool.Put(q)
-}
+// Release does nothing. It used to return a dropped rewrite to a free
+// list that Rewrite drew from, but since the RewriteComplete fast path
+// only contradictory, unplaceable and containment-intermediate rewrites
+// were ever released, which is none on the benchmark's workloads, so the
+// pool recycled nothing and is gone. The function stays only because the
+// frozen perfbench/layers.go calls it; delete it with that call.
+func Release(*Query) {}
 
 // RewriteComplete performs the final rewriting step for a query whose
 // FROM list holds exactly one remaining relation: substituting a
@@ -467,7 +458,7 @@ func Rewrite(q *Query, t *relation.Tuple) (*Query, bool) {
 		return nil, false
 	}
 	rel := t.Relation()
-	out := rewritePool.Get().(*Query)
+	out := new(Query)
 	*out = *q // scalars copied, slice headers shared
 	out.Depth = q.Depth + 1
 
@@ -492,7 +483,6 @@ func Rewrite(q *Query, t *relation.Tuple) (*Query, bool) {
 				if sc := sel[k]; !sc.IsConst && sc.Col.Rel == rel {
 					v, ok := t.Value(sc.Col.Attr)
 					if !ok {
-						Release(out)
 						return nil, false
 					}
 					sel[k].IsConst = true

@@ -49,6 +49,17 @@ const NoShard = -1
 // ShardOfID maps a 64-bit entity identifier to its logical shard.
 func ShardOfID(u uint64) int { return int(u % Shards) }
 
+// ShardOf maps an entity identifier to the shard this engine schedules
+// its events on: ShardOfID under SetWorkers, NoShard on a serial engine,
+// where every event lives on the one global heap. Layers above ask here
+// instead of branching on the engine's mode themselves.
+func (e *Engine) ShardOf(u uint64) int {
+	if e.par.workers == 0 {
+		return NoShard
+	}
+	return ShardOfID(u)
+}
+
 // ShardSlots sizes a per-execution-context accumulation array: one
 // slot per logical shard plus one for driver/global (NoShard) context.
 // Components that collect state from handler context without locks —

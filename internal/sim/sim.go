@@ -194,11 +194,6 @@ func (e *Engine) AtCtx(t Time, cb CtxFunc, c Ctx) {
 	e.schedule(t, event{cb: cb, ctx: c})
 }
 
-// AfterCtx schedules cb d ticks from now; see AtCtx.
-func (e *Engine) AfterCtx(d Duration, cb CtxFunc, c Ctx) {
-	e.AtCtx(e.now+Time(d), cb, c)
-}
-
 // AtCtxShard is AtCtx with shard routing for parallel mode: dst is the
 // logical shard whose worker must execute the event (the destination
 // node's shard), src is the logical shard of the acting node making the
