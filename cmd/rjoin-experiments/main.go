@@ -24,6 +24,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -35,7 +36,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "", "figure to regenerate (2-9, churn, agg, recovery, lossy or sharing); empty runs all")
+	fig := flag.String("fig", "", "figure to regenerate ("+experiments.FigureIDs()+"); empty runs all")
 	scale := flag.Float64("scale", 0.25, "workload scale in (0,1]: fraction of the paper's query/tuple counts")
 	nodes := flag.Int("nodes", 1000, "overlay size")
 	queries := flag.Int("queries", 20000, "continuous queries before scaling")
@@ -59,96 +60,63 @@ func main() {
 		}
 	}
 
-	runners := map[string]func(experiments.Params) []*metrics.Table{
-		"2":        experiments.Fig2,
-		"3":        experiments.Fig3,
-		"4":        experiments.Fig4,
-		"5":        experiments.Fig5,
-		"6":        experiments.Fig6,
-		"7":        experiments.Fig7,
-		"8":        experiments.Fig8,
-		"9":        experiments.Fig9,
-		"churn":    experiments.FigChurn,
-		"agg":      experiments.FigAgg,
-		"recovery": experiments.FigRecovery,
-		"lossy":    experiments.FigLossy,
-		"latency":  experiments.FigLatency,
-		"sharing":  experiments.FigSharing,
-		"explain":  experiments.FigExplain,
-	}
-
-	var figs []string
-	if *fig == "" {
-		// Figures 7 and 8 share one experiment run; the sentinel "7+8"
-		// computes both together. "churn", "agg", "recovery", "lossy",
-		// "latency", "sharing" and "explain" are this reproduction's
-		// own extensions: dynamic membership, in-network aggregation,
-		// durable state replication, reliable delivery over an
-		// unreliable network, the observability figure, multi-query
-		// sharing and per-query introspection.
-		figs = []string{"2", "3", "4", "5", "6", "7+8", "9", "churn", "agg", "recovery", "lossy", "latency", "sharing", "explain"}
-	} else {
-		if _, ok := runners[*fig]; !ok {
-			fmt.Fprintf(os.Stderr, "rjoin-experiments: unknown figure %q (want 2-9, churn, agg, recovery, lossy, latency, sharing or explain)\n", *fig)
-			os.Exit(2)
+	var figs []experiments.Figure
+	for _, f := range experiments.Figures {
+		if f.ID == *fig || *fig == "" && !f.Part {
+			figs = append(figs, f)
 		}
-		figs = []string{*fig}
+	}
+	if len(figs) == 0 {
+		fmt.Fprintf(os.Stderr, "rjoin-experiments: unknown figure %q (want one of %s)\n", *fig, experiments.FigureIDs())
+		os.Exit(2)
 	}
 
 	fmt.Printf("# RJoin experiments  nodes=%d queries=%d scale=%.2f seed=%d workers=%d\n\n",
 		p.Nodes, p.Queries, p.Scale, p.Seed, p.Workers)
 	for _, f := range figs {
 		start := time.Now()
-		if f == "7+8" {
-			f7, f8 := experiments.Fig7And8(p)
-			printTables(append(f7, f8...), start, *csvDir)
-			continue
-		}
-		if f == "latency" && (*traceFile != "" || *metricsFile != "") {
-			tabs, tr, om := experiments.FigLatencyObs(p)
+		if f.ID == "latency" && (*traceFile != "" || *metricsFile != "") {
+			tabs, rec := experiments.FigLatencyObs(p)
 			printTables(tabs, start, *csvDir)
-			if err := writeArtifacts(*traceFile, *metricsFile, tr, om); err != nil {
+			if err := writeArtifacts(*traceFile, *metricsFile, rec); err != nil {
 				fmt.Fprintf(os.Stderr, "rjoin-experiments: %v\n", err)
 				os.Exit(1)
 			}
 			continue
 		}
-		printTables(runners[f](p), start, *csvDir)
+		printTables(f.Run(p), start, *csvDir)
 	}
 }
 
 // writeArtifacts exports the latency figure's raw observability data:
 // the Chrome/Perfetto trace and the windowed rate-series CSV.
-func writeArtifacts(traceFile, metricsFile string, tr *obs.Tracer, om *obs.Metrics) error {
+func writeArtifacts(traceFile, metricsFile string, rec *obs.Recorder) error {
 	if traceFile != "" {
-		f, err := os.Create(traceFile)
-		if err != nil {
-			return err
-		}
-		if err := tr.WriteChromeTrace(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(traceFile, rec.Views().Trace.WriteChromeTrace); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s (open at https://ui.perfetto.dev)\n", traceFile)
 	}
 	if metricsFile != "" {
-		f, err := os.Create(metricsFile)
-		if err != nil {
-			return err
-		}
-		if err := om.WriteCSV(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(metricsFile, rec.Views().Metrics.WriteCSV); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s\n", metricsFile)
 	}
 	return nil
+}
+
+// writeFile creates the named file and fills it with write.
+func writeFile(name string, write func(io.Writer) error) error {
+	f, err := os.Create(name)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func printTables(tabs []*metrics.Table, start time.Time, csvDir string) {
@@ -167,15 +135,7 @@ func printTables(tabs []*metrics.Table, start time.Time, csvDir string) {
 
 // writeCSV stores one table as <dir>/<slug-of-title>.csv.
 func writeCSV(dir string, t *metrics.Table) error {
-	f, err := os.Create(filepath.Join(dir, slug(t.Title)+".csv"))
-	if err != nil {
-		return err
-	}
-	if err := t.WriteCSV(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return writeFile(filepath.Join(dir, slug(t.Title)+".csv"), t.WriteCSV)
 }
 
 // slug reduces a table title to a file-name-safe form: lower case,

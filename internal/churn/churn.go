@@ -71,9 +71,6 @@ type Config struct {
 	// (default 2). Joins are always allowed.
 	MinNodes int
 
-	// MaxNodes caps ring growth in rate mode; zero means unlimited.
-	MaxNodes int
-
 	// Seed drives the manager's private randomness (victim selection,
 	// identifier drawing, rate trials). Separate from the simulation
 	// seed so enabling churn does not perturb message-delay draws.
@@ -86,7 +83,7 @@ type Stats struct {
 	Leaves  int64
 	Crashes int64
 	// Skipped counts leave/crash draws suppressed by the MinNodes
-	// floor (or join draws suppressed by MaxNodes).
+	// floor (or join draws that found no free identifier).
 	Skipped int64
 }
 
@@ -191,10 +188,6 @@ func (m *Manager) step() {
 }
 
 func (m *Manager) tryJoin() {
-	if m.cfg.MaxNodes > 0 && m.eng.Ring().Size() >= m.cfg.MaxNodes {
-		m.Stats.Skipped++
-		return
-	}
 	if _, err := m.Join(); err != nil {
 		m.Stats.Skipped++
 	}

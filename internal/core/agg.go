@@ -7,7 +7,6 @@ import (
 	"rjoin/internal/agg"
 	"rjoin/internal/id"
 	"rjoin/internal/obs"
-	"rjoin/internal/obs/profile"
 	"rjoin/internal/query"
 	"rjoin/internal/relation"
 	"rjoin/internal/sim"
@@ -248,13 +247,10 @@ func (p *Proc) onAggPartial(now sim.Time, m *aggPartialMsg) {
 	}
 	p.qpl.Add(p.node.ID(), 1)
 	p.ctr.AggPartials++
-	if pf := p.eng.prof; pf != nil {
-		pf.Add(p.shard, m.QueryID, m.Key.String(), profile.AggPartials, 1)
-	}
-	if tr := p.eng.trace; tr != nil {
-		tr.Emit(p.shard, obs.Event{
-			At: int64(now), Kind: obs.KindAggPartial, Node: p.nid(),
-			Trace: m.QueryID, Key: m.Key.String(), Arg: m.Epoch,
+	if ob := p.eng.obs; ob != nil {
+		ob.Emit(p.shard, obs.Rec{
+			At: now, Kind: obs.KindAggPartial, Node: p.nid(),
+			QID: m.QueryID, Key: m.Key.String(), Arg: m.Epoch,
 		})
 	}
 	if p.st.aggFold(m.Key, m.QueryID, m.Owner, m.Epoch, m.Row, m.Lineage, m.PubAt) {

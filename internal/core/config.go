@@ -14,7 +14,6 @@ package core
 
 import (
 	"rjoin/internal/obs"
-	"rjoin/internal/obs/profile"
 	"rjoin/internal/relation"
 )
 
@@ -196,23 +195,14 @@ type Config struct {
 	// canonical sharing but leaves exact-duplicate sharing intact.
 	Catalog *relation.Catalog
 
-	// Trace, when non-nil, receives a causal trace event for every
-	// step of the tuple and query lifecycle (see internal/obs). Every
-	// hook is nil-guarded: a nil Trace costs nothing on the hot path
-	// and leaves all golden digests byte-identical.
-	Trace *obs.Tracer
-
-	// Metrics, when non-nil, receives latency/depth histogram
-	// observations and windowed per-node/per-query rate counts. Same
-	// nil-guard discipline as Trace.
-	Metrics *obs.Metrics
-
-	// Profile, when non-nil, receives per-(query, placement)
-	// attribution — arrivals, evals, stored copies, rewrite steps,
-	// candidate-table outcomes, state bytes, aggregation partials —
-	// merged at Sync barriers and read back by Engine.Explain. Same
-	// nil-guard discipline as Trace.
-	Profile *profile.Profiler
+	// Obs, when non-nil, receives one record per step of the tuple and
+	// query lifecycle (see internal/obs), from which the causal trace,
+	// the latency/depth histograms, the windowed rate series and the
+	// per-(query, placement) attribution behind Engine.Explain are all
+	// folded at Sync barriers. It must be the recorder the overlay was
+	// built with. Every hook is nil-guarded: a nil Obs costs nothing on
+	// the hot path and leaves all golden digests byte-identical.
+	Obs *obs.Recorder
 
 	// Provenance threads answer lineage through the rewrite pipeline:
 	// every rewrite step appends the consumed tuple's (publisher,

@@ -9,7 +9,6 @@ import (
 	"rjoin/internal/id"
 	"rjoin/internal/metrics"
 	"rjoin/internal/obs"
-	"rjoin/internal/obs/profile"
 	"rjoin/internal/overlay"
 	"rjoin/internal/query"
 	"rjoin/internal/relation"
@@ -179,16 +178,12 @@ type Engine struct {
 	reqCnt   int64
 	lossy    bool // unreliable network: senders retain messages, no pooling
 
-	// trace and obsM mirror Cfg.Trace/Cfg.Metrics for direct hot-path
-	// access. Both nil unless observability is enabled; every hook site
-	// nil-guards before building an event, so the disabled path costs
-	// one predictable branch and zero allocations.
-	trace *obs.Tracer
-	obsM  *obs.Metrics
-
-	// prof/prov mirror Cfg.Profile/Cfg.Provenance under the same
-	// discipline: nil/false disables every hook with one branch.
-	prof *profile.Profiler
+	// obs mirrors Cfg.Obs for direct hot-path access. Nil unless
+	// observability is enabled; every hook site nil-guards before
+	// building a record, so the disabled path costs one predictable
+	// branch and zero allocations. prov mirrors Cfg.Provenance under the
+	// same discipline.
+	obs  *obs.Recorder
 	prov bool
 
 	// Accounting slots, laid out like the overlay's lanes: slots[0]
@@ -237,9 +232,7 @@ func NewEngine(ring *chord.Ring, se *sim.Engine, net *overlay.Network, cfg Confi
 		e.delta = net.MaxDelta()
 	}
 	e.lossy = net.Lossy()
-	e.trace = cfg.Trace
-	e.obsM = cfg.Metrics
-	e.prof = cfg.Profile
+	e.obs = cfg.Obs
 	e.prov = cfg.Provenance
 	if se.Workers() > 0 {
 		e.par = true
@@ -334,10 +327,10 @@ func (e *Engine) SubmitQuery(owner *chord.Node, q *query.Query) (string, error) 
 	e.Counters.QueriesSubmitted++
 	qid := q.ID
 	e.addSub(q)
-	if tr := e.trace; tr != nil {
-		tr.Emit(sim.NoShard, obs.Event{
-			At: int64(e.sim.Now()), Kind: obs.KindSubmit,
-			Node: uint64(owner.ID()), Trace: qid, Arg: int64(len(q.Relations)),
+	if ob := e.obs; ob != nil {
+		ob.Emit(sim.NoShard, obs.Rec{
+			At: e.sim.Now(), Kind: obs.KindSubmit,
+			Node: uint64(owner.ID()), QID: qid, Arg: int64(len(q.Relations)),
 		})
 	}
 	// The sharing registry decides what actually gets indexed: the query
@@ -365,10 +358,10 @@ func (e *Engine) PublishTuple(publisher *chord.Node, t *relation.Tuple) {
 	t.PubTime = int64(e.sim.Now())
 	t.Publisher = uint64(publisher.ID())
 	e.Counters.TuplesPublished++
-	if tr := e.trace; tr != nil {
-		tr.Emit(sim.NoShard, obs.Event{
-			At: t.PubTime, Kind: obs.KindPublish, Node: uint64(publisher.ID()),
-			Trace: obs.PubTrace(uint64(publisher.ID()), t.PubSeq), Arg: t.PubSeq,
+	if ob := e.obs; ob != nil {
+		ob.Emit(sim.NoShard, obs.Rec{
+			At: e.sim.Now(), Kind: obs.KindPublish, Node: t.Publisher,
+			Pub: t.Publisher, PubSeq: t.PubSeq, Arg: t.PubSeq,
 		})
 	}
 
@@ -435,16 +428,13 @@ func (e *Engine) TotalAnswers() int64 {
 // has no shard slots and leaves early. Must be called from coordinator
 // context only.
 func (e *Engine) Sync() {
-	// Trace flushes belong to sync barriers: Sync runs from driver
-	// context only (no handlers executing), at virtual times that are a
-	// pure function of the driving program — identical for every worker
-	// count — so flush batches, and with them the canonicalized event
-	// order, line up bit-for-bit across serial and parallel runs.
-	e.trace.Flush()
-	// The profiler merges at the same barriers for the same reason: its
-	// per-shard sums are commutative, and draining them only at driver
-	// barriers keeps reports a pure function of the event timeline.
-	e.prof.Flush()
+	// The observability fold belongs to sync barriers: Sync runs from
+	// driver context only (no handlers executing), at virtual times that
+	// are a pure function of the driving program — identical for every
+	// worker count — so flush batches, and with them the canonicalized
+	// trace order, line up bit-for-bit across serial and parallel runs,
+	// and every report is a pure function of the event timeline.
+	e.obs.Flush()
 	if !e.par {
 		return // nothing to merge; every idle Run() comes through here
 	}
@@ -501,9 +491,8 @@ func (e *Engine) ResetMetrics() {
 	e.SL.Reset()
 	e.Counters = Counters{}
 	e.net.ResetTraffic()
-	e.obsM.Reset()
+	e.obs.Reset()
 	e.resetLatency()
-	e.prof.Reset()
 }
 
 // SweepALTT prunes expired ALTT entries on every node. Expiry is

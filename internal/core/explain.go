@@ -37,7 +37,7 @@ func (e *Engine) Explain(queryID string) (*profile.Report, error) {
 		Now:         int64(e.sim.Now()),
 		Pipeline:    queryID,
 		Subscribers: 1,
-		Profiled:    e.prof != nil,
+		Profiled:    e.obs.Views().Profile != nil,
 		Provenance:  e.prov,
 	}
 	// Sharing attribution: whose rewrite pipeline does this query's
@@ -72,7 +72,7 @@ func (e *Engine) Explain(queryID string) (*profile.Report, error) {
 			Level: c.Level.String(), Clause: i,
 		})
 	}
-	if pf := e.prof; pf != nil {
+	if pf := e.obs.Views().Profile; pf != nil {
 		for _, k := range pf.Keys(r.Pipeline) {
 			if !seen[k] {
 				r.Placements = append(r.Placements, profile.Placement{

@@ -32,12 +32,9 @@ func (e *Engine) sendHandover(from *chord.Node, to id.ID, ops []stateOp) {
 			ops = ops[n:]
 			e.Counters.HandoverMessages++
 			e.Counters.HandoverEntries += int64(n)
-			if tr := e.trace; tr != nil {
+			if ob := e.obs; ob != nil {
 				// Handover runs from churn-manager (coordinator) context.
-				tr.Emit(sim.NoShard, obs.Event{
-					At: int64(e.sim.Now()), Kind: obs.KindHandover,
-					Node: uint64(from.ID()), Arg: int64(n),
-				})
+				ob.Emit(sim.NoShard, obs.Rec{At: e.sim.Now(), Kind: obs.KindHandover, Node: uint64(from.ID()), Arg: int64(n)})
 			}
 			e.net.Transfer(from, to, m)
 		}

@@ -8,7 +8,6 @@ import (
 	"rjoin/internal/id"
 	"rjoin/internal/metrics"
 	"rjoin/internal/obs"
-	"rjoin/internal/obs/profile"
 	"rjoin/internal/overlay"
 	"rjoin/internal/query"
 	"rjoin/internal/relation"
@@ -250,19 +249,14 @@ func (p *Proc) reroute(key relation.Key, hops *uint8, m overlay.Message) bool {
 // nid is the node's 64-bit identity as trace events carry it.
 func (p *Proc) nid() uint64 { return uint64(p.node.ID()) }
 
-// profTrigger attributes one trigger outcome — a rewrite step or a
-// chain completion — to the (pipeline query, placement key) that
-// performed it. Nil-guarded like every observability hook.
-func (p *Proc) profTrigger(sq *storedQuery, complete bool) {
-	pf := p.eng.prof
-	if pf == nil {
-		return
+// profTrigger attributes one trigger outcome — a rewrite step, or a
+// chain completion when the rewrite it produced has no relations left
+// to join — to the (pipeline query, placement key) that performed it.
+// Nil-guarded like every observability hook.
+func (p *Proc) profTrigger(now sim.Time, sq *storedQuery, left int) {
+	if ob := p.eng.obs; ob != nil {
+		ob.Emit(p.shard, obs.Rec{At: now, Kind: obs.KindTrigger, QID: sq.q.ID, Key: sq.key.String(), Arg: int64(left)})
 	}
-	m := profile.Rewrites
-	if complete {
-		m = profile.Completions
-	}
-	pf.Add(p.shard, sq.q.ID, sq.key.String(), m, 1)
 }
 
 // stateSizeOf estimates the retained bytes of one stored query copy:
@@ -281,13 +275,9 @@ func stateSizeOf(q *query.Query) int64 {
 // profStateDrop debits a removed stored query's estimated footprint
 // from its placement counter and the query's state-footprint series.
 func (p *Proc) profStateDrop(now sim.Time, sq *storedQuery) {
-	pf := p.eng.prof
-	if pf == nil {
-		return
+	if ob := p.eng.obs; ob != nil {
+		ob.Emit(p.shard, obs.Rec{At: now, Kind: obs.KindStateDrop, QID: sq.q.ID, Key: sq.key.String(), N: -stateSizeOf(sq.q)})
 	}
-	sz := stateSizeOf(sq.q)
-	pf.Add(p.shard, sq.q.ID, sq.key.String(), profile.StateBytes, -sz)
-	pf.State(p.shard, int64(now), sq.q.ID, -sz)
 }
 
 // rate returns the node's current RIC estimate for a key.
@@ -322,17 +312,11 @@ func (p *Proc) onTuple(now sim.Time, m *tupleMsg) {
 	p.st.recordArrival(m.Key, now, p.eng.Cfg.RICWindow)
 	p.qpl.Add(p.node.ID(), 1)
 	p.ctr.TuplesReceived++
-	if pf := p.eng.prof; pf != nil {
-		// Arrival counts are a property of the key, not of any one
-		// query: profiled under the empty query ID, joined to each
-		// query's placements by key at Explain time.
-		pf.Add(p.shard, "", m.Key.String(), profile.Arrivals, 1)
-	}
-	if tr := p.eng.trace; tr != nil {
-		tr.Emit(p.shard, obs.Event{
-			At: int64(now), Kind: obs.KindTupleArrive, Node: p.nid(),
-			Trace: obs.PubTrace(uint64(m.Publisher), m.T.PubSeq),
-			Key:   m.Key.String(), Arg: int64(m.Level),
+	if ob := p.eng.obs; ob != nil {
+		ob.Emit(p.shard, obs.Rec{
+			At: now, Kind: obs.KindTupleArrive, Node: p.nid(),
+			Pub: uint64(m.Publisher), PubSeq: m.T.PubSeq,
+			Key: m.Key.String(), Arg: int64(m.Level),
 		})
 	}
 
@@ -354,21 +338,21 @@ func (p *Proc) onTuple(now sim.Time, m *tupleMsg) {
 
 	if m.Level == query.ValueLevel {
 		p.storeTuple(now, m.Key, m.T)
-		if tr := p.eng.trace; tr != nil {
-			tr.Emit(p.shard, obs.Event{
-				At: int64(now), Kind: obs.KindTupleStore, Node: p.nid(),
-				Trace: obs.PubTrace(uint64(m.Publisher), m.T.PubSeq),
-				Key:   m.Key.String(),
+		if ob := p.eng.obs; ob != nil {
+			ob.Emit(p.shard, obs.Rec{
+				At: now, Kind: obs.KindTupleStore, Node: p.nid(),
+				Pub: uint64(m.Publisher), PubSeq: m.T.PubSeq,
+				Key: m.Key.String(),
 			})
 		}
 	} else if p.eng.delta >= 0 {
 		p.st.addALTT(m.Key, alttEntry{t: m.T, expireAt: now + sim.Time(p.eng.delta)})
 		p.ctr.ALTTStored++
-		if tr := p.eng.trace; tr != nil {
-			tr.Emit(p.shard, obs.Event{
-				At: int64(now), Kind: obs.KindALTTStore, Node: p.nid(),
-				Trace: obs.PubTrace(uint64(m.Publisher), m.T.PubSeq),
-				Key:   m.Key.String(), Arg: int64(p.eng.delta),
+		if ob := p.eng.obs; ob != nil {
+			ob.Emit(p.shard, obs.Rec{
+				At: now, Kind: obs.KindALTTStore, Node: p.nid(),
+				Pub: uint64(m.Publisher), PubSeq: m.T.PubSeq,
+				Key: m.Key.String(), Arg: int64(p.eng.delta),
 			})
 		}
 	}
@@ -411,7 +395,7 @@ func (p *Proc) trigger(now sim.Time, sq *storedQuery, t *relation.Tuple, stored 
 			return
 		}
 		p.consume(sq, t)
-		p.profTrigger(sq, true)
+		p.profTrigger(now, sq, 0)
 		p.countRewrite(q.Depth + 1)
 		p.complete(now, q, sq.agg, q.Depth+1, completion{
 			vals: vals, clock: max(clock, q.AggClock), minPub: min(t.PubTime, q.MinPub),
@@ -434,7 +418,7 @@ func (p *Proc) trigger(now sim.Time, sq *storedQuery, t *relation.Tuple, stored 
 	q2.MinPub = min(q2.MinPub, t.PubTime)
 	q2.Lineage = p.lineage(q, t)
 	p.consume(sq, t)
-	p.profTrigger(sq, q2.IsComplete())
+	p.profTrigger(now, sq, len(q2.Relations))
 	p.dispatch(now, q2, t.PubTime)
 }
 
@@ -468,14 +452,8 @@ type completion struct {
 // when both reach a node on the same tick (they fire in engine-dependent
 // order, but exactly one fires either way).
 func (p *Proc) complete(now sim.Time, q *query.Query, isAgg bool, depth int, c completion) {
-	if om := p.eng.obsM; om != nil {
-		om.RewriteDepth.Observe(int64(depth))
-	}
-	if tr := p.eng.trace; tr != nil {
-		tr.Emit(p.shard, obs.Event{
-			At: int64(now), Kind: obs.KindComplete, Node: p.nid(),
-			Trace: q.ID, Arg: int64(depth),
-		})
+	if ob := p.eng.obs; ob != nil {
+		ob.Emit(p.shard, obs.Rec{At: now, Kind: obs.KindComplete, Node: p.nid(), QID: q.ID, Arg: int64(depth)})
 	}
 	if fo := p.eng.fanoutOf(q.ID); fo != nil {
 		p.fanoutComplete(now, fo, c)
@@ -553,14 +531,11 @@ func (p *Proc) onEval(now sim.Time, m *evalMsg) {
 	if p.eng.retiredPipeline(m.Q.ID) {
 		return // torn-down shared pipeline: never re-index stragglers
 	}
-	if tr := p.eng.trace; tr != nil {
-		tr.Emit(p.shard, obs.Event{
-			At: int64(now), Kind: obs.KindEval, Node: p.nid(),
-			Trace: m.Q.ID, Key: m.Key.String(), Arg: int64(m.Q.Depth),
+	if ob := p.eng.obs; ob != nil {
+		ob.Emit(p.shard, obs.Rec{
+			At: now, Kind: obs.KindEval, Node: p.nid(),
+			QID: m.Q.ID, Key: m.Key.String(), Arg: int64(m.Q.Depth),
 		})
-	}
-	if pf := p.eng.prof; pf != nil {
-		pf.Add(p.shard, m.Q.ID, m.Key.String(), profile.Evals, 1)
 	}
 	sq := &storedQuery{q: m.Q, key: m.Key, level: m.Level, agg: m.Q.IsAggregate()}
 	if m.Q.OneTime {
@@ -572,11 +547,8 @@ func (p *Proc) onEval(now sim.Time, m *evalMsg) {
 		}
 	} else {
 		p.st.addQuery(sq)
-		if pf := p.eng.prof; pf != nil {
-			sz := stateSizeOf(m.Q)
-			pf.Add(p.shard, m.Q.ID, m.Key.String(), profile.StoredQueries, 1)
-			pf.Add(p.shard, m.Q.ID, m.Key.String(), profile.StateBytes, sz)
-			pf.State(p.shard, int64(now), m.Q.ID, sz)
+		if ob := p.eng.obs; ob != nil {
+			ob.Emit(p.shard, obs.Rec{At: now, Kind: obs.KindStateStore, QID: m.Q.ID, Key: m.Key.String(), N: stateSizeOf(m.Q)})
 		}
 		if m.Q.Depth > 0 {
 			p.qpl.Add(p.node.ID(), 1)
@@ -684,11 +656,8 @@ func (p *Proc) dispatch(now sim.Time, q2 *query.Query, pubAt int64) {
 		})
 		return
 	}
-	if tr := p.eng.trace; tr != nil {
-		tr.Emit(p.shard, obs.Event{
-			At: int64(now), Kind: obs.KindRewrite, Node: p.nid(),
-			Trace: q2.ID, Arg: int64(q2.Depth),
-		})
+	if ob := p.eng.obs; ob != nil {
+		ob.Emit(p.shard, obs.Rec{At: now, Kind: obs.KindRewrite, Node: p.nid(), QID: q2.ID, Arg: int64(q2.Depth)})
 	}
 	if q2.Contradictory() {
 		p.ctr.ContradictoryDropped++
@@ -750,30 +719,18 @@ func (p *Proc) place(now sim.Time, q *query.Query) {
 func (p *Proc) placeRIC(now sim.Time, q *query.Query, cands []query.Candidate) {
 	var known []ricInfo
 	var unknown []relation.Key
-	tr := p.eng.trace
+	ob := p.eng.obs
 	for _, c := range cands {
 		if p.eng.Cfg.UseCT {
 			if e, ok := p.st.ct.fresh(c.Key, now, p.eng.Cfg.CTValidity); ok {
 				known = append(known, ricInfo{Key: c.Key, Rate: e.Rate, Addr: e.Addr, At: e.At})
-				if pf := p.eng.prof; pf != nil {
-					pf.Add(p.shard, q.ID, c.Key.String(), profile.CTHits, 1)
-				}
-				if tr != nil {
-					tr.Emit(p.shard, obs.Event{
-						At: int64(now), Kind: obs.KindCTHit, Node: p.nid(),
-						Trace: q.ID, Key: c.Key.String(),
-					})
+				if ob != nil {
+					ob.Emit(p.shard, obs.Rec{At: now, Kind: obs.KindCTHit, Node: p.nid(), QID: q.ID, Key: c.Key.String()})
 				}
 				continue
 			}
-			if pf := p.eng.prof; pf != nil {
-				pf.Add(p.shard, q.ID, c.Key.String(), profile.CTMisses, 1)
-			}
-			if tr != nil {
-				tr.Emit(p.shard, obs.Event{
-					At: int64(now), Kind: obs.KindCTMiss, Node: p.nid(),
-					Trace: q.ID, Key: c.Key.String(),
-				})
+			if ob != nil {
+				ob.Emit(p.shard, obs.Rec{At: now, Kind: obs.KindCTMiss, Node: p.nid(), QID: q.ID, Key: c.Key.String()})
 			}
 		}
 		unknown = append(unknown, c.Key)
@@ -791,14 +748,14 @@ func (p *Proc) placeRIC(now sim.Time, q *query.Query, cands []query.Candidate) {
 	reqID := p.nextReqID()
 	p.st.addPending(reqID, &pendingPlacement{q: q, cands: cands, known: known})
 	p.ctr.RICRequests++
-	if tr != nil {
+	if ob != nil {
 		// The walk visits the unknown candidates in ring order; the
-		// event carries how many keys it must resolve. The request ID
+		// record carries how many keys it must resolve. The request ID
 		// itself is deliberately absent: request numbering differs
 		// between the serial and parallel engines.
-		tr.Emit(p.shard, obs.Event{
-			At: int64(now), Kind: obs.KindRICWalk, Node: p.nid(),
-			Trace: q.ID, Key: unknown[0].String(), Arg: int64(len(unknown)),
+		ob.Emit(p.shard, obs.Rec{
+			At: now, Kind: obs.KindRICWalk, Node: p.nid(),
+			QID: q.ID, Key: unknown[0].String(), Arg: int64(len(unknown)),
 		})
 	}
 	req := &ricRequestMsg{Origin: p.node.ID(), ReqID: reqID, Pending: unknown}

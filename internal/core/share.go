@@ -16,7 +16,7 @@ import (
 	"math"
 
 	"rjoin/internal/id"
-	"rjoin/internal/obs/profile"
+	"rjoin/internal/obs"
 	"rjoin/internal/query"
 	"rjoin/internal/relation"
 	"rjoin/internal/share"
@@ -257,8 +257,8 @@ func (p *Proc) fanoutComplete(now sim.Time, fo *share.Fanout, c completion) {
 			row.vals = s.Res.Project(c.vals)
 		}
 		p.ctr.SharedFanoutRows++
-		if pf := p.eng.prof; pf != nil {
-			pf.Add(p.shard, s.QID, "", profile.FanoutRows, 1)
+		if ob := p.eng.obs; ob != nil {
+			ob.Emit(p.shard, obs.Rec{At: now, Kind: obs.KindFanoutRow, QID: s.QID})
 		}
 		p.emitTo(now, s.QID, id.ID(s.Owner), p.eng.aggSpec(s.QID), row)
 	}

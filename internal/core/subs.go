@@ -70,13 +70,13 @@ type subscription struct {
 	seen  map[string]bool       // DISTINCT: canonical rows already delivered
 	view  map[viewKey]viewEntry // aggregate view
 	local map[string]*aggGroup  // SubscriberSideAgg: groups folded here, by group key
-	lat   *obs.Histogram        // answer latency; nil unless Config.Metrics
+	lat   *obs.Histogram        // answer latency; nil unless Config.Obs has metrics
 }
 
 // addSub opens the record of a freshly stamped query.
 func (e *Engine) addSub(q *query.Query) {
 	s := &subscription{q: q, spec: agg.SpecOf(q)}
-	if e.obsM != nil {
+	if e.obs.Views().Metrics != nil {
 		s.lat = &obs.Histogram{}
 	}
 	if s.spec != nil {
@@ -129,19 +129,15 @@ func (e *Engine) open(qid string) *subscription {
 	return s
 }
 
-// observe is the second half: the delivery's latency into the global and
-// the per-query histogram, its tick into the query's rate series, and
-// its trace event — ev carries Kind, Key and Arg, the rest is filled in
-// here. p is the owner's processor.
-func (e *Engine) observe(now sim.Time, p *Proc, s *subscription, lat int64, ev obs.Event) {
-	if om := e.obsM; om != nil {
-		om.AnswerLatency.Observe(lat)
-		s.lat.Observe(lat)
-		om.IncQuery(p.shard, int64(now), s.q.ID)
-	}
-	if tr := e.trace; tr != nil {
-		ev.At, ev.Node, ev.Trace = int64(now), p.nid(), s.q.ID
-		tr.Emit(p.shard, ev)
+// observe is the second half: the delivery's latency into the per-query
+// histogram (under the record's lock, which the caller holds) and the
+// delivery's record — the global latency histogram, the query's rate
+// series and the trace event all derive from it. p is the owner's
+// processor.
+func (e *Engine) observe(now sim.Time, p *Proc, s *subscription, lat int64, kind obs.Kind, key string, arg int64) {
+	s.lat.Observe(lat)
+	if ob := e.obs; ob != nil {
+		ob.Emit(p.shard, obs.Rec{At: now, Kind: kind, Node: p.nid(), QID: s.q.ID, Key: key, Arg: arg, N: lat})
 	}
 }
 
@@ -169,7 +165,7 @@ func (e *Engine) recordAnswer(now sim.Time, m *answerMsg, p *Proc) {
 	p.ctr.AnswersDelivered++
 	s.rows = append(s.rows, Answer{Query: m.QueryID, Row: m.Values, At: int64(now), Lineage: m.Lineage})
 	lat := int64(now) - m.PubAt
-	e.observe(now, p, s, lat, obs.Event{Kind: obs.KindAnswer, Arg: lat})
+	e.observe(now, p, s, lat, obs.KindAnswer, "", lat)
 }
 
 // rowKey canonicalizes a row for the DISTINCT filter using the shared
@@ -198,7 +194,7 @@ func (e *Engine) recordAggUpdate(now sim.Time, m *aggUpdateMsg, p *Proc) {
 	}
 	defer s.mu.Unlock()
 	p.ctr.AggUpdates++
-	e.observe(now, p, s, int64(now)-m.PubAt, obs.Event{Kind: obs.KindAggUpdate, Key: m.Group, Arg: m.Epoch})
+	e.observe(now, p, s, int64(now)-m.PubAt, obs.KindAggUpdate, m.Group, m.Epoch)
 	if s.view == nil {
 		s.view = make(map[viewKey]viewEntry)
 	}
@@ -224,7 +220,7 @@ func (e *Engine) recordAggRow(now sim.Time, m *aggRowMsg, p *Proc) {
 		return
 	}
 	p.ctr.AggPartials++
-	e.observe(now, p, s, int64(now)-m.PubAt, obs.Event{Kind: obs.KindAggPartial, Arg: m.Epoch})
+	e.observe(now, p, s, int64(now)-m.PubAt, obs.KindAggRow, "", m.Epoch)
 	if s.local == nil {
 		s.local = make(map[string]*aggGroup)
 	}

@@ -36,10 +36,12 @@ func subsEngine(t *testing.T, seed int64, workers int, sharing bool, metrics boo
 	cfg.ShareExact = true
 	cfg.ShareQueries = sharing
 	cfg.Catalog = testCat
+	netCfg := overlay.DefaultConfig()
 	if metrics {
-		cfg.Metrics = obs.NewMetrics(0)
+		cfg.Obs = obs.NewRecorder(obs.Views{Metrics: obs.NewMetrics(0)})
+		netCfg.Obs = cfg.Obs
 	}
-	return lossyNet(t, 24, seed, workers, cfg, overlay.DefaultConfig())
+	return lossyNet(t, 24, seed, workers, cfg, netCfg)
 }
 
 // checkSubscription compares one live subscription with the reference

@@ -14,6 +14,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"rjoin/internal/chord"
 	"rjoin/internal/core"
@@ -480,24 +481,65 @@ func Fig9(p Params) []*metrics.Table {
 	return []*metrics.Table{qpl, sl}
 }
 
-// All runs every figure and returns the tables keyed by figure id, in
-// paper order. The churn ("churn") and recovery ("recovery") figures
-// are this reproduction's own extensions: the paper measures a stable
-// overlay only.
-func All(p Params) map[string][]*metrics.Table {
-	f7, f8 := Fig7And8(p)
-	return map[string][]*metrics.Table{
-		"2":        Fig2(p),
-		"3":        Fig3(p),
-		"4":        Fig4(p),
-		"5":        Fig5(p),
-		"6":        Fig6(p),
-		"7":        f7,
-		"8":        f8,
-		"9":        Fig9(p),
-		"churn":    FigChurn(p),
-		"recovery": FigRecovery(p),
-		"lossy":    FigLossy(p),
-		"sharing":  FigSharing(p),
+// Figure is one entry of the figure table.
+type Figure struct {
+	// ID is the name -fig selects the figure by.
+	ID string
+	// Run regenerates it.
+	Run func(Params) []*metrics.Table
+	// Part marks a figure the full run leaves out because an earlier
+	// entry computes it together with its sibling: Figures 7 and 8 share
+	// one experiment, "7+8".
+	Part bool
+}
+
+// Figures is every figure, in paper order — the one table behind the
+// harness's dispatch, its help and error texts, and All. "churn",
+// "agg", "recovery", "lossy", "latency", "sharing" and "explain" are
+// this reproduction's own extensions (the paper measures a stable
+// overlay only): dynamic membership, in-network aggregation, durable
+// state replication, reliable delivery over an unreliable network, the
+// observability figure, multi-query sharing and per-query
+// introspection.
+var Figures = []Figure{
+	{ID: "2", Run: Fig2},
+	{ID: "3", Run: Fig3},
+	{ID: "4", Run: Fig4},
+	{ID: "5", Run: Fig5},
+	{ID: "6", Run: Fig6},
+	{ID: "7+8", Run: func(p Params) []*metrics.Table {
+		f7, f8 := Fig7And8(p)
+		return append(f7, f8...)
+	}},
+	{ID: "7", Run: Fig7, Part: true},
+	{ID: "8", Run: Fig8, Part: true},
+	{ID: "9", Run: Fig9},
+	{ID: "churn", Run: FigChurn},
+	{ID: "agg", Run: FigAgg},
+	{ID: "recovery", Run: FigRecovery},
+	{ID: "lossy", Run: FigLossy},
+	{ID: "latency", Run: FigLatency},
+	{ID: "sharing", Run: FigSharing},
+	{ID: "explain", Run: FigExplain},
+}
+
+// FigureIDs lists the table's identifiers for help and error texts.
+func FigureIDs() string {
+	ids := make([]string, len(Figures))
+	for i, f := range Figures {
+		ids[i] = f.ID
 	}
+	return strings.Join(ids, ", ")
+}
+
+// All runs the full set — every figure that is not part of another —
+// and returns the tables keyed by figure id.
+func All(p Params) map[string][]*metrics.Table {
+	all := make(map[string][]*metrics.Table, len(Figures))
+	for _, f := range Figures {
+		if !f.Part {
+			all[f.ID] = f.Run(p)
+		}
+	}
+	return all
 }

@@ -250,7 +250,8 @@ func TestFigLossyShapes(t *testing.T) {
 // include the untagged application traffic.
 func TestFigLatencyShapes(t *testing.T) {
 	p := tiny()
-	tabs, tr, om := FigLatencyObs(p)
+	tabs, rec := FigLatencyObs(p)
+	tr, om := rec.Views().Trace, rec.Views().Metrics
 	if len(tabs) != 4 {
 		t.Fatalf("FigLatencyObs returned %d tables", len(tabs))
 	}
@@ -315,14 +316,20 @@ func TestAllRunsEveryFigure(t *testing.T) {
 	p := tiny()
 	p.Queries = 500
 	all := All(p)
-	for _, figID := range []string{"2", "3", "4", "5", "6", "7", "8", "9", "churn", "recovery", "lossy"} {
-		tabs, ok := all[figID]
-		if !ok || len(tabs) == 0 {
-			t.Fatalf("figure %s missing", figID)
+	for _, f := range Figures {
+		tabs := all[f.ID]
+		if f.Part {
+			if tabs != nil {
+				t.Fatalf("All ran figure %s, which another entry already computes", f.ID)
+			}
+			tabs = f.Run(p)
+		}
+		if len(tabs) == 0 {
+			t.Fatalf("figure %s missing", f.ID)
 		}
 		for _, tab := range tabs {
 			if !strings.Contains(tab.Title, "Fig") {
-				t.Fatalf("untitled table in figure %s", figID)
+				t.Fatalf("untitled table in figure %s", f.ID)
 			}
 			if len(tab.Rows) == 0 {
 				t.Fatalf("empty table %q", tab.Title)

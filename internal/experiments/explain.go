@@ -6,7 +6,9 @@ import (
 
 	"rjoin/internal/core"
 	"rjoin/internal/metrics"
+	"rjoin/internal/obs"
 	"rjoin/internal/obs/profile"
+	"rjoin/internal/overlay"
 	"rjoin/internal/query"
 	"rjoin/internal/workload"
 )
@@ -25,16 +27,18 @@ import (
 // rate, live state bytes, and the provenance cost per delivered answer
 // (lineage steps = base tuples joined + rewrite hops taken).
 func FigExplain(p Params) []*metrics.Table {
-	prof := profile.New(0)
+	rec := obs.NewRecorder(obs.Views{Profile: profile.New(0)})
 	cfg := core.DefaultConfig()
-	cfg.Profile = prof
+	cfg.Obs = rec
 	cfg.Provenance = true
+	netCfg := overlay.DefaultConfig()
+	netCfg.Obs = rec
 
 	wcfg := workload.PaperConfig()
 	wcfg.JoinArity = 2
 	wcfg.Values = 20 // small domain: value-level keys repeat, answers flow
 
-	r := newRun(p, cfg, wcfg)
+	r := newRunNet(p, cfg, wcfg, netCfg)
 	r.warmup(p.scaled(400))
 	var qids []string
 	for i := 0; i < p.scaled(p.Queries); i++ {

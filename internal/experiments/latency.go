@@ -24,27 +24,26 @@ import (
 // aggregation figure does) so the answer stream is thick enough for the
 // latency histogram to have a real tail at test scales.
 func FigLatency(p Params) []*metrics.Table {
-	tabs, _, _ := FigLatencyObs(p)
+	tabs, _ := FigLatencyObs(p)
 	return tabs
 }
 
-// FigLatencyObs is FigLatency returning the live observability objects
-// too, so the harness can export the raw artifacts behind the tables —
-// the Chrome/Perfetto trace and the full rate-series CSV.
-func FigLatencyObs(p Params) ([]*metrics.Table, *obs.Tracer, *obs.Metrics) {
+// FigLatencyObs is FigLatency returning the live recorder too, so the
+// harness can export the raw artifacts behind the tables — the
+// Chrome/Perfetto trace and the full rate-series CSV.
+func FigLatencyObs(p Params) ([]*metrics.Table, *obs.Recorder) {
 	om := obs.NewMetrics(0)
-	tr := obs.NewTracer(1 << 22)
+	rec := obs.NewRecorder(obs.Views{Trace: obs.NewTracer(1 << 22), Metrics: om})
 	cfg := core.DefaultConfig()
-	cfg.Trace, cfg.Metrics = tr, om
+	cfg.Obs = rec
 	netCfg := overlay.DefaultConfig()
-	netCfg.Trace, netCfg.Metrics = tr, om
+	netCfg.Obs = rec
 
 	wcfg := workload.PaperConfig()
 	wcfg.JoinArity = 2
 	wcfg.Values = 20
 
 	r := newRunNet(p, cfg, wcfg, netCfg)
-	om.Start(r.eng.Sim())
 	r.warmup(p.scaled(400))
 	r.submitQueries(p.scaled(p.Queries), query.WindowSpec{})
 	r.publish(p.scaled(1000))
@@ -88,7 +87,7 @@ func FigLatencyObs(p Params) ([]*metrics.Table, *obs.Tracer, *obs.Metrics) {
 		hist, sum,
 		tagRateTable(samples, om.Interval()),
 		nodeRateTable(samples, om.Interval()),
-	}, tr, om
+	}, rec
 }
 
 // tagRateTable pivots the tag-scope rate samples into one row per

@@ -17,20 +17,6 @@ import (
 // faults it masks.
 var lossyRates = []float64{0, 0.05, 0.10, 0.20}
 
-// lossyDrain runs the engine to reliable-delivery quiescence:
-// foreground work first, then the clock advances to each outstanding
-// retransmit deadline until no channel retains an undelivered payload.
-func lossyDrain(eng *core.Engine) {
-	for {
-		eng.Run()
-		t, ok := eng.Net().NextRetransmit()
-		if !ok {
-			return
-		}
-		eng.RunUntil(t)
-	}
-}
-
 // FigLossy measures what end-to-end reliable delivery buys on an
 // unreliable network and what it costs. One fixed workload — queries up
 // front, then a tuple stream with a scheduled partition/heal cycle
@@ -77,7 +63,7 @@ func FigLossy(p Params) []*metrics.Table {
 				panic(err) // generator output is valid by construction
 			}
 		}
-		lossyDrain(r.eng)
+		r.eng.Run()
 
 		if rate >= 0 {
 			// One partition/heal cycle across the middle of the stream:
@@ -100,7 +86,7 @@ func FigLossy(p Params) []*metrics.Table {
 			r.eng.PublishTuple(r.node(), r.gen.Tuple())
 			r.eng.RunUntil(r.eng.Sim().Now() + 4)
 		}
-		lossyDrain(r.eng)
+		r.eng.Run()
 
 		answers := answerMultisets(r.eng)
 		if reference == nil {

@@ -7,12 +7,12 @@
 // sized by sim.ShardSlots or sim.Shards. The contract has two halves:
 //
 //  1. Handler context may touch only its own slot, reached through
-//     sim.ShardSlot / sim.ShardOfID / Engine.ShardOf (or a value derived
-//     from one — by convention a variable or field whose name mentions
-//     shard, slot, lane or src), optionally offset by one: the
-//     aggregate-first layout of the overlay's lanes and the core
-//     engine's accounting slots keeps the aggregate, which serves
-//     NoShard (-1), in slot 0 and shard s in slot s+1.
+//     sim.ShardOfID / Engine.ShardOf (or a value derived from one — by
+//     convention a variable or field whose name mentions shard, slot,
+//     lane or src), optionally offset by one: the aggregate-first
+//     layout of the overlay's lanes, the core engine's accounting slots
+//     and the observability recorder's cells keeps the aggregate, which
+//     serves NoShard (-1), in slot 0 and shard s in slot s+1.
 //  2. Cross-slot access — iterating the lanes, or indexing with
 //     anything else — is reserved for barrier functions: the
 //     Sync/Flush/Drain/merge family that runs in coordinator context
@@ -48,7 +48,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "shardsafe",
-	Doc:  "flags writes to per-shard lane state outside ShardSlot indexing or barrier functions",
+	Doc:  "flags writes to per-shard lane state outside own-shard indexing or barrier functions",
 	Run:  run,
 }
 
@@ -94,7 +94,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 					return true // the cross-slot loop diagnostic covers it
 				}
 				if lintutil.IsWriteTarget(stack, n) && !ix.Suppressed("shardsafe", n.Pos()) {
-					pass.Reportf(n.Pos(), "write to per-shard lane %s indexed by %s: handler context must index through sim.ShardSlot (or run in a barrier function, or document with //lint:allow shardsafe <reason>)",
+					pass.Reportf(n.Pos(), "write to per-shard lane %s indexed by %s: handler context must index by its own shard (or run in a barrier function, or document with //lint:allow shardsafe <reason>)",
 						base.Name(), exprString(n.Index))
 				}
 			case *ast.RangeStmt:
@@ -173,7 +173,7 @@ func isShardConst(info *types.Info, e ast.Expr) bool {
 }
 
 // allowedIndex reports whether an index expression follows the
-// handler-context discipline: a ShardSlot/ShardOfID/ShardOf call, a
+// handler-context discipline: a ShardOfID/ShardOf call, a
 // conventionally named shard variable, or a local assigned from such a
 // call earlier in the enclosing function — any of them plus one for the
 // aggregate-first layout.
@@ -194,7 +194,7 @@ func allowedIndex(info *types.Info, stack []ast.Node, idx ast.Expr) bool {
 	if shardName.MatchString(o.Name()) {
 		return true
 	}
-	// Local assigned from a ShardSlot/ShardOfID call anywhere in the
+	// Local assigned from a ShardOfID/ShardOf call anywhere in the
 	// enclosing function before this use.
 	fn := lintutil.EnclosingFunc(stack)
 	if fn == nil {
@@ -244,7 +244,7 @@ func isShardMapCall(info *types.Info, e ast.Expr) bool {
 		return false
 	}
 	switch callee.Name() {
-	case "ShardSlot", "ShardOfID", "ShardOf":
+	case "ShardOfID", "ShardOf":
 		return true
 	}
 	return false

@@ -4,15 +4,15 @@ package obs
 
 import "rjoin/internal/sim"
 
-// Handler context: index derived from sim.ShardSlot via a local.
-func (t *tracer) emit(shard, v int) {
-	s := sim.ShardSlot(shard)
+// Handler context: index derived from sim.ShardOfID via a local.
+func (t *tracer) emit(node uint64, v int) {
+	s := sim.ShardOfID(node)
 	t.slots[s] = append(t.slots[s], v)
 }
 
-// Handler context: ShardSlot call used inline as the index.
-func (t *tracer) emitInline(shard, v int) {
-	t.slots[sim.ShardSlot(shard)] = append(t.slots[sim.ShardSlot(shard)], v)
+// Handler context: ShardOfID call used inline as the index.
+func (t *tracer) emitInline(node uint64, v int) {
+	t.slots[sim.ShardOfID(node)] = append(t.slots[sim.ShardOfID(node)], v)
 }
 
 // Conventionally named shard-index parameter.

@@ -8,7 +8,7 @@ type tracer struct {
 	slots [sim.ShardSlots][]int
 }
 
-// Arbitrary index in handler context: not derived from ShardSlot.
+// Arbitrary index in handler context: not derived from a shard.
 func (t *tracer) emitWrong(i, v int) {
 	t.slots[i] = append(t.slots[i], v) // want `write to per-shard lane slots indexed by i`
 }

@@ -92,27 +92,6 @@ func (l *Load) Ranked() []int64 {
 	return out
 }
 
-// RankedPadded is Ranked extended with zeros so that every node of the
-// network appears, matching plots whose x-axis spans all N nodes.
-func (l *Load) RankedPadded(networkSize int) []int64 {
-	out := l.Ranked()
-	for len(out) < networkSize {
-		out = append(out, 0)
-	}
-	return out
-}
-
-// Quantile returns the load at fraction q (0 head, 1 tail) of the
-// ranked distribution.
-func (l *Load) Quantile(q float64) int64 {
-	r := l.Ranked()
-	if len(r) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(r)-1))
-	return r[i]
-}
-
 // Rename transfers all load charged to one node identifier onto
 // another. Identifier-movement load balancing changes a node's ring
 // position; the physical node stays the same, so its accumulated load
@@ -210,31 +189,6 @@ func (c Completeness) Recall() float64 {
 	return float64(c.Expected-c.Lost) / float64(c.Expected)
 }
 
-// Series is an ordered sequence of (x, y) observations, used for the
-// cumulative-load figures (Figure 8) and the per-knob summary rows.
-type Series struct {
-	Name string
-	X    []float64
-	Y    []float64
-}
-
-// Append records one observation.
-func (s *Series) Append(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
-
-// Len returns the number of observations.
-func (s *Series) Len() int { return len(s.X) }
-
-// Last returns the final y value, or 0 for an empty series.
-func (s *Series) Last() float64 {
-	if len(s.Y) == 0 {
-		return 0
-	}
-	return s.Y[len(s.Y)-1]
-}
-
 // Table is a simple fixed-column table writer used by the experiment
 // harness to print figure data in the shape the paper reports it.
 type Table struct {
@@ -246,16 +200,6 @@ type Table struct {
 // AddRow appends one formatted row.
 func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
-}
-
-// AddFloats appends a row of float cells formatted to 2 decimals after a
-// leading label.
-func (t *Table) AddFloats(label string, vals ...float64) {
-	row := []string{label}
-	for _, v := range vals {
-		row = append(row, fmt.Sprintf("%.2f", v))
-	}
-	t.Rows = append(t.Rows, row)
 }
 
 // AddInts appends a row of integer cells after a leading label.

@@ -60,28 +60,6 @@ func TestRankedSortedDescending(t *testing.T) {
 	}
 }
 
-func TestRankedPadded(t *testing.T) {
-	l := NewLoad()
-	l.Add(1, 5)
-	p := l.RankedPadded(4)
-	if len(p) != 4 || p[0] != 5 || p[3] != 0 {
-		t.Fatalf("padded = %v", p)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	l := NewLoad()
-	for i := 1; i <= 10; i++ {
-		l.Add(id.ID(i), int64(i))
-	}
-	if l.Quantile(0) != 10 {
-		t.Fatalf("head quantile = %d, want 10", l.Quantile(0))
-	}
-	if l.Quantile(1) != 1 {
-		t.Fatalf("tail quantile = %d, want 1", l.Quantile(1))
-	}
-}
-
 func TestMergeCloneReset(t *testing.T) {
 	a := NewLoad()
 	a.Add(1, 2)
@@ -154,28 +132,16 @@ func TestCompletenessExact(t *testing.T) {
 	}
 }
 
-func TestSeries(t *testing.T) {
-	var s Series
-	if s.Last() != 0 {
-		t.Fatal("empty series Last must be 0")
-	}
-	s.Append(1, 10)
-	s.Append(2, 20)
-	if s.Len() != 2 || s.Last() != 20 {
-		t.Fatalf("series state wrong: len=%d last=%f", s.Len(), s.Last())
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tab := &Table{Title: "Demo", Headers: []string{"k", "value"}}
 	tab.AddRow("a", "1")
-	tab.AddFloats("b", 2.345)
+	tab.AddRow("b", "2.35")
 	out := tab.String()
 	if !strings.Contains(out, "## Demo") {
 		t.Fatalf("missing title: %q", out)
 	}
 	if !strings.Contains(out, "2.35") {
-		t.Fatalf("missing formatted float: %q", out)
+		t.Fatalf("missing second row: %q", out)
 	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 5 { // title, header, rule, two rows

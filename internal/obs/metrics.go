@@ -1,26 +1,23 @@
 // Virtual-time metrics: allocation-free fixed-bucket histograms over
-// virtual-tick measurements and a windowed rate sampler emitting
-// per-node / per-message-tag / per-query time series.
+// virtual-tick measurements and windowed per-node / per-message-tag /
+// per-query rate series.
 //
-// Determinism: histogram updates are commutative atomic adds, so a
-// snapshot taken at a sync barrier depends only on the multiset of
-// observed values — identical across worker counts whenever the
-// workload's event multiset is. Rate-series samples are attributed to
-// windows by the EVENT's virtual timestamp, not by when the sampler
-// happens to run, so the series too is schedule-independent; the
-// background sim.EveryBg sampler merely drains completed windows out
-// of the per-shard cells into the ordered series.
+// Determinism: both are sums over the records Recorder.Flush folds —
+// a histogram depends only on the multiset of observed values, and a
+// rate-series count is attributed to its window by the RECORD's virtual
+// timestamp, not by when the fold happens to run — so a snapshot taken
+// at a sync barrier is identical across worker counts whenever the
+// workload's event multiset is.
 package obs
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"math/bits"
-	"sort"
-	"sync/atomic"
-
-	"rjoin/internal/sim"
+	"slices"
+	"strings"
 )
 
 // HistBuckets is the fixed bucket count of every Histogram: bucket i
@@ -29,10 +26,11 @@ import (
 const HistBuckets = 20
 
 // Histogram is a fixed-bucket power-of-two histogram. Observe is
-// allocation-free and safe for concurrent use (atomic adds, which are
-// commutative — worker scheduling cannot change a barrier snapshot).
-// The zero value is ready to use; a nil *Histogram discards
-// observations.
+// allocation-free and takes no atomics, so it is NOT safe for concurrent
+// use: the registry's histograms are observed only by Recorder.Flush, in
+// coordinator context, and a subscription's own only under the
+// subscription's mutex. The zero value is ready to use; a nil
+// *Histogram discards observations.
 type Histogram struct {
 	count   int64
 	sum     int64
@@ -72,27 +70,13 @@ func (h *Histogram) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	atomic.AddInt64(&h.count, 1)
-	atomic.AddInt64(&h.sum, v)
-	atomic.AddInt64(&h.buckets[bucketOf(v)], 1)
-	for {
-		cur := atomic.LoadInt64(&h.min)
-		if atomic.LoadInt64(&h.count) > 1 && cur <= v {
-			break
-		}
-		if atomic.CompareAndSwapInt64(&h.min, cur, v) {
-			break
-		}
+	if h.count == 0 || v < h.min {
+		h.min = v
 	}
-	for {
-		cur := atomic.LoadInt64(&h.max)
-		if cur >= v {
-			break
-		}
-		if atomic.CompareAndSwapInt64(&h.max, cur, v) {
-			break
-		}
-	}
+	h.max = max(h.max, v)
+	h.count++
+	h.sum += v
+	h.buckets[bucketOf(v)]++
 }
 
 // LatencySummary is a point-in-time digest of a histogram. Quantiles
@@ -114,15 +98,10 @@ func (h *Histogram) Summary() LatencySummary {
 	if h == nil {
 		return s
 	}
-	s.Count = atomic.LoadInt64(&h.count)
-	s.Sum = atomic.LoadInt64(&h.sum)
+	s.Count, s.Sum, s.Buckets = h.count, h.sum, h.buckets
 	if s.Count > 0 {
-		s.Min = atomic.LoadInt64(&h.min)
-		s.Max = atomic.LoadInt64(&h.max)
+		s.Min, s.Max = h.min, h.max
 		s.Mean = float64(s.Sum) / float64(s.Count)
-	}
-	for i := range s.Buckets {
-		s.Buckets[i] = atomic.LoadInt64(&h.buckets[i])
 	}
 	s.P50 = s.quantile(0.50)
 	s.P99 = s.quantile(0.99)
@@ -164,33 +143,20 @@ type Sample struct {
 	Count int64
 }
 
-// winKey addresses one counter cell: a window start plus a series name
-// (node identifiers are rendered to hex lazily, at drain).
-type winKey struct {
-	win  int64
-	name string
-}
-
-type nodeWinKey struct {
-	win  int64
-	node uint64
-}
-
-// cell is one execution context's private window counters. Only its
-// own shard's handlers write it; the drain reads all cells from
-// driver/global context while no handlers run.
-type cell struct {
-	node  map[nodeWinKey]int64
-	tag   map[winKey]int64
-	query map[winKey]int64
+// seriesKey addresses one rate-series count: a window start, a scope
+// ("node", "tag" or "query") and the series within it — a node by
+// identifier (rendered to hex at export), a tag or a query by name.
+type seriesKey struct {
+	win   int64
+	scope string
+	node  uint64
+	name  string
 }
 
 // Metrics is the virtual-time metrics registry: the fixed histogram
 // set and the windowed rate series (a query's own latency histogram
-// lives on the engine's subscription record). A
-// nil *Metrics is a valid disabled registry — every method is a no-op
-// — and hook sites additionally nil-guard so the disabled path makes
-// no calls at all.
+// lives on the engine's subscription record). Recorder.Flush is its
+// only writer. A nil *Metrics is a valid disabled registry.
 type Metrics struct {
 	// interval is the rate-series window width in ticks.
 	interval int64
@@ -209,8 +175,12 @@ type Metrics struct {
 	// channel retransmission.
 	RetransmitRounds *Histogram
 
-	cells  [sim.ShardSlots]cell
-	series []Sample
+	// series counts the windows a record can still fall in; settle moves
+	// a window out to settled once virtual time has left it, so the map
+	// the fold hits for every send and delivery stays one window small.
+	series   map[seriesKey]int64
+	settled  []Sample
+	openFrom int64 // start of the newest window seen
 }
 
 // NewMetrics returns an enabled registry with the given rate-series
@@ -225,6 +195,7 @@ func NewMetrics(interval int64) *Metrics {
 		RewriteDepth:     &Histogram{},
 		HopCount:         &Histogram{},
 		RetransmitRounds: &Histogram{},
+		series:           make(map[seriesKey]int64),
 	}
 }
 
@@ -236,137 +207,47 @@ func (m *Metrics) Interval() int64 {
 	return m.interval
 }
 
-// Start schedules the background window drain on the engine. Virtual
-// background events never keep Run alive, and window attribution is by
-// event timestamp, so the sampler's own scheduling cannot perturb the
-// series (or the workload).
-func (m *Metrics) Start(se *sim.Engine) {
-	if m == nil {
-		return
-	}
-	se.EveryBg(sim.Duration(m.interval), func(now sim.Time) bool {
-		m.Drain(int64(now))
-		return true
-	})
-}
-
-func (m *Metrics) win(at int64) int64 { return at - at%m.interval }
-
-// IncNode counts one delivery at a node. shard is the executing
-// handler's shard (sim.NoShard from driver/global context); at is the
-// event's virtual time. Safe on a nil receiver.
-func (m *Metrics) IncNode(shard int, at int64, node uint64) {
-	if m == nil {
-		return
-	}
-	c := &m.cells[sim.ShardSlot(shard)]
-	if c.node == nil {
-		c.node = make(map[nodeWinKey]int64)
-	}
-	c.node[nodeWinKey{m.win(at), node}]++
-}
-
-// IncTag counts n sends under a message tag ("" is recorded as "app").
-func (m *Metrics) IncTag(shard int, at int64, tag string, n int64) {
+// add counts n events of one series into the window the virtual time at
+// falls in. A tag series with no name is the application's own traffic.
+// Safe on a nil receiver.
+func (m *Metrics) add(at int64, scope string, node uint64, name string, n int64) {
 	if m == nil || n == 0 {
 		return
 	}
-	if tag == "" {
-		tag = "app"
+	if scope == "tag" && name == "" {
+		name = "app"
 	}
-	c := &m.cells[sim.ShardSlot(shard)]
-	if c.tag == nil {
-		c.tag = make(map[winKey]int64)
-	}
-	c.tag[winKey{m.win(at), tag}] += n
+	m.series[seriesKey{at - at%m.interval, scope, node, name}] += n
 }
 
-// IncQuery counts one answer (or aggregate update) delivered for a
-// query.
-func (m *Metrics) IncQuery(shard int, at int64, qid string) {
-	if m == nil {
+// settle retires the windows that ended before the virtual time now.
+// Time only moves forward — a record is never older than the barrier
+// before it — so no later record can fall in them. Safe on a nil
+// receiver.
+func (m *Metrics) settle(now int64) {
+	if m == nil || now-now%m.interval <= m.openFrom {
 		return
 	}
-	c := &m.cells[sim.ShardSlot(shard)]
-	if c.query == nil {
-		c.query = make(map[winKey]int64)
-	}
-	c.query[winKey{m.win(at), qid}]++
-}
-
-// Drain folds every window that closed strictly before `now` out of
-// the per-shard cells into the ordered series. Must run from
-// driver/global context (no handlers executing): the engine schedules
-// it as a global background event, which the parallel engine executes
-// serially between shard rounds.
-func (m *Metrics) Drain(now int64) {
-	if m == nil {
-		return
-	}
-	m.drainBefore(m.win(now))
-}
-
-// drainAll folds everything, including the still-open window; used at
-// export time.
-func (m *Metrics) drainAll() {
-	if m == nil {
-		return
-	}
-	m.drainBefore(int64(1) << 62)
-}
-
-func (m *Metrics) drainBefore(cutoff int64) {
-	start := len(m.series)
-	for i := range m.cells {
-		c := &m.cells[i]
-		for k, v := range c.node {
-			if k.win < cutoff {
-				m.series = append(m.series, Sample{k.win, "node", fmt.Sprintf("%016x", k.node), v})
-				delete(c.node, k)
-			}
-		}
-		for k, v := range c.tag {
-			if k.win < cutoff {
-				m.series = append(m.series, Sample{k.win, "tag", k.name, v})
-				delete(c.tag, k)
-			}
-		}
-		for k, v := range c.query {
-			if k.win < cutoff {
-				m.series = append(m.series, Sample{k.win, "query", k.name, v})
-				delete(c.query, k)
-			}
+	m.openFrom = now - now%m.interval
+	for k, n := range m.series {
+		if k.win < m.openFrom {
+			//lint:ordered Samples sorts the series at export
+			m.settled = append(m.settled, k.sample(n))
+			delete(m.series, k)
 		}
 	}
-	chunk := m.series[start:]
-	// Merge duplicate (win, scope, name) rows from different shards,
-	// then order canonically: map iteration order must not leak into
-	// the output.
-	sort.Slice(chunk, func(i, j int) bool { return sampleLess(chunk[i], chunk[j]) })
-	out := m.series[:start]
-	for _, s := range chunk {
-		if n := len(out); n > start && out[n-1].Win == s.Win && out[n-1].Scope == s.Scope && out[n-1].Name == s.Name {
-			out[n-1].Count += s.Count
-		} else {
-			out = append(out, s)
-		}
-	}
-	m.series = out
 }
 
-func sampleLess(a, b Sample) bool {
-	if a.Win != b.Win {
-		return a.Win < b.Win
+// sample renders one count in its exported form.
+func (k seriesKey) sample(n int64) Sample {
+	if k.scope == "node" {
+		k.name = fmt.Sprintf("%016x", k.node)
 	}
-	if a.Scope != b.Scope {
-		return a.Scope < b.Scope
-	}
-	return a.Name < b.Name
+	return Sample{k.win, k.scope, k.name, n}
 }
 
-// Reset zeroes every histogram, window cell and the drained series, so
-// measurements can exclude a warmup phase (the engine's ResetMetrics
-// calls this). Driver context only. Safe on a nil receiver.
+// Reset zeroes every histogram and the rate series (Recorder.Reset
+// calls this after a final fold). Safe on a nil receiver.
 func (m *Metrics) Reset() {
 	if m == nil {
 		return
@@ -375,20 +256,24 @@ func (m *Metrics) Reset() {
 	*m.RewriteDepth = Histogram{}
 	*m.HopCount = Histogram{}
 	*m.RetransmitRounds = Histogram{}
-	for i := range m.cells {
-		m.cells[i] = cell{}
-	}
-	m.series = m.series[:0]
+	clear(m.series)
+	m.settled = m.settled[:0]
 }
 
-// Samples returns the full rate series (draining open windows first).
-// Call from driver context. Nil-safe.
+// Samples returns the full rate series as of the last Recorder.Flush,
+// ordered by window, scope and name. Nil-safe.
 func (m *Metrics) Samples() []Sample {
 	if m == nil {
 		return nil
 	}
-	m.drainAll()
-	return m.series
+	out := slices.Clone(m.settled)
+	for k, n := range m.series {
+		out = append(out, k.sample(n))
+	}
+	slices.SortFunc(out, func(a, b Sample) int {
+		return cmp.Or(cmp.Compare(a.Win, b.Win), strings.Compare(a.Scope, b.Scope), strings.Compare(a.Name, b.Name))
+	})
+	return out
 }
 
 // WriteCSV writes the rate series as CSV:

@@ -1,9 +1,14 @@
 // Package obs is the observability layer of the simulated RJoin
-// deployment: a deterministic causal tracer and a virtual-time metrics
-// registry, both designed so that (a) the disabled path is free — every
-// hook in the engine is nil-guarded and a nil *Tracer / *Metrics method
-// receiver is a no-op — and (b) the enabled path stays deterministic
-// across the serial engine and every parallel worker count.
+// deployment. It has one write path: every hook site in the engine
+// builds one Rec — raw facts, no formatting — and hands it to
+// Recorder.Emit, which appends it to the executing shard's cell. At
+// sync barriers Recorder.Flush, single-threaded in coordinator context,
+// folds the buffered records into the three read-side views: the
+// causal Tracer, the Metrics histograms and rate series, and the
+// per-placement profile.Profiler. The disabled path is free — a nil
+// *Recorder is what every hook site's one nil check tests — and the
+// enabled path stays deterministic across the serial engine and every
+// parallel worker count.
 //
 // # Determinism
 //
@@ -14,14 +19,16 @@
 // counts.
 //
 // Event ORDER, however, is schedule-dependent: the parallel engine
-// executes same-timestamp events shard-concurrently. The tracer
-// therefore buffers events per logical shard (one slot per sim shard
-// plus one for coordinator context, so no lock is ever taken on the hot
-// path) and canonicalizes at merge points: every Flush sorts the
-// accumulated batch by (At, Kind, Node, Trace, Key, Arg). Flushes
-// happen at engine sync barriers, which are driver-driven and therefore
-// occur at the same virtual times for every worker count; the flushed
-// stream is bit-identical whenever the event multiset is.
+// executes same-timestamp events shard-concurrently. Records therefore
+// buffer per logical shard (no lock is ever taken on the hot path) and
+// the tracer canonicalizes at merge points: every Flush sorts the batch
+// of traced records it folded by (At, Kind, Node, Trace, Key, Arg).
+// Flushes happen at engine sync barriers, which are driver-driven and
+// therefore occur at the same virtual times for every worker count; the
+// flushed stream is bit-identical whenever the event multiset is. The
+// histograms, rate series and profile counters are sums keyed by the
+// record's own fields (its timestamp picks the window), so they do not
+// depend on fold order at all.
 //
 // The resulting guarantee mirrors the engine's own replay model
 // exactly: a trace replays bit-identically run over run, and is
@@ -36,16 +43,20 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
-	"sort"
-
-	"rjoin/internal/sim"
+	"slices"
+	"strings"
 )
 
-// Kind enumerates trace event kinds, covering the full tuple lifecycle
-// (publish → index placement → lookups → rewrite hops → completion →
-// aggregation → delivery) plus transport-level annotations.
+// Kind classifies a record. The kinds up to KindHandover are the trace
+// event kinds, covering the full tuple lifecycle (publish → index
+// placement → lookups → rewrite hops → completion → aggregation →
+// delivery) plus transport-level annotations; their numeric values are
+// part of the trace digest. The kinds after them are record-only: they
+// feed the histograms, rate series or profiler and never show in a
+// trace.
 type Kind uint8
 
 const (
@@ -89,7 +100,7 @@ const (
 	// node's group state. Arg is the window epoch.
 	KindAggPartial
 	// KindAggUpdate is a finalized group update delivered at the
-	// subscriber. Arg is the answer latency in ticks.
+	// subscriber. Arg is the window epoch.
 	KindAggUpdate
 	// KindReplFanout is one replica-group fan-out of a keyed state
 	// mutation batch. Arg is the number of replicas addressed.
@@ -108,6 +119,35 @@ const (
 	// leave or join. Arg is the number of entries in the chunk.
 	KindHandover
 
+	// KindAggRow is the first record-only kind: a raw answer row folded
+	// at the subscriber itself (the subscriber-side aggregation
+	// ablation). Arg is the window epoch, N the row's latency. It is the
+	// one record-only kind that is traced — as the KindAggPartial it is
+	// to a reader of the trace.
+	KindAggRow
+	// KindRoute is one keyed send routed over the DHT. Arg is the number
+	// of transmissions it cost (origin plus intermediate routers), Key
+	// the traffic tag it was charged under.
+	KindRoute
+	// KindHop is one single-hop transmission (direct sends, transfers,
+	// bounces). Key is the traffic tag.
+	KindHop
+	// KindDeliver is one message delivered to a node's handler.
+	KindDeliver
+	// KindStateStore is a query copy stored at its placement key; N is
+	// its estimated footprint in bytes.
+	KindStateStore
+	// KindStateDrop is a stored query copy removed (expired, migrated);
+	// N is the footprint released, as a negative number.
+	KindStateDrop
+	// KindTrigger is one trigger outcome at a placement. Arg is the
+	// number of relations the rewrite it produced still has to join: zero
+	// is a chain completion, anything else a rewrite step.
+	KindTrigger
+	// KindFanoutRow is one per-subscriber row leaving a shared
+	// pipeline's completion fan-out.
+	KindFanoutRow
+
 	kindCount
 )
 
@@ -116,6 +156,8 @@ var kindNames = [kindCount]string{
 	"query.submit", "query.eval", "ct.hit", "ct.miss", "ric.walk",
 	"rewrite", "complete", "answer", "agg.partial", "agg.update",
 	"repl.fanout", "retransmit", "ack", "bounce", "handover",
+	"agg.row", "route", "hop", "deliver", "state.store", "state.drop",
+	"trigger", "fanout.row",
 }
 
 func (k Kind) String() string {
@@ -152,97 +194,66 @@ type Event struct {
 	Arg int64
 }
 
-// less is the canonical event order used at merge points and in the
+// compare is the canonical event order used at merge points and in the
 // digest: virtual time first, then identity fields. Two distinct
 // executions producing the same event multiset sort to the same
 // sequence.
-func (e Event) less(o Event) bool {
-	if e.At != o.At {
-		return e.At < o.At
+func (e Event) compare(o Event) int {
+	if c := cmp.Compare(e.At, o.At); c != 0 {
+		return c
 	}
-	if e.Kind != o.Kind {
-		return e.Kind < o.Kind
+	if c := cmp.Compare(e.Kind, o.Kind); c != 0 {
+		return c
 	}
-	if e.Node != o.Node {
-		return e.Node < o.Node
+	if c := cmp.Compare(e.Node, o.Node); c != 0 {
+		return c
 	}
-	if e.Trace != o.Trace {
-		return e.Trace < o.Trace
+	if c := strings.Compare(e.Trace, o.Trace); c != 0 {
+		return c
 	}
-	if e.Key != o.Key {
-		return e.Key < o.Key
+	if c := strings.Compare(e.Key, o.Key); c != 0 {
+		return c
 	}
-	return e.Arg < o.Arg
+	return cmp.Compare(e.Arg, o.Arg)
 }
 
-// Tracer collects trace events. It must be used from at most one
-// network: shard slots mirror the sim engine's shard layout. The zero
-// of *Tracer (nil) is a valid, disabled tracer: every method is a
-// no-op, and callers additionally nil-guard at hook sites so the
-// disabled hot path does not even make the call.
+// Tracer is the causal trace: the canonically ordered stream of every
+// traced record folded so far. Recorder.Flush is its only writer. A nil
+// *Tracer is a valid, empty trace.
 type Tracer struct {
 	// limit caps the retained event count (0 = unbounded); overflow is
 	// truncated deterministically at flush and counted in dropped.
 	limit   int64
 	dropped int64
 
-	// shards holds per-execution-context append buffers: one slot per
-	// logical shard plus one (the last) for coordinator/global context.
-	// A shard's handlers are single-threaded within a sub-round and
-	// only ever touch their own slot, so no lock is needed.
-	shards [sim.ShardSlots][]Event
-
 	// events is the merged, canonically ordered stream.
 	events []Event
 }
 
-// NewTracer returns an enabled tracer. maxEvents caps retained events
+// NewTracer returns an empty trace. maxEvents caps retained events
 // (0 = unbounded).
 func NewTracer(maxEvents int64) *Tracer {
 	return &Tracer{limit: maxEvents}
 }
 
-// Emit records one event from the given execution shard (sim.NoShard
-// for coordinator context). Safe on a nil receiver.
-func (t *Tracer) Emit(shard int, ev Event) {
-	if t == nil {
-		return
-	}
-	s := sim.ShardSlot(shard)
-	t.shards[s] = append(t.shards[s], ev)
-}
-
-// Flush merges the per-shard buffers into the canonical stream. It must
-// be called from driver context at a sync barrier (no handlers
-// running); the engine does this in Sync. Safe on a nil receiver.
-func (t *Tracer) Flush() {
-	if t == nil {
-		return
-	}
-	start := len(t.events)
-	for i := range t.shards {
-		if len(t.shards[i]) == 0 {
-			continue
-		}
-		t.events = append(t.events, t.shards[i]...)
-		t.shards[i] = t.shards[i][:0]
-	}
-	batch := t.events[start:]
-	sort.Slice(batch, func(i, j int) bool { return batch[i].less(batch[j]) })
+// seal closes one flush batch, the events appended since start: it
+// sorts the batch canonically and applies the retention cap. Batches
+// keep their order — barriers only ever move forward.
+func (t *Tracer) seal(start int) {
+	slices.SortFunc(t.events[start:], Event.compare)
 	if t.limit > 0 && int64(len(t.events)) > t.limit {
 		t.dropped += int64(len(t.events)) - t.limit
 		t.events = t.events[:t.limit]
 	}
 }
 
-// Events returns the merged stream (flushing any buffered stragglers
-// first). The slice is owned by the tracer; callers must not mutate it.
-// Returns nil on a nil receiver.
+// Events returns the stream as of the last Recorder.Flush. The slice is
+// owned by the tracer; callers must not mutate it. Returns nil on a nil
+// receiver.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	t.Flush()
 	return t.events
 }
 

@@ -9,30 +9,50 @@ import (
 	"rjoin/internal/sim"
 )
 
+// parallelEngine is an event engine whose recorder gets the full
+// per-shard cell layout.
+func parallelEngine() *sim.Engine {
+	se := sim.NewEngine(1)
+	se.SetWorkers(2)
+	return se
+}
+
+// tracing returns a serial-layout recorder with only the trace on.
+func tracing(maxEvents int64) (*Recorder, *Tracer) {
+	tr := NewTracer(maxEvents)
+	return NewRecorder(Views{Trace: tr}), tr
+}
+
 // TestTracerCanonicalOrder: the merged stream must not depend on which
 // execution shard an event was emitted from, only on the canonical
 // (At, Kind, Node, ...) order — that is the whole determinism argument.
 func TestTracerCanonicalOrder(t *testing.T) {
-	evs := []Event{
-		{At: 2, Kind: KindRewrite, Node: 7, Trace: "q1", Arg: 1},
-		{At: 1, Kind: KindPublish, Node: 3, Trace: PubTrace(3, 0)},
-		{At: 2, Kind: KindTupleArrive, Node: 9, Trace: PubTrace(3, 0), Key: "R.A=3"},
-		{At: 1, Kind: KindSubmit, Node: 5, Trace: "q1", Arg: 2},
+	recs := []Rec{
+		{At: 2, Kind: KindRewrite, Node: 7, QID: "q1", Arg: 1},
+		{At: 1, Kind: KindPublish, Node: 3, Pub: 3, PubSeq: 1},
+		{At: 2, Kind: KindTupleArrive, Node: 9, Pub: 3, PubSeq: 1, Key: "R.A=3"},
+		{At: 1, Kind: KindSubmit, Node: 5, QID: "q1", Arg: 2},
 	}
-	a := NewTracer(0)
-	for i, ev := range evs {
-		a.Emit(i%sim.Shards, ev) // scatter across shards
+	ra, a := tracing(0)
+	ra.Bind(parallelEngine())
+	for i, rec := range recs {
+		ra.Emit(i%sim.Shards, rec) // scatter across shards
 	}
-	b := NewTracer(0)
-	for i := len(evs) - 1; i >= 0; i-- {
-		b.Emit(sim.NoShard, evs[i]) // reverse order, coordinator slot
+	ra.Flush()
+	rb, b := tracing(0)
+	for i := len(recs) - 1; i >= 0; i-- {
+		rb.Emit(sim.NoShard, recs[i]) // reverse order, coordinator cell
 	}
+	rb.Flush()
 	if a.Digest() != b.Digest() {
 		t.Fatalf("digest depends on emit shard/order: %x vs %x", a.Digest(), b.Digest())
 	}
 	got := a.Events()
+	if len(got) != len(recs) || got[0].Trace != PubTrace(3, 1) || got[3].Trace != "q1" {
+		t.Fatalf("trace identity lost in the fold: %+v", got)
+	}
 	for i := 1; i < len(got); i++ {
-		if got[i].less(got[i-1]) {
+		if got[i].compare(got[i-1]) < 0 {
 			t.Fatalf("events not in canonical order at %d: %+v before %+v", i, got[i-1], got[i])
 		}
 	}
@@ -42,11 +62,14 @@ func TestTracerCanonicalOrder(t *testing.T) {
 // order (later flush, later position) even when their timestamps
 // interleave — batches model sim barriers, which only ever move forward.
 func TestTracerFlushBatches(t *testing.T) {
-	tr := NewTracer(0)
-	tr.Emit(0, Event{At: 5, Kind: KindPublish, Node: 1})
-	tr.Flush()
-	tr.Emit(1, Event{At: 5, Kind: KindAnswer, Node: 2})
-	tr.Flush()
+	rec, tr := tracing(0)
+	rec.Emit(sim.NoShard, Rec{At: 5, Kind: KindPublish, Node: 1})
+	rec.Flush()
+	rec.Emit(sim.NoShard, Rec{At: 5, Kind: KindAnswer, Node: 2})
+	if len(tr.Events()) != 1 {
+		t.Fatalf("unflushed record visible: %+v", tr.Events())
+	}
+	rec.Flush()
 	got := tr.Events()
 	if len(got) != 2 || got[0].Kind != KindPublish || got[1].Kind != KindAnswer {
 		t.Fatalf("batch order lost: %+v", got)
@@ -54,10 +77,11 @@ func TestTracerFlushBatches(t *testing.T) {
 }
 
 func TestTracerLimit(t *testing.T) {
-	tr := NewTracer(3)
+	rec, tr := tracing(3)
 	for i := 0; i < 10; i++ {
-		tr.Emit(sim.NoShard, Event{At: int64(i), Kind: KindPublish, Node: 1})
+		rec.Emit(sim.NoShard, Rec{At: sim.Time(i), Kind: KindPublish, Node: 1})
 	}
+	rec.Flush()
 	if got := len(tr.Events()); got != 3 {
 		t.Fatalf("limit 3 retained %d events", got)
 	}
@@ -67,26 +91,59 @@ func TestTracerLimit(t *testing.T) {
 }
 
 func TestTracerNilSafe(t *testing.T) {
-	var tr *Tracer
-	tr.Emit(0, Event{})
-	tr.Flush()
+	var rec *Recorder
+	rec.Bind(parallelEngine())
+	rec.Emit(0, Rec{})
+	rec.Flush()
+	rec.Reset()
+	tr := rec.Views().Trace
 	if tr.Events() != nil || tr.Digest() != 0 || tr.Dropped() != 0 {
 		t.Fatal("nil tracer must be inert")
+	}
+	if NewRecorder(Views{}) != nil {
+		t.Fatal("a recorder with no view must be the nil recorder")
 	}
 }
 
 func TestKindStrings(t *testing.T) {
+	seen := map[string]bool{}
 	for k := Kind(0); k < kindCount; k++ {
-		if k.String() == "" {
-			t.Fatalf("kind %d has no name", k)
+		if k.String() == "" || seen[k.String()] {
+			t.Fatalf("kind %d has no name of its own: %q", k, k)
+		}
+		seen[k.String()] = true
+	}
+}
+
+// TestRecordOnlyKindsStayOutOfTheTrace: a trace shows the public kinds
+// only — a subscriber-side fold as the agg.partial it is, the rest of
+// the record-only kinds not at all.
+func TestRecordOnlyKindsStayOutOfTheTrace(t *testing.T) {
+	rec, tr := tracing(0)
+	for k := Kind(0); k < kindCount; k++ {
+		rec.Emit(sim.NoShard, Rec{At: sim.Time(k), Kind: k})
+	}
+	rec.Flush()
+	got := tr.Events()
+	if len(got) != int(KindAggRow)+1 {
+		t.Fatalf("trace holds %d events, want %d", len(got), int(KindAggRow)+1)
+	}
+	for i, ev := range got {
+		want := Kind(i)
+		if want == KindAggRow {
+			want = KindAggPartial
+		}
+		if ev.Kind != want {
+			t.Fatalf("event %d has kind %v, want %v", i, ev.Kind, want)
 		}
 	}
 }
 
 func TestExportJSONL(t *testing.T) {
-	tr := NewTracer(0)
-	tr.Emit(0, Event{At: 1, Kind: KindPublish, Node: 3, Trace: PubTrace(3, 0)})
-	tr.Emit(0, Event{At: 4, Kind: KindAnswer, Node: 9, Trace: "q1", Arg: 3})
+	rec, tr := tracing(0)
+	rec.Emit(sim.NoShard, Rec{At: 1, Kind: KindPublish, Node: 3, Pub: 3, PubSeq: 1})
+	rec.Emit(sim.NoShard, Rec{At: 4, Kind: KindAnswer, Node: 9, QID: "q1", Arg: 3})
+	rec.Flush()
 	var buf bytes.Buffer
 	if err := tr.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
@@ -107,9 +164,10 @@ func TestExportJSONL(t *testing.T) {
 // JSON array with per-node thread-name metadata plus one instant event
 // per trace event — the shape Perfetto's JSON importer accepts.
 func TestExportChromeTrace(t *testing.T) {
-	tr := NewTracer(0)
-	tr.Emit(0, Event{At: 1, Kind: KindPublish, Node: 3})
-	tr.Emit(0, Event{At: 2, Kind: KindTupleArrive, Node: 5, Key: "R.A=1"})
+	rec, tr := tracing(0)
+	rec.Emit(sim.NoShard, Rec{At: 1, Kind: KindPublish, Node: 3})
+	rec.Emit(sim.NoShard, Rec{At: 2, Kind: KindTupleArrive, Node: 5, Key: "R.A=1"})
+	rec.Flush()
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -164,17 +222,27 @@ func TestHistogramNilSafe(t *testing.T) {
 	}
 }
 
-// TestMetricsWindows: counts land in the window of the event timestamp
-// regardless of drain timing, duplicate (win, scope, name) rows from
-// different shards merge, and the CSV renders every completed window.
+// TestMetricsWindows: counts land in the window of the record's
+// timestamp regardless of fold timing, counts for one (win, scope,
+// name) from different shards and different folds merge into one row,
+// and the CSV renders every window.
 func TestMetricsWindows(t *testing.T) {
 	m := NewMetrics(10)
-	m.IncNode(0, 3, 0xa)
-	m.IncNode(1, 7, 0xa) // same node, different shard, same window
-	m.IncTag(0, 12, "ric", 2)
-	m.IncQuery(2, 5, "q1")
-	m.Drain(20) // completes windows 0 and 10
+	rec := NewRecorder(Views{Metrics: m})
+	rec.Bind(parallelEngine())
+	rec.Emit(0, Rec{At: 3, Kind: KindDeliver, Node: 0xa})
+	rec.Emit(1, Rec{At: 7, Kind: KindDeliver, Node: 0xa}) // same node, different shard, same window
+	rec.Emit(0, Rec{At: 12, Kind: KindRoute, Key: "ric", Arg: 2})
+	rec.Emit(0, Rec{At: 13, Kind: KindRoute, Arg: 0}) // a local delivery cost no transmission
+	rec.Emit(2, Rec{At: 5, Kind: KindAnswer, QID: "q1"})
+	rec.Flush()
+	rec.Emit(3, Rec{At: 14, Kind: KindHop}) // a later fold into a window already seen
+	rec.Emit(3, Rec{At: 15, Kind: KindHop, Key: "ric"})
+	rec.Flush()
 	samples := m.Samples()
+	if len(samples) != 4 {
+		t.Fatalf("want one row per (window, scope, name), got %+v", samples)
+	}
 	byKey := map[string]int64{}
 	for _, s := range samples {
 		byKey[s.Scope+"/"+s.Name] += s.Count
@@ -182,8 +250,11 @@ func TestMetricsWindows(t *testing.T) {
 	if byKey["node/000000000000000a"] != 2 {
 		t.Fatalf("node counts did not merge: %+v", samples)
 	}
-	if byKey["tag/ric"] != 2 || byKey["query/q1"] != 1 {
+	if byKey["tag/ric"] != 3 || byKey["tag/app"] != 1 || byKey["query/q1"] != 1 {
 		t.Fatalf("unexpected samples: %+v", samples)
+	}
+	if m.HopCount.Summary().Count != 2 {
+		t.Fatalf("hop count observed %d routed sends, want 2", m.HopCount.Summary().Count)
 	}
 	var buf bytes.Buffer
 	if err := m.WriteCSV(&buf); err != nil {
@@ -196,29 +267,23 @@ func TestMetricsWindows(t *testing.T) {
 
 func TestMetricsNilSafe(t *testing.T) {
 	var m *Metrics
-	m.IncNode(0, 1, 2)
-	m.IncTag(0, 1, "x", 1)
-	m.IncQuery(0, 1, "q")
-	m.Drain(100)
+	m.add(1, "tag", 0, "x", 1)
 	m.Reset()
-	if m.Samples() != nil {
+	if m.Samples() != nil || m.Interval() != 0 {
 		t.Fatal("nil metrics must be inert")
 	}
 }
 
-// TestObsDisabledZeroAlloc pins the disabled-path contract: with tracing
-// and metrics off (nil receivers), every hook the hot paths call must
-// allocate nothing.
+// TestObsDisabledZeroAlloc pins the disabled-path contract: with
+// observability off (the nil recorder, and the nil per-subscription
+// histogram that goes with it), everything the hot paths and the sync
+// barrier call must allocate nothing.
 func TestObsDisabledZeroAlloc(t *testing.T) {
-	var tr *Tracer
-	var m *Metrics
+	var rec *Recorder
 	var h *Histogram
 	if n := testing.AllocsPerRun(100, func() {
-		tr.Emit(3, Event{At: 1, Kind: KindPublish, Node: 2})
-		tr.Flush()
-		m.IncNode(3, 1, 2)
-		m.IncTag(3, 1, "ric", 1)
-		m.IncQuery(3, 1, "q1")
+		rec.Emit(3, Rec{At: 1, Kind: KindPublish, Node: 2, QID: "q1", Key: "R+A"})
+		rec.Flush()
 		h.Observe(7)
 	}); n != 0 {
 		t.Fatalf("disabled observability allocated %.1f times per run", n)
@@ -239,12 +304,12 @@ func TestEnabledHistogramZeroAlloc(t *testing.T) {
 // with bp "e" at the last, all under one id — while traces with a
 // single event draw no arrows.
 func TestExportChromeTraceFlows(t *testing.T) {
-	tr := NewTracer(0)
-	chain := PubTrace(3, 0)
-	tr.Emit(0, Event{At: 1, Kind: KindPublish, Node: 3, Trace: chain})
-	tr.Emit(0, Event{At: 2, Kind: KindRewrite, Node: 5, Trace: chain})
-	tr.Emit(0, Event{At: 4, Kind: KindAnswer, Node: 9, Trace: chain})
-	tr.Emit(0, Event{At: 6, Kind: KindPublish, Node: 3, Trace: PubTrace(3, 1)}) // lone trace: no flow
+	rec, tr := tracing(0)
+	rec.Emit(sim.NoShard, Rec{At: 1, Kind: KindSubmit, Node: 3, QID: "q1"})
+	rec.Emit(sim.NoShard, Rec{At: 2, Kind: KindRewrite, Node: 5, QID: "q1"})
+	rec.Emit(sim.NoShard, Rec{At: 4, Kind: KindAnswer, Node: 9, QID: "q1"})
+	rec.Emit(sim.NoShard, Rec{At: 6, Kind: KindPublish, Node: 3, Pub: 3, PubSeq: 1}) // lone trace: no flow
+	rec.Flush()
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -361,7 +426,7 @@ func TestHistogramMaxValueOverflow(t *testing.T) {
 // still write valid CSV — the header alone, no phantom rows.
 func TestMetricsCSVEmptyRegistry(t *testing.T) {
 	m := NewMetrics(10)
-	m.Drain(100)
+	NewRecorder(Views{Metrics: m}).Flush()
 	var buf bytes.Buffer
 	if err := m.WriteCSV(&buf); err != nil {
 		t.Fatal(err)

@@ -4,26 +4,23 @@
 // partials to the (query, relation-placement) that caused them, all on
 // the virtual clock.
 //
-// Determinism: every counter is a commutative sum attributed to a
-// stable identity — a query ID and a placement key string, never a
-// goroutine, worker or wall-clock value. Worker contexts accumulate
-// into per-shard cells (the same discipline as obs.Metrics); the
-// driver merges them at barriers with Flush, so reports built after a
-// Sync are pure functions of (seed, workload, options) and invariant
-// across worker counts on workloads whose event timeline is itself
-// schedule-independent. The state-footprint series buckets by event
-// timestamp (the virtual time the mutation was scheduled at), not by
-// observation time, for the same reason.
+// Determinism: every counter is a sum attributed to a stable identity
+// — a query ID and a placement key string, never a goroutine, worker or
+// wall-clock value. The profiler has no hook sites of its own: handlers
+// emit records into obs.Recorder, whose Flush folds them in here from
+// coordinator context at sync barriers, so reports built after a Sync
+// are pure functions of (seed, workload, options) and invariant across
+// worker counts on workloads whose event timeline is itself
+// schedule-independent. The state-footprint series buckets by the
+// record's timestamp (the virtual time of the mutation), not by fold
+// time, for the same reason.
 //
-// A nil *Profiler is a valid no-op receiver and every hook site also
-// guards with a nil check, so the disabled path costs one branch and
-// allocates nothing.
+// A nil *Profiler is a valid no-op receiver.
 package profile
 
 import (
-	"sort"
-
-	"rjoin/internal/sim"
+	"cmp"
+	"slices"
 )
 
 // Metric enumerates the per-(query, placement) counters.
@@ -90,22 +87,13 @@ type skey struct {
 	win int64
 }
 
-// cell is one execution context's unmerged attribution. Worker shards
-// write only their own cell; the driver's Flush drains all of them.
-type cell struct {
-	counts map[ckey]int64
-	series map[skey]int64
-}
-
 // Profiler accumulates per-(query, placement) attribution. Method
-// receivers are nil-safe: a nil Profiler ignores every call.
+// receivers are nil-safe: a nil Profiler ignores every call. Add, State
+// and Reset are coordinator-context only; obs.Recorder is their caller.
 type Profiler struct {
 	interval int64
-	shards   [sim.ShardSlots]cell
-
-	// Merged at Flush (driver context only).
-	counts map[ckey]int64
-	series map[skey]int64
+	counts   map[ckey]int64
+	series   map[skey]int64
 }
 
 // New returns an empty profiler. interval is the window width of the
@@ -121,74 +109,34 @@ func New(interval int64) *Profiler {
 	}
 }
 
-// Interval returns the state-series window width in ticks.
-func (p *Profiler) Interval() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.interval
-}
-
-// Add bumps one counter from the given scheduling shard (sim.NoShard
-// for driver/global context).
-func (p *Profiler) Add(shard int, qid, key string, m Metric, d int64) {
+// Add bumps one counter.
+func (p *Profiler) Add(qid, key string, m Metric, d int64) {
 	if p == nil || d == 0 {
 		return
 	}
-	c := &p.shards[sim.ShardSlot(shard)]
-	if c.counts == nil {
-		c.counts = make(map[ckey]int64)
-	}
-	c.counts[ckey{qid: qid, key: key, m: m}] += d
+	p.counts[ckey{qid: qid, key: key, m: m}] += d
 }
 
 // State records a net change of d bytes in the query's retained
 // rewrite state at virtual time at, bucketed into the series window
 // the event falls in.
-func (p *Profiler) State(shard int, at int64, qid string, d int64) {
+func (p *Profiler) State(at int64, qid string, d int64) {
 	if p == nil || d == 0 {
 		return
 	}
-	c := &p.shards[sim.ShardSlot(shard)]
-	if c.series == nil {
-		c.series = make(map[skey]int64)
-	}
-	c.series[skey{qid: qid, win: at - at%p.interval}] += d
+	p.series[skey{qid: qid, win: at - at%p.interval}] += d
 }
 
-// Flush folds every shard cell into the merged maps. Driver context
-// only (Engine.Sync barriers), like obs.Tracer.Flush: sums are
-// commutative, so the merge order cannot influence the result.
-func (p *Profiler) Flush() {
-	if p == nil {
-		return
-	}
-	for i := range p.shards {
-		c := &p.shards[i]
-		for k, v := range c.counts {
-			p.counts[k] += v
-			delete(c.counts, k)
-		}
-		for k, v := range c.series {
-			p.series[k] += v
-			delete(c.series, k)
-		}
-	}
-}
-
-// Reset discards all attribution (driver context only).
+// Reset discards all attribution.
 func (p *Profiler) Reset() {
 	if p == nil {
 		return
 	}
-	for i := range p.shards {
-		p.shards[i] = cell{}
-	}
-	p.counts = make(map[ckey]int64)
-	p.series = make(map[skey]int64)
+	clear(p.counts)
+	clear(p.series)
 }
 
-// Count returns one merged counter. Call after Flush.
+// Count returns one counter, as of the last fold.
 func (p *Profiler) Count(qid, key string, m Metric) int64 {
 	if p == nil {
 		return 0
@@ -197,44 +145,37 @@ func (p *Profiler) Count(qid, key string, m Metric) int64 {
 }
 
 // Keys returns, sorted, every placement key with attribution under the
-// given query ID. Call after Flush.
+// given query ID.
 func (p *Profiler) Keys(qid string) []string {
 	if p == nil {
 		return nil
 	}
-	seen := make(map[string]bool)
+	var keys []string
 	for k := range p.counts {
-		if k.qid == qid && k.key != "" && !seen[k.key] {
-			seen[k.key] = true
+		if k.qid == qid && k.key != "" {
+			keys = append(keys, k.key)
 		}
 	}
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	slices.Sort(keys)
+	return slices.Compact(keys)
 }
 
 // SeriesFor returns the query's state-footprint series: one point per
 // window that saw a net change, sorted by window start, with Bytes the
-// running footprint at the end of that window. Call after Flush.
+// running footprint at the end of that window.
 func (p *Profiler) SeriesFor(qid string) []StatePoint {
 	if p == nil {
 		return nil
 	}
-	var wins []int64
-	for k := range p.series {
+	var pts []StatePoint
+	for k, d := range p.series {
 		if k.qid == qid {
-			wins = append(wins, k.win)
+			pts = append(pts, StatePoint{Win: k.win, Bytes: d})
 		}
 	}
-	sort.Slice(wins, func(i, j int) bool { return wins[i] < wins[j] })
-	pts := make([]StatePoint, 0, len(wins))
-	var run int64
-	for _, w := range wins {
-		run += p.series[skey{qid: qid, win: w}]
-		pts = append(pts, StatePoint{Win: w, Bytes: run})
+	slices.SortFunc(pts, func(a, b StatePoint) int { return cmp.Compare(a.Win, b.Win) })
+	for i := 1; i < len(pts); i++ {
+		pts[i].Bytes += pts[i-1].Bytes
 	}
 	return pts
 }

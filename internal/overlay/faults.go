@@ -388,9 +388,7 @@ func deliverReliableEvent(now sim.Time, c sim.Ctx) {
 	if !first {
 		return // duplicate suppressed
 	}
-	p.l.tot.Delivered++
-	nw.obsM.IncNode(p.shard, int64(now), uint64(owner.ID()))
-	p.h.HandleMessage(now, env.msg)
+	nw.handOver(p, owner, now, env.msg)
 }
 
 // retain adds one entry to a channel's retransmit buffer.
@@ -452,14 +450,11 @@ func ackSendEvent(now sim.Time, c sim.Ctx) {
 	p := nw.peerFor(owner.ID())
 	rn := p.rel
 	p.l.tot.AckMessages++
-	if tr := nw.trace; tr != nil {
+	if ob := nw.obs; ob != nil {
 		// Arg annotates the ack with the receiver's out-of-order backlog —
 		// how many sequence numbers the dedup filter holds above the
 		// cumulative watermark this ack carries.
-		tr.Emit(p.shard, obs.Event{
-			At: int64(now), Kind: obs.KindAck, Node: uint64(owner.ID()),
-			Arg: int64(rx.dedup.Outstanding()),
-		})
+		ob.Emit(p.shard, obs.Rec{At: now, Kind: obs.KindAck, Node: uint64(owner.ID()), Arg: int64(rx.dedup.Outstanding())})
 	}
 	if nw.partitioned(owner.ID(), rx.src.ID(), now) {
 		p.l.tot.Dropped++
@@ -504,21 +499,22 @@ func relTimerEvent(now sim.Time, c sim.Ctx) {
 		return
 	}
 	e.retries++
-	p.l.tot.Retransmits++
-	if m := nw.obsM; m != nil {
-		m.RetransmitRounds.Observe(int64(e.retries))
-	}
-	if tr := nw.trace; tr != nil {
-		tr.Emit(p.shard, obs.Event{
-			At: int64(now), Kind: obs.KindRetransmit,
-			Node: uint64(tm.src.ID()), Arg: int64(e.retries),
-		})
-	}
-	delay := nw.relHop(rn.rng)
-	nw.transmit(p, tm.src, tc.dst, e.seq, delay, e.msg, true)
+	delay := nw.retransmit(p, now, tm, tc, e, int64(e.retries))
 	backoff := nw.rel.rto << e.retries
 	jitter := rn.rng.Int63n(nw.rel.rto/2 + 1)
 	nw.armTimer(p, tm.src, tm.dst, e, delay+backoff+jitter)
+}
+
+// retransmit resends one unacknowledged entry as the given round of its
+// ladder, and returns the delay of the transmission.
+func (nw *Network) retransmit(p *peer, now sim.Time, tm *relTimer, tc *txChan, e *txEntry, round int64) int64 {
+	p.l.tot.Retransmits++
+	if ob := nw.obs; ob != nil {
+		ob.Emit(p.shard, obs.Rec{At: now, Kind: obs.KindRetransmit, Node: uint64(tm.src.ID()), Arg: round})
+	}
+	delay := nw.relHop(p.rel.rng)
+	nw.transmit(p, tm.src, tc.dst, e.seq, delay, e.msg, true)
+	return delay
 }
 
 // escalate handles an exhausted backoff ladder. During an active
@@ -550,20 +546,10 @@ func (nw *Network) escalate(p *peer, tc *txChan, tm *relTimer, e *txEntry) {
 		}
 		e.ladders++
 		e.retries = 0
-		p.l.tot.Retransmits++
-		if m := nw.obsM; m != nil {
-			// A fresh ladder restarts the count; observe the full ladder
-			// it exhausted so the histogram's tail records escalations.
-			m.RetransmitRounds.Observe(int64(nw.rel.maxRetries) + 1)
-		}
-		if tr := nw.trace; tr != nil {
-			tr.Emit(p.shard, obs.Event{
-				At: int64(now), Kind: obs.KindRetransmit,
-				Node: uint64(tm.src.ID()), Arg: int64(nw.rel.maxRetries) + 1,
-			})
-		}
-		delay := nw.relHop(rn.rng)
-		nw.transmit(p, tm.src, tc.dst, e.seq, delay, e.msg, true)
+		// A fresh ladder restarts the count; it goes on record as the
+		// round after the full ladder it exhausted, so the histogram's
+		// tail shows escalations.
+		delay := nw.retransmit(p, now, tm, tc, e, int64(nw.rel.maxRetries)+1)
 		nw.armTimer(p, tm.src, tm.dst, e, delay+nw.rel.rto)
 		return
 	}

@@ -95,15 +95,13 @@ type Config struct {
 	// Bounce — retransmit-ladder exhaustion escalates into the bounce
 	// path. Nil keeps the exact reliable-network behavior.
 	Faults *Faults
-	// Trace, when non-nil, receives annotation events for transport-level
-	// activity the core layer cannot see: bounces of undeliverable
-	// messages, replication fan-out, retransmissions and acknowledgments.
-	// Nil disables tracing at zero cost.
-	Trace *obs.Tracer
-	// Metrics, when non-nil, receives the hop-count and retransmit-round
-	// histograms plus per-node delivery and per-tag send rate series.
-	// Nil disables collection at zero cost.
-	Metrics *obs.Metrics
+	// Obs, when non-nil, receives a record for the transport-level
+	// activity the core layer cannot see: every routed send, hop and
+	// delivery (the hop-count histogram and the per-tag and per-node rate
+	// series), bounces of undeliverable messages, replication fan-out,
+	// retransmissions and acknowledgments. NewNetwork binds it to the
+	// event engine. Nil disables observability at zero cost.
+	Obs *obs.Recorder
 }
 
 // DefaultConfig is a deterministic single-tick-per-hop network with
@@ -224,8 +222,7 @@ type Network struct {
 
 	rel *relState // reliable-channel parameters; nil when Faults is nil
 
-	trace *obs.Tracer  // nil unless Config.Trace is set
-	obsM  *obs.Metrics // nil unless Config.Metrics is set
+	obs *obs.Recorder // Config.Obs; nil unless observability is on
 }
 
 // NewNetwork creates an overlay over an existing ring and engine. The
@@ -260,9 +257,9 @@ func NewNetwork(ring *chord.Ring, engine *sim.Engine, cfg Config) (*Network, err
 		cfg:     cfg,
 		peers:   make(map[id.ID]*peer),
 		lanes:   make([]lane, 1),
-		trace:   cfg.Trace,
-		obsM:    cfg.Metrics,
+		obs:     cfg.Obs,
 	}
+	nw.obs.Bind(engine)
 	if engine.Workers() > 0 {
 		nw.lanes = make([]lane, sim.ShardSlots)
 	}
@@ -360,9 +357,8 @@ func (nw *Network) hopDelay(rng *sim.RNG) int64 {
 func (nw *Network) chargePath(p *peer, from *chord.Node, path []*chord.Node) int64 {
 	senders := int64(len(path)) // origin + intermediates
 	p.l.tot.MessagesSent += senders
-	if m := nw.obsM; m != nil {
-		m.HopCount.Observe(senders)
-		nw.obsSent(p, senders)
+	if ob := nw.obs; ob != nil {
+		ob.Emit(p.shard, obs.Rec{At: nw.Engine.Now(), Kind: obs.KindRoute, Key: p.l.tag, Arg: senders})
 	}
 	var delay int64
 	if len(path) > 0 {
@@ -381,7 +377,9 @@ func (nw *Network) chargePath(p *peer, from *chord.Node, path []*chord.Node) int
 func (nw *Network) chargeHop(p *peer, node id.ID) {
 	p.l.charge(node, 1)
 	p.l.tot.MessagesSent++
-	nw.obsSent(p, 1)
+	if ob := nw.obs; ob != nil {
+		ob.Emit(p.shard, obs.Rec{At: nw.Engine.Now(), Kind: obs.KindHop, Key: p.l.tag})
+	}
 }
 
 // deliverEvent completes a delivery at its scheduled time. It is a
@@ -395,14 +393,22 @@ func deliverEvent(now sim.Time, c sim.Ctx) {
 	owner := c.B.(*chord.Node)
 	p := nw.peerFor(owner.ID())
 	if p.h != nil && owner.Alive() {
-		p.l.tot.Delivered++
-		nw.obsM.IncNode(p.shard, int64(now), uint64(owner.ID()))
-		p.h.HandleMessage(now, c.C)
+		nw.handOver(p, owner, now, c.C)
 		return
 	}
 	if !owner.Alive() {
 		nw.bounce(p, c.C)
 	}
+}
+
+// handOver gives a delivered message to its recipient's handler: the
+// end of every delivery, plain or reliable.
+func (nw *Network) handOver(p *peer, owner *chord.Node, now sim.Time, msg Message) {
+	p.l.tot.Delivered++
+	if ob := nw.obs; ob != nil {
+		ob.Emit(p.shard, obs.Rec{At: now, Kind: obs.KindDeliver, Node: uint64(owner.ID())})
+	}
+	p.h.HandleMessage(now, msg)
 }
 
 // bounce re-routes an undeliverable message to the node currently
@@ -429,11 +435,8 @@ func (nw *Network) bounce(p *peer, msg Message) {
 	}
 	p.l.tot.Bounced++
 	nw.chargeHop(p, tgt.ID())
-	if tr := nw.trace; tr != nil {
-		tr.Emit(p.shard, obs.Event{
-			At: int64(nw.Engine.Now()), Kind: obs.KindBounce,
-			Node: uint64(tgt.ID()), Key: rk.RingKey().String(),
-		})
+	if ob := nw.obs; ob != nil {
+		ob.Emit(p.shard, obs.Rec{At: nw.Engine.Now(), Kind: obs.KindBounce, Node: uint64(tgt.ID()), Key: rk.RingKey().String()})
 	}
 	nw.deliver(p, tgt, nw.hopDelay(p.rng), msg)
 }
@@ -460,17 +463,6 @@ func (nw *Network) deliverFrom(p *peer, from, owner *chord.Node, delay int64, ms
 		return
 	}
 	nw.deliver(p, owner, delay, msg)
-}
-
-// obsSent records n sent messages against the acting lane's traffic tag
-// in the metrics rate series (an empty tag maps to the "app" lane).
-// Window attribution uses the current virtual time, so the series is
-// schedule-independent. No-op when metrics are disabled.
-func (nw *Network) obsSent(p *peer, n int64) {
-	if nw.obsM == nil || n == 0 {
-		return
-	}
-	nw.obsM.IncTag(p.shard, int64(nw.Engine.Now()), p.l.tag, n)
 }
 
 // WithTag runs fn with every message the given node sends inside it
@@ -693,11 +685,8 @@ func (nw *Network) ReplicateTo(from *chord.Node, targets []id.ID, mk func(target
 		return
 	}
 	p := nw.peerFor(from.ID())
-	if tr := nw.trace; tr != nil {
-		tr.Emit(p.shard, obs.Event{
-			At: int64(nw.Engine.Now()), Kind: obs.KindReplFanout,
-			Node: uint64(from.ID()), Arg: int64(len(targets)),
-		})
+	if ob := nw.obs; ob != nil {
+		ob.Emit(p.shard, obs.Rec{At: nw.Engine.Now(), Kind: obs.KindReplFanout, Node: uint64(from.ID()), Arg: int64(len(targets))})
 	}
 	withTag(p.l, TagRepl, func() {
 		for _, t := range targets {

@@ -60,21 +60,13 @@ func (e *Engine) ShardOf(u uint64) int {
 	return ShardOfID(u)
 }
 
-// ShardSlots sizes a per-execution-context accumulation array: one
-// slot per logical shard plus one for driver/global (NoShard) context.
-// Components that collect state from handler context without locks —
-// the observability layer's trace buffers and metric cells — index
-// such arrays through ShardSlot.
+// ShardSlots sizes a per-execution-context accumulation array: slot 0
+// for driver/global (NoShard) context plus one slot per logical shard,
+// so that a context's slot is shard+1. The components that collect
+// state from handler context without locks — the overlay's lanes, the
+// core engine's accounting slots, the observability recorder's cells —
+// all lay their arrays out this way.
 const ShardSlots = Shards + 1
-
-// ShardSlot maps a scheduling shard (including NoShard) to its slot in
-// a ShardSlots-sized array.
-func ShardSlot(shard int) int {
-	if shard < 0 || shard >= Shards {
-		return Shards
-	}
-	return shard
-}
 
 // bufEv is one schedule deferred during a sub-round: the event plus its
 // destination heap.

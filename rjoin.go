@@ -172,9 +172,11 @@ type Options struct {
 	// replication fan-out, retransmits, acks) recorded against the
 	// virtual clock. Trace identity derives from (publisher, publish
 	// sequence) and query IDs — no wall clock, no extra randomness — so
-	// a run's trace is bit-identical for a given seed at every worker
-	// count. nil (the default) disables tracing; the hot paths then pay
-	// one nil check and allocate nothing.
+	// a run's trace is bit-identical for a given seed across every
+	// Workers >= 2; the serial engine pins its own digest (it orders
+	// same-tick deliveries differently, which moves candidate-table
+	// outcomes). nil (the default) disables tracing; the hot paths then
+	// pay one nil check and allocate nothing.
 	Trace *TraceOptions
 	// Metrics enables the virtual-time metrics registry: allocation-free
 	// latency/depth/hop histograms and windowed per-node, per-traffic-tag
@@ -186,9 +188,9 @@ type Options struct {
 	// rewrite step, completion, candidate-table hit/miss, aggregation
 	// partial and state byte is attributed to the (query, placement key)
 	// that caused it, plus a virtual-time state-footprint series per
-	// pipeline. All counters are per-shard accumulators merged at
-	// barriers, so a profile read at a drained virtual time is
-	// bit-identical at every worker count. nil (the default) disables
+	// pipeline. All counters are sums folded at barriers, so a profile
+	// read at a drained virtual time is bit-identical at every worker
+	// count. nil (the default) disables
 	// profiling; the hot paths then pay one nil check and allocate
 	// nothing. Explain still works without it — the report carries the
 	// static plan and delivery totals, with observed counters zero.
@@ -428,13 +430,11 @@ type TagTraffic struct {
 // RemoveNode, Crash); node selection for subscriptions and
 // publications always draws from the live ring.
 type Network struct {
-	eng   *core.Engine
-	cat   *relation.Catalog
-	mgr   *churn.Manager
-	rng   *rand.Rand
-	trace *obs.Tracer       // nil unless Options.Trace was set
-	obsM  *obs.Metrics      // nil unless Options.Metrics was set
-	prof  *profile.Profiler // nil unless Options.Profile was set
+	eng *core.Engine
+	cat *relation.Catalog
+	mgr *churn.Manager
+	rng *rand.Rand
+	obs *obs.Recorder // nil unless Options.Trace, Metrics or Profile was set
 }
 
 // Subscription is a live continuous query.
@@ -578,20 +578,19 @@ func NewNetwork(opts Options) (*Network, error) {
 	var om *obs.Metrics
 	if opts.Metrics != nil {
 		om = obs.NewMetrics(opts.Metrics.SampleInterval)
-		om.Start(se)
 	}
 	var prof *profile.Profiler
 	if opts.Profile != nil {
 		prof = profile.New(opts.Profile.SampleInterval)
 	}
+	rec := obs.NewRecorder(obs.Views{Trace: tracer, Metrics: om, Profile: prof})
 	nw, err := overlay.NewNetwork(ring, se, overlay.Config{
 		MinHopDelay:    opts.MinHopDelay,
 		MaxHopDelay:    opts.MaxHopDelay,
 		GroupMultiSend: true,
 		BatchWindow:    opts.BatchWindow,
 		Faults:         faults,
-		Trace:          tracer,
-		Metrics:        om,
+		Obs:            rec,
 		// With bouncing on, messages in flight to a node that departs
 		// re-route to the key's new owner. On a static ring it never
 		// fires, so enabling it unconditionally costs nothing. The
@@ -615,9 +614,7 @@ func NewNetwork(opts Options) (*Network, error) {
 	cfg.EnableMigration = opts.EnableMigration
 	cfg.AttrReplicas = opts.AttrReplicas
 	cfg.ReplicationFactor = opts.ReplicationFactor
-	cfg.Trace = tracer
-	cfg.Metrics = om
-	cfg.Profile = prof
+	cfg.Obs = rec
 	cfg.Provenance = opts.Provenance
 	// Exact-duplicate dedup is sound whenever completions are strictly
 	// delayed past the attach tick; with the defaulted 1/1 delay model
@@ -642,13 +639,11 @@ func NewNetwork(opts Options) (*Network, error) {
 		mgr.Start()
 	}
 	return &Network{
-		eng:   eng,
-		cat:   cat,
-		mgr:   mgr,
-		rng:   rand.New(rand.NewSource(opts.Seed + 1)),
-		trace: tracer,
-		obsM:  om,
-		prof:  prof,
+		eng: eng,
+		cat: cat,
+		mgr: mgr,
+		rng: rand.New(rand.NewSource(opts.Seed + 1)),
+		obs: rec,
 	}, nil
 }
 
@@ -877,24 +872,25 @@ type TraceEvent = obs.Event
 // zero summary comes back when Options.Metrics is off.
 func (n *Network) LatencyStats() LatencySummary {
 	n.eng.Sync()
-	if n.obsM == nil {
-		return LatencySummary{}
+	if om := n.obs.Views().Metrics; om != nil {
+		return om.AnswerLatency.Summary()
 	}
-	return n.obsM.AnswerLatency.Summary()
+	return LatencySummary{}
 }
 
 // TraceDigest folds the trace recorded so far into one 64-bit value.
-// Equal seeds and workloads digest identically at every worker count;
-// the golden-trace tests pin this. Zero when tracing is off.
+// Equal seeds and workloads digest identically across every Workers >=
+// 2; the serial engine pins its own digest. The golden-trace tests pin
+// both. Zero when tracing is off.
 func (n *Network) TraceDigest() uint64 {
 	n.eng.Sync()
-	return n.trace.Digest()
+	return n.obs.Views().Trace.Digest()
 }
 
 // TraceDropped reports trace events truncated by TraceOptions.MaxEvents.
 func (n *Network) TraceDropped() int64 {
 	n.eng.Sync()
-	return n.trace.Dropped()
+	return n.obs.Views().Trace.Dropped()
 }
 
 // TraceEvents returns the canonically ordered trace recorded so far.
@@ -902,7 +898,7 @@ func (n *Network) TraceDropped() int64 {
 // when tracing is off.
 func (n *Network) TraceEvents() []TraceEvent {
 	n.eng.Sync()
-	return n.trace.Events()
+	return n.obs.Views().Trace.Events()
 }
 
 // WriteTrace writes the trace in Chrome trace-event JSON — load the
@@ -911,10 +907,11 @@ func (n *Network) TraceEvents() []TraceEvent {
 // microseconds. An error is returned when tracing is off.
 func (n *Network) WriteTrace(w io.Writer) error {
 	n.eng.Sync()
-	if n.trace == nil {
+	tr := n.obs.Views().Trace
+	if tr == nil {
 		return fmt.Errorf("rjoin: tracing is not enabled (set Options.Trace)")
 	}
-	return n.trace.WriteChromeTrace(w)
+	return tr.WriteChromeTrace(w)
 }
 
 // WriteTraceJSONL writes the trace as one JSON object per line, for
@@ -922,10 +919,11 @@ func (n *Network) WriteTrace(w io.Writer) error {
 // tracing is off.
 func (n *Network) WriteTraceJSONL(w io.Writer) error {
 	n.eng.Sync()
-	if n.trace == nil {
+	tr := n.obs.Views().Trace
+	if tr == nil {
 		return fmt.Errorf("rjoin: tracing is not enabled (set Options.Trace)")
 	}
-	return n.trace.WriteJSONL(w)
+	return tr.WriteJSONL(w)
 }
 
 // WriteMetricsCSV writes every completed rate-series window as CSV
@@ -934,11 +932,11 @@ func (n *Network) WriteTraceJSONL(w io.Writer) error {
 // error is returned when metrics are off.
 func (n *Network) WriteMetricsCSV(w io.Writer) error {
 	n.eng.Sync()
-	if n.obsM == nil {
+	om := n.obs.Views().Metrics
+	if om == nil {
 		return fmt.Errorf("rjoin: metrics are not enabled (set Options.Metrics)")
 	}
-	n.obsM.Drain(int64(n.eng.Sim().Now()) + n.obsM.Interval())
-	return n.obsM.WriteCSV(w)
+	return om.WriteCSV(w)
 }
 
 // Explain returns the introspection report of one live or past

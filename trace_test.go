@@ -3,6 +3,7 @@ package rjoin
 import (
 	"bytes"
 	"encoding/json"
+	"hash/fnv"
 	"strings"
 	"testing"
 )
@@ -207,5 +208,40 @@ func TestLatencyAndMetricsSurface(t *testing.T) {
 	}
 	if err := off.WriteMetricsCSV(&bytes.Buffer{}); err == nil {
 		t.Fatal("WriteMetricsCSV must error when metrics are off")
+	}
+}
+
+// Golden digests of WriteMetricsCSV for tracedWorkload: FNV-64a over the
+// CSV bytes, one value for the serial engine and one for every parallel
+// worker count, for the reasons given above goldenTraceSerial. Captured
+// on the direct-count registry that preceded obs.Recorder, so they pin
+// the record fold against the path it replaced.
+const (
+	goldenMetricsCSVSerial   = uint64(0x0f4776df40394347)
+	goldenMetricsCSVParallel = uint64(0x2aea6e1eee1d913d)
+)
+
+// TestMetricsCSVGolden pins the rate series byte for byte — window
+// attribution, scope and name rendering, row order — and with it the
+// global latency histogram the same records feed.
+func TestMetricsCSVGolden(t *testing.T) {
+	for _, w := range []int{1, 2, 4, 8} {
+		want := goldenMetricsCSVParallel
+		if w == 1 {
+			want = goldenMetricsCSVSerial
+		}
+		net := tracedWorkload(w)
+		var csv bytes.Buffer
+		if err := net.WriteMetricsCSV(&csv); err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		h.Write(csv.Bytes())
+		if d := h.Sum64(); d != want || csv.Len() != 4991 {
+			t.Fatalf("workers %d: metrics CSV digest %#x (%d bytes), want %#x (4991 bytes)", w, d, csv.Len(), want)
+		}
+		if ls := net.LatencyStats(); ls.Count != 380 || ls.Min != 2 || ls.P50 != 32 {
+			t.Fatalf("workers %d: latency summary count %d min %d p50 %d, want 380/2/32", w, ls.Count, ls.Min, ls.P50)
+		}
 	}
 }
