@@ -23,9 +23,8 @@ import (
 // partials into one update per touched (group, epoch).
 
 // TagAgg is the traffic tag under which aggregation traffic is charged:
-// partials routed to aggregators and group updates sent to subscribers
-// (and, under SubscriberSideAgg, the raw rows shipped instead). The
-// aggregation experiment reports this share separately.
+// partials routed to aggregators and group updates sent to subscribers.
+// The aggregation experiment reports this share separately.
 const TagAgg = "agg"
 
 // aggKeyPrefix namespaces aggregator keys away from the Rel+Attr[+Value]
@@ -212,21 +211,14 @@ func (p *Proc) emitTo(now sim.Time, qid string, owner id.ID, spec *agg.Spec, c c
 		p.eng.net.SendDirect(p.node, owner, newAnswerMsg(qid, owner, c.vals, c.pubAt, c.lin))
 		return
 	}
-	epoch := spec.Window.EpochOf(c.clock)
-	if p.eng.Cfg.SubscriberSideAgg {
-		p.eng.net.WithTag(p.node, TagAgg, func() {
-			p.eng.net.SendDirect(p.node, owner, newAggRowMsg(qid, owner, epoch, c.vals, c.pubAt, c.lin))
-		})
-		return
-	}
 	key := aggKeyOf(qid, spec.GroupKey(c.vals))
-	msg := newAggPartialMsg(qid, key, owner, epoch, c.vals, c.pubAt, c.lin)
+	msg := newAggPartialMsg(qid, key, owner, spec.Window.EpochOf(c.clock), c.vals, c.pubAt, c.lin)
 	p.eng.net.WithTag(p.node, TagAgg, func() {
 		// One-hop fast path: the candidate table remembers which node a
 		// previous partial for this group was routed to (the same trick
 		// Section 7 plays for Eval messages); the ground-truth ownership
 		// check guards against stale addresses mid-churn.
-		if ent, ok := p.st.ct.fresh(key, now, p.eng.Cfg.CTValidity); ok {
+		if ent, ok := p.st.ct.fresh(key, now, ctValidity); ok {
 			if tgt := p.eng.ring.Node(ent.Addr); tgt != nil && p.stillOwns(tgt.ID(), key) {
 				p.eng.net.SendDirect(p.node, tgt.ID(), msg)
 				return
@@ -266,7 +258,7 @@ func (p *Proc) onAggPartial(now sim.Time, m *aggPartialMsg) {
 // state.go) is non-empty are visited, so the loop's final iteration —
 // and every Run on a quiet engine — allocates and sorts nothing.
 func (e *Engine) flushAggregates() bool {
-	if e.aggLive == 0 || e.Cfg.SubscriberSideAgg {
+	if e.aggLive == 0 {
 		return false
 	}
 	var ids []id.ID

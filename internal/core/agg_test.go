@@ -166,44 +166,6 @@ func TestAggExactness(t *testing.T) {
 	}
 }
 
-// Subscriber-side aggregation is the semantics oracle for the
-// distributed pipeline: the same workload folded entirely at the
-// subscriber must produce bit-identical views.
-func TestAggSubscriberSideEquivalence(t *testing.T) {
-	run := func(subscriberSide bool) (*Engine, []string) {
-		cfg := DefaultConfig()
-		cfg.SubscriberSideAgg = subscriberSide
-		eng, nodes := testNet(t, 48, 5, cfg, churnNetCfg())
-		_, qids := runAggWorkload(t, eng, nodes, false)
-		return eng, qids
-	}
-	inNet, qids := run(false)
-	subSide, qids2 := run(true)
-	for i, qid := range qids {
-		a, b := inNet.AggRows(qid), subSide.AggRows(qids2[i])
-		if len(a) != len(b) {
-			t.Fatalf("query %d: view sizes diverged: in-network %d, subscriber-side %d", i, len(a), len(b))
-		}
-		for k := range a {
-			if a[k].Group != b[k].Group || a[k].Epoch != b[k].Epoch {
-				t.Fatalf("query %d row %d: addresses diverged", i, k)
-			}
-			for j := range a[k].Row {
-				if !a[k].Row[j].Equal(b[k].Row[j]) {
-					t.Fatalf("query %d row %d position %d: %s vs %s", i, k, j, a[k].Row[j], b[k].Row[j])
-				}
-			}
-		}
-	}
-	if subSide.Counters.AggUpdates != 0 {
-		t.Fatal("subscriber-side mode emitted group updates")
-	}
-	if inNet.Counters.AggPartials != subSide.Counters.AggPartials {
-		t.Fatalf("modes folded different row counts: %d vs %d",
-			inNet.Counters.AggPartials, subSide.Counters.AggPartials)
-	}
-}
-
 // A crash that takes aggregator state down counts it as loss instead of
 // silently shrinking the view.
 func TestCrashCountsLostAggState(t *testing.T) {
@@ -291,10 +253,11 @@ func TestAggValidateRejections(t *testing.T) {
 
 // TestMoveNodeRehomesAggState is the Figure 9 path with an aggregate
 // subscription: the heaviest aggregator changes identifier mid-stream,
-// RehomeKeys must carry its groups (and rate statistics) to their keys'
-// new owners along with the queries and tuples, nothing is created or
-// dropped by the move, and the final view equals the reference fold.
-// With replication on, the resynced mirrors equal the re-homed state.
+// the leave and join handovers must carry its groups (and rate
+// statistics) to their keys' new owners along with the queries and
+// tuples, nothing is created or dropped by the move, and the final view
+// equals the reference fold. With replication on, the mirrors equal the
+// handed-over state.
 func TestMoveNodeRehomesAggState(t *testing.T) {
 	for _, k := range []int{1, 2} {
 		eng, nodes := testNet(t, 32, 31, replCfg(k), churnNetCfg())
@@ -334,6 +297,10 @@ func TestMoveNodeRehomesAggState(t *testing.T) {
 		before := total()
 		if _, err := eng.MoveNode(victim, victim.ID()+1<<60); err != nil {
 			t.Fatal(err)
+		}
+		eng.Run() // a handover lands as a zero-delay event
+		if eng.Counters.HandoverEntries == 0 {
+			t.Fatalf("k=%d: the move put no state on the wire", k)
 		}
 		if after := total(); after != before {
 			t.Fatalf("k=%d: the move changed the stored entries: before %+v, after %+v", k, before, after)
@@ -386,7 +353,7 @@ func scanFlushOrder(e *Engine) []flushRef {
 }
 
 // TestFlushOrderMatchesFullScan: through a join, a leave, a crash at
-// rf=2, an identifier move (RehomeKeys) and an unsubscribe — each while
+// rf=2, an identifier move and an unsubscribe — each while
 // groups hold un-flushed epochs, over sliding, tumbling and unwindowed
 // aggregates — every flush sends exactly the (node, key, epoch) sequence
 // the scan over all groups computes, and leaves nothing dirty behind.

@@ -50,8 +50,18 @@ func (s Strategy) String() string {
 	}
 }
 
-// Config tunes the RJoin engine. The zero value is not valid; use
-// DefaultConfig.
+// ricWindow is the length in ticks of the rate-measurement epoch: a
+// key's predicted rate is the number of tuple arrivals observed in the
+// last complete epoch ("we observe what has happened during the last
+// time window and assume a similar behavior").
+const ricWindow = 2048
+
+// ctValidity bounds how long a candidate-table entry is trusted before a
+// fresh RIC poll is required (Section 7).
+const ctValidity = 16384
+
+// Config tunes the RJoin engine. Start from DefaultConfig: the zero
+// value runs, but with the Section 7 optimizations off.
 type Config struct {
 	// Strategy is the query-placement strategy.
 	Strategy Strategy
@@ -62,16 +72,6 @@ type Config struct {
 	// eventual completeness. Negative disables the ALTT entirely
 	// (used by ablation benchmarks to demonstrate lost answers).
 	Delta int64
-
-	// RICWindow is the length in ticks of the rate-measurement epoch:
-	// a key's predicted rate is the number of tuple arrivals observed
-	// in the last complete epoch ("we observe what has happened during
-	// the last time window and assume a similar behavior").
-	RICWindow int64
-
-	// CTValidity bounds how long a candidate-table entry is trusted
-	// before a fresh RIC poll is required (Section 7).
-	CTValidity int64
 
 	// UseCT enables the candidate-table cache of Section 7. Disabling
 	// it forces a RIC poll for every unknown candidate (ablation).
@@ -147,14 +147,6 @@ type Config struct {
 	// migration fires (default 4).
 	MigrationFactor float64
 
-	// SubscriberSideAgg disables in-network aggregation: completed
-	// answer rows of aggregate queries ship directly to the subscriber,
-	// which folds them into the aggregate view locally. The final view
-	// is identical to the in-network one — this is the ablation baseline
-	// the aggregation experiment compares message load against, and a
-	// cross-check for the distributed fold's exactness.
-	SubscriberSideAgg bool
-
 	// TupleGC drops stored value-level tuples that can no longer fall
 	// inside any window of size <= MaxWindowHint. It reduces memory
 	// only; the storage-load metric counts store events and is
@@ -222,8 +214,6 @@ func DefaultConfig() Config {
 	return Config{
 		Strategy:     StrategyRIC,
 		Delta:        0, // auto
-		RICWindow:    2048,
-		CTValidity:   16384,
 		UseCT:        true,
 		PiggybackRIC: true,
 	}

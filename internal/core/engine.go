@@ -29,33 +29,28 @@ const TagChurn = "churn"
 // Counters aggregates engine-wide event counts, useful for tests,
 // ablations and the experiment reports.
 type Counters struct {
-	TuplesPublished      int64
-	TuplesReceived       int64
-	TuplesStored         int64
-	TuplesCollected      int64
-	ALTTStored           int64
-	ALTTExpired          int64
-	QueriesSubmitted     int64
-	InputQueriesStored   int64
-	RewritesCreated      int64
-	DeepRewrites         int64 // rewrites of already-rewritten queries (Depth >= 2)
-	RewritesStored       int64
-	QueriesExpired       int64
-	AnswersDelivered     int64
-	AnswerDupesFiltered  int64
-	DuplicatesSuppressed int64
-	ContradictoryDropped int64
-	UnplaceableDropped   int64
-	RICRequests          int64
-	QueriesMigrated      int64
-	RICReplies           int64
+	TuplesPublished    int64
+	TuplesReceived     int64
+	TuplesStored       int64
+	TuplesCollected    int64
+	ALTTExpired        int64
+	QueriesSubmitted   int64
+	InputQueriesStored int64
+	RewritesCreated    int64
+	DeepRewrites       int64 // rewrites of already-rewritten queries (Depth >= 2)
+	RewritesStored     int64
+	QueriesExpired     int64
+	AnswersDelivered   int64
+	UnplaceableDropped int64
+	RICRequests        int64
+	QueriesMigrated    int64
+	RICReplies         int64
 
 	// In-network aggregation (see agg.go). AggPartials counts answer
-	// rows folded into aggregation state (at aggregator nodes, or at the
-	// subscriber under SubscriberSideAgg); AggUpdates counts finalized
-	// group-update rows delivered to subscribers; AggStateLost counts
-	// (group, epoch) partials dropped by crashes or unrecoverable
-	// departures.
+	// rows folded into aggregation state at aggregator nodes; AggUpdates
+	// counts finalized group-update rows delivered to subscribers;
+	// AggStateLost counts (group, epoch) partials dropped by crashes or
+	// unrecoverable departures.
 	AggPartials  int64
 	AggUpdates   int64
 	AggStateLost int64
@@ -84,7 +79,6 @@ type Counters struct {
 	// Replication bookkeeping (see replicate.go).
 	ReplUpdates         int64 // replica-update messages shipped (batches × targets)
 	ReplOps             int64 // state operations those messages carried
-	ReplStale           int64 // batches dropped as replays, reorder remnants or misdirections
 	ReplSyncs           int64 // full-snapshot streams opened by group repair
 	ReplPromotions      int64 // crashed nodes whose mirror a replica promoted
 	ReplEntriesPromoted int64 // state entries re-indexed by those promotions
@@ -99,7 +93,6 @@ func (c *Counters) add(o *Counters) {
 	c.TuplesReceived += o.TuplesReceived
 	c.TuplesStored += o.TuplesStored
 	c.TuplesCollected += o.TuplesCollected
-	c.ALTTStored += o.ALTTStored
 	c.ALTTExpired += o.ALTTExpired
 	c.QueriesSubmitted += o.QueriesSubmitted
 	c.InputQueriesStored += o.InputQueriesStored
@@ -108,9 +101,6 @@ func (c *Counters) add(o *Counters) {
 	c.RewritesStored += o.RewritesStored
 	c.QueriesExpired += o.QueriesExpired
 	c.AnswersDelivered += o.AnswersDelivered
-	c.AnswerDupesFiltered += o.AnswerDupesFiltered
-	c.DuplicatesSuppressed += o.DuplicatesSuppressed
-	c.ContradictoryDropped += o.ContradictoryDropped
 	c.UnplaceableDropped += o.UnplaceableDropped
 	c.RICRequests += o.RICRequests
 	c.QueriesMigrated += o.QueriesMigrated
@@ -131,7 +121,6 @@ func (c *Counters) add(o *Counters) {
 	c.TuplesLost += o.TuplesLost
 	c.ReplUpdates += o.ReplUpdates
 	c.ReplOps += o.ReplOps
-	c.ReplStale += o.ReplStale
 	c.ReplSyncs += o.ReplSyncs
 	c.ReplPromotions += o.ReplPromotions
 	c.ReplEntriesPromoted += o.ReplEntriesPromoted
@@ -175,7 +164,6 @@ type Engine struct {
 	delta    int64
 	pubSeq   int64
 	queryCnt int64
-	reqCnt   int64
 	lossy    bool // unreliable network: senders retain messages, no pooling
 
 	// obs mirrors Cfg.Obs for direct hot-path access. Nil unless
@@ -189,7 +177,7 @@ type Engine struct {
 	// Accounting slots, laid out like the overlay's lanes: slots[0]
 	// aliases the public Counters/QPL/SL and is all a serial engine has;
 	// a parallel engine (par) adds slots[s+1] for every logical shard s.
-	// Handlers count into the slot Proc.bind resolved for their node, and
+	// Handlers count into the slot newProc resolved for their node, and
 	// Sync folds the shard slots into slot 0.
 	par   bool
 	slots []acctSlot
@@ -200,19 +188,13 @@ type acctSlot struct {
 	ctr *Counters
 	qpl *metrics.Load
 	sl  *metrics.Load
-	req int64 // RIC request ids issued from this shard (parallel engines)
+	req int64 // RIC request ids issued from this slot (see Proc.nextReqID)
 }
 
 // NewEngine attaches an RJoin processor to every node of the ring. The
 // ring must already contain its nodes (changes in membership are
 // supported afterwards via NodeJoined/NodeLeft).
 func NewEngine(ring *chord.Ring, se *sim.Engine, net *overlay.Network, cfg Config) *Engine {
-	if cfg.RICWindow <= 0 {
-		cfg.RICWindow = DefaultConfig().RICWindow
-	}
-	if cfg.CTValidity <= 0 {
-		cfg.CTValidity = DefaultConfig().CTValidity
-	}
 	e := &Engine{
 		Cfg:      cfg,
 		QPL:      metrics.NewLoad(),
@@ -282,11 +264,6 @@ func (e *Engine) NodeLeft(n *chord.Node) {
 // Proc returns the processor of a node (tests and the load balancer
 // introspect node state through it).
 func (e *Engine) Proc(n *chord.Node) *Proc { return e.procs[n.ID()] }
-
-func (e *Engine) nextReqID() int64 {
-	e.reqCnt++
-	return e.reqCnt
-}
 
 // oracleRate is the simulator-level ground truth used by
 // StrategyWorst: the actual current rate at the node responsible for a

@@ -146,8 +146,8 @@ func TestMoveNodeFlushesBatchedOutbox(t *testing.T) {
 }
 
 // TestMoveNodeRebindsShard: on a parallel engine a moved processor must
-// run and count where its new identifier lives. Every shard-dependent
-// field comes from Proc.bind, which MoveNode calls like newProc does.
+// run and count where its new identifier lives. The mover joins as a
+// fresh Proc, and newProc derives every shard-dependent field.
 func TestMoveNodeRebindsShard(t *testing.T) {
 	eng, nodes := lossyNet(t, 48, 131, 2, DefaultConfig(), overlay.DefaultConfig())
 	changed := 0
@@ -211,21 +211,79 @@ func TestMoveNodeParallelExact(t *testing.T) {
 	}
 }
 
+// TestMoveNodeOccupiedTarget: a move onto a live identifier is refused
+// before anything changes. It used to fail after the mover had left the
+// ring, taking its state with it uncounted.
+func TestMoveNodeOccupiedTarget(t *testing.T) {
+	eng, nodes := testNet(t, 48, 105, DefaultConfig(), overlay.DefaultConfig())
+	if _, err := eng.SubmitQuery(nodes[0], sqlparse.MustParse("select R.B, S.B from R,S where R.A=S.A", testCat)); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	for i := 0; i < 40; i++ {
+		eng.PublishTuple(nodes[1], mkTuple("R", int64(i%4), int64(i), 0))
+		eng.PublishTuple(nodes[2], mkTuple("S", int64(i%4), int64(i), 0))
+		eng.Run()
+	}
+	mover := rewriteHolder(eng)
+	if mover == nil {
+		t.Fatal("no rewritten state stored")
+	}
+	q, tu, altt := eng.StoredState()
+	if nn, err := eng.MoveNode(mover, nodes[3].ID()); err == nil || nn != nil {
+		t.Fatalf("MoveNode onto a live identifier returned (%v, %v), want an error", nn, err)
+	}
+	if !mover.Alive() || eng.Proc(mover) == nil || eng.Ring().Size() != 48 {
+		t.Fatalf("the refused move changed membership: mover alive %v, ring size %d", mover.Alive(), eng.Ring().Size())
+	}
+	if q2, tu2, altt2 := eng.StoredState(); q2 != q || tu2 != tu || altt2 != altt {
+		t.Fatalf("the refused move changed stored state: %d/%d/%d -> %d/%d/%d", q, tu, altt, q2, tu2, altt2)
+	}
+}
+
+// TestMoveNodeDuringPlacementWalk: the subscriber moves while its own
+// query's RIC walk is in flight. The pending placement goes to the
+// successor with the rest of the leave handover, and the reply,
+// addressed to the vacated identifier, bounces to the same node — where
+// the teleporting move carried the walk off to the new identifier and
+// the reply found nobody waiting for it.
+func TestMoveNodeDuringPlacementWalk(t *testing.T) {
+	eng, nodes := testNet(t, 48, 105, DefaultConfig(), churnNetCfg())
+	const sql = "select R.B, S.B from R,S where R.A=S.A"
+	qid, err := eng.SubmitQuery(nodes[0], sqlparse.MustParse(sql, testCat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(eng.procs[nodes[0].ID()].st.pending) == 0 {
+		t.Fatal("submission left no pending walk; placement completed synchronously")
+	}
+	if _, err := eng.MoveNode(nodes[0], nodes[0].ID()+1<<60); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	var published []*relation.Tuple
+	for i := 0; i < 5; i++ {
+		r, s := mkTuple("R", int64(i), 10, 0), mkTuple("S", int64(i), 20, 0)
+		published = append(published, r, s)
+		eng.PublishTuple(nodes[1], r)
+		eng.PublishTuple(nodes[2], s)
+		eng.Run()
+	}
+	want := expectedBag(t, sql, published)
+	if got := answerBag(eng, qid); len(want) == 0 || !bagsEqual(got, want) {
+		t.Fatalf("moving the subscriber mid-walk: got %d answers, want %d", len(got), len(want))
+	}
+	if eng.Counters.QueriesLost != 0 {
+		t.Fatalf("%d queries counted lost", eng.Counters.QueriesLost)
+	}
+}
+
 func TestMoveNodeUnknownNode(t *testing.T) {
 	eng, _ := testNet(t, 8, 106, DefaultConfig(), overlay.DefaultConfig())
 	other, _ := testNet(t, 8, 107, DefaultConfig(), overlay.DefaultConfig())
 	foreign := other.Ring().Nodes()[0]
 	if _, err := eng.MoveNode(foreign, 42); err == nil {
 		t.Fatal("moving a foreign node succeeded")
-	}
-}
-
-func TestRehomeKeysIdempotent(t *testing.T) {
-	eng, nodes := testNet(t, 32, 108, DefaultConfig(), overlay.DefaultConfig())
-	eng.PublishTuple(nodes[0], mkTuple("R", 1, 2, 3))
-	eng.Run()
-	if moved := eng.RehomeKeys(); moved != 0 {
-		t.Fatalf("stable network rehomed %d entries", moved)
 	}
 }
 

@@ -20,7 +20,6 @@ var (
 	evalMsgPool       = sync.Pool{New: func() interface{} { return new(evalMsg) }}
 	answerMsgPool     = sync.Pool{New: func() interface{} { return new(answerMsg) }}
 	aggPartialMsgPool = sync.Pool{New: func() interface{} { return new(aggPartialMsg) }}
-	aggRowMsgPool     = sync.Pool{New: func() interface{} { return new(aggRowMsg) }}
 )
 
 func newTupleMsg(t *relation.Tuple, key relation.Key, level query.Level, publisher id.ID) *tupleMsg {
@@ -100,12 +99,6 @@ func newAggPartialMsg(queryID string, key relation.Key, owner id.ID, epoch int64
 	return m
 }
 
-func newAggRowMsg(queryID string, owner id.ID, epoch int64, row []relation.Value, pubAt int64, lin []query.LineageStep) *aggRowMsg {
-	m := aggRowMsgPool.Get().(*aggRowMsg)
-	*m = aggRowMsg{QueryID: queryID, Owner: owner, Epoch: epoch, Row: row, PubAt: pubAt, Lineage: lin}
-	return m
-}
-
 // aggPartialMsg carries one completed answer row of an aggregate query
 // from its completion node to the aggregator responsible for the row's
 // group: the node owning Key = Hash(agg + queryID + groupKey). Owner
@@ -129,24 +122,6 @@ type aggPartialMsg struct {
 // RingKey implements overlay.Rekeyable: a partial in flight to a
 // departed aggregator re-routes to its group key's new owner.
 func (m *aggPartialMsg) RingKey() id.ID { return m.Key.ID() }
-
-// aggRowMsg is the subscriber-side-aggregation counterpart of
-// aggPartialMsg: the raw completed row ships directly to the query
-// owner, which folds it into the aggregate view locally.
-type aggRowMsg struct {
-	QueryID string
-	Owner   id.ID
-	Epoch   int64
-	Row     []relation.Value
-	// PubAt is the triggering tuple's publication vtime (see
-	// answerMsg.PubAt).
-	PubAt int64
-	// Lineage is the row's provenance (see answerMsg.Lineage).
-	Lineage []query.LineageStep
-}
-
-// RingKey implements overlay.Rekeyable.
-func (m *aggRowMsg) RingKey() id.ID { return m.Owner }
 
 // aggUpdateMsg delivers one finalized aggregate view row — the latest
 // aggregates of one group in one epoch — from an aggregator node to the

@@ -90,7 +90,7 @@ func findInfo(known []ricInfo, key relation.Key) (ricInfo, bool) {
 // the message handlers of Procedures 2 and 3.
 //
 // shard, ctr, qpl and sl are where the processor's handlers run and
-// count, all derived from the node's identifier by bind. On a serial
+// count, all derived from the node's identifier by newProc. On a serial
 // engine the counters alias the engine's public aggregates; on a
 // parallel engine they point at the node's shard accumulator, which
 // only the worker currently executing that shard touches, and which
@@ -118,41 +118,34 @@ type Proc struct {
 	replInboxes map[id.ID]*replInbox
 }
 
+// newProc builds the processor of a ring handle: the node it acts as,
+// the shard its handlers run on and the accounting slot they count into.
+// A processor never changes handle — a node that moves identifier leaves
+// and joins, and the joiner is a fresh Proc.
 func newProc(eng *Engine, node *chord.Node) *Proc {
-	p := &Proc{eng: eng, st: newState(eng.aggSpec)}
+	p := &Proc{eng: eng, node: node, shard: eng.shardOf(node.ID()), st: newState(eng.aggSpec)}
+	s := &eng.slots[p.shard+1]
+	p.ctr, p.qpl, p.sl = s.ctr, s.qpl, s.sl
 	if eng.Cfg.ReplicationFactor >= 2 {
 		p.st.logging = true
 		p.repl = reliable.NewLinks()
 		p.replInboxes = make(map[id.ID]*replInbox)
 	}
-	p.bind(node)
 	if eng.par {
 		p.rng = sim.NewRNG(eng.sim.Seed(), uint64(node.ID()), 0x91ac)
 	}
 	return p
 }
 
-// bind places the processor at a ring handle: the node it acts as, the
-// shard its handlers run on and the accounting slot they count into.
-// newProc and MoveNode are its only callers. The placement stream is
-// not rebound — it belongs to the physical node and follows it to a new
-// identifier, as the overlay's delay stream does.
-func (p *Proc) bind(node *chord.Node) {
-	p.node = node
-	p.shard = p.eng.shardOf(node.ID())
-	s := &p.eng.slots[p.shard+1]
-	p.ctr, p.qpl, p.sl = s.ctr, s.qpl, s.sl
-}
-
-// nextReqID stamps a placement walk. Serial engines use one global
-// counter; parallel engines use a per-shard counter folded with the
-// shard index, which is globally unique (so handed-over pending
-// placements can never collide) yet deterministic, because a shard's
-// events execute sequentially no matter how many workers run.
+// nextReqID stamps a placement walk: the issuing slot's counter folded
+// with the shard index — slot 0 and sim.NoShard on a serial engine.
+// That is globally unique (so handed-over pending placements can never
+// collide) yet deterministic, because a shard's events execute
+// sequentially no matter how many workers run. On a serial engine the
+// ids are strictly increasing in issue order, which is all state.each's
+// by-request-id order relies on, and the trace omits request ids by
+// design, so every golden is byte-identical to the global counter's.
 func (p *Proc) nextReqID() int64 {
-	if !p.eng.par {
-		return p.eng.nextReqID()
-	}
 	s := &p.eng.slots[p.shard+1]
 	s.req++
 	return s.req*sim.Shards + int64(p.shard)
@@ -205,12 +198,6 @@ func (p *Proc) HandleMessage(now sim.Time, msg overlay.Message) {
 		if recycle {
 			*m = aggPartialMsg{}
 			aggPartialMsgPool.Put(m)
-		}
-	case *aggRowMsg:
-		p.eng.recordAggRow(now, m, p)
-		if recycle {
-			*m = aggRowMsg{}
-			aggRowMsgPool.Put(m)
 		}
 	case *aggUpdateMsg:
 		p.eng.recordAggUpdate(now, m, p)
@@ -286,7 +273,7 @@ func (p *Proc) rate(key relation.Key, now sim.Time) float64 {
 	if !ok {
 		return 0
 	}
-	return st.rate(now, p.eng.Cfg.RICWindow)
+	return st.rate(now, ricWindow)
 }
 
 // ownsKey reports whether this node is Successor(Hash(key)) according
@@ -309,7 +296,7 @@ func (p *Proc) ownsKey(key relation.Key) bool {
 // value level the tuple is then stored, at attribute level it enters
 // the ALTT for Δ ticks.
 func (p *Proc) onTuple(now sim.Time, m *tupleMsg) {
-	p.st.recordArrival(m.Key, now, p.eng.Cfg.RICWindow)
+	p.st.recordArrival(m.Key, now, ricWindow)
 	p.qpl.Add(p.node.ID(), 1)
 	p.ctr.TuplesReceived++
 	if ob := p.eng.obs; ob != nil {
@@ -347,7 +334,6 @@ func (p *Proc) onTuple(now sim.Time, m *tupleMsg) {
 		}
 	} else if p.eng.delta >= 0 {
 		p.st.addALTT(m.Key, alttEntry{t: m.T, expireAt: now + sim.Time(p.eng.delta)})
-		p.ctr.ALTTStored++
 		if ob := p.eng.obs; ob != nil {
 			ob.Emit(p.shard, obs.Rec{
 				At: now, Kind: obs.KindALTTStore, Node: p.nid(),
@@ -383,7 +369,6 @@ func (p *Proc) trigger(now sim.Time, sq *storedQuery, t *relation.Tuple, stored 
 		return
 	}
 	if !sq.allowTrigger(t) {
-		p.ctr.DuplicatesSuppressed++
 		return
 	}
 	if len(q.Relations) == 1 {
@@ -609,7 +594,7 @@ func (p *Proc) maybeMigrate(now sim.Time, sq *storedQuery) bool {
 		if c.Level != query.ValueLevel || c.Key == sq.key {
 			continue
 		}
-		if e, ok := p.st.ct.fresh(c.Key, now, cfg.CTValidity); ok {
+		if e, ok := p.st.ct.fresh(c.Key, now, ctValidity); ok {
 			if !found || e.Rate < best {
 				best, found = e.Rate, true
 			}
@@ -660,7 +645,6 @@ func (p *Proc) dispatch(now sim.Time, q2 *query.Query, pubAt int64) {
 		ob.Emit(p.shard, obs.Rec{At: now, Kind: obs.KindRewrite, Node: p.nid(), QID: q2.ID, Arg: int64(q2.Depth)})
 	}
 	if q2.Contradictory() {
-		p.ctr.ContradictoryDropped++
 		return
 	}
 	p.place(now, q2)
@@ -722,7 +706,7 @@ func (p *Proc) placeRIC(now sim.Time, q *query.Query, cands []query.Candidate) {
 	ob := p.eng.obs
 	for _, c := range cands {
 		if p.eng.Cfg.UseCT {
-			if e, ok := p.st.ct.fresh(c.Key, now, p.eng.Cfg.CTValidity); ok {
+			if e, ok := p.st.ct.fresh(c.Key, now, ctValidity); ok {
 				known = append(known, ricInfo{Key: c.Key, Rate: e.Rate, Addr: e.Addr, At: e.At})
 				if ob != nil {
 					ob.Emit(p.shard, obs.Rec{At: now, Kind: obs.KindCTHit, Node: p.nid(), QID: q.ID, Key: c.Key.String()})

@@ -113,15 +113,13 @@ func (p *Proc) replFlush() {
 // versioning exists for.
 func (p *Proc) onReplUpdate(now sim.Time, m *replUpdateMsg) {
 	if m.To != p.node.ID() {
-		p.ctr.ReplStale++ // bounced to the ring position's new owner; repair supersedes it
-		return
+		return // bounced to the ring position's new owner; repair supersedes it
 	}
 	ib, ok := p.replInboxes[m.From]
 	if !ok {
 		ib = &replInbox{in: reliable.NewInbox(), mirror: newMirror(p.eng.aggSpec)}
 		p.replInboxes[m.From] = ib
 	}
-	pre := ib.in.Stale
 	for _, d := range ib.in.Offer(m.Gen, m.Reset, m.First, len(m.Ops), m.Ops) {
 		if d.Reset {
 			ib.mirror = newMirror(p.eng.aggSpec)
@@ -130,7 +128,6 @@ func (p *Proc) onReplUpdate(now sim.Time, m *replUpdateMsg) {
 			ib.mirror.apply(op)
 		}
 	}
-	p.ctr.ReplStale += ib.in.Stale - pre
 }
 
 // ---------------------------------------------------------------------
@@ -200,29 +197,6 @@ func (e *Engine) replForgetOrigin(nid id.ID) {
 	for _, p := range e.procs {
 		delete(p.replInboxes, nid)
 	}
-}
-
-// replResyncAll rebuilds every replication stream from scratch: all
-// links restart on fresh generations and every target receives a full
-// snapshot. The sledgehammer for operations that redistribute stored
-// keys wholesale (identifier movement / RehomeKeys), where incremental
-// drop/add bookkeeping would have to re-derive every moved key.
-func (e *Engine) replResyncAll() {
-	if e.Cfg.ReplicationFactor < 2 {
-		return
-	}
-	for _, n := range e.ring.Nodes() {
-		p := e.procs[n.ID()]
-		if p == nil || p.repl == nil {
-			continue
-		}
-		p.st.outbox = nil // moved-state ops are superseded by the snapshots
-		for _, t := range p.repl.Targets() {
-			e.replDropMirror(n.ID(), t)
-		}
-		p.repl.Sync(nil)
-	}
-	e.replRepair()
 }
 
 // replSendSnapshot streams origin p's full keyed state to one new

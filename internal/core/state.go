@@ -17,13 +17,13 @@ import (
 // stateOp — every mechanism that moves, copies, counts or deletes that
 // state speaks. Live replication is the logged op stream, a snapshot or
 // a handover is each() over a filter, a replica's mirror is a second
-// state fed through apply(), promotion and re-homing replay one state's
-// ops into another, teardown is sweep(), loss accounting is chargeLost.
+// state fed through apply(), promotion replays one state's ops into
+// another, teardown is sweep(), loss accounting is chargeLost.
 //
 // Aliasing rule. An op yielded by each() or handed to a mutator aliases
 // live objects (the stored query, the aggregator group, the pending
-// placement): that is what a *move* wants — handover, re-homing,
-// promotion of a consumed mirror — and the source must forget the entry
+// placement): that is what a *move* wants — handover, promotion of a
+// consumed mirror — and the source must forget the entry
 // (clear, dropKey, or being discarded) before it is touched again. An
 // op that *copies* state must own its mutable parts, and clone() is the
 // only code that knows which parts those are: the log clones every op it
@@ -430,7 +430,7 @@ func (s *state) aggMerge(key relation.Key, g *aggGroup) {
 	} else {
 		s.aggs[key] = g
 	}
-	s.noteDirty(key, g) // an un-flushed group moved in: handover, re-homing, promotion
+	s.noteDirty(key, g) // an un-flushed group moved in: handover, promotion
 }
 
 // noteDirty enters key into the dirty set if its group g has un-flushed

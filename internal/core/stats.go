@@ -9,7 +9,7 @@ import (
 // rateStat measures the rate of incoming tuples for one index key at
 // the node responsible for it — the RIC information of Section 6. The
 // estimate is epoch-based: time is divided into fixed windows of
-// Config.RICWindow ticks, and the prediction for the next window is the
+// ricWindow ticks, and the prediction for the next window is the
 // count observed in the last complete window (falling back to the
 // current, still-open window when no complete one exists yet, so that
 // freshly hot keys are visible immediately).

@@ -65,12 +65,11 @@ type subscription struct {
 	// read by handlers without the lock like the map itself.
 	retired bool
 
-	mu    sync.Mutex
-	rows  []Answer              // delivered rows, in delivery order
-	seen  map[string]bool       // DISTINCT: canonical rows already delivered
-	view  map[viewKey]viewEntry // aggregate view
-	local map[string]*aggGroup  // SubscriberSideAgg: groups folded here, by group key
-	lat   *obs.Histogram        // answer latency; nil unless Config.Obs has metrics
+	mu   sync.Mutex
+	rows []Answer              // delivered rows, in delivery order
+	seen map[string]bool       // DISTINCT: canonical rows already delivered
+	view map[viewKey]viewEntry // aggregate view
+	lat  *obs.Histogram        // answer latency; nil unless Config.Obs has metrics
 }
 
 // addSub opens the record of a freshly stamped query.
@@ -94,7 +93,7 @@ func (e *Engine) retireSub(qid string) {
 	}
 	s.mu.Lock()
 	s.retired = true
-	s.rows, s.seen, s.view, s.local, s.lat = nil, nil, nil, nil, nil
+	s.rows, s.seen, s.view, s.lat = nil, nil, nil, nil
 	s.mu.Unlock()
 }
 
@@ -157,7 +156,6 @@ func (e *Engine) recordAnswer(now sim.Time, m *answerMsg, p *Proc) {
 		}
 		key := rowKey(m.Values)
 		if s.seen[key] {
-			p.ctr.AnswerDupesFiltered++
 			return
 		}
 		s.seen[key] = true
@@ -203,52 +201,6 @@ func (e *Engine) recordAggUpdate(now sim.Time, m *aggUpdateMsg, p *Proc) {
 		return
 	}
 	s.view[k] = viewEntry{row: m.Row, ver: m.Ver, lin: m.Lineage}
-}
-
-// recordAggRow folds a raw answer row into the owner-held aggregate
-// state (the SubscriberSideAgg ablation) and refreshes the affected
-// view rows immediately — the subscriber pays one message per raw row,
-// which is exactly the load the aggregation figure measures against.
-func (e *Engine) recordAggRow(now sim.Time, m *aggRowMsg, p *Proc) {
-	s := e.open(m.QueryID)
-	if s == nil {
-		return
-	}
-	defer s.mu.Unlock()
-	spec := s.spec
-	if spec == nil {
-		return
-	}
-	p.ctr.AggPartials++
-	e.observe(now, p, s, int64(now)-m.PubAt, obs.KindAggRow, "", m.Epoch)
-	if s.local == nil {
-		s.local = make(map[string]*aggGroup)
-	}
-	if s.view == nil {
-		s.view = make(map[viewKey]viewEntry)
-	}
-	gk := spec.GroupKey(m.Row)
-	g, ok := s.local[gk]
-	if !ok {
-		g = &aggGroup{group: spec.GroupValues(m.Row), epochs: make(map[int64]*agg.Partial)}
-		s.local[gk] = g
-	}
-	part, ok := g.epochs[m.Epoch]
-	if !ok {
-		part = agg.NewPartial(spec)
-		g.epochs[m.Epoch] = part
-	}
-	part.Add(spec, m.Row)
-	g.foldLineage(m.Epoch, m.Lineage)
-	last := m.Epoch
-	if spec.Sliding() {
-		last++ // the successor's view merges this epoch's partial
-	}
-	for ep := m.Epoch; ep <= last; ep++ {
-		if row, ok := g.viewRow(spec, ep); ok {
-			s.view[viewKey{group: gk, epoch: ep}] = row
-		}
-	}
 }
 
 // Answers returns the rows delivered so far for a query, in delivery
@@ -333,12 +285,12 @@ func (e *Engine) resetLatency() {
 }
 
 // subsFootprint is what the engine retains on the subscriber side:
-// records by status and the rows, view rows, DISTINCT keys, fold groups
-// and histograms reachable through them.
+// records by status and the rows, view rows, DISTINCT keys and
+// histograms reachable through them.
 type subsFootprint struct {
 	live, retired int
 	rows          int // delivered rows + aggregate view rows
-	aux           int // DISTINCT keys + local fold groups + latency histograms
+	aux           int // DISTINCT keys + latency histograms
 }
 
 func (e *Engine) subsFootprint() (f subsFootprint) {
@@ -349,7 +301,7 @@ func (e *Engine) subsFootprint() (f subsFootprint) {
 			f.live++
 		}
 		f.rows += len(s.rows) + len(s.view)
-		f.aux += len(s.seen) + len(s.local)
+		f.aux += len(s.seen)
 		if s.lat != nil {
 			f.aux++
 		}

@@ -141,7 +141,6 @@ func TestSubsRandomScripts(t *testing.T) {
 				p := eng.procs[nodes[0].ID()]
 				row := []relation.Value{relation.Int64(1), relation.Int64(2), relation.Int64(3)}
 				eng.recordAnswer(eng.sim.Now(), &answerMsg{QueryID: qid, Values: row}, p)
-				eng.recordAggRow(eng.sim.Now(), &aggRowMsg{QueryID: qid, Row: row}, p)
 				eng.recordAggUpdate(eng.sim.Now(), &aggUpdateMsg{QueryID: qid, Group: "g", Row: row}, p)
 				if len(eng.Answers(qid))+len(eng.AggRows(qid)) != 0 {
 					t.Fatalf("%s: retired %s serves rows", label, qid)
@@ -161,8 +160,8 @@ func TestSubsRandomScripts(t *testing.T) {
 
 // TestSubsReleaseOnUnsubscribe: subscribe → publish → unsubscribe, 200
 // times with metrics on, leaves 200 retired records holding nothing but
-// their immutable query and spec — no rows, view, DISTINCT set, fold
-// state or histogram — and no aggregate subscription counted live.
+// their immutable query and spec — no rows, view, DISTINCT set or
+// histogram — and no aggregate subscription counted live.
 func TestSubsReleaseOnUnsubscribe(t *testing.T) {
 	eng, nodes := subsEngine(t, 5, 1, true, true)
 	for round := 0; round < 200; round++ {

@@ -6,17 +6,22 @@ import (
 	"rjoin/internal/agg"
 	"rjoin/internal/core"
 	"rjoin/internal/metrics"
+	"rjoin/internal/query"
+	"rjoin/internal/relation"
 	"rjoin/internal/workload"
 )
 
 // FigAgg is this reproduction's in-network aggregation figure: the
 // same GROUP BY workload runs once with in-network aggregation
 // (completed rows route to per-group aggregator keys on the DHT, which
-// coalesce them into group updates) and once with subscriber-side
-// aggregation (every raw row ships to the subscriber, which folds it
-// locally). Both runs end with bit-identical aggregate views — the
-// figure reports what each paid for them: total traffic, the
-// aggregation share, rows folded vs group updates emitted, and above
+// coalesce them into group updates) and once the way a subscriber
+// without it would get the same views: it subscribes to the plain join
+// (workload.Generator.Query draws GroupQuery's random numbers, so the
+// two runs see the same joins and the same stream), receives every raw
+// row, and folds them itself — agg.Reference, the fold the in-network
+// view is certified against. Both runs end with identical aggregate
+// views — the figure reports what each paid for them: total traffic,
+// the aggregation share, rows folded vs group updates emitted, and above
 // all the subscriber-bound message load, which in-network aggregation
 // compresses from one message per raw answer row to one per touched
 // (group, epoch).
@@ -32,33 +37,19 @@ func FigAgg(p Params) []*metrics.Table {
 	wcfg.JoinArity = 2
 	wcfg.Values = 20
 
-	type result struct {
-		name     string
-		stats    core.Counters
-		traffic  int64
-		aggTfc   int64
-		subBound int64 // messages the subscriber had to absorb
-		views    map[string][]agg.ViewRow
-	}
-	var results []result
-
-	for _, mode := range []struct {
-		name           string
-		subscriberSide bool
-	}{
-		{"in-network", false},
-		{"subscriber-side", true},
-	} {
-		cfg := core.DefaultConfig()
-		cfg.SubscriberSideAgg = mode.subscriberSide
-		r := newRun(p, cfg, wcfg)
+	// drive runs the workload over the queries next draws, and returns
+	// the run with the queries as submitted and their IDs.
+	drive := func(next func(*workload.Generator) *query.Query) (*run, []*query.Query, []string) {
+		r := newRun(p, core.DefaultConfig(), wcfg)
+		var qs []*query.Query
 		var qids []string
 		for i := 0; i < queries; i++ {
-			qid, err := r.eng.SubmitQuery(r.node(), r.gen.GroupQuery())
+			q := next(r.gen)
+			qid, err := r.eng.SubmitQuery(r.node(), q)
 			if err != nil {
 				panic(err) // generator output is valid by construction
 			}
-			qids = append(qids, qid)
+			qs, qids = append(qs, q), append(qids, qid)
 		}
 		r.eng.Run()
 		for i := 0; i < tuples; i++ {
@@ -68,66 +59,81 @@ func FigAgg(p Params) []*metrics.Table {
 			}
 		}
 		r.eng.Run()
-
-		views := make(map[string][]agg.ViewRow, len(qids))
-		for _, qid := range qids {
-			views[qid] = r.eng.AggRows(qid)
-		}
-		subBound := r.eng.Counters.AggUpdates
-		if mode.subscriberSide {
-			subBound = r.eng.Counters.AggPartials
-		}
-		results = append(results, result{
-			name:     mode.name,
-			stats:    r.eng.Counters,
-			traffic:  r.eng.Net().Traffic.Total(),
-			aggTfc:   r.eng.Net().TaggedTraffic(core.TagAgg).Total(),
-			subBound: subBound,
-			views:    views,
-		})
+		return r, qs, qids
 	}
-
-	identical := viewsEqual(results[0].views, results[1].views)
 
 	load := &metrics.Table{
 		Title: "Fig A In-network vs subscriber-side aggregation message load",
 		Headers: []string{"mode", "rows folded", "group updates", "subscriber-bound msgs",
 			"agg traffic", "total traffic", "rewrites"},
 	}
-	for _, res := range results {
-		load.AddRow(res.name,
-			fmt.Sprintf("%d", res.stats.AggPartials),
-			fmt.Sprintf("%d", res.stats.AggUpdates),
-			fmt.Sprintf("%d", res.subBound),
-			fmt.Sprintf("%d", res.aggTfc),
-			fmt.Sprintf("%d", res.traffic),
-			fmt.Sprintf("%d", res.stats.RewritesCreated),
-		)
+
+	inNet, groupQs, qids := drive((*workload.Generator).GroupQuery)
+	views := make([][]agg.ViewRow, queries)
+	for i, qid := range qids {
+		views[i] = inNet.eng.AggRows(qid)
 	}
+	c := inNet.eng.Counters
+	load.AddInts("in-network", c.AggPartials, c.AggUpdates, c.AggUpdates,
+		inNet.eng.Net().TaggedTraffic(core.TagAgg).Total(), inNet.eng.Net().Traffic.Total(), c.RewritesCreated)
+
+	// The baseline's aggregation bill is its answer stream: every raw row
+	// is one direct message to the subscriber, which folds it.
+	subSide, plainQs, qids := drive((*workload.Generator).Query)
+	folded := make([][]agg.ViewRow, queries)
+	for i, qid := range qids {
+		answers := subSide.eng.Answers(qid)
+		rows := make([][]relation.Value, len(answers))
+		for j, a := range answers {
+			rows[j] = aggShape(groupQs[i], plainQs[i], a.Row)
+		}
+		// The workload is unwindowed: every row folds into epoch 0.
+		folded[i] = agg.Reference(groupQs[i], rows, make([]int64, len(rows)))
+	}
+	c = subSide.eng.Counters
+	load.AddInts("subscriber-side", c.AnswersDelivered, 0, c.AnswersDelivered,
+		c.AnswersDelivered, subSide.eng.Net().Traffic.Total(), c.RewritesCreated)
+
 	check := &metrics.Table{
 		Title:   "Fig A(b) Aggregate view equivalence",
 		Headers: []string{"queries", "view rows", "views identical"},
 	}
 	rows := 0
-	for _, v := range results[0].views {
+	for _, v := range views {
 		rows += len(v)
 	}
-	check.AddRow(
-		fmt.Sprintf("%d", queries),
-		fmt.Sprintf("%d", rows),
-		fmt.Sprintf("%v", identical),
-	)
+	check.AddRow(fmt.Sprint(queries), fmt.Sprint(rows), fmt.Sprint(viewsEqual(views, folded)))
 	return []*metrics.Table{load, check}
 }
 
-// viewsEqual compares two per-query aggregate views row by row.
-func viewsEqual(a, b map[string][]agg.ViewRow) bool {
+// aggShape widens one delivered row of the plain query to the select
+// list of its aggregate twin, the shape completed rows have inside the
+// aggregation pipeline: an aggregate position carries its argument
+// column's value, COUNT(*) rides as its constant.
+func aggShape(group, plain *query.Query, row []relation.Value) []relation.Value {
+	out := make([]relation.Value, len(group.Select))
+	for i, it := range group.Select {
+		if it.IsConst {
+			out[i] = it.Const
+			continue
+		}
+		for j, pit := range plain.Select {
+			if pit.Col == it.Col {
+				out[i] = row[j]
+			}
+		}
+	}
+	return out
+}
+
+// viewsEqual compares two lists of aggregate views row by row.
+func viewsEqual(a, b [][]agg.ViewRow) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	for qid, av := range a {
-		bv, ok := b[qid]
-		if !ok || len(av) != len(bv) {
+	for q, av := range a {
+		bv := b[q]
+		if len(av) != len(bv) {
 			return false
 		}
 		for i := range av {

@@ -447,8 +447,14 @@ func Fig9(p Params) []*metrics.Table {
 	tuples := p.scaled(1000)
 	qpl := &metrics.Table{Title: "Fig 9(a) QPL distribution (id movement)", Headers: rankedHeader()}
 	sl := &metrics.Table{Title: "Fig 9(b) SL distribution (id movement)", Headers: rankedHeader()}
+	// An identifier move is a leave and a join, and one balancing round
+	// makes several back to back: a handover chunk in flight to a node
+	// that moves next needs the bounce path, like under any churn. On the
+	// static ring of the "Without" series it never fires.
+	netCfg := overlay.DefaultConfig()
+	netCfg.Bounce = true
 	for _, withBalance := range []bool{false, true} {
-		r := newRun(p, core.DefaultConfig(), workload.PaperConfig())
+		r := newRunNet(p, core.DefaultConfig(), workload.PaperConfig(), netCfg)
 		r.warmup(p.scaled(400))
 		r.submitQueries(p.scaled(p.Queries), query.WindowSpec{})
 		bal := loadbalance.New()

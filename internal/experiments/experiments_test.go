@@ -122,6 +122,32 @@ func TestFig9BalancerShavesHead(t *testing.T) {
 	}
 }
 
+// TestFigAggShapes: the in-network views equal the subscriber's own fold
+// of the plain join's rows, both runs did the same join work, and what
+// in-network aggregation buys is fewer messages at the subscriber.
+func TestFigAggShapes(t *testing.T) {
+	tabs := FigAgg(tiny())
+	if len(tabs) != 2 || len(tabs[0].Rows) != 2 {
+		t.Fatalf("FigAgg returned %d tables", len(tabs))
+	}
+	load := tableWrap{tabs[0].Rows}
+	// Rows: in-network, subscriber-side. Columns: rows folded, group
+	// updates, subscriber-bound msgs, agg traffic, total traffic, rewrites.
+	if got := tabs[1].Rows[0][2]; got != "true" {
+		t.Fatalf("views identical = %s", got)
+	}
+	if cell(load, 0, 1) == 0 || cell(load, 0, 1) != cell(load, 1, 1) || cell(load, 0, 6) != cell(load, 1, 6) {
+		t.Fatalf("the runs did different join work: rows folded %v vs %v, rewrites %v vs %v",
+			cell(load, 0, 1), cell(load, 1, 1), cell(load, 0, 6), cell(load, 1, 6))
+	}
+	if cell(load, 0, 3) >= cell(load, 1, 3) {
+		t.Fatalf("in-network aggregation sent the subscriber %v messages, the baseline %v", cell(load, 0, 3), cell(load, 1, 3))
+	}
+	if cell(load, 1, 2) != 0 {
+		t.Fatalf("the baseline emitted %v group updates", cell(load, 1, 2))
+	}
+}
+
 // TestFigChurnShapes: graceful-only churn delivers the reference
 // exactly; the crash scenario's losses are counted, not silent.
 func TestFigChurnShapes(t *testing.T) {

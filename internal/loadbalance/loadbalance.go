@@ -4,8 +4,12 @@
 // Systems", SPAA'04): a lightly loaded node changes its position on the
 // identifier circle to split the arc of a heavily loaded node, taking
 // over responsibility for part of its keys. The policy lives here; the
-// mechanics (rejoining at a new identifier and re-homing stored state)
-// are provided by the core engine's MoveNode.
+// mechanics are the churn subsystem's: core.Engine.MoveNode is a
+// graceful leave and a join at the new identifier, so the moved state
+// travels as handover messages and, like all churn, wants the overlay's
+// bounce path (overlay.Config.Bounce) — a round makes several moves back
+// to back, and a chunk in flight to a node that moves next must be able
+// to follow it.
 package loadbalance
 
 import (
@@ -34,7 +38,9 @@ func New() *Balancer { return &Balancer{Imbalance: 4} }
 // Rebalance performs one round: it pairs the most loaded nodes with the
 // least loaded ones, and moves each light node to the midpoint of its
 // heavy partner's arc so the heavy node sheds half its key range. It
-// returns the number of id movements performed.
+// returns the number of id movements performed. Occupancy is read from
+// the nodes' stores, so the handovers of one round should have landed
+// (Engine.Run) before the next is asked for.
 func (b *Balancer) Rebalance(eng *core.Engine) int {
 	ring := eng.Ring()
 	nodes := append([]*chord.Node(nil), ring.Nodes()...)

@@ -27,7 +27,9 @@ func buildEngine(t testing.TB, n int, seed int64) (*core.Engine, []*chord.Node) 
 	}
 	ring.BuildPerfect()
 	se := sim.NewEngine(seed)
-	nw := overlay.MustNetwork(ring, se, overlay.DefaultConfig())
+	netCfg := overlay.DefaultConfig()
+	netCfg.Bounce = true
+	nw := overlay.MustNetwork(ring, se, netCfg)
 	eng := core.NewEngine(ring, se, nw, core.DefaultConfig())
 	return eng, ring.Nodes()
 }
@@ -62,13 +64,19 @@ func maxOccupancy(eng *core.Engine) int {
 	return m
 }
 
+// TestRebalanceReducesMaxOccupancy also holds the rounds to moving
+// state, not losing it: sixteen moves back to back put handover chunks
+// in flight to nodes that move next, and the totals must come out equal.
 func TestRebalanceReducesMaxOccupancy(t *testing.T) {
 	eng, _, _ := loadedEngine(t, 1, 200, 60)
 	before := maxOccupancy(eng)
+	q, tu, altt := eng.StoredState()
 	b := New()
+	b.MovesPerRound = 16
 	moved := 0
 	for i := 0; i < 4; i++ {
 		moved += b.Rebalance(eng)
+		eng.Run() // the next round reads occupancies: let the handovers land
 	}
 	if moved == 0 {
 		t.Fatal("no id movements performed on a skewed workload")
@@ -76,6 +84,9 @@ func TestRebalanceReducesMaxOccupancy(t *testing.T) {
 	after := maxOccupancy(eng)
 	if after >= before {
 		t.Fatalf("max occupancy did not drop: before=%d after=%d", before, after)
+	}
+	if q2, tu2, altt2 := eng.StoredState(); q2 != q || tu2 != tu || altt2 != altt {
+		t.Fatalf("%d moves changed the stored totals: %d/%d/%d -> %d/%d/%d", moved, q, tu, altt, q2, tu2, altt2)
 	}
 }
 

@@ -106,13 +106,6 @@ func (l *Load) Rename(old, new id.ID) {
 	}
 }
 
-// Merge adds every count of other into l.
-func (l *Load) Merge(other *Load) {
-	for n, v := range other.byNode {
-		l.Add(n, v)
-	}
-}
-
 // DrainInto moves every count of l into dst and leaves l empty,
 // keeping l's map allocated for reuse. The parallel engine's per-shard
 // accumulators drain into the public aggregates at every sync barrier,
@@ -126,13 +119,6 @@ func (l *Load) DrainInto(dst *Load) {
 	}
 	clear(l.byNode)
 	l.total = 0
-}
-
-// Clone returns a deep copy.
-func (l *Load) Clone() *Load {
-	c := NewLoad()
-	c.Merge(l)
-	return c
 }
 
 // Reset zeroes the counter.

@@ -60,21 +60,10 @@ func TestRankedSortedDescending(t *testing.T) {
 	}
 }
 
-func TestMergeCloneReset(t *testing.T) {
+func TestReset(t *testing.T) {
 	a := NewLoad()
 	a.Add(1, 2)
-	b := NewLoad()
-	b.Add(1, 3)
-	b.Add(2, 4)
-	a.Merge(b)
-	if a.Get(1) != 5 || a.Get(2) != 4 || a.Total() != 9 {
-		t.Fatalf("merge wrong: %d %d %d", a.Get(1), a.Get(2), a.Total())
-	}
-	c := a.Clone()
-	c.Add(1, 1)
-	if a.Get(1) != 5 {
-		t.Fatal("clone aliases original")
-	}
+	a.Add(2, 4)
 	a.Reset()
 	if a.Total() != 0 || a.Participants() != 0 {
 		t.Fatal("reset incomplete")

@@ -119,12 +119,6 @@ const (
 	// leave or join. Arg is the number of entries in the chunk.
 	KindHandover
 
-	// KindAggRow is the first record-only kind: a raw answer row folded
-	// at the subscriber itself (the subscriber-side aggregation
-	// ablation). Arg is the window epoch, N the row's latency. It is the
-	// one record-only kind that is traced — as the KindAggPartial it is
-	// to a reader of the trace.
-	KindAggRow
 	// KindRoute is one keyed send routed over the DHT. Arg is the number
 	// of transmissions it cost (origin plus intermediate routers), Key
 	// the traffic tag it was charged under.
@@ -156,7 +150,7 @@ var kindNames = [kindCount]string{
 	"query.submit", "query.eval", "ct.hit", "ct.miss", "ric.walk",
 	"rewrite", "complete", "answer", "agg.partial", "agg.update",
 	"repl.fanout", "retransmit", "ack", "bounce", "handover",
-	"agg.row", "route", "hop", "deliver", "state.store", "state.drop",
+	"route", "hop", "deliver", "state.store", "state.drop",
 	"trigger", "fanout.row",
 }
 

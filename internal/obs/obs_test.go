@@ -116,8 +116,7 @@ func TestKindStrings(t *testing.T) {
 }
 
 // TestRecordOnlyKindsStayOutOfTheTrace: a trace shows the public kinds
-// only — a subscriber-side fold as the agg.partial it is, the rest of
-// the record-only kinds not at all.
+// only, the record-only kinds not at all.
 func TestRecordOnlyKindsStayOutOfTheTrace(t *testing.T) {
 	rec, tr := tracing(0)
 	for k := Kind(0); k < kindCount; k++ {
@@ -125,16 +124,12 @@ func TestRecordOnlyKindsStayOutOfTheTrace(t *testing.T) {
 	}
 	rec.Flush()
 	got := tr.Events()
-	if len(got) != int(KindAggRow)+1 {
-		t.Fatalf("trace holds %d events, want %d", len(got), int(KindAggRow)+1)
+	if len(got) != int(KindHandover)+1 {
+		t.Fatalf("trace holds %d events, want %d", len(got), int(KindHandover)+1)
 	}
 	for i, ev := range got {
-		want := Kind(i)
-		if want == KindAggRow {
-			want = KindAggPartial
-		}
-		if ev.Kind != want {
-			t.Fatalf("event %d has kind %v, want %v", i, ev.Kind, want)
+		if ev.Kind != Kind(i) {
+			t.Fatalf("event %d has kind %v, want %v", i, ev.Kind, Kind(i))
 		}
 	}
 }

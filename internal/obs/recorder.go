@@ -40,8 +40,8 @@ type Rec struct {
 // of what the hook sites offer. They only name the readers: what a
 // reader does with a record is the switch in Flush.
 const (
-	tracedKinds   = 1<<(KindAggRow+1) - 1
-	meteredKinds  = 1<<KindComplete | 1<<KindAnswer | 1<<KindAggUpdate | 1<<KindAggRow | 1<<KindRetransmit | 1<<KindRoute | 1<<KindHop | 1<<KindDeliver
+	tracedKinds   = 1<<(KindHandover+1) - 1
+	meteredKinds  = 1<<KindComplete | 1<<KindAnswer | 1<<KindAggUpdate | 1<<KindRetransmit | 1<<KindRoute | 1<<KindHop | 1<<KindDeliver
 	profiledKinds = 1<<KindTupleArrive | 1<<KindEval | 1<<KindCTHit | 1<<KindCTMiss | 1<<KindAggPartial | 1<<KindStateStore | 1<<KindStateDrop | 1<<KindTrigger | 1<<KindFanoutRow
 )
 
@@ -154,8 +154,6 @@ func (r *Recorder) Flush() {
 					// The four tuple-lifecycle kinds: a tuple's trace is named
 					// after its publication. Nowhere else is one formatted.
 					ev.Trace = PubTrace(rec.Pub, rec.PubSeq)
-				} else if rec.Kind == KindAggRow {
-					ev.Kind = KindAggPartial
 				}
 				tr.events = append(tr.events, ev)
 			}
@@ -173,7 +171,7 @@ func (r *Recorder) Flush() {
 				pf.Add(rec.QID, rec.Key, profile.CTMisses, 1)
 			case KindComplete:
 				depth.Observe(rec.Arg)
-			case KindAnswer, KindAggUpdate, KindAggRow:
+			case KindAnswer, KindAggUpdate:
 				latency.Observe(rec.N)
 				m.add(at, "query", 0, rec.QID, 1)
 			case KindAggPartial:

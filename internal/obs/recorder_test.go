@@ -121,10 +121,8 @@ func (o *oracle) trace(limit int64) (evs []Event, dropped int64) {
 			rec := o.recs[i]
 			ev := Event{At: int64(rec.At), Kind: rec.Kind, Node: rec.Node, Trace: rec.QID, Key: rec.Key, Arg: rec.Arg}
 			switch {
-			case rec.Kind > KindAggRow:
+			case rec.Kind > KindHandover:
 				continue
-			case rec.Kind == KindAggRow:
-				ev.Kind = KindAggPartial
 			case rec.Kind <= KindALTTStore:
 				ev.Trace = fmt.Sprintf("pub:%016x#%d", rec.Pub, rec.PubSeq)
 			}
@@ -159,7 +157,7 @@ func (o *oracle) samples(interval int64) []Sample {
 		switch rec.Kind {
 		case KindDeliver:
 			s.Scope, s.Name = "node", fmt.Sprintf("%016x", rec.Node)
-		case KindAnswer, KindAggUpdate, KindAggRow:
+		case KindAnswer, KindAggUpdate:
 			s.Scope, s.Name = "query", rec.QID
 		case KindRoute, KindHop:
 			if s.Scope, s.Name = "tag", rec.Key; s.Name == "" {
@@ -317,7 +315,7 @@ func runScript(seed int64, parallel bool, mutate func(rec *Rec)) string {
 		got  *Histogram
 		want LatencySummary
 	}{
-		{"answer latency", m.AnswerLatency, o.hist(n, KindAnswer, KindAggUpdate, KindAggRow)},
+		{"answer latency", m.AnswerLatency, o.hist(n, KindAnswer, KindAggUpdate)},
 		{"rewrite depth", m.RewriteDepth, o.hist(arg, KindComplete)},
 		{"hop count", m.HopCount, o.hist(arg, KindRoute)},
 		{"retransmit rounds", m.RetransmitRounds, o.hist(arg, KindRetransmit)},

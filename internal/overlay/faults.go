@@ -215,12 +215,12 @@ type relTimer struct {
 // channel registry. Called from NewNetwork when cfg.Faults != nil.
 func (nw *Network) initFaults() {
 	f := nw.cfg.Faults
+	ackDelay := f.AckDelay
+	if ackDelay == 0 {
+		ackDelay = 2
+	}
 	rto := f.RTO
 	if rto == 0 {
-		ackDelay := f.AckDelay
-		if ackDelay == 0 {
-			ackDelay = 2
-		}
 		// One full round trip at worst-case delay — outbound hop with a
 		// spike, the coalescing window, the ack hop — plus slack.
 		rto = 2*(nw.cfg.MaxHopDelay+f.SpikeMax) + ackDelay + 2
@@ -228,10 +228,6 @@ func (nw *Network) initFaults() {
 	maxRetries := f.MaxRetries
 	if maxRetries == 0 {
 		maxRetries = 6
-	}
-	ackDelay := f.AckDelay
-	if ackDelay == 0 {
-		ackDelay = 2
 	}
 	nw.rel = &relState{
 		rto:        rto,
@@ -422,6 +418,29 @@ func (rn *relNode) ackUpTo(dst id.ID, cum uint64) {
 	}
 }
 
+// settle is a departing receiver's last acknowledgment: at every sender,
+// each retained entry the node has already received is released. Its
+// coalesced acks die with it (ackSendEvent sends none for a dead node),
+// and an entry left to run its ladder would escalate to the key's new
+// owner — a second delivery of a message whose effects already travel
+// with the node's state: handed over, promoted, or counted lost.
+// Releasing draws nothing and schedules nothing, so the order of the
+// two map walks cannot show. Coordinator context only, like Detach.
+func (nw *Network) settle(p *peer, n id.ID) {
+	for src, rx := range p.rel.rx {
+		sender := nw.peers[src].rel
+		tc, ok := sender.busy[n]
+		if !ok {
+			continue
+		}
+		for seq := range tc.unacked {
+			if rx.dedup.Seen(seq) {
+				sender.release(tc, seq)
+			}
+		}
+	}
+}
+
 // scheduleAck arms the receiver's coalesced ack for one channel, unless
 // one is already pending. The ack event is background: it flows as the
 // clock passes it, but a trailing ack never extends a drain — the
@@ -525,7 +544,8 @@ func (nw *Network) retransmit(p *peer, now sim.Time, tm *relTimer, tc *txChan, e
 // same channel (sequence preserved, so receiver-side dedup keeps
 // masking); a departed peer's message re-routes to the key's current
 // owner over a fresh channel, exactly the bounce path — the dead peer
-// never processed these deliveries, so the re-send cannot duplicate.
+// never processed these deliveries (what it had was released when it
+// detached, see settle), so the re-send cannot duplicate.
 func (nw *Network) escalate(p *peer, tc *txChan, tm *relTimer, e *txEntry) {
 	now, rn := nw.Engine.Now(), p.rel
 	if nw.partitioned(tm.src.ID(), tm.dst, now) {

@@ -160,6 +160,34 @@ func TestPartitionBlocksThenHeals(t *testing.T) {
 	}
 }
 
+// TestDepartedReceiverIsNotResent: a node that has received a message
+// and leaves inside its ack-coalescing window takes the message's
+// effects with it in its state. The sender must not run the ladder and
+// re-route the retained copy to the key's new owner — on a plan that
+// loses nothing, that was a second delivery.
+func TestDepartedReceiverIsNotResent(t *testing.T) {
+	f := newFixture(t, 16, lossyCfg(&Faults{}))
+	from, to := f.nodes[0], f.nodes[8]
+	f.nw.SendDirect(from, to.ID(), keyedMsg{key: to.ID(), body: "once"})
+	f.engine.Run() // delivered; the ack is a background event two ticks out
+	if got := len(f.received[to.ID()]); got != 1 {
+		t.Fatalf("delivered %d times before the departure, want 1", got)
+	}
+	f.ring.Leave(to)
+	f.nw.Detach(to)
+	f.engine.RunUntil(f.engine.Now() + 5000) // past every rung of the default ladder
+	drain(f)
+	f.nw.Sync()
+	delivered := 0
+	for _, msgs := range f.received {
+		delivered += len(msgs)
+	}
+	if delivered != 1 || f.nw.Bounced != 0 || f.nw.Retransmits != 0 {
+		t.Fatalf("after the receiver left: %d deliveries, %d bounced, %d retransmits; want 1, 0, 0",
+			delivered, f.nw.Bounced, f.nw.Retransmits)
+	}
+}
+
 // TestZeroPlanScheduleIdentical: the all-zero fault plan must reproduce
 // the faults-off run exactly — same delivery times, same per-node
 // receive counts, same traffic metric. This is the overlay-level RNG

@@ -194,11 +194,10 @@ func (l *lane) charge(node id.ID, n int64) {
 }
 
 // peer is everything the network keeps for one ring identifier. shard,
-// l and rel belong to the ring position and never change; h is set and
-// cleared by Attach and Detach; rng belongs to the physical node and
-// follows it across RenameNode. Records are never deleted: a departed
-// node's in-flight messages still bounce through its record, drawing
-// from its stream and counting in its lane.
+// l, rng and rel derive from the identifier and never change; h is set
+// and cleared by Attach and Detach. Records are never deleted: a
+// departed node's in-flight messages still bounce through its record,
+// drawing from its stream and counting in its lane.
 type peer struct {
 	h     Handler  // nil while detached
 	shard int      // scheduling shard; sim.NoShard on a serial engine
@@ -291,9 +290,6 @@ type outbox struct {
 	scheduled bool
 }
 
-// Config returns the network's configuration.
-func (nw *Network) Config() Config { return nw.cfg }
-
 // peerFor resolves the record of the node an operation acts as or
 // delivers to. A node that was never Attached gets a handler-less record
 // on first use (tests inject failures that way); that write is safe only
@@ -330,9 +326,14 @@ func (nw *Network) Attach(n *chord.Node, h Handler) { nw.peerFor(n.ID()).h = h }
 
 // Detach removes a node's handler. The rest of the record outlives it,
 // so messages bounced off a departed node still draw deterministically.
+// Under Faults the node's senders stop retaining what it has received
+// (see settle).
 func (nw *Network) Detach(n *chord.Node) {
 	if p, ok := nw.peers[n.ID()]; ok {
 		p.h = nil
+		if p.rel != nil {
+			nw.settle(p, n.ID())
+		}
 	}
 }
 
@@ -524,29 +525,6 @@ func (nw *Network) Sync() {
 	}
 }
 
-// RenameNode follows a physical node to a new identifier (identifier
-// movement: the caller has Detached the old ring handle and Attached the
-// new one). Its accumulated traffic accounting is re-filed under the new
-// identifier and its hop-delay stream moves to the new record — swapped
-// with the one Attach derived there, so the vacated position keeps a
-// live stream of its own for messages still bouncing off it. The
-// batching outbox does not travel: its flush event is addressed to the
-// old ring handle, so the caller flushes before the move (FlushNode).
-// Reliable channels do not follow either: they are keyed by ring
-// identifier on both ends, which is why the core engine refuses
-// identifier movement on a network with Faults.
-func (nw *Network) RenameNode(old, new id.ID) {
-	nw.Sync()
-	nw.Traffic.Rename(old, new)
-	for _, l := range nw.lanes[0].tagged {
-		l.Rename(old, new)
-	}
-	if from, ok := nw.peers[old]; ok {
-		to := nw.peerFor(new)
-		to.rng, from.rng = from.rng, to.rng
-	}
-}
-
 // ResetTraffic zeroes all traffic accounting (total and tagged). The
 // experiment harness calls it after warmup so measurements start clean.
 func (nw *Network) ResetTraffic() {
@@ -608,8 +586,8 @@ func flushEvent(_ sim.Time, c sim.Ctx) { c.A.(*Network).FlushNode(c.B.(*chord.No
 
 // FlushNode sends a node's buffered messages now, as one grouped
 // multiSend — what the batch window's expiry does, and what a node about
-// to leave or change identifier does first, so batching cannot turn a
-// clean departure into message loss.
+// to leave does first, so batching cannot turn a clean departure into
+// message loss.
 func (nw *Network) FlushNode(from *chord.Node) {
 	p := nw.peerFor(from.ID())
 	if len(p.ob.msgs) == 0 {

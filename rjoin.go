@@ -501,19 +501,9 @@ func NewNetwork(opts Options) (*Network, error) {
 		}
 	}
 	if opts.Faults != nil {
-		for _, p := range []struct {
-			name string
-			v    float64
-		}{{"DropProb", opts.Faults.DropProb}, {"DupProb", opts.Faults.DupProb}, {"SpikeProb", opts.Faults.SpikeProb}} {
-			if p.v < 0 || p.v > 1 {
-				return nil, fmt.Errorf("rjoin: Faults.%s %v outside [0, 1]", p.name, p.v)
-			}
-		}
+		// The plan's own ranges are the overlay's to validate; only the
+		// node indices, which it never sees, are checked here.
 		for i, p := range opts.Faults.Partitions {
-			if p.End < p.Start {
-				return nil, fmt.Errorf("rjoin: Faults.Partitions[%d] window [%d, %d) ends before it starts",
-					i, p.Start, p.End)
-			}
 			for _, idx := range p.Side {
 				if idx < 0 || idx >= opts.Nodes {
 					return nil, fmt.Errorf("rjoin: Faults.Partitions[%d] node index %d outside [0, %d)",
