@@ -8,6 +8,12 @@
 // DHT-agnostic design), but the routing below is genuine Chord so the
 // per-message hop counts reported by the experiment harness have the
 // same O(log N) structure as the paper's testbed.
+//
+// Two kinds of reader exist. Routing (Lookup, Stabilize, the finger
+// table) reads each node's own protocol pointers, which lag every
+// membership change until stabilization catches up. Membership
+// mechanics — who owns an identifier, who follows a node — read ring
+// ground truth through Owner, SuccessorList and Nodes, which never lag.
 package chord
 
 import (
@@ -53,43 +59,6 @@ func (n *Node) Successor() *Node {
 
 // Predecessor returns the node's current predecessor, or nil if unknown.
 func (n *Node) Predecessor() *Node { return n.pred }
-
-// SuccessorList returns up to k distinct alive successors of n in ring
-// order, excluding n itself — the replica-group membership of every key
-// n is responsible for. The walk follows each hop's own protocol links
-// (Successor skips entries known dead), so the list self-repairs
-// through the same stabilization rounds that repair routing: after a
-// failure, one Stabilize pass per surviving hop restores it. Rings
-// smaller than k+1 nodes yield every other member; a singleton ring
-// yields an empty list.
-func (r *Ring) SuccessorList(n *Node, k int) []*Node {
-	if n == nil || k <= 0 {
-		return nil
-	}
-	out := make([]*Node, 0, k)
-	cur := n
-	// Each hop advances at least one ring position, so k + Size() steps
-	// suffice even when dead entries are skipped along the way.
-	for steps := 0; len(out) < k && steps < k+len(r.byID); steps++ {
-		next := cur.Successor()
-		if next == n || next == cur {
-			break // wrapped around, or no live successor known
-		}
-		dup := false
-		for _, s := range out {
-			if s == next {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			break // the walk is cycling through a sub-ring
-		}
-		out = append(out, next)
-		cur = next
-	}
-	return out
-}
 
 // String implements fmt.Stringer.
 func (n *Node) String() string { return fmt.Sprintf("node(%s)", n.id) }
@@ -162,6 +131,26 @@ func (r *Ring) successorOf(target id.ID) *Node {
 // Owner returns the ground-truth successor node of the given identifier.
 func (r *Ring) Owner(target id.ID) *Node { return r.successorOf(target) }
 
+// SuccessorList returns, from ring ground truth, the up-to-k alive nodes
+// that follow identifier nid in ring order. The node at nid itself —
+// alive, dead or never joined — is excluded, so the answer is the same
+// before and after that node fails. It is the one definition of "who
+// follows n" that membership mechanics (the joining lookup, replica
+// groups, handover targets) read; no protocol pointer is consulted, so
+// it never lags a join or a failure. Rings with fewer than k other
+// members yield all of them; a singleton ring yields none.
+func (r *Ring) SuccessorList(nid id.ID, k int) []*Node {
+	nodes := r.sorted()
+	i := sort.Search(len(nodes), func(i int) bool { return nodes[i].id > nid })
+	var out []*Node
+	for j := 0; j < len(nodes) && len(out) < k; j++ {
+		if n := nodes[(i+j)%len(nodes)]; n.id != nid {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
 // Join adds a node with the given identifier to the overlay and fully
 // stabilizes its own routing state (the node performs its joining lookup
 // through an existing member; fingers are then built by the fix-fingers
@@ -189,7 +178,7 @@ func (r *Ring) Join(nid id.ID) (*Node, error) {
 
 	// Locate the successor via ground truth (the joining lookup in real
 	// Chord; the result is identical) and splice in.
-	succ := r.successorOfExcluding(nid, n)
+	succ := r.SuccessorList(nid, 1)[0]
 	n.setSuccessor(succ)
 	n.Stabilize()
 	succ.Stabilize()
@@ -198,18 +187,6 @@ func (r *Ring) Join(nid id.ID) (*Node, error) {
 	}
 	n.FixAllFingers()
 	return n, nil
-}
-
-func (r *Ring) successorOfExcluding(target id.ID, skip *Node) *Node {
-	nodes := r.sorted()
-	i := sort.Search(len(nodes), func(i int) bool { return nodes[i].id >= target })
-	for k := 0; k < len(nodes); k++ {
-		cand := nodes[(i+k)%len(nodes)]
-		if cand != skip {
-			return cand
-		}
-	}
-	return nil
 }
 
 // Leave removes a node voluntarily: it hands its position to its

@@ -450,7 +450,7 @@ func TestSuccessorListBasic(t *testing.T) {
 	r := buildRing(t, 16, 5)
 	nodes := r.Nodes()
 	for i, n := range nodes {
-		got := r.SuccessorList(n, 3)
+		got := r.SuccessorList(n.ID(), 3)
 		if len(got) != 3 {
 			t.Fatalf("node %d: successor list length %d, want 3", i, len(got))
 		}
@@ -469,18 +469,18 @@ func TestSuccessorListBasic(t *testing.T) {
 func TestSuccessorListSmallRings(t *testing.T) {
 	r := NewRing()
 	a, _ := r.Join(100)
-	if got := r.SuccessorList(a, 4); len(got) != 0 {
+	if got := r.SuccessorList(a.ID(), 4); len(got) != 0 {
 		t.Fatalf("singleton successor list %v, want empty", got)
 	}
 	b, _ := r.Join(200)
 	r.StabilizeAll()
-	if got := r.SuccessorList(a, 4); len(got) != 1 || got[0] != b {
+	if got := r.SuccessorList(a.ID(), 4); len(got) != 1 || got[0] != b {
 		t.Fatalf("two-node list of a: %v, want [b]", got)
 	}
-	if got := r.SuccessorList(b, 4); len(got) != 1 || got[0] != a {
+	if got := r.SuccessorList(b.ID(), 4); len(got) != 1 || got[0] != a {
 		t.Fatalf("two-node list of b: %v, want [a]", got)
 	}
-	if got := r.SuccessorList(a, 0); got != nil {
+	if got := r.SuccessorList(a.ID(), 0); got != nil {
 		t.Fatalf("k=0 list %v, want nil", got)
 	}
 }
@@ -491,7 +491,7 @@ func TestSuccessorListLargerThanRing(t *testing.T) {
 	r := buildRing(t, 5, 9)
 	nodes := r.Nodes()
 	for i, n := range nodes {
-		got := r.SuccessorList(n, 64)
+		got := r.SuccessorList(n.ID(), 64)
 		if len(got) != len(nodes)-1 {
 			t.Fatalf("node %d: list length %d, want %d", i, len(got), len(nodes)-1)
 		}
@@ -509,17 +509,17 @@ func TestSuccessorListLargerThanRing(t *testing.T) {
 }
 
 // TestSuccessorListRepairsAfterFail: failing a node leaves it out of
-// every successor list after one stabilization round, and the node that
-// followed it moves up one position.
+// every successor list at once — the list is ring ground truth — and
+// stabilization leaves it unchanged: the node that followed the victim
+// has moved up one position.
 func TestSuccessorListRepairsAfterFail(t *testing.T) {
 	r := buildRing(t, 12, 13)
 	nodes := append([]*Node(nil), r.Nodes()...)
 	victim := nodes[4]
 	r.Fail(victim)
-	// Immediately after the failure the walk already skips the dead
-	// node: Successor() consults liveness.
+	// Immediately after the failure, before any stabilization round.
 	for _, n := range r.Nodes() {
-		for _, s := range r.SuccessorList(n, 4) {
+		for _, s := range r.SuccessorList(n.ID(), 4) {
 			if s == victim {
 				t.Fatalf("dead node %s still in successor list of %s before stabilize", victim, n)
 			}
@@ -528,7 +528,7 @@ func TestSuccessorListRepairsAfterFail(t *testing.T) {
 	r.StabilizeAll()
 	alive := r.Nodes()
 	for i, n := range alive {
-		got := r.SuccessorList(n, 3)
+		got := r.SuccessorList(n.ID(), 3)
 		if len(got) != 3 {
 			t.Fatalf("node %s: repaired list length %d, want 3", n, len(got))
 		}
@@ -537,5 +537,36 @@ func TestSuccessorListRepairsAfterFail(t *testing.T) {
 				t.Fatalf("node %s: repaired position %d is %s, want %s", n, j, s, want)
 			}
 		}
+	}
+}
+
+// TestSuccessorListIsGroundTruth: the list never lags a membership
+// change — a joiner appears in its predecessors' lists before any
+// stabilization round, while their own successor pointers still skip
+// it — and it answers for identifiers no alive node holds.
+func TestSuccessorListIsGroundTruth(t *testing.T) {
+	r := buildRing(t, 8, 21)
+	nodes := append([]*Node(nil), r.Nodes()...)
+	pred, next := nodes[2], nodes[3]
+	mid := pred.ID() + (next.ID()-pred.ID())/2
+	j, err := r.Join(mid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.SuccessorList(pred.ID(), 2); len(got) != 2 || got[0] != j || got[1] != next {
+		t.Fatalf("list of the joiner's predecessor: %v, want [%s %s]", got, j, next)
+	}
+	if got := r.SuccessorList(nodes[1].ID(), 3); len(got) != 3 || got[1] != j {
+		t.Fatalf("list two positions before the joiner: %v, want %s second", got, j)
+	}
+	if nodes[1].succ[1] == j {
+		t.Fatal("the second predecessor's protocol list already holds the joiner; the test no longer separates the two readers")
+	}
+	r.Fail(pred)
+	if got := r.SuccessorList(pred.ID(), 1); len(got) != 1 || got[0] != j {
+		t.Fatalf("list of a dead node's identifier: %v, want [%s]", got, j)
+	}
+	if got := r.SuccessorList(mid+1, 1); len(got) != 1 || got[0] != next {
+		t.Fatalf("list of an identifier nobody holds: %v, want [%s]", got, next)
 	}
 }

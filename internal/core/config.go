@@ -114,13 +114,19 @@ type Config struct {
 	// queries with their DISTINCT projection memory, value-level
 	// tuples, ALTT and candidate-table entries, aggregator group
 	// partials — on the owner plus its k−1 ring successors, the key's
-	// successor-list replica group. Mutations batch per handler and fan
-	// out as replica-update messages (overlay.TagRepl); on a crash the
-	// surviving replica the ring now routes to promotes its mirror, so
-	// single-node crashes lose no keyed state (RewritesLost, TuplesLost
-	// and AggStateLost stay zero) and the factor is restored by
-	// re-replication. Values < 2 disable replication and keep the
-	// counted-loss crash model.
+	// replica group (ring ground truth: Engine.replGroup). Mutations
+	// batch per handler and fan out as replica-update messages
+	// (overlay.TagRepl); on a crash the head of the group — the node
+	// the ring now routes to — promotes its mirror, so single-node
+	// crashes lose no keyed state (RewritesLost, TuplesLost and
+	// AggStateLost stay zero) and the factor is restored by
+	// re-replication. One departure per drain is what every k >= 2
+	// tolerates and all that k >= 3 tolerates: the other mirrors are
+	// discarded at crash time, so a promotee that dies before its
+	// zero-delay promotion fires takes the last copy with it
+	// (TestPromoteeCrashCountsMirrorLoss pins equal loss at k = 2, 3,
+	// 4). Values < 2 disable replication and keep the counted-loss
+	// crash model.
 	//
 	// ReplicationFactor is durability, not load spreading: replicas are
 	// passive mirrors that serve no traffic until promoted. To spread a

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"slices"
 	"testing"
@@ -337,42 +338,69 @@ func TestLeaveWithReplicationInFlight(t *testing.T) {
 	}
 }
 
-// mirrorsTrackLiveState asserts the replication invariant at
-// quiescence: for every node, every replica target holds a mirror equal
-// to the node's live state over the mirrored classes (state.equal:
-// stored queries with their identity and DISTINCT/combine memory,
-// tuples, unexpired ALTT entries, aggregator groups down to partials,
-// watermark and lineage, candidate table, placement walks).
-func mirrorsTrackLiveState(t *testing.T, eng *Engine) {
-	t.Helper()
-	checked := 0
+// mirrorsMatchPrimaries checks the engine against the ring, not against
+// its own belief: at quiescence, for every live node n and every member
+// t of replGroup(n) — ring ground truth — the mirror t holds of n equals
+// n's live state over the mirrored classes (state.equal: stored queries
+// with their identity and DISTINCT/combine memory, tuples, unexpired
+// ALTT entries, aggregator groups down to partials, watermark and
+// lineage, candidate table, placement walks). A stream that never
+// opened is an empty mirror.
+func mirrorsMatchPrimaries(eng *Engine) error {
 	for _, n := range eng.Ring().Nodes() {
-		p := eng.procs[n.ID()]
-		for _, tgt := range p.repl.Targets() {
-			tp := eng.procs[tgt]
-			if tp == nil {
-				t.Fatalf("node %s lists dead target %s", n.ID(), tgt)
-			}
-			mirror := newMirror(eng.aggSpec) // stream never opened: state must be empty
-			if ib := tp.replInboxes[n.ID()]; ib != nil {
+		for _, tgt := range eng.replGroup(n.ID()) {
+			mirror := newMirror(eng.aggSpec)
+			if ib := eng.procs[tgt].replInboxes[n.ID()]; ib != nil {
 				mirror = ib.mirror
 			}
-			checked++
-			if err := p.st.equal(mirror, classMirrored, eng.Sim().Now()); err != nil {
-				t.Fatalf("node %s → %s: %v", n.ID(), tgt, err)
+			if err := eng.procs[n.ID()].st.equal(mirror, classMirrored, eng.Sim().Now()); err != nil {
+				return fmt.Errorf("mirror of %s at %s: %v", n.ID(), tgt, err)
 			}
 		}
 	}
-	if checked == 0 {
+	return nil
+}
+
+// orphanMirrors lists, in ring order, every mirror nobody will ever
+// promote or discard: its origin is gone, or its holder is outside
+// replGroup(origin).
+func orphanMirrors(eng *Engine) []string {
+	var out []string
+	for _, n := range eng.Ring().Nodes() {
+		held := slices.Sorted(maps.Keys(eng.procs[n.ID()].replInboxes))
+		for _, origin := range held {
+			switch {
+			case eng.procs[origin] == nil:
+				out = append(out, fmt.Sprintf("%s holds a mirror of departed %s", n.ID(), origin))
+			case !slices.Contains(eng.replGroup(origin), n.ID()):
+				out = append(out, fmt.Sprintf("%s holds a mirror of %s outside its replica group", n.ID(), origin))
+			}
+		}
+	}
+	return out
+}
+
+// mirrorsTrackLiveState asserts both halves of the replication
+// invariant — the one helper the durability tests and the membership
+// checker share.
+func mirrorsTrackLiveState(t *testing.T, eng *Engine) {
+	t.Helper()
+	if eng.Ring().Size() < 2 {
 		t.Fatal("no replica links to check")
+	}
+	if err := mirrorsMatchPrimaries(eng); err != nil {
+		t.Fatal(err)
+	}
+	if orphans := orphanMirrors(eng); len(orphans) > 0 {
+		t.Fatalf("%d orphan mirrors, first: %s", len(orphans), orphans[0])
 	}
 }
 
 // TestMirrorsTrackLiveState drives a mixed workload — including an
 // aggregate and a DISTINCT query, tuple GC, runtime joins, leaves and
-// crashes — and asserts at quiescence that every mirror is exactly the
-// primary's keyed state: the invariant promotion's zero-loss guarantee
-// rests on. GC matters here: collected tuples must leave the mirror
+// crashes — and asserts after every step, at quiescence, that every
+// mirror is exactly the primary's keyed state: the invariant
+// promotion's zero-loss guarantee rests on. GC matters here: collected tuples must leave the mirror
 // too (opRemoveTuple), or mirrors grow unboundedly relative to their
 // primaries.
 func TestMirrorsTrackLiveState(t *testing.T) {
@@ -414,9 +442,8 @@ func TestMirrorsTrackLiveState(t *testing.T) {
 			}
 			eng.Ring().TickStabilize()
 			eng.Run()
+			mirrorsTrackLiveState(t, eng)
 		}
-		eng.Run()
-		mirrorsTrackLiveState(t, eng)
 		if eng.Counters.ReplUpdates == 0 || eng.Counters.ReplOps == 0 {
 			t.Fatalf("k=%d: replication shipped nothing", k)
 		}
@@ -426,42 +453,58 @@ func TestMirrorsTrackLiveState(t *testing.T) {
 	}
 }
 
-// TestPromoteeCrashCountsMirrorLoss: the promotee itself crashes in the
-// same tick, before the scheduled promotion fires. The mirror died with
-// it — the promotion must surface that as counted loss rather than
-// silently dropping the dead node's state while the loss counters read
-// zero (the accounting hole a replicated run must never have).
+// TestPromoteeCrashCountsMirrorLoss pins what ReplicationFactor
+// tolerates (DESIGN.md "Cost and guarantees"). The promotee itself
+// crashes in the same tick, before the scheduled promotion fires: the
+// mirror died with it, and every other mirror was discarded at crash
+// time, so the promotion must surface the first victim's state as
+// counted loss — never drop it silently while the loss counters read
+// zero — and k = 3 and k = 4 lose exactly what k = 2 loses. With a
+// drain between the two crashes every k loses nothing. Whoever makes
+// k >= 3 tolerate more changes this test knowingly.
 func TestPromoteeCrashCountsMirrorLoss(t *testing.T) {
-	eng, nodes := testNet(t, 48, 13, replCfg(2), churnNetCfg())
-	if _, err := eng.SubmitQuery(nodes[1], sqlparse.MustParse(
-		"select R.B, S.B from R,S where R.A=S.A", testCat)); err != nil {
-		t.Fatal(err)
+	lostAfter := func(k int, drain bool) int64 {
+		eng, nodes := testNet(t, 48, 13, replCfg(k), churnNetCfg())
+		if _, err := eng.SubmitQuery(nodes[1], sqlparse.MustParse(
+			"select R.B, S.B from R,S where R.A=S.A", testCat)); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+		for i := 0; i < 16; i++ {
+			eng.PublishTuple(nodes[i%len(nodes)], mkTuple("R", int64(i%4), int64(i), 0))
+		}
+		eng.Run()
+		victim := rewriteHolder(eng)
+		if victim == nil {
+			t.Fatal("no rewritten state to crash")
+		}
+		if err := eng.CrashNode(victim); err != nil {
+			t.Fatal(err)
+		}
+		if drain {
+			eng.Run()
+		}
+		promotee := eng.Ring().Owner(victim.ID())
+		if promotee == nil {
+			t.Fatal("no promotee")
+		}
+		if err := eng.CrashNode(promotee); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+		return memLost(eng)
 	}
-	eng.Run()
-	for i := 0; i < 16; i++ {
-		eng.PublishTuple(nodes[i%len(nodes)], mkTuple("R", int64(i%4), int64(i), 0))
-	}
-	eng.Run()
-	victim := rewriteHolder(eng)
-	if victim == nil {
-		t.Fatal("no rewritten state to crash")
-	}
-	if err := eng.CrashNode(victim); err != nil {
-		t.Fatal(err)
-	}
-	// Same tick, before the promotion event runs: the promotee goes
-	// down too.
-	promotee := eng.Ring().Owner(victim.ID())
-	if promotee == nil {
-		t.Fatal("no promotee")
-	}
-	if err := eng.CrashNode(promotee); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	lost := eng.Counters.RewritesLost + eng.Counters.TuplesLost + eng.Counters.QueriesLost
-	if lost == 0 {
+	sameTick := lostAfter(2, false)
+	if sameTick == 0 {
 		t.Fatal("double crash silently dropped the first victim's mirror: loss counters all zero")
+	}
+	for _, k := range []int{2, 3, 4} {
+		if lost := lostAfter(k, false); lost != sameTick {
+			t.Fatalf("k=%d: victim and promotee crashing in one tick lost %d entries, k=2 lost %d — the stated bound moved", k, lost, sameTick)
+		}
+		if lost := lostAfter(k, true); lost != 0 {
+			t.Fatalf("k=%d: two crashes with a drain between lost %d entries", k, lost)
+		}
 	}
 }
 
@@ -583,7 +626,7 @@ func TestSnapshotPromotionKeepsAggProvenance(t *testing.T) {
 			if origin == nil || origin == nodes[0] || origin == nodes[1] || origin == nodes[2] {
 				t.Fatal("no usable aggregator to crash; workload too weak")
 			}
-			replica := eng.Ring().Node(eng.replTargetsOf(origin)[0])
+			replica := eng.Ring().Node(eng.replGroup(origin.ID())[0])
 			if replica == nodes[0] || replica == nodes[1] || replica == nodes[2] {
 				t.Fatal("replica target is a publisher or the owner; pick another seed")
 			}

@@ -17,17 +17,18 @@ import (
 // in internal/churn; the mechanics of moving RJoin state live here,
 // next to the stores they drain and fill.
 
-// handoverChunk bounds how many state entries ride in one handover
-// message, so the traffic charged for a handover scales with the state
-// moved rather than being a single flat message.
-const handoverChunk = 48
+// stateChunk bounds how many state entries ride in one handover or
+// replica-snapshot message, so the traffic charged for moving or
+// copying state scales with its size rather than being one flat
+// message.
+const stateChunk = 48
 
 // sendHandover ships state entries as chunked, instantaneous transfers,
 // charged under the churn traffic tag.
 func (e *Engine) sendHandover(from *chord.Node, to id.ID, ops []stateOp) {
 	e.net.WithTag(from, TagChurn, func() {
 		for len(ops) > 0 {
-			n := min(len(ops), handoverChunk)
+			n := min(len(ops), stateChunk)
 			m := &handoverMsg{From: from.ID(), To: to, Ops: ops[:n:n]}
 			ops = ops[n:]
 			e.Counters.HandoverMessages++
@@ -102,9 +103,8 @@ func (e *Engine) JoinNode(nid id.ID) (*chord.Node, error) {
 		return nil, err
 	}
 	e.NodeJoined(n)
-	succ := n.Successor()
-	if succ != n {
-		if sp, ok := e.procs[succ.ID()]; ok {
+	if succ := e.ring.SuccessorList(nid, 1); len(succ) > 0 {
+		if sp, ok := e.procs[succ[0].ID()]; ok {
 			// The stored state whose keys now belong to n (ground truth
 			// after the join) moves to it; sp's mirrors drop each moved
 			// key, and n re-replicates it on arrival.
@@ -113,35 +113,35 @@ func (e *Engine) JoinNode(nid id.ID) (*chord.Node, error) {
 				return o != nil && o.ID() == n.ID()
 			})
 			sp.replFlush()
-			e.sendHandover(succ, n.ID(), ops)
+			e.sendHandover(succ[0], n.ID(), ops)
 		}
 	}
-	// The join shifts the successor lists of the new node's
-	// predecessors: re-form the affected replica groups.
+	// The join shifts the replica groups of the new node's k−1
+	// predecessors: re-form them.
 	e.replRepair()
 	return n, nil
 }
 
 // LeaveNode removes a node gracefully: it flushes its batched outbox,
-// drains its entire RJoin state to its successor as handover messages
-// (counted in the churn traffic share), and departs the ring. Messages
-// already in flight to the departed node bounce to the same successor,
-// and the handover lands instantaneously, so a graceful leave loses no
-// state and duplicates no answers. The exception is a node with no
-// live successor (the last node, or one whose whole successor list
-// died first): there is nobody to hand to, and its state — pending
-// placements included — is counted as lost.
+// drains its entire RJoin state to its ring successor — ground truth,
+// the node that owns its keys once it is gone, not its own successor
+// pointer, which lags a join behind it — as handover messages (counted
+// in the churn traffic share), and departs the ring. Messages already
+// in flight to the departed node bounce to the same successor, and the
+// handover lands instantaneously, so a graceful leave loses no state
+// and duplicates no answers. The exception is the last node: there is
+// nobody to hand to, and its state — pending placements included — is
+// counted as lost.
 func (e *Engine) LeaveNode(n *chord.Node) error {
 	p, ok := e.procs[n.ID()]
 	if !ok {
 		return fmt.Errorf("core: node %s has no processor", n.ID())
 	}
 	e.net.FlushNode(n)
-	succ := n.Successor()
-	if succ != n && succ.Alive() {
+	if succ := e.ring.SuccessorList(n.ID(), 1); len(succ) > 0 {
 		ops := p.st.ops(classAll, nil)
 		p.st.clear()
-		e.sendHandover(n, succ.ID(), ops)
+		e.sendHandover(n, succ[0].ID(), ops)
 	} else {
 		p.st.chargeLost(&e.Counters, e.retiredOp)
 	}
@@ -170,7 +170,7 @@ func (e *Engine) LeaveNode(n *chord.Node) error {
 // produced are the crash's answer loss.
 //
 // With ReplicationFactor >= 2 and a surviving replica, nothing is
-// lost: the first live member of the dead node's replica group — the
+// lost: the head of the dead node's replica group (replGroup) — the
 // node the ring now routes its keys to — promotes its mirror,
 // re-indexing the state at its exact keys and re-replicating it.
 // Promotion is scheduled rather than inline so replica updates the dead
@@ -196,30 +196,27 @@ func (e *Engine) CrashNode(n *chord.Node) error {
 	}
 
 	now := e.sim.Now()
-	promotee, replicated := e.replPromotee(p)
-
-	if replicated {
-		// Surviving replicas other than the promotee hold mirrors of the
-		// dead node that will never be promoted; discard them. The
-		// promotee's mirror stays (referenced by the scheduled
+	// The promotee is the head of the dead node's replica group, iff the
+	// dead node had a stream open to it (a group that formed with no
+	// repair pass since has no mirror to promote).
+	var promotee id.ID
+	replicated := false
+	if p.repl != nil {
+		if g := e.replGroup(n.ID()); len(g) > 0 && p.repl.Stream(g[0]) != nil {
+			promotee, replicated = g[0], true
+		}
+		// Every other mirror of the dead node will never be promoted;
+		// discard it. The promotee's stays (referenced by the scheduled
 		// promotion, which consumes it even if the promotee departs
 		// before the event fires — or counts it as loss if it cannot).
-		var promoIb *replInbox
-		if pp, ok := e.procs[promotee]; ok {
-			promoIb = pp.replInboxes[n.ID()]
-		}
 		for _, t := range p.repl.Targets() {
-			if t != promotee {
+			if !replicated || t != promotee {
 				e.replDropMirror(n.ID(), t)
 			}
 		}
-		e.schedulePromotion(n.ID(), promotee, promoIb)
-	} else if p.repl != nil {
-		// No promotion possible: discard every mirror of the dead origin
-		// so nothing lingers unconsumed.
-		for _, t := range p.repl.Targets() {
-			e.replDropMirror(n.ID(), t)
-		}
+	}
+	if replicated {
+		e.schedulePromotion(n.ID(), promotee, e.procs[promotee].replInboxes[n.ID()])
 	}
 
 	// Without a promotion, input continuous queries the dead node was
@@ -253,7 +250,7 @@ func (e *Engine) CrashNode(n *chord.Node) error {
 		// replicas keep their copies, so recovering only the lost
 		// replica restores completeness without duplicating answers.
 		for _, lp := range lost {
-			home := e.recoveryHome(lp.q)
+			home := e.ring.Owner(id.ID(lp.q.Owner))
 			if home == nil {
 				e.Counters.QueriesLost++ // ring emptied out: nobody left to recover to
 				continue
@@ -263,7 +260,7 @@ func (e *Engine) CrashNode(n *chord.Node) error {
 		}
 		// Placements that never completed restart from scratch.
 		for _, q := range rePlace {
-			home := e.recoveryHome(q)
+			home := e.ring.Owner(id.ID(q.Owner))
 			if home == nil {
 				e.Counters.QueriesLost++
 				continue
@@ -282,11 +279,4 @@ func (e *Engine) CrashNode(n *chord.Node) error {
 	// (origins stream fresh snapshots to their new k−1th successors).
 	e.replRepair()
 	return nil
-}
-
-// recoveryHome returns the node that re-submits a recovered query: the
-// owner if alive, else the current successor of the owner's identifier
-// (where the owner's answers are bounced to as well).
-func (e *Engine) recoveryHome(q *query.Query) *chord.Node {
-	return e.ring.Owner(id.ID(q.Owner))
 }

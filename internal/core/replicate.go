@@ -1,14 +1,13 @@
 package core
 
 import (
-	"rjoin/internal/chord"
 	"rjoin/internal/id"
 	"rjoin/internal/overlay"
 	"rjoin/internal/reliable"
 	"rjoin/internal/sim"
 )
 
-// This file implements durable state replication over successor-list
+// This file implements durable state replication over ring-successor
 // replica groups. Every key a node owns shares the same replica group —
 // the node plus its ReplicationFactor−1 ring successors — so each node
 // mirrors its keyed RJoin state (stored queries with their DISTINCT
@@ -31,13 +30,9 @@ import (
 // handover hooks (merged state re-replicates at its new owner, moved
 // keys are dropped from stale mirrors), and every membership change
 // ends in a repair pass that diffs each node's replica targets against
-// its current successor list, streaming a full state snapshot to every
-// new member and discarding mirrors held by former ones.
-
-// replChunk bounds how many operations ride in one full-sync snapshot
-// message, so re-replication traffic scales with the state moved —
-// the same unit economics as handoverChunk.
-const replChunk = 48
+// its replica group (replGroup: ring ground truth, never a node's own
+// successor pointers), streaming a full state snapshot to every new
+// member and discarding mirrors held by former ones.
 
 // replUpdateMsg carries one batch of logged state ops (see state.go)
 // from an origin to one replica target. Gen/First version the batch
@@ -133,10 +128,13 @@ func (p *Proc) onReplUpdate(now sim.Time, m *replUpdateMsg) {
 // ---------------------------------------------------------------------
 // Group maintenance: repair, snapshots, promotion.
 
-// replTargetsOf computes a node's wanted replica targets from its
-// current successor list.
-func (e *Engine) replTargetsOf(n *chord.Node) []id.ID {
-	succs := e.ring.SuccessorList(n, e.Cfg.ReplicationFactor-1)
+// replGroup returns the replica group of the node at identifier nid,
+// primary excluded: the ReplicationFactor−1 alive nodes that follow nid
+// in ring order, head first. The head is the node the ring routes nid's
+// keys to once nid is gone. It is ring ground truth, so it is the same
+// group before and after nid fails and never lags a join.
+func (e *Engine) replGroup(nid id.ID) []id.ID {
+	succs := e.ring.SuccessorList(nid, e.Cfg.ReplicationFactor-1)
 	out := make([]id.ID, len(succs))
 	for i, s := range succs {
 		out[i] = s.ID()
@@ -144,16 +142,15 @@ func (e *Engine) replTargetsOf(n *chord.Node) []id.ID {
 	return out
 }
 
-// replRepair reconciles every node's replica group with the ring after
-// a membership change: new group members receive a full state snapshot
-// on a fresh stream, former members discard their mirror. Runs in
-// coordinator context (no handler in flight) at the end of every
-// membership operation; on a static ring it settles immediately into
-// no-ops. The scan is deliberately whole-ring rather than limited to
-// the changed node's k−1 predecessors: only they can differ, but the
-// full diff is self-evidently correct under any sequence of changes
-// (mid-stabilization successor-list walks included) and costs O(N·k)
-// map work per membership event — noise at simulation scale.
+// replRepair reconciles every node's replica streams with its replica
+// group after a membership change: new group members receive a full
+// state snapshot on a fresh stream, former members discard their
+// mirror. Runs in coordinator context (no handler in flight) at the end
+// of every membership operation; on a static ring it settles
+// immediately into no-ops. The scan is whole-ring rather than limited
+// to the changed node's k−1 predecessors: only they can differ, and the
+// full diff costs O(N·k) map work per membership event — noise at
+// simulation scale.
 func (e *Engine) replRepair() {
 	if e.Cfg.ReplicationFactor < 2 {
 		return
@@ -163,7 +160,7 @@ func (e *Engine) replRepair() {
 		if p == nil || p.repl == nil {
 			continue
 		}
-		added, removed := p.repl.Sync(e.replTargetsOf(n))
+		added, removed := p.repl.Sync(e.replGroup(n.ID()))
 		for _, t := range removed {
 			e.replDropMirror(n.ID(), t)
 		}
@@ -200,7 +197,7 @@ func (e *Engine) replForgetOrigin(nid id.ID) {
 }
 
 // replSendSnapshot streams origin p's full keyed state to one new
-// replica target in replChunk-sized batches. The first batch starts the
+// replica target in stateChunk-sized batches. The first batch starts the
 // stream (sequence 1 ⇒ Reset), so the receiver's mirror is rebuilt
 // from scratch. A node with no keyed state sends nothing: the stream
 // opens lazily with its first update batch, so establishing groups on a
@@ -217,7 +214,7 @@ func (e *Engine) replSendSnapshot(p *Proc, tgt id.ID) {
 	s := p.repl.Stream(tgt)
 	e.net.WithTag(p.node, overlay.TagRepl, func() {
 		for len(ops) > 0 {
-			n := min(len(ops), replChunk)
+			n := min(len(ops), stateChunk)
 			chunk := ops[:n]
 			ops = ops[n:]
 			first := s.Next(n)
@@ -230,31 +227,6 @@ func (e *Engine) replSendSnapshot(p *Proc, tgt id.ID) {
 			})
 		}
 	})
-}
-
-// replPromotee selects the surviving replica that promotes a crashed
-// node's mirror: the ground-truth new owner of the dead node's ring
-// position — its first alive successor, which the repair pass keeps in
-// every replica group. Targets() is sorted by identifier, not ring
-// order, so the owner must be matched against the ring, not taken from
-// the front of the list (with k >= 3 the numerically smallest target
-// may be the second successor, which owns none of the dead arc).
-func (e *Engine) replPromotee(p *Proc) (id.ID, bool) {
-	if p.repl == nil {
-		return 0, false
-	}
-	owner := e.ring.Owner(p.node.ID()) // post-Fail: the dead arc's new owner
-	if owner == nil {
-		return 0, false
-	}
-	for _, t := range p.repl.Targets() {
-		if t == owner.ID() {
-			if _, ok := e.procs[t]; ok {
-				return t, true
-			}
-		}
-	}
-	return 0, false
 }
 
 // promoteCtx carries a scheduled promotion: the dead origin, the

@@ -151,18 +151,13 @@ func TestLastNodeMembershipErrors(t *testing.T) {
 }
 
 // TestWorkersOptionValidation pins the parallel-mode contract at the
-// public API: negative counts, a missing lookahead window and the
-// cross-shard oracle strategy are rejected; 0 and 1 mean the serial
-// engine and replay identically.
+// public API: negative counts are rejected (the missing lookahead
+// window and the cross-shard oracle strategy are rows of
+// TestOptionPairsRejectedByName); 0 and 1 mean the serial engine and
+// replay identically.
 func TestWorkersOptionValidation(t *testing.T) {
 	if _, err := NewNetwork(Options{Nodes: 8, Workers: -1}); err == nil {
 		t.Fatal("negative Workers accepted")
-	}
-	if _, err := NewNetwork(Options{Nodes: 8, Workers: 2, MaxHopDelay: 3}); err == nil {
-		t.Fatal("Workers 2 with MinHopDelay 0 accepted (no lookahead window)")
-	}
-	if _, err := NewNetwork(Options{Nodes: 8, Workers: 2, Strategy: StrategyWorst}); err == nil {
-		t.Fatal("Workers 2 with StrategyWorst accepted")
 	}
 	if _, err := NewNetwork(Options{Nodes: 8, Workers: 2}); err != nil {
 		t.Fatalf("defaulted hop delays (1,1) must satisfy the lookahead requirement: %v", err)
