@@ -115,17 +115,17 @@ type Config struct {
 	// tuples, ALTT and candidate-table entries, aggregator group
 	// partials — on the owner plus its k−1 ring successors, the key's
 	// replica group (ring ground truth: Engine.replGroup). Mutations
-	// batch per handler and fan out as replica-update messages
-	// (overlay.TagRepl); on a crash the head of the group — the node
+	// batch per handler and are charged as one replica-update message
+	// per group member (overlay.TagRepl); on a crash the head of the group — the node
 	// the ring now routes to — promotes its mirror, so single-node
 	// crashes lose no keyed state (RewritesLost, TuplesLost and
 	// AggStateLost stay zero) and the factor is restored by
-	// re-replication. One departure per drain is what every k >= 2
-	// tolerates and all that k >= 3 tolerates: the other mirrors are
-	// discarded at crash time, so a promotee that dies before its
-	// zero-delay promotion fires takes the last copy with it
-	// (TestPromoteeCrashCountsMirrorLoss pins equal loss at k = 2, 3,
-	// 4). Values < 2 disable replication and keep the counted-loss
+	// re-replication. Mirrors are written when the mutating handler
+	// returns and promotion runs inside CrashNode, so every k >= 2
+	// survives any sequence of single departures that leaves two
+	// nodes, and k >= 3 tolerates nothing k = 2 does not
+	// (TestPromoteeCrashLosesNothing pins zero loss at k = 2, 3, 4).
+	// Values < 2 disable replication and keep the counted-loss
 	// crash model.
 	//
 	// ReplicationFactor is durability, not load spreading: replicas are

@@ -77,9 +77,9 @@ type Counters struct {
 	ContainmentRewrites int64
 
 	// Replication bookkeeping (see replicate.go).
-	ReplUpdates         int64 // replica-update messages shipped (batches × targets)
+	ReplUpdates         int64 // replica-update messages charged (batches × targets)
 	ReplOps             int64 // state operations those messages carried
-	ReplSyncs           int64 // full-snapshot streams opened by group repair
+	ReplSyncs           int64 // full-state snapshots sent by group repair
 	ReplPromotions      int64 // crashed nodes whose mirror a replica promoted
 	ReplEntriesPromoted int64 // state entries re-indexed by those promotions
 }
@@ -227,9 +227,9 @@ func NewEngine(ring *chord.Ring, se *sim.Engine, net *overlay.Network, cfg Confi
 	for _, n := range ring.Nodes() {
 		e.NodeJoined(n)
 	}
-	// Establish the initial replica groups. Streams open lazily with
-	// their first update batch — no state exists yet — so a fresh engine
-	// pays no replication traffic until something mutates.
+	// Establish the initial replica groups. A mirror is created by its
+	// first update batch — no state exists yet — so a fresh engine pays
+	// no replication traffic until something mutates.
 	e.replRepair()
 	return e
 }

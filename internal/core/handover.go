@@ -95,9 +95,6 @@ func (p *Proc) onHandover(now sim.Time, m *handoverMsg) {
 // state elsewhere converges through periodic stabilization; until then,
 // stale deliveries heal through the ownership re-route path.
 func (e *Engine) JoinNode(nid id.ID) (*chord.Node, error) {
-	// Clear any mirrors an earlier incarnation of this identifier left
-	// behind, so its dead streams cannot shadow the new node's.
-	e.replForgetOrigin(nid)
 	n, err := e.ring.Join(nid)
 	if err != nil {
 		return nil, err
@@ -145,16 +142,9 @@ func (e *Engine) LeaveNode(n *chord.Node) error {
 	} else {
 		p.st.chargeLost(&e.Counters, e.retiredOp)
 	}
-	// The departed node's mirrors are obsolete: its state lives on at
-	// the successor (which re-replicates it as its own on arrival), or
-	// is already counted lost. Update batches still in flight to a
-	// dropped mirror are discarded by the stream versioning.
-	if p.repl != nil {
-		p.st.outbox = nil
-		for _, t := range p.repl.Targets() {
-			e.replDropMirror(n.ID(), t)
-		}
-	}
+	// The departed node's mirrors go with its Proc: its state lives on
+	// at the successor (which re-replicates it as its own on arrival),
+	// or is already counted lost.
 	e.ring.Leave(n)
 	e.NodeLeft(n)
 	e.replRepair()
@@ -172,14 +162,11 @@ func (e *Engine) LeaveNode(n *chord.Node) error {
 // With ReplicationFactor >= 2 and a surviving replica, nothing is
 // lost: the head of the dead node's replica group (replGroup) — the
 // node the ring now routes its keys to — promotes its mirror,
-// re-indexing the state at its exact keys and re-replicating it.
-// Promotion is scheduled rather than inline so replica updates the dead
-// node flushed before crashing (strictly earlier event sequence
-// numbers) land in the mirror first; every message bounced off the
-// dead node re-routes with a later sequence and finds the promoted
-// state. In-flight placement walks are mirrored too (rewrites included
-// — without the mirror they exist only at the walk's origin) and
-// restart at the promotee.
+// re-indexing the state at its exact keys and re-replicating it, before
+// CrashNode returns: every message bounced off the dead node finds the
+// promoted state. In-flight placement walks are mirrored too (rewrites
+// included — without the mirror they exist only at the walk's origin)
+// and restart at the promotee.
 func (e *Engine) CrashNode(n *chord.Node) error {
 	p, ok := e.procs[n.ID()]
 	if !ok {
@@ -188,35 +175,14 @@ func (e *Engine) CrashNode(n *chord.Node) error {
 	e.ring.Fail(n)
 	e.NodeLeft(n)
 
-	// Mirrors the dead node held for other origins died with it: a
-	// promotion already scheduled against one of them must count loss
-	// instead of resurrecting state through its stale pointer.
-	for _, ib := range p.replInboxes {
-		ib.dead = true
-	}
-
 	now := e.sim.Now()
-	// The promotee is the head of the dead node's replica group, iff the
-	// dead node had a stream open to it (a group that formed with no
-	// repair pass since has no mirror to promote).
+	// The promotee is the head of the dead node's replica group; it
+	// promotes iff it holds a mirror (a node that never stored anything,
+	// or a group that formed with no repair pass since, has none).
 	var promotee id.ID
-	replicated := false
-	if p.repl != nil {
-		if g := e.replGroup(n.ID()); len(g) > 0 && p.repl.Stream(g[0]) != nil {
-			promotee, replicated = g[0], true
-		}
-		// Every other mirror of the dead node will never be promoted;
-		// discard it. The promotee's stays (referenced by the scheduled
-		// promotion, which consumes it even if the promotee departs
-		// before the event fires — or counts it as loss if it cannot).
-		for _, t := range p.repl.Targets() {
-			if !replicated || t != promotee {
-				e.replDropMirror(n.ID(), t)
-			}
-		}
-	}
-	if replicated {
-		e.schedulePromotion(n.ID(), promotee, e.procs[promotee].replInboxes[n.ID()])
+	var mirror *state
+	if g := e.replGroup(n.ID()); len(g) > 0 {
+		promotee, mirror = g[0], p.mirrors[g[0]]
 	}
 
 	// Without a promotion, input continuous queries the dead node was
@@ -226,7 +192,7 @@ func (e *Engine) CrashNode(n *chord.Node) error {
 	// it — walks included, which restart at the promotee.
 	var lost []*storedQuery
 	var rePlace []*query.Query
-	if !replicated {
+	if mirror == nil {
 		p.st.each(classAll, nil, func(op stateOp) {
 			q := op.query()
 			switch {
@@ -276,7 +242,11 @@ func (e *Engine) CrashNode(n *chord.Node) error {
 		}
 	})
 	// Every group the dead node belonged to lost a member: re-form them
-	// (origins stream fresh snapshots to their new k−1th successors).
+	// (origins snapshot to their new k−1th successors), the promotee's
+	// included, so what it promotes re-replicates to its repaired group.
 	e.replRepair()
+	if mirror != nil {
+		e.promoteMirror(e.procs[promotee], mirror, now)
+	}
 	return nil
 }

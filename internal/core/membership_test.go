@@ -122,9 +122,7 @@ func memCheck(eng *Engine, base stateCounts) (errs [4]error) {
 			c.QueriesLost, c.RewritesLost, c.TuplesLost, c.AggStateLost)
 	}
 	errs[1] = mirrorsMatchPrimaries(eng)
-	if orphans := orphanMirrors(eng); len(orphans) > 0 {
-		errs[2] = fmt.Errorf("%d orphan mirrors, first: %s", len(orphans), orphans[0])
-	}
+	errs[2] = orphanMirrors(eng)
 	if got := memCounts(eng); got != base {
 		errs[3] = fmt.Errorf("live nodes hold %+v, the world started with %+v", got, base)
 	}
@@ -144,8 +142,6 @@ type memSweep struct {
 	failed   [4]int     // scripts violating each invariant
 	why      [4]error   // what the first shortest of them violated
 	shortest [4][]memOp // and its script
-	orphaned int        // scripts whose I3 violation was tallied instead
-	waived   int        // undrained mode: scripts whose I1/I4 violation was waived
 }
 
 func (s *memSweep) explore(script []memOp, moved, crashOnly bool) {
@@ -182,28 +178,17 @@ func (s *memSweep) explore(script []memOp, moved, crashOnly bool) {
 // invariants and the ring size it ends with; crashOnly asks for I1
 // alone.
 //
-// Drained — the gate — is Run() after every operation. Undrained issues
-// the operations back to back with one stabilization round after each,
-// what churn.Manager.step() does when two draws hit one tick, and
-// drains once at the end; there loss (I1) and non-conservation (I4) are
-// waived only when a crashed node's promotee itself departs inside the
-// same drain (DESIGN.md "Cost and guarantees": it takes the last copy,
-// or the batches in flight to it, with it). Orphan mirrors (I3) are
-// tallied, not failed, wherever two operations ran inside one drain:
-// every undrained script, and a drained one containing a MoveNode (a
-// leave and a join back to back).
+// Drained is Run() after every operation. Undrained issues the
+// operations back to back with one stabilization round after each, what
+// churn.Manager.step() does when two draws hit one tick, and drains once
+// at the end. Both modes assert all four invariants on every script:
+// mirrors are written where their primary mutates and promotion runs
+// inside CrashNode, so no membership operation can find a replica
+// handoff half done.
 func (s *memSweep) run(script []memOp, crashOnly bool) ([4]error, int) {
 	eng := memWorld(s.t, s.rf)
 	base := memCounts(eng)
-	promotees := make(map[id.ID]bool)
-	waive, backToBack := false, !s.drained
 	for _, o := range script {
-		nodes := eng.Ring().Nodes()
-		waive = waive || !s.drained && o.kind != "join" && promotees[nodes[o.i].ID()]
-		if o.kind == "crash" {
-			promotees[nodes[(o.i+1)%len(nodes)].ID()] = true
-		}
-		backToBack = backToBack || o.kind == "move"
 		if err := o.apply(eng); err != nil {
 			s.t.Fatalf("%v: %s: %v", script, o, err)
 		}
@@ -218,20 +203,12 @@ func (s *memSweep) run(script []memOp, crashOnly bool) ([4]error, int) {
 	if crashOnly {
 		errs[1], errs[2], errs[3] = nil, nil, nil
 	}
-	if waive && (errs[0] != nil || errs[3] != nil) {
-		s.waived++
-		errs[0], errs[3] = nil, nil
-	}
-	if backToBack && errs[2] != nil {
-		s.orphaned++
-		errs[2] = nil
-	}
 	return errs, eng.Ring().Size()
 }
 
 func (s *memSweep) report(mode string) {
-	s.t.Logf("%s rf=%d: %d scripts; failing I1 %d, I2 %d, I3 %d, I4 %d; tallied only: %d with an orphan mirror, %d with I1/I4 waived",
-		mode, s.rf, s.scripts, s.failed[0], s.failed[1], s.failed[2], s.failed[3], s.orphaned, s.waived)
+	s.t.Logf("%s rf=%d: %d scripts; failing I1 %d, I2 %d, I3 %d, I4 %d",
+		mode, s.rf, s.scripts, s.failed[0], s.failed[1], s.failed[2], s.failed[3])
 	for i, err := range s.why {
 		if err != nil {
 			s.t.Errorf("%s rf=%d: %s: shortest failing script %v: %v", mode, s.rf, memInvariants[i], s.shortest[i], err)

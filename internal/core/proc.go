@@ -11,7 +11,6 @@ import (
 	"rjoin/internal/overlay"
 	"rjoin/internal/query"
 	"rjoin/internal/relation"
-	"rjoin/internal/reliable"
 	"rjoin/internal/sim"
 )
 
@@ -110,12 +109,13 @@ type Proc struct {
 	// read its maps directly and write them only through its mutators.
 	st *state
 
-	// Replication (see replicate.go): repl holds the origin-side streams
-	// to this node's replica targets, nil when Config.ReplicationFactor
-	// < 2 (st then logs nothing); replInboxes holds the mirrors this node
-	// maintains as a replica, keyed by origin.
-	repl        *reliable.Links
-	replInboxes map[id.ID]*replInbox
+	// Replication (see replicate.go): targets is this node's replica
+	// group as of the last repair pass, and mirrors the copy of st each
+	// target holds, created by the first batch or snapshot that has
+	// something to put in it. Both stay empty when
+	// Config.ReplicationFactor < 2 (st then logs nothing).
+	targets []id.ID
+	mirrors map[id.ID]*state
 }
 
 // newProc builds the processor of a ring handle: the node it acts as,
@@ -123,13 +123,12 @@ type Proc struct {
 // A processor never changes handle — a node that moves identifier leaves
 // and joins, and the joiner is a fresh Proc.
 func newProc(eng *Engine, node *chord.Node) *Proc {
-	p := &Proc{eng: eng, node: node, shard: eng.shardOf(node.ID()), st: newState(eng.aggSpec)}
+	p := &Proc{eng: eng, node: node, shard: eng.sim.ShardOf(uint64(node.ID())), st: newState(eng.aggSpec)}
 	s := &eng.slots[p.shard+1]
 	p.ctr, p.qpl, p.sl = s.ctr, s.qpl, s.sl
 	if eng.Cfg.ReplicationFactor >= 2 {
 		p.st.logging = true
-		p.repl = reliable.NewLinks()
-		p.replInboxes = make(map[id.ID]*replInbox)
+		p.mirrors = make(map[id.ID]*state)
 	}
 	if eng.par {
 		p.rng = sim.NewRNG(eng.sim.Seed(), uint64(node.ID()), 0x91ac)
@@ -157,9 +156,9 @@ func (p *Proc) nextReqID() int64 {
 // longer owns their key (stale routing state mid-churn) are re-routed
 // before any processing, and are not recycled on that path: they are
 // still in flight. Handlers that mutate state leave the logged ops in
-// its outbox; the trailing replFlush ships them as one batch per
-// replica target, so a mirror is never more than one handler behind its
-// primary.
+// its outbox; the trailing replFlush applies them to the mirror at
+// every replica target, so outside a handler a mirror is never behind
+// its primary.
 func (p *Proc) HandleMessage(now sim.Time, msg overlay.Message) {
 	// In unreliable-network mode the sender retains every message for
 	// possible retransmission, so consumed structs must not be recycled
@@ -207,8 +206,6 @@ func (p *Proc) HandleMessage(now sim.Time, msg overlay.Message) {
 		p.onRICReply(now, m)
 	case *handoverMsg:
 		p.onHandover(now, m)
-	case *replUpdateMsg:
-		p.onReplUpdate(now, m)
 	}
 	p.replFlush()
 }

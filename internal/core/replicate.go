@@ -1,9 +1,9 @@
 package core
 
 import (
+	"slices"
+
 	"rjoin/internal/id"
-	"rjoin/internal/overlay"
-	"rjoin/internal/reliable"
 	"rjoin/internal/sim"
 )
 
@@ -12,67 +12,38 @@ import (
 // the node plus its ReplicationFactor−1 ring successors — so each node
 // mirrors its keyed RJoin state (stored queries with their DISTINCT
 // projection memory, value-level tuples, ALTT entries, candidate-table
-// entries, aggregator group partials) along one versioned update stream
-// per replica target. Mutations batch per handler invocation and fan
-// out as replica-update messages charged under overlay.TagRepl;
-// delivery is Transfer-like (instantaneous, one counted message per
-// target), the simulation's rendering of a primary-backup protocol that
-// acknowledges a mutation only once its backups hold it.
+// entries, aggregator group partials, placement walks) into one copy
+// per replica target. The model is a primary-backup protocol that
+// acknowledges a mutation only once its backups hold it, and the
+// implementation is that model taken literally: the copies live in the
+// origin's own Proc (Proc.mirrors, keyed by the target that holds them),
+// a handler's logged mutations are applied to every copy when the
+// handler returns, and the wire cost — one message per target per batch
+// — is charged under overlay.TagRepl without anything being scheduled.
+// There is no instant at which a copy is behind its primary, so nothing
+// has to survive one.
+//
+// That is shard-safe by construction: a mirror is written only by its
+// origin's handlers (the origin's shard) and by coordinator-context
+// membership code, and no handler of the holder ever reads one — a
+// mirror is a passive state, consulted only by CrashNode.
 //
 // On a crash, the surviving replica the ring now routes the dead node's
-// keys to — its first live successor — promotes its mirror: the dead
-// node's state is re-indexed at its exact keys and re-replicated to the
-// promotee's own targets, instead of being counted lost. Promotion is
-// scheduled as a zero-delay event rather than performed inline so that
-// replica-update batches already in flight from the dead node (their
-// event sequence numbers predate the crash) land in the mirror first.
-// Graceful leaves and runtime joins keep groups consistent through the
-// handover hooks (merged state re-replicates at its new owner, moved
-// keys are dropped from stale mirrors), and every membership change
-// ends in a repair pass that diffs each node's replica targets against
-// its replica group (replGroup: ring ground truth, never a node's own
-// successor pointers), streaming a full state snapshot to every new
-// member and discarding mirrors held by former ones.
+// keys to — its first live successor — promotes its mirror inside
+// CrashNode: the dead node's state is re-indexed at its exact keys and
+// re-replicated to the promotee's own targets, instead of being counted
+// lost. Graceful leaves and runtime joins keep groups consistent
+// through the handover hooks (merged state re-replicates at its new
+// owner, moved keys are dropped from the old owner's mirrors), and every
+// membership change ends in a repair pass that diffs each node's
+// replica targets against its replica group (replGroup: ring ground
+// truth, never a node's own successor pointers), copying the full state
+// to every new member and discarding the copies former members held.
 
-// replUpdateMsg carries one batch of logged state ops (see state.go)
-// from an origin to one replica target. Gen/First version the batch
-// within the (origin, target) stream — see internal/reliable for the
-// idempotency rules. Reset marks the head of a stream (always the batch
-// starting at sequence 1): the receiver discards any previous mirror of
-// this origin before applying.
-type replUpdateMsg struct {
-	From  id.ID
-	To    id.ID
-	Gen   int64
-	First int64
-	Reset bool
-	Ops   []stateOp
-}
-
-// RingKey implements overlay.Rekeyable: a batch in flight to a replica
-// that just departed re-routes to its ring position's new owner, which
-// discards it (To no longer matches) — the repair pass has already
-// superseded the stream with a fresh snapshot.
-func (m *replUpdateMsg) RingKey() id.ID { return m.To }
-
-// replInbox is the replica-side state one node keeps per origin: the
-// versioned stream tracker and the mirror it materializes into — a
-// passive state never consulted by query processing; only promotion
-// reads it back. dead marks a mirror whose holder crashed before a
-// scheduled promotion could consume it — the contents died with the
-// holder and must be counted as loss, not resurrected through a stale
-// pointer.
-type replInbox struct {
-	in     *reliable.Inbox
-	mirror *state
-	dead   bool
-}
-
-// replFlush ships the handler batch to every replica target: one
-// message per target, each stamped with that stream's generation and
-// next sequence range. The ops slice is shared read-only across the
-// copies; a mirror clones what it applies.
-// Runs at the end of every message handler and after coordinator-side
+// replFlush applies the handler batch to the mirror at every replica
+// target and charges one message per target. The ops slice is shared
+// read-only across the targets; a mirror clones what it applies. Runs
+// at the end of every message handler and after coordinator-side
 // mutations (promotion, handover construction).
 func (p *Proc) replFlush() {
 	if len(p.st.outbox) == 0 {
@@ -80,49 +51,32 @@ func (p *Proc) replFlush() {
 	}
 	ops := p.st.outbox
 	p.st.outbox = nil
-	targets := p.repl.Targets()
-	if len(targets) == 0 {
+	if len(p.targets) == 0 {
 		// No replica group exists (ring smaller than the factor); the
-		// repair pass snapshots everything when one forms.
+		// repair pass copies everything when one forms.
 		return
 	}
-	p.ctr.ReplUpdates += int64(len(targets))
-	p.ctr.ReplOps += int64(len(ops) * len(targets))
-	p.eng.net.ReplicateTo(p.node, targets, func(tgt id.ID) overlay.Message {
-		s := p.repl.Stream(tgt)
-		first := s.Next(len(ops))
-		return &replUpdateMsg{
-			From: p.node.ID(), To: tgt,
-			Gen: s.Gen(), First: first, Reset: first == 1,
-			Ops: ops,
+	p.ctr.ReplUpdates += int64(len(p.targets))
+	p.ctr.ReplOps += int64(len(ops) * len(p.targets))
+	p.eng.net.ReplicateTo(p.node, p.targets)
+	for _, tgt := range p.targets {
+		m := p.mirrorAt(tgt)
+		for _, op := range ops {
+			m.apply(op)
 		}
-	})
+	}
 }
 
-// ---------------------------------------------------------------------
-// Replica side: stream application into the mirror.
-
-// onReplUpdate applies one received batch. Batches for a stream this
-// node no longer hosts (bounced past a departed replica) and replayed
-// or superseded ranges are dropped by the inbox — the idempotency the
-// versioning exists for.
-func (p *Proc) onReplUpdate(now sim.Time, m *replUpdateMsg) {
-	if m.To != p.node.ID() {
-		return // bounced to the ring position's new owner; repair supersedes it
+// mirrorAt returns the mirror replica target tgt holds of p, creating
+// it on first use: a node that never stores anything costs its replicas
+// nothing.
+func (p *Proc) mirrorAt(tgt id.ID) *state {
+	m := p.mirrors[tgt]
+	if m == nil {
+		m = newMirror(p.eng.aggSpec)
+		p.mirrors[tgt] = m
 	}
-	ib, ok := p.replInboxes[m.From]
-	if !ok {
-		ib = &replInbox{in: reliable.NewInbox(), mirror: newMirror(p.eng.aggSpec)}
-		p.replInboxes[m.From] = ib
-	}
-	for _, d := range ib.in.Offer(m.Gen, m.Reset, m.First, len(m.Ops), m.Ops) {
-		if d.Reset {
-			ib.mirror = newMirror(p.eng.aggSpec)
-		}
-		for _, op := range d.Payload.([]stateOp) {
-			ib.mirror.apply(op)
-		}
-	}
+	return m
 }
 
 // ---------------------------------------------------------------------
@@ -142,164 +96,59 @@ func (e *Engine) replGroup(nid id.ID) []id.ID {
 	return out
 }
 
-// replRepair reconciles every node's replica streams with its replica
-// group after a membership change: new group members receive a full
-// state snapshot on a fresh stream, former members discard their
-// mirror. Runs in coordinator context (no handler in flight) at the end
-// of every membership operation; on a static ring it settles
-// immediately into no-ops. The scan is whole-ring rather than limited
-// to the changed node's k−1 predecessors: only they can differ, and the
-// full diff costs O(N·k) map work per membership event — noise at
-// simulation scale.
+// replRepair reconciles every node's replica targets with its replica
+// group after a membership change: the mirror a former member held is
+// discarded, a new member receives a full state snapshot. Runs in
+// coordinator context (no handler in flight) at the end of every
+// membership operation; on a static ring it settles immediately into
+// no-ops. The scan is whole-ring rather than limited to the changed
+// node's k−1 predecessors: only they can differ, and the full diff
+// costs O(N·k) work per membership event — noise at simulation scale.
 func (e *Engine) replRepair() {
 	if e.Cfg.ReplicationFactor < 2 {
 		return
 	}
 	for _, n := range e.ring.Nodes() { // identifier order: deterministic
 		p := e.procs[n.ID()]
-		if p == nil || p.repl == nil {
+		if p == nil {
 			continue
 		}
-		added, removed := p.repl.Sync(e.replGroup(n.ID()))
-		for _, t := range removed {
-			e.replDropMirror(n.ID(), t)
+		group := e.replGroup(n.ID())
+		for _, t := range p.targets {
+			if !slices.Contains(group, t) {
+				delete(p.mirrors, t)
+			}
 		}
-		for _, t := range added {
-			e.replSendSnapshot(p, t)
+		for _, t := range group {
+			if !slices.Contains(p.targets, t) {
+				e.replSnapshot(p, t)
+			}
 		}
+		p.targets = group
 	}
 }
 
-// replDropMirror discards the mirror target holds for origin, closing
-// the stream so in-flight remnants are rejected. A no-op when the
-// target is gone or never opened the stream.
-func (e *Engine) replDropMirror(origin, target id.ID) {
-	tp, ok := e.procs[target]
-	if !ok {
-		return
-	}
-	if ib, ok := tp.replInboxes[origin]; ok {
-		ib.in.Drop()
-		delete(tp.replInboxes, origin)
-	}
-}
-
-// replForgetOrigin clears every mirror of an identifier across the
-// network — called when an identifier joins, so an earlier incarnation's
-// streams (dead or departed) cannot shadow the new node's.
-func (e *Engine) replForgetOrigin(nid id.ID) {
-	if e.Cfg.ReplicationFactor < 2 {
-		return
-	}
-	for _, p := range e.procs {
-		delete(p.replInboxes, nid)
-	}
-}
-
-// replSendSnapshot streams origin p's full keyed state to one new
-// replica target in stateChunk-sized batches. The first batch starts the
-// stream (sequence 1 ⇒ Reset), so the receiver's mirror is rebuilt
-// from scratch. A node with no keyed state sends nothing: the stream
-// opens lazily with its first update batch, so establishing groups on a
-// fresh engine costs no traffic.
-func (e *Engine) replSendSnapshot(p *Proc, tgt id.ID) {
-	// The mirrored classes in the state's one enumeration order, cloned:
-	// the transfer lands as an event, and the primary keeps mutating.
-	var ops []stateOp
-	p.st.each(classMirrored, nil, func(op stateOp) { ops = append(ops, op.clone()) })
-	if len(ops) == 0 {
+// replSnapshot builds the mirror a new replica target holds of origin p
+// from p's full keyed state, charged as stateChunk-sized messages. A
+// node with no keyed state sends nothing: the mirror is created by its
+// first update batch, so establishing groups on a fresh engine costs no
+// traffic.
+func (e *Engine) replSnapshot(p *Proc, tgt id.ID) {
+	n := 0
+	p.st.each(classMirrored, nil, func(op stateOp) {
+		p.mirrorAt(tgt).apply(op) // a mirror clones what it applies: the primary keeps mutating
+		n++
+	})
+	if n == 0 {
 		return
 	}
 	e.Counters.ReplSyncs++
-	s := p.repl.Stream(tgt)
-	e.net.WithTag(p.node, overlay.TagRepl, func() {
-		for len(ops) > 0 {
-			n := min(len(ops), stateChunk)
-			chunk := ops[:n]
-			ops = ops[n:]
-			first := s.Next(n)
-			p.ctr.ReplUpdates++
-			p.ctr.ReplOps += int64(n)
-			e.net.Transfer(p.node, tgt, &replUpdateMsg{
-				From: p.node.ID(), To: tgt,
-				Gen: s.Gen(), First: first, Reset: first == 1,
-				Ops: chunk,
-			})
-		}
-	})
-}
-
-// promoteCtx carries a scheduled promotion: the dead origin, the
-// replica expected to hold its mirror, the mirror inbox as known at
-// crash time (nil when the snapshot that materializes it is still in
-// flight — it is re-resolved at fire time), and a hop budget for the
-// pathological case where the promotee itself departs within the same
-// tick and the promotion must chase the key range's current owner.
-type promoteCtx struct {
-	dead     id.ID
-	promotee id.ID
-	ib       *replInbox
-	hops     int
-}
-
-// schedulePromotion queues the mirror promotion as a zero-delay event
-// on the promotee's shard. Ordering does the heavy lifting: replica
-// updates the dead node flushed before crashing carry earlier sequence
-// numbers than anything scheduled from the crash itself, so they are
-// applied to the mirror before this event fires, while every message
-// bounced off the dead node re-routes with a fresh (later) sequence and
-// therefore observes the promoted state.
-func (e *Engine) schedulePromotion(dead, promotee id.ID, ib *replInbox) {
-	e.sim.AfterCtxShard(0, promoteEvent, sim.Ctx{A: e, B: &promoteCtx{dead: dead, promotee: promotee, ib: ib}}, sim.NoShard, e.shardOf(promotee))
-}
-
-// shardOf resolves the shard a node's events are scheduled on.
-func (e *Engine) shardOf(nid id.ID) int { return e.sim.ShardOf(uint64(nid)) }
-
-// ctrAt returns the counter slot a promotion event may write: the slot
-// of the shard the event executes on (exclusively owned by the running
-// worker).
-func (e *Engine) ctrAt(nid id.ID) *Counters { return e.slots[e.shardOf(nid)+1].ctr }
-
-// promoteEvent executes a scheduled promotion.
-func promoteEvent(now sim.Time, c sim.Ctx) {
-	e := c.A.(*Engine)
-	pc := c.B.(*promoteCtx)
-	p, ok := e.procs[pc.promotee]
-	if !ok {
-		// The promotee departed in the same tick. Chase the dead arc's
-		// current owner, carrying the mirror pointer (the departed
-		// promotee's inbox map is gone, but the mirror object survives
-		// a graceful leave); if the chase exhausts its budget or the
-		// ring emptied, the mirror is unrecoverable — count it, so the
-		// zero-loss counters never lie.
-		if owner := e.ring.Owner(pc.dead); owner != nil && pc.hops < maxReroutes {
-			src := e.shardOf(pc.promotee) // the shard this event ran on
-			pc.hops++
-			pc.promotee = owner.ID()
-			e.sim.AfterCtxShard(0, promoteEvent, c, src, e.shardOf(pc.promotee))
-			return
-		}
-		if pc.ib != nil {
-			pc.ib.mirror.chargeLost(e.ctrAt(pc.promotee), e.retiredOp)
-		}
-		return
+	to := []id.ID{tgt}
+	for ; n > 0; n -= stateChunk {
+		p.ctr.ReplUpdates++
+		p.ctr.ReplOps += int64(min(n, stateChunk))
+		e.net.ReplicateTo(p.node, to)
 	}
-	ib := pc.ib
-	if ib == nil {
-		ib = p.replInboxes[pc.dead] // snapshot landed after the crash scheduled us
-	}
-	if ib == nil {
-		return // the origin had no mirrored state
-	}
-	delete(p.replInboxes, pc.dead)
-	if ib.dead {
-		// The mirror's holder crashed before this event fired: the
-		// contents died with it.
-		ib.mirror.chargeLost(p.ctr, e.retiredOp)
-		return
-	}
-	e.promoteMirror(p, ib, now)
 }
 
 // promoteMirror replays a dead origin's mirror into the promotee's live
@@ -307,10 +156,9 @@ func promoteEvent(now sim.Time, c sim.Ctx) {
 // promoted entry re-replicates to its own replica group — the step that
 // restores the replication factor for the recovered state. The mirror
 // is consumed: its entries move.
-func (e *Engine) promoteMirror(p *Proc, ib *replInbox, now sim.Time) {
-	ib.in.Kill()
+func (e *Engine) promoteMirror(p *Proc, mirror *state, now sim.Time) {
 	p.ctr.ReplPromotions++
-	ib.mirror.each(classMirrored, nil, func(op stateOp) {
+	mirror.each(classMirrored, nil, func(op stateOp) {
 		if e.retiredOp(op) {
 			return // torn-down pipeline or unsubscribed aggregate: do not resurrect
 		}

@@ -3,7 +3,7 @@
 //
 // With Config.Faults set, every routed or direct send (Send, MultiSend,
 // SendDirect, batched flushes — everything except the instantaneous
-// Transfer/ReplicateTo handoffs and node-local deliveries) runs over a
+// Transfer handoff and node-local deliveries) runs over a
 // per-(source, destination) sequence-numbered channel. The transmission
 // of each sequence number is subject to the fault plan: a Bernoulli drop
 // draw, a duplication draw, a delay-spike draw, and scheduled link

@@ -455,9 +455,8 @@ func (nw *Network) deliver(p *peer, owner *chord.Node, delay int64, msg Message)
 // deliverFrom is deliver with a known sender: in unreliable mode a
 // remote delivery runs over the (from → owner) reliable channel;
 // node-local deliveries and reliable networks take the plain path.
-// Transfer and ReplicateTo deliberately bypass this — their
-// instantaneous-handoff semantics model an already-acknowledged
-// primary-backup exchange.
+// Transfer deliberately bypasses this — its instantaneous-handoff
+// semantics model an already-acknowledged exchange.
 func (nw *Network) deliverFrom(p *peer, from, owner *chord.Node, delay int64, msg Message) {
 	if nw.Lossy() && owner != from {
 		nw.sendReliable(p, from, owner, delay, msg)
@@ -628,10 +627,7 @@ func (nw *Network) SendDirect(from *chord.Node, to id.ID, msg Message) {
 // regular (≥ one hop delay) message can observe the new owner before
 // its state has arrived. It reports whether the recipient accepted.
 func (nw *Network) Transfer(from *chord.Node, to id.ID, msg Message) bool {
-	return nw.transfer(nw.peerFor(from.ID()), from, to, msg)
-}
-
-func (nw *Network) transfer(p *peer, from *chord.Node, to id.ID, msg Message) bool {
+	p := nw.peerFor(from.ID())
 	owner := nw.Ring.Node(to)
 	if owner == nil {
 		nw.bounce(p, msg)
@@ -649,16 +645,16 @@ func (nw *Network) transfer(p *peer, from *chord.Node, to id.ID, msg Message) bo
 // own share of total traffic, like "ric" does for placement polling.
 const TagRepl = "repl"
 
-// ReplicateTo fans one batch of state mutations out to a replica group:
-// mk builds the per-target copy (each recipient needs its own message —
-// streams are versioned per link), and every copy is delivered as a
-// direct, instantaneous transfer charged under TagRepl. Delivery is
-// Transfer-like by design: a primary-backup protocol acknowledges a
-// mutation only once its backups hold it, which the simulation models
-// as the mirror being current before any ≥ one-hop message can observe
-// the effects of the mutation. The copies are on the wire — one charged
-// message per target — they just cannot be overtaken.
-func (nw *Network) ReplicateTo(from *chord.Node, targets []id.ID, mk func(target id.ID) Message) {
+// ReplicateTo charges the fan-out of one batch of state mutations to a
+// replica group: one direct message per target, under TagRepl. It only
+// charges. A primary-backup protocol acknowledges a mutation only once
+// its backups hold it, which the simulation models as the mirror being
+// current before anything can observe the effects of the mutation — so
+// the caller applies the batch to its mirrors itself, in the same call
+// stack, and nothing is scheduled or delivered here. The copies are on
+// the wire — one charged message per target — they just cannot be
+// overtaken.
+func (nw *Network) ReplicateTo(from *chord.Node, targets []id.ID) {
 	if len(targets) == 0 {
 		return
 	}
@@ -667,8 +663,8 @@ func (nw *Network) ReplicateTo(from *chord.Node, targets []id.ID, mk func(target
 		ob.Emit(p.shard, obs.Rec{At: nw.Engine.Now(), Kind: obs.KindReplFanout, Node: uint64(from.ID()), Arg: int64(len(targets))})
 	}
 	withTag(p.l, TagRepl, func() {
-		for _, t := range targets {
-			nw.transfer(p, from, t, mk(t))
+		for range targets {
+			nw.chargeHop(p, from.ID())
 		}
 	})
 }

@@ -118,7 +118,7 @@ func runPeerScript(t *testing.T, seed int64, batch int64, workers int) peerAccou
 			nw.Transfer(from, everID[rng.Intn(len(everID))], msg())
 		case op == 4:
 			targets := []id.ID{pick().ID(), pick().ID(), pick().ID()}
-			nw.ReplicateTo(from, targets[:1+rng.Intn(3)], func(id.ID) Message { return msg() })
+			nw.ReplicateTo(from, targets[:1+rng.Intn(3)])
 		case op == 5 && depth < 3:
 			nw.WithTag(from, scriptTags[rng.Intn(len(scriptTags))], func() {
 				for i := rng.Intn(3); i >= 0; i-- {

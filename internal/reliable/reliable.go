@@ -1,109 +1,16 @@
-// Package reliable implements sequence-numbered channel bookkeeping
-// shared by every layer that must apply a message stream exactly once
-// over an unreliable or reordering transport: per-link versioned update
-// streams with their link registries (the durable-state replication
-// layer), the stream-side inbox that makes applying those streams
-// idempotent under replays and reorders, and the unordered Dedup filter
-// the overlay's end-to-end reliable channels use to suppress duplicate
-// deliveries.
+// Package reliable implements the sequence-number bookkeeping of a
+// channel that must pass each message exactly once over a transport
+// that drops, duplicates and reorders: Dedup, the unordered duplicate
+// filter behind the overlay's end-to-end reliable channels
+// (internal/overlay/faults.go).
 //
-// The replication use is successor-list replication: every key a node
-// owns has the same replica group — the node itself plus its k−1 ring
-// successors — so each node maintains one outgoing stream per replica
-// target and mirrors its keyed state along all of them. What the
-// payloads mean is the caller's business (internal/core encodes RJoin
-// state mutations); this package only guarantees that a batch stream is
-// applied exactly once, in order, per (origin, target, generation).
-//
-// Versioning is two-level. Each (origin → target) link carries a
-// generation, bumped whenever the link is (re-)established with a full
-// state snapshot, and each batch within a generation carries a
-// contiguous operation-sequence range. A replica applies a batch iff it
-// extends the applied prefix of the current generation: older
-// generations are dropped (a superseding snapshot is or was in flight),
-// replayed ranges are dropped (idempotency), and gaps are buffered until
-// the missing range arrives (reorder tolerance).
+// Inbox — an ordered, generation-versioned batch stream — has had no
+// caller in the engine since replica mirrors became synchronous
+// (internal/core/replicate.go). It is kept, with its tests, only because
+// the frozen perfbench/layers.go still times Offer for
+// reliable.inbox_offer_ns; it goes when perfbench is unfrozen (ROADMAP
+// item 2(f)).
 package reliable
-
-import (
-	"sort"
-
-	"rjoin/internal/id"
-)
-
-// Stream is the origin-side state of one outgoing replication link: the
-// current generation and the operation sequence already assigned.
-type Stream struct {
-	gen  int64
-	next int64 // next unassigned op sequence (first op of a gen is 1)
-}
-
-// Gen returns the stream's current generation.
-func (s *Stream) Gen() int64 { return s.gen }
-
-// Next assigns the next n operation sequence numbers and returns the
-// first of them.
-func (s *Stream) Next(n int) int64 {
-	first := s.next
-	s.next += int64(n)
-	return first
-}
-
-// Links is one origin's registry of outgoing replication links, in
-// deterministic (ascending target identifier) order. Generations are
-// drawn from a single per-origin counter, so a target that is dropped
-// and later re-acquired always sees a strictly larger generation than
-// any batch of its earlier stream.
-type Links struct {
-	streams map[id.ID]*Stream
-	order   []id.ID
-	gens    int64
-}
-
-// NewLinks returns an empty registry.
-func NewLinks() *Links {
-	return &Links{streams: make(map[id.ID]*Stream)}
-}
-
-// Targets returns the current targets in ascending identifier order.
-// The returned slice is shared; callers must not mutate it.
-func (l *Links) Targets() []id.ID { return l.order }
-
-// Stream returns the stream of an established target, or nil.
-func (l *Links) Stream(target id.ID) *Stream { return l.streams[target] }
-
-// Sync reconciles the registry with the wanted target set and reports
-// the difference: added targets carry a fresh stream (new generation,
-// sequence reset — the caller owes each a full state snapshot), removed
-// targets are forgotten (the caller should discard the mirror held
-// there). Both result slices are in ascending identifier order.
-func (l *Links) Sync(want []id.ID) (added, removed []id.ID) {
-	inWant := make(map[id.ID]bool, len(want))
-	for _, t := range want {
-		inWant[t] = true
-	}
-	for _, t := range l.order {
-		if !inWant[t] {
-			removed = append(removed, t)
-			delete(l.streams, t)
-		}
-	}
-	for _, t := range want {
-		if _, ok := l.streams[t]; !ok {
-			l.gens++
-			l.streams[t] = &Stream{gen: l.gens, next: 1}
-			added = append(added, t)
-		}
-	}
-	l.order = l.order[:0]
-	for t := range l.streams {
-		l.order = append(l.order, t)
-	}
-	sort.Slice(l.order, func(i, j int) bool { return l.order[i] < l.order[j] })
-	sort.Slice(added, func(i, j int) bool { return added[i] < added[j] })
-	sort.Slice(removed, func(i, j int) bool { return removed[i] < removed[j] })
-	return added, removed
-}
 
 // Delivery is one batch released by an Inbox for application, in order.
 // Reset marks the first batch of a new generation: the caller must

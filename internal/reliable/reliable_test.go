@@ -3,8 +3,6 @@ package reliable
 import (
 	"reflect"
 	"testing"
-
-	"rjoin/internal/id"
 )
 
 func payloads(ds []Delivery) []any {
@@ -120,48 +118,5 @@ func TestInboxDropAndKill(t *testing.T) {
 	b.Kill()
 	if got := b.Offer(3, true, 1, 1, "s3"); len(got) != 0 || b.Open() {
 		t.Fatalf("killed inbox accepted %v", got)
-	}
-}
-
-// TestStreamSequencing: Next hands out contiguous ranges.
-func TestStreamSequencing(t *testing.T) {
-	s := &Stream{gen: 1, next: 1}
-	if first := s.Next(3); first != 1 {
-		t.Fatalf("first range starts at %d", first)
-	}
-	if first := s.Next(2); first != 4 {
-		t.Fatalf("second range starts at %d", first)
-	}
-}
-
-// TestLinksSync: reconciliation reports additions (with fresh streams)
-// and removals in deterministic order, and re-acquired targets get a
-// strictly larger generation.
-func TestLinksSync(t *testing.T) {
-	l := NewLinks()
-	added, removed := l.Sync([]id.ID{30, 10})
-	if !reflect.DeepEqual(added, []id.ID{10, 30}) || removed != nil {
-		t.Fatalf("initial sync: added %v removed %v", added, removed)
-	}
-	gen10 := l.Stream(10).Gen()
-	added, removed = l.Sync([]id.ID{10, 20})
-	if !reflect.DeepEqual(added, []id.ID{20}) || !reflect.DeepEqual(removed, []id.ID{30}) {
-		t.Fatalf("second sync: added %v removed %v", added, removed)
-	}
-	if !reflect.DeepEqual(l.Targets(), []id.ID{10, 20}) {
-		t.Fatalf("targets %v", l.Targets())
-	}
-	l.Sync([]id.ID{20})
-	added, _ = l.Sync([]id.ID{10, 20})
-	if len(added) != 1 || added[0] != 10 {
-		t.Fatalf("re-add sync: %v", added)
-	}
-	if g := l.Stream(10).Gen(); g <= gen10 {
-		t.Fatalf("re-acquired generation %d not above original %d", g, gen10)
-	}
-	// Unchanged sync is a no-op.
-	added, removed = l.Sync([]id.ID{10, 20})
-	if added != nil || removed != nil {
-		t.Fatalf("steady-state sync: added %v removed %v", added, removed)
 	}
 }

@@ -129,12 +129,13 @@ type Options struct {
 	// mirror (Stats.RewritesLost/TuplesLost/AggStateLost stay zero) and
 	// the factor is restored by re-replication. Mutations fan out as
 	// batched replica-update messages counted in Stats.ReplicationMessages.
-	// The tolerated pattern is one departure at a time: a node and the
-	// successor promoting its mirror crashing within the same tick lose
-	// the first node's state (counted) at every k, because the other
-	// k−2 mirrors are discarded at crash time — so values above 2 cost
-	// traffic and today tolerate nothing 2 does not (DESIGN.md "Cost
-	// and guarantees"). Values < 2 (the default) disable replication
+	// Membership changes are serialized and each one returns with every
+	// group re-formed and every promoted entry mirrored again, so k = 2
+	// already survives any sequence of single departures that leaves
+	// two nodes — a node and its promoting successor crashing within
+	// the same tick included — and values above 2 cost traffic and
+	// tolerate nothing 2 does not (DESIGN.md "Cost and guarantees").
+	// Values < 2 (the default) disable replication
 	// and keep the counted-loss crash model. Must not exceed Nodes. This is
 	// durability, not load spreading — replicas serve no traffic until
 	// promoted; to spread a hot attribute key, use AttrReplicas.
