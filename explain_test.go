@@ -26,6 +26,7 @@ type pubRec struct {
 type recorder struct {
 	net  *Network
 	pubs []pubRec
+	subs []subRec // what subscribe submitted (see oracle_test.go)
 }
 
 func (r *recorder) publish(rel string, vals ...int) {
@@ -40,7 +41,7 @@ func (r *recorder) publish(rel string, vals ...int) {
 // tupleOf reconstructs the published tuple a lineage step names,
 // including the publication time and sequence the window and epoch
 // rules key on.
-func (r *recorder) tupleOf(t *testing.T, seq int64) *relation.Tuple {
+func (r *recorder) tupleOf(t testing.TB, seq int64) *relation.Tuple {
 	t.Helper()
 	if seq < 1 || seq > int64(len(r.pubs)) {
 		t.Fatalf("lineage names publish seq %d outside [1, %d]", seq, len(r.pubs))
@@ -134,32 +135,35 @@ func certifyAnswers(t *testing.T, rec *recorder, sub *Subscription, strict bool)
 // keep the event timeline schedule-independent, so the digest is a
 // worker-count invariant (the same argument that pins config 0's
 // parallel Stats to the serial golden values).
-func explainWorkload(opts Options) (uint64, []*ExplainReport) {
+func explainWorkload(t testing.TB, opts Options) (uint64, []*ExplainReport) {
 	opts.Profile = &ProfileOptions{SampleInterval: 32}
 	opts.Provenance = true
 	net := MustNetwork(opts)
+	rec := &recorder{net: net}
 	net.MustDefineRelation("R", "A", "B")
 	net.MustDefineRelation("S", "A", "B")
 	net.MustDefineRelation("T", "A", "B")
 
 	subs := []*Subscription{
-		net.MustSubscribe("select R.B, S.B from R,S where R.A=S.A"),
-		net.MustSubscribe("select R.B, T.B from R,S,T where R.A=S.A and S.B=T.B"),
-		net.MustSubscribe("select distinct S.B from R,S where R.A=S.A"),
-		net.MustSubscribe("select S.B from S where 3=S.A"),
-		net.MustSubscribe("select R.A, count(*), sum(S.B) from R,S where R.A=S.A group by R.A"),
-		net.MustSubscribe("select R.B, S.B from R,S where R.A=S.A within 64 ticks tumbling"),
+		rec.subscribe("select R.B, S.B from R,S where R.A=S.A"),
+		rec.subscribe("select R.B, T.B from R,S,T where R.A=S.A and S.B=T.B"),
+		rec.subscribe("select distinct S.B from R,S where R.A=S.A"),
+		rec.subscribe("select S.B from S where 3=S.A"),
+		rec.subscribe("select R.A, count(*), sum(S.B) from R,S where R.A=S.A group by R.A"),
+		rec.subscribe("select R.B, S.B from R,S where R.A=S.A within 64 ticks tumbling"),
 	}
 	net.Run()
 	skew := []int{0, 0, 0, 1, 1, 2, 3, 4}
 	for i := 0; i < 32; i++ {
-		net.MustPublish("R", skew[i%8], i)
-		net.MustPublish("S", skew[(i+1)%8], i%6)
+		rec.publish("R", skew[i%8], i)
+		rec.publish("S", skew[(i+1)%8], i%6)
 		if i%3 == 0 {
-			net.MustPublish("T", skew[i%8], (i+2)%6)
+			rec.publish("T", skew[i%8], (i+2)%6)
 		}
 		net.Run()
 	}
+
+	rec.certify(t, "explain workload", false)
 
 	h := fnv.New64a()
 	reports := make([]*ExplainReport, len(subs))
@@ -182,10 +186,10 @@ func explainWorkload(opts Options) (uint64, []*ExplainReport) {
 // baseline. Profiler attribution runs on per-shard cells merged at
 // barriers; any scheduling dependence would move this digest.
 func TestExplainDigestWorkerInvariant(t *testing.T) {
-	const goldenExplain = uint64(0x663694b3c732d5ce)
+	const goldenExplain = uint64(0xad703209a5dfa882)
 	var pinned uint64
 	for wi, w := range []int{1, 2, 4, 8} {
-		d, reports := explainWorkload(Options{Nodes: 96, Seed: 42, Workers: w})
+		d, reports := explainWorkload(t, Options{Nodes: 96, Seed: 42, Workers: w})
 		for _, rep := range reports {
 			if !rep.Profiled || !rep.Provenance {
 				t.Fatalf("workers %d: report %s does not reflect enabled introspection", w, rep.Query)
@@ -209,7 +213,7 @@ func TestExplainDigestWorkerInvariant(t *testing.T) {
 // order, the profiled counters join up with delivery totals, and the
 // state series is a running (non-negative at the tail) footprint.
 func TestExplainReportShape(t *testing.T) {
-	_, reports := explainWorkload(Options{Nodes: 96, Seed: 42})
+	_, reports := explainWorkload(t, Options{Nodes: 96, Seed: 42})
 	plain := reports[0] // select R.B, S.B from R,S where R.A=S.A
 	if plain.Answers == 0 {
 		t.Fatal("plain query delivered no answers")

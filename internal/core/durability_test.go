@@ -398,6 +398,7 @@ func mirrorsTrackLiveState(t *testing.T, eng *Engine) {
 	if err := orphanMirrors(eng); err != nil {
 		t.Fatal(err)
 	}
+	checkNothingWaits(t, eng) // callers have drained: every placement decided
 }
 
 // TestMirrorsTrackLiveState drives a mixed workload — including an

@@ -42,9 +42,9 @@ type Counters struct {
 	QueriesExpired     int64
 	AnswersDelivered   int64
 	UnplaceableDropped int64
-	RICRequests        int64
+	RICRequests        int64 // RIC walks issued; a placement that joined a walk in flight asked nothing
 	QueriesMigrated    int64
-	RICReplies         int64
+	RICReplies         int64 // walk replies received, waited for or not; one passed on counts at every node it reaches
 
 	// In-network aggregation (see agg.go). AggPartials counts answer
 	// rows folded into aggregation state at aggregator nodes; AggUpdates
@@ -143,6 +143,14 @@ type Engine struct {
 	net   *overlay.Network
 	procs map[id.ID]*Proc
 
+	// joins counts the processors ever attached: a clock that ticks at
+	// every join, finer than the simulator's (a driver can submit, leave
+	// and join inside one tick). A processor remembers its reading
+	// (Proc.joined) and a RIC walk carries its origin's, so the node a
+	// reply lands at can tell whether it joined after the walk was
+	// issued. Written in coordinator context only, like procs.
+	joins int64
+
 	// subs holds one record per submitted query (see subs.go), written
 	// only from coordinator context; aggLive counts the live aggregate
 	// ones, so flushAggregates can leave in O(1) when there are none.
@@ -188,7 +196,7 @@ type acctSlot struct {
 	ctr *Counters
 	qpl *metrics.Load
 	sl  *metrics.Load
-	req int64 // RIC request ids issued from this slot (see Proc.nextReqID)
+	req int64 // pending-placement ids issued from this slot (see Proc.nextReqID)
 }
 
 // NewEngine attaches an RJoin processor to every node of the ring. The
@@ -248,6 +256,7 @@ func (e *Engine) Delta() int64 { return e.delta }
 
 // NodeJoined attaches a processor to a node that joined the overlay.
 func (e *Engine) NodeJoined(n *chord.Node) *Proc {
+	e.joins++
 	p := newProc(e, n)
 	e.procs[n.ID()] = p
 	e.net.Attach(n, p)

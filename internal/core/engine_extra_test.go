@@ -241,43 +241,6 @@ func TestMoveNodeOccupiedTarget(t *testing.T) {
 	}
 }
 
-// TestMoveNodeDuringPlacementWalk: the subscriber moves while its own
-// query's RIC walk is in flight. The pending placement goes to the
-// successor with the rest of the leave handover, and the reply,
-// addressed to the vacated identifier, bounces to the same node — where
-// the teleporting move carried the walk off to the new identifier and
-// the reply found nobody waiting for it.
-func TestMoveNodeDuringPlacementWalk(t *testing.T) {
-	eng, nodes := testNet(t, 48, 105, DefaultConfig(), churnNetCfg())
-	const sql = "select R.B, S.B from R,S where R.A=S.A"
-	qid, err := eng.SubmitQuery(nodes[0], sqlparse.MustParse(sql, testCat))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(eng.procs[nodes[0].ID()].st.pending) == 0 {
-		t.Fatal("submission left no pending walk; placement completed synchronously")
-	}
-	if _, err := eng.MoveNode(nodes[0], nodes[0].ID()+1<<60); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	var published []*relation.Tuple
-	for i := 0; i < 5; i++ {
-		r, s := mkTuple("R", int64(i), 10, 0), mkTuple("S", int64(i), 20, 0)
-		published = append(published, r, s)
-		eng.PublishTuple(nodes[1], r)
-		eng.PublishTuple(nodes[2], s)
-		eng.Run()
-	}
-	want := expectedBag(t, sql, published)
-	if got := answerBag(eng, qid); len(want) == 0 || !bagsEqual(got, want) {
-		t.Fatalf("moving the subscriber mid-walk: got %d answers, want %d", len(got), len(want))
-	}
-	if eng.Counters.QueriesLost != 0 {
-		t.Fatalf("%d queries counted lost", eng.Counters.QueriesLost)
-	}
-}
-
 func TestMoveNodeUnknownNode(t *testing.T) {
 	eng, _ := testNet(t, 8, 106, DefaultConfig(), overlay.DefaultConfig())
 	other, _ := testNet(t, 8, 107, DefaultConfig(), overlay.DefaultConfig())

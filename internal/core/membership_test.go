@@ -110,7 +110,7 @@ var memInvariants = [4]string{
 	"I1 nothing counted lost",
 	"I2 mirror ≡ primary on replGroup",
 	"I3 no orphan mirror",
-	"I4 stored-entry totals conserved",
+	"I4 stored-entry totals conserved, nothing left waiting",
 }
 
 // memCheck evaluates the four invariants on a drained engine: nil where
@@ -125,6 +125,14 @@ func memCheck(eng *Engine, base stateCounts) (errs [4]error) {
 	errs[2] = orphanMirrors(eng)
 	if got := memCounts(eng); got != base {
 		errs[3] = fmt.Errorf("live nodes hold %+v, the world started with %+v", got, base)
+	}
+	// Drained means placed: base counts no pending placement, so the
+	// comparison above already says none is left; the index derived from
+	// them must be empty with them.
+	for _, n := range eng.Ring().Nodes() {
+		if st := eng.procs[n.ID()].st; errs[3] == nil && len(st.waiting) != 0 {
+			errs[3] = fmt.Errorf("drained, yet %s indexes %d waiting keys", n.ID(), len(st.waiting))
+		}
 	}
 	return errs
 }

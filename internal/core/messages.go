@@ -167,7 +167,7 @@ type ricInfo struct {
 // collected reports directly to the origin.
 type ricRequestMsg struct {
 	Origin  id.ID
-	ReqID   int64
+	Joins   int64          // the origin's Engine.joins when the walk was issued
 	Pending []relation.Key // candidate keys not yet visited, in visit order
 	Got     []ricInfo
 }
@@ -181,13 +181,15 @@ func (m *ricRequestMsg) RingKey() id.ID {
 	return m.Origin
 }
 
-// ricReplyMsg returns the collected reports to the origin. Origin is
-// carried so a reply whose origin departed mid-walk can follow the
-// pending placement to the origin's successor (graceful leaves hand
-// pending placements over with the rest of the node's state).
+// ricReplyMsg returns the collected reports to the origin, which hands
+// each to the placements waiting on its key: the reply names no
+// placement. Origin is carried so a reply whose origin departed mid-walk
+// can follow the pending placements to the origin's successor (graceful
+// leaves hand pending placements over with the rest of the node's
+// state).
 type ricReplyMsg struct {
-	ReqID  int64
 	Origin id.ID
+	Joins  int64 // as the request carried it; see onRICReply
 	Got    []ricInfo
 }
 

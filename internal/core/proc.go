@@ -65,12 +65,22 @@ type alttEntry struct {
 	expireAt sim.Time
 }
 
-// pendingPlacement is a query whose RIC walk is in flight; the decision
-// completes when the reply returns.
+// pendingPlacement is a query waiting for RIC reports: known holds one
+// report per candidate key already answered (candidate keys are
+// distinct), the rest are being fetched by walks in flight from this
+// node — its own or ones it joined — and the decision completes when the
+// last of them is reported.
 type pendingPlacement struct {
 	q     *query.Query
 	cands []query.Candidate
 	known []ricInfo
+}
+
+// misses reports whether the placement still has no report for a
+// candidate key.
+func (pp *pendingPlacement) misses(key relation.Key) bool {
+	_, ok := findInfo(pp.known, key)
+	return !ok
 }
 
 // findInfo scans a small report list for a key; candidate sets hold a
@@ -98,11 +108,12 @@ type Proc struct {
 	eng  *Engine
 	node *chord.Node
 
-	shard int           // logical shard (sim.NoShard on a serial engine)
-	ctr   *Counters     // event-count slot
-	qpl   *metrics.Load // query-processing-load slot
-	sl    *metrics.Load // storage-load slot
-	rng   *sim.RNG      // placement draws (nil: use the engine source)
+	joined int64         // Engine.joins when this processor was attached
+	shard  int           // logical shard (sim.NoShard on a serial engine)
+	ctr    *Counters     // event-count slot
+	qpl    *metrics.Load // query-processing-load slot
+	sl     *metrics.Load // storage-load slot
+	rng    *sim.RNG      // placement draws (nil: use the engine source)
 
 	// st is every piece of state the node keeps on behalf of the keys it
 	// owns and the placements it has in flight (see state.go); handlers
@@ -123,7 +134,7 @@ type Proc struct {
 // A processor never changes handle — a node that moves identifier leaves
 // and joins, and the joiner is a fresh Proc.
 func newProc(eng *Engine, node *chord.Node) *Proc {
-	p := &Proc{eng: eng, node: node, shard: eng.sim.ShardOf(uint64(node.ID())), st: newState(eng.aggSpec)}
+	p := &Proc{eng: eng, node: node, joined: eng.joins, shard: eng.sim.ShardOf(uint64(node.ID())), st: newState(eng.aggSpec)}
 	s := &eng.slots[p.shard+1]
 	p.ctr, p.qpl, p.sl = s.ctr, s.qpl, s.sl
 	if eng.Cfg.ReplicationFactor >= 2 {
@@ -136,14 +147,15 @@ func newProc(eng *Engine, node *chord.Node) *Proc {
 	return p
 }
 
-// nextReqID stamps a placement walk: the issuing slot's counter folded
+// nextReqID names a pending placement: the issuing slot's counter folded
 // with the shard index — slot 0 and sim.NoShard on a serial engine.
 // That is globally unique (so handed-over pending placements can never
 // collide) yet deterministic, because a shard's events execute
 // sequentially no matter how many workers run. On a serial engine the
 // ids are strictly increasing in issue order, which is all state.each's
-// by-request-id order relies on, and the trace omits request ids by
-// design, so every golden is byte-identical to the global counter's.
+// by-request-id order relies on. The id never travels: a walk's reply is
+// resolved by the keys it reports, and the trace omits it (request
+// numbering differs between the serial and parallel engines).
 func (p *Proc) nextReqID() int64 {
 	s := &p.eng.slots[p.shard+1]
 	s.req++
@@ -697,9 +709,18 @@ func (p *Proc) place(now sim.Time, q *query.Query) {
 // info, poll only unknown candidates with a chained RIC request, and on
 // reply index the query at the candidate with the lowest predicted
 // rate, directly (one hop) because the reply carried its address.
+//
+// Walks are single-flight per candidate key: a key some pending
+// placement of this node already waits on is being fetched, so the
+// placement waits for that report instead of asking again — one tuple
+// triggering several stored queries under one key binds the same value
+// into each rewrite, and the table learns it only when the first reply
+// lands ticks later. Only the keys nobody is fetching are walked; a
+// placement with none left to walk sends nothing. That is a property of
+// the walk, not of the table: Config.UseCT off still joins.
 func (p *Proc) placeRIC(now sim.Time, q *query.Query, cands []query.Candidate) {
 	var known []ricInfo
-	var unknown []relation.Key
+	var walk []relation.Key
 	ob := p.eng.obs
 	for _, c := range cands {
 		if p.eng.Cfg.UseCT {
@@ -714,35 +735,49 @@ func (p *Proc) placeRIC(now sim.Time, q *query.Query, cands []query.Candidate) {
 				ob.Emit(p.shard, obs.Rec{At: now, Kind: obs.KindCTMiss, Node: p.nid(), QID: q.ID, Key: c.Key.String()})
 			}
 		}
-		unknown = append(unknown, c.Key)
+		if !p.st.inFlight(c.Key) {
+			walk = append(walk, c.Key)
+		}
 	}
-	if len(unknown) == 0 {
+	if len(known) == len(cands) {
 		p.decide(q, cands, known)
 		return
 	}
-	// Visit unknown candidates in clockwise ring order from here (the
-	// "optimal order to contact these nodes").
-	sort.Slice(unknown, func(i, j int) bool {
-		return id.Dist(p.node.ID(), unknown[i].ID()) <
-			id.Dist(p.node.ID(), unknown[j].ID())
-	})
-	reqID := p.nextReqID()
-	p.st.addPending(reqID, &pendingPlacement{q: q, cands: cands, known: known})
+	p.st.addPending(p.nextReqID(), &pendingPlacement{q: q, cands: cands, known: known})
+	if len(walk) == 0 {
+		if ob != nil {
+			ob.Emit(p.shard, obs.Rec{
+				At: now, Kind: obs.KindRICJoin, Node: p.nid(),
+				QID: q.ID, Arg: int64(len(cands) - len(known)),
+			})
+		}
+		return
+	}
+	// Visit them in clockwise ring order from here (the "optimal order
+	// to contact these nodes").
+	sortByDist(p.node.ID(), walk)
 	p.ctr.RICRequests++
 	if ob != nil {
-		// The walk visits the unknown candidates in ring order; the
-		// record carries how many keys it must resolve. The request ID
-		// itself is deliberately absent: request numbering differs
-		// between the serial and parallel engines.
 		ob.Emit(p.shard, obs.Rec{
 			At: now, Kind: obs.KindRICWalk, Node: p.nid(),
-			QID: q.ID, Key: unknown[0].String(), Arg: int64(len(unknown)),
+			QID: q.ID, Key: walk[0].String(), Arg: int64(len(walk)),
 		})
 	}
-	req := &ricRequestMsg{Origin: p.node.ID(), ReqID: reqID, Pending: unknown}
+	req := &ricRequestMsg{Origin: p.node.ID(), Joins: p.eng.joins, Pending: walk}
 	p.eng.net.WithTag(p.node, TagRIC, func() {
-		p.eng.net.Send(p.node, unknown[0].ID(), req)
+		p.eng.net.Send(p.node, walk[0].ID(), req)
 	})
+}
+
+// sortByDist orders keys by clockwise ring distance from a node, equal
+// distances in their given order. An insertion sort: a walk asks for a
+// handful of keys, and sort.Slice's closure and swapper allocate.
+func sortByDist(from id.ID, keys []relation.Key) {
+	for i := 1; i < len(keys); i++ {
+		for j := i; j > 0 && id.Dist(from, keys[j].ID()) < id.Dist(from, keys[j-1].ID()); j-- {
+			keys[j], keys[j-1] = keys[j-1], keys[j]
+		}
+	}
 }
 
 // onRICRequest handles one step of the chained walk: report the rate
@@ -753,7 +788,7 @@ func (p *Proc) onRICRequest(now sim.Time, m *ricRequestMsg) {
 	// retransmission, so this step must not mutate the received struct:
 	// operate on a fresh walk message with its own slice headers.
 	if p.eng.lossy {
-		fwd := &ricRequestMsg{Origin: m.Origin, ReqID: m.ReqID}
+		fwd := &ricRequestMsg{Origin: m.Origin, Joins: m.Joins}
 		fwd.Pending = append(fwd.Pending, m.Pending...)
 		fwd.Got = append(fwd.Got, m.Got...)
 		m = fwd
@@ -769,26 +804,48 @@ func (p *Proc) onRICRequest(now sim.Time, m *ricRequestMsg) {
 	}
 	p.eng.net.WithTag(p.node, TagRIC, func() {
 		if len(m.Pending) == 0 {
-			p.eng.net.SendDirect(p.node, m.Origin, &ricReplyMsg{ReqID: m.ReqID, Origin: m.Origin, Got: m.Got})
+			p.eng.net.SendDirect(p.node, m.Origin, &ricReplyMsg{Origin: m.Origin, Joins: m.Joins, Got: m.Got})
 		} else {
 			p.eng.net.Send(p.node, m.Pending[0].ID(), m)
 		}
 	})
 }
 
-// onRICReply completes a pending placement.
+// onRICReply resolves a walk's reply by key, not by walk: every report
+// is merged into the candidate table and handed to each placement
+// waiting on its key — the one that walked and the ones that joined
+// alike, and, after a leave or a crash, placements that reached this
+// node without the walk that serves them — and a placement decides as
+// soon as its last missing report arrives. A report nobody waits for
+// (its placement was torn down, or restarted elsewhere) is still a
+// report.
+//
+// A reply is addressed to its origin's identifier, and placements a
+// departed origin handed to its successor can sit beyond the node that
+// now answers to it: a node that joined in between. So a node that
+// joined after the walk was issued serves its own waiters and passes the
+// reply on to its successor. A node that was already there stops it —
+// everything between the origin and it joined later, so the placements,
+// wherever handovers took them, are not beyond it — and so does coming
+// round to the origin's place again.
 func (p *Proc) onRICReply(now sim.Time, m *ricReplyMsg) {
-	pp, ok := p.st.pending[m.ReqID]
-	if !ok {
-		return
-	}
-	p.st.removePending(m.ReqID)
 	p.ctr.RICReplies++
 	for _, info := range m.Got {
 		p.st.ctMerge(info)
-		pp.known = append(pp.known, info)
+		for _, reqID := range p.st.report(info) {
+			pp := p.st.pending[reqID]
+			p.st.removePending(reqID)
+			p.decide(pp.q, pp.cands, pp.known)
+		}
 	}
-	p.decide(pp.q, pp.cands, pp.known)
+	if p.joined <= m.Joins {
+		return
+	}
+	if succ := p.eng.ring.SuccessorList(p.node.ID(), 1); len(succ) > 0 && !id.BetweenRightIncl(m.Origin, p.node.ID(), succ[0].ID()) {
+		p.eng.net.WithTag(p.node, TagRIC, func() {
+			p.eng.net.SendDirect(p.node, succ[0].ID(), m)
+		})
+	}
 }
 
 // decide picks the candidate with the lowest predicted rate (ties

@@ -172,6 +172,16 @@ type state struct {
 	ct      *candidateTable
 	pending map[int64]*pendingPlacement
 
+	// waiting is pending inverted: under every candidate key some pending
+	// placement still has no report for, the ids of those placements in
+	// the order they began to wait. It is what makes a walk single-flight
+	// (a placement that misses a key found here waits for the walk already
+	// fetching it) and what a reply is resolved by. Derived state: only
+	// addPending, removePending, report and clear write it, no op names
+	// it, and a mirror — which keeps a placement's query alone — holds
+	// none, so a handover rebuilds it by apply and a promotion by place.
+	waiting map[relation.Key][]int64
+
 	// dirtyAggs is the set of aggregator keys whose group holds epochs
 	// marked since its last flush: {k : len(aggs[k].dirty) > 0}, so a
 	// flush visits what changed instead of every group. Only a live
@@ -216,6 +226,7 @@ func (s *state) clear() {
 	s.aggs = make(map[relation.Key]*aggGroup)
 	s.ct = newCandidateTable()
 	s.pending = make(map[int64]*pendingPlacement)
+	s.waiting = make(map[relation.Key][]int64)
 	s.dirtyAggs = nil
 }
 
@@ -467,21 +478,65 @@ func (s *state) ctMerge(info ricInfo) {
 	}
 }
 
-// addPending records an in-flight placement walk — the one node-bound
-// class a mirror must cover: the walk exists only at its origin, so
-// without it a crash silently un-places the query being routed.
+// addPending records a placement waiting for RIC reports — the one
+// node-bound class a mirror must cover: the placement exists only at
+// its origin, so without it a crash silently un-places the query being
+// routed. The placement enters the waiting list of every candidate key
+// it misses.
 func (s *state) addPending(reqID int64, pp *pendingPlacement) {
 	s.pending[reqID] = pp
+	for _, c := range pp.cands {
+		if pp.misses(c.Key) {
+			s.waiting[c.Key] = append(s.waiting[c.Key], reqID)
+		}
+	}
 	if s.logging {
 		s.log(stateOp{kind: opAddPending, id: reqID, pp: pp})
 	}
 }
 
 func (s *state) removePending(reqID int64) {
+	if pp := s.pending[reqID]; pp != nil {
+		for _, c := range pp.cands {
+			if !pp.misses(c.Key) {
+				continue
+			}
+			if ids := slices.DeleteFunc(s.waiting[c.Key], func(x int64) bool { return x == reqID }); len(ids) > 0 {
+				s.waiting[c.Key] = ids
+			} else {
+				delete(s.waiting, c.Key)
+			}
+		}
+	}
 	delete(s.pending, reqID)
 	if s.logging {
 		s.log(stateOp{kind: opRemovePending, id: reqID})
 	}
+}
+
+// inFlight reports whether some placement of this node already waits
+// for a report on key: a walk that will bring one is on the wire.
+func (s *state) inFlight(key relation.Key) bool {
+	return len(s.waiting[key]) > 0
+}
+
+// report hands one RIC report to every placement waiting on its key and
+// returns, in the order they began to wait, the ids of those it was the
+// last missing report of. They stay pending until the caller removes
+// them. Like the known list it extends, what a placement still misses
+// is unmirrored, so nothing is logged.
+func (s *state) report(info ricInfo) (ready []int64) {
+	ids := s.waiting[info.Key]
+	delete(s.waiting, info.Key)
+	ready = ids[:0]
+	for _, reqID := range ids {
+		pp := s.pending[reqID]
+		pp.known = append(pp.known, info)
+		if len(pp.known) == len(pp.cands) {
+			ready = append(ready, reqID)
+		}
+	}
+	return ready
 }
 
 // dropKey forgets everything keyed under key — the key moved to another

@@ -117,6 +117,39 @@ func (s *state) equal(o *state, want class, now sim.Time) error {
 				return fmt.Errorf("pending walk %d diverged", reqID)
 			}
 		}
+		// The waiting index is derived per state, not copied: a mirror
+		// keeps a placement's query alone and so indexes nothing.
+		for _, st := range []*state{s, o} {
+			if err := st.waitingErr(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// waitingErr checks the waiting index against the class it is derived
+// from: a key is in it iff some pending placement still misses it, and
+// under each key stand exactly the placements that do, once each.
+func (s *state) waitingErr() error {
+	want := make(map[relation.Key][]int64)
+	for reqID, pp := range s.pending {
+		for _, c := range pp.cands {
+			if pp.misses(c.Key) {
+				want[c.Key] = append(want[c.Key], reqID)
+			}
+		}
+	}
+	if len(s.waiting) != len(want) {
+		return fmt.Errorf("waiting index holds %d keys, pending placements miss %d", len(s.waiting), len(want))
+	}
+	for key, ids := range want {
+		got := slices.Clone(s.waiting[key])
+		slices.Sort(got)
+		slices.Sort(ids)
+		if !slices.Equal(got, ids) {
+			return fmt.Errorf("key %s: placements %v wait in the index, %v miss it", key, got, ids)
+		}
 	}
 	return nil
 }
@@ -346,7 +379,7 @@ func TestStateRandomSequences(t *testing.T) {
 		}
 		for step := 0; step < 300; step++ {
 			now += sim.Time(rng.Intn(3))
-			switch rng.Intn(19) {
+			switch rng.Intn(20) {
 			case 0, 1:
 				q := []*query.Query{f.plain, f.distinct}[rng.Intn(2)]
 				sq := f.stored(q, key())
@@ -384,10 +417,41 @@ func TestStateRandomSequences(t *testing.T) {
 				a.ctMerge(ricInfo{Key: key(), Rate: float64(rng.Intn(5)), Addr: id.ID(rng.Intn(9)), At: now - sim.Time(rng.Intn(4))})
 			case 13:
 				if rng.Intn(2) == 0 || len(a.pending) == 0 {
+					// A placement over a random candidate set, some of it
+					// already answered by the table, at least one key not.
 					reqID++
-					a.addPending(reqID, &pendingPlacement{q: f.plain})
+					pp := &pendingPlacement{q: f.plain}
+					for i, j := range rng.Perm(len(f.keys))[:1+rng.Intn(len(f.keys))] {
+						pp.cands = append(pp.cands, query.Candidate{Key: f.keys[j]})
+						if i > 0 && rng.Intn(2) == 0 {
+							pp.known = append(pp.known, ricInfo{Key: f.keys[j]})
+						}
+					}
+					a.addPending(reqID, pp)
 				} else {
-					a.removePending(int64(rng.Intn(int(reqID))) + 1)
+					a.removePending(int64(rng.Intn(int(reqID))) + 1) // torn down, or long gone
+				}
+			case 19:
+				// A report arrives: every placement waiting on its key has it,
+				// and those it completed decide and leave, as onRICReply does.
+				k := key()
+				waiters := slices.Clone(a.waiting[k])
+				ready := a.report(ricInfo{Key: k, At: now})
+				for _, id := range waiters {
+					if a.pending[id].misses(k) {
+						t.Fatalf("seed %d step %d: placement %d waited on %s and was not told", seed, step, id, k)
+					}
+				}
+				for _, id := range ready {
+					if pp := a.pending[id]; len(pp.known) != len(pp.cands) {
+						t.Fatalf("seed %d step %d: placement %d released with %d of %d reports", seed, step, id, len(pp.known), len(pp.cands))
+					}
+					a.removePending(id)
+				}
+				for id, pp := range a.pending {
+					if len(pp.cands) > 0 && len(pp.known) == len(pp.cands) {
+						t.Fatalf("seed %d step %d: placement %d holds every report and still waits", seed, step, id)
+					}
 				}
 			case 14:
 				k := key()
@@ -442,6 +506,13 @@ func TestStateRandomSequences(t *testing.T) {
 			checkDirtySet(t, a, label+" (primary)")
 			checkDirtySet(t, heir, label+" (heir)")
 			checkDirtySet(t, mirror, label+" (mirror)")
+			// The mirror's placements carry no candidates, so for it this
+			// asserts an empty index.
+			for _, st := range []*state{a, heir, mirror} {
+				if err := st.waitingErr(); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+			}
 		}
 		if err := a.equal(mirror, classMirrored, now); err != nil {
 			t.Fatalf("seed %d: mirror following the log: %v", seed, err)

@@ -113,6 +113,7 @@ func TestSubsRandomScripts(t *testing.T) {
 					published = append(published, tu)
 				case r < 9:
 					eng.Run()
+					checkNothingWaits(t, eng)
 				case len(live) > 0:
 					i := rng.Intn(len(live))
 					discarded += int64(len(eng.Answers(live[i])))
@@ -124,6 +125,7 @@ func TestSubsRandomScripts(t *testing.T) {
 				}
 			}
 			eng.Run()
+			checkNothingWaits(t, eng)
 
 			var held int64
 			for _, qid := range live {

@@ -50,7 +50,7 @@ import (
 	"strings"
 )
 
-// Kind classifies a record. The kinds up to KindHandover are the trace
+// Kind classifies a record. The kinds up to KindRICJoin are the trace
 // event kinds, covering the full tuple lifecycle (publish → index
 // placement → lookups → rewrite hops → completion → aggregation →
 // delivery) plus transport-level annotations; their numeric values are
@@ -118,6 +118,13 @@ const (
 	// KindHandover is one chunk of state handed over during a graceful
 	// leave or join. Arg is the number of entries in the chunk.
 	KindHandover
+	// KindRICJoin is a placement that issued no walk of its own: every
+	// candidate the table could not answer is already being fetched by a
+	// walk in flight from the same node, and the placement waits for that
+	// walk's reply. Arg is the number of keys awaited. It is the newest
+	// trace kind and sits last among them so that no older kind's number
+	// — part of every pinned trace digest — moved when it was added.
+	KindRICJoin
 
 	// KindRoute is one keyed send routed over the DHT. Arg is the number
 	// of transmissions it cost (origin plus intermediate routers), Key
@@ -145,11 +152,14 @@ const (
 	kindCount
 )
 
+// lastTraced is the highest-numbered trace event kind.
+const lastTraced = KindRICJoin
+
 var kindNames = [kindCount]string{
 	"publish", "tuple.arrive", "tuple.store", "altt.store",
 	"query.submit", "query.eval", "ct.hit", "ct.miss", "ric.walk",
 	"rewrite", "complete", "answer", "agg.partial", "agg.update",
-	"repl.fanout", "retransmit", "ack", "bounce", "handover",
+	"repl.fanout", "retransmit", "ack", "bounce", "handover", "ric.join",
 	"route", "hop", "deliver", "state.store", "state.drop",
 	"trigger", "fanout.row",
 }

@@ -124,8 +124,8 @@ func TestRecordOnlyKindsStayOutOfTheTrace(t *testing.T) {
 	}
 	rec.Flush()
 	got := tr.Events()
-	if len(got) != int(KindHandover)+1 {
-		t.Fatalf("trace holds %d events, want %d", len(got), int(KindHandover)+1)
+	if len(got) != int(lastTraced)+1 {
+		t.Fatalf("trace holds %d events, want %d", len(got), int(lastTraced)+1)
 	}
 	for i, ev := range got {
 		if ev.Kind != Kind(i) {

@@ -40,7 +40,7 @@ type Rec struct {
 // of what the hook sites offer. They only name the readers: what a
 // reader does with a record is the switch in Flush.
 const (
-	tracedKinds   = 1<<(KindHandover+1) - 1
+	tracedKinds   = 1<<(lastTraced+1) - 1
 	meteredKinds  = 1<<KindComplete | 1<<KindAnswer | 1<<KindAggUpdate | 1<<KindRetransmit | 1<<KindRoute | 1<<KindHop | 1<<KindDeliver
 	profiledKinds = 1<<KindTupleArrive | 1<<KindEval | 1<<KindCTHit | 1<<KindCTMiss | 1<<KindAggPartial | 1<<KindStateStore | 1<<KindStateDrop | 1<<KindTrigger | 1<<KindFanoutRow
 )

@@ -121,7 +121,7 @@ func (o *oracle) trace(limit int64) (evs []Event, dropped int64) {
 			rec := o.recs[i]
 			ev := Event{At: int64(rec.At), Kind: rec.Kind, Node: rec.Node, Trace: rec.QID, Key: rec.Key, Arg: rec.Arg}
 			switch {
-			case rec.Kind > KindHandover:
+			case rec.Kind > lastTraced:
 				continue
 			case rec.Kind <= KindALTTStore:
 				ev.Trace = fmt.Sprintf("pub:%016x#%d", rec.Pub, rec.PubSeq)

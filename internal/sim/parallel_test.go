@@ -119,6 +119,34 @@ func TestParallelZeroDelaySameInstant(t *testing.T) {
 	}
 }
 
+// TestGlobalEventsFireBeforeEntityEvents pins the one intra-tick rule the
+// two engines share: at a tick, a global event (a churn draw, a driver
+// callback) fires before an event addressed to an entity (a delivery),
+// whichever was scheduled first — on the serial heap exactly as in a
+// parallel sub-round. Within a kind, scheduling order holds. Before the
+// serial heap had the rule, a delivery scheduled ahead of a same-tick
+// membership change ran first on it and second under workers, and
+// counters that depend on that order (replication ops, bounces) came out
+// one apart.
+func TestGlobalEventsFireBeforeEntityEvents(t *testing.T) {
+	for _, workers := range []int{0, 1, 2} {
+		e := NewEngine(1)
+		e.SetWorkers(workers)
+		var order []string
+		mark := func(s string) func(Time) { return func(Time) { order = append(order, s) } }
+		deliver := func(_ Time, c Ctx) { order = append(order, c.A.(string)) }
+		e.AtCtxShard(5, deliver, Ctx{A: "delivery-1"}, NoShard, e.ShardOf(3))
+		e.AtBg(5, mark("churn"))
+		e.AtCtxShard(5, deliver, Ctx{A: "delivery-2"}, NoShard, e.ShardOf(3))
+		e.At(5, mark("driver"))
+		e.At(4, mark("earlier"))
+		e.Run()
+		if got, want := fmt.Sprint(order), "[earlier churn driver delivery-1 delivery-2]"; got != want {
+			t.Fatalf("workers=%d fired %s, want %s", workers, got, want)
+		}
+	}
+}
+
 func TestSetWorkersRejectsUsedEngine(t *testing.T) {
 	e := NewEngine(1)
 	e.At(1, func(Time) {})

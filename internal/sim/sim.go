@@ -3,7 +3,12 @@
 // model" with a known upper bound δ on message delay; here virtual time
 // is an integer tick counter, every scheduled event carries a virtual
 // timestamp, and events fire in (time, sequence) order so that a given
-// seed reproduces an experiment exactly.
+// seed reproduces an experiment exactly. Within one tick the events
+// addressed to an entity (AtCtxShard and its variants: deliveries,
+// flushes, timers) fire after the tick's global ones (At, AtBg, Every:
+// driver callbacks, churn draws, maintenance) — the order the parallel
+// schedule's sub-round has always had, so a membership change and a
+// delivery that fall on one tick run the same way round on both engines.
 //
 // The event queue is a typed 4-ary min-heap storing events inline: no
 // container/heap interface boxing, no per-push pointer allocation. The
@@ -53,6 +58,13 @@ type event struct {
 	ctx Ctx
 	bg  bool
 }
+
+// entity is the bit the serial engine sets in the sequence number of an
+// event addressed to an entity, which orders it behind every global event
+// of its tick (see the package comment) without widening the event or its
+// comparison. The parallel engine needs no mark: it keeps the two kinds
+// in different heaps.
+const entity = 1 << 63
 
 // before reports whether e fires before o: (time, sequence) order.
 func (e *event) before(o *event) bool {
@@ -168,7 +180,7 @@ func (e *Engine) schedule(t Time, ev event) {
 	}
 	e.seq++
 	ev.at = t
-	ev.seq = e.seq
+	ev.seq |= e.seq // keeps the entity bit a caller set
 	if !ev.bg {
 		e.fg++
 	}
@@ -198,10 +210,11 @@ func (e *Engine) AtCtx(t Time, cb CtxFunc, c Ctx) {
 // logical shard whose worker must execute the event (the destination
 // node's shard), src is the logical shard of the acting node making the
 // call, or NoShard from driver or global-event context. On a serial
-// engine both are ignored and the call is exactly AtCtx.
+// engine both are ignored; what remains of the call there is that the
+// event is an entity's, and fires after its tick's global events.
 func (e *Engine) AtCtxShard(t Time, cb CtxFunc, c Ctx, src, dst int) {
 	if e.par.workers == 0 {
-		e.schedule(t, event{cb: cb, ctx: c})
+		e.schedule(t, event{cb: cb, ctx: c, seq: entity})
 		return
 	}
 	e.scheduleShard(t, event{cb: cb, ctx: c}, src, dst)
@@ -220,7 +233,7 @@ func (e *Engine) AfterCtxShard(d Duration, cb CtxFunc, c Ctx, src, dst int) {
 // the clock explicitly when unacknowledged channel entries remain).
 func (e *Engine) AtCtxShardBg(t Time, cb CtxFunc, c Ctx, src, dst int) {
 	if e.par.workers == 0 {
-		e.schedule(t, event{cb: cb, ctx: c, bg: true})
+		e.schedule(t, event{cb: cb, ctx: c, bg: true, seq: entity})
 		return
 	}
 	e.scheduleShard(t, event{cb: cb, ctx: c, bg: true}, src, dst)

@@ -37,10 +37,10 @@ func TestFaultStreamIsolation(t *testing.T) {
 		{Nodes: 96, Seed: 42, ReplicationFactor: 2},
 	}
 	for i, base := range configs {
-		off, offDigest := goldenWorkload(base)
+		off, offDigest := goldenWorkload(t, base)
 		lossy := base
 		lossy.Faults = &FaultOptions{}
-		zero, zeroDigest := goldenWorkload(lossy)
+		zero, zeroDigest := goldenWorkload(t, lossy)
 		if zeroDigest != offDigest {
 			t.Fatalf("config %d: zero-rate fault plan changed the answer schedule: digest %x, want %x",
 				i, zeroDigest, offDigest)
@@ -83,24 +83,25 @@ func lossyGoldenOpts(workers int) Options {
 // and every parallel worker count even though their fault schedules
 // differ. Windowed queries are deliberately absent: a window's content
 // is defined by arrival order, which faults reorder.
-func goldenLossyWorkload(opts Options) (Stats, uint64) {
+func goldenLossyWorkload(t testing.TB, opts Options) (Stats, uint64) {
 	net := MustNetwork(opts)
+	rec := &recorder{net: net}
 	net.MustDefineRelation("R", "A", "B")
 	net.MustDefineRelation("S", "A", "B")
 	net.MustDefineRelation("T", "A", "B")
 
 	subs := []*Subscription{
-		net.MustSubscribe("select R.B, S.B from R,S where R.A=S.A"),
-		net.MustSubscribe("select R.B, T.B from R,S,T where R.A=S.A and S.B=T.B"),
-		net.MustSubscribe("select distinct S.B from R,S where R.A=S.A"),
-		net.MustSubscribe("select R.A, count(*), sum(S.B) from R,S where R.A=S.A group by R.A"),
+		rec.subscribe("select R.B, S.B from R,S where R.A=S.A"),
+		rec.subscribe("select R.B, T.B from R,S,T where R.A=S.A and S.B=T.B"),
+		rec.subscribe("select distinct S.B from R,S where R.A=S.A"),
+		rec.subscribe("select R.A, count(*), sum(S.B) from R,S where R.A=S.A group by R.A"),
 	}
 	skew := []int{0, 0, 0, 1, 1, 2, 3, 4}
 	for i := 0; i < 40; i++ {
-		net.MustPublish("R", skew[i%8], i)
-		net.MustPublish("S", skew[(i+1)%8], i%6)
+		rec.publish("R", skew[i%8], i)
+		rec.publish("S", skew[(i+1)%8], i%6)
 		if i%3 == 0 {
-			net.MustPublish("T", skew[i%8], (i+2)%6)
+			rec.publish("T", skew[i%8], (i+2)%6)
 		}
 		// Short slices keep tuples in flight across the partition
 		// window; the occasional full Run drains retransmit ladders.
@@ -111,6 +112,8 @@ func goldenLossyWorkload(opts Options) (Stats, uint64) {
 		}
 	}
 	net.Run()
+
+	rec.certify(t, "lossy golden", false)
 
 	h := fnv.New64a()
 	for _, s := range subs {
@@ -150,7 +153,7 @@ func TestGoldenDeterminismLossy(t *testing.T) {
 	const goldenDigest = uint64(0xec96ed785f6fb3a8)
 	var pinnedPar Stats
 	for wi, w := range []int{1, 2, 4, 8} {
-		st, d := goldenLossyWorkload(lossyGoldenOpts(w))
+		st, d := goldenLossyWorkload(t, lossyGoldenOpts(w))
 		if d != goldenDigest {
 			t.Fatalf("workers %d: lossy golden digest %#x, want %#x (stats %+v)", w, d, goldenDigest, st)
 		}
@@ -163,7 +166,7 @@ func TestGoldenDeterminismLossy(t *testing.T) {
 		if st.AggStateLost != 0 {
 			t.Fatalf("workers %d: %d aggregation partials lost", w, st.AggStateLost)
 		}
-		st2, d2 := goldenLossyWorkload(lossyGoldenOpts(w))
+		st2, d2 := goldenLossyWorkload(t, lossyGoldenOpts(w))
 		if st != st2 || d != d2 {
 			t.Fatalf("workers %d: same seed diverged:\nrun1 %+v digest %x\nrun2 %+v digest %x", w, st, d, st2, d2)
 		}

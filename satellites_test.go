@@ -166,8 +166,8 @@ func TestWorkersOptionValidation(t *testing.T) {
 	base := Options{Nodes: 48, Seed: 42}
 	one := base
 	one.Workers = 1
-	st0, d0 := goldenWorkload(base)
-	st1, d1 := goldenWorkload(one)
+	st0, d0 := goldenWorkload(t, base)
+	st1, d1 := goldenWorkload(t, one)
 	if st0 != st1 || d0 != d1 {
 		t.Fatalf("Workers 1 diverged from serial: %+v %x vs %+v %x", st0, d0, st1, d1)
 	}
