@@ -174,24 +174,6 @@ func (p *Partial) Add(s *Spec, row []relation.Value) {
 	}
 }
 
-// Clone returns a deep copy of the partial. The replication layer
-// mirrors aggregator state across nodes; a mirror must own its partials
-// outright, since the live copy keeps folding rows in.
-func (p *Partial) Clone() *Partial {
-	cp := &Partial{rows: p.rows, cols: make([]colPartial, len(p.cols))}
-	copy(cp.cols, p.cols)
-	for i := range cp.cols {
-		if d := p.cols[i].distinct; d != nil {
-			nd := make(map[relation.Value]struct{}, len(d))
-			for v := range d {
-				nd[v] = struct{}{}
-			}
-			cp.cols[i].distinct = nd
-		}
-	}
-	return cp
-}
-
 // Merge folds another partial into p. Merging commutes and associates.
 func (p *Partial) Merge(o *Partial) {
 	p.rows += o.rows

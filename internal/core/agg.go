@@ -1,7 +1,6 @@
 package core
 
 import (
-	"maps"
 	"slices"
 
 	"rjoin/internal/agg"
@@ -170,28 +169,6 @@ func (g *aggGroup) markDirty(epoch int64, sliding bool) {
 	if sliding {
 		g.dirty[epoch+1] = true
 	}
-}
-
-// clone deep-copies the group for a mirror, which must own its partials
-// and lineage sets outright: the live copy keeps folding rows in. The
-// dirty set is flush bookkeeping of the live copy and starts empty.
-func (g *aggGroup) clone() *aggGroup {
-	cp := &aggGroup{
-		qid: g.qid, owner: g.owner, gkey: g.gkey, group: slices.Clone(g.group),
-		epochs: make(map[int64]*agg.Partial, len(g.epochs)),
-		dirty:  make(map[int64]bool),
-		pubAt:  g.pubAt,
-	}
-	for e, part := range g.epochs {
-		cp.epochs[e] = part.Clone()
-	}
-	if len(g.lins) > 0 {
-		cp.lins = make(map[int64]map[query.LineageStep]struct{}, len(g.lins))
-		for e, set := range g.lins {
-			cp.lins[e] = maps.Clone(set)
-		}
-	}
-	return cp
 }
 
 // epochCount reports the stored (group, epoch) partials — the unit the

@@ -256,8 +256,8 @@ func TestAggValidateRejections(t *testing.T) {
 // the leave and join handovers must carry its groups (and rate
 // statistics) to their keys' new owners along with the queries and
 // tuples, nothing is created or dropped by the move, and the final view
-// equals the reference fold. With replication on, the mirrors equal the
-// handed-over state.
+// equals the reference fold. With replication on, the replica groups are
+// re-formed around the moved node and nothing is counted lost.
 func TestMoveNodeRehomesAggState(t *testing.T) {
 	for _, k := range []int{1, 2} {
 		eng, nodes := testNet(t, 32, 31, replCfg(k), churnNetCfg())
@@ -317,7 +317,7 @@ func TestMoveNodeRehomesAggState(t *testing.T) {
 		}
 		aggViewsMatch(t, "moved-aggregator", sql, eng, qid, published)
 		if k >= 2 {
-			mirrorsTrackLiveState(t, eng)
+			replicasTrackRing(t, eng)
 		}
 	}
 }

@@ -110,26 +110,29 @@ type Config struct {
 	// intact — is ReplicationFactor's job.
 	AttrReplicas int
 
-	// ReplicationFactor k mirrors every keyed state entry — stored
+	// ReplicationFactor k replicates every keyed state entry — stored
 	// queries with their DISTINCT projection memory, value-level
 	// tuples, ALTT and candidate-table entries, aggregator group
-	// partials — on the owner plus its k−1 ring successors, the key's
-	// replica group (ring ground truth: Engine.replGroup). Mutations
-	// batch per handler and are charged as one replica-update message
-	// per group member (overlay.TagRepl); on a crash the head of the group — the node
-	// the ring now routes to — promotes its mirror, so single-node
-	// crashes lose no keyed state (RewritesLost, TuplesLost and
-	// AggStateLost stay zero) and the factor is restored by
-	// re-replication. Mirrors are written when the mutating handler
-	// returns and promotion runs inside CrashNode, so every k >= 2
-	// survives any sequence of single departures that leaves two
-	// nodes, and k >= 3 tolerates nothing k = 2 does not
-	// (TestPromoteeCrashLosesNothing pins zero loss at k = 2, 3, 4).
-	// Values < 2 disable replication and keep the counted-loss
-	// crash model.
+	// partials, placement walks — on the owner plus its k−1 ring
+	// successors, the key's replica group (ring ground truth:
+	// Engine.replGroup), under a synchronous primary-backup model.
+	// Mutations batch per handler and are charged as one replica-update
+	// message per group member (overlay.TagRepl); on a crash the head of
+	// the group — the node the ring now routes to — promotes its copy,
+	// so single-node crashes lose no keyed state (RewritesLost,
+	// TuplesLost and AggStateLost stay zero) and the factor is restored
+	// by re-replication. A synchronous copy always equals its primary,
+	// so the engine keeps none: it charges the copies and promotes the
+	// crashed node's own state, and k changes the charge, not what
+	// survives. Updates are charged when the mutating handler returns
+	// and promotion runs inside CrashNode, so every k >= 2 survives any
+	// sequence of single departures that leaves two nodes, and k >= 3
+	// tolerates nothing k = 2 does not (TestPromoteeCrashLosesNothing
+	// pins zero loss at k = 2, 3, 4). Values < 2 disable replication
+	// and keep the counted-loss crash model.
 	//
 	// ReplicationFactor is durability, not load spreading: replicas are
-	// passive mirrors that serve no traffic until promoted. To spread a
+	// passive copies that serve no traffic until promoted. To spread a
 	// hot attribute-level key over several nodes, use AttrReplicas.
 	ReplicationFactor int
 

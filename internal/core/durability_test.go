@@ -2,13 +2,13 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"reflect"
 	"slices"
 	"testing"
 
 	"rjoin/internal/refeval"
 	"rjoin/internal/relation"
+	"rjoin/internal/sim"
 	"rjoin/internal/sqlparse"
 )
 
@@ -24,7 +24,7 @@ func replCfg(k int) Config {
 // criterion, the crash analogue of TestGracefulLeaveExactlyOnce: with
 // ReplicationFactor 2, the node holding the most rewritten state
 // crashes mid-stream (tuples in flight), the surviving replica promotes
-// its mirror, and the delivered answer bag still equals the reference
+// its copy, and the delivered answer bag still equals the reference
 // exactly — nothing lost to the crash, nothing duplicated by the
 // promotion.
 func TestCrashPromotionExactlyOnce(t *testing.T) {
@@ -77,7 +77,7 @@ func TestCrashPromotionExactlyOnce(t *testing.T) {
 		t.Fatalf("answers across a crash with replication diverged:\ngot  %d rows\nwant %d rows", len(got), len(want))
 	}
 	if eng.Counters.ReplPromotions == 0 || eng.Counters.ReplEntriesPromoted == 0 {
-		t.Fatalf("crash promoted nothing (promotions %d, entries %d): victim held no mirror",
+		t.Fatalf("crash promoted nothing (promotions %d, entries %d): victim held no copy",
 			eng.Counters.ReplPromotions, eng.Counters.ReplEntriesPromoted)
 	}
 	if eng.Counters.RewritesLost != 0 || eng.Counters.TuplesLost != 0 || eng.Counters.QueriesLost != 0 {
@@ -141,7 +141,7 @@ func TestRepeatedCrashesStayComplete(t *testing.T) {
 	}
 }
 
-// TestCrashPromotionDistinct guards the mirrored DISTINCT projection
+// TestCrashPromotionDistinct guards the replicated DISTINCT projection
 // memory: the holder of a DISTINCT query's state crashes after
 // consuming projections; if promotion resurrected the query without its
 // memory, the post-crash stream would re-trigger consumed projections
@@ -258,7 +258,7 @@ func TestCrashPromotionAggState(t *testing.T) {
 		t.Fatalf("replicated crashes lost %d aggregation partials", eng.Counters.AggStateLost)
 	}
 	if eng.Counters.ReplPromotions == 0 {
-		t.Fatal("crashes promoted no mirror")
+		t.Fatal("crashes promoted nothing")
 	}
 }
 
@@ -338,64 +338,57 @@ func TestLeaveWithReplicationInFlight(t *testing.T) {
 	}
 }
 
-// mirrorsMatchPrimaries checks the engine against the ring, not against
-// its own belief: for every live node n and every member t of
-// replGroup(n) — ring ground truth — the mirror t holds of n equals
-// n's live state over the mirrored classes (state.equal: stored queries
-// with their identity and DISTINCT/combine memory, tuples, unexpired
-// ALTT entries, aggregator groups down to partials, watermark and
-// lineage, candidate table, placement walks). A mirror nothing was ever
-// written to is an empty mirror. It holds between any two events, not
-// only at quiescence (TestMirrorsMatchAtEveryEvent).
-func mirrorsMatchPrimaries(eng *Engine) error {
+// targetsMatchGroups checks the replication bookkeeping against the
+// ring, not against the engine's own belief: every live node n is
+// charged to exactly replGroup(n) — ring ground truth — and has no
+// replica op left uncharged. It holds between any two events, not only
+// at quiescence (TestMirrorsMatchAtEveryEvent).
+func targetsMatchGroups(eng *Engine) error {
 	for _, n := range eng.Ring().Nodes() {
-		for _, tgt := range eng.replGroup(n.ID()) {
-			mirror := eng.procs[n.ID()].mirrors[tgt]
-			if mirror == nil {
-				mirror = newMirror(eng.aggSpec)
-			}
-			if err := eng.procs[n.ID()].st.equal(mirror, classMirrored, eng.Sim().Now()); err != nil {
-				return fmt.Errorf("mirror of %s at %s: %v", n.ID(), tgt, err)
-			}
+		p := eng.procs[n.ID()]
+		if group := eng.replGroup(n.ID()); !slices.Equal(p.targets, group) {
+			return fmt.Errorf("%s replicates to %v, its replica group is %v", n.ID(), p.targets, group)
+		}
+		if p.st.replOps != 0 {
+			return fmt.Errorf("%s holds %d uncharged replica ops", n.ID(), p.st.replOps)
 		}
 	}
 	return nil
 }
 
-// orphanMirrors reports the mirrors nobody will ever promote or discard
-// — the holder is gone, or is outside replGroup(origin) — naming the
-// first in ring order; nil when there is none.
-func orphanMirrors(eng *Engine) error {
+// departedTargets reports the replica targets that are no longer on the
+// ring, naming the first in ring order; nil when there is none.
+func departedTargets(eng *Engine) error {
 	var out []string
 	for _, n := range eng.Ring().Nodes() {
-		group := eng.replGroup(n.ID())
-		for _, holder := range slices.Sorted(maps.Keys(eng.procs[n.ID()].mirrors)) {
-			switch {
-			case eng.procs[holder] == nil:
-				out = append(out, fmt.Sprintf("departed %s holds a mirror of %s", holder, n.ID()))
-			case !slices.Contains(group, holder):
-				out = append(out, fmt.Sprintf("%s holds a mirror of %s outside its replica group", holder, n.ID()))
+		for _, tgt := range eng.procs[n.ID()].targets {
+			if eng.procs[tgt] == nil {
+				out = append(out, fmt.Sprintf("%s replicates to departed %s", n.ID(), tgt))
 			}
 		}
 	}
 	if len(out) > 0 {
-		return fmt.Errorf("%d orphan mirrors, first: %s", len(out), out[0])
+		return fmt.Errorf("%d departed replica targets, first: %s", len(out), out[0])
 	}
 	return nil
 }
 
-// mirrorsTrackLiveState asserts both halves of the replication
-// invariant — the one helper the durability tests and the membership
-// checker share.
-func mirrorsTrackLiveState(t *testing.T, eng *Engine) {
+// replicasTrackRing asserts the replication invariants observable on a
+// drained engine — nothing counted lost, targets equal to the ring's
+// replica groups, no departed target, no placement left waiting — I1
+// to I3 of the membership checker, for hand-written scenarios.
+func replicasTrackRing(t *testing.T, eng *Engine) {
 	t.Helper()
 	if eng.Ring().Size() < 2 {
 		t.Fatal("no replica links to check")
 	}
-	if err := mirrorsMatchPrimaries(eng); err != nil {
+	if lost := memLost(eng); lost != 0 {
+		t.Fatalf("%d entries counted lost", lost)
+	}
+	if err := targetsMatchGroups(eng); err != nil {
 		t.Fatal(err)
 	}
-	if err := orphanMirrors(eng); err != nil {
+	if err := departedTargets(eng); err != nil {
 		t.Fatal(err)
 	}
 	checkNothingWaits(t, eng) // callers have drained: every placement decided
@@ -403,12 +396,16 @@ func mirrorsTrackLiveState(t *testing.T, eng *Engine) {
 
 // TestMirrorsTrackLiveState drives a mixed workload — including an
 // aggregate and a DISTINCT query, tuple GC, runtime joins, leaves and
-// crashes — and asserts after every step, at quiescence, that every
-// mirror is exactly the primary's keyed state: the invariant
-// promotion's zero-loss guarantee rests on. GC matters here: collected tuples must leave the mirror
-// too (opRemoveTuple), or mirrors grow unboundedly relative to their
-// primaries.
+// crashes — and asserts after every step, at quiescence, that the
+// replica bookkeeping follows the ring and nothing is lost. The run's
+// replication charge is pinned at both factors to what the op log and
+// its mirrors cost at 9c30999: the charge must not move with the copy
+// gone, tuple GC's one op per collected tuple included.
 func TestMirrorsTrackLiveState(t *testing.T) {
+	pinned := map[int]Counters{
+		2: {ReplOps: 4240, ReplUpdates: 3813, ReplSyncs: 3, ReplPromotions: 1, ReplEntriesPromoted: 1},
+		3: {ReplOps: 8477, ReplUpdates: 7624, ReplSyncs: 4, ReplPromotions: 1, ReplEntriesPromoted: 1},
+	}
 	for _, k := range []int{2, 3} {
 		cfg := replCfg(k)
 		cfg.TupleGC = true
@@ -447,13 +444,16 @@ func TestMirrorsTrackLiveState(t *testing.T) {
 			}
 			eng.Ring().TickStabilize()
 			eng.Run()
-			mirrorsTrackLiveState(t, eng)
+			replicasTrackRing(t, eng)
 		}
-		if eng.Counters.ReplUpdates == 0 || eng.Counters.ReplOps == 0 {
-			t.Fatalf("k=%d: replication shipped nothing", k)
+		c := eng.Counters
+		got := Counters{ReplOps: c.ReplOps, ReplUpdates: c.ReplUpdates, ReplSyncs: c.ReplSyncs,
+			ReplPromotions: c.ReplPromotions, ReplEntriesPromoted: c.ReplEntriesPromoted}
+		if got != pinned[k] {
+			t.Fatalf("k=%d: replication charged %+v, pinned %+v", k, got, pinned[k])
 		}
-		if eng.Counters.TuplesCollected == 0 {
-			t.Fatalf("k=%d: tuple GC never fired; the GC-mirroring path went unexercised", k)
+		if c.TuplesCollected == 0 {
+			t.Fatalf("k=%d: tuple GC never fired; its charge went unexercised", k)
 		}
 	}
 }
@@ -504,7 +504,7 @@ func TestPromoteeCrashLosesNothing(t *testing.T) {
 			t.Fatalf("k=%d, %d crashes: live nodes hold %+v, before the crashes %+v", k, crashes, got, base)
 		}
 		if int(eng.Counters.ReplPromotions) != crashes {
-			t.Fatalf("k=%d: %d crashes promoted %d mirrors", k, crashes, eng.Counters.ReplPromotions)
+			t.Fatalf("k=%d: %d crashes promoted %d times", k, crashes, eng.Counters.ReplPromotions)
 		}
 		return memLost(eng)
 	}
@@ -521,8 +521,8 @@ func TestPromoteeCrashLosesNothing(t *testing.T) {
 }
 
 // TestRejectedJoinKeepsMirrors: a join rejected because its identifier
-// is already live must not touch that node's mirrors — a later crash of
-// the node still promotes everything it held.
+// is already live must not touch that node's replica group — a later
+// crash of the node still promotes everything it held.
 func TestRejectedJoinKeepsMirrors(t *testing.T) {
 	eng := memWorld(t, 2)
 	base := memCounts(eng)
@@ -533,7 +533,7 @@ func TestRejectedJoinKeepsMirrors(t *testing.T) {
 	if _, err := eng.JoinNode(victim.ID()); err == nil {
 		t.Fatal("joining a live identifier was accepted")
 	}
-	if err := mirrorsMatchPrimaries(eng); err != nil {
+	if err := targetsMatchGroups(eng); err != nil {
 		t.Fatalf("after the rejected join: %v", err)
 	}
 	if err := eng.CrashNode(victim); err != nil {
@@ -545,22 +545,29 @@ func TestRejectedJoinKeepsMirrors(t *testing.T) {
 			t.Errorf("%s: %v", memInvariants[i], err)
 		}
 	}
+	if eng.Counters.ReplPromotions != 1 {
+		t.Fatalf("the crash promoted %d times, want 1", eng.Counters.ReplPromotions)
+	}
 }
 
-// TestMirrorsMatchAtEveryEvent is mirror ≡ primary as a step invariant:
-// on a serial engine, after every single event and every membership
-// call — tuples, rewrites, handovers and aggregate partials in flight —
-// every mirror equals its primary on the ring's ground-truth replica
-// group and none is orphaned.
+// TestMirrorsMatchAtEveryEvent is the replica bookkeeping as a step
+// invariant: on a serial engine, after every single event and every
+// membership call — tuples, rewrites, handovers and aggregate partials
+// in flight — every node replicates to the ring's ground-truth replica
+// group, none to a departed node, with no replica op left uncharged,
+// and nothing is counted lost.
 func TestMirrorsMatchAtEveryEvent(t *testing.T) {
 	eng, nodes := testNet(t, 12, 29, replCfg(3), churnNetCfg())
 	check := func(when string) {
 		t.Helper()
-		if err := mirrorsMatchPrimaries(eng); err != nil {
+		if err := targetsMatchGroups(eng); err != nil {
 			t.Fatalf("%s: %v", when, err)
 		}
-		if err := orphanMirrors(eng); err != nil {
+		if err := departedTargets(eng); err != nil {
 			t.Fatalf("%s: %v", when, err)
+		}
+		if lost := memLost(eng); lost != 0 {
+			t.Fatalf("%s: %d entries counted lost", when, lost)
 		}
 	}
 	events := 0
@@ -627,14 +634,13 @@ func TestMirrorsMatchAtEveryEvent(t *testing.T) {
 	if events < 100 {
 		t.Fatalf("only %d events stepped; workload too weak", events)
 	}
-	t.Logf("mirror ≡ primary after each of %d events", events)
+	t.Logf("targets ≡ replica groups after each of %d events", events)
 }
 
 // TestCrashDuringPlacementWalk: the submitting node crashes while the
 // input query's RIC placement walk is still in flight — before any
-// handler ran on it. The walk's mirror op must be flushed at
-// submission (coordinator context has no trailing handler flush), so
-// promotion restarts the walk and the stream stays exact.
+// handler ran on it. The walk is replicated state, so promotion
+// restarts it and the stream stays exact.
 func TestCrashDuringPlacementWalk(t *testing.T) {
 	eng, nodes := testNet(t, 48, 21, replCfg(2), churnNetCfg())
 	q := "select R.B, S.B from R,S where R.A=S.A"
@@ -679,10 +685,9 @@ func TestCrashDuringPlacementWalk(t *testing.T) {
 }
 
 // TestMoveNodeKeepsMirrorsConsistent: identifier movement re-homes
-// stored keys wholesale; the forced resync must rebuild every mirror
-// exactly, with moved queries re-numbered into their destination's
-// replication-identity namespace (colliding sqIDs would corrupt the
-// mirror's index and promote the wrong DISTINCT memory later).
+// stored keys wholesale; afterwards every replica group is re-formed
+// around the moved node, nothing is lost and every stored entry is
+// still stored exactly once.
 func TestMoveNodeKeepsMirrorsConsistent(t *testing.T) {
 	eng, nodes := testNet(t, 32, 23, replCfg(2), churnNetCfg())
 	for _, sql := range []string{
@@ -704,17 +709,61 @@ func TestMoveNodeKeepsMirrorsConsistent(t *testing.T) {
 	if victim == nil {
 		t.Fatal("no rewritten state stored")
 	}
+	base := memCounts(eng)
 	if _, err := eng.MoveNode(victim, victim.ID()+1<<60); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
-	mirrorsTrackLiveState(t, eng)
+	replicasTrackRing(t, eng)
+	if got := memCounts(eng); got != base {
+		t.Fatalf("live nodes hold %+v after the move, %+v before", got, base)
+	}
+}
+
+// TestPrunedALTTEntryExpiresOnce: an ALTT entry expires once. Its holder
+// prunes it after Δ, counting it in ALTTExpired, and then crashes under
+// rf 2; the promotion must not count the pruned entry a second time.
+func TestPrunedALTTEntryExpiresOnce(t *testing.T) {
+	eng, nodes := testNet(t, 8, 1, replCfg(2), churnNetCfg())
+	eng.PublishTuple(nodes[0], mkTuple("R", 1, 2, 3)) // one entry per attribute key
+	eng.Run()
+	// A holder of exactly one ALTT entry that stores a tuple too, so that
+	// its crash promotes.
+	var holder *Proc
+	for _, n := range eng.Ring().Nodes() {
+		p := eng.procs[n.ID()]
+		if c := p.st.counts(); c.altt == 1 && c.tuples > 0 {
+			holder = p
+			break
+		}
+	}
+	if holder == nil {
+		t.Fatal("no node holds exactly one ALTT entry beside other state; pick another seed")
+	}
+	var key relation.Key
+	for k := range holder.st.altt {
+		key = k
+	}
+	eng.RunUntil(eng.Sim().Now() + sim.Time(eng.Delta()) + 1)
+	if live := holder.alttScan(key, eng.Sim().Now()); len(live) != 0 || eng.Counters.ALTTExpired != 1 {
+		t.Fatalf("pruning after Δ left %d entries live and counted %d expired, want 0 and 1", len(live), eng.Counters.ALTTExpired)
+	}
+	if err := eng.CrashNode(holder.node); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	if eng.Counters.ReplPromotions != 1 {
+		t.Fatalf("the holder's crash promoted %d times, want 1", eng.Counters.ReplPromotions)
+	}
+	if got := eng.Counters.ALTTExpired; got != 1 {
+		t.Fatalf("one ALTT entry expired, counted %d times", got)
+	}
 }
 
 // aggGroupsOf exposes a node's aggregator groups to the tests below.
 func aggGroupsOf(p *Proc) map[relation.Key]*aggGroup { return p.st.aggs }
 
-// TestSnapshotPromotionKeepsAggProvenance: a replica that received its mirror
+// TestSnapshotPromotionKeepsAggProvenance: a replica that received its copy
 // by repair snapshot (not by the incremental stream) must promote
 // aggregator groups with their provenance and latency watermark intact.
 // The origin's replica target leaves gracefully, so the repair pass

@@ -78,9 +78,9 @@ type Counters struct {
 
 	// Replication bookkeeping (see replicate.go).
 	ReplUpdates         int64 // replica-update messages charged (batches × targets)
-	ReplOps             int64 // state operations those messages carried
+	ReplOps             int64 // state operations they carry: state.replOps per target, snapshot entries
 	ReplSyncs           int64 // full-state snapshots sent by group repair
-	ReplPromotions      int64 // crashed nodes whose mirror a replica promoted
+	ReplPromotions      int64 // crashed nodes whose state a replica promoted
 	ReplEntriesPromoted int64 // state entries re-indexed by those promotions
 }
 
@@ -174,10 +174,10 @@ type Engine struct {
 	queryCnt int64
 	lossy    bool // unreliable network: senders retain messages, no pooling
 
-	// obs mirrors Cfg.Obs for direct hot-path access. Nil unless
+	// obs caches Cfg.Obs for direct hot-path access. Nil unless
 	// observability is enabled; every hook site nil-guards before
 	// building a record, so the disabled path costs one predictable
-	// branch and zero allocations. prov mirrors Cfg.Provenance under the
+	// branch and zero allocations. prov caches Cfg.Provenance under the
 	// same discipline.
 	obs  *obs.Recorder
 	prov bool
@@ -235,9 +235,9 @@ func NewEngine(ring *chord.Ring, se *sim.Engine, net *overlay.Network, cfg Confi
 	for _, n := range ring.Nodes() {
 		e.NodeJoined(n)
 	}
-	// Establish the initial replica groups. A mirror is created by its
-	// first update batch — no state exists yet — so a fresh engine pays
-	// no replication traffic until something mutates.
+	// Establish the initial replica groups. No state exists yet, so the
+	// repair pass bills no snapshot and a fresh engine pays no
+	// replication traffic until something mutates.
 	e.replRepair()
 	return e
 }
@@ -327,9 +327,8 @@ func (e *Engine) SubmitQuery(owner *chord.Node, q *query.Query) (string, error) 
 		p.place(e.sim.Now(), pq)
 	}
 	// Submission runs in coordinator context, outside any handler, so
-	// the placement walk it may have mirrored (opAddPending) must flush
-	// here — otherwise a crash of the submitting node before its next
-	// handled message would lose the walk without any mirror knowing.
+	// the replica op of the placement walk it may have started is
+	// charged here rather than by the submitting node's next handler.
 	p.replFlush()
 	return qid, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"rjoin/internal/chord"
 	"rjoin/internal/id"
@@ -78,7 +79,7 @@ func (p *Proc) onHandover(now sim.Time, m *handoverMsg) {
 				continue
 			}
 		}
-		p.st.apply(op) // logged: handed-over state re-replicates at its new home
+		p.st.apply(op) // counted: handed-over state re-replicates at its new home
 	}
 	for _, key := range fwdKeys {
 		p.ctr.MessagesRerouted++
@@ -103,8 +104,8 @@ func (e *Engine) JoinNode(nid id.ID) (*chord.Node, error) {
 	if succ := e.ring.SuccessorList(nid, 1); len(succ) > 0 {
 		if sp, ok := e.procs[succ[0].ID()]; ok {
 			// The stored state whose keys now belong to n (ground truth
-			// after the join) moves to it; sp's mirrors drop each moved
-			// key, and n re-replicates it on arrival.
+			// after the join) moves to it; sp's replicas are charged the
+			// drop of each moved key, and n re-replicates it on arrival.
 			ops := sp.st.take(func(key relation.Key) bool {
 				o := e.ring.Owner(key.ID())
 				return o != nil && o.ID() == n.ID()
@@ -119,7 +120,7 @@ func (e *Engine) JoinNode(nid id.ID) (*chord.Node, error) {
 	return n, nil
 }
 
-// LeaveNode removes a node gracefully: it flushes its batched outbox,
+// LeaveNode removes a node gracefully: it flushes its batched messages,
 // drains its entire RJoin state to its ring successor — ground truth,
 // the node that owns its keys once it is gone, not its own successor
 // pointer, which lags a join behind it — as handover messages (counted
@@ -142,9 +143,9 @@ func (e *Engine) LeaveNode(n *chord.Node) error {
 	} else {
 		p.st.chargeLost(&e.Counters, e.retiredOp)
 	}
-	// The departed node's mirrors go with its Proc: its state lives on
-	// at the successor (which re-replicates it as its own on arrival),
-	// or is already counted lost.
+	// The departed node's state lives on at the successor (which
+	// re-replicates it as its own on arrival), or is already counted
+	// lost; the repair pass re-forms the groups it belonged to.
 	e.ring.Leave(n)
 	e.NodeLeft(n)
 	e.replRepair()
@@ -161,12 +162,13 @@ func (e *Engine) LeaveNode(n *chord.Node) error {
 //
 // With ReplicationFactor >= 2 and a surviving replica, nothing is
 // lost: the head of the dead node's replica group (replGroup) — the
-// node the ring now routes its keys to — promotes its mirror,
-// re-indexing the state at its exact keys and re-replicating it, before
-// CrashNode returns: every message bounced off the dead node finds the
-// promoted state. In-flight placement walks are mirrored too (rewrites
-// included — without the mirror they exist only at the walk's origin)
-// and restart at the promotee.
+// node the ring now routes its keys to — promotes its copy, which is
+// the dead node's own replicated state, re-indexing it at its exact
+// keys and re-replicating it, before CrashNode returns: every message
+// bounced off the dead node finds the promoted state. In-flight
+// placement walks are replicated too (rewrites included — without a
+// copy they exist only at the walk's origin) and restart at the
+// promotee.
 func (e *Engine) CrashNode(n *chord.Node) error {
 	p, ok := e.procs[n.ID()]
 	if !ok {
@@ -176,23 +178,23 @@ func (e *Engine) CrashNode(n *chord.Node) error {
 	e.NodeLeft(n)
 
 	now := e.sim.Now()
-	// The promotee is the head of the dead node's replica group; it
-	// promotes iff it holds a mirror (a node that never stored anything,
-	// or a group that formed with no repair pass since, has none).
-	var promotee id.ID
-	var mirror *state
-	if g := e.replGroup(n.ID()); len(g) > 0 {
-		promotee, mirror = g[0], p.mirrors[g[0]]
+	// The promotee is the head of the dead node's replica group; it holds
+	// a copy iff it is one of the node's replica targets (a group that
+	// formed with no repair pass since has none) and the node holds
+	// anything a replica keeps.
+	var promotee *Proc
+	if g := e.replGroup(n.ID()); len(g) > 0 && slices.Contains(p.targets, g[0]) && p.st.counts().mirrored() > 0 {
+		promotee = e.procs[g[0]]
 	}
 
 	// Without a promotion, input continuous queries the dead node was
 	// storing (lost) or still placing (rePlace) are recovered from their
 	// owner's side, in the state's deterministic order; everything else
-	// it held is counted lost. Under promotion the mirror carries all of
+	// it held is counted lost. Under promotion the copy carries all of
 	// it — walks included, which restart at the promotee.
 	var lost []*storedQuery
 	var rePlace []*query.Query
-	if mirror == nil {
+	if promotee == nil {
 		p.st.each(classAll, nil, func(op stateOp) {
 			q := op.query()
 			switch {
@@ -238,15 +240,15 @@ func (e *Engine) CrashNode(n *chord.Node) error {
 			}
 			e.Counters.QueriesRecovered++
 			hp.place(now, q.Clone())
-			hp.replFlush() // coordinator context: ship the walk's mirror op now
+			hp.replFlush() // coordinator context: charge the walk's replica op now
 		}
 	})
 	// Every group the dead node belonged to lost a member: re-form them
 	// (origins snapshot to their new k−1th successors), the promotee's
 	// included, so what it promotes re-replicates to its repaired group.
 	e.replRepair()
-	if mirror != nil {
-		e.promoteMirror(e.procs[promotee], mirror, now)
+	if promotee != nil {
+		e.promote(promotee, p.st, now)
 	}
 	return nil
 }

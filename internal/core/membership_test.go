@@ -14,9 +14,9 @@ import (
 // hoping a random seed lands a joiner next to a loaded node, it
 // enumerates every short sequence of membership operations on a small
 // ring that holds one entry of every state class, and checks after each
-// that nothing was lost, every mirror equals its primary on the ring's
-// ground-truth replica group, no mirror is orphaned, and state only
-// moved. The harness never stabilizes the ring in drained mode — the
+// that nothing was lost, every node replicates to exactly the ring's
+// ground-truth replica group with nothing left uncharged, no node
+// replicates to a departed one, and state only moved. The harness never stabilizes the ring in drained mode — the
 // worst case for any mechanism that reads a node's protocol pointers.
 
 // memOp is one membership operation, named by ring position at the
@@ -108,8 +108,8 @@ func memLost(eng *Engine) int64 {
 // memCheck reports them.
 var memInvariants = [4]string{
 	"I1 nothing counted lost",
-	"I2 mirror ≡ primary on replGroup",
-	"I3 no orphan mirror",
+	"I2 targets ≡ replGroup, nothing uncharged",
+	"I3 no departed target",
 	"I4 stored-entry totals conserved, nothing left waiting",
 }
 
@@ -121,8 +121,8 @@ func memCheck(eng *Engine, base stateCounts) (errs [4]error) {
 		errs[0] = fmt.Errorf("%d queries, %d rewrites, %d tuples, %d aggregate epochs counted lost",
 			c.QueriesLost, c.RewritesLost, c.TuplesLost, c.AggStateLost)
 	}
-	errs[1] = mirrorsMatchPrimaries(eng)
-	errs[2] = orphanMirrors(eng)
+	errs[1] = targetsMatchGroups(eng)
+	errs[2] = departedTargets(eng)
 	if got := memCounts(eng); got != base {
 		errs[3] = fmt.Errorf("live nodes hold %+v, the world started with %+v", got, base)
 	}
@@ -190,8 +190,8 @@ func (s *memSweep) explore(script []memOp, moved, crashOnly bool) {
 // operations back to back with one stabilization round after each, what
 // churn.Manager.step() does when two draws hit one tick, and drains once
 // at the end. Both modes assert all four invariants on every script:
-// mirrors are written where their primary mutates and promotion runs
-// inside CrashNode, so no membership operation can find a replica
+// replica updates are charged where their primary mutates and promotion
+// runs inside CrashNode, so no membership operation can find a replica
 // handoff half done.
 func (s *memSweep) run(script []memOp, crashOnly bool) ([4]error, int) {
 	eng := memWorld(s.t, s.rf)

@@ -31,10 +31,6 @@ type storedQuery struct {
 	// future work) and are maintained only when migration is enabled.
 	triggers int
 	combined []int64
-
-	// replID is the identity the logged op stream names this stored
-	// copy by (see state.go); zero when replication is off.
-	replID int64
 }
 
 // allowTrigger implements the DISTINCT rule: a tuple may trigger the
@@ -120,13 +116,10 @@ type Proc struct {
 	// read its maps directly and write them only through its mutators.
 	st *state
 
-	// Replication (see replicate.go): targets is this node's replica
-	// group as of the last repair pass, and mirrors the copy of st each
-	// target holds, created by the first batch or snapshot that has
-	// something to put in it. Both stay empty when
-	// Config.ReplicationFactor < 2 (st then logs nothing).
+	// targets is this node's replica group as of the last repair pass:
+	// the nodes charged for its replica updates (see replicate.go).
+	// Empty when Config.ReplicationFactor < 2.
 	targets []id.ID
-	mirrors map[id.ID]*state
 }
 
 // newProc builds the processor of a ring handle: the node it acts as,
@@ -137,10 +130,6 @@ func newProc(eng *Engine, node *chord.Node) *Proc {
 	p := &Proc{eng: eng, node: node, joined: eng.joins, shard: eng.sim.ShardOf(uint64(node.ID())), st: newState(eng.aggSpec)}
 	s := &eng.slots[p.shard+1]
 	p.ctr, p.qpl, p.sl = s.ctr, s.qpl, s.sl
-	if eng.Cfg.ReplicationFactor >= 2 {
-		p.st.logging = true
-		p.mirrors = make(map[id.ID]*state)
-	}
 	if eng.par {
 		p.rng = sim.NewRNG(eng.sim.Seed(), uint64(node.ID()), 0x91ac)
 	}
@@ -167,10 +156,9 @@ func (p *Proc) nextReqID() int64 {
 // everything they retain. Keyed messages that arrive at a node that no
 // longer owns their key (stale routing state mid-churn) are re-routed
 // before any processing, and are not recycled on that path: they are
-// still in flight. Handlers that mutate state leave the logged ops in
-// its outbox; the trailing replFlush applies them to the mirror at
-// every replica target, so outside a handler a mirror is never behind
-// its primary.
+// still in flight. Handlers that mutate state leave their replica ops
+// counted in it; the trailing replFlush charges them to every replica
+// target, so no replica update is ever outstanding between events.
 func (p *Proc) HandleMessage(now sim.Time, msg overlay.Message) {
 	// In unreliable-network mode the sender retains every message for
 	// possible retransmission, so consumed structs must not be recycled

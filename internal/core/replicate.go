@@ -9,74 +9,46 @@ import (
 
 // This file implements durable state replication over ring-successor
 // replica groups. Every key a node owns shares the same replica group —
-// the node plus its ReplicationFactor−1 ring successors — so each node
-// mirrors its keyed RJoin state (stored queries with their DISTINCT
-// projection memory, value-level tuples, ALTT entries, candidate-table
-// entries, aggregator group partials, placement walks) into one copy
-// per replica target. The model is a primary-backup protocol that
-// acknowledges a mutation only once its backups hold it, and the
-// implementation is that model taken literally: the copies live in the
-// origin's own Proc (Proc.mirrors, keyed by the target that holds them),
-// a handler's logged mutations are applied to every copy when the
-// handler returns, and the wire cost — one message per target per batch
-// — is charged under overlay.TagRepl without anything being scheduled.
-// There is no instant at which a copy is behind its primary, so nothing
-// has to survive one.
+// the node plus its ReplicationFactor−1 ring successors — and the model
+// is a synchronous primary-backup protocol: a mutation is acknowledged
+// only once every backup in the group applied it, so a backup's copy
+// equals its primary's replicated state (stored queries with their
+// DISTINCT projection memory, value-level tuples, ALTT entries,
+// candidate-table entries, aggregator group partials, placement walks)
+// at every instant.
 //
-// That is shard-safe by construction: a mirror is written only by its
-// origin's handlers (the origin's shard) and by coordinator-context
-// membership code, and no handler of the holder ever reads one — a
-// mirror is a passive state, consulted only by CrashNode.
-//
-// On a crash, the surviving replica the ring now routes the dead node's
-// keys to — its first live successor — promotes its mirror inside
-// CrashNode: the dead node's state is re-indexed at its exact keys and
-// re-replicated to the promotee's own targets, instead of being counted
-// lost. Graceful leaves and runtime joins keep groups consistent
-// through the handover hooks (merged state re-replicates at its new
-// owner, moved keys are dropped from the old owner's mirrors), and every
-// membership change ends in a repair pass that diffs each node's
-// replica targets against its replica group (replGroup: ring ground
-// truth, never a node's own successor pointers), copying the full state
-// to every new member and discarding the copies former members held.
+// A copy that always equals state the simulator already holds is not
+// kept. Replication is a charge: every mutator counts the ops a backup
+// would apply (state.replOps), and a handler's count is billed when it
+// returns — one message per target per batch under overlay.TagRepl,
+// ReplOps for the ops — with nothing scheduled. A new group member is
+// billed a snapshot of the origin's replicated entries. On a crash, the
+// head of the dead node's group — the node the ring now routes its keys
+// to — promotes what its copy would hold, which is the dead node's own
+// state, inside CrashNode: re-indexed at its exact keys and
+// re-replicated to the promotee's targets instead of being counted
+// lost. Graceful leaves and runtime joins move state through the
+// handover hooks, where the receiver's mutators charge the
+// re-replication, and every membership change ends in a repair pass
+// that diffs each node's replica targets against its replica group
+// (replGroup: ring ground truth, never a node's own successor
+// pointers), billing a snapshot to every new member.
 
-// replFlush applies the handler batch to the mirror at every replica
-// target and charges one message per target. The ops slice is shared
-// read-only across the targets; a mirror clones what it applies. Runs
-// at the end of every message handler and after coordinator-side
-// mutations (promotion, handover construction).
+// replFlush charges the replica updates for the ops counted since the
+// last flush: one message per target, carrying every op. Runs at the
+// end of every message handler and after coordinator-side mutations
+// (promotion, handover construction).
 func (p *Proc) replFlush() {
-	if len(p.st.outbox) == 0 {
-		return
-	}
-	ops := p.st.outbox
-	p.st.outbox = nil
-	if len(p.targets) == 0 {
-		// No replica group exists (ring smaller than the factor); the
-		// repair pass copies everything when one forms.
+	n := p.st.replOps
+	p.st.replOps = 0
+	if n == 0 || len(p.targets) == 0 {
+		// Nothing changed, or no replica group exists (ring smaller than
+		// the factor); the repair pass snapshots everything when one forms.
 		return
 	}
 	p.ctr.ReplUpdates += int64(len(p.targets))
-	p.ctr.ReplOps += int64(len(ops) * len(p.targets))
+	p.ctr.ReplOps += int64(n * len(p.targets))
 	p.eng.net.ReplicateTo(p.node, p.targets)
-	for _, tgt := range p.targets {
-		m := p.mirrorAt(tgt)
-		for _, op := range ops {
-			m.apply(op)
-		}
-	}
-}
-
-// mirrorAt returns the mirror replica target tgt holds of p, creating
-// it on first use: a node that never stores anything costs its replicas
-// nothing.
-func (p *Proc) mirrorAt(tgt id.ID) *state {
-	m := p.mirrors[tgt]
-	if m == nil {
-		m = newMirror(p.eng.aggSpec)
-		p.mirrors[tgt] = m
-	}
-	return m
 }
 
 // ---------------------------------------------------------------------
@@ -97,8 +69,8 @@ func (e *Engine) replGroup(nid id.ID) []id.ID {
 }
 
 // replRepair reconciles every node's replica targets with its replica
-// group after a membership change: the mirror a former member held is
-// discarded, a new member receives a full state snapshot. Runs in
+// group after a membership change: a new member is billed a full state
+// snapshot, and a former member simply stops being charged. Runs in
 // coordinator context (no handler in flight) at the end of every
 // membership operation; on a static ring it settles immediately into
 // no-ops. The scan is whole-ring rather than limited to the changed
@@ -114,11 +86,6 @@ func (e *Engine) replRepair() {
 			continue
 		}
 		group := e.replGroup(n.ID())
-		for _, t := range p.targets {
-			if !slices.Contains(group, t) {
-				delete(p.mirrors, t)
-			}
-		}
 		for _, t := range group {
 			if !slices.Contains(p.targets, t) {
 				e.replSnapshot(p, t)
@@ -128,17 +95,12 @@ func (e *Engine) replRepair() {
 	}
 }
 
-// replSnapshot builds the mirror a new replica target holds of origin p
-// from p's full keyed state, charged as stateChunk-sized messages. A
-// node with no keyed state sends nothing: the mirror is created by its
-// first update batch, so establishing groups on a fresh engine costs no
-// traffic.
+// replSnapshot charges the copy of origin p's replicated entries a new
+// replica target receives, as stateChunk-sized messages. A node with no
+// such entries sends nothing, so establishing groups on a fresh engine
+// costs no traffic.
 func (e *Engine) replSnapshot(p *Proc, tgt id.ID) {
-	n := 0
-	p.st.each(classMirrored, nil, func(op stateOp) {
-		p.mirrorAt(tgt).apply(op) // a mirror clones what it applies: the primary keeps mutating
-		n++
-	})
+	n := p.st.counts().mirrored()
 	if n == 0 {
 		return
 	}
@@ -151,14 +113,15 @@ func (e *Engine) replSnapshot(p *Proc, tgt id.ID) {
 	}
 }
 
-// promoteMirror replays a dead origin's mirror into the promotee's live
-// state at its exact keys. The promotee logs what it applies, so every
-// promoted entry re-replicates to its own replica group — the step that
-// restores the replication factor for the recovered state. The mirror
-// is consumed: its entries move.
-func (e *Engine) promoteMirror(p *Proc, mirror *state, now sim.Time) {
+// promote replays a crashed node's replicated state — what the copy at
+// the head of its replica group holds — into the promotee's live state
+// at its exact keys. The promotee counts what it applies, so every
+// promoted entry re-replicates to its own replica group: the step that
+// restores the replication factor for the recovered state. The dead
+// state is consumed: its entries move.
+func (e *Engine) promote(p *Proc, dead *state, now sim.Time) {
 	p.ctr.ReplPromotions++
-	mirror.each(classMirrored, nil, func(op stateOp) {
+	dead.each(classMirrored, nil, func(op stateOp) {
 		if e.retiredOp(op) {
 			return // torn-down pipeline or unsubscribed aggregate: do not resurrect
 		}
@@ -166,7 +129,7 @@ func (e *Engine) promoteMirror(p *Proc, mirror *state, now sim.Time) {
 		switch op.kind {
 		case opAddALTT:
 			if op.expireAt < now {
-				p.ctr.ALTTExpired++ // the entry would have lapsed at the primary too
+				p.ctr.ALTTExpired++ // lapsed, and nobody pruned it yet
 				return
 			}
 		case opAggMerge:
@@ -188,9 +151,9 @@ func (e *Engine) promoteMirror(p *Proc, mirror *state, now sim.Time) {
 			p.st.apply(op)
 			return
 		}
-		// Placement walks die with their origin; restart each mirrored
-		// one from here. Charged as churn traffic like the rest of crash
-		// recovery — the walk is recovery work, not mirror maintenance.
+		// Placement walks die with their origin; restart each one from
+		// here. Charged as churn traffic like the rest of crash recovery
+		// — the walk is recovery work, not replica maintenance.
 		e.net.WithTag(p.node, TagChurn, func() { p.place(now, op.pp.q.Clone()) })
 	})
 	p.replFlush()

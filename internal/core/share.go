@@ -166,7 +166,7 @@ func (e *Engine) registerCanonical(can *share.Canonical, sub *share.Subscriber, 
 // released, and — when it was the class's last member — the shared
 // pipeline itself is torn down network-wide. Safe under churn and
 // replication: the retired marks make every resurrection path
-// (handover, mirror promotion, crash recovery) skip retired state, and
+// (handover, replica promotion, crash recovery) skip retired state, and
 // in-flight messages for retired IDs are dropped at their destination.
 func (e *Engine) Unsubscribe(subQID string) error {
 	cls := e.reg.Detach(subQID)
@@ -210,7 +210,7 @@ func (e *Engine) teardownClass(cls *share.Class) {
 // retiredOp reports whether a state entry belongs to a torn-down
 // pipeline (stored queries and placement walks carry its QID) or an
 // unsubscribed aggregate (its aggregator groups): every resurrection
-// path — handover, mirror promotion, crash recovery — skips such
+// path — handover, replica promotion, crash recovery — skips such
 // entries, and no loss counter charges them.
 func (e *Engine) retiredOp(op stateOp) bool {
 	if q := op.query(); q != nil {
@@ -220,7 +220,7 @@ func (e *Engine) retiredOp(op stateOp) bool {
 }
 
 // sweepState removes the matching entries of the wanted classes from
-// every node in deterministic node/entry order, mirroring each removal
+// every node in deterministic node/entry order, charging each removal
 // to the replica group. Stragglers still in flight are caught by the
 // retiredQ/retiredS guards when they arrive.
 func (e *Engine) sweepState(want class, match func(stateOp) bool) {

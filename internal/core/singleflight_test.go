@@ -172,8 +172,8 @@ func TestUnsubscribeLeaderMidWalk(t *testing.T) {
 }
 
 // TestCrashOriginMidSharedWalk: at ReplicationFactor 2 the origin of a
-// shared walk crashes with rewrites waiting on it. The mirror holds each
-// placement's query; the promotee restarts them through place, where
+// shared walk crashes with rewrites waiting on it. Its placements are
+// replicated state; the promotee restarts them through place, where
 // they coalesce again — and the dead walk's reply, bounced to the
 // promotee, is merged rather than dropped. Nothing is lost and the
 // restart costs fewer walks than placements.
@@ -324,10 +324,10 @@ func TestForwardedReplyStopsAfterOneRound(t *testing.T) {
 
 // TestWaitingIndexFollowsHandover: the index is derived state. Applying
 // a state's each() sequence to a live state rebuilds it, request ids in
-// order under every key; applying it to a mirror builds none.
+// order under every key.
 func TestWaitingIndexFollowsHandover(t *testing.T) {
 	f := newStateFixture()
-	src := f.logging()
+	src := newState(f.specOf)
 	cands := func(ks ...int) (out []query.Candidate) {
 		for _, k := range ks {
 			out = append(out, query.Candidate{Key: f.keys[k]})
@@ -340,19 +340,13 @@ func TestWaitingIndexFollowsHandover(t *testing.T) {
 	if ready := src.report(ricInfo{Key: f.keys[2]}); len(ready) != 0 {
 		t.Fatalf("a report released %v, every waiter still misses a key", ready)
 	}
-	dst, mirror := newState(f.specOf), newMirror(f.specOf)
-	for _, op := range src.ops(classAll, nil) {
-		dst.apply(op)
-		mirror.apply(op)
-	}
+	dst := newState(f.specOf)
+	src.each(classAll, nil, dst.apply)
 	if err := dst.waitingErr(); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := fmt.Sprint(dst.waiting[f.keys[1]]), "[4 6 9]"; got != want || len(dst.waiting) != 2 {
 		t.Fatalf("rebuilt index: %d keys, %s under the shared key; want 2 keys and %s", len(dst.waiting), got, want)
-	}
-	if len(mirror.waiting) != 0 || len(mirror.pending) != 3 {
-		t.Fatalf("a mirror holds %d placements and indexes %d keys; want 3 and 0", len(mirror.pending), len(mirror.waiting))
 	}
 	if ready := dst.report(ricInfo{Key: f.keys[1]}); fmt.Sprint(ready) != "[4 6]" {
 		t.Fatalf("the shared key's report released %v, want [4 6] in waiting order", ready)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"maps"
 	"slices"
 	"sort"
 
@@ -14,27 +13,28 @@ import (
 
 // This file is the keyed-state store: the one place that writes the
 // seven state classes a processor holds, and the one vocabulary —
-// stateOp — every mechanism that moves, copies, counts or deletes that
-// state speaks. Live replication is the logged op stream, a snapshot or
-// a handover is each() over a filter, a replica's mirror is a second
-// state fed through apply(), promotion replays one state's ops into
-// another, teardown is sweep(), loss accounting is chargeLost.
+// stateOp — every mechanism that moves, counts or deletes that state
+// speaks. A handover is each() over a filter fed to the new owner's
+// apply(), promotion replays a crashed node's each() into its promotee,
+// teardown is sweep(), loss accounting is chargeLost. Live replication
+// is a charge, not a copy: every mutator a backup would have to see
+// adds one to the state's op count, and replFlush bills it (see
+// replicate.go).
 //
 // Aliasing rule. An op yielded by each() or handed to a mutator aliases
 // live objects (the stored query, the aggregator group, the pending
-// placement): that is what a *move* wants — handover, promotion of a
-// consumed mirror — and the source must forget the entry
-// (clear, dropKey, or being discarded) before it is touched again. An
-// op that *copies* state must own its mutable parts, and clone() is the
-// only code that knows which parts those are: the log clones every op it
-// records, a snapshot clones every op it yields, and a mirror clones
-// every op it applies (one batch is shared by all replica targets).
-// Queries and tuples themselves are immutable once stored and are
-// always shared.
+// placement). Every consumer of one *moves* the entry — handover,
+// promotion of a crashed node's state — and the source forgets it
+// (clear, dropKey, or being discarded) before it is touched again.
+// Nothing copies state, so nothing has to own a second copy of a
+// mutable part. Queries and tuples themselves are immutable once stored
+// and are always shared.
 //
 // Adding a state class: one class bit, one op kind, one arm each in
-// each(), apply() and (if it has mutable parts or can be lost) clone()
-// and chargeLost(), and one row in state_test.go's round-trip table.
+// each(), apply() and (if it can be lost) chargeLost(), and — if a
+// replica keeps it — its entries in stateCounts.mirrored() and a
+// replOps count in each of its mutators, plus one row in
+// state_test.go's charge table.
 
 // class is a bit set over the state classes, in each()'s visiting order.
 type class uint8
@@ -57,36 +57,29 @@ const (
 	classAll      = classKeyed | classCT | classPending
 )
 
+// opKind names an entry's class: one kind per class, in each()'s
+// visiting order.
 type opKind uint8
 
 const (
 	opAddQuery opKind = iota
-	opRemoveQuery
-	opTrigger
 	opAddTuple
-	opRemoveTuple
 	opAddALTT
 	opStat
-	opAggFold
 	opAggMerge
 	opCT
 	opAddPending
-	opRemovePending
-	opDropKey
 	numOpKinds
 )
 
-// stateOp is one state mutation or, equally, one state entry in
-// transit. It is a union struct: only the fields of its kind are set.
+// stateOp is one state entry in transit: what each() yields and apply()
+// installs. It is a union struct: only the fields of its kind are set.
 type stateOp struct {
 	kind opKind
 	key  relation.Key
-	id   int64 // stored-query identity (opRemoveQuery, opTrigger); request id (pending ops)
+	id   int64 // request id (opAddPending)
 
 	sq *storedQuery // opAddQuery
-
-	proj   string // opTrigger: DISTINCT projection consumed ("" none)
-	pubSeq int64  // opTrigger: combined publication sequence (0 none); opRemoveTuple: the victim
 
 	t        *relation.Tuple // opAddTuple, opAddALTT
 	expireAt sim.Time        // opAddALTT
@@ -94,14 +87,6 @@ type stateOp struct {
 	stat rateStat // opStat
 
 	g *aggGroup // opAggMerge: a whole group, merged into or installed at key
-
-	// opAggFold: one answer row folded into a (group, epoch) partial.
-	qid   string
-	owner id.ID
-	epoch int64
-	row   []relation.Value
-	lin   []query.LineageStep
-	pubAt int64
 
 	info ricInfo // opCT
 
@@ -124,25 +109,6 @@ func (op stateOp) query() *query.Query {
 // candidate-table entries and placement walks are never forwarded.
 func (op stateOp) keyed() bool { return op.kind != opCT && op.kind != opAddPending }
 
-// clone returns the op owning its mutable parts (see the aliasing
-// rule). A mirrored placement walk keeps only the query: promotion
-// restarts the walk from scratch.
-func (op stateOp) clone() stateOp {
-	switch op.kind {
-	case opAddQuery:
-		sq := *op.sq
-		sq.seen, sq.combined = maps.Clone(sq.seen), slices.Clone(sq.combined)
-		op.sq = &sq
-	case opAggMerge:
-		op.g = op.g.clone()
-	case opAddPending:
-		if op.pp.cands != nil || op.pp.known != nil { // else already reduced to the immutable query
-			op.pp = &pendingPlacement{q: op.pp.q}
-		}
-	}
-	return op
-}
-
 // chargeLost charges one entry that disappears without a successor to
 // the loss counters. Rate statistics and candidate-table entries are
 // soft state and are never lost.
@@ -161,8 +127,7 @@ func (op stateOp) chargeLost(ctr *Counters) {
 	}
 }
 
-// state holds one node's keyed RJoin state — a processor's live stores,
-// or a replica's passive mirror of another node's.
+// state holds one node's RJoin state: a processor's live stores.
 type state struct {
 	queries map[relation.Key][]*storedQuery    // by index key, both levels
 	tuples  map[relation.Key][]*relation.Tuple // value-level tuple store
@@ -177,31 +142,23 @@ type state struct {
 	// the order they began to wait. It is what makes a walk single-flight
 	// (a placement that misses a key found here waits for the walk already
 	// fetching it) and what a reply is resolved by. Derived state: only
-	// addPending, removePending, report and clear write it, no op names
-	// it, and a mirror — which keeps a placement's query alone — holds
-	// none, so a handover rebuilds it by apply and a promotion by place.
+	// addPending, removePending, report and clear write it and no op
+	// names it, so a handover rebuilds it by apply and a promotion by
+	// place.
 	waiting map[relation.Key][]int64
 
 	// dirtyAggs is the set of aggregator keys whose group holds epochs
 	// marked since its last flush: {k : len(aggs[k].dirty) > 0}, so a
-	// flush visits what changed instead of every group. Only a live
-	// state keeps it — a mirror folds but never flushes, and promotion
-	// re-enters every promoted group through aggMerge.
+	// flush visits what changed instead of every group.
 	dirtyAggs map[relation.Key]struct{}
 
 	specOf func(qid string) *agg.Spec
 
-	// Origin side (ReplicationFactor >= 2): every mutation appends its
-	// op to outbox, and stored queries are numbered so later trigger and
-	// remove ops can name them. The identity is local to the state that
-	// logs: a moved query is re-numbered at its new home.
-	logging bool
-	outbox  []stateOp
-	sqCtr   int64
-
-	// Replica side: a mirror never logs; it resolves the origin's
-	// stored-query identities through bySq and clones what it applies.
-	bySq map[int64]*storedQuery
+	// replOps counts the mutations since the last replFlush that a replica
+	// would have to apply — the op stream a primary-backup protocol
+	// ships, which replFlush charges as ReplOps. ALTT expiry, reports
+	// and the derived indexes are local and uncounted.
+	replOps int
 }
 
 func newState(specOf func(string) *agg.Spec) *state {
@@ -210,14 +167,8 @@ func newState(specOf func(string) *agg.Spec) *state {
 	return s
 }
 
-func newMirror(specOf func(string) *agg.Spec) *state {
-	s := newState(specOf)
-	s.bySq = make(map[int64]*storedQuery)
-	return s
-}
-
-// clear empties every class without logging: the state moved away
-// wholesale and whatever mirrored it is being discarded with it.
+// clear empties every class without counting: the state moved away
+// wholesale.
 func (s *state) clear() {
 	s.queries = make(map[relation.Key][]*storedQuery)
 	s.tuples = make(map[relation.Key][]*relation.Tuple)
@@ -230,22 +181,16 @@ func (s *state) clear() {
 	s.dirtyAggs = nil
 }
 
-func (s *state) log(op stateOp) { s.outbox = append(s.outbox, op.clone()) }
-
 // ---------------------------------------------------------------------
-// Mutators. Each performs the write and, iff the state logs, records
-// the op that replays it; without a log no op is ever built.
+// Mutators. Each performs the write and counts in replOps the replica
+// ops it stands for: one per call, one per removed entry for the
+// filters, none for a write that touches nothing a replica keeps (a
+// trigger that leaves no memory, rate statistics, a dropKey of
+// statistics alone).
 
 func (s *state) addQuery(sq *storedQuery) {
 	s.queries[sq.key] = append(s.queries[sq.key], sq)
-	if s.logging {
-		s.sqCtr++
-		sq.replID = s.sqCtr
-		s.log(stateOp{kind: opAddQuery, key: sq.key, sq: sq})
-	}
-	if s.bySq != nil {
-		s.bySq[sq.replID] = sq
-	}
+	s.replOps++
 }
 
 // filterQueries removes the stored queries under key that keep rejects.
@@ -261,12 +206,9 @@ func (s *state) filterQueries(key relation.Key, keep func(*storedQuery) bool) {
 	for _, sq := range list {
 		if keep(sq) {
 			kept = append(kept, sq)
-			continue
+		} else {
+			s.replOps++
 		}
-		if s.logging {
-			s.log(stateOp{kind: opRemoveQuery, key: key, id: sq.replID})
-		}
-		delete(s.bySq, sq.replID)
 	}
 	if len(kept) == 0 {
 		delete(s.queries, key)
@@ -296,28 +238,22 @@ func (s *state) trigger(sq *storedQuery, proj string, pubSeq int64) {
 		sq.triggers++
 		sq.combined = append(sq.combined, pubSeq)
 	}
-	if s.logging {
-		s.log(stateOp{kind: opTrigger, key: sq.key, id: sq.replID, proj: proj, pubSeq: pubSeq})
-	}
+	s.replOps++
 }
 
 func (s *state) addTuple(key relation.Key, t *relation.Tuple) {
 	s.tuples[key] = append(s.tuples[key], t)
-	if s.logging {
-		s.log(stateOp{kind: opAddTuple, key: key, t: t})
-	}
+	s.replOps++
 }
 
 // filterTuples is filterQueries for the tuple store (garbage
-// collection); it returns how many tuples went.
+// collection); it returns how many tuples went, one op each.
 func (s *state) filterTuples(key relation.Key, keep func(*relation.Tuple) bool) int {
 	list := s.tuples[key]
 	kept := list[:0]
 	for _, t := range list {
 		if keep(t) {
 			kept = append(kept, t)
-		} else if s.logging {
-			s.log(stateOp{kind: opRemoveTuple, key: key, pubSeq: t.PubSeq})
 		}
 	}
 	if len(kept) == 0 {
@@ -325,11 +261,9 @@ func (s *state) filterTuples(key relation.Key, keep func(*relation.Tuple) bool) 
 	} else {
 		s.tuples[key] = kept
 	}
-	return len(list) - len(kept)
-}
-
-func (s *state) removeTuple(key relation.Key, pubSeq int64) {
-	s.filterTuples(key, func(t *relation.Tuple) bool { return t.PubSeq != pubSeq })
+	gone := len(list) - len(kept)
+	s.replOps += gone
+	return gone
 }
 
 // addALTT splices an entry into the expiry-ordered list of its key, the
@@ -342,15 +276,13 @@ func (s *state) addALTT(key relation.Key, e alttEntry) {
 		i--
 	}
 	s.altt[key] = slices.Insert(list, i, e)
-	if s.logging {
-		s.log(stateOp{kind: opAddALTT, key: key, t: e.t, expireAt: e.expireAt})
-	}
+	s.replOps++
 }
 
 // alttScan returns the live ALTT entries of a key and how many expired
-// ones it pruned in passing. Expiry is a local prune, never logged:
-// entries carry their expiry time, so a mirror's stale ones are
-// filtered when (and only when) it is promoted.
+// ones it pruned in passing. Expiry is a local prune, uncounted: entries
+// carry their expiry time, so a replica prunes its own, and promotion
+// filters the expired ones nobody pruned yet.
 func (s *state) alttScan(key relation.Key, now sim.Time) (live []alttEntry, expired int) {
 	live = s.altt[key]
 	for expired < len(live) && live[expired].expireAt < now {
@@ -389,9 +321,7 @@ func (s *state) mergeStat(key relation.Key, st rateStat) {
 }
 
 // aggFold folds one answer row into the (group, epoch) partial at key
-// and reports whether the group is new. Every aggregate's fold, the
-// pubAt max and the lineage union are order-insensitive, so a mirror
-// replaying the same folds is bit-equal to its primary.
+// and reports whether the group is new.
 func (s *state) aggFold(key relation.Key, qid string, owner id.ID, epoch int64, row []relation.Value, lin []query.LineageStep, pubAt int64) (fresh bool) {
 	spec := s.specOf(qid)
 	if spec == nil {
@@ -417,24 +347,20 @@ func (s *state) aggFold(key relation.Key, qid string, owner id.ID, epoch int64, 
 	g.foldLineage(epoch, lin)
 	g.markDirty(epoch, spec.Sliding())
 	s.noteDirty(key, g)
-	if s.logging {
-		s.log(stateOp{kind: opAggFold, key: key, qid: qid, owner: owner, epoch: epoch, row: row, lin: lin, pubAt: pubAt})
-	}
+	s.replOps++
 	return !ok
 }
 
 // aggMerge merges a whole group into the one at key (partials for it
 // arrived before the moved state did — per-epoch merges commute, so the
-// interleaving does not matter), or installs it. The op is logged
-// before the merge: mergeInto moves g's partials into the destination.
+// interleaving does not matter), or installs it. mergeInto moves g's
+// partials into the destination.
 func (s *state) aggMerge(key relation.Key, g *aggGroup) {
 	spec := s.specOf(g.qid)
 	if spec == nil {
 		return
 	}
-	if s.logging {
-		s.log(stateOp{kind: opAggMerge, key: key, g: g})
-	}
+	s.replOps++
 	if cur, ok := s.aggs[key]; ok {
 		g.mergeInto(spec.Sliding(), cur)
 		g = cur
@@ -447,7 +373,7 @@ func (s *state) aggMerge(key relation.Key, g *aggGroup) {
 // noteDirty enters key into the dirty set if its group g has un-flushed
 // epochs.
 func (s *state) noteDirty(key relation.Key, g *aggGroup) {
-	if s.bySq != nil || len(g.dirty) == 0 {
+	if len(g.dirty) == 0 {
 		return
 	}
 	if s.dirtyAggs == nil {
@@ -473,13 +399,11 @@ func (s *state) flushDirty(visit func(*aggGroup)) {
 // ctMerge is the candidate-table write path.
 func (s *state) ctMerge(info ricInfo) {
 	s.ct.merge(info)
-	if s.logging {
-		s.log(stateOp{kind: opCT, key: info.Key, info: info})
-	}
+	s.replOps++
 }
 
 // addPending records a placement waiting for RIC reports — the one
-// node-bound class a mirror must cover: the placement exists only at
+// node-bound class a replica must cover: the placement exists only at
 // its origin, so without it a crash silently un-places the query being
 // routed. The placement enters the waiting list of every candidate key
 // it misses.
@@ -490,9 +414,7 @@ func (s *state) addPending(reqID int64, pp *pendingPlacement) {
 			s.waiting[c.Key] = append(s.waiting[c.Key], reqID)
 		}
 	}
-	if s.logging {
-		s.log(stateOp{kind: opAddPending, id: reqID, pp: pp})
-	}
+	s.replOps++
 }
 
 func (s *state) removePending(reqID int64) {
@@ -509,9 +431,7 @@ func (s *state) removePending(reqID int64) {
 		}
 	}
 	delete(s.pending, reqID)
-	if s.logging {
-		s.log(stateOp{kind: opRemovePending, id: reqID})
-	}
+	s.replOps++
 }
 
 // inFlight reports whether some placement of this node already waits
@@ -524,7 +444,7 @@ func (s *state) inFlight(key relation.Key) bool {
 // returns, in the order they began to wait, the ids of those it was the
 // last missing report of. They stay pending until the caller removes
 // them. Like the known list it extends, what a placement still misses
-// is unmirrored, so nothing is logged.
+// is not replicated (promotion restarts the walk), so nothing counts.
 func (s *state) report(info ricInfo) (ready []int64) {
 	ids := s.waiting[info.Key]
 	delete(s.waiting, info.Key)
@@ -540,60 +460,37 @@ func (s *state) report(info ricInfo) (ready []int64) {
 }
 
 // dropKey forgets everything keyed under key — the key moved to another
-// owner, or its aggregator group was retired. Logged only when a
-// mirrored class held something, so statistics leave silently.
+// owner, or its aggregator group was retired. One op when a replicated
+// class held something, so statistics leave silently.
 func (s *state) dropKey(key relation.Key) {
-	for _, sq := range s.queries[key] {
-		delete(s.bySq, sq.replID)
+	if len(s.queries[key])+len(s.tuples[key])+len(s.altt[key]) > 0 || s.aggs[key] != nil {
+		s.replOps++
 	}
-	mirrored := len(s.queries[key])+len(s.tuples[key])+len(s.altt[key]) > 0 || s.aggs[key] != nil
 	delete(s.queries, key)
 	delete(s.tuples, key)
 	delete(s.altt, key)
 	delete(s.stats, key)
 	delete(s.aggs, key)
 	delete(s.dirtyAggs, key)
-	if s.logging && mirrored {
-		s.log(stateOp{kind: opDropKey, key: key})
-	}
 }
 
-// apply replays one op through the mutator of its kind.
+// apply installs one entry through the mutator of its kind.
 func (s *state) apply(op stateOp) {
-	if s.bySq != nil {
-		op = op.clone()
-	}
 	switch op.kind {
 	case opAddQuery:
 		s.addQuery(op.sq)
-	case opRemoveQuery:
-		if sq := s.bySq[op.id]; sq != nil {
-			s.removeQuery(sq)
-		}
-	case opTrigger:
-		if sq := s.bySq[op.id]; sq != nil {
-			s.trigger(sq, op.proj, op.pubSeq)
-		}
 	case opAddTuple:
 		s.addTuple(op.key, op.t)
-	case opRemoveTuple:
-		s.removeTuple(op.key, op.pubSeq)
 	case opAddALTT:
 		s.addALTT(op.key, alttEntry{t: op.t, expireAt: op.expireAt})
 	case opStat:
 		s.mergeStat(op.key, op.stat)
-	case opAggFold:
-		s.aggFold(op.key, op.qid, op.owner, op.epoch, op.row, op.lin, op.pubAt)
 	case opAggMerge:
 		s.aggMerge(op.key, op.g)
 	case opCT:
 		s.ctMerge(op.info)
 	case opAddPending:
 		s.addPending(op.id, op.pp)
-	case opRemovePending:
-		s.removePending(op.id)
-	case opDropKey:
-		s.dropKey(op.key)
 	}
 }
 
@@ -758,9 +655,11 @@ func (s *state) holds(want class, match func(stateOp) bool) bool {
 }
 
 // stateCounts is the instantaneous occupancy of a state, per class in
-// the unit its loss counter charges.
+// the unit its loss counter charges, and in entries where a replica
+// snapshot counts them.
 type stateCounts struct {
 	queries, tuples, altt, pending int
+	aggGroups, ct                  int
 	aggEpochs                      int64
 }
 
@@ -777,8 +676,14 @@ func (s *state) counts() (c stateCounts) {
 	for _, g := range s.aggs {
 		c.aggEpochs += g.epochCount()
 	}
-	c.pending = len(s.pending)
+	c.pending, c.aggGroups, c.ct = len(s.pending), len(s.aggs), s.ct.size()
 	return c
+}
+
+// mirrored is the number of entries a replica of the state holds: what
+// each(classMirrored, nil, …) would yield.
+func (c stateCounts) mirrored() int {
+	return c.queries + c.tuples + c.altt + c.aggGroups + c.ct + c.pending
 }
 
 // chargeLost charges every entry of a state that disappears with no

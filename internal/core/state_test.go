@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -17,28 +16,17 @@ import (
 )
 
 // equal reports the first divergence between two states over the wanted
-// classes, nil when they hold the same entries in the same order. ALTT
-// lists compare on their entries still live at now: expiry is an
-// unlogged local prune, so a mirror legitimately trails its primary by
-// the expired prefix. The dirty sets of aggregator groups are flush
-// bookkeeping of the live copy and are not compared.
-func (s *state) equal(o *state, want class, now sim.Time) error {
+// classes, nil when they hold the same entries in the same order. The
+// dirty sets of aggregator groups are flush bookkeeping and are not
+// compared.
+func (s *state) equal(o *state, want class) error {
 	if want&classQueries != 0 {
 		if len(s.queries) != len(o.queries) {
 			return fmt.Errorf("queries under %d keys, other %d", len(s.queries), len(o.queries))
 		}
 		for key, list := range s.queries {
-			ol := o.queries[key]
-			if len(ol) != len(list) {
-				return fmt.Errorf("key %s: %d queries, other %d", key, len(list), len(ol))
-			}
-			for i, a := range list {
-				b := ol[i]
-				if a.q != b.q || a.key != b.key || a.level != b.level || a.agg != b.agg ||
-					a.replID != b.replID || a.triggers != b.triggers ||
-					!maps.Equal(a.seen, b.seen) || !slices.Equal(a.combined, b.combined) {
-					return fmt.Errorf("key %s: stored query %d (identity %d) diverged", key, i, a.replID)
-				}
+			if !slices.Equal(list, o.queries[key]) {
+				return fmt.Errorf("key %s: stored query lists diverged (%d vs %d)", key, len(list), len(o.queries[key]))
 			}
 		}
 	}
@@ -53,24 +41,12 @@ func (s *state) equal(o *state, want class, now sim.Time) error {
 		}
 	}
 	if want&classALTT != 0 {
-		live := func(m map[relation.Key][]alttEntry) map[relation.Key][]alttEntry {
-			out := make(map[relation.Key][]alttEntry)
-			for key, list := range m {
-				for _, e := range list {
-					if e.expireAt >= now {
-						out[key] = append(out[key], e)
-					}
-				}
-			}
-			return out
+		if len(s.altt) != len(o.altt) {
+			return fmt.Errorf("ALTT under %d keys, other %d", len(s.altt), len(o.altt))
 		}
-		a, b := live(s.altt), live(o.altt)
-		if len(a) != len(b) {
-			return fmt.Errorf("live ALTT under %d keys, other %d", len(a), len(b))
-		}
-		for key, list := range a {
-			if !slices.Equal(list, b[key]) {
-				return fmt.Errorf("key %s: live ALTT entries diverged (%d vs %d)", key, len(list), len(b[key]))
+		for key, list := range s.altt {
+			if !slices.Equal(list, o.altt[key]) {
+				return fmt.Errorf("key %s: ALTT entries diverged (%d vs %d)", key, len(list), len(o.altt[key]))
 			}
 		}
 	}
@@ -84,41 +60,19 @@ func (s *state) equal(o *state, want class, now sim.Time) error {
 			}
 		}
 	}
-	if want&classAggs != 0 {
-		if len(s.aggs) != len(o.aggs) {
-			return fmt.Errorf("%d aggregator groups, other %d", len(s.aggs), len(o.aggs))
-		}
-		for key, g := range s.aggs {
-			og := o.aggs[key]
-			if og == nil {
-				return fmt.Errorf("agg group %s missing", key)
-			}
-			if g.qid != og.qid || g.owner != og.owner || g.gkey != og.gkey || g.pubAt != og.pubAt ||
-				!slices.Equal(g.group, og.group) {
-				return fmt.Errorf("agg group %s: identity or watermark diverged (pubAt %d vs %d)", key, g.pubAt, og.pubAt)
-			}
-			if !reflect.DeepEqual(g.epochs, og.epochs) {
-				return fmt.Errorf("agg group %s: partials diverged", key)
-			}
-			if len(g.lins)+len(og.lins) > 0 && !reflect.DeepEqual(g.lins, og.lins) {
-				return fmt.Errorf("agg group %s: lineage sets diverged", key)
-			}
-		}
+	// Groups and placements move, so the other state holds the very
+	// objects.
+	if want&classAggs != 0 && !maps.Equal(s.aggs, o.aggs) {
+		return fmt.Errorf("aggregator groups diverged (%d vs %d)", len(s.aggs), len(o.aggs))
 	}
 	if want&classCT != 0 && !maps.Equal(s.ct.entries, o.ct.entries) {
 		return fmt.Errorf("candidate tables diverged (%d vs %d entries)", s.ct.size(), o.ct.size())
 	}
 	if want&classPending != 0 {
-		if len(s.pending) != len(o.pending) {
-			return fmt.Errorf("%d pending walks, other %d", len(s.pending), len(o.pending))
+		if !maps.Equal(s.pending, o.pending) {
+			return fmt.Errorf("pending walks diverged (%d vs %d)", len(s.pending), len(o.pending))
 		}
-		for reqID, pp := range s.pending {
-			if opp := o.pending[reqID]; opp == nil || opp.q != pp.q {
-				return fmt.Errorf("pending walk %d diverged", reqID)
-			}
-		}
-		// The waiting index is derived per state, not copied: a mirror
-		// keeps a placement's query alone and so indexes nothing.
+		// The waiting index is derived per state, not moved.
 		for _, st := range []*state{s, o} {
 			if err := st.waitingErr(); err != nil {
 				return err
@@ -185,12 +139,6 @@ func (f *stateFixture) specOf(qid string) *agg.Spec {
 	return nil
 }
 
-func (f *stateFixture) logging() *state {
-	s := newState(f.specOf)
-	s.logging = true
-	return s
-}
-
 func (f *stateFixture) stored(q *query.Query, key relation.Key) *storedQuery {
 	return &storedQuery{q: q, key: key, level: query.ValueLevel, agg: q.IsAggregate()}
 }
@@ -203,151 +151,195 @@ func (f *stateFixture) lin(seq int64) []query.LineageStep {
 	return []query.LineageStep{{Pub: 7, Seq: seq, Node: 9}}
 }
 
-// checkCopies asserts the two copy paths of a logging primary: its op
-// log replayed into a fresh mirror, and its each() sequence cloned into
-// a fresh state, both reproduce it.
-func checkCopies(t *testing.T, f *stateFixture, a *state, now sim.Time) {
+// checkRoundTrip asserts that a state's each() sequence applied to an
+// empty state reproduces it: the path handover and promotion take.
+func checkRoundTrip(t *testing.T, f *stateFixture, a *state) {
 	t.Helper()
-	mirror := newMirror(f.specOf)
-	for _, op := range a.outbox {
-		mirror.apply(op)
-	}
-	if err := a.equal(mirror, classMirrored, now); err != nil {
-		t.Fatalf("log replayed into a mirror: %v", err)
-	}
 	snap := newState(f.specOf)
-	a.each(classAll, nil, func(op stateOp) { snap.apply(op.clone()) })
-	if err := a.equal(snap, classAll, now); err != nil {
+	a.each(classAll, nil, snap.apply)
+	if err := a.equal(snap, classAll); err != nil {
 		t.Fatalf("each() replayed into an empty state: %v", err)
 	}
 }
 
-// stateRoundTrips holds one scenario per op kind: the mutator calls
-// that end in the kind's op. Adding an op kind without a row here fails
-// TestStateOpRoundTrips.
-func stateRoundTrips(f *stateFixture) map[opKind]func(s *state) {
+// stateCharge is one mutator scenario and the replica ops it charges:
+// the length of the op log the scenario wrote before the log gave way to
+// a count (pinned at 9c30999), silent cases and one op per filter victim
+// included.
+type stateCharge struct {
+	name string
+	ops  int
+	do   func(s *state)
+}
+
+func stateCharges(f *stateFixture) []stateCharge {
 	k := f.keys
 	tu := mkTuple("R", 1, 2, 3)
-	return map[opKind]func(s *state){
-		opAddQuery: func(s *state) { s.addQuery(f.stored(f.plain, k[0])) },
-		opRemoveQuery: func(s *state) {
+	seqTuple := func(seq int64) *relation.Tuple {
+		x := mkTuple("R", 1, seq, 0)
+		x.PubSeq = seq
+		return x
+	}
+	pending := func(keys ...int) *pendingPlacement {
+		pp := &pendingPlacement{q: f.plain}
+		for _, i := range keys {
+			pp.cands = append(pp.cands, query.Candidate{Key: k[i]})
+		}
+		return pp
+	}
+	return []stateCharge{
+		{"addQuery", 1, func(s *state) { s.addQuery(f.stored(f.plain, k[0])) }},
+		{"removeQuery", 3, func(s *state) {
 			sq := f.stored(f.plain, k[0])
 			s.addQuery(f.stored(f.distinct, k[0]))
 			s.addQuery(sq)
 			s.removeQuery(sq)
-		},
-		opTrigger: func(s *state) {
+		}},
+		{"removeQuery of a query not stored", 1, func(s *state) {
+			s.addQuery(f.stored(f.plain, k[0]))
+			s.removeQuery(f.stored(f.plain, k[0]))
+		}},
+		{"trigger with projection and pubSeq", 2, func(s *state) {
 			sq := f.stored(f.distinct, k[1])
 			s.addQuery(sq)
 			s.trigger(sq, "B=4|", 11)
-		},
-		opAddTuple: func(s *state) { s.addTuple(k[1], tu) },
-		opRemoveTuple: func(s *state) {
-			s.addTuple(k[1], tu)
-			s.addTuple(k[1], mkTuple("R", 1, 5, 6))
-			s.removeTuple(k[1], tu.PubSeq)
-		},
-		opAddALTT: func(s *state) {
+		}},
+		{"trigger with projection", 2, func(s *state) {
+			sq := f.stored(f.distinct, k[1])
+			s.addQuery(sq)
+			s.trigger(sq, "B=4|", 0)
+		}},
+		{"trigger with pubSeq", 2, func(s *state) {
+			sq := f.stored(f.plain, k[1])
+			s.addQuery(sq)
+			s.trigger(sq, "", 11)
+		}},
+		{"trigger leaving no memory", 1, func(s *state) {
+			sq := f.stored(f.plain, k[1])
+			s.addQuery(sq)
+			s.trigger(sq, "", 0)
+		}},
+		{"addTuple", 1, func(s *state) { s.addTuple(k[1], tu) }},
+		{"filterTuples: one op per victim", 8, func(s *state) {
+			for seq := int64(0); seq < 5; seq++ {
+				s.addTuple(k[1], seqTuple(seq))
+			}
+			s.filterTuples(k[1], func(x *relation.Tuple) bool { return x.PubSeq%2 == 1 })
+		}},
+		{"filterTuples keeping all", 2, func(s *state) {
+			s.addTuple(k[1], seqTuple(1))
+			s.addTuple(k[1], seqTuple(2))
+			s.filterTuples(k[1], func(*relation.Tuple) bool { return true })
+		}},
+		{"addALTT", 2, func(s *state) {
 			s.addALTT(k[0], alttEntry{t: tu, expireAt: 9})
 			s.addALTT(k[0], alttEntry{t: mkTuple("R", 2, 2, 2), expireAt: 4}) // moved entry: lands in front
-		},
-		opStat: func(s *state) {
+		}},
+		{"alttScan prune", 1, func(s *state) {
+			s.addALTT(k[0], alttEntry{t: tu, expireAt: 1})
+			s.alttScan(k[0], 5)
+		}},
+		{"rate statistics", 0, func(s *state) {
 			s.recordArrival(k[2], 5, 10)
 			s.mergeStat(k[3], rateStat{epoch: 3, countCur: 2, countPrev: 1})
-		},
-		opAggFold: func(s *state) {
+		}},
+		{"aggFold", 2, func(s *state) {
 			s.aggFold(aggKeyOf("agg", "1"), "agg", 42, 0, f.row(1, 5), f.lin(1), 17)
 			s.aggFold(aggKeyOf("agg", "1"), "agg", 42, 1, f.row(1, 8), f.lin(2), 12)
-		},
-		opAggMerge: func(s *state) {
+		}},
+		{"aggFold of an unsubscribed query", 0, func(s *state) {
+			s.aggFold(aggKeyOf("plain", "1"), "plain", 42, 0, f.row(1, 5), nil, 17)
+		}},
+		{"aggMerge", 2, func(s *state) {
 			src := newState(f.specOf)
 			src.aggFold(aggKeyOf("agg", "2"), "agg", 42, 0, f.row(2, 3), f.lin(3), 21)
 			s.aggFold(aggKeyOf("agg", "2"), "agg", 42, 0, f.row(2, 9), f.lin(4), 20)
 			s.aggMerge(aggKeyOf("agg", "2"), src.aggs[aggKeyOf("agg", "2")])
-		},
-		opCT: func(s *state) {
+		}},
+		{"aggMerge of an unsubscribed query", 0, func(s *state) {
+			s.aggMerge(aggKeyOf("plain", "1"), &aggGroup{qid: "plain"})
+		}},
+		{"ctMerge, stale included", 2, func(s *state) {
 			s.ctMerge(ricInfo{Key: k[2], Rate: 2.5, Addr: 77, At: 6})
-			s.ctMerge(ricInfo{Key: k[2], Rate: 9, Addr: 78, At: 3}) // stale: ignored on both sides
-		},
-		opAddPending: func(s *state) {
+			s.ctMerge(ricInfo{Key: k[2], Rate: 9, Addr: 78, At: 3}) // stale: ignored, still charged
+		}},
+		{"addPending", 1, func(s *state) {
 			s.addPending(5, &pendingPlacement{q: f.plain, known: []ricInfo{{Key: k[0]}}})
-		},
-		opRemovePending: func(s *state) {
+		}},
+		{"removePending", 3, func(s *state) {
 			s.addPending(5, &pendingPlacement{q: f.plain})
 			s.addPending(6, &pendingPlacement{q: f.distinct})
 			s.removePending(5)
-		},
-		opDropKey: func(s *state) {
+		}},
+		{"removePending of a placement long gone", 1, func(s *state) { s.removePending(7) }},
+		{"report", 1, func(s *state) {
+			s.addPending(5, pending(0))
+			s.report(ricInfo{Key: k[0]})
+		}},
+		{"dropKey", 4, func(s *state) {
 			s.addQuery(f.stored(f.plain, k[0]))
 			s.addTuple(k[0], tu)
 			s.addTuple(k[1], tu)
 			s.recordArrival(k[0], 1, 10)
 			s.dropKey(k[0])
-		},
+		}},
+		{"dropKey of an aggregator group", 2, func(s *state) {
+			s.aggFold(aggKeyOf("agg", "1"), "agg", 42, 0, f.row(1, 5), nil, 17)
+			s.dropKey(aggKeyOf("agg", "1"))
+		}},
+		{"dropKey of statistics alone", 0, func(s *state) {
+			s.recordArrival(k[0], 1, 10)
+			s.dropKey(k[0])
+		}},
+		{"dropKey of nothing", 0, func(s *state) { s.dropKey(k[0]) }},
+		{"take", 4, func(s *state) {
+			s.addQuery(f.stored(f.plain, k[0]))
+			s.addTuple(k[1], tu)
+			s.recordArrival(k[2], 1, 10)
+			s.take(func(relation.Key) bool { return true })
+		}},
+		{"sweep", 7, func(s *state) {
+			s.addQuery(f.stored(f.plain, k[0]))
+			s.addQuery(f.stored(f.distinct, k[0]))
+			s.addPending(3, &pendingPlacement{q: f.plain})
+			s.aggFold(aggKeyOf("agg", "1"), "agg", 42, 0, f.row(1, 5), nil, 17)
+			s.sweep(classAll, func(op stateOp) bool { return op.query() == f.plain || op.kind == opAggMerge })
+		}},
 	}
 }
 
+// TestStateOpRoundTrips pins the replica charge of every mutator and
+// round-trips what each scenario leaves through each() and apply():
+// between them the scenarios leave an entry of every op kind behind, so
+// adding a kind without a scenario that stores one fails here.
 func TestStateOpRoundTrips(t *testing.T) {
 	f := newStateFixture()
-	cases := stateRoundTrips(f)
+	seen := make(map[opKind]bool)
+	for _, c := range stateCharges(f) {
+		a := newState(f.specOf)
+		c.do(a)
+		if a.replOps != c.ops {
+			t.Errorf("%s: charged %d replica ops, want %d", c.name, a.replOps, c.ops)
+		}
+		a.each(classAll, nil, func(op stateOp) { seen[op.kind] = true })
+		checkRoundTrip(t, f, a)
+	}
 	for kind := opKind(0); kind < numOpKinds; kind++ {
-		do, ok := cases[kind]
-		if !ok {
-			t.Errorf("op kind %d has no round-trip case", kind)
-			continue
+		if !seen[kind] {
+			t.Errorf("op kind %d: no scenario leaves an entry of it", kind)
 		}
-		a := f.logging()
-		do(a)
-		// The scenario must actually produce its kind: logged by the
-		// mutator, or — rate statistics are unmirrored — yielded by each().
-		seen := slices.ContainsFunc(append(a.ops(classAll, nil), a.outbox...),
-			func(op stateOp) bool { return op.kind == kind })
-		if !seen {
-			t.Errorf("op kind %d: scenario never produced the op", kind)
-		}
-		checkCopies(t, f, a, 0)
-	}
-	if len(cases) != int(numOpKinds) {
-		t.Errorf("%d round-trip cases for %d op kinds", len(cases), numOpKinds)
 	}
 }
 
-// TestStateCopyOwnsMutableParts is the aliasing rule: after a copy,
-// mutating the primary must not show through in the mirror.
-func TestStateCopyOwnsMutableParts(t *testing.T) {
-	f := newStateFixture()
-	a := f.logging()
-	sq := f.stored(f.distinct, f.keys[1])
-	a.addQuery(sq)
-	gk := aggKeyOf("agg", "1")
-	a.aggFold(gk, "agg", 42, 0, f.row(1, 5), f.lin(1), 17)
-	mirror := newMirror(f.specOf)
-	a.each(classMirrored, nil, func(op stateOp) { mirror.apply(op.clone()) })
-	a.outbox = nil
-	a.trigger(sq, "B=1|", 3)
-	a.aggFold(gk, "agg", 42, 0, f.row(1, 6), f.lin(2), 30)
-	if err := a.equal(mirror, classMirrored, 0); err == nil {
-		t.Fatal("mirror followed the primary without receiving its ops: a copy aliases live state")
-	}
-	for _, op := range a.outbox {
-		mirror.apply(op)
-	}
-	if err := a.equal(mirror, classMirrored, 0); err != nil {
-		t.Fatalf("mirror diverged after catching up: %v", err)
-	}
-}
-
-// checkDirtySet asserts the flush bookkeeping invariant: a live state's
+// checkDirtySet asserts the flush bookkeeping invariant: a state's
 // dirty-key set is exactly the keys of its groups with un-flushed
-// epochs; a mirror tracks none, whatever its groups' own dirty maps say.
+// epochs.
 func checkDirtySet(t *testing.T, s *state, label string) {
 	t.Helper()
 	want := make(map[relation.Key]struct{})
-	if s.bySq == nil {
-		for k, g := range s.aggs {
-			if len(g.dirty) > 0 {
-				want[k] = struct{}{}
-			}
+	for k, g := range s.aggs {
+		if len(g.dirty) > 0 {
+			want[k] = struct{}{}
 		}
 	}
 	if !maps.Equal(s.dirtyAggs, want) {
@@ -356,19 +348,20 @@ func checkDirtySet(t *testing.T, s *state, label string) {
 }
 
 // TestStateRandomSequences is the store's property suite: whatever
-// sequence of mutators runs against a logging primary, (1) the logged
-// ops replayed into an empty mirror and each() replayed into an empty
-// state both equal the primary, and (2) after every mutator the
-// dirty-key set of the primary — and of a second live state that
-// receives what the primary hands over — names exactly the groups with
-// un-flushed epochs, while the mirror following the log tracks none.
+// sequence of mutators runs against a state, (1) each() replayed into an
+// empty state equals it, (2) after every mutator its dirty-key set — and
+// that of a second live state that receives what it hands over — names
+// exactly the groups with un-flushed epochs and its waiting index is
+// exactly what its placements miss, and (3) the replica ops it charged
+// per seed equal the length of the op log the same sequence wrote before
+// the log gave way to a count (pinned at 9c30999).
 func TestStateRandomSequences(t *testing.T) {
 	f := newStateFixture()
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		a := f.logging()
+		a := newState(f.specOf)
 		heir := newState(f.specOf) // applies what take() hands over
-		mirror, applied := newMirror(f.specOf), 0
+		charged := 0
 		var now sim.Time
 		var live []*storedQuery
 		var pubSeq, reqID int64
@@ -493,31 +486,25 @@ func TestStateRandomSequences(t *testing.T) {
 					heir.flushDirty(func(*aggGroup) {})
 				}
 			case 18:
-				if rng.Intn(8) == 0 { // the state moved away wholesale; its mirror goes with it
+				if rng.Intn(8) == 0 { // the state moved away wholesale
 					a.clear()
-					a.outbox, live = nil, nil
-					mirror, applied = newMirror(f.specOf), 0
+					charged += a.replOps
+					a.replOps, live = 0, nil
 				}
-			}
-			for ; applied < len(a.outbox); applied++ {
-				mirror.apply(a.outbox[applied])
 			}
 			label := fmt.Sprintf("seed %d step %d", seed, step)
 			checkDirtySet(t, a, label+" (primary)")
 			checkDirtySet(t, heir, label+" (heir)")
-			checkDirtySet(t, mirror, label+" (mirror)")
-			// The mirror's placements carry no candidates, so for it this
-			// asserts an empty index.
-			for _, st := range []*state{a, heir, mirror} {
+			for _, st := range []*state{a, heir} {
 				if err := st.waitingErr(); err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
 			}
 		}
-		if err := a.equal(mirror, classMirrored, now); err != nil {
-			t.Fatalf("seed %d: mirror following the log: %v", seed, err)
+		if charged += a.replOps; charged != randomSequenceCharges[seed-1] {
+			t.Fatalf("seed %d: charged %d replica ops, the op log held %d", seed, charged, randomSequenceCharges[seed-1])
 		}
-		checkCopies(t, f, a, now)
+		checkRoundTrip(t, f, a)
 		c := a.counts()
 		if c.queries != len(live) {
 			t.Fatalf("seed %d: counts() reports %d queries, %d are live", seed, c.queries, len(live))
@@ -525,15 +512,24 @@ func TestStateRandomSequences(t *testing.T) {
 	}
 }
 
-// TestStateSweepOrder: a sweep that matches nothing reports so and logs
-// nothing; one that matches removes — and mirrors the removals of —
-// exactly the matching entries in each()'s order, whatever order the
-// unordered first pass happened to meet them in.
+// randomSequenceCharges is, per seed of TestStateRandomSequences, the
+// op log's length at 9c30999.
+var randomSequenceCharges = [40]int{
+	203, 232, 205, 201, 200, 201, 229, 224, 213, 204,
+	206, 218, 213, 218, 202, 221, 224, 216, 215, 212,
+	232, 204, 206, 220, 227, 203, 203, 199, 202, 208,
+	202, 210, 195, 210, 226, 213, 207, 225, 202, 197,
+}
+
+// TestStateSweepOrder: a sweep that matches nothing reports so and
+// charges nothing; one that matches removes exactly the matching
+// entries, one replica op each, whatever order its unordered first pass
+// happened to meet them in.
 func TestStateSweepOrder(t *testing.T) {
 	f := newStateFixture()
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		a := f.logging()
+		a := newState(f.specOf)
 		for i := 0; i < 30; i++ {
 			q := []*query.Query{f.plain, f.distinct}[rng.Intn(2)]
 			a.addQuery(f.stored(q, relation.KeyOf(fmt.Sprintf("R+A+%d", rng.Intn(12)))))
@@ -541,9 +537,9 @@ func TestStateSweepOrder(t *testing.T) {
 			g := int64(rng.Intn(12))
 			a.aggFold(aggKeyOf("agg", fmt.Sprint(g)), "agg", 42, 0, f.row(g, 1), nil, 0)
 		}
-		a.outbox = nil
-		if a.sweep(classQueries|classPending, func(op stateOp) bool { return op.query().ID == "nobody" }) || len(a.outbox) != 0 {
-			t.Fatalf("seed %d: a sweep matching nothing reported a hit or logged %d ops", seed, len(a.outbox))
+		a.replOps = 0
+		if a.sweep(classQueries|classPending, func(op stateOp) bool { return op.query().ID == "nobody" }) || a.replOps != 0 {
+			t.Fatalf("seed %d: a sweep matching nothing reported a hit or charged %d ops", seed, a.replOps)
 		}
 		for _, sw := range []struct {
 			want  class
@@ -552,24 +548,18 @@ func TestStateSweepOrder(t *testing.T) {
 			{classQueries | classPending, func(op stateOp) bool { return op.query().ID == f.distinct.ID }},
 			{classAggs, func(op stateOp) bool { return op.g.qid == "agg" }},
 		} {
-			var want []stateOp
+			matches := 0
 			a.each(sw.want, nil, func(op stateOp) {
-				switch {
-				case !sw.match(op):
-				case op.kind == opAddQuery:
-					want = append(want, stateOp{kind: opRemoveQuery, key: op.key, id: op.sq.replID})
-				case op.kind == opAddPending:
-					want = append(want, stateOp{kind: opRemovePending, id: op.id})
-				default:
-					want = append(want, stateOp{kind: opDropKey, key: op.key})
+				if sw.match(op) {
+					matches++
 				}
 			})
-			a.outbox = nil
-			if !a.sweep(sw.want, sw.match) || len(want) == 0 {
+			a.replOps = 0
+			if !a.sweep(sw.want, sw.match) || matches == 0 {
 				t.Fatalf("seed %d: sweep over classes %b found nothing", seed, sw.want)
 			}
-			if !reflect.DeepEqual(a.outbox, want) {
-				t.Fatalf("seed %d: sweep over classes %b logged %d removals out of each() order (want %d)", seed, sw.want, len(a.outbox), len(want))
+			if a.replOps != matches {
+				t.Fatalf("seed %d: sweep over classes %b charged %d ops for %d removals", seed, sw.want, a.replOps, matches)
 			}
 			a.each(sw.want, nil, func(op stateOp) {
 				if sw.match(op) {

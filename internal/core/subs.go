@@ -21,7 +21,7 @@ import (
 // the same tick.
 //
 // Unsubscribe retires a record: the contents go, the identity stays.
-// In-flight partials and mirrored aggregator groups still look their spec
+// In-flight partials and replicated aggregator groups still look their spec
 // up by QID, and Explain must keep answering for past queries, so one
 // immutable query + spec per departed subscription is what the engine
 // retains — and nothing else.

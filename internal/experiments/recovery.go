@@ -22,7 +22,7 @@ var recoveryChurn = workload.ChurnConfig{JoinRate: 5, CrashRate: 25}
 // between publications — runs once per replication factor k ∈ {1, 2,
 // 3}; a static run is the completeness reference. k = 1 keeps only the
 // primary copy (the churn subsystem's counted-loss model); k >= 2
-// mirrors every keyed state entry on the k−1 ring successors, and each
+// replicates every keyed state entry on the k−1 ring successors, and each
 // crash promotes the surviving replica the ring routes to. Reported
 // per k: answer completeness against the reference (recall reaches 1.0
 // at k >= 2 under single-node crashes), the counted state loss and the

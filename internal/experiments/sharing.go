@@ -192,7 +192,7 @@ func multisetsEqual(a, b map[string]int64) bool {
 // 90%, plus the per-subscriber exactness certificate. The final row
 // re-runs the 90% stream under membership churn with ReplicationFactor
 // 2: sharing must stay exact when pipelines hand over, crash and get
-// promoted from replica mirrors.
+// promoted by a replica.
 func FigSharing(p Params) []*metrics.Table {
 	queries := p.scaled(240)
 
@@ -242,7 +242,7 @@ func FigSharing(p Params) []*metrics.Table {
 	}
 
 	// Churn + replication: the 90% duplicate stream under joins, leaves
-	// and crashes with every keyed state entry mirrored on two nodes.
+	// and crashes with every keyed state entry replicated on two nodes.
 	gen := workload.MustGenerator(sharingWorkload(), p.Seed+11)
 	stream := sharingStream(gen, rand.New(rand.NewSource(p.Seed+13)), queries, 0.9)
 	ch := runSharing(p, stream, true, 2,

@@ -648,12 +648,11 @@ const TagRepl = "repl"
 // ReplicateTo charges the fan-out of one batch of state mutations to a
 // replica group: one direct message per target, under TagRepl. It only
 // charges. A primary-backup protocol acknowledges a mutation only once
-// its backups hold it, which the simulation models as the mirror being
-// current before anything can observe the effects of the mutation — so
-// the caller applies the batch to its mirrors itself, in the same call
-// stack, and nothing is scheduled or delivered here. The copies are on
-// the wire — one charged message per target — they just cannot be
-// overtaken.
+// its backups hold it, so a backup's copy always equals its primary's
+// state; the simulation keeps no copy (a crash promotes the primary's
+// own state) and nothing is scheduled or delivered here. The copies
+// are on the wire — one charged message per target — they just cannot
+// be overtaken.
 func (nw *Network) ReplicateTo(from *chord.Node, targets []id.ID) {
 	if len(targets) == 0 {
 		return

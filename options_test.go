@@ -79,8 +79,9 @@ func TestChurnOptionsValidated(t *testing.T) {
 // TestFaultOptionsValidated: NewNetwork rejects fault plans with
 // out-of-range probabilities, inverted partition windows, or partition
 // side indices outside the initial node list — each error naming the
-// offending knob — and a negative BatchWindow, while valid plans
-// (including the empty zero-rate plan) still construct.
+// offending knob — as well as a negative BatchWindow and negative
+// metrics or profile sample intervals, while valid plans (including the
+// empty zero-rate plan) still construct.
 func TestFaultOptionsValidated(t *testing.T) {
 	bad := []struct {
 		opts Options
@@ -94,6 +95,8 @@ func TestFaultOptionsValidated(t *testing.T) {
 		{Options{Nodes: 8, Faults: &FaultOptions{Partitions: []FaultPartition{{Start: 0, End: 9, Side: []int{8}}}}}, "node index 8"},
 		{Options{Nodes: 8, Faults: &FaultOptions{Partitions: []FaultPartition{{Start: 0, End: 9, Side: []int{-1}}}}}, "node index -1"},
 		{Options{Nodes: 8, BatchWindow: -4}, "BatchWindow"},
+		{Options{Nodes: 8, Metrics: &MetricsOptions{SampleInterval: -1}}, "Metrics.SampleInterval"},
+		{Options{Nodes: 8, Profile: &ProfileOptions{SampleInterval: -64}}, "Profile.SampleInterval"},
 	}
 	for _, tc := range bad {
 		if _, err := NewNetwork(tc.opts); err == nil {
@@ -106,6 +109,7 @@ func TestFaultOptionsValidated(t *testing.T) {
 		{Nodes: 8, Faults: &FaultOptions{}},
 		{Nodes: 8, Faults: &FaultOptions{DropProb: 1, DupProb: 1, SpikeProb: 1, SpikeMax: 3}},
 		{Nodes: 8, Faults: &FaultOptions{Partitions: []FaultPartition{{Start: 2, End: 10, Side: []int{0, 7}}}}},
+		{Nodes: 8, Metrics: &MetricsOptions{}, Profile: &ProfileOptions{SampleInterval: 8}},
 	} {
 		if _, err := NewNetwork(opts); err != nil {
 			t.Errorf("valid fault plan %+v rejected: %v", opts, err)

@@ -124,13 +124,17 @@ type Options struct {
 	// ReplicationFactor k keeps every keyed state entry — stored
 	// queries with their DISTINCT memory, indexed tuples, ALTT and
 	// candidate-table entries, aggregation partials — on k nodes: the
-	// owner plus its k−1 ring successors. Single-node crashes then lose
-	// nothing: the surviving replica the ring routes to promotes its
-	// mirror (Stats.RewritesLost/TuplesLost/AggStateLost stay zero) and
-	// the factor is restored by re-replication. Mutations fan out as
-	// batched replica-update messages counted in Stats.ReplicationMessages.
-	// Membership changes are serialized and each one returns with every
-	// group re-formed and every promoted entry mirrored again, so k = 2
+	// owner plus its k−1 ring successors, under a synchronous
+	// primary-backup model. Single-node crashes then lose nothing: the
+	// surviving replica the ring routes to promotes its copy
+	// (Stats.RewritesLost/TuplesLost/AggStateLost stay zero) and the
+	// factor is restored by re-replication. Mutations fan out as batched
+	// replica-update messages counted in Stats.ReplicationMessages. The
+	// simulator charges the copies without keeping them — a copy always
+	// equals its primary, so promotion reads the crashed node's own
+	// state — and k changes the charge, not the outcome. Membership
+	// changes are serialized and each one returns with every group
+	// re-formed and every promoted entry replicated again, so k = 2
 	// already survives any sequence of single departures that leaves
 	// two nodes — a node and its promoting successor crashing within
 	// the same tick included — and values above 2 cost traffic and
@@ -215,7 +219,8 @@ type Options struct {
 // ProfileOptions configures the placement profiler (Options.Profile).
 type ProfileOptions struct {
 	// SampleInterval is the window width, in virtual ticks, of the
-	// per-pipeline state-footprint series. 0 means 64.
+	// per-pipeline state-footprint series. 0 means 64; negative is
+	// rejected.
 	SampleInterval int64
 }
 
@@ -231,7 +236,7 @@ type TraceOptions struct {
 type MetricsOptions struct {
 	// SampleInterval is the window width, in virtual ticks, of the rate
 	// series (per-node deliveries, per-tag sends, per-query answers).
-	// 0 means 64.
+	// 0 means 64; negative is rejected.
 	SampleInterval int64
 }
 
@@ -366,13 +371,14 @@ type Stats struct {
 	TuplesLost       int64
 
 	// Durable-state replication accounting (Options.ReplicationFactor).
-	// ReplicationMessages is the share of Messages spent mirroring
+	// ReplicationMessages is the share of Messages spent replicating
 	// state to replica groups; ReplUpdates/ReplOps count the update
-	// batches shipped and the state operations they carried; ReplSyncs
-	// counts full-snapshot streams opened by group repair after
-	// membership changes; ReplPromotions/ReplEntriesPromoted count
-	// crashed nodes whose mirror a surviving replica promoted and the
-	// state entries recovered that way. All zero with replication off.
+	// batches charged and the state operations they carry (one per
+	// state mutation per target, plus each snapshot entry); ReplSyncs counts
+	// full-snapshot streams opened by group repair after membership
+	// changes; ReplPromotions/ReplEntriesPromoted count crashed nodes
+	// whose state a surviving replica promoted and the state entries
+	// recovered that way. All zero with replication off.
 	ReplicationMessages int64
 	ReplUpdates         int64
 	ReplOps             int64
@@ -490,6 +496,12 @@ func NewNetwork(opts Options) (*Network, error) {
 	}
 	if opts.Workers < 0 {
 		return nil, fmt.Errorf("rjoin: negative worker count %d", opts.Workers)
+	}
+	if opts.Metrics != nil && opts.Metrics.SampleInterval < 0 {
+		return nil, fmt.Errorf("rjoin: negative Metrics.SampleInterval %d", opts.Metrics.SampleInterval)
+	}
+	if opts.Profile != nil && opts.Profile.SampleInterval < 0 {
+		return nil, fmt.Errorf("rjoin: negative Profile.SampleInterval %d", opts.Profile.SampleInterval)
 	}
 	if opts.ReplicationFactor < 0 {
 		return nil, fmt.Errorf("rjoin: negative ReplicationFactor %d", opts.ReplicationFactor)
