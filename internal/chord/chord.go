@@ -151,6 +151,21 @@ func (r *Ring) SuccessorList(nid id.ID, k int) []*Node {
 	return out
 }
 
+// PredecessorList is SuccessorList counter-clockwise: the up-to-k alive
+// nodes that precede identifier nid, nearest first, the node at nid
+// excluded — the nodes whose successor lists a change at nid reaches.
+func (r *Ring) PredecessorList(nid id.ID, k int) []*Node {
+	nodes := r.sorted()
+	i := sort.Search(len(nodes), func(i int) bool { return nodes[i].id >= nid })
+	var out []*Node
+	for j := 1; j <= len(nodes) && len(out) < k; j++ {
+		if n := nodes[(i-j+len(nodes))%len(nodes)]; n.id != nid {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
 // Join adds a node with the given identifier to the overlay and fully
 // stabilizes its own routing state (the node performs its joining lookup
 // through an existing member; fingers are then built by the fix-fingers

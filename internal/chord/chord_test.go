@@ -570,3 +570,37 @@ func TestSuccessorListIsGroundTruth(t *testing.T) {
 		t.Fatalf("list of an identifier nobody holds: %v, want [%s]", got, next)
 	}
 }
+
+// TestPredecessorListInvertsSuccessorList: on rings smaller and larger
+// than k, the k predecessors of a node are, nearest first, exactly the
+// nodes whose k successors include it; a departed node's identifier
+// keeps them until it is gone from their successor lists.
+func TestPredecessorListInvertsSuccessorList(t *testing.T) {
+	for _, size := range []int{1, 2, 3, 9} {
+		r := buildRing(t, size, int64(size))
+		nodes := r.Nodes()
+		for k := 1; k <= 4; k++ {
+			for i, n := range nodes {
+				got := r.PredecessorList(n.ID(), k)
+				if len(got) != min(k, size-1) {
+					t.Fatalf("size %d k %d: %d predecessors, want %d", size, k, len(got), min(k, size-1))
+				}
+				for j, m := range got {
+					if want := nodes[(i-1-j+2*size)%size]; m != want {
+						t.Fatalf("size %d k %d: predecessor %d is %s, want %s", size, k, j, m, want)
+					}
+					if !slices.Contains(r.SuccessorList(m.ID(), k), n) {
+						t.Fatalf("size %d k %d: %s precedes %s, which is not among its successors", size, k, m, n)
+					}
+				}
+			}
+		}
+	}
+	r := buildRing(t, 9, 9)
+	gone := r.Nodes()[4]
+	before := r.PredecessorList(gone.ID(), 3)
+	r.Fail(gone)
+	if after := r.PredecessorList(gone.ID(), 3); !slices.Equal(after, before) {
+		t.Fatalf("a departed node's predecessors: %v, before the departure %v", after, before)
+	}
+}

@@ -24,16 +24,17 @@
 // surviving replica instead and loses nothing (experiments.FigRecovery
 // measures that trade). The manager itself is agnostic — membership
 // policy here, durability policy in internal/core/replicate.go — and
-// every engine path it calls (JoinNode, LeaveNode, CrashNode) ends in
-// the replica-group repair pass when replication is on.
+// every engine path it calls (JoinNode, LeaveNode, CrashNode) re-forms
+// the replica groups the change reached when replication is on.
 //
 // Background events are also what makes churn safe — and deterministic
 // — under the parallel engine: the simulator executes shard-less
 // events serially between worker sub-rounds, so every membership
-// change (ring surgery, processor attach/detach, handover
-// construction, crash recovery) runs at a barrier with no handler in
-// flight, and the handover messages it emits enter the sharded queues
-// through the same deterministic merge as any other send.
+// change (ring surgery, processor attach/detach, state moves, crash
+// recovery) runs at a barrier with no handler in flight, and the
+// messages it emits — crash-recovery re-submissions, restarted
+// placement walks — enter the sharded queues through the same
+// deterministic merge as any other send.
 package churn
 
 import (

@@ -115,7 +115,7 @@ type Config struct {
 	// tuples, ALTT and candidate-table entries, aggregator group
 	// partials, placement walks — on the owner plus its k−1 ring
 	// successors, the key's replica group (ring ground truth:
-	// Engine.replGroup), under a synchronous primary-backup model.
+	// chord.Ring.SuccessorList), under a synchronous primary-backup model.
 	// Mutations batch per handler and are charged as one replica-update
 	// message per group member (overlay.TagRepl); on a crash the head of
 	// the group — the node the ring now routes to — promotes its copy,

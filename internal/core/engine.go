@@ -22,8 +22,8 @@ import (
 const TagRIC = "ric"
 
 // TagChurn is the traffic tag under which membership-change traffic is
-// charged: state handover chunks, their forwarding hops, and crash
-// recovery re-submissions.
+// charged: state handover chunks, and the re-submissions and
+// re-placements of crash recovery and of restarted placement walks.
 const TagChurn = "churn"
 
 // Counters aggregates engine-wide event counts, useful for tests,
@@ -44,7 +44,7 @@ type Counters struct {
 	UnplaceableDropped int64
 	RICRequests        int64 // RIC walks issued; a placement that joined a walk in flight asked nothing
 	QueriesMigrated    int64
-	RICReplies         int64 // walk replies received, waited for or not; one passed on counts at every node it reaches
+	RICReplies         int64 // walk replies received, waited for or not
 
 	// In-network aggregation (see agg.go). AggPartials counts answer
 	// rows folded into aggregation state at aggregator nodes; AggUpdates
@@ -56,7 +56,7 @@ type Counters struct {
 	AggStateLost int64
 
 	// Churn bookkeeping (see handover.go).
-	HandoverMessages int64 // handover chunks shipped between nodes
+	HandoverMessages int64 // handover chunks charged between nodes
 	HandoverEntries  int64 // state entries those chunks carried
 	MessagesRerouted int64 // deliveries corrected by the ownership check
 	QueriesRecovered int64 // input-query placements re-indexed after a crash
@@ -77,9 +77,9 @@ type Counters struct {
 	ContainmentRewrites int64
 
 	// Replication bookkeeping (see replicate.go).
-	ReplUpdates         int64 // replica-update messages charged (batches × targets)
-	ReplOps             int64 // state operations they carry: state.replOps per target, snapshot entries
-	ReplSyncs           int64 // full-state snapshots sent by group repair
+	ReplUpdates         int64 // replica-update messages charged (batches × group members)
+	ReplOps             int64 // state operations they carry: state.replOps per group member, snapshot entries
+	ReplSyncs           int64 // full-state snapshots billed to new group members
 	ReplPromotions      int64 // crashed nodes whose state a replica promoted
 	ReplEntriesPromoted int64 // state entries re-indexed by those promotions
 }
@@ -142,14 +142,6 @@ type Engine struct {
 	sim   *sim.Engine
 	net   *overlay.Network
 	procs map[id.ID]*Proc
-
-	// joins counts the processors ever attached: a clock that ticks at
-	// every join, finer than the simulator's (a driver can submit, leave
-	// and join inside one tick). A processor remembers its reading
-	// (Proc.joined) and a RIC walk carries its origin's, so the node a
-	// reply lands at can tell whether it joined after the walk was
-	// issued. Written in coordinator context only, like procs.
-	joins int64
 
 	// subs holds one record per submitted query (see subs.go), written
 	// only from coordinator context; aggLive counts the live aggregate
@@ -235,10 +227,6 @@ func NewEngine(ring *chord.Ring, se *sim.Engine, net *overlay.Network, cfg Confi
 	for _, n := range ring.Nodes() {
 		e.NodeJoined(n)
 	}
-	// Establish the initial replica groups. No state exists yet, so the
-	// repair pass bills no snapshot and a fresh engine pays no
-	// replication traffic until something mutates.
-	e.replRepair()
 	return e
 }
 
@@ -256,7 +244,6 @@ func (e *Engine) Delta() int64 { return e.delta }
 
 // NodeJoined attaches a processor to a node that joined the overlay.
 func (e *Engine) NodeJoined(n *chord.Node) *Proc {
-	e.joins++
 	p := newProc(e, n)
 	e.procs[n.ID()] = p
 	e.net.Attach(n, p)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"rjoin/internal/chord"
 	"rjoin/internal/id"
@@ -16,7 +15,9 @@ import (
 // state handover, abrupt crash with engine-level recovery, and runtime
 // join with arc transfer. The policy deciding *when* nodes churn lives
 // in internal/churn; the mechanics of moving RJoin state live here,
-// next to the stores they drain and fill.
+// next to the stores they drain and fill. All three moves are one call,
+// move, made inside the membership operation: what differs between them
+// is the bill.
 
 // stateChunk bounds how many state entries ride in one handover or
 // replica-snapshot message, so the traffic charged for moving or
@@ -24,69 +25,85 @@ import (
 // message.
 const stateChunk = 48
 
-// sendHandover ships state entries as chunked, instantaneous transfers,
-// charged under the churn traffic tag.
-func (e *Engine) sendHandover(from *chord.Node, to id.ID, ops []stateOp) {
-	e.net.WithTag(from, TagChurn, func() {
-		for len(ops) > 0 {
-			n := min(len(ops), stateChunk)
-			m := &handoverMsg{From: from.ID(), To: to, Ops: ops[:n:n]}
-			ops = ops[n:]
-			e.Counters.HandoverMessages++
-			e.Counters.HandoverEntries += int64(n)
-			if ob := e.obs; ob != nil {
-				// Handover runs from churn-manager (coordinator) context.
-				ob.Emit(sim.NoShard, obs.Rec{At: e.sim.Now(), Kind: obs.KindHandover, Node: uint64(from.ID()), Arg: int64(n)})
+// bill is what a move charges for the state it installs.
+type bill uint8
+
+const (
+	// handover is the wire cost of a leave or a join: one TagChurn
+	// message per stateChunk entries, counted in the handover counters.
+	handover bill = iota
+	// promotion is the recovery a crash performs under replication:
+	// ReplPromotions once and promote's rule for every entry.
+	promotion
+)
+
+// move installs the entries ops, taken from node from, at their
+// ground-truth owners: a keyed entry at ring.Owner(key), a node-bound
+// one at to, where every placement walk restarts — the walk died with
+// its origin, or its reply is addressed to an identifier that is gone.
+// Entries of pipelines or subscriptions retired meanwhile are dropped.
+// The receivers count what they install, and to's replica group is
+// charged one batch per handover message — stateChunk entries — or one
+// for a whole promotion. It runs in coordinator context, after the
+// replica groups re-formed, so nothing in flight can observe a new
+// owner before its state.
+func (e *Engine) move(from, to *Proc, ops []stateOp, b bill) {
+	now := e.sim.Now()
+	if b == promotion {
+		to.ctr.ReplPromotions++
+	} else {
+		e.chargeHandover(from, len(ops))
+	}
+	for i, op := range ops {
+		switch {
+		case e.retiredOp(op) || b == promotion && !e.promote(to, op, now):
+			// torn down meanwhile, or lapsed: nothing to install
+		case op.kind == opAddPending:
+			// Charged as churn traffic like the rest of membership: the
+			// walk is recovery work, not placement of new state.
+			e.net.WithTag(to.node, TagChurn, func() { to.place(now, op.pp.q.Clone()) })
+		default:
+			r := e.ownerOf(op, to)
+			r.st.apply(op)
+			if r != to {
+				r.replFlush()
 			}
-			e.net.Transfer(from, to, m)
 		}
-	})
+		if b == handover && (i+1)%stateChunk == 0 {
+			to.replFlush() // one replica batch per handover message
+		}
+	}
+	to.replFlush()
 }
 
-// onHandover applies transferred state to the local store. A keyed
-// entry whose key this node does not own (the ring moved again while
-// the handover was in flight, or a chunk was bounced past its intended
-// recipient) is forwarded to its key's current owner, one message per
-// key in first-encounter order; once the forwarding budget has run out
-// it is dropped and counted as lost exactly once — storing it here
-// would leave state no traffic can reach while exposing it to double
-// counting by a later crash of this node. Rate statistics are soft
-// state and merge wherever they end up; candidate-table entries and
-// placement walks are bound to the node, not to a key, and never
-// forward. Entries of pipelines or subscriptions retired while the
-// handover was in flight are dropped.
-func (p *Proc) onHandover(now sim.Time, m *handoverMsg) {
-	e := p.eng
-	var fwdKeys []relation.Key
-	fwd := make(map[relation.Key]*handoverMsg)
-	for _, op := range m.Ops {
-		if e.retiredOp(op) {
-			continue
-		}
-		if op.keyed() && !p.ownsKey(op.key) {
-			if m.Hops < maxReroutes {
-				f, ok := fwd[op.key]
-				if !ok {
-					f = &handoverMsg{From: p.node.ID(), To: op.key.ID(), Hops: m.Hops + 1}
-					fwd[op.key] = f
-					fwdKeys = append(fwdKeys, op.key)
-				}
-				f.Ops = append(f.Ops, op)
-				continue
-			}
-			if op.kind != opStat {
-				op.chargeLost(p.ctr)
-				continue
-			}
-		}
-		p.st.apply(op) // counted: handed-over state re-replicates at its new home
+// ownerOf resolves the processor a moved entry belongs to: the ring
+// owner of a keyed entry's key, to for a node-bound one (and for a key
+// whose owner runs no processor).
+func (e *Engine) ownerOf(op stateOp, to *Proc) *Proc {
+	if !op.keyed() {
+		return to
 	}
-	for _, key := range fwdKeys {
-		p.ctr.MessagesRerouted++
-		e.net.WithTag(p.node, TagChurn, func() {
-			e.net.Send(p.node, key.ID(), fwd[key])
-		})
+	if o := e.ring.Owner(op.key.ID()); o != nil && e.procs[o.ID()] != nil {
+		return e.procs[o.ID()]
 	}
+	return to
+}
+
+// chargeHandover bills moving n entries off node from: one handoff
+// message per stateChunk of them under the churn traffic tag.
+func (e *Engine) chargeHandover(from *Proc, n int) {
+	e.net.WithTag(from.node, TagChurn, func() {
+		for ; n > 0; n -= stateChunk {
+			c := min(n, stateChunk)
+			e.Counters.HandoverMessages++
+			e.Counters.HandoverEntries += int64(c)
+			if ob := e.obs; ob != nil {
+				// Handover runs from churn-manager (coordinator) context.
+				ob.Emit(sim.NoShard, obs.Rec{At: e.sim.Now(), Kind: obs.KindHandover, Node: from.nid(), Arg: int64(c)})
+			}
+			e.net.Handoff(from.node)
+		}
+	})
 }
 
 // JoinNode adds a node with the given identifier to a running network:
@@ -100,7 +117,10 @@ func (e *Engine) JoinNode(nid id.ID) (*chord.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.NodeJoined(n)
+	np := e.NodeJoined(n)
+	// The join shifts the replica groups of the new node's k−1
+	// predecessors: each gains it.
+	e.regroup(nid, true)
 	if succ := e.ring.SuccessorList(nid, 1); len(succ) > 0 {
 		if sp, ok := e.procs[succ[0].ID()]; ok {
 			// The stored state whose keys now belong to n (ground truth
@@ -111,44 +131,35 @@ func (e *Engine) JoinNode(nid id.ID) (*chord.Node, error) {
 				return o != nil && o.ID() == n.ID()
 			})
 			sp.replFlush()
-			e.sendHandover(succ[0], n.ID(), ops)
+			e.move(sp, np, ops, handover)
 		}
 	}
-	// The join shifts the replica groups of the new node's k−1
-	// predecessors: re-form them.
-	e.replRepair()
 	return n, nil
 }
 
 // LeaveNode removes a node gracefully: it flushes its batched messages,
-// drains its entire RJoin state to its ring successor — ground truth,
-// the node that owns its keys once it is gone, not its own successor
-// pointer, which lags a join behind it — as handover messages (counted
-// in the churn traffic share), and departs the ring. Messages already
-// in flight to the departed node bounce to the same successor, and the
-// handover lands instantaneously, so a graceful leave loses no state
-// and duplicates no answers. The exception is the last node: there is
-// nobody to hand to, and its state — pending placements included — is
-// counted as lost.
+// departs the ring, and moves its entire RJoin state to the node that
+// owns its keys once it is gone — ring ground truth, its successor —
+// counted in the churn traffic share. Messages already in flight to the
+// departed node bounce to the same successor and find the state there,
+// so a graceful leave loses no state and duplicates no answers. The
+// exception is the last node: there is nobody to hand to, and its state
+// — pending placements included — is counted as lost.
 func (e *Engine) LeaveNode(n *chord.Node) error {
 	p, ok := e.procs[n.ID()]
 	if !ok {
 		return fmt.Errorf("core: node %s has no processor", n.ID())
 	}
 	e.net.FlushNode(n)
-	if succ := e.ring.SuccessorList(n.ID(), 1); len(succ) > 0 {
-		ops := p.st.ops(classAll, nil)
-		p.st.clear()
-		e.sendHandover(n, succ[0].ID(), ops)
+	e.ring.Leave(n)
+	e.NodeLeft(n)
+	// Every group the node belonged to lost a member.
+	e.regroup(n.ID(), false)
+	if o := e.ring.Owner(n.ID()); o != nil && e.procs[o.ID()] != nil {
+		e.move(p, e.procs[o.ID()], p.st.ops(classAll, nil), handover)
 	} else {
 		p.st.chargeLost(&e.Counters, e.retiredOp)
 	}
-	// The departed node's state lives on at the successor (which
-	// re-replicates it as its own on arrival), or is already counted
-	// lost; the repair pass re-forms the groups it belonged to.
-	e.ring.Leave(n)
-	e.NodeLeft(n)
-	e.replRepair()
 	return nil
 }
 
@@ -161,14 +172,13 @@ func (e *Engine) LeaveNode(n *chord.Node) error {
 // produced are the crash's answer loss.
 //
 // With ReplicationFactor >= 2 and a surviving replica, nothing is
-// lost: the head of the dead node's replica group (replGroup) — the
-// node the ring now routes its keys to — promotes its copy, which is
-// the dead node's own replicated state, re-indexing it at its exact
-// keys and re-replicating it, before CrashNode returns: every message
-// bounced off the dead node finds the promoted state. In-flight
-// placement walks are replicated too (rewrites included — without a
-// copy they exist only at the walk's origin) and restart at the
-// promotee.
+// lost: the head of the dead node's replica group — the node the ring
+// now routes its keys to — promotes its copy, which is the dead node's
+// own replicated state, re-indexing it at its exact keys and
+// re-replicating it, before CrashNode returns: every message bounced off
+// the dead node finds the promoted state. In-flight placement walks are
+// replicated too (rewrites included — without a copy they exist only at
+// the walk's origin) and restart at the promotee.
 func (e *Engine) CrashNode(n *chord.Node) error {
 	p, ok := e.procs[n.ID()]
 	if !ok {
@@ -178,13 +188,13 @@ func (e *Engine) CrashNode(n *chord.Node) error {
 	e.NodeLeft(n)
 
 	now := e.sim.Now()
-	// The promotee is the head of the dead node's replica group; it holds
-	// a copy iff it is one of the node's replica targets (a group that
-	// formed with no repair pass since has none) and the node holds
-	// anything a replica keeps.
+	// The promotee is the head of the dead node's replica group, when the
+	// node holds anything a replica keeps.
 	var promotee *Proc
-	if g := e.replGroup(n.ID()); len(g) > 0 && slices.Contains(p.targets, g[0]) && p.st.counts().mirrored() > 0 {
-		promotee = e.procs[g[0]]
+	if e.Cfg.ReplicationFactor >= 2 && p.st.counts().mirrored() > 0 {
+		if o := e.ring.Owner(n.ID()); o != nil {
+			promotee = e.procs[o.ID()]
+		}
 	}
 
 	// Without a promotion, input continuous queries the dead node was
@@ -243,12 +253,11 @@ func (e *Engine) CrashNode(n *chord.Node) error {
 			hp.replFlush() // coordinator context: charge the walk's replica op now
 		}
 	})
-	// Every group the dead node belonged to lost a member: re-form them
-	// (origins snapshot to their new k−1th successors), the promotee's
-	// included, so what it promotes re-replicates to its repaired group.
-	e.replRepair()
+	// Every group the dead node belonged to lost a member: re-form them,
+	// so what the promotee promotes is charged to its repaired group.
+	e.regroup(n.ID(), false)
 	if promotee != nil {
-		e.promote(promotee, p.st, now)
+		e.move(p, promotee, p.st.ops(classMirrored, nil), promotion)
 	}
 	return nil
 }

@@ -14,10 +14,10 @@ import (
 // hoping a random seed lands a joiner next to a loaded node, it
 // enumerates every short sequence of membership operations on a small
 // ring that holds one entry of every state class, and checks after each
-// that nothing was lost, every node replicates to exactly the ring's
-// ground-truth replica group with nothing left uncharged, no node
-// replicates to a departed one, and state only moved. The harness never stabilizes the ring in drained mode — the
-// worst case for any mechanism that reads a node's protocol pointers.
+// that nothing was lost, no replica op was left uncharged, every keyed
+// entry sits at its key's ground-truth owner, and state only moved. Two
+// of its three modes never stabilize the ring — the worst case for any
+// mechanism that reads a node's protocol pointers.
 
 // memOp is one membership operation, named by ring position at the
 // time it runs so a script replays on a fresh world.
@@ -108,8 +108,8 @@ func memLost(eng *Engine) int64 {
 // memCheck reports them.
 var memInvariants = [4]string{
 	"I1 nothing counted lost",
-	"I2 targets ≡ replGroup, nothing uncharged",
-	"I3 no departed target",
+	"I2 no replica op left uncharged",
+	"I3 every keyed entry at its ring owner",
 	"I4 stored-entry totals conserved, nothing left waiting",
 }
 
@@ -121,8 +121,8 @@ func memCheck(eng *Engine, base stateCounts) (errs [4]error) {
 		errs[0] = fmt.Errorf("%d queries, %d rewrites, %d tuples, %d aggregate epochs counted lost",
 			c.QueriesLost, c.RewritesLost, c.TuplesLost, c.AggStateLost)
 	}
-	errs[1] = targetsMatchGroups(eng)
-	errs[2] = departedTargets(eng)
+	errs[1] = nothingUncharged(eng)
+	errs[2] = keyedAtOwners(eng)
 	if got := memCounts(eng); got != base {
 		errs[3] = fmt.Errorf("live nodes hold %+v, the world started with %+v", got, base)
 	}
@@ -141,10 +141,10 @@ func memCheck(eng *Engine, base stateCounts) (errs [4]error) {
 // how many violate it; a script is judged on the state its last
 // operation leaves (its prefixes are scripts of their own).
 type memSweep struct {
-	t       *testing.T
-	rf      int
-	depth   int  // longest script; one containing a move stops at 2
-	drained bool // Run() after every operation and never a stabilization round
+	t     *testing.T
+	rf    int
+	depth int     // longest script; one containing a move stops at 2
+	mode  memMode // what runs between two operations
 
 	scripts  int
 	failed   [4]int     // scripts violating each invariant
@@ -182,17 +182,32 @@ func (s *memSweep) explore(script []memOp, moved, crashOnly bool) {
 	}
 }
 
+// memMode is what the checker runs between two operations of a script.
+// Every mode drains once at the end.
+type memMode string
+
+const (
+	// memDrained is Run() after every operation, never a stabilization round.
+	memDrained memMode = "drained"
+	// memUndrained issues the operations back to back with one stabilization
+	// round after each, what churn.Manager.step() does when two draws hit
+	// one tick.
+	memUndrained memMode = "undrained"
+	// memBare issues them back to back with nothing in between: no drain and
+	// no stabilization, so every protocol pointer is as stale as the
+	// script makes it.
+	memBare memMode = "bare"
+)
+
 // run replays a script on a fresh world and returns the violated
 // invariants and the ring size it ends with; crashOnly asks for I1
 // alone.
 //
-// Drained is Run() after every operation. Undrained issues the
-// operations back to back with one stabilization round after each, what
-// churn.Manager.step() does when two draws hit one tick, and drains once
-// at the end. Both modes assert all four invariants on every script:
-// replica updates are charged where their primary mutates and promotion
-// runs inside CrashNode, so no membership operation can find a replica
-// handoff half done.
+// Every mode asserts all four invariants on every script: replica
+// updates are charged where their primary mutates, and every membership
+// operation installs the state it moves at its ground-truth owner before
+// returning, so none can find another's move half done and no stale
+// pointer decides where state goes.
 func (s *memSweep) run(script []memOp, crashOnly bool) ([4]error, int) {
 	eng := memWorld(s.t, s.rf)
 	base := memCounts(eng)
@@ -200,9 +215,10 @@ func (s *memSweep) run(script []memOp, crashOnly bool) ([4]error, int) {
 		if err := o.apply(eng); err != nil {
 			s.t.Fatalf("%v: %s: %v", script, o, err)
 		}
-		if s.drained {
+		switch s.mode {
+		case memDrained:
 			eng.Run()
-		} else {
+		case memUndrained:
 			eng.Ring().TickStabilize()
 		}
 	}
@@ -214,12 +230,12 @@ func (s *memSweep) run(script []memOp, crashOnly bool) ([4]error, int) {
 	return errs, eng.Ring().Size()
 }
 
-func (s *memSweep) report(mode string) {
+func (s *memSweep) report() {
 	s.t.Logf("%s rf=%d: %d scripts; failing I1 %d, I2 %d, I3 %d, I4 %d",
-		mode, s.rf, s.scripts, s.failed[0], s.failed[1], s.failed[2], s.failed[3])
+		s.mode, s.rf, s.scripts, s.failed[0], s.failed[1], s.failed[2], s.failed[3])
 	for i, err := range s.why {
 		if err != nil {
-			s.t.Errorf("%s rf=%d: %s: shortest failing script %v: %v", mode, s.rf, memInvariants[i], s.shortest[i], err)
+			s.t.Errorf("%s rf=%d: %s: shortest failing script %v: %v", s.mode, s.rf, memInvariants[i], s.shortest[i], err)
 		}
 	}
 }
@@ -228,7 +244,8 @@ func (s *memSweep) report(mode string) {
 // operations from {join at each gap, leave i, crash i} (plus MoveNode,
 // in scripts of at most two: it is leave + join + its own BuildPerfect,
 // so depth three already covers its halves unstabilized) at
-// ReplicationFactor 2 and 3 — depth two under -short — in both modes.
+// ReplicationFactor 2 and 3 — depth two under -short — in all three
+// modes.
 func TestMembershipExhaustive(t *testing.T) {
 	eng := memWorld(t, 2)
 	var rewrites, altt, ct int
@@ -250,14 +267,13 @@ func TestMembershipExhaustive(t *testing.T) {
 	if testing.Short() {
 		depth = 2
 	}
-	for _, drained := range []bool{true, false} {
-		mode := map[bool]string{true: "drained", false: "undrained"}[drained]
+	for _, mode := range []memMode{memDrained, memUndrained, memBare} {
 		for _, rf := range []int{2, 3} {
 			t.Run(fmt.Sprintf("%s/rf=%d", mode, rf), func(t *testing.T) {
 				t.Parallel()
-				s := &memSweep{t: t, rf: rf, depth: depth, drained: drained}
+				s := &memSweep{t: t, rf: rf, depth: depth, mode: mode}
 				s.explore(nil, false, false)
-				s.report(mode)
+				s.report()
 			})
 		}
 	}

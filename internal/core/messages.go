@@ -167,7 +167,6 @@ type ricInfo struct {
 // collected reports directly to the origin.
 type ricRequestMsg struct {
 	Origin  id.ID
-	Joins   int64          // the origin's Engine.joins when the walk was issued
 	Pending []relation.Key // candidate keys not yet visited, in visit order
 	Got     []ricInfo
 }
@@ -184,34 +183,13 @@ func (m *ricRequestMsg) RingKey() id.ID {
 // ricReplyMsg returns the collected reports to the origin, which hands
 // each to the placements waiting on its key: the reply names no
 // placement. Origin is carried so a reply whose origin departed mid-walk
-// can follow the pending placements to the origin's successor (graceful
-// leaves hand pending placements over with the rest of the node's
-// state).
+// bounces to the node that took over its identifier, where the
+// departure restarted the origin's placements; there it releases those
+// still waiting on its keys or only feeds the candidate table.
 type ricReplyMsg struct {
 	Origin id.ID
-	Joins  int64 // as the request carried it; see onRICReply
 	Got    []ricInfo
 }
 
 // RingKey implements overlay.Rekeyable.
 func (m *ricReplyMsg) RingKey() id.ID { return m.Origin }
-
-// handoverMsg moves RJoin state between nodes during membership
-// changes: a gracefully leaving node drains its entire store to its
-// successor, and a freshly joined node receives the slice of its
-// successor's store that falls in its new arc. Ops come in the state's
-// deterministic enumeration order (see state.each) and are chunked so
-// the traffic charged for a handover scales with the state moved; one
-// op is one entry.
-type handoverMsg struct {
-	From id.ID
-	// To is the intended recipient, kept for bouncing: if the recipient
-	// dies before the handover lands, the chunk re-routes to the
-	// current successor of this identifier.
-	To   id.ID
-	Hops uint8 // forwarding steps taken by entries that missed their owner
-	Ops  []stateOp
-}
-
-// RingKey implements overlay.Rekeyable.
-func (m *handoverMsg) RingKey() id.ID { return m.To }

@@ -104,22 +104,16 @@ type Proc struct {
 	eng  *Engine
 	node *chord.Node
 
-	joined int64         // Engine.joins when this processor was attached
-	shard  int           // logical shard (sim.NoShard on a serial engine)
-	ctr    *Counters     // event-count slot
-	qpl    *metrics.Load // query-processing-load slot
-	sl     *metrics.Load // storage-load slot
-	rng    *sim.RNG      // placement draws (nil: use the engine source)
+	shard int           // logical shard (sim.NoShard on a serial engine)
+	ctr   *Counters     // event-count slot
+	qpl   *metrics.Load // query-processing-load slot
+	sl    *metrics.Load // storage-load slot
+	rng   *sim.RNG      // placement draws (nil: use the engine source)
 
 	// st is every piece of state the node keeps on behalf of the keys it
 	// owns and the placements it has in flight (see state.go); handlers
 	// read its maps directly and write them only through its mutators.
 	st *state
-
-	// targets is this node's replica group as of the last repair pass:
-	// the nodes charged for its replica updates (see replicate.go).
-	// Empty when Config.ReplicationFactor < 2.
-	targets []id.ID
 }
 
 // newProc builds the processor of a ring handle: the node it acts as,
@@ -127,7 +121,7 @@ type Proc struct {
 // A processor never changes handle — a node that moves identifier leaves
 // and joins, and the joiner is a fresh Proc.
 func newProc(eng *Engine, node *chord.Node) *Proc {
-	p := &Proc{eng: eng, node: node, joined: eng.joins, shard: eng.sim.ShardOf(uint64(node.ID())), st: newState(eng.aggSpec)}
+	p := &Proc{eng: eng, node: node, shard: eng.sim.ShardOf(uint64(node.ID())), st: newState(eng.aggSpec)}
 	s := &eng.slots[p.shard+1]
 	p.ctr, p.qpl, p.sl = s.ctr, s.qpl, s.sl
 	if eng.par {
@@ -138,9 +132,8 @@ func newProc(eng *Engine, node *chord.Node) *Proc {
 
 // nextReqID names a pending placement: the issuing slot's counter folded
 // with the shard index — slot 0 and sim.NoShard on a serial engine.
-// That is globally unique (so handed-over pending placements can never
-// collide) yet deterministic, because a shard's events execute
-// sequentially no matter how many workers run. On a serial engine the
+// That is globally unique yet deterministic, because a shard's events
+// execute sequentially no matter how many workers run. On a serial engine the
 // ids are strictly increasing in issue order, which is all state.each's
 // by-request-id order relies on. The id never travels: a walk's reply is
 // resolved by the keys it reports, and the trace omits it (request
@@ -204,8 +197,6 @@ func (p *Proc) HandleMessage(now sim.Time, msg overlay.Message) {
 		p.onRICRequest(now, m)
 	case *ricReplyMsg:
 		p.onRICReply(now, m)
-	case *handoverMsg:
-		p.onHandover(now, m)
 	}
 	p.replFlush()
 }
@@ -751,7 +742,7 @@ func (p *Proc) placeRIC(now sim.Time, q *query.Query, cands []query.Candidate) {
 			QID: q.ID, Key: walk[0].String(), Arg: int64(len(walk)),
 		})
 	}
-	req := &ricRequestMsg{Origin: p.node.ID(), Joins: p.eng.joins, Pending: walk}
+	req := &ricRequestMsg{Origin: p.node.ID(), Pending: walk}
 	p.eng.net.WithTag(p.node, TagRIC, func() {
 		p.eng.net.Send(p.node, walk[0].ID(), req)
 	})
@@ -776,7 +767,7 @@ func (p *Proc) onRICRequest(now sim.Time, m *ricRequestMsg) {
 	// retransmission, so this step must not mutate the received struct:
 	// operate on a fresh walk message with its own slice headers.
 	if p.eng.lossy {
-		fwd := &ricRequestMsg{Origin: m.Origin, Joins: m.Joins}
+		fwd := &ricRequestMsg{Origin: m.Origin}
 		fwd.Pending = append(fwd.Pending, m.Pending...)
 		fwd.Got = append(fwd.Got, m.Got...)
 		m = fwd
@@ -792,7 +783,7 @@ func (p *Proc) onRICRequest(now sim.Time, m *ricRequestMsg) {
 	}
 	p.eng.net.WithTag(p.node, TagRIC, func() {
 		if len(m.Pending) == 0 {
-			p.eng.net.SendDirect(p.node, m.Origin, &ricReplyMsg{Origin: m.Origin, Joins: m.Joins, Got: m.Got})
+			p.eng.net.SendDirect(p.node, m.Origin, &ricReplyMsg{Origin: m.Origin, Got: m.Got})
 		} else {
 			p.eng.net.Send(p.node, m.Pending[0].ID(), m)
 		}
@@ -802,20 +793,11 @@ func (p *Proc) onRICRequest(now sim.Time, m *ricRequestMsg) {
 // onRICReply resolves a walk's reply by key, not by walk: every report
 // is merged into the candidate table and handed to each placement
 // waiting on its key — the one that walked and the ones that joined
-// alike, and, after a leave or a crash, placements that reached this
-// node without the walk that serves them — and a placement decides as
-// soon as its last missing report arrives. A report nobody waits for
-// (its placement was torn down, or restarted elsewhere) is still a
-// report.
-//
-// A reply is addressed to its origin's identifier, and placements a
-// departed origin handed to its successor can sit beyond the node that
-// now answers to it: a node that joined in between. So a node that
-// joined after the walk was issued serves its own waiters and passes the
-// reply on to its successor. A node that was already there stops it —
-// everything between the origin and it joined later, so the placements,
-// wherever handovers took them, are not beyond it — and so does coming
-// round to the origin's place again.
+// alike — and a placement decides as soon as its last missing report
+// arrives. A report nobody waits for (its placement was torn down, or
+// restarted elsewhere: a leave or a crash restarts an origin's walks at
+// the node that takes over its identifier, so a reply bounced there
+// either finds them waiting or only feeds the table) is still a report.
 func (p *Proc) onRICReply(now sim.Time, m *ricReplyMsg) {
 	p.ctr.RICReplies++
 	for _, info := range m.Got {
@@ -825,14 +807,6 @@ func (p *Proc) onRICReply(now sim.Time, m *ricReplyMsg) {
 			p.st.removePending(reqID)
 			p.decide(pp.q, pp.cands, pp.known)
 		}
-	}
-	if p.joined <= m.Joins {
-		return
-	}
-	if succ := p.eng.ring.SuccessorList(p.node.ID(), 1); len(succ) > 0 && !id.BetweenRightIncl(m.Origin, p.node.ID(), succ[0].ID()) {
-		p.eng.net.WithTag(p.node, TagRIC, func() {
-			p.eng.net.SendDirect(p.node, succ[0].ID(), m)
-		})
 	}
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"rjoin/internal/id"
 	"rjoin/internal/sim"
 )
@@ -18,143 +16,104 @@ import (
 // at every instant.
 //
 // A copy that always equals state the simulator already holds is not
-// kept. Replication is a charge: every mutator counts the ops a backup
-// would apply (state.replOps), and a handler's count is billed when it
-// returns — one message per target per batch under overlay.TagRepl,
-// ReplOps for the ops — with nothing scheduled. A new group member is
-// billed a snapshot of the origin's replicated entries. On a crash, the
-// head of the dead node's group — the node the ring now routes its keys
-// to — promotes what its copy would hold, which is the dead node's own
-// state, inside CrashNode: re-indexed at its exact keys and
-// re-replicated to the promotee's targets instead of being counted
-// lost. Graceful leaves and runtime joins move state through the
-// handover hooks, where the receiver's mutators charge the
-// re-replication, and every membership change ends in a repair pass
-// that diffs each node's replica targets against its replica group
-// (replGroup: ring ground truth, never a node's own successor
-// pointers), billing a snapshot to every new member.
+// kept, and neither is the group: it is ring ground truth
+// (Ring.SuccessorList), read when it is needed. Replication is a charge:
+// every mutator counts the ops a backup would apply (state.replOps), and
+// a handler's count is billed when it returns — one message per group
+// member per batch under overlay.TagRepl, ReplOps for the ops — with
+// nothing scheduled. A membership change bills a snapshot of the
+// origin's replicated entries to every group that gained a member
+// (regroup). On a crash, the head of the dead node's group — the node
+// the ring now routes its keys to — promotes what its copy would hold,
+// which is the dead node's own state, inside CrashNode (move): it is
+// re-indexed at its exact keys and re-replicated instead of being
+// counted lost.
 
 // replFlush charges the replica updates for the ops counted since the
-// last flush: one message per target, carrying every op. Runs at the
-// end of every message handler and after coordinator-side mutations
-// (promotion, handover construction).
+// last flush: one message per member of the node's replica group, each
+// carrying every op. Runs at the end of every message handler and after
+// coordinator-side mutations (membership moves, submission, teardown).
+// The group is min(k−1, size−1) nodes; a ring smaller than the factor
+// replicates to every other node, a singleton to none.
 func (p *Proc) replFlush() {
 	n := p.st.replOps
 	p.st.replOps = 0
-	if n == 0 || len(p.targets) == 0 {
-		// Nothing changed, or no replica group exists (ring smaller than
-		// the factor); the repair pass snapshots everything when one forms.
+	if n == 0 || p.eng.Cfg.ReplicationFactor < 2 {
 		return
 	}
-	p.ctr.ReplUpdates += int64(len(p.targets))
-	p.ctr.ReplOps += int64(n * len(p.targets))
-	p.eng.net.ReplicateTo(p.node, p.targets)
-}
-
-// ---------------------------------------------------------------------
-// Group maintenance: repair, snapshots, promotion.
-
-// replGroup returns the replica group of the node at identifier nid,
-// primary excluded: the ReplicationFactor−1 alive nodes that follow nid
-// in ring order, head first. The head is the node the ring routes nid's
-// keys to once nid is gone. It is ring ground truth, so it is the same
-// group before and after nid fails and never lags a join.
-func (e *Engine) replGroup(nid id.ID) []id.ID {
-	succs := e.ring.SuccessorList(nid, e.Cfg.ReplicationFactor-1)
-	out := make([]id.ID, len(succs))
-	for i, s := range succs {
-		out[i] = s.ID()
-	}
-	return out
-}
-
-// replRepair reconciles every node's replica targets with its replica
-// group after a membership change: a new member is billed a full state
-// snapshot, and a former member simply stops being charged. Runs in
-// coordinator context (no handler in flight) at the end of every
-// membership operation; on a static ring it settles immediately into
-// no-ops. The scan is whole-ring rather than limited to the changed
-// node's k−1 predecessors: only they can differ, and the full diff
-// costs O(N·k) work per membership event — noise at simulation scale.
-func (e *Engine) replRepair() {
-	if e.Cfg.ReplicationFactor < 2 {
+	k := min(p.eng.Cfg.ReplicationFactor, p.eng.ring.Size()) - 1
+	if k <= 0 {
 		return
 	}
-	for _, n := range e.ring.Nodes() { // identifier order: deterministic
-		p := e.procs[n.ID()]
-		if p == nil {
-			continue
+	p.ctr.ReplUpdates += int64(k)
+	p.ctr.ReplOps += int64(n * k)
+	p.eng.net.ReplicateTo(p.node, k)
+}
+
+// regroup bills the snapshots a membership change at nid costs. The
+// groups it changes are those of nid's k−1 predecessors, and each gains
+// exactly one member: nid itself after a join; after a departure, the
+// node that moved up into the slot the departed one freed — none when
+// the ring has too few nodes left to fill it. The gained member is
+// billed a snapshot of the origin's replicated entries; the member it
+// replaced simply stops being charged. Runs in coordinator context,
+// after the ring changed and before the change moves any state.
+func (e *Engine) regroup(nid id.ID, joined bool) {
+	k := e.Cfg.ReplicationFactor - 1
+	if k < 1 || !joined && e.ring.Size()-1 < k {
+		return
+	}
+	for _, n := range e.ring.PredecessorList(nid, k) {
+		if p := e.procs[n.ID()]; p != nil {
+			e.replSnapshot(p)
 		}
-		group := e.replGroup(n.ID())
-		for _, t := range group {
-			if !slices.Contains(p.targets, t) {
-				e.replSnapshot(p, t)
-			}
-		}
-		p.targets = group
 	}
 }
 
 // replSnapshot charges the copy of origin p's replicated entries a new
-// replica target receives, as stateChunk-sized messages. A node with no
-// such entries sends nothing, so establishing groups on a fresh engine
-// costs no traffic.
-func (e *Engine) replSnapshot(p *Proc, tgt id.ID) {
+// replica group member receives, as stateChunk-sized messages. A node
+// with no such entries sends nothing, so forming groups on a fresh
+// engine costs no traffic.
+func (e *Engine) replSnapshot(p *Proc) {
 	n := p.st.counts().mirrored()
 	if n == 0 {
 		return
 	}
 	e.Counters.ReplSyncs++
-	to := []id.ID{tgt}
 	for ; n > 0; n -= stateChunk {
 		p.ctr.ReplUpdates++
 		p.ctr.ReplOps += int64(min(n, stateChunk))
-		e.net.ReplicateTo(p.node, to)
+		e.net.ReplicateTo(p.node, 1)
 	}
 }
 
-// promote replays a crashed node's replicated state — what the copy at
-// the head of its replica group holds — into the promotee's live state
-// at its exact keys. The promotee counts what it applies, so every
-// promoted entry re-replicates to its own replica group: the step that
-// restores the replication factor for the recovered state. The dead
-// state is consumed: its entries move.
-func (e *Engine) promote(p *Proc, dead *state, now sim.Time) {
-	p.ctr.ReplPromotions++
-	dead.each(classMirrored, nil, func(op stateOp) {
-		if e.retiredOp(op) {
-			return // torn-down pipeline or unsubscribed aggregate: do not resurrect
+// promote is promotion's rule for one entry of a crashed node's
+// replicated state — what the copy at the head of its replica group
+// holds — on its way into the promotee p's live state, and reports
+// whether the entry is installed. An ALTT entry that lapsed and nobody
+// pruned yet is counted expired instead; a promoted aggregator group
+// re-emits every row, because updates the dead aggregator had in flight
+// may have died with it.
+func (e *Engine) promote(p *Proc, op stateOp, now sim.Time) bool {
+	promoted := int64(1)
+	switch op.kind {
+	case opAddALTT:
+		if op.expireAt < now {
+			p.ctr.ALTTExpired++
+			return false
 		}
-		promoted := int64(1)
-		switch op.kind {
-		case opAddALTT:
-			if op.expireAt < now {
-				p.ctr.ALTTExpired++ // lapsed, and nobody pruned it yet
-				return
-			}
-		case opAggMerge:
-			// Re-emit every promoted row: updates the dead aggregator had
-			// in flight may have died with it.
-			spec := e.aggSpec(op.g.qid)
-			for ep := range op.g.epochs {
-				op.g.markDirty(ep, spec != nil && spec.Sliding())
-			}
-			promoted = op.g.epochCount()
-		case opCT:
-			promoted = 0
+	case opAggMerge:
+		spec := e.aggSpec(op.g.qid)
+		for ep := range op.g.epochs {
+			op.g.markDirty(ep, spec != nil && spec.Sliding())
 		}
-		p.ctr.ReplEntriesPromoted += promoted
-		if q := op.query(); q != nil && q.Depth == 0 && !q.OneTime {
-			p.ctr.QueriesRecovered++
-		}
-		if op.kind != opAddPending {
-			p.st.apply(op)
-			return
-		}
-		// Placement walks die with their origin; restart each one from
-		// here. Charged as churn traffic like the rest of crash recovery
-		// — the walk is recovery work, not replica maintenance.
-		e.net.WithTag(p.node, TagChurn, func() { p.place(now, op.pp.q.Clone()) })
-	})
-	p.replFlush()
+		promoted = op.g.epochCount()
+	case opCT:
+		promoted = 0
+	}
+	p.ctr.ReplEntriesPromoted += promoted
+	if q := op.query(); q != nil && q.Depth == 0 && !q.OneTime {
+		p.ctr.QueriesRecovered++
+	}
+	return true
 }

@@ -14,8 +14,8 @@ import (
 // This file is the keyed-state store: the one place that writes the
 // seven state classes a processor holds, and the one vocabulary —
 // stateOp — every mechanism that moves, counts or deletes that state
-// speaks. A handover is each() over a filter fed to the new owner's
-// apply(), promotion replays a crashed node's each() into its promotee,
+// speaks. A membership move — leave, join, crash promotion — feeds
+// each() over a filter to the new owners' apply() (Engine.move),
 // teardown is sweep(), loss accounting is chargeLost. Live replication
 // is a charge, not a copy: every mutator a backup would have to see
 // adds one to the state's op count, and replFlush bills it (see
@@ -23,9 +23,8 @@ import (
 //
 // Aliasing rule. An op yielded by each() or handed to a mutator aliases
 // live objects (the stored query, the aggregator group, the pending
-// placement). Every consumer of one *moves* the entry — handover,
-// promotion of a crashed node's state — and the source forgets it
-// (clear, dropKey, or being discarded) before it is touched again.
+// placement). Every consumer of one *moves* the entry, and the source
+// forgets it (dropKey, or being discarded) before it is touched again.
 // Nothing copies state, so nothing has to own a second copy of a
 // mutable part. Queries and tuples themselves are immutable once stored
 // and are always shared.
@@ -143,8 +142,8 @@ type state struct {
 	// (a placement that misses a key found here waits for the walk already
 	// fetching it) and what a reply is resolved by. Derived state: only
 	// addPending, removePending, report and clear write it and no op
-	// names it, so a handover rebuilds it by apply and a promotion by
-	// place.
+	// names it, so apply rebuilds it, and a move, which restarts walks,
+	// by place.
 	waiting map[relation.Key][]int64
 
 	// dirtyAggs is the set of aggregator keys whose group holds epochs
@@ -215,10 +214,6 @@ func (s *state) filterQueries(key relation.Key, keep func(*storedQuery) bool) {
 	} else {
 		s.queries[key] = kept
 	}
-}
-
-func (s *state) removeQuery(sq *storedQuery) {
-	s.filterQueries(sq.key, func(x *storedQuery) bool { return x != sq })
 }
 
 // trigger records the memory a successful trigger leaves on a stored
@@ -599,59 +594,37 @@ func (s *state) take(keyOK func(relation.Key) bool) []stateOp {
 
 // sweep removes every entry of the wanted classes (stored queries,
 // placement walks, aggregator groups) that match selects, and reports
-// whether anything went. A teardown sweeps every node for a pipeline
-// that a handful hold, so the ordered pass — a string sort of every key
-// — runs only where the unordered one finds a match.
-func (s *state) sweep(want class, match func(stateOp) bool) bool {
-	if !s.holds(want, match) {
-		return false
-	}
-	var hit []stateOp
-	s.each(want, nil, func(op stateOp) {
-		if match(op) {
-			hit = append(hit, op)
-		}
-	})
-	for _, op := range hit {
-		switch op.kind {
-		case opAddQuery:
-			s.removeQuery(op.sq)
-		case opAddPending:
-			s.removePending(op.id)
-		case opAggMerge:
-			s.dropKey(op.key)
-		}
-	}
-	return true
-}
-
-// holds reports whether any entry of the wanted sweepable classes
-// matches, visiting them in no particular order.
-func (s *state) holds(want class, match func(stateOp) bool) bool {
+// whether anything went. One unordered pass per class: each removal
+// charges one replica op and the counts commute, so no order is needed.
+//
+//lint:ordered removals commute
+func (s *state) sweep(want class, match func(stateOp) bool) (hit bool) {
 	if want&classQueries != 0 {
-		for key, list := range s.queries {
-			for _, sq := range list {
-				if match(stateOp{kind: opAddQuery, key: key, sq: sq}) {
-					return true
-				}
-			}
+		for key := range s.queries {
+			s.filterQueries(key, func(sq *storedQuery) bool {
+				m := match(stateOp{kind: opAddQuery, key: key, sq: sq})
+				hit = hit || m
+				return !m
+			})
 		}
 	}
 	if want&classPending != 0 {
 		for reqID, pp := range s.pending {
 			if match(stateOp{kind: opAddPending, id: reqID, pp: pp}) {
-				return true
+				s.removePending(reqID)
+				hit = true
 			}
 		}
 	}
 	if want&classAggs != 0 {
 		for key, g := range s.aggs {
 			if match(stateOp{kind: opAggMerge, key: key, g: g}) {
-				return true
+				s.dropKey(key)
+				hit = true
 			}
 		}
 	}
-	return false
+	return hit
 }
 
 // stateCounts is the instantaneous occupancy of a state, per class in

@@ -172,6 +172,11 @@ type stateCharge struct {
 	do   func(s *state)
 }
 
+// removeQuery removes one stored query through the filter mutator.
+func removeQuery(s *state, sq *storedQuery) {
+	s.filterQueries(sq.key, func(x *storedQuery) bool { return x != sq })
+}
+
 func stateCharges(f *stateFixture) []stateCharge {
 	k := f.keys
 	tu := mkTuple("R", 1, 2, 3)
@@ -189,15 +194,15 @@ func stateCharges(f *stateFixture) []stateCharge {
 	}
 	return []stateCharge{
 		{"addQuery", 1, func(s *state) { s.addQuery(f.stored(f.plain, k[0])) }},
-		{"removeQuery", 3, func(s *state) {
+		{"filterQueries removing one", 3, func(s *state) {
 			sq := f.stored(f.plain, k[0])
 			s.addQuery(f.stored(f.distinct, k[0]))
 			s.addQuery(sq)
-			s.removeQuery(sq)
+			removeQuery(s, sq)
 		}},
-		{"removeQuery of a query not stored", 1, func(s *state) {
+		{"filterQueries removing nothing", 1, func(s *state) {
 			s.addQuery(f.stored(f.plain, k[0]))
-			s.removeQuery(f.stored(f.plain, k[0]))
+			removeQuery(s, f.stored(f.plain, k[0]))
 		}},
 		{"trigger with projection and pubSeq", 2, func(s *state) {
 			sq := f.stored(f.distinct, k[1])
@@ -381,7 +386,7 @@ func TestStateRandomSequences(t *testing.T) {
 			case 2:
 				if len(live) > 0 {
 					i := rng.Intn(len(live))
-					a.removeQuery(live[i])
+					removeQuery(a, live[i])
 					live = slices.Delete(live, i, i+1)
 				}
 			case 3:

@@ -448,8 +448,8 @@ func Fig9(p Params) []*metrics.Table {
 	qpl := &metrics.Table{Title: "Fig 9(a) QPL distribution (id movement)", Headers: rankedHeader()}
 	sl := &metrics.Table{Title: "Fig 9(b) SL distribution (id movement)", Headers: rankedHeader()}
 	// An identifier move is a leave and a join, and one balancing round
-	// makes several back to back: a handover chunk in flight to a node
-	// that moves next needs the bounce path, like under any churn. On the
+	// makes several back to back: a message in flight to a node that
+	// moves next needs the bounce path, like under any churn. On the
 	// static ring of the "Without" series it never fires.
 	netCfg := overlay.DefaultConfig()
 	netCfg.Bounce = true

@@ -50,7 +50,7 @@ var effectCalls = map[string]bool{
 	"Send": true, "MultiSend": true, "SendKeyed": true, "Broadcast": true,
 	"Schedule": true, "ScheduleAt": true, "After": true, "AfterBg": true,
 	"Every": true, "EveryBg": true, "Push": true, "Publish": true,
-	"PublishTuple": true, "Emit": true, "Enqueue": true, "Transfer": true,
+	"PublishTuple": true, "Emit": true, "Enqueue": true, "Handoff": true,
 	"ReplicateTo": true, "Deliver": true, "Submit": true, "SubmitQuery": true,
 	"Observe": false, // histogram buckets are commutative
 }

@@ -6,10 +6,10 @@
 // over responsibility for part of its keys. The policy lives here; the
 // mechanics are the churn subsystem's: core.Engine.MoveNode is a
 // graceful leave and a join at the new identifier, so the moved state
-// travels as handover messages and, like all churn, wants the overlay's
-// bounce path (overlay.Config.Bounce) — a round makes several moves back
-// to back, and a chunk in flight to a node that moves next must be able
-// to follow it.
+// is charged as handover messages and, like all churn, wants the
+// overlay's bounce path (overlay.Config.Bounce) — a round makes several
+// moves back to back, and a message in flight to a node that moves next
+// must be able to follow it.
 package loadbalance
 
 import (

@@ -2,8 +2,8 @@
 // end-to-end reliable delivery machinery that masks it.
 //
 // With Config.Faults set, every routed or direct send (Send, MultiSend,
-// SendDirect, batched flushes — everything except the instantaneous
-// Transfer handoff and node-local deliveries) runs over a
+// SendDirect, batched flushes — everything except node-local
+// deliveries; Handoff and ReplicateTo only charge) runs over a
 // per-(source, destination) sequence-numbered channel. The transmission
 // of each sequence number is subject to the fault plan: a Bernoulli drop
 // draw, a duplication draw, a delay-spike draw, and scheduled link

@@ -455,8 +455,6 @@ func (nw *Network) deliver(p *peer, owner *chord.Node, delay int64, msg Message)
 // deliverFrom is deliver with a known sender: in unreliable mode a
 // remote delivery runs over the (from → owner) reliable channel;
 // node-local deliveries and reliable networks take the plain path.
-// Transfer deliberately bypasses this — its instantaneous-handoff
-// semantics model an already-acknowledged exchange.
 func (nw *Network) deliverFrom(p *peer, from, owner *chord.Node, delay int64, msg Message) {
 	if nw.Lossy() && owner != from {
 		nw.sendReliable(p, from, owner, delay, msg)
@@ -619,25 +617,15 @@ func (nw *Network) SendDirect(from *chord.Node, to id.ID, msg Message) {
 	nw.deliverFrom(p, from, owner, delay, msg)
 }
 
-// Transfer delivers msg to a known alive recipient at the current
-// instant, charging one message: the synchronous state handoff a
-// departing or splitting node completes before responsibility for its
-// keys moves on. The handoff is on the wire like any message — and
-// counted in the traffic metric — but delivery is instantaneous, so no
-// regular (≥ one hop delay) message can observe the new owner before
-// its state has arrived. It reports whether the recipient accepted.
-func (nw *Network) Transfer(from *chord.Node, to id.ID, msg Message) bool {
-	p := nw.peerFor(from.ID())
-	owner := nw.Ring.Node(to)
-	if owner == nil {
-		nw.bounce(p, msg)
-		return false
-	}
-	if owner != from {
-		nw.chargeHop(p, from.ID())
-	}
-	nw.deliver(p, owner, 0, msg)
-	return true
+// Handoff charges one message of a state handoff: the synchronous
+// transfer a departing or splitting node completes before responsibility
+// for its keys moves on. Like ReplicateTo it only charges. The caller
+// installs the state at its new owner itself, inside the membership
+// change, so no message can observe the new owner before its state; the
+// handoff is on the wire — counted in the traffic metric — it just
+// cannot be overtaken.
+func (nw *Network) Handoff(from *chord.Node) {
+	nw.chargeHop(nw.peerFor(from.ID()), from.ID())
 }
 
 // TagRepl is the traffic tag replica-update fan-out is charged under,
@@ -646,23 +634,23 @@ func (nw *Network) Transfer(from *chord.Node, to id.ID, msg Message) bool {
 const TagRepl = "repl"
 
 // ReplicateTo charges the fan-out of one batch of state mutations to a
-// replica group: one direct message per target, under TagRepl. It only
-// charges. A primary-backup protocol acknowledges a mutation only once
-// its backups hold it, so a backup's copy always equals its primary's
-// state; the simulation keeps no copy (a crash promotes the primary's
-// own state) and nothing is scheduled or delivered here. The copies
-// are on the wire — one charged message per target — they just cannot
-// be overtaken.
-func (nw *Network) ReplicateTo(from *chord.Node, targets []id.ID) {
-	if len(targets) == 0 {
+// replica group of n targets: one direct message per target, under
+// TagRepl. It only charges. A primary-backup protocol acknowledges a
+// mutation only once its backups hold it, so a backup's copy always
+// equals its primary's state; the simulation keeps no copy (a crash
+// promotes the primary's own state) and nothing is scheduled or
+// delivered here. The copies are on the wire — one charged message per
+// target — they just cannot be overtaken.
+func (nw *Network) ReplicateTo(from *chord.Node, n int) {
+	if n <= 0 {
 		return
 	}
 	p := nw.peerFor(from.ID())
 	if ob := nw.obs; ob != nil {
-		ob.Emit(p.shard, obs.Rec{At: nw.Engine.Now(), Kind: obs.KindReplFanout, Node: uint64(from.ID()), Arg: int64(len(targets))})
+		ob.Emit(p.shard, obs.Rec{At: nw.Engine.Now(), Kind: obs.KindReplFanout, Node: uint64(from.ID()), Arg: int64(n)})
 	}
 	withTag(p.l, TagRepl, func() {
-		for range targets {
+		for range n {
 			nw.chargeHop(p, from.ID())
 		}
 	})

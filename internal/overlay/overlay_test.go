@@ -222,26 +222,25 @@ func TestBounceRequiresRingKey(t *testing.T) {
 	}
 }
 
-// Transfer delivers instantly (same tick), costs one message, and is
-// ordered before any regular send issued afterwards.
-func TestTransferInstantAndCounted(t *testing.T) {
+// Handoff charges the sender one message under the active tag and
+// neither schedules nor delivers anything: the caller installs the
+// state itself.
+func TestHandoffOnlyCharges(t *testing.T) {
 	f := newFixture(t, 64, DefaultConfig())
 	from, to := f.nodes[0], f.nodes[9]
-	var order []string
-	f.nw.Attach(to, HandlerFunc(func(now sim.Time, msg Message) {
-		if now != f.engine.Now() && len(order) == 0 {
-			t.Fatalf("transfer delivered at %d, want instant", now)
-		}
-		order = append(order, msg.(string))
-	}))
-	f.nw.Transfer(from, to.ID(), "state")
-	f.nw.SendDirect(from, to.ID(), "later")
-	f.engine.Run()
-	if len(order) != 2 || order[0] != "state" || order[1] != "later" {
-		t.Fatalf("delivery order %v, want [state later]", order)
+	got := 0
+	f.nw.Attach(to, HandlerFunc(func(sim.Time, Message) { got++ }))
+	f.nw.WithTag(from, "churn", func() { f.nw.Handoff(from) })
+	if n := f.engine.PendingForeground(); n != 0 {
+		t.Fatalf("a handoff scheduled %d events", n)
 	}
-	if f.nw.Traffic.Get(from.ID()) != 2 {
-		t.Fatalf("sender charged %d, want 2", f.nw.Traffic.Get(from.ID()))
+	f.engine.Run()
+	if got != 0 || f.nw.Delivered != 0 {
+		t.Fatalf("a handoff delivered %d messages (Delivered = %d), want none", got, f.nw.Delivered)
+	}
+	if f.nw.Traffic.Get(from.ID()) != 1 || f.nw.MessagesSent != 1 || f.nw.TaggedTraffic("churn").Get(from.ID()) != 1 {
+		t.Fatalf("sender charged %d (churn %d, sent %d), want 1 each",
+			f.nw.Traffic.Get(from.ID()), f.nw.TaggedTraffic("churn").Get(from.ID()), f.nw.MessagesSent)
 	}
 }
 

@@ -115,10 +115,9 @@ func runPeerScript(t *testing.T, seed int64, batch int64, workers int) peerAccou
 		case op == 2:
 			nw.SendDirect(from, everID[rng.Intn(len(everID))], msg()) // sometimes a departed address
 		case op == 3:
-			nw.Transfer(from, everID[rng.Intn(len(everID))], msg())
+			nw.Handoff(from)
 		case op == 4:
-			targets := []id.ID{pick().ID(), pick().ID(), pick().ID()}
-			nw.ReplicateTo(from, targets[:1+rng.Intn(3)])
+			nw.ReplicateTo(from, 1+rng.Intn(3))
 		case op == 5 && depth < 3:
 			nw.WithTag(from, scriptTags[rng.Intn(len(scriptTags))], func() {
 				for i := rng.Intn(3); i >= 0; i-- {
@@ -254,13 +253,13 @@ func TestPeerUnattachedNodes(t *testing.T) {
 	from, to := nodes[0], nodes[5]
 	var got int
 	nw.Attach(to, HandlerFunc(func(sim.Time, Message) { got++ }))
-	nw.Send(from, to.ID(), "routed")       // unattached sender, batched and flushed
-	nw.SendDirect(from, to.ID(), "direct") // unattached sender
-	nw.SendDirect(to, from.ID(), "lost")   // unattached recipient: dropped
-	nw.WithTag(from, "ric", func() { nw.Transfer(from, to.ID(), "tagged") })
+	nw.Send(from, to.ID(), "routed")                     // unattached sender, batched and flushed
+	nw.SendDirect(from, to.ID(), "direct")               // unattached sender
+	nw.SendDirect(to, from.ID(), "lost")                 // unattached recipient: dropped
+	nw.WithTag(from, "ric", func() { nw.Handoff(from) }) // unattached sender, charge only
 	engine.Run()
-	if got != 3 || nw.Delivered != 3 {
-		t.Fatalf("attached recipient got %d messages, Delivered = %d, want 3 and 3", got, nw.Delivered)
+	if got != 2 || nw.Delivered != 2 {
+		t.Fatalf("attached recipient got %d messages, Delivered = %d, want 2 and 2", got, nw.Delivered)
 	}
 	if nw.Traffic.Get(from.ID()) < 3 || nw.TaggedTraffic("ric").Get(from.ID()) != 1 {
 		t.Fatalf("unattached sender charged %d (ric %d)", nw.Traffic.Get(from.ID()), nw.TaggedTraffic("ric").Get(from.ID()))

@@ -374,9 +374,9 @@ type Stats struct {
 	// ReplicationMessages is the share of Messages spent replicating
 	// state to replica groups; ReplUpdates/ReplOps count the update
 	// batches charged and the state operations they carry (one per
-	// state mutation per target, plus each snapshot entry); ReplSyncs counts
-	// full-snapshot streams opened by group repair after membership
-	// changes; ReplPromotions/ReplEntriesPromoted count crashed nodes
+	// state mutation per group member, plus each snapshot entry);
+	// ReplSyncs counts full-state snapshots billed to the members a
+	// membership change adds to replica groups; ReplPromotions/ReplEntriesPromoted count crashed nodes
 	// whose state a surviving replica promoted and the state entries
 	// recovered that way. All zero with replication off.
 	ReplicationMessages int64
@@ -775,8 +775,8 @@ func (n *Network) AddNode() error {
 // RemoveNode removes the node at the given position of the current
 // identifier-ordered node list, gracefully: its stored queries,
 // tuples, candidate-table entries and RIC state transfer to its
-// successor as counted handover messages, so no answer is lost or
-// duplicated. The last node of a network cannot be removed.
+// successor — in place before RemoveNode returns, charged as counted
+// handover messages — so no answer is lost or duplicated. The last node of a network cannot be removed.
 func (n *Network) RemoveNode(index int) error {
 	node, err := n.nodeAt(index, "remove")
 	if err != nil {
