@@ -12,7 +12,7 @@
 // way: stored state and rewriting work per query as the duplicate
 // ratio sweeps 0-90%, with every subscriber certified exact.
 // With -lossy, the Figure 1 walkthrough itself runs on an
-// unreliable overlay — a 20% drop rate masked by the reliable channels
+// unreliable overlay — a 20% drop rate masked by retransmission
 // — and reports the fault counters next to the usual stats.
 //
 // Observability: -trace FILE writes the walkthrough's causal trace as a

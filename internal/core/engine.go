@@ -164,7 +164,6 @@ type Engine struct {
 	delta    int64
 	pubSeq   int64
 	queryCnt int64
-	lossy    bool // unreliable network: senders retain messages, no pooling
 
 	// obs caches Cfg.Obs for direct hot-path access. Nil unless
 	// observability is enabled; every hook site nil-guards before
@@ -213,7 +212,6 @@ func NewEngine(ring *chord.Ring, se *sim.Engine, net *overlay.Network, cfg Confi
 	if cfg.Delta == 0 {
 		e.delta = net.MaxDelta()
 	}
-	e.lossy = net.Lossy()
 	e.obs = cfg.Obs
 	e.prov = cfg.Provenance
 	if se.Workers() > 0 {
@@ -425,22 +423,13 @@ func (e *Engine) Sync() {
 // group-update emissions and drains again until the aggregate views are
 // complete. On an engine with no aggregate queries the flush loop exits
 // immediately and Run behaves exactly as before aggregation existed.
-//
-// In unreliable-network mode quiescence can be reached while messages
-// are still unacknowledged (their retransmit timers are background
-// events, so they never keep Run alive by themselves); the drain loop
-// then advances the clock to the earliest outstanding retransmit
-// deadline and drains the retransmission's cascade, repeating until
-// every channel is acknowledged. Escalation ladders are bounded, so the
-// loop terminates on any plan whose partitions end.
+// In unreliable-network mode a retransmitted message is one foreground
+// delivery at its surviving attempt's arrival, so it is drained like
+// any other.
 func (e *Engine) Run() {
 	for {
 		e.sim.Run()
 		e.Sync()
-		if t, ok := e.net.NextRetransmit(); ok {
-			e.sim.RunUntil(t)
-			continue
-		}
 		if !e.flushAggregates() {
 			break
 		}

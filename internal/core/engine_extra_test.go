@@ -294,10 +294,10 @@ func TestStrategyStringer(t *testing.T) {
 
 // TestIdleRunAllocatesNothing pins what Run costs when there is nothing
 // to do: with thousands of live aggregator groups, and with a zero-rate
-// fault plan after a thousand reliable channels have carried traffic
-// (their trailing acks still pending in the background), a Run on the
-// quiescent engine allocates nothing and moves neither the clock, the
-// counters nor the traffic metric.
+// fault plan after a thousand (sender, receiver) pairs have carried
+// traffic (each with an ack window on record), a Run on the quiescent
+// engine allocates nothing and moves neither the clock, the counters
+// nor the traffic metric.
 func TestIdleRunAllocatesNothing(t *testing.T) {
 	pinIdle := func(t *testing.T, eng *Engine) {
 		t.Helper()
@@ -341,7 +341,7 @@ func TestIdleRunAllocatesNothing(t *testing.T) {
 	t.Run("reliable channels", func(t *testing.T) {
 		eng, nodes := lossyNet(t, 64, 7, 0, DefaultConfig(), lossyNetCfg(&overlay.Faults{}))
 		// A tuple message that arrives at a node other than its publisher
-		// came over the (publisher → node) channel.
+		// was drawn on the (publisher → node) pair.
 		channels := make(map[[2]id.ID]bool)
 		for _, p := range eng.procs {
 			at := p.node.ID()

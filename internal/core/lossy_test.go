@@ -149,8 +149,8 @@ func TestLossyExactlyOnce(t *testing.T) {
 }
 
 // TestLossyDistinctNoDuplicates: DISTINCT's consumed-projection memory
-// must hold up under retransmission — a duplicate delivery that leaked
-// past dedup would re-trigger a consumed projection and surface as an
+// must hold up under duplication and retransmission — a duplicate
+// delivery would re-trigger a consumed projection and surface as an
 // extra row.
 func TestLossyDistinctNoDuplicates(t *testing.T) {
 	cfg := DefaultConfig()
@@ -245,8 +245,8 @@ func TestLossyAggViews(t *testing.T) {
 }
 
 // TestLossyExactlyOnceParallel runs the drop-and-partition exactness
-// check on the parallel engine: the barrier schedule, per-node fault
-// streams and background retransmit timers must compose, and the final
+// check on the parallel engine: the barrier schedule and per-node fault
+// streams drawn from worker context must compose, and the final
 // bag must be exact for every worker count.
 func TestLossyExactlyOnceParallel(t *testing.T) {
 	for _, workers := range []int{2, 4} {
@@ -287,15 +287,11 @@ func TestLossyExactlyOnceParallel(t *testing.T) {
 }
 
 // TestLossyMoveNodeExact: identifier movement on a network with Faults.
-// The mover leaves and a fresh node joins, so reliable-channel state —
-// sequence numbers and dedup filters, keyed by ring identifier on both
-// ends — never has to follow anybody: what is in flight to the vacated
-// identifier escalates to the key's new owner, what it had already
-// received is settled when it detaches, and the new identifier starts
-// fresh channels. Where the old teleport went through, even a zero-rate
-// plan ran full retransmit ladders, abandoned messages and lost answers;
-// the moves leave the run exact with nothing abandoned, serial and on
-// four workers.
+// The mover leaves and a fresh node joins, so nothing per sender has to
+// follow anybody: what is in flight to the vacated identifier is found
+// dead on arrival and bounced to the key's new owner, and what it had
+// already received travels with its state. The moves leave the run
+// exact with nothing abandoned, serial and on four workers.
 func TestLossyMoveNodeExact(t *testing.T) {
 	const q = "select R.B, S.B from R,S where R.A=S.A"
 	for _, workers := range []int{0, 4} {
@@ -320,8 +316,8 @@ func TestLossyMoveNodeExact(t *testing.T) {
 				}
 			}
 			publish(40)
-			// Ten moves back to back, no drain in between: handovers are in
-			// flight to nodes that move next, and movers owe acknowledgments.
+			// Ten moves back to back, no drain in between: messages are in
+			// flight to nodes that move next.
 			for _, n := range nodes[1:11] {
 				nn, err := eng.MoveNode(n, n.ID()+1<<58)
 				if err != nil {

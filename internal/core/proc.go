@@ -153,44 +153,32 @@ func (p *Proc) nextReqID() int64 {
 // counted in it; the trailing replFlush charges them to every replica
 // target, so no replica update is ever outstanding between events.
 func (p *Proc) HandleMessage(now sim.Time, msg overlay.Message) {
-	// In unreliable-network mode the sender retains every message for
-	// possible retransmission, so consumed structs must not be recycled
-	// into the pools — a reused struct would corrupt a retained copy.
-	recycle := !p.eng.lossy
 	switch m := msg.(type) {
 	case *tupleMsg:
 		if p.reroute(m.Key, &m.Reroutes, m) {
 			return
 		}
 		p.onTuple(now, m)
-		if recycle {
-			*m = tupleMsg{}
-			tupleMsgPool.Put(m)
-		}
+		*m = tupleMsg{}
+		tupleMsgPool.Put(m)
 	case *evalMsg:
 		if p.reroute(m.Key, &m.Reroutes, m) {
 			return
 		}
 		p.onEval(now, m)
-		if recycle {
-			*m = evalMsg{}
-			evalMsgPool.Put(m)
-		}
+		*m = evalMsg{}
+		evalMsgPool.Put(m)
 	case *answerMsg:
 		p.eng.recordAnswer(now, m, p)
-		if recycle {
-			*m = answerMsg{}
-			answerMsgPool.Put(m)
-		}
+		*m = answerMsg{}
+		answerMsgPool.Put(m)
 	case *aggPartialMsg:
 		if p.reroute(m.Key, &m.Reroutes, m) {
 			return
 		}
 		p.onAggPartial(now, m)
-		if recycle {
-			*m = aggPartialMsg{}
-			aggPartialMsgPool.Put(m)
-		}
+		*m = aggPartialMsg{}
+		aggPartialMsgPool.Put(m)
 	case *aggUpdateMsg:
 		p.eng.recordAggUpdate(now, m, p)
 	case *ricRequestMsg:
@@ -763,15 +751,6 @@ func sortByDist(from id.ID, keys []relation.Key) {
 // for every pending key this node is responsible for, then forward the
 // walk or return the collected reports to the origin.
 func (p *Proc) onRICRequest(now sim.Time, m *ricRequestMsg) {
-	// On an unreliable network the upstream sender retains its copy for
-	// retransmission, so this step must not mutate the received struct:
-	// operate on a fresh walk message with its own slice headers.
-	if p.eng.lossy {
-		fwd := &ricRequestMsg{Origin: m.Origin}
-		fwd.Pending = append(fwd.Pending, m.Pending...)
-		fwd.Got = append(fwd.Got, m.Got...)
-		m = fwd
-	}
 	// The message was addressed to Hash(Pending[0]), so this node owns
 	// at least that key; it may own later pending keys too.
 	reported := false

@@ -261,7 +261,7 @@ func TestFigLossyShapes(t *testing.T) {
 			t.Errorf("row %d: %v messages abandoned", row, ab)
 		}
 		if cell(over, row, 1) == 0 || cell(over, row, 2) == 0 {
-			t.Errorf("row %d: reliable channels idle under loss", row)
+			t.Errorf("row %d: no retransmits or acks charged under loss", row)
 		}
 	}
 	// The drop counter grows with the swept rate: 20% >> 5%.

@@ -12,8 +12,8 @@ import (
 )
 
 // lossyRates are the per-transmission drop probabilities FigLossy
-// sweeps. Rate 0 runs on the reliable channels too, so the figure
-// separates the cost of the ARQ machinery itself from the cost of the
+// sweeps. Rate 0 runs the fault layer too, so the figure separates what
+// the layer charges with nothing lost (acks) from the cost of the
 // faults it masks.
 var lossyRates = []float64{0, 0.05, 0.10, 0.20}
 
@@ -27,7 +27,7 @@ var lossyRates = []float64{0, 0.05, 0.10, 0.20}
 // answers against the reference (the exactly-once guarantee holds both
 // at 1.0 and 0), the injected fault counts, and the overhead —
 // retransmissions and acks as a share of application transmissions,
-// traffic the reliable channels generate but the workload metrics
+// traffic reliable delivery generates but the workload metrics
 // deliberately exclude.
 func FigLossy(p Params) []*metrics.Table {
 	queries := p.scaled(200)

@@ -105,12 +105,13 @@ const (
 	// KindReplFanout is one replica-group fan-out of a keyed state
 	// mutation batch. Arg is the number of replicas addressed.
 	KindReplFanout
-	// KindRetransmit is a reliable-channel timer resending an
-	// unacknowledged message. Arg is the retry number within the
-	// current backoff ladder.
+	// KindRetransmit is one retransmission of a lost transmission,
+	// recorded when the send draws its ladder. Arg is the retry number
+	// within the current backoff ladder (one past the ladder's length
+	// when an exhausted ladder restarts).
 	KindRetransmit
-	// KindAck is a standalone acknowledgement carrying a receiver's
-	// cumulative sequence watermark (Arg).
+	// KindAck is one coalesced acknowledgement; Node is the receiver
+	// sending it.
 	KindAck
 	// KindBounce is a message arriving at a node that no longer owns
 	// its key and being re-routed to the current owner.

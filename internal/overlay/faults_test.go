@@ -1,7 +1,6 @@
 package overlay
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -17,21 +16,6 @@ func lossyCfg(f *Faults) Config {
 	cfg.Bounce = true
 	cfg.Faults = f
 	return cfg
-}
-
-// drain runs the engine to reliable-delivery quiescence: foreground
-// work first, then the clock advances to each outstanding retransmit
-// deadline until no channel retains anything (the overlay-level copy of
-// the core engine's drain loop).
-func drain(f *fixture) {
-	for {
-		f.engine.Run()
-		t, ok := f.nw.NextRetransmit()
-		if !ok {
-			return
-		}
-		f.engine.RunUntil(t)
-	}
 }
 
 // TestNewNetworkValidatesFaults: out-of-range probabilities, negative
@@ -79,8 +63,9 @@ func TestFaultsRequireBounce(t *testing.T) {
 }
 
 // TestReliableDeliveryUnderDrop: at a 30% transmission drop rate every
-// keyed send still reaches its owner exactly once, paid for in
-// retransmissions and acks that stay out of the traffic metric.
+// keyed send still reaches its owner exactly once, no later than the
+// widened MaxDelta, paid for in retransmissions and acks that stay out
+// of the traffic metric.
 func TestReliableDeliveryUnderDrop(t *testing.T) {
 	f := newFixture(t, 64, lossyCfg(&Faults{DropProb: 0.3}))
 	const sends = 200
@@ -89,8 +74,11 @@ func TestReliableDeliveryUnderDrop(t *testing.T) {
 		key := id.HashKey("k") + id.ID(i)*0x9e3779b97f4a7c15
 		f.nw.Send(from, key, keyedMsg{key: key, body: "payload"})
 	}
-	drain(f)
+	f.engine.Run()
 	f.nw.Sync()
+	if last, delta := f.engine.Now(), sim.Time(f.nw.MaxDelta()); last > delta {
+		t.Fatalf("last delivery at %d, past MaxDelta %d", last, delta)
+	}
 	delivered := 0
 	for _, msgs := range f.received {
 		delivered += len(msgs)
@@ -117,7 +105,7 @@ func TestDuplicationSuppressed(t *testing.T) {
 		key := id.HashKey("dup") + id.ID(i)*0x9e3779b97f4a7c15
 		f.nw.Send(f.nodes[i%len(f.nodes)], key, keyedMsg{key: key, body: "d"})
 	}
-	drain(f)
+	f.engine.Run()
 	f.nw.Sync()
 	delivered := 0
 	for _, msgs := range f.received {
@@ -133,7 +121,8 @@ func TestDuplicationSuppressed(t *testing.T) {
 
 // TestPartitionBlocksThenHeals: a message sent across an active
 // partition window is dropped and retransmitted until the window
-// closes; after the heal it arrives exactly once.
+// closes; after the heal it arrives exactly once. The partition is
+// added on a quiescent network, the only time AddPartition allows.
 func TestPartitionBlocksThenHeals(t *testing.T) {
 	f := newFixture(t, 16, lossyCfg(&Faults{}))
 	from, to := f.nodes[0], f.nodes[8]
@@ -147,7 +136,7 @@ func TestPartitionBlocksThenHeals(t *testing.T) {
 	if got := len(f.received[to.ID()]); got != 0 {
 		t.Fatalf("partitioned message delivered %d times before the heal", got)
 	}
-	drain(f)
+	f.engine.Run()
 	f.nw.Sync()
 	if got := len(f.received[to.ID()]); got != 1 {
 		t.Fatalf("message crossed the healed partition %d times, want 1", got)
@@ -162,21 +151,21 @@ func TestPartitionBlocksThenHeals(t *testing.T) {
 
 // TestDepartedReceiverIsNotResent: a node that has received a message
 // and leaves inside its ack-coalescing window takes the message's
-// effects with it in its state. The sender must not run the ladder and
-// re-route the retained copy to the key's new owner — on a plan that
-// loses nothing, that was a second delivery.
+// effects with it in its state. Nothing may send the message again or
+// re-route it to the key's new owner — on a plan that loses nothing,
+// that was a second delivery.
 func TestDepartedReceiverIsNotResent(t *testing.T) {
 	f := newFixture(t, 16, lossyCfg(&Faults{}))
 	from, to := f.nodes[0], f.nodes[8]
 	f.nw.SendDirect(from, to.ID(), keyedMsg{key: to.ID(), body: "once"})
-	f.engine.Run() // delivered; the ack is a background event two ticks out
+	f.engine.Run() // delivered; its ack window is still open
 	if got := len(f.received[to.ID()]); got != 1 {
 		t.Fatalf("delivered %d times before the departure, want 1", got)
 	}
 	f.ring.Leave(to)
 	f.nw.Detach(to)
 	f.engine.RunUntil(f.engine.Now() + 5000) // past every rung of the default ladder
-	drain(f)
+	f.engine.Run()
 	f.nw.Sync()
 	delivered := 0
 	for _, msgs := range f.received {
@@ -190,15 +179,17 @@ func TestDepartedReceiverIsNotResent(t *testing.T) {
 
 // TestZeroPlanScheduleIdentical: the all-zero fault plan must reproduce
 // the faults-off run exactly — same delivery times, same per-node
-// receive counts, same traffic metric. This is the overlay-level RNG
-// isolation guarantee: the ARQ machinery draws only from its own
-// streams and charges only its own counters.
+// receive counts, same traffic metric — under churn too: a receiver
+// crashes between the send and the arrival of messages addressed to
+// it, and both runs bounce them on arrival. This is the overlay-level
+// RNG isolation guarantee: the fault draws come only from their own
+// streams and charge only their own counters.
 func TestZeroPlanScheduleIdentical(t *testing.T) {
 	type rec struct {
 		at   sim.Time
 		node id.ID
 	}
-	run := func(cfg Config) ([]rec, int64) {
+	run := func(cfg Config) ([]rec, int64, int64) {
 		f := &fixture{
 			ring:     newTestRing(t, 48),
 			engine:   sim.NewEngine(3),
@@ -214,23 +205,36 @@ func TestZeroPlanScheduleIdentical(t *testing.T) {
 			}))
 		}
 		for i := 0; i < 120; i++ {
+			from := f.nodes[i%len(f.nodes)]
+			if !from.Alive() {
+				continue
+			}
 			key := id.HashKey("iso") + id.ID(i)*0x9e3779b97f4a7c15
-			f.nw.Send(f.nodes[i%len(f.nodes)], key, keyedMsg{key: key, body: "x"})
+			f.nw.Send(from, key, keyedMsg{key: key, body: "x"})
+			if owner := f.ring.Owner(key); i%20 == 10 && owner != from {
+				// The owner crashes with the message in flight to it.
+				f.ring.Fail(owner)
+				f.nw.Detach(owner)
+			}
 			if i%3 == 0 {
 				f.engine.Run()
 			}
 		}
-		drain(f)
+		f.engine.Run()
 		f.nw.Sync()
-		return log, f.nw.Traffic.Total()
+		return log, f.nw.Traffic.Total(), f.nw.Bounced
 	}
 
 	off := DefaultConfig()
 	off.Bounce = true
-	logOff, trafficOff := run(off)
-	logZero, trafficZero := run(lossyCfg(&Faults{}))
-	if trafficOff != trafficZero {
-		t.Fatalf("zero plan changed the traffic metric: %d vs %d", trafficZero, trafficOff)
+	logOff, trafficOff, bouncedOff := run(off)
+	logZero, trafficZero, bouncedZero := run(lossyCfg(&Faults{}))
+	if bouncedOff == 0 {
+		t.Fatal("no message was in flight to a crashed receiver; the churn has no teeth")
+	}
+	if trafficOff != trafficZero || bouncedOff != bouncedZero {
+		t.Fatalf("zero plan changed the traffic metric or the bounces: %d/%d vs %d/%d",
+			trafficZero, bouncedZero, trafficOff, bouncedOff)
 	}
 	if len(logOff) != len(logZero) {
 		t.Fatalf("zero plan changed delivery count: %d vs %d", len(logZero), len(logOff))
@@ -265,166 +269,66 @@ func TestMaxDeltaCoversRetransmits(t *testing.T) {
 	}
 }
 
-// nextRetransmitScan is NextRetransmit by definition: the scan over
-// every channel that ever spoke, which the busy sets replaced. Kept as
-// the test oracle.
-func nextRetransmitScan(nw *Network) (sim.Time, bool) {
-	var best sim.Time
-	found := false
-	for srcID, src := range nw.peers {
-		for dstID, tc := range src.rel.tx {
-			var rx *rxChan
-			if dst, ok := nw.peers[dstID]; ok {
-				rx = dst.rel.rx[srcID]
-			}
-			for seq, e := range tc.unacked {
-				if rx != nil && rx.dedup.Seen(seq) {
-					continue
-				}
-				if !found || e.deadline < best {
-					best, found = e.deadline, true
-				}
-			}
-		}
+// TestAddPartitionRejectsInFlight: the attempts of a message in flight
+// were drawn when it was sent, so a partition added while it travels
+// would not apply to it. AddPartition refuses, saying why; once the
+// network is quiescent the same call succeeds.
+func TestAddPartitionRejectsInFlight(t *testing.T) {
+	f := newFixture(t, 16, lossyCfg(&Faults{}))
+	from, to := f.nodes[0], f.nodes[8]
+	f.nw.SendDirect(from, to.ID(), keyedMsg{key: to.ID(), body: "in flight"})
+	p := Partition{Start: f.engine.Now() + 10, End: f.engine.Now() + 50, Side: map[id.ID]bool{from.ID(): true}}
+	err := f.nw.AddPartition(p)
+	if err == nil || !strings.Contains(err.Error(), "quiescent") {
+		t.Fatalf("AddPartition with a message in flight: error %v, want one naming the quiescence rule", err)
 	}
-	return best, found
-}
-
-// checkBusySets asserts that NextRetransmit answers as the full scan
-// does and that a channel is in its sender's busy set exactly while it
-// retains something.
-func checkBusySets(t *testing.T, nw *Network, label string) {
-	t.Helper()
-	got, gok := nw.NextRetransmit()
-	want, wok := nextRetransmitScan(nw)
-	if got != want || gok != wok {
-		t.Fatalf("%s at %d: NextRetransmit = (%d, %v), full scan = (%d, %v)", label, nw.Engine.Now(), got, gok, want, wok)
-	}
-	for src, p := range nw.peers {
-		rn := p.rel
-		for dst, tc := range rn.tx {
-			if _, busy := rn.busy[dst]; busy != (len(tc.unacked) > 0) {
-				t.Fatalf("%s at %d: channel %s→%s busy=%v with %d unacked", label, nw.Engine.Now(), src, dst, busy, len(tc.unacked))
-			}
-		}
-		for dst, tc := range rn.busy {
-			if rn.tx[dst] != tc {
-				t.Fatalf("%s: busy set of %s holds a channel to %s that tx does not", label, src, dst)
-			}
-		}
+	f.engine.Run()
+	if err := f.nw.AddPartition(p); err != nil {
+		t.Fatalf("AddPartition on a quiescent network: %v", err)
 	}
 }
 
-// TestNextRetransmitMatchesFullScan drives three fault scenarios — the
-// lossy plan, a partition window that outlasts a backoff ladder, and a
-// receiver that crashes mid-stream so escalation must re-route or
-// abandon — one event at a time (one tick at a time on the parallel
-// engine, which has no finer step) and checks the busy-set bookkeeping
-// against the full scan after every one. Once the clock has been driven
-// past every pending timer and ack, no channel retains anything.
-func TestNextRetransmitMatchesFullScan(t *testing.T) {
-	short := Faults{RTO: 4, MaxRetries: 3} // a ladder of ~70 ticks
-	scenarios := []struct {
-		name  string
-		plan  Faults
-		setup func(f *fixture)           // before the stream
-		mid   func(f *fixture, wave int) // between waves
-	}{
-		{name: "lossy", plan: Faults{DropProb: 0.10, DupProb: 0.05, SpikeProb: 0.05, SpikeMax: 4}},
-		{name: "partition", plan: short, setup: func(f *fixture) {
-			side := make(map[id.ID]bool)
-			for _, n := range f.nodes[:len(f.nodes)/2] {
-				side[n.ID()] = true
-			}
-			if err := f.nw.AddPartition(Partition{Start: 3, End: 300, Side: side}); err != nil {
-				panic(err)
-			}
-		}},
-		{name: "crash", plan: short, mid: func(f *fixture, wave int) {
-			if wave != 3 {
-				return
-			}
-			victim := f.nodes[5]
-			// Unkeyed payloads to the victim cannot re-route: they run
-			// every ladder and are abandoned.
-			f.nw.SendDirect(f.nodes[1], victim.ID(), "unkeyed")
-			f.nw.SendDirect(f.nodes[2], victim.ID(), "unkeyed")
-			f.ring.Fail(victim)
-			f.nw.Detach(victim)
-		}},
+// TestCrashedReceiverBouncesOnArrival: messages whose ladders are still
+// being drawn out when their receiver crashes reach the key's new owner
+// exactly once, through the ordinary bounce path.
+func TestCrashedReceiverBouncesOnArrival(t *testing.T) {
+	f := newFixture(t, 16, lossyCfg(&Faults{DropProb: 0.5}))
+	from, victim := f.nodes[0], f.nodes[8]
+	const sends = 40
+	for i := 0; i < sends; i++ {
+		f.nw.SendDirect(from, victim.ID(), keyedMsg{key: victim.ID(), body: "bounce"})
 	}
-	var retransmits, bounced, abandoned int64
-	for _, sc := range scenarios {
-		for _, workers := range []int{0, 2} {
-			for seed := int64(1); seed <= 20; seed++ {
-				label := fmt.Sprintf("%s/workers=%d/seed=%d", sc.name, workers, seed)
-				plan := sc.plan // AddPartition appends to the plan the network was given
-				f := &fixture{ring: chord.NewRing(), engine: sim.NewEngine(seed)}
-				if workers > 0 {
-					f.engine.SetWorkers(workers)
-				}
-				rng := sim.NewRNG(seed, 0, 0)
-				for f.ring.Size() < 24 {
-					_, _ = f.ring.Join(id.ID(rng.Uint64())) // a taken identifier draws again
-				}
-				f.ring.BuildPerfect()
-				f.nw = MustNetwork(f.ring, f.engine, lossyCfg(&plan))
-				f.nodes = f.ring.Nodes()
-				for _, n := range f.nodes {
-					f.nw.Attach(n, HandlerFunc(func(sim.Time, Message) {}))
-				}
-				// step makes the smallest progress the engine supports and
-				// reports whether there was any to make.
-				step := func() bool {
-					if workers == 0 {
-						return f.engine.Step()
-					}
-					if f.engine.Pending() == 0 {
-						return false
-					}
-					f.engine.RunUntil(f.engine.Now() + 1)
-					return true
-				}
-				if sc.setup != nil {
-					sc.setup(f)
-				}
-				for wave := 0; wave < 8; wave++ {
-					for i := 0; i < 12; i++ {
-						from := f.nodes[rng.Intn(len(f.nodes))]
-						if !from.Alive() {
-							continue
-						}
-						key := id.ID(rng.Uint64())
-						f.nw.Send(from, key, keyedMsg{key: key, body: "m"})
-						checkBusySets(t, f.nw, label)
-					}
-					if sc.mid != nil {
-						sc.mid(f, wave)
-					}
-					for i := 0; i < 6 && step(); i++ {
-						checkBusySets(t, f.nw, label)
-					}
-				}
-				for step() {
-					checkBusySets(t, f.nw, label)
-				}
-				for src, p := range f.nw.peers {
-					if len(p.rel.busy) != 0 {
-						t.Fatalf("%s: %s still has %d busy channels with the event heap empty", label, src, len(p.rel.busy))
-					}
-				}
-				f.nw.Sync()
-				retransmits += f.nw.Retransmits
-				bounced += f.nw.Bounced
-				abandoned += f.nw.Abandoned
-				if sc.name != "crash" && f.nw.Abandoned != 0 {
-					t.Fatalf("%s: %d messages abandoned", label, f.nw.Abandoned)
-				}
-			}
-		}
+	f.ring.Fail(victim)
+	f.nw.Detach(victim)
+	f.engine.Run()
+	f.nw.Sync()
+	heir := f.ring.Owner(victim.ID())
+	if got := len(f.received[heir.ID()]); got != sends || f.nw.Bounced != sends {
+		t.Fatalf("heir received %d, %d bounced; want %d each", got, f.nw.Bounced, sends)
 	}
-	if retransmits == 0 || bounced == 0 || abandoned == 0 {
-		t.Fatalf("scenarios too weak: %d retransmits, %d re-routed, %d abandoned", retransmits, bounced, abandoned)
+	if f.nw.Retransmits == 0 {
+		t.Fatal("no retransmission was drawn; the plan has no teeth")
+	}
+}
+
+// TestDropEverythingAbandons: a plan that loses every transmission
+// still terminates — the draw loop gives up after relMaxLadders
+// restarts of a full ladder — and charges exactly that many attempts.
+func TestDropEverythingAbandons(t *testing.T) {
+	f := newFixture(t, 16, lossyCfg(&Faults{DropProb: 1, MaxRetries: 3}))
+	const sends = 10
+	for i := 0; i < sends; i++ {
+		f.nw.SendDirect(f.nodes[0], f.nodes[5].ID(), keyedMsg{key: f.nodes[5].ID(), body: "lost"})
+	}
+	f.engine.Run()
+	f.nw.Sync()
+	attempts := int64((relMaxLadders + 1) * (3 + 1))
+	if f.nw.Abandoned != sends || f.nw.Dropped != sends*attempts || f.nw.Retransmits != sends*(attempts-1) {
+		t.Fatalf("abandoned %d, dropped %d, retransmits %d; want %d, %d, %d",
+			f.nw.Abandoned, f.nw.Dropped, f.nw.Retransmits, sends, sends*attempts, sends*(attempts-1))
+	}
+	if n := len(f.received[f.nodes[5].ID()]); n != 0 || f.engine.PendingForeground() != 0 {
+		t.Fatalf("%d delivered, %d events pending; want nothing", n, f.engine.PendingForeground())
 	}
 }
 

@@ -15,7 +15,7 @@
 //
 // Everything the network keeps for one ring identifier lives in one
 // peer record — handler, scheduling shard, accounting lane, hop-delay
-// stream, batching outbox and (under Faults) reliable-channel state —
+// stream, batching outbox and (under Faults) fault stream and ack windows —
 // and every operation resolves the acting node's record once and counts
 // through its lane: traffic charges, the active traffic tag, the integer
 // totals and the lookup scratch buffers. Lane 0 is the aggregate itself
@@ -90,10 +90,11 @@ type Config struct {
 	Bounce bool
 	// Faults switches the network to unreliable mode: transmissions are
 	// dropped, duplicated, delayed and partitioned per the plan, and
-	// every keyed or direct send runs over an end-to-end reliable
-	// channel that masks the injected faults (see faults.go). Requires
-	// Bounce — retransmit-ladder exhaustion escalates into the bounce
-	// path. Nil keeps the exact reliable-network behavior.
+	// every keyed or direct send is masked by a retransmission ladder
+	// drawn at send time (see faults.go). Requires Bounce — a ladder can
+	// hold a message well past its receiver's departure, and the bounce
+	// path is what carries it on to the key's new owner. Nil keeps the
+	// exact reliable-network behavior.
 	Faults *Faults
 	// Obs, when non-nil, receives a record for the transport-level
 	// activity the core layer cannot see: every routed send, hop and
@@ -131,17 +132,18 @@ type totals struct {
 	// overhead from these counters explicitly.
 	//
 	// Dropped counts transmissions lost to the fault plan — drop draws
-	// and partition windows, payload envelopes and acks alike.
+	// and partition windows.
 	Dropped int64
-	// Duplicated counts injected duplicate copies (all suppressed by
-	// receiver-side dedup).
+	// Duplicated counts injected duplicate copies (charged, not
+	// delivered: receiver-side dedup would absorb them).
 	Duplicated int64
-	// Retransmits counts retransmitted payload envelopes.
+	// Retransmits counts retransmitted attempts.
 	Retransmits int64
-	// AckMessages counts coalesced acknowledgment messages emitted.
+	// AckMessages counts coalesced acknowledgments: one per (receiver,
+	// sender) ack window with a delivery in it.
 	AckMessages int64
 	// Abandoned counts messages given up on after exhausting every
-	// escalation round — zero in any run the exactness guarantees cover.
+	// retransmit ladder — zero in any run the exactness guarantees cover.
 	Abandoned int64
 }
 
@@ -194,7 +196,7 @@ func (l *lane) charge(node id.ID, n int64) {
 }
 
 // peer is everything the network keeps for one ring identifier. shard,
-// l, rng and rel derive from the identifier and never change; h is set
+// l, rng and frng derive from the identifier and never change; h is set
 // and cleared by Attach and Detach. Records are never deleted: a
 // departed node's in-flight messages still bounce through its record,
 // drawing from its stream and counting in its lane.
@@ -204,7 +206,10 @@ type peer struct {
 	l     *lane    // accounting lane of that shard
 	rng   *sim.RNG // hop-delay stream; nil on a serial network (the engine's shared source draws)
 	ob    outbox   // keyed messages buffered until the batch window closes
-	rel   *relNode // reliable-channel state; nil unless Config.Faults
+	frng  *sim.RNG // fault stream; nil unless Config.Faults
+	// ackEnd is, per receiver, the end of the open ack-coalescing window
+	// of this node's deliveries there; nil unless Config.Faults.
+	ackEnd map[id.ID]sim.Time
 }
 
 // Network binds a Chord ring to the event engine and implements the
@@ -219,7 +224,7 @@ type Network struct {
 	peers map[id.ID]*peer
 	lanes []lane // lanes[0] is the aggregate; lanes[s+1] belongs to shard s
 
-	rel *relState // reliable-channel parameters; nil when Faults is nil
+	ladder *ladder // resolved retransmission timing; nil when Faults is nil
 
 	obs *obs.Recorder // Config.Obs; nil unless observability is on
 }
@@ -310,8 +315,9 @@ func (nw *Network) newPeer(n id.ID) *peer {
 	if nw.Engine.Workers() > 0 {
 		p.rng = sim.NewRNG(nw.Engine.Seed(), uint64(n), 0x0e7a)
 	}
-	if nw.rel != nil {
-		p.rel = nw.newRelNode(n)
+	if nw.ladder != nil {
+		p.frng = sim.NewRNG(nw.Engine.Seed(), uint64(n), faultSalt)
+		p.ackEnd = make(map[id.ID]sim.Time)
 	}
 	nw.peers[n] = p
 	return p
@@ -326,14 +332,9 @@ func (nw *Network) Attach(n *chord.Node, h Handler) { nw.peerFor(n.ID()).h = h }
 
 // Detach removes a node's handler. The rest of the record outlives it,
 // so messages bounced off a departed node still draw deterministically.
-// Under Faults the node's senders stop retaining what it has received
-// (see settle).
 func (nw *Network) Detach(n *chord.Node) {
 	if p, ok := nw.peers[n.ID()]; ok {
 		p.h = nil
-		if p.rel != nil {
-			nw.settle(p, n.ID())
-		}
 	}
 }
 
@@ -403,7 +404,7 @@ func deliverEvent(now sim.Time, c sim.Ctx) {
 }
 
 // handOver gives a delivered message to its recipient's handler: the
-// end of every delivery, plain or reliable.
+// end of every delivery.
 func (nw *Network) handOver(p *peer, owner *chord.Node, now sim.Time, msg Message) {
 	p.l.tot.Delivered++
 	if ob := nw.obs; ob != nil {
@@ -453,10 +454,11 @@ func (nw *Network) deliver(p *peer, owner *chord.Node, delay int64, msg Message)
 }
 
 // deliverFrom is deliver with a known sender: in unreliable mode a
-// remote delivery runs over the (from → owner) reliable channel;
-// node-local deliveries and reliable networks take the plain path.
+// remote delivery draws its fate from the sender's fault stream first
+// (sendReliable); node-local deliveries and reliable networks take the
+// plain path.
 func (nw *Network) deliverFrom(p *peer, from, owner *chord.Node, delay int64, msg Message) {
-	if nw.Lossy() && owner != from {
+	if nw.ladder != nil && owner != from {
 		nw.sendReliable(p, from, owner, delay, msg)
 		return
 	}
@@ -710,8 +712,8 @@ func (nw *Network) multiSendNow(p *peer, from *chord.Node, msgs []Message, keys 
 	for _, lg := range legs {
 		owner, delay := nw.route(p, cur, lg.key)
 		accumulated += delay
-		// The reliable channel is end-to-end: the origin retains and
-		// retransmits, even for legs forwarded along the ring.
+		// Retransmission is end-to-end: the origin's fault stream draws
+		// the ladder, even for legs forwarded along the ring.
 		nw.deliverFrom(p, from, owner, accumulated, lg.msg)
 		cur = owner
 	}
@@ -754,9 +756,9 @@ func (nw *Network) MaxDelta() int64 {
 			// plus a retransmit hop), repeated for every escalation
 			// round, plus the longest partition outage it rode out and a
 			// delay spike per hop.
-			ladder := int64(0)
-			for k := 0; k <= nw.rel.maxRetries; k++ {
-				ladder += nw.rel.rto<<k + nw.rel.rto/2 + nw.cfg.MaxHopDelay + f.SpikeMax
+			rungs := int64(0)
+			for k := 0; k <= nw.ladder.maxRetries; k++ {
+				rungs += nw.ladder.rto<<k + nw.ladder.rto/2 + nw.cfg.MaxHopDelay + f.SpikeMax
 			}
 			var outage int64
 			for _, p := range f.Partitions {
@@ -764,7 +766,7 @@ func (nw *Network) MaxDelta() int64 {
 					outage = span
 				}
 			}
-			delta += int64(relMaxLadders+1)*ladder + outage
+			delta += int64(relMaxLadders+1)*rungs + outage
 		}
 	}
 	return delta

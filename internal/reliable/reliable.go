@@ -1,15 +1,17 @@
 // Package reliable implements the sequence-number bookkeeping of a
 // channel that must pass each message exactly once over a transport
-// that drops, duplicates and reorders: Dedup, the unordered duplicate
-// filter behind the overlay's end-to-end reliable channels
-// (internal/overlay/faults.go).
+// that drops, duplicates and reorders: Dedup, an unordered duplicate
+// filter, and Inbox, an ordered, generation-versioned batch stream.
 //
-// Inbox — an ordered, generation-versioned batch stream — has had no
-// caller in the engine since replica mirrors became synchronous
-// (internal/core/replicate.go). It is kept, with its tests, only because
-// the frozen perfbench/layers.go still times Offer for
-// reliable.inbox_offer_ns; it goes when perfbench is unfrozen (ROADMAP
-// item 2(f)).
+// Nothing in the engine calls it. Replica mirrors stopped using Inbox
+// when they became synchronous (internal/core/replicate.go), and the
+// overlay stopped using Dedup when its fault layer began drawing each
+// send's retransmission ladder at send time (internal/overlay/faults.go);
+// the type docs below describe the channels they served. The package is
+// kept, with its tests, only because the frozen perfbench/layers.go
+// still times Dedup.Mark and Inbox.Offer (reliable.dedup_mark_ns,
+// reliable.inbox_offer_ns); it goes when perfbench is unfrozen (ROADMAP
+// item 1(f)).
 package reliable
 
 // Delivery is one batch released by an Inbox for application, in order.

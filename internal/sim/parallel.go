@@ -78,12 +78,11 @@ type bufEv struct {
 // parState is the engine's parallel-mode state; zero and inert on a
 // serial engine.
 type parState struct {
-	workers   int         // 0 = serial engine
-	heaps     []eventHeap // one per logical shard
-	bufs      [][]bufEv   // deferred schedules, indexed by source shard
-	firedSh   []uint64    // events executed per shard this sub-round
-	firedFgSh []uint64    // foreground events among them (bg timers excluded)
-	inRound   bool        // workers are (possibly) running
+	workers int         // 0 = serial engine
+	heaps   []eventHeap // one per logical shard
+	bufs    [][]bufEv   // deferred schedules, indexed by source shard
+	firedSh []uint64    // events executed per shard this sub-round
+	inRound bool        // workers are (possibly) running
 
 	roundTime   Time
 	roundShards []int32
@@ -110,7 +109,6 @@ func (e *Engine) SetWorkers(n int) {
 		e.par.heaps = make([]eventHeap, Shards)
 		e.par.bufs = make([][]bufEv, Shards)
 		e.par.firedSh = make([]uint64, Shards)
-		e.par.firedFgSh = make([]uint64, Shards)
 	}
 }
 
@@ -120,7 +118,8 @@ func (e *Engine) Workers() int { return e.par.workers }
 // scheduleShard routes a sharded event. From worker context (inside a
 // sub-round) the event is buffered on its source shard and receives its
 // sequence number at the barrier merge; from coordinator context it is
-// pushed directly, exactly like a serial schedule.
+// pushed directly, exactly like a serial schedule. Events addressed to
+// an entity are always foreground.
 func (e *Engine) scheduleShard(t Time, ev event, src, dst int) {
 	if t < e.now {
 		t = e.now
@@ -134,9 +133,7 @@ func (e *Engine) scheduleShard(t Time, ev event, src, dst int) {
 	}
 	e.seq++
 	ev.seq = e.seq
-	if !ev.bg {
-		e.fg++
-	}
+	e.fg++
 	e.heapFor(dst).push(ev)
 }
 
@@ -168,13 +165,10 @@ func (e *Engine) nextTime() (Time, bool) {
 // duration of the sub-round) or inline by the coordinator.
 func (e *Engine) execShard(s int, t Time) {
 	h := &e.par.heaps[s]
-	var n, nFg uint64
+	var n uint64
 	for len(*h) > 0 && (*h)[0].at == t {
 		ev := h.pop()
 		n++
-		if !ev.bg {
-			nFg++
-		}
 		if ev.fn != nil {
 			ev.fn(t)
 		} else {
@@ -182,7 +176,6 @@ func (e *Engine) execShard(s int, t Time) {
 		}
 	}
 	e.par.firedSh[s] += n
-	e.par.firedFgSh[s] += nFg
 }
 
 // mergeRound folds the sub-round's results back into the engine at the
@@ -191,27 +184,23 @@ func (e *Engine) execShard(s int, t Time) {
 // shard), each receiving the next global sequence number.
 func (e *Engine) mergeRound() {
 	p := &e.par
-	var executed, executedFg uint64
+	var executed uint64
 	for s := 0; s < Shards; s++ {
 		executed += p.firedSh[s]
-		executedFg += p.firedFgSh[s]
 		p.firedSh[s] = 0
-		p.firedFgSh[s] = 0
 		buf := p.bufs[s]
 		for i := range buf {
 			ev := buf[i].ev
 			e.seq++
 			ev.seq = e.seq
-			if !ev.bg {
-				e.fg++
-			}
+			e.fg++
 			e.heapFor(int(buf[i].dst)).push(ev)
 			buf[i] = bufEv{} // release payload references
 		}
 		p.bufs[s] = buf[:0]
 	}
 	e.fired += executed
-	e.fg -= int(executedFg) // bg timers on shard heaps don't count as work
+	e.fg -= int(executed)
 }
 
 // runParallel is the parallel drain loop behind Run (untilFg=true) and

@@ -4,8 +4,8 @@
 // is an integer tick counter, every scheduled event carries a virtual
 // timestamp, and events fire in (time, sequence) order so that a given
 // seed reproduces an experiment exactly. Within one tick the events
-// addressed to an entity (AtCtxShard and its variants: deliveries,
-// flushes, timers) fire after the tick's global ones (At, AtBg, Every:
+// addressed to an entity (AtCtxShard and AfterCtxShard: deliveries,
+// flushes) fire after the tick's global ones (At, AtBg, Every:
 // driver callbacks, churn draws, maintenance) — the order the parallel
 // schedule's sub-round has always had, so a membership change and a
 // delivery that fall on one tick run the same way round on both engines.
@@ -223,25 +223,6 @@ func (e *Engine) AtCtxShard(t Time, cb CtxFunc, c Ctx, src, dst int) {
 // AfterCtxShard schedules cb d ticks from now; see AtCtxShard.
 func (e *Engine) AfterCtxShard(d Duration, cb CtxFunc, c Ctx, src, dst int) {
 	e.AtCtxShard(e.now+Time(d), cb, c, src, dst)
-}
-
-// AtCtxShardBg is AtCtxShard with a background occurrence: the event
-// fires in order on its destination shard when the clock passes t, but a
-// pending occurrence does not keep Run alive. The overlay's retransmit
-// timers use this — a timer guarding an already-acknowledged message
-// must not stall quiescence detection (the engine's drain loop advances
-// the clock explicitly when unacknowledged channel entries remain).
-func (e *Engine) AtCtxShardBg(t Time, cb CtxFunc, c Ctx, src, dst int) {
-	if e.par.workers == 0 {
-		e.schedule(t, event{cb: cb, ctx: c, bg: true, seq: entity})
-		return
-	}
-	e.scheduleShard(t, event{cb: cb, ctx: c, bg: true}, src, dst)
-}
-
-// AfterCtxShardBg schedules cb d ticks from now; see AtCtxShardBg.
-func (e *Engine) AfterCtxShardBg(d Duration, cb CtxFunc, c Ctx, src, dst int) {
-	e.AtCtxShardBg(e.now+Time(d), cb, c, src, dst)
 }
 
 // Step executes the single next event, if any, and reports whether one

@@ -167,13 +167,14 @@ type Options struct {
 	Churn ChurnOptions
 	// Faults switches the overlay into unreliable-network mode:
 	// per-message drop and duplication draws, delay spikes and
-	// scheduled partitions, with every keyed send running over a
-	// sequence-numbered reliable channel (acks, retransmits with
-	// exponential backoff, receiver-side dedup). nil — the default —
-	// keeps the reliable overlay bit-identical to previous releases.
-	// All fault randomness comes from dedicated per-node streams, so a
-	// plan with all rates zero and no partitions also replays the
-	// faults-off schedule exactly. Combine with ReplicationFactor >= 2
+	// scheduled partitions, masked end to end: each send's
+	// retransmission ladder (exponential backoff with jitter) is drawn
+	// when it is sent, and the message is delivered once, when its
+	// first surviving attempt arrives. nil — the default — keeps the
+	// reliable overlay bit-identical to previous releases. All fault
+	// randomness comes from dedicated per-node streams, so a plan with
+	// all rates zero and no partitions also replays the faults-off
+	// schedule exactly, churn included. Combine with ReplicationFactor >= 2
 	// to keep answers exact when partitions overlap crashes.
 	Faults *FaultOptions
 	// Trace enables the deterministic causal tracer: every tuple's
@@ -244,13 +245,13 @@ type MetricsOptions struct {
 // Options.Faults. Probabilities are per transmission (retransmissions
 // draw afresh) and must lie in [0, 1]; timers are in virtual ticks.
 type FaultOptions struct {
-	// DropProb is the probability one transmission is lost. The
-	// reliable channel retransmits until the message is acknowledged,
-	// so delivered answers stay exact; only latency and traffic change.
+	// DropProb is the probability one transmission is lost. A lost
+	// transmission is retransmitted until one gets through, so
+	// delivered answers stay exact; only latency and traffic change.
 	DropProb float64
-	// DupProb is the probability one transmission is delivered twice.
-	// Receiver-side dedup suppresses the copy before it reaches the
-	// join processor.
+	// DupProb is the probability a delivered transmission is
+	// duplicated. The copy is charged to Stats.Duplicated, not
+	// delivered: receiver-side dedup would absorb it.
 	DupProb float64
 	// SpikeProb is the probability one transmission's delay is
 	// inflated by a uniform draw from [0, SpikeMax] extra ticks.
@@ -261,12 +262,16 @@ type FaultOptions struct {
 	// retransmitted after it heals).
 	Partitions []FaultPartition
 	// RTO is the base retransmit timeout; 0 derives a safe bound from
-	// the delay model. Retry k waits RTO<<k plus deterministic jitter.
+	// the delay model. Retry k of a lost transmission leaves
+	// RTO<<(k-1), plus deterministic jitter from the second retry on,
+	// after the previous attempt's hop.
 	RTO int64
-	// MaxRetries bounds one backoff ladder before the sender
-	// re-resolves the destination key and re-routes; 0 means 6.
+	// MaxRetries is the length of one backoff ladder, after which the
+	// ladder restarts (a bounded number of times); 0 means 6.
 	MaxRetries int
-	// AckDelay is the ack-coalescing window; 0 means 2 ticks.
+	// AckDelay is the ack-coalescing window: deliveries from one sender
+	// reaching one receiver within it are charged one ack. 0 means 2
+	// ticks.
 	AckDelay int64
 }
 
@@ -388,10 +393,10 @@ type Stats struct {
 
 	// Unreliable-network accounting (Options.Faults). Dropped and
 	// Duplicated count injected transmission faults; Retransmits counts
-	// timer-driven resends and AckMessages the standalone (non
-	// piggybacked) acknowledgements. Abandoned counts reliable sends
-	// given up after exhausting every escalation ladder — zero in any
-	// healthy run. None of these are included in Messages: the traffic
+	// resends of lost transmissions and AckMessages the coalesced
+	// acknowledgements (one per sender, receiver and AckDelay window).
+	// Abandoned counts sends given up after exhausting every
+	// retransmission ladder — zero in any healthy run. None of these are included in Messages: the traffic
 	// metric stays comparable with reliable-mode runs, and the ack/
 	// retransmit overhead is measured separately. All zero with Faults
 	// nil.
@@ -601,9 +606,9 @@ func NewNetwork(opts Options) (*Network, error) {
 		Obs:            rec,
 		// With bouncing on, messages in flight to a node that departs
 		// re-route to the key's new owner. On a static ring it never
-		// fires, so enabling it unconditionally costs nothing. The
-		// reliable channel's retransmit escalation also re-routes
-		// through this path, so Faults requires it.
+		// fires, so enabling it unconditionally costs nothing. A
+		// retransmission ladder can hold a message past its receiver's
+		// departure, so Faults requires it.
 		Bounce: true,
 	})
 	if err != nil {
