@@ -186,7 +186,10 @@ func explainWorkload(t testing.TB, opts Options) (uint64, []*ExplainReport) {
 // baseline. Profiler attribution runs on per-shard cells merged at
 // barriers; any scheduling dependence would move this digest.
 func TestExplainDigestWorkerInvariant(t *testing.T) {
-	const goldenExplain = uint64(0xad703209a5dfa882)
+	// Re-pinned when windowed rewrites started to leave at the first
+	// quiescent Run past their window: only the tumbling query's state
+	// figures moved.
+	const goldenExplain = uint64(0x8af051f6fb0e9b64)
 	var pinned uint64
 	for wi, w := range []int{1, 2, 4, 8} {
 		d, reports := explainWorkload(t, Options{Nodes: 96, Seed: 42, Workers: w})

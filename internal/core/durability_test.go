@@ -723,13 +723,15 @@ func TestMoveNodeKeepsStateAtOwners(t *testing.T) {
 	}
 }
 
-// TestPrunedALTTEntryExpiresOnce: an ALTT entry expires once. Its holder
-// prunes it after Δ, counting it in ALTTExpired, and then crashes under
-// rf 2; the promotion must not count the pruned entry a second time.
+// TestPrunedALTTEntryExpiresOnce: an ALTT entry expires once. The first
+// quiescent Run past Δ drops it from its holder, counting it in
+// ALTTExpired, and then the holder crashes under rf 2; the promotion must
+// not count the dropped entry a second time.
 func TestPrunedALTTEntryExpiresOnce(t *testing.T) {
 	eng, nodes := testNet(t, 8, 1, replCfg(2), churnNetCfg())
 	eng.PublishTuple(nodes[0], mkTuple("R", 1, 2, 3)) // one entry per attribute key
 	eng.Run()
+	_, _, entries := eng.StoredState()
 	// A holder of exactly one ALTT entry that stores a tuple too, so that
 	// its crash promotes.
 	var holder *Proc
@@ -748,8 +750,9 @@ func TestPrunedALTTEntryExpiresOnce(t *testing.T) {
 		key = k
 	}
 	eng.RunUntil(eng.Sim().Now() + sim.Time(eng.Delta()) + 1)
-	if live := holder.alttScan(key, eng.Sim().Now()); len(live) != 0 || eng.Counters.ALTTExpired != 1 {
-		t.Fatalf("pruning after Δ left %d entries live and counted %d expired, want 0 and 1", len(live), eng.Counters.ALTTExpired)
+	eng.Run()
+	if live := holder.st.altt[key]; len(live) != 0 || eng.Counters.ALTTExpired != int64(entries) {
+		t.Fatalf("the drain past Δ left %d entries live and counted %d expired, want 0 and %d", len(live), eng.Counters.ALTTExpired, entries)
 	}
 	if err := eng.CrashNode(holder.node); err != nil {
 		t.Fatal(err)
@@ -758,8 +761,8 @@ func TestPrunedALTTEntryExpiresOnce(t *testing.T) {
 	if eng.Counters.ReplPromotions != 1 {
 		t.Fatalf("the holder's crash promoted %d times, want 1", eng.Counters.ReplPromotions)
 	}
-	if got := eng.Counters.ALTTExpired; got != 1 {
-		t.Fatalf("one ALTT entry expired, counted %d times", got)
+	if got := eng.Counters.ALTTExpired; got != int64(entries) {
+		t.Fatalf("%d ALTT entries expired, counted %d times", entries, got)
 	}
 }
 

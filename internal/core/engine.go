@@ -165,6 +165,11 @@ type Engine struct {
 	pubSeq   int64
 	queryCnt int64
 
+	// horizon is what the last quiescent Run saw (see state.go): only
+	// drainExpired advances it, since RunUntil may stop with tuples in
+	// flight.
+	horizon horizon
+
 	// obs caches Cfg.Obs for direct hot-path access. Nil unless
 	// observability is enabled; every hook site nil-guards before
 	// building a record, so the disabled path costs one predictable
@@ -188,6 +193,12 @@ type acctSlot struct {
 	qpl *metrics.Load
 	sl  *metrics.Load
 	req int64 // pending-placement ids issued from this slot (see Proc.nextReqID)
+
+	// due names, per clock, the slot's nodes with a death filed, each under
+	// a value no later than its earliest (state.register): written by the
+	// slot's own handlers and by coordinator-context moves, drained by
+	// drainExpired.
+	due [numClocks]wheel[*Proc]
 }
 
 // NewEngine attaches an RJoin processor to every node of the ring. The
@@ -425,13 +436,34 @@ func (e *Engine) Sync() {
 // immediately and Run behaves exactly as before aggregation existed.
 // In unreliable-network mode a retransmitted message is one foreground
 // delivery at its surviving attempt's arrival, so it is drained like
-// any other.
+// any other. At every quiescent point the stored entries no tuple still
+// to arrive can reach are dropped (drainExpired).
 func (e *Engine) Run() {
 	for {
 		e.sim.Run()
+		e.drainExpired()
 		e.Sync()
 		if !e.flushAggregates() {
 			break
+		}
+	}
+}
+
+// drainExpired is the death wheels' drain. Nothing is in flight, so it
+// records the horizon — every tuple still to arrive is published later —
+// and every node the slots' due wheels name under a value the horizon
+// passed drops the windowed rewrites and ALTT entries that died. The
+// work is the entries due, never a scan over nodes or entries.
+func (e *Engine) drainExpired() {
+	e.horizon = horizon{e.pubSeq + 1, int64(e.sim.Now())}
+	for i := range e.slots {
+		due := &e.slots[i].due
+		for c := range due {
+			due[c].drain(e.horizon[c], func(p *Proc) {
+				if p.node.Alive() { // a departed node stays filed
+					p.expire(e.horizon)
+				}
+			})
 		}
 	}
 }
@@ -456,21 +488,18 @@ func (e *Engine) ResetMetrics() {
 	e.resetLatency()
 }
 
-// SweepALTT prunes expired ALTT entries on every node. Expiry is
-// otherwise lazy (entries are checked when their key is touched); the
-// harness calls this between measurement points to keep memory bounded.
-func (e *Engine) SweepALTT() {
-	now := e.sim.Now()
-	for _, p := range e.procs {
-		for key := range p.st.altt {
-			p.alttScan(key, now)
-		}
-	}
-}
+// SweepALTT does nothing: a lapsed ALTT entry leaves at the first
+// quiescent Run past its expiry, like every entry with a death. It is
+// kept for callers that still sweep, perfbench among them.
+func (e *Engine) SweepALTT() {}
 
-// StoredState reports the total live stored queries and tuples across
-// the network (instantaneous occupancy, unlike the cumulative SL
-// metric). Used by window tests to show state stays bounded.
+// StoredState reports the stored queries, value-level tuples and ALTT
+// entries held across the network (instantaneous occupancy, unlike the
+// cumulative SL metric). After a Run none of the queries is a windowed
+// rewrite past its window and none of the ALTT entries is past Δ: those
+// leave at every quiescent Run (DeadState). Stored tuples have no death
+// yet; only Config.TupleGC collects them, so tuples no window can reach
+// any more still count.
 func (e *Engine) StoredState() (queries, tuples, altt int) {
 	for _, p := range e.procs {
 		c := p.st.counts()
@@ -479,4 +508,28 @@ func (e *Engine) StoredState() (queries, tuples, altt int) {
 		altt += c.altt
 	}
 	return
+}
+
+// DeadState counts the stored entries no tuple still to arrive can
+// reach, by the horizon of the last quiescent Run: windowed rewrites past
+// their window and ALTT entries past Δ. Every quiescent Run drops them,
+// so it reads zero after one. A full scan, for tests and censuses.
+func (e *Engine) DeadState() (rewrites, altt int) {
+	for _, p := range e.procs {
+		for _, list := range p.st.queries {
+			for _, sq := range list {
+				if e.horizon.dead(sq.q) {
+					rewrites++
+				}
+			}
+		}
+		for _, list := range p.st.altt {
+			for _, en := range list {
+				if int64(en.expireAt) < e.horizon[clockTime] {
+					altt++
+				}
+			}
+		}
+	}
+	return rewrites, altt
 }

@@ -12,6 +12,9 @@ import (
 	"rjoin/internal/sqlparse"
 )
 
+// TestSweepALTTRemovesExpired: ALTT entries past Δ leave at the first
+// quiescent Run past it, each counted once, and not before — RunUntil
+// does not move the horizon. SweepALTT finds nothing left to do.
 func TestSweepALTTRemovesExpired(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Delta = 50
@@ -23,12 +26,16 @@ func TestSweepALTTRemovesExpired(t *testing.T) {
 		t.Fatal("no ALTT entries after publication")
 	}
 	eng.RunUntil(eng.Sim().Now() + 1000) // far past Delta
-	eng.SweepALTT()
-	if _, _, after := eng.StoredState(); after != 0 {
-		t.Fatalf("%d ALTT entries survive sweep past Delta", after)
+	if _, _, live := eng.StoredState(); live != altt {
+		t.Fatalf("RunUntil dropped %d of %d ALTT entries", altt-live, altt)
 	}
-	if eng.Counters.ALTTExpired == 0 {
-		t.Fatal("expiry not counted")
+	eng.Run()
+	if _, _, after := eng.StoredState(); after != 0 {
+		t.Fatalf("%d ALTT entries survive the first Run past Delta", after)
+	}
+	eng.SweepALTT()
+	if got := eng.Counters.ALTTExpired; got != int64(altt) {
+		t.Fatalf("%d ALTT entries expired, counted %d", altt, got)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"rjoin/internal/chord"
 	"rjoin/internal/id"
@@ -41,23 +42,29 @@ const (
 // ground-truth owners: a keyed entry at ring.Owner(key), a node-bound
 // one at to, where every placement walk restarts — the walk died with
 // its origin, or its reply is addressed to an identifier that is gone.
-// Entries of pipelines or subscriptions retired meanwhile are dropped.
-// The receivers count what they install, and to's replica group is
-// charged one batch per handover message — stateChunk entries — or one
-// for a whole promotion. It runs in coordinator context, after the
-// replica groups re-formed, so nothing in flight can observe a new
-// owner before its state.
+// Dead entries are neither billed nor installed (expired), and entries
+// of pipelines or subscriptions retired meanwhile are dropped. The
+// receivers count what they install, and to's replica group is charged
+// one batch per handover message — stateChunk entries — or one for a
+// whole promotion. It runs in coordinator context, after the replica
+// groups re-formed, so nothing in flight can observe a new owner before
+// its state.
 func (e *Engine) move(from, to *Proc, ops []stateOp, b bill) {
 	now := e.sim.Now()
+	ops = slices.DeleteFunc(ops, func(op stateOp) bool { return e.expired(op, to) })
 	if b == promotion {
 		to.ctr.ReplPromotions++
 	} else {
 		e.chargeHandover(from, len(ops))
 	}
 	for i, op := range ops {
+		retired := e.retiredOp(op)
+		if b == promotion && !retired {
+			e.promote(to, op)
+		}
 		switch {
-		case e.retiredOp(op) || b == promotion && !e.promote(to, op, now):
-			// torn down meanwhile, or lapsed: nothing to install
+		case retired:
+			// torn down meanwhile: nothing to install
 		case op.kind == opAddPending:
 			// Charged as churn traffic like the rest of membership: the
 			// walk is recovery work, not placement of new state.
@@ -74,6 +81,25 @@ func (e *Engine) move(from, to *Proc, ops []stateOp, b bill) {
 		}
 	}
 	to.replFlush()
+}
+
+// expired reports whether an entry leaving a node is dead and, if so,
+// counts it expired at p: no tuple still to arrive can reach it, so it
+// is neither moved nor lost. An ALTT entry is judged by the clock, which
+// is exact at any instant (every later scan skips it too); a windowed
+// rewrite only by the horizon, since tuples in flight may carry clocks
+// older than now.
+func (e *Engine) expired(op stateOp, p *Proc) bool {
+	switch {
+	case op.kind == opAddQuery && e.horizon.dead(op.sq.q):
+		p.ctr.QueriesExpired++
+		p.profStateDrop(e.sim.Now(), op.sq)
+	case op.kind == opAddALTT && op.expireAt < e.sim.Now():
+		p.ctr.ALTTExpired++
+	default:
+		return false
+	}
+	return true
 }
 
 // ownerOf resolves the processor a moved entry belongs to: the ring
@@ -143,8 +169,8 @@ func (e *Engine) JoinNode(nid id.ID) (*chord.Node, error) {
 // counted in the churn traffic share. Messages already in flight to the
 // departed node bounce to the same successor and find the state there,
 // so a graceful leave loses no state and duplicates no answers. The
-// exception is the last node: there is nobody to hand to, and its state
-// — pending placements included — is counted as lost.
+// exception is the last node: there is nobody to hand to, and its live
+// state — pending placements included — is counted as lost.
 func (e *Engine) LeaveNode(n *chord.Node) error {
 	p, ok := e.procs[n.ID()]
 	if !ok {
@@ -158,7 +184,7 @@ func (e *Engine) LeaveNode(n *chord.Node) error {
 	if o := e.ring.Owner(n.ID()); o != nil && e.procs[o.ID()] != nil {
 		e.move(p, e.procs[o.ID()], p.st.ops(classAll, nil), handover)
 	} else {
-		p.st.chargeLost(&e.Counters, e.retiredOp)
+		p.st.chargeLost(&e.Counters, func(op stateOp) bool { return e.retiredOp(op) || e.expired(op, p) })
 	}
 	return nil
 }
@@ -200,16 +226,16 @@ func (e *Engine) CrashNode(n *chord.Node) error {
 	// Without a promotion, input continuous queries the dead node was
 	// storing (lost) or still placing (rePlace) are recovered from their
 	// owner's side, in the state's deterministic order; everything else
-	// it held is counted lost. Under promotion the copy carries all of
-	// it — walks included, which restart at the promotee.
+	// it held and still lives is counted lost. Under promotion the copy
+	// carries all of it — walks included, which restart at the promotee.
 	var lost []*storedQuery
 	var rePlace []*query.Query
 	if promotee == nil {
 		p.st.each(classAll, nil, func(op stateOp) {
 			q := op.query()
 			switch {
-			case e.retiredOp(op):
-				// torn-down pipeline: nothing to recover or count
+			case e.retiredOp(op) || e.expired(op, p):
+				// torn-down pipeline or dead entry: nothing to recover or count
 			case q == nil || q.Depth > 0 || q.OneTime:
 				op.chargeLost(&e.Counters)
 			case op.kind == opAddQuery:

@@ -65,13 +65,16 @@ func memAlphabet(n int, withMove bool) []memOp {
 	return out
 }
 
-// memWorld builds the checker's world: a converged 5-node ring, a plain
-// join and a GROUP BY query, and 12 tuples, drained.
+// memWorld builds the checker's world: a converged 5-node ring, a plain,
+// a GROUP BY and a windowed join, and 12 tuples, drained. No tuple is
+// published after it, so the windowed rewrites outlive every script,
+// while the ALTT entries lapse as the scripts' drains move the clock.
 func memWorld(t *testing.T, rf int) *Engine {
 	eng, nodes := testNet(t, 5, 11, replCfg(rf), churnNetCfg())
 	for i, sql := range []string{
 		"select R.B, S.B from R,S where R.A=S.A",
 		"select R.A, count(*) from R,S where R.A=S.A group by R.A",
+		"select R.C, S.C from R,S where R.A=S.A within 8 tuples",
 	} {
 		if _, err := eng.SubmitQuery(nodes[i], sqlparse.MustParse(sql, testCat)); err != nil {
 			t.Fatal(err)
@@ -110,7 +113,7 @@ var memInvariants = [4]string{
 	"I1 nothing counted lost",
 	"I2 no replica op left uncharged",
 	"I3 every keyed entry at its ring owner",
-	"I4 stored-entry totals conserved, nothing left waiting",
+	"I4 stored-entry totals conserved, nothing left waiting or dead",
 }
 
 // memCheck evaluates the four invariants on a drained engine: nil where
@@ -133,6 +136,9 @@ func memCheck(eng *Engine, base stateCounts) (errs [4]error) {
 		if st := eng.procs[n.ID()].st; errs[3] == nil && len(st.waiting) != 0 {
 			errs[3] = fmt.Errorf("drained, yet %s indexes %d waiting keys", n.ID(), len(st.waiting))
 		}
+	}
+	if errs[3] == nil {
+		errs[3] = deadErr(eng)
 	}
 	return errs
 }

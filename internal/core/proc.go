@@ -124,6 +124,7 @@ func newProc(eng *Engine, node *chord.Node) *Proc {
 	p := &Proc{eng: eng, node: node, shard: eng.sim.ShardOf(uint64(node.ID())), st: newState(eng.aggSpec)}
 	s := &eng.slots[p.shard+1]
 	p.ctr, p.qpl, p.sl = s.ctr, s.qpl, s.sl
+	p.st.due = func(c clock, at int64) { s.due[c].add(at, p) }
 	if eng.par {
 		p.rng = sim.NewRNG(eng.sim.Seed(), uint64(node.ID()), 0x91ac)
 	}
@@ -285,7 +286,10 @@ func (p *Proc) onTuple(now sim.Time, m *tupleMsg) {
 
 	p.st.filterQueries(m.Key, func(sq *storedQuery) bool {
 		// Section 5 rule: a rewritten query found outside its window
-		// when triggered is deleted.
+		// when triggered is deleted. Every quiescent Run drops those
+		// dead by the horizon; this still meets the others — one passed
+		// since (RunUntil stops short of quiescence), or one a tuple
+		// overtaking an earlier-published tuple closes early.
 		if sq.q.Depth > 0 && sq.q.Window.Enabled() && !sq.q.Window.Valid(sq.q.Start, sq.q.Window.Clock(m.T)) {
 			p.ctr.QueriesExpired++
 			p.profStateDrop(now, sq)
@@ -472,12 +476,12 @@ func (p *Proc) storeTuple(now sim.Time, key relation.Key, t *relation.Tuple) {
 	}
 }
 
-// alttScan returns the live ALTT entries for a key, pruning expired
-// ones in passing.
-func (p *Proc) alttScan(key relation.Key, now sim.Time) []alttEntry {
-	live, expired := p.st.alttScan(key, now)
-	p.ctr.ALTTExpired += int64(expired)
-	return live
+// expire is this node's share of the death drain (state.expire).
+func (p *Proc) expire(h horizon) {
+	now := p.eng.sim.Now()
+	queries, altt := p.st.expire(h, func(sq *storedQuery) { p.profStateDrop(now, sq) })
+	p.ctr.QueriesExpired += int64(queries)
+	p.ctr.ALTTExpired += int64(altt)
 }
 
 // onEval is Procedure 3 (and the input-query indexing step): the node
@@ -525,7 +529,7 @@ func (p *Proc) onEval(now sim.Time, m *evalMsg) {
 			p.trigger(now, sq, t, true)
 		}
 	} else {
-		for _, e := range p.alttScan(m.Key, now) {
+		for _, e := range p.st.alttScan(m.Key, now) {
 			p.trigger(now, sq, e.t, true)
 		}
 	}

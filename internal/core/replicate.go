@@ -1,9 +1,6 @@
 package core
 
-import (
-	"rjoin/internal/id"
-	"rjoin/internal/sim"
-)
+import "rjoin/internal/id"
 
 // This file implements durable state replication over ring-successor
 // replica groups. Every key a node owns shares the same replica group —
@@ -87,21 +84,15 @@ func (e *Engine) replSnapshot(p *Proc) {
 	}
 }
 
-// promote is promotion's rule for one entry of a crashed node's
+// promote is promotion's rule for one live entry of a crashed node's
 // replicated state — what the copy at the head of its replica group
-// holds — on its way into the promotee p's live state, and reports
-// whether the entry is installed. An ALTT entry that lapsed and nobody
-// pruned yet is counted expired instead; a promoted aggregator group
-// re-emits every row, because updates the dead aggregator had in flight
-// may have died with it.
-func (e *Engine) promote(p *Proc, op stateOp, now sim.Time) bool {
+// holds — on its way into the promotee p's live state (move drops the
+// dead ones first: Engine.expired). A promoted aggregator group re-emits
+// every row, because updates the dead aggregator had in flight may have
+// died with it.
+func (e *Engine) promote(p *Proc, op stateOp) {
 	promoted := int64(1)
 	switch op.kind {
-	case opAddALTT:
-		if op.expireAt < now {
-			p.ctr.ALTTExpired++
-			return false
-		}
 	case opAggMerge:
 		spec := e.aggSpec(op.g.qid)
 		for ep := range op.g.epochs {
@@ -115,5 +106,4 @@ func (e *Engine) promote(p *Proc, op stateOp, now sim.Time) bool {
 	if q := op.query(); q != nil && q.Depth == 0 && !q.OneTime {
 		p.ctr.QueriesRecovered++
 	}
-	return true
 }

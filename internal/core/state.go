@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"math"
 	"slices"
 	"sort"
 
@@ -16,7 +18,9 @@ import (
 // stateOp — every mechanism that moves, counts or deletes that state
 // speaks. A membership move — leave, join, crash promotion — feeds
 // each() over a filter to the new owners' apply() (Engine.move),
-// teardown is sweep(), loss accounting is chargeLost. Live replication
+// teardown is sweep(), loss accounting is chargeLost, and what dies by
+// the clock — windowed rewrites, ALTT entries — is filed on a death
+// wheel at its add mutator and dropped by expire(). Live replication
 // is a charge, not a copy: every mutator a backup would have to see
 // adds one to the state's op count, and replFlush bills it (see
 // replicate.go).
@@ -33,7 +37,8 @@ import (
 // each(), apply() and (if it can be lost) chargeLost(), and — if a
 // replica keeps it — its entries in stateCounts.mirrored() and a
 // replOps count in each of its mutators, plus one row in
-// state_test.go's charge table.
+// state_test.go's charge table; if its entries die by the clock, its
+// add mutator files their deaths and expire() drops them.
 
 // class is a bit set over the state classes, in each()'s visiting order.
 type class uint8
@@ -146,6 +151,31 @@ type state struct {
 	// by place.
 	waiting map[relation.Key][]int64
 
+	// deaths files every windowed rewrite under the value at which it
+	// dies on its clock (deathOf), and alttDeaths the key of every ALTT
+	// entry under the first instant past its expiry. Derived state like
+	// waiting: only addQuery, addALTT, expire and clear write it and no op
+	// names it, so apply rebuilds it. An item whose entry left another way
+	// — deleted by a trigger out of window, migrated, torn down, its key
+	// moved — stays filed, and its drain finds nothing to drop.
+	deaths     [numClocks]wheel[*storedQuery]
+	alttDeaths wheel[relation.Key]
+
+	// due files the node in its accounting slot's due wheel, so the engine
+	// finds it when its earliest death falls due; dueAt is, per clock, the
+	// value it is filed under there (notDue: nowhere), never later than
+	// its earliest death on that clock. expire files it afresh once that
+	// value passed.
+	due   func(c clock, at int64)
+	dueAt [numClocks]int64
+
+	// spareQueries and spareALTT hold the arrays of emptied lists for the
+	// next keys to start one: under the drain, keys empty and refill every
+	// few ticks, and a fresh array each time would be its one steady-state
+	// allocation.
+	spareQueries spares[*storedQuery]
+	spareALTT    spares[alttEntry]
+
 	// dirtyAggs is the set of aggregator keys whose group holds epochs
 	// marked since its last flush: {k : len(aggs[k].dirty) > 0}, so a
 	// flush visits what changed instead of every group.
@@ -155,7 +185,7 @@ type state struct {
 
 	// replOps counts the mutations since the last replFlush that a replica
 	// would have to apply — the op stream a primary-backup protocol
-	// ships, which replFlush charges as ReplOps. ALTT expiry, reports
+	// ships, which replFlush charges as ReplOps. The death drain, reports
 	// and the derived indexes are local and uncounted.
 	replOps int
 }
@@ -177,6 +207,9 @@ func (s *state) clear() {
 	s.ct = newCandidateTable()
 	s.pending = make(map[int64]*pendingPlacement)
 	s.waiting = make(map[relation.Key][]int64)
+	s.deaths = [numClocks]wheel[*storedQuery]{}
+	s.alttDeaths = wheel[relation.Key]{}
+	s.dueAt = [numClocks]int64{notDue, notDue}
 	s.dirtyAggs = nil
 }
 
@@ -188,7 +221,15 @@ func (s *state) clear() {
 // statistics alone).
 
 func (s *state) addQuery(sq *storedQuery) {
-	s.queries[sq.key] = append(s.queries[sq.key], sq)
+	list := s.queries[sq.key]
+	if list == nil {
+		list = s.spareQueries.get()
+	}
+	s.queries[sq.key] = append(list, sq)
+	if c, at, ok := deathOf(sq.q); ok {
+		s.deaths[c].add(at, sq)
+		s.register(c, at)
+	}
 	s.replOps++
 }
 
@@ -209,11 +250,31 @@ func (s *state) filterQueries(key relation.Key, keep func(*storedQuery) bool) {
 			s.replOps++
 		}
 	}
+	clear(list[len(kept):]) // the array must not keep the removed alive
 	if len(kept) == 0 {
 		delete(s.queries, key)
+		s.spareQueries.put(kept)
 	} else {
 		s.queries[key] = kept
 	}
+}
+
+// removeQuery deletes sq from its key's list, uncounted, and reports
+// whether it was stored there.
+func (s *state) removeQuery(sq *storedQuery) bool {
+	list := s.queries[sq.key]
+	i := slices.Index(list, sq)
+	if i < 0 {
+		return false
+	}
+	list = slices.Delete(list, i, i+1)
+	if len(list) == 0 {
+		delete(s.queries, sq.key)
+		s.spareQueries.put(list)
+	} else {
+		s.queries[sq.key] = list
+	}
+	return true
 }
 
 // trigger records the memory a successful trigger leaves on a stored
@@ -262,36 +323,61 @@ func (s *state) filterTuples(key relation.Key, keep func(*relation.Tuple) bool) 
 }
 
 // addALTT splices an entry into the expiry-ordered list of its key, the
-// invariant alttScan relies on (the expired prefix is contiguous). A
+// invariant alttScan and pruneALTT rely on (the lapsed prefix is
+// contiguous), and files its death: the first instant past expireAt. A
 // fresh admission lands at the tail; a moved entry may not.
 func (s *state) addALTT(key relation.Key, e alttEntry) {
 	list := s.altt[key]
+	if list == nil {
+		list = s.spareALTT.get()
+	}
 	i := len(list)
 	for i > 0 && list[i-1].expireAt > e.expireAt {
 		i--
 	}
 	s.altt[key] = slices.Insert(list, i, e)
+	at := int64(e.expireAt) + 1
+	s.alttDeaths.add(at, key)
+	s.register(clockTime, at)
 	s.replOps++
 }
 
-// alttScan returns the live ALTT entries of a key and how many expired
-// ones it pruned in passing. Expiry is a local prune, uncounted: entries
-// carry their expiry time, so a replica prunes its own, and promotion
-// filters the expired ones nobody pruned yet.
-func (s *state) alttScan(key relation.Key, now sim.Time) (live []alttEntry, expired int) {
-	live = s.altt[key]
-	for expired < len(live) && live[expired].expireAt < now {
-		expired++
+// alttScan returns the ALTT entries of a key still live at now. It only
+// skips the lapsed prefix: the death wheel deletes it at the first
+// quiescent Run past its expiry.
+func (s *state) alttScan(key relation.Key, now sim.Time) []alttEntry {
+	list := s.altt[key]
+	return list[lapsed(list, now):]
+}
+
+// lapsed returns how many entries of an expiry-ordered list lapsed at
+// now.
+func lapsed(list []alttEntry, now sim.Time) int {
+	i := 0
+	for i < len(list) && list[i].expireAt < now {
+		i++
 	}
-	if expired > 0 {
-		live = live[expired:]
-		if len(live) == 0 {
-			delete(s.altt, key)
-		} else {
-			s.altt[key] = live
-		}
+	return i
+}
+
+// pruneALTT deletes the entries of a key lapsed at now and returns how
+// many went. The live ones move to the front, so the array keeps its
+// room for the entries still to come.
+func (s *state) pruneALTT(key relation.Key, now sim.Time) int {
+	list := s.altt[key]
+	gone := lapsed(list, now)
+	if gone == 0 {
+		return 0
 	}
-	return live, expired
+	n := copy(list, list[gone:])
+	clear(list[n:])
+	if n == 0 {
+		delete(s.altt, key)
+		s.spareALTT.put(list[:0])
+	} else {
+		s.altt[key] = list[:n]
+	}
+	return gone
 }
 
 // recordArrival notes one tuple arrival in the key's rate statistic.
@@ -669,4 +755,184 @@ func (s *state) chargeLost(ctr *Counters, retired func(stateOp) bool) {
 			op.chargeLost(ctr)
 		}
 	})
+}
+
+// ---------------------------------------------------------------------
+// Deaths.
+
+// clock names what a death is measured on: the publication sequence
+// (tuple windows) or virtual time (time windows, the ALTT's Δ).
+type clock uint8
+
+const (
+	clockSeq clock = iota
+	clockTime
+	numClocks
+)
+
+// horizon is, per clock, the earliest value a tuple still to arrive can
+// carry. When Run returns nothing is in flight, so every tuple that can
+// still arrive is published later: its sequence is past pubSeq and its
+// time at least now (Engine.drainExpired records it there).
+type horizon [numClocks]int64
+
+// deathOf returns when a stored query dies: a windowed rewrite once every
+// tuple from the horizon on falls outside its window — a sliding window
+// at Start+Size, a tumbling one at the end of Start's epoch, on the
+// window's clock. Input queries and unwindowed rewrites never die.
+func deathOf(q *query.Query) (c clock, at int64, ok bool) {
+	w := q.Window
+	if q.Depth == 0 || !w.Enabled() {
+		return 0, 0, false
+	}
+	if w.Kind == query.WindowTime {
+		c = clockTime
+	}
+	if w.Tumbling {
+		return c, (w.EpochOf(q.Start) + 1) * w.Size, true
+	}
+	return c, q.Start + w.Size, true
+}
+
+// dead reports whether no tuple from h on can trigger q.
+func (h horizon) dead(q *query.Query) bool {
+	c, at, ok := deathOf(q)
+	return ok && h[c] >= at
+}
+
+// notDue is dueAt's value for a node its slot does not name.
+const notDue = math.MaxInt64
+
+// register files the node under at on clock c in its slot's due wheel,
+// unless it is filed there no later already.
+func (s *state) register(c clock, at int64) {
+	if s.due != nil && at < s.dueAt[c] {
+		s.dueAt[c] = at
+		s.due(c, at)
+	}
+}
+
+// earliest returns the first death still filed on clock c.
+func (s *state) earliest(c clock) (at int64, ok bool) {
+	if pend := s.deaths[c].pending(); len(pend) > 0 {
+		at, ok = pend[0].at, true
+	}
+	if pend := s.alttDeaths.pending(); c == clockTime && len(pend) > 0 && (!ok || pend[0].at < at) {
+		at, ok = pend[0].at, true
+	}
+	return at, ok
+}
+
+// expire drops every windowed rewrite and ALTT entry dead by h — the
+// drain of a quiescent Run — handing each rewrite to dropped, and returns
+// how many of each went. A rewrite filed at or before h is dead, and
+// dropped if it is still stored here. Like the Δ prune it replaced, the
+// drain charges no replica op: a replica files the same deaths and drops
+// them itself.
+func (s *state) expire(h horizon, dropped func(*storedQuery)) (queries, altt int) {
+	for c := range s.deaths {
+		s.deaths[c].drain(h[c], func(sq *storedQuery) {
+			if s.removeQuery(sq) {
+				dropped(sq)
+				queries++
+			}
+		})
+	}
+	s.alttDeaths.drain(h[clockTime], func(key relation.Key) {
+		altt += s.pruneALTT(key, sim.Time(h[clockTime]))
+	})
+	for c := range s.dueAt {
+		if s.dueAt[c] <= h[c] { // the slot is done with it
+			s.dueAt[c] = notDue
+			if at, ok := s.earliest(clock(c)); ok {
+				s.register(clock(c), at)
+			}
+		}
+	}
+	return queries, altt
+}
+
+// wheel files items under the clock value at which they fall due, one
+// bucket per value, buckets ascending, so a drain visits the items due
+// by a horizon and nothing else. A drained bucket's array serves the next
+// bucket opened: in steady state a wheel allocates nothing.
+type wheel[T comparable] struct {
+	buckets []bucket[T] // buckets[head:] are pending
+	head    int
+	spare   spares[T]
+}
+
+type bucket[T comparable] struct {
+	at    int64
+	items []T
+}
+
+// add files item at at. An item equal to the last one filed at at is not
+// filed twice.
+func (w *wheel[T]) add(at int64, item T) {
+	pend := w.pending()
+	i := len(pend)
+	if i > 0 && pend[i-1].at >= at {
+		var found bool
+		i, found = slices.BinarySearchFunc(pend, at, func(b bucket[T], at int64) int { return cmp.Compare(b.at, at) })
+		if found {
+			if n := len(pend[i].items); pend[i].items[n-1] != item {
+				pend[i].items = append(pend[i].items, item)
+			}
+			return
+		}
+	}
+	if w.head > 0 && len(w.buckets) == cap(w.buckets) {
+		n := copy(w.buckets, pend)
+		clear(w.buckets[n:])
+		w.buckets, w.head = w.buckets[:n], 0
+	}
+	b := bucket[T]{at: at, items: append(w.spare.get(), item)}
+	if i == len(pend) { // past every pending bucket: deaths mostly come in order
+		w.buckets = append(w.buckets, b)
+	} else {
+		w.buckets = slices.Insert(w.buckets, w.head+i, b)
+	}
+}
+
+// drain visits, in ascending order, every item filed at or before h and
+// forgets it. visit may file into w, but only past h.
+func (w *wheel[T]) drain(h int64, visit func(T)) {
+	for w.head < len(w.buckets) && w.buckets[w.head].at <= h {
+		items := w.buckets[w.head].items
+		w.buckets[w.head] = bucket[T]{}
+		w.head++
+		for _, it := range items {
+			visit(it)
+		}
+		w.spare.put(items)
+	}
+	if w.head == len(w.buckets) {
+		w.buckets, w.head = w.buckets[:0], 0
+	}
+}
+
+// pending returns the buckets not drained yet, ascending.
+func (w *wheel[T]) pending() []bucket[T] { return w.buckets[w.head:] }
+
+// spares keeps emptied arrays for reuse: lists that empty and refill
+// every few ticks then allocate nothing in steady state.
+type spares[T any] [][]T
+
+// get returns an empty array with room, or nil.
+func (sp *spares[T]) get() []T {
+	n := len(*sp)
+	if n == 0 {
+		return nil
+	}
+	list := (*sp)[n-1]
+	*sp = (*sp)[:n-1]
+	return list
+}
+
+// put keeps list's array, which nothing may reference any more. Like
+// every list array, it is zero past len(list): put clears up to there.
+func (sp *spares[T]) put(list []T) {
+	clear(list)
+	*sp = append(*sp, list[:0])
 }

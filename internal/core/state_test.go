@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -18,8 +19,16 @@ import (
 // equal reports the first divergence between two states over the wanted
 // classes, nil when they hold the same entries in the same order. The
 // dirty sets of aggregator groups are flush bookkeeping and are not
-// compared.
+// compared; the derived indexes are checked per state against what they
+// are derived from.
 func (s *state) equal(o *state, want class) error {
+	if want&(classQueries|classALTT) != 0 {
+		for _, st := range []*state{s, o} {
+			if err := st.deathsErr(); err != nil {
+				return err
+			}
+		}
+	}
 	if want&classQueries != 0 {
 		if len(s.queries) != len(o.queries) {
 			return fmt.Errorf("queries under %d keys, other %d", len(s.queries), len(o.queries))
@@ -108,6 +117,79 @@ func (s *state) waitingErr() error {
 	return nil
 }
 
+// deathsErr checks the death wheels against the entries they are derived
+// from: every windowed rewrite is filed at its death on its clock, every
+// ALTT entry's key at the first instant past its expiry, and the pending
+// buckets are non-empty and ascending. An item whose entry left another
+// way may stay filed.
+func (s *state) deathsErr() error {
+	type filing[T comparable] struct {
+		at   int64
+		item T
+	}
+	var queries [numClocks]map[filing[*storedQuery]]bool
+	for c := range s.deaths {
+		queries[c] = make(map[filing[*storedQuery]]bool)
+		if err := filed(&s.deaths[c], func(at int64, sq *storedQuery) { queries[c][filing[*storedQuery]{at, sq}] = true }); err != nil {
+			return fmt.Errorf("clock %d: %v", c, err)
+		}
+	}
+	altt := make(map[filing[relation.Key]]bool)
+	if err := filed(&s.alttDeaths, func(at int64, key relation.Key) { altt[filing[relation.Key]{at, key}] = true }); err != nil {
+		return fmt.Errorf("ALTT: %v", err)
+	}
+	for key, list := range s.queries {
+		for _, sq := range list {
+			if c, at, ok := deathOf(sq.q); ok && !queries[c][filing[*storedQuery]{at, sq}] {
+				return fmt.Errorf("key %s: a rewrite dying at %d on clock %d is not filed", key, at, c)
+			}
+		}
+	}
+	for key, list := range s.altt {
+		for _, e := range list {
+			if !altt[filing[relation.Key]{int64(e.expireAt) + 1, key}] {
+				return fmt.Errorf("key %s: an ALTT entry expiring at %d is not filed", key, e.expireAt)
+			}
+		}
+	}
+	return nil
+}
+
+// filed hands visit every pending item of a wheel with its bucket's
+// value, and reports an empty or out-of-order bucket.
+func filed[T comparable](w *wheel[T], visit func(int64, T)) error {
+	pend := w.pending()
+	for i, b := range pend {
+		if len(b.items) == 0 || i > 0 && pend[i-1].at >= b.at {
+			return fmt.Errorf("bucket %d (at %d) is empty or out of order", i, b.at)
+		}
+		for _, it := range b.items {
+			visit(b.at, it)
+		}
+	}
+	return nil
+}
+
+// deadIn counts the entries of a state dead by h: what expire(h) must
+// drop.
+func deadIn(s *state, h horizon) (queries, altt int) {
+	for _, list := range s.queries {
+		for _, sq := range list {
+			if h.dead(sq.q) {
+				queries++
+			}
+		}
+	}
+	for _, list := range s.altt {
+		for _, e := range list {
+			if int64(e.expireAt) < h[clockTime] {
+				altt++
+			}
+		}
+	}
+	return queries, altt
+}
+
 // stateFixture supplies the immutable objects store-level tests build
 // entries from: a plain, a DISTINCT and an aggregate query, the
 // aggregate's spec, and a few keys.
@@ -130,6 +212,16 @@ func newStateFixture() *stateFixture {
 		f.keys = append(f.keys, relation.KeyOf(k))
 	}
 	return f
+}
+
+// windowed returns a rewrite of the plain query started at start, in a
+// window of size 8 on the given clock: sliding, it dies at start+8;
+// tumbling, at the end of start's epoch of 8.
+func (f *stateFixture) windowed(kind query.WindowKind, tumbling bool, start int64) *query.Query {
+	q := f.plain.Clone()
+	q.ID, q.Depth, q.Start = "windowed", 1, start
+	q.Window = query.WindowSpec{Kind: kind, Size: 8, Tumbling: tumbling}
+	return q
 }
 
 func (f *stateFixture) specOf(qid string) *agg.Spec {
@@ -240,9 +332,22 @@ func stateCharges(f *stateFixture) []stateCharge {
 			s.addALTT(k[0], alttEntry{t: tu, expireAt: 9})
 			s.addALTT(k[0], alttEntry{t: mkTuple("R", 2, 2, 2), expireAt: 4}) // moved entry: lands in front
 		}},
-		{"alttScan prune", 1, func(s *state) {
+		{"alttScan skipping a lapsed entry", 1, func(s *state) {
 			s.addALTT(k[0], alttEntry{t: tu, expireAt: 1})
 			s.alttScan(k[0], 5)
+		}},
+		{"expire: the drain charges nothing", 4, func(s *state) {
+			s.addQuery(f.stored(f.windowed(query.WindowTuples, false, 2), k[1])) // dies at seq 10
+			s.addQuery(f.stored(f.windowed(query.WindowTuples, false, 5), k[1])) // at seq 13: kept
+			s.addQuery(f.stored(f.windowed(query.WindowTime, true, 3), k[2]))    // at time 8
+			s.addALTT(k[0], alttEntry{t: tu, expireAt: 4})
+			s.expire(horizon{10, 8}, func(*storedQuery) {})
+		}},
+		{"take of windowed state, then the drain", 3, func(s *state) {
+			s.addQuery(f.stored(f.windowed(query.WindowTime, false, 2), k[1]))
+			s.addALTT(k[1], alttEntry{t: tu, expireAt: 4})
+			s.take(func(relation.Key) bool { return true })
+			s.expire(horizon{100, 100}, func(*storedQuery) {})
 		}},
 		{"rate statistics", 0, func(s *state) {
 			s.recordArrival(k[2], 5, 10)
@@ -356,14 +461,37 @@ func checkDirtySet(t *testing.T, s *state, label string) {
 // sequence of mutators runs against a state, (1) each() replayed into an
 // empty state equals it, (2) after every mutator its dirty-key set — and
 // that of a second live state that receives what it hands over — names
-// exactly the groups with un-flushed epochs and its waiting index is
-// exactly what its placements miss, and (3) the replica ops it charged
-// per seed equal the length of the op log the same sequence wrote before
-// the log gave way to a count (pinned at 9c30999).
+// exactly the groups with un-flushed epochs, its waiting index is
+// exactly what its placements miss and its death wheels file every
+// windowed rewrite and ALTT entry it holds, (3) the replica ops it
+// charged per seed equal the length of the op log the same sequence
+// wrote before the log gave way to a count (pinned at 9c30999), and (4)
+// a drain — of the second state now and then, of the first at the end —
+// drops exactly the entries dead by its horizon and charges nothing.
+// The windowed rewrites and the drains draw from a stream of their own,
+// so the pinned sequence is the one the op log wrote.
 func TestStateRandomSequences(t *testing.T) {
 	f := newStateFixture()
+	drain := func(s *state, h horizon, label string) {
+		t.Helper()
+		wantQ, wantA := deadIn(s, h)
+		ops := s.replOps
+		gotQ, gotA := s.expire(h, func(sq *storedQuery) {
+			if !h.dead(sq.q) {
+				t.Fatalf("%s: the drain dropped a live query", label)
+			}
+		})
+		if gotQ != wantQ || gotA != wantA || s.replOps != ops {
+			t.Fatalf("%s: the drain dropped %d rewrites and %d ALTT entries charging %d ops; %d and %d were dead",
+				label, gotQ, gotA, s.replOps-ops, wantQ, wantA)
+		}
+		if q, a := deadIn(s, h); q+a != 0 {
+			t.Fatalf("%s: %d rewrites and %d ALTT entries dead by the horizon survived the drain", label, q, a)
+		}
+	}
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
+		drng := rand.New(rand.NewSource(-seed))
 		a := newState(f.specOf)
 		heir := newState(f.specOf) // applies what take() hands over
 		charged := 0
@@ -380,6 +508,13 @@ func TestStateRandomSequences(t *testing.T) {
 			switch rng.Intn(20) {
 			case 0, 1:
 				q := []*query.Query{f.plain, f.distinct}[rng.Intn(2)]
+				if q == f.distinct && drng.Intn(2) == 0 {
+					kind, start := query.WindowTuples, pubSeq
+					if drng.Intn(2) == 0 {
+						kind, start = query.WindowTime, int64(now)
+					}
+					q = f.windowed(kind, drng.Intn(2) == 0, start)
+				}
 				sq := f.stored(q, key())
 				a.addQuery(sq)
 				live = append(live, sq)
@@ -405,7 +540,7 @@ func TestStateRandomSequences(t *testing.T) {
 			case 7:
 				a.addALTT(key(), alttEntry{t: mkTuple("S", 1, 1, 1), expireAt: now + sim.Time(rng.Intn(6))})
 			case 8:
-				a.alttScan(key(), now)
+				a.pruneALTT(key(), now)
 			case 9:
 				a.recordArrival(key(), now, 8)
 			case 10, 11:
@@ -498,10 +633,16 @@ func TestStateRandomSequences(t *testing.T) {
 				}
 			}
 			label := fmt.Sprintf("seed %d step %d", seed, step)
+			if drng.Intn(8) == 0 {
+				drain(heir, horizon{pubSeq, int64(now)}, label+" (heir)")
+			}
 			checkDirtySet(t, a, label+" (primary)")
 			checkDirtySet(t, heir, label+" (heir)")
 			for _, st := range []*state{a, heir} {
 				if err := st.waitingErr(); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if err := st.deathsErr(); err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
 			}
@@ -514,6 +655,7 @@ func TestStateRandomSequences(t *testing.T) {
 		if c.queries != len(live) {
 			t.Fatalf("seed %d: counts() reports %d queries, %d are live", seed, c.queries, len(live))
 		}
+		drain(a, horizon{math.MaxInt64, math.MaxInt64}, fmt.Sprintf("seed %d, the end", seed))
 	}
 }
 
@@ -524,6 +666,62 @@ var randomSequenceCharges = [40]int{
 	206, 218, 213, 218, 202, 221, 224, 216, 215, 212,
 	232, 204, 206, 220, 227, 203, 203, 199, 202, 208,
 	202, 210, 195, 210, 226, 213, 207, 225, 202, 197,
+}
+
+// TestStateDeathsOutliveNoEntry: an entry that leaves a state another way
+// — taken to a new owner, dropped with its key, swept by teardown —
+// leaves its death filed, and the filing neither resurrects nor recounts
+// it: the drain finds nothing dead under the key. apply files a moved
+// entry's death afresh, so it dies at its new owner, once; and one that
+// moves back to a node still filing its old death dies there once too.
+func TestStateDeathsOutliveNoEntry(t *testing.T) {
+	f := newStateFixture()
+	k := f.keys
+	fill := func() *state {
+		s := newState(f.specOf)
+		s.addQuery(f.stored(f.windowed(query.WindowTuples, false, 3), k[1]))
+		s.addQuery(f.stored(f.windowed(query.WindowTime, true, 5), k[2]))
+		s.addQuery(f.stored(f.plain, k[2])) // an input query: never dies
+		s.addALTT(k[0], alttEntry{t: mkTuple("R", 1, 2, 3), expireAt: 7})
+		return s
+	}
+	moveAll := func(from, to *state) {
+		for _, op := range from.take(func(relation.Key) bool { return true }) {
+			to.apply(op)
+		}
+	}
+	drainsTo := func(label string, s *state, wantQ, wantA int) {
+		t.Helper()
+		if err := s.deathsErr(); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		ops := s.replOps
+		q, a := s.expire(horizon{math.MaxInt64, math.MaxInt64}, func(*storedQuery) {})
+		if q != wantQ || a != wantA || s.replOps != ops {
+			t.Fatalf("%s: the drain dropped %d rewrites and %d ALTT entries charging %d ops; want %d, %d and none",
+				label, q, a, s.replOps-ops, wantQ, wantA)
+		}
+	}
+
+	a, heir := fill(), newState(f.specOf)
+	moveAll(a, heir)
+	drainsTo("taken from", a, 0, 0)
+	drainsTo("applied at the heir", heir, 2, 1)
+
+	a, heir = fill(), newState(f.specOf)
+	moveAll(a, heir)
+	moveAll(heir, a)
+	drainsTo("the heir, after handing back", heir, 0, 0)
+	drainsTo("taken back", a, 2, 1)
+
+	a = fill()
+	a.dropKey(k[1])
+	a.dropKey(k[0])
+	drainsTo("dropKey", a, 1, 0)
+
+	a = fill()
+	a.sweep(classQueries, func(op stateOp) bool { return op.sq.q.ID == "windowed" })
+	drainsTo("sweep", a, 0, 1)
 }
 
 // TestStateSweepOrder: a sweep that matches nothing reports so and

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rjoin/internal/overlay"
@@ -11,6 +14,43 @@ import (
 	"rjoin/internal/sqlparse"
 	"rjoin/internal/workload"
 )
+
+// deadErr is the quiescence invariant of the death wheels: after a Run
+// no live node holds a windowed rewrite or an ALTT entry the horizon
+// passed, every node's wheels file its entries, and on every clock it
+// has a death filed on, its slot's due wheel names it under a value no
+// later than the earliest.
+func deadErr(eng *Engine) error {
+	if rewrites, altt := eng.DeadState(); rewrites+altt != 0 {
+		return fmt.Errorf("drained, yet %d dead rewrites and %d lapsed ALTT entries are stored", rewrites, altt)
+	}
+	for _, n := range eng.Ring().Nodes() {
+		p := eng.procs[n.ID()]
+		if err := p.st.deathsErr(); err != nil {
+			return fmt.Errorf("%s: %v", n.ID(), err)
+		}
+		for c := range p.st.dueAt {
+			earliest, ok := p.st.earliest(clock(c))
+			if !ok {
+				continue
+			}
+			at := p.st.dueAt[c]
+			slot := eng.slots[p.shard+1].due[c].pending()
+			i, found := slices.BinarySearchFunc(slot, at, func(sb bucket[*Proc], at int64) int { return cmp.Compare(sb.at, at) })
+			if at > earliest || !found || !slices.Contains(slot[i].items, p) {
+				return fmt.Errorf("%s: its earliest death on clock %d is %d, and its slot names it under %d (listed %v)", n.ID(), c, earliest, at, found)
+			}
+		}
+	}
+	return nil
+}
+
+func checkNothingDead(t testing.TB, eng *Engine) {
+	t.Helper()
+	if err := deadErr(eng); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // windowRun publishes nTuples in publication order (draining between
 // publications so clocks are strictly ordered) against window queries.
@@ -217,8 +257,9 @@ func TestWindowsBoundState(t *testing.T) {
 	}
 }
 
-// TestWindowExpiryCounter: expired rewritten queries are counted and
-// removed when out-of-window tuples arrive at their key.
+// TestWindowExpiryCounter: an expired rewritten query is counted once and
+// removed at the first quiescent Run past its window, so a matching tuple
+// that arrives at its key later finds nothing to trigger.
 func TestWindowExpiryCounter(t *testing.T) {
 	eng, nodes := testNet(t, 32, 61, DefaultConfig(), overlay.DefaultConfig())
 	q := sqlparse.MustParse(
@@ -229,7 +270,7 @@ func TestWindowExpiryCounter(t *testing.T) {
 	eng.Run()
 	// R at seq 1 creates a rewritten query anchored at 1 stored at
 	// S+A+1; non-matching filler pushes the window past it; then a
-	// "matching" S arrives at the same key and must expire the query.
+	// "matching" S arrives at the same key.
 	eng.PublishTuple(nodes[1], mkTuple("R", 1, 1, 0))
 	eng.Run()
 	for i := 0; i < 5; i++ {
@@ -238,10 +279,206 @@ func TestWindowExpiryCounter(t *testing.T) {
 	}
 	eng.PublishTuple(nodes[1], mkTuple("S", 1, 2, 0)) // seq 7: out of window
 	eng.Run()
-	if eng.Counters.QueriesExpired == 0 {
-		t.Fatal("out-of-window trigger did not expire the stored query")
+	if eng.Counters.QueriesExpired != 1 {
+		t.Fatalf("the rewrite expired %d times, want once", eng.Counters.QueriesExpired)
 	}
 	if eng.Counters.AnswersDelivered != 0 {
 		t.Fatal("expired query still answered")
+	}
+}
+
+// TestRewriteDiesWithoutItsKeyBeingTouched: a windowed rewrite leaves at
+// the first quiescent Run past its death — Start+Size for a sliding
+// window, the end of Start's epoch for a tumbling one, on the tuple or
+// the time clock — though no tuple ever reaches its key, counted in
+// QueriesExpired exactly once. It is still stored one clock value short.
+func TestRewriteDiesWithoutItsKeyBeingTouched(t *testing.T) {
+	for _, c := range []struct {
+		window string
+		death  func(start int64) int64
+	}{
+		{"within 5 tuples", func(s int64) int64 { return s + 5 }},
+		{"within 8 tuples tumbling", func(s int64) int64 { return (s/8 + 1) * 8 }},
+		{"within 100 ticks", func(s int64) int64 { return s + 100 }},
+		{"within 64 ticks tumbling", func(s int64) int64 { return (s/64 + 1) * 64 }},
+	} {
+		t.Run(c.window, func(t *testing.T) {
+			eng, nodes := testNet(t, 32, 62, DefaultConfig(), overlay.DefaultConfig())
+			q := sqlparse.MustParse("select R.B, S.B from R,S where R.A=S.A "+c.window, testCat)
+			if _, err := eng.SubmitQuery(nodes[0], q); err != nil {
+				t.Fatal(err)
+			}
+			eng.Run()
+			// Start R's epoch on both clocks, so even a tumbling rewrite
+			// outlives the drain it is stored in.
+			for (eng.pubSeq+1)%8 != 0 {
+				eng.PublishTuple(nodes[1], mkTuple("M", 99, 99, 99))
+				eng.Run()
+			}
+			eng.RunUntil((eng.Sim().Now()/64 + 1) * 64)
+			r := mkTuple("R", 1, 1, 0) // the rewrite waits at S+A+1; no S is ever published
+			eng.PublishTuple(nodes[1], r)
+			eng.Run()
+			var sq *storedQuery
+			for _, p := range eng.procs {
+				for _, list := range p.st.queries {
+					for _, x := range list {
+						if x.q.Depth > 0 {
+							sq = x
+						}
+					}
+				}
+			}
+			if sq == nil {
+				t.Fatal("the R tuple stored no rewrite")
+			}
+			clockOf := func() int64 { return eng.pubSeq + 1 }
+			advance := func() { eng.PublishTuple(nodes[1], mkTuple("M", 99, 99, 99)) }
+			start := r.PubSeq
+			if sq.q.Window.Kind == query.WindowTime {
+				clockOf = func() int64 { return int64(eng.Sim().Now()) }
+				advance = func() { eng.RunUntil(eng.Sim().Now() + 1) }
+				start = r.PubTime
+			}
+			death := c.death(start)
+			if sq.q.Start != start {
+				t.Fatalf("rewrite starts at %d, want the R tuple's clock %d", sq.q.Start, start)
+			}
+			for clockOf() < death-1 {
+				advance()
+			}
+			eng.Run()
+			if clockOf() != death-1 || eng.Counters.QueriesExpired != 0 || eng.procs[eng.Ring().Owner(sq.key.ID()).ID()].st.queries[sq.key] == nil {
+				t.Fatalf("at horizon %d, one short of the death %d, the rewrite is gone (%d expired)", clockOf(), death, eng.Counters.QueriesExpired)
+			}
+			advance()
+			eng.Run()
+			checkNothingDead(t, eng)
+			if eng.Counters.QueriesExpired != 1 {
+				t.Fatalf("at horizon %d the rewrite dying at %d expired %d times, want once", clockOf(), death, eng.Counters.QueriesExpired)
+			}
+			if queries, _, _ := eng.StoredState(); queries != 1 { // the input query alone
+				t.Fatalf("%d queries stored after the rewrite died, want the input query alone", queries)
+			}
+			for i := 0; i < 3; i++ {
+				advance()
+				eng.Run()
+			}
+			if eng.Counters.QueriesExpired != 1 {
+				t.Fatalf("later drains counted the rewrite again: %d expired", eng.Counters.QueriesExpired)
+			}
+		})
+	}
+}
+
+// TestDeathDrainWorkerInvariant: on a parallel engine each shard's
+// handlers file their nodes in their own accounting slot's due wheel and
+// the drain reads every slot. It must drop exactly what the serial drain
+// drops — windowed rewrites on both clocks and ALTT entries, with bursts
+// racing inside each drain — leave nothing dead after any Run, and
+// deliver the same answers, at 4 workers as serially.
+func TestDeathDrainWorkerInvariant(t *testing.T) {
+	run := func(workers int) (Counters, [][]string) {
+		eng, nodes := lossyNet(t, 48, 64, workers, DefaultConfig(), overlay.DefaultConfig())
+		var qids []string
+		for i, sql := range []string{
+			"select R.B, S.B from R,S where R.A=S.A within 6 tuples",
+			"select R.B, S.C from R,S where R.A=S.A within 8 tuples tumbling",
+			"select R.C, S.B from R,S where R.A=S.A within 20 ticks",
+			"select R.B, S.B from R,S where R.B=S.B within 32 ticks tumbling",
+		} {
+			qid, err := eng.SubmitQuery(nodes[i], sqlparse.MustParse(sql, testCat))
+			if err != nil {
+				t.Fatal(err)
+			}
+			qids = append(qids, qid)
+		}
+		eng.Run()
+		rng := rand.New(rand.NewSource(64))
+		for burst := 0; burst < 40; burst++ {
+			for i := 0; i < 4; i++ {
+				rel := []string{"R", "S"}[rng.Intn(2)]
+				eng.PublishTuple(nodes[rng.Intn(len(nodes))], mkTuple(rel, int64(rng.Intn(4)), int64(rng.Intn(4)), int64(rng.Intn(4))))
+			}
+			eng.Run()
+			checkNothingDead(t, eng)
+		}
+		var bags [][]string
+		for _, qid := range qids {
+			bags = append(bags, answerBag(eng, qid))
+		}
+		return eng.Counters, bags
+	}
+	serialCtr, serialBags := run(0)
+	parCtr, parBags := run(4)
+	if serialCtr.QueriesExpired == 0 || serialCtr.ALTTExpired == 0 || serialCtr.AnswersDelivered == 0 {
+		t.Fatalf("workload too weak: %d rewrites and %d ALTT entries expired, %d answers",
+			serialCtr.QueriesExpired, serialCtr.ALTTExpired, serialCtr.AnswersDelivered)
+	}
+	if parCtr != serialCtr {
+		t.Fatalf("4 workers counted %+v, serially %+v", parCtr, serialCtr)
+	}
+	for i := range serialBags {
+		if !bagsEqual(parBags[i], serialBags[i]) {
+			t.Fatalf("query %d: 4 workers delivered %d rows, serially %d", i, len(parBags[i]), len(serialBags[i]))
+		}
+	}
+}
+
+// TestDeadRewritesAreNeitherMovedNorLost: a rewrite dead by the horizon
+// can be reached by no tuple still to arrive, so the node that holds it
+// leaving or crashing neither hands it over, promotes it nor charges it
+// lost: it counts as expired. At rf 1 a crash charges what it destroys
+// to the loss counters, and before the fix these were RewritesLost. A
+// node holds such rewrites only between the horizon passing them and the
+// drain, so the test moves the horizon by hand.
+func TestDeadRewritesAreNeitherMovedNorLost(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		rf    int
+		leave bool
+	}{{"crash at rf 1", 1, false}, {"crash at rf 2", 2, false}, {"leave", 1, true}} {
+		t.Run(c.name, func(t *testing.T) {
+			eng, nodes := testNet(t, 32, 63, replCfg(c.rf), churnNetCfg())
+			q := sqlparse.MustParse("select R.B, S.B from R,S where R.A=S.A within 4 tuples", testCat)
+			if _, err := eng.SubmitQuery(nodes[0], q); err != nil {
+				t.Fatal(err)
+			}
+			eng.Run()
+			for i := 0; i < 3; i++ { // rewrites at S+A+0..2; no S is ever published
+				eng.PublishTuple(nodes[1], mkTuple("R", int64(i), int64(i), 0))
+				eng.Run()
+			}
+			var holder *Proc
+			for _, n := range eng.Ring().Nodes() {
+				if c := eng.procs[n.ID()].st.counts(); holder == nil && c.queries > 0 && c.queries+c.ct == c.mirrored() {
+					holder = eng.procs[n.ID()] // rewrites and soft table entries alone
+				}
+			}
+			if holder == nil {
+				t.Fatal("no node holds rewrites alone; pick another seed")
+			}
+			held, ct := holder.st.counts().queries, holder.st.counts().ct
+			eng.horizon[clockSeq] += 8
+			deadBefore, _ := eng.DeadState() // the holder's and the other holders'
+			var err error
+			if c.leave {
+				err = eng.LeaveNode(holder.node)
+			} else {
+				err = eng.CrashNode(holder.node)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctr := eng.Counters
+			if ctr.RewritesLost != 0 || ctr.QueriesLost != 0 || ctr.QueriesExpired != int64(held) {
+				t.Fatalf("a node holding %d dead rewrites went: %d rewrites and %d queries counted lost, %d expired; want 0, 0 and %d",
+					held, ctr.RewritesLost, ctr.QueriesLost, ctr.QueriesExpired, held)
+			}
+			if rewrites, _ := eng.DeadState(); rewrites != deadBefore-held || ctr.HandoverEntries > int64(ct) || ctr.ReplEntriesPromoted != 0 {
+				t.Fatalf("%d of the node's dead rewrites moved on; %d entries handed over (it held %d table entries), %d promoted",
+					rewrites-(deadBefore-held), ctr.HandoverEntries, ct, ctr.ReplEntriesPromoted)
+			}
+		})
 	}
 }

@@ -102,11 +102,13 @@ func goldenLossyWorkload(t testing.TB, opts Options) (Stats, uint64) {
 		// window; the occasional full Run drains retransmit ladders.
 		if i%8 == 7 {
 			net.Run()
+			checkNothingDead(t, net)
 		} else {
 			net.RunFor(4)
 		}
 	}
 	net.Run()
+	checkNothingDead(t, net)
 
 	rec.certify(t, "lossy golden", false)
 

@@ -18,6 +18,16 @@ func (r *recorder) subscribe(sql string) *Subscription {
 	return sub
 }
 
+// checkNothingDead is the death wheels' quiescence invariant, which every
+// golden workload checks after each Run: no node still stores a windowed
+// rewrite past its window or an ALTT entry past Δ.
+func checkNothingDead(t testing.TB, net *Network) {
+	t.Helper()
+	if rewrites, altt := net.Engine().DeadState(); rewrites+altt != 0 {
+		t.Fatalf("after a Run, %d dead rewrites and %d lapsed ALTT entries are still stored", rewrites, altt)
+	}
+}
+
 // subRec is one recorded subscription.
 type subRec struct {
 	sub *Subscription
