@@ -94,22 +94,6 @@ type Config struct {
 	// whose tuple stores are unbounded, preserving completeness.
 	AllowAttrRewrites bool
 
-	// AttrReplicas spreads attribute-level load over r replica keys
-	// per Rel+Attr pair — the replication remedy of [18] the paper
-	// points to for attribute-level hotspots ("a node responsible for
-	// R.B receives more tuples to process than a node responsible for
-	// R.B+v"). Queries indexed at attribute level are stored at every
-	// replica; each tuple is delivered to exactly one replica (round
-	// robin on its publication sequence), so every (query, tuple) pair
-	// still meets exactly once and both completeness and bag semantics
-	// are unchanged. Values < 2 disable replication.
-	//
-	// AttrReplicas is load spreading, not durability: the copies are
-	// key aliases on different nodes, each holding a distinct slice of
-	// the stream. Durability — surviving a node crash with state
-	// intact — is ReplicationFactor's job.
-	AttrReplicas int
-
 	// ReplicationFactor k replicates every keyed state entry — stored
 	// queries with their DISTINCT projection memory, value-level
 	// tuples, ALTT and candidate-table entries, aggregator group
@@ -129,32 +113,9 @@ type Config struct {
 	// sequence of single departures that leaves two nodes, and k >= 3
 	// tolerates nothing k = 2 does not (TestPromoteeCrashLosesNothing
 	// pins zero loss at k = 2, 3, 4). Values < 2 disable replication
-	// and keep the counted-loss crash model.
-	//
-	// ReplicationFactor is durability, not load spreading: replicas are
-	// passive copies that serve no traffic until promoted. To spread a
-	// hot attribute-level key over several nodes, use AttrReplicas.
+	// and keep the counted-loss crash model. Replicas are passive copies
+	// that serve no traffic until promoted.
 	ReplicationFactor int
-
-	// EnableMigration turns on the future-work extension the paper
-	// sketches in Section 10: on-line adaptation of the distributed
-	// query plan by query migration. A stored value-level rewritten
-	// query that keeps being triggered at a hot key relocates itself to
-	// the coldest of its candidates (judged from the node's candidate
-	// table), carrying an exclusion set of already-combined tuples so
-	// no answer is duplicated. Migration is restricted to value-level
-	// rewritten queries, whose destination tuple stores are unbounded,
-	// so eventual completeness is preserved.
-	EnableMigration bool
-
-	// MigrationMinTriggers is how many local triggers a stored query
-	// must accumulate before migration is considered (default 8).
-	MigrationMinTriggers int
-
-	// MigrationFactor requires the local key's observed rate to exceed
-	// the best alternative candidate's rate by this factor before a
-	// migration fires (default 4).
-	MigrationFactor float64
 
 	// TupleGC drops stored value-level tuples that can no longer fall
 	// inside any window of size <= MaxWindowHint. It reduces memory

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"rjoin/internal/chord"
 	"rjoin/internal/id"
@@ -43,7 +42,6 @@ type Counters struct {
 	AnswersDelivered   int64
 	UnplaceableDropped int64
 	RICRequests        int64 // RIC walks issued; a placement that joined a walk in flight asked nothing
-	QueriesMigrated    int64
 	RICReplies         int64 // walk replies received, waited for or not
 
 	// In-network aggregation (see agg.go). AggPartials counts answer
@@ -103,7 +101,6 @@ func (c *Counters) add(o *Counters) {
 	c.AnswersDelivered += o.AnswersDelivered
 	c.UnplaceableDropped += o.UnplaceableDropped
 	c.RICRequests += o.RICRequests
-	c.QueriesMigrated += o.QueriesMigrated
 	c.RICReplies += o.RICReplies
 	c.AggPartials += o.AggPartials
 	c.AggUpdates += o.AggUpdates
@@ -350,50 +347,12 @@ func (e *Engine) PublishTuple(publisher *chord.Node, t *relation.Tuple) {
 	msgs := make([]overlay.Message, 0, 2*len(attrKeys))
 	ids := make([]id.ID, 0, 2*len(attrKeys))
 	for i := range attrKeys {
-		// With attribute-level replication each tuple is delivered to
-		// exactly one replica of its Rel+Attr key, chosen round robin.
-		akey := e.attrKey(attrKeys[i], t.PubSeq)
-		msgs = append(msgs, newTupleMsg(t, akey, query.AttrLevel, publisher.ID()))
-		ids = append(ids, akey.ID())
+		msgs = append(msgs, newTupleMsg(t, attrKeys[i], query.AttrLevel, publisher.ID()))
+		ids = append(ids, attrKeys[i].ID())
 		msgs = append(msgs, newTupleMsg(t, valueKeys[i], query.ValueLevel, publisher.ID()))
 		ids = append(ids, valueKeys[i].ID())
 	}
 	e.net.MultiSend(publisher, msgs, ids)
-}
-
-// attrKey maps a base attribute-level key to the replica that should
-// receive the tuple with the given publication sequence.
-func (e *Engine) attrKey(base relation.Key, pubSeq int64) relation.Key {
-	if e.Cfg.AttrReplicas < 2 {
-		return base
-	}
-	return replicaKey(base, int(pubSeq%int64(e.Cfg.AttrReplicas)))
-}
-
-// replicaCache memoizes (base key, replica index) → replica Key so the
-// per-publish round-robin pays neither the Sprintf nor the hash after
-// the first derivation of each replica.
-var replicaCache sync.Map // replicaRef → relation.Key
-
-type replicaRef struct {
-	base string
-	i    int
-}
-
-// replicaKey derives the i-th replica key of an attribute-level key.
-// Replica 0 keeps the base name so single-replica deployments are
-// byte-compatible.
-func replicaKey(base relation.Key, i int) relation.Key {
-	if i == 0 {
-		return base
-	}
-	ref := replicaRef{base: base.String(), i: i}
-	if k, ok := replicaCache.Load(ref); ok {
-		return k.(relation.Key)
-	}
-	k := relation.KeyOf(fmt.Sprintf("%s#r%d", base, i))
-	replicaCache.Store(ref, k)
-	return k
 }
 
 // TotalAnswers returns the number of answers delivered across all

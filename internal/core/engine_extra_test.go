@@ -126,32 +126,6 @@ func TestMoveNodeTransfersState(t *testing.T) {
 	}
 }
 
-// TestMoveNodeFlushesBatchedOutbox: with batch routing on, a tuple the
-// mover published but had not yet flushed must survive the move. The
-// outbox's flush event is addressed to the vacated ring handle, so
-// MoveNode empties the outbox first, as LeaveNode does.
-func TestMoveNodeFlushesBatchedOutbox(t *testing.T) {
-	netCfg := overlay.DefaultConfig()
-	netCfg.BatchWindow = 4
-	eng, nodes := testNet(t, 48, 105, DefaultConfig(), netCfg)
-	qid, err := eng.SubmitQuery(nodes[0], sqlparse.MustParse("select R.B, S.B from R,S where R.A=S.A", testCat))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	eng.PublishTuple(nodes[1], mkTuple("R", 1, 10, 0))
-	eng.Run()
-	mover := nodes[7]
-	eng.PublishTuple(mover, mkTuple("S", 1, 20, 0)) // sits in the mover's outbox
-	if _, err := eng.MoveNode(mover, mover.ID()+1<<60); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if got := len(eng.Answers(qid)); got != 1 {
-		t.Fatalf("%d answers after moving a node with a batched outbox, want 1", got)
-	}
-}
-
 // TestMoveNodeRebindsShard: on a parallel engine a moved processor must
 // run and count where its new identifier lives. The mover joins as a
 // fresh Proc, and newProc derives every shard-dependent field.

@@ -92,9 +92,9 @@ func TestPaperFigure1Example(t *testing.T) {
 	}
 }
 
-// TestTupleBeforeQueryExcluded checks the Definition 1 semantics: only
+// TestTupleBeforeQueryIgnored checks the Definition 1 semantics: only
 // tuples published at or after query submission count.
-func TestTupleBeforeQueryExcluded(t *testing.T) {
+func TestTupleBeforeQueryIgnored(t *testing.T) {
 	eng, nodes := testNet(t, 32, 2, DefaultConfig(), overlay.DefaultConfig())
 	early := mkTuple("R", 1, 1, 0)
 	eng.PublishTuple(nodes[3], early)

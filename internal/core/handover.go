@@ -163,12 +163,12 @@ func (e *Engine) JoinNode(nid id.ID) (*chord.Node, error) {
 	return n, nil
 }
 
-// LeaveNode removes a node gracefully: it flushes its batched messages,
-// departs the ring, and moves its entire RJoin state to the node that
-// owns its keys once it is gone — ring ground truth, its successor —
-// counted in the churn traffic share. Messages already in flight to the
-// departed node bounce to the same successor and find the state there,
-// so a graceful leave loses no state and duplicates no answers. The
+// LeaveNode removes a node gracefully: it departs the ring and moves its
+// entire RJoin state to the node that owns its keys once it is gone —
+// ring ground truth, its successor — counted in the churn traffic
+// share. Messages already in flight to the departed node bounce to the
+// same successor and find the state there, so a graceful leave loses no
+// state and duplicates no answers. The
 // exception is the last node: there is nobody to hand to, and its live
 // state — pending placements included — is counted as lost.
 func (e *Engine) LeaveNode(n *chord.Node) error {
@@ -176,7 +176,6 @@ func (e *Engine) LeaveNode(n *chord.Node) error {
 	if !ok {
 		return fmt.Errorf("core: node %s has no processor", n.ID())
 	}
-	e.net.FlushNode(n)
 	e.ring.Leave(n)
 	e.NodeLeft(n)
 	// Every group the node belonged to lost a member.
@@ -250,9 +249,7 @@ func (e *Engine) CrashNode(n *chord.Node) error {
 	// many different recovery homes, so the tag scopes to every lane.
 	e.net.WithTagAll(TagChurn, func() {
 		// Re-index each lost input placement at exactly the key it was
-		// stored under: with attribute-level replication the surviving
-		// replicas keep their copies, so recovering only the lost
-		// replica restores completeness without duplicating answers.
+		// stored under.
 		for _, lp := range lost {
 			home := e.ring.Owner(id.ID(lp.q.Owner))
 			if home == nil {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"rjoin/internal/agg"
 	"rjoin/internal/chord"
 	"rjoin/internal/id"
@@ -24,13 +22,6 @@ type storedQuery struct {
 	level query.Level
 	agg   bool            // cached q.IsAggregate(), checked per trigger
 	seen  map[string]bool // trigger projections already used (DISTINCT)
-
-	// triggers counts how often this stored copy has been triggered;
-	// combined records the publication sequences of the tuples it
-	// consumed. Both drive the query-migration extension (Section 10
-	// future work) and are maintained only when migration is enabled.
-	triggers int
-	combined []int64
 }
 
 // allowTrigger implements the DISTINCT rule: a tuple may trigger the
@@ -232,8 +223,7 @@ func stateSizeOf(q *query.Query) int64 {
 		16*int64(len(q.Relations)) +
 		48*int64(len(q.Select)) +
 		32*int64(len(q.Joins)) +
-		40*int64(len(q.Selections)) +
-		8*int64(len(q.Exclude))
+		40*int64(len(q.Selections))
 }
 
 // profStateDrop debits a removed stored query's estimated footprint
@@ -296,10 +286,6 @@ func (p *Proc) onTuple(now sim.Time, m *tupleMsg) {
 			return false
 		}
 		p.trigger(now, sq, m.T, false)
-		if p.eng.Cfg.EnableMigration && p.maybeMigrate(now, sq) {
-			p.profStateDrop(now, sq)
-			return false // relocated to a colder candidate
-		}
 		return true
 	})
 
@@ -340,9 +326,6 @@ func (p *Proc) trigger(now sim.Time, sq *storedQuery, t *relation.Tuple, stored 
 	q := sq.q
 	if !pubQualifies(q, t) {
 		return
-	}
-	if q.Excluded(t.PubSeq) {
-		return // already combined at a previous home (migration)
 	}
 	clock := q.Window.Clock(t)
 	if stored && q.Depth > 0 && q.Window.Enabled() && !q.Window.Valid(q.Start, clock) {
@@ -444,19 +427,11 @@ func (p *Proc) countRewrite(depth int) {
 }
 
 // consume records the memory a successful trigger leaves on the stored
-// query: the DISTINCT projection it used up and, when the migration
-// extension (Section 10 future work) is enabled, the publication
-// sequence it combined.
+// query: the DISTINCT projection it used up.
 func (p *Proc) consume(sq *storedQuery, t *relation.Tuple) {
-	var proj string
 	if sq.q.Distinct {
-		proj = sq.q.TriggerProjection(t)
+		p.st.trigger(sq, sq.q.TriggerProjection(t))
 	}
-	var pubSeq int64
-	if p.eng.Cfg.EnableMigration {
-		pubSeq = t.PubSeq
-	}
-	p.st.trigger(sq, proj, pubSeq)
 }
 
 // storeTuple stores a value-level tuple (counted as storage load) and
@@ -533,78 +508,6 @@ func (p *Proc) onEval(now sim.Time, m *evalMsg) {
 			p.trigger(now, sq, e.t, true)
 		}
 	}
-}
-
-// maybeMigrate implements the Section 10 future-work extension:
-// on-line adaptation of the distributed query plan. A value-level
-// rewritten query that has been triggered repeatedly at a hot key
-// relocates to the coldest alternative candidate the node's candidate
-// table knows about, carrying the exclusion set of tuples it already
-// combined so no answer is produced twice. DISTINCT queries do not
-// migrate (their projection memory cannot travel with the query without
-// re-deriving it, so the distributed dedup guarantee would weaken).
-// Input queries and attribute-level placements do not migrate either:
-// their destinations retain only Δ of tuple history, which would
-// sacrifice completeness.
-func (p *Proc) maybeMigrate(now sim.Time, sq *storedQuery) bool {
-	cfg := p.eng.Cfg
-	if sq.q.Depth == 0 || sq.level != query.ValueLevel || sq.q.Distinct {
-		return false
-	}
-	minTrig := cfg.MigrationMinTriggers
-	if minTrig <= 0 {
-		minTrig = 8
-	}
-	if sq.triggers < minTrig {
-		return false
-	}
-	factor := cfg.MigrationFactor
-	if factor <= 1 {
-		factor = 4
-	}
-	localRate := p.rate(sq.key, now)
-	if localRate <= 0 {
-		return false
-	}
-	// The best alternative the node knows about locally (CT entries
-	// arrive with piggy-backed RIC info); migration is a local
-	// decision, exactly like initial placement.
-	best, found := 0.0, false
-	for _, c := range sq.q.Candidates() {
-		if c.Level != query.ValueLevel || c.Key == sq.key {
-			continue
-		}
-		if e, ok := p.st.ct.fresh(c.Key, now, ctValidity); ok {
-			if !found || e.Rate < best {
-				best, found = e.Rate, true
-			}
-		}
-	}
-	if !found || localRate < factor*(best+1) {
-		return false
-	}
-	q2 := sq.q.Clone()
-	q2.Exclude = mergeExclude(q2.Exclude, sq.combined)
-	p.ctr.QueriesMigrated++
-	p.place(now, q2)
-	return true
-}
-
-// mergeExclude merges newly combined publication sequences into a
-// sorted exclusion set.
-func mergeExclude(exclude, combined []int64) []int64 {
-	if len(combined) == 0 {
-		return exclude
-	}
-	merged := append(exclude, combined...)
-	sort.Slice(merged, func(i, j int) bool { return merged[i] < merged[j] })
-	out := merged[:0]
-	for i, v := range merged {
-		if i == 0 || v != merged[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // dispatch routes a freshly created rewrite: completed queries become
@@ -826,21 +729,7 @@ func (p *Proc) decide(q *query.Query, cands []query.Candidate, known []ricInfo) 
 
 // sendEval ships the Eval message: directly when the target's address
 // is known (the RIC reply contains candidate IPs), routed otherwise.
-// Attribute-level placements under replication fan out to every replica
-// key, since a tuple is delivered to only one of them.
 func (p *Proc) sendEval(q *query.Query, c query.Candidate, piggy []ricInfo, direct bool) {
-	if c.Level == query.AttrLevel && p.eng.Cfg.AttrReplicas >= 2 {
-		r := p.eng.Cfg.AttrReplicas
-		msgs := make([]overlay.Message, r)
-		keys := make([]id.ID, r)
-		for i := 0; i < r; i++ {
-			rk := replicaKey(c.Key, i)
-			msgs[i] = newEvalMsg(q, rk, c.Level, piggy)
-			keys[i] = rk.ID()
-		}
-		p.eng.net.MultiSend(p.node, msgs, keys)
-		return
-	}
 	msg := newEvalMsg(q, c.Key, c.Level, piggy)
 	if direct {
 		// The address may be stale (node left); fall back to routing.

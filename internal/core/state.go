@@ -156,8 +156,8 @@ type state struct {
 	// entry under the first instant past its expiry. Derived state like
 	// waiting: only addQuery, addALTT, expire and clear write it and no op
 	// names it, so apply rebuilds it. An item whose entry left another way
-	// — deleted by a trigger out of window, migrated, torn down, its key
-	// moved — stays filed, and its drain finds nothing to drop.
+	// — deleted by a trigger out of window, torn down, its key moved —
+	// stays filed, and its drain finds nothing to drop.
 	deaths     [numClocks]wheel[*storedQuery]
 	alttDeaths wheel[relation.Key]
 
@@ -278,22 +278,15 @@ func (s *state) removeQuery(sq *storedQuery) bool {
 }
 
 // trigger records the memory a successful trigger leaves on a stored
-// query: the DISTINCT projection it consumed and, under migration, the
-// combined publication sequence. Plain queries leave none.
-func (s *state) trigger(sq *storedQuery, proj string, pubSeq int64) {
-	if proj == "" && pubSeq == 0 {
+// query: the DISTINCT projection it consumed. Plain queries leave none.
+func (s *state) trigger(sq *storedQuery, proj string) {
+	if proj == "" {
 		return
 	}
-	if proj != "" {
-		if sq.seen == nil {
-			sq.seen = make(map[string]bool)
-		}
-		sq.seen[proj] = true
+	if sq.seen == nil {
+		sq.seen = make(map[string]bool)
 	}
-	if pubSeq != 0 {
-		sq.triggers++
-		sq.combined = append(sq.combined, pubSeq)
-	}
+	sq.seen[proj] = true
 	s.replOps++
 }
 
@@ -312,6 +305,7 @@ func (s *state) filterTuples(key relation.Key, keep func(*relation.Tuple) bool) 
 			kept = append(kept, t)
 		}
 	}
+	clear(list[len(kept):]) // the array must not keep the collected alive
 	if len(kept) == 0 {
 		delete(s.tuples, key)
 	} else {

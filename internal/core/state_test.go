@@ -296,25 +296,15 @@ func stateCharges(f *stateFixture) []stateCharge {
 			s.addQuery(f.stored(f.plain, k[0]))
 			removeQuery(s, f.stored(f.plain, k[0]))
 		}},
-		{"trigger with projection and pubSeq", 2, func(s *state) {
-			sq := f.stored(f.distinct, k[1])
-			s.addQuery(sq)
-			s.trigger(sq, "B=4|", 11)
-		}},
 		{"trigger with projection", 2, func(s *state) {
 			sq := f.stored(f.distinct, k[1])
 			s.addQuery(sq)
-			s.trigger(sq, "B=4|", 0)
-		}},
-		{"trigger with pubSeq", 2, func(s *state) {
-			sq := f.stored(f.plain, k[1])
-			s.addQuery(sq)
-			s.trigger(sq, "", 11)
+			s.trigger(sq, "B=4|")
 		}},
 		{"trigger leaving no memory", 1, func(s *state) {
 			sq := f.stored(f.plain, k[1])
 			s.addQuery(sq)
-			s.trigger(sq, "", 0)
+			s.trigger(sq, "")
 		}},
 		{"addTuple", 1, func(s *state) { s.addTuple(k[1], tu) }},
 		{"filterTuples: one op per victim", 8, func(s *state) {
@@ -441,6 +431,33 @@ func TestStateOpRoundTrips(t *testing.T) {
 	}
 }
 
+// TestFilterTuplesReleasesCollected: tuple GC compacts a key's list in
+// place, and the array past the kept prefix must not keep the collected
+// tuples reachable — the "zero past len" invariant spares.put states for
+// every list array.
+func TestFilterTuplesReleasesCollected(t *testing.T) {
+	f := newStateFixture()
+	s := newState(f.specOf)
+	key := f.keys[1]
+	for seq := int64(1); seq <= 4; seq++ {
+		tu := mkTuple("R", 1, seq, 0)
+		tu.PubSeq = seq
+		s.addTuple(key, tu)
+	}
+	if gone := s.filterTuples(key, func(x *relation.Tuple) bool { return x.PubSeq == 3 }); gone != 3 {
+		t.Fatalf("collected %d tuples, want 3", gone)
+	}
+	list := s.tuples[key]
+	if len(list) != 1 || list[0].PubSeq != 3 {
+		t.Fatalf("kept %d tuples, want only seq 3", len(list))
+	}
+	for i, x := range list[len(list):cap(list)] {
+		if x != nil {
+			t.Fatalf("slot %d past the kept prefix still holds tuple seq %d", len(list)+i, x.PubSeq)
+		}
+	}
+}
+
 // checkDirtySet asserts the flush bookkeeping invariant: a state's
 // dirty-key set is exactly the keys of its groups with un-flushed
 // epochs.
@@ -527,7 +544,8 @@ func TestStateRandomSequences(t *testing.T) {
 			case 3:
 				if len(live) > 0 {
 					pubSeq++
-					a.trigger(live[rng.Intn(len(live))], fmt.Sprintf("B=%d|", rng.Intn(4)), pubSeq*int64(rng.Intn(2)))
+					a.trigger(live[rng.Intn(len(live))], fmt.Sprintf("B=%d|", rng.Intn(4)))
+					rng.Intn(2) // a draw the pinned sequence still makes
 				}
 			case 4, 5:
 				pubSeq++

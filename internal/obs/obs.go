@@ -139,7 +139,7 @@ const (
 	// KindStateStore is a query copy stored at its placement key; N is
 	// its estimated footprint in bytes.
 	KindStateStore
-	// KindStateDrop is a stored query copy removed (expired, migrated);
+	// KindStateDrop is a stored query copy removed because it expired;
 	// N is the footprint released, as a negative number.
 	KindStateDrop
 	// KindTrigger is one trigger outcome at a placement. Arg is the

@@ -2,7 +2,7 @@
 // retransmission ladder drawn at send time.
 //
 // With Config.Faults set, every remote routed or direct send (Send,
-// MultiSend, SendDirect, batched flushes — everything except node-local
+// MultiSend, SendDirect — everything except node-local
 // deliveries; Handoff and ReplicateTo only charge) is subject to the
 // fault plan: a Bernoulli drop draw, a duplication draw, a delay-spike
 // draw, and scheduled link partitions between node sets. All draws come

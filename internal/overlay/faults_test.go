@@ -19,8 +19,8 @@ func lossyCfg(f *Faults) Config {
 }
 
 // TestNewNetworkValidatesFaults: out-of-range probabilities, negative
-// timer parameters, inverted partition windows, and a negative batch
-// window must all be rejected at construction.
+// timer parameters and inverted partition windows must all be rejected
+// at construction.
 func TestNewNetworkValidatesFaults(t *testing.T) {
 	ring := newTestRing(t, 4)
 	engine := sim.NewEngine(1)
@@ -34,7 +34,6 @@ func TestNewNetworkValidatesFaults(t *testing.T) {
 		lossyCfg(&Faults{MaxRetries: -1}),
 		lossyCfg(&Faults{AckDelay: -2}),
 		lossyCfg(&Faults{Partitions: []Partition{{Start: 10, End: 5}}}),
-		{MinHopDelay: 1, MaxHopDelay: 1, BatchWindow: -3},
 	}
 	for _, cfg := range bad {
 		if _, err := NewNetwork(ring, engine, cfg); err == nil {

@@ -15,7 +15,7 @@
 //
 // Everything the network keeps for one ring identifier lives in one
 // peer record — handler, scheduling shard, accounting lane, hop-delay
-// stream, batching outbox and (under Faults) fault stream and ack windows —
+// stream and (under Faults) fault stream and ack windows —
 // and every operation resolves the acting node's record once and counts
 // through its lane: traffic charges, the active traffic tag, the integer
 // totals and the lookup scratch buffers. Lane 0 is the aggregate itself
@@ -74,14 +74,6 @@ type Config struct {
 	// of keyed messages is routed as a chain along the ring instead of
 	// as independent lookups.
 	GroupMultiSend bool
-	// BatchWindow enables the batch-routing optimization the paper
-	// lists as future work (Section 10): a node buffers its outgoing
-	// keyed messages for up to BatchWindow ticks and flushes them as
-	// one grouped multiSend, so messages raised within the same window
-	// share routing. Zero disables batching. Delivery is delayed by at
-	// most BatchWindow; MaxDelta accounts for it, so the ALTT
-	// completeness bound still holds.
-	BatchWindow int64
 	// Bounce re-routes undeliverable Rekeyable messages — sends whose
 	// recipient left or crashed before delivery — to the node currently
 	// responsible for the message's ring key, instead of dropping them.
@@ -205,7 +197,6 @@ type peer struct {
 	shard int      // scheduling shard; sim.NoShard on a serial engine
 	l     *lane    // accounting lane of that shard
 	rng   *sim.RNG // hop-delay stream; nil on a serial network (the engine's shared source draws)
-	ob    outbox   // keyed messages buffered until the batch window closes
 	frng  *sim.RNG // fault stream; nil unless Config.Faults
 	// ackEnd is, per receiver, the end of the open ack-coalescing window
 	// of this node's deliveries there; nil unless Config.Faults.
@@ -241,9 +232,6 @@ func NewNetwork(ring *chord.Ring, engine *sim.Engine, cfg Config) (*Network, err
 	if cfg.MaxHopDelay < cfg.MinHopDelay {
 		return nil, fmt.Errorf("overlay: MinHopDelay %d exceeds MaxHopDelay %d",
 			cfg.MinHopDelay, cfg.MaxHopDelay)
-	}
-	if cfg.BatchWindow < 0 {
-		return nil, fmt.Errorf("overlay: negative BatchWindow %d", cfg.BatchWindow)
 	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.validate(); err != nil {
@@ -285,14 +273,6 @@ func MustNetwork(ring *chord.Ring, engine *sim.Engine, cfg Config) *Network {
 		panic(err)
 	}
 	return nw
-}
-
-// outbox buffers one node's outgoing keyed messages between batch
-// flushes.
-type outbox struct {
-	msgs      []Message
-	keys      []id.ID
-	scheduled bool
 }
 
 // peerFor resolves the record of the node an operation acts as or
@@ -536,21 +516,9 @@ func (nw *Network) ResetTraffic() {
 }
 
 // Send routes msg from node "from" to Successor(key) through the DHT
-// and returns the owner it was routed to. With batch routing enabled
-// the message is buffered instead and the return value is nil (the
-// owner is resolved at flush time); delivery is asynchronous either
-// way.
+// and returns the owner it was routed to; delivery is asynchronous.
 func (nw *Network) Send(from *chord.Node, key id.ID, msg Message) *chord.Node {
 	p := nw.peerFor(from.ID())
-	if nw.cfg.BatchWindow > 0 {
-		nw.enqueue(p, from, key, msg)
-		return nil
-	}
-	return nw.sendNow(p, from, key, msg)
-}
-
-// sendNow performs an immediate routed delivery, bypassing batching.
-func (nw *Network) sendNow(p *peer, from *chord.Node, key id.ID, msg Message) *chord.Node {
 	owner, delay := nw.route(p, from, key)
 	nw.deliverFrom(p, from, owner, delay, msg)
 	return owner
@@ -564,40 +532,6 @@ func (nw *Network) route(p *peer, from *chord.Node, key id.ID) (*chord.Node, int
 	owner, path := from.LookupAppend(p.l.path[:0], key)
 	p.l.path = path
 	return owner, nw.chargePath(p, from, path)
-}
-
-// enqueue buffers a keyed message in the sender's outbox and schedules
-// a flush at the end of the current batch window.
-func (nw *Network) enqueue(p *peer, from *chord.Node, key id.ID, msg Message) {
-	ob := &p.ob
-	ob.msgs = append(ob.msgs, msg)
-	ob.keys = append(ob.keys, key)
-	if !ob.scheduled {
-		ob.scheduled = true
-		nw.Engine.AfterCtxShard(nw.cfg.BatchWindow, flushEvent, sim.Ctx{A: nw, B: from}, p.shard, p.shard)
-	}
-}
-
-// flushEvent is the batch-window expiry callback; see deliverEvent for
-// why it is a package-level CtxFunc. It executes in the sending node's
-// shard.
-func flushEvent(_ sim.Time, c sim.Ctx) { c.A.(*Network).FlushNode(c.B.(*chord.Node)) }
-
-// FlushNode sends a node's buffered messages now, as one grouped
-// multiSend — what the batch window's expiry does, and what a node about
-// to leave does first, so batching cannot turn a clean departure into
-// message loss.
-func (nw *Network) FlushNode(from *chord.Node) {
-	p := nw.peerFor(from.ID())
-	if len(p.ob.msgs) == 0 {
-		return
-	}
-	msgs, keys := p.ob.msgs, p.ob.keys
-	p.ob = outbox{}
-	if !from.Alive() {
-		return // sender failed before the window closed
-	}
-	nw.multiSendNow(p, from, msgs, keys)
 }
 
 // SendDirect delivers msg to a node whose address is already known, in a
@@ -672,27 +606,10 @@ func (nw *Network) MultiSend(from *chord.Node, msgs []Message, keys []id.ID) {
 		return
 	}
 	p := nw.peerFor(from.ID())
-	if nw.cfg.BatchWindow > 0 {
-		for j := range msgs {
-			nw.enqueue(p, from, keys[j], msgs[j])
-		}
-		return
-	}
-	nw.multiSendNow(p, from, msgs, keys)
-}
-
-// leg is one delivery of a grouped multiSend.
-type leg struct {
-	key id.ID
-	msg Message
-}
-
-// multiSendNow performs the actual delivery for MultiSend and for batch
-// flushes.
-func (nw *Network) multiSendNow(p *peer, from *chord.Node, msgs []Message, keys []id.ID) {
 	if !nw.cfg.GroupMultiSend || len(msgs) == 1 {
 		for j := range msgs {
-			nw.sendNow(p, from, keys[j], msgs[j])
+			owner, delay := nw.route(p, from, keys[j])
+			nw.deliverFrom(p, from, owner, delay, msgs[j])
 		}
 		return
 	}
@@ -723,6 +640,12 @@ func (nw *Network) multiSendNow(p *peer, from *chord.Node, msgs []Message, keys 
 	p.l.legs = legs[:0]
 }
 
+// leg is one delivery of a grouped multiSend.
+type leg struct {
+	key id.ID
+	msg Message
+}
+
 // MaxDelta returns a safe upper bound Δ on end-to-end message delay:
 // per-hop δ times the worst-case hop count of a Chord lookup plus
 // slack, the quantity Section 4 uses to size the ALTT garbage-collection
@@ -738,9 +661,7 @@ func (nw *Network) MaxDelta() int64 {
 	for s := 1; s < n; s *= 2 {
 		hops += 4
 	}
-	// A query transmission traverses at most a handful of batch
-	// buffers (the RIC walk legs plus the final send).
-	delta := nw.cfg.MaxHopDelay*hops + 8*nw.cfg.BatchWindow
+	delta := nw.cfg.MaxHopDelay * hops
 	if f := nw.cfg.Faults; f != nil {
 		if f.SpikeProb > 0 {
 			delta += f.SpikeMax * hops

@@ -14,7 +14,8 @@ import (
 // of every overlay operation runs once on a serial network (one lane,
 // aliasing the aggregates) and once on a parallel one (a lane per
 // shard, merged at Sync). Hop delays are unit, so no draw is taken and
-// the two must agree on every count.
+// the two must agree on every count. Even seeds group multiSends along
+// the ring, odd seeds route each leg alone.
 
 // scriptMsg is the script's payload. Its ring key lets it bounce; a
 // positive ttl makes the receiving handler forward it, under the tag it
@@ -48,13 +49,13 @@ var scriptTags = []string{"", "ric", "agg", "churn", TagRepl}
 // and returns the accounts after Run and Sync. Every decision depends
 // only on the seeded source and on ring membership, which the script
 // itself drives, so equal seeds yield equal scripts on any engine.
-func runPeerScript(t *testing.T, seed int64, batch int64, workers int) peerAccounts {
+func runPeerScript(t *testing.T, seed int64, workers int) peerAccounts {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	ring := chord.NewRing()
 	engine := sim.NewEngine(seed)
 	engine.SetWorkers(workers)
-	cfg := Config{MinHopDelay: 1, MaxHopDelay: 1, GroupMultiSend: seed%2 == 0, BatchWindow: batch, Bounce: true}
+	cfg := Config{MinHopDelay: 1, MaxHopDelay: 1, GroupMultiSend: seed%2 == 0, Bounce: true}
 	nw := MustNetwork(ring, engine, cfg)
 
 	byID := map[id.ID]*scriptNode{} // ring identifier → its node
@@ -63,11 +64,8 @@ func runPeerScript(t *testing.T, seed int64, batch int64, workers int) peerAccou
 	handler := func(sn *scriptNode) Handler {
 		return HandlerFunc(func(_ sim.Time, msg Message) {
 			sn.got++
-			// Forwarding from a handler races the batch window's flush event
-			// within a tick, and the two engines order a tick differently;
-			// only unbatched runs forward, where each send is charged alone.
 			m := msg.(*scriptMsg)
-			if m.ttl == 0 || batch > 0 {
+			if m.ttl == 0 {
 				return
 			}
 			fwd := &scriptMsg{key: m.key*0x9E3779B97F4A7C15 + id.ID(m.ttl), ttl: m.ttl - 1, tag: m.tag}
@@ -156,7 +154,6 @@ func runPeerScript(t *testing.T, seed int64, batch int64, workers int) peerAccou
 			ring.BuildPerfect()
 		case op == 3: // graceful leave and a join elsewhere, as core.MoveNode drives them
 			n := pick()
-			nw.FlushNode(n)
 			nw.Detach(n)
 			ring.Leave(n)
 			join()
@@ -176,7 +173,7 @@ func runPeerScript(t *testing.T, seed int64, batch int64, workers int) peerAccou
 	engine.Run()
 	nw.Sync()
 
-	label := fmt.Sprintf("seed %d batch %d workers %d", seed, batch, workers)
+	label := fmt.Sprintf("seed %d workers %d", seed, workers)
 	acc := peerAccounts{totals: nw.totals, traffic: map[id.ID]int64{}, tagged: map[string]map[id.ID]int64{}}
 	if nw.Traffic.Total() != nw.MessagesSent {
 		t.Fatalf("%s: Traffic.Total %d != MessagesSent %d", label, nw.Traffic.Total(), nw.MessagesSent)
@@ -209,27 +206,25 @@ func runPeerScript(t *testing.T, seed int64, batch int64, workers int) peerAccou
 func TestPeerAccountingDifferential(t *testing.T) {
 	var sent, tagged int64
 	for seed := int64(1); seed <= 40; seed++ {
-		for _, batch := range []int64{0, 4} {
-			serial := runPeerScript(t, seed, batch, 0)
-			parallel := runPeerScript(t, seed, batch, 2)
-			if serial.totals != parallel.totals {
-				t.Fatalf("seed %d batch %d: totals differ\nserial   %+v\nparallel %+v", seed, batch, serial.totals, parallel.totals)
-			}
-			for nid, want := range serial.traffic {
-				if got := parallel.traffic[nid]; got != want {
-					t.Fatalf("seed %d batch %d: traffic of %s: serial %d, parallel %d", seed, batch, nid, want, got)
-				}
-			}
-			for tag, loads := range serial.tagged {
-				for nid, want := range loads {
-					if got := parallel.tagged[tag][nid]; got != want {
-						t.Fatalf("seed %d batch %d: %q traffic of %s: serial %d, parallel %d", seed, batch, tag, nid, want, got)
-					}
-				}
-			}
-			sent += serial.totals.MessagesSent
-			tagged += serial.tagSum
+		serial := runPeerScript(t, seed, 0)
+		parallel := runPeerScript(t, seed, 2)
+		if serial.totals != parallel.totals {
+			t.Fatalf("seed %d: totals differ\nserial   %+v\nparallel %+v", seed, serial.totals, parallel.totals)
 		}
+		for nid, want := range serial.traffic {
+			if got := parallel.traffic[nid]; got != want {
+				t.Fatalf("seed %d: traffic of %s: serial %d, parallel %d", seed, nid, want, got)
+			}
+		}
+		for tag, loads := range serial.tagged {
+			for nid, want := range loads {
+				if got := parallel.tagged[tag][nid]; got != want {
+					t.Fatalf("seed %d: %q traffic of %s: serial %d, parallel %d", seed, tag, nid, want, got)
+				}
+			}
+		}
+		sent += serial.totals.MessagesSent
+		tagged += serial.tagSum
 	}
 	if sent == 0 || tagged == 0 {
 		t.Fatalf("the scripts exercised too little: %d messages, %d tagged", sent, tagged)
@@ -248,12 +243,12 @@ func TestPeerUnattachedNodes(t *testing.T) {
 	}
 	ring.BuildPerfect()
 	engine := sim.NewEngine(1)
-	nw := MustNetwork(ring, engine, Config{MinHopDelay: 1, MaxHopDelay: 3, BatchWindow: 2})
+	nw := MustNetwork(ring, engine, Config{MinHopDelay: 1, MaxHopDelay: 3})
 	nodes := ring.Nodes()
 	from, to := nodes[0], nodes[5]
 	var got int
 	nw.Attach(to, HandlerFunc(func(sim.Time, Message) { got++ }))
-	nw.Send(from, to.ID(), "routed")                     // unattached sender, batched and flushed
+	nw.Send(from, to.ID(), "routed")                     // unattached sender
 	nw.SendDirect(from, to.ID(), "direct")               // unattached sender
 	nw.SendDirect(to, from.ID(), "lost")                 // unattached recipient: dropped
 	nw.WithTag(from, "ric", func() { nw.Handoff(from) }) // unattached sender, charge only

@@ -254,13 +254,6 @@ type Query struct {
 	// Depth counts how many rewriting steps produced this query; an
 	// input query has Depth 0.
 	Depth int
-	// Exclude lists publication sequence numbers of tuples this query
-	// (or an ancestor) has already combined with at a previous home.
-	// It is populated only by query migration — the Section 10
-	// future-work extension — and is inherited by every rewrite so a
-	// migrated plan never recombines a tuple and duplicates answers.
-	// Kept sorted for binary search.
-	Exclude []int64
 	// Lineage is the provenance of this rewrite chain: one step per
 	// tuple combined, in rewrite order. It is populated only when the
 	// engine runs with provenance enabled, and only by the core trigger
@@ -311,13 +304,6 @@ func SortLineage(lin []LineageStep) {
 	})
 }
 
-// Excluded reports whether the tuple with the given publication
-// sequence number has already been consumed by this query line.
-func (q *Query) Excluded(pubSeq int64) bool {
-	i := sort.Search(len(q.Exclude), func(i int) bool { return q.Exclude[i] >= pubSeq })
-	return i < len(q.Exclude) && q.Exclude[i] == pubSeq
-}
-
 // Clone returns a deep copy; rewriting never mutates a stored query.
 func (q *Query) Clone() *Query {
 	c := *q
@@ -326,7 +312,6 @@ func (q *Query) Clone() *Query {
 	c.Joins = append([]JoinCond(nil), q.Joins...)
 	c.Selections = append([]SelCond(nil), q.Selections...)
 	c.GroupBy = append([]ColRef(nil), q.GroupBy...)
-	c.Exclude = append([]int64(nil), q.Exclude...)
 	c.Lineage = append([]LineageStep(nil), q.Lineage...)
 	return &c
 }
@@ -449,8 +434,8 @@ func RewriteComplete(q *Query, t *relation.Tuple) ([]relation.Value, bool) {
 //
 // The result is copy-on-write: slices the substitution leaves untouched
 // (Select when no column of rel appears, Joins when no conjunct touches
-// rel, Selections when nothing is added or dropped, and always Exclude)
-// are shared with the parent. Neither parent nor child is ever mutated
+// rel, Selections when nothing is added or dropped, and Lineage) are
+// shared with the parent. Neither parent nor child is ever mutated
 // after creation, so sharing is safe; anyone who needs an independent
 // deep copy uses Clone.
 func Rewrite(q *Query, t *relation.Tuple) (*Query, bool) {

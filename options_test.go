@@ -79,9 +79,9 @@ func TestChurnOptionsValidated(t *testing.T) {
 // TestFaultOptionsValidated: NewNetwork rejects fault plans with
 // out-of-range probabilities, inverted partition windows, or partition
 // side indices outside the initial node list — each error naming the
-// offending knob — as well as a negative BatchWindow and negative
-// metrics or profile sample intervals, while valid plans (including the
-// empty zero-rate plan) still construct.
+// offending knob — as well as negative metrics or profile sample
+// intervals, while valid plans (including the empty zero-rate plan)
+// still construct.
 func TestFaultOptionsValidated(t *testing.T) {
 	bad := []struct {
 		opts Options
@@ -94,7 +94,6 @@ func TestFaultOptionsValidated(t *testing.T) {
 		{Options{Nodes: 8, Faults: &FaultOptions{Partitions: []FaultPartition{{Start: 9, End: 3}}}}, "Faults.Partitions[0]"},
 		{Options{Nodes: 8, Faults: &FaultOptions{Partitions: []FaultPartition{{Start: 0, End: 9, Side: []int{8}}}}}, "node index 8"},
 		{Options{Nodes: 8, Faults: &FaultOptions{Partitions: []FaultPartition{{Start: 0, End: 9, Side: []int{-1}}}}}, "node index -1"},
-		{Options{Nodes: 8, BatchWindow: -4}, "BatchWindow"},
 		{Options{Nodes: 8, Metrics: &MetricsOptions{SampleInterval: -1}}, "Metrics.SampleInterval"},
 		{Options{Nodes: 8, Profile: &ProfileOptions{SampleInterval: -64}}, "Profile.SampleInterval"},
 	}
@@ -143,34 +142,35 @@ func runFixedWorkload(t *testing.T, opts Options) (int, Stats) {
 	return sub.Count(), net.Stats()
 }
 
-// TestOptionsPreserveAnswers: every optional feature leaves the answer
-// set untouched; only the cost profile may change.
+// TestOptionsPreserveAnswers: every answer-neutral knob — the paper's
+// own ablations, the placement strategy, sharing, replication, parallel
+// execution, provenance and a lossy network — leaves the answer count
+// untouched, alone and all together; only the cost profile may change.
 func TestOptionsPreserveAnswers(t *testing.T) {
 	base, _ := runFixedWorkload(t, Options{})
 	if base == 0 {
 		t.Fatal("baseline produced no answers; workload too weak to compare")
 	}
 	variants := map[string]Options{
-		"batching":    {BatchWindow: 25},
-		"replication": {AttrReplicas: 3},
-		"migration":   {EnableMigration: true},
-		"attrRewrite": {AllowAttrRewrites: true},
-		"everything":  {BatchWindow: 25, AttrReplicas: 3, EnableMigration: true},
+		"disableCT":         {DisableCT: true},
+		"disablePiggyback":  {DisablePiggyback: true},
+		"attrRewrite":       {AllowAttrRewrites: true},
+		"random":            {Strategy: StrategyRandom},
+		"sharing":           {Sharing: true},
+		"replicationFactor": {ReplicationFactor: 2},
+		"workers":           {Workers: 2},
+		"provenance":        {Provenance: true},
+		"faults":            {Faults: &FaultOptions{DropProb: 0.05}},
+		"everything": {
+			DisableCT: true, DisablePiggyback: true, AllowAttrRewrites: true, Strategy: StrategyRandom,
+			Sharing: true, ReplicationFactor: 2, Workers: 2, Provenance: true, Faults: &FaultOptions{DropProb: 0.05},
+		},
 	}
 	for name, opts := range variants {
 		got, _ := runFixedWorkload(t, opts)
 		if got != base {
 			t.Errorf("%s: %d answers, baseline %d", name, got, base)
 		}
-	}
-}
-
-// TestBatchingReducesPublicationTraffic at the public API level.
-func TestBatchingReducesPublicationTraffic(t *testing.T) {
-	_, plain := runFixedWorkload(t, Options{})
-	_, batched := runFixedWorkload(t, Options{BatchWindow: 25})
-	if batched.Messages >= plain.Messages {
-		t.Fatalf("batching did not reduce traffic: %d >= %d", batched.Messages, plain.Messages)
 	}
 }
 

@@ -93,11 +93,6 @@ type Options struct {
 	// rewritten queries (see core.Config.AllowAttrRewrites for the
 	// completeness caveat).
 	AllowAttrRewrites bool
-	// EnableMigration turns on adaptive query migration, the paper's
-	// Section 10 future-work extension: rewritten queries waiting at
-	// keys that turn hot relocate themselves to colder candidates,
-	// carrying an exclusion set so no answer is duplicated.
-	EnableMigration bool
 	// Sharing enables multi-query optimization: queries whose join
 	// graphs are equivalent up to relation/predicate ordering, constant
 	// selections and projections collapse onto one shared in-network
@@ -111,16 +106,6 @@ type Options struct {
 	// completions after T. Byte-identical resubmissions of the same SQL
 	// are always deduplicated, with or without this option.
 	Sharing bool
-	// BatchWindow buffers each node's outgoing keyed messages for up
-	// to this many ticks and flushes them as one grouped multiSend
-	// (the batch-routing future work of Section 10). Zero disables.
-	BatchWindow int64
-	// AttrReplicas spreads attribute-level keys over this many replica
-	// keys (the [18] hotspot remedy); values < 2 disable it. This is
-	// load spreading, not durability: each replica key holds a distinct
-	// slice of the tuple stream, and a crash still loses that slice.
-	// For crash tolerance use ReplicationFactor.
-	AttrReplicas int
 	// ReplicationFactor k keeps every keyed state entry — stored
 	// queries with their DISTINCT memory, indexed tuples, ALTT and
 	// candidate-table entries, aggregation partials — on k nodes: the
@@ -139,10 +124,9 @@ type Options struct {
 	// two nodes — a node and its promoting successor crashing within
 	// the same tick included — and values above 2 cost traffic and
 	// tolerate nothing 2 does not (DESIGN.md "Cost and guarantees").
-	// Values < 2 (the default) disable replication
-	// and keep the counted-loss crash model. Must not exceed Nodes. This is
-	// durability, not load spreading — replicas serve no traffic until
-	// promoted; to spread a hot attribute key, use AttrReplicas.
+	// Values < 2 (the default) disable replication and keep the
+	// counted-loss crash model. Must not exceed Nodes. Replicas serve no
+	// traffic until promoted.
 	ReplicationFactor int
 	// Workers selects the execution mode of the event engine. 0 or 1
 	// (the default) runs the serial engine, bit-identical to previous
@@ -601,7 +585,6 @@ func NewNetwork(opts Options) (*Network, error) {
 		MinHopDelay:    opts.MinHopDelay,
 		MaxHopDelay:    opts.MaxHopDelay,
 		GroupMultiSend: true,
-		BatchWindow:    opts.BatchWindow,
 		Faults:         faults,
 		Obs:            rec,
 		// With bouncing on, messages in flight to a node that departs
@@ -624,8 +607,6 @@ func NewNetwork(opts Options) (*Network, error) {
 	cfg.UseCT = !opts.DisableCT
 	cfg.PiggybackRIC = !opts.DisablePiggyback
 	cfg.AllowAttrRewrites = opts.AllowAttrRewrites
-	cfg.EnableMigration = opts.EnableMigration
-	cfg.AttrReplicas = opts.AttrReplicas
 	cfg.ReplicationFactor = opts.ReplicationFactor
 	cfg.Obs = rec
 	cfg.Provenance = opts.Provenance
