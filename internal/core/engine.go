@@ -196,6 +196,8 @@ type acctSlot struct {
 	// slot's own handlers and by coordinator-context moves, drained by
 	// drainExpired.
 	due [numClocks]wheel[*Proc]
+
+	scratch scratch // its processors' trigger and placement buffers
 }
 
 // NewEngine attaches an RJoin processor to every node of the ring. The
@@ -297,7 +299,8 @@ func (e *Engine) SubmitQuery(owner *chord.Node, q *query.Query) (string, error) 
 		return "", fmt.Errorf("core: query joins no relations")
 	}
 	e.queryCnt++
-	q = q.Clone()
+	sq := entryOf(q)
+	q = sq.q
 	q.ID = fmt.Sprintf("%s#%d", owner.ID(), e.queryCnt)
 	q.Owner = uint64(owner.ID())
 	q.InsertTime = int64(e.sim.Now())
@@ -317,7 +320,10 @@ func (e *Engine) SubmitQuery(owner *chord.Node, q *query.Query) (string, error) 
 	// member of a new equivalence class), or nothing (attached to an
 	// existing pipeline's fan-out).
 	if pq := e.shareSubmit(q); pq != nil {
-		p.place(e.sim.Now(), pq)
+		if pq != q {
+			sq = entryOf(pq) // a canonical pipeline stands in for q
+		}
+		p.place(e.sim.Now(), sq)
 	}
 	// Submission runs in coordinator context, outside any handler, so
 	// the replica op of the placement walk it may have started is

@@ -7,7 +7,6 @@ import (
 	"rjoin/internal/chord"
 	"rjoin/internal/id"
 	"rjoin/internal/obs"
-	"rjoin/internal/query"
 	"rjoin/internal/relation"
 	"rjoin/internal/sim"
 )
@@ -68,7 +67,7 @@ func (e *Engine) move(from, to *Proc, ops []stateOp, b bill) {
 		case op.kind == opAddPending:
 			// Charged as churn traffic like the rest of membership: the
 			// walk is recovery work, not placement of new state.
-			e.net.WithTag(to.node, TagChurn, func() { to.place(now, op.pp.q.Clone()) })
+			e.net.WithTag(to.node, TagChurn, func() { to.place(now, op.pp.sq) })
 		default:
 			r := e.ownerOf(op, to)
 			r.st.apply(op)
@@ -227,8 +226,7 @@ func (e *Engine) CrashNode(n *chord.Node) error {
 	// owner's side, in the state's deterministic order; everything else
 	// it held and still lives is counted lost. Under promotion the copy
 	// carries all of it — walks included, which restart at the promotee.
-	var lost []*storedQuery
-	var rePlace []*query.Query
+	var lost, rePlace []*storedQuery
 	if promotee == nil {
 		p.st.each(classAll, nil, func(op stateOp) {
 			q := op.query()
@@ -240,7 +238,7 @@ func (e *Engine) CrashNode(n *chord.Node) error {
 			case op.kind == opAddQuery:
 				lost = append(lost, op.sq)
 			default:
-				rePlace = append(rePlace, q)
+				rePlace = append(rePlace, op.pp.sq)
 			}
 		})
 	}
@@ -257,11 +255,13 @@ func (e *Engine) CrashNode(n *chord.Node) error {
 				continue
 			}
 			e.Counters.QueriesRecovered++
-			e.net.Send(home, lp.key.ID(), newEvalMsg(lp.q.Clone(), lp.key, lp.level, nil))
+			// A fresh entry: the recovered query starts without the lost
+			// one's DISTINCT memory.
+			e.net.Send(home, lp.key.ID(), newEvalMsg(entryOf(lp.q), lp.key, lp.level))
 		}
 		// Placements that never completed restart from scratch.
-		for _, q := range rePlace {
-			home := e.ring.Owner(id.ID(q.Owner))
+		for _, sq := range rePlace {
+			home := e.ring.Owner(id.ID(sq.q.Owner))
 			if home == nil {
 				e.Counters.QueriesLost++
 				continue
@@ -272,7 +272,7 @@ func (e *Engine) CrashNode(n *chord.Node) error {
 				continue
 			}
 			e.Counters.QueriesRecovered++
-			hp.place(now, q.Clone())
+			hp.place(now, sq)
 			hp.replFlush() // coordinator context: charge the walk's replica op now
 		}
 	})

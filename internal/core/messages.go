@@ -9,18 +9,28 @@ import (
 	"rjoin/internal/sim"
 )
 
-// The high-volume message kinds — tuple deliveries, query placements
-// and answers — are pooled. Every such message is delivered at most
-// once and its receiver copies out whatever it retains, so the handler
-// dispatch loop can recycle the struct as soon as the handler returns.
-// Messages dropped by the overlay (dead or detached recipient) simply
-// fall to the garbage collector; only delivery recycles.
+// The high-volume message kinds — tuple deliveries, query placements,
+// answers and RIC walks — are pooled. Every such message is delivered
+// at most once and its receiver copies out whatever it retains, so the
+// handler dispatch loop can recycle the struct as soon as the handler
+// returns — except a walk's request, which travels on from hop to hop
+// and is recycled at its last one, where the reply takes over its
+// reports. Messages dropped by the overlay (dead or detached recipient)
+// simply fall to the garbage collector; only delivery recycles.
 var (
 	tupleMsgPool      = sync.Pool{New: func() interface{} { return new(tupleMsg) }}
 	evalMsgPool       = sync.Pool{New: func() interface{} { return new(evalMsg) }}
 	answerMsgPool     = sync.Pool{New: func() interface{} { return new(answerMsg) }}
 	aggPartialMsgPool = sync.Pool{New: func() interface{} { return new(aggPartialMsg) }}
+	ricRequestMsgPool = sync.Pool{New: func() interface{} { return new(ricRequestMsg) }}
+	ricReplyMsgPool   = sync.Pool{New: func() interface{} { return new(ricReplyMsg) }}
 )
+
+// inlineReports is how many RIC reports or walk keys a pooled message
+// carries in its own arrays: a rewrite's placement has one or two value
+// candidates, an input query's a few attribute ones. More spill to the
+// heap.
+const inlineReports = 2
 
 func newTupleMsg(t *relation.Tuple, key relation.Key, level query.Level, publisher id.ID) *tupleMsg {
 	m := tupleMsgPool.Get().(*tupleMsg)
@@ -28,9 +38,13 @@ func newTupleMsg(t *relation.Tuple, key relation.Key, level query.Level, publish
 	return m
 }
 
-func newEvalMsg(q *query.Query, key relation.Key, level query.Level, ric []ricInfo) *evalMsg {
+// newEvalMsg returns a pooled Eval message for sq with no reports
+// piggy-backed; the sender appends them to RIC, which starts on the
+// message's own array.
+func newEvalMsg(sq *storedQuery, key relation.Key, level query.Level) *evalMsg {
 	m := evalMsgPool.Get().(*evalMsg)
-	*m = evalMsg{Q: q, Key: key, Level: level, RIC: ric}
+	*m = evalMsg{SQ: sq, Key: key, Level: level}
+	m.RIC = m.ric[:0]
 	return m
 }
 
@@ -55,16 +69,18 @@ type tupleMsg struct {
 // is bound to its index key.
 func (m *tupleMsg) RingKey() id.ID { return m.Key.ID() }
 
-// evalMsg carries an input or rewritten query to the node that will
-// store it (the paper's Eval(q, Key, Owner(q)) message; input-query
-// indexing uses the same shape). RIC entries learned by the sender are
-// piggy-backed per Section 7.
+// evalMsg carries an input or rewritten query, in the entry that will
+// store it, to the node that will store it (the paper's Eval(q, Key,
+// Owner(q)) message; input-query indexing uses the same shape). RIC
+// entries learned by the sender are piggy-backed per Section 7, copied
+// into the message: the receiver reads them ticks later.
 type evalMsg struct {
-	Q        *query.Query
+	SQ       *storedQuery
 	Key      relation.Key
 	Level    query.Level
 	RIC      []ricInfo
 	Reroutes uint8
+	ric      [inlineReports]ricInfo
 }
 
 // RingKey implements overlay.Rekeyable.
@@ -164,11 +180,23 @@ type ricInfo struct {
 // ricRequestMsg implements the chained RIC collection walk of Section
 // 6: the message visits each pending candidate key in turn, every
 // visited node appends its report, and the last node returns the
-// collected reports directly to the origin.
+// collected reports directly to the origin. Pending and Got start on the
+// message's own arrays.
 type ricRequestMsg struct {
 	Origin  id.ID
 	Pending []relation.Key // candidate keys not yet visited, in visit order
 	Got     []ricInfo
+	pending [inlineReports]relation.Key
+	got     [inlineReports]ricInfo
+}
+
+// newRICRequestMsg returns a pooled walk from origin over keys, in order.
+func newRICRequestMsg(origin id.ID, keys []relation.Key) *ricRequestMsg {
+	m := ricRequestMsgPool.Get().(*ricRequestMsg)
+	m.Origin = origin
+	m.Pending = append(m.pending[:0], keys...)
+	m.Got = m.got[:0]
+	return m
 }
 
 // RingKey implements overlay.Rekeyable: the walk continues at the
@@ -189,6 +217,15 @@ func (m *ricRequestMsg) RingKey() id.ID {
 type ricReplyMsg struct {
 	Origin id.ID
 	Got    []ricInfo
+	got    [inlineReports]ricInfo
+}
+
+// newRICReplyMsg returns a pooled reply to origin carrying a copy of got.
+func newRICReplyMsg(origin id.ID, got []ricInfo) *ricReplyMsg {
+	m := ricReplyMsgPool.Get().(*ricReplyMsg)
+	m.Origin = origin
+	m.Got = append(m.got[:0], got...)
+	return m
 }
 
 // RingKey implements overlay.Rekeyable.

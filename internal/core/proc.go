@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"rjoin/internal/agg"
 	"rjoin/internal/chord"
 	"rjoin/internal/id"
@@ -15,7 +17,8 @@ import (
 // storedQuery is one query waiting at a node, input (Depth 0) or
 // rewritten, together with the key it is indexed under and — for
 // DISTINCT queries — the projection memory of Section 4's duplicate
-// elimination rule.
+// elimination rule. It travels with its query from the moment the query
+// is made: placement carries it, onEval fills in key, level and agg.
 type storedQuery struct {
 	q     *query.Query
 	key   relation.Key
@@ -24,14 +27,30 @@ type storedQuery struct {
 	seen  map[string]bool // trigger projections already used (DISTINCT)
 }
 
-// allowTrigger implements the DISTINCT rule: a tuple may trigger the
-// query only if its projection over the attributes the query references
-// has not triggered it before. Non-DISTINCT queries always pass.
-func (sq *storedQuery) allowTrigger(t *relation.Tuple) bool {
-	if !sq.q.Distinct {
-		return true
-	}
-	return !sq.seen[sq.q.TriggerProjection(t)]
+// entry is a query allocated together with the storedQuery that will
+// hold it, so a rewrite and its stored entry are one allocation.
+type entry struct {
+	storedQuery
+	body query.Query
+}
+
+// newEntry returns the storedQuery of a fresh entry, its q pointing at
+// the entry's empty query: the one constructor of what gets placed —
+// rewrites fill the query with query.RewriteInto, everything else with
+// entryOf.
+func newEntry() *storedQuery {
+	e := new(entry)
+	e.q = &e.body
+	return &e.storedQuery
+}
+
+// entryOf returns a fresh entry holding a deep copy of q: input queries,
+// canonical pipelines and crash-recovered placements enter the placement
+// path through it.
+func entryOf(q *query.Query) *storedQuery {
+	sq := newEntry()
+	q.CloneInto(sq.q)
+	return sq
 }
 
 // pubQualifies implements the publication-time predicate of Definition
@@ -52,43 +71,57 @@ type alttEntry struct {
 	expireAt sim.Time
 }
 
-// pendingPlacement is a query waiting for RIC reports: known holds one
-// report per candidate key already answered (candidate keys are
-// distinct), the rest are being fetched by walks in flight from this
-// node — its own or ones it joined — and the decision completes when the
-// last of them is reported.
+// slot is one candidate of a placement and what is known of it: the
+// candidate's key (in ricInfo.Key) and level, and — once have is set —
+// the RIC report for the key.
+type slot struct {
+	ricInfo
+	level query.Level
+	have  bool
+}
+
+// pendingPlacement is a query waiting for RIC reports: one slot per
+// candidate (candidate keys are distinct), missing of them still without
+// a report, being fetched by walks in flight from this node — its own or
+// ones it joined — and the decision completes when the last of them is
+// reported.
 type pendingPlacement struct {
-	q     *query.Query
-	cands []query.Candidate
-	known []ricInfo
+	sq      *storedQuery
+	slots   []slot
+	missing int
 }
 
 // misses reports whether the placement still has no report for a
 // candidate key.
 func (pp *pendingPlacement) misses(key relation.Key) bool {
-	_, ok := findInfo(pp.known, key)
-	return !ok
-}
-
-// findInfo scans a small report list for a key; candidate sets hold a
-// handful of keys, so linear search beats a map and allocates nothing.
-func findInfo(known []ricInfo, key relation.Key) (ricInfo, bool) {
-	for i := range known {
-		if known[i].Key == key {
-			return known[i], true
+	for i := range pp.slots {
+		if pp.slots[i].Key == key {
+			return !pp.slots[i].have
 		}
 	}
-	return ricInfo{}, false
+	return true
+}
+
+// fill records the report for one of the placement's missing keys and
+// reports whether it was the last one missing.
+func (pp *pendingPlacement) fill(info ricInfo) bool {
+	for i := range pp.slots {
+		if s := &pp.slots[i]; s.Key == info.Key && !s.have {
+			s.ricInfo, s.have = info, true
+			pp.missing--
+		}
+	}
+	return pp.missing == 0
 }
 
 // Proc is the RJoin processor running at one DHT node: the local query
 // store, tuple store, ALTT, rate statistics and candidate table, plus
 // the message handlers of Procedures 2 and 3.
 //
-// shard, ctr, qpl and sl are where the processor's handlers run and
-// count, all derived from the node's identifier by newProc. On a serial
-// engine the counters alias the engine's public aggregates; on a
-// parallel engine they point at the node's shard accumulator, which
+// shard, ctr, qpl, sl and sc are where the processor's handlers run,
+// count and build, all derived from the node's identifier by newProc.
+// On a serial engine the counters alias the engine's public aggregates;
+// on a parallel engine they point at the node's shard accumulator, which
 // only the worker currently executing that shard touches, and which
 // Engine.Sync merges at the next barrier.
 type Proc struct {
@@ -105,6 +138,23 @@ type Proc struct {
 	// owns and the placements it has in flight (see state.go); handlers
 	// read its maps directly and write them only through its mutators.
 	st *state
+
+	sc *scratch // the trigger and placement path's buffers, its slot's
+}
+
+// scratch holds the buffers the trigger and placement path builds in:
+// the candidates, slots and walk keys of the placement being decided
+// and the DISTINCT projection of the trigger being checked. One set
+// serves an accounting slot's processors: a shard's handlers run one at a
+// time whatever the worker count, and coordinator-context placements run
+// between drains, so no two calls share it at once. What outlives a call
+// — a waiting placement, a walk, the piggy-backed reports — is copied
+// out of it.
+type scratch struct {
+	cands []query.Candidate
+	slots []slot
+	walk  []relation.Key
+	proj  []byte
 }
 
 // newProc builds the processor of a ring handle: the node it acts as,
@@ -114,7 +164,7 @@ type Proc struct {
 func newProc(eng *Engine, node *chord.Node) *Proc {
 	p := &Proc{eng: eng, node: node, shard: eng.sim.ShardOf(uint64(node.ID())), st: newState(eng.aggSpec)}
 	s := &eng.slots[p.shard+1]
-	p.ctr, p.qpl, p.sl = s.ctr, s.qpl, s.sl
+	p.ctr, p.qpl, p.sl, p.sc = s.ctr, s.qpl, s.sl, &s.scratch
 	p.st.due = func(c clock, at int64) { s.due[c].add(at, p) }
 	if eng.par {
 		p.rng = sim.NewRNG(eng.sim.Seed(), uint64(node.ID()), 0x91ac)
@@ -174,9 +224,11 @@ func (p *Proc) HandleMessage(now sim.Time, msg overlay.Message) {
 	case *aggUpdateMsg:
 		p.eng.recordAggUpdate(now, m, p)
 	case *ricRequestMsg:
-		p.onRICRequest(now, m)
+		p.onRICRequest(now, m) // forwards the walk, or recycles it as the reply
 	case *ricReplyMsg:
 		p.onRICReply(now, m)
+		*m = ricReplyMsg{}
+		ricReplyMsgPool.Put(m)
 	}
 	p.replFlush()
 }
@@ -331,8 +383,16 @@ func (p *Proc) trigger(now sim.Time, sq *storedQuery, t *relation.Tuple, stored 
 	if stored && q.Depth > 0 && q.Window.Enabled() && !q.Window.Valid(q.Start, clock) {
 		return
 	}
-	if !sq.allowTrigger(t) {
-		return
+	// The DISTINCT rule: a tuple may trigger the query only if its
+	// projection over the attributes the query references has not
+	// triggered it before.
+	var proj []byte
+	if q.Distinct {
+		proj = q.AppendProjection(p.sc.proj[:0], t)
+		p.sc.proj = proj
+		if sq.seen[string(proj)] {
+			return
+		}
 	}
 	if len(q.Relations) == 1 {
 		// The final rewriting step: substitution completes the query, so
@@ -342,7 +402,7 @@ func (p *Proc) trigger(now sim.Time, sq *storedQuery, t *relation.Tuple, stored 
 		if !ok {
 			return
 		}
-		p.consume(sq, t)
+		p.consume(sq, proj)
 		p.profTrigger(now, sq, 0)
 		p.countRewrite(q.Depth + 1)
 		p.complete(now, q, sq.agg, q.Depth+1, completion{
@@ -351,10 +411,11 @@ func (p *Proc) trigger(now sim.Time, sq *storedQuery, t *relation.Tuple, stored 
 		})
 		return
 	}
-	q2, ok := query.Rewrite(q, t)
-	if !ok {
+	sq2 := newEntry()
+	if !query.RewriteInto(sq2.q, q, t) {
 		return
 	}
+	q2 := sq2.q
 	q2.Start = clock
 	if q.Depth > 0 {
 		q2.Start = q.Start
@@ -365,9 +426,9 @@ func (p *Proc) trigger(now sim.Time, sq *storedQuery, t *relation.Tuple, stored 
 	q2.AggClock = max(q2.AggClock, clock)
 	q2.MinPub = min(q2.MinPub, t.PubTime)
 	q2.Lineage = p.lineage(q, t)
-	p.consume(sq, t)
+	p.consume(sq, proj)
 	p.profTrigger(now, sq, len(q2.Relations))
-	p.dispatch(now, q2, t.PubTime)
+	p.dispatch(now, sq2, t.PubTime)
 }
 
 // lineage extends q's provenance by the step of consuming t here; nil
@@ -428,9 +489,9 @@ func (p *Proc) countRewrite(depth int) {
 
 // consume records the memory a successful trigger leaves on the stored
 // query: the DISTINCT projection it used up.
-func (p *Proc) consume(sq *storedQuery, t *relation.Tuple) {
+func (p *Proc) consume(sq *storedQuery, proj []byte) {
 	if sq.q.Distinct {
-		p.st.trigger(sq, sq.q.TriggerProjection(t))
+		p.st.trigger(sq, string(proj))
 	}
 }
 
@@ -468,29 +529,30 @@ func (p *Proc) onEval(now sim.Time, m *evalMsg) {
 	for _, info := range m.RIC {
 		p.st.ctMerge(info)
 	}
-	if p.eng.retiredPipeline(m.Q.ID) {
+	sq, q := m.SQ, m.SQ.q
+	if p.eng.retiredPipeline(q.ID) {
 		return // torn-down shared pipeline: never re-index stragglers
 	}
 	if ob := p.eng.obs; ob != nil {
 		ob.Emit(p.shard, obs.Rec{
 			At: now, Kind: obs.KindEval, Node: p.nid(),
-			QID: m.Q.ID, Key: m.Key.String(), Arg: int64(m.Q.Depth),
+			QID: q.ID, Key: m.Key.String(), Arg: int64(q.Depth),
 		})
 	}
-	sq := &storedQuery{q: m.Q, key: m.Key, level: m.Level, agg: m.Q.IsAggregate()}
-	if m.Q.OneTime {
+	sq.key, sq.level, sq.agg = m.Key, m.Level, q.IsAggregate()
+	if q.OneTime {
 		// One-time queries keep no standing state: all qualifying
 		// tuples were published before submission, so scanning the
 		// local stores suffices and nothing waits for the future.
-		if m.Q.Depth > 0 {
+		if q.Depth > 0 {
 			p.qpl.Add(p.node.ID(), 1)
 		}
 	} else {
 		p.st.addQuery(sq)
 		if ob := p.eng.obs; ob != nil {
-			ob.Emit(p.shard, obs.Rec{At: now, Kind: obs.KindStateStore, QID: m.Q.ID, Key: m.Key.String(), N: stateSizeOf(m.Q)})
+			ob.Emit(p.shard, obs.Rec{At: now, Kind: obs.KindStateStore, QID: q.ID, Key: m.Key.String(), N: stateSizeOf(q)})
 		}
-		if m.Q.Depth > 0 {
+		if q.Depth > 0 {
 			p.qpl.Add(p.node.ID(), 1)
 			p.sl.Add(p.node.ID(), 1)
 			p.ctr.RewritesStored++
@@ -516,7 +578,8 @@ func (p *Proc) onEval(now sim.Time, m *evalMsg) {
 // strategy selects. pubAt is the publication vtime of the tuple that
 // triggered the rewrite, threaded to the answer path for the latency
 // measurement.
-func (p *Proc) dispatch(now sim.Time, q2 *query.Query, pubAt int64) {
+func (p *Proc) dispatch(now sim.Time, sq *storedQuery, pubAt int64) {
+	q2 := sq.q
 	p.countRewrite(q2.Depth)
 	if q2.IsComplete() {
 		p.complete(now, q2, q2.IsAggregate(), q2.Depth, completion{
@@ -530,18 +593,21 @@ func (p *Proc) dispatch(now sim.Time, q2 *query.Query, pubAt int64) {
 	if q2.Contradictory() {
 		return
 	}
-	p.place(now, q2)
+	p.place(now, sq)
 }
 
 // place implements nextKey(): choose the index candidate for a query
-// according to the engine's strategy and send the Eval message.
-func (p *Proc) place(now sim.Time, q *query.Query) {
-	cands := q.Candidates()
+// according to the engine's strategy and send the Eval message. The
+// candidates are enumerated into the processor's scratch.
+func (p *Proc) place(now sim.Time, sq *storedQuery) {
+	q := sq.q
+	cands := q.AppendCandidates(p.sc.cands[:0])
+	p.sc.cands = cands
 	if q.Depth > 0 && !p.eng.Cfg.AllowAttrRewrites {
 		// Default rule (Section 3): rewritten queries are indexed at
 		// value level, where tuple stores are unbounded. See
 		// Config.AllowAttrRewrites for the Section 6 generalization.
-		// Candidates returned a fresh slice, so filter it in place.
+		// The candidates are the scratch's, so filter them in place.
 		vcands := cands[:0]
 		for _, c := range cands {
 			if c.Level == query.ValueLevel {
@@ -564,7 +630,7 @@ func (p *Proc) place(now sim.Time, q *query.Query) {
 		} else {
 			c = cands[p.eng.sim.Rand().Intn(len(cands))]
 		}
-		p.sendEval(q, c, nil, false)
+		p.sendEval(newEvalMsg(sq, c.Key, c.Level), false)
 	case StrategyWorst:
 		best := cands[0]
 		bestRate := p.eng.oracleRate(best.Key, now)
@@ -573,9 +639,9 @@ func (p *Proc) place(now sim.Time, q *query.Query) {
 				best, bestRate = c, r
 			}
 		}
-		p.sendEval(q, best, nil, false)
+		p.sendEval(newEvalMsg(sq, best.Key, best.Level), false)
 	default: // StrategyRIC
-		p.placeRIC(now, q, cands)
+		p.placeRIC(now, sq, cands)
 	}
 }
 
@@ -592,37 +658,45 @@ func (p *Proc) place(now sim.Time, q *query.Query) {
 // lands ticks later. Only the keys nobody is fetching are walked; a
 // placement with none left to walk sends nothing. That is a property of
 // the walk, not of the table: Config.UseCT off still joins.
-func (p *Proc) placeRIC(now sim.Time, q *query.Query, cands []query.Candidate) {
-	var known []ricInfo
-	var walk []relation.Key
+//
+// The slots and walk keys are built in the processor's scratch; a
+// placement that must wait copies its slots once, and the walk's keys
+// go into the pooled request.
+func (p *Proc) placeRIC(now sim.Time, sq *storedQuery, cands []query.Candidate) {
+	slots, walk := p.sc.slots[:0], p.sc.walk[:0]
+	missing := 0
 	ob := p.eng.obs
 	for _, c := range cands {
+		s := slot{ricInfo: ricInfo{Key: c.Key}, level: c.Level}
 		if p.eng.Cfg.UseCT {
 			if e, ok := p.st.ct.fresh(c.Key, now, ctValidity); ok {
-				known = append(known, ricInfo{Key: c.Key, Rate: e.Rate, Addr: e.Addr, At: e.At})
+				s.ricInfo, s.have = ricInfo{Key: c.Key, Rate: e.Rate, Addr: e.Addr, At: e.At}, true
 				if ob != nil {
-					ob.Emit(p.shard, obs.Rec{At: now, Kind: obs.KindCTHit, Node: p.nid(), QID: q.ID, Key: c.Key.String()})
+					ob.Emit(p.shard, obs.Rec{At: now, Kind: obs.KindCTHit, Node: p.nid(), QID: sq.q.ID, Key: c.Key.String()})
 				}
-				continue
-			}
-			if ob != nil {
-				ob.Emit(p.shard, obs.Rec{At: now, Kind: obs.KindCTMiss, Node: p.nid(), QID: q.ID, Key: c.Key.String()})
+			} else if ob != nil {
+				ob.Emit(p.shard, obs.Rec{At: now, Kind: obs.KindCTMiss, Node: p.nid(), QID: sq.q.ID, Key: c.Key.String()})
 			}
 		}
-		if !p.st.inFlight(c.Key) {
-			walk = append(walk, c.Key)
+		if !s.have {
+			missing++
+			if !p.st.inFlight(c.Key) {
+				walk = append(walk, c.Key)
+			}
 		}
+		slots = append(slots, s)
 	}
-	if len(known) == len(cands) {
-		p.decide(q, cands, known)
+	p.sc.slots, p.sc.walk = slots, walk
+	if missing == 0 {
+		p.decide(sq, slots)
 		return
 	}
-	p.st.addPending(p.nextReqID(), &pendingPlacement{q: q, cands: cands, known: known})
+	p.st.addPending(p.nextReqID(), &pendingPlacement{sq: sq, slots: slices.Clone(slots), missing: missing})
 	if len(walk) == 0 {
 		if ob != nil {
 			ob.Emit(p.shard, obs.Rec{
 				At: now, Kind: obs.KindRICJoin, Node: p.nid(),
-				QID: q.ID, Arg: int64(len(cands) - len(known)),
+				QID: sq.q.ID, Arg: int64(missing),
 			})
 		}
 		return
@@ -634,10 +708,10 @@ func (p *Proc) placeRIC(now sim.Time, q *query.Query, cands []query.Candidate) {
 	if ob != nil {
 		ob.Emit(p.shard, obs.Rec{
 			At: now, Kind: obs.KindRICWalk, Node: p.nid(),
-			QID: q.ID, Key: walk[0].String(), Arg: int64(len(walk)),
+			QID: sq.q.ID, Key: walk[0].String(), Arg: int64(len(walk)),
 		})
 	}
-	req := &ricRequestMsg{Origin: p.node.ID(), Pending: walk}
+	req := newRICRequestMsg(p.node.ID(), walk)
 	p.eng.net.WithTag(p.node, TagRIC, func() {
 		p.eng.net.Send(p.node, walk[0].ID(), req)
 	})
@@ -656,7 +730,9 @@ func sortByDist(from id.ID, keys []relation.Key) {
 
 // onRICRequest handles one step of the chained walk: report the rate
 // for every pending key this node is responsible for, then forward the
-// walk or return the collected reports to the origin.
+// walk or return the collected reports to the origin. The request
+// travels as one message from hop to hop; at its last hop it is recycled
+// and its reports go back in a pooled reply.
 func (p *Proc) onRICRequest(now sim.Time, m *ricRequestMsg) {
 	// The message was addressed to Hash(Pending[0]), so this node owns
 	// at least that key; it may own later pending keys too.
@@ -667,12 +743,17 @@ func (p *Proc) onRICRequest(now sim.Time, m *ricRequestMsg) {
 		m.Got = append(m.Got, ricInfo{Key: key, Rate: p.rate(key, now), Addr: p.node.ID(), At: now})
 		reported = true
 	}
-	p.eng.net.WithTag(p.node, TagRIC, func() {
-		if len(m.Pending) == 0 {
-			p.eng.net.SendDirect(p.node, m.Origin, &ricReplyMsg{Origin: m.Origin, Got: m.Got})
-		} else {
+	if len(m.Pending) > 0 {
+		p.eng.net.WithTag(p.node, TagRIC, func() {
 			p.eng.net.Send(p.node, m.Pending[0].ID(), m)
-		}
+		})
+		return
+	}
+	reply := newRICReplyMsg(m.Origin, m.Got)
+	*m = ricRequestMsg{}
+	ricRequestMsgPool.Put(m)
+	p.eng.net.WithTag(p.node, TagRIC, func() {
+		p.eng.net.SendDirect(p.node, reply.Origin, reply)
 	})
 }
 
@@ -691,7 +772,7 @@ func (p *Proc) onRICReply(now sim.Time, m *ricReplyMsg) {
 		for _, reqID := range p.st.report(info) {
 			pp := p.st.pending[reqID]
 			p.st.removePending(reqID)
-			p.decide(pp.q, pp.cands, pp.known)
+			p.decide(pp.sq, pp.slots)
 		}
 	}
 }
@@ -699,46 +780,48 @@ func (p *Proc) onRICReply(now sim.Time, m *ricReplyMsg) {
 // decide picks the candidate with the lowest predicted rate (ties
 // resolve to clause order, which is deterministic) and sends the query
 // there — in one hop when the candidate's address is known.
-func (p *Proc) decide(q *query.Query, cands []query.Candidate, known []ricInfo) {
-	best := cands[0]
-	bestInfo, haveBest := findInfo(known, best.Key)
-	for _, c := range cands[1:] {
-		info, ok := findInfo(known, c.Key)
-		if !ok {
+func (p *Proc) decide(sq *storedQuery, slots []slot) {
+	best := &slots[0]
+	for i := range slots[1:] {
+		s := &slots[1+i]
+		if !s.have {
 			continue
 		}
 		// Strictly lower rate wins; ties prefer value level, which
 		// distributes load better (Section 3).
-		better := !haveBest || info.Rate < bestInfo.Rate ||
-			(info.Rate == bestInfo.Rate && best.Level == query.AttrLevel && c.Level == query.ValueLevel)
-		if better {
-			best, bestInfo, haveBest = c, info, true
+		if !best.have || s.Rate < best.Rate ||
+			(s.Rate == best.Rate && best.level == query.AttrLevel && s.level == query.ValueLevel) {
+			best = s
 		}
 	}
-	var piggy []ricInfo
+	msg := newEvalMsg(sq, best.Key, best.level)
 	if p.eng.Cfg.PiggybackRIC {
-		// Every known report concerns a candidate key (CT hits come
-		// from the candidate scan, walk replies cover exactly the
-		// unknown candidates), so the piggy-backed set is the known
-		// set itself — no copy needed. Receivers only merge it into
-		// their candidate tables, which is order-insensitive.
-		piggy = known
+		// Every report concerns a candidate key (CT hits come from the
+		// candidate scan, walk replies cover exactly the unknown
+		// candidates), so the piggy-backed set is the reports themselves,
+		// copied into the message: the slots may be scratch. Receivers
+		// only merge it into their candidate tables, which is
+		// order-insensitive.
+		for i := range slots {
+			if slots[i].have {
+				msg.RIC = append(msg.RIC, slots[i].ricInfo)
+			}
+		}
 	}
-	p.sendEval(q, best, piggy, haveBest)
+	p.sendEval(msg, best.have)
 }
 
 // sendEval ships the Eval message: directly when the target's address
 // is known (the RIC reply contains candidate IPs), routed otherwise.
-func (p *Proc) sendEval(q *query.Query, c query.Candidate, piggy []ricInfo, direct bool) {
-	msg := newEvalMsg(q, c.Key, c.Level, piggy)
+func (p *Proc) sendEval(msg *evalMsg, direct bool) {
 	if direct {
 		// The address may be stale (node left); fall back to routing.
-		if tgt := p.eng.ring.Node(p.addrFor(c.Key, piggy)); tgt != nil && p.stillOwns(tgt.ID(), c.Key) {
+		if tgt := p.eng.ring.Node(p.addrFor(msg.Key, msg.RIC)); tgt != nil && p.stillOwns(tgt.ID(), msg.Key) {
 			p.eng.net.SendDirect(p.node, tgt.ID(), msg)
 			return
 		}
 	}
-	p.eng.net.Send(p.node, c.Key.ID(), msg)
+	p.eng.net.Send(p.node, msg.Key.ID(), msg)
 }
 
 func (p *Proc) addrFor(key relation.Key, piggy []ricInfo) id.ID {

@@ -281,12 +281,16 @@ func (p *Proc) fanoutComplete(now sim.Time, fo *share.Fanout, c completion) {
 // row's minimum publication time so downstream subscriber filtering
 // stays exact; they are never stored, only substituted.
 func (p *Proc) spawnContainment(now sim.Time, kid *share.Kid, c completion) {
+	sq := newEntry()
 	cur := kid.Pipeline
-	for _, rs := range kid.Rels {
+	for i, rs := range kid.Rels {
 		t := relation.MustTuple(rs.Schema, c.vals[rs.Off:rs.Off+rs.Schema.Arity()]...)
 		t.PubTime = c.minPub
-		next, ok := query.Rewrite(cur, t)
-		if !ok {
+		next := sq.q // the last substitution writes the entry's query
+		if i+1 < len(kid.Rels) {
+			next = new(query.Query)
+		}
+		if !query.RewriteInto(next, cur, t) {
 			return // a child-stricter conjunct rejected the row
 		}
 		cur = next
@@ -297,5 +301,5 @@ func (p *Proc) spawnContainment(now sim.Time, kid *share.Kid, c completion) {
 	// replayed rewrite's provenance is the parent row's, not new steps.
 	cur.Lineage = c.lin
 	p.ctr.ContainmentRewrites++
-	p.dispatch(now, cur, c.pubAt)
+	p.dispatch(now, sq, c.pubAt)
 }

@@ -320,15 +320,15 @@ func TestForwardedReplyStopsAfterOneRound(t *testing.T) {
 func TestWaitingIndexFollowsHandover(t *testing.T) {
 	f := newStateFixture()
 	src := newState(f.specOf)
-	cands := func(ks ...int) (out []query.Candidate) {
+	cands := func(ks ...int) (out []relation.Key) {
 		for _, k := range ks {
-			out = append(out, query.Candidate{Key: f.keys[k]})
+			out = append(out, f.keys[k])
 		}
 		return out
 	}
-	src.addPending(9, &pendingPlacement{q: f.plain, cands: cands(0, 1, 2)})
-	src.addPending(4, &pendingPlacement{q: f.distinct, cands: cands(1, 3), known: []ricInfo{{Key: f.keys[3]}}})
-	src.addPending(6, &pendingPlacement{q: f.plain, cands: cands(2, 1)})
+	src.addPending(9, placement(f.plain, cands(0, 1, 2)))
+	src.addPending(4, placement(f.distinct, cands(1, 3), f.keys[3]))
+	src.addPending(6, placement(f.plain, cands(2, 1)))
 	if ready := src.report(ricInfo{Key: f.keys[2]}); len(ready) != 0 {
 		t.Fatalf("a report released %v, every waiter still misses a key", ready)
 	}

@@ -104,7 +104,7 @@ func (op stateOp) query() *query.Query {
 	case op.sq != nil:
 		return op.sq.q
 	case op.pp != nil:
-		return op.pp.q
+		return op.pp.sq.q
 	}
 	return nil
 }
@@ -169,12 +169,15 @@ type state struct {
 	due   func(c clock, at int64)
 	dueAt [numClocks]int64
 
-	// spareQueries and spareALTT hold the arrays of emptied lists for the
-	// next keys to start one: under the drain, keys empty and refill every
-	// few ticks, and a fresh array each time would be its one steady-state
-	// allocation.
+	// spareQueries, spareALTT and spareWaiting hold the arrays of emptied
+	// lists for the next keys to start one: under the drain, keys empty
+	// and refill every few ticks, and so do the keys walks are in flight
+	// for; a fresh array each time would be their steady-state
+	// allocation. ready is report's result, reused call to call.
 	spareQueries spares[*storedQuery]
 	spareALTT    spares[alttEntry]
+	spareWaiting spares[int64]
+	ready        []int64
 
 	// dirtyAggs is the set of aggregator keys whose group holds epochs
 	// marked since its last flush: {k : len(aggs[k].dirty) > 0}, so a
@@ -484,9 +487,13 @@ func (s *state) ctMerge(info ricInfo) {
 // it misses.
 func (s *state) addPending(reqID int64, pp *pendingPlacement) {
 	s.pending[reqID] = pp
-	for _, c := range pp.cands {
-		if pp.misses(c.Key) {
-			s.waiting[c.Key] = append(s.waiting[c.Key], reqID)
+	for _, sl := range pp.slots {
+		if !sl.have {
+			ids := s.waiting[sl.Key]
+			if ids == nil {
+				ids = s.spareWaiting.get()
+			}
+			s.waiting[sl.Key] = append(ids, reqID)
 		}
 	}
 	s.replOps++
@@ -494,14 +501,15 @@ func (s *state) addPending(reqID int64, pp *pendingPlacement) {
 
 func (s *state) removePending(reqID int64) {
 	if pp := s.pending[reqID]; pp != nil {
-		for _, c := range pp.cands {
-			if !pp.misses(c.Key) {
+		for _, sl := range pp.slots {
+			if sl.have {
 				continue
 			}
-			if ids := slices.DeleteFunc(s.waiting[c.Key], func(x int64) bool { return x == reqID }); len(ids) > 0 {
-				s.waiting[c.Key] = ids
+			if ids := slices.DeleteFunc(s.waiting[sl.Key], func(x int64) bool { return x == reqID }); len(ids) > 0 {
+				s.waiting[sl.Key] = ids
 			} else {
-				delete(s.waiting, c.Key)
+				delete(s.waiting, sl.Key)
+				s.spareWaiting.put(ids)
 			}
 		}
 	}
@@ -515,23 +523,26 @@ func (s *state) inFlight(key relation.Key) bool {
 	return len(s.waiting[key]) > 0
 }
 
-// report hands one RIC report to every placement waiting on its key and
-// returns, in the order they began to wait, the ids of those it was the
-// last missing report of. They stay pending until the caller removes
-// them. Like the known list it extends, what a placement still misses
-// is not replicated (promotion restarts the walk), so nothing counts.
-func (s *state) report(info ricInfo) (ready []int64) {
-	ids := s.waiting[info.Key]
+// report hands one RIC report to every placement waiting on its key —
+// it fills the key's slot — and returns, in the order they began to
+// wait, the ids of those it was the last missing report of, valid until
+// the next call. They stay pending until the caller removes them. Like
+// the slots it fills, what a placement still misses is not replicated
+// (promotion restarts the walk), so nothing counts.
+func (s *state) report(info ricInfo) []int64 {
+	ids, ok := s.waiting[info.Key]
+	s.ready = s.ready[:0]
+	if !ok {
+		return s.ready
+	}
 	delete(s.waiting, info.Key)
-	ready = ids[:0]
 	for _, reqID := range ids {
-		pp := s.pending[reqID]
-		pp.known = append(pp.known, info)
-		if len(pp.known) == len(pp.cands) {
-			ready = append(ready, reqID)
+		if s.pending[reqID].fill(info) {
+			s.ready = append(s.ready, reqID)
 		}
 	}
-	return ready
+	s.spareWaiting.put(ids)
+	return s.ready
 }
 
 // dropKey forgets everything keyed under key — the key moved to another

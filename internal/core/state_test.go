@@ -97,9 +97,9 @@ func (s *state) equal(o *state, want class) error {
 func (s *state) waitingErr() error {
 	want := make(map[relation.Key][]int64)
 	for reqID, pp := range s.pending {
-		for _, c := range pp.cands {
-			if pp.misses(c.Key) {
-				want[c.Key] = append(want[c.Key], reqID)
+		for _, sl := range pp.slots {
+			if pp.misses(sl.Key) {
+				want[sl.Key] = append(want[sl.Key], reqID)
 			}
 		}
 	}
@@ -235,6 +235,20 @@ func (f *stateFixture) stored(q *query.Query, key relation.Key) *storedQuery {
 	return &storedQuery{q: q, key: key, level: query.ValueLevel, agg: q.IsAggregate()}
 }
 
+// placement builds a pending placement of q over the candidate keys
+// cands, those among known already reported.
+func placement(q *query.Query, cands []relation.Key, known ...relation.Key) *pendingPlacement {
+	pp := &pendingPlacement{sq: &storedQuery{q: q}}
+	for _, k := range cands {
+		s := slot{ricInfo: ricInfo{Key: k}, have: slices.Contains(known, k)}
+		if !s.have {
+			pp.missing++
+		}
+		pp.slots = append(pp.slots, s)
+	}
+	return pp
+}
+
 func (f *stateFixture) row(group, v int64) []relation.Value {
 	return []relation.Value{relation.Int64(group), relation.Int64(0), relation.Int64(v)}
 }
@@ -278,11 +292,11 @@ func stateCharges(f *stateFixture) []stateCharge {
 		return x
 	}
 	pending := func(keys ...int) *pendingPlacement {
-		pp := &pendingPlacement{q: f.plain}
+		var cands []relation.Key
 		for _, i := range keys {
-			pp.cands = append(pp.cands, query.Candidate{Key: k[i]})
+			cands = append(cands, k[i])
 		}
-		return pp
+		return placement(f.plain, cands)
 	}
 	return []stateCharge{
 		{"addQuery", 1, func(s *state) { s.addQuery(f.stored(f.plain, k[0])) }},
@@ -364,11 +378,11 @@ func stateCharges(f *stateFixture) []stateCharge {
 			s.ctMerge(ricInfo{Key: k[2], Rate: 9, Addr: 78, At: 3}) // stale: ignored, still charged
 		}},
 		{"addPending", 1, func(s *state) {
-			s.addPending(5, &pendingPlacement{q: f.plain, known: []ricInfo{{Key: k[0]}}})
+			s.addPending(5, placement(f.plain, nil))
 		}},
 		{"removePending", 3, func(s *state) {
-			s.addPending(5, &pendingPlacement{q: f.plain})
-			s.addPending(6, &pendingPlacement{q: f.distinct})
+			s.addPending(5, placement(f.plain, nil))
+			s.addPending(6, placement(f.distinct, nil))
 			s.removePending(5)
 		}},
 		{"removePending of a placement long gone", 1, func(s *state) { s.removePending(7) }},
@@ -401,7 +415,7 @@ func stateCharges(f *stateFixture) []stateCharge {
 		{"sweep", 7, func(s *state) {
 			s.addQuery(f.stored(f.plain, k[0]))
 			s.addQuery(f.stored(f.distinct, k[0]))
-			s.addPending(3, &pendingPlacement{q: f.plain})
+			s.addPending(3, placement(f.plain, nil))
 			s.aggFold(aggKeyOf("agg", "1"), "agg", 42, 0, f.row(1, 5), nil, 17)
 			s.sweep(classAll, func(op stateOp) bool { return op.query() == f.plain || op.kind == opAggMerge })
 		}},
@@ -571,14 +585,14 @@ func TestStateRandomSequences(t *testing.T) {
 					// A placement over a random candidate set, some of it
 					// already answered by the table, at least one key not.
 					reqID++
-					pp := &pendingPlacement{q: f.plain}
+					var cands, known []relation.Key
 					for i, j := range rng.Perm(len(f.keys))[:1+rng.Intn(len(f.keys))] {
-						pp.cands = append(pp.cands, query.Candidate{Key: f.keys[j]})
+						cands = append(cands, f.keys[j])
 						if i > 0 && rng.Intn(2) == 0 {
-							pp.known = append(pp.known, ricInfo{Key: f.keys[j]})
+							known = append(known, f.keys[j])
 						}
 					}
-					a.addPending(reqID, pp)
+					a.addPending(reqID, placement(f.plain, cands, known...))
 				} else {
 					a.removePending(int64(rng.Intn(int(reqID))) + 1) // torn down, or long gone
 				}
@@ -594,13 +608,13 @@ func TestStateRandomSequences(t *testing.T) {
 					}
 				}
 				for _, id := range ready {
-					if pp := a.pending[id]; len(pp.known) != len(pp.cands) {
-						t.Fatalf("seed %d step %d: placement %d released with %d of %d reports", seed, step, id, len(pp.known), len(pp.cands))
+					if pp := a.pending[id]; pp.missing != 0 {
+						t.Fatalf("seed %d step %d: placement %d released with %d of %d reports missing", seed, step, id, pp.missing, len(pp.slots))
 					}
 					a.removePending(id)
 				}
 				for id, pp := range a.pending {
-					if len(pp.cands) > 0 && len(pp.known) == len(pp.cands) {
+					if len(pp.slots) > 0 && pp.missing == 0 {
 						t.Fatalf("seed %d step %d: placement %d holds every report and still waits", seed, step, id)
 					}
 				}
@@ -754,7 +768,7 @@ func TestStateSweepOrder(t *testing.T) {
 		for i := 0; i < 30; i++ {
 			q := []*query.Query{f.plain, f.distinct}[rng.Intn(2)]
 			a.addQuery(f.stored(q, relation.KeyOf(fmt.Sprintf("R+A+%d", rng.Intn(12)))))
-			a.addPending(int64(i+1), &pendingPlacement{q: q})
+			a.addPending(int64(i+1), placement(q, nil))
 			g := int64(rng.Intn(12))
 			a.aggFold(aggKeyOf("agg", fmt.Sprint(g)), "agg", 42, 0, f.row(g, 1), nil, 0)
 		}

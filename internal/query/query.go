@@ -8,8 +8,10 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"rjoin/internal/relation"
 )
@@ -146,10 +148,12 @@ const (
 )
 
 // WindowSpec is the useWindows/window/start parameter block each query
-// carries in Section 5, plus the sliding/tumbling distinction.
+// carries in Section 5, plus the sliding/tumbling distinction. (Size
+// leads so the two one-byte fields share a word: every stored rewrite
+// carries one.)
 type WindowSpec struct {
-	Kind     WindowKind
 	Size     int64
+	Kind     WindowKind
 	Tumbling bool
 }
 
@@ -261,6 +265,10 @@ type Query struct {
 	// every other untouched slice), so appends MUST go through
 	// AppendLineage, which always copies into a fresh slice.
 	Lineage []LineageStep
+
+	// plan is the query's node in its rewrite tree (plan.go): compiled on
+	// first use, set by Rewrite on every rewrite, dropped by Clone.
+	plan atomic.Pointer[node]
 }
 
 // LineageStep records one tuple a rewrite chain combined: the base
@@ -304,16 +312,33 @@ func SortLineage(lin []LineageStep) {
 	})
 }
 
-// Clone returns a deep copy; rewriting never mutates a stored query.
+// Clone returns a deep copy without the plan, so the copy may be edited
+// in place; rewriting never mutates a stored query.
 func (q *Query) Clone() *Query {
-	c := *q
-	c.Select = append([]SelectItem(nil), q.Select...)
-	c.Relations = append([]string(nil), q.Relations...)
-	c.Joins = append([]JoinCond(nil), q.Joins...)
-	c.Selections = append([]SelCond(nil), q.Selections...)
-	c.GroupBy = append([]ColRef(nil), q.GroupBy...)
-	c.Lineage = append([]LineageStep(nil), q.Lineage...)
-	return &c
+	c := new(Query)
+	q.CloneInto(c)
+	return c
+}
+
+// CloneInto writes a deep copy of q, without its plan, into dst.
+func (q *Query) CloneInto(dst *Query) {
+	q.copyInto(dst)
+	dst.Select = append([]SelectItem(nil), q.Select...)
+	dst.Relations = append([]string(nil), q.Relations...)
+	dst.Joins = append([]JoinCond(nil), q.Joins...)
+	dst.Selections = append([]SelCond(nil), q.Selections...)
+	dst.GroupBy = append([]ColRef(nil), q.GroupBy...)
+	dst.Lineage = append([]LineageStep(nil), q.Lineage...)
+}
+
+// copyInto overwrites dst with a shallow copy of q — every field, slice
+// headers shared — except the plan, which stays unset.
+func (q *Query) copyInto(dst *Query) {
+	*dst = Query{
+		ID: q.ID, Owner: q.Owner, InsertTime: q.InsertTime, Distinct: q.Distinct, OneTime: q.OneTime,
+		Select: q.Select, Relations: q.Relations, Joins: q.Joins, Selections: q.Selections, GroupBy: q.GroupBy,
+		Window: q.Window, Start: q.Start, AggClock: q.AggClock, MinPub: q.MinPub, Depth: q.Depth, Lineage: q.Lineage,
+	}
 }
 
 // IsAggregate reports whether any select item carries an aggregate
@@ -432,110 +457,75 @@ func RewriteComplete(q *Query, t *relation.Tuple) ([]relation.Value, bool) {
 // t does not trigger q. The caller is responsible for window-validity
 // checks and for setting Start on the result.
 //
-// The result is copy-on-write: slices the substitution leaves untouched
-// (Select when no column of rel appears, Joins when no conjunct touches
-// rel, Selections when nothing is added or dropped, and Lineage) are
-// shared with the parent. Neither parent nor child is ever mutated
-// after creation, so sharing is safe; anyone who needs an independent
-// deep copy uses Clone.
+// The result is copy-on-write: the FROM list and join conjuncts are its
+// rewrite-tree node's (plan.go), and the lists the substitution leaves
+// untouched (Select when no column of rel appears, Selections when
+// nothing is added or dropped, and Lineage) are the parent's. Neither
+// parent nor child is ever mutated after creation, so sharing is safe;
+// anyone who needs an independent deep copy uses Clone.
 func Rewrite(q *Query, t *relation.Tuple) (*Query, bool) {
-	if !q.Matches(t) {
+	out := new(Query)
+	if !RewriteInto(out, q, t) {
 		return nil, false
 	}
-	rel := t.Relation()
-	out := new(Query)
-	*out = *q // scalars copied, slice headers shared
-	out.Depth = q.Depth + 1
+	return out, true
+}
 
-	// FROM list loses the substituted relation.
-	rels := make([]string, 0, len(q.Relations)-1)
-	for _, r := range q.Relations {
-		if r != rel {
-			rels = append(rels, r)
-		}
+// RewriteInto is Rewrite writing the result into dst, which the caller
+// allocated — alongside whatever will hold it. It reports whether t
+// triggers q; when not, dst is left unspecified.
+func RewriteInto(dst, q *Query, t *relation.Tuple) bool {
+	n := q.node()
+	i, ok := n.match(q, t)
+	if !ok {
+		return false
 	}
-	out.Relations = rels
+	rel, c := n.rels[i], n.child(i)
 
-	// Select columns of rel become constants; untouched lists stay
-	// shared with the parent. Substitution sets only IsConst/Const, so
-	// an aggregate item keeps its Agg marker (the aggregation layer
-	// recognises the completed query by it) and the column it came from.
-	for i, s := range q.Select {
+	// Select columns of rel become constants. Substitution sets only
+	// IsConst/Const, so an aggregate item keeps its Agg marker (the
+	// aggregation layer recognises the completed query by it) and the
+	// column it came from.
+	sel := q.Select
+	for k, s := range q.Select {
 		if !s.IsConst && s.Col.Rel == rel {
-			sel := make([]SelectItem, len(q.Select))
-			copy(sel, q.Select)
-			for k := i; k < len(sel); k++ {
+			sel = slices.Clone(q.Select)
+			for ; k < len(sel); k++ {
 				if sc := sel[k]; !sc.IsConst && sc.Col.Rel == rel {
 					v, ok := t.Value(sc.Col.Attr)
 					if !ok {
-						return nil, false
+						return false
 					}
 					sel[k].IsConst = true
 					sel[k].Const = v
 				}
 			}
-			out.Select = sel
 			break
 		}
 	}
 
-	// Size the surviving clauses in one counting pass: join conjuncts
-	// with one side on rel become selections on the other side,
-	// conjuncts fully on rel were validated by Matches and are dropped,
-	// and selections on rel are likewise validated and dropped.
-	keptJoins, converted := 0, 0
-	for _, j := range q.Joins {
-		lOn, rOn := j.Left.Rel == rel, j.Right.Rel == rel
-		switch {
-		case lOn && rOn:
-		case lOn, rOn:
-			converted++
-		default:
-			keptJoins++
-		}
-	}
-	keptSels := 0
-	for _, s := range q.Selections {
-		if s.Col.Rel != rel {
-			keptSels++
-		}
-	}
-
-	if keptJoins < len(q.Joins) {
-		joins := make([]JoinCond, 0, keptJoins)
-		for _, j := range q.Joins {
-			if j.Left.Rel != rel && j.Right.Rel != rel {
-				joins = append(joins, j)
-			}
-		}
-		out.Joins = joins
-	}
-
-	if converted > 0 || keptSels < len(q.Selections) {
-		// Surviving selections keep clause order; selections converted
-		// from join conjuncts follow, in join order — the same ordering
-		// the pre-copy-on-write implementation produced.
-		sels := make([]SelCond, 0, keptSels+converted)
+	// Selections on rel were checked by match and go; the surviving ones
+	// keep clause order, and the join conjuncts with one side on rel
+	// follow as selections on their other side, in join order.
+	sels := q.Selections
+	if len(c.conv) > 0 || slices.ContainsFunc(q.Selections, func(s SelCond) bool { return s.Col.Rel == rel }) {
+		sels = make([]SelCond, 0, len(c.sels))
 		for _, s := range q.Selections {
 			if s.Col.Rel != rel {
 				sels = append(sels, s)
 			}
 		}
-		for _, j := range q.Joins {
-			lOn, rOn := j.Left.Rel == rel, j.Right.Rel == rel
-			switch {
-			case lOn && rOn:
-			case lOn:
-				v, _ := t.Value(j.Left.Attr)
-				sels = append(sels, SelCond{Col: j.Right, Val: v})
-			case rOn:
-				v, _ := t.Value(j.Right.Attr)
-				sels = append(sels, SelCond{Col: j.Left, Val: v})
-			}
+		for _, cv := range c.conv {
+			v, _ := t.Value(cv.attr)
+			sels = append(sels, SelCond{Col: cv.col, Val: v})
 		}
-		out.Selections = sels
 	}
-	return out, true
+
+	q.copyInto(dst)
+	dst.Select, dst.Relations, dst.Joins, dst.Selections = sel, c.rels, c.joins, sels
+	dst.Depth = q.Depth + 1
+	dst.plan.Store(c)
+	return true
 }
 
 // Level distinguishes the two indexing granularities of Section 3.
@@ -575,92 +565,47 @@ type Candidate struct {
 // Section 3. The result is deduplicated and deterministically ordered
 // (joins and selections in clause order, implied triples last).
 func (q *Query) Candidates() []Candidate {
-	out := make([]Candidate, 0, 2*len(q.Joins)+len(q.Selections))
+	n := q.node()
+	return q.AppendCandidates(make([]Candidate, 0, len(n.attr)+len(q.Selections)+len(n.implied)))
+}
+
+// AppendCandidates appends Candidates() to dst and returns the extended
+// slice: group (a) copied from the rewrite-tree node, (b) and (c)
+// filled with q's values. The appended entries are the caller's — they
+// never alias the node — and with room in dst nothing is allocated.
+func (q *Query) AppendCandidates(dst []Candidate) []Candidate {
+	n := q.node()
+	start := len(dst)
+	for _, a := range n.attr {
+		dst = append(dst, Candidate{Key: a.key, Level: AttrLevel, Col: a.col})
+	}
 	// Candidate sets are small (one or two per clause), so dedup by
 	// linear scan instead of a map — cheaper and allocation free.
-	add := func(c Candidate) {
-		for i := range out {
-			if out[i].Key == c.Key {
-				return
+	add := func(dst []Candidate, c Candidate) []Candidate {
+		for i := range dst[start:] {
+			if dst[start+i].Key == c.Key {
+				return dst
 			}
 		}
-		out = append(out, c)
-	}
-	// (a) attribute-level pairs from join conjuncts.
-	for _, j := range q.Joins {
-		add(Candidate{Key: relation.AttrKeyOf(j.Left.Rel, j.Left.Attr), Level: AttrLevel, Col: j.Left})
-		add(Candidate{Key: relation.AttrKeyOf(j.Right.Rel, j.Right.Attr), Level: AttrLevel, Col: j.Right})
+		return append(dst, c)
 	}
 	// (b) explicit value-level triples from selections.
 	for _, s := range q.Selections {
-		add(Candidate{
+		dst = add(dst, Candidate{
 			Key:   relation.ValueKeyOf(s.Col.Rel, s.Col.Attr, s.Val),
 			Level: ValueLevel, Col: s.Col, Val: s.Val,
 		})
 	}
-	// (c) implied triples: propagate selection values across join
-	// equivalence classes.
-	for _, imp := range q.impliedSelections() {
-		add(Candidate{
-			Key:   relation.ValueKeyOf(imp.Col.Rel, imp.Col.Attr, imp.Val),
-			Level: ValueLevel, Col: imp.Col, Val: imp.Val,
+	// (c) implied triples: a selection's value propagated across its
+	// join equivalence class.
+	for _, im := range n.implied {
+		v := q.Selections[im.from].Val
+		dst = add(dst, Candidate{
+			Key:   relation.ValueKeyOf(im.col.Rel, im.col.Attr, v),
+			Level: ValueLevel, Col: im.col, Val: v,
 		})
 	}
-	return out
-}
-
-// impliedSelections computes selections logically implied by the where
-// clause: if R.A = v holds and R.A joins (transitively) with S.B, then
-// S.B = v is implied.
-func (q *Query) impliedSelections() []SelCond {
-	if len(q.Selections) == 0 || len(q.Joins) == 0 {
-		return nil
-	}
-	parent := make(map[ColRef]ColRef)
-	var find func(c ColRef) ColRef
-	find = func(c ColRef) ColRef {
-		p, ok := parent[c]
-		if !ok || p == c {
-			return c
-		}
-		root := find(p)
-		parent[c] = root
-		return root
-	}
-	union := func(a, b ColRef) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	cols := make(map[ColRef]bool)
-	for _, j := range q.Joins {
-		union(j.Left, j.Right)
-		cols[j.Left] = true
-		cols[j.Right] = true
-	}
-	classValue := make(map[ColRef]relation.Value)
-	explicit := make(map[ColRef]bool)
-	for _, s := range q.Selections {
-		classValue[find(s.Col)] = s.Val
-		explicit[s.Col] = true
-	}
-	var out []SelCond
-	for col := range cols {
-		if explicit[col] {
-			continue
-		}
-		if v, ok := classValue[find(col)]; ok {
-			out = append(out, SelCond{Col: col, Val: v})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Col.Rel != out[j].Col.Rel {
-			return out[i].Col.Rel < out[j].Col.Rel
-		}
-		return out[i].Col.Attr < out[j].Col.Attr
-	})
-	return out
+	return dst
 }
 
 // Contradictory reports whether the where clause is unsatisfiable
@@ -673,82 +618,36 @@ func (q *Query) Contradictory() bool {
 	if len(q.Selections) < 2 {
 		return false
 	}
-	// Without joins every column is its own class: compare selections
-	// pairwise (clauses are few) instead of building the union-find.
-	if len(q.Joins) == 0 {
-		for i, a := range q.Selections {
-			for _, b := range q.Selections[:i] {
-				if a.Col == b.Col && !a.Val.Equal(b.Val) {
-					return true
-				}
+	n := q.node()
+	for i, a := range q.Selections {
+		for k, b := range q.Selections[:i] {
+			if n.sels[i].class == n.sels[k].class && !a.Val.Equal(b.Val) {
+				return true
 			}
 		}
-		return false
-	}
-	parent := make(map[ColRef]ColRef)
-	var find func(c ColRef) ColRef
-	find = func(c ColRef) ColRef {
-		p, ok := parent[c]
-		if !ok || p == c {
-			return c
-		}
-		root := find(p)
-		parent[c] = root
-		return root
-	}
-	for _, j := range q.Joins {
-		ra, rb := find(j.Left), find(j.Right)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	classValue := make(map[ColRef]relation.Value)
-	for _, s := range q.Selections {
-		root := find(s.Col)
-		if v, ok := classValue[root]; ok && !v.Equal(s.Val) {
-			return true
-		}
-		classValue[root] = s.Val
 	}
 	return false
 }
 
-// TriggerProjection renders the projection pi_{A1..Ak}(t) over the
-// attributes of t's relation mentioned in q's select or where clause —
-// the duplicate-elimination memory of Section 4. The rendering is
-// canonical (attributes in schema order) so equal projections compare
-// equal as strings.
-func (q *Query) TriggerProjection(t *relation.Tuple) string {
-	rel := t.Relation()
-	used := make(map[string]bool)
-	for _, s := range q.Select {
-		if !s.IsConst && s.Col.Rel == rel {
-			used[s.Col.Attr] = true
-		}
+// AppendProjection appends the projection pi_{A1..Ak}(t) of a DISTINCT
+// query over the attributes of t's relation mentioned in its select or
+// where clause — the duplicate-elimination memory of Section 4 — and
+// returns the extended slice. The attributes are the rewrite-tree
+// node's, sorted, and each value is encoded by relation.AppendCanonical,
+// so two projections render equal bytes exactly when they are equal.
+// A query that is not DISTINCT, or a tuple of a relation it no longer
+// joins, appends nothing.
+func (q *Query) AppendProjection(dst []byte, t *relation.Tuple) []byte {
+	n := q.node()
+	i := slices.Index(n.rels, t.Relation())
+	if i < 0 {
+		return dst
 	}
-	for _, j := range q.Joins {
-		if j.Left.Rel == rel {
-			used[j.Left.Attr] = true
-		}
-		if j.Right.Rel == rel {
-			used[j.Right.Attr] = true
-		}
+	for _, attr := range n.child(i).proj {
+		v, _ := t.Value(attr)
+		dst = relation.AppendCanonical(dst, v)
 	}
-	for _, s := range q.Selections {
-		if s.Col.Rel == rel {
-			used[s.Col.Attr] = true
-		}
-	}
-	var b strings.Builder
-	for i, attr := range t.Schema.Attrs {
-		if used[attr] {
-			b.WriteString(attr)
-			b.WriteByte('=')
-			b.WriteString(t.Values[i].String())
-			b.WriteByte('|')
-		}
-	}
-	return b.String()
+	return dst
 }
 
 // String renders the query as SQL in the style of the paper's examples,

@@ -1,7 +1,14 @@
 package query
 
 import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -356,15 +363,37 @@ func TestWindowClock(t *testing.T) {
 
 func TestTriggerProjectionCanonical(t *testing.T) {
 	q := sectionThreeQuery()
+	q.Distinct = true
+	proj := func(tu *relation.Tuple) string { return string(q.AppendProjection(nil, tu)) }
 	t1 := relation.MustTuple(schemaS, relation.Int64(3), relation.Int64(5), relation.Int64(7))
 	t2 := relation.MustTuple(schemaS, relation.Int64(3), relation.Int64(5), relation.Int64(99))
 	// S.C is not referenced by q, so projections must be equal.
-	if q.TriggerProjection(t1) != q.TriggerProjection(t2) {
+	if proj(t1) != proj(t2) {
 		t.Fatal("projection must ignore unreferenced attributes")
 	}
 	t3 := relation.MustTuple(schemaS, relation.Int64(4), relation.Int64(5), relation.Int64(7))
-	if q.TriggerProjection(t1) == q.TriggerProjection(t3) {
+	if proj(t1) == proj(t3) {
 		t.Fatal("projection must distinguish referenced attributes")
+	}
+	// Renderings that spell the values out would collide on a separator
+	// inside a value, or on an integer and a string with the same text.
+	for _, pair := range [][2]*relation.Tuple{
+		{
+			relation.MustTuple(schemaS, relation.String64("1|B=2"), relation.String64("3"), relation.Int64(7)),
+			relation.MustTuple(schemaS, relation.String64("1"), relation.String64("2|B=3"), relation.Int64(7)),
+		},
+		{
+			relation.MustTuple(schemaS, relation.Int64(12), relation.Int64(5), relation.Int64(7)),
+			relation.MustTuple(schemaS, relation.String64("12"), relation.Int64(5), relation.Int64(7)),
+		},
+	} {
+		if proj(pair[0]) == proj(pair[1]) {
+			t.Fatalf("%v and %v project alike", pair[0], pair[1])
+		}
+	}
+	q.Distinct = false
+	if p := q.AppendProjection(nil, t1); len(p) != 0 {
+		t.Fatalf("a query that is not DISTINCT projected %q", p)
 	}
 }
 
@@ -517,5 +546,670 @@ func TestStringRendersDistinctAndWindow(t *testing.T) {
 	s := q.String()
 	if !strings.Contains(s, "distinct") || !strings.Contains(s, "within 100 tuples") {
 		t.Fatalf("rendered %q", s)
+	}
+}
+
+// ---------------------------------------------------------------------
+// The reference: Rewrite, RewriteComplete, Candidates, impliedSelections
+// and Contradictory as they were before the rewrite tree, verbatim but
+// for their names and one line — refRewrite copies the parent with
+// copyInto, since the plan's atomic pointer may not be copied (and the
+// reference must not carry a plan anyway). TestRewriteTreeMatchesReference
+// holds the tree to them.
+
+func refRewriteComplete(q *Query, t *relation.Tuple) ([]relation.Value, bool) {
+	if len(q.Relations) != 1 || !q.Matches(t) {
+		return nil, false
+	}
+	rel := t.Relation()
+	out := make([]relation.Value, len(q.Select))
+	for i, s := range q.Select {
+		if s.IsConst {
+			out[i] = s.Const
+			continue
+		}
+		if s.Col.Rel != rel {
+			// The general path would have produced an "complete" query
+			// with an unresolved column and panicked in AnswerValues;
+			// validated queries cannot reach this.
+			panic(fmt.Sprintf("query: RewriteComplete on query %s (column %s unresolved)", q.ID, s.Col))
+		}
+		v, ok := t.Value(s.Col.Attr)
+		if !ok {
+			return nil, false
+		}
+		out[i] = v
+	}
+	return out, true
+}
+
+func refRewrite(q *Query, t *relation.Tuple) (*Query, bool) {
+	if !q.Matches(t) {
+		return nil, false
+	}
+	rel := t.Relation()
+	out := new(Query)
+	q.copyInto(out) // scalars copied, slice headers shared
+	out.Depth = q.Depth + 1
+
+	// FROM list loses the substituted relation.
+	rels := make([]string, 0, len(q.Relations)-1)
+	for _, r := range q.Relations {
+		if r != rel {
+			rels = append(rels, r)
+		}
+	}
+	out.Relations = rels
+
+	// Select columns of rel become constants; untouched lists stay
+	// shared with the parent. Substitution sets only IsConst/Const, so
+	// an aggregate item keeps its Agg marker (the aggregation layer
+	// recognises the completed query by it) and the column it came from.
+	for i, s := range q.Select {
+		if !s.IsConst && s.Col.Rel == rel {
+			sel := make([]SelectItem, len(q.Select))
+			copy(sel, q.Select)
+			for k := i; k < len(sel); k++ {
+				if sc := sel[k]; !sc.IsConst && sc.Col.Rel == rel {
+					v, ok := t.Value(sc.Col.Attr)
+					if !ok {
+						return nil, false
+					}
+					sel[k].IsConst = true
+					sel[k].Const = v
+				}
+			}
+			out.Select = sel
+			break
+		}
+	}
+
+	// Size the surviving clauses in one counting pass: join conjuncts
+	// with one side on rel become selections on the other side,
+	// conjuncts fully on rel were validated by Matches and are dropped,
+	// and selections on rel are likewise validated and dropped.
+	keptJoins, converted := 0, 0
+	for _, j := range q.Joins {
+		lOn, rOn := j.Left.Rel == rel, j.Right.Rel == rel
+		switch {
+		case lOn && rOn:
+		case lOn, rOn:
+			converted++
+		default:
+			keptJoins++
+		}
+	}
+	keptSels := 0
+	for _, s := range q.Selections {
+		if s.Col.Rel != rel {
+			keptSels++
+		}
+	}
+
+	if keptJoins < len(q.Joins) {
+		joins := make([]JoinCond, 0, keptJoins)
+		for _, j := range q.Joins {
+			if j.Left.Rel != rel && j.Right.Rel != rel {
+				joins = append(joins, j)
+			}
+		}
+		out.Joins = joins
+	}
+
+	if converted > 0 || keptSels < len(q.Selections) {
+		// Surviving selections keep clause order; selections converted
+		// from join conjuncts follow, in join order — the same ordering
+		// the pre-copy-on-write implementation produced.
+		sels := make([]SelCond, 0, keptSels+converted)
+		for _, s := range q.Selections {
+			if s.Col.Rel != rel {
+				sels = append(sels, s)
+			}
+		}
+		for _, j := range q.Joins {
+			lOn, rOn := j.Left.Rel == rel, j.Right.Rel == rel
+			switch {
+			case lOn && rOn:
+			case lOn:
+				v, _ := t.Value(j.Left.Attr)
+				sels = append(sels, SelCond{Col: j.Right, Val: v})
+			case rOn:
+				v, _ := t.Value(j.Right.Attr)
+				sels = append(sels, SelCond{Col: j.Left, Val: v})
+			}
+		}
+		out.Selections = sels
+	}
+	return out, true
+}
+
+func refCandidates(q *Query) []Candidate {
+	out := make([]Candidate, 0, 2*len(q.Joins)+len(q.Selections))
+	// Candidate sets are small (one or two per clause), so dedup by
+	// linear scan instead of a map — cheaper and allocation free.
+	add := func(c Candidate) {
+		for i := range out {
+			if out[i].Key == c.Key {
+				return
+			}
+		}
+		out = append(out, c)
+	}
+	// (a) attribute-level pairs from join conjuncts.
+	for _, j := range q.Joins {
+		add(Candidate{Key: relation.AttrKeyOf(j.Left.Rel, j.Left.Attr), Level: AttrLevel, Col: j.Left})
+		add(Candidate{Key: relation.AttrKeyOf(j.Right.Rel, j.Right.Attr), Level: AttrLevel, Col: j.Right})
+	}
+	// (b) explicit value-level triples from selections.
+	for _, s := range q.Selections {
+		add(Candidate{
+			Key:   relation.ValueKeyOf(s.Col.Rel, s.Col.Attr, s.Val),
+			Level: ValueLevel, Col: s.Col, Val: s.Val,
+		})
+	}
+	// (c) implied triples: propagate selection values across join
+	// equivalence classes.
+	for _, imp := range refImpliedSelections(q) {
+		add(Candidate{
+			Key:   relation.ValueKeyOf(imp.Col.Rel, imp.Col.Attr, imp.Val),
+			Level: ValueLevel, Col: imp.Col, Val: imp.Val,
+		})
+	}
+	return out
+}
+
+func refImpliedSelections(q *Query) []SelCond {
+	if len(q.Selections) == 0 || len(q.Joins) == 0 {
+		return nil
+	}
+	parent := make(map[ColRef]ColRef)
+	var find func(c ColRef) ColRef
+	find = func(c ColRef) ColRef {
+		p, ok := parent[c]
+		if !ok || p == c {
+			return c
+		}
+		root := find(p)
+		parent[c] = root
+		return root
+	}
+	union := func(a, b ColRef) {
+		ra, rb := find(a), find(b)
+		if ra != rb {
+			parent[ra] = rb
+		}
+	}
+	cols := make(map[ColRef]bool)
+	for _, j := range q.Joins {
+		union(j.Left, j.Right)
+		cols[j.Left] = true
+		cols[j.Right] = true
+	}
+	classValue := make(map[ColRef]relation.Value)
+	explicit := make(map[ColRef]bool)
+	for _, s := range q.Selections {
+		classValue[find(s.Col)] = s.Val
+		explicit[s.Col] = true
+	}
+	var out []SelCond
+	for col := range cols {
+		if explicit[col] {
+			continue
+		}
+		if v, ok := classValue[find(col)]; ok {
+			out = append(out, SelCond{Col: col, Val: v})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Col.Rel != out[j].Col.Rel {
+			return out[i].Col.Rel < out[j].Col.Rel
+		}
+		return out[i].Col.Attr < out[j].Col.Attr
+	})
+	return out
+}
+
+func refContradictory(q *Query) bool {
+	// A contradiction needs two constants on one class, i.e. at least
+	// two selection conjuncts.
+	if len(q.Selections) < 2 {
+		return false
+	}
+	// Without joins every column is its own class: compare selections
+	// pairwise (clauses are few) instead of building the union-find.
+	if len(q.Joins) == 0 {
+		for i, a := range q.Selections {
+			for _, b := range q.Selections[:i] {
+				if a.Col == b.Col && !a.Val.Equal(b.Val) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	parent := make(map[ColRef]ColRef)
+	var find func(c ColRef) ColRef
+	find = func(c ColRef) ColRef {
+		p, ok := parent[c]
+		if !ok || p == c {
+			return c
+		}
+		root := find(p)
+		parent[c] = root
+		return root
+	}
+	for _, j := range q.Joins {
+		ra, rb := find(j.Left), find(j.Right)
+		if ra != rb {
+			parent[ra] = rb
+		}
+	}
+	classValue := make(map[ColRef]relation.Value)
+	for _, s := range q.Selections {
+		root := find(s.Col)
+		if v, ok := classValue[root]; ok && !v.Equal(s.Val) {
+			return true
+		}
+		classValue[root] = s.Val
+	}
+	return false
+}
+
+// ---------------------------------------------------------------------
+// The rewrite tree against the reference.
+
+// diffSchemas are the relations the differential queries draw from,
+// R0..R7, and the paper examples' R, S, J and M.
+var diffSchemas = func() map[string]*relation.Schema {
+	m := map[string]*relation.Schema{"R": schemaR, "S": schemaS, "J": schemaJ, "M": schemaM}
+	for i := 0; i < 8; i++ {
+		name := fmt.Sprintf("R%d", i)
+		m[name] = relation.MustSchema(name, "A0", "A1", "A2", "A3")
+	}
+	return m
+}()
+
+// diffValues is the value domain: small, so tuples join and implied
+// selections and contradictions arise, with an integer and a string that
+// render alike, so value keys collide across kinds.
+var diffValues = []relation.Value{
+	relation.Int64(0), relation.Int64(1), relation.Int64(12), relation.String64("1"), relation.String64("12"),
+}
+
+// diffQuery draws a k-way query: a join chain over k of the relations,
+// then by the draw extra conjuncts between any two of them (a relation
+// and itself included), user selections, constant select items,
+// aggregates and DISTINCT, with the conjuncts shuffled.
+func diffQuery(rng *rand.Rand, k int) *Query {
+	q := &Query{ID: fmt.Sprintf("d%d", k), Distinct: rng.Intn(2) == 0}
+	for _, i := range rng.Perm(8)[:k] {
+		q.Relations = append(q.Relations, fmt.Sprintf("R%d", i))
+	}
+	rel := func() string { return q.Relations[rng.Intn(k)] }
+	col := func(r string) ColRef { return ColRef{r, fmt.Sprintf("A%d", rng.Intn(4))} }
+	for i := 0; i+1 < k; i++ {
+		q.Joins = append(q.Joins, JoinCond{col(q.Relations[i]), col(q.Relations[i+1])})
+	}
+	for n := rng.Intn(3); n > 0; n-- {
+		q.Joins = append(q.Joins, JoinCond{col(rel()), col(rel())})
+	}
+	rng.Shuffle(len(q.Joins), func(i, j int) { q.Joins[i], q.Joins[j] = q.Joins[j], q.Joins[i] })
+	for n := rng.Intn(4); n > 0; n-- {
+		q.Selections = append(q.Selections, SelCond{col(rel()), diffValues[rng.Intn(len(diffValues))]})
+	}
+	for n := 1 + rng.Intn(3); n > 0; n-- {
+		switch rng.Intn(5) {
+		case 0:
+			q.Select = append(q.Select, SelectItem{IsConst: true, Const: diffValues[rng.Intn(len(diffValues))]})
+		case 1:
+			q.Select = append(q.Select, SelectItem{Col: col(rel()), Agg: AggSum})
+		case 2:
+			q.Select = append(q.Select, SelectItem{IsConst: true, Const: relation.Int64(1), Star: true, Agg: AggCount})
+		default:
+			q.Select = append(q.Select, SelectItem{Col: col(rel())})
+		}
+	}
+	return q
+}
+
+// diffTuple draws a tuple of rel, which three times in four is made to
+// trigger q where it can: q's selections on rel and its conjuncts within
+// rel are imposed in clause order (of two that disagree the last stands,
+// so the tuple fails the first).
+func diffTuple(rng *rand.Rand, q *Query, rel string) *relation.Tuple {
+	s := diffSchemas[rel]
+	vals := make([]relation.Value, s.Arity())
+	for i := range vals {
+		vals[i] = diffValues[rng.Intn(len(diffValues))]
+	}
+	at := func(attr string) *relation.Value { i, _ := s.AttrIndex(attr); return &vals[i] }
+	if rng.Intn(4) > 0 {
+		for _, sc := range q.Selections {
+			if sc.Col.Rel == rel {
+				*at(sc.Col.Attr) = sc.Val
+			}
+		}
+		for _, j := range q.Joins {
+			if j.Left.Rel == rel && j.Right.Rel == rel {
+				*at(j.Right.Attr) = *at(j.Left.Attr)
+			}
+		}
+	}
+	return relation.MustTuple(s, vals...)
+}
+
+// refProjection is the projection the DISTINCT rule compares, as values:
+// the attributes of t's relation q's select or where clause names, in
+// schema order.
+func refProjection(q *Query, t *relation.Tuple) []relation.Value {
+	rel := t.Relation()
+	used := func(attr string) bool {
+		for _, s := range q.Select {
+			if !s.IsConst && s.Col == (ColRef{rel, attr}) {
+				return true
+			}
+		}
+		for _, j := range q.Joins {
+			if j.Left == (ColRef{rel, attr}) || j.Right == (ColRef{rel, attr}) {
+				return true
+			}
+		}
+		for _, s := range q.Selections {
+			if s.Col == (ColRef{rel, attr}) {
+				return true
+			}
+		}
+		return false
+	}
+	var out []relation.Value
+	for i, attr := range t.Schema.Attrs {
+		if used(attr) {
+			out = append(out, t.Values[i])
+		}
+	}
+	return out
+}
+
+// diffState compares a tree query with its reference twin: clauses,
+// candidates (order included), contradiction, and for a DISTINCT query
+// the projection of two tuples of each open relation.
+func diffState(rng *rand.Rand, q, r *Query) error {
+	switch {
+	case !slices.Equal(q.Relations, r.Relations):
+		return fmt.Errorf("Relations %v, reference %v", q.Relations, r.Relations)
+	case !slices.Equal(q.Joins, r.Joins):
+		return fmt.Errorf("Joins %v, reference %v", q.Joins, r.Joins)
+	case !slices.Equal(q.Selections, r.Selections):
+		return fmt.Errorf("Selections %v, reference %v", q.Selections, r.Selections)
+	case !slices.Equal(q.Select, r.Select):
+		return fmt.Errorf("Select %v, reference %v", q.Select, r.Select)
+	case q.Depth != r.Depth:
+		return fmt.Errorf("Depth %d, reference %d", q.Depth, r.Depth)
+	case q.Contradictory() != refContradictory(r):
+		return fmt.Errorf("Contradictory %v, reference %v", q.Contradictory(), refContradictory(r))
+	}
+	want := refCandidates(r)
+	if got := q.Candidates(); !slices.Equal(got, want) {
+		return fmt.Errorf("Candidates %v, reference %v", got, want)
+	}
+	prefix := []Candidate{{Key: relation.KeyOf("prefix")}}
+	if got := q.AppendCandidates(prefix); got[0] != prefix[0] || !slices.Equal(got[1:], want) {
+		return fmt.Errorf("AppendCandidates after a prefix: %v, reference %v", got, want)
+	}
+	if !q.Distinct {
+		return nil
+	}
+	for _, rel := range q.Relations {
+		a, b := diffTuple(rng, r, rel), diffTuple(rng, r, rel)
+		if rng.Intn(2) == 0 {
+			b = a
+		}
+		same := string(q.AppendProjection(nil, a)) == string(q.AppendProjection(nil, b))
+		if want := slices.Equal(refProjection(r, a), refProjection(r, b)); same != want {
+			return fmt.Errorf("projections of %v and %v equal: %v, reference %v", a, b, same, want)
+		}
+	}
+	return nil
+}
+
+// diffWalk rewrites q and its reference twin r by a drawn tuple of every
+// open relation in turn, recursively — every consumption order — and
+// compares them at every step.
+func diffWalk(rng *rand.Rand, q, r *Query) error {
+	if err := diffState(rng, q, r); err != nil {
+		return fmt.Errorf("%s: %v", r, err)
+	}
+	for _, rel := range r.Relations {
+		tu := diffTuple(rng, r, rel)
+		if len(r.Relations) == 1 {
+			got, ok := RewriteComplete(q, tu)
+			want, wok := refRewriteComplete(r, tu)
+			if ok != wok || !slices.Equal(got, want) {
+				return fmt.Errorf("%s by %v: RewriteComplete %v %v, reference %v %v", r, tu, got, ok, want, wok)
+			}
+		}
+		q2, ok := Rewrite(q, tu)
+		r2, wok := refRewrite(r, tu)
+		if ok != wok {
+			return fmt.Errorf("%s by %v: Rewrite triggered %v, reference %v", r, tu, ok, wok)
+		}
+		if ok {
+			if err := diffWalk(rng, q2, r2); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// diffShapes are hand-written inputs next to the drawn ones: the paper's
+// examples, a conjunct within a relation, a cycle of joins through one
+// column, and selections that propagate, collide and contradict.
+func diffShapes() []*Query {
+	c := func(rel, attr string) ColRef { return ColRef{rel, attr} }
+	return []*Query{
+		sectionThreeQuery(),
+		figure1Query(),
+		{
+			Select:    []SelectItem{{Col: c("R0", "A2")}, {IsConst: true, Const: relation.Int64(1), Star: true, Agg: AggCount}},
+			Relations: []string{"R0", "R1"},
+			Joins:     []JoinCond{{c("R0", "A0"), c("R0", "A1")}, {c("R0", "A2"), c("R1", "A2")}},
+		},
+		{
+			Distinct:  true,
+			Select:    []SelectItem{{Col: c("R0", "A1")}, {Col: c("R2", "A1")}},
+			Relations: []string{"R0", "R1", "R2"},
+			Joins:     []JoinCond{{c("R0", "A0"), c("R1", "A0")}, {c("R1", "A0"), c("R2", "A0")}, {c("R2", "A0"), c("R0", "A0")}},
+		},
+		{
+			Select:    []SelectItem{{Col: c("R3", "A3")}},
+			Relations: []string{"R1", "R2", "R3"},
+			Joins:     []JoinCond{{c("R1", "A0"), c("R2", "A1")}, {c("R1", "A1"), c("R2", "A1")}, {c("R2", "A1"), c("R3", "A1")}},
+			Selections: []SelCond{
+				{c("R3", "A1"), relation.Int64(12)}, {c("R3", "A1"), relation.String64("12")}, {c("R1", "A2"), relation.Int64(0)},
+			},
+		},
+	}
+}
+
+// TestRewriteTreeMatchesReference holds the rewrite tree to the
+// implementation it replaced: on hand-written and drawn 2–8-way queries,
+// along every consumption order, with drawn tuples, every step's clauses,
+// candidate list and contradiction equal the reference's, and so does
+// whether a tuple triggers at all. The concurrent variant rewrites one
+// input's descendants from several goroutines at once, so the race
+// detector watches the tree being grown and published (run it with
+// -race).
+func TestRewriteTreeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	inputs := diffShapes()
+	perSize := map[int]int{2: 40, 3: 40, 4: 30, 5: 12, 6: 4, 7: 1, 8: 1}
+	for k := 2; k <= 8; k++ {
+		if testing.Short() && k > 6 {
+			break
+		}
+		for i := 0; i < perSize[k]; i++ {
+			inputs = append(inputs, diffQuery(rng, k))
+		}
+	}
+	for _, in := range inputs {
+		if err := diffWalk(rng, in.Clone(), in.Clone()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("concurrent", func(t *testing.T) {
+		for round := 0; round < 8; round++ {
+			in := diffQuery(rng, 5)
+			shared := in.Clone() // every goroutine rewrites this one input
+			var wg sync.WaitGroup
+			errs := make([]error, 4)
+			for g := range errs {
+				wg.Add(1)
+				go func(g int, seed int64) {
+					defer wg.Done()
+					errs[g] = diffWalk(rand.New(rand.NewSource(seed)), shared, in.Clone())
+				}(g, rng.Int63())
+			}
+			wg.Wait()
+			if err := errors.Join(errs...); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
+// TestPlanNeverStale: a plan answers only for the clauses it was compiled
+// from. A query appended to after its candidates were enumerated (as the
+// parser builds one), a clone permuted in place (as canonicalization
+// does), and a rewrite given other selections each compile afresh and
+// agree with the reference, and the original keeps its own answers.
+func TestPlanNeverStale(t *testing.T) {
+	check := func(label string, q *Query) {
+		t.Helper()
+		if got, want := q.Candidates(), refCandidates(q); !slices.Equal(got, want) {
+			t.Fatalf("%s: candidates %v, reference %v", label, got, want)
+		}
+		if q.Contradictory() != refContradictory(q) {
+			t.Fatalf("%s: contradiction %v, reference %v", label, q.Contradictory(), refContradictory(q))
+		}
+		for _, tu := range []*relation.Tuple{
+			relation.MustTuple(schemaR, relation.Int64(3), relation.Int64(5), relation.Int64(0)),
+			relation.MustTuple(schemaS, relation.Int64(3), relation.Int64(5), relation.Int64(6)),
+			relation.MustTuple(schemaJ, relation.Int64(4), relation.Int64(5), relation.Int64(6)),
+		} {
+			got, ok := Rewrite(q, tu)
+			want, wok := refRewrite(q, tu)
+			if ok != wok || ok && (!slices.Equal(got.Relations, want.Relations) || !slices.Equal(got.Joins, want.Joins) ||
+				!slices.Equal(got.Selections, want.Selections) || !slices.Equal(got.Candidates(), refCandidates(want))) {
+				t.Fatalf("%s: rewrite by %v gives %v, reference %v", label, tu, got, want)
+			}
+		}
+	}
+
+	q := &Query{Select: []SelectItem{{Col: ColRef{"R", "B"}}}, Relations: []string{"R", "S"}}
+	q.Joins = append(q.Joins, JoinCond{ColRef{"R", "A"}, ColRef{"S", "A"}})
+	check("parsed so far", q)
+	q.Relations = append(q.Relations, "J")
+	q.Joins = append(q.Joins, JoinCond{ColRef{"S", "B"}, ColRef{"J", "B"}})
+	check("a relation and a join appended", q)
+	q.Selections = append(q.Selections, SelCond{ColRef{"J", "B"}, relation.Int64(5)})
+	check("a selection appended", q)
+	q.Selections = append(q.Selections, SelCond{ColRef{"R", "A"}, relation.Int64(4)})
+	check("a contradicting selection appended", q)
+	q.Joins = q.Joins[:1]
+	check("the joins cut", q)
+
+	orig := sectionThreeQuery()
+	before := orig.Candidates()
+	c := orig.Clone()
+	slices.Reverse(c.Relations)
+	slices.Reverse(c.Joins)
+	c.Joins[0].Left, c.Joins[0].Right = c.Joins[0].Right, c.Joins[0].Left
+	check("a clone permuted in place", c)
+	if after := orig.Candidates(); !slices.Equal(after, before) {
+		t.Fatalf("the original's candidates moved with its clone: %v, then %v", before, after)
+	}
+
+	r, _ := Rewrite(figure1Query(), relation.MustTuple(schemaR, relation.Int64(2), relation.Int64(5), relation.Int64(8)))
+	r.Selections = []SelCond{{ColRef{"S", "B"}, relation.Int64(6)}}
+	check("a rewrite given other selections", r)
+}
+
+// TestCloneCopiesEveryField: Clone and Rewrite copy a query field by
+// field (the plan may not be copied), so a field added to Query without
+// being added there fails here.
+func TestCloneCopiesEveryField(t *testing.T) {
+	q := &Query{
+		ID: "q", Owner: 1, InsertTime: 2, Distinct: true, OneTime: true,
+		Select:     []SelectItem{{Col: ColRef{"R", "A"}}},
+		Relations:  []string{"R"},
+		Joins:      []JoinCond{{ColRef{"R", "A"}, ColRef{"R", "B"}}},
+		Selections: []SelCond{{ColRef{"R", "C"}, relation.Int64(1)}},
+		GroupBy:    []ColRef{{"R", "A"}},
+		Window:     WindowSpec{Kind: WindowTuples, Size: 3},
+		Start:      4, AggClock: 5, MinPub: 6, Depth: 7,
+		Lineage: []LineageStep{{Pub: 8, Seq: 9, Node: 10}},
+	}
+	q.Candidates() // compiles a plan, which the clone must not carry
+	c := q.Clone()
+	if c.plan.Load() != nil {
+		t.Fatal("the clone carries its original's plan")
+	}
+	src, dst := reflect.ValueOf(q).Elem(), reflect.ValueOf(c).Elem()
+	for i := 0; i < src.NumField(); i++ {
+		f := src.Type().Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		if src.Field(i).IsZero() {
+			t.Fatalf("field %s is zero in the test's query: give it a value", f.Name)
+		}
+		if !reflect.DeepEqual(src.Field(i).Interface(), dst.Field(i).Interface()) {
+			t.Fatalf("Clone dropped field %s", f.Name)
+		}
+	}
+}
+
+// TestRewriteAllocs pins what a rewrite step allocates once its tree has
+// grown: the Query, its Selections and, when a select column binds, its
+// Select — never the FROM list or the join conjuncts.
+func TestRewriteAllocs(t *testing.T) {
+	q := sectionThreeQuery()
+	steps := []*relation.Tuple{
+		relation.MustTuple(schemaR, relation.Int64(3), relation.Int64(5), relation.Int64(0)),
+		relation.MustTuple(schemaS, relation.Int64(3), relation.Int64(6), relation.Int64(0)),
+		relation.MustTuple(schemaJ, relation.Int64(3), relation.Int64(6), relation.Int64(0)),
+	}
+	for i, tu := range steps {
+		if n := testing.AllocsPerRun(100, func() { Rewrite(q, tu) }); n > 3 {
+			t.Fatalf("step %d allocates %v times, want at most 3", i+1, n)
+		}
+		q, _ = Rewrite(q, tu)
+	}
+	if !q.IsComplete() {
+		t.Fatalf("the chain did not complete: %s", q)
+	}
+}
+
+// TestAppendCandidatesAllocs: into a buffer with room, enumerating
+// candidates allocates nothing — input query or rewrite, implied triples
+// included.
+func TestAppendCandidatesAllocs(t *testing.T) {
+	q := &Query{
+		Select:     []SelectItem{{Col: ColRef{"M", "A"}}},
+		Relations:  []string{"J", "M"},
+		Joins:      []JoinCond{{ColRef{"J", "B"}, ColRef{"M", "B"}}},
+		Selections: []SelCond{{Col: ColRef{"J", "B"}, Val: relation.Int64(6)}},
+	}
+	rw, _ := Rewrite(figure1Query(), relation.MustTuple(schemaR, relation.Int64(2), relation.Int64(5), relation.Int64(8)))
+	buf := make([]Candidate, 0, 16)
+	for _, x := range []*Query{figure1Query(), rw, q} {
+		if n := testing.AllocsPerRun(100, func() { x.AppendCandidates(buf[:0]) }); n != 0 {
+			t.Fatalf("%s: AppendCandidates allocates %v times", x, n)
+		}
+	}
+	if got := q.AppendCandidates(buf[:0]); len(got) != 4 || got[3].Key.String() != "M+B+6" {
+		t.Fatalf("candidates %v, want the implied M+B+6 last of 4", got)
 	}
 }

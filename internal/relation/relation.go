@@ -67,10 +67,16 @@ func ParseValue(tok string) Value {
 // aggregation group keys; keep them on this helper so the injectivity
 // argument covers every user.
 func AppendCanonical(b []byte, v Value) []byte {
-	s := v.String()
 	b = append(b, byte(v.Kind))
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
+	if v.Kind == KindInt {
+		// The payload is String()'s, rendered without allocating it.
+		var digits [20]byte
+		s := strconv.AppendInt(digits[:0], v.Int, 10)
+		b = binary.AppendUvarint(b, uint64(len(s)))
+		return append(b, s...)
+	}
+	b = binary.AppendUvarint(b, uint64(len(v.Str)))
+	return append(b, v.Str...)
 }
 
 // Schema describes one relation: its name and ordered attribute names.
@@ -214,15 +220,19 @@ func (k Key) IsZero() bool { return k.s == "" }
 // The intern tables memoize key → ring-identifier bindings process-wide.
 // Contents are a pure function of the key text, so sharing them across
 // concurrently running simulations is harmless and deterministic.
-// Value-level keys are interned on the (rel, attr, value) triple so a
-// hit skips the string concatenation as well as the hash. The tables
-// grow with the number of distinct keys ever derived and are never
-// evicted — the deliberate trade for a hash-free hot path; at the
-// simulated scales (10^5-10^6 keys) this is a few tens of megabytes.
+// Attribute-level keys are interned on the (rel, attr) pair and
+// value-level keys on the (rel, attr, value) triple, so a hit skips the
+// string concatenation as well as the hash. The tables grow with the
+// number of distinct keys ever derived and are never evicted — the
+// deliberate trade for a hash-free hot path; at the simulated scales
+// (10^5-10^6 keys) this is a few tens of megabytes.
 var (
 	internByString sync.Map // string → Key
+	internByPair   sync.Map // attrPair → Key
 	internByTriple sync.Map // valueTriple → Key
 )
+
+type attrPair struct{ rel, attr string }
 
 type valueTriple struct {
 	rel, attr string
@@ -239,8 +249,17 @@ func KeyOf(s string) Key {
 	return k
 }
 
-// AttrKeyOf returns the interned attribute-level Key Rel+Attr.
-func AttrKeyOf(rel, attr string) Key { return KeyOf(AttrKey(rel, attr)) }
+// AttrKeyOf returns the interned attribute-level Key Rel+Attr without
+// materialising the key string on a hit.
+func AttrKeyOf(rel, attr string) Key {
+	p := attrPair{rel: rel, attr: attr}
+	if k, ok := internByPair.Load(p); ok {
+		return k.(Key)
+	}
+	k := KeyOf(AttrKey(rel, attr))
+	internByPair.Store(p, k)
+	return k
+}
 
 // ValueKeyOf returns the interned value-level Key Rel+Attr+Value
 // without materialising the key string on a hit.

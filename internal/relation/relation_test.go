@@ -1,6 +1,8 @@
 package relation
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -135,6 +137,39 @@ func TestKeyCachesRingID(t *testing.T) {
 	}
 	if KeyOf("R+A").IsZero() || (Key{}).IsZero() == false {
 		t.Fatal("IsZero")
+	}
+}
+
+// TestInternedKeyHitsAllocateNothing: a key derived before is found by
+// its parts, without building its string again.
+func TestInternedKeyHitsAllocateNothing(t *testing.T) {
+	AttrKeyOf("S", "B")
+	ValueKeyOf("S", "B", Int64(6))
+	ValueKeyOf("S", "B", String64("x"))
+	for name, f := range map[string]func(){
+		"AttrKeyOf":         func() { AttrKeyOf("S", "B") },
+		"ValueKeyOf int":    func() { ValueKeyOf("S", "B", Int64(6)) },
+		"ValueKeyOf string": func() { ValueKeyOf("S", "B", String64("x")) },
+	} {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s hit: %v allocations", name, n)
+		}
+	}
+}
+
+// TestAppendCanonicalEncoding: the encoding is kind tag, uvarint length
+// and String()'s bytes, and appending into room allocates nothing.
+func TestAppendCanonicalEncoding(t *testing.T) {
+	for _, v := range []Value{Int64(0), Int64(-9223372036854775808), Int64(12), String64("12"), String64(""), String64("1|B=2")} {
+		s := v.String()
+		want := append(binary.AppendUvarint([]byte{byte(v.Kind)}, uint64(len(s))), s...)
+		if got := AppendCanonical(nil, v); !bytes.Equal(got, want) {
+			t.Fatalf("AppendCanonical(%#v) = %q, want %q", v, got, want)
+		}
+	}
+	buf := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(100, func() { AppendCanonical(buf[:0], Int64(-42)) }); n != 0 {
+		t.Fatalf("AppendCanonical of an int allocates %v times", n)
 	}
 }
 

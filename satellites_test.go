@@ -40,6 +40,33 @@ func TestDistinctNULValuesNotCollapsed(t *testing.T) {
 	}
 }
 
+// TestDistinctTriggerProjectionsDoNotCollide is the end-to-end
+// regression test for the in-network DISTINCT memory: a stored query
+// remembers each trigger by the projection of the tuple over the
+// attributes it names. Rendered as "attr=value|" text, R("1|B=2","3",7)
+// and R("1","2|B=3",7) projected alike, and so did R(12,5,7) and
+// R("12",5,7), so the second tuple's trigger was suppressed and its
+// answer row lost. Both rows are distinct answers.
+func TestDistinctTriggerProjectionsDoNotCollide(t *testing.T) {
+	for _, pair := range [][2][]interface{}{
+		{{"1|B=2", "3", 7}, {"1", "2|B=3", 7}},
+		{{12, 5, 7}, {"12", 5, 7}},
+	} {
+		net := MustNetwork(Options{Nodes: 32, Seed: 6})
+		net.MustDefineRelation("R", "A", "B", "C")
+		net.MustDefineRelation("S", "C", "D")
+		sub := net.MustSubscribe("select distinct R.A, R.B, S.D from R, S where R.C = S.C")
+		net.Run()
+		net.MustPublish("R", pair[0]...)
+		net.MustPublish("R", pair[1]...)
+		net.MustPublish("S", 7, 1)
+		net.Run()
+		if ans := sub.Answers(); len(ans) != 2 {
+			t.Fatalf("R%v and R%v: got %d answers, want both rows: %v", pair[0], pair[1], len(ans), ans)
+		}
+	}
+}
+
 // TestAnswersSinceWithDistinct: the cursor contract must hold under
 // DISTINCT filtering — filtered duplicates never surface, never
 // advance the stream, and a consumer polling cursor += len(batch) sees
