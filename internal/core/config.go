@@ -117,15 +117,22 @@ type Config struct {
 	// that serve no traffic until promoted.
 	ReplicationFactor int
 
-	// TupleGC drops stored value-level tuples that can no longer fall
-	// inside any window of size <= MaxWindowHint. It reduces memory
-	// only; the storage-load metric counts store events and is
-	// unaffected.
+	// TupleGC gives every stored value-level tuple a death: the first
+	// quiescent Run at which both clocks passed 2·MaxWindowHint−1 past
+	// its publication (PubSeq, PubTime) drops it, counted in
+	// TuplesCollected. By then no rewrite can still combine with it —
+	// under the anchor rule a 3-way rewrite may start up to Size−1 clocks
+	// before a tuple it meets and outlive the horizon by as much — so no
+	// answer is lost. The promise holds only for continuous queries
+	// windowed within MaxWindowHint, and SubmitQuery rejects any other
+	// query while TupleGC is set: unwindowed, wider, one-time. It reduces
+	// memory only; the storage-load metric counts store events and is
+	// unaffected. Set it before the first tuple is stored.
 	TupleGC bool
 
-	// MaxWindowHint is the largest window size any submitted query
-	// uses, consulted by TupleGC. Zero disables tuple GC even when
-	// TupleGC is set.
+	// MaxWindowHint is the largest window size a submitted query may use
+	// under TupleGC, on either clock. It must be positive when TupleGC
+	// is set.
 	MaxWindowHint int64
 
 	// ShareExact enables the multi-query registry's byte-identical

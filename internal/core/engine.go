@@ -298,6 +298,9 @@ func (e *Engine) SubmitQuery(owner *chord.Node, q *query.Query) (string, error) 
 	if len(q.Relations) == 0 {
 		return "", fmt.Errorf("core: query joins no relations")
 	}
+	if err := e.checkTupleGC(q); err != nil {
+		return "", err
+	}
 	e.queryCnt++
 	sq := entryOf(q)
 	q = sq.q
@@ -330,6 +333,43 @@ func (e *Engine) SubmitQuery(owner *chord.Node, q *query.Query) (string, error) 
 	// charged here rather than by the submitting node's next handler.
 	p.replFlush()
 	return qid, nil
+}
+
+// checkTupleGC holds a query to Config.TupleGC's promise: a stored tuple
+// dies tupleReach clock values after its publication, and only a
+// continuous query windowed within MaxWindowHint never needs it later.
+func (e *Engine) checkTupleGC(q *query.Query) error {
+	cfg := e.Cfg
+	switch {
+	case !cfg.TupleGC:
+		return nil
+	case cfg.MaxWindowHint <= 0:
+		return fmt.Errorf("core: TupleGC needs MaxWindowHint > 0, have %d", cfg.MaxWindowHint)
+	case q.OneTime:
+		return fmt.Errorf("core: a one-time query reads the stored snapshot, which TupleGC collects")
+	case !q.Window.Enabled():
+		return fmt.Errorf("core: under TupleGC a continuous query needs a window of at most MaxWindowHint %d", cfg.MaxWindowHint)
+	case q.Window.Size > cfg.MaxWindowHint:
+		return fmt.Errorf("core: window %d exceeds MaxWindowHint %d, which TupleGC's tuple deaths assume", q.Window.Size, cfg.MaxWindowHint)
+	}
+	return nil
+}
+
+// tupleReach is, under Config.TupleGC, how many clock values past its
+// publication a stored tuple stays reachable on each clock: 0 (never
+// dies) without it. After a quiescent Run every live windowed rewrite
+// has Start > h−Size, and every later one inherits or raises its
+// parent's Start or starts at a later tuple's clock, so no rewrite that
+// can still meet a tuple starts before h−Size+1; a stored tuple at clock
+// c combines only with a Start within Size−1 of c, so it is out of reach
+// once h ≥ c+2·Size−1. Windows are at most MaxWindowHint (checkTupleGC).
+// A later input query needs PubTime ≥ its InsertTime ≥ h, which a dead
+// tuple fails too.
+func (e *Engine) tupleReach() int64 {
+	if !e.Cfg.TupleGC || e.Cfg.MaxWindowHint <= 0 {
+		return 0
+	}
+	return 2*e.Cfg.MaxWindowHint - 1
 }
 
 // PublishTuple implements Procedure 1: the publisher indexes the tuple
@@ -417,8 +457,8 @@ func (e *Engine) Run() {
 // drainExpired is the death wheels' drain. Nothing is in flight, so it
 // records the horizon — every tuple still to arrive is published later —
 // and every node the slots' due wheels name under a value the horizon
-// passed drops the windowed rewrites and ALTT entries that died. The
-// work is the entries due, never a scan over nodes or entries.
+// passed drops the windowed rewrites, tuples and ALTT entries that died.
+// The work is the entries due, never a scan over nodes or entries.
 func (e *Engine) drainExpired() {
 	e.horizon = horizon{e.pubSeq + 1, int64(e.sim.Now())}
 	for i := range e.slots {
@@ -460,11 +500,11 @@ func (e *Engine) SweepALTT() {}
 
 // StoredState reports the stored queries, value-level tuples and ALTT
 // entries held across the network (instantaneous occupancy, unlike the
-// cumulative SL metric). After a Run none of the queries is a windowed
-// rewrite past its window and none of the ALTT entries is past Δ: those
-// leave at every quiescent Run (DeadState). Stored tuples have no death
-// yet; only Config.TupleGC collects them, so tuples no window can reach
-// any more still count.
+// cumulative SL metric). After a Run nothing counted is dead: no query
+// is a windowed rewrite past its window, no ALTT entry is past Δ and,
+// under Config.TupleGC, no tuple is past its reach — those leave at
+// every quiescent Run (DeadState). Without TupleGC a stored tuple never
+// dies, so every tuple ever stored still counts.
 func (e *Engine) StoredState() (queries, tuples, altt int) {
 	for _, p := range e.procs {
 		c := p.st.counts()
@@ -475,16 +515,25 @@ func (e *Engine) StoredState() (queries, tuples, altt int) {
 	return
 }
 
-// DeadState counts the stored entries no tuple still to arrive can
-// reach, by the horizon of the last quiescent Run: windowed rewrites past
-// their window and ALTT entries past Δ. Every quiescent Run drops them,
-// so it reads zero after one. A full scan, for tests and censuses.
-func (e *Engine) DeadState() (rewrites, altt int) {
+// DeadState counts the stored entries nothing still to come can reach,
+// by the horizon of the last quiescent Run: windowed rewrites past their
+// window, tuples past their reach and ALTT entries past Δ. Every
+// quiescent Run drops them, so it reads zero after one. A full scan, for
+// tests and censuses.
+func (e *Engine) DeadState() (rewrites, tuples, altt int) {
+	reach := e.tupleReach()
 	for _, p := range e.procs {
 		for _, list := range p.st.queries {
 			for _, sq := range list {
 				if e.horizon.dead(sq.q) {
 					rewrites++
+				}
+			}
+		}
+		for _, list := range p.st.tuples {
+			for _, t := range list {
+				if e.horizon.tupleDead(t, reach) {
+					tuples++
 				}
 			}
 		}
@@ -496,5 +545,5 @@ func (e *Engine) DeadState() (rewrites, altt int) {
 			}
 		}
 	}
-	return rewrites, altt
+	return rewrites, tuples, altt
 }

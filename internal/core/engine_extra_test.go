@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"rjoin/internal/id"
@@ -231,28 +232,6 @@ func TestMoveNodeUnknownNode(t *testing.T) {
 	}
 }
 
-func TestTupleGCDropsUnreachable(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.TupleGC = true
-	cfg.MaxWindowHint = 10
-	eng, nodes := testNet(t, 16, 109, cfg, overlay.DefaultConfig())
-	// 96 identical tuples pile onto the same value keys; GC fires every
-	// 32 stores per key and drops those outside the window hint.
-	for i := 0; i < 96; i++ {
-		eng.PublishTuple(nodes[0], mkTuple("R", 1, 1, 1))
-		eng.RunUntil(eng.Sim().Now() + 20)
-	}
-	eng.Run()
-	if eng.Counters.TuplesCollected == 0 {
-		t.Fatal("tuple GC collected nothing")
-	}
-	_, live, _ := eng.StoredState()
-	if live >= int(eng.Counters.TuplesStored) {
-		t.Fatalf("GC did not shrink live store: %d live of %d stored",
-			live, eng.Counters.TuplesStored)
-	}
-}
-
 func TestSubmitQueryValidation(t *testing.T) {
 	eng, nodes := testNet(t, 8, 110, DefaultConfig(), overlay.DefaultConfig())
 	if _, err := eng.SubmitQuery(nodes[0], &query.Query{}); err == nil {
@@ -263,6 +242,40 @@ func TestSubmitQueryValidation(t *testing.T) {
 	q := sqlparse.MustParse("select R.B, S.B from R,S where R.A=S.A", testCat)
 	if _, err := eng.SubmitQuery(foreign, q); err == nil {
 		t.Fatal("foreign owner accepted")
+	}
+}
+
+// TestTupleGCRejectsQueriesItCannotServe: under TupleGC a stored tuple
+// dies 2·MaxWindowHint−1 clock values after its publication, so
+// SubmitQuery refuses, naming the setting, every query that could still
+// need it later: one with no window, one wider than the hint, a one-time
+// query (it reads the stored snapshot), and any query at all when the
+// hint is not positive. A window within the hint passes.
+func TestTupleGCRejectsQueriesItCannotServe(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		hint  int64
+		sql   string
+		names string // "" when accepted
+	}{
+		{"no window", 8, "select R.B, S.B from R,S where R.A=S.A", "TupleGC"},
+		{"window wider than the hint", 8, "select R.B, S.B from R,S where R.A=S.A within 9 tuples", "MaxWindowHint"},
+		{"one-time", 8, "select R.B, S.B from R,S where R.A=S.A within 8 tuples", "TupleGC"},
+		{"hint not positive", 0, "select R.B, S.B from R,S where R.A=S.A within 8 ticks", "MaxWindowHint"},
+		{"window within the hint", 8, "select R.B, S.B from R,S where R.A=S.A within 8 ticks tumbling", ""},
+	} {
+		cfg := DefaultConfig()
+		cfg.TupleGC, cfg.MaxWindowHint = true, c.hint
+		eng, nodes := testNet(t, 8, 112, cfg, overlay.DefaultConfig())
+		q := sqlparse.MustParse(c.sql, testCat)
+		q.OneTime = c.name == "one-time"
+		_, err := eng.SubmitQuery(nodes[0], q)
+		switch {
+		case c.names == "" && err != nil:
+			t.Errorf("%s: rejected: %v", c.name, err)
+		case c.names != "" && (err == nil || !strings.Contains(err.Error(), c.names)):
+			t.Errorf("%s: got error %v, want one naming %s", c.name, err, c.names)
+		}
 	}
 }
 

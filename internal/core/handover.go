@@ -83,16 +83,18 @@ func (e *Engine) move(from, to *Proc, ops []stateOp, b bill) {
 }
 
 // expired reports whether an entry leaving a node is dead and, if so,
-// counts it expired at p: no tuple still to arrive can reach it, so it
-// is neither moved nor lost. An ALTT entry is judged by the clock, which
-// is exact at any instant (every later scan skips it too); a windowed
-// rewrite only by the horizon, since tuples in flight may carry clocks
-// older than now.
+// counts it expired (a tuple: collected) at p: nothing still to come can
+// reach it, so it is neither moved nor lost. An ALTT entry is judged by
+// the clock, which is exact at any instant (every later scan skips it
+// too); a windowed rewrite and a stored tuple only by the horizon, since
+// tuples in flight may carry clocks older than now.
 func (e *Engine) expired(op stateOp, p *Proc) bool {
 	switch {
 	case op.kind == opAddQuery && e.horizon.dead(op.sq.q):
 		p.ctr.QueriesExpired++
 		p.profStateDrop(e.sim.Now(), op.sq)
+	case op.kind == opAddTuple && e.horizon.tupleDead(op.t, e.tupleReach()):
+		p.ctr.TuplesCollected++
 	case op.kind == opAddALTT && op.expireAt < e.sim.Now():
 		p.ctr.ALTTExpired++
 	default:

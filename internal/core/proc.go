@@ -166,6 +166,7 @@ func newProc(eng *Engine, node *chord.Node) *Proc {
 	s := &eng.slots[p.shard+1]
 	p.ctr, p.qpl, p.sl, p.sc = s.ctr, s.qpl, s.sl, &s.scratch
 	p.st.due = func(c clock, at int64) { s.due[c].add(at, p) }
+	p.st.reach = eng.tupleReach
 	if eng.par {
 		p.rng = sim.NewRNG(eng.sim.Seed(), uint64(node.ID()), 0x91ac)
 	}
@@ -342,7 +343,7 @@ func (p *Proc) onTuple(now sim.Time, m *tupleMsg) {
 	})
 
 	if m.Level == query.ValueLevel {
-		p.storeTuple(now, m.Key, m.T)
+		p.storeTuple(m.Key, m.T)
 		if ob := p.eng.obs; ob != nil {
 			ob.Emit(p.shard, obs.Rec{
 				At: now, Kind: obs.KindTupleStore, Node: p.nid(),
@@ -495,28 +496,20 @@ func (p *Proc) consume(sq *storedQuery, proj []byte) {
 	}
 }
 
-// storeTuple stores a value-level tuple (counted as storage load) and
-// optionally garbage-collects stored tuples no window can reach.
-func (p *Proc) storeTuple(now sim.Time, key relation.Key, t *relation.Tuple) {
+// storeTuple stores a value-level tuple, counted as storage load. Under
+// Config.TupleGC the store files it under its death (state.addTuple).
+func (p *Proc) storeTuple(key relation.Key, t *relation.Tuple) {
 	p.st.addTuple(key, t)
 	p.sl.Add(p.node.ID(), 1)
 	p.ctr.TuplesStored++
-
-	cfg := p.eng.Cfg
-	if cfg.TupleGC && cfg.MaxWindowHint > 0 && len(p.st.tuples[key])%32 == 0 {
-		seqNow, timeNow := p.eng.pubSeq, int64(now)
-		// Conservative: drop only when out of reach on both clocks.
-		p.ctr.TuplesCollected += int64(p.st.filterTuples(key, func(old *relation.Tuple) bool {
-			return seqNow-old.PubSeq <= cfg.MaxWindowHint || timeNow-old.PubTime <= cfg.MaxWindowHint
-		}))
-	}
 }
 
 // expire is this node's share of the death drain (state.expire).
 func (p *Proc) expire(h horizon) {
 	now := p.eng.sim.Now()
-	queries, altt := p.st.expire(h, func(sq *storedQuery) { p.profStateDrop(now, sq) })
+	queries, tuples, altt := p.st.expire(h, func(sq *storedQuery) { p.profStateDrop(now, sq) })
 	p.ctr.QueriesExpired += int64(queries)
+	p.ctr.TuplesCollected += int64(tuples)
 	p.ctr.ALTTExpired += int64(altt)
 }
 

@@ -19,11 +19,11 @@ import (
 // speaks. A membership move — leave, join, crash promotion — feeds
 // each() over a filter to the new owners' apply() (Engine.move),
 // teardown is sweep(), loss accounting is chargeLost, and what dies by
-// the clock — windowed rewrites, ALTT entries — is filed on a death
-// wheel at its add mutator and dropped by expire(). Live replication
-// is a charge, not a copy: every mutator a backup would have to see
-// adds one to the state's op count, and replFlush bills it (see
-// replicate.go).
+// the clock — windowed rewrites, ALTT entries, stored tuples under
+// Config.TupleGC — is filed on a death wheel at its add mutator and
+// dropped by expire(). Live replication is a charge, not a copy: every
+// mutator a backup would have to see adds one to the state's op count,
+// and replFlush bills it (see replicate.go).
 //
 // Aliasing rule. An op yielded by each() or handed to a mutator aliases
 // live objects (the stored query, the aggregator group, the pending
@@ -152,14 +152,24 @@ type state struct {
 	waiting map[relation.Key][]int64
 
 	// deaths files every windowed rewrite under the value at which it
-	// dies on its clock (deathOf), and alttDeaths the key of every ALTT
-	// entry under the first instant past its expiry. Derived state like
-	// waiting: only addQuery, addALTT, expire and clear write it and no op
-	// names it, so apply rebuilds it. An item whose entry left another way
-	// — deleted by a trigger out of window, torn down, its key moved —
-	// stays filed, and its drain finds nothing to drop.
-	deaths     [numClocks]wheel[*storedQuery]
-	alttDeaths wheel[relation.Key]
+	// dies on its clock (deathOf), alttDeaths the key of every ALTT entry
+	// under the first instant past its expiry, and tupleDeaths the key of
+	// every tuple stored under a reach under its death on the sequence
+	// clock (tupleDeath) — and, once a drain found that passed but not
+	// its death on time, under that one on the time clock. Derived state
+	// like waiting: only addQuery, addTuple, addALTT, expire and clear
+	// write it and no op names it, so apply rebuilds it. An item whose
+	// entry left another way — deleted by a trigger out of window, torn
+	// down, its key moved — stays filed, and its drain finds nothing to
+	// drop.
+	deaths      [numClocks]wheel[*storedQuery]
+	alttDeaths  wheel[relation.Key]
+	tupleDeaths [numClocks]wheel[relation.Key]
+
+	// reach returns how many clock values past its publication a stored
+	// tuple stays reachable, on each clock (Engine.tupleReach); read when
+	// a tuple is filed and when it is drained. Nil or 0: tuples never die.
+	reach func() int64
 
 	// due files the node in its accounting slot's due wheel, so the engine
 	// finds it when its earliest death falls due; dueAt is, per clock, the
@@ -169,12 +179,14 @@ type state struct {
 	due   func(c clock, at int64)
 	dueAt [numClocks]int64
 
-	// spareQueries, spareALTT and spareWaiting hold the arrays of emptied
-	// lists for the next keys to start one: under the drain, keys empty
-	// and refill every few ticks, and so do the keys walks are in flight
-	// for; a fresh array each time would be their steady-state
-	// allocation. ready is report's result, reused call to call.
+	// spareQueries, spareTuples, spareALTT and spareWaiting hold the
+	// arrays of emptied lists for the next keys to start one: under the
+	// drain, keys empty and refill every few ticks, and so do the keys
+	// walks are in flight for; a fresh array each time would be their
+	// steady-state allocation. ready is report's result, reused call to
+	// call.
 	spareQueries spares[*storedQuery]
+	spareTuples  spares[*relation.Tuple]
 	spareALTT    spares[alttEntry]
 	spareWaiting spares[int64]
 	ready        []int64
@@ -212,6 +224,7 @@ func (s *state) clear() {
 	s.waiting = make(map[relation.Key][]int64)
 	s.deaths = [numClocks]wheel[*storedQuery]{}
 	s.alttDeaths = wheel[relation.Key]{}
+	s.tupleDeaths = [numClocks]wheel[relation.Key]{}
 	s.dueAt = [numClocks]int64{notDue, notDue}
 	s.dirtyAggs = nil
 }
@@ -293,30 +306,59 @@ func (s *state) trigger(sq *storedQuery, proj string) {
 	s.replOps++
 }
 
+// addTuple appends a tuple to its key's list, in arrival order, and —
+// under a reach — files the key at the tuple's death on the sequence
+// clock.
 func (s *state) addTuple(key relation.Key, t *relation.Tuple) {
-	s.tuples[key] = append(s.tuples[key], t)
+	list := s.tuples[key]
+	if list == nil {
+		list = s.spareTuples.get()
+	}
+	s.tuples[key] = append(list, t)
+	if r := s.tupleReach(); r > 0 {
+		s.fileTuple(clockSeq, key, t, r)
+	}
 	s.replOps++
 }
 
-// filterTuples is filterQueries for the tuple store (garbage
-// collection); it returns how many tuples went, one op each.
-func (s *state) filterTuples(key relation.Key, keep func(*relation.Tuple) bool) int {
+// fileTuple files a tuple's key at its death on clock c under reach r.
+func (s *state) fileTuple(c clock, key relation.Key, t *relation.Tuple, r int64) {
+	at := tupleDeath(t, c, r)
+	s.tupleDeaths[c].add(at, key)
+	s.register(c, at)
+}
+
+// tupleReach is reach's value, 0 without one.
+func (s *state) tupleReach() int64 {
+	if s.reach == nil {
+		return 0
+	}
+	return s.reach()
+}
+
+// pruneTuples deletes the tuples under key that dead selects, uncounted
+// — the drain's local prune — and returns how many went. Arrival order
+// is not publication order, so it looks at the whole list; the kept
+// tuples keep their order.
+func (s *state) pruneTuples(key relation.Key, dead func(*relation.Tuple) bool) int {
 	list := s.tuples[key]
 	kept := list[:0]
 	for _, t := range list {
-		if keep(t) {
+		if !dead(t) {
 			kept = append(kept, t)
 		}
+	}
+	if len(kept) == len(list) {
+		return 0
 	}
 	clear(list[len(kept):]) // the array must not keep the collected alive
 	if len(kept) == 0 {
 		delete(s.tuples, key)
+		s.spareTuples.put(kept)
 	} else {
 		s.tuples[key] = kept
 	}
-	gone := len(list) - len(kept)
-	s.replOps += gone
-	return gone
+	return len(list) - len(kept)
 }
 
 // addALTT splices an entry into the expiry-ordered list of its key, the
@@ -805,6 +847,23 @@ func (h horizon) dead(q *query.Query) bool {
 	return ok && h[c] >= at
 }
 
+// tupleDeath returns when a stored tuple dies on clock c under reach r:
+// r clock values past its publication, PubSeq on the sequence clock and
+// PubTime on the time clock.
+func tupleDeath(t *relation.Tuple, c clock, r int64) int64 {
+	if c == clockSeq {
+		return t.PubSeq + r
+	}
+	return t.PubTime + r
+}
+
+// tupleDead reports whether no rewrite from h on can combine with t
+// under reach r (0: none, so never): h passed its death on both clocks,
+// since a rewrite may be windowed on either.
+func (h horizon) tupleDead(t *relation.Tuple, r int64) bool {
+	return r > 0 && h[clockSeq] >= tupleDeath(t, clockSeq, r) && h[clockTime] >= tupleDeath(t, clockTime, r)
+}
+
 // notDue is dueAt's value for a node its slot does not name.
 const notDue = math.MaxInt64
 
@@ -825,22 +884,44 @@ func (s *state) earliest(c clock) (at int64, ok bool) {
 	if pend := s.alttDeaths.pending(); c == clockTime && len(pend) > 0 && (!ok || pend[0].at < at) {
 		at, ok = pend[0].at, true
 	}
+	if pend := s.tupleDeaths[c].pending(); len(pend) > 0 && (!ok || pend[0].at < at) {
+		at, ok = pend[0].at, true
+	}
 	return at, ok
 }
 
-// expire drops every windowed rewrite and ALTT entry dead by h — the
-// drain of a quiescent Run — handing each rewrite to dropped, and returns
-// how many of each went. A rewrite filed at or before h is dead, and
-// dropped if it is still stored here. Like the Δ prune it replaced, the
-// drain charges no replica op: a replica files the same deaths and drops
-// them itself.
-func (s *state) expire(h horizon, dropped func(*storedQuery)) (queries, altt int) {
+// expire drops every windowed rewrite, stored tuple and ALTT entry dead
+// by h — the drain of a quiescent Run — handing each rewrite to dropped,
+// and returns how many of each went. A rewrite filed at or before h is
+// dead, and dropped if it is still stored here. A tuple is dead once both
+// clocks passed its deaths. Its key is filed at its death on the sequence
+// clock, which on the workloads passes last, and a drain that visits the
+// key prunes every tuple of it dead on both and files those whose death
+// on time alone is still to come there, so a tuple leaves at the first
+// drain past both, whichever clock passes last. Like
+// the Δ prune it replaced, the drain charges no replica op: a replica
+// files the same deaths and drops them itself.
+func (s *state) expire(h horizon, dropped func(*storedQuery)) (queries, tuples, altt int) {
 	for c := range s.deaths {
 		s.deaths[c].drain(h[c], func(sq *storedQuery) {
 			if s.removeQuery(sq) {
 				dropped(sq)
 				queries++
 			}
+		})
+	}
+	r := s.tupleReach()
+	for c := range s.tupleDeaths {
+		s.tupleDeaths[c].drain(h[c], func(key relation.Key) {
+			tuples += s.pruneTuples(key, func(t *relation.Tuple) bool {
+				switch {
+				case h.tupleDead(t, r):
+					return true
+				case r > 0 && h[clockSeq] >= tupleDeath(t, clockSeq, r):
+					s.fileTuple(clockTime, key, t, r) // it waits on time alone now
+				}
+				return false
+			})
 		})
 	}
 	s.alttDeaths.drain(h[clockTime], func(key relation.Key) {
@@ -854,7 +935,7 @@ func (s *state) expire(h horizon, dropped func(*storedQuery)) (queries, altt int
 			}
 		}
 	}
-	return queries, altt
+	return queries, tuples, altt
 }
 
 // wheel files items under the clock value at which they fall due, one

@@ -22,7 +22,7 @@ import (
 // compared; the derived indexes are checked per state against what they
 // are derived from.
 func (s *state) equal(o *state, want class) error {
-	if want&(classQueries|classALTT) != 0 {
+	if want&(classQueries|classTuples|classALTT) != 0 {
 		for _, st := range []*state{s, o} {
 			if err := st.deathsErr(); err != nil {
 				return err
@@ -119,6 +119,7 @@ func (s *state) waitingErr() error {
 
 // deathsErr checks the death wheels against the entries they are derived
 // from: every windowed rewrite is filed at its death on its clock, every
+// stored tuple's key — under a reach — at its death on a clock, every
 // ALTT entry's key at the first instant past its expiry, and the pending
 // buckets are non-empty and ascending. An item whose entry left another
 // way may stay filed.
@@ -128,10 +129,27 @@ func (s *state) deathsErr() error {
 		item T
 	}
 	var queries [numClocks]map[filing[*storedQuery]]bool
+	var tuples [numClocks]map[filing[relation.Key]]bool
 	for c := range s.deaths {
 		queries[c] = make(map[filing[*storedQuery]]bool)
 		if err := filed(&s.deaths[c], func(at int64, sq *storedQuery) { queries[c][filing[*storedQuery]{at, sq}] = true }); err != nil {
 			return fmt.Errorf("clock %d: %v", c, err)
+		}
+		tuples[c] = make(map[filing[relation.Key]]bool)
+		if err := filed(&s.tupleDeaths[c], func(at int64, key relation.Key) { tuples[c][filing[relation.Key]{at, key}] = true }); err != nil {
+			return fmt.Errorf("tuples, clock %d: %v", c, err)
+		}
+	}
+	// A tuple is filed at its sequence death, and once a drain found that
+	// passed, at its time death: the filing whose drain will find it dead.
+	if r := s.tupleReach(); r > 0 {
+		for key, list := range s.tuples {
+			for _, t := range list {
+				seq, time := tupleDeath(t, clockSeq, r), tupleDeath(t, clockTime, r)
+				if !tuples[clockSeq][filing[relation.Key]{seq, key}] && !tuples[clockTime][filing[relation.Key]{time, key}] {
+					return fmt.Errorf("key %s: a tuple dying at %d on the sequence clock and %d on time is filed on neither", key, seq, time)
+				}
+			}
 		}
 	}
 	altt := make(map[filing[relation.Key]]bool)
@@ -172,11 +190,18 @@ func filed[T comparable](w *wheel[T], visit func(int64, T)) error {
 
 // deadIn counts the entries of a state dead by h: what expire(h) must
 // drop.
-func deadIn(s *state, h horizon) (queries, altt int) {
+func deadIn(s *state, h horizon) (queries, tuples, altt int) {
 	for _, list := range s.queries {
 		for _, sq := range list {
 			if h.dead(sq.q) {
 				queries++
+			}
+		}
+	}
+	for _, list := range s.tuples {
+		for _, t := range list {
+			if h.tupleDead(t, s.tupleReach()) {
+				tuples++
 			}
 		}
 	}
@@ -187,7 +212,7 @@ func deadIn(s *state, h horizon) (queries, altt int) {
 			}
 		}
 	}
-	return queries, altt
+	return queries, tuples, altt
 }
 
 // stateFixture supplies the immutable objects store-level tests build
@@ -222,6 +247,13 @@ func (f *stateFixture) windowed(kind query.WindowKind, tumbling bool, start int6
 	q.ID, q.Depth, q.Start = "windowed", 1, start
 	q.Window = query.WindowSpec{Kind: kind, Size: 8, Tumbling: tumbling}
 	return q
+}
+
+// withReach gives s a fixed tuple reach, the engine's tupleReach under
+// Config.TupleGC, and returns it.
+func withReach(s *state, r int64) *state {
+	s.reach = func() int64 { return r }
+	return s
 }
 
 func (f *stateFixture) specOf(qid string) *agg.Spec {
@@ -321,16 +353,12 @@ func stateCharges(f *stateFixture) []stateCharge {
 			s.trigger(sq, "")
 		}},
 		{"addTuple", 1, func(s *state) { s.addTuple(k[1], tu) }},
-		{"filterTuples: one op per victim", 8, func(s *state) {
-			for seq := int64(0); seq < 5; seq++ {
-				s.addTuple(k[1], seqTuple(seq))
-			}
-			s.filterTuples(k[1], func(x *relation.Tuple) bool { return x.PubSeq%2 == 1 })
-		}},
-		{"filterTuples keeping all", 2, func(s *state) {
-			s.addTuple(k[1], seqTuple(1))
-			s.addTuple(k[1], seqTuple(2))
-			s.filterTuples(k[1], func(*relation.Tuple) bool { return true })
+		{"expire of tuples: the drain charges nothing", 3, func(s *state) {
+			withReach(s, 4)
+			s.addTuple(k[1], seqTuple(9)) // dies at seq 13: kept
+			s.addTuple(k[1], seqTuple(1)) // at seq 5 and time 4
+			s.addTuple(k[2], seqTuple(2)) // at seq 6 and time 4
+			s.expire(horizon{6, 4}, func(*storedQuery) {})
 		}},
 		{"addALTT", 2, func(s *state) {
 			s.addALTT(k[0], alttEntry{t: tu, expireAt: 9})
@@ -445,20 +473,22 @@ func TestStateOpRoundTrips(t *testing.T) {
 	}
 }
 
-// TestFilterTuplesReleasesCollected: tuple GC compacts a key's list in
-// place, and the array past the kept prefix must not keep the collected
-// tuples reachable — the "zero past len" invariant spares.put states for
-// every list array.
-func TestFilterTuplesReleasesCollected(t *testing.T) {
+// TestPruneTuplesReleasesCollected: the tuple drain compacts a key's
+// list in place, whichever of its tuples died — arrival order is not
+// publication order — and the array past the kept prefix must not keep
+// the collected tuples reachable: the "zero past len" invariant
+// spares.put states for every list array. A list the drain empties hands
+// its array to the next key that starts one.
+func TestPruneTuplesReleasesCollected(t *testing.T) {
 	f := newStateFixture()
 	s := newState(f.specOf)
 	key := f.keys[1]
-	for seq := int64(1); seq <= 4; seq++ {
+	for _, seq := range []int64{2, 4, 3, 1} {
 		tu := mkTuple("R", 1, seq, 0)
 		tu.PubSeq = seq
 		s.addTuple(key, tu)
 	}
-	if gone := s.filterTuples(key, func(x *relation.Tuple) bool { return x.PubSeq == 3 }); gone != 3 {
+	if gone := s.pruneTuples(key, func(x *relation.Tuple) bool { return x.PubSeq != 3 }); gone != 3 {
 		t.Fatalf("collected %d tuples, want 3", gone)
 	}
 	list := s.tuples[key]
@@ -469,6 +499,14 @@ func TestFilterTuplesReleasesCollected(t *testing.T) {
 		if x != nil {
 			t.Fatalf("slot %d past the kept prefix still holds tuple seq %d", len(list)+i, x.PubSeq)
 		}
+	}
+	array := &list[0]
+	if gone := s.pruneTuples(key, func(*relation.Tuple) bool { return true }); gone != 1 || s.tuples[key] != nil {
+		t.Fatalf("collected %d of the last tuple, the key still lists %d", gone, len(s.tuples[key]))
+	}
+	s.addTuple(f.keys[2], mkTuple("R", 5, 5, 5))
+	if &s.tuples[f.keys[2]][0] != array {
+		t.Fatal("the emptied list's array did not serve the next key to start one")
 	}
 }
 
@@ -494,37 +532,38 @@ func checkDirtySet(t *testing.T, s *state, label string) {
 // that of a second live state that receives what it hands over — names
 // exactly the groups with un-flushed epochs, its waiting index is
 // exactly what its placements miss and its death wheels file every
-// windowed rewrite and ALTT entry it holds, (3) the replica ops it
-// charged per seed equal the length of the op log the same sequence
-// wrote before the log gave way to a count (pinned at 9c30999), and (4)
-// a drain — of the second state now and then, of the first at the end —
-// drops exactly the entries dead by its horizon and charges nothing.
+// windowed rewrite, stored tuple and ALTT entry it holds, (3) the replica
+// ops it charged per seed equal the length of the op log the same
+// sequence wrote before the log gave way to a count (pinned at 9c30999),
+// and (4) a drain — of the second state now and then, of the first at the
+// end — drops exactly the entries dead by its horizon, tuples stored out
+// of publication order included, and charges nothing.
 // The windowed rewrites and the drains draw from a stream of their own,
 // so the pinned sequence is the one the op log wrote.
 func TestStateRandomSequences(t *testing.T) {
 	f := newStateFixture()
 	drain := func(s *state, h horizon, label string) {
 		t.Helper()
-		wantQ, wantA := deadIn(s, h)
+		wantQ, wantT, wantA := deadIn(s, h)
 		ops := s.replOps
-		gotQ, gotA := s.expire(h, func(sq *storedQuery) {
+		gotQ, gotT, gotA := s.expire(h, func(sq *storedQuery) {
 			if !h.dead(sq.q) {
 				t.Fatalf("%s: the drain dropped a live query", label)
 			}
 		})
-		if gotQ != wantQ || gotA != wantA || s.replOps != ops {
-			t.Fatalf("%s: the drain dropped %d rewrites and %d ALTT entries charging %d ops; %d and %d were dead",
-				label, gotQ, gotA, s.replOps-ops, wantQ, wantA)
+		if gotQ != wantQ || gotT != wantT || gotA != wantA || s.replOps != ops {
+			t.Fatalf("%s: the drain dropped %d rewrites, %d tuples and %d ALTT entries charging %d ops; %d, %d and %d were dead",
+				label, gotQ, gotT, gotA, s.replOps-ops, wantQ, wantT, wantA)
 		}
-		if q, a := deadIn(s, h); q+a != 0 {
-			t.Fatalf("%s: %d rewrites and %d ALTT entries dead by the horizon survived the drain", label, q, a)
+		if q, tu, a := deadIn(s, h); q+tu+a != 0 {
+			t.Fatalf("%s: %d rewrites, %d tuples and %d ALTT entries dead by the horizon survived the drain", label, q, tu, a)
 		}
 	}
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		drng := rand.New(rand.NewSource(-seed))
-		a := newState(f.specOf)
-		heir := newState(f.specOf) // applies what take() hands over
+		a := withReach(newState(f.specOf), 7)
+		heir := withReach(newState(f.specOf), 7) // applies what take() hands over
 		charged := 0
 		var now sim.Time
 		var live []*storedQuery
@@ -564,11 +603,18 @@ func TestStateRandomSequences(t *testing.T) {
 			case 4, 5:
 				pubSeq++
 				tu := mkTuple("R", int64(rng.Intn(3)), pubSeq, 0)
-				tu.PubSeq = pubSeq
+				tu.PubSeq, tu.PubTime = pubSeq, int64(now)
+				if drng.Intn(4) == 0 { // overtaken in flight by later publications
+					lag := int64(drng.Intn(6))
+					tu.PubSeq, tu.PubTime = max(pubSeq-lag, 0), max(int64(now)-lag, 0)
+				}
 				a.addTuple(key(), tu)
 			case 6:
+				// Tuples leave uncharged, whichever of a key's died. The op
+				// log counted one op per tuple its charged filter collected
+				// here, and the pin still does.
 				k := key()
-				a.filterTuples(k, func(*relation.Tuple) bool { return rng.Intn(3) > 0 })
+				charged += a.pruneTuples(k, func(*relation.Tuple) bool { return rng.Intn(3) == 0 })
 			case 7:
 				a.addALTT(key(), alttEntry{t: mkTuple("S", 1, 1, 1), expireAt: now + sim.Time(rng.Intn(6))})
 			case 8:
@@ -709,11 +755,13 @@ var randomSequenceCharges = [40]int{
 func TestStateDeathsOutliveNoEntry(t *testing.T) {
 	f := newStateFixture()
 	k := f.keys
+	empty := func() *state { return withReach(newState(f.specOf), 4) }
 	fill := func() *state {
-		s := newState(f.specOf)
+		s := empty()
 		s.addQuery(f.stored(f.windowed(query.WindowTuples, false, 3), k[1]))
 		s.addQuery(f.stored(f.windowed(query.WindowTime, true, 5), k[2]))
 		s.addQuery(f.stored(f.plain, k[2])) // an input query: never dies
+		s.addTuple(k[3], mkTuple("S", 1, 2, 3))
 		s.addALTT(k[0], alttEntry{t: mkTuple("R", 1, 2, 3), expireAt: 7})
 		return s
 	}
@@ -722,38 +770,39 @@ func TestStateDeathsOutliveNoEntry(t *testing.T) {
 			to.apply(op)
 		}
 	}
-	drainsTo := func(label string, s *state, wantQ, wantA int) {
+	drainsTo := func(label string, s *state, wantQ, wantT, wantA int) {
 		t.Helper()
 		if err := s.deathsErr(); err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
 		ops := s.replOps
-		q, a := s.expire(horizon{math.MaxInt64, math.MaxInt64}, func(*storedQuery) {})
-		if q != wantQ || a != wantA || s.replOps != ops {
-			t.Fatalf("%s: the drain dropped %d rewrites and %d ALTT entries charging %d ops; want %d, %d and none",
-				label, q, a, s.replOps-ops, wantQ, wantA)
+		q, tu, a := s.expire(horizon{math.MaxInt64, math.MaxInt64}, func(*storedQuery) {})
+		if q != wantQ || tu != wantT || a != wantA || s.replOps != ops {
+			t.Fatalf("%s: the drain dropped %d rewrites, %d tuples and %d ALTT entries charging %d ops; want %d, %d, %d and none",
+				label, q, tu, a, s.replOps-ops, wantQ, wantT, wantA)
 		}
 	}
 
-	a, heir := fill(), newState(f.specOf)
+	a, heir := fill(), empty()
 	moveAll(a, heir)
-	drainsTo("taken from", a, 0, 0)
-	drainsTo("applied at the heir", heir, 2, 1)
+	drainsTo("taken from", a, 0, 0, 0)
+	drainsTo("applied at the heir", heir, 2, 1, 1)
 
-	a, heir = fill(), newState(f.specOf)
+	a, heir = fill(), empty()
 	moveAll(a, heir)
 	moveAll(heir, a)
-	drainsTo("the heir, after handing back", heir, 0, 0)
-	drainsTo("taken back", a, 2, 1)
+	drainsTo("the heir, after handing back", heir, 0, 0, 0)
+	drainsTo("taken back", a, 2, 1, 1)
 
 	a = fill()
 	a.dropKey(k[1])
 	a.dropKey(k[0])
-	drainsTo("dropKey", a, 1, 0)
+	a.dropKey(k[3])
+	drainsTo("dropKey", a, 1, 0, 0)
 
 	a = fill()
 	a.sweep(classQueries, func(op stateOp) bool { return op.sq.q.ID == "windowed" })
-	drainsTo("sweep", a, 0, 1)
+	drainsTo("sweep", a, 0, 1, 1)
 }
 
 // TestStateSweepOrder: a sweep that matches nothing reports so and

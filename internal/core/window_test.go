@@ -11,18 +11,19 @@ import (
 	"rjoin/internal/query"
 	"rjoin/internal/refeval"
 	"rjoin/internal/relation"
+	"rjoin/internal/sim"
 	"rjoin/internal/sqlparse"
 	"rjoin/internal/workload"
 )
 
 // deadErr is the quiescence invariant of the death wheels: after a Run
-// no live node holds a windowed rewrite or an ALTT entry the horizon
-// passed, every node's wheels file its entries, and on every clock it
-// has a death filed on, its slot's due wheel names it under a value no
-// later than the earliest.
+// no live node holds a windowed rewrite, a tuple or an ALTT entry the
+// horizon passed, every node's wheels file its entries, and on every
+// clock it has a death filed on, its slot's due wheel names it under a
+// value no later than the earliest.
 func deadErr(eng *Engine) error {
-	if rewrites, altt := eng.DeadState(); rewrites+altt != 0 {
-		return fmt.Errorf("drained, yet %d dead rewrites and %d lapsed ALTT entries are stored", rewrites, altt)
+	if rewrites, tuples, altt := eng.DeadState(); rewrites+tuples+altt != 0 {
+		return fmt.Errorf("drained, yet %d dead rewrites, %d dead tuples and %d lapsed ALTT entries are stored", rewrites, tuples, altt)
 	}
 	for _, n := range eng.Ring().Nodes() {
 		p := eng.procs[n.ID()]
@@ -374,12 +375,15 @@ func TestRewriteDiesWithoutItsKeyBeingTouched(t *testing.T) {
 // TestDeathDrainWorkerInvariant: on a parallel engine each shard's
 // handlers file their nodes in their own accounting slot's due wheel and
 // the drain reads every slot. It must drop exactly what the serial drain
-// drops — windowed rewrites on both clocks and ALTT entries, with bursts
-// racing inside each drain — leave nothing dead after any Run, and
-// deliver the same answers, at 4 workers as serially.
+// drops — windowed rewrites on both clocks, stored tuples under TupleGC
+// and ALTT entries, with bursts racing inside each drain — leave nothing
+// dead after any Run, and deliver the same answers, at 4 workers as
+// serially.
 func TestDeathDrainWorkerInvariant(t *testing.T) {
 	run := func(workers int) (Counters, [][]string) {
-		eng, nodes := lossyNet(t, 48, 64, workers, DefaultConfig(), overlay.DefaultConfig())
+		cfg := DefaultConfig()
+		cfg.TupleGC, cfg.MaxWindowHint = true, 32
+		eng, nodes := lossyNet(t, 48, 64, workers, cfg, overlay.DefaultConfig())
 		var qids []string
 		for i, sql := range []string{
 			"select R.B, S.B from R,S where R.A=S.A within 6 tuples",
@@ -411,9 +415,9 @@ func TestDeathDrainWorkerInvariant(t *testing.T) {
 	}
 	serialCtr, serialBags := run(0)
 	parCtr, parBags := run(4)
-	if serialCtr.QueriesExpired == 0 || serialCtr.ALTTExpired == 0 || serialCtr.AnswersDelivered == 0 {
-		t.Fatalf("workload too weak: %d rewrites and %d ALTT entries expired, %d answers",
-			serialCtr.QueriesExpired, serialCtr.ALTTExpired, serialCtr.AnswersDelivered)
+	if serialCtr.QueriesExpired == 0 || serialCtr.TuplesCollected == 0 || serialCtr.ALTTExpired == 0 || serialCtr.AnswersDelivered == 0 {
+		t.Fatalf("workload too weak: %d rewrites, %d tuples and %d ALTT entries expired, %d answers",
+			serialCtr.QueriesExpired, serialCtr.TuplesCollected, serialCtr.ALTTExpired, serialCtr.AnswersDelivered)
 	}
 	if parCtr != serialCtr {
 		t.Fatalf("4 workers counted %+v, serially %+v", parCtr, serialCtr)
@@ -426,12 +430,13 @@ func TestDeathDrainWorkerInvariant(t *testing.T) {
 }
 
 // TestDeadRewritesAreNeitherMovedNorLost: a rewrite dead by the horizon
-// can be reached by no tuple still to arrive, so the node that holds it
-// leaving or crashing neither hands it over, promotes it nor charges it
-// lost: it counts as expired. At rf 1 a crash charges what it destroys
-// to the loss counters, and before the fix these were RewritesLost. A
-// node holds such rewrites only between the horizon passing them and the
-// drain, so the test moves the horizon by hand.
+// can be reached by no tuple still to arrive, and a tuple past its reach
+// by no rewrite, so the node that holds them leaving or crashing neither
+// hands them over, promotes them nor charges them lost: they count as
+// expired and collected. At rf 1 a crash charges what it destroys to the
+// loss counters, and before the fix these were RewritesLost and
+// TuplesLost. A node holds such entries only between the horizon passing
+// them and the drain, so the test moves the horizon by hand.
 func TestDeadRewritesAreNeitherMovedNorLost(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -439,7 +444,9 @@ func TestDeadRewritesAreNeitherMovedNorLost(t *testing.T) {
 		leave bool
 	}{{"crash at rf 1", 1, false}, {"crash at rf 2", 2, false}, {"leave", 1, true}} {
 		t.Run(c.name, func(t *testing.T) {
-			eng, nodes := testNet(t, 32, 63, replCfg(c.rf), churnNetCfg())
+			cfg := replCfg(c.rf)
+			cfg.TupleGC, cfg.MaxWindowHint = true, 4
+			eng, nodes := testNet(t, 32, 63, cfg, churnNetCfg())
 			q := sqlparse.MustParse("select R.B, S.B from R,S where R.A=S.A within 4 tuples", testCat)
 			if _, err := eng.SubmitQuery(nodes[0], q); err != nil {
 				t.Fatal(err)
@@ -449,18 +456,21 @@ func TestDeadRewritesAreNeitherMovedNorLost(t *testing.T) {
 				eng.PublishTuple(nodes[1], mkTuple("R", int64(i), int64(i), 0))
 				eng.Run()
 			}
+			// The holder keeps dead entries of both kinds, and besides them
+			// soft state alone: table entries and rate statistics.
 			var holder *Proc
 			for _, n := range eng.Ring().Nodes() {
-				if c := eng.procs[n.ID()].st.counts(); holder == nil && c.queries > 0 && c.queries+c.ct == c.mirrored() {
-					holder = eng.procs[n.ID()] // rewrites and soft table entries alone
+				if c := eng.procs[n.ID()].st.counts(); holder == nil && c.queries > 0 && c.tuples > 0 && c.queries+c.tuples+c.ct == c.mirrored() {
+					holder = eng.procs[n.ID()]
 				}
 			}
 			if holder == nil {
-				t.Fatal("no node holds rewrites alone; pick another seed")
+				t.Fatal("no node holds rewrites and tuples alone; pick another seed")
 			}
-			held, ct := holder.st.counts().queries, holder.st.counts().ct
+			held, soft := holder.st.counts(), holder.st.counts().ct+len(holder.st.stats)
 			eng.horizon[clockSeq] += 8
-			deadBefore, _ := eng.DeadState() // the holder's and the other holders'
+			eng.horizon[clockTime] += 8
+			deadQ, deadT, _ := eng.DeadState() // the holder's and the other holders'
 			var err error
 			if c.leave {
 				err = eng.LeaveNode(holder.node)
@@ -471,13 +481,177 @@ func TestDeadRewritesAreNeitherMovedNorLost(t *testing.T) {
 				t.Fatal(err)
 			}
 			ctr := eng.Counters
-			if ctr.RewritesLost != 0 || ctr.QueriesLost != 0 || ctr.QueriesExpired != int64(held) {
-				t.Fatalf("a node holding %d dead rewrites went: %d rewrites and %d queries counted lost, %d expired; want 0, 0 and %d",
-					held, ctr.RewritesLost, ctr.QueriesLost, ctr.QueriesExpired, held)
+			if ctr.RewritesLost != 0 || ctr.QueriesLost != 0 || ctr.TuplesLost != 0 ||
+				ctr.QueriesExpired != int64(held.queries) || ctr.TuplesCollected != int64(held.tuples) {
+				t.Fatalf("a node holding %d dead rewrites and %d dead tuples went: %d rewrites, %d queries and %d tuples counted lost, %d and %d expired; want 0, 0, 0, %d and %d",
+					held.queries, held.tuples, ctr.RewritesLost, ctr.QueriesLost, ctr.TuplesLost, ctr.QueriesExpired, ctr.TuplesCollected, held.queries, held.tuples)
 			}
-			if rewrites, _ := eng.DeadState(); rewrites != deadBefore-held || ctr.HandoverEntries > int64(ct) || ctr.ReplEntriesPromoted != 0 {
-				t.Fatalf("%d of the node's dead rewrites moved on; %d entries handed over (it held %d table entries), %d promoted",
-					rewrites-(deadBefore-held), ctr.HandoverEntries, ct, ctr.ReplEntriesPromoted)
+			if rewrites, tuples, _ := eng.DeadState(); rewrites != deadQ-held.queries || tuples != deadT-held.tuples ||
+				ctr.HandoverEntries > int64(soft) || ctr.ReplEntriesPromoted != 0 {
+				t.Fatalf("%d of the node's dead rewrites and %d of its dead tuples moved on; %d entries handed over (it held %d soft ones), %d promoted",
+					rewrites-(deadQ-held.queries), tuples-(deadT-held.tuples), ctr.HandoverEntries, soft, ctr.ReplEntriesPromoted)
+			}
+		})
+	}
+}
+
+// TestTupleDiesWithoutItsKeyBeingTouched: under TupleGC a stored tuple
+// leaves at the first quiescent Run at which both clocks passed its reach
+// — 2·MaxWindowHint−1 past its PubSeq and past its PubTime — though no
+// tuple ever reaches its key again, whichever clock passes last. One
+// clock value short on either clock it is still stored, and every stored
+// copy is counted collected once: TuplesCollected is always what was
+// stored less what still is.
+func TestTupleDiesWithoutItsKeyBeingTouched(t *testing.T) {
+	const hint = 16
+	const reach = 2*hint - 1
+	for _, last := range []clock{clockSeq, clockTime} {
+		t.Run([]string{"sequence last", "time last"}[last], func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.TupleGC, cfg.MaxWindowHint = true, hint
+			eng, nodes := testNet(t, 32, 65, cfg, overlay.DefaultConfig())
+			copies := func(r *relation.Tuple) (n int) {
+				for _, p := range eng.procs {
+					for _, list := range p.st.tuples {
+						for _, x := range list {
+							if x == r {
+								n++
+							}
+						}
+					}
+				}
+				return n
+			}
+			conserved := func() {
+				t.Helper()
+				_, live, _ := eng.StoredState()
+				if c := eng.Counters; c.TuplesCollected != c.TuplesStored-int64(live) {
+					t.Fatalf("%d tuples stored, %d still are, and %d counted collected", c.TuplesStored, live, c.TuplesCollected)
+				}
+			}
+			filler := func() { eng.PublishTuple(nodes[1], mkTuple("M", 99, 99, 99)) }
+			r := mkTuple("R", 1, 1, 0) // stored at R+A+1, R+B+1 and R+C+0
+			eng.PublishTuple(nodes[1], r)
+			// One clock passes r's death, the other stops one short of it.
+			if last == clockSeq {
+				eng.Run()
+				eng.RunUntil(sim.Time(r.PubTime + reach))
+				eng.Run()
+				for eng.pubSeq+1 < r.PubSeq+reach-1 {
+					filler()
+					eng.Run()
+				}
+			} else {
+				for eng.pubSeq+1 < r.PubSeq+reach {
+					filler() // on r's tick
+				}
+				eng.Run()
+				if now := int64(eng.Sim().Now()); now >= r.PubTime+reach-1 {
+					t.Fatalf("one drain took the clock from %d to %d, past r's time death %d", r.PubTime, now, r.PubTime+reach)
+				}
+				eng.RunUntil(sim.Time(r.PubTime + reach - 1))
+				eng.Run()
+			}
+			other := clockSeq + clockTime - last
+			if h := eng.horizon; h[last] != tupleDeath(r, last, reach)-1 || h[other] < tupleDeath(r, other, reach) {
+				t.Fatalf("horizon %v: want one short of r's death on clock %d and past it on the other", h, last)
+			}
+			if n := copies(r); n != 3 {
+				t.Fatalf("one clock value short of its death, %d of r's 3 copies are stored", n)
+			}
+			conserved()
+			advance := func() {
+				if last == clockSeq {
+					filler()
+				} else {
+					eng.RunUntil(eng.Sim().Now() + 1)
+				}
+				eng.Run()
+			}
+			advance()
+			if n := copies(r); n != 0 {
+				t.Fatalf("at horizon %v, %d of r's copies outlived both deaths", eng.horizon, n)
+			}
+			checkNothingDead(t, eng)
+			conserved()
+			for i := 0; i < 3; i++ {
+				advance()
+				conserved()
+			}
+		})
+	}
+}
+
+// TestTupleGCKeepsEveryAnswer: a tuple dies only once no rewrite can
+// reach it, so the same seed delivers the same answer bags with TupleGC
+// on, its hint the window, as with it off, and with it on nothing is
+// dead after any Run — on 2-way and 3-way chains, sliding and tumbling
+// windows on the tuple and the time clock, one tuple per drain and bursts
+// of 8. The hot case keeps publishing at two values, so keys take dozens
+// of stores and 3-way rewrites meet stored tuples up to 2·Size−2 clock
+// values old under the anchor rule: a reach of Size+1 drops such tuples,
+// and their answers with them.
+func TestTupleGCKeepsEveryAnswer(t *testing.T) {
+	type chain struct {
+		arity, values, tuples int
+	}
+	two, three, long, hot := chain{2, 3, 60}, chain{3, 3, 60}, chain{3, 3, 120}, chain{3, 2, 240}
+	for _, c := range []struct {
+		name  string
+		chain chain
+		w     query.WindowSpec
+		burst int
+	}{
+		{"2-way, sliding tuples", two, query.WindowSpec{Kind: query.WindowTuples, Size: 6}, 1},
+		{"2-way, tumbling time, bursts", two, query.WindowSpec{Kind: query.WindowTime, Size: 24, Tumbling: true}, 8},
+		{"3-way, sliding tuples", three, query.WindowSpec{Kind: query.WindowTuples, Size: 10}, 1},
+		{"3-way, tumbling tuples, bursts", three, query.WindowSpec{Kind: query.WindowTuples, Size: 8, Tumbling: true}, 8},
+		{"3-way, sliding time", long, query.WindowSpec{Kind: query.WindowTime, Size: 40}, 1},
+		{"3-way, sliding time, bursts", long, query.WindowSpec{Kind: query.WindowTime, Size: 30}, 8},
+		{"3-way hot keys, sliding tuples", hot, query.WindowSpec{Kind: query.WindowTuples, Size: 10}, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(gc bool) (bags [][]string, ctr Counters) {
+				cfg := DefaultConfig()
+				cfg.TupleGC, cfg.MaxWindowHint = gc, c.w.Size
+				eng, nodes := testNet(t, 48, 66, cfg, overlay.DefaultConfig())
+				wcfg := workload.Config{Relations: 3, Attributes: 2, Values: c.chain.values, Theta: 0.9, JoinArity: c.chain.arity}
+				gen := workload.MustGenerator(wcfg, 66)
+				rng := rand.New(rand.NewSource(67))
+				var qids []string
+				for i := 0; i < 4; i++ {
+					qid, err := eng.SubmitQuery(nodes[rng.Intn(len(nodes))], gen.WindowQuery(c.w))
+					if err != nil {
+						t.Fatal(err)
+					}
+					qids = append(qids, qid)
+				}
+				eng.Run()
+				for i := 0; i < c.chain.tuples; i++ {
+					eng.PublishTuple(nodes[rng.Intn(len(nodes))], gen.Tuple())
+					if (i+1)%c.burst == 0 {
+						eng.Run()
+						checkNothingDead(t, eng)
+					}
+				}
+				eng.Run()
+				checkNothingDead(t, eng)
+				for _, qid := range qids {
+					bags = append(bags, answerBag(eng, qid))
+				}
+				return bags, eng.Counters
+			}
+			off, _ := run(false)
+			on, ctr := run(true)
+			answers := 0
+			for i := range off {
+				if !bagsEqual(on[i], off[i]) {
+					t.Fatalf("query %d: %d answers with TupleGC, %d without", i, len(on[i]), len(off[i]))
+				}
+				answers += len(off[i])
+			}
+			if answers == 0 || ctr.TuplesCollected == 0 {
+				t.Fatalf("workload too weak: %d answers, %d tuples collected", answers, ctr.TuplesCollected)
 			}
 		})
 	}

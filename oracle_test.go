@@ -20,11 +20,11 @@ func (r *recorder) subscribe(sql string) *Subscription {
 
 // checkNothingDead is the death wheels' quiescence invariant, which every
 // golden workload checks after each Run: no node still stores a windowed
-// rewrite past its window or an ALTT entry past Δ.
+// rewrite past its window, a tuple past its reach or an ALTT entry past Δ.
 func checkNothingDead(t testing.TB, net *Network) {
 	t.Helper()
-	if rewrites, altt := net.Engine().DeadState(); rewrites+altt != 0 {
-		t.Fatalf("after a Run, %d dead rewrites and %d lapsed ALTT entries are still stored", rewrites, altt)
+	if rewrites, tuples, altt := net.Engine().DeadState(); rewrites+tuples+altt != 0 {
+		t.Fatalf("after a Run, %d dead rewrites, %d dead tuples and %d lapsed ALTT entries are still stored", rewrites, tuples, altt)
 	}
 }
 
