@@ -4,16 +4,10 @@
 // re-indexed across nodes, and the answer (S.B=6, M.A=9) reaches the
 // submitting node.
 //
-// With -fig lossy it instead runs the unreliable-network figure (the
-// same experiment rjoin-experiments -fig lossy regenerates, at demo
-// scale): recall, duplication and retransmit overhead swept over
-// per-transmission drop rates, with a partition/heal cycle riding
-// along. -fig sharing runs the multi-query sharing figure the same
-// way: stored state and rewriting work per query as the duplicate
-// ratio sweeps 0-90%, with every subscriber certified exact.
-// With -lossy, the Figure 1 walkthrough itself runs on an
-// unreliable overlay — a 20% drop rate masked by retransmission
-// — and reports the fault counters next to the usual stats.
+// With -lossy, the walkthrough runs on an unreliable overlay — a 20%
+// drop rate masked by retransmission — and reports the fault counters
+// next to the usual stats. The paper's Section 8 figures are
+// regenerated by rjoin-experiments.
 //
 // Observability: -trace FILE writes the walkthrough's causal trace as a
 // Chrome trace-event file (one lane per node; load it at
@@ -39,8 +33,6 @@ import (
 	"strings"
 
 	"rjoin"
-	"rjoin/internal/experiments"
-	"rjoin/internal/metrics"
 )
 
 func main() {
@@ -48,7 +40,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	workers := flag.Int("workers", 0, "event-engine worker threads (0/1 serial, >=2 deterministic parallel)")
 	lossy := flag.Bool("lossy", false, "run the Figure 1 scenario on an unreliable overlay (20% drop, duplication, spikes)")
-	fig := flag.String("fig", "", `figure to run instead of the demo ("lossy" or "sharing")`)
 	traceFile := flag.String("trace", "", "write the walkthrough's Chrome/Perfetto trace to FILE")
 	metricsFile := flag.String("metrics-csv", "", "write the walkthrough's rate-series CSV to FILE")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and expvar on ADDR (e.g. localhost:6060) and stay alive")
@@ -61,28 +52,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "rjoin-demo: pprof: %v\n", err)
 			}
 		}()
-	}
-
-	if *fig != "" {
-		figRunners := map[string]func(experiments.Params) []*metrics.Table{
-			"lossy":   experiments.FigLossy,
-			"sharing": experiments.FigSharing,
-		}
-		runner, ok := figRunners[*fig]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "rjoin-demo: unknown figure %q (\"lossy\" or \"sharing\"; use rjoin-experiments for the rest)\n", *fig)
-			os.Exit(2)
-		}
-		p := experiments.Default(0.15)
-		p.Nodes = *nodes * 2 // demo-sized overlay, but big enough for a meaningful split
-		p.Queries = 200
-		p.Seed = *seed
-		p.Workers = *workers
-		for _, t := range runner(p) {
-			t.WriteTo(os.Stdout)
-			fmt.Println()
-		}
-		return
 	}
 
 	opts := rjoin.Options{Nodes: *nodes, Seed: *seed, Workers: *workers}

@@ -1,6 +1,6 @@
 // Command rjoin-experiments regenerates the figures of the paper's
-// experimental analysis (Section 8) and prints each as a table of the
-// series the paper plots.
+// experimental analysis (Section 8), Figures 2–9, and prints each as a
+// table of the series the paper plots.
 //
 // Usage:
 //
@@ -9,22 +9,18 @@
 // With no -fig, every figure runs in paper order. The default scale is
 // 0.25 (a quarter of the paper's query and tuple counts at the full
 // 1000-node overlay) so the whole suite completes on a laptop in
-// minutes; pass -scale 1 for the paper's exact workload sizes. With
-// -workers >= 2 experiments run on the deterministic parallel event
-// engine (runs needing StrategyWorst's cross-shard oracle stay serial).
-// With -csv, every table is additionally written to DIR as one CSV file
-// named after its title, plottable without scraping the text output.
-//
-// The latency figure is instrumented end to end; -trace and
-// -metrics-csv export its raw observability artifacts — a Chrome
-// trace-event file (load it at https://ui.perfetto.dev) and the full
-// windowed rate-series CSV behind the figure's tables.
+// minutes; pass -scale 1 for the paper's exact workload sizes. A scale
+// outside (0, 1], or fewer than one node or query, is refused with exit
+// status 2. With -workers >= 2 experiments run on the deterministic
+// parallel event engine (runs needing StrategyWorst's cross-shard
+// oracle stay serial). With -csv, every table is additionally written
+// to DIR as one CSV file named after its title, plottable without
+// scraping the text output.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,7 +28,6 @@ import (
 
 	"rjoin/internal/experiments"
 	"rjoin/internal/metrics"
-	"rjoin/internal/obs"
 )
 
 func main() {
@@ -43,8 +38,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed (runs are deterministic per seed)")
 	workers := flag.Int("workers", 0, "event-engine worker threads (0/1 serial, >=2 deterministic parallel)")
 	csvDir := flag.String("csv", "", "directory to additionally write each table to as CSV")
-	traceFile := flag.String("trace", "", "write the latency figure's Chrome/Perfetto trace to FILE")
-	metricsFile := flag.String("metrics-csv", "", "write the latency figure's rate-series CSV to FILE")
 	flag.Parse()
 
 	p := experiments.Default(*scale)
@@ -52,6 +45,10 @@ func main() {
 	p.Queries = *queries
 	p.Seed = *seed
 	p.Workers = *workers
+	if err := p.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "rjoin-experiments: -%v\n", err)
+		os.Exit(2)
+	}
 
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
@@ -75,48 +72,8 @@ func main() {
 		p.Nodes, p.Queries, p.Scale, p.Seed, p.Workers)
 	for _, f := range figs {
 		start := time.Now()
-		if f.ID == "latency" && (*traceFile != "" || *metricsFile != "") {
-			tabs, rec := experiments.FigLatencyObs(p)
-			printTables(tabs, start, *csvDir)
-			if err := writeArtifacts(*traceFile, *metricsFile, rec); err != nil {
-				fmt.Fprintf(os.Stderr, "rjoin-experiments: %v\n", err)
-				os.Exit(1)
-			}
-			continue
-		}
 		printTables(f.Run(p), start, *csvDir)
 	}
-}
-
-// writeArtifacts exports the latency figure's raw observability data:
-// the Chrome/Perfetto trace and the windowed rate-series CSV.
-func writeArtifacts(traceFile, metricsFile string, rec *obs.Recorder) error {
-	if traceFile != "" {
-		if err := writeFile(traceFile, rec.Views().Trace.WriteChromeTrace); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (open at https://ui.perfetto.dev)\n", traceFile)
-	}
-	if metricsFile != "" {
-		if err := writeFile(metricsFile, rec.Views().Metrics.WriteCSV); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", metricsFile)
-	}
-	return nil
-}
-
-// writeFile creates the named file and fills it with write.
-func writeFile(name string, write func(io.Writer) error) error {
-	f, err := os.Create(name)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func printTables(tabs []*metrics.Table, start time.Time, csvDir string) {
@@ -135,7 +92,15 @@ func printTables(tabs []*metrics.Table, start time.Time, csvDir string) {
 
 // writeCSV stores one table as <dir>/<slug-of-title>.csv.
 func writeCSV(dir string, t *metrics.Table) error {
-	return writeFile(filepath.Join(dir, slug(t.Title)+".csv"), t.WriteCSV)
+	f, err := os.Create(filepath.Join(dir, slug(t.Title)+".csv"))
+	if err != nil {
+		return err
+	}
+	if err := t.WriteCSV(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // slug reduces a table title to a file-name-safe form: lower case,

@@ -9,23 +9,21 @@
 // internal/chord, internal/overlay and internal/core; this package is
 // the policy layer deciding when membership changes happen).
 //
-// Two driving modes are provided. Rate mode (Start) draws Bernoulli
-// trials per event class on a fixed cadence, matching the configured
-// expected rates; trace mode (Schedule) replays a precomputed
-// workload.ChurnTrace. Both schedule their work as background
-// simulation events: pending churn never keeps Engine.Run from
-// reaching quiescence, it simply happens whenever foreground traffic
-// (or an explicit RunUntil) advances the virtual clock.
+// Start draws Bernoulli trials per event class on a fixed cadence,
+// matching the configured expected rates; Join, Leave and Crash inject
+// one event each. The periodic work runs as background simulation
+// events: pending churn never keeps Engine.Run from reaching
+// quiescence, it simply happens whenever foreground traffic (or an
+// explicit RunUntil) advances the virtual clock.
 //
 // What a crash costs depends on the engine's replication setting: with
 // core.Config.ReplicationFactor < 2 the dead node's keyed state is
-// counted as loss (the model experiments.FigChurn measures), while
-// with factor k >= 2 every crash this manager injects promotes the
-// surviving replica instead and loses nothing (experiments.FigRecovery
-// measures that trade). The manager itself is agnostic — membership
-// policy here, durability policy in internal/core/replicate.go — and
-// every engine path it calls (JoinNode, LeaveNode, CrashNode) re-forms
-// the replica groups the change reached when replication is on.
+// counted as loss, while with factor k >= 2 every crash this manager
+// injects promotes the surviving replica instead and loses nothing.
+// The manager itself is agnostic — membership policy here, durability
+// policy in internal/core/replicate.go — and every engine path it calls
+// (JoinNode, LeaveNode, CrashNode) re-forms the replica groups the
+// change reached when replication is on.
 //
 // Background events are also what makes churn safe — and deterministic
 // — under the parallel engine: the simulator executes shard-less
@@ -259,33 +257,4 @@ func (m *Manager) Crash(n *chord.Node) error {
 // periodic loop is not running.
 func (m *Manager) settle() {
 	m.eng.Ring().TickStabilize()
-}
-
-// Schedule replays a precomputed churn trace: each event fires as a
-// background simulation event at its timestamp. Events beyond the last
-// foreground work only fire when the clock is advanced explicitly
-// (RunUntil/RunFor). Victim and identifier selection still draw from
-// the manager's private source at fire time.
-func (m *Manager) Schedule(trace []workload.ChurnEvent) {
-	se := m.eng.Sim()
-	for _, ev := range trace {
-		kind := ev.Kind
-		se.AtBg(sim.Time(ev.At), func(sim.Time) {
-			if m.stopped {
-				return
-			}
-			switch kind {
-			case workload.ChurnJoin:
-				m.tryJoin()
-			case workload.ChurnLeave:
-				if v := m.victim(); v != nil {
-					m.Leave(v)
-				}
-			case workload.ChurnCrash:
-				if v := m.victim(); v != nil {
-					m.Crash(v)
-				}
-			}
-		})
-	}
 }

@@ -167,32 +167,6 @@ func TestMinNodesFloor(t *testing.T) {
 	}
 }
 
-func TestTraceModeFiresAtTimestamps(t *testing.T) {
-	eng := testEngine(t, 32, 9)
-	m := New(eng, Config{Seed: 4, StabilizeEvery: -1})
-	m.Schedule([]workload.ChurnEvent{
-		{At: 10, Kind: workload.ChurnJoin},
-		{At: 20, Kind: workload.ChurnLeave},
-		{At: 30, Kind: workload.ChurnCrash},
-	})
-	eng.Run() // background events alone must not stall or fire
-	if m.Stats.Joins != 0 {
-		t.Fatal("trace fired without the clock advancing")
-	}
-	eng.RunUntil(15)
-	if m.Stats.Joins != 1 {
-		t.Fatalf("join not fired by t=15: %+v", m.Stats)
-	}
-	eng.RunUntil(100)
-	eng.Run()
-	if m.Stats.Leaves != 1 || m.Stats.Crashes != 1 {
-		t.Fatalf("trace incomplete: %+v", m.Stats)
-	}
-	if eng.Ring().Size() != 32+1-2 {
-		t.Fatalf("ring size %d after join+leave+crash, want 31", eng.Ring().Size())
-	}
-}
-
 func TestStopCancelsPeriodicWork(t *testing.T) {
 	eng := testEngine(t, 32, 10)
 	m := New(eng, Config{

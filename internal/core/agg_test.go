@@ -181,6 +181,12 @@ func TestCrashCountsLostAggState(t *testing.T) {
 		eng.PublishTuple(nodes[(i+5)%len(nodes)], mkTuple("S", int64(i%3), int64(i%4), 0))
 	}
 	eng.Run()
+	// Each of the three groups joins 4 R with 4 S tuples, and one flush
+	// coalesces a group's rows: the subscriber gets fewer updates than
+	// the aggregators folded rows.
+	if c := eng.Counters; c.AggUpdates >= c.AggPartials {
+		t.Fatalf("%d group updates for %d rows folded; in-network aggregation compressed nothing", c.AggUpdates, c.AggPartials)
+	}
 	victim := aggHolder(eng)
 	if victim == nil || len(eng.procs[victim.ID()].st.aggs) == 0 {
 		t.Fatal("no aggregator state accumulated")

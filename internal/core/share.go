@@ -32,10 +32,6 @@ func (e *Engine) fanoutOf(qid string) *share.Fanout { return e.fanouts[qid] }
 // pipeline: its straggler rewrites must be dropped, not re-indexed.
 func (e *Engine) retiredPipeline(qid string) bool { return e.retiredQ[qid] }
 
-// SharedClasses reports the number of live pipeline equivalence
-// classes (every live subscription belongs to exactly one).
-func (e *Engine) SharedClasses() int { return e.reg.Classes() }
-
 // shareSubmit registers a freshly stamped input query with the sharing
 // registry and decides what to index: it returns the query to place
 // (the input itself, or a canonical full-row pipeline standing in for

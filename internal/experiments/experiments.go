@@ -48,10 +48,22 @@ type Params struct {
 
 // Default returns the paper's experimental setup at the given scale.
 func Default(scale float64) Params {
-	if scale <= 0 || scale > 1 {
-		scale = 1
-	}
 	return Params{Nodes: 1000, Queries: 20000, Seed: 1, Scale: scale}
+}
+
+// Validate rejects what no figure can run: a scale outside (0, 1], or
+// fewer than one node or query. The error names the field in lower
+// case, which is also the name of the harness flag that sets it.
+func (p Params) Validate() error {
+	switch {
+	case !(p.Scale > 0 && p.Scale <= 1): // NaN included
+		return fmt.Errorf("scale %v is outside (0, 1]", p.Scale)
+	case p.Nodes < 1:
+		return fmt.Errorf("nodes %d is below 1", p.Nodes)
+	case p.Queries < 1:
+		return fmt.Errorf("queries %d is below 1", p.Queries)
+	}
+	return nil
 }
 
 func (p Params) scaled(n int) int {
@@ -73,8 +85,8 @@ func newRun(p Params, cfg core.Config, wcfg workload.Config) *run {
 	return newRunNet(p, cfg, wcfg, overlay.DefaultConfig())
 }
 
-// newRunNet is newRun with an explicit overlay configuration (the
-// churn figure enables message bouncing).
+// newRunNet is newRun with an explicit overlay configuration (Figure
+// 9's identifier movement enables message bouncing).
 func newRunNet(p Params, cfg core.Config, wcfg workload.Config, netCfg overlay.Config) *run {
 	ring := chord.NewRing()
 	idRng := rand.New(rand.NewSource(p.Seed))
@@ -100,7 +112,7 @@ func newRunNet(p Params, cfg core.Config, wcfg workload.Config, netCfg overlay.C
 }
 
 // node picks a pseudo-random node from the live membership (a snapshot
-// would go stale under churn or identifier movement).
+// would go stale under identifier movement).
 func (r *run) node() *chord.Node {
 	nodes := r.eng.Ring().Nodes()
 	return nodes[r.rng.Intn(len(nodes))]
@@ -160,6 +172,63 @@ func rankedRow(name string, l *metrics.Load) []string {
 		row = append(row, fmt.Sprintf("%d", ranked[i]))
 	}
 	return append(row, fmt.Sprintf("%d", l.Participants()))
+}
+
+// loadFigure is the three tables Figures 3–7 share, one row per point
+// of the figure's x-axis: (a) the traffic per node per tuple with its
+// RIC-request share, (b) and (c) the ranked QPL and SL distributions.
+type loadFigure struct {
+	nodes                 int
+	traffic, qpl, storage *metrics.Table
+}
+
+// newLoadFigure titles figure fig's tables; traffic completes the title
+// of table (a) and x heads its first column.
+func newLoadFigure(p Params, fig, traffic, x string) loadFigure {
+	return loadFigure{
+		nodes: p.Nodes,
+		traffic: &metrics.Table{
+			Title:   "Fig " + fig + "(a) " + traffic,
+			Headers: []string{x, "total hops/node/tuple", "request RIC/node/tuple"},
+		},
+		qpl:     &metrics.Table{Title: "Fig " + fig + "(b) Query processing load distribution", Headers: rankedHeader()},
+		storage: &metrics.Table{Title: "Fig " + fig + "(c) Storage load distribution", Headers: rankedHeader()},
+	}
+}
+
+// trafficMark is a run's total and RIC traffic at one instant.
+type trafficMark struct{ total, ric int64 }
+
+func (r *run) mark() trafficMark {
+	return trafficMark{r.eng.Net().Traffic.Total(), r.eng.Net().TaggedTraffic(core.TagRIC).Total()}
+}
+
+// add appends the point x: the traffic r sent since from, per node and
+// per tuple over tuples tuples, and r's ranked loads as series.
+func (f loadFigure) add(r *run, x, series string, from trafficMark, tuples int) {
+	n := float64(f.nodes) * float64(tuples)
+	f.traffic.AddRow(x,
+		fmt.Sprintf("%.3f", float64(r.eng.Net().Traffic.Total()-from.total)/n),
+		fmt.Sprintf("%.3f", float64(r.eng.Net().TaggedTraffic(core.TagRIC).Total()-from.ric)/n),
+	)
+	f.qpl.AddRow(rankedRow(series, r.eng.QPL)...)
+	f.storage.AddRow(rankedRow(series, r.eng.SL)...)
+}
+
+// point is one x-axis point of Figures 4–6: a fresh network under wcfg
+// indexes nq queries, then tuples tuples are measured. Query-indexing
+// traffic is not counted.
+func (f loadFigure) point(p Params, wcfg workload.Config, nq, tuples int, x, series string) {
+	r := newRun(p, core.DefaultConfig(), wcfg)
+	r.warmup(p.scaled(400))
+	r.submitQueries(nq, query.WindowSpec{})
+	from := r.mark()
+	r.publish(tuples)
+	f.add(r, x, series, from, tuples)
+}
+
+func (f loadFigure) tables() []*metrics.Table {
+	return []*metrics.Table{f.traffic, f.qpl, f.storage}
 }
 
 // Fig2 — Effect of taking into account RIC information. Three placement
@@ -231,29 +300,15 @@ func Fig3(p Params) []*metrics.Table {
 	r.warmup(p.scaled(400))
 	r.submitQueries(p.scaled(p.Queries), query.WindowSpec{})
 
-	traffic := &metrics.Table{
-		Title:   "Fig 3(a) Traffic cost per tuple",
-		Headers: []string{"# tuples", "total hops/node/tuple", "request RIC/node/tuple"},
-	}
-	qpl := &metrics.Table{Title: "Fig 3(b) Query processing load distribution", Headers: rankedHeader()}
-	sl := &metrics.Table{Title: "Fig 3(c) Storage load distribution", Headers: rankedHeader()}
-
-	preTuple := r.eng.Net().Traffic.Total()
-	preRIC := r.eng.Net().TaggedTraffic(core.TagRIC).Total()
+	f := newLoadFigure(p, "3", "Traffic cost per tuple", "# tuples")
+	from := r.mark()
 	published := 0
 	for _, cp := range checkpoints {
 		r.publish(cp - published)
 		published = cp
-		n := float64(p.Nodes) * float64(cp)
-		traffic.AddRow(
-			fmt.Sprintf("%d", cp),
-			fmt.Sprintf("%.3f", float64(r.eng.Net().Traffic.Total()-preTuple)/n),
-			fmt.Sprintf("%.3f", float64(r.eng.Net().TaggedTraffic(core.TagRIC).Total()-preRIC)/n),
-		)
-		qpl.AddRow(rankedRow(fmt.Sprintf("%d tuples", cp), r.eng.QPL)...)
-		sl.AddRow(rankedRow(fmt.Sprintf("%d tuples", cp), r.eng.SL)...)
+		f.add(r, fmt.Sprintf("%d", cp), fmt.Sprintf("%d tuples", cp), from, cp)
 	}
-	return []*metrics.Table{traffic, qpl, sl}
+	return f.tables()
 }
 
 // Fig4 — Effect of increasing the number of indexed queries:
@@ -263,94 +318,38 @@ func Fig4(p Params) []*metrics.Table {
 		p.scaled(2000), p.scaled(4000), p.scaled(8000),
 		p.scaled(16000), p.scaled(32000),
 	}
-	tuples := p.scaled(1000)
-	traffic := &metrics.Table{
-		Title:   "Fig 4(a) Traffic cost per tuple",
-		Headers: []string{"# queries", "total hops/node/tuple", "request RIC/node/tuple"},
-	}
-	qpl := &metrics.Table{Title: "Fig 4(b) Query processing load distribution", Headers: rankedHeader()}
-	sl := &metrics.Table{Title: "Fig 4(c) Storage load distribution", Headers: rankedHeader()}
+	f := newLoadFigure(p, "4", "Traffic cost per tuple", "# queries")
 	for _, nq := range counts {
-		r := newRun(p, core.DefaultConfig(), workload.PaperConfig())
-		r.warmup(p.scaled(400))
-		r.submitQueries(nq, query.WindowSpec{})
-		preTuple := r.eng.Net().Traffic.Total() // exclude query-indexing traffic
-		preRIC := r.eng.Net().TaggedTraffic(core.TagRIC).Total()
-		r.publish(tuples)
-		n := float64(p.Nodes) * float64(tuples)
-		traffic.AddRow(
-			fmt.Sprintf("%d", nq),
-			fmt.Sprintf("%.3f", float64(r.eng.Net().Traffic.Total()-preTuple)/n),
-			fmt.Sprintf("%.3f", float64(r.eng.Net().TaggedTraffic(core.TagRIC).Total()-preRIC)/n),
-		)
-		qpl.AddRow(rankedRow(fmt.Sprintf("%d queries", nq), r.eng.QPL)...)
-		sl.AddRow(rankedRow(fmt.Sprintf("%d queries", nq), r.eng.SL)...)
+		f.point(p, workload.PaperConfig(), nq, p.scaled(1000),
+			fmt.Sprintf("%d", nq), fmt.Sprintf("%d queries", nq))
 	}
-	return []*metrics.Table{traffic, qpl, sl}
+	return f.tables()
 }
 
 // Fig5 — Varying the skew of the data distribution: θ in
 // {0.3, 0.5, 0.7, 0.9}, 1000 tuples.
 func Fig5(p Params) []*metrics.Table {
-	thetas := []float64{0.3, 0.5, 0.7, 0.9}
-	tuples := p.scaled(1000)
-	traffic := &metrics.Table{
-		Title:   "Fig 5(a) Traffic cost per tuple",
-		Headers: []string{"theta", "total hops/node/tuple", "request RIC/node/tuple"},
-	}
-	qpl := &metrics.Table{Title: "Fig 5(b) Query processing load distribution", Headers: rankedHeader()}
-	sl := &metrics.Table{Title: "Fig 5(c) Storage load distribution", Headers: rankedHeader()}
-	for _, theta := range thetas {
+	f := newLoadFigure(p, "5", "Traffic cost per tuple", "theta")
+	for _, theta := range []float64{0.3, 0.5, 0.7, 0.9} {
 		wcfg := workload.PaperConfig()
 		wcfg.Theta = theta
-		r := newRun(p, core.DefaultConfig(), wcfg)
-		r.warmup(p.scaled(400))
-		r.submitQueries(p.scaled(p.Queries), query.WindowSpec{})
-		preTuple := r.eng.Net().Traffic.Total()
-		preRIC := r.eng.Net().TaggedTraffic(core.TagRIC).Total()
-		r.publish(tuples)
-		n := float64(p.Nodes) * float64(tuples)
-		traffic.AddRow(
-			fmt.Sprintf("%.1f", theta),
-			fmt.Sprintf("%.3f", float64(r.eng.Net().Traffic.Total()-preTuple)/n),
-			fmt.Sprintf("%.3f", float64(r.eng.Net().TaggedTraffic(core.TagRIC).Total()-preRIC)/n),
-		)
-		qpl.AddRow(rankedRow(fmt.Sprintf("theta=%.1f", theta), r.eng.QPL)...)
-		sl.AddRow(rankedRow(fmt.Sprintf("theta=%.1f", theta), r.eng.SL)...)
+		f.point(p, wcfg, p.scaled(p.Queries), p.scaled(1000),
+			fmt.Sprintf("%.1f", theta), fmt.Sprintf("theta=%.1f", theta))
 	}
-	return []*metrics.Table{traffic, qpl, sl}
+	return f.tables()
 }
 
 // Fig6 — Effect of query complexity: 4-, 6- and 8-way joins, 1000
 // tuples.
 func Fig6(p Params) []*metrics.Table {
-	arities := []int{4, 6, 8}
-	tuples := p.scaled(1000)
-	traffic := &metrics.Table{
-		Title:   "Fig 6(a) Traffic cost per tuple",
-		Headers: []string{"joins", "total hops/node/tuple", "request RIC/node/tuple"},
-	}
-	qpl := &metrics.Table{Title: "Fig 6(b) Query processing load distribution", Headers: rankedHeader()}
-	sl := &metrics.Table{Title: "Fig 6(c) Storage load distribution", Headers: rankedHeader()}
-	for _, k := range arities {
+	f := newLoadFigure(p, "6", "Traffic cost per tuple", "joins")
+	for _, k := range []int{4, 6, 8} {
 		wcfg := workload.PaperConfig()
 		wcfg.JoinArity = k
-		r := newRun(p, core.DefaultConfig(), wcfg)
-		r.warmup(p.scaled(400))
-		r.submitQueries(p.scaled(p.Queries), query.WindowSpec{})
-		preTuple := r.eng.Net().Traffic.Total()
-		preRIC := r.eng.Net().TaggedTraffic(core.TagRIC).Total()
-		r.publish(tuples)
-		n := float64(p.Nodes) * float64(tuples)
-		traffic.AddRow(
-			fmt.Sprintf("%d-way", k),
-			fmt.Sprintf("%.3f", float64(r.eng.Net().Traffic.Total()-preTuple)/n),
-			fmt.Sprintf("%.3f", float64(r.eng.Net().TaggedTraffic(core.TagRIC).Total()-preRIC)/n),
-		)
-		qpl.AddRow(rankedRow(fmt.Sprintf("%d-way joins", k), r.eng.QPL)...)
-		sl.AddRow(rankedRow(fmt.Sprintf("%d-way joins", k), r.eng.SL)...)
+		f.point(p, wcfg, p.scaled(p.Queries), p.scaled(1000),
+			fmt.Sprintf("%d-way", k), fmt.Sprintf("%d-way joins", k))
 	}
-	return []*metrics.Table{traffic, qpl, sl}
+	return f.tables()
 }
 
 // windowSizes are the Figure 7/8 sliding-window sizes in tuples.
@@ -369,12 +368,7 @@ func Fig7And8(p Params) (fig7, fig8 []*metrics.Table) {
 		stepSize = 1
 	}
 
-	traffic := &metrics.Table{
-		Title:   "Fig 7(a) Traffic cost per tuple vs window size",
-		Headers: []string{"window (tuples)", "total hops/node/tuple", "request RIC/node/tuple"},
-	}
-	qpl := &metrics.Table{Title: "Fig 7(b) Query processing load distribution", Headers: rankedHeader()}
-	sl := &metrics.Table{Title: "Fig 7(c) Storage load distribution", Headers: rankedHeader()}
+	f := newLoadFigure(p, "7", "Traffic cost per tuple vs window size", "window (tuples)")
 
 	sizes := windowSizes(p)
 	cumQPL := &metrics.Table{Title: "Fig 8(a) Cumulative query processing load vs tuples"}
@@ -396,8 +390,7 @@ func Fig7And8(p Params) (fig7, fig8 []*metrics.Table) {
 		r.warmup(p.scaled(400))
 		r.submitQueries(p.scaled(p.Queries),
 			query.WindowSpec{Kind: query.WindowTuples, Size: int64(w)})
-		preTuple := r.eng.Net().Traffic.Total()
-		preRIC := r.eng.Net().TaggedTraffic(core.TagRIC).Total()
+		from := r.mark()
 		for s := 0; s < steps; s++ {
 			r.publish(stepSize)
 			if qplSeries[s] == nil {
@@ -407,14 +400,7 @@ func Fig7And8(p Params) (fig7, fig8 []*metrics.Table) {
 			qplSeries[s][wi] = r.eng.QPL.Total()
 			slSeries[s][wi] = r.eng.SL.Total()
 		}
-		n := float64(p.Nodes) * float64(stepSize*steps)
-		traffic.AddRow(
-			fmt.Sprintf("%d", w),
-			fmt.Sprintf("%.3f", float64(r.eng.Net().Traffic.Total()-preTuple)/n),
-			fmt.Sprintf("%.3f", float64(r.eng.Net().TaggedTraffic(core.TagRIC).Total()-preRIC)/n),
-		)
-		qpl.AddRow(rankedRow(fmt.Sprintf("W=%d tuples", w), r.eng.QPL)...)
-		sl.AddRow(rankedRow(fmt.Sprintf("W=%d tuples", w), r.eng.SL)...)
+		f.add(r, fmt.Sprintf("%d", w), fmt.Sprintf("W=%d tuples", w), from, stepSize*steps)
 	}
 	for s := 0; s < steps; s++ {
 		rowQ := []string{fmt.Sprintf("%d", (s+1)*stepSize)}
@@ -426,7 +412,7 @@ func Fig7And8(p Params) (fig7, fig8 []*metrics.Table) {
 		cumQPL.AddRow(rowQ...)
 		cumSL.AddRow(rowS...)
 	}
-	return []*metrics.Table{traffic, qpl, sl}, []*metrics.Table{cumQPL, cumSL}
+	return f.tables(), []*metrics.Table{cumQPL, cumSL}
 }
 
 // Fig7 returns only the Figure 7 tables.
@@ -499,14 +485,9 @@ type Figure struct {
 	Part bool
 }
 
-// Figures is every figure, in paper order — the one table behind the
-// harness's dispatch, its help and error texts, and All. "churn",
-// "agg", "recovery", "lossy", "latency", "sharing" and "explain" are
-// this reproduction's own extensions (the paper measures a stable
-// overlay only): dynamic membership, in-network aggregation, durable
-// state replication, reliable delivery over an unreliable network, the
-// observability figure, multi-query sharing and per-query
-// introspection.
+// Figures is every figure of the paper's Section 8, in paper order —
+// the one table behind the harness's dispatch and its help and error
+// texts.
 var Figures = []Figure{
 	{ID: "2", Run: Fig2},
 	{ID: "3", Run: Fig3},
@@ -520,13 +501,6 @@ var Figures = []Figure{
 	{ID: "7", Run: Fig7, Part: true},
 	{ID: "8", Run: Fig8, Part: true},
 	{ID: "9", Run: Fig9},
-	{ID: "churn", Run: FigChurn},
-	{ID: "agg", Run: FigAgg},
-	{ID: "recovery", Run: FigRecovery},
-	{ID: "lossy", Run: FigLossy},
-	{ID: "latency", Run: FigLatency},
-	{ID: "sharing", Run: FigSharing},
-	{ID: "explain", Run: FigExplain},
 }
 
 // FigureIDs lists the table's identifiers for help and error texts.
@@ -536,16 +510,4 @@ func FigureIDs() string {
 		ids[i] = f.ID
 	}
 	return strings.Join(ids, ", ")
-}
-
-// All runs the full set — every figure that is not part of another —
-// and returns the tables keyed by figure id.
-func All(p Params) map[string][]*metrics.Table {
-	all := make(map[string][]*metrics.Table, len(Figures))
-	for _, f := range Figures {
-		if !f.Part {
-			all[f.ID] = f.Run(p)
-		}
-	}
-	return all
 }

@@ -127,54 +127,6 @@ func (l *Load) Reset() {
 	l.total = 0
 }
 
-// Completeness compares a delivered answer multiset against a
-// reference: how many expected rows arrived, how many were lost, and
-// how many arrived more often than expected. Churn experiments use it
-// to quantify answer loss under crashes and to certify exactly-once
-// delivery under graceful leaves.
-type Completeness struct {
-	Expected   int64 // rows the reference contains
-	Delivered  int64 // rows actually observed
-	Lost       int64 // expected rows that never arrived
-	Duplicated int64 // observed rows beyond their expected multiplicity
-}
-
-// CompareMultisets computes Completeness between two multisets given
-// as value → multiplicity maps.
-func CompareMultisets(expected, got map[string]int64) Completeness {
-	var c Completeness
-	for _, n := range expected {
-		c.Expected += n
-	}
-	for _, n := range got {
-		c.Delivered += n
-	}
-	for row, n := range expected {
-		if g := got[row]; g < n {
-			c.Lost += n - g
-		}
-	}
-	for row, g := range got {
-		if n := expected[row]; g > n {
-			c.Duplicated += g - n
-		}
-	}
-	return c
-}
-
-// Exact reports whether delivery matched the reference exactly — no
-// loss, no duplication.
-func (c Completeness) Exact() bool { return c.Lost == 0 && c.Duplicated == 0 }
-
-// Recall returns the fraction of expected row instances delivered,
-// counting multiplicity (1 for an empty reference).
-func (c Completeness) Recall() float64 {
-	if c.Expected == 0 {
-		return 1
-	}
-	return float64(c.Expected-c.Lost) / float64(c.Expected)
-}
-
 // Table is a simple fixed-column table writer used by the experiment
 // harness to print figure data in the shape the paper reports it.
 type Table struct {
@@ -186,15 +138,6 @@ type Table struct {
 // AddRow appends one formatted row.
 func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
-}
-
-// AddInts appends a row of integer cells after a leading label.
-func (t *Table) AddInts(label string, vals ...int64) {
-	row := []string{label}
-	for _, v := range vals {
-		row = append(row, fmt.Sprintf("%d", v))
-	}
-	t.Rows = append(t.Rows, row)
 }
 
 // WriteTo renders the table with aligned columns.

@@ -88,39 +88,6 @@ func TestTotalMatchesRankedSumProperty(t *testing.T) {
 	}
 }
 
-func TestCompleteness(t *testing.T) {
-	exp := map[string]int64{"a": 2, "b": 1, "c": 1}
-	got := map[string]int64{"a": 1, "b": 3, "d": 1}
-	c := CompareMultisets(exp, got)
-	if c.Expected != 4 || c.Delivered != 5 {
-		t.Fatalf("totals wrong: %+v", c)
-	}
-	if c.Lost != 2 { // one "a" and the "c"
-		t.Fatalf("Lost = %d, want 2", c.Lost)
-	}
-	if c.Duplicated != 3 { // two extra "b", one unexpected "d"
-		t.Fatalf("Duplicated = %d, want 3", c.Duplicated)
-	}
-	if c.Exact() {
-		t.Fatal("mismatching multisets reported exact")
-	}
-	if got := c.Recall(); got != 0.5 {
-		t.Fatalf("Recall = %v, want 0.5", got)
-	}
-}
-
-func TestCompletenessExact(t *testing.T) {
-	m := map[string]int64{"x": 2, "y": 1}
-	c := CompareMultisets(m, m)
-	if !c.Exact() || c.Recall() != 1 {
-		t.Fatalf("identical multisets not exact: %+v", c)
-	}
-	empty := CompareMultisets(nil, nil)
-	if !empty.Exact() || empty.Recall() != 1 {
-		t.Fatalf("empty comparison not exact: %+v", empty)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tab := &Table{Title: "Demo", Headers: []string{"k", "value"}}
 	tab.AddRow("a", "1")
@@ -135,20 +102,6 @@ func TestTableRendering(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 5 { // title, header, rule, two rows
 		t.Fatalf("unexpected line count %d: %q", len(lines), out)
-	}
-}
-
-func TestTableAddInts(t *testing.T) {
-	tab := &Table{Headers: []string{"k", "a", "b"}}
-	tab.AddInts("row", 7, -3)
-	if len(tab.Rows) != 1 {
-		t.Fatalf("rows %d", len(tab.Rows))
-	}
-	want := []string{"row", "7", "-3"}
-	for i, c := range tab.Rows[0] {
-		if c != want[i] {
-			t.Fatalf("cell %d = %q, want %q", i, c, want[i])
-		}
 	}
 }
 

@@ -82,14 +82,15 @@ func TestDuplicateSubmitShares(t *testing.T) {
 // TestSharingEquivalentForms: with Sharing on, clause-order permutations
 // and projection/selection variants of one join graph collapse onto one
 // pipeline, and every subscriber's answer bag matches what the same
-// query receives on an unshared network.
+// query receives on an unshared network — for less stored state and
+// fewer rewrites than the unshared network spends on them.
 func TestSharingEquivalentForms(t *testing.T) {
 	queries := []string{
 		"select Trades.Px, Quotes.Bid from Trades,Quotes where Trades.Sym=Quotes.Sym",
 		"select Quotes.Bid from Quotes,Trades where Quotes.Sym=Trades.Sym",
 		"select Trades.Px from Trades,Quotes where Trades.Sym=Quotes.Sym and Trades.Sym=2",
 	}
-	run := func(sharing bool) ([][]string, Stats) {
+	run := func(sharing bool) ([][]string, Stats, int) {
 		net := quickNet(t, Options{Seed: 12, Sharing: sharing})
 		defineShareRels(net)
 		var subs []*Subscription
@@ -102,10 +103,15 @@ func TestSharingEquivalentForms(t *testing.T) {
 		for i, s := range subs {
 			bags[i] = answerBag(s)
 		}
-		return bags, net.Stats()
+		stored, _, _ := net.Engine().StoredState()
+		return bags, net.Stats(), stored
 	}
-	shared, sst := run(true)
-	plain, _ := run(false)
+	shared, sst, sq := run(true)
+	plain, pst, pq := run(false)
+	if sq >= pq || sst.RewritesCreated >= pst.RewritesCreated {
+		t.Fatalf("sharing stored %d queries and created %d rewrites, the unshared network %d and %d",
+			sq, sst.RewritesCreated, pq, pst.RewritesCreated)
+	}
 	for i := range queries {
 		if len(shared[i]) == 0 {
 			t.Fatalf("query %d delivered nothing under sharing", i)
