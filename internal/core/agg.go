@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 
 	"rjoin/internal/agg"
@@ -45,12 +46,18 @@ func aggKeyOf(queryID, groupKey string) relation.Key {
 // makes it a first-class citizen of handover, replication and loss
 // accounting.
 type aggGroup struct {
-	qid    string
-	owner  id.ID
-	gkey   string           // canonical group key (agg.Spec.GroupKey)
-	group  []relation.Value // grouping values, in group-position order
-	epochs map[int64]*agg.Partial
-	dirty  map[int64]bool
+	qid   string
+	owner id.ID
+	gkey  string           // canonical group key (agg.Spec.GroupKey)
+	group []relation.Value // grouping values, in group-position order
+
+	// epochs holds the partials ascending by epoch and dirty the epochs
+	// whose view rows changed since the last flush, ascending: a handful
+	// each, since a windowed epoch dies once its last view closed
+	// (state.pruneEpochs). Both keep their arrays when they empty, so a
+	// group that lives on from epoch to epoch allocates nothing for them.
+	epochs []epochPartial
+	dirty  []int64
 
 	// pubAt is the group's latency watermark: the maximum triggering
 	// publication vtime over all folded partials. Max commutes, so the
@@ -112,15 +119,37 @@ func (g *aggGroup) lineageOf(epochs ...int64) []query.LineageStep {
 	return out
 }
 
+// epochPartial is one epoch's partial.
+type epochPartial struct {
+	epoch int64
+	part  *agg.Partial
+}
+
+// partial returns the epoch's partial, nil if the group has none.
+func (g *aggGroup) partial(epoch int64) *agg.Partial {
+	for _, ep := range g.epochs {
+		if ep.epoch == epoch {
+			return ep.part
+		}
+	}
+	return nil
+}
+
+// addPartial files a partial for an epoch the group holds none of.
+func (g *aggGroup) addPartial(epoch int64, part *agg.Partial) {
+	i, _ := slices.BinarySearchFunc(g.epochs, epoch, func(ep epochPartial, e int64) int { return cmp.Compare(ep.epoch, e) })
+	g.epochs = slices.Insert(g.epochs, i, epochPartial{epoch, part})
+}
+
 // viewRow finalizes the view row of one epoch — for a sliding window the
 // merge of the epoch's partial with its predecessor's — versioned by the
 // number of rows folded into it. ok is false while the epoch holds no
 // data (it was marked dirty by a neighbour).
 func (g *aggGroup) viewRow(spec *agg.Spec, epoch int64) (row viewEntry, ok bool) {
-	parts, epochs := [2]*agg.Partial{g.epochs[epoch]}, [2]int64{epoch}
+	parts, epochs := [2]*agg.Partial{g.partial(epoch)}, [2]int64{epoch}
 	n := 1
 	if spec.Sliding() {
-		parts[1], epochs[1], n = g.epochs[epoch-1], epoch-1, 2
+		parts[1], epochs[1], n = g.partial(epoch-1), epoch-1, 2
 	}
 	ver := agg.MergedRows(parts[:n]...)
 	if ver == 0 {
@@ -132,9 +161,10 @@ func (g *aggGroup) viewRow(spec *agg.Spec, epoch int64) (row viewEntry, ok bool)
 // mergeInto folds g into dst (the handover-collision path: partials for
 // the same group arrived at the new owner before the handed-over state
 // did). Per-epoch merges are commutative and associative, so the final
-// state is independent of arrival interleaving. Every transferred
-// epoch is marked dirty on dst so the next flush re-emits its row.
-func (g *aggGroup) mergeInto(sliding bool, dst *aggGroup) {
+// state is independent of arrival interleaving. The still-open views of
+// every transferred epoch are marked dirty on dst, so the next flush
+// re-emits their rows, and so are the views g had not flushed yet.
+func (g *aggGroup) mergeInto(w query.WindowSpec, h horizon, dst *aggGroup) {
 	if g.pubAt > dst.pubAt {
 		dst.pubAt = g.pubAt
 	}
@@ -151,13 +181,16 @@ func (g *aggGroup) mergeInto(sliding bool, dst *aggGroup) {
 			dstSet[s] = struct{}{}
 		}
 	}
-	for e, part := range g.epochs {
-		if cur, ok := dst.epochs[e]; ok {
-			cur.Merge(part)
+	for _, ep := range g.epochs {
+		if cur := dst.partial(ep.epoch); cur != nil {
+			cur.Merge(ep.part)
 		} else {
-			dst.epochs[e] = part
+			dst.addPartial(ep.epoch, ep.part)
 		}
-		dst.markDirty(e, sliding)
+		dst.markOpen(ep.epoch, w, h)
+	}
+	for _, v := range g.dirty {
+		dst.markView(v)
 	}
 }
 
@@ -165,10 +198,53 @@ func (g *aggGroup) mergeInto(sliding bool, dst *aggGroup) {
 // epoch's sliding view merges this epoch's partial, so its row changed
 // too.
 func (g *aggGroup) markDirty(epoch int64, sliding bool) {
-	g.dirty[epoch] = true
+	g.markView(epoch)
 	if sliding {
-		g.dirty[epoch+1] = true
+		g.markView(epoch + 1)
 	}
+}
+
+// markView flags the view row of epoch v for the next flush.
+func (g *aggGroup) markView(v int64) {
+	if i, found := slices.BinarySearch(g.dirty, v); !found {
+		g.dirty = slices.Insert(g.dirty, i, v)
+	}
+}
+
+// markOpen flags for the next flush the views that merge an epoch's
+// partial and are still open at h (horizon.viewOpen): re-emitting a
+// closed one would only repeat the row its subscriber holds.
+func (g *aggGroup) markOpen(epoch int64, w query.WindowSpec, h horizon) {
+	if h.viewOpen(w, epoch) {
+		g.markView(epoch)
+	}
+	if w.Enabled() && !w.Tumbling && h.viewOpen(w, epoch+1) {
+		g.markView(epoch + 1)
+	}
+}
+
+// owes reports whether a flush still owes the subscriber a view row
+// that merges the epoch's partial: its own, or the next epoch's sliding
+// one.
+func (g *aggGroup) owes(epoch int64, w query.WindowSpec) bool {
+	_, own := slices.BinarySearch(g.dirty, epoch)
+	_, next := slices.BinarySearch(g.dirty, epoch+1)
+	return own || w.Enabled() && !w.Tumbling && next
+}
+
+// prune drops the epochs dead by h (horizon.epochDead) whose views are
+// all flushed — an epoch whose row a flush still owes its subscriber
+// waits for that flush — and returns how many went.
+func (g *aggGroup) prune(w query.WindowSpec, h horizon) int {
+	n := len(g.epochs)
+	g.epochs = slices.DeleteFunc(g.epochs, func(ep epochPartial) bool {
+		dead := h.epochDead(w, ep.epoch) && !g.owes(ep.epoch, w)
+		if dead {
+			delete(g.lins, ep.epoch)
+		}
+		return dead
+	})
+	return n - len(g.epochs)
 }
 
 // epochCount reports the stored (group, epoch) partials — the unit the
@@ -250,12 +326,7 @@ func (e *Engine) flushAggregates() bool {
 		p := e.procs[nid]
 		p.st.flushDirty(func(g *aggGroup) {
 			spec := e.aggSpec(g.qid)
-			epochs := make([]int64, 0, len(g.dirty))
-			for ep := range g.dirty {
-				epochs = append(epochs, ep)
-			}
-			slices.Sort(epochs)
-			for _, ep := range epochs {
+			for _, ep := range g.dirty { // ascending
 				row, ok := g.viewRow(spec, ep)
 				if !ok {
 					continue

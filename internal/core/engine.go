@@ -517,33 +517,48 @@ func (e *Engine) StoredState() (queries, tuples, altt int) {
 
 // DeadState counts the stored entries nothing still to come can reach,
 // by the horizon of the last quiescent Run: windowed rewrites past their
-// window, tuples past their reach and ALTT entries past Δ. Every
-// quiescent Run drops them, so it reads zero after one. A full scan, for
-// tests and censuses.
-func (e *Engine) DeadState() (rewrites, tuples, altt int) {
-	reach := e.tupleReach()
+// window, tuples past their reach, ALTT entries past Δ, candidate-table
+// entries past ctValidity and aggregate epochs whose views all closed.
+// Every quiescent Run drops them, so it reads zero after one. A full
+// scan, for tests and censuses.
+func (e *Engine) DeadState() (d DeadCounts) {
+	h, reach := e.horizon, e.tupleReach()
 	for _, p := range e.procs {
 		for _, list := range p.st.queries {
 			for _, sq := range list {
-				if e.horizon.dead(sq.q) {
-					rewrites++
+				if h.dead(sq.q) {
+					d.Rewrites++
 				}
 			}
 		}
 		for _, list := range p.st.tuples {
 			for _, t := range list {
-				if e.horizon.tupleDead(t, reach) {
-					tuples++
+				if h.tupleDead(t, reach) {
+					d.Tuples++
 				}
 			}
 		}
 		for _, list := range p.st.altt {
 			for _, en := range list {
-				if int64(en.expireAt) < e.horizon[clockTime] {
-					altt++
+				if int64(en.expireAt) < h[clockTime] {
+					d.ALTT++
+				}
+			}
+		}
+		for _, en := range p.st.ct.entries {
+			if h.ctDead(en.At) {
+				d.CT++
+			}
+		}
+		for _, g := range p.st.aggs {
+			if spec := e.aggSpec(g.qid); spec != nil {
+				for _, ep := range g.epochs {
+					if h.epochDead(spec.Window, ep.epoch) {
+						d.Epochs++
+					}
 				}
 			}
 		}
 	}
-	return rewrites, tuples, altt
+	return d
 }

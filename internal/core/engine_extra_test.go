@@ -287,11 +287,12 @@ func TestStrategyStringer(t *testing.T) {
 }
 
 // TestIdleRunAllocatesNothing pins what Run costs when there is nothing
-// to do: with thousands of live aggregator groups, and with a zero-rate
+// to do: with thousands of live aggregator groups, with a zero-rate
 // fault plan after a thousand (sender, receiver) pairs have carried
-// traffic (each with an ack window on record), a Run on the quiescent
-// engine allocates nothing and moves neither the clock, the counters
-// nor the traffic metric.
+// traffic (each with an ack window on record), and with windowed groups
+// and candidate-table entries filed to die later, a Run on the
+// quiescent engine allocates nothing and moves neither the clock, the
+// counters nor the traffic metric.
 func TestIdleRunAllocatesNothing(t *testing.T) {
 	pinIdle := func(t *testing.T, eng *Engine) {
 		t.Helper()
@@ -355,6 +356,39 @@ func TestIdleRunAllocatesNothing(t *testing.T) {
 		if len(channels) < 1000 {
 			t.Fatalf("only %d channels carried traffic; workload too weak", len(channels))
 		}
+		pinIdle(t, eng)
+	})
+
+	t.Run("soft-state deaths", func(t *testing.T) {
+		// Windowed groups whose epochs died and left them empty, epochs and
+		// candidate-table entries filed to die later: an idle Run finds
+		// nothing due.
+		eng, nodes := testNet(t, 64, 7, DefaultConfig(), overlay.DefaultConfig())
+		_, err := eng.SubmitQuery(nodes[0], sqlparse.MustParse(
+			"select R.B, count(*) from R,S where R.A=S.A group by R.B within 8 tuples tumbling", testCat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+		for i := 0; i < 401; i++ { // the last pair opens epoch 100
+			eng.PublishTuple(nodes[i%len(nodes)], mkTuple("S", int64(i%5), 0, 0))
+			eng.PublishTuple(nodes[(i+1)%len(nodes)], mkTuple("R", int64(i%5), int64(i%50), 0))
+			eng.Run()
+		}
+		var groups, empty, ct int
+		for _, p := range eng.procs {
+			for _, g := range p.st.aggs {
+				groups++
+				if len(g.epochs) == 0 {
+					empty++
+				}
+			}
+			ct += len(p.st.ct.entries)
+		}
+		if empty == 0 || empty == groups || ct == 0 {
+			t.Fatalf("%d of %d groups empty, %d table entries; workload too weak", empty, groups, ct)
+		}
+		checkNothingDead(t, eng)
 		pinIdle(t, eng)
 	})
 }

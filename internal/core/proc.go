@@ -167,6 +167,7 @@ func newProc(eng *Engine, node *chord.Node) *Proc {
 	p.ctr, p.qpl, p.sl, p.sc = s.ctr, s.qpl, s.sl, &s.scratch
 	p.st.due = func(c clock, at int64) { s.due[c].add(at, p) }
 	p.st.reach = eng.tupleReach
+	p.st.hz = &eng.horizon
 	if eng.par {
 		p.rng = sim.NewRNG(eng.sim.Seed(), uint64(node.ID()), 0x91ac)
 	}
@@ -507,10 +508,10 @@ func (p *Proc) storeTuple(key relation.Key, t *relation.Tuple) {
 // expire is this node's share of the death drain (state.expire).
 func (p *Proc) expire(h horizon) {
 	now := p.eng.sim.Now()
-	queries, tuples, altt := p.st.expire(h, func(sq *storedQuery) { p.profStateDrop(now, sq) })
-	p.ctr.QueriesExpired += int64(queries)
-	p.ctr.TuplesCollected += int64(tuples)
-	p.ctr.ALTTExpired += int64(altt)
+	n := p.st.expire(h, func(sq *storedQuery) { p.profStateDrop(now, sq) })
+	p.ctr.QueriesExpired += int64(n.Rewrites)
+	p.ctr.TuplesCollected += int64(n.Tuples)
+	p.ctr.ALTTExpired += int64(n.ALTT)
 }
 
 // onEval is Procedure 3 (and the input-query indexing step): the node

@@ -88,15 +88,16 @@ func (e *Engine) replSnapshot(p *Proc) {
 // replicated state — what the copy at the head of its replica group
 // holds — on its way into the promotee p's live state (move drops the
 // dead ones first: Engine.expired). A promoted aggregator group re-emits
-// every row, because updates the dead aggregator had in flight may have
-// died with it.
+// every view still open (aggGroup.markOpen), because updates the dead
+// aggregator had in flight may have died with it.
 func (e *Engine) promote(p *Proc, op stateOp) {
 	promoted := int64(1)
 	switch op.kind {
 	case opAggMerge:
-		spec := e.aggSpec(op.g.qid)
-		for ep := range op.g.epochs {
-			op.g.markDirty(ep, spec != nil && spec.Sliding())
+		if spec := e.aggSpec(op.g.qid); spec != nil {
+			for _, ep := range op.g.epochs {
+				op.g.markOpen(ep.epoch, spec.Window, e.horizon)
+			}
 		}
 		promoted = op.g.epochCount()
 	case opCT:

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -20,10 +19,11 @@ import (
 // each() over a filter to the new owners' apply() (Engine.move),
 // teardown is sweep(), loss accounting is chargeLost, and what dies by
 // the clock — windowed rewrites, ALTT entries, stored tuples under
-// Config.TupleGC — is filed on a death wheel at its add mutator and
-// dropped by expire(). Live replication is a charge, not a copy: every
-// mutator a backup would have to see adds one to the state's op count,
-// and replFlush bills it (see replicate.go).
+// Config.TupleGC, candidate-table entries, windowed aggregate epochs —
+// is filed on a death wheel at its add mutator and dropped by expire()
+// (a dirty epoch at the flush that follows). Live replication is a
+// charge, not a copy: every mutator a backup would have to see adds one
+// to the state's op count, and replFlush bills it (see replicate.go).
 //
 // Aliasing rule. An op yielded by each() or handed to a mutator aliases
 // live objects (the stored query, the aggregator group, the pending
@@ -38,7 +38,10 @@ import (
 // replica keeps it — its entries in stateCounts.mirrored() and a
 // replOps count in each of its mutators, plus one row in
 // state_test.go's charge table; if its entries die by the clock, its
-// add mutator files their deaths and expire() drops them.
+// add mutator files their deaths on a wheel of its own, earliest() reads
+// that wheel's head, expire() drops what the horizon passed,
+// Engine.expired keeps a dead entry from moving, Engine.DeadState
+// counts it, and deathsErr checks the filings.
 
 // class is a bit set over the state classes, in each()'s visiting order.
 type class uint8
@@ -166,6 +169,22 @@ type state struct {
 	alttDeaths  wheel[relation.Key]
 	tupleDeaths [numClocks]wheel[relation.Key]
 
+	// ctDeaths files a candidate-table key under its entry's death on the
+	// time clock (ctDeath) when the key enters the table; a refresh moves
+	// the death later, and the drain that finds the filing passed files
+	// the key again at the entry's current death. aggDeaths files an
+	// aggregator group's key under the death of each of its epochs on the
+	// window's clock (epochDeath), when the epoch enters the state. Derived
+	// state like deaths: written by ctMerge, aggFold, aggMerge, expire and
+	// clear.
+	ctDeaths  wheel[relation.Key]
+	aggDeaths [numClocks]wheel[relation.Key]
+
+	// hz is the horizon of the engine's last quiescent Run
+	// (Engine.horizon): which aggregate views are still open, and which
+	// epochs a flush may drop. Nil: none passed.
+	hz *horizon
+
 	// reach returns how many clock values past its publication a stored
 	// tuple stays reachable, on each clock (Engine.tupleReach); read when
 	// a tuple is filed and when it is drained. Nil or 0: tuples never die.
@@ -225,6 +244,8 @@ func (s *state) clear() {
 	s.deaths = [numClocks]wheel[*storedQuery]{}
 	s.alttDeaths = wheel[relation.Key]{}
 	s.tupleDeaths = [numClocks]wheel[relation.Key]{}
+	s.ctDeaths = wheel[relation.Key]{}
+	s.aggDeaths = [numClocks]wheel[relation.Key]{}
 	s.dueAt = [numClocks]int64{notDue, notDue}
 	s.dirtyAggs = nil
 }
@@ -449,18 +470,14 @@ func (s *state) aggFold(key relation.Key, qid string, owner id.ID, epoch int64, 
 	}
 	g, ok := s.aggs[key]
 	if !ok {
-		g = &aggGroup{
-			qid: qid, owner: owner,
-			gkey: spec.GroupKey(row), group: spec.GroupValues(row),
-			epochs: make(map[int64]*agg.Partial),
-			dirty:  make(map[int64]bool),
-		}
+		g = &aggGroup{qid: qid, owner: owner, gkey: spec.GroupKey(row), group: spec.GroupValues(row)}
 		s.aggs[key] = g
 	}
-	part, have := g.epochs[epoch]
-	if !have {
+	part := g.partial(epoch)
+	if part == nil {
 		part = agg.NewPartial(spec)
-		g.epochs[epoch] = part
+		g.addPartial(epoch, part)
+		s.fileEpoch(key, spec.Window, epoch)
 	}
 	part.Add(spec, row)
 	g.pubAt = max(g.pubAt, pubAt)
@@ -473,21 +490,55 @@ func (s *state) aggFold(key relation.Key, qid string, owner id.ID, epoch int64, 
 
 // aggMerge merges a whole group into the one at key (partials for it
 // arrived before the moved state did — per-epoch merges commute, so the
-// interleaving does not matter), or installs it. mergeInto moves g's
-// partials into the destination.
+// interleaving does not matter), or installs it, and files its epochs'
+// deaths. mergeInto moves g's partials into the destination.
 func (s *state) aggMerge(key relation.Key, g *aggGroup) {
 	spec := s.specOf(g.qid)
 	if spec == nil {
 		return
 	}
 	s.replOps++
+	for _, ep := range g.epochs {
+		s.fileEpoch(key, spec.Window, ep.epoch)
+	}
 	if cur, ok := s.aggs[key]; ok {
-		g.mergeInto(spec.Sliding(), cur)
+		g.mergeInto(spec.Window, s.horizon(), cur)
 		g = cur
 	} else {
 		s.aggs[key] = g
 	}
 	s.noteDirty(key, g) // an un-flushed group moved in: handover, promotion
+}
+
+// fileEpoch files the group at key under the death of one of its epochs
+// on the window's clock; an unwindowed aggregate's epoch never dies.
+func (s *state) fileEpoch(key relation.Key, w query.WindowSpec, epoch int64) {
+	if c, at, ok := epochDeath(w, epoch); ok {
+		s.aggDeaths[c].add(at, key)
+		s.register(c, at)
+	}
+}
+
+// pruneEpochs drops the group's epochs that h passed and whose views are
+// flushed (aggGroup.prune), uncounted — the drain's local prune, like
+// pruneTuples — and returns how many went. The group itself stays, empty
+// or not, until its query is unsubscribed: it is what a partial of a
+// later epoch folds into, and a group made afresh would charge its
+// storage load again.
+func (s *state) pruneEpochs(g *aggGroup, h horizon) int {
+	spec := s.specOf(g.qid)
+	if spec == nil {
+		return 0
+	}
+	return g.prune(spec.Window, h)
+}
+
+// horizon is hz's value, the zero horizon without one.
+func (s *state) horizon() horizon {
+	if s.hz == nil {
+		return horizon{}
+	}
+	return *s.hz
 }
 
 // noteDirty enters key into the dirty set if its group g has un-flushed
@@ -503,23 +554,38 @@ func (s *state) noteDirty(key relation.Key, g *aggGroup) {
 }
 
 // flushDirty hands visit every group with un-flushed epochs, in key
-// order, and marks it flushed. visit must not mutate s.
+// order, and marks it flushed. An epoch the horizon passed while one of
+// its views was dirty waited for this flush (expire leaves it): it goes
+// now. visit must not mutate s.
 func (s *state) flushDirty(visit func(*aggGroup)) {
 	if len(s.dirtyAggs) == 0 {
 		return
 	}
+	h := s.horizon()
 	for _, key := range sortedStateKeys(s.dirtyAggs) {
 		g := s.aggs[key]
 		visit(g)
-		g.dirty = make(map[int64]bool)
+		g.dirty = g.dirty[:0]
+		s.pruneEpochs(g, h)
 	}
 	clear(s.dirtyAggs)
 }
 
-// ctMerge is the candidate-table write path.
+// ctMerge is the candidate-table write path. A key new to the table is
+// filed at its entry's death.
 func (s *state) ctMerge(info ricInfo) {
-	s.ct.merge(info)
+	if s.ct.merge(info) {
+		s.fileCT(info.Key, info.At)
+	}
 	s.replOps++
+}
+
+// fileCT files a candidate-table key under the death of an entry
+// learned at at.
+func (s *state) fileCT(key relation.Key, at sim.Time) {
+	d := ctDeath(at)
+	s.ctDeaths.add(d, key)
+	s.register(clockTime, d)
 }
 
 // addPending records a placement waiting for RIC reports — the one
@@ -823,6 +889,14 @@ const (
 // time at least now (Engine.drainExpired records it there).
 type horizon [numClocks]int64
 
+// windowClock is the clock a window is measured on.
+func windowClock(w query.WindowSpec) clock {
+	if w.Kind == query.WindowTime {
+		return clockTime
+	}
+	return clockSeq
+}
+
 // deathOf returns when a stored query dies: a windowed rewrite once every
 // tuple from the horizon on falls outside its window — a sliding window
 // at Start+Size, a tumbling one at the end of Start's epoch, on the
@@ -832,14 +906,50 @@ func deathOf(q *query.Query) (c clock, at int64, ok bool) {
 	if q.Depth == 0 || !w.Enabled() {
 		return 0, 0, false
 	}
-	if w.Kind == query.WindowTime {
-		c = clockTime
-	}
 	if w.Tumbling {
-		return c, (w.EpochOf(q.Start) + 1) * w.Size, true
+		return windowClock(w), (w.EpochOf(q.Start) + 1) * w.Size, true
 	}
-	return c, q.Start + w.Size, true
+	return windowClock(w), q.Start + w.Size, true
 }
+
+// epochDeath returns when an aggregate epoch dies: once the last view that
+// merges its partial closed (viewOpen) — its own for a tumbling window,
+// the next epoch's for a sliding one — on the window's clock. An
+// unwindowed aggregate's one epoch never dies.
+func epochDeath(w query.WindowSpec, epoch int64) (c clock, at int64, ok bool) {
+	switch {
+	case !w.Enabled():
+		return 0, 0, false
+	case w.Tumbling:
+		return windowClock(w), (epoch + 1) * w.Size, true
+	}
+	return windowClock(w), (epoch + 2) * w.Size, true
+}
+
+// viewOpen reports whether the view row of epoch v can still change: a
+// completion from h on has a clock at least h — the maximum over its
+// tuples' clocks, one of them still to arrive — so its partial lands in
+// epoch v or, sliding, v−1 (the two v's row merges) only while h is
+// short of v's end. A closed view was flushed for the last time before
+// h, and its subscriber holds that row.
+func (h horizon) viewOpen(w query.WindowSpec, v int64) bool {
+	return !w.Enabled() || h[windowClock(w)] < (v+1)*w.Size
+}
+
+// epochDead reports whether no view that merges the epoch's partial can
+// change from h on.
+func (h horizon) epochDead(w query.WindowSpec, epoch int64) bool {
+	c, at, ok := epochDeath(w, epoch)
+	return ok && h[c] >= at
+}
+
+// ctDeath returns when a candidate-table entry learned at at dies: the
+// first instant fresh() no longer trusts it.
+func ctDeath(at sim.Time) int64 { return int64(at) + ctValidity + 1 }
+
+// ctDead reports whether an entry learned at at is stale from h on:
+// every later read is at a time past h's.
+func (h horizon) ctDead(at sim.Time) bool { return h[clockTime] >= ctDeath(at) }
 
 // dead reports whether no tuple from h on can trigger q.
 func (h horizon) dead(q *query.Query) bool {
@@ -878,42 +988,59 @@ func (s *state) register(c clock, at int64) {
 
 // earliest returns the first death still filed on clock c.
 func (s *state) earliest(c clock) (at int64, ok bool) {
-	if pend := s.deaths[c].pending(); len(pend) > 0 {
-		at, ok = pend[0].at, true
-	}
-	if pend := s.alttDeaths.pending(); c == clockTime && len(pend) > 0 && (!ok || pend[0].at < at) {
-		at, ok = pend[0].at, true
-	}
-	if pend := s.tupleDeaths[c].pending(); len(pend) > 0 && (!ok || pend[0].at < at) {
-		at, ok = pend[0].at, true
+	at, ok = sooner(&s.deaths[c], at, ok)
+	at, ok = sooner(&s.tupleDeaths[c], at, ok)
+	at, ok = sooner(&s.aggDeaths[c], at, ok)
+	if c == clockTime {
+		at, ok = sooner(&s.alttDeaths, at, ok)
+		at, ok = sooner(&s.ctDeaths, at, ok)
 	}
 	return at, ok
 }
 
-// expire drops every windowed rewrite, stored tuple and ALTT entry dead
-// by h — the drain of a quiescent Run — handing each rewrite to dropped,
-// and returns how many of each went. A rewrite filed at or before h is
-// dead, and dropped if it is still stored here. A tuple is dead once both
-// clocks passed its deaths. Its key is filed at its death on the sequence
-// clock, which on the workloads passes last, and a drain that visits the
-// key prunes every tuple of it dead on both and files those whose death
-// on time alone is still to come there, so a tuple leaves at the first
-// drain past both, whichever clock passes last. Like
-// the Δ prune it replaced, the drain charges no replica op: a replica
-// files the same deaths and drops them itself.
-func (s *state) expire(h horizon, dropped func(*storedQuery)) (queries, tuples, altt int) {
+// sooner returns the earlier of at (when ok) and w's first filing.
+func sooner[T comparable](w *wheel[T], at int64, ok bool) (int64, bool) {
+	if pend := w.pending(); len(pend) > 0 && (!ok || pend[0].at < at) {
+		return pend[0].at, true
+	}
+	return at, ok
+}
+
+// DeadCounts counts stored entries per class that nothing still to come
+// can reach: what a drain dropped (state.expire), or what a census found
+// (Engine.DeadState).
+type DeadCounts struct {
+	Rewrites, Tuples, ALTT int // windowed rewrites past their window, tuples past their reach, ALTT entries past Δ
+	CT, Epochs             int // candidate-table entries past ctValidity, epochs whose views all closed
+}
+
+// expire drops every windowed rewrite, stored tuple, ALTT entry,
+// candidate-table entry and aggregate epoch dead by h — the drain of a
+// quiescent Run — handing each rewrite to dropped, and returns how many
+// of each went. A rewrite filed at or before h is dead, and dropped if it
+// is still stored here. A tuple is dead once both clocks passed its
+// deaths. Its key is filed at its death on the sequence clock, which on
+// the workloads passes last, and a drain that visits the key prunes
+// every tuple of it dead on both and files those whose death on time
+// alone is still to come there, so a tuple leaves at the first drain past
+// both, whichever clock passes last. A candidate-table entry refreshed
+// since its key was filed is filed again at its new death. An epoch one
+// of whose views is dirty stays for the flush that follows the drain
+// (flushDirty). Like the Δ prune it replaced, the drain charges no
+// replica op: a replica files the same deaths and drops them itself.
+func (s *state) expire(h horizon, dropped func(*storedQuery)) (n DeadCounts) {
 	for c := range s.deaths {
 		s.deaths[c].drain(h[c], func(sq *storedQuery) {
 			if s.removeQuery(sq) {
 				dropped(sq)
-				queries++
+				n.Rewrites++
 			}
 		})
 	}
 	r := s.tupleReach()
 	for c := range s.tupleDeaths {
 		s.tupleDeaths[c].drain(h[c], func(key relation.Key) {
-			tuples += s.pruneTuples(key, func(t *relation.Tuple) bool {
+			n.Tuples += s.pruneTuples(key, func(t *relation.Tuple) bool {
 				switch {
 				case h.tupleDead(t, r):
 					return true
@@ -925,8 +1052,25 @@ func (s *state) expire(h horizon, dropped func(*storedQuery)) (queries, tuples, 
 		})
 	}
 	s.alttDeaths.drain(h[clockTime], func(key relation.Key) {
-		altt += s.pruneALTT(key, sim.Time(h[clockTime]))
+		n.ALTT += s.pruneALTT(key, sim.Time(h[clockTime]))
 	})
+	s.ctDeaths.drain(h[clockTime], func(key relation.Key) {
+		switch e, ok := s.ct.entries[key]; {
+		case !ok:
+		case h.ctDead(e.At):
+			delete(s.ct.entries, key)
+			n.CT++
+		default:
+			s.fileCT(key, e.At) // refreshed since it was filed
+		}
+	})
+	for c := range s.aggDeaths {
+		s.aggDeaths[c].drain(h[c], func(key relation.Key) {
+			if g := s.aggs[key]; g != nil {
+				n.Epochs += s.pruneEpochs(g, h)
+			}
+		})
+	}
 	for c := range s.dueAt {
 		if s.dueAt[c] <= h[c] { // the slot is done with it
 			s.dueAt[c] = notDue
@@ -935,22 +1079,22 @@ func (s *state) expire(h horizon, dropped func(*storedQuery)) (queries, tuples, 
 			}
 		}
 	}
-	return queries, tuples, altt
+	return n
 }
 
-// wheel files items under the clock value at which they fall due, one
-// bucket per value, buckets ascending, so a drain visits the items due
-// by a horizon and nothing else. A drained bucket's array serves the next
-// bucket opened: in steady state a wheel allocates nothing.
+// wheel files items under the clock value at which they fall due, in one
+// array ascending by that value — items filed under one value in filing
+// order — so a drain visits the items due by a horizon and nothing else.
+// The drained prefix is reused: in steady state a wheel allocates
+// nothing.
 type wheel[T comparable] struct {
-	buckets []bucket[T] // buckets[head:] are pending
+	filings []filing[T] // filings[head:] are pending
 	head    int
-	spare   spares[T]
 }
 
-type bucket[T comparable] struct {
-	at    int64
-	items []T
+type filing[T comparable] struct {
+	at   int64
+	item T
 }
 
 // add files item at at. An item equal to the last one filed at at is not
@@ -958,48 +1102,47 @@ type bucket[T comparable] struct {
 func (w *wheel[T]) add(at int64, item T) {
 	pend := w.pending()
 	i := len(pend)
-	if i > 0 && pend[i-1].at >= at {
-		var found bool
-		i, found = slices.BinarySearchFunc(pend, at, func(b bucket[T], at int64) int { return cmp.Compare(b.at, at) })
-		if found {
-			if n := len(pend[i].items); pend[i].items[n-1] != item {
-				pend[i].items = append(pend[i].items, item)
-			}
-			return
-		}
+	if i > 0 && pend[i-1].at > at { // deaths mostly come in order
+		i = sort.Search(i, func(j int) bool { return pend[j].at > at })
 	}
-	if w.head > 0 && len(w.buckets) == cap(w.buckets) {
-		n := copy(w.buckets, pend)
-		clear(w.buckets[n:])
-		w.buckets, w.head = w.buckets[:n], 0
+	f := filing[T]{at, item}
+	if i > 0 && pend[i-1] == f {
+		return
 	}
-	b := bucket[T]{at: at, items: append(w.spare.get(), item)}
-	if i == len(pend) { // past every pending bucket: deaths mostly come in order
-		w.buckets = append(w.buckets, b)
-	} else {
-		w.buckets = slices.Insert(w.buckets, w.head+i, b)
+	if w.head > 0 && i < len(pend)/2 {
+		// Nearer the front: shift the filings before it into the drained
+		// prefix, the shorter move.
+		w.head--
+		copy(w.filings[w.head:], pend[:i])
+		w.filings[w.head+i] = f
+		return
 	}
+	if len(w.filings) == cap(w.filings) && w.head > 0 && w.head >= len(pend) {
+		// The drained prefix is as long as what is pending: reuse it
+		// rather than grow, which keeps the copy amortized.
+		n := copy(w.filings, pend)
+		clear(w.filings[n:])
+		w.filings, w.head = w.filings[:n], 0
+	}
+	w.filings = slices.Insert(w.filings, w.head+i, f)
 }
 
 // drain visits, in ascending order, every item filed at or before h and
 // forgets it. visit may file into w, but only past h.
 func (w *wheel[T]) drain(h int64, visit func(T)) {
-	for w.head < len(w.buckets) && w.buckets[w.head].at <= h {
-		items := w.buckets[w.head].items
-		w.buckets[w.head] = bucket[T]{}
+	for w.head < len(w.filings) && w.filings[w.head].at <= h {
+		it := w.filings[w.head].item
+		w.filings[w.head] = filing[T]{}
 		w.head++
-		for _, it := range items {
-			visit(it)
-		}
-		w.spare.put(items)
+		visit(it)
 	}
-	if w.head == len(w.buckets) {
-		w.buckets, w.head = w.buckets[:0], 0
+	if w.head == len(w.filings) {
+		w.filings, w.head = w.filings[:0], 0
 	}
 }
 
-// pending returns the buckets not drained yet, ascending.
-func (w *wheel[T]) pending() []bucket[T] { return w.buckets[w.head:] }
+// pending returns the filings not drained yet, ascending.
+func (w *wheel[T]) pending() []filing[T] { return w.filings[w.head:] }
 
 // spares keeps emptied arrays for reuse: lists that empty and refill
 // every few ticks then allocate nothing in steady state.

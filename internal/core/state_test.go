@@ -22,7 +22,7 @@ import (
 // compared; the derived indexes are checked per state against what they
 // are derived from.
 func (s *state) equal(o *state, want class) error {
-	if want&(classQueries|classTuples|classALTT) != 0 {
+	if want&(classQueries|classTuples|classALTT|classAggs|classCT) != 0 {
 		for _, st := range []*state{s, o} {
 			if err := st.deathsErr(); err != nil {
 				return err
@@ -120,14 +120,12 @@ func (s *state) waitingErr() error {
 // deathsErr checks the death wheels against the entries they are derived
 // from: every windowed rewrite is filed at its death on its clock, every
 // stored tuple's key — under a reach — at its death on a clock, every
-// ALTT entry's key at the first instant past its expiry, and the pending
-// buckets are non-empty and ascending. An item whose entry left another
-// way may stay filed.
+// ALTT entry's key at the first instant past its expiry, every
+// candidate-table key no later than its entry's death, every aggregate
+// epoch's group key at the epoch's death — unless the horizon passed it
+// and a flush still owes one of its views — and the filings are
+// ascending. An item whose entry left another way may stay filed.
 func (s *state) deathsErr() error {
-	type filing[T comparable] struct {
-		at   int64
-		item T
-	}
 	var queries [numClocks]map[filing[*storedQuery]]bool
 	var tuples [numClocks]map[filing[relation.Key]]bool
 	for c := range s.deaths {
@@ -170,58 +168,114 @@ func (s *state) deathsErr() error {
 			}
 		}
 	}
-	return nil
-}
-
-// filed hands visit every pending item of a wheel with its bucket's
-// value, and reports an empty or out-of-order bucket.
-func filed[T comparable](w *wheel[T], visit func(int64, T)) error {
-	pend := w.pending()
-	for i, b := range pend {
-		if len(b.items) == 0 || i > 0 && pend[i-1].at >= b.at {
-			return fmt.Errorf("bucket %d (at %d) is empty or out of order", i, b.at)
+	ct := make(map[relation.Key]int64) // the earliest filing of each key
+	if err := filed(&s.ctDeaths, func(at int64, key relation.Key) {
+		if cur, ok := ct[key]; !ok || at < cur {
+			ct[key] = at
 		}
-		for _, it := range b.items {
-			visit(b.at, it)
+	}); err != nil {
+		return fmt.Errorf("candidate table: %v", err)
+	}
+	for key, e := range s.ct.entries {
+		if at, ok := ct[key]; !ok || at > ctDeath(e.At) {
+			return fmt.Errorf("key %s: a candidate-table entry dying at %d is not filed by then", key, ctDeath(e.At))
+		}
+	}
+	var epochs [numClocks]map[filing[relation.Key]]bool
+	for c := range s.aggDeaths {
+		epochs[c] = make(map[filing[relation.Key]]bool)
+		if err := filed(&s.aggDeaths[c], func(at int64, key relation.Key) { epochs[c][filing[relation.Key]{at, key}] = true }); err != nil {
+			return fmt.Errorf("aggregate epochs, clock %d: %v", c, err)
+		}
+	}
+	h := s.horizon()
+	for key, g := range s.aggs {
+		spec := s.specOf(g.qid)
+		if spec == nil {
+			continue
+		}
+		for i, ep := range g.epochs {
+			if i > 0 && g.epochs[i-1].epoch >= ep.epoch {
+				return fmt.Errorf("key %s: epochs %d and %d out of order", key, g.epochs[i-1].epoch, ep.epoch)
+			}
+			c, at, ok := epochDeath(spec.Window, ep.epoch)
+			if ok && !epochs[c][filing[relation.Key]{at, key}] && !(h.epochDead(spec.Window, ep.epoch) && g.owes(ep.epoch, spec.Window)) {
+				return fmt.Errorf("key %s: aggregate epoch %d, dying at %d on clock %d, is not filed", key, ep.epoch, at, c)
+			}
 		}
 	}
 	return nil
 }
 
+// filed hands visit every pending item of a wheel with the value it is
+// filed under, and reports filings out of order.
+func filed[T comparable](w *wheel[T], visit func(int64, T)) error {
+	pend := w.pending()
+	for i, f := range pend {
+		if i > 0 && pend[i-1].at > f.at {
+			return fmt.Errorf("filing %d (at %d) is out of order", i, f.at)
+		}
+		visit(f.at, f.item)
+	}
+	return nil
+}
+
 // deadIn counts the entries of a state dead by h: what expire(h) must
-// drop.
-func deadIn(s *state, h horizon) (queries, tuples, altt int) {
+// drop. An aggregate epoch a flush still owes a view of waits for it, and
+// is not counted.
+func deadIn(s *state, h horizon) (n DeadCounts) {
 	for _, list := range s.queries {
 		for _, sq := range list {
 			if h.dead(sq.q) {
-				queries++
+				n.Rewrites++
 			}
 		}
 	}
 	for _, list := range s.tuples {
 		for _, t := range list {
 			if h.tupleDead(t, s.tupleReach()) {
-				tuples++
+				n.Tuples++
 			}
 		}
 	}
 	for _, list := range s.altt {
 		for _, e := range list {
 			if int64(e.expireAt) < h[clockTime] {
-				altt++
+				n.ALTT++
 			}
 		}
 	}
-	return queries, tuples, altt
+	for _, e := range s.ct.entries {
+		if h.ctDead(e.At) {
+			n.CT++
+		}
+	}
+	for _, g := range s.aggs {
+		if spec := s.specOf(g.qid); spec != nil {
+			for _, ep := range g.epochs {
+				if h.epochDead(spec.Window, ep.epoch) && !g.owes(ep.epoch, spec.Window) {
+					n.Epochs++
+				}
+			}
+		}
+	}
+	return n
 }
 
 // stateFixture supplies the immutable objects store-level tests build
 // entries from: a plain, a DISTINCT and an aggregate query, the
-// aggregate's spec, and a few keys.
+// aggregate's spec (unwindowed unless a test windows it), and a few keys.
 type stateFixture struct {
 	plain, distinct, aggQ *query.Query
 	spec                  *agg.Spec
 	keys                  []relation.Key
+}
+
+// windowAgg gives the aggregate query's groups a window from now on.
+func (f *stateFixture) windowAgg(w query.WindowSpec) {
+	spec := *f.spec
+	spec.Window = w
+	f.spec = &spec
 }
 
 func newStateFixture() *stateFixture {
@@ -512,13 +566,19 @@ func TestPruneTuplesReleasesCollected(t *testing.T) {
 
 // checkDirtySet asserts the flush bookkeeping invariant: a state's
 // dirty-key set is exactly the keys of its groups with un-flushed
-// epochs.
+// epochs, and each group lists those epochs once each, ascending — the
+// order the flush emits them in.
 func checkDirtySet(t *testing.T, s *state, label string) {
 	t.Helper()
 	want := make(map[relation.Key]struct{})
 	for k, g := range s.aggs {
 		if len(g.dirty) > 0 {
 			want[k] = struct{}{}
+		}
+		for i := 1; i < len(g.dirty); i++ {
+			if g.dirty[i-1] >= g.dirty[i] {
+				t.Fatalf("%s: group %s lists dirty epochs %v", label, k, g.dirty)
+			}
 		}
 	}
 	if !maps.Equal(s.dirtyAggs, want) {
@@ -532,38 +592,53 @@ func checkDirtySet(t *testing.T, s *state, label string) {
 // that of a second live state that receives what it hands over — names
 // exactly the groups with un-flushed epochs, its waiting index is
 // exactly what its placements miss and its death wheels file every
-// windowed rewrite, stored tuple and ALTT entry it holds, (3) the replica
-// ops it charged per seed equal the length of the op log the same
-// sequence wrote before the log gave way to a count (pinned at 9c30999),
-// and (4) a drain — of the second state now and then, of the first at the
-// end — drops exactly the entries dead by its horizon, tuples stored out
-// of publication order included, and charges nothing.
-// The windowed rewrites and the drains draw from a stream of their own,
-// so the pinned sequence is the one the op log wrote.
+// windowed rewrite, stored tuple, ALTT entry, candidate-table entry and
+// aggregate epoch it holds, (3) the replica ops it charged per seed equal
+// the length of the op log the same sequence wrote before the log gave
+// way to a count (pinned at 9c30999), and (4) a drain — of the second
+// state now and then, of the first at the end — drops exactly the
+// entries dead by its horizon, tuples stored out of publication order
+// included, and charges nothing, leaving an epoch a flush still owes a
+// view of to that flush, which drops it. The aggregate's window rotates
+// over the seeds (none, tuples or ticks, sliding or tumbling); the
+// windowed rewrites, the heir's stale reports and the drains draw from a
+// stream of their own, so the pinned sequence is the one the op log
+// wrote.
 func TestStateRandomSequences(t *testing.T) {
 	f := newStateFixture()
 	drain := func(s *state, h horizon, label string) {
 		t.Helper()
-		wantQ, wantT, wantA := deadIn(s, h)
+		if s.hz != nil {
+			*s.hz = h
+		}
+		want := deadIn(s, h)
 		ops := s.replOps
-		gotQ, gotT, gotA := s.expire(h, func(sq *storedQuery) {
+		got := s.expire(h, func(sq *storedQuery) {
 			if !h.dead(sq.q) {
 				t.Fatalf("%s: the drain dropped a live query", label)
 			}
 		})
-		if gotQ != wantQ || gotT != wantT || gotA != wantA || s.replOps != ops {
-			t.Fatalf("%s: the drain dropped %d rewrites, %d tuples and %d ALTT entries charging %d ops; %d, %d and %d were dead",
-				label, gotQ, gotT, gotA, s.replOps-ops, wantQ, wantT, wantA)
+		if got != want || s.replOps != ops {
+			t.Fatalf("%s: the drain dropped %+v charging %d ops; %+v were dead", label, got, s.replOps-ops, want)
 		}
-		if q, tu, a := deadIn(s, h); q+tu+a != 0 {
-			t.Fatalf("%s: %d rewrites, %d tuples and %d ALTT entries dead by the horizon survived the drain", label, q, tu, a)
+		if n := deadIn(s, h); n != (DeadCounts{}) {
+			t.Fatalf("%s: %+v dead by the horizon survived the drain", label, n)
 		}
+	}
+	windows := []query.WindowSpec{
+		{},
+		{Kind: query.WindowTuples, Size: 4},
+		{Kind: query.WindowTuples, Size: 4, Tumbling: true},
+		{Kind: query.WindowTime, Size: 4},
+		{Kind: query.WindowTime, Size: 4, Tumbling: true},
 	}
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		drng := rand.New(rand.NewSource(-seed))
+		f.windowAgg(windows[seed%int64(len(windows))])
 		a := withReach(newState(f.specOf), 7)
 		heir := withReach(newState(f.specOf), 7) // applies what take() hands over
+		heir.hz = new(horizon)                   // its drains' horizon; a is drained only at the end
 		charged := 0
 		var now sim.Time
 		var live []*storedQuery
@@ -625,7 +700,14 @@ func TestStateRandomSequences(t *testing.T) {
 				k, g := aggKey()
 				a.aggFold(k, "agg", 42, int64(rng.Intn(2)), f.row(g, int64(rng.Intn(9))), f.lin(int64(step)), int64(now))
 			case 12:
-				a.ctMerge(ricInfo{Key: key(), Rate: float64(rng.Intn(5)), Addr: id.ID(rng.Intn(9)), At: now - sim.Time(rng.Intn(4))})
+				info := ricInfo{Key: key(), Rate: float64(rng.Intn(5)), Addr: id.ID(rng.Intn(9)), At: now - sim.Time(rng.Intn(4))}
+				a.ctMerge(info)
+				if drng.Intn(2) == 0 {
+					// A report about to go stale reaches the heir: its entry
+					// dies a few ticks on, unless a later one refreshes it.
+					info.At -= ctValidity - sim.Time(drng.Intn(8))
+					heir.ctMerge(info)
+				}
 			case 13:
 				if rng.Intn(2) == 0 || len(a.pending) == 0 {
 					// A placement over a random candidate set, some of it
@@ -701,7 +783,17 @@ func TestStateRandomSequences(t *testing.T) {
 					t.Fatalf("seed %d step %d: flush visited %d groups, want the %d dirty ones in key order", seed, step, len(got), len(want))
 				}
 				if rng.Intn(2) == 0 {
-					heir.flushDirty(func(*aggGroup) {})
+					// A flush drops the dead epochs of the groups it
+					// flushed: those a drain left for it among them.
+					var flushed []*aggGroup
+					heir.flushDirty(func(g *aggGroup) { flushed = append(flushed, g) })
+					for _, g := range flushed {
+						for _, ep := range g.epochs {
+							if heir.hz.epochDead(f.spec.Window, ep.epoch) {
+								t.Fatalf("seed %d step %d: a flushed heir group holds epoch %d, dead by %v", seed, step, ep.epoch, *heir.hz)
+							}
+						}
+					}
 				}
 			case 18:
 				if rng.Intn(8) == 0 { // the state moved away wholesale
@@ -752,9 +844,13 @@ var randomSequenceCharges = [40]int{
 // it: the drain finds nothing dead under the key. apply files a moved
 // entry's death afresh, so it dies at its new owner, once; and one that
 // moves back to a node still filing its old death dies there once too.
+// A candidate-table entry follows its node, never a key: it stays, and
+// dies, where it was learned.
 func TestStateDeathsOutliveNoEntry(t *testing.T) {
 	f := newStateFixture()
+	f.windowAgg(query.WindowSpec{Kind: query.WindowTuples, Size: 8, Tumbling: true})
 	k := f.keys
+	group := aggKeyOf("agg", "1")
 	empty := func() *state { return withReach(newState(f.specOf), 4) }
 	fill := func() *state {
 		s := empty()
@@ -763,6 +859,9 @@ func TestStateDeathsOutliveNoEntry(t *testing.T) {
 		s.addQuery(f.stored(f.plain, k[2])) // an input query: never dies
 		s.addTuple(k[3], mkTuple("S", 1, 2, 3))
 		s.addALTT(k[0], alttEntry{t: mkTuple("R", 1, 2, 3), expireAt: 7})
+		s.ctMerge(ricInfo{Key: k[2], At: 4}) // node-bound: never taken
+		s.aggFold(group, "agg", 42, 0, f.row(1, 5), nil, 17)
+		s.flushDirty(func(*aggGroup) {})
 		return s
 	}
 	moveAll := func(from, to *state) {
@@ -770,39 +869,40 @@ func TestStateDeathsOutliveNoEntry(t *testing.T) {
 			to.apply(op)
 		}
 	}
-	drainsTo := func(label string, s *state, wantQ, wantT, wantA int) {
+	drainsTo := func(label string, s *state, want DeadCounts) {
 		t.Helper()
 		if err := s.deathsErr(); err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
 		ops := s.replOps
-		q, tu, a := s.expire(horizon{math.MaxInt64, math.MaxInt64}, func(*storedQuery) {})
-		if q != wantQ || tu != wantT || a != wantA || s.replOps != ops {
-			t.Fatalf("%s: the drain dropped %d rewrites, %d tuples and %d ALTT entries charging %d ops; want %d, %d, %d and none",
-				label, q, tu, a, s.replOps-ops, wantQ, wantT, wantA)
+		got := s.expire(horizon{math.MaxInt64, math.MaxInt64}, func(*storedQuery) {})
+		if got != want || s.replOps != ops {
+			t.Fatalf("%s: the drain dropped %+v charging %d ops; want %+v and none", label, got, s.replOps-ops, want)
 		}
 	}
 
 	a, heir := fill(), empty()
 	moveAll(a, heir)
-	drainsTo("taken from", a, 0, 0, 0)
-	drainsTo("applied at the heir", heir, 2, 1, 1)
+	drainsTo("taken from", a, DeadCounts{CT: 1})
+	drainsTo("applied at the heir", heir, DeadCounts{Rewrites: 2, Tuples: 1, ALTT: 1, Epochs: 1})
 
 	a, heir = fill(), empty()
 	moveAll(a, heir)
 	moveAll(heir, a)
-	drainsTo("the heir, after handing back", heir, 0, 0, 0)
-	drainsTo("taken back", a, 2, 1, 1)
+	drainsTo("the heir, after handing back", heir, DeadCounts{})
+	drainsTo("taken back", a, DeadCounts{Rewrites: 2, Tuples: 1, ALTT: 1, CT: 1, Epochs: 1})
 
 	a = fill()
 	a.dropKey(k[1])
 	a.dropKey(k[0])
 	a.dropKey(k[3])
-	drainsTo("dropKey", a, 1, 0, 0)
+	a.dropKey(group)
+	drainsTo("dropKey", a, DeadCounts{Rewrites: 1, CT: 1})
 
 	a = fill()
 	a.sweep(classQueries, func(op stateOp) bool { return op.sq.q.ID == "windowed" })
-	drainsTo("sweep", a, 0, 1, 1)
+	a.sweep(classAggs, func(stateOp) bool { return true })
+	drainsTo("sweep", a, DeadCounts{Tuples: 1, ALTT: 1, CT: 1})
 }
 
 // TestStateSweepOrder: a sweep that matches nothing reports so and

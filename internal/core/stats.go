@@ -80,12 +80,15 @@ func newCandidateTable() *candidateTable {
 	return &candidateTable{entries: make(map[relation.Key]ctEntry)}
 }
 
-// merge records a report, keeping the newest per key.
-func (ct *candidateTable) merge(info ricInfo) {
-	if cur, ok := ct.entries[info.Key]; ok && cur.At >= info.At {
-		return
+// merge records a report, keeping the newest per key, and reports
+// whether the key is new to the table.
+func (ct *candidateTable) merge(info ricInfo) (added bool) {
+	cur, ok := ct.entries[info.Key]
+	if ok && cur.At >= info.At {
+		return false
 	}
 	ct.entries[info.Key] = ctEntry{Rate: info.Rate, Addr: info.Addr, At: info.At}
+	return !ok
 }
 
 // fresh returns the entry for key if it exists and was learned within
@@ -98,7 +101,9 @@ func (ct *candidateTable) fresh(key relation.Key, now sim.Time, validity int64) 
 	return e, true
 }
 
-// get returns the entry regardless of freshness.
+// get returns the entry regardless of freshness. Its one caller,
+// addrFor, reads a key right after a fresh hit on it or a merge of it,
+// so the entry it finds is never one the death drain would have dropped.
 func (ct *candidateTable) get(key relation.Key) (ctEntry, bool) {
 	e, ok := ct.entries[key]
 	return e, ok

@@ -1,12 +1,12 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"rjoin/internal/chord"
 	"rjoin/internal/overlay"
 	"rjoin/internal/query"
 	"rjoin/internal/refeval"
@@ -17,13 +17,14 @@ import (
 )
 
 // deadErr is the quiescence invariant of the death wheels: after a Run
-// no live node holds a windowed rewrite, a tuple or an ALTT entry the
-// horizon passed, every node's wheels file its entries, and on every
-// clock it has a death filed on, its slot's due wheel names it under a
-// value no later than the earliest.
+// no live node holds a windowed rewrite, a tuple, an ALTT entry, a
+// candidate-table entry or an aggregate epoch the horizon passed, every
+// node's wheels file its entries, and on every clock it has a death
+// filed on, its slot's due wheel names it under a value no later than
+// the earliest.
 func deadErr(eng *Engine) error {
-	if rewrites, tuples, altt := eng.DeadState(); rewrites+tuples+altt != 0 {
-		return fmt.Errorf("drained, yet %d dead rewrites, %d dead tuples and %d lapsed ALTT entries are stored", rewrites, tuples, altt)
+	if d := eng.DeadState(); d != (DeadCounts{}) {
+		return fmt.Errorf("drained, yet dead entries are stored: %+v", d)
 	}
 	for _, n := range eng.Ring().Nodes() {
 		p := eng.procs[n.ID()]
@@ -36,9 +37,8 @@ func deadErr(eng *Engine) error {
 				continue
 			}
 			at := p.st.dueAt[c]
-			slot := eng.slots[p.shard+1].due[c].pending()
-			i, found := slices.BinarySearchFunc(slot, at, func(sb bucket[*Proc], at int64) int { return cmp.Compare(sb.at, at) })
-			if at > earliest || !found || !slices.Contains(slot[i].items, p) {
+			found := slices.Contains(eng.slots[p.shard+1].due[c].pending(), filing[*Proc]{at, p})
+			if at > earliest || !found {
 				return fmt.Errorf("%s: its earliest death on clock %d is %d, and its slot names it under %d (listed %v)", n.ID(), c, earliest, at, found)
 			}
 		}
@@ -470,7 +470,8 @@ func TestDeadRewritesAreNeitherMovedNorLost(t *testing.T) {
 			held, soft := holder.st.counts(), holder.st.counts().ct+len(holder.st.stats)
 			eng.horizon[clockSeq] += 8
 			eng.horizon[clockTime] += 8
-			deadQ, deadT, _ := eng.DeadState() // the holder's and the other holders'
+			dead := eng.DeadState() // the holder's and the other holders'
+			deadQ, deadT := dead.Rewrites, dead.Tuples
 			var err error
 			if c.leave {
 				err = eng.LeaveNode(holder.node)
@@ -486,10 +487,10 @@ func TestDeadRewritesAreNeitherMovedNorLost(t *testing.T) {
 				t.Fatalf("a node holding %d dead rewrites and %d dead tuples went: %d rewrites, %d queries and %d tuples counted lost, %d and %d expired; want 0, 0, 0, %d and %d",
 					held.queries, held.tuples, ctr.RewritesLost, ctr.QueriesLost, ctr.TuplesLost, ctr.QueriesExpired, ctr.TuplesCollected, held.queries, held.tuples)
 			}
-			if rewrites, tuples, _ := eng.DeadState(); rewrites != deadQ-held.queries || tuples != deadT-held.tuples ||
+			if d := eng.DeadState(); d.Rewrites != deadQ-held.queries || d.Tuples != deadT-held.tuples ||
 				ctr.HandoverEntries > int64(soft) || ctr.ReplEntriesPromoted != 0 {
 				t.Fatalf("%d of the node's dead rewrites and %d of its dead tuples moved on; %d entries handed over (it held %d soft ones), %d promoted",
-					rewrites-(deadQ-held.queries), tuples-(deadT-held.tuples), ctr.HandoverEntries, soft, ctr.ReplEntriesPromoted)
+					d.Rewrites-(deadQ-held.queries), d.Tuples-(deadT-held.tuples), ctr.HandoverEntries, soft, ctr.ReplEntriesPromoted)
 			}
 		})
 	}
@@ -655,4 +656,92 @@ func TestTupleGCKeepsEveryAnswer(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCTEntryDiesAtValidity: a candidate-table entry is trusted for
+// ctValidity ticks after its report, and the first quiescent Run past
+// them drops it, whether or not its node reads the table again: still
+// stored after a Run at At+ctValidity, gone after one at
+// At+ctValidity+1. A placement that needs the key afterwards misses the
+// table either way, so it walks exactly as it does with the stale entries
+// still stored — which a twin engine, given them back, shows: the same
+// walks, messages, counters and answers.
+func TestCTEntryDiesAtValidity(t *testing.T) {
+	key := relation.KeyOf("S+A+1")
+	// learned returns every node's entry for the key.
+	learned := func(eng *Engine) map[*Proc]ctEntry {
+		out := make(map[*Proc]ctEntry)
+		for _, p := range eng.procs {
+			if e, ok := p.st.ct.get(key); ok {
+				out[p] = e
+			}
+		}
+		return out
+	}
+	build := func() (*Engine, []*chord.Node, string, map[*Proc]ctEntry) {
+		eng, nodes := testNet(t, 32, 9, DefaultConfig(), overlay.DefaultConfig())
+		qid, err := eng.SubmitQuery(nodes[0], sqlparse.MustParse("select R.B, S.B from R,S where R.A=S.A", testCat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+		// The rewrite of R.A=1 walks for S+A+1: its placing node learns the
+		// key from the reply, the key's owner from the piggy-backed report.
+		eng.PublishTuple(nodes[1], mkTuple("R", 1, 5, 0))
+		eng.Run()
+		entries := learned(eng)
+		var at sim.Time
+		for _, e := range entries {
+			at = e.At
+		}
+		for p, e := range entries {
+			if e.At != at {
+				t.Fatalf("node %s learned the key at %d, another at %d", p.node.ID(), e.At, at)
+			}
+		}
+		if len(entries) != 2 {
+			t.Fatalf("%d nodes learned the rewrite's candidate key; want the placing node and the owner", len(entries))
+		}
+		eng.RunUntil(at + ctValidity)
+		eng.Run()
+		if n := len(learned(eng)); n != 2 {
+			t.Fatalf("%d of the 2 entries reported at %d survived a Run at %d", n, at, at+ctValidity)
+		}
+		checkNothingDead(t, eng)
+		eng.RunUntil(at + ctValidity + 1)
+		eng.Run()
+		if n := len(learned(eng)); n != 0 {
+			t.Fatalf("%d entries reported at %d outlived a Run at %d", n, at, at+ctValidity+1)
+		}
+		checkNothingDead(t, eng)
+		return eng, nodes, qid, entries
+	}
+	eng, nodes, qid, dropped := build()
+	twin, twinNodes, _, stale := build()
+	for p, e := range stale {
+		p.st.ct.entries[key] = e // a table that keeps what it no longer trusts
+	}
+	walks := eng.Counters.RICRequests
+	for i, e := range []*Engine{eng, twin} {
+		ns := [][]*chord.Node{nodes, twinNodes}[i]
+		e.PublishTuple(ns[1], mkTuple("R", 1, 6, 0))
+		e.PublishTuple(ns[2], mkTuple("S", 1, 7, 0))
+		e.Run()
+	}
+	if eng.Counters != twin.Counters || eng.Net().MessagesSent != twin.Net().MessagesSent {
+		t.Fatalf("the dropped entries and the stale ones placed differently:\n%+v, %d messages\n%+v, %d messages",
+			eng.Counters, eng.Net().MessagesSent, twin.Counters, twin.Net().MessagesSent)
+	}
+	if eng.Counters.RICRequests != walks+1 {
+		t.Fatalf("%d walks after the entries died; want 1", eng.Counters.RICRequests-walks)
+	}
+	if got, want := answersToRows(eng.Answers(qid)), answersToRows(twin.Answers(qid)); len(got) != 2 || !refeval.EqualBags(got, want) {
+		t.Fatalf("answers %v, the twin's %v; want both R rows joined with the S row", got, want)
+	}
+	for p, old := range dropped {
+		if e, ok := p.st.ct.get(key); !ok || e.At <= old.At {
+			t.Fatalf("node %s: the walk's report did not enter the table again", p.node.ID())
+		}
+	}
+	checkNothingDead(t, eng)
 }

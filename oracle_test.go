@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rjoin/internal/agg"
+	"rjoin/internal/core"
 	"rjoin/internal/refeval"
 	"rjoin/internal/relation"
 	"rjoin/internal/sqlparse"
@@ -20,11 +21,13 @@ func (r *recorder) subscribe(sql string) *Subscription {
 
 // checkNothingDead is the death wheels' quiescence invariant, which every
 // golden workload checks after each Run: no node still stores a windowed
-// rewrite past its window, a tuple past its reach or an ALTT entry past Δ.
+// rewrite past its window, a tuple past its reach, an ALTT entry past Δ,
+// a candidate-table entry past its validity or an aggregate epoch whose
+// views all closed.
 func checkNothingDead(t testing.TB, net *Network) {
 	t.Helper()
-	if rewrites, tuples, altt := net.Engine().DeadState(); rewrites+tuples+altt != 0 {
-		t.Fatalf("after a Run, %d dead rewrites, %d dead tuples and %d lapsed ALTT entries are still stored", rewrites, tuples, altt)
+	if d := net.Engine().DeadState(); d != (core.DeadCounts{}) {
+		t.Fatalf("after a Run, dead entries are still stored: %+v", d)
 	}
 }
 
