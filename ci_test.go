@@ -15,7 +15,9 @@ import (
 // function declared in the packages the command names (`./x/...`
 // recursively). A deleted or renamed test otherwise leaves a selector that
 // quietly runs nothing. `^$`, the "no tests, only the fuzzer" idiom, is
-// exempt.
+// exempt. Likewise every `go run ./<dir>` and every `sh`/`bash <file>`
+// must name a path that exists, so a step left behind by a deleted
+// command or script fails here rather than only in CI.
 func TestCISelectorsNameTests(t *testing.T) {
 	f, err := os.Open(filepath.Join(".github", "workflows", "ci.yml"))
 	if err != nil {
@@ -26,6 +28,11 @@ func TestCISelectorsNameTests(t *testing.T) {
 	sc := bufio.NewScanner(f)
 	for line := 1; sc.Scan(); line++ {
 		words := shellWords(sc.Text())
+		for _, p := range namedPaths(words) {
+			if _, err := os.Stat(p); err != nil {
+				t.Errorf("ci.yml:%d: %s does not exist", line, p)
+			}
+		}
 		re, pkgs, ok := runSelector(words)
 		if !ok {
 			continue
@@ -128,6 +135,25 @@ func runSelector(words []string) (re string, pkgs []string, ok bool) {
 		}
 	}
 	return re, pkgs, ok
+}
+
+// namedPaths returns the repository paths a workflow line runs: the
+// directory of each `go run ./<dir>` and the file of each `sh <file>` or
+// `bash <file>`. Module paths (`go run golang.org/...@latest`) are not
+// the repository's and are skipped, and so is everything after a `#`.
+func namedPaths(words []string) []string {
+	var paths []string
+	for i := 0; i+1 < len(words); i++ {
+		switch w := words[i]; {
+		case strings.HasPrefix(w, "#"):
+			return paths
+		case w == "go" && words[i+1] == "run" && i+2 < len(words) && strings.HasPrefix(words[i+2], "./"):
+			paths = append(paths, words[i+2])
+		case (w == "sh" || w == "bash") && !strings.HasPrefix(words[i+1], "-"):
+			paths = append(paths, words[i+1])
+		}
+	}
+	return paths
 }
 
 // alternatives splits a regular expression at its top-level '|'s, the

@@ -69,7 +69,11 @@ func main() {
 		opts.Profile = &rjoin.ProfileOptions{SampleInterval: 16}
 		opts.Provenance = true
 	}
-	net := rjoin.MustNetwork(opts)
+	net, err := rjoin.NewNetwork(opts)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rjoin-demo: %v\n", err)
+		os.Exit(2)
+	}
 	expvar.Publish("rjoin.stats", expvar.Func(func() any { return net.Stats() }))
 	expvar.Publish("rjoin.profile", expvar.Func(func() any {
 		var b strings.Builder

@@ -91,7 +91,9 @@ type Config struct {
 	// eventual-completeness proof of Theorem 1 covers the generalized
 	// placement only under in-order anchoring. With the flag off,
 	// rewritten queries use value-level candidates (Section 3's rule),
-	// whose tuple stores are unbounded, preserving completeness.
+	// preserving completeness: a value-level store keeps every tuple a
+	// live rewrite can still combine with — all of them when TupleGC is
+	// off, and under TupleGC each for 2·MaxWindowHint−1 on both clocks.
 	AllowAttrRewrites bool
 
 	// ReplicationFactor k replicates every keyed state entry — stored

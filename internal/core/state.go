@@ -795,8 +795,6 @@ func (s *state) take(keyOK func(relation.Key) bool) []stateOp {
 // placement walks, aggregator groups) that match selects, and reports
 // whether anything went. One unordered pass per class: each removal
 // charges one replica op and the counts commute, so no order is needed.
-//
-//lint:ordered removals commute
 func (s *state) sweep(want class, match func(stateOp) bool) (hit bool) {
 	if want&classQueries != 0 {
 		for key := range s.queries {

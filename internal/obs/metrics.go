@@ -231,7 +231,7 @@ func (m *Metrics) settle(now int64) {
 	m.openFrom = now - now%m.interval
 	for k, n := range m.series {
 		if k.win < m.openFrom {
-			//lint:ordered Samples sorts the series at export
+			// Map order reaches settled; Samples sorts it at export.
 			m.settled = append(m.settled, k.sample(n))
 			delete(m.series, k)
 		}

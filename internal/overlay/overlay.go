@@ -463,9 +463,9 @@ func withTag(l *lane, tag string, fn func()) {
 
 // WithTagAll runs fn with the tag active on every lane. It is for
 // coordinator-context sections (crash recovery) whose sends originate
-// from many different nodes; it must never run while workers do.
-//
-//lint:allow shardsafe coordinator-context by contract: callers run between drains with no handlers in flight
+// from many different nodes; it must never run while workers do, since
+// it writes every shard's lane: its callers run between drains, with no
+// handler in flight.
 func (nw *Network) WithTagAll(tag string, fn func()) {
 	prevs := make([]string, len(nw.lanes))
 	for i := range nw.lanes {

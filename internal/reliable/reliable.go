@@ -11,7 +11,7 @@
 // kept, with its tests, only because the frozen perfbench/layers.go
 // still times Dedup.Mark and Inbox.Offer (reliable.dedup_mark_ns,
 // reliable.inbox_offer_ns); it goes when perfbench is unfrozen (ROADMAP
-// item 1(f)).
+// "Unfreeze perfbench/", part (g) "The notes").
 package reliable
 
 // Delivery is one batch released by an Inbox for application, in order.

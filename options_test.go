@@ -218,6 +218,23 @@ func TestReplicationFactorValidated(t *testing.T) {
 	}
 }
 
+// TestStrategyValidated: a Strategy outside the three the package
+// defines is refused by name rather than run as RIC.
+func TestStrategyValidated(t *testing.T) {
+	for _, s := range []Strategy{3, 255} {
+		if _, err := NewNetwork(Options{Nodes: 8, Strategy: s}); err == nil {
+			t.Fatalf("Strategy %d accepted", s)
+		} else if !strings.Contains(err.Error(), "Strategy") {
+			t.Fatalf("unhelpful error: %v", err)
+		}
+	}
+	for _, s := range []Strategy{StrategyRIC, StrategyRandom, StrategyWorst} {
+		if _, err := NewNetwork(Options{Nodes: 8, Strategy: s}); err != nil {
+			t.Fatalf("valid Strategy %v rejected: %v", s, err)
+		}
+	}
+}
+
 // TestReplicatedCrashKeepsStream: the public-API shape of the
 // durability guarantee — with ReplicationFactor 2, crashing nodes
 // mid-stream loses no rewritten state, tuples or aggregation partials,

@@ -483,6 +483,9 @@ func NewNetwork(opts Options) (*Network, error) {
 		return nil, fmt.Errorf("rjoin: negative churn tuning (interval %d, stabilize %d, min nodes %d)",
 			opts.Churn.Interval, opts.Churn.StabilizeInterval, opts.Churn.MinNodes)
 	}
+	if opts.Strategy > StrategyWorst {
+		return nil, fmt.Errorf("rjoin: unknown Strategy %d (want StrategyRIC, StrategyRandom or StrategyWorst)", opts.Strategy)
+	}
 	if opts.Workers < 0 {
 		return nil, fmt.Errorf("rjoin: negative worker count %d", opts.Workers)
 	}
