@@ -344,7 +344,7 @@ func TestProvenanceCertified(t *testing.T) {
 func TestProvenanceSharingCertified(t *testing.T) {
 	net := MustNetwork(Options{
 		Nodes: 96, Seed: 42, Provenance: true, Sharing: true, ReplicationFactor: 2,
-		Churn: ChurnOptions{CrashRate: 20, Interval: 8, StabilizeInterval: 16, MinNodes: 64},
+		Churn: ChurnOptions{CrashRate: 20, Interval: 8, MinNodes: 64},
 	})
 	net.MustDefineRelation("R", "A", "B")
 	net.MustDefineRelation("S", "A", "B")

@@ -1,19 +1,21 @@
 // Package chord implements the Chord distributed hash table protocol
 // (Stoica et al., SIGCOMM'01) as an in-process overlay: every node keeps
-// a real finger table and successor list, lookups route greedily through
-// fingers in O(log N) hops, and the ring supports joins, voluntary
-// leaves, failures and the periodic stabilization protocol.
+// a real finger table and predecessor, and lookups route greedily
+// through fingers in O(log N) hops.
 //
 // The RJoin layers above only consume the lookup API (the paper's
 // DHT-agnostic design), but the routing below is genuine Chord so the
 // per-message hop counts reported by the experiment harness have the
 // same O(log N) structure as the paper's testbed.
 //
-// Two kinds of reader exist. Routing (Lookup, Stabilize, the finger
-// table) reads each node's own protocol pointers, which lag every
-// membership change until stabilization catches up. Membership
-// mechanics — who owns an identifier, who follows a node — read ring
-// ground truth through Owner, SuccessorList and Nodes, which never lag.
+// There is one view of the ring. Membership mechanics — who owns an
+// identifier, who follows a node — read ring ground truth through
+// Owner, SuccessorList and Nodes. Routing reads each node's own
+// pointers, and every membership call (Join, Leave, Fail) rebuilds
+// those from the same ground truth before it returns, so a lookup
+// always ends at the identifier's owner. Chord's stabilization
+// protocol, which repairs pointers after the fact, has nothing to do
+// here and is not implemented.
 package chord
 
 import (
@@ -23,10 +25,6 @@ import (
 	"rjoin/internal/id"
 )
 
-// SuccessorListLen is the length r of each node's successor list. Chord
-// recommends r = O(log N); 16 comfortably covers the simulated scales.
-const SuccessorListLen = 16
-
 // Node is one Chord participant. All state is protocol-visible routing
 // state; application state lives in the layers above, keyed by the
 // node's identifier.
@@ -35,9 +33,7 @@ type Node struct {
 	alive bool
 
 	pred   *Node
-	succ   []*Node        // successor list, succ[0] is the immediate successor
-	finger [id.Bits]*Node // finger[i] = successor(n + 2^i)
-	ring   *Ring
+	finger [id.Bits]*Node // finger[i] = successor(n + 2^i); finger[0] is the immediate successor
 }
 
 // ID returns the node's ring identifier.
@@ -46,18 +42,12 @@ func (n *Node) ID() id.ID { return n.id }
 // Alive reports whether the node is still part of the overlay.
 func (n *Node) Alive() bool { return n.alive }
 
-// Successor returns the node's current immediate successor (itself if
-// the ring has a single node).
-func (n *Node) Successor() *Node {
-	for _, s := range n.succ {
-		if s != nil && s.alive {
-			return s
-		}
-	}
-	return n
-}
+// Successor returns the node's immediate successor (itself if the ring
+// has a single node).
+func (n *Node) Successor() *Node { return n.finger[0] }
 
-// Predecessor returns the node's current predecessor, or nil if unknown.
+// Predecessor returns the node's predecessor (itself if the ring has a
+// single node).
 func (n *Node) Predecessor() *Node { return n.pred }
 
 // String implements fmt.Stringer.
@@ -70,11 +60,7 @@ type Ring struct {
 	byID  map[id.ID]*Node
 	order []*Node // alive nodes sorted by id; maintained on change
 	dirty bool
-
-	// fingerStride rotates which finger indices TickStabilize repairs,
-	// so incremental maintenance touches the full table every
-	// ringTickRounds rounds.
-	fingerStride int
+	built bool // set by BuildPerfect: membership calls rebuild the pointers
 }
 
 // NewRing returns an empty overlay.
@@ -112,11 +98,10 @@ func (r *Ring) sorted() []*Node {
 	return r.order
 }
 
-// successorOf returns the first alive node whose identifier is >= target
-// (mod ring), i.e. ground-truth Successor(target). Used for membership
-// changes and for verifying routing in tests; routing itself goes
-// through finger tables.
-func (r *Ring) successorOf(target id.ID) *Node {
+// Owner returns the ground-truth successor node of the given identifier:
+// the first alive node whose identifier is >= target (mod ring), or nil
+// on an empty ring.
+func (r *Ring) Owner(target id.ID) *Node {
 	nodes := r.sorted()
 	if len(nodes) == 0 {
 		return nil
@@ -128,16 +113,13 @@ func (r *Ring) successorOf(target id.ID) *Node {
 	return nodes[i]
 }
 
-// Owner returns the ground-truth successor node of the given identifier.
-func (r *Ring) Owner(target id.ID) *Node { return r.successorOf(target) }
-
 // SuccessorList returns, from ring ground truth, the up-to-k alive nodes
 // that follow identifier nid in ring order. The node at nid itself —
 // alive, dead or never joined — is excluded, so the answer is the same
 // before and after that node fails. It is the one definition of "who
-// follows n" that membership mechanics (the joining lookup, replica
-// groups, handover targets) read; no protocol pointer is consulted, so
-// it never lags a join or a failure. Rings with fewer than k other
+// follows n" that membership mechanics (a joiner's arc source, replica
+// groups, handover targets) read, and it is each node's Chord successor
+// list: a node keeps no copy of its own. Rings with fewer than k other
 // members yield all of them; a singleton ring yields none.
 func (r *Ring) SuccessorList(nid id.ID, k int) []*Node {
 	nodes := r.sorted()
@@ -166,202 +148,69 @@ func (r *Ring) PredecessorList(nid id.ID, k int) []*Node {
 	return out
 }
 
-// Join adds a node with the given identifier to the overlay and fully
-// stabilizes its own routing state (the node performs its joining lookup
-// through an existing member; fingers are then built by the fix-fingers
-// protocol). It returns an error if the identifier is taken.
+// Join adds a node with the given identifier to the overlay. It
+// returns an error if the identifier is taken. Before the ring's first
+// BuildPerfect a join only records the member, so that building a ring
+// of N nodes costs one rebuild, not N; from then on the join leaves
+// every alive node's pointers exact before it returns.
 func (r *Ring) Join(nid id.ID) (*Node, error) {
 	if ex, ok := r.byID[nid]; ok && ex.alive {
 		return nil, fmt.Errorf("chord: identifier %s already joined", nid)
 	}
-	n := &Node{id: nid, alive: true, ring: r}
-	n.succ = make([]*Node, SuccessorListLen)
+	n := &Node{id: nid, alive: true}
 	r.byID[nid] = n
-	r.dirty = true
-
-	// First node bootstraps a singleton ring.
-	if len(r.sorted()) == 1 {
-		for i := range n.succ {
-			n.succ[i] = n
-		}
-		for i := range n.finger {
-			n.finger[i] = n
-		}
-		n.pred = n
-		return n, nil
-	}
-
-	// Locate the successor via ground truth (the joining lookup in real
-	// Chord; the result is identical) and splice in.
-	succ := r.SuccessorList(nid, 1)[0]
-	n.setSuccessor(succ)
-	n.Stabilize()
-	succ.Stabilize()
-	if p := n.pred; p != nil {
-		p.Stabilize()
-	}
-	n.FixAllFingers()
+	r.changed()
 	return n, nil
 }
 
-// Leave removes a node voluntarily: it hands its position to its
-// successor and notifies its neighbours, as in Chord's voluntary-leave
-// protocol.
+// Leave removes a node voluntarily. Its arc passes to its successor,
+// and every alive node's pointers are exact when Leave returns.
 func (r *Ring) Leave(n *Node) {
 	if !n.alive {
 		return
 	}
 	n.alive = false
+	r.changed()
+}
+
+// Fail removes a node abruptly. The ring's bookkeeping is Leave's: the
+// difference between a crash and a leave — whether state is handed on —
+// lives in the layers above.
+func (r *Ring) Fail(n *Node) { r.Leave(n) }
+
+// changed records a membership change and, once the ring has been
+// built, rebuilds the routing pointers from it.
+func (r *Ring) changed() {
 	r.dirty = true
-	succ := r.successorOf(n.id)
-	if succ != nil && n.pred != nil && n.pred.alive {
-		n.pred.setSuccessor(succ)
-		succ.pred = n.pred
+	if r.built {
+		r.BuildPerfect()
 	}
 }
 
-// Fail removes a node abruptly, without notification. Neighbours repair
-// via Stabilize/FixAllFingers, as in the Chord failure model.
-func (r *Ring) Fail(n *Node) {
-	if !n.alive {
-		return
-	}
-	n.alive = false
-	r.dirty = true
-}
-
-// StabilizeAll runs one round of stabilization on every node, then one
-// round of finger fixing — the steady-state maintenance the Chord papers
-// prove converges to a correct ring.
-func (r *Ring) StabilizeAll() {
-	for _, n := range r.sorted() {
-		n.Stabilize()
-	}
-	for _, n := range r.sorted() {
-		n.FixAllFingers()
-	}
-}
-
-// ringTickRounds is how many TickStabilize rounds cover a full finger
-// table: each round repairs id.Bits/ringTickRounds finger indices per
-// node, the incremental fix_fingers cadence of a running deployment.
-const ringTickRounds = 8
-
-// TickStabilize runs one incremental maintenance round, the unit of
-// work a deployment performs per stabilization timer fire: every alive
-// node stabilizes its successor/predecessor links, then repairs a
-// rotating 1/8 slice of its finger table. Repeated rounds converge the
-// ring after membership changes without paying FixAllFingers on every
-// tick; mid-convergence lookups stay correct because routing falls
-// back to the successor chain (and, pathologically, ground truth).
-func (r *Ring) TickStabilize() {
-	nodes := r.sorted()
-	for _, n := range nodes {
-		n.Stabilize()
-	}
-	stride := id.Bits / ringTickRounds
-	lo := r.fingerStride * stride
-	r.fingerStride = (r.fingerStride + 1) % ringTickRounds
-	for _, n := range nodes {
-		for i := lo; i < lo+stride; i++ {
-			n.FixFinger(i)
-		}
-	}
-}
-
-// BuildPerfect sets every alive node's successor list, predecessor and
-// finger table to their ground-truth values. Used by the experiment
-// harness to start from a converged overlay (the paper measures a stable
-// network), avoiding thousands of stabilization rounds.
+// BuildPerfect sets every alive node's predecessor and finger table to
+// their ground-truth values, and makes every later membership call do
+// the same. Constructors join their nodes first and call it once.
 func (r *Ring) BuildPerfect() {
+	r.built = true
 	nodes := r.sorted()
 	for idx, n := range nodes {
 		n.pred = nodes[(idx-1+len(nodes))%len(nodes)]
-		for k := 0; k < SuccessorListLen; k++ {
-			n.succ[k] = nodes[(idx+1+k)%len(nodes)]
-		}
-		for i := 0; i < id.Bits; i++ {
-			n.finger[i] = r.successorOf(id.FingerStart(n.id, i))
+		for i := range n.finger {
+			n.finger[i] = r.Owner(id.FingerStart(n.id, i))
 		}
 	}
 }
 
-func (n *Node) setSuccessor(s *Node) {
-	n.succ[0] = s
-	n.finger[0] = s
-}
-
-// Stabilize runs Chord's stabilize(): ask the successor for its
-// predecessor, adopt it if closer, and notify the successor of us. It
-// also refreshes the successor list from the (possibly new) successor.
-func (n *Node) Stabilize() {
-	if !n.alive {
-		return
-	}
-	// Skip dead successors using the successor list.
-	s := n.Successor()
-	if x := s.pred; x != nil && x.alive && id.Between(x.id, n.id, s.id) {
-		s = x
-	}
-	n.setSuccessor(s)
-	s.notify(n)
-	// Refresh successor list: our list is successor + its list shifted.
-	n.succ[0] = s
-	for i := 1; i < SuccessorListLen; i++ {
-		prev := n.succ[i-1]
-		if prev == nil || !prev.alive {
-			n.succ[i] = nil
-			continue
-		}
-		n.succ[i] = prev.Successor()
-	}
-	if n.pred != nil && !n.pred.alive {
-		n.pred = nil
-	}
-}
-
-func (n *Node) notify(candidate *Node) {
-	if n.pred == nil || !n.pred.alive || id.Between(candidate.id, n.pred.id, n.id) {
-		n.pred = candidate
-	}
-}
-
-// FixAllFingers recomputes the node's full finger table, the batched
-// equivalent of running fix_fingers() over every index.
-func (n *Node) FixAllFingers() {
-	if !n.alive {
-		return
-	}
-	for i := 0; i < id.Bits; i++ {
-		n.finger[i] = n.ring.successorOf(id.FingerStart(n.id, i))
-	}
-}
-
-// FixFinger repairs one finger table entry — Chord's fix_fingers()
-// step, run incrementally by TickStabilize.
-func (n *Node) FixFinger(i int) {
-	if !n.alive || i < 0 || i >= id.Bits {
-		return
-	}
-	n.finger[i] = n.ring.successorOf(id.FingerStart(n.id, i))
-}
-
-// closestPrecedingNode returns the alive finger (or successor-list
-// entry) that most closely precedes target — Chord's routing step.
+// closestPrecedingNode returns the finger that most closely precedes
+// target — Chord's routing step. It is called only when target lies
+// beyond the successor, so the successor, finger[0], always qualifies.
 func (n *Node) closestPrecedingNode(target id.ID) *Node {
-	for i := id.Bits - 1; i >= 0; i-- {
-		f := n.finger[i]
-		if f != nil && f.alive && id.Between(f.id, n.id, target) {
+	for i := id.Bits - 1; i > 0; i-- {
+		if f := n.finger[i]; id.Between(f.id, n.id, target) {
 			return f
 		}
 	}
-	for i := len(n.succ) - 1; i >= 0; i-- {
-		s := n.succ[i]
-		if s != nil && s.alive && id.Between(s.id, n.id, target) {
-			return s
-		}
-	}
-	return n
+	return n.finger[0]
 }
 
 // Lookup routes from node n to Successor(target) using iterative
@@ -379,32 +228,15 @@ func (n *Node) Lookup(target id.ID) (owner *Node, path []*Node) {
 func (n *Node) LookupAppend(buf []*Node, target id.ID) (owner *Node, path []*Node) {
 	path = buf
 	// A node knows its own arc (pred, n]: keys there resolve locally.
-	if p := n.pred; p != nil && p.alive && id.BetweenRightIncl(target, p.id, n.id) {
+	if id.BetweenRightIncl(target, n.pred.id, n.id) {
 		return n, path
 	}
 	cur := n
-	for hops := 0; hops < 2*id.Bits; hops++ {
-		succ := cur.Successor()
-		if id.BetweenRightIncl(target, cur.id, succ.id) {
-			if succ != n {
-				path = append(path, succ)
-			}
-			return succ, path
+	for {
+		if succ := cur.finger[0]; id.BetweenRightIncl(target, cur.id, succ.id) {
+			return succ, append(path, succ)
 		}
-		next := cur.closestPrecedingNode(target)
-		if next == cur {
-			// Routing cannot make progress through fingers (e.g. stale
-			// tables mid-churn): fall through to the successor.
-			next = succ
-		}
-		if next != n {
-			path = append(path, next)
-		}
-		cur = next
+		cur = cur.closestPrecedingNode(target)
+		path = append(path, cur)
 	}
-	// Pathological stale state: fall back to ground truth so the layers
-	// above never dead-lock. Counted as one extra hop.
-	owner = n.ring.successorOf(target)
-	path = append(path, owner)
-	return owner, path
 }

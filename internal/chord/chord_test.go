@@ -34,6 +34,7 @@ func TestSingletonRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.BuildPerfect()
 	if n.Successor() != n {
 		t.Fatal("singleton node must be its own successor")
 	}
@@ -118,7 +119,6 @@ func TestVoluntaryLeave(t *testing.T) {
 	victim := nodes[17]
 	vid := victim.ID()
 	r.Leave(victim)
-	r.StabilizeAll()
 	if r.Node(vid) != nil {
 		t.Fatal("left node still resolvable")
 	}
@@ -135,49 +135,35 @@ func TestVoluntaryLeave(t *testing.T) {
 	}
 }
 
+// TestAbruptFailureRepairedByStabilization: ten nodes fail without
+// notice. Each Fail makes the repair a stabilization round would make
+// before it returns, so every pointer is exact and lookups from every
+// node reach the owner with no round run.
 func TestAbruptFailureRepairedByStabilization(t *testing.T) {
 	r := buildRing(t, 100, 5)
 	rng := rand.New(rand.NewSource(6))
-	// Fail 10 random nodes without notice.
 	for i := 0; i < 10; i++ {
 		nodes := r.Nodes()
 		r.Fail(nodes[rng.Intn(len(nodes))])
+		mustBeExact(t, r, rng)
 	}
-	// A few stabilization rounds must repair the ring.
-	for i := 0; i < 3; i++ {
-		r.StabilizeAll()
-	}
-	for i := 0; i < 200; i++ {
-		nodes := r.Nodes()
-		from := nodes[rng.Intn(len(nodes))]
-		target := id.ID(rng.Uint64())
-		owner, _ := from.Lookup(target)
-		if want := r.Owner(target); owner != want {
-			t.Fatalf("post-failure lookup(%v) = %v, want %v", target, owner, want)
-		}
-	}
+	verifyLookups(t, r, 6, 200)
 }
 
+// TestIncrementalJoinConverges: a built ring grows one Join at a time,
+// with no BuildPerfect after the first, and lookups stay exact after
+// every join.
 func TestIncrementalJoinConverges(t *testing.T) {
-	// Join nodes one at a time with stabilization only (no BuildPerfect)
-	// and check lookups stay correct throughout.
 	r := NewRing()
 	rng := rand.New(rand.NewSource(7))
+	r.BuildPerfect()
 	for i := 0; i < 60; i++ {
 		if _, err := r.Join(id.ID(rng.Uint64())); err != nil {
 			t.Fatal(err)
 		}
-		r.StabilizeAll()
+		mustBeExact(t, r, rng)
 	}
-	for i := 0; i < 200; i++ {
-		nodes := r.Nodes()
-		from := nodes[rng.Intn(len(nodes))]
-		target := id.ID(rng.Uint64())
-		owner, _ := from.Lookup(target)
-		if want := r.Owner(target); owner != want {
-			t.Fatalf("incremental ring lookup(%v) = %v, want %v", target, owner, want)
-		}
-	}
+	verifyLookups(t, r, 7, 200)
 }
 
 // Property: ownership partitions the key space — for random keys the
@@ -279,6 +265,7 @@ func TestOneNodeRingLeaveAndRejoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.BuildPerfect()
 	r.Leave(n)
 	if r.Size() != 0 {
 		t.Fatalf("size after sole node left = %d, want 0", r.Size())
@@ -307,6 +294,7 @@ func TestTwoNodeRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.BuildPerfect()
 	if a.Successor() != b || b.Successor() != a {
 		t.Fatal("two-node ring successors must point at each other")
 	}
@@ -317,7 +305,6 @@ func TestTwoNodeRing(t *testing.T) {
 
 	// Leaving one node collapses back to a correct singleton.
 	r.Leave(b)
-	r.StabilizeAll()
 	if a.Successor() != a {
 		t.Fatal("survivor must become its own successor")
 	}
@@ -333,10 +320,8 @@ func TestTwoNodeRingFailure(t *testing.T) {
 	r := NewRing()
 	a, _ := r.Join(100)
 	b, _ := r.Join(200)
+	r.BuildPerfect()
 	r.Fail(b)
-	for i := 0; i < 3; i++ {
-		r.StabilizeAll()
-	}
 	if a.Successor() != a {
 		t.Fatal("survivor of a 2-node failure must self-succeed")
 	}
@@ -357,29 +342,21 @@ func TestLeaveOfOwnSuccessor(t *testing.T) {
 		t.Fatal("fixture broken: node is its own successor in a 64-ring")
 	}
 	r.Leave(victim)
-	if n.Successor() == victim {
-		t.Fatal("leave did not splice the predecessor past the victim")
-	}
-	r.StabilizeAll()
 	if got := n.Successor(); got != r.Owner(victim.ID()) {
 		t.Fatalf("successor after leave = %v, want %v", got, r.Owner(victim.ID()))
 	}
 	verifyLookups(t, r, 32, 200)
 }
 
-// Fail followed by StabilizeAll rounds must reconverge successor lists,
-// predecessors and fingers to ground truth, even when a node's whole
-// nearby neighbourhood fails at once.
+// TestFailThenStabilizeConvergence: a contiguous run of five nodes
+// fails, so the survivor before the run loses its first five successors
+// at once; its successor and the run's new owner's predecessor are
+// exact as soon as the calls return.
 func TestFailThenStabilizeConvergence(t *testing.T) {
 	r := buildRing(t, 96, 33)
 	nodes := append([]*Node(nil), r.Nodes()...)
-	// Fail a contiguous run of successors (harder than scattered
-	// failures: the survivor's first few successor-list entries all die).
 	for k := 1; k <= 5; k++ {
 		r.Fail(nodes[(20+k)%len(nodes)])
-	}
-	for i := 0; i < 4; i++ {
-		r.StabilizeAll()
 	}
 	for _, n := range r.Nodes() {
 		if want := r.Owner(n.ID() + 1); n.Successor() != want {
@@ -389,11 +366,15 @@ func TestFailThenStabilizeConvergence(t *testing.T) {
 			t.Fatalf("predecessor of %v not repaired: %v", n, p)
 		}
 	}
+	if p := nodes[26].Predecessor(); p != nodes[20] {
+		t.Fatalf("predecessor across the run = %v, want %v", p, nodes[20])
+	}
 	verifyLookups(t, r, 34, 300)
 }
 
-// TickStabilize is the incremental maintenance cadence: after churn,
-// enough rounds must converge the ring exactly like StabilizeAll.
+// TestTickStabilizeConverges: fails and joins mixed, every finger of
+// every node checked against the owner of its start once the calls
+// return — the state a full finger rotation used to reach.
 func TestTickStabilizeConverges(t *testing.T) {
 	r := buildRing(t, 80, 35)
 	rng := rand.New(rand.NewSource(36))
@@ -406,10 +387,6 @@ func TestTickStabilizeConverges(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// One full finger rotation plus slack.
-	for i := 0; i < 2*ringTickRounds; i++ {
-		r.TickStabilize()
-	}
 	for _, n := range r.Nodes() {
 		for i := 0; i < id.Bits; i++ {
 			if want := r.Owner(id.FingerStart(n.ID(), i)); n.finger[i] != want {
@@ -418,6 +395,15 @@ func TestTickStabilizeConverges(t *testing.T) {
 		}
 	}
 	verifyLookups(t, r, 37, 300)
+}
+
+// mustBeExact fails the test at the first routing pointer or lookup of r
+// that differs from ground truth (see pointersExact).
+func mustBeExact(t *testing.T, r *Ring, rng *rand.Rand) {
+	t.Helper()
+	if err := pointersExact(r, rng); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func BenchmarkLookup1024(b *testing.B) {
@@ -473,7 +459,6 @@ func TestSuccessorListSmallRings(t *testing.T) {
 		t.Fatalf("singleton successor list %v, want empty", got)
 	}
 	b, _ := r.Join(200)
-	r.StabilizeAll()
 	if got := r.SuccessorList(a.ID(), 4); len(got) != 1 || got[0] != b {
 		t.Fatalf("two-node list of a: %v, want [b]", got)
 	}
@@ -508,42 +493,10 @@ func TestSuccessorListLargerThanRing(t *testing.T) {
 	}
 }
 
-// TestSuccessorListRepairsAfterFail: failing a node leaves it out of
-// every successor list at once — the list is ring ground truth — and
-// stabilization leaves it unchanged: the node that followed the victim
-// has moved up one position.
-func TestSuccessorListRepairsAfterFail(t *testing.T) {
-	r := buildRing(t, 12, 13)
-	nodes := append([]*Node(nil), r.Nodes()...)
-	victim := nodes[4]
-	r.Fail(victim)
-	// Immediately after the failure, before any stabilization round.
-	for _, n := range r.Nodes() {
-		for _, s := range r.SuccessorList(n.ID(), 4) {
-			if s == victim {
-				t.Fatalf("dead node %s still in successor list of %s before stabilize", victim, n)
-			}
-		}
-	}
-	r.StabilizeAll()
-	alive := r.Nodes()
-	for i, n := range alive {
-		got := r.SuccessorList(n.ID(), 3)
-		if len(got) != 3 {
-			t.Fatalf("node %s: repaired list length %d, want 3", n, len(got))
-		}
-		for j, s := range got {
-			if want := alive[(i+1+j)%len(alive)]; s != want {
-				t.Fatalf("node %s: repaired position %d is %s, want %s", n, j, s, want)
-			}
-		}
-	}
-}
-
 // TestSuccessorListIsGroundTruth: the list never lags a membership
-// change — a joiner appears in its predecessors' lists before any
-// stabilization round, while their own successor pointers still skip
-// it — and it answers for identifiers no alive node holds.
+// change — a joiner appears in its predecessors' lists, and is its
+// predecessor's successor pointer, when Join returns — and it answers
+// for identifiers no alive node holds.
 func TestSuccessorListIsGroundTruth(t *testing.T) {
 	r := buildRing(t, 8, 21)
 	nodes := append([]*Node(nil), r.Nodes()...)
@@ -559,8 +512,8 @@ func TestSuccessorListIsGroundTruth(t *testing.T) {
 	if got := r.SuccessorList(nodes[1].ID(), 3); len(got) != 3 || got[1] != j {
 		t.Fatalf("list two positions before the joiner: %v, want %s second", got, j)
 	}
-	if nodes[1].succ[1] == j {
-		t.Fatal("the second predecessor's protocol list already holds the joiner; the test no longer separates the two readers")
+	if pred.Successor() != j || j.Predecessor() != pred || next.Predecessor() != j {
+		t.Fatalf("pointers around the joiner: %s→%s, %s←%s, %s←%s", pred, pred.Successor(), j.Predecessor(), j, next.Predecessor(), next)
 	}
 	r.Fail(pred)
 	if got := r.SuccessorList(pred.ID(), 1); len(got) != 1 || got[0] != j {
@@ -568,6 +521,34 @@ func TestSuccessorListIsGroundTruth(t *testing.T) {
 	}
 	if got := r.SuccessorList(mid+1, 1); len(got) != 1 || got[0] != next {
 		t.Fatalf("list of an identifier nobody holds: %v, want [%s]", got, next)
+	}
+}
+
+// TestSuccessorListRepairsAfterFail: once a node fails, it is in no
+// survivor's successor list, and every survivor's list is the next
+// alive nodes in identifier order, its Successor pointer the head.
+func TestSuccessorListRepairsAfterFail(t *testing.T) {
+	r := buildRing(t, 12, 13)
+	nodes := append([]*Node(nil), r.Nodes()...)
+	victim := nodes[4]
+	r.Fail(victim)
+	alive := r.Nodes()
+	for i, n := range alive {
+		got := r.SuccessorList(n.ID(), 3)
+		if len(got) != 3 {
+			t.Fatalf("node %s: repaired list length %d, want 3", n, len(got))
+		}
+		for j, s := range got {
+			if s == victim {
+				t.Fatalf("dead node %s still in successor list of %s", victim, n)
+			}
+			if want := alive[(i+1+j)%len(alive)]; s != want {
+				t.Fatalf("node %s: repaired position %d is %s, want %s", n, j, s, want)
+			}
+		}
+		if n.Successor() != got[0] {
+			t.Fatalf("node %s: successor %s, successor list head %s", n, n.Successor(), got[0])
+		}
 	}
 }
 
@@ -602,5 +583,136 @@ func TestPredecessorListInvertsSuccessorList(t *testing.T) {
 	r.Fail(gone)
 	if after := r.PredecessorList(gone.ID(), 3); !slices.Equal(after, before) {
 		t.Fatalf("a departed node's predecessors: %v, before the departure %v", after, before)
+	}
+}
+
+// ownerByScan is Owner computed without the sorted index: the alive
+// node at the least clockwise distance from x, x itself at distance 0.
+func ownerByScan(nodes []*Node, x id.ID) *Node {
+	var best *Node
+	for _, n := range nodes {
+		if best == nil || id.Dist(x, n.ID()) < id.Dist(x, best.ID()) {
+			best = n
+		}
+	}
+	return best
+}
+
+// pointersExact reports the first routing pointer of an alive node that
+// differs from ring ground truth, and the first lookup, from any alive
+// node to a node's identifier, the point just past it or a random
+// target, that does not end at the target's owner.
+func pointersExact(r *Ring, rng *rand.Rand) error {
+	nodes := r.Nodes()
+	targets := []id.ID{id.ID(rng.Uint64()), id.ID(rng.Uint64())}
+	for i, n := range nodes {
+		if !n.Alive() || r.Node(n.ID()) != n {
+			return fmt.Errorf("%s is listed but not the alive node at its identifier", n)
+		}
+		if want := nodes[(i+len(nodes)-1)%len(nodes)]; n.Predecessor() != want {
+			return fmt.Errorf("predecessor of %s is %s, want %s", n, n.Predecessor(), want)
+		}
+		want := n
+		if succ := r.SuccessorList(n.ID(), 1); len(succ) == 1 {
+			want = succ[0]
+		}
+		if n.Successor() != want || want != nodes[(i+1)%len(nodes)] {
+			return fmt.Errorf("successor of %s is %s, successor list head %s", n, n.Successor(), want)
+		}
+		for f := range n.finger {
+			if want := ownerByScan(nodes, id.FingerStart(n.ID(), f)); n.finger[f] != want {
+				return fmt.Errorf("finger[%d] of %s is %s, want %s", f, n, n.finger[f], want)
+			}
+		}
+		targets = append(targets, n.ID(), n.ID()+1)
+	}
+	for _, from := range nodes {
+		for _, x := range targets {
+			owner, path := from.Lookup(x)
+			if want := ownerByScan(nodes, x); owner != want {
+				return fmt.Errorf("lookup(%s) from %s ends at %s, want %s", x, from, owner, want)
+			}
+			if len(path) > 0 && path[len(path)-1] != owner || len(path) == 0 && owner != from {
+				return fmt.Errorf("lookup(%s) from %s: path %v does not end at the owner %s", x, from, path, owner)
+			}
+		}
+	}
+	return nil
+}
+
+// TestPointersExactAfterEveryCall is the ring's one routing property:
+// after every Join, Leave and Fail of a built ring, every alive node's
+// predecessor, successor and finger table equal ring ground truth, the
+// successor is the head of the node's successor list, and a lookup from
+// every node ends at the target's owner. Each seed's script starts with
+// N joins and one BuildPerfect (N from 0 to 33), passes through one- and
+// two-node rings, and mixes single calls with the shapes of a
+// partition: a contiguous arc of nodes failing and rejoining under
+// their identifiers, and every third node doing the same.
+func TestPointersExactAfterEveryCall(t *testing.T) {
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		r := NewRing()
+		step := 0
+		check := func(what string) {
+			t.Helper()
+			step++
+			if err := pointersExact(r, rng); err != nil {
+				t.Fatalf("seed %d, step %d (%s, %d nodes): %v", seed, step, what, r.Size(), err)
+			}
+		}
+		join := func(nid id.ID) {
+			t.Helper()
+			if _, err := r.Join(nid); err != nil {
+				t.Fatalf("seed %d: join %s: %v", seed, nid, err)
+			}
+		}
+		for i := int64(0); i < seed%4*seed; i++ {
+			join(id.ID(rng.Uint64()))
+		}
+		r.BuildPerfect()
+		check("build")
+		// Grow from whatever the build left through the small rings.
+		for r.Size() < 3 {
+			join(id.ID(rng.Uint64()))
+			check("join")
+		}
+		for op := 0; op < 120; op++ {
+			nodes := r.Nodes()
+			switch k := rng.Intn(10); {
+			case len(nodes) < 2 || k < 4 && len(nodes) < 40:
+				join(id.ID(rng.Uint64()))
+				check("join")
+			case k < 6:
+				r.Leave(nodes[rng.Intn(len(nodes))])
+				check("leave")
+			case k < 8:
+				r.Fail(nodes[rng.Intn(len(nodes))])
+				check("fail")
+			default:
+				// A partition: a side fails call by call, then rejoins
+				// under the same identifiers. The side is a contiguous
+				// arc (every node but one, at most) or every third node.
+				var side []*Node
+				if k == 8 {
+					start, width := rng.Intn(len(nodes)), 1+rng.Intn(len(nodes)-1)
+					for j := 0; j < width; j++ {
+						side = append(side, nodes[(start+j)%len(nodes)])
+					}
+				} else {
+					for j := rng.Intn(3); j < len(nodes)-1; j += 3 {
+						side = append(side, nodes[j])
+					}
+				}
+				for _, n := range side {
+					r.Fail(n)
+					check("partition fail")
+				}
+				for _, n := range side {
+					join(n.ID())
+					check("partition rejoin")
+				}
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package chord
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rjoin/internal/id"
@@ -13,31 +14,30 @@ import (
 // heartbeats cross the cut), and when it heals the severed nodes come
 // back under their original identifiers. The ring protocol itself has
 // no partition primitive — exactly as in the paper's deployment model —
-// so the sequence is Fail, stabilize the survivors, re-Join, and let
-// the incremental TickStabilize cadence reconverge.
+// so the sequence is one Fail per severed node, then one Join per
+// identifier, each call leaving every pointer exact before it returns.
 
-// severSide fails every node on one side of the cut and runs the
-// survivors' maintenance until their view converges.
-func severSide(r *Ring, side []*Node) {
+// severSide fails every node on one side of the cut, checking the
+// survivors' pointers after each call.
+func severSide(t *testing.T, r *Ring, side []*Node) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(len(side))))
 	for _, n := range side {
 		r.Fail(n)
-	}
-	for i := 0; i < 2*ringTickRounds; i++ {
-		r.TickStabilize()
+		mustBeExact(t, r, rng)
 	}
 }
 
-// healSide rejoins the severed identifiers and reconverges with the
-// same incremental cadence a live deployment runs.
+// healSide rejoins the severed identifiers, checking every pointer
+// after each call.
 func healSide(t *testing.T, r *Ring, ids []id.ID) {
 	t.Helper()
+	rng := rand.New(rand.NewSource(int64(len(ids))))
 	for _, nid := range ids {
 		if _, err := r.Join(nid); err != nil {
 			t.Fatalf("heal rejoin of %v: %v", nid, err)
 		}
-	}
-	for i := 0; i < 2*ringTickRounds; i++ {
-		r.TickStabilize()
+		mustBeExact(t, r, rng)
 	}
 }
 
@@ -62,21 +62,18 @@ func verifyConverged(t *testing.T, r *Ring) {
 
 // TestPartitionHealContiguous: a partition that severs a contiguous arc
 // of the identifier space — the hardest shape, because the survivor
-// bordering the cut loses nearly its whole successor list at once. The
-// arc is SuccessorListLen-1 wide, the most simultaneous contiguous
-// failures Chord's r-length successor list guarantees recovery from.
-// The majority must reconverge among themselves during the outage, and
-// the healed ring must return to ground truth.
+// bordering the cut loses its next 15 successors at once. The majority
+// must be exact among themselves during the outage, and the healed ring
+// must return to ground truth.
 func TestPartitionHealContiguous(t *testing.T) {
 	r := buildRing(t, 64, 41)
-	nodes := r.Nodes()
-	side := nodes[24 : 24+SuccessorListLen-1]
+	side := slices.Clone(r.Nodes()[24 : 24+15])
 	ids := make([]id.ID, len(side))
 	for i, n := range side {
 		ids[i] = n.ID()
 	}
 
-	severSide(r, side)
+	severSide(t, r, side)
 	if got, want := r.Size(), 64-len(side); got != want {
 		t.Fatalf("majority size during partition = %d, want %d", got, want)
 	}
@@ -104,7 +101,7 @@ func TestPartitionHealScattered(t *testing.T) {
 			ids = append(ids, n.ID())
 		}
 	}
-	severSide(r, side)
+	severSide(t, r, side)
 	verifyConverged(t, r)
 	healSide(t, r, ids)
 	verifyConverged(t, r)
@@ -112,9 +109,9 @@ func TestPartitionHealScattered(t *testing.T) {
 }
 
 // TestPartitionHealRepeated: two back-to-back partition/heal cycles on
-// different cuts — state left over from the first repair (stale finger
-// entries pointing at first-generation node objects) must not corrupt
-// the second.
+// different cuts — state left over from the first (finger entries that
+// pointed at first-generation node objects) must not corrupt the
+// second.
 func TestPartitionHealRepeated(t *testing.T) {
 	r := buildRing(t, 48, 46)
 	rng := rand.New(rand.NewSource(47))
@@ -128,7 +125,7 @@ func TestPartitionHealRepeated(t *testing.T) {
 				ids = append(ids, n.ID())
 			}
 		}
-		severSide(r, side)
+		severSide(t, r, side)
 		healSide(t, r, ids)
 		verifyConverged(t, r)
 	}
@@ -143,8 +140,9 @@ func TestTwoNodeRingPartitionHeals(t *testing.T) {
 	r := NewRing()
 	a, _ := r.Join(100)
 	b, _ := r.Join(200)
+	r.BuildPerfect()
 
-	severSide(r, []*Node{b})
+	severSide(t, r, []*Node{b})
 	if a.Successor() != a {
 		t.Fatal("partitioned survivor must self-succeed")
 	}
@@ -154,7 +152,7 @@ func TestTwoNodeRingPartitionHeals(t *testing.T) {
 
 	healSide(t, r, []id.ID{200})
 	b2 := r.Node(200)
-	if b2 == nil || !b2.Alive() {
+	if b2 == nil || !b2.Alive() || b2 == b {
 		t.Fatal("healed node missing")
 	}
 	if a.Successor() != b2 || b2.Successor() != a {
@@ -165,7 +163,6 @@ func TestTwoNodeRingPartitionHeals(t *testing.T) {
 	}
 	verifyConverged(t, r)
 	verifyLookups(t, r, 49, 50)
-	_ = b
 }
 
 // TestOneNodeRingPartitionHeals: a partition that severs everyone else
@@ -189,7 +186,7 @@ func TestOneNodeRingPartitionHeals(t *testing.T) {
 			side = append(side, n)
 		}
 	}
-	severSide(r, side)
+	severSide(t, r, side)
 	if r.Size() != 1 {
 		t.Fatalf("ring size during total partition = %d, want 1", r.Size())
 	}

@@ -3,18 +3,19 @@
 // simulation clock, while continuous queries are live. The paper
 // evaluates RJoin on a stable overlay; this package turns the
 // simulator into a fault-model testbed by exercising the machinery a
-// real DHT deployment depends on — periodic Chord stabilization,
-// graceful-leave state handover, in-flight message bouncing, ownership
-// re-routing, and engine-level crash recovery (all implemented in
-// internal/chord, internal/overlay and internal/core; this package is
-// the policy layer deciding when membership changes happen).
+// real DHT deployment depends on — graceful-leave state handover,
+// in-flight message bouncing, ownership re-routing, and engine-level
+// crash recovery (all implemented in internal/chord, internal/overlay
+// and internal/core; this package is the policy layer deciding when
+// membership changes happen). The ring's routing pointers are exact
+// after every membership call, so there is no maintenance to schedule.
 //
 // Start draws Bernoulli trials per event class on a fixed cadence,
 // matching the configured expected rates; Join, Leave and Crash inject
-// one event each. The periodic work runs as background simulation
-// events: pending churn never keeps Engine.Run from reaching
-// quiescence, it simply happens whenever foreground traffic (or an
-// explicit RunUntil) advances the virtual clock.
+// one event each. The trials run as background simulation events:
+// pending churn never keeps Engine.Run from reaching quiescence, it
+// simply happens whenever foreground traffic (or an explicit RunUntil)
+// advances the virtual clock.
 //
 // What a crash costs depends on the engine's replication setting: with
 // core.Config.ReplicationFactor < 2 the dead node's keyed state is
@@ -59,13 +60,6 @@ type Config struct {
 	// capped at one event per class.
 	Interval int64
 
-	// StabilizeEvery is the period in ticks of the incremental Chord
-	// maintenance round (default 64). Zero keeps the default;
-	// negative disables periodic stabilization (tests only — without
-	// it, routing degrades to successor-list and ground-truth
-	// fallbacks after membership changes).
-	StabilizeEvery int64
-
 	// MinNodes is the floor below which leaves and crashes are skipped
 	// (default 2). Joins are always allowed.
 	MinNodes int
@@ -105,9 +99,6 @@ func New(eng *core.Engine, cfg Config) *Manager {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 32
 	}
-	if cfg.StabilizeEvery == 0 {
-		cfg.StabilizeEvery = 64
-	}
 	if cfg.MinNodes < 2 {
 		cfg.MinNodes = 2
 	}
@@ -118,10 +109,10 @@ func New(eng *core.Engine, cfg Config) *Manager {
 	}
 }
 
-// Start registers the periodic background work: the incremental
-// stabilization round, and — when any rate is configured — the churn
-// trials. Calling Start twice is a no-op; calling it after Stop
-// registers fresh series (series from before the Stop stay dead).
+// Start registers the churn trials as periodic background work when
+// any rate is configured. Calling Start twice is a no-op; calling it
+// after Stop registers a fresh series (series from before the Stop
+// stay dead).
 func (m *Manager) Start() {
 	if m.started {
 		return
@@ -130,20 +121,9 @@ func (m *Manager) Start() {
 	m.stopped = false
 	m.gen++
 	gen := m.gen
-	alive := func() bool { return !m.stopped && m.gen == gen }
-	se := m.eng.Sim()
-	if m.cfg.StabilizeEvery > 0 {
-		se.EveryBg(m.cfg.StabilizeEvery, func(sim.Time) bool {
-			if !alive() {
-				return false
-			}
-			m.eng.Ring().TickStabilize()
-			return true
-		})
-	}
 	if m.cfg.Rates.Enabled() {
-		se.EveryBg(m.cfg.Interval, func(sim.Time) bool {
-			if !alive() {
+		m.eng.Sim().EveryBg(m.cfg.Interval, func(sim.Time) bool {
+			if m.stopped || m.gen != gen {
 				return false
 			}
 			m.step()
@@ -153,8 +133,7 @@ func (m *Manager) Start() {
 }
 
 // Stop cancels the periodic work at its next firing. The manager can
-// be restarted: Start (or the next explicit membership call) registers
-// fresh series.
+// be restarted: Start registers a fresh series.
 func (m *Manager) Stop() {
 	m.stopped = true
 	m.started = false
@@ -203,24 +182,13 @@ func (m *Manager) victim() *chord.Node {
 	return nodes[m.rng.Intn(len(nodes))]
 }
 
-// ensureStarted lazily activates the periodic maintenance loops the
-// first time membership actually changes, so a network that stays
-// static pays nothing for them.
-func (m *Manager) ensureStarted() {
-	if !m.started {
-		m.Start()
-	}
-}
-
 // Join adds one node at a pseudo-random unoccupied identifier and
 // hands it the stored state of its new arc.
 func (m *Manager) Join() (*chord.Node, error) {
-	m.ensureStarted()
 	for attempt := 0; attempt < 64; attempt++ {
 		n, err := m.eng.JoinNode(id.ID(m.rng.Uint64()))
 		if err == nil {
 			m.Stats.Joins++
-			m.settle()
 			return n, nil
 		}
 	}
@@ -230,31 +198,19 @@ func (m *Manager) Join() (*chord.Node, error) {
 // Leave removes the node gracefully, draining its state to its
 // successor first.
 func (m *Manager) Leave(n *chord.Node) error {
-	m.ensureStarted()
 	if err := m.eng.LeaveNode(n); err != nil {
 		return err
 	}
 	m.Stats.Leaves++
-	m.settle()
 	return nil
 }
 
 // Crash removes the node abruptly; its state is lost and the engine
 // re-indexes what it can recover.
 func (m *Manager) Crash(n *chord.Node) error {
-	m.ensureStarted()
 	if err := m.eng.CrashNode(n); err != nil {
 		return err
 	}
 	m.Stats.Crashes++
-	m.settle()
 	return nil
-}
-
-// settle runs one incremental stabilization round right after a
-// membership change — the burst of maintenance neighbours perform when
-// they notice a change — so routing re-converges even when the
-// periodic loop is not running.
-func (m *Manager) settle() {
-	m.eng.Ring().TickStabilize()
 }

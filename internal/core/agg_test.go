@@ -93,7 +93,6 @@ func runAggWorkload(t *testing.T, eng *Engine, nodes []*chord.Node, churn bool) 
 			if err := eng.LeaveNode(victim); err != nil {
 				t.Fatal(err)
 			}
-			eng.Ring().TickStabilize()
 		}
 	}
 	eng.Run()
@@ -486,7 +485,6 @@ func TestFlushOrderMatchesFullScan(t *testing.T) {
 	if err := eng.LeaveNode(victim); err != nil {
 		t.Fatal(err)
 	}
-	eng.Ring().TickStabilize()
 	run("leave")
 
 	publish(5)
@@ -494,7 +492,6 @@ func TestFlushOrderMatchesFullScan(t *testing.T) {
 	if err := eng.CrashNode(victim); err != nil {
 		t.Fatal(err)
 	}
-	eng.Ring().TickStabilize()
 	run("crash")
 	if eng.Counters.ReplPromotions == 0 || eng.Counters.AggStateLost != 0 {
 		t.Fatalf("crash: %d promotions, %d aggregation partials lost", eng.Counters.ReplPromotions, eng.Counters.AggStateLost)
@@ -542,100 +539,134 @@ func pick(refs []flushRef, local bool) []flushRef {
 // heaviest one later crashes, both with tuples in flight. After every
 // Run each view equals agg.Reference over everything published so far
 // and no node holds a dead epoch (checkNothingDead); by the end, most
-// epochs have died.
+// epochs have died. A node also joins just before the heaviest
+// aggregator at tuple 100, taking nearly its whole arc while partials
+// are in flight to it.
 func TestAggEpochDeathsExact(t *testing.T) {
+	for _, rf := range []int{1, 2} {
+		aggEpochDeaths(t, rf, 100)
+	}
+}
+
+// TestAggViewsExactAcrossJoins sweeps the join of TestAggEpochDeathsExact
+// over stops in [60, 140] at which the loop leaves tuples in flight. At
+// each point, at rf 1 and 2, an aggregate row was lost while the
+// joiner's predecessor still routed the joiner's keys to the joiner's
+// successor: the successor forwarded the partials through the same
+// stale pointer until a hop budget ran out, then folded them itself,
+// and the key had two aggregator groups.
+func TestAggViewsExactAcrossJoins(t *testing.T) {
+	for _, joinAt := range []int{64, 73, 81, 90, 111, 120, 129, 139} {
+		t.Run(fmt.Sprintf("join at %d", joinAt), func(t *testing.T) {
+			t.Parallel()
+			for _, rf := range []int{1, 2} {
+				aggEpochDeaths(t, rf, joinAt)
+			}
+		})
+	}
+}
+
+// aggEpochDeaths runs TestAggEpochDeathsExact's script at replication
+// factor rf, with a node joining just before the heaviest aggregator
+// after tuple joinAt's publication. Joins happen only at RunUntil stops
+// (i%3 != 2 and i%7 != 0), so that tuples are in flight across them.
+func aggEpochDeaths(t *testing.T, rf, joinAt int) {
+	t.Helper()
 	queries := []string{
 		"select R.A, count(*), sum(S.B) from R,S where R.A=S.A group by R.A within 8 tuples tumbling",
 		"select R.A, count(*), max(S.B) from R,S where R.A=S.A group by R.A within 8 tuples",
 		"select R.A, count(*), min(S.B) from R,S where R.A=S.A group by R.A within 24 ticks tumbling",
 		"select R.A, count(*), sum(S.B) from R,S where R.A=S.A group by R.A within 24 ticks",
 	}
-	for _, rf := range []int{1, 2} {
-		eng, nodes := testNet(t, 32, 17, replCfg(rf), churnNetCfg())
-		owner := nodes[0] // subscribes; never churns
-		var qids []string
-		for _, sql := range queries {
-			qid, err := eng.SubmitQuery(owner, sqlparse.MustParse(sql, testCat))
-			if err != nil {
+	eng, nodes := testNet(t, 32, 17, replCfg(rf), churnNetCfg())
+	owner := nodes[0] // subscribes; never churns
+	var qids []string
+	for _, sql := range queries {
+		qid, err := eng.SubmitQuery(owner, sqlparse.MustParse(sql, testCat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		qids = append(qids, qid)
+	}
+	eng.Run()
+	// heaviest is the node other than the owner holding the most
+	// aggregator groups.
+	heaviest := func() *chord.Node {
+		var best *chord.Node
+		most := 0
+		for _, n := range eng.Ring().Nodes() {
+			if c := len(eng.procs[n.ID()].st.aggs); n != owner && c > most {
+				best, most = n, c
+			}
+		}
+		if best == nil {
+			t.Fatalf("rf %d: no node aggregates", rf)
+		}
+		return best
+	}
+	var published []*relation.Tuple
+	raced := 0 // RunUntil stops that left tuples in flight
+	check := func(label string) {
+		t.Helper()
+		checkNothingDead(t, eng)
+		if len(published) < 8 {
+			return // not every view has a row yet
+		}
+		for i, qid := range qids {
+			aggViewsMatch(t, label, queries[i], eng, qid, published)
+		}
+	}
+	// One tuple at a time, so the horizon's sequence takes every value
+	// and a drain may stop one clock short of an epoch's end; tuples
+	// race across most stops.
+	for i := 0; i < 160; i++ {
+		tu := mkTuple("R", int64(i/2%3), int64(i%7), 0)
+		if i%2 == 1 {
+			tu = mkTuple("S", int64(i/2%3), int64(i%5), 0)
+		}
+		published = append(published, tu)
+		alive := eng.Ring().Nodes()
+		eng.PublishTuple(alive[i*7%len(alive)], tu)
+		if i%3 == 2 || i%7 == 0 {
+			eng.Run()
+			check(fmt.Sprintf("rf %d, tuple %d", rf, i))
+			continue
+		}
+		eng.RunUntil(eng.Sim().Now() + 6) // deliveries in flight across the next publications
+		if eng.Sim().PendingForeground() > 0 {
+			raced++
+		}
+		switch {
+		case i == 61:
+			if err := eng.LeaveNode(heaviest()); err != nil {
 				t.Fatal(err)
 			}
-			qids = append(qids, qid)
-		}
-		eng.Run()
-		// heaviest is the node other than the owner holding the most
-		// aggregator groups.
-		heaviest := func() *chord.Node {
-			var best *chord.Node
-			most := 0
-			for _, n := range eng.Ring().Nodes() {
-				if c := len(eng.procs[n.ID()].st.aggs); n != owner && c > most {
-					best, most = n, c
-				}
-			}
-			if best == nil {
-				t.Fatalf("rf %d: no node aggregates", rf)
-			}
-			return best
-		}
-		var published []*relation.Tuple
-		raced := 0 // RunUntil stops that left tuples in flight
-		check := func(label string) {
-			t.Helper()
-			checkNothingDead(t, eng)
-			if len(published) < 8 {
-				return // not every view has a row yet
-			}
-			for i, qid := range qids {
-				aggViewsMatch(t, label, queries[i], eng, qid, published)
+		case i == 109 && rf == 2:
+			if err := eng.CrashNode(heaviest()); err != nil {
+				t.Fatal(err)
 			}
 		}
-		// One tuple at a time, so the horizon's sequence takes every value
-		// and a drain may stop one clock short of an epoch's end; tuples
-		// race across most stops.
-		for i := 0; i < 160; i++ {
-			tu := mkTuple("R", int64(i/2%3), int64(i%7), 0)
-			if i%2 == 1 {
-				tu = mkTuple("S", int64(i/2%3), int64(i%5), 0)
-			}
-			published = append(published, tu)
-			alive := eng.Ring().Nodes()
-			eng.PublishTuple(alive[i*7%len(alive)], tu)
-			if i%3 == 2 || i%7 == 0 {
-				eng.Run()
-				check(fmt.Sprintf("rf %d, tuple %d", rf, i))
-				continue
-			}
-			eng.RunUntil(eng.Sim().Now() + 6) // deliveries in flight across the next publications
-			if eng.Sim().PendingForeground() > 0 {
-				raced++
-			}
-			switch {
-			case i == 61:
-				if err := eng.LeaveNode(heaviest()); err != nil {
-					t.Fatal(err)
-				}
-			case i == 109 && rf == 2:
-				if err := eng.CrashNode(heaviest()); err != nil {
-					t.Fatal(err)
-				}
+		if i == joinAt { // after the switch, so it never shadows the leave or the crash
+			if _, err := eng.JoinNode(heaviest().ID() - 1); err != nil {
+				t.Fatal(err)
 			}
 		}
-		eng.Run()
-		check(fmt.Sprintf("rf %d, the end", rf))
-		if c := eng.Counters; raced < 30 || c.AggStateLost != 0 || c.HandoverMessages == 0 || rf == 2 && c.ReplPromotions == 0 {
-			t.Fatalf("rf %d: %d stops left tuples in flight; %d epochs lost, %d handover messages, %d promotions",
-				rf, raced, c.AggStateLost, c.HandoverMessages, c.ReplPromotions)
-		}
-		var live int64
-		for _, p := range eng.procs {
-			live += p.st.counts().aggEpochs
-		}
-		rows := 0
-		for _, qid := range qids {
-			rows += len(eng.AggRows(qid))
-		}
-		if 4*live > int64(rows) {
-			t.Fatalf("rf %d: %d epochs are stored for %d view rows; too few died", rf, live, rows)
-		}
+	}
+	eng.Run()
+	check(fmt.Sprintf("rf %d, the end", rf))
+	if c := eng.Counters; raced < 30 || c.AggStateLost != 0 || c.HandoverMessages == 0 || rf == 2 && c.ReplPromotions == 0 {
+		t.Fatalf("rf %d: %d stops left tuples in flight; %d epochs lost, %d handover messages, %d promotions",
+			rf, raced, c.AggStateLost, c.HandoverMessages, c.ReplPromotions)
+	}
+	var live int64
+	for _, p := range eng.procs {
+		live += p.st.counts().aggEpochs
+	}
+	rows := 0
+	for _, qid := range qids {
+		rows += len(eng.AggRows(qid))
+	}
+	if 4*live > int64(rows) {
+		t.Fatalf("rf %d: %d epochs are stored for %d view rows; too few died", rf, live, rows)
 	}
 }

@@ -3,9 +3,7 @@ package core
 import (
 	"testing"
 
-	"rjoin/internal/overlay"
 	"rjoin/internal/relation"
-	"rjoin/internal/sqlparse"
 )
 
 // TestRowKeyInjective is the regression test for the DISTINCT
@@ -40,59 +38,5 @@ func TestRowKeyInjective(t *testing.T) {
 	b := []relation.Value{str("x\x00y"), relation.Int64(7)}
 	if rowKey(a) != rowKey(b) {
 		t.Error("equal rows produced different row keys")
-	}
-}
-
-// TestAllAnswersSnapshot: the map AllAnswers returns must be detached
-// from engine state — mutating it (as the churn experiments' multiset
-// bookkeeping reasonably could) must not corrupt the live answer
-// stream or the counters derived from it.
-func TestAllAnswersSnapshot(t *testing.T) {
-	eng, nodes := testNet(t, 16, 3, DefaultConfig(), overlay.DefaultConfig())
-	q := sqlparse.MustParse("select R.B, S.B from R,S where R.A=S.A", testCat)
-	qid, err := eng.SubmitQuery(nodes[0], q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	eng.PublishTuple(nodes[1], mkTuple("R", 1, 10, 0))
-	eng.PublishTuple(nodes[2], mkTuple("S", 1, 20, 0))
-	eng.Run()
-
-	before := len(eng.Answers(qid))
-	if before == 0 {
-		t.Fatal("workload produced no answers")
-	}
-	snap := eng.AllAnswers()
-	// Corrupt the snapshot every way a caller could, including mutating
-	// the value rows in place (the slices must be deep copies).
-	for k, list := range snap {
-		for i := range list {
-			list[i].Query = "corrupted"
-			for j := range list[i].Row {
-				list[i].Row[j] = relation.Int64(-999)
-			}
-			list[i].Row = nil
-		}
-		snap[k] = append(list, Answer{Query: "injected"})
-	}
-	delete(snap, qid)
-
-	live := eng.Answers(qid)
-	if len(live) != before {
-		t.Fatalf("live answer stream length changed: %d -> %d", before, len(live))
-	}
-	for _, a := range live {
-		if a.Query != qid || a.Row == nil {
-			t.Fatalf("live answer corrupted through AllAnswers: %+v", a)
-		}
-		for _, v := range a.Row {
-			if v.Kind == relation.KindInt && v.Int == -999 {
-				t.Fatalf("live answer values mutated through shallow snapshot: %+v", a)
-			}
-		}
-	}
-	if again := eng.AllAnswers(); len(again[qid]) != before {
-		t.Fatalf("second snapshot sees %d answers, want %d", len(again[qid]), before)
 	}
 }

@@ -184,7 +184,6 @@ func TestRepeatedLeavesStayComplete(t *testing.T) {
 			if err := eng.LeaveNode(alive[(round*5)%len(alive)]); err != nil {
 				t.Fatal(err)
 			}
-			eng.Ring().TickStabilize()
 		}
 		eng.Run()
 	}
@@ -218,9 +217,6 @@ func TestCrashRecoversInputQueries(t *testing.T) {
 	}
 	if err := eng.CrashNode(victim); err != nil {
 		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		eng.Ring().TickStabilize()
 	}
 	eng.Run() // recovery re-submission lands
 
@@ -367,9 +363,6 @@ func TestJoinNodeTakesOverArc(t *testing.T) {
 	jp := eng.procs[joined.ID()]
 	if len(jp.st.queries[targetKey]) == 0 {
 		t.Fatal("joined node did not receive the stored queries of its arc")
-	}
-	for i := 0; i < 4; i++ {
-		eng.Ring().TickStabilize()
 	}
 
 	for i := 0; i < 10; i++ {

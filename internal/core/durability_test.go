@@ -58,9 +58,6 @@ func TestCrashPromotionExactlyOnce(t *testing.T) {
 	if err := eng.CrashNode(victim); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		eng.Ring().TickStabilize()
-	}
 	eng.Run()
 	for i := 0; i < 8; i++ {
 		pub(i, mkTuple("S", int64(i%4), int64(200+i), 0))
@@ -117,7 +114,6 @@ func TestRepeatedCrashesStayComplete(t *testing.T) {
 				if err := eng.CrashNode(alive[(round*5)%len(alive)]); err != nil {
 					t.Fatal(err)
 				}
-				eng.Ring().TickStabilize()
 			}
 			eng.Run()
 		}
@@ -174,9 +170,6 @@ func TestCrashPromotionDistinct(t *testing.T) {
 	}
 	if err := eng.CrashNode(victim); err != nil {
 		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		eng.Ring().TickStabilize()
 	}
 	eng.Run()
 	// Replays of the same join values: consumed projections must stay
@@ -246,7 +239,6 @@ func TestCrashPromotionAggState(t *testing.T) {
 			if err := eng.CrashNode(victim); err != nil {
 				t.Fatal(err)
 			}
-			eng.Ring().TickStabilize()
 		}
 	}
 	eng.Run()
@@ -304,9 +296,6 @@ func TestLeaveWithReplicationInFlight(t *testing.T) {
 	eng.RunUntil(eng.Sim().Now() + 1)
 	if err := eng.LeaveNode(eng.Ring().Owner(victim.ID())); err != nil { // the primary itself
 		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		eng.Ring().TickStabilize()
 	}
 	eng.Run()
 	for i := 0; i < 8; i++ {
@@ -429,7 +418,6 @@ func TestMirrorsTrackLiveState(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			eng.Ring().TickStabilize()
 			eng.Run()
 			replicasTrackRing(t, eng)
 		}
@@ -542,30 +530,29 @@ func TestRejectedJoinLeavesNoTrace(t *testing.T) {
 // invariant: on a serial engine, after every single event and every
 // membership call — tuples, rewrites and aggregate partials in flight —
 // no replica op is left uncharged, every keyed entry sits at its ring
-// owner, and nothing is counted lost. The script runs twice: with a
-// stabilization round after each membership call, as churn.Manager
-// drives them, and without one, so every protocol pointer stays as
-// stale as the calls leave it. Nothing is lost either way; on the bare
-// run, placement is not checked, because a node whose predecessor
-// pointer lags accepts a delivery for a key it no longer owns — the
-// arrival-side ownership check trusts local routing state, which only
-// stabilization repairs.
+// owner, and nothing is counted lost. Nothing runs between a membership
+// call and the next event: the call itself leaves every routing pointer
+// exact, so a delivery for a key that moved is forwarded on arrival,
+// never processed at the node it was addressed to. The script runs
+// twice: bare, each membership call landing with publications still in
+// flight, and stabilized, the overlay drained to quiescence before each
+// call. All three checks hold after every event in both.
 func TestMirrorsMatchAtEveryEvent(t *testing.T) {
-	for _, stabilize := range []bool{true, false} {
-		t.Run(map[bool]string{true: "stabilized", false: "bare"}[stabilize], func(t *testing.T) {
-			mirrorsMatchAtEveryEvent(t, stabilize)
+	for _, settle := range []bool{true, false} {
+		t.Run(map[bool]string{true: "stabilized", false: "bare"}[settle], func(t *testing.T) {
+			mirrorsMatchAtEveryEvent(t, settle)
 		})
 	}
 }
 
-func mirrorsMatchAtEveryEvent(t *testing.T, stabilize bool) {
+func mirrorsMatchAtEveryEvent(t *testing.T, settle bool) {
 	eng, nodes := testNet(t, 12, 29, replCfg(3), churnNetCfg())
 	check := func(when string) {
 		t.Helper()
 		if err := nothingUncharged(eng); err != nil {
 			t.Fatalf("%s: %v", when, err)
 		}
-		if err := keyedAtOwners(eng); err != nil && stabilize {
+		if err := keyedAtOwners(eng); err != nil {
 			t.Fatalf("%s: %v", when, err)
 		}
 		if lost := memLost(eng); lost != 0 {
@@ -606,7 +593,11 @@ func mirrorsMatchAtEveryEvent(t *testing.T, stabilize bool) {
 		}
 		eng.PublishTuple(alive[i%len(alive)], mkTuple(rel, int64(i%3), b, 0))
 		check("after a publication")
-		// Each membership change lands with publications still in flight.
+		// On the bare run each membership change lands with publications
+		// still in flight.
+		if settle && (i == 8 || i == 12 || i == 16) {
+			drain()
+		}
 		var err error
 		switch i {
 		case 8:
@@ -625,9 +616,6 @@ func mirrorsMatchAtEveryEvent(t *testing.T, stabilize bool) {
 			t.Fatal(err)
 		}
 		check(fmt.Sprintf("after the membership call behind tuple %d", i))
-		if stabilize {
-			eng.Ring().TickStabilize()
-		}
 	}
 	drain()
 	if memLost(eng) != 0 || eng.Counters.ReplPromotions != 1 || eng.Counters.ReplSyncs == 0 {
@@ -656,9 +644,6 @@ func TestCrashDuringPlacementWalk(t *testing.T) {
 	}
 	if err := eng.CrashNode(nodes[0]); err != nil {
 		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		eng.Ring().TickStabilize()
 	}
 	eng.Run()
 
@@ -822,7 +807,6 @@ func TestSnapshotPromotionKeepsAggProvenance(t *testing.T) {
 			if err := eng.CrashNode(origin); err != nil {
 				t.Fatal(err)
 			}
-			eng.Ring().TickStabilize()
 			eng.Run()
 			promoted := aggGroupsOf(eng.procs[eng.Ring().Owner(origin.ID()).ID()])
 			for key, pubAt := range want {

@@ -77,7 +77,6 @@ func TestNoQueryStoredTwice(t *testing.T) {
 						if err := storedOnce(eng); err != nil {
 							t.Fatalf("step %d, mid-drain: %v", i, err)
 						}
-						eng.Ring().TickStabilize()
 						eng.Run()
 						if err := storedOnce(eng); err != nil {
 							t.Fatalf("step %d: %v", i, err)

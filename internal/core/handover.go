@@ -148,9 +148,10 @@ func (e *Engine) chargeHandover(from *Proc, n int) {
 // JoinNode adds a node with the given identifier to a running network:
 // the node joins the ring, attaches a processor, and receives from its
 // successor the slice of stored state falling in its new arc — the key
-// handoff of Chord's join protocol, charged as churn traffic. Routing
-// state elsewhere converges through periodic stabilization; until then,
-// stale deliveries heal through the ownership re-route path.
+// handoff of Chord's join protocol, charged as churn traffic. Every
+// node's routing pointers are exact when the ring join returns; a keyed
+// message already in flight to the successor is forwarded to the joiner
+// on arrival (Proc.reroute).
 func (e *Engine) JoinNode(nid id.ID) (*chord.Node, error) {
 	n, err := e.ring.Join(nid)
 	if err != nil {

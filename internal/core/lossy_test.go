@@ -51,18 +51,21 @@ func lossyNet(t testing.TB, n int, seed int64, workers int, cfg Config, netCfg o
 	return eng, ring.Nodes()
 }
 
-// splitPartition bisects the current membership into a partition window
-// [start, end): the identifier-ordered first half against the rest.
-func splitPartition(t *testing.T, eng *Engine, start, end sim.Time) {
+// splitPartition adds to the engine's fault plan a partition window
+// [start, end) that bisects the current membership: the
+// identifier-ordered first half against the rest. The engine must be
+// quiescent, so that no send in flight drew its attempts without it.
+func splitPartition(t *testing.T, plan *overlay.Faults, eng *Engine, start, end sim.Time) {
 	t.Helper()
+	if n := eng.Sim().PendingForeground(); n > 0 {
+		t.Fatalf("partition added with %d events in flight", n)
+	}
 	nodes := eng.Ring().Nodes()
 	side := make(map[id.ID]bool, len(nodes)/2)
 	for _, n := range nodes[:len(nodes)/2] {
 		side[n.ID()] = true
 	}
-	if err := eng.Net().AddPartition(overlay.Partition{Start: start, End: end, Side: side}); err != nil {
-		t.Fatal(err)
-	}
+	plan.Partitions = append(plan.Partitions, overlay.Partition{Start: start, End: end, Side: side})
 }
 
 // faultCounters asserts the fault machinery both fired and fully
@@ -87,7 +90,8 @@ func faultCounters(t *testing.T, eng *Engine, label string) {
 func TestLossyExactlyOnce(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ReplicationFactor = 2
-	eng, nodes := lossyNet(t, 48, 11, 0, cfg, lossyNetCfg(lossyPlan()))
+	plan := lossyPlan()
+	eng, nodes := lossyNet(t, 48, 11, 0, cfg, lossyNetCfg(plan))
 	queries := []string{
 		"select R.B, S.B from R,S where R.A=S.A",
 		"select R.B, J.B from R,S,J where R.A=S.A and S.B=J.B",
@@ -117,7 +121,7 @@ func TestLossyExactlyOnce(t *testing.T) {
 	// publishing. Run() is withheld until after the heal, so deliveries
 	// race the window.
 	start := eng.Sim().Now() + 2
-	splitPartition(t, eng, start, start+60)
+	splitPartition(t, plan, eng, start, start+60)
 	for i := 0; i < 12; i++ {
 		pub(i, mkTuple("R", int64(i%4), int64(100+i), 0))
 		pub(i+3, mkTuple("S", int64(i%4), int64(i%5), 0))
@@ -202,7 +206,8 @@ func TestLossyDistinctNoDuplicates(t *testing.T) {
 func TestLossyAggViews(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ReplicationFactor = 2
-	eng, nodes := lossyNet(t, 48, 17, 0, cfg, lossyNetCfg(lossyPlan()))
+	plan := lossyPlan()
+	eng, nodes := lossyNet(t, 48, 17, 0, cfg, lossyNetCfg(plan))
 	queries := []string{
 		"select R.A, count(*), sum(S.B), min(S.B), max(S.B), avg(S.B), count(distinct S.B) from R,S where R.A=S.A group by R.A",
 		"select count(*), max(R.B) from R,S where R.A=S.A",
@@ -220,7 +225,7 @@ func TestLossyAggViews(t *testing.T) {
 
 	var published []*relation.Tuple
 	start := eng.Sim().Now() + 30
-	splitPartition(t, eng, start, start+50)
+	splitPartition(t, plan, eng, start, start+50)
 	for round := 0; round < 30; round++ {
 		r := mkTuple("R", int64(round%4), int64(round%7), 0)
 		s := mkTuple("S", int64(round%4), int64(round%5), 0)
@@ -252,7 +257,8 @@ func TestLossyExactlyOnceParallel(t *testing.T) {
 	for _, workers := range []int{2, 4} {
 		cfg := DefaultConfig()
 		cfg.ReplicationFactor = 2
-		eng, nodes := lossyNet(t, 48, 19, workers, cfg, lossyNetCfg(lossyPlan()))
+		plan := lossyPlan()
+		eng, nodes := lossyNet(t, 48, 19, workers, cfg, lossyNetCfg(plan))
 		q := "select R.B, S.B from R,S where R.A=S.A"
 		qid, err := eng.SubmitQuery(nodes[2], sqlparse.MustParse(q, testCat))
 		if err != nil {
@@ -261,7 +267,7 @@ func TestLossyExactlyOnceParallel(t *testing.T) {
 		eng.Run()
 		var published []*relation.Tuple
 		start := eng.Sim().Now() + 10
-		splitPartition(t, eng, start, start+40)
+		splitPartition(t, plan, eng, start, start+40)
 		for i := 0; i < 20; i++ {
 			r := mkTuple("R", int64(i%4), int64(i), 0)
 			s := mkTuple("S", int64(i%4), int64(i%5), 0)

@@ -15,9 +15,10 @@ import (
 // enumerates every short sequence of membership operations on a small
 // ring that holds one entry of every state class, and checks after each
 // that nothing was lost, no replica op was left uncharged, every keyed
-// entry sits at its key's ground-truth owner, and state only moved. Two
-// of its three modes never stabilize the ring — the worst case for any
-// mechanism that reads a node's protocol pointers.
+// entry sits at its key's ground-truth owner, and state only moved. It
+// runs each script drained and bare: with Run() after every operation,
+// and with the operations back to back and messages in flight across
+// all of them.
 
 // memOp is one membership operation, named by ring position at the
 // time it runs so a script replays on a fresh world.
@@ -193,15 +194,13 @@ func (s *memSweep) explore(script []memOp, moved, crashOnly bool) {
 type memMode string
 
 const (
-	// memDrained is Run() after every operation, never a stabilization round.
+	// memDrained is Run() after every operation.
 	memDrained memMode = "drained"
-	// memUndrained issues the operations back to back with one stabilization
-	// round after each, what churn.Manager.step() does when two draws hit
-	// one tick.
+	// memUndrained delivers one pending event after every operation, so
+	// the next one lands with the previous one's messages part-delivered.
 	memUndrained memMode = "undrained"
-	// memBare issues them back to back with nothing in between: no drain and
-	// no stabilization, so every protocol pointer is as stale as the
-	// script makes it.
+	// memBare issues the operations back to back with nothing in between,
+	// what churn.Manager.step() does when two draws hit one tick.
 	memBare memMode = "bare"
 )
 
@@ -211,9 +210,9 @@ const (
 //
 // Every mode asserts all four invariants on every script: replica
 // updates are charged where their primary mutates, and every membership
-// operation installs the state it moves at its ground-truth owner before
-// returning, so none can find another's move half done and no stale
-// pointer decides where state goes.
+// operation installs the state it moves at its ground-truth owner, and
+// leaves every routing pointer exact, before returning, so none can find
+// another's move half done.
 func (s *memSweep) run(script []memOp, crashOnly bool) ([4]error, int) {
 	eng := memWorld(s.t, s.rf)
 	base := memCounts(eng)
@@ -225,7 +224,9 @@ func (s *memSweep) run(script []memOp, crashOnly bool) ([4]error, int) {
 		case memDrained:
 			eng.Run()
 		case memUndrained:
-			eng.Ring().TickStabilize()
+			if eng.Sim().PendingForeground() > 0 {
+				eng.Sim().Step()
+			}
 		}
 	}
 	eng.Run()
@@ -248,10 +249,9 @@ func (s *memSweep) report() {
 
 // TestMembershipExhaustive runs every script of at most three
 // operations from {join at each gap, leave i, crash i} (plus MoveNode,
-// in scripts of at most two: it is leave + join + its own BuildPerfect,
-// so depth three already covers its halves unstabilized) at
-// ReplicationFactor 2 and 3 — depth two under -short — in all three
-// modes.
+// in scripts of at most two: it is leave + join, so depth three already
+// covers its halves) at ReplicationFactor 2 and 3 — depth two under
+// -short — in all three modes.
 func TestMembershipExhaustive(t *testing.T) {
 	eng := memWorld(t, 2)
 	var rewrites, altt, ct int

@@ -55,14 +55,12 @@ func newAnswerMsg(queryID string, owner id.ID, values []relation.Value, pubAt in
 }
 
 // tupleMsg is Procedure 1's newTuple(t, Key, IP(x), Level) message: one
-// copy per index key of the tuple. Reroutes counts ownership
-// corrections applied mid-churn (see Proc.reroute).
+// copy per index key of the tuple.
 type tupleMsg struct {
 	T         *relation.Tuple
 	Key       relation.Key
 	Level     query.Level
 	Publisher id.ID
-	Reroutes  uint8
 }
 
 // RingKey implements overlay.Rekeyable: an undeliverable tuple message
@@ -75,12 +73,11 @@ func (m *tupleMsg) RingKey() id.ID { return m.Key.ID() }
 // entries learned by the sender are piggy-backed per Section 7, copied
 // into the message: the receiver reads them ticks later.
 type evalMsg struct {
-	SQ       *storedQuery
-	Key      relation.Key
-	Level    query.Level
-	RIC      []ricInfo
-	Reroutes uint8
-	ric      [inlineReports]ricInfo
+	SQ    *storedQuery
+	Key   relation.Key
+	Level query.Level
+	RIC   []ricInfo
+	ric   [inlineReports]ricInfo
 }
 
 // RingKey implements overlay.Rekeyable.
@@ -128,8 +125,7 @@ type aggPartialMsg struct {
 	// PubAt is the triggering tuple's publication vtime (see
 	// answerMsg.PubAt); the aggregator folds it into the group's
 	// latency watermark.
-	PubAt    int64
-	Reroutes uint8
+	PubAt int64
 	// Lineage is the row's provenance (see answerMsg.Lineage); the
 	// aggregator folds it into the group's per-epoch lineage union.
 	Lineage []query.LineageStep

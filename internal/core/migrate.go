@@ -20,10 +20,9 @@ import (
 // state in between, is refused before anything changes (as LeaveNode
 // refuses a node this engine does not run).
 //
-// Two steps serve the caller rather than the protocol: the harness that
-// moves identifiers runs no stabilization loop, so routing state is
-// rebuilt converged, and it ranks load per physical node, so the
-// accumulated QPL/SL follow the node to its new identifier.
+// One step serves the caller rather than the protocol: the harness that
+// moves identifiers ranks load per physical node, so the accumulated
+// QPL/SL follow the node to its new identifier.
 func (e *Engine) MoveNode(n *chord.Node, newID id.ID) (*chord.Node, error) {
 	if e.ring.Node(newID) != nil {
 		return nil, fmt.Errorf("core: cannot move node %s to %s: identifier taken", n.ID(), newID)
@@ -38,7 +37,6 @@ func (e *Engine) MoveNode(n *chord.Node, newID id.ID) (*chord.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.ring.BuildPerfect()
 	e.QPL.Rename(n.ID(), nn.ID())
 	e.SL.Rename(n.ID(), nn.ID())
 	return nn, nil

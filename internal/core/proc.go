@@ -191,22 +191,23 @@ func (p *Proc) nextReqID() int64 {
 // HandleMessage dispatches overlay deliveries. The pooled message
 // kinds are recycled once their handler returns — handlers copy out
 // everything they retain. Keyed messages that arrive at a node that no
-// longer owns their key (stale routing state mid-churn) are re-routed
-// before any processing, and are not recycled on that path: they are
-// still in flight. Handlers that mutate state leave their replica ops
-// counted in it; the trailing replFlush charges them to every replica
-// target, so no replica update is ever outstanding between events.
+// longer owns their key (the key moved while they were in flight) are
+// re-routed before any processing, and are not recycled on that path:
+// they are still in flight. Handlers that mutate state leave their
+// replica ops counted in it; the trailing replFlush charges them to
+// every replica target, so no replica update is ever outstanding
+// between events.
 func (p *Proc) HandleMessage(now sim.Time, msg overlay.Message) {
 	switch m := msg.(type) {
 	case *tupleMsg:
-		if p.reroute(m.Key, &m.Reroutes, m) {
+		if p.reroute(m.Key, m) {
 			return
 		}
 		p.onTuple(now, m)
 		*m = tupleMsg{}
 		tupleMsgPool.Put(m)
 	case *evalMsg:
-		if p.reroute(m.Key, &m.Reroutes, m) {
+		if p.reroute(m.Key, m) {
 			return
 		}
 		p.onEval(now, m)
@@ -217,7 +218,7 @@ func (p *Proc) HandleMessage(now sim.Time, msg overlay.Message) {
 		*m = answerMsg{}
 		answerMsgPool.Put(m)
 	case *aggPartialMsg:
-		if p.reroute(m.Key, &m.Reroutes, m) {
+		if p.reroute(m.Key, m) {
 			return
 		}
 		p.onAggPartial(now, m)
@@ -235,21 +236,16 @@ func (p *Proc) HandleMessage(now sim.Time, msg overlay.Message) {
 	p.replFlush()
 }
 
-// maxReroutes bounds ownership-correction forwarding so a message
-// cannot circulate forever between nodes with mutually stale views; a
-// message that exhausts the budget is processed where it is.
-const maxReroutes = 4
-
-// reroute forwards a keyed message that was delivered to a node whose
-// local routing state says it is not responsible for the key — the
-// arrival-side half of churn healing (the overlay's bounce path covers
-// dead recipients; this covers live-but-wrong ones). In a converged
-// ring it never fires. Returns true when the message was forwarded.
-func (p *Proc) reroute(key relation.Key, hops *uint8, m overlay.Message) bool {
-	if *hops >= maxReroutes || p.ownsKey(key) {
+// reroute forwards a keyed message that was delivered to a live node
+// that no longer owns its key — a membership change moved the key while
+// the message was in flight (the overlay's bounce path covers dead
+// recipients; this covers live ones). Routing is exact, so the forward
+// reaches the key's current owner; a message is never processed
+// elsewhere. Returns true when the message was forwarded.
+func (p *Proc) reroute(key relation.Key, m overlay.Message) bool {
+	if p.ownsKey(key) {
 		return false
 	}
-	*hops++
 	p.ctr.MessagesRerouted++
 	p.eng.net.Send(p.node, key.ID(), m)
 	return true
@@ -297,19 +293,12 @@ func (p *Proc) rate(key relation.Key, now sim.Time) float64 {
 	return st.rate(now, ricWindow)
 }
 
-// ownsKey reports whether this node is Successor(Hash(key)) according
-// to its local routing state. The key's ring identifier is cached, so
-// this is pure interval arithmetic. While the predecessor link is down
-// (unknown, or pointing at a node that crashed and has not been
-// stabilized away yet) the check falls back to ground truth, so a node
-// whose predecessor just died does not disown the keys it inherited.
+// ownsKey reports whether this node is Successor(Hash(key)): whether
+// the key lies in (predecessor, node]. The key's ring identifier is
+// cached and the predecessor pointer is exact, so this is pure interval
+// arithmetic.
 func (p *Proc) ownsKey(key relation.Key) bool {
-	pred := p.node.Predecessor()
-	if pred == nil || !pred.Alive() {
-		o := p.eng.ring.Owner(key.ID())
-		return o == nil || o.ID() == p.node.ID()
-	}
-	return id.BetweenRightIncl(key.ID(), pred.ID(), p.node.ID())
+	return id.BetweenRightIncl(key.ID(), p.node.Predecessor().ID(), p.node.ID())
 }
 
 // onTuple is Procedure 2: a node receives newTuple(t, Key, Level).

@@ -213,27 +213,6 @@ func (e *Engine) Answers(queryID string) []Answer {
 	return nil
 }
 
-// AllAnswers returns a snapshot of every live query's delivered answers
-// keyed by query ID: the map, its slices and each answer's value row
-// are copies, so callers may mutate or retain them without corrupting
-// engine state. The churn experiments use this to compare whole answer
-// sets against a reference run.
-func (e *Engine) AllAnswers() map[string][]Answer {
-	out := make(map[string][]Answer, len(e.subs))
-	for qid, s := range e.subs {
-		if len(s.rows) == 0 {
-			continue
-		}
-		cp := make([]Answer, len(s.rows))
-		for i, a := range s.rows {
-			a.Row = append([]relation.Value(nil), a.Row...)
-			cp[i] = a
-		}
-		out[qid] = cp
-	}
-	return out
-}
-
 // AggRows returns the current aggregate view of a query: the latest
 // finalized row of every (group, epoch), sorted by group key then
 // epoch. Aggregate views are complete as of the last Run() quiescence

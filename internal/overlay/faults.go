@@ -36,8 +36,7 @@
 // Shard discipline (parallel engine): everything here is the sender's
 // — its fault stream and the end of its open ack window per receiver —
 // and is touched only at send time, from the sender's shard. The
-// partition list is read-only while events run (AddPartition requires
-// a quiescent network).
+// partition list is read-only while events run.
 package overlay
 
 import (
@@ -88,8 +87,10 @@ type Faults struct {
 	// inflated by a uniform draw from [0, SpikeMax] extra ticks.
 	SpikeProb float64
 	SpikeMax  int64
-	// Partitions are scheduled link outages; see Partition. More can be
-	// added after construction with Network.AddPartition.
+	// Partitions are scheduled link outages; see Partition. A send
+	// reads the list when it draws its attempts, so a partition the
+	// plan's owner appends later — between runs, never while events
+	// execute — applies to the sends after it, not to those in flight.
 	Partitions []Partition
 	// RTO is the base retransmit timeout in ticks; 0 derives a bound
 	// from the delay model (one round trip at maximum delay plus the
@@ -157,27 +158,6 @@ func (nw *Network) initFaults() {
 		maxRetries = 6
 	}
 	nw.ladder = &ladder{rto: rto, maxRetries: maxRetries, ackDelay: ackDelay}
-}
-
-// AddPartition schedules an additional link partition after
-// construction — harnesses that only learn node identifiers once the
-// ring is built use this. It is legal only on a quiescent network (no
-// foreground event pending, e.g. right after Run): every attempt of a
-// message in flight was drawn when it was sent, so a partition added
-// later would not apply to it. Coordinator context only.
-func (nw *Network) AddPartition(p Partition) error {
-	if nw.cfg.Faults == nil {
-		return fmt.Errorf("overlay: AddPartition on a network without Faults")
-	}
-	if p.End < p.Start {
-		return fmt.Errorf("overlay: partition window [%d, %d) ends before it starts", p.Start, p.End)
-	}
-	if n := nw.Engine.PendingForeground(); n > 0 {
-		return fmt.Errorf("overlay: AddPartition with %d events in flight; "+
-			"their attempts were drawn at send time, so add partitions on a quiescent network", n)
-	}
-	nw.cfg.Faults.Partitions = append(nw.cfg.Faults.Partitions, p)
-	return nil
 }
 
 // partitioned reports whether a transmission between x and y is blocked

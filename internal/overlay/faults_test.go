@@ -120,16 +120,14 @@ func TestDuplicationSuppressed(t *testing.T) {
 
 // TestPartitionBlocksThenHeals: a message sent across an active
 // partition window is dropped and retransmitted until the window
-// closes; after the heal it arrives exactly once. The partition is
-// added on a quiescent network, the only time AddPartition allows.
+// closes; after the heal it arrives exactly once. The partition joins
+// the plan once the fixture has named its nodes, before anything is
+// sent.
 func TestPartitionBlocksThenHeals(t *testing.T) {
-	f := newFixture(t, 16, lossyCfg(&Faults{}))
+	plan := &Faults{}
+	f := newFixture(t, 16, lossyCfg(plan))
 	from, to := f.nodes[0], f.nodes[8]
-	if err := f.nw.AddPartition(Partition{
-		Start: 0, End: 60, Side: map[id.ID]bool{from.ID(): true},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	plan.Partitions = []Partition{{Start: 0, End: 60, Side: map[id.ID]bool{from.ID(): true}}}
 	f.nw.SendDirect(from, to.ID(), keyedMsg{key: to.ID(), body: "cross"})
 	f.engine.RunUntil(50)
 	if got := len(f.received[to.ID()]); got != 0 {
@@ -265,25 +263,6 @@ func TestMaxDeltaCoversRetransmits(t *testing.T) {
 	}
 	if d1 < d0+500 {
 		t.Fatalf("faulty MaxDelta %d does not absorb the 500-tick partition (base %d)", d1, d0)
-	}
-}
-
-// TestAddPartitionRejectsInFlight: the attempts of a message in flight
-// were drawn when it was sent, so a partition added while it travels
-// would not apply to it. AddPartition refuses, saying why; once the
-// network is quiescent the same call succeeds.
-func TestAddPartitionRejectsInFlight(t *testing.T) {
-	f := newFixture(t, 16, lossyCfg(&Faults{}))
-	from, to := f.nodes[0], f.nodes[8]
-	f.nw.SendDirect(from, to.ID(), keyedMsg{key: to.ID(), body: "in flight"})
-	p := Partition{Start: f.engine.Now() + 10, End: f.engine.Now() + 50, Side: map[id.ID]bool{from.ID(): true}}
-	err := f.nw.AddPartition(p)
-	if err == nil || !strings.Contains(err.Error(), "quiescent") {
-		t.Fatalf("AddPartition with a message in flight: error %v, want one naming the quiescence rule", err)
-	}
-	f.engine.Run()
-	if err := f.nw.AddPartition(p); err != nil {
-		t.Fatalf("AddPartition on a quiescent network: %v", err)
 	}
 }
 

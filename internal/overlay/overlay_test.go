@@ -160,7 +160,6 @@ func TestBounceInFlightToNewOwner(t *testing.T) {
 	victim := f.ring.Owner(key)
 	f.nw.Send(f.nodes[0], key, keyedMsg{key: key, body: "survive"})
 	f.ring.Fail(victim) // dies while the message is in flight
-	f.ring.StabilizeAll()
 	f.engine.Run()
 	heir := f.ring.Owner(key)
 	if heir == victim {

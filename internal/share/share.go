@@ -495,9 +495,6 @@ func (r *Registry) ClassOf(subQID string) *Class { return r.subs[subQID] }
 // Get returns the class with the given pipeline QID.
 func (r *Registry) Get(qid string) *Class { return r.classes[qid] }
 
-// Classes reports the number of live classes.
-func (r *Registry) Classes() int { return len(r.classes) }
-
 // Register adds a new class and its first subscriber. The exact/form
 // keys are claimed only if free (a key can be occupied when sharing
 // declined to attach, e.g. a DISTINCT duplicate of a non-canonical

@@ -165,7 +165,7 @@ func TestRegistryLifecycle(t *testing.T) {
 		t.Fatal("detach of last subscriber did not empty the class")
 	}
 	r.Drop(cls)
-	if r.LookupExact(q.String()) != nil || r.LookupForm(can.Form) != nil || r.Classes() != 0 {
+	if r.LookupExact(q.String()) != nil || r.LookupForm(can.Form) != nil || r.Get(cls.QID) != nil {
 		t.Fatal("Drop left stale index entries")
 	}
 	if r.Detach("q1") != nil {

@@ -45,11 +45,10 @@ type CtxFunc func(now Time, c Ctx)
 
 // event is one scheduled callback, stored inline in the heap slice.
 // Exactly one of fn (closure path) and cb (context path) is non-nil.
-// Background events (bg) are housekeeping — periodic stabilization,
-// churn draws — that fire in timestamp order like any other event but
-// do not count as pending work: Run returns once only background
-// events remain, so a self-rescheduling maintenance loop cannot keep
-// the simulation alive forever.
+// Background events (bg) are housekeeping — churn draws — that fire
+// in timestamp order like any other event but do not count as pending
+// work: Run returns once only background events remain, so a
+// self-rescheduling loop cannot keep the simulation alive forever.
 type event struct {
 	at  Time
 	seq uint64
@@ -317,8 +316,8 @@ func (e *Engine) Every(interval Duration, fn func(Time) bool) {
 
 // EveryBg is Every with background occurrences: the periodic series
 // fires whenever foreground work (or RunUntil) advances the clock past
-// the next tick, but never prevents Run from returning. Periodic
-// stabilization and churn-rate draws run on this.
+// the next tick, but never prevents Run from returning. Churn-rate
+// draws run on this.
 func (e *Engine) EveryBg(interval Duration, fn func(Time) bool) {
 	e.every(interval, fn, true)
 }

@@ -65,9 +65,6 @@ func TestChurnOptionsValidated(t *testing.T) {
 	if _, err := NewNetwork(Options{Nodes: 8, Churn: ChurnOptions{LeaveRate: -3}}); err == nil {
 		t.Fatal("negative churn rate accepted")
 	}
-	if _, err := NewNetwork(Options{Nodes: 8, Churn: ChurnOptions{StabilizeInterval: -1}}); err == nil {
-		t.Fatal("negative stabilize interval accepted")
-	}
 	if _, err := NewNetwork(Options{Nodes: 8, Churn: ChurnOptions{Interval: -4}}); err == nil {
 		t.Fatal("negative churn interval accepted")
 	}

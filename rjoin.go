@@ -147,7 +147,10 @@ type Options struct {
 	// Churn drives runtime membership changes — joins, graceful leaves
 	// and crashes — while queries are live. The zero value keeps the
 	// overlay static (the paper's setting). Explicit AddNode /
-	// RemoveNode / Crash calls work either way.
+	// RemoveNode / Crash calls work either way. Every change, drawn or
+	// explicit, leaves the overlay's routing exact when it returns:
+	// there is no stabilization period during which a lookup can miss
+	// a key's owner.
 	Churn ChurnOptions
 	// Faults switches the overlay into unreliable-network mode:
 	// per-message drop and duplication draws, delay spikes and
@@ -274,7 +277,9 @@ type FaultPartition struct {
 // zero never fires spontaneously. Graceful leaves hand the departing
 // node's state to its successor (no answers are lost or duplicated);
 // crashes drop state, with the engine re-indexing the input queries
-// that died and counting everything else as loss.
+// that died and counting everything else as loss. Joins take their arc
+// from their successor. Each event leaves every routing pointer exact
+// before the next one, so nothing here tunes route repair.
 type ChurnOptions struct {
 	JoinRate  float64
 	LeaveRate float64
@@ -282,9 +287,6 @@ type ChurnOptions struct {
 	// Interval is the cadence in ticks of the churn-rate draws
 	// (default 32).
 	Interval int64
-	// StabilizeInterval is the period in ticks of the incremental
-	// Chord maintenance round (default 64).
-	StabilizeInterval int64
 	// MinNodes floors the overlay size: leave/crash draws below it are
 	// skipped (default 2).
 	MinNodes int
@@ -343,10 +345,12 @@ type Stats struct {
 	// Membership churn accounting. Joins/Leaves/Crashes count events
 	// (spontaneous and explicit); HandoverMessages/HandoverEntries
 	// measure graceful-leave and join state transfer;
-	// MessagesRerouted and MessagesBounced are the healing work of the
-	// routing layer; QueriesRecovered, QueriesLost, RewritesLost and
-	// TuplesLost describe crash damage and repair. All zero on a
-	// static overlay.
+	// MessagesRerouted counts keyed messages that reached a live node
+	// after a membership change had moved their key, and were forwarded
+	// to the key's owner without being processed; MessagesBounced
+	// counts messages whose recipient had departed; QueriesRecovered,
+	// QueriesLost, RewritesLost and TuplesLost describe crash damage and
+	// repair. All zero on a static overlay.
 	Joins            int64
 	Leaves           int64
 	Crashes          int64
@@ -479,9 +483,9 @@ func NewNetwork(opts Options) (*Network, error) {
 	if err := churnRates.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.Churn.Interval < 0 || opts.Churn.StabilizeInterval < 0 || opts.Churn.MinNodes < 0 {
-		return nil, fmt.Errorf("rjoin: negative churn tuning (interval %d, stabilize %d, min nodes %d)",
-			opts.Churn.Interval, opts.Churn.StabilizeInterval, opts.Churn.MinNodes)
+	if opts.Churn.Interval < 0 || opts.Churn.MinNodes < 0 {
+		return nil, fmt.Errorf("rjoin: negative churn tuning (interval %d, min nodes %d)",
+			opts.Churn.Interval, opts.Churn.MinNodes)
 	}
 	if opts.Strategy > StrategyWorst {
 		return nil, fmt.Errorf("rjoin: unknown Strategy %d (want StrategyRIC, StrategyRandom or StrategyWorst)", opts.Strategy)
@@ -622,19 +626,12 @@ func NewNetwork(opts Options) (*Network, error) {
 	cfg.Catalog = cat
 	eng := core.NewEngine(ring, se, nw, cfg)
 	mgr := churn.New(eng, churn.Config{
-		Rates:          churnRates,
-		Interval:       opts.Churn.Interval,
-		StabilizeEvery: opts.Churn.StabilizeInterval,
-		MinNodes:       opts.Churn.MinNodes,
-		Seed:           opts.Seed + 2,
+		Rates:    churnRates,
+		Interval: opts.Churn.Interval,
+		MinNodes: opts.Churn.MinNodes,
+		Seed:     opts.Seed + 2,
 	})
-	// The manager's periodic loops start with the first membership
-	// change: immediately when spontaneous churn is configured, lazily
-	// on the first AddNode/RemoveNode/Crash otherwise, so a static
-	// network pays nothing for stabilization it cannot need.
-	if churnRates.Enabled() {
-		mgr.Start()
-	}
+	mgr.Start() // registers the churn trials when a rate is configured
 	return &Network{
 		eng: eng,
 		cat: cat,
