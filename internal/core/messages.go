@@ -10,13 +10,22 @@ import (
 )
 
 // The high-volume message kinds — tuple deliveries, query placements,
-// answers and RIC walks — are pooled. Every such message is delivered
-// at most once and its receiver copies out whatever it retains, so the
-// handler dispatch loop can recycle the struct as soon as the handler
-// returns — except a walk's request, which travels on from hop to hop
-// and is recycled at its last one, where the reply takes over its
-// reports. Messages dropped by the overlay (dead or detached recipient)
-// simply fall to the garbage collector; only delivery recycles.
+// answers, aggregation partials and RIC walks — are pooled. Every such
+// message is delivered at most once and its receiver copies out
+// whatever it retains, so the handler dispatch loop recycles the struct
+// as soon as the handler returns — except a walk's request, which
+// travels on from hop to hop and is recycled at its last one, where the
+// reply takes over its reports. Messages dropped by the overlay (dead or
+// detached recipient) simply fall to the garbage collector; only
+// delivery recycles.
+//
+// One ownership rule holds for all six kinds: a message owns its
+// unexported buffers (the inline report and key arrays, an answer's
+// row) and nothing else. Its constructor copies what it carries into
+// them, and its recycle method — the only place a pooled message is
+// reset — leaves every field zero except those buffers, emptied, so
+// the next use allocates nothing and the pool keeps no value alive.
+// TestPooledMessagesKeepOnlyOwnedBuffers checks that by reflection.
 var (
 	tupleMsgPool      = sync.Pool{New: func() interface{} { return new(tupleMsg) }}
 	evalMsgPool       = sync.Pool{New: func() interface{} { return new(evalMsg) }}
@@ -38,6 +47,11 @@ func newTupleMsg(t *relation.Tuple, key relation.Key, level query.Level, publish
 	return m
 }
 
+func (m *tupleMsg) recycle() {
+	*m = tupleMsg{}
+	tupleMsgPool.Put(m)
+}
+
 // newEvalMsg returns a pooled Eval message for sq with no reports
 // piggy-backed; the sender appends them to RIC, which starts on the
 // message's own array.
@@ -48,10 +62,30 @@ func newEvalMsg(sq *storedQuery, key relation.Key, level query.Level) *evalMsg {
 	return m
 }
 
+func (m *evalMsg) recycle() {
+	*m = evalMsg{}
+	evalMsgPool.Put(m)
+}
+
+// newAnswerMsg returns a pooled answer carrying a copy of values in the
+// message's own row buffer: the caller's row may be scratch.
 func newAnswerMsg(queryID string, owner id.ID, values []relation.Value, pubAt int64, lin []query.LineageStep) *answerMsg {
 	m := answerMsgPool.Get().(*answerMsg)
-	*m = answerMsg{QueryID: queryID, Owner: owner, Values: values, PubAt: pubAt, Lineage: lin}
+	m.row = append(m.row[:0], values...)
+	m.QueryID, m.Owner, m.Values, m.PubAt, m.Lineage = queryID, owner, m.row, pubAt, lin
 	return m
+}
+
+func (m *answerMsg) recycle() {
+	*m = answerMsg{row: emptied(m.row)}
+	answerMsgPool.Put(m)
+}
+
+// emptied returns a pooled message's row buffer, cleared so the pool
+// keeps no value's string alive, with its array kept for the next use.
+func emptied(row []relation.Value) []relation.Value {
+	clear(row)
+	return row[:0]
 }
 
 // tupleMsg is Procedure 1's newTuple(t, Key, IP(x), Level) message: one
@@ -91,7 +125,7 @@ func (m *evalMsg) RingKey() id.ID { return m.Key.ID() }
 type answerMsg struct {
 	QueryID string
 	Owner   id.ID
-	Values  []relation.Value
+	Values  []relation.Value // the message's row buffer
 	// PubAt is the publication vtime of the tuple whose arrival
 	// completed the rewrite chain — the trigger of this answer. The
 	// owner's answer-latency measurement is delivery vtime minus PubAt.
@@ -100,16 +134,26 @@ type answerMsg struct {
 	// node) of every tuple the rewrite chain consumed, in consumption
 	// order. Nil unless Config.Provenance is set.
 	Lineage []query.LineageStep
+	row     []relation.Value
 }
 
 // RingKey implements overlay.Rekeyable: answers re-route to the
 // current successor of the owner's ring position.
 func (m *answerMsg) RingKey() id.ID { return m.Owner }
 
+// newAggPartialMsg returns a pooled partial carrying a copy of row in
+// the message's own row buffer: the caller's row may be scratch, or
+// the one row a shared pipeline's fan-out hands every subscriber.
 func newAggPartialMsg(queryID string, key relation.Key, owner id.ID, epoch int64, row []relation.Value, pubAt int64, lin []query.LineageStep) *aggPartialMsg {
 	m := aggPartialMsgPool.Get().(*aggPartialMsg)
-	*m = aggPartialMsg{QueryID: queryID, Key: key, Owner: owner, Epoch: epoch, Row: row, PubAt: pubAt, Lineage: lin}
+	m.row = append(m.row[:0], row...)
+	m.QueryID, m.Key, m.Owner, m.Epoch, m.Row, m.PubAt, m.Lineage = queryID, key, owner, epoch, m.row, pubAt, lin
 	return m
+}
+
+func (m *aggPartialMsg) recycle() {
+	*m = aggPartialMsg{row: emptied(m.row)}
+	aggPartialMsgPool.Put(m)
 }
 
 // aggPartialMsg carries one completed answer row of an aggregate query
@@ -121,7 +165,7 @@ type aggPartialMsg struct {
 	Key     relation.Key
 	Owner   id.ID
 	Epoch   int64
-	Row     []relation.Value
+	Row     []relation.Value // the message's row buffer
 	// PubAt is the triggering tuple's publication vtime (see
 	// answerMsg.PubAt); the aggregator folds it into the group's
 	// latency watermark.
@@ -129,6 +173,7 @@ type aggPartialMsg struct {
 	// Lineage is the row's provenance (see answerMsg.Lineage); the
 	// aggregator folds it into the group's per-epoch lineage union.
 	Lineage []query.LineageStep
+	row     []relation.Value
 }
 
 // RingKey implements overlay.Rekeyable: a partial in flight to a
@@ -195,6 +240,11 @@ func newRICRequestMsg(origin id.ID, keys []relation.Key) *ricRequestMsg {
 	return m
 }
 
+func (m *ricRequestMsg) recycle() {
+	*m = ricRequestMsg{}
+	ricRequestMsgPool.Put(m)
+}
+
 // RingKey implements overlay.Rekeyable: the walk continues at the
 // next pending candidate's owner.
 func (m *ricRequestMsg) RingKey() id.ID {
@@ -222,6 +272,11 @@ func newRICReplyMsg(origin id.ID, got []ricInfo) *ricReplyMsg {
 	m.Origin = origin
 	m.Got = append(m.got[:0], got...)
 	return m
+}
+
+func (m *ricReplyMsg) recycle() {
+	*m = ricReplyMsg{}
+	ricReplyMsgPool.Put(m)
 }
 
 // RingKey implements overlay.Rekeyable.

@@ -143,18 +143,29 @@ type Proc struct {
 }
 
 // scratch holds the buffers the trigger and placement path builds in:
-// the candidates, slots and walk keys of the placement being decided
-// and the DISTINCT projection of the trigger being checked. One set
-// serves an accounting slot's processors: a shard's handlers run one at a
-// time whatever the worker count, and coordinator-context placements run
-// between drains, so no two calls share it at once. What outlives a call
-// — a waiting placement, a walk, the piggy-backed reports — is copied
-// out of it.
+// the candidates, slots and walk keys of the placement being decided,
+// the DISTINCT projection of the trigger being checked, the row its
+// completion produced and a shared pipeline's per-subscriber projection
+// of that row. One set serves an accounting slot's processors: a
+// shard's handlers run one at a time whatever the worker count, and
+// coordinator-context placements run between drains, so no two calls
+// share it at once. What outlives a call — a waiting placement, a walk,
+// the piggy-backed reports, an answer or partial row (copied into its
+// message's own buffer) — is copied out of it.
+//
+// row is held for longer than one call: a completion's vals alias it
+// through the whole of complete, the shared fan-out and its containment
+// replays included. Nothing reached from there may call trigger, which
+// writes row, or keep vals after returning. fan is written only by the
+// fan-out's subscriber loop, which a containment replay's own fan-out
+// may reenter only after the outer loop is done with it.
 type scratch struct {
 	cands []query.Candidate
 	slots []slot
 	walk  []relation.Key
 	proj  []byte
+	row   []relation.Value
+	fan   []relation.Value
 }
 
 // newProc builds the processor of a ring handle: the node it acts as,
@@ -189,14 +200,14 @@ func (p *Proc) nextReqID() int64 {
 }
 
 // HandleMessage dispatches overlay deliveries. The pooled message
-// kinds are recycled once their handler returns — handlers copy out
-// everything they retain. Keyed messages that arrive at a node that no
-// longer owns their key (the key moved while they were in flight) are
-// re-routed before any processing, and are not recycled on that path:
-// they are still in flight. Handlers that mutate state leave their
-// replica ops counted in it; the trailing replFlush charges them to
-// every replica target, so no replica update is ever outstanding
-// between events.
+// kinds are recycled once their handler returns (each type's recycle
+// method, messages.go) — handlers copy out everything they retain.
+// Keyed messages that arrive at a node that no longer owns their key
+// (the key moved while they were in flight) are re-routed before any
+// processing, and are not recycled on that path: they are still in
+// flight. Handlers that mutate state leave their replica ops counted in
+// it; the trailing replFlush charges them to every replica target, so
+// no replica update is ever outstanding between events.
 func (p *Proc) HandleMessage(now sim.Time, msg overlay.Message) {
 	switch m := msg.(type) {
 	case *tupleMsg:
@@ -204,34 +215,29 @@ func (p *Proc) HandleMessage(now sim.Time, msg overlay.Message) {
 			return
 		}
 		p.onTuple(now, m)
-		*m = tupleMsg{}
-		tupleMsgPool.Put(m)
+		m.recycle()
 	case *evalMsg:
 		if p.reroute(m.Key, m) {
 			return
 		}
 		p.onEval(now, m)
-		*m = evalMsg{}
-		evalMsgPool.Put(m)
+		m.recycle()
 	case *answerMsg:
 		p.eng.recordAnswer(now, m, p)
-		*m = answerMsg{}
-		answerMsgPool.Put(m)
+		m.recycle()
 	case *aggPartialMsg:
 		if p.reroute(m.Key, m) {
 			return
 		}
 		p.onAggPartial(now, m)
-		*m = aggPartialMsg{}
-		aggPartialMsgPool.Put(m)
+		m.recycle()
 	case *aggUpdateMsg:
 		p.eng.recordAggUpdate(now, m, p)
 	case *ricRequestMsg:
 		p.onRICRequest(now, m) // forwards the walk, or recycles it as the reply
 	case *ricReplyMsg:
 		p.onRICReply(now, m)
-		*m = ricReplyMsg{}
-		ricReplyMsgPool.Put(m)
+		m.recycle()
 	}
 	p.replFlush()
 }
@@ -389,10 +395,11 @@ func (p *Proc) trigger(now sim.Time, sq *storedQuery, t *relation.Tuple, stored 
 		// The final rewriting step: substitution completes the query, so
 		// the row is produced without materialising the child. A completed
 		// query never consults its window again, so no start is derived.
-		vals, ok := query.RewriteComplete(q, t)
+		vals, ok := query.AppendComplete(p.sc.row[:0], q, t)
 		if !ok {
 			return
 		}
+		p.sc.row = vals
 		p.consume(sq, proj)
 		p.profTrigger(now, sq, 0)
 		p.countRewrite(q.Depth + 1)
@@ -431,7 +438,8 @@ func (p *Proc) lineage(q *query.Query, t *relation.Tuple) []query.LineageStep {
 	return query.AppendLineage(q.Lineage, query.LineageStep{Pub: t.Publisher, Seq: t.PubSeq, Node: p.nid()})
 }
 
-// completion is one completed row leaving the join pipeline.
+// completion is one completed row leaving the join pipeline. vals may
+// be the slot's scratch (scratch.row): it is read, never kept.
 type completion struct {
 	vals   []relation.Value
 	clock  int64 // completion clock: max window-clock over the combined tuples; assigns the epoch
@@ -733,8 +741,7 @@ func (p *Proc) onRICRequest(now sim.Time, m *ricRequestMsg) {
 		return
 	}
 	reply := newRICReplyMsg(m.Origin, m.Got)
-	*m = ricRequestMsg{}
-	ricRequestMsgPool.Put(m)
+	m.recycle()
 	p.eng.net.WithTag(p.node, TagRIC, func() {
 		p.eng.net.SendDirect(p.node, reply.Origin, reply)
 	})

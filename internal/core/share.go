@@ -250,7 +250,8 @@ func (p *Proc) fanoutComplete(now sim.Time, fo *share.Fanout, c completion) {
 		}
 		row := c
 		if s.Res != nil {
-			row.vals = s.Res.Project(c.vals)
+			row.vals = s.Res.AppendProject(p.sc.fan[:0], c.vals)
+			p.sc.fan = row.vals
 		}
 		p.ctr.SharedFanoutRows++
 		if ob := p.eng.obs; ob != nil {

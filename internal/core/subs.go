@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 
@@ -30,7 +31,9 @@ import (
 type Answer struct {
 	// Query is the subscription's query ID.
 	Query string
-	// Row holds the select-list values.
+	// Row holds the select-list values: a capacity-capped view of the
+	// owner's answer log, so an append to it copies, but the values are
+	// the engine's and must not be written.
 	Row []relation.Value
 	// At is the virtual time of delivery.
 	At int64
@@ -65,9 +68,16 @@ type subscription struct {
 	// read by handlers without the lock like the map itself.
 	retired bool
 
-	mu   sync.Mutex
-	rows []Answer              // delivered rows, in delivery order
+	mu sync.Mutex
+	// The answer log: the delivered rows in delivery order, one entry of
+	// at per row, the row's len(q.Select) values back to back in vals,
+	// and its lineage in lins (nil unless Config.Provenance is set).
+	// Answers builds the []Answer view of it on demand.
+	vals []relation.Value
+	at   []int64
+	lins [][]query.LineageStep
 	seen map[string]bool       // DISTINCT: canonical rows already delivered
+	key  []byte                // DISTINCT: the row being checked, encoded
 	view map[viewKey]viewEntry // aggregate view
 	lat  *obs.Histogram        // answer latency; nil unless Config.Obs has metrics
 }
@@ -93,7 +103,7 @@ func (e *Engine) retireSub(qid string) {
 	}
 	s.mu.Lock()
 	s.retired = true
-	s.rows, s.seen, s.view, s.lat = nil, nil, nil, nil
+	s.vals, s.at, s.lins, s.seen, s.key, s.view, s.lat = nil, nil, nil, nil, nil, nil, nil
 	s.mu.Unlock()
 }
 
@@ -142,8 +152,10 @@ func (e *Engine) observe(now sim.Time, p *Proc, s *subscription, lat int64, kind
 
 // recordAnswer collects an answer at its owner, applying the owner-side
 // set-semantics filter for DISTINCT queries (a final local safety net on
-// top of the distributed projection rule). Per-query delivery order is
-// fixed by the owner's shard schedule, so locking cannot perturb it.
+// top of the distributed projection rule), and appends the row's values
+// to the log — the message's row buffer goes back to the pool with it.
+// Per-query delivery order is fixed by the owner's shard schedule, so
+// locking cannot perturb it.
 func (e *Engine) recordAnswer(now sim.Time, m *answerMsg, p *Proc) {
 	s := e.open(m.QueryID)
 	if s == nil {
@@ -151,35 +163,43 @@ func (e *Engine) recordAnswer(now sim.Time, m *answerMsg, p *Proc) {
 	}
 	defer s.mu.Unlock()
 	if s.q.Distinct {
+		// The lookup reads the encoding in place; only a kept row's key
+		// becomes a string.
+		s.key = appendRowKey(s.key[:0], m.Values)
+		if s.seen[string(s.key)] {
+			return
+		}
 		if s.seen == nil {
 			s.seen = make(map[string]bool)
 		}
-		key := rowKey(m.Values)
-		if s.seen[key] {
-			return
-		}
-		s.seen[key] = true
+		s.seen[string(s.key)] = true
+	}
+	if len(m.Values) != len(s.q.Select) {
+		panic(fmt.Sprintf("core: answer of %d values for %s, which selects %d", len(m.Values), m.QueryID, len(s.q.Select)))
 	}
 	p.ctr.AnswersDelivered++
-	s.rows = append(s.rows, Answer{Query: m.QueryID, Row: m.Values, At: int64(now), Lineage: m.Lineage})
+	s.vals = append(s.vals, m.Values...)
+	s.at = append(s.at, int64(now))
+	if e.prov {
+		s.lins = append(s.lins, m.Lineage)
+	}
 	lat := int64(now) - m.PubAt
 	e.observe(now, p, s, lat, obs.KindAnswer, "", lat)
 }
 
-// rowKey canonicalizes a row for the DISTINCT filter using the shared
-// injective encoding (relation.AppendCanonical — kind tag plus
+// appendRowKey canonicalizes a row for the DISTINCT filter using the
+// shared injective encoding (relation.AppendCanonical — kind tag plus
 // length-prefixed payload): no choice of values — strings containing
 // NUL, strings resembling a separator, or an integer rendering
 // identically to a string (Int64(12) vs String64("12")) — can make two
 // distinct rows collide, which a bare separator-joined rendering
 // allowed (rows differing only in where a NUL fell deduplicated
 // against each other, silently dropping a real answer).
-func rowKey(vals []relation.Value) string {
-	var b []byte
+func appendRowKey(dst []byte, vals []relation.Value) []byte {
 	for _, v := range vals {
-		b = relation.AppendCanonical(b, v)
+		dst = relation.AppendCanonical(dst, v)
 	}
-	return string(b)
+	return dst
 }
 
 // recordAggUpdate installs a group-update row into the owner-side
@@ -204,13 +224,49 @@ func (e *Engine) recordAggUpdate(now sim.Time, m *aggUpdateMsg, p *Proc) {
 }
 
 // Answers returns the rows delivered so far for a query, in delivery
-// order; nil once it is unsubscribed. The returned slice is shared;
-// callers must not mutate it.
-func (e *Engine) Answers(queryID string) []Answer {
-	if s := e.subs[queryID]; s != nil {
-		return s.rows
+// order; nil once it is unsubscribed. It is AnswersSince(queryID, 0).
+func (e *Engine) Answers(queryID string) []Answer { return e.AnswersSince(queryID, 0) }
+
+// AnswersSince returns the rows delivered at or after position cursor
+// of the delivery order (clamped to it); nil when there are none. The
+// []Answer is built on every call, O(rows returned): a slice returned
+// earlier never changes. Each Row is a capacity-capped view of the
+// owner's log, so an append to it copies, but its values are shared
+// with the engine and must not be written.
+func (e *Engine) AnswersSince(queryID string, cursor int) []Answer {
+	s := e.subs[queryID]
+	if s == nil {
+		return nil
 	}
-	return nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.at)
+	cursor = min(max(cursor, 0), n)
+	if cursor == n {
+		return nil
+	}
+	w := len(s.q.Select)
+	out := make([]Answer, n-cursor)
+	for i := range out {
+		r := cursor + i
+		out[i] = Answer{Query: s.q.ID, Row: s.vals[r*w : (r+1)*w : (r+1)*w], At: s.at[r]}
+		if s.lins != nil {
+			out[i].Lineage = s.lins[r]
+		}
+	}
+	return out
+}
+
+// AnswerCount returns how many rows have been delivered for a query; 0
+// once it is unsubscribed.
+func (e *Engine) AnswerCount(queryID string) int {
+	s := e.subs[queryID]
+	if s == nil {
+		return 0
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.at)
 }
 
 // AggRows returns the current aggregate view of a query: the latest
@@ -279,7 +335,7 @@ func (e *Engine) subsFootprint() (f subsFootprint) {
 		} else {
 			f.live++
 		}
-		f.rows += len(s.rows) + len(s.view)
+		f.rows += len(s.at) + len(s.view)
 		f.aux += len(s.seen)
 		if s.lat != nil {
 			f.aux++

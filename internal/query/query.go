@@ -412,44 +412,45 @@ func (q *Query) Matches(t *relation.Tuple) bool {
 }
 
 // Release does nothing. It used to return a dropped rewrite to a free
-// list that Rewrite drew from, but since the RewriteComplete fast path
+// list that Rewrite drew from, but since the AppendComplete fast path
 // only contradictory, unplaceable and containment-intermediate rewrites
 // were ever released, which is none on the benchmark's workloads, so the
 // pool recycled nothing and is gone. The function stays only because the
 // frozen perfbench/layers.go calls it; delete it with that call.
 func Release(*Query) {}
 
-// RewriteComplete performs the final rewriting step for a query whose
+// AppendComplete performs the final rewriting step for a query whose
 // FROM list holds exactly one remaining relation: substituting a
-// triggering tuple completes the query, so the answer row is produced
-// directly, without materialising the intermediate child query that
-// Rewrite would build only for dispatch to immediately tear down into
-// AnswerValues. It returns ok=false when t does not trigger q, exactly
-// like Rewrite.
-func RewriteComplete(q *Query, t *relation.Tuple) ([]relation.Value, bool) {
+// triggering tuple completes the query, so the answer row — one value
+// per select item — is appended to dst directly, without materialising
+// the intermediate child query that Rewrite would build only for
+// dispatch to immediately tear down into AnswerValues. It returns dst
+// unextended and ok=false when t does not trigger q, exactly like
+// Rewrite.
+func AppendComplete(dst []relation.Value, q *Query, t *relation.Tuple) ([]relation.Value, bool) {
 	if len(q.Relations) != 1 || !q.Matches(t) {
-		return nil, false
+		return dst, false
 	}
 	rel := t.Relation()
-	out := make([]relation.Value, len(q.Select))
-	for i, s := range q.Select {
+	n := len(dst)
+	for _, s := range q.Select {
 		if s.IsConst {
-			out[i] = s.Const
+			dst = append(dst, s.Const)
 			continue
 		}
 		if s.Col.Rel != rel {
 			// The general path would have produced an "complete" query
 			// with an unresolved column and panicked in AnswerValues;
 			// validated queries cannot reach this.
-			panic(fmt.Sprintf("query: RewriteComplete on query %s (column %s unresolved)", q.ID, s.Col))
+			panic(fmt.Sprintf("query: AppendComplete on query %s (column %s unresolved)", q.ID, s.Col))
 		}
 		v, ok := t.Value(s.Col.Attr)
 		if !ok {
-			return nil, false
+			return dst[:n], false
 		}
-		out[i] = v
+		dst = append(dst, v)
 	}
-	return out, true
+	return dst, true
 }
 
 // Rewrite substitutes tuple t into q, producing the query with one

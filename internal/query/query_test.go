@@ -550,7 +550,7 @@ func TestStringRendersDistinctAndWindow(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// The reference: Rewrite, RewriteComplete, Candidates, impliedSelections
+// The reference: Rewrite, RewriteComplete (now AppendComplete), Candidates, impliedSelections
 // and Contradictory as they were before the rewrite tree, verbatim but
 // for their names and one line — refRewrite copies the parent with
 // copyInto, since the plan's atomic pointer may not be copied (and the
@@ -982,10 +982,13 @@ func diffWalk(rng *rand.Rand, q, r *Query) error {
 	for _, rel := range r.Relations {
 		tu := diffTuple(rng, r, rel)
 		if len(r.Relations) == 1 {
-			got, ok := RewriteComplete(q, tu)
+			// Appended after a prefix the call must leave alone, into a
+			// buffer it may or may not have to grow.
+			prefix := []relation.Value{relation.String64("prefix")}
+			got, ok := AppendComplete(prefix, q, tu)
 			want, wok := refRewriteComplete(r, tu)
-			if ok != wok || !slices.Equal(got, want) {
-				return fmt.Errorf("%s by %v: RewriteComplete %v %v, reference %v %v", r, tu, got, ok, want, wok)
+			if ok != wok || !slices.Equal(got[0:1], prefix) || ok && !slices.Equal(got[1:], want) || !ok && len(got) != 1 {
+				return fmt.Errorf("%s by %v: AppendComplete %v %v, reference %v %v", r, tu, got, ok, want, wok)
 			}
 		}
 		q2, ok := Rewrite(q, tu)

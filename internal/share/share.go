@@ -66,18 +66,17 @@ func (r *Residual) Eval(row []relation.Value) bool {
 	return true
 }
 
-// Project builds the subscriber-shaped answer row from a completed
-// pipeline row.
-func (r *Residual) Project(row []relation.Value) []relation.Value {
-	out := make([]relation.Value, len(r.Items))
-	for i, it := range r.Items {
+// AppendProject appends the subscriber-shaped answer row built from a
+// completed pipeline row to dst.
+func (r *Residual) AppendProject(dst, row []relation.Value) []relation.Value {
+	for _, it := range r.Items {
 		if it.IsConst {
-			out[i] = it.Const
+			dst = append(dst, it.Const)
 		} else {
-			out[i] = row[it.Pos]
+			dst = append(dst, row[it.Pos])
 		}
 	}
-	return out
+	return dst
 }
 
 // Key returns an injective encoding of the residual, used by tests to

@@ -131,10 +131,10 @@ func TestResidual(t *testing.T) {
 	if !res.Eval(row) {
 		t.Error("residual rejected a row with R0.B=5")
 	}
-	got := res.Project(row)
+	got := res.AppendProject(nil, row)
 	want := []relation.Value{relation.Int64(9), relation.Int64(5)}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Project = %v, want %v", got, want)
+		t.Errorf("AppendProject = %v, want %v", got, want)
 	}
 	row[1] = relation.Int64(6)
 	if res.Eval(row) {
@@ -324,7 +324,7 @@ func FuzzCanonicalize(f *testing.F) {
 			for i := range row {
 				row[i] = relation.Int64(int64(rng.Intn(4)))
 			}
-			if got := res.Project(row); len(got) != len(q.Select) {
+			if got := res.AppendProject(nil, row); len(got) != len(q.Select) {
 				t.Fatalf("projection arity %d, want %d", len(got), len(q.Select))
 			}
 		}

@@ -972,28 +972,29 @@ func (n *Network) WriteProfileJSON(w io.Writer) error {
 func (n *Network) Engine() *core.Engine { return n.eng }
 
 // Answers returns the rows delivered so far for this subscription, in
-// delivery order; none once it is unsubscribed. The returned slice is
-// shared with the engine; callers must not mutate it.
+// delivery order; none once it is unsubscribed. Each call builds a new
+// slice from the engine's answer log, in time linear in the rows
+// delivered, so a consumer polling a long-lived subscription uses
+// AnswersSince. A slice returned earlier is never changed by later
+// deliveries, and appending to an answer's Row copies it, but the
+// values a Row holds are shared with the engine: callers must not
+// write them.
 func (s *Subscription) Answers() []Answer { return s.net.eng.Answers(s.ID) }
 
 // AnswersSince returns the answers delivered at or after the given
-// cursor position (an index into the delivery order). A consumer polls
-// with its running total — typically cursor += len(batch) after each
-// call — and sees every answer exactly once. The returned slice is
-// shared; callers must not mutate it.
+// cursor position (an index into the delivery order; it is clamped to
+// [0, Count()]). A consumer polls with its running total — typically
+// cursor += len(batch) after each call — and sees every answer exactly
+// once. It costs time linear in the answers returned, not in those
+// delivered. As with Answers, the slice is the caller's but the rows'
+// values are shared and must not be written.
 func (s *Subscription) AnswersSince(cursor int) []Answer {
-	all := s.Answers()
-	if cursor < 0 {
-		cursor = 0
-	}
-	if cursor > len(all) {
-		cursor = len(all)
-	}
-	return all[cursor:]
+	return s.net.eng.AnswersSince(s.ID, cursor)
 }
 
-// Count returns the number of answers delivered so far.
-func (s *Subscription) Count() int { return len(s.net.eng.Answers(s.ID)) }
+// Count returns the number of answers delivered so far, in constant
+// time; 0 once the subscription is unsubscribed.
+func (s *Subscription) Count() int { return s.net.eng.AnswerCount(s.ID) }
 
 // Unsubscribe removes this continuous query from the network. The
 // subscriber's answer and aggregate state is released immediately; the
