@@ -90,8 +90,6 @@ type Manager struct {
 	Stats Stats
 
 	started bool
-	stopped bool
-	gen     int // invalidates periodic series from earlier Start calls
 }
 
 // New builds a manager over the engine, applying config defaults.
@@ -110,33 +108,19 @@ func New(eng *core.Engine, cfg Config) *Manager {
 }
 
 // Start registers the churn trials as periodic background work when
-// any rate is configured. Calling Start twice is a no-op; calling it
-// after Stop registers a fresh series (series from before the Stop
-// stay dead).
+// any rate is configured. Calling Start twice is a no-op. The trials
+// run for the life of the simulation.
 func (m *Manager) Start() {
 	if m.started {
 		return
 	}
 	m.started = true
-	m.stopped = false
-	m.gen++
-	gen := m.gen
 	if m.cfg.Rates.Enabled() {
 		m.eng.Sim().EveryBg(m.cfg.Interval, func(sim.Time) bool {
-			if m.stopped || m.gen != gen {
-				return false
-			}
 			m.step()
 			return true
 		})
 	}
-}
-
-// Stop cancels the periodic work at its next firing. The manager can
-// be restarted: Start registers a fresh series.
-func (m *Manager) Stop() {
-	m.stopped = true
-	m.started = false
 }
 
 // step runs one rate-mode trial per event class. The three draws

@@ -40,7 +40,7 @@ func testEngine(t testing.TB, nodes int, seed int64) *core.Engine {
 	netCfg := overlay.DefaultConfig()
 	netCfg.Bounce = true
 	nw := overlay.MustNetwork(ring, se, netCfg)
-	return core.NewEngine(ring, se, nw, core.DefaultConfig())
+	return core.NewEngine(ring, se, nw, core.Config{})
 }
 
 func mkTuple(rel string, a, b int64) *relation.Tuple {
@@ -164,40 +164,5 @@ func TestMinNodesFloor(t *testing.T) {
 	}
 	if m.Stats.Skipped == 0 {
 		t.Fatal("suppressed draw not counted")
-	}
-}
-
-func TestStopCancelsPeriodicWork(t *testing.T) {
-	eng := testEngine(t, 32, 10)
-	m := New(eng, Config{
-		Rates:    workload.ChurnConfig{JoinRate: 1000},
-		Interval: 4,
-		Seed:     5,
-	})
-	m.Start()
-	eng.RunUntil(40)
-	if m.Stats.Joins == 0 {
-		t.Fatal("no joins before Stop")
-	}
-	m.Stop()
-	eng.RunUntil(50) // let the pending tick observe stopped and cancel
-	before := m.Stats
-	eng.RunUntil(400)
-	if m.Stats != before {
-		t.Fatalf("churn continued after Stop: %+v vs %+v", m.Stats, before)
-	}
-	// The manager is restartable: Start registers fresh series (the
-	// dead ones stay dead — no double cadence from stale closures).
-	m.Start()
-	eng.RunUntil(500)
-	if m.Stats.Joins == before.Joins {
-		t.Fatal("no joins after restart")
-	}
-	m.Stop()
-	eng.RunUntil(600)
-	after := m.Stats
-	eng.RunUntil(1000)
-	if m.Stats != after {
-		t.Fatalf("churn continued after second Stop: %+v vs %+v", m.Stats, after)
 	}
 }

@@ -145,7 +145,7 @@ func TestAggExactness(t *testing.T) {
 		if churn {
 			label = "graceful-leave"
 		}
-		eng, nodes := testNet(t, 48, 5, DefaultConfig(), churnNetCfg())
+		eng, nodes := testNet(t, 48, 5, Config{}, churnNetCfg())
 		published, qids := runAggWorkload(t, eng, nodes, churn)
 		queries := aggTestQueries()
 		for i, qid := range qids {
@@ -169,7 +169,7 @@ func TestAggExactness(t *testing.T) {
 // A crash that takes aggregator state down counts it as loss instead of
 // silently shrinking the view.
 func TestCrashCountsLostAggState(t *testing.T) {
-	eng, nodes := testNet(t, 48, 5, DefaultConfig(), churnNetCfg())
+	eng, nodes := testNet(t, 48, 5, Config{}, churnNetCfg())
 	_, err := eng.SubmitQuery(nodes[0], sqlparse.MustParse(
 		"select R.A, count(*) from R,S where R.A=S.A group by R.A", testCat))
 	if err != nil {
@@ -208,7 +208,7 @@ func TestCrashCountsLostAggState(t *testing.T) {
 func TestAggWithoutCountStarStaysAggregate(t *testing.T) {
 	const sql = "select S.A, sum(R.B) from R,S where R.A=S.A group by S.A"
 	for _, rFirst := range []bool{true, false} {
-		eng, nodes := testNet(t, 32, 9, DefaultConfig(), churnNetCfg())
+		eng, nodes := testNet(t, 32, 9, Config{}, churnNetCfg())
 		qid, err := eng.SubmitQuery(nodes[0], sqlparse.MustParse(sql, testCat))
 		if err != nil {
 			t.Fatal(err)

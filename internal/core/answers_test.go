@@ -56,7 +56,7 @@ func TestRowKeyInjective(t *testing.T) {
 // What lies between the two ends — the overlay's scheduling of the
 // delivery and, for a partial, the group key's hash — is not measured.
 func TestAnswerRowAllocs(t *testing.T) {
-	eng, nodes := testNet(t, 16, 1, DefaultConfig(), overlay.DefaultConfig())
+	eng, nodes := testNet(t, 16, 1, Config{}, overlay.DefaultConfig())
 	submit := func(sql string) (string, *query.Query) {
 		qid, err := eng.SubmitQuery(nodes[0], sqlparse.MustParse(sql, testCat))
 		if err != nil {

@@ -97,7 +97,7 @@ func inputHolder(eng *Engine) *chord.Node {
 // every answer the reference evaluator expects is delivered exactly
 // once — no loss from the departure, no duplication from the handover.
 func TestGracefulLeaveExactlyOnce(t *testing.T) {
-	eng, nodes := testNet(t, 48, 3, DefaultConfig(), churnNetCfg())
+	eng, nodes := testNet(t, 48, 3, Config{}, churnNetCfg())
 	q := "select R.B, S.B from R,S where R.A=S.A"
 	qid, err := eng.SubmitQuery(nodes[0], sqlparse.MustParse(q, testCat))
 	if err != nil {
@@ -162,7 +162,7 @@ func TestGracefulLeaveExactlyOnce(t *testing.T) {
 // one between publications — must still deliver the exact reference
 // bag.
 func TestRepeatedLeavesStayComplete(t *testing.T) {
-	eng, nodes := testNet(t, 36, 7, DefaultConfig(), churnNetCfg())
+	eng, nodes := testNet(t, 36, 7, Config{}, churnNetCfg())
 	q := "select R.B, S.C from R,S where R.A=S.A and R.C=S.C"
 	qid, err := eng.SubmitQuery(nodes[5], sqlparse.MustParse(q, testCat))
 	if err != nil {
@@ -203,7 +203,7 @@ func TestRepeatedLeavesStayComplete(t *testing.T) {
 // owner's side with identity and insertion time preserved: tuples
 // published after the crash still produce their answers.
 func TestCrashRecoversInputQueries(t *testing.T) {
-	eng, nodes := testNet(t, 48, 11, DefaultConfig(), churnNetCfg())
+	eng, nodes := testNet(t, 48, 11, Config{}, churnNetCfg())
 	q := "select R.B, S.B from R,S where R.A=S.A"
 	qid, err := eng.SubmitQuery(nodes[2], sqlparse.MustParse(q, testCat))
 	if err != nil {
@@ -249,7 +249,7 @@ func TestCrashRecoversInputQueries(t *testing.T) {
 // that state would have produced — and the loss is visible in the
 // counters, not silent.
 func TestCrashCountsLostState(t *testing.T) {
-	eng, nodes := testNet(t, 48, 13, DefaultConfig(), churnNetCfg())
+	eng, nodes := testNet(t, 48, 13, Config{}, churnNetCfg())
 	_, err := eng.SubmitQuery(nodes[1], sqlparse.MustParse(
 		"select R.B, S.B from R,S where R.A=S.A", testCat))
 	if err != nil {
@@ -277,7 +277,7 @@ func TestCrashCountsLostState(t *testing.T) {
 // counters — except entries of a retired pipeline, which nobody is
 // waiting for and which CrashNode skips as well.
 func TestLeaveWithNoSuccessorCountsLoss(t *testing.T) {
-	eng, nodes := testNet(t, 1, 3, DefaultConfig(), churnNetCfg())
+	eng, nodes := testNet(t, 1, 3, Config{}, churnNetCfg())
 	var qids []string
 	for i := 0; i < 2; i++ {
 		qid, err := eng.SubmitQuery(nodes[0], sqlparse.MustParse(
@@ -321,7 +321,7 @@ func TestLeaveWithNoSuccessorCountsLoss(t *testing.T) {
 // arc moves to the joiner, and a workload spanning the join stays
 // exactly-once.
 func TestJoinNodeTakesOverArc(t *testing.T) {
-	eng, nodes := testNet(t, 32, 17, DefaultConfig(), churnNetCfg())
+	eng, nodes := testNet(t, 32, 17, Config{}, churnNetCfg())
 	q := "select R.B, S.B from R,S where R.A=S.A"
 	qid, err := eng.SubmitQuery(nodes[4], sqlparse.MustParse(q, testCat))
 	if err != nil {

@@ -60,8 +60,13 @@ const ricWindow = 2048
 // fresh RIC poll is required (Section 7).
 const ctValidity = 16384
 
-// Config tunes the RJoin engine. Start from DefaultConfig: the zero
-// value runs, but with the Section 7 optimizations off.
+// Config tunes the RJoin engine. The zero value is the paper's
+// configuration: RIC placement (StrategyRIC is 0) with the derived Δ,
+// the Section 7 candidate table and piggy-backed RIC reports, and
+// rewritten queries placed at value level (Section 3's rule, which
+// Theorem 1's completeness argument needs; attribute-level candidates
+// are used only when a rewrite has no value-level one). Those three are
+// how placement works, not settings.
 type Config struct {
 	// Strategy is the query-placement strategy.
 	Strategy Strategy
@@ -72,29 +77,6 @@ type Config struct {
 	// eventual completeness. Negative disables the ALTT entirely
 	// (used by ablation benchmarks to demonstrate lost answers).
 	Delta int64
-
-	// UseCT enables the candidate-table cache of Section 7. Disabling
-	// it forces a RIC poll for every unknown candidate (ablation).
-	UseCT bool
-
-	// PiggybackRIC attaches the sender's RIC knowledge about a
-	// rewritten query's candidates to the Eval message (Section 7), so
-	// the receiver typically needs to poll only the one candidate the
-	// rewriting step introduced.
-	PiggybackRIC bool
-
-	// AllowAttrRewrites permits rewritten queries to be indexed at
-	// attribute-level candidates, the full candidate set of Section 6.
-	// It is off by default because attribute-level nodes only retain Δ
-	// of tuple history (the ALTT), so a rewritten query anchored
-	// out of publication order can miss tuples older than Δ — the
-	// eventual-completeness proof of Theorem 1 covers the generalized
-	// placement only under in-order anchoring. With the flag off,
-	// rewritten queries use value-level candidates (Section 3's rule),
-	// preserving completeness: a value-level store keeps every tuple a
-	// live rewrite can still combine with — all of them when TupleGC is
-	// off, and under TupleGC each for 2·MaxWindowHint−1 on both clocks.
-	AllowAttrRewrites bool
 
 	// ReplicationFactor k replicates every keyed state entry — stored
 	// queries with their DISTINCT projection memory, value-level
@@ -184,16 +166,4 @@ type Config struct {
 	// default: the hot path then never touches lineage slices and
 	// allocates nothing for them.
 	Provenance bool
-}
-
-// DefaultConfig returns the configuration the paper's experiments run
-// under: RIC placement with candidate-table caching and piggy-backed
-// RIC info.
-func DefaultConfig() Config {
-	return Config{
-		Strategy:     StrategyRIC,
-		Delta:        0, // auto
-		UseCT:        true,
-		PiggybackRIC: true,
-	}
 }

@@ -15,7 +15,7 @@ import (
 // replCfg is the engine configuration the durability tests run under:
 // paper defaults plus successor-list replication at the given factor.
 func replCfg(k int) Config {
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.ReplicationFactor = k
 	return cfg
 }

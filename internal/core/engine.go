@@ -401,13 +401,6 @@ func (e *Engine) PublishTuple(publisher *chord.Node, t *relation.Tuple) {
 	e.net.MultiSend(publisher, msgs, ids)
 }
 
-// TotalAnswers returns the number of answers delivered across all
-// queries.
-func (e *Engine) TotalAnswers() int64 {
-	e.Sync()
-	return e.Counters.AnswersDelivered
-}
-
 // Sync merges the parallel engine's per-shard accumulators — counters,
 // QPL/SL and the overlay's traffic lanes — into the public aggregates.
 // It runs after every drain and before metric reads; a serial engine

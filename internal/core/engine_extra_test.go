@@ -17,7 +17,7 @@ import (
 // quiescent Run past it, each counted once, and not before — RunUntil
 // does not move the horizon. SweepALTT finds nothing left to do.
 func TestSweepALTTRemovesExpired(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.Delta = 50
 	eng, nodes := testNet(t, 32, 100, cfg, overlay.DefaultConfig())
 	eng.PublishTuple(nodes[0], mkTuple("R", 1, 2, 3))
@@ -41,7 +41,7 @@ func TestSweepALTTRemovesExpired(t *testing.T) {
 }
 
 func TestResetMetricsClearsEverything(t *testing.T) {
-	eng, nodes := testNet(t, 32, 101, DefaultConfig(), overlay.DefaultConfig())
+	eng, nodes := testNet(t, 32, 101, Config{}, overlay.DefaultConfig())
 	q := sqlparse.MustParse("select R.B, S.B from R,S where R.A=S.A", testCat)
 	if _, err := eng.SubmitQuery(nodes[0], q); err != nil {
 		t.Fatal(err)
@@ -69,11 +69,11 @@ func TestResetMetricsClearsEverything(t *testing.T) {
 }
 
 func TestDeltaAccessorAndAuto(t *testing.T) {
-	eng, _ := testNet(t, 32, 102, DefaultConfig(), overlay.DefaultConfig())
+	eng, _ := testNet(t, 32, 102, Config{}, overlay.DefaultConfig())
 	if eng.Delta() <= 0 {
 		t.Fatalf("auto delta = %d", eng.Delta())
 	}
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.Delta = 123
 	eng2, _ := testNet(t, 32, 103, cfg, overlay.DefaultConfig())
 	if eng2.Delta() != 123 {
@@ -82,7 +82,7 @@ func TestDeltaAccessorAndAuto(t *testing.T) {
 }
 
 func TestTotalAnswersAndProcAccessor(t *testing.T) {
-	eng, nodes := testNet(t, 32, 104, DefaultConfig(), overlay.DefaultConfig())
+	eng, nodes := testNet(t, 32, 104, Config{}, overlay.DefaultConfig())
 	if eng.Proc(nodes[0]) == nil {
 		t.Fatal("Proc accessor nil")
 	}
@@ -92,13 +92,14 @@ func TestTotalAnswersAndProcAccessor(t *testing.T) {
 	eng.PublishTuple(nodes[1], mkTuple("R", 1, 2, 3))
 	eng.PublishTuple(nodes[1], mkTuple("S", 1, 9, 3))
 	eng.Run()
-	if eng.TotalAnswers() != 1 || len(eng.Answers(qid)) != 1 {
-		t.Fatalf("answers: total=%d", eng.TotalAnswers())
+	eng.Sync()
+	if got := eng.Counters.AnswersDelivered; got != 1 || len(eng.Answers(qid)) != 1 {
+		t.Fatalf("answers: total=%d", got)
 	}
 }
 
 func TestMoveNodeTransfersState(t *testing.T) {
-	eng, nodes := testNet(t, 48, 105, DefaultConfig(), overlay.DefaultConfig())
+	eng, nodes := testNet(t, 48, 105, Config{}, overlay.DefaultConfig())
 	q := sqlparse.MustParse("select R.B, S.B from R,S where R.A=S.A", testCat)
 	qid, _ := eng.SubmitQuery(nodes[0], q)
 	eng.Run()
@@ -131,7 +132,7 @@ func TestMoveNodeTransfersState(t *testing.T) {
 // run and count where its new identifier lives. The mover joins as a
 // fresh Proc, and newProc derives every shard-dependent field.
 func TestMoveNodeRebindsShard(t *testing.T) {
-	eng, nodes := lossyNet(t, 48, 131, 2, DefaultConfig(), overlay.DefaultConfig())
+	eng, nodes := lossyNet(t, 48, 131, 2, Config{}, overlay.DefaultConfig())
 	changed := 0
 	for i := 0; i < 20; i++ {
 		old := nodes[1+i]
@@ -158,7 +159,7 @@ func TestMoveNodeRebindsShard(t *testing.T) {
 // counting into another shard's slots; without it, it pins that the
 // answer bag stays refeval-exact across the moves.
 func TestMoveNodeParallelExact(t *testing.T) {
-	eng, nodes := lossyNet(t, 48, 132, 4, DefaultConfig(), overlay.DefaultConfig())
+	eng, nodes := lossyNet(t, 48, 132, 4, Config{}, overlay.DefaultConfig())
 	q := sqlparse.MustParse("select R.B, S.B from R,S where R.A=S.A", testCat)
 	qid, err := eng.SubmitQuery(nodes[0], q)
 	if err != nil {
@@ -197,7 +198,7 @@ func TestMoveNodeParallelExact(t *testing.T) {
 // before anything changes. It used to fail after the mover had left the
 // ring, taking its state with it uncounted.
 func TestMoveNodeOccupiedTarget(t *testing.T) {
-	eng, nodes := testNet(t, 48, 105, DefaultConfig(), overlay.DefaultConfig())
+	eng, nodes := testNet(t, 48, 105, Config{}, overlay.DefaultConfig())
 	if _, err := eng.SubmitQuery(nodes[0], sqlparse.MustParse("select R.B, S.B from R,S where R.A=S.A", testCat)); err != nil {
 		t.Fatal(err)
 	}
@@ -224,8 +225,8 @@ func TestMoveNodeOccupiedTarget(t *testing.T) {
 }
 
 func TestMoveNodeUnknownNode(t *testing.T) {
-	eng, _ := testNet(t, 8, 106, DefaultConfig(), overlay.DefaultConfig())
-	other, _ := testNet(t, 8, 107, DefaultConfig(), overlay.DefaultConfig())
+	eng, _ := testNet(t, 8, 106, Config{}, overlay.DefaultConfig())
+	other, _ := testNet(t, 8, 107, Config{}, overlay.DefaultConfig())
 	foreign := other.Ring().Nodes()[0]
 	if _, err := eng.MoveNode(foreign, 42); err == nil {
 		t.Fatal("moving a foreign node succeeded")
@@ -233,11 +234,11 @@ func TestMoveNodeUnknownNode(t *testing.T) {
 }
 
 func TestSubmitQueryValidation(t *testing.T) {
-	eng, nodes := testNet(t, 8, 110, DefaultConfig(), overlay.DefaultConfig())
+	eng, nodes := testNet(t, 8, 110, Config{}, overlay.DefaultConfig())
 	if _, err := eng.SubmitQuery(nodes[0], &query.Query{}); err == nil {
 		t.Fatal("empty query accepted")
 	}
-	other, _ := testNet(t, 8, 111, DefaultConfig(), overlay.DefaultConfig())
+	other, _ := testNet(t, 8, 111, Config{}, overlay.DefaultConfig())
 	foreign := other.Ring().Nodes()[0]
 	q := sqlparse.MustParse("select R.B, S.B from R,S where R.A=S.A", testCat)
 	if _, err := eng.SubmitQuery(foreign, q); err == nil {
@@ -264,7 +265,7 @@ func TestTupleGCRejectsQueriesItCannotServe(t *testing.T) {
 		{"hint not positive", 0, "select R.B, S.B from R,S where R.A=S.A within 8 ticks", "MaxWindowHint"},
 		{"window within the hint", 8, "select R.B, S.B from R,S where R.A=S.A within 8 ticks tumbling", ""},
 	} {
-		cfg := DefaultConfig()
+		cfg := Config{}
 		cfg.TupleGC, cfg.MaxWindowHint = true, c.hint
 		eng, nodes := testNet(t, 8, 112, cfg, overlay.DefaultConfig())
 		q := sqlparse.MustParse(c.sql, testCat)
@@ -308,7 +309,7 @@ func TestIdleRunAllocatesNothing(t *testing.T) {
 	}
 
 	t.Run("aggregator groups", func(t *testing.T) {
-		eng, nodes := testNet(t, 64, 7, DefaultConfig(), overlay.DefaultConfig())
+		eng, nodes := testNet(t, 64, 7, Config{}, overlay.DefaultConfig())
 		_, err := eng.SubmitQuery(nodes[0], sqlparse.MustParse(
 			"select R.B, count(*) from R,S where R.A=S.A group by R.B", testCat))
 		if err != nil {
@@ -334,7 +335,7 @@ func TestIdleRunAllocatesNothing(t *testing.T) {
 	})
 
 	t.Run("reliable channels", func(t *testing.T) {
-		eng, nodes := lossyNet(t, 64, 7, 0, DefaultConfig(), lossyNetCfg(&overlay.Faults{}))
+		eng, nodes := lossyNet(t, 64, 7, 0, Config{}, lossyNetCfg(&overlay.Faults{}))
 		// A tuple message that arrives at a node other than its publisher
 		// was drawn on the (publisher → node) pair.
 		channels := make(map[[2]id.ID]bool)
@@ -363,7 +364,7 @@ func TestIdleRunAllocatesNothing(t *testing.T) {
 		// Windowed groups whose epochs died and left them empty, epochs and
 		// candidate-table entries filed to die later: an idle Run finds
 		// nothing due.
-		eng, nodes := testNet(t, 64, 7, DefaultConfig(), overlay.DefaultConfig())
+		eng, nodes := testNet(t, 64, 7, Config{}, overlay.DefaultConfig())
 		_, err := eng.SubmitQuery(nodes[0], sqlparse.MustParse(
 			"select R.B, count(*) from R,S where R.A=S.A group by R.B within 8 tuples tumbling", testCat))
 		if err != nil {

@@ -64,7 +64,7 @@ func mkTuple(rel string, vals ...int64) *relation.Tuple {
 // reaches its node), and exactly the answer S.B=6, M.A=9.
 func TestPaperFigure1Example(t *testing.T) {
 	for _, strat := range []Strategy{StrategyRIC, StrategyRandom, StrategyWorst} {
-		cfg := DefaultConfig()
+		cfg := Config{}
 		cfg.Strategy = strat
 		eng, nodes := testNet(t, 64, 1, cfg, overlay.DefaultConfig())
 		q := sqlparse.MustParse(
@@ -95,7 +95,7 @@ func TestPaperFigure1Example(t *testing.T) {
 // TestTupleBeforeQueryIgnored checks the Definition 1 semantics: only
 // tuples published at or after query submission count.
 func TestTupleBeforeQueryIgnored(t *testing.T) {
-	eng, nodes := testNet(t, 32, 2, DefaultConfig(), overlay.DefaultConfig())
+	eng, nodes := testNet(t, 32, 2, Config{}, overlay.DefaultConfig())
 	early := mkTuple("R", 1, 1, 0)
 	eng.PublishTuple(nodes[3], early)
 	eng.Run()
@@ -158,7 +158,7 @@ func randomRun(t *testing.T, cfg Config, netCfg overlay.Config, seed int64,
 // every reference answer is delivered, exactly once.
 func TestSoundAndCompleteTwoWay(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		eng, qids, queries, tuples := randomRun(t, DefaultConfig(), overlay.DefaultConfig(), seed, 6, 40, 2)
+		eng, qids, queries, tuples := randomRun(t, Config{}, overlay.DefaultConfig(), seed, 6, 40, 2)
 		for i, qid := range qids {
 			want := refeval.Evaluate(queries[i], tuples)
 			got := answersToRows(eng.Answers(qid))
@@ -174,7 +174,7 @@ func TestSoundAndCompleteTwoWay(t *testing.T) {
 // TestSoundAndCompleteMultiWay is the same check for 3-way joins.
 func TestSoundAndCompleteMultiWay(t *testing.T) {
 	for seed := int64(4); seed <= 6; seed++ {
-		eng, qids, queries, tuples := randomRun(t, DefaultConfig(), overlay.DefaultConfig(), seed, 4, 30, 3)
+		eng, qids, queries, tuples := randomRun(t, Config{}, overlay.DefaultConfig(), seed, 4, 30, 3)
 		for i, qid := range qids {
 			want := refeval.Evaluate(queries[i], tuples)
 			got := answersToRows(eng.Answers(qid))
@@ -190,9 +190,9 @@ func TestSoundAndCompleteMultiWay(t *testing.T) {
 // take random bounded delays, so tuples can overtake queries; the ALTT
 // must repair every such race.
 func TestCompletenessUnderRandomDelays(t *testing.T) {
-	netCfg := overlay.Config{MinHopDelay: 1, MaxHopDelay: 25, GroupMultiSend: true}
+	netCfg := overlay.Config{MinHopDelay: 1, MaxHopDelay: 25}
 	for seed := int64(7); seed <= 9; seed++ {
-		eng, qids, queries, tuples := randomRun(t, DefaultConfig(), netCfg, seed, 4, 30, 2)
+		eng, qids, queries, tuples := randomRun(t, Config{}, netCfg, seed, 4, 30, 2)
 		for i, qid := range qids {
 			want := refeval.Evaluate(queries[i], tuples)
 			got := answersToRows(eng.Answers(qid))
@@ -207,8 +207,8 @@ func TestCompletenessUnderRandomDelays(t *testing.T) {
 // the network to quiesce, so queries, tuples, RIC walks and rewrites
 // are all in flight concurrently — then checks exact bag equality.
 func TestDelayedStreamInterleaving(t *testing.T) {
-	netCfg := overlay.Config{MinHopDelay: 1, MaxHopDelay: 10, GroupMultiSend: true}
-	eng, nodes := testNet(t, 48, 11, DefaultConfig(), netCfg)
+	netCfg := overlay.Config{MinHopDelay: 1, MaxHopDelay: 10}
+	eng, nodes := testNet(t, 48, 11, Config{}, netCfg)
 	wcfg := workload.Config{Relations: 3, Attributes: 3, Values: 3, Theta: 0.9, JoinArity: 2}
 	gen := workload.MustGenerator(wcfg, 11)
 	rng := rand.New(rand.NewSource(12))
@@ -249,7 +249,7 @@ func TestDelayedStreamInterleaving(t *testing.T) {
 // the overlay (the Example 1 scenario of Section 4).
 func racedRun(t *testing.T, cfg Config, seed int64) (*Engine, []string, []*query.Query, []*relation.Tuple) {
 	t.Helper()
-	netCfg := overlay.Config{MinHopDelay: 1, MaxHopDelay: 30, GroupMultiSend: true}
+	netCfg := overlay.Config{MinHopDelay: 1, MaxHopDelay: 30}
 	eng, nodes := testNet(t, 48, seed, cfg, netCfg)
 	wcfg := workload.Config{Relations: 3, Attributes: 3, Values: 3, Theta: 0.9, JoinArity: 2}
 	gen := workload.MustGenerator(wcfg, seed)
@@ -280,7 +280,7 @@ func racedRun(t *testing.T, cfg Config, seed int64) (*Engine, []string, []*query
 // nothing is lost even though tuples overtake queries.
 func TestALTTRepairsRaces(t *testing.T) {
 	for seed := int64(20); seed < 24; seed++ {
-		eng, qids, queries, tuples := racedRun(t, DefaultConfig(), seed)
+		eng, qids, queries, tuples := racedRun(t, Config{}, seed)
 		for i, qid := range qids {
 			want := refeval.Evaluate(queries[i], tuples)
 			got := answersToRows(eng.Answers(qid))
@@ -298,7 +298,7 @@ func TestALTTRepairsRaces(t *testing.T) {
 func TestALTTDisabledLosesAnswers(t *testing.T) {
 	lost := 0
 	for seed := int64(20); seed < 26; seed++ {
-		cfg := DefaultConfig()
+		cfg := Config{}
 		cfg.Delta = -1 // disable ALTT
 		eng, qids, queries, tuples := racedRun(t, cfg, seed)
 		for i, qid := range qids {
@@ -319,7 +319,7 @@ func TestALTTDisabledLosesAnswers(t *testing.T) {
 // (1, b) twice; DISTINCT delivers it once.
 func TestDuplicateExample2(t *testing.T) {
 	run := func(distinct bool) []Answer {
-		eng, nodes := testNet(t, 32, 3, DefaultConfig(), overlay.DefaultConfig())
+		eng, nodes := testNet(t, 32, 3, Config{}, overlay.DefaultConfig())
 		src := "select R.A, S.A from R,S where R.B=S.B"
 		if distinct {
 			src = "select distinct R.A, S.A from R,S where R.B=S.B"
@@ -353,7 +353,7 @@ func TestDuplicateExample2(t *testing.T) {
 // TestDistinctMatchesReferenceSet checks DISTINCT equals the reference
 // set for random workloads.
 func TestDistinctMatchesReferenceSet(t *testing.T) {
-	eng, nodes := testNet(t, 48, 13, DefaultConfig(), overlay.DefaultConfig())
+	eng, nodes := testNet(t, 48, 13, Config{}, overlay.DefaultConfig())
 	wcfg := workload.Config{Relations: 3, Attributes: 3, Values: 3, Theta: 0.9, JoinArity: 2}
 	gen := workload.MustGenerator(wcfg, 13)
 	rng := rand.New(rand.NewSource(14))

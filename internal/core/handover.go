@@ -89,7 +89,7 @@ func (e *Engine) move(from, to *Proc, ops []stateOp, b bill) {
 // too); a windowed rewrite and a stored tuple only by the horizon, since
 // tuples in flight may carry clocks older than now; a candidate-table
 // entry by the horizon too, since a placement begun since may still hold
-// a report read from it (addrFor). An aggregator group is never dead —
+// a report read from it (sendEval). An aggregator group is never dead —
 // it outlives its epochs (state.pruneEpochs) — but leaves without its
 // dead, flushed ones. Soft state counts nothing.
 func (e *Engine) expired(op stateOp, p *Proc) bool {

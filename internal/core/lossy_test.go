@@ -88,7 +88,7 @@ func faultCounters(t *testing.T, eng *Engine, label string) {
 // still delivers the refeval-exact answer bag — recall 1.0, zero
 // duplicate answers — for plain, three-way and racing queries.
 func TestLossyExactlyOnce(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.ReplicationFactor = 2
 	plan := lossyPlan()
 	eng, nodes := lossyNet(t, 48, 11, 0, cfg, lossyNetCfg(plan))
@@ -157,7 +157,7 @@ func TestLossyExactlyOnce(t *testing.T) {
 // delivery would re-trigger a consumed projection and surface as an
 // extra row.
 func TestLossyDistinctNoDuplicates(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.ReplicationFactor = 2
 	eng, nodes := lossyNet(t, 48, 13, 0, cfg, lossyNetCfg(&overlay.Faults{DropProb: 0.15, DupProb: 0.25}))
 	q := "select distinct S.B from R,S where R.A=S.A"
@@ -204,7 +204,7 @@ func TestLossyDistinctNoDuplicates(t *testing.T) {
 // Only unwindowed aggregates run here: a window's content is defined by
 // arrival order, which faults legitimately reorder.
 func TestLossyAggViews(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.ReplicationFactor = 2
 	plan := lossyPlan()
 	eng, nodes := lossyNet(t, 48, 17, 0, cfg, lossyNetCfg(plan))
@@ -255,7 +255,7 @@ func TestLossyAggViews(t *testing.T) {
 // bag must be exact for every worker count.
 func TestLossyExactlyOnceParallel(t *testing.T) {
 	for _, workers := range []int{2, 4} {
-		cfg := DefaultConfig()
+		cfg := Config{}
 		cfg.ReplicationFactor = 2
 		plan := lossyPlan()
 		eng, nodes := lossyNet(t, 48, 19, workers, cfg, lossyNetCfg(plan))
@@ -302,7 +302,7 @@ func TestLossyMoveNodeExact(t *testing.T) {
 	const q = "select R.B, S.B from R,S where R.A=S.A"
 	for _, workers := range []int{0, 4} {
 		for seed := int64(1); seed <= 8; seed++ {
-			eng, nodes := lossyNet(t, 16, seed, workers, DefaultConfig(), lossyNetCfg(&overlay.Faults{}))
+			eng, nodes := lossyNet(t, 16, seed, workers, Config{}, lossyNetCfg(&overlay.Faults{}))
 			qid, err := eng.SubmitQuery(nodes[0], sqlparse.MustParse(q, testCat))
 			if err != nil {
 				t.Fatal(err)

@@ -16,7 +16,7 @@ import (
 // answers derivable from tuples published before submission and ignores
 // everything after.
 func TestOneTimeQuerySnapshot(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.Delta = 1 << 40 // Δ = "infinity": retain attribute-level history
 	eng, nodes := testNet(t, 48, 140, cfg, overlay.DefaultConfig())
 
@@ -57,7 +57,7 @@ func TestOneTimeQuerySnapshot(t *testing.T) {
 // TestOneTimeRandomWorkload compares one-time answers against the
 // reference for random multi-way workloads.
 func TestOneTimeRandomWorkload(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.Delta = 1 << 40
 	for seed := int64(141); seed < 144; seed++ {
 		eng, nodes := testNet(t, 48, seed, cfg, overlay.DefaultConfig())
@@ -99,7 +99,7 @@ func TestOneTimeRandomWorkload(t *testing.T) {
 // TestOneTimeKeepsNoState: after a one-time query resolves, no standing
 // query state remains anywhere.
 func TestOneTimeKeepsNoState(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.Delta = 1 << 40
 	eng, nodes := testNet(t, 32, 145, cfg, overlay.DefaultConfig())
 	eng.PublishTuple(nodes[1], mkTuple("R", 1, 10, 0))
@@ -120,7 +120,7 @@ func TestOneTimeKeepsNoState(t *testing.T) {
 // gone and a one-time query anchored there sees only a partial (but
 // sound) snapshot.
 func TestOneTimeBoundedByDelta(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.Delta = 10 // tiny retention
 	eng, nodes := testNet(t, 32, 146, cfg, overlay.DefaultConfig())
 	var tuples []*relation.Tuple

@@ -594,11 +594,16 @@ func (p *Proc) place(now sim.Time, sq *storedQuery) {
 	q := sq.q
 	cands := q.AppendCandidates(p.sc.cands[:0])
 	p.sc.cands = cands
-	if q.Depth > 0 && !p.eng.Cfg.AllowAttrRewrites {
-		// Default rule (Section 3): rewritten queries are indexed at
-		// value level, where tuple stores are unbounded. See
-		// Config.AllowAttrRewrites for the Section 6 generalization.
-		// The candidates are the scratch's, so filter them in place.
+	if q.Depth > 0 {
+		// Section 3's rule: rewritten queries are indexed at value
+		// level. An attribute-level node keeps only Δ of tuple history
+		// (the ALTT), so a rewrite anchored there out of publication
+		// order could miss older tuples; a value-level store keeps every
+		// tuple a live rewrite can still combine with — all of them
+		// without TupleGC, each for 2·MaxWindowHint−1 on both clocks
+		// under it. Attribute level is the fallback only for a rewrite
+		// with no value-level candidate. The candidates are the
+		// scratch's, so filter them in place.
 		vcands := cands[:0]
 		for _, c := range cands {
 			if c.Level == query.ValueLevel {
@@ -648,7 +653,7 @@ func (p *Proc) place(now sim.Time, sq *storedQuery) {
 // into each rewrite, and the table learns it only when the first reply
 // lands ticks later. Only the keys nobody is fetching are walked; a
 // placement with none left to walk sends nothing. That is a property of
-// the walk, not of the table: Config.UseCT off still joins.
+// the walk, not of the table.
 //
 // The slots and walk keys are built in the processor's scratch; a
 // placement that must wait copies its slots once, and the walk's keys
@@ -659,15 +664,13 @@ func (p *Proc) placeRIC(now sim.Time, sq *storedQuery, cands []query.Candidate) 
 	ob := p.eng.obs
 	for _, c := range cands {
 		s := slot{ricInfo: ricInfo{Key: c.Key}, level: c.Level}
-		if p.eng.Cfg.UseCT {
-			if e, ok := p.st.ct.fresh(c.Key, now, ctValidity); ok {
-				s.ricInfo, s.have = ricInfo{Key: c.Key, Rate: e.Rate, Addr: e.Addr, At: e.At}, true
-				if ob != nil {
-					ob.Emit(p.shard, obs.Rec{At: now, Kind: obs.KindCTHit, Node: p.nid(), QID: sq.q.ID, Key: c.Key.String()})
-				}
-			} else if ob != nil {
-				ob.Emit(p.shard, obs.Rec{At: now, Kind: obs.KindCTMiss, Node: p.nid(), QID: sq.q.ID, Key: c.Key.String()})
+		if e, ok := p.st.ct.fresh(c.Key, now, ctValidity); ok {
+			s.ricInfo, s.have = ricInfo{Key: c.Key, Rate: e.Rate, Addr: e.Addr, At: e.At}, true
+			if ob != nil {
+				ob.Emit(p.shard, obs.Rec{At: now, Kind: obs.KindCTHit, Node: p.nid(), QID: sq.q.ID, Key: c.Key.String()})
 			}
+		} else if ob != nil {
+			ob.Emit(p.shard, obs.Rec{At: now, Kind: obs.KindCTMiss, Node: p.nid(), QID: sq.q.ID, Key: c.Key.String()})
 		}
 		if !s.have {
 			missing++
@@ -785,17 +788,15 @@ func (p *Proc) decide(sq *storedQuery, slots []slot) {
 		}
 	}
 	msg := newEvalMsg(sq, best.Key, best.level)
-	if p.eng.Cfg.PiggybackRIC {
-		// Every report concerns a candidate key (CT hits come from the
-		// candidate scan, walk replies cover exactly the unknown
-		// candidates), so the piggy-backed set is the reports themselves,
-		// copied into the message: the slots may be scratch. Receivers
-		// only merge it into their candidate tables, which is
-		// order-insensitive.
-		for i := range slots {
-			if slots[i].have {
-				msg.RIC = append(msg.RIC, slots[i].ricInfo)
-			}
+	// Every report concerns a candidate key (CT hits come from the
+	// candidate scan, walk replies cover exactly the unknown
+	// candidates), so the piggy-backed set (Section 7) is the reports
+	// themselves, copied into the message: the slots may be scratch.
+	// Receivers only merge it into their candidate tables, which is
+	// order-insensitive.
+	for i := range slots {
+		if slots[i].have {
+			msg.RIC = append(msg.RIC, slots[i].ricInfo)
 		}
 	}
 	p.sendEval(msg, best.have)
@@ -805,25 +806,16 @@ func (p *Proc) decide(sq *storedQuery, slots []slot) {
 // is known (the RIC reply contains candidate IPs), routed otherwise.
 func (p *Proc) sendEval(msg *evalMsg, direct bool) {
 	if direct {
+		// The candidate table holds the address: a CT hit was read from
+		// it, and onRICReply merges every report before handing it on.
 		// The address may be stale (node left); fall back to routing.
-		if tgt := p.eng.ring.Node(p.addrFor(msg.Key, msg.RIC)); tgt != nil && p.stillOwns(tgt.ID(), msg.Key) {
+		e, _ := p.st.ct.get(msg.Key)
+		if tgt := p.eng.ring.Node(e.Addr); tgt != nil && p.stillOwns(tgt.ID(), msg.Key) {
 			p.eng.net.SendDirect(p.node, tgt.ID(), msg)
 			return
 		}
 	}
 	p.eng.net.Send(p.node, msg.Key.ID(), msg)
-}
-
-func (p *Proc) addrFor(key relation.Key, piggy []ricInfo) id.ID {
-	if e, ok := p.st.ct.get(key); ok {
-		return e.Addr
-	}
-	for _, info := range piggy {
-		if info.Key == key {
-			return info.Addr
-		}
-	}
-	return 0
 }
 
 // stillOwns verifies a cached address still owns the key before sending

@@ -115,7 +115,7 @@ func checkBags(t *testing.T, eng *Engine, qids []string, published []*relation.T
 func TestMoveNodeDuringPlacementWalk(t *testing.T) {
 	for _, m := range sfModes {
 		t.Run(m.name, func(t *testing.T) {
-			eng, nodes := lossyNet(t, 48, 105, m.workers, DefaultConfig(), lossyNetCfg(m.faults))
+			eng, nodes := lossyNet(t, 48, 105, m.workers, Config{}, lossyNetCfg(m.faults))
 			qids := sfSubmit(t, eng, nodes[0])
 			if _, err := eng.MoveNode(nodes[0], nodes[0].ID()+1<<60); err != nil {
 				t.Fatal(err)
@@ -142,7 +142,7 @@ func TestMoveNodeDuringPlacementWalk(t *testing.T) {
 func TestUnsubscribeLeaderMidWalk(t *testing.T) {
 	for _, m := range sfModes {
 		t.Run(m.name, func(t *testing.T) {
-			eng, nodes := lossyNet(t, 48, 105, m.workers, DefaultConfig(), lossyNetCfg(m.faults))
+			eng, nodes := lossyNet(t, 48, 105, m.workers, Config{}, lossyNetCfg(m.faults))
 			qids := sfSubmit(t, eng, nodes[0])
 			if err := eng.Unsubscribe(qids[0]); err != nil {
 				t.Fatal(err)
@@ -240,7 +240,7 @@ func TestJoinerForwardsReplyMidWalk(t *testing.T) {
 	for _, joinAt := range [][]id.ID{{1}, {0}, {1, 2}} { // offsets from the vacated identifier; 0 takes it exactly
 		for _, m := range sfModes {
 			t.Run(fmt.Sprint(m.name, joinAt), func(t *testing.T) {
-				eng, nodes := lossyNet(t, 48, 105, m.workers, DefaultConfig(), lossyNetCfg(m.faults))
+				eng, nodes := lossyNet(t, 48, 105, m.workers, Config{}, lossyNetCfg(m.faults))
 				origin, succ := nodes[0], nodes[1]
 				submit := func(at *chord.Node, i int) string {
 					qid, err := eng.SubmitQuery(at, sqlparse.MustParse(sfQueries[i], testCat))
@@ -287,7 +287,7 @@ func TestJoinerForwardsReplyMidWalk(t *testing.T) {
 func TestForwardedReplyStopsAfterOneRound(t *testing.T) {
 	for _, m := range sfModes {
 		t.Run(m.name, func(t *testing.T) {
-			eng, nodes := lossyNet(t, 3, 105, m.workers, DefaultConfig(), lossyNetCfg(m.faults))
+			eng, nodes := lossyNet(t, 3, 105, m.workers, Config{}, lossyNetCfg(m.faults))
 			qid, err := eng.SubmitQuery(nodes[0], sqlparse.MustParse(sfQueries[0], testCat))
 			if err != nil {
 				t.Fatal(err)
@@ -399,7 +399,7 @@ func TestSingleFlightWalks(t *testing.T) {
 	for _, workers := range []int{0, 4} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
 			tr := obs.NewTracer(0)
-			cfg := DefaultConfig()
+			cfg := Config{}
 			cfg.Obs = obs.NewRecorder(obs.Views{Trace: tr})
 			netCfg := churnNetCfg()
 			netCfg.Obs = cfg.Obs

@@ -102,7 +102,7 @@ func (ct *candidateTable) fresh(key relation.Key, now sim.Time, validity int64) 
 }
 
 // get returns the entry regardless of freshness. Its one caller,
-// addrFor, reads a key right after a fresh hit on it or a merge of it,
+// sendEval, reads a key right after a fresh hit on it or a merge of it,
 // so the entry it finds is never one the death drain would have dropped.
 func (ct *candidateTable) get(key relation.Key) (ctEntry, bool) {
 	e, ok := ct.entries[key]

@@ -32,7 +32,7 @@ var subsQueries = []string{
 
 // subsEngine builds a small engine for the subscriber-side tests.
 func subsEngine(t *testing.T, seed int64, workers int, sharing bool, metrics bool) (*Engine, []*chord.Node) {
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.ShareExact = true
 	cfg.ShareQueries = sharing
 	cfg.Catalog = testCat
@@ -132,7 +132,8 @@ func TestSubsRandomScripts(t *testing.T) {
 				checkSubscription(t, label, eng, qid, published)
 				held += int64(len(eng.Answers(qid)))
 			}
-			if got := eng.TotalAnswers(); got != held+discarded {
+			eng.Sync()
+			if got := eng.Counters.AnswersDelivered; got != held+discarded {
 				t.Fatalf("%s: %d answers delivered, %d held + %d discarded", label, got, held, discarded)
 			}
 			before, ctr := eng.subsFootprint(), eng.Counters

@@ -57,7 +57,7 @@ func checkNothingDead(t testing.TB, eng *Engine) {
 // publications so clocks are strictly ordered) against window queries.
 func windowRun(t *testing.T, seed int64, w query.WindowSpec, nQueries, nTuples int) (*Engine, []string, []*query.Query, []*relation.Tuple) {
 	t.Helper()
-	eng, nodes := testNet(t, 48, seed, DefaultConfig(), overlay.DefaultConfig())
+	eng, nodes := testNet(t, 48, seed, Config{}, overlay.DefaultConfig())
 	wcfg := workload.Config{Relations: 3, Attributes: 3, Values: 3, Theta: 0.9, JoinArity: 2}
 	gen := workload.MustGenerator(wcfg, seed)
 	rng := rand.New(rand.NewSource(seed + 5))
@@ -131,7 +131,7 @@ func TestMultiWayWindowBracketed(t *testing.T) {
 	w := query.WindowSpec{Kind: query.WindowTuples, Size: 10}
 	for seed := int64(44); seed < 47; seed++ {
 		eng, qids, queries, tuples := func() (*Engine, []string, []*query.Query, []*relation.Tuple) {
-			eng, nodes := testNet(t, 48, seed, DefaultConfig(), overlay.DefaultConfig())
+			eng, nodes := testNet(t, 48, seed, Config{}, overlay.DefaultConfig())
 			wcfg := workload.Config{Relations: 3, Attributes: 2, Values: 3, Theta: 0.9, JoinArity: 3}
 			gen := workload.MustGenerator(wcfg, seed)
 			rng := rand.New(rand.NewSource(seed + 5))
@@ -176,7 +176,7 @@ func TestMultiWayWindowBracketed(t *testing.T) {
 // TestTimeWindow exercises the WindowTime clock: two tuples far apart
 // in virtual time do not join; close together they do.
 func TestTimeWindow(t *testing.T) {
-	eng, nodes := testNet(t, 32, 50, DefaultConfig(), overlay.DefaultConfig())
+	eng, nodes := testNet(t, 32, 50, Config{}, overlay.DefaultConfig())
 	q := sqlparse.MustParse(
 		"select R.B, S.B from R,S where R.A=S.A within 100 ticks", testCat)
 	qid, _ := eng.SubmitQuery(nodes[0], q)
@@ -202,7 +202,7 @@ func TestTimeWindow(t *testing.T) {
 // TestTumblingWindow: tuples in the same epoch join; straddling an
 // epoch boundary they do not, even when close.
 func TestTumblingWindow(t *testing.T) {
-	eng, nodes := testNet(t, 32, 51, DefaultConfig(), overlay.DefaultConfig())
+	eng, nodes := testNet(t, 32, 51, Config{}, overlay.DefaultConfig())
 	q := sqlparse.MustParse(
 		"select R.B, S.B from R,S where R.A=S.A within 10 tuples tumbling", testCat)
 	qid, _ := eng.SubmitQuery(nodes[0], q)
@@ -262,7 +262,7 @@ func TestWindowsBoundState(t *testing.T) {
 // removed at the first quiescent Run past its window, so a matching tuple
 // that arrives at its key later finds nothing to trigger.
 func TestWindowExpiryCounter(t *testing.T) {
-	eng, nodes := testNet(t, 32, 61, DefaultConfig(), overlay.DefaultConfig())
+	eng, nodes := testNet(t, 32, 61, Config{}, overlay.DefaultConfig())
 	q := sqlparse.MustParse(
 		"select R.B, S.B from R,S where R.A=S.A within 3 tuples", testCat)
 	if _, err := eng.SubmitQuery(nodes[0], q); err != nil {
@@ -304,7 +304,7 @@ func TestRewriteDiesWithoutItsKeyBeingTouched(t *testing.T) {
 		{"within 64 ticks tumbling", func(s int64) int64 { return (s/64 + 1) * 64 }},
 	} {
 		t.Run(c.window, func(t *testing.T) {
-			eng, nodes := testNet(t, 32, 62, DefaultConfig(), overlay.DefaultConfig())
+			eng, nodes := testNet(t, 32, 62, Config{}, overlay.DefaultConfig())
 			q := sqlparse.MustParse("select R.B, S.B from R,S where R.A=S.A "+c.window, testCat)
 			if _, err := eng.SubmitQuery(nodes[0], q); err != nil {
 				t.Fatal(err)
@@ -381,7 +381,7 @@ func TestRewriteDiesWithoutItsKeyBeingTouched(t *testing.T) {
 // serially.
 func TestDeathDrainWorkerInvariant(t *testing.T) {
 	run := func(workers int) (Counters, [][]string) {
-		cfg := DefaultConfig()
+		cfg := Config{}
 		cfg.TupleGC, cfg.MaxWindowHint = true, 32
 		eng, nodes := lossyNet(t, 48, 64, workers, cfg, overlay.DefaultConfig())
 		var qids []string
@@ -508,7 +508,7 @@ func TestTupleDiesWithoutItsKeyBeingTouched(t *testing.T) {
 	const reach = 2*hint - 1
 	for _, last := range []clock{clockSeq, clockTime} {
 		t.Run([]string{"sequence last", "time last"}[last], func(t *testing.T) {
-			cfg := DefaultConfig()
+			cfg := Config{}
 			cfg.TupleGC, cfg.MaxWindowHint = true, hint
 			eng, nodes := testNet(t, 32, 65, cfg, overlay.DefaultConfig())
 			copies := func(r *relation.Tuple) (n int) {
@@ -613,7 +613,7 @@ func TestTupleGCKeepsEveryAnswer(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			run := func(gc bool) (bags [][]string, ctr Counters) {
-				cfg := DefaultConfig()
+				cfg := Config{}
 				cfg.TupleGC, cfg.MaxWindowHint = gc, c.w.Size
 				eng, nodes := testNet(t, 48, 66, cfg, overlay.DefaultConfig())
 				wcfg := workload.Config{Relations: 3, Attributes: 2, Values: c.chain.values, Theta: 0.9, JoinArity: c.chain.arity}
@@ -679,7 +679,7 @@ func TestCTEntryDiesAtValidity(t *testing.T) {
 		return out
 	}
 	build := func() (*Engine, []*chord.Node, string, map[*Proc]ctEntry) {
-		eng, nodes := testNet(t, 32, 9, DefaultConfig(), overlay.DefaultConfig())
+		eng, nodes := testNet(t, 32, 9, Config{}, overlay.DefaultConfig())
 		qid, err := eng.SubmitQuery(nodes[0], sqlparse.MustParse("select R.B, S.B from R,S where R.A=S.A", testCat))
 		if err != nil {
 			t.Fatal(err)

@@ -219,7 +219,7 @@ func (f loadFigure) add(r *run, x, series string, from trafficMark, tuples int) 
 // indexes nq queries, then tuples tuples are measured. Query-indexing
 // traffic is not counted.
 func (f loadFigure) point(p Params, wcfg workload.Config, nq, tuples int, x, series string) {
-	r := newRun(p, core.DefaultConfig(), wcfg)
+	r := newRun(p, core.Config{}, wcfg)
 	r.warmup(p.scaled(400))
 	r.submitQueries(nq, query.WindowSpec{})
 	from := r.mark()
@@ -242,9 +242,7 @@ func Fig2(p Params) []*metrics.Table {
 	type snapshot struct{ traffic, ric, qpl, sl float64 }
 	series := map[core.Strategy][]snapshot{}
 	for _, strat := range []core.Strategy{core.StrategyWorst, core.StrategyRandom, core.StrategyRIC} {
-		cfg := core.DefaultConfig()
-		cfg.Strategy = strat
-		r := newRun(p, cfg, workload.PaperConfig())
+		r := newRun(p, core.Config{Strategy: strat}, workload.PaperConfig())
 		r.warmup(p.scaled(400))
 		r.submitQueries(p.scaled(p.Queries), query.WindowSpec{})
 		published := 0
@@ -296,7 +294,7 @@ func Fig3(p Params) []*metrics.Table {
 		p.scaled(40), p.scaled(80), p.scaled(160), p.scaled(320),
 		p.scaled(640), p.scaled(1280), p.scaled(2560),
 	}
-	r := newRun(p, core.DefaultConfig(), workload.PaperConfig())
+	r := newRun(p, core.Config{}, workload.PaperConfig())
 	r.warmup(p.scaled(400))
 	r.submitQueries(p.scaled(p.Queries), query.WindowSpec{})
 
@@ -383,9 +381,7 @@ func Fig7And8(p Params) (fig7, fig8 []*metrics.Table) {
 	slSeries := make([][]int64, steps)
 
 	for wi, w := range sizes {
-		cfg := core.DefaultConfig()
-		cfg.TupleGC = true
-		cfg.MaxWindowHint = int64(sizes[len(sizes)-1])
+		cfg := core.Config{TupleGC: true, MaxWindowHint: int64(sizes[len(sizes)-1])}
 		r := newRun(p, cfg, workload.PaperConfig())
 		r.warmup(p.scaled(400))
 		r.submitQueries(p.scaled(p.Queries),
@@ -440,7 +436,7 @@ func Fig9(p Params) []*metrics.Table {
 	netCfg := overlay.DefaultConfig()
 	netCfg.Bounce = true
 	for _, withBalance := range []bool{false, true} {
-		r := newRunNet(p, core.DefaultConfig(), workload.PaperConfig(), netCfg)
+		r := newRunNet(p, core.Config{}, workload.PaperConfig(), netCfg)
 		r.warmup(p.scaled(400))
 		r.submitQueries(p.scaled(p.Queries), query.WindowSpec{})
 		bal := loadbalance.New()

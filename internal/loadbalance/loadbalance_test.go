@@ -30,7 +30,7 @@ func buildEngine(t testing.TB, n int, seed int64) (*core.Engine, []*chord.Node) 
 	netCfg := overlay.DefaultConfig()
 	netCfg.Bounce = true
 	nw := overlay.MustNetwork(ring, se, netCfg)
-	eng := core.NewEngine(ring, se, nw, core.DefaultConfig())
+	eng := core.NewEngine(ring, se, nw, core.Config{})
 	return eng, ring.Nodes()
 }
 

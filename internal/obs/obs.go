@@ -262,7 +262,7 @@ func (t *Tracer) Events() []Event {
 	return t.events
 }
 
-// Dropped reports events truncated by the MaxEvents cap.
+// Dropped reports events truncated by the retention cap.
 func (t *Tracer) Dropped() int64 {
 	if t == nil {
 		return 0

@@ -27,7 +27,7 @@
 // a receiver that died meanwhile is found dead on arrival and bounced
 // exactly as with faults off. Dropped, Retransmits, Duplicated (a copy
 // dedup would absorb) and AckMessages (one per coalesced (receiver,
-// sender) AckDelay window) are charged from the draws, at send time.
+// sender) ackDelay window) are charged from the draws, at send time.
 //
 // A zero-rate plan loses nothing: its first attempt arrives when the
 // faults-off delivery would, as the same event, so its schedule is the
@@ -61,6 +61,17 @@ const faultSalt = 0xfa17
 // MaxDelta's widening is computed from it.
 const relMaxLadders = 8
 
+// The ladder's fixed timing. maxRetries is the length of one backoff
+// ladder, after which it restarts; ackDelay is the ack-coalescing window
+// in ticks: deliveries from one sender reaching one receiver within it
+// are charged one ack. The base retransmit timeout RTO derives from the
+// delay model at NewNetwork (Network.rto): one round trip at worst-case
+// delay, 2·(MaxHopDelay+SpikeMax) + ackDelay + 2 ticks.
+const (
+	maxRetries = 6
+	ackDelay   = 2
+)
+
 // Partition is one scheduled link partition: while the virtual clock is
 // in [Start, End), every transmission between a node in Side and a node
 // outside it is dropped. Ring membership and ground-truth lookups are
@@ -92,18 +103,6 @@ type Faults struct {
 	// plan's owner appends later — between runs, never while events
 	// execute — applies to the sends after it, not to those in flight.
 	Partitions []Partition
-	// RTO is the base retransmit timeout in ticks; 0 derives a bound
-	// from the delay model (one round trip at maximum delay plus the
-	// ack-coalescing window). Retry k of a lost message leaves
-	// RTO<<(k-1), jittered from the second retry on, after the
-	// previous attempt's hop.
-	RTO int64
-	// MaxRetries is the length of one backoff ladder; 0 means 6.
-	MaxRetries int
-	// AckDelay is the ack-coalescing window in ticks: deliveries from
-	// one sender reaching one receiver within it are charged one ack.
-	// 0 means 2.
-	AckDelay int64
 }
 
 // validate rejects plans NewNetwork must not accept.
@@ -119,10 +118,6 @@ func (f *Faults) validate() error {
 	if f.SpikeMax < 0 {
 		return fmt.Errorf("overlay: negative Faults.SpikeMax %d", f.SpikeMax)
 	}
-	if f.RTO < 0 || f.AckDelay < 0 || f.MaxRetries < 0 {
-		return fmt.Errorf("overlay: negative Faults timer parameter (RTO %d, AckDelay %d, MaxRetries %d)",
-			f.RTO, f.AckDelay, f.MaxRetries)
-	}
 	for i, p := range f.Partitions {
 		if p.End < p.Start {
 			return fmt.Errorf("overlay: Faults.Partitions[%d] window [%d, %d) ends before it starts",
@@ -130,34 +125,6 @@ func (f *Faults) validate() error {
 		}
 	}
 	return nil
-}
-
-// ladder is the plan's resolved retransmission timing.
-type ladder struct {
-	rto        int64
-	maxRetries int
-	ackDelay   int64
-}
-
-// initFaults resolves the plan's timer parameters. Called from
-// NewNetwork when cfg.Faults != nil.
-func (nw *Network) initFaults() {
-	f := nw.cfg.Faults
-	ackDelay := f.AckDelay
-	if ackDelay == 0 {
-		ackDelay = 2
-	}
-	rto := f.RTO
-	if rto == 0 {
-		// One full round trip at worst-case delay — outbound hop with a
-		// spike, the coalescing window, the ack hop — plus slack.
-		rto = 2*(nw.cfg.MaxHopDelay+f.SpikeMax) + ackDelay + 2
-	}
-	maxRetries := f.MaxRetries
-	if maxRetries == 0 {
-		maxRetries = 6
-	}
-	nw.ladder = &ladder{rto: rto, maxRetries: maxRetries, ackDelay: ackDelay}
 }
 
 // partitioned reports whether a transmission between x and y is blocked
@@ -179,7 +146,7 @@ func (nw *Network) partitioned(x, y id.ID, at sim.Time) bool {
 // delivery delay already charged by the caller; p is the sender's
 // record.
 func (nw *Network) sendReliable(p *peer, from, owner *chord.Node, delay int64, msg Message) {
-	f, lad, rng := nw.cfg.Faults, nw.ladder, p.frng
+	f, rto, rng := nw.cfg.Faults, nw.rto, p.frng
 	src, dst := from.ID(), owner.ID()
 	now := nw.Engine.Now()
 	at, hop := now, delay // the current attempt: transmit time and hop delay
@@ -187,13 +154,13 @@ func (nw *Network) sendReliable(p *peer, from, owner *chord.Node, delay int64, m
 		p.l.tot.Dropped++
 		// The lost attempt's retransmit timer fires RTO<<rung after its
 		// hop, jittered on a retransmission.
-		wait := lad.rto << rung
+		wait := rto << rung
 		if rung > 0 {
-			wait += rng.Int63n(lad.rto/2 + 1)
+			wait += rng.Int63n(rto/2 + 1)
 		}
 		at += sim.Time(hop + wait)
 		switch {
-		case rung < lad.maxRetries:
+		case rung < maxRetries:
 			rung++
 		case nw.partitioned(src, dst, at):
 			rung = 0 // an outage is no evidence the peer is gone: no round spent
@@ -213,7 +180,7 @@ func (nw *Network) sendReliable(p *peer, from, owner *chord.Node, delay int64, m
 			// full ladder it exhausted, so the histogram's tail shows it.
 			round := int64(rung)
 			if rung == 0 {
-				round = int64(lad.maxRetries) + 1
+				round = int64(maxRetries) + 1
 			}
 			ob.Emit(p.shard, obs.Rec{At: now, Kind: obs.KindRetransmit, Node: uint64(src), Arg: round})
 		}
@@ -226,7 +193,7 @@ func (nw *Network) sendReliable(p *peer, from, owner *chord.Node, delay int64, m
 	}
 	arrive := at + sim.Time(hop)
 	if arrive >= p.ackEnd[dst] {
-		p.ackEnd[dst] = arrive + sim.Time(lad.ackDelay)
+		p.ackEnd[dst] = arrive + sim.Time(ackDelay)
 		p.l.tot.AckMessages++
 		if ob := nw.obs; ob != nil {
 			ob.Emit(p.shard, obs.Rec{At: now, Kind: obs.KindAck, Node: uint64(dst)})

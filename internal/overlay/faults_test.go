@@ -18,9 +18,9 @@ func lossyCfg(f *Faults) Config {
 	return cfg
 }
 
-// TestNewNetworkValidatesFaults: out-of-range probabilities, negative
-// timer parameters and inverted partition windows must all be rejected
-// at construction.
+// TestNewNetworkValidatesFaults: out-of-range probabilities, a negative
+// spike bound and inverted partition windows must all be rejected at
+// construction.
 func TestNewNetworkValidatesFaults(t *testing.T) {
 	ring := newTestRing(t, 4)
 	engine := sim.NewEngine(1)
@@ -30,9 +30,6 @@ func TestNewNetworkValidatesFaults(t *testing.T) {
 		lossyCfg(&Faults{DupProb: 2}),
 		lossyCfg(&Faults{SpikeProb: -1}),
 		lossyCfg(&Faults{SpikeMax: -4}),
-		lossyCfg(&Faults{RTO: -1}),
-		lossyCfg(&Faults{MaxRetries: -1}),
-		lossyCfg(&Faults{AckDelay: -2}),
 		lossyCfg(&Faults{Partitions: []Partition{{Start: 10, End: 5}}}),
 	}
 	for _, cfg := range bad {
@@ -293,14 +290,14 @@ func TestCrashedReceiverBouncesOnArrival(t *testing.T) {
 // still terminates — the draw loop gives up after relMaxLadders
 // restarts of a full ladder — and charges exactly that many attempts.
 func TestDropEverythingAbandons(t *testing.T) {
-	f := newFixture(t, 16, lossyCfg(&Faults{DropProb: 1, MaxRetries: 3}))
+	f := newFixture(t, 16, lossyCfg(&Faults{DropProb: 1}))
 	const sends = 10
 	for i := 0; i < sends; i++ {
 		f.nw.SendDirect(f.nodes[0], f.nodes[5].ID(), keyedMsg{key: f.nodes[5].ID(), body: "lost"})
 	}
 	f.engine.Run()
 	f.nw.Sync()
-	attempts := int64((relMaxLadders + 1) * (3 + 1))
+	attempts := int64((relMaxLadders + 1) * (6 + 1))
 	if f.nw.Abandoned != sends || f.nw.Dropped != sends*attempts || f.nw.Retransmits != sends*(attempts-1) {
 		t.Fatalf("abandoned %d, dropped %d, retransmits %d; want %d, %d, %d",
 			f.nw.Abandoned, f.nw.Dropped, f.nw.Retransmits, sends, sends*attempts, sends*(attempts-1))

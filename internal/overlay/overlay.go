@@ -70,10 +70,6 @@ type Config struct {
 	// hop. MaxHopDelay is the per-hop δ of the asynchronous model.
 	MinHopDelay int64
 	MaxHopDelay int64
-	// GroupMultiSend enables the Section 2/7 optimization where a batch
-	// of keyed messages is routed as a chain along the ring instead of
-	// as independent lookups.
-	GroupMultiSend bool
 	// Bounce re-routes undeliverable Rekeyable messages — sends whose
 	// recipient left or crashed before delivery — to the node currently
 	// responsible for the message's ring key, instead of dropping them.
@@ -97,10 +93,10 @@ type Config struct {
 	Obs *obs.Recorder
 }
 
-// DefaultConfig is a deterministic single-tick-per-hop network with
-// grouping enabled, the configuration the experiments run under.
+// DefaultConfig is a deterministic single-tick-per-hop network, the
+// configuration the experiments run under.
 func DefaultConfig() Config {
-	return Config{MinHopDelay: 1, MaxHopDelay: 1, GroupMultiSend: true}
+	return Config{MinHopDelay: 1, MaxHopDelay: 1}
 }
 
 // totals are the network-wide integer counts. Network embeds the
@@ -215,7 +211,7 @@ type Network struct {
 	peers map[id.ID]*peer
 	lanes []lane // lanes[0] is the aggregate; lanes[s+1] belongs to shard s
 
-	ladder *ladder // resolved retransmission timing; nil when Faults is nil
+	rto int64 // base retransmit timeout (faults.go); 0 when Faults is nil
 
 	obs *obs.Recorder // Config.Obs; nil unless observability is on
 }
@@ -259,8 +255,10 @@ func NewNetwork(ring *chord.Ring, engine *sim.Engine, cfg Config) (*Network, err
 	for i := range nw.lanes[1:] {
 		nw.lanes[1+i] = lane{traffic: metrics.NewLoad(), tagged: make(map[string]*metrics.Load), tot: new(totals)}
 	}
-	if cfg.Faults != nil {
-		nw.initFaults()
+	if f := cfg.Faults; f != nil {
+		// One full round trip at worst-case delay — outbound hop with a
+		// spike, the coalescing window, the ack hop — plus slack.
+		nw.rto = 2*(cfg.MaxHopDelay+f.SpikeMax) + ackDelay + 2
 	}
 	return nw, nil
 }
@@ -295,7 +293,7 @@ func (nw *Network) newPeer(n id.ID) *peer {
 	if nw.Engine.Workers() > 0 {
 		p.rng = sim.NewRNG(nw.Engine.Seed(), uint64(n), 0x0e7a)
 	}
-	if nw.ladder != nil {
+	if nw.cfg.Faults != nil {
 		p.frng = sim.NewRNG(nw.Engine.Seed(), uint64(n), faultSalt)
 		p.ackEnd = make(map[id.ID]sim.Time)
 	}
@@ -438,7 +436,7 @@ func (nw *Network) deliver(p *peer, owner *chord.Node, delay int64, msg Message)
 // (sendReliable); node-local deliveries and reliable networks take the
 // plain path.
 func (nw *Network) deliverFrom(p *peer, from, owner *chord.Node, delay int64, msg Message) {
-	if nw.ladder != nil && owner != from {
+	if nw.cfg.Faults != nil && owner != from {
 		nw.sendReliable(p, from, owner, delay, msg)
 		return
 	}
@@ -594,10 +592,9 @@ func (nw *Network) ReplicateTo(from *chord.Node, n int) {
 
 // MultiSend delivers msgs[j] to Successor(keys[j]) for every j (the
 // paper's multiSend(M, I); multiSend(msg, I) is the same call with one
-// message repeated). With grouping disabled each delivery is an
-// independent O(log N) lookup (cost h*O(log N) as in Section 2); with
-// grouping enabled deliveries are chained along the ring so shared route
-// prefixes are paid once.
+// message repeated). Rather than h independent O(log N) lookups (cost
+// h*O(log N) as in Section 2), the deliveries are chained along the
+// ring (Sections 2 and 7) so shared route prefixes are paid once.
 func (nw *Network) MultiSend(from *chord.Node, msgs []Message, keys []id.ID) {
 	if len(msgs) != len(keys) {
 		panic(fmt.Sprintf("overlay: MultiSend length mismatch %d vs %d", len(msgs), len(keys)))
@@ -606,14 +603,12 @@ func (nw *Network) MultiSend(from *chord.Node, msgs []Message, keys []id.ID) {
 		return
 	}
 	p := nw.peerFor(from.ID())
-	if !nw.cfg.GroupMultiSend || len(msgs) == 1 {
-		for j := range msgs {
-			owner, delay := nw.route(p, from, keys[j])
-			nw.deliverFrom(p, from, owner, delay, msgs[j])
-		}
+	if len(msgs) == 1 {
+		owner, delay := nw.route(p, from, keys[0])
+		nw.deliverFrom(p, from, owner, delay, msgs[0])
 		return
 	}
-	// Grouped: visit owners in clockwise ring order starting at the
+	// Visit owners in clockwise ring order starting at the
 	// origin, each leg routed from the previous owner. The legs buffer
 	// is scratch owned by the acting lane; deliveries copy what they
 	// need before this function returns.
@@ -678,8 +673,8 @@ func (nw *Network) MaxDelta() int64 {
 			// round, plus the longest partition outage it rode out and a
 			// delay spike per hop.
 			rungs := int64(0)
-			for k := 0; k <= nw.ladder.maxRetries; k++ {
-				rungs += nw.ladder.rto<<k + nw.ladder.rto/2 + nw.cfg.MaxHopDelay + f.SpikeMax
+			for k := 0; k <= maxRetries; k++ {
+				rungs += nw.rto<<k + nw.rto/2 + nw.cfg.MaxHopDelay + f.SpikeMax
 			}
 			var outage int64
 			for _, p := range f.Partitions {

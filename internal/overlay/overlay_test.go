@@ -243,14 +243,24 @@ func TestHandoffOnlyCharges(t *testing.T) {
 	}
 }
 
+// multiSendOrLoop sends msgs[j] to keys[j] from the first node, as one
+// chained MultiSend or as a loop of independent Sends.
+func multiSendOrLoop(f *fixture, chained bool, msgs []Message, keys []id.ID) {
+	if chained {
+		f.nw.MultiSend(f.nodes[0], msgs, keys)
+		return
+	}
+	for j := range msgs {
+		f.nw.Send(f.nodes[0], keys[j], msgs[j])
+	}
+}
+
 func TestMultiSendDeliversAll(t *testing.T) {
-	for _, grouping := range []bool{false, true} {
-		cfg := DefaultConfig()
-		cfg.GroupMultiSend = grouping
-		f := newFixture(t, 128, cfg)
+	for _, chained := range []bool{false, true} {
+		f := newFixture(t, 128, DefaultConfig())
 		keys := []id.ID{id.HashKey("a"), id.HashKey("b"), id.HashKey("c"), id.HashKey("d")}
 		msgs := []Message{"ma", "mb", "mc", "md"}
-		f.nw.MultiSend(f.nodes[0], msgs, keys)
+		multiSendOrLoop(f, chained, msgs, keys)
 		f.engine.Run()
 		for j, k := range keys {
 			owner := f.ring.Owner(k)
@@ -261,7 +271,7 @@ func TestMultiSendDeliversAll(t *testing.T) {
 				}
 			}
 			if !found {
-				t.Fatalf("grouping=%v: message %v not delivered to owner of %v", grouping, msgs[j], k)
+				t.Fatalf("chained=%v: message %v not delivered to owner of %v", chained, msgs[j], k)
 			}
 		}
 	}
@@ -270,17 +280,15 @@ func TestMultiSendDeliversAll(t *testing.T) {
 func TestGroupedMultiSendCheaper(t *testing.T) {
 	// With many keys, chaining along the ring must not cost more than
 	// independent lookups from the origin (it shares prefixes).
-	mk := func(grouping bool) int64 {
-		cfg := DefaultConfig()
-		cfg.GroupMultiSend = grouping
-		f := newFixture(t, 256, cfg)
+	mk := func(chained bool) int64 {
+		f := newFixture(t, 256, DefaultConfig())
 		var keys []id.ID
 		var msgs []Message
 		for i := 0; i < 16; i++ {
 			keys = append(keys, id.HashKey(string(rune('a'+i))))
 			msgs = append(msgs, i)
 		}
-		f.nw.MultiSend(f.nodes[0], msgs, keys)
+		multiSendOrLoop(f, chained, msgs, keys)
 		f.engine.Run()
 		return f.nw.MessagesSent
 	}
@@ -291,7 +299,7 @@ func TestGroupedMultiSendCheaper(t *testing.T) {
 }
 
 func TestDelaysBounded(t *testing.T) {
-	cfg := Config{MinHopDelay: 2, MaxHopDelay: 9, GroupMultiSend: true}
+	cfg := Config{MinHopDelay: 2, MaxHopDelay: 9}
 	f := newFixture(t, 64, cfg)
 	from := f.nodes[0]
 	key := id.HashKey("delay-test")

@@ -14,8 +14,7 @@ import (
 // of every overlay operation runs once on a serial network (one lane,
 // aliasing the aggregates) and once on a parallel one (a lane per
 // shard, merged at Sync). Hop delays are unit, so no draw is taken and
-// the two must agree on every count. Even seeds group multiSends along
-// the ring, odd seeds route each leg alone.
+// the two must agree on every count.
 
 // scriptMsg is the script's payload. Its ring key lets it bounce; a
 // positive ttl makes the receiving handler forward it, under the tag it
@@ -55,7 +54,7 @@ func runPeerScript(t *testing.T, seed int64, workers int) peerAccounts {
 	ring := chord.NewRing()
 	engine := sim.NewEngine(seed)
 	engine.SetWorkers(workers)
-	cfg := Config{MinHopDelay: 1, MaxHopDelay: 1, GroupMultiSend: seed%2 == 0, Bounce: true}
+	cfg := Config{MinHopDelay: 1, MaxHopDelay: 1, Bounce: true}
 	nw := MustNetwork(ring, engine, cfg)
 
 	byID := map[id.ID]*scriptNode{} // ring identifier → its node

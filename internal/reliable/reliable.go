@@ -55,9 +55,6 @@ func NewInbox() *Inbox { return &Inbox{} }
 // generation.
 func (b *Inbox) Applied() int64 { return b.applied }
 
-// Gen returns the generation currently being applied.
-func (b *Inbox) Gen() int64 { return b.gen }
-
 // Open reports whether the inbox currently tracks a live stream.
 func (b *Inbox) Open() bool { return b.open && !b.killed }
 
@@ -144,17 +141,6 @@ type Dedup struct {
 	cum    uint64 // every sequence number <= cum has been seen
 	sparse map[uint64]struct{}
 }
-
-// Cum returns the cumulative watermark: every sequence number up to and
-// including it has been seen. Acks carry this value.
-func (d *Dedup) Cum() uint64 { return d.cum }
-
-// Outstanding returns the number of sequence numbers seen above the
-// cumulative watermark — the out-of-order backlog the filter is holding.
-// Zero means every seen sequence number is contiguous. Observability
-// uses it to annotate acks with how much reordering a channel is
-// masking.
-func (d *Dedup) Outstanding() int { return len(d.sparse) }
 
 // Seen reports whether seq has already passed the filter.
 func (d *Dedup) Seen(seq uint64) bool {

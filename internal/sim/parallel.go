@@ -169,11 +169,7 @@ func (e *Engine) execShard(s int, t Time) {
 	for len(*h) > 0 && (*h)[0].at == t {
 		ev := h.pop()
 		n++
-		if ev.fn != nil {
-			ev.fn(t)
-		} else {
-			ev.cb(t, ev.ctx)
-		}
+		ev.cb(t, ev.ctx)
 	}
 	e.par.firedSh[s] += n
 }
@@ -275,11 +271,7 @@ func (e *Engine) runParallel(deadline Time, untilFg bool) {
 					e.fg--
 				}
 				e.fired++
-				if ev.fn != nil {
-					ev.fn(t)
-				} else {
-					ev.cb(t, ev.ctx)
-				}
+				ev.cb(t, ev.ctx)
 				progress = true
 			}
 			// Then every shard with events at t, concurrently.

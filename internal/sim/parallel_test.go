@@ -133,13 +133,12 @@ func TestGlobalEventsFireBeforeEntityEvents(t *testing.T) {
 		e := NewEngine(1)
 		e.SetWorkers(workers)
 		var order []string
-		mark := func(s string) func(Time) { return func(Time) { order = append(order, s) } }
 		deliver := func(_ Time, c Ctx) { order = append(order, c.A.(string)) }
 		e.AtCtxShard(5, deliver, Ctx{A: "delivery-1"}, NoShard, e.ShardOf(3))
-		e.AtBg(5, mark("churn"))
+		e.EveryBg(5, func(Time) bool { order = append(order, "churn"); return false })
 		e.AtCtxShard(5, deliver, Ctx{A: "delivery-2"}, NoShard, e.ShardOf(3))
-		e.At(5, mark("driver"))
-		e.At(4, mark("earlier"))
+		e.AtCtx(5, deliver, Ctx{A: "driver"})
+		e.AtCtx(4, deliver, Ctx{A: "earlier"})
 		e.Run()
 		if got, want := fmt.Sprint(order), "[earlier churn driver delivery-1 delivery-2]"; got != want {
 			t.Fatalf("workers=%d fired %s, want %s", workers, got, want)
@@ -149,7 +148,7 @@ func TestGlobalEventsFireBeforeEntityEvents(t *testing.T) {
 
 func TestSetWorkersRejectsUsedEngine(t *testing.T) {
 	e := NewEngine(1)
-	e.At(1, func(Time) {})
+	e.AtCtx(1, func(Time, Ctx) {}, Ctx{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("SetWorkers on an engine with queued events must panic")

@@ -5,8 +5,8 @@
 // timestamp, and events fire in (time, sequence) order so that a given
 // seed reproduces an experiment exactly. Within one tick the events
 // addressed to an entity (AtCtxShard and AfterCtxShard: deliveries,
-// flushes) fire after the tick's global ones (At, AtBg, Every:
-// driver callbacks, churn draws, maintenance) — the order the parallel
+// flushes) fire after the tick's global ones (AtCtx and EveryBg:
+// driver callbacks, churn draws) — the order the parallel
 // schedule's sub-round has always had, so a membership change and a
 // delivery that fall on one tick run the same way round on both engines.
 //
@@ -44,7 +44,6 @@ type Ctx struct {
 type CtxFunc func(now Time, c Ctx)
 
 // event is one scheduled callback, stored inline in the heap slice.
-// Exactly one of fn (closure path) and cb (context path) is non-nil.
 // Background events (bg) are housekeeping — churn draws — that fire
 // in timestamp order like any other event but do not count as pending
 // work: Run returns once only background events remain, so a
@@ -52,7 +51,6 @@ type CtxFunc func(now Time, c Ctx)
 type event struct {
 	at  Time
 	seq uint64
-	fn  func(Time)
 	cb  CtxFunc
 	ctx Ctx
 	bg  bool
@@ -186,21 +184,10 @@ func (e *Engine) schedule(t Time, ev event) {
 	e.push(ev)
 }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the
-// past is clamped to "now" (the event still runs, after already-queued
-// events for the current instant).
-func (e *Engine) At(t Time, fn func(Time)) {
-	e.schedule(t, event{fn: fn})
-}
-
-// After schedules fn to run d ticks from now.
-func (e *Engine) After(d Duration, fn func(Time)) {
-	e.At(e.now+Time(d), fn)
-}
-
 // AtCtx schedules cb(t, c) at absolute virtual time t without
-// allocating: the context is stored inline in the event queue. Hot
-// paths (message delivery, batch flushes) use this instead of closures.
+// allocating: the context is stored inline in the event queue.
+// Scheduling in the past is clamped to "now" (the event still runs,
+// after already-queued events for the current instant).
 func (e *Engine) AtCtx(t Time, cb CtxFunc, c Ctx) {
 	e.schedule(t, event{cb: cb, ctx: c})
 }
@@ -241,19 +228,14 @@ func (e *Engine) Step() bool {
 	}
 	e.now = ev.at
 	e.fired++
-	if ev.fn != nil {
-		ev.fn(e.now)
-	} else {
-		ev.cb(e.now, ev.ctx)
-	}
+	ev.cb(e.now, ev.ctx)
 	return true
 }
 
 // Run drains all pending foreground work. Events may schedule further
-// events; Run returns when only background events (periodic
-// maintenance scheduled with AtBg/EveryBg) remain queued. Background
-// events whose timestamps fall before remaining foreground work still
-// fire in order along the way.
+// events; Run returns when only background events (EveryBg series)
+// remain queued. Background events whose timestamps fall before
+// remaining foreground work still fire in order along the way.
 //
 // On a parallel engine the drain proceeds in barrier-synchronized time
 // steps (see parallel.go) and stops at the first time-step boundary
@@ -297,41 +279,31 @@ func (e *Engine) Pending() int {
 // (the count Run drains to zero).
 func (e *Engine) PendingForeground() int { return e.fg }
 
-// AtBg schedules fn at absolute time t as a background event: it fires
-// in order like any event when the clock passes t, but a pending
-// occurrence does not keep Run alive. Churn traces and other
-// pre-scheduled environment events use this so a trace extending past
-// the last real message cannot stall quiescence detection.
-func (e *Engine) AtBg(t Time, fn func(Time)) {
-	e.schedule(t, event{fn: fn, bg: true})
-}
-
-// Every schedules fn every interval ticks, starting interval from now,
-// until fn returns false. The occurrences are foreground events: Run
-// will keep executing them, so Every is for bounded, self-terminating
-// series; unbounded housekeeping belongs in EveryBg.
-func (e *Engine) Every(interval Duration, fn func(Time) bool) {
-	e.every(interval, fn, false)
-}
-
-// EveryBg is Every with background occurrences: the periodic series
-// fires whenever foreground work (or RunUntil) advances the clock past
-// the next tick, but never prevents Run from returning. Churn-rate
-// draws run on this.
+// EveryBg schedules fn every interval ticks, starting interval from
+// now, until fn returns false; an interval <= 0 means 1. The occurrences
+// are background events: the series fires whenever foreground work (or
+// RunUntil) advances the clock past its next tick, but never keeps Run
+// alive. Churn-rate draws run on this.
 func (e *Engine) EveryBg(interval Duration, fn func(Time) bool) {
-	e.every(interval, fn, true)
-}
-
-func (e *Engine) every(interval Duration, fn func(Time) bool, bg bool) {
 	if interval <= 0 {
 		interval = 1
 	}
-	var tick func(Time)
-	tick = func(now Time) {
-		if !fn(now) {
-			return
-		}
-		e.schedule(now+Time(interval), event{fn: tick, bg: bg})
+	c := Ctx{A: &series{e: e, interval: interval, fn: fn}}
+	e.schedule(e.now+Time(interval), event{cb: seriesTick, ctx: c, bg: true})
+}
+
+// series is one EveryBg registration, boxed once into the Ctx every
+// occurrence carries.
+type series struct {
+	e        *Engine
+	interval Duration
+	fn       func(Time) bool
+}
+
+// seriesTick runs one occurrence of a series and schedules the next.
+func seriesTick(now Time, c Ctx) {
+	s := c.A.(*series)
+	if s.fn(now) {
+		s.e.schedule(now+Time(s.interval), event{cb: seriesTick, ctx: c, bg: true})
 	}
-	e.schedule(e.now+Time(interval), event{fn: tick, bg: bg})
 }

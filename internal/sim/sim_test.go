@@ -5,12 +5,18 @@ import (
 	"testing/quick"
 )
 
+// call runs the closure an event's Ctx carries: it lets a test schedule
+// a closure through AtCtx, the one global event form.
+func call(now Time, c Ctx) { c.A.(func(Time))(now) }
+
+// at schedules fn at absolute time t.
+func at(e *Engine, t Time, fn func(Time)) { e.AtCtx(t, call, Ctx{A: fn}) }
+
 func TestEventsFireInTimeOrder(t *testing.T) {
 	e := NewEngine(1)
 	var got []Time
-	for _, at := range []Time{30, 10, 20, 10, 5} {
-		at := at
-		e.At(at, func(now Time) { got = append(got, now) })
+	for _, t := range []Time{30, 10, 20, 10, 5} {
+		at(e, t, func(now Time) { got = append(got, now) })
 	}
 	e.Run()
 	want := []Time{5, 10, 10, 20, 30}
@@ -29,7 +35,7 @@ func TestSameInstantFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(7, func(Time) { got = append(got, i) })
+		at(e, 7, func(Time) { got = append(got, i) })
 	}
 	e.Run()
 	for i := range got {
@@ -39,36 +45,37 @@ func TestSameInstantFIFO(t *testing.T) {
 	}
 }
 
+// AfterCtxShard, the relative form, counts from the clock at the call.
 func TestAfterSchedulesRelative(t *testing.T) {
 	e := NewEngine(1)
-	var at Time = -1
-	e.At(100, func(now Time) {
-		e.After(50, func(now Time) { at = now })
+	var fired Time = -1
+	at(e, 100, func(now Time) {
+		e.AfterCtxShard(50, call, Ctx{A: func(now Time) { fired = now }}, NoShard, NoShard)
 	})
 	e.Run()
-	if at != 150 {
-		t.Fatalf("After fired at %d, want 150", at)
+	if fired != 150 {
+		t.Fatalf("AfterCtxShard fired at %d, want 150", fired)
 	}
 }
 
 func TestPastSchedulingClamps(t *testing.T) {
 	e := NewEngine(1)
-	var at Time = -1
-	e.At(100, func(now Time) {
-		e.At(10, func(now Time) { at = now }) // in the past
+	var fired Time = -1
+	at(e, 100, func(now Time) {
+		at(e, 10, func(now Time) { fired = now }) // in the past
 	})
 	e.Run()
-	if at != 100 {
-		t.Fatalf("past event fired at %d, want clamp to 100", at)
+	if fired != 100 {
+		t.Fatalf("past event fired at %d, want clamp to 100", fired)
 	}
 }
 
 func TestRunUntilLeavesLaterEventsQueued(t *testing.T) {
 	e := NewEngine(1)
 	fired := 0
-	e.At(10, func(Time) { fired++ })
-	e.At(20, func(Time) { fired++ })
-	e.At(30, func(Time) { fired++ })
+	at(e, 10, func(Time) { fired++ })
+	at(e, 20, func(Time) { fired++ })
+	at(e, 30, func(Time) { fired++ })
 	e.RunUntil(20)
 	if fired != 2 {
 		t.Fatalf("fired %d, want 2", fired)
@@ -101,8 +108,8 @@ func TestClockMonotoneProperty(t *testing.T) {
 		e := NewEngine(1)
 		last := Time(-1)
 		ok := true
-		for _, at := range times {
-			e.At(Time(at), func(now Time) {
+		for _, t := range times {
+			at(e, Time(t), func(now Time) {
 				if now < last {
 					ok = false
 				}
@@ -124,22 +131,27 @@ func TestStepReturnsFalseWhenEmpty(t *testing.T) {
 	}
 }
 
+// A series repeats until its callback returns false, and then leaves
+// nothing queued.
 func TestEveryRepeatsUntilCancelled(t *testing.T) {
 	e := NewEngine(1)
-	var at []Time
-	e.Every(10, func(now Time) bool {
-		at = append(at, now)
-		return len(at) < 3
+	var fired []Time
+	e.EveryBg(10, func(now Time) bool {
+		fired = append(fired, now)
+		return len(fired) < 3
 	})
-	e.Run()
+	e.RunUntil(100)
 	want := []Time{10, 20, 30}
-	if len(at) != len(want) {
-		t.Fatalf("fired %d times, want %d", len(at), len(want))
+	if len(fired) != len(want) {
+		t.Fatalf("fired %d times, want %d", len(fired), len(want))
 	}
 	for i := range want {
-		if at[i] != want[i] {
-			t.Fatalf("firings at %v, want %v", at, want)
+		if fired[i] != want[i] {
+			t.Fatalf("firings at %v, want %v", fired, want)
 		}
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("%d events queued after the series ended", e.Pending())
 	}
 }
 
@@ -149,19 +161,19 @@ func TestEveryRepeatsUntilCancelled(t *testing.T) {
 func TestEveryNonPositiveIntervalCoercesToOne(t *testing.T) {
 	for _, interval := range []Duration{0, -7} {
 		e := NewEngine(1)
-		var at []Time
-		e.Every(interval, func(now Time) bool {
-			at = append(at, now)
-			return len(at) < 3
+		var fired []Time
+		e.EveryBg(interval, func(now Time) bool {
+			fired = append(fired, now)
+			return len(fired) < 3
 		})
-		e.Run()
+		e.RunUntil(10)
 		want := []Time{1, 2, 3}
-		if len(at) != len(want) {
-			t.Fatalf("interval %d: fired %d times, want %d", interval, len(at), len(want))
+		if len(fired) != len(want) {
+			t.Fatalf("interval %d: fired %d times, want %d", interval, len(fired), len(want))
 		}
 		for i := range want {
-			if at[i] != want[i] {
-				t.Fatalf("interval %d: firings at %v, want %v", interval, at, want)
+			if fired[i] != want[i] {
+				t.Fatalf("interval %d: firings at %v, want %v", interval, fired, want)
 			}
 		}
 	}
@@ -175,7 +187,7 @@ func TestEveryBgDoesNotStallRun(t *testing.T) {
 	bgFired := 0
 	e.EveryBg(5, func(Time) bool { bgFired++; return true })
 	fgFired := 0
-	e.At(12, func(Time) { fgFired++ })
+	at(e, 12, func(Time) { fgFired++ })
 	e.Run() // must terminate
 	if fgFired != 1 {
 		t.Fatalf("foreground fired %d, want 1", fgFired)
@@ -204,22 +216,24 @@ func TestBackgroundCanScheduleForeground(t *testing.T) {
 	var delivered []Time
 	e.EveryBg(10, func(now Time) bool {
 		if now == 10 {
-			e.After(1, func(at Time) { delivered = append(delivered, at) })
+			at(e, now+1, func(at Time) { delivered = append(delivered, at) })
 		}
 		return true
 	})
-	e.At(15, func(Time) {})
+	at(e, 15, func(Time) {})
 	e.Run()
 	if len(delivered) != 1 || delivered[0] != 11 {
 		t.Fatalf("foreground work from background tick delivered %v, want [11]", delivered)
 	}
 }
 
+// A background occurrence past the foreground horizon waits for a
+// RunUntil that reaches it.
 func TestAtBgFiresOnlyWhenClockPasses(t *testing.T) {
 	e := NewEngine(1)
 	fired := false
-	e.AtBg(100, func(Time) { fired = true })
-	e.At(50, func(Time) {})
+	e.EveryBg(100, func(Time) bool { fired = true; return false })
+	at(e, 50, func(Time) {})
 	e.Run()
 	if fired {
 		t.Fatal("background event past foreground horizon must not fire in Run")

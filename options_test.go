@@ -139,19 +139,16 @@ func runFixedWorkload(t *testing.T, opts Options) (int, Stats) {
 	return sub.Count(), net.Stats()
 }
 
-// TestOptionsPreserveAnswers: every answer-neutral knob — the paper's
-// own ablations, the placement strategy, sharing, replication, parallel
-// execution, provenance and a lossy network — leaves the answer count
-// untouched, alone and all together; only the cost profile may change.
+// TestOptionsPreserveAnswers: every answer-neutral knob — the placement
+// strategy, sharing, replication, parallel execution, provenance and a
+// lossy network — leaves the answer count untouched, alone and all
+// together; only the cost profile may change.
 func TestOptionsPreserveAnswers(t *testing.T) {
 	base, _ := runFixedWorkload(t, Options{})
 	if base == 0 {
 		t.Fatal("baseline produced no answers; workload too weak to compare")
 	}
 	variants := map[string]Options{
-		"disableCT":         {DisableCT: true},
-		"disablePiggyback":  {DisablePiggyback: true},
-		"attrRewrite":       {AllowAttrRewrites: true},
 		"random":            {Strategy: StrategyRandom},
 		"sharing":           {Sharing: true},
 		"replicationFactor": {ReplicationFactor: 2},
@@ -159,8 +156,8 @@ func TestOptionsPreserveAnswers(t *testing.T) {
 		"provenance":        {Provenance: true},
 		"faults":            {Faults: &FaultOptions{DropProb: 0.05}},
 		"everything": {
-			DisableCT: true, DisablePiggyback: true, AllowAttrRewrites: true, Strategy: StrategyRandom,
-			Sharing: true, ReplicationFactor: 2, Workers: 2, Provenance: true, Faults: &FaultOptions{DropProb: 0.05},
+			Strategy: StrategyRandom, Sharing: true, ReplicationFactor: 2, Workers: 2, Provenance: true,
+			Faults: &FaultOptions{DropProb: 0.05},
 		},
 	}
 	for name, opts := range variants {

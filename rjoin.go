@@ -69,7 +69,11 @@ const (
 )
 
 // Options configures a simulated RJoin network. The zero value of every
-// field selects a sensible default.
+// field selects a sensible default. The paper's placement machinery —
+// the Section 7 candidate table, piggy-backed RIC reports and
+// value-level placement of rewritten queries — is not an option: it is
+// how the engine runs. A field exists only while some caller sets it
+// (TestEveryOptionFieldIsSet).
 type Options struct {
 	// Nodes is the overlay size (default 128).
 	Nodes int
@@ -84,15 +88,6 @@ type Options struct {
 	// Delta overrides the ALTT retention Δ (default: derived bound
 	// that preserves eventual completeness; negative disables ALTT).
 	Delta int64
-	// DisableCT turns off the Section 7 candidate-table cache.
-	DisableCT bool
-	// DisablePiggyback turns off RIC piggy-backing on rewritten
-	// queries.
-	DisablePiggyback bool
-	// AllowAttrRewrites enables the full Section 6 candidate set for
-	// rewritten queries (see core.Config.AllowAttrRewrites for the
-	// completeness caveat).
-	AllowAttrRewrites bool
 	// Sharing enables multi-query optimization: queries whose join
 	// graphs are equivalent up to relation/predicate ordering, constant
 	// selections and projections collapse onto one shared in-network
@@ -212,13 +207,14 @@ type ProfileOptions struct {
 	SampleInterval int64
 }
 
-// TraceOptions configures the causal tracer (Options.Trace).
-type TraceOptions struct {
-	// MaxEvents caps the retained event count; overflow is truncated
-	// deterministically (newest events dropped at flush) and reported by
-	// Network.TraceDropped. 0 means 1 << 20; negative means unbounded.
-	MaxEvents int64
-}
+// TraceOptions configures the causal tracer (Options.Trace). It has no
+// fields: its presence turns tracing on. The tracer keeps at most
+// traceCap events; overflow is truncated deterministically (newest
+// events dropped at flush) and reported by Network.TraceDropped.
+type TraceOptions struct{}
+
+// traceCap is the number of trace events a network retains.
+const traceCap = 1 << 20
 
 // MetricsOptions configures the metrics registry (Options.Metrics).
 type MetricsOptions struct {
@@ -230,7 +226,9 @@ type MetricsOptions struct {
 
 // FaultOptions is the deterministic fault-injection plan of
 // Options.Faults. Probabilities are per transmission (retransmissions
-// draw afresh) and must lie in [0, 1]; timers are in virtual ticks.
+// draw afresh) and must lie in [0, 1]; delays and partition windows
+// are in virtual ticks. The retransmission ladder that masks the
+// faults has fixed timing (DESIGN.md "The send-time ladder").
 type FaultOptions struct {
 	// DropProb is the probability one transmission is lost. A lost
 	// transmission is retransmitted until one gets through, so
@@ -248,18 +246,6 @@ type FaultOptions struct {
 	// time. Messages crossing an active partition are dropped (and
 	// retransmitted after it heals).
 	Partitions []FaultPartition
-	// RTO is the base retransmit timeout; 0 derives a safe bound from
-	// the delay model. Retry k of a lost transmission leaves
-	// RTO<<(k-1), plus deterministic jitter from the second retry on,
-	// after the previous attempt's hop.
-	RTO int64
-	// MaxRetries is the length of one backoff ladder, after which the
-	// ladder restarts (a bounded number of times); 0 means 6.
-	MaxRetries int
-	// AckDelay is the ack-coalescing window: deliveries from one sender
-	// reaching one receiver within it are charged one ack. 0 means 2
-	// ticks.
-	AckDelay int64
 }
 
 // FaultPartition is one scheduled partition window: during [Start,
@@ -382,7 +368,7 @@ type Stats struct {
 	// Unreliable-network accounting (Options.Faults). Dropped and
 	// Duplicated count injected transmission faults; Retransmits counts
 	// resends of lost transmissions and AckMessages the coalesced
-	// acknowledgements (one per sender, receiver and AckDelay window).
+	// acknowledgements (one per sender, receiver and two-tick window).
 	// Abandoned counts sends given up after exhausting every
 	// retransmission ladder — zero in any healthy run. None of these are included in Messages: the traffic
 	// metric stays comparable with reliable-mode runs, and the ack/
@@ -544,13 +530,10 @@ func NewNetwork(opts Options) (*Network, error) {
 		// Crash would see at time zero.
 		nodes := ring.Nodes()
 		faults = &overlay.Faults{
-			DropProb:   opts.Faults.DropProb,
-			DupProb:    opts.Faults.DupProb,
-			SpikeProb:  opts.Faults.SpikeProb,
-			SpikeMax:   opts.Faults.SpikeMax,
-			RTO:        opts.Faults.RTO,
-			MaxRetries: opts.Faults.MaxRetries,
-			AckDelay:   opts.Faults.AckDelay,
+			DropProb:  opts.Faults.DropProb,
+			DupProb:   opts.Faults.DupProb,
+			SpikeProb: opts.Faults.SpikeProb,
+			SpikeMax:  opts.Faults.SpikeMax,
 		}
 		for _, p := range opts.Faults.Partitions {
 			side := make(map[id.ID]bool, len(p.Side))
@@ -570,14 +553,7 @@ func NewNetwork(opts Options) (*Network, error) {
 	}
 	var tracer *obs.Tracer
 	if opts.Trace != nil {
-		limit := opts.Trace.MaxEvents
-		if limit == 0 {
-			limit = 1 << 20
-		}
-		if limit < 0 {
-			limit = 0 // obs convention: 0 = unbounded
-		}
-		tracer = obs.NewTracer(limit)
+		tracer = obs.NewTracer(traceCap)
 	}
 	var om *obs.Metrics
 	if opts.Metrics != nil {
@@ -589,11 +565,10 @@ func NewNetwork(opts Options) (*Network, error) {
 	}
 	rec := obs.NewRecorder(obs.Views{Trace: tracer, Metrics: om, Profile: prof})
 	nw, err := overlay.NewNetwork(ring, se, overlay.Config{
-		MinHopDelay:    opts.MinHopDelay,
-		MaxHopDelay:    opts.MaxHopDelay,
-		GroupMultiSend: true,
-		Faults:         faults,
-		Obs:            rec,
+		MinHopDelay: opts.MinHopDelay,
+		MaxHopDelay: opts.MaxHopDelay,
+		Faults:      faults,
+		Obs:         rec,
 		// With bouncing on, messages in flight to a node that departs
 		// re-route to the key's new owner. On a static ring it never
 		// fires, so enabling it unconditionally costs nothing. A
@@ -608,23 +583,21 @@ func NewNetwork(opts Options) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := core.DefaultConfig()
-	cfg.Strategy = opts.Strategy
-	cfg.Delta = opts.Delta
-	cfg.UseCT = !opts.DisableCT
-	cfg.PiggybackRIC = !opts.DisablePiggyback
-	cfg.AllowAttrRewrites = opts.AllowAttrRewrites
-	cfg.ReplicationFactor = opts.ReplicationFactor
-	cfg.Obs = rec
-	cfg.Provenance = opts.Provenance
-	// Exact-duplicate dedup is sound whenever completions are strictly
-	// delayed past the attach tick; with the defaulted 1/1 delay model
-	// that is always the case, so byte-identical resubmissions share
-	// unconditionally. Full canonical-form sharing is opt-in.
-	cfg.ShareExact = opts.MinHopDelay >= 1
-	cfg.ShareQueries = opts.Sharing
-	cfg.Catalog = cat
-	eng := core.NewEngine(ring, se, nw, cfg)
+	eng := core.NewEngine(ring, se, nw, core.Config{
+		Strategy:          opts.Strategy,
+		Delta:             opts.Delta,
+		ReplicationFactor: opts.ReplicationFactor,
+		Obs:               rec,
+		Provenance:        opts.Provenance,
+		// Exact-duplicate dedup is sound whenever completions are
+		// strictly delayed past the attach tick; with the defaulted 1/1
+		// delay model that is always the case, so byte-identical
+		// resubmissions share unconditionally. Full canonical-form
+		// sharing is opt-in.
+		ShareExact:   opts.MinHopDelay >= 1,
+		ShareQueries: opts.Sharing,
+		Catalog:      cat,
+	})
 	mgr := churn.New(eng, churn.Config{
 		Rates:    churnRates,
 		Interval: opts.Churn.Interval,
@@ -881,7 +854,8 @@ func (n *Network) TraceDigest() uint64 {
 	return n.obs.Views().Trace.Digest()
 }
 
-// TraceDropped reports trace events truncated by TraceOptions.MaxEvents.
+// TraceDropped reports trace events truncated by the tracer's event cap
+// (see TraceOptions).
 func (n *Network) TraceDropped() int64 {
 	n.eng.Sync()
 	return n.obs.Views().Trace.Dropped()
