@@ -2,10 +2,14 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"rjoin/internal/id"
+	"rjoin/internal/overlay"
 	"rjoin/internal/query"
+	"rjoin/internal/relation"
 	"rjoin/internal/sqlparse"
 )
 
@@ -91,4 +95,127 @@ func TestNoQueryStoredTwice(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRewriteOwnsItsLists holds stored rewrites to the entry ownership
+// rule: a rewrite's Select and Selections lie in its own entry's arrays
+// or are an input query's lists, never in another rewrite's entry. The
+// chain R ⋈ S ⋈ J on one equivalence class runs through every
+// consumption order; its select list names no column of S, so when S is
+// consumed in the middle the step binds nothing and a shortcut that
+// shared the parent's list would leave the child in its parent's entry.
+func TestRewriteOwnsItsLists(t *testing.T) {
+	const sql = "select R.B, J.C from R,S,J where R.A=S.A and S.A=J.A"
+	perms := [][]string{{"R", "S", "J"}, {"R", "J", "S"}, {"S", "R", "J"}, {"S", "J", "R"}, {"J", "R", "S"}, {"J", "S", "R"}}
+	orders := make(map[string]bool)
+	for _, strat := range []Strategy{StrategyRIC, StrategyRandom} {
+		eng, nodes := testNet(t, 16, 3, Config{Strategy: strat, Provenance: true}, overlay.DefaultConfig())
+		for i := range 12 {
+			if _, err := eng.SubmitQuery(nodes[i%len(nodes)], sqlparse.MustParse(sql, testCat)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng.Run()
+		relOf := make(map[int64]string) // publication sequence → relation
+		for v := range int64(36) {
+			for j, rel := range perms[v%6] {
+				tu := mkTuple(rel, v, 100+v, 200+v)
+				eng.PublishTuple(nodes[(int(v)+j)%len(nodes)], tu)
+				relOf[tu.PubSeq] = rel
+				eng.Run()
+			}
+		}
+
+		inputs := make(map[any]bool) // the lists of every stored input query
+		var rewrites []*storedQuery
+		for _, n := range eng.Ring().Nodes() {
+			eng.procs[n.ID()].st.each(classQueries, nil, func(op stateOp) {
+				if q := op.sq.q; q.Depth == 0 {
+					inputs[unsafe.SliceData(q.Select)] = true
+					inputs[unsafe.SliceData(q.Selections)] = true
+				} else {
+					rewrites = append(rewrites, op.sq)
+				}
+			})
+		}
+		for _, sq := range rewrites {
+			q, e := sq.q, (*entry)(unsafe.Pointer(sq))
+			if &e.body != q {
+				t.Fatalf("%v: stored rewrite %s is not an entry's", strat, q)
+			}
+			if p := unsafe.SliceData(q.Select); p != &e.sel[0] && !inputs[p] {
+				t.Fatalf("%v: the select list of %s lies outside its entry and its input", strat, q)
+			}
+			if p := unsafe.SliceData(q.Selections); len(q.Selections) > 0 && p != &e.sels[0] && !inputs[p] {
+				t.Fatalf("%v: the selections of %s lie outside its entry and its input", strat, q)
+			}
+			if q.Depth == 2 {
+				orders[relOf[q.Lineage[0].Seq]+relOf[q.Lineage[1].Seq]+q.Relations[0]] = true
+			}
+		}
+		if len(rewrites) == 0 {
+			t.Fatalf("%v: no rewrite was stored", strat)
+		}
+	}
+	for _, p := range perms {
+		if o := p[0] + p[1] + p[2]; !orders[o] {
+			t.Errorf("no stored rewrite consumed %s", o)
+		}
+	}
+}
+
+// TestPlacementAllocs pins what one trigger allocates once warm, from
+// the stored query it meets to its rewrite's placement: a rewrite placed
+// on a candidate-table hit is its entry alone (the Eval message is
+// pooled and its report rides in the message's own array); a placement
+// that waits for a walk adds the pendingPlacement, its slots inline (the
+// walk request is pooled and its keys ride in its own array). Delivery
+// runs between the measured triggers, outside the count.
+func TestPlacementAllocs(t *testing.T) {
+	eng, nodes := testNet(t, 16, 1, Config{}, overlay.DefaultConfig())
+	p := eng.procs[nodes[0].ID()]
+	sq := entryOf(sqlparse.MustParse("select R.B, S.B from R,S,J where R.A=S.A and S.B=J.B", testCat))
+	tu := mkTuple("R", 1, 2, 3)
+	key := relation.ValueKeyOf("S", "A", relation.Int64(1)) // the rewrite's one candidate
+	trigger := func() { p.trigger(eng.sim.Now(), sq, tu, false) }
+	trigger() // warm: the plan, the interned key, the pools
+	eng.Run()
+
+	const runs = 200
+	walks, stored := p.ctr.RICRequests, eng.Counters.RewritesStored
+	if n := allocsOf(runs, eng.Run, trigger); n != 1 {
+		t.Errorf("a rewrite placed on a candidate-table hit: %d allocations, want 1 (its entry)", n)
+	}
+	if p.ctr.RICRequests != walks || eng.Counters.RewritesStored != stored+runs {
+		t.Fatalf("hits walked %d times and stored %d rewrites, want 0 and %d",
+			p.ctr.RICRequests-walks, eng.Counters.RewritesStored-stored, runs)
+	}
+
+	walks, stored = p.ctr.RICRequests, eng.Counters.RewritesStored
+	forget := func() { eng.Run(); delete(p.st.ct.entries, key) }
+	if n := allocsOf(runs, forget, trigger); n != 2 {
+		t.Errorf("a rewrite whose placement waits for a walk: %d allocations, want 2 (its entry and its pendingPlacement)", n)
+	}
+	if p.ctr.RICRequests != walks+runs || eng.Counters.RewritesStored != stored+runs {
+		t.Fatalf("misses walked %d times and stored %d rewrites, want %d each",
+			p.ctr.RICRequests-walks, eng.Counters.RewritesStored-stored, runs)
+	}
+}
+
+// allocsOf returns the heap objects f allocates per call over runs
+// calls, rounded down as testing.AllocsPerRun rounds, with between run
+// before every call and after the last one, outside the count.
+func allocsOf(runs int, between, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	var total uint64
+	for range runs {
+		between()
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		total += after.Mallocs - before.Mallocs
+	}
+	between()
+	return total / uint64(runs)
 }

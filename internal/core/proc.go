@@ -28,19 +28,32 @@ type storedQuery struct {
 }
 
 // entry is a query allocated together with the storedQuery that will
-// hold it, so a rewrite and its stored entry are one allocation.
+// hold it, and with room for the query's select list and selections, so
+// a rewrite and its stored entry are one allocation. The arrays fit the
+// paper workload's rewrites (two select items, at most two selections);
+// query.RewriteInto allocates a list that does not fit.
+//
+// Ownership rule: a rewrite's Select and Selections lie in its own entry
+// or are shared with its depth-0 input query, never in another
+// rewrite's entry, where a live child would pin a dead parent's whole
+// entry. RewriteInto keeps it by copying into the entry's arrays even a
+// list the substitution leaves untouched.
 type entry struct {
 	storedQuery
 	body query.Query
+	sel  [2]query.SelectItem
+	sels [2]query.SelCond
 }
 
 // newEntry returns the storedQuery of a fresh entry, its q pointing at
-// the entry's empty query: the one constructor of what gets placed —
-// rewrites fill the query with query.RewriteInto, everything else with
-// entryOf.
+// the entry's empty query, whose select list and selections are empty
+// slices over the entry's arrays: the one constructor of what gets
+// placed — rewrites fill the query with query.RewriteInto, everything
+// else with entryOf.
 func newEntry() *storedQuery {
 	e := new(entry)
 	e.q = &e.body
+	e.body.Select, e.body.Selections = e.sel[:0], e.sels[:0]
 	return &e.storedQuery
 }
 
@@ -84,11 +97,25 @@ type slot struct {
 // candidate (candidate keys are distinct), missing of them still without
 // a report, being fetched by walks in flight from this node — its own or
 // ones it joined — and the decision completes when the last of them is
-// reported.
+// reported. slots lies in the placement's own array when the candidates
+// fit (newPending), so a waiting placement is one allocation.
 type pendingPlacement struct {
 	sq      *storedQuery
 	slots   []slot
 	missing int
+	inline  [3]slot
+}
+
+// newPending returns a placement of sq waiting on missing of slots,
+// which it copies: they are the processor's scratch.
+func newPending(sq *storedQuery, slots []slot, missing int) *pendingPlacement {
+	pp := &pendingPlacement{sq: sq, missing: missing}
+	if len(slots) <= len(pp.inline) {
+		pp.slots = pp.inline[:copy(pp.inline[:], slots)]
+	} else {
+		pp.slots = slices.Clone(slots)
+	}
+	return pp
 }
 
 // misses reports whether the placement still has no report for a
@@ -656,8 +683,8 @@ func (p *Proc) place(now sim.Time, sq *storedQuery) {
 // the walk, not of the table.
 //
 // The slots and walk keys are built in the processor's scratch; a
-// placement that must wait copies its slots once, and the walk's keys
-// go into the pooled request.
+// placement that must wait copies its slots into its own array, and the
+// walk's keys go into the pooled request.
 func (p *Proc) placeRIC(now sim.Time, sq *storedQuery, cands []query.Candidate) {
 	slots, walk := p.sc.slots[:0], p.sc.walk[:0]
 	missing := 0
@@ -685,7 +712,7 @@ func (p *Proc) placeRIC(now sim.Time, sq *storedQuery, cands []query.Candidate) 
 		p.decide(sq, slots)
 		return
 	}
-	p.st.addPending(p.nextReqID(), &pendingPlacement{sq: sq, slots: slices.Clone(slots), missing: missing})
+	p.st.addPending(p.nextReqID(), newPending(sq, slots, missing))
 	if len(walk) == 0 {
 		if ob != nil {
 			ob.Emit(p.shard, obs.Rec{

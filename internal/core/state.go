@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 
 	"rjoin/internal/agg"
 	"rjoin/internal/id"
@@ -212,8 +213,10 @@ type state struct {
 
 	// dirtyAggs is the set of aggregator keys whose group holds epochs
 	// marked since its last flush: {k : len(aggs[k].dirty) > 0}, so a
-	// flush visits what changed instead of every group.
+	// flush visits what changed instead of every group. flushKeys is the
+	// flush's buffer for ordering them, reused flush to flush.
 	dirtyAggs map[relation.Key]struct{}
+	flushKeys []relation.Key
 
 	specOf func(qid string) *agg.Spec
 
@@ -562,13 +565,19 @@ func (s *state) flushDirty(visit func(*aggGroup)) {
 		return
 	}
 	h := s.horizon()
-	for _, key := range sortedStateKeys(s.dirtyAggs) {
+	keys := s.flushKeys[:0]
+	for k := range s.dirtyAggs {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, byKeyText)
+	for _, key := range keys {
 		g := s.aggs[key]
 		visit(g)
 		g.dirty = g.dirty[:0]
 		s.pruneEpochs(g, h)
 	}
 	clear(s.dirtyAggs)
+	s.flushKeys = keys
 }
 
 // ctMerge is the candidate-table write path. A key new to the table is
@@ -699,9 +708,12 @@ func sortedStateKeys[V any](m map[relation.Key]V) []relation.Key {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
+	slices.SortFunc(keys, byKeyText)
 	return keys
 }
+
+// byKeyText orders keys by their string form.
+func byKeyText(a, b relation.Key) int { return strings.Compare(a.String(), b.String()) }
 
 // each visits every entry of the wanted classes as the op that would
 // re-create it: classes in declaration order, keys sorted, entries in

@@ -15,7 +15,8 @@ import (
 // relation consumed. A node holds everything its consumed relations
 // alone decide, so a rewrite shares its node's FROM list and join
 // conjuncts and allocates only the values it binds — the Query, its
-// Selections and, when a select column binds, its Select.
+// Selections and, when a select column binds, its Select; RewriteInto
+// into a caller's Query whose lists have room allocates nothing.
 //
 // A node's content is a pure function of the clauses the root was
 // compiled from and the path to the node, so the first rewrite to cross

@@ -320,13 +320,16 @@ func (q *Query) Clone() *Query {
 	return c
 }
 
-// CloneInto writes a deep copy of q, without its plan, into dst.
+// CloneInto writes a deep copy of q, without its plan, into dst. Like
+// RewriteInto, it copies the select list and selections into dst's
+// when they have room.
 func (q *Query) CloneInto(dst *Query) {
+	sel, sels := dst.Select[:0], dst.Selections[:0]
 	q.copyInto(dst)
-	dst.Select = append([]SelectItem(nil), q.Select...)
+	dst.Select = append(sel, q.Select...)
 	dst.Relations = append([]string(nil), q.Relations...)
 	dst.Joins = append([]JoinCond(nil), q.Joins...)
-	dst.Selections = append([]SelCond(nil), q.Selections...)
+	dst.Selections = append(sels, q.Selections...)
 	dst.GroupBy = append([]ColRef(nil), q.GroupBy...)
 	dst.Lineage = append([]LineageStep(nil), q.Lineage...)
 }
@@ -475,6 +478,14 @@ func Rewrite(q *Query, t *relation.Tuple) (*Query, bool) {
 // RewriteInto is Rewrite writing the result into dst, which the caller
 // allocated — alongside whatever will hold it. It reports whether t
 // triggers q; when not, dst is left unspecified.
+//
+// dst's Select and Selections may come with room: empty slices over
+// arrays the caller owns, as a stored entry's are (core's entry). A
+// result list that fits is written there, a list the substitution
+// leaves untouched included, so nothing is allocated for it and the
+// result never shares a list with q. A list that does not fit is built
+// as Rewrite builds it: shared with q when untouched, allocated
+// otherwise.
 func RewriteInto(dst, q *Query, t *relation.Tuple) bool {
 	n := q.node()
 	i, ok := n.match(q, t)
@@ -482,37 +493,43 @@ func RewriteInto(dst, q *Query, t *relation.Tuple) bool {
 		return false
 	}
 	rel, c := n.rels[i], n.child(i)
+	selRoom, selsRoom := dst.Select[:0], dst.Selections[:0]
 
 	// Select columns of rel become constants. Substitution sets only
 	// IsConst/Const, so an aggregate item keeps its Agg marker (the
 	// aggregation layer recognises the completed query by it) and the
 	// column it came from.
+	binds := func(s SelectItem) bool { return !s.IsConst && s.Col.Rel == rel }
 	sel := q.Select
-	for k, s := range q.Select {
-		if !s.IsConst && s.Col.Rel == rel {
-			sel = slices.Clone(q.Select)
-			for ; k < len(sel); k++ {
-				if sc := sel[k]; !sc.IsConst && sc.Col.Rel == rel {
-					v, ok := t.Value(sc.Col.Attr)
-					if !ok {
-						return false
-					}
-					sel[k].IsConst = true
-					sel[k].Const = v
+	if bind := slices.ContainsFunc(q.Select, binds); len(q.Select) <= cap(selRoom) || bind {
+		if len(q.Select) > cap(selRoom) {
+			selRoom = make([]SelectItem, 0, len(q.Select))
+		}
+		sel = append(selRoom, q.Select...)
+		for k := range sel {
+			if binds(sel[k]) {
+				v, ok := t.Value(sel[k].Col.Attr)
+				if !ok {
+					return false
 				}
+				sel[k].IsConst = true
+				sel[k].Const = v
 			}
-			break
 		}
 	}
 
 	// Selections on rel were checked by match and go; the surviving ones
 	// keep clause order, and the join conjuncts with one side on rel
 	// follow as selections on their other side, in join order.
+	onRel := func(s SelCond) bool { return s.Col.Rel == rel }
 	sels := q.Selections
-	if len(c.conv) > 0 || slices.ContainsFunc(q.Selections, func(s SelCond) bool { return s.Col.Rel == rel }) {
-		sels = make([]SelCond, 0, len(c.sels))
+	if len(c.sels) <= cap(selsRoom) || len(c.conv) > 0 || slices.ContainsFunc(q.Selections, onRel) {
+		if len(c.sels) > cap(selsRoom) {
+			selsRoom = make([]SelCond, 0, len(c.sels))
+		}
+		sels = selsRoom
 		for _, s := range q.Selections {
-			if s.Col.Rel != rel {
+			if !onRel(s) {
 				sels = append(sels, s)
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"rjoin/internal/relation"
 )
@@ -1189,6 +1190,44 @@ func TestRewriteAllocs(t *testing.T) {
 			t.Fatalf("step %d allocates %v times, want at most 3", i+1, n)
 		}
 		q, _ = Rewrite(q, tu)
+	}
+	if !q.IsComplete() {
+		t.Fatalf("the chain did not complete: %s", q)
+	}
+}
+
+// TestRewriteIntoWithRoomAllocs: into a query whose select list and
+// selections have room, a rewrite allocates nothing at any step of the
+// Section 3 chain — not even for a list the step leaves untouched, which
+// is copied into the room rather than shared — and equals Rewrite's.
+func TestRewriteIntoWithRoomAllocs(t *testing.T) {
+	q := sectionThreeQuery()
+	steps := []*relation.Tuple{
+		relation.MustTuple(schemaR, relation.Int64(3), relation.Int64(5), relation.Int64(0)),
+		relation.MustTuple(schemaS, relation.Int64(3), relation.Int64(6), relation.Int64(0)),
+		relation.MustTuple(schemaJ, relation.Int64(3), relation.Int64(6), relation.Int64(0)),
+	}
+	for i, tu := range steps {
+		var sel [2]SelectItem
+		var sels [2]SelCond
+		dst := new(Query)
+		into := func() {
+			dst.Select, dst.Selections = sel[:0], sels[:0]
+			if !RewriteInto(dst, q, tu) {
+				t.Fatalf("step %d did not trigger", i+1)
+			}
+		}
+		if n := testing.AllocsPerRun(100, into); n != 0 {
+			t.Fatalf("step %d allocates %v times, want 0", i+1, n)
+		}
+		want, _ := Rewrite(q, tu)
+		if dst.String() != want.String() || dst.Depth != want.Depth {
+			t.Fatalf("step %d: RewriteInto gave %s, Rewrite %s", i+1, dst, want)
+		}
+		if unsafe.SliceData(dst.Select) != &sel[0] || len(dst.Selections) > 0 && unsafe.SliceData(dst.Selections) != &sels[0] {
+			t.Fatalf("step %d: the result's lists are not in the room it was given", i+1)
+		}
+		q = dst
 	}
 	if !q.IsComplete() {
 		t.Fatalf("the chain did not complete: %s", q)

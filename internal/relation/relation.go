@@ -200,29 +200,49 @@ func ValueKey(rel, attr string, v Value) string {
 // string form and its ring identifier Hash(key), computed once. Every
 // layer passes Keys instead of raw strings so the consistent hash —
 // by far the most expensive step of routing — is never re-derived for
-// a key the process has seen before. Key is comparable and can key
-// maps directly.
-type Key struct {
+// a key the process has seen before.
+//
+// A Key is one word: a pointer to its interned record. Every non-zero
+// Key comes from the intern tables below, which hold exactly one record
+// per key text, so two Keys are == exactly when their texts are equal,
+// and a map keyed by Key hashes and compares a pointer, never the text.
+type Key struct{ p *keyRec }
+
+// keyRec is the one interned record of a key text.
+type keyRec struct {
 	s string
 	h id.ID
 }
 
-// String returns the paper's textual key form.
-func (k Key) String() string { return k.s }
+// String returns the paper's textual key form ("" for the zero Key).
+func (k Key) String() string {
+	if k.p == nil {
+		return ""
+	}
+	return k.p.s
+}
 
-// ID returns the cached ring identifier; it always equals
-// id.HashKey(k.String()).
-func (k Key) ID() id.ID { return k.h }
+// ID returns the cached ring identifier: id.HashKey(k.String()) for a
+// Key from the intern tables, 0 for the zero Key.
+func (k Key) ID() id.ID {
+	if k.p == nil {
+		return 0
+	}
+	return k.p.h
+}
 
-// IsZero reports whether k is the zero Key.
-func (k Key) IsZero() bool { return k.s == "" }
+// IsZero reports whether k's text is empty: the zero Key, or KeyOf("").
+func (k Key) IsZero() bool { return k.String() == "" }
 
 // The intern tables memoize key → ring-identifier bindings process-wide.
 // Contents are a pure function of the key text, so sharing them across
 // concurrently running simulations is harmless and deterministic.
-// Attribute-level keys are interned on the (rel, attr) pair and
-// value-level keys on the (rel, attr, value) triple, so a hit skips the
-// string concatenation as well as the hash. The tables grow with the
+// internByString is the identity table: the one place a record is made,
+// with LoadOrStore, so two goroutines interning one fresh text agree on
+// its record. Attribute-level keys are also interned on the (rel, attr)
+// pair and value-level keys on the (rel, attr, value) triple, so a hit
+// skips the string concatenation as well as the hash; those two tables
+// only cache Keys the identity table made. The tables grow with the
 // number of distinct keys ever derived and are never evicted — the
 // deliberate trade for a hash-free hot path; at the simulated scales
 // (10^5-10^6 keys) this is a few tens of megabytes.
@@ -244,9 +264,8 @@ func KeyOf(s string) Key {
 	if k, ok := internByString.Load(s); ok {
 		return k.(Key)
 	}
-	k := Key{s: s, h: id.HashKey(s)}
-	internByString.Store(s, k)
-	return k
+	k, _ := internByString.LoadOrStore(s, Key{&keyRec{s: s, h: id.HashKey(s)}})
+	return k.(Key)
 }
 
 // AttrKeyOf returns the interned attribute-level Key Rel+Attr without

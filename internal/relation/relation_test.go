@@ -3,8 +3,12 @@ package relation
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"rjoin/internal/id"
 )
@@ -137,6 +141,70 @@ func TestKeyCachesRingID(t *testing.T) {
 	}
 	if KeyOf("R+A").IsZero() || (Key{}).IsZero() == false {
 		t.Fatal("IsZero")
+	}
+}
+
+// TestKeyIdentity: a Key is its interned record, so Keys compare by
+// identity — every way of deriving one text yields the == Key, also when
+// goroutines intern a fresh text at once — and the zero Key is the empty
+// text with ring identifier 0.
+var identityRuns atomic.Int64
+
+func TestKeyIdentity(t *testing.T) {
+	if k := ValueKeyOf("KI", "B", Int64(6)); k != KeyOf("KI+B+6") || k != KeyOf(ValueKey("KI", "B", Int64(6))) {
+		t.Fatal("ValueKeyOf and KeyOf of one text are different Keys")
+	}
+	if k := AttrKeyOf("KI", "B"); k != KeyOf("KI+B") || k == KeyOf("KI+C") {
+		t.Fatal("AttrKeyOf and KeyOf of one text are different Keys, or two texts one")
+	}
+
+	const goroutines, texts = 8, 1000
+	rel := fmt.Sprintf("KeyIdentity%d", identityRuns.Add(1)) // fresh texts under -count
+	got := make([][]Key, goroutines)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			keys := make([]Key, texts)
+			<-start
+			for i := range keys {
+				// Half the goroutines derive each key from its parts, half
+				// from its text: all of them race for every text.
+				if g%2 == 0 {
+					keys[i] = ValueKeyOf(rel, "A", Int64(int64(i)))
+				} else {
+					keys[i] = KeyOf(ValueKey(rel, "A", Int64(int64(i))))
+				}
+			}
+			got[g] = keys
+		}()
+	}
+	close(start)
+	wg.Wait()
+	seen := make(map[Key]int, texts)
+	for i, k := range got[0] {
+		if want := ValueKey(rel, "A", Int64(int64(i))); k.String() != want || k.ID() != id.HashKey(want) {
+			t.Fatalf("text %d interned as %q/%v", i, k, k.ID())
+		}
+		if j, dup := seen[k]; dup {
+			t.Fatalf("texts %d and %d share one Key", j, i)
+		}
+		seen[k] = i
+		for g := 1; g < goroutines; g++ {
+			if got[g][i] != k {
+				t.Fatalf("goroutines 0 and %d hold two Keys for %q", g, k)
+			}
+		}
+	}
+
+	var zero Key
+	if zero.String() != "" || zero.ID() != 0 || !zero.IsZero() || KeyOf("x").IsZero() {
+		t.Fatalf("zero Key: String %q, ID %v, IsZero %v", zero.String(), zero.ID(), zero.IsZero())
+	}
+	if n := unsafe.Sizeof(Key{}); n != 8 {
+		t.Fatalf("a Key is %d bytes, want one word", n)
 	}
 }
 
