@@ -124,10 +124,12 @@ func TestAnswerRowAllocs(t *testing.T) {
 }
 
 // TestPooledMessagesKeepOnlyOwnedBuffers holds every pooled message
-// kind to the pools' one ownership rule (messages.go): after recycle a
-// message is its zero value except for its own buffers — the unexported
-// slice fields — which are kept empty, their arrays cleared, so a
-// recycled message references nothing it was handed.
+// kind, and the pooled waiting placement, to the pools' one ownership
+// rule (messages.go): after recycle a message is its zero value except
+// for its own buffers — the unexported slice fields — which are kept
+// empty, their arrays cleared, so a recycled message references nothing
+// it was handed. A placement's one buffer is its inline slot array, also
+// after its slots spilled off it.
 func TestPooledMessagesKeepOnlyOwnedBuffers(t *testing.T) {
 	key := relation.KeyOf("R+A+1")
 	row := []relation.Value{relation.String64("held"), relation.Int64(1), relation.String64("too")}
@@ -143,6 +145,12 @@ func TestPooledMessagesKeepOnlyOwnedBuffers(t *testing.T) {
 		newRICRequestMsg(5, []relation.Key{key, key, key}),
 		newRICReplyMsg(5, []ricInfo{info}),
 	}
+	slots := []slot{{ricInfo: info}, {ricInfo: info, have: true}, {ricInfo: info}}
+	fits, spills := newPending(newEntry(), slots, 2), newPending(newEntry(), append(slots, slot{ricInfo: info}), 3)
+	if &fits.slots[0] != &fits.inline[0] || &spills.slots[0] == &spills.inline[0] {
+		t.Fatal("three slots do not lie in the placement's inline array, or four do")
+	}
+	msgs = append(msgs, fits, spills)
 	for _, m := range msgs {
 		m.recycle()
 		v := reflect.ValueOf(m).Elem()
@@ -162,6 +170,11 @@ func TestPooledMessagesKeepOnlyOwnedBuffers(t *testing.T) {
 					t.Errorf("%s still holds %v at %d", name, all.Index(j), j)
 				}
 			}
+		}
+	}
+	for _, pp := range []*pendingPlacement{fits, spills} {
+		if cap(pp.slots) != len(pp.inline) || &pp.slots[:1][0] != &pp.inline[0] {
+			t.Errorf("a recycled placement's slots lie off its inline array")
 		}
 	}
 }

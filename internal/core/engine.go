@@ -162,6 +162,15 @@ type Engine struct {
 	pubSeq   int64
 	queryCnt int64
 
+	// pub is PublishTuple's scratch, reused across calls: publishing
+	// runs in coordinator context only, and MultiSend is done with the
+	// messages and identifiers when it returns.
+	pub struct {
+		keys []relation.Key
+		msgs []overlay.Message
+		ids  []id.ID
+	}
+
 	// horizon is what the last quiescent Run saw (see state.go): only
 	// drainExpired advances it, since RunUntil may stop with tuples in
 	// flight.
@@ -389,9 +398,8 @@ func (e *Engine) PublishTuple(publisher *chord.Node, t *relation.Tuple) {
 		})
 	}
 
-	attrKeys, valueKeys := t.Keys()
-	msgs := make([]overlay.Message, 0, 2*len(attrKeys))
-	ids := make([]id.ID, 0, 2*len(attrKeys))
+	attrKeys, valueKeys := t.Schema.AttrKeys(), t.AppendValueKeys(e.pub.keys[:0])
+	msgs, ids := e.pub.msgs[:0], e.pub.ids[:0]
 	for i := range attrKeys {
 		msgs = append(msgs, newTupleMsg(t, attrKeys[i], query.AttrLevel, publisher.ID()))
 		ids = append(ids, attrKeys[i].ID())
@@ -399,6 +407,8 @@ func (e *Engine) PublishTuple(publisher *chord.Node, t *relation.Tuple) {
 		ids = append(ids, valueKeys[i].ID())
 	}
 	e.net.MultiSend(publisher, msgs, ids)
+	clear(msgs) // the scratch keeps no message: delivery recycles them
+	e.pub.keys, e.pub.msgs, e.pub.ids = valueKeys, msgs[:0], ids
 }
 
 // Sync merges the parallel engine's per-shard accumulators — counters,

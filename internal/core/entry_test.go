@@ -165,12 +165,15 @@ func TestRewriteOwnsItsLists(t *testing.T) {
 }
 
 // TestPlacementAllocs pins what one trigger allocates once warm, from
-// the stored query it meets to its rewrite's placement: a rewrite placed
+// the stored query it meets to its rewrite's placement, and what the
+// reply that releases a waiting placement allocates. A rewrite placed
 // on a candidate-table hit is its entry alone (the Eval message is
-// pooled and its report rides in the message's own array); a placement
-// that waits for a walk adds the pendingPlacement, its slots inline (the
-// walk request is pooled and its keys ride in its own array). Delivery
-// runs between the measured triggers, outside the count.
+// pooled and its report rides in the message's own array); so is one
+// whose placement waits for a walk (the pendingPlacement is pooled,
+// its slots inline, and the walk request is pooled, its keys in its own
+// array); and the reply — onRICReply merging the report, decide, the
+// Eval send and the placement's return to its pool — allocates nothing.
+// Delivery runs between the measured calls, outside the count.
 func TestPlacementAllocs(t *testing.T) {
 	eng, nodes := testNet(t, 16, 1, Config{}, overlay.DefaultConfig())
 	p := eng.procs[nodes[0].ID()]
@@ -193,12 +196,75 @@ func TestPlacementAllocs(t *testing.T) {
 
 	walks, stored = p.ctr.RICRequests, eng.Counters.RewritesStored
 	forget := func() { eng.Run(); delete(p.st.ct.entries, key) }
-	if n := allocsOf(runs, forget, trigger); n != 2 {
-		t.Errorf("a rewrite whose placement waits for a walk: %d allocations, want 2 (its entry and its pendingPlacement)", n)
+	if n := allocsOf(runs, forget, trigger); n != 1 {
+		t.Errorf("a rewrite whose placement waits for a walk: %d allocations, want 1 (its entry)", n)
 	}
 	if p.ctr.RICRequests != walks+runs || eng.Counters.RewritesStored != stored+runs {
 		t.Fatalf("misses walked %d times and stored %d rewrites, want %d each",
 			p.ctr.RICRequests-walks, eng.Counters.RewritesStored-stored, runs)
+	}
+
+	// Each counted reply reports key to a placement that waits for it,
+	// both made between the calls; the walk's own reply, delivered by the
+	// next Run, finds nobody waiting and only feeds the table.
+	owner := eng.ring.Owner(key.ID()).ID()
+	var reply *ricReplyMsg
+	waiting := func() {
+		if len(p.st.pending) != 0 {
+			t.Fatalf("a reply left %d placements waiting", len(p.st.pending))
+		}
+		forget()
+		trigger()
+		reply = newRICReplyMsg(p.node.ID(), []ricInfo{{Key: key, Rate: 1, Addr: owner, At: eng.sim.Now()}})
+	}
+	release := func() {
+		p.onRICReply(eng.sim.Now(), reply)
+		reply.recycle()
+	}
+	walks, stored = p.ctr.RICRequests, eng.Counters.RewritesStored
+	if n := allocsOf(runs, waiting, release); n != 0 {
+		t.Errorf("a reply releasing a waiting placement: %d allocations, want 0", n)
+	}
+	eng.Run() // the last waiting placement's own walk places it
+	if p.ctr.RICRequests != walks+runs+1 || eng.Counters.RewritesStored != stored+runs+1 || len(p.st.pending) != 0 {
+		t.Fatalf("replies: %d walks, %d rewrites stored, %d still waiting; want %d, %d and 0",
+			p.ctr.RICRequests-walks, eng.Counters.RewritesStored-stored, len(p.st.pending), runs+1, runs+1)
+	}
+}
+
+// TestPublishAllocs pins Procedure 1's publisher side at nothing once
+// warm: PublishTuple of a k-attribute tuple builds its 2k pooled tuple
+// messages, their keys and identifiers in the engine's scratch, and
+// MultiSend orders the legs in its lane's buffer. The tuple itself is
+// the caller's. Delivery runs between the measured calls.
+func TestPublishAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops puts, so the 2k pooled messages allocate")
+	}
+	eng, nodes := testNet(t, 16, 1, Config{}, overlay.DefaultConfig())
+	for _, k := range []int{1, 3, 8} {
+		attrs, vals := make([]string, k), make([]relation.Value, k)
+		for i := range attrs {
+			attrs[i], vals[i] = fmt.Sprintf("A%d", i), relation.Int64(int64(i))
+		}
+		schema := relation.MustSchema(fmt.Sprintf("P%d", k), attrs...)
+		const runs = 100
+		tuples := make([]*relation.Tuple, runs+1)
+		for i := range tuples {
+			tuples[i] = relation.MustTuple(schema, vals...)
+		}
+		next := 0
+		publish := func() { eng.PublishTuple(nodes[3], tuples[next]); next++ }
+		publish() // warm: the interned keys, the pools, the scratch
+		eng.Run()
+		published, delivered := eng.Counters.TuplesPublished, eng.net.Delivered
+		if n := allocsOf(runs, eng.Run, publish); n != 0 {
+			t.Errorf("publishing a %d-attribute tuple: %d allocations, want 0", k, n)
+		}
+		if got, want := eng.net.Delivered-delivered, int64(2*k*runs); eng.Counters.TuplesPublished != published+runs || got != want {
+			t.Fatalf("k=%d: %d tuples published, %d messages delivered; want %d and %d",
+				k, eng.Counters.TuplesPublished-published, got, runs, want)
+		}
 	}
 }
 

@@ -19,12 +19,14 @@ import (
 // detached recipient) simply fall to the garbage collector; only
 // delivery recycles.
 //
-// One ownership rule holds for all six kinds: a message owns its
-// unexported buffers (the inline report and key arrays, an answer's
-// row) and nothing else. Its constructor copies what it carries into
-// them, and its recycle method — the only place a pooled message is
-// reset — leaves every field zero except those buffers, emptied, so
-// the next use allocates nothing and the pool keeps no value alive.
+// The pendingPlacement a query waits for RIC reports in is the seventh
+// pooled kind (proc.go); it is recycled where it is decided or torn
+// down. One ownership rule holds for all seven: each owns its unexported
+// buffers (the inline report, key and slot arrays, an answer's row) and
+// nothing else. Its constructor copies what it carries into them, and
+// its recycle method — the only place a pooled object is reset — leaves
+// every field zero except those buffers, emptied, so the next use
+// allocates nothing and the pool keeps no value alive.
 // TestPooledMessagesKeepOnlyOwnedBuffers checks that by reflection.
 var (
 	tupleMsgPool      = sync.Pool{New: func() interface{} { return new(tupleMsg) }}
@@ -33,6 +35,7 @@ var (
 	aggPartialMsgPool = sync.Pool{New: func() interface{} { return new(aggPartialMsg) }}
 	ricRequestMsgPool = sync.Pool{New: func() interface{} { return new(ricRequestMsg) }}
 	ricReplyMsgPool   = sync.Pool{New: func() interface{} { return new(ricReplyMsg) }}
+	pendingPool       = sync.Pool{New: func() interface{} { return new(pendingPlacement) }}
 )
 
 // inlineReports is how many RIC reports or walk keys a pooled message

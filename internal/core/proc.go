@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"rjoin/internal/agg"
 	"rjoin/internal/chord"
 	"rjoin/internal/id"
@@ -97,8 +95,13 @@ type slot struct {
 // candidate (candidate keys are distinct), missing of them still without
 // a report, being fetched by walks in flight from this node — its own or
 // ones it joined — and the decision completes when the last of them is
-// reported. slots lies in the placement's own array when the candidates
-// fit (newPending), so a waiting placement is one allocation.
+// reported. It is pooled under the messages' ownership rule
+// (messages.go): it owns its inline slot array and nothing else, and
+// slots lies in that array when the candidates fit, so a waiting
+// placement allocates nothing once the pool is warm. onRICReply recycles
+// it once its Eval is sent, a teardown sweep once it removes it; one
+// that handover, promotion or crash recovery re-places falls to the
+// garbage collector, as an undeliverable message does.
 type pendingPlacement struct {
 	sq      *storedQuery
 	slots   []slot
@@ -106,16 +109,22 @@ type pendingPlacement struct {
 	inline  [3]slot
 }
 
-// newPending returns a placement of sq waiting on missing of slots,
-// which it copies: they are the processor's scratch.
+// newPending returns a pooled placement of sq waiting on missing of
+// slots, which it copies: they are the processor's scratch.
 func newPending(sq *storedQuery, slots []slot, missing int) *pendingPlacement {
-	pp := &pendingPlacement{sq: sq, missing: missing}
-	if len(slots) <= len(pp.inline) {
-		pp.slots = pp.inline[:copy(pp.inline[:], slots)]
-	} else {
-		pp.slots = slices.Clone(slots)
-	}
+	pp := pendingPool.Get().(*pendingPlacement)
+	pp.sq, pp.missing = sq, missing
+	pp.slots = append(pp.inline[:0], slots...)
 	return pp
+}
+
+// recycle returns the placement to the pool with every field zero but
+// its slots, emptied onto the inline array, so the pool keeps no query
+// or key alive.
+func (pp *pendingPlacement) recycle() {
+	*pp = pendingPlacement{}
+	pp.slots = pp.inline[:0]
+	pendingPool.Put(pp)
 }
 
 // misses reports whether the placement still has no report for a
@@ -683,8 +692,9 @@ func (p *Proc) place(now sim.Time, sq *storedQuery) {
 // the walk, not of the table.
 //
 // The slots and walk keys are built in the processor's scratch; a
-// placement that must wait copies its slots into its own array, and the
-// walk's keys go into the pooled request.
+// placement that must wait copies its slots into a pooled
+// pendingPlacement's own array, and the walk's keys go into the pooled
+// request.
 func (p *Proc) placeRIC(now sim.Time, sq *storedQuery, cands []query.Candidate) {
 	slots, walk := p.sc.slots[:0], p.sc.walk[:0]
 	missing := 0
@@ -724,7 +734,8 @@ func (p *Proc) placeRIC(now sim.Time, sq *storedQuery, cands []query.Candidate) 
 	}
 	// Visit them in clockwise ring order from here (the "optimal order
 	// to contact these nodes").
-	sortByDist(p.node.ID(), walk)
+	from := p.node.ID()
+	id.SortByDist(walk, func(k *relation.Key) uint64 { return id.Dist(from, k.ID()) })
 	p.ctr.RICRequests++
 	if ob != nil {
 		ob.Emit(p.shard, obs.Rec{
@@ -736,17 +747,6 @@ func (p *Proc) placeRIC(now sim.Time, sq *storedQuery, cands []query.Candidate) 
 	p.eng.net.WithTag(p.node, TagRIC, func() {
 		p.eng.net.Send(p.node, walk[0].ID(), req)
 	})
-}
-
-// sortByDist orders keys by clockwise ring distance from a node, equal
-// distances in their given order. An insertion sort: a walk asks for a
-// handful of keys, and sort.Slice's closure and swapper allocate.
-func sortByDist(from id.ID, keys []relation.Key) {
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && id.Dist(from, keys[j].ID()) < id.Dist(from, keys[j-1].ID()); j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
 }
 
 // onRICRequest handles one step of the chained walk: report the rate
@@ -793,6 +793,7 @@ func (p *Proc) onRICReply(now sim.Time, m *ricReplyMsg) {
 			pp := p.st.pending[reqID]
 			p.st.removePending(reqID)
 			p.decide(pp.sq, pp.slots)
+			pp.recycle()
 		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"rjoin/internal/chord"
@@ -342,33 +341,6 @@ func TestWaitingIndexFollowsHandover(t *testing.T) {
 	}
 	if ready := dst.report(ricInfo{Key: f.keys[1]}); fmt.Sprint(ready) != "[4 6]" {
 		t.Fatalf("the shared key's report released %v, want [4 6] in waiting order", ready)
-	}
-}
-
-// TestSortByDistMatchesStableSort: the allocation-free ordering of a
-// walk's keys is the order sort.SliceStable gives, ties (the same key
-// asked twice, which a walk never does but the sort must not care
-// about) included.
-func TestSortByDistMatchesStableSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for round := 0; round < 2000; round++ {
-		from := id.ID(rng.Uint64())
-		keys := make([]relation.Key, rng.Intn(9))
-		for i := range keys {
-			keys[i] = relation.ValueKeyOf("R", "A", relation.Int64(int64(rng.Intn(12))))
-		}
-		want := append([]relation.Key(nil), keys...)
-		sort.SliceStable(want, func(i, j int) bool { return id.Dist(from, want[i].ID()) < id.Dist(from, want[j].ID()) })
-		sortByDist(from, keys)
-		for i := range want {
-			if keys[i] != want[i] {
-				t.Fatalf("round %d: position %d holds %s, the stable sort puts %s there", round, i, keys[i], want[i])
-			}
-		}
-	}
-	keys := []relation.Key{relation.KeyOf("R+A"), relation.KeyOf("S+B"), relation.KeyOf("J+C"), relation.KeyOf("M+A")}
-	if allocs := testing.AllocsPerRun(100, func() { sortByDist(7, keys) }); allocs != 0 {
-		t.Fatalf("ordering a walk's keys allocates %v times", allocs)
 	}
 }
 

@@ -807,6 +807,7 @@ func (s *state) take(keyOK func(relation.Key) bool) []stateOp {
 // placement walks, aggregator groups) that match selects, and reports
 // whether anything went. One unordered pass per class: each removal
 // charges one replica op and the counts commute, so no order is needed.
+// A removed placement goes back to its pool: nothing else holds it.
 func (s *state) sweep(want class, match func(stateOp) bool) (hit bool) {
 	if want&classQueries != 0 {
 		for key := range s.queries {
@@ -821,6 +822,7 @@ func (s *state) sweep(want class, match func(stateOp) bool) (hit bool) {
 		for reqID, pp := range s.pending {
 			if match(stateOp{kind: opAddPending, id: reqID, pp: pp}) {
 				s.removePending(reqID)
+				pp.recycle()
 				hit = true
 			}
 		}

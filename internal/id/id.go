@@ -48,6 +48,19 @@ func (x ID) Add(k uint64) ID { return x + ID(k) }
 // Dist returns the clockwise distance from x to y on the ring.
 func Dist(x, y ID) uint64 { return uint64(y - x) }
 
+// SortByDist orders xs by dist — each element's clockwise distance from
+// where a visit starts — nearest first, equal distances in their given
+// order. It is the one ring-order sort: an RIC walk's keys and a grouped
+// send's legs. An insertion sort, because both are a handful of
+// elements and sort.Slice's closure and swapper allocate.
+func SortByDist[T any](xs []T, dist func(*T) uint64) {
+	for i := 1; i < len(xs); i++ {
+		for j := i; j > 0 && dist(&xs[j]) < dist(&xs[j-1]); j-- {
+			xs[j], xs[j-1] = xs[j-1], xs[j]
+		}
+	}
+}
+
 // Between reports whether z lies in the open interval (x, y) walking
 // clockwise from x to y. When x == y the interval is the whole ring
 // minus {x}, matching Chord's convention for a ring with one known node.

@@ -2,6 +2,7 @@ package id
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -133,5 +134,39 @@ func TestFingerStartCoversRingHalves(t *testing.T) {
 func TestStringFixedWidth(t *testing.T) {
 	if s := ID(0xff).String(); s != "00000000000000ff" {
 		t.Fatalf("String() = %q", s)
+	}
+}
+
+// TestSortByDistMatchesStableSort: the allocation-free ring-order sort
+// is the order sort.SliceStable gives, ties (one key asked twice, which
+// a walk never does but the sort must not care about) included, and it
+// allocates nothing with a distance that captures its origin.
+func TestSortByDistMatchesStableSort(t *testing.T) {
+	type elem struct {
+		at  ID
+		pos int
+	}
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 2000; round++ {
+		from := ID(rng.Uint64())
+		xs := make([]elem, rng.Intn(17))
+		for i := range xs {
+			xs[i] = elem{HashKey(string(rune('a' + rng.Intn(12)))), i}
+		}
+		want := append([]elem(nil), xs...)
+		sort.SliceStable(want, func(i, j int) bool { return Dist(from, want[i].at) < Dist(from, want[j].at) })
+		SortByDist(xs, func(x *elem) uint64 { return Dist(from, x.at) })
+		for i := range want {
+			if xs[i] != want[i] {
+				t.Fatalf("round %d: position %d holds %v, the stable sort puts %v there", round, i, xs[i], want[i])
+			}
+		}
+	}
+	keys := []ID{HashKey("R+A"), HashKey("S+B"), HashKey("J+C"), HashKey("M+A")}
+	from := ID(7)
+	if allocs := testing.AllocsPerRun(100, func() {
+		SortByDist(keys, func(k *ID) uint64 { return Dist(from, *k) })
+	}); allocs != 0 {
+		t.Fatalf("ordering a walk's keys allocates %v times", allocs)
 	}
 }

@@ -31,7 +31,6 @@ package overlay
 
 import (
 	"fmt"
-	"sort"
 
 	"rjoin/internal/chord"
 	"rjoin/internal/id"
@@ -614,11 +613,9 @@ func (nw *Network) MultiSend(from *chord.Node, msgs []Message, keys []id.ID) {
 	// need before this function returns.
 	legs := p.l.legs[:0]
 	for j := range msgs {
-		legs = append(legs, leg{keys[j], msgs[j]})
+		legs = append(legs, leg{id.Dist(from.ID(), keys[j]), keys[j], msgs[j]})
 	}
-	sort.Slice(legs, func(i, j int) bool {
-		return id.Dist(from.ID(), legs[i].key) < id.Dist(from.ID(), legs[j].key)
-	})
+	id.SortByDist(legs, func(lg *leg) uint64 { return lg.dist })
 	cur := from
 	var accumulated int64
 	for _, lg := range legs {
@@ -635,10 +632,12 @@ func (nw *Network) MultiSend(from *chord.Node, msgs []Message, keys []id.ID) {
 	p.l.legs = legs[:0]
 }
 
-// leg is one delivery of a grouped multiSend.
+// leg is one delivery of a grouped multiSend, with the clockwise
+// distance from the origin to its key that orders the visit.
 type leg struct {
-	key id.ID
-	msg Message
+	dist uint64
+	key  id.ID
+	msg  Message
 }
 
 // MaxDelta returns a safe upper bound Δ on end-to-end message delay:

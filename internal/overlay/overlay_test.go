@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"rjoin/internal/chord"
@@ -252,6 +253,49 @@ func multiSendOrLoop(f *fixture, chained bool, msgs []Message, keys []id.ID) {
 	}
 	for j := range msgs {
 		f.nw.Send(f.nodes[0], keys[j], msgs[j])
+	}
+}
+
+// TestMultiSendAllocs: once warm, a grouped MultiSend allocates
+// nothing — its legs are ordered in the acting lane's buffer by their
+// precomputed ring distance, each routed and scheduled. Deliveries
+// drain between the counted calls.
+func TestMultiSendAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f := newFixture(t, 64, DefaultConfig())
+	var keys []id.ID
+	var msgs []Message
+	for i := 0; i < 16; i++ {
+		keys = append(keys, id.HashKey(string(rune('a'+i))))
+		msgs = append(msgs, keyedMsg{key: keys[i]})
+	}
+	for _, legs := range []int{2, 6, 16} {
+		send := func() { f.nw.MultiSend(f.nodes[5], msgs[:legs], keys[:legs]) }
+		drain := func() {
+			f.engine.Run()
+			for nid := range f.received {
+				f.received[nid] = f.received[nid][:0]
+			}
+		}
+		send() // warm: the lane's legs buffer, the scheduler's queue
+		drain()
+		const runs = 100
+		delivered := f.nw.Delivered
+		var before, after runtime.MemStats
+		var total uint64
+		for range runs {
+			runtime.ReadMemStats(&before)
+			send()
+			runtime.ReadMemStats(&after)
+			total += after.Mallocs - before.Mallocs
+			drain()
+		}
+		if n := total / runs; n != 0 {
+			t.Errorf("a MultiSend of %d legs: %d allocations, want 0", legs, n)
+		}
+		if got := f.nw.Delivered - delivered; got != int64(legs*runs) {
+			t.Fatalf("%d legs: %d deliveries, want %d", legs, got, legs*runs)
+		}
 	}
 }
 

@@ -123,6 +123,11 @@ func MustSchema(relation string, attrs ...string) *Schema {
 	return s
 }
 
+// AttrKeys returns the interned attribute-level keys Rel+Attr, in
+// attribute order. The slice is the schema's own; callers must not
+// mutate it.
+func (s *Schema) AttrKeys() []Key { return s.attrKeys }
+
 // Arity returns the number of attributes.
 func (s *Schema) Arity() int { return len(s.Attrs) }
 
@@ -295,16 +300,19 @@ func ValueKeyOf(rel, attr string, v Value) Key {
 // Keys returns the 2*k index keys of a k-attribute tuple, attribute
 // level and value level for every attribute, in schema order — exactly
 // the keys Procedure 1 publishes a new tuple under. The attribute-level
-// slice is precomputed on the schema and shared; callers must not
-// mutate it.
+// slice is the schema's (AttrKeys), shared; callers must not mutate it.
 func (t *Tuple) Keys() (attrKeys, valueKeys []Key) {
+	return t.Schema.attrKeys, t.AppendValueKeys(make([]Key, 0, len(t.Values)))
+}
+
+// AppendValueKeys appends the tuple's value-level index keys, in schema
+// order, to dst: Keys' second result without a fresh slice.
+func (t *Tuple) AppendValueKeys(dst []Key) []Key {
 	rel := t.Schema.Relation
-	attrKeys = t.Schema.attrKeys
-	valueKeys = make([]Key, len(t.Values))
 	for i, attr := range t.Schema.Attrs {
-		valueKeys[i] = ValueKeyOf(rel, attr, t.Values[i])
+		dst = append(dst, ValueKeyOf(rel, attr, t.Values[i]))
 	}
-	return attrKeys, valueKeys
+	return dst
 }
 
 // Catalog is a set of schemas addressed by relation name.

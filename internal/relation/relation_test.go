@@ -120,6 +120,13 @@ func TestKeysMatchProcedure1(t *testing.T) {
 			t.Fatalf("value key %d = %q, want %q", i, valueKeys[i], wantValue[i])
 		}
 	}
+	if &attrKeys[0] != &s.AttrKeys()[0] {
+		t.Fatal("Keys' attribute-level slice is not the schema's")
+	}
+	prefix := KeyOf("kept")
+	if got := tp.AppendValueKeys([]Key{prefix}); len(got) != 4 || got[0] != prefix || got[1] != valueKeys[0] || got[3] != valueKeys[2] {
+		t.Fatalf("AppendValueKeys after %s = %v, want it followed by %v", prefix, got, valueKeys)
+	}
 }
 
 func TestKeyCachesRingID(t *testing.T) {
@@ -209,15 +216,19 @@ func TestKeyIdentity(t *testing.T) {
 }
 
 // TestInternedKeyHitsAllocateNothing: a key derived before is found by
-// its parts, without building its string again.
+// its parts, without building its string again, and a tuple's value
+// keys append into a buffer with room for nothing.
 func TestInternedKeyHitsAllocateNothing(t *testing.T) {
 	AttrKeyOf("S", "B")
 	ValueKeyOf("S", "B", Int64(6))
 	ValueKeyOf("S", "B", String64("x"))
+	tp := MustTuple(MustSchema("S", "A", "B"), String64("x"), Int64(6))
+	room := tp.AppendValueKeys(nil)
 	for name, f := range map[string]func(){
 		"AttrKeyOf":         func() { AttrKeyOf("S", "B") },
 		"ValueKeyOf int":    func() { ValueKeyOf("S", "B", Int64(6)) },
 		"ValueKeyOf string": func() { ValueKeyOf("S", "B", String64("x")) },
+		"AppendValueKeys":   func() { room = tp.AppendValueKeys(room[:0]) },
 	} {
 		if n := testing.AllocsPerRun(100, f); n != 0 {
 			t.Errorf("%s hit: %v allocations", name, n)
