@@ -78,11 +78,15 @@ func (s *Spec) Sliding() bool { return s.Window.Enabled() && !s.Window.Tumbling 
 // (relation.AppendCanonical), so no choice of values can make two
 // distinct groups collide.
 func (s *Spec) GroupKey(row []relation.Value) string {
-	var b []byte
+	return string(s.AppendGroupKey(nil, row))
+}
+
+// AppendGroupKey appends GroupKey's encoding of row's group to b.
+func (s *Spec) AppendGroupKey(b []byte, row []relation.Value) []byte {
 	for _, i := range s.GroupPos {
 		b = relation.AppendCanonical(b, row[i])
 	}
-	return string(b)
+	return b
 }
 
 // GroupValues extracts (copies of) the grouping values of a row, in
@@ -210,50 +214,94 @@ func (p *Partial) Merge(o *Partial) {
 // aggregate over zero contributing values (MIN/MAX/AVG with no rows at
 // that position) renders the placeholder string "-".
 func (s *Spec) FinalizeRow(group []relation.Value, parts ...*Partial) []relation.Value {
-	merged := NewPartial(s)
-	for _, p := range parts {
-		if p != nil {
-			merged.Merge(p)
-		}
-	}
-	out := make([]relation.Value, s.Width)
+	return s.AppendRow(make([]relation.Value, 0, s.Width), group, parts...)
+}
+
+// AppendRow appends FinalizeRow's row to dst, computing each aggregate
+// over the parts column by column: the result is that of finalizing
+// their Merge, without the merged partial. A COUNT(DISTINCT) counts the
+// union of the parts' sets without building it. Into a dst with room it
+// allocates nothing but AVG's rendering.
+func (s *Spec) AppendRow(dst, group []relation.Value, parts ...*Partial) []relation.Value {
+	rows := MergedRows(parts...)
 	gi := 0
-	for i := range s.Fns {
-		c := &merged.cols[i]
-		switch s.Fns[i] {
+	for i, fn := range s.Fns {
+		var sum, ints int64
+		var lo, hi relation.Value
+		have := false
+		for _, p := range parts {
+			if p == nil {
+				continue
+			}
+			c := &p.cols[i]
+			sum += c.sum
+			ints += c.ints
+			if c.have {
+				if !have || Less(c.min, lo) {
+					lo = c.min
+				}
+				if !have || Less(hi, c.max) {
+					hi = c.max
+				}
+				have = true
+			}
+		}
+		var v relation.Value
+		switch fn {
 		case query.AggNone:
-			out[i] = group[gi]
+			v = group[gi]
 			gi++
 		case query.AggCount:
 			if s.Distinct[i] {
-				out[i] = relation.Int64(int64(len(c.distinct)))
+				v = relation.Int64(distinctUnion(i, parts))
 			} else {
-				out[i] = relation.Int64(merged.rows)
+				v = relation.Int64(rows)
 			}
 		case query.AggSum:
-			out[i] = relation.Int64(c.sum)
-		case query.AggMin:
-			if !c.have {
-				out[i] = relation.String64("-")
-			} else {
-				out[i] = c.min
-			}
-		case query.AggMax:
-			if !c.have {
-				out[i] = relation.String64("-")
-			} else {
-				out[i] = c.max
+			v = relation.Int64(sum)
+		case query.AggMin, query.AggMax:
+			switch {
+			case !have:
+				v = relation.String64("-")
+			case fn == query.AggMin:
+				v = lo
+			default:
+				v = hi
 			}
 		case query.AggAvg:
-			if c.ints == 0 {
-				out[i] = relation.String64("-")
+			if ints == 0 {
+				v = relation.String64("-")
 			} else {
-				out[i] = relation.String64(strconv.FormatFloat(
-					float64(c.sum)/float64(c.ints), 'g', -1, 64))
+				v = relation.String64(strconv.FormatFloat(
+					float64(sum)/float64(ints), 'g', -1, 64))
 			}
 		}
+		dst = append(dst, v)
 	}
-	return out
+	return dst
+}
+
+// distinctUnion counts the union of the parts' COUNT(DISTINCT) sets at
+// position i: each value is counted in the first part that holds it.
+func distinctUnion(i int, parts []*Partial) int64 {
+	var n int64
+	for k, p := range parts {
+		if p == nil {
+			continue
+		}
+	values:
+		for v := range p.cols[i].distinct {
+			for _, q := range parts[:k] {
+				if q != nil {
+					if _, dup := q.cols[i].distinct[v]; dup {
+						continue values
+					}
+				}
+			}
+			n++
+		}
+	}
+	return n
 }
 
 // MergedRows returns the version stamp of a view row built from the

@@ -1,6 +1,7 @@
 package agg
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -142,5 +143,63 @@ func TestReferenceEpochs(t *testing.T) {
 	}
 	if slide[2].Epoch != 2 || !slide[2].Row[1].Equal(iv(3)) {
 		t.Fatalf("sliding epoch 2 row wrong: %+v", slide[2])
+	}
+}
+
+// TestAppendRowMatchesMerge: finalizing one or two partials column by
+// column equals finalizing their Merge into a fresh partial, for every
+// aggregate function — COUNT(DISTINCT) over overlapping sets, extrema
+// over mixed kinds, parts with no rows at a position — and with nil
+// parts. Into a buffer with room, a spec without AVG allocates nothing.
+func TestAppendRowMatchesMerge(t *testing.T) {
+	s := SpecOf(parse(t, "select R.A, count(*), count(S.B), count(distinct S.B), sum(S.B), min(S.B), max(S.B), avg(S.B) from R,S where R.A=S.A group by R.A"))
+	group := []relation.Value{sv("g")}
+	rng := rand.New(rand.NewSource(1))
+	value := func() relation.Value {
+		if rng.Intn(4) == 0 {
+			return sv(string(rune('a' + rng.Intn(4))))
+		}
+		return iv(int64(rng.Intn(12) - 4))
+	}
+	partial := func() *Partial {
+		if rng.Intn(6) == 0 {
+			return nil
+		}
+		p := NewPartial(s)
+		for range rng.Intn(6) {
+			v := value()
+			p.Add(s, []relation.Value{sv("g"), iv(1), v, v, v, v, v, v})
+		}
+		return p
+	}
+	for i := range 2000 {
+		a, b := partial(), partial()
+		merged := NewPartial(s)
+		for _, p := range []*Partial{a, b} {
+			if p != nil {
+				merged.Merge(p)
+			}
+		}
+		want := s.AppendRow(nil, group, merged)
+		if got := s.AppendRow(nil, group, a, b); !reflect.DeepEqual(got, want) {
+			t.Fatalf("case %d: AppendRow(a, b) = %v, finalizing their merge = %v", i, got, want)
+		}
+		if got := s.FinalizeRow(group, b, a); !reflect.DeepEqual(got, want) {
+			t.Fatalf("case %d: FinalizeRow(b, a) = %v, finalizing the merge = %v", i, got, want)
+		}
+	}
+
+	noAvg := SpecOf(parse(t, "select R.A, count(*), count(distinct S.B), sum(S.B), min(S.B), max(S.B) from R,S where R.A=S.A group by R.A"))
+	a, b := NewPartial(noAvg), NewPartial(noAvg)
+	for v := range int64(8) {
+		a.Add(noAvg, []relation.Value{sv("g"), iv(1), iv(v), iv(v), iv(v), iv(v)})
+		b.Add(noAvg, []relation.Value{sv("g"), iv(1), iv(v + 4), iv(v + 4), iv(v + 4), iv(v + 4)})
+	}
+	room := make([]relation.Value, 0, noAvg.Width)
+	if n := testing.AllocsPerRun(100, func() { room = noAvg.AppendRow(room[:0], group, a, b) }); n != 0 {
+		t.Errorf("AppendRow into a buffer with room: %v allocations, want 0", n)
+	}
+	if want := []relation.Value{sv("g"), iv(16), iv(12), iv(28 + 60), iv(0), iv(11)}; !reflect.DeepEqual(room, want) {
+		t.Fatalf("AppendRow = %v, want %v", room, want)
 	}
 }

@@ -32,11 +32,21 @@ const TagAgg = "agg"
 // attribute name can collide with it.
 const aggKeyPrefix = "\x00agg\x00"
 
-// aggKeyOf derives the aggregator key of one group of one query. Every
-// group of a query hashes to its own ring position, so aggregation load
+// appendAggQuery appends the part of an aggregator key's text that
+// names the query: aggKeyPrefix, the query ID and a NUL. The group's
+// canonical encoding (agg.Spec.AppendGroupKey) completes it. Every group
+// of a query hashes to its own ring position, so aggregation load
 // spreads over the overlay instead of concentrating at the subscriber.
-func aggKeyOf(queryID, groupKey string) relation.Key {
-	return relation.KeyOf(aggKeyPrefix + queryID + "\x00" + groupKey)
+func appendAggQuery(b []byte, queryID string) []byte {
+	return append(append(append(b, aggKeyPrefix...), queryID...), 0)
+}
+
+// aggKey returns the aggregator key of row's group under one query. Its
+// text is built in the scratch's akey buffer and looked up there
+// (relation.KeyOfBytes), so a key interned before costs nothing.
+func (sc *scratch) aggKey(queryID string, spec *agg.Spec, row []relation.Value) relation.Key {
+	sc.akey = spec.AppendGroupKey(appendAggQuery(sc.akey[:0], queryID), row)
+	return relation.KeyOfBytes(sc.akey)
 }
 
 // aggGroup is the aggregator-node state of one group of one aggregate
@@ -119,43 +129,48 @@ func (g *aggGroup) lineageOf(epochs ...int64) []query.LineageStep {
 	return out
 }
 
-// epochPartial is one epoch's partial.
+// epochPartial is one epoch's partial, stored by value: a new epoch
+// costs one allocation, its partial's column array.
 type epochPartial struct {
 	epoch int64
-	part  *agg.Partial
+	part  agg.Partial
 }
 
-// partial returns the epoch's partial, nil if the group has none.
+// partial returns the epoch's partial, nil if the group has none. The
+// pointer is into g.epochs: addPartial and prune invalidate it.
 func (g *aggGroup) partial(epoch int64) *agg.Partial {
-	for _, ep := range g.epochs {
-		if ep.epoch == epoch {
-			return ep.part
+	for i := range g.epochs {
+		if g.epochs[i].epoch == epoch {
+			return &g.epochs[i].part
 		}
 	}
 	return nil
 }
 
-// addPartial files a partial for an epoch the group holds none of.
-func (g *aggGroup) addPartial(epoch int64, part *agg.Partial) {
+// addPartial files a partial for an epoch the group holds none of and
+// returns a pointer to the filed copy (see partial).
+func (g *aggGroup) addPartial(epoch int64, part agg.Partial) *agg.Partial {
 	i, _ := slices.BinarySearchFunc(g.epochs, epoch, func(ep epochPartial, e int64) int { return cmp.Compare(ep.epoch, e) })
 	g.epochs = slices.Insert(g.epochs, i, epochPartial{epoch, part})
+	return &g.epochs[i].part
 }
 
-// viewRow finalizes the view row of one epoch — for a sliding window the
-// merge of the epoch's partial with its predecessor's — versioned by the
-// number of rows folded into it. ok is false while the epoch holds no
-// data (it was marked dirty by a neighbour).
-func (g *aggGroup) viewRow(spec *agg.Spec, epoch int64) (row viewEntry, ok bool) {
+// viewRowInto appends the view row of one epoch to dst — for a sliding
+// window the merge of the epoch's partial with its predecessor's,
+// finalized in place (agg.Spec.AppendRow) — and returns it with its
+// version, the number of rows folded into it, and its provenance. ver is
+// 0, and nothing appended, while the epoch holds no data (it was marked
+// dirty by a neighbour).
+func (g *aggGroup) viewRowInto(dst []relation.Value, spec *agg.Spec, epoch int64) (row []relation.Value, ver int64, lin []query.LineageStep) {
 	parts, epochs := [2]*agg.Partial{g.partial(epoch)}, [2]int64{epoch}
 	n := 1
 	if spec.Sliding() {
 		parts[1], epochs[1], n = g.partial(epoch-1), epoch-1, 2
 	}
-	ver := agg.MergedRows(parts[:n]...)
-	if ver == 0 {
-		return viewEntry{}, false
+	if ver = agg.MergedRows(parts[:n]...); ver == 0 {
+		return dst, 0, nil
 	}
-	return viewEntry{row: spec.FinalizeRow(g.group, parts[:n]...), ver: ver, lin: g.lineageOf(epochs[:n]...)}, true
+	return spec.AppendRow(dst, g.group, parts[:n]...), ver, g.lineageOf(epochs[:n]...)
 }
 
 // mergeInto folds g into dst (the handover-collision path: partials for
@@ -181,9 +196,10 @@ func (g *aggGroup) mergeInto(w query.WindowSpec, h horizon, dst *aggGroup) {
 			dstSet[s] = struct{}{}
 		}
 	}
-	for _, ep := range g.epochs {
+	for i := range g.epochs {
+		ep := &g.epochs[i]
 		if cur := dst.partial(ep.epoch); cur != nil {
-			cur.Merge(ep.part)
+			cur.Merge(&ep.part)
 		} else {
 			dst.addPartial(ep.epoch, ep.part)
 		}
@@ -264,7 +280,7 @@ func (p *Proc) emitTo(now sim.Time, qid string, owner id.ID, spec *agg.Spec, c c
 		p.eng.net.SendDirect(p.node, owner, newAnswerMsg(qid, owner, c.vals, c.pubAt, c.lin))
 		return
 	}
-	key := aggKeyOf(qid, spec.GroupKey(c.vals))
+	key := p.sc.aggKey(qid, spec, c.vals)
 	msg := newAggPartialMsg(qid, key, owner, spec.Window.EpochOf(c.clock), c.vals, c.pubAt, c.lin)
 	p.eng.net.WithTag(p.node, TagAgg, func() {
 		// One-hop fast path: the candidate table remembers which node a
@@ -314,32 +330,23 @@ func (e *Engine) flushAggregates() bool {
 	if e.aggLive == 0 {
 		return false
 	}
-	var ids []id.ID
+	ids := e.flushIDs[:0]
 	for nid, p := range e.procs {
 		if len(p.st.dirtyAggs) > 0 {
 			ids = append(ids, nid)
 		}
 	}
 	slices.Sort(ids)
+	e.flushIDs = ids
 	emitted := false
 	for _, nid := range ids {
 		p := e.procs[nid]
 		p.st.flushDirty(func(g *aggGroup) {
 			spec := e.aggSpec(g.qid)
 			for _, ep := range g.dirty { // ascending
-				row, ok := g.viewRow(spec, ep)
-				if !ok {
+				msg := newAggUpdateMsg(g, spec, ep)
+				if msg == nil {
 					continue
-				}
-				msg := &aggUpdateMsg{
-					QueryID: g.qid,
-					Owner:   g.owner,
-					Group:   g.gkey,
-					Epoch:   ep,
-					Ver:     row.ver,
-					Row:     row.row,
-					PubAt:   g.pubAt,
-					Lineage: row.lin,
 				}
 				e.net.WithTag(p.node, TagAgg, func() {
 					e.net.SendDirect(p.node, g.owner, msg)

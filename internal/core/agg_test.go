@@ -16,6 +16,41 @@ import (
 	"rjoin/internal/sqlparse"
 )
 
+// aggKeyOf derives the aggregator key of a query's group from its
+// group key text, on the append function emitTo's derivation
+// (scratch.aggKey) is built on.
+func aggKeyOf(queryID, groupKey string) relation.Key {
+	return relation.KeyOfBytes(append(appendAggQuery(nil, queryID), groupKey...))
+}
+
+// TestAggKeyOneDerivation: the aggregator key emitTo derives in the
+// slot's scratch is the Key aggKeyOf derives from the group key text,
+// and its text is aggKeyPrefix, the query ID, a NUL and the group key,
+// byte for byte — for string and integer groups, several grouping
+// columns and a global aggregate.
+func TestAggKeyOneDerivation(t *testing.T) {
+	var sc scratch
+	iv, sv := relation.Int64, relation.String64
+	for _, c := range []struct {
+		sql string
+		row []relation.Value
+	}{
+		{"select R.A, count(*) from R,S where R.A=S.A group by R.A", []relation.Value{iv(-7), iv(1)}},
+		{"select R.A, count(*) from R,S where R.A=S.A group by R.A", []relation.Value{sv("x\x00y"), iv(1)}},
+		{"select R.A, sum(S.C), S.B, R.B from R,S where R.A=S.A group by R.A, S.B, R.B", []relation.Value{iv(12), iv(5), sv("12"), iv(3)}},
+		{"select count(*), max(R.B) from R,S where R.A=S.A", []relation.Value{iv(1), iv(9)}},
+	} {
+		spec := agg.SpecOf(sqlparse.MustParse(c.sql, testCat))
+		for _, qid := range []string{"n1#1", "node-4096-long-owner#123456"} {
+			gkey := spec.GroupKey(c.row)
+			got := sc.aggKey(qid, spec, c.row)
+			if want := aggKeyPrefix + qid + "\x00" + gkey; got != aggKeyOf(qid, gkey) || got.String() != want {
+				t.Fatalf("%s, %s, %v: emitTo's key %q, aggKeyOf's %q, want %q", c.sql, qid, c.row, got, aggKeyOf(qid, gkey), want)
+			}
+		}
+	}
+}
+
 // aggTestQueries spans the aggregation matrix: grouped and global,
 // every aggregate function, unwindowed, tumbling and sliding windows,
 // and a 3-way join feeding a grouped count. The windowed entries are
@@ -348,7 +383,7 @@ func scanFlushOrder(e *Engine) []flushRef {
 		for _, key := range sortedStateKeys(p.st.aggs) {
 			g := p.st.aggs[key]
 			for _, ep := range g.dirty {
-				if _, ok := g.viewRow(e.aggSpec(g.qid), ep); ok {
+				if _, ver, _ := g.viewRowInto(nil, e.aggSpec(g.qid), ep); ver > 0 {
 					out = append(out, flushRef{nid, g.qid, g.gkey, ep, g.owner == nid})
 				}
 			}

@@ -2,8 +2,10 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
+	"rjoin/internal/agg"
 	"rjoin/internal/overlay"
 	"rjoin/internal/query"
 	"rjoin/internal/relation"
@@ -123,6 +125,61 @@ func TestAnswerRowAllocs(t *testing.T) {
 	}
 }
 
+// TestAggPathAllocs: once warm, a completed aggregate row costs nothing
+// from completion to the subscriber's view. Emitting it into a group
+// whose key is interned builds the key's text in the slot's scratch and
+// finds it there; the aggregator folds it into its existing (group,
+// epoch) partial in place; and the flush of the dirty group finalizes
+// the view row into a pooled update, which the subscriber copies into
+// the view entry it already holds before the update is recycled. What
+// is left are the objects the network keeps: a new (group, epoch)'s
+// column array and a new view entry's row.
+func TestAggPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops puts, so the pooled partials and updates allocate")
+	}
+	eng, nodes := testNet(t, 16, 1, Config{}, overlay.DefaultConfig())
+	qid, err := eng.SubmitQuery(nodes[0], sqlparse.MustParse("select S.B, count(*), sum(S.C), min(R.C), max(R.C), count(distinct S.C) from R,S where R.A=S.A group by S.B", testCat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	spec, owner := eng.aggSpec(qid), nodes[0].ID()
+	iv := relation.Int64
+	row := []relation.Value{iv(4), iv(1), iv(5), iv(3), iv(3), iv(5)}
+	at := eng.procs[nodes[5].ID()]
+	emit := func() { at.emitTo(eng.sim.Now(), qid, owner, spec, completion{vals: row}) }
+	emit() // warm: the group, its epoch, the view entry, the candidate table
+	eng.Run()
+	const runs = 100
+	if n := allocsOf(runs, eng.Run, emit); n != 0 {
+		t.Errorf("emitting a row into an interned group key: %d allocations, want 0", n)
+	}
+
+	key := at.sc.aggKey(qid, spec, row)
+	aggr := eng.procs[eng.ring.Owner(key.ID()).ID()]
+	fold := func() { aggr.st.aggFold(key, qid, owner, 0, row, nil, 0) }
+	if n := testing.AllocsPerRun(runs, fold); n != 0 {
+		t.Errorf("aggFold into an existing (group, epoch): %v allocations, want 0", n)
+	}
+	eng.Run()
+	updates := eng.Counters.AggUpdates
+	if n := allocsOf(runs, fold, eng.Run); n != 0 {
+		t.Errorf("flushing a dirty group into the view entry its subscriber holds: %d allocations, want 0", n)
+	}
+	eng.Run()
+	if got := eng.Counters.AggUpdates - updates; got != runs+1 {
+		t.Fatalf("%d group updates delivered, want %d: one per flush", got, runs+1)
+	}
+	// AllocsPerRun warms with one call of its own; allocsOf folds once
+	// more after its last flush.
+	folded := int64(1 + runs + (runs + 1) + (runs + 1))
+	want := []relation.Value{iv(4), iv(folded), iv(5 * folded), iv(3), iv(3), iv(1)}
+	if rows := eng.AggRows(qid); len(rows) != 1 || !slices.Equal(rows[0].Row, want) {
+		t.Fatalf("view %v: want one row %v", rows, want)
+	}
+}
+
 // TestPooledMessagesKeepOnlyOwnedBuffers holds every pooled message
 // kind, and the pooled waiting placement, to the pools' one ownership
 // rule (messages.go): after recycle a message is its zero value except
@@ -137,11 +194,20 @@ func TestPooledMessagesKeepOnlyOwnedBuffers(t *testing.T) {
 	info := ricInfo{Key: key, Rate: 1, Addr: 7, At: 9}
 	eval := newEvalMsg(newEntry(), key, query.ValueLevel)
 	eval.RIC = append(eval.RIC, info, info, info) // spills off the inline array
+	spec := agg.SpecOf(sqlparse.MustParse("select R.A, count(*), max(R.B) from R,S where R.A=S.A group by R.A", testCat))
+	g := &aggGroup{qid: "q", owner: 5, gkey: "held", group: row[:1], pubAt: 3}
+	g.addPartial(2, *agg.NewPartial(spec)).Add(spec, row)
+	if newAggUpdateMsg(g, spec, 7) != nil {
+		t.Fatal("an epoch with no data made a group update")
+	}
+	update := newAggUpdateMsg(g, spec, 2)
+	update.Lineage = lin
 	msgs := []interface{ recycle() }{
 		newTupleMsg(mkTuple("R", 1, 2, 3), key, query.ValueLevel, 5),
 		eval,
 		newAnswerMsg("q", 5, row, 3, lin),
 		newAggPartialMsg("q", key, 5, 2, row, 3, lin),
+		update,
 		newRICRequestMsg(5, []relation.Key{key, key, key}),
 		newRICReplyMsg(5, []ricInfo{info}),
 	}

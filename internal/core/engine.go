@@ -171,6 +171,10 @@ type Engine struct {
 		ids  []id.ID
 	}
 
+	// flushIDs is flushAggregates' list of nodes with dirty groups,
+	// reused across flushes (coordinator context, like pub).
+	flushIDs []id.ID
+
 	// horizon is what the last quiescent Run saw (see state.go): only
 	// drainExpired advances it, since RunUntil may stop with tuples in
 	// flight.

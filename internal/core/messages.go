@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 
+	"rjoin/internal/agg"
 	"rjoin/internal/id"
 	"rjoin/internal/query"
 	"rjoin/internal/relation"
@@ -10,29 +11,31 @@ import (
 )
 
 // The high-volume message kinds — tuple deliveries, query placements,
-// answers, aggregation partials and RIC walks — are pooled. Every such
-// message is delivered at most once and its receiver copies out
-// whatever it retains, so the handler dispatch loop recycles the struct
-// as soon as the handler returns — except a walk's request, which
-// travels on from hop to hop and is recycled at its last one, where the
-// reply takes over its reports. Messages dropped by the overlay (dead or
-// detached recipient) simply fall to the garbage collector; only
-// delivery recycles.
+// answers, aggregation partials, group updates and RIC walks — are
+// pooled. Every such message is delivered at most once and its receiver
+// copies out whatever it retains, so the handler dispatch loop recycles
+// the struct as soon as the handler returns — except a walk's request,
+// which travels on from hop to hop and is recycled at its last one,
+// where the reply takes over its reports. Messages dropped by the
+// overlay (dead or detached recipient) simply fall to the garbage
+// collector; only delivery recycles.
 //
-// The pendingPlacement a query waits for RIC reports in is the seventh
+// The pendingPlacement a query waits for RIC reports in is the eighth
 // pooled kind (proc.go); it is recycled where it is decided or torn
-// down. One ownership rule holds for all seven: each owns its unexported
-// buffers (the inline report, key and slot arrays, an answer's row) and
-// nothing else. Its constructor copies what it carries into them, and
-// its recycle method — the only place a pooled object is reset — leaves
-// every field zero except those buffers, emptied, so the next use
-// allocates nothing and the pool keeps no value alive.
+// down. One ownership rule holds for all eight: each owns its unexported
+// buffers (the inline report, key and slot arrays, the row of an answer,
+// a partial or a group update) and nothing else. Its constructor copies
+// what it carries into them, and its recycle method — the only place a
+// pooled object is reset — leaves every field zero except those
+// buffers, emptied, so the next use allocates nothing and the pool
+// keeps no value alive.
 // TestPooledMessagesKeepOnlyOwnedBuffers checks that by reflection.
 var (
 	tupleMsgPool      = sync.Pool{New: func() interface{} { return new(tupleMsg) }}
 	evalMsgPool       = sync.Pool{New: func() interface{} { return new(evalMsg) }}
 	answerMsgPool     = sync.Pool{New: func() interface{} { return new(answerMsg) }}
 	aggPartialMsgPool = sync.Pool{New: func() interface{} { return new(aggPartialMsg) }}
+	aggUpdateMsgPool  = sync.Pool{New: func() interface{} { return new(aggUpdateMsg) }}
 	ricRequestMsgPool = sync.Pool{New: func() interface{} { return new(ricRequestMsg) }}
 	ricReplyMsgPool   = sync.Pool{New: func() interface{} { return new(ricReplyMsg) }}
 	pendingPool       = sync.Pool{New: func() interface{} { return new(pendingPlacement) }}
@@ -183,6 +186,26 @@ type aggPartialMsg struct {
 // departed aggregator re-routes to its group key's new owner.
 func (m *aggPartialMsg) RingKey() id.ID { return m.Key.ID() }
 
+// newAggUpdateMsg returns a pooled group update carrying the view row of
+// one epoch of g, finalized into the message's own row buffer
+// (aggGroup.viewRowInto); nil while the epoch holds no data.
+func newAggUpdateMsg(g *aggGroup, spec *agg.Spec, epoch int64) *aggUpdateMsg {
+	m := aggUpdateMsgPool.Get().(*aggUpdateMsg)
+	row, ver, lin := g.viewRowInto(m.row[:0], spec, epoch)
+	if ver == 0 {
+		aggUpdateMsgPool.Put(m)
+		return nil
+	}
+	m.row = row
+	m.QueryID, m.Owner, m.Group, m.Epoch, m.Ver, m.Row, m.PubAt, m.Lineage = g.qid, g.owner, g.gkey, epoch, ver, row, g.pubAt, lin
+	return m
+}
+
+func (m *aggUpdateMsg) recycle() {
+	*m = aggUpdateMsg{row: emptied(m.row)}
+	aggUpdateMsgPool.Put(m)
+}
+
 // aggUpdateMsg delivers one finalized aggregate view row — the latest
 // aggregates of one group in one epoch — from an aggregator node to the
 // query owner. Ver is the number of answer rows folded into the row,
@@ -195,7 +218,7 @@ type aggUpdateMsg struct {
 	Group   string
 	Epoch   int64
 	Ver     int64
-	Row     []relation.Value
+	Row     []relation.Value // the message's row buffer; the subscriber copies it
 	// PubAt is the group's latency watermark: the latest triggering
 	// publication vtime folded into the row (a commutative max, so it
 	// is deterministic under any fold order).
@@ -204,6 +227,7 @@ type aggUpdateMsg struct {
 	// union — every (publisher, pubSeq, node) step of every row folded
 	// into the view row. Nil unless Config.Provenance is set.
 	Lineage []query.LineageStep
+	row     []relation.Value
 }
 
 // RingKey implements overlay.Rekeyable: updates re-route to the current

@@ -181,13 +181,14 @@ type Proc struct {
 // scratch holds the buffers the trigger and placement path builds in:
 // the candidates, slots and walk keys of the placement being decided,
 // the DISTINCT projection of the trigger being checked, the row its
-// completion produced and a shared pipeline's per-subscriber projection
-// of that row. One set serves an accounting slot's processors: a
-// shard's handlers run one at a time whatever the worker count, and
-// coordinator-context placements run between drains, so no two calls
-// share it at once. What outlives a call — a waiting placement, a walk,
-// the piggy-backed reports, an answer or partial row (copied into its
-// message's own buffer) — is copied out of it.
+// completion produced, a shared pipeline's per-subscriber projection
+// of that row and the text of an aggregate row's aggregator key. One
+// set serves an accounting slot's processors: a shard's handlers run
+// one at a time whatever the worker count, and coordinator-context
+// placements run between drains, so no two calls share it at once.
+// What outlives a call — a waiting placement, a walk, the piggy-backed
+// reports, an answer or partial row (copied into its message's own
+// buffer), an aggregator key (interned) — is copied out of it.
 //
 // row is held for longer than one call: a completion's vals alias it
 // through the whole of complete, the shared fan-out and its containment
@@ -202,6 +203,7 @@ type scratch struct {
 	proj  []byte
 	row   []relation.Value
 	fan   []relation.Value
+	akey  []byte
 }
 
 // newProc builds the processor of a ring handle: the node it acts as,
@@ -269,6 +271,7 @@ func (p *Proc) HandleMessage(now sim.Time, msg overlay.Message) {
 		m.recycle()
 	case *aggUpdateMsg:
 		p.eng.recordAggUpdate(now, m, p)
+		m.recycle()
 	case *ricRequestMsg:
 		p.onRICRequest(now, m) // forwards the walk, or recycles it as the reply
 	case *ricReplyMsg:

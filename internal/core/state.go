@@ -478,8 +478,7 @@ func (s *state) aggFold(key relation.Key, qid string, owner id.ID, epoch int64, 
 	}
 	part := g.partial(epoch)
 	if part == nil {
-		part = agg.NewPartial(spec)
-		g.addPartial(epoch, part)
+		part = g.addPartial(epoch, *agg.NewPartial(spec))
 		s.fileEpoch(key, spec.Window, epoch)
 	}
 	part.Add(spec, row)

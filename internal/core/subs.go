@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -217,10 +218,19 @@ func (e *Engine) recordAggUpdate(now sim.Time, m *aggUpdateMsg, p *Proc) {
 		s.view = make(map[viewKey]viewEntry)
 	}
 	k := viewKey{group: m.Group, epoch: m.Epoch}
-	if cur, ok := s.view[k]; ok && cur.ver > m.Ver {
+	cur, ok := s.view[k]
+	if ok && cur.ver > m.Ver {
 		return
 	}
-	s.view[k] = viewEntry{row: m.Row, ver: m.Ver, lin: m.Lineage}
+	// The message's row is its own buffer, recycled on return: the entry
+	// keeps a copy in its own array, made once per (group, epoch).
+	if ok {
+		copy(cur.row, m.Row)
+	} else {
+		cur.row = slices.Clone(m.Row)
+	}
+	cur.ver, cur.lin = m.Ver, m.Lineage
+	s.view[k] = cur
 }
 
 // Answers returns the rows delivered so far for a query, in delivery
@@ -272,7 +282,9 @@ func (e *Engine) AnswerCount(queryID string) int {
 // AggRows returns the current aggregate view of a query: the latest
 // finalized row of every (group, epoch), sorted by group key then
 // epoch. Aggregate views are complete as of the last Run() quiescence
-// flush.
+// flush. The rows are copied into one fresh array on every call, so a
+// slice returned earlier never changes, though a later update rewrites
+// the engine's entry in place.
 func (e *Engine) AggRows(queryID string) []agg.ViewRow {
 	s := e.subs[queryID]
 	if s == nil {
@@ -280,9 +292,12 @@ func (e *Engine) AggRows(queryID string) []agg.ViewRow {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	w := len(s.q.Select)
 	out := make([]agg.ViewRow, 0, len(s.view))
+	vals := make([]relation.Value, 0, len(s.view)*w)
 	for k, ent := range s.view {
-		out = append(out, agg.ViewRow{Group: k.group, Epoch: k.epoch, Row: ent.row, Lineage: ent.lin})
+		vals = append(vals, ent.row...)
+		out = append(out, agg.ViewRow{Group: k.group, Epoch: k.epoch, Row: vals[len(vals)-w : len(vals) : len(vals)], Lineage: ent.lin})
 	}
 	agg.SortViewRows(out)
 	return out

@@ -273,6 +273,18 @@ func KeyOf(s string) Key {
 	return k.(Key)
 }
 
+// KeyOfBytes returns KeyOf(string(b)) without keeping the text: a hit
+// looks b up through a conversion that does not escape, so it allocates
+// nothing while the text fits the 32-byte buffer Go converts short
+// strings in; a longer text allocates its string on every call, and a
+// miss interns a copy.
+func KeyOfBytes(b []byte) Key {
+	if k, ok := internByString.Load(string(b)); ok {
+		return k.(Key)
+	}
+	return KeyOf(string(b))
+}
+
 // AttrKeyOf returns the interned attribute-level Key Rel+Attr without
 // materialising the key string on a hit.
 func AttrKeyOf(rel, attr string) Key {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -232,6 +233,28 @@ func TestInternedKeyHitsAllocateNothing(t *testing.T) {
 	} {
 		if n := testing.AllocsPerRun(100, f); n != 0 {
 			t.Errorf("%s hit: %v allocations", name, n)
+		}
+	}
+}
+
+// TestKeyOfBytesAllocs: KeyOfBytes returns the Key KeyOf interns for
+// the same text, and a hit allocates nothing for texts up to 32 bytes.
+func TestKeyOfBytesAllocs(t *testing.T) {
+	for _, n := range []int{0, 1, 27, 31, 32, 33, 64} {
+		text := []byte(strings.Repeat("k", n))
+		if n > 0 {
+			text[0] = 0 // aggregator keys start with a NUL
+		}
+		k := KeyOfBytes(text) // a miss interns it
+		if want := KeyOf(string(text)); k != want || k.String() != string(text) {
+			t.Fatalf("%d bytes: KeyOfBytes = %q, KeyOf = %q", n, k, want)
+		}
+		allocs := testing.AllocsPerRun(100, func() { k = KeyOfBytes(text) })
+		if k != KeyOf(string(text)) {
+			t.Fatalf("%d bytes: a hit returned another Key", n)
+		}
+		if n <= 32 && allocs != 0 {
+			t.Errorf("%d-byte hit: %v allocations, want 0", n, allocs)
 		}
 	}
 }

@@ -1029,7 +1029,9 @@ type AggregateRow struct {
 // aggregate subscription, sorted canonically (by group, then epoch).
 // The view is complete as of the last Run() — aggregator nodes flush
 // their dirty group state when the network reaches quiescence. It is
-// empty for non-aggregate subscriptions.
+// empty for non-aggregate subscriptions. Each call copies the view's
+// rows into a new slice: a result returned earlier never changes when
+// later updates rewrite a (group, epoch) it holds.
 func (s *Subscription) AggregateRows() []AggregateRow {
 	view := s.net.eng.AggRows(s.ID)
 	out := make([]AggregateRow, len(view))

@@ -199,3 +199,39 @@ func TestWorkersOptionValidation(t *testing.T) {
 		t.Fatalf("Workers 1 diverged from serial: %+v %x vs %+v %x", st0, d0, st1, d1)
 	}
 }
+
+// TestAggregateRowsSnapshot: AggregateRows returns a snapshot. Rows
+// published into a (group, epoch) the view already holds rewrite the
+// engine's entry in place, and must not reach a result returned
+// before them.
+func TestAggregateRowsSnapshot(t *testing.T) {
+	net := MustNetwork(Options{Nodes: 32, Seed: 3})
+	net.MustDefineRelation("R", "A", "B")
+	net.MustDefineRelation("S", "A", "C")
+	sub := net.MustSubscribe("select R.A, count(*), sum(S.C), max(S.C) from R,S where R.A=S.A group by R.A")
+	net.Run()
+	net.MustPublish("R", 1, 0)
+	net.MustPublish("S", 1, 4)
+	net.Run()
+	first := sub.AggregateRows()
+	want := "1 1 4 4"
+	if len(first) != 1 || rowText(first[0].Row) != want {
+		t.Fatalf("first view %v, want one row %q", first, want)
+	}
+	net.MustPublish("S", 1, 9)
+	net.Run()
+	if later := sub.AggregateRows(); len(later) != 1 || rowText(later[0].Row) != "1 2 13 9" {
+		t.Fatalf("later view %v, want one row \"1 2 13 9\"", later)
+	}
+	if got := rowText(first[0].Row); got != want {
+		t.Fatalf("the first result changed to %q after a later update, want %q", got, want)
+	}
+}
+
+func rowText(row []Value) string {
+	parts := make([]string, len(row))
+	for i, v := range row {
+		parts[i] = v.String()
+	}
+	return strings.Join(parts, " ")
+}
