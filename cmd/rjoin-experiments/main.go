@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"rjoin/internal/experiments"
-	"rjoin/internal/metrics"
 )
 
 func main() {
@@ -76,7 +75,7 @@ func main() {
 	}
 }
 
-func printTables(tabs []*metrics.Table, start time.Time, csvDir string) {
+func printTables(tabs []*experiments.Table, start time.Time, csvDir string) {
 	for _, t := range tabs {
 		t.WriteTo(os.Stdout)
 		fmt.Println()
@@ -91,7 +90,7 @@ func printTables(tabs []*metrics.Table, start time.Time, csvDir string) {
 }
 
 // writeCSV stores one table as <dir>/<slug-of-title>.csv.
-func writeCSV(dir string, t *metrics.Table) error {
+func writeCSV(dir string, t *experiments.Table) error {
 	f, err := os.Create(filepath.Join(dir, slug(t.Title)+".csv"))
 	if err != nil {
 		return err

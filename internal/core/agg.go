@@ -7,6 +7,7 @@ import (
 	"rjoin/internal/agg"
 	"rjoin/internal/id"
 	"rjoin/internal/obs"
+	"rjoin/internal/overlay"
 	"rjoin/internal/query"
 	"rjoin/internal/relation"
 	"rjoin/internal/sim"
@@ -21,11 +22,6 @@ import (
 // per-(group, epoch) state and emits finalized group-update rows to
 // the subscriber — at quiescence flushes, coalescing any number of
 // partials into one update per touched (group, epoch).
-
-// TagAgg is the traffic tag under which aggregation traffic is charged:
-// partials routed to aggregators and group updates sent to subscribers.
-// The aggregation experiment reports this share separately.
-const TagAgg = "agg"
 
 // aggKeyPrefix namespaces aggregator keys away from the Rel+Attr[+Value]
 // index keys; identifiers cannot contain NUL, so no relation or
@@ -282,7 +278,7 @@ func (p *Proc) emitTo(now sim.Time, qid string, owner id.ID, spec *agg.Spec, c c
 	}
 	key := p.sc.aggKey(qid, spec, c.vals)
 	msg := newAggPartialMsg(qid, key, owner, spec.Window.EpochOf(c.clock), c.vals, c.pubAt, c.lin)
-	p.eng.net.WithTag(p.node, TagAgg, func() {
+	p.eng.net.WithTag(p.node, overlay.TagAgg, func() {
 		// One-hop fast path: the candidate table remembers which node a
 		// previous partial for this group was routed to (the same trick
 		// Section 7 plays for Eval messages); the ground-truth ownership
@@ -306,7 +302,7 @@ func (p *Proc) onAggPartial(now sim.Time, m *aggPartialMsg) {
 	if s := p.eng.sub(m.QueryID); s == nil || s.spec == nil || s.retired {
 		return // unsubscribed while the partial was in flight (an unknown query cannot happen in-run)
 	}
-	p.qpl.Add(p.node.ID(), 1)
+	p.ld.qpl++
 	p.ctr.AggPartials++
 	if ob := p.eng.obs; ob != nil {
 		ob.Emit(p.shard, obs.Rec{
@@ -315,7 +311,7 @@ func (p *Proc) onAggPartial(now sim.Time, m *aggPartialMsg) {
 		})
 	}
 	if p.st.aggFold(m.Key, m.QueryID, m.Owner, m.Epoch, m.Row, m.Lineage, m.PubAt) {
-		p.sl.Add(p.node.ID(), 1)
+		p.ld.sl++
 	}
 }
 
@@ -348,7 +344,7 @@ func (e *Engine) flushAggregates() bool {
 				if msg == nil {
 					continue
 				}
-				e.net.WithTag(p.node, TagAgg, func() {
+				e.net.WithTag(p.node, overlay.TagAgg, func() {
 					e.net.SendDirect(p.node, g.owner, msg)
 				})
 				emitted = true

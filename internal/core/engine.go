@@ -3,10 +3,10 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"rjoin/internal/chord"
 	"rjoin/internal/id"
-	"rjoin/internal/metrics"
 	"rjoin/internal/obs"
 	"rjoin/internal/overlay"
 	"rjoin/internal/query"
@@ -14,16 +14,6 @@ import (
 	"rjoin/internal/share"
 	"rjoin/internal/sim"
 )
-
-// TagRIC is the traffic tag under which all RIC-request traffic is
-// charged, so the experiment harness can report it separately (the
-// "Request RIC" series of the figures).
-const TagRIC = "ric"
-
-// TagChurn is the traffic tag under which membership-change traffic is
-// charged: state handover chunks, and the re-submissions and
-// re-placements of crash recovery and of restarted placement walks.
-const TagChurn = "churn"
 
 // Counters aggregates engine-wide event counts, useful for tests,
 // ablations and the experiment reports.
@@ -130,10 +120,10 @@ type Engine struct {
 	Cfg      Config
 	Counters Counters
 
-	// QPL and SL are the paper's query-processing-load and
-	// storage-load measures.
-	QPL *metrics.Load
-	SL  *metrics.Load
+	// loads holds the paper's query-processing and storage load, one
+	// record per ring identifier that has held a node (see load). Only
+	// coordinator context touches the map.
+	loads map[id.ID]*load
 
 	ring  *chord.Ring
 	sim   *sim.Engine
@@ -189,7 +179,7 @@ type Engine struct {
 	prov bool
 
 	// Accounting slots, laid out like the overlay's lanes: slots[0]
-	// aliases the public Counters/QPL/SL and is all a serial engine has;
+	// aliases the public Counters and is all a serial engine has;
 	// a parallel engine (par) adds slots[s+1] for every logical shard s.
 	// Handlers count into the slot newProc resolved for their node, and
 	// Sync folds the shard slots into slot 0.
@@ -197,11 +187,18 @@ type Engine struct {
 	slots []acctSlot
 }
 
+// load is one ring identifier's share of the paper's query-processing
+// load (QPL: rewritten queries and tuples received to search local
+// state) and storage load (SL: rewritten queries and tuples stored).
+// The identifier's processor holds a pointer to it, and only that
+// node's handlers or coordinator context write it. It outlives the
+// processor: a departed node's load still counts, and a node that
+// joins at the same identifier adds to it.
+type load struct{ qpl, sl int64 }
+
 // acctSlot is one accounting context of the engine.
 type acctSlot struct {
 	ctr *Counters
-	qpl *metrics.Load
-	sl  *metrics.Load
 	req int64 // pending-placement ids issued from this slot (see Proc.nextReqID)
 
 	// due names, per clock, the slot's nodes with a death filed, each under
@@ -219,8 +216,7 @@ type acctSlot struct {
 func NewEngine(ring *chord.Ring, se *sim.Engine, net *overlay.Network, cfg Config) *Engine {
 	e := &Engine{
 		Cfg:      cfg,
-		QPL:      metrics.NewLoad(),
-		SL:       metrics.NewLoad(),
+		loads:    make(map[id.ID]*load),
 		ring:     ring,
 		sim:      se,
 		net:      net,
@@ -241,9 +237,9 @@ func NewEngine(ring *chord.Ring, se *sim.Engine, net *overlay.Network, cfg Confi
 		e.par = true
 		e.slots = make([]acctSlot, sim.ShardSlots)
 	}
-	e.slots[0] = acctSlot{ctr: &e.Counters, qpl: e.QPL, sl: e.SL}
+	e.slots[0].ctr = &e.Counters
 	for i := range e.slots[1:] {
-		e.slots[1+i] = acctSlot{ctr: new(Counters), qpl: metrics.NewLoad(), sl: metrics.NewLoad()}
+		e.slots[1+i].ctr = new(Counters)
 	}
 	for _, n := range ring.Nodes() {
 		e.NodeJoined(n)
@@ -415,8 +411,8 @@ func (e *Engine) PublishTuple(publisher *chord.Node, t *relation.Tuple) {
 	e.pub.keys, e.pub.msgs, e.pub.ids = valueKeys, msgs[:0], ids
 }
 
-// Sync merges the parallel engine's per-shard accumulators — counters,
-// QPL/SL and the overlay's traffic lanes — into the public aggregates.
+// Sync merges the parallel engine's per-shard accumulators — counters
+// and the overlay's traffic lanes — into the public aggregates.
 // It runs after every drain and before metric reads; a serial engine
 // has no shard slots and leaves early. Must be called from coordinator
 // context only.
@@ -435,8 +431,6 @@ func (e *Engine) Sync() {
 		s := &e.slots[1+i]
 		e.Counters.add(s.ctr)
 		*s.ctr = Counters{}
-		s.qpl.DrainInto(e.QPL)
-		s.sl.DrainInto(e.SL)
 	}
 	e.net.Sync()
 }
@@ -492,12 +486,45 @@ func (e *Engine) RunUntil(t sim.Time) {
 // stream so that measurements cover only the experiment proper.
 func (e *Engine) ResetMetrics() {
 	e.Sync() // fold pending shard deltas in so they are zeroed too
-	e.QPL.Reset()
-	e.SL.Reset()
+	for _, l := range e.loads {
+		*l = load{}
+	}
 	e.Counters = Counters{}
 	e.net.ResetTraffic()
 	e.obs.Reset()
 	e.resetLatency()
+}
+
+// Load returns the network's QPL and SL totals since the last
+// ResetMetrics: the sums over every identifier that has held a node,
+// departed ones included.
+func (e *Engine) Load() (qpl, sl int64) {
+	for _, l := range e.loads {
+		qpl += l.qpl
+		sl += l.sl
+	}
+	return qpl, sl
+}
+
+// RankedLoad returns the QPL and SL charged since the last ResetMetrics
+// to every identifier that has held a node, departed ones included,
+// zeros left out and each list in decreasing order: the paper's
+// "ranked nodes" distributions. Their lengths are how many identifiers
+// took part.
+func (e *Engine) RankedLoad() (qpl, sl []int64) {
+	for _, l := range e.loads {
+		if l.qpl > 0 {
+			qpl = append(qpl, l.qpl)
+		}
+		if l.sl > 0 {
+			sl = append(sl, l.sl)
+		}
+	}
+	slices.Sort(qpl)
+	slices.Reverse(qpl)
+	slices.Sort(sl)
+	slices.Reverse(sl)
+	return qpl, sl
 }
 
 // SweepALTT does nothing: a lapsed ALTT entry leaves at the first

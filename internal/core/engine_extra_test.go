@@ -48,14 +48,14 @@ func TestResetMetricsClearsEverything(t *testing.T) {
 	}
 	eng.PublishTuple(nodes[1], mkTuple("R", 1, 2, 3))
 	eng.Run()
-	if eng.QPL.Total() == 0 || eng.Net().Traffic.Total() == 0 {
+	if qpl, _ := eng.Load(); qpl == 0 || eng.Net().MessagesSent == 0 {
 		t.Fatal("no load before reset")
 	}
 	eng.ResetMetrics()
-	if eng.QPL.Total() != 0 || eng.SL.Total() != 0 {
+	if qpl, sl := eng.Load(); qpl != 0 || sl != 0 {
 		t.Fatal("load metrics survive reset")
 	}
-	if eng.Net().Traffic.Total() != 0 || eng.Net().TaggedTraffic(TagRIC).Total() != 0 {
+	if eng.Net().MessagesSent != 0 || eng.Net().ByTag[overlay.TagRIC] != 0 {
 		t.Fatal("traffic survives reset")
 	}
 	if eng.Counters != (Counters{}) {
@@ -145,7 +145,7 @@ func TestMoveNodeRebindsShard(t *testing.T) {
 		if want != eng.Sim().ShardOf(uint64(old.ID())) {
 			changed++
 		}
-		if slot := &eng.slots[want+1]; p.node != nn || p.shard != want || p.ctr != slot.ctr || p.qpl != slot.qpl || p.sl != slot.sl {
+		if slot := &eng.slots[want+1]; p.node != nn || p.shard != want || p.ctr != slot.ctr || p.ld != eng.loads[nn.ID()] {
 			t.Fatalf("move %d: proc of %s still bound to shard %d, its identifier lives on %d", i, nn.ID(), p.shard, want)
 		}
 	}

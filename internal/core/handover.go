@@ -7,6 +7,7 @@ import (
 	"rjoin/internal/chord"
 	"rjoin/internal/id"
 	"rjoin/internal/obs"
+	"rjoin/internal/overlay"
 	"rjoin/internal/relation"
 	"rjoin/internal/sim"
 )
@@ -29,7 +30,7 @@ const stateChunk = 48
 type bill uint8
 
 const (
-	// handover is the wire cost of a leave or a join: one TagChurn
+	// handover is the wire cost of a leave or a join: one overlay.TagChurn
 	// message per stateChunk entries, counted in the handover counters.
 	handover bill = iota
 	// promotion is the recovery a crash performs under replication:
@@ -67,7 +68,7 @@ func (e *Engine) move(from, to *Proc, ops []stateOp, b bill) {
 		case op.kind == opAddPending:
 			// Charged as churn traffic like the rest of membership: the
 			// walk is recovery work, not placement of new state.
-			e.net.WithTag(to.node, TagChurn, func() { to.place(now, op.pp.sq) })
+			e.net.WithTag(to.node, overlay.TagChurn, func() { to.place(now, op.pp.sq) })
 		default:
 			r := e.ownerOf(op, to)
 			r.st.apply(op)
@@ -131,7 +132,7 @@ func (e *Engine) ownerOf(op stateOp, to *Proc) *Proc {
 // chargeHandover bills moving n entries off node from: one handoff
 // message per stateChunk of them under the churn traffic tag.
 func (e *Engine) chargeHandover(from *Proc, n int) {
-	e.net.WithTag(from.node, TagChurn, func() {
+	e.net.WithTag(from.node, overlay.TagChurn, func() {
 		for ; n > 0; n -= stateChunk {
 			c := min(n, stateChunk)
 			e.Counters.HandoverMessages++
@@ -260,7 +261,7 @@ func (e *Engine) CrashNode(n *chord.Node) error {
 
 	// Coordinator-context section: crash recovery sends originate from
 	// many different recovery homes, so the tag scopes to every lane.
-	e.net.WithTagAll(TagChurn, func() {
+	e.net.WithTagAll(overlay.TagChurn, func() {
 		// Re-index each lost input placement at exactly the key it was
 		// stored under.
 		for _, lp := range lost {

@@ -12,17 +12,19 @@ import (
 // consists of: the node leaves gracefully, handing its whole state to
 // its successor, and a fresh node joins at newID, receiving its arc
 // from its new successor. The move is therefore on the wire — charged
-// to TagChurn and counted in the handover counters — and inherits what
-// leave and join guarantee under replication, faults and parallel
-// execution. It returns the node's new ring handle.
+// to overlay.TagChurn and counted in the handover counters — and
+// inherits what leave and join guarantee under replication, faults and
+// parallel execution. It returns the node's new ring handle.
 //
 // An occupied newID, or a ring with no other node to hold the mover's
 // state in between, is refused before anything changes (as LeaveNode
 // refuses a node this engine does not run).
 //
 // One step serves the caller rather than the protocol: the harness that
-// moves identifiers ranks load per physical node, so the accumulated
-// QPL/SL follow the node to its new identifier.
+// moves identifiers ranks load per physical node, so the old
+// identifier's QPL/SL record is added to the new identifier's and
+// zeroed — the load follows the node, and the old identifier keeps only
+// what is charged to it afterwards.
 func (e *Engine) MoveNode(n *chord.Node, newID id.ID) (*chord.Node, error) {
 	if e.ring.Node(newID) != nil {
 		return nil, fmt.Errorf("core: cannot move node %s to %s: identifier taken", n.ID(), newID)
@@ -37,8 +39,10 @@ func (e *Engine) MoveNode(n *chord.Node, newID id.ID) (*chord.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.QPL.Rename(n.ID(), nn.ID())
-	e.SL.Rename(n.ID(), nn.ID())
+	from, to := e.loads[n.ID()], e.loads[nn.ID()]
+	to.qpl += from.qpl
+	to.sl += from.sl
+	*from = load{}
 	return nn, nil
 }
 

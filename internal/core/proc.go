@@ -4,7 +4,6 @@ import (
 	"rjoin/internal/agg"
 	"rjoin/internal/chord"
 	"rjoin/internal/id"
-	"rjoin/internal/metrics"
 	"rjoin/internal/obs"
 	"rjoin/internal/overlay"
 	"rjoin/internal/query"
@@ -154,21 +153,21 @@ func (pp *pendingPlacement) fill(info ricInfo) bool {
 // store, tuple store, ALTT, rate statistics and candidate table, plus
 // the message handlers of Procedures 2 and 3.
 //
-// shard, ctr, qpl, sl and sc are where the processor's handlers run,
-// count and build, all derived from the node's identifier by newProc.
-// On a serial engine the counters alias the engine's public aggregates;
-// on a parallel engine they point at the node's shard accumulator, which
-// only the worker currently executing that shard touches, and which
-// Engine.Sync merges at the next barrier.
+// shard, ctr, ld and sc are where the processor's handlers run, count
+// and build, all derived from the node's identifier by newProc. On a
+// serial engine ctr aliases the engine's public Counters; on a parallel
+// engine it points at the node's shard accumulator, which only the
+// worker currently executing that shard touches, and which Engine.Sync
+// merges at the next barrier. ld is the identifier's own load record,
+// which nothing but this node's handlers and coordinator context writes.
 type Proc struct {
 	eng  *Engine
 	node *chord.Node
 
-	shard int           // logical shard (sim.NoShard on a serial engine)
-	ctr   *Counters     // event-count slot
-	qpl   *metrics.Load // query-processing-load slot
-	sl    *metrics.Load // storage-load slot
-	rng   *sim.RNG      // placement draws (nil: use the engine source)
+	shard int       // logical shard (sim.NoShard on a serial engine)
+	ctr   *Counters // event-count slot
+	ld    *load     // the identifier's QPL and SL
+	rng   *sim.RNG  // placement draws (nil: use the engine source)
 
 	// st is every piece of state the node keeps on behalf of the keys it
 	// owns and the placements it has in flight (see state.go); handlers
@@ -207,13 +206,20 @@ type scratch struct {
 }
 
 // newProc builds the processor of a ring handle: the node it acts as,
-// the shard its handlers run on and the accounting slot they count into.
-// A processor never changes handle — a node that moves identifier leaves
-// and joins, and the joiner is a fresh Proc.
+// the shard its handlers run on, the accounting slot they count into
+// and the identifier's load record — created here, or the one an
+// earlier holder of the identifier left. A processor never changes
+// handle — a node that moves identifier leaves and joins, and the
+// joiner is a fresh Proc.
 func newProc(eng *Engine, node *chord.Node) *Proc {
 	p := &Proc{eng: eng, node: node, shard: eng.sim.ShardOf(uint64(node.ID())), st: newState(eng.aggSpec)}
 	s := &eng.slots[p.shard+1]
-	p.ctr, p.qpl, p.sl, p.sc = s.ctr, s.qpl, s.sl, &s.scratch
+	p.ctr, p.sc = s.ctr, &s.scratch
+	p.ld = eng.loads[node.ID()]
+	if p.ld == nil {
+		p.ld = new(load)
+		eng.loads[node.ID()] = p.ld
+	}
 	p.st.due = func(c clock, at int64) { s.due[c].add(at, p) }
 	p.st.reach = eng.tupleReach
 	p.st.hz = &eng.horizon
@@ -352,7 +358,7 @@ func (p *Proc) ownsKey(key relation.Key) bool {
 // the ALTT for Δ ticks.
 func (p *Proc) onTuple(now sim.Time, m *tupleMsg) {
 	p.st.recordArrival(m.Key, now, ricWindow)
-	p.qpl.Add(p.node.ID(), 1)
+	p.ld.qpl++
 	p.ctr.TuplesReceived++
 	if ob := p.eng.obs; ob != nil {
 		ob.Emit(p.shard, obs.Rec{
@@ -537,7 +543,7 @@ func (p *Proc) consume(sq *storedQuery, proj []byte) {
 // Config.TupleGC the store files it under its death (state.addTuple).
 func (p *Proc) storeTuple(key relation.Key, t *relation.Tuple) {
 	p.st.addTuple(key, t)
-	p.sl.Add(p.node.ID(), 1)
+	p.ld.sl++
 	p.ctr.TuplesStored++
 }
 
@@ -575,7 +581,7 @@ func (p *Proc) onEval(now sim.Time, m *evalMsg) {
 		// tuples were published before submission, so scanning the
 		// local stores suffices and nothing waits for the future.
 		if q.Depth > 0 {
-			p.qpl.Add(p.node.ID(), 1)
+			p.ld.qpl++
 		}
 	} else {
 		p.st.addQuery(sq)
@@ -583,8 +589,8 @@ func (p *Proc) onEval(now sim.Time, m *evalMsg) {
 			ob.Emit(p.shard, obs.Rec{At: now, Kind: obs.KindStateStore, QID: q.ID, Key: m.Key.String(), N: stateSizeOf(q)})
 		}
 		if q.Depth > 0 {
-			p.qpl.Add(p.node.ID(), 1)
-			p.sl.Add(p.node.ID(), 1)
+			p.ld.qpl++
+			p.ld.sl++
 			p.ctr.RewritesStored++
 		} else {
 			p.ctr.InputQueriesStored++
@@ -747,7 +753,7 @@ func (p *Proc) placeRIC(now sim.Time, sq *storedQuery, cands []query.Candidate) 
 		})
 	}
 	req := newRICRequestMsg(p.node.ID(), walk)
-	p.eng.net.WithTag(p.node, TagRIC, func() {
+	p.eng.net.WithTag(p.node, overlay.TagRIC, func() {
 		p.eng.net.Send(p.node, walk[0].ID(), req)
 	})
 }
@@ -768,14 +774,14 @@ func (p *Proc) onRICRequest(now sim.Time, m *ricRequestMsg) {
 		reported = true
 	}
 	if len(m.Pending) > 0 {
-		p.eng.net.WithTag(p.node, TagRIC, func() {
+		p.eng.net.WithTag(p.node, overlay.TagRIC, func() {
 			p.eng.net.Send(p.node, m.Pending[0].ID(), m)
 		})
 		return
 	}
 	reply := newRICReplyMsg(m.Origin, m.Got)
 	m.recycle()
-	p.eng.net.WithTag(p.node, TagRIC, func() {
+	p.eng.net.WithTag(p.node, overlay.TagRIC, func() {
 		p.eng.net.SendDirect(p.node, reply.Origin, reply)
 	})
 }

@@ -51,16 +51,18 @@ func TestStrategyOrdering(t *testing.T) {
 	ric := mk(StrategyRIC)
 	worst := mk(StrategyWorst)
 
-	ricTraffic := ric.Net().Traffic.Total()
-	worstTraffic := worst.Net().Traffic.Total()
+	ricTraffic := ric.Net().MessagesSent
+	worstTraffic := worst.Net().MessagesSent
 	if worstTraffic <= ricTraffic {
 		t.Fatalf("Worst traffic %d not above RIC traffic %d", worstTraffic, ricTraffic)
 	}
-	if worst.QPL.Total() <= ric.QPL.Total() {
-		t.Fatalf("Worst QPL %d not above RIC QPL %d", worst.QPL.Total(), ric.QPL.Total())
+	ricQPL, _ := ric.Load()
+	worstQPL, _ := worst.Load()
+	if worstQPL <= ricQPL {
+		t.Fatalf("Worst QPL %d not above RIC QPL %d", worstQPL, ricQPL)
 	}
 	// The RIC-request overhead must be a modest share of RIC's total.
-	ricShare := float64(ric.Net().TaggedTraffic(TagRIC).Total()) / float64(ricTraffic)
+	ricShare := float64(ric.Net().ByTag[overlay.TagRIC]) / float64(ricTraffic)
 	if ricShare <= 0 || ricShare >= 0.9 {
 		t.Fatalf("RIC request share %.2f implausible", ricShare)
 	}
@@ -213,12 +215,11 @@ func TestCountersConsistency(t *testing.T) {
 	if c.RewritesStored > c.RewritesCreated {
 		t.Fatalf("stored %d rewrites > created %d", c.RewritesStored, c.RewritesCreated)
 	}
-	qpl := eng.QPL.Total()
+	qpl, sl := eng.Load()
 	if qpl != c.TuplesReceived+c.RewritesStored {
 		t.Fatalf("QPL %d != tuples received %d + rewrites received %d",
 			qpl, c.TuplesReceived, c.RewritesStored)
 	}
-	sl := eng.SL.Total()
 	if sl != c.TuplesStored+c.RewritesStored {
 		t.Fatalf("SL %d != tuples stored %d + rewrites stored %d",
 			sl, c.TuplesStored, c.RewritesStored)

@@ -20,7 +20,6 @@ import (
 	"rjoin/internal/core"
 	"rjoin/internal/id"
 	"rjoin/internal/loadbalance"
-	"rjoin/internal/metrics"
 	"rjoin/internal/overlay"
 	"rjoin/internal/query"
 	"rjoin/internal/sim"
@@ -160,8 +159,9 @@ func rankedHeader() []string {
 	return append(h, "participants")
 }
 
-func rankedRow(name string, l *metrics.Load) []string {
-	ranked := l.Ranked()
+// rankedRow renders one ranked distribution (Engine.RankedLoad's form):
+// the loads at the fixed rank positions, then how many took part.
+func rankedRow(name string, ranked []int64) []string {
 	row := []string{name}
 	for _, f := range rankedFracs {
 		if len(ranked) == 0 {
@@ -171,7 +171,7 @@ func rankedRow(name string, l *metrics.Load) []string {
 		i := int(f * float64(len(ranked)-1))
 		row = append(row, fmt.Sprintf("%d", ranked[i]))
 	}
-	return append(row, fmt.Sprintf("%d", l.Participants()))
+	return append(row, fmt.Sprintf("%d", len(ranked)))
 }
 
 // loadFigure is the three tables Figures 3–7 share, one row per point
@@ -179,7 +179,7 @@ func rankedRow(name string, l *metrics.Load) []string {
 // RIC-request share, (b) and (c) the ranked QPL and SL distributions.
 type loadFigure struct {
 	nodes                 int
-	traffic, qpl, storage *metrics.Table
+	traffic, qpl, storage *Table
 }
 
 // newLoadFigure titles figure fig's tables; traffic completes the title
@@ -187,12 +187,12 @@ type loadFigure struct {
 func newLoadFigure(p Params, fig, traffic, x string) loadFigure {
 	return loadFigure{
 		nodes: p.Nodes,
-		traffic: &metrics.Table{
+		traffic: &Table{
 			Title:   "Fig " + fig + "(a) " + traffic,
 			Headers: []string{x, "total hops/node/tuple", "request RIC/node/tuple"},
 		},
-		qpl:     &metrics.Table{Title: "Fig " + fig + "(b) Query processing load distribution", Headers: rankedHeader()},
-		storage: &metrics.Table{Title: "Fig " + fig + "(c) Storage load distribution", Headers: rankedHeader()},
+		qpl:     &Table{Title: "Fig " + fig + "(b) Query processing load distribution", Headers: rankedHeader()},
+		storage: &Table{Title: "Fig " + fig + "(c) Storage load distribution", Headers: rankedHeader()},
 	}
 }
 
@@ -200,19 +200,22 @@ func newLoadFigure(p Params, fig, traffic, x string) loadFigure {
 type trafficMark struct{ total, ric int64 }
 
 func (r *run) mark() trafficMark {
-	return trafficMark{r.eng.Net().Traffic.Total(), r.eng.Net().TaggedTraffic(core.TagRIC).Total()}
+	nw := r.eng.Net()
+	return trafficMark{nw.MessagesSent, nw.ByTag[overlay.TagRIC]}
 }
 
 // add appends the point x: the traffic r sent since from, per node and
 // per tuple over tuples tuples, and r's ranked loads as series.
 func (f loadFigure) add(r *run, x, series string, from trafficMark, tuples int) {
 	n := float64(f.nodes) * float64(tuples)
+	to := r.mark()
 	f.traffic.AddRow(x,
-		fmt.Sprintf("%.3f", float64(r.eng.Net().Traffic.Total()-from.total)/n),
-		fmt.Sprintf("%.3f", float64(r.eng.Net().TaggedTraffic(core.TagRIC).Total()-from.ric)/n),
+		fmt.Sprintf("%.3f", float64(to.total-from.total)/n),
+		fmt.Sprintf("%.3f", float64(to.ric-from.ric)/n),
 	)
-	f.qpl.AddRow(rankedRow(series, r.eng.QPL)...)
-	f.storage.AddRow(rankedRow(series, r.eng.SL)...)
+	qpl, sl := r.eng.RankedLoad()
+	f.qpl.AddRow(rankedRow(series, qpl)...)
+	f.storage.AddRow(rankedRow(series, sl)...)
 }
 
 // point is one x-axis point of Figures 4–6: a fresh network under wcfg
@@ -227,15 +230,15 @@ func (f loadFigure) point(p Params, wcfg workload.Config, nq, tuples int, x, ser
 	f.add(r, x, series, from, tuples)
 }
 
-func (f loadFigure) tables() []*metrics.Table {
-	return []*metrics.Table{f.traffic, f.qpl, f.storage}
+func (f loadFigure) tables() []*Table {
+	return []*Table{f.traffic, f.qpl, f.storage}
 }
 
 // Fig2 — Effect of taking into account RIC information. Three placement
 // strategies (Worst, Random, RJoin) over the same workload; per-node
 // totals of traffic, QPL and SL after 50/100/200/400 tuples, with
 // RJoin's RIC-request traffic reported separately.
-func Fig2(p Params) []*metrics.Table {
+func Fig2(p Params) []*Table {
 	checkpoints := []int{
 		p.scaled(50), p.scaled(100), p.scaled(200), p.scaled(400),
 	}
@@ -249,16 +252,18 @@ func Fig2(p Params) []*metrics.Table {
 		for _, cp := range checkpoints {
 			r.publish(cp - published)
 			published = cp
+			t, nodes := r.mark(), float64(p.Nodes)
+			qpl, sl := r.eng.Load()
 			series[strat] = append(series[strat], snapshot{
-				traffic: r.eng.Net().Traffic.PerNode(p.Nodes),
-				ric:     r.eng.Net().TaggedTraffic(core.TagRIC).PerNode(p.Nodes),
-				qpl:     r.eng.QPL.PerNode(p.Nodes),
-				sl:      r.eng.SL.PerNode(p.Nodes),
+				traffic: float64(t.total) / nodes,
+				ric:     float64(t.ric) / nodes,
+				qpl:     float64(qpl) / nodes,
+				sl:      float64(sl) / nodes,
 			})
 		}
 	}
-	mk := func(title string, pick func(snapshot) float64, withRIC bool) *metrics.Table {
-		t := &metrics.Table{
+	mk := func(title string, pick func(snapshot) float64, withRIC bool) *Table {
+		t := &Table{
 			Title:   title,
 			Headers: []string{"# tuples", "Worst", "Random", "RJoin"},
 		}
@@ -279,7 +284,7 @@ func Fig2(p Params) []*metrics.Table {
 		}
 		return t
 	}
-	return []*metrics.Table{
+	return []*Table{
 		mk("Fig 2(a) Traffic cost: total messages per node", func(s snapshot) float64 { return s.traffic }, true),
 		mk("Fig 2(b) Query processing load per node", func(s snapshot) float64 { return s.qpl }, false),
 		mk("Fig 2(c) Storage load per node", func(s snapshot) float64 { return s.sl }, false),
@@ -289,7 +294,7 @@ func Fig2(p Params) []*metrics.Table {
 // Fig3 — Effect of increasing the number of incoming tuples: traffic
 // per tuple (total and RIC share) plus ranked QPL/SL distributions at
 // 40..2560 tuples.
-func Fig3(p Params) []*metrics.Table {
+func Fig3(p Params) []*Table {
 	checkpoints := []int{
 		p.scaled(40), p.scaled(80), p.scaled(160), p.scaled(320),
 		p.scaled(640), p.scaled(1280), p.scaled(2560),
@@ -311,7 +316,7 @@ func Fig3(p Params) []*metrics.Table {
 
 // Fig4 — Effect of increasing the number of indexed queries:
 // 2k..32k queries, 1000 tuples each.
-func Fig4(p Params) []*metrics.Table {
+func Fig4(p Params) []*Table {
 	counts := []int{
 		p.scaled(2000), p.scaled(4000), p.scaled(8000),
 		p.scaled(16000), p.scaled(32000),
@@ -326,7 +331,7 @@ func Fig4(p Params) []*metrics.Table {
 
 // Fig5 — Varying the skew of the data distribution: θ in
 // {0.3, 0.5, 0.7, 0.9}, 1000 tuples.
-func Fig5(p Params) []*metrics.Table {
+func Fig5(p Params) []*Table {
 	f := newLoadFigure(p, "5", "Traffic cost per tuple", "theta")
 	for _, theta := range []float64{0.3, 0.5, 0.7, 0.9} {
 		wcfg := workload.PaperConfig()
@@ -339,7 +344,7 @@ func Fig5(p Params) []*metrics.Table {
 
 // Fig6 — Effect of query complexity: 4-, 6- and 8-way joins, 1000
 // tuples.
-func Fig6(p Params) []*metrics.Table {
+func Fig6(p Params) []*Table {
 	f := newLoadFigure(p, "6", "Traffic cost per tuple", "joins")
 	for _, k := range []int{4, 6, 8} {
 		wcfg := workload.PaperConfig()
@@ -358,7 +363,7 @@ func windowSizes(p Params) []int {
 // Fig7And8 runs the sliding-window experiment once and produces both
 // figures: Fig 7's per-window traffic and ranked load distributions,
 // and Fig 8's cumulative QPL/SL series over tuple arrivals.
-func Fig7And8(p Params) (fig7, fig8 []*metrics.Table) {
+func Fig7And8(p Params) (fig7, fig8 []*Table) {
 	tuples := p.scaled(1000)
 	steps := 10
 	stepSize := tuples / steps
@@ -369,8 +374,8 @@ func Fig7And8(p Params) (fig7, fig8 []*metrics.Table) {
 	f := newLoadFigure(p, "7", "Traffic cost per tuple vs window size", "window (tuples)")
 
 	sizes := windowSizes(p)
-	cumQPL := &metrics.Table{Title: "Fig 8(a) Cumulative query processing load vs tuples"}
-	cumSL := &metrics.Table{Title: "Fig 8(b) Cumulative storage load vs tuples"}
+	cumQPL := &Table{Title: "Fig 8(a) Cumulative query processing load vs tuples"}
+	cumSL := &Table{Title: "Fig 8(b) Cumulative storage load vs tuples"}
 	cumQPL.Headers = []string{"# tuples"}
 	cumSL.Headers = []string{"# tuples"}
 	for _, w := range sizes {
@@ -393,8 +398,7 @@ func Fig7And8(p Params) (fig7, fig8 []*metrics.Table) {
 				qplSeries[s] = make([]int64, len(sizes))
 				slSeries[s] = make([]int64, len(sizes))
 			}
-			qplSeries[s][wi] = r.eng.QPL.Total()
-			slSeries[s][wi] = r.eng.SL.Total()
+			qplSeries[s][wi], slSeries[s][wi] = r.eng.Load()
 		}
 		f.add(r, fmt.Sprintf("%d", w), fmt.Sprintf("W=%d tuples", w), from, stepSize*steps)
 	}
@@ -408,27 +412,27 @@ func Fig7And8(p Params) (fig7, fig8 []*metrics.Table) {
 		cumQPL.AddRow(rowQ...)
 		cumSL.AddRow(rowS...)
 	}
-	return f.tables(), []*metrics.Table{cumQPL, cumSL}
+	return f.tables(), []*Table{cumQPL, cumSL}
 }
 
 // Fig7 returns only the Figure 7 tables.
-func Fig7(p Params) []*metrics.Table {
+func Fig7(p Params) []*Table {
 	t, _ := Fig7And8(p)
 	return t
 }
 
 // Fig8 returns only the Figure 8 tables.
-func Fig8(p Params) []*metrics.Table {
+func Fig8(p Params) []*Table {
 	_, t := Fig7And8(p)
 	return t
 }
 
 // Fig9 — Effect of identifier movement: ranked QPL and SL distributions
 // with and without the lower-level load balancer.
-func Fig9(p Params) []*metrics.Table {
+func Fig9(p Params) []*Table {
 	tuples := p.scaled(1000)
-	qpl := &metrics.Table{Title: "Fig 9(a) QPL distribution (id movement)", Headers: rankedHeader()}
-	sl := &metrics.Table{Title: "Fig 9(b) SL distribution (id movement)", Headers: rankedHeader()}
+	qpl := &Table{Title: "Fig 9(a) QPL distribution (id movement)", Headers: rankedHeader()}
+	sl := &Table{Title: "Fig 9(b) SL distribution (id movement)", Headers: rankedHeader()}
 	// An identifier move is a leave and a join, and one balancing round
 	// makes several back to back: a message in flight to a node that
 	// moves next needs the bounce path, like under any churn. On the
@@ -463,10 +467,11 @@ func Fig9(p Params) []*metrics.Table {
 		if withBalance {
 			name = "With"
 		}
-		qpl.AddRow(rankedRow(name, r.eng.QPL)...)
-		sl.AddRow(rankedRow(name, r.eng.SL)...)
+		rq, rs := r.eng.RankedLoad()
+		qpl.AddRow(rankedRow(name, rq)...)
+		sl.AddRow(rankedRow(name, rs)...)
 	}
-	return []*metrics.Table{qpl, sl}
+	return []*Table{qpl, sl}
 }
 
 // Figure is one entry of the figure table.
@@ -474,7 +479,7 @@ type Figure struct {
 	// ID is the name -fig selects the figure by.
 	ID string
 	// Run regenerates it.
-	Run func(Params) []*metrics.Table
+	Run func(Params) []*Table
 	// Part marks a figure the full run leaves out because an earlier
 	// entry computes it together with its sibling: Figures 7 and 8 share
 	// one experiment, "7+8".
@@ -490,7 +495,7 @@ var Figures = []Figure{
 	{ID: "4", Run: Fig4},
 	{ID: "5", Run: Fig5},
 	{ID: "6", Run: Fig6},
-	{ID: "7+8", Run: func(p Params) []*metrics.Table {
+	{ID: "7+8", Run: func(p Params) []*Table {
 		f7, f8 := Fig7And8(p)
 		return append(f7, f8...)
 	}},

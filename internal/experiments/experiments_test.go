@@ -7,8 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"rjoin/internal/metrics"
 )
 
 // tiny returns a very small parameter set so every figure runs in test
@@ -147,7 +145,7 @@ func pinnedParams() Params {
 }
 
 // tablesDigest is the FNV-64a of the tables' titles, headers and rows.
-func tablesDigest(tabs []*metrics.Table) uint64 {
+func tablesDigest(tabs []*Table) uint64 {
 	h := fnv.New64a()
 	for _, tab := range tabs {
 		fmt.Fprintf(h, "%q\n%q\n", tab.Title, tab.Headers)

@@ -216,7 +216,7 @@ func TestZeroPlanScheduleIdentical(t *testing.T) {
 		}
 		f.engine.Run()
 		f.nw.Sync()
-		return log, f.nw.Traffic.Total(), f.nw.Bounced
+		return log, f.nw.MessagesSent, f.nw.Bounced
 	}
 
 	off := DefaultConfig()

@@ -7,26 +7,28 @@
 //	                       grouping deliveries along the ring
 //	sendDirect(msg, addr)— deliver msg to a known node in one hop
 //
-// Every hop is charged to the sending node's traffic counter exactly as
-// the paper defines network traffic ("messages that n creates due to
-// RJoin ... and messages that n has to route due to the DHT routing
-// protocols"), and every hop adds a bounded random delay on the virtual
-// clock, realising the relaxed asynchronous model with maximum delay δ.
+// Every hop counts as one message of network traffic exactly as the
+// paper defines it ("messages that n creates due to RJoin ... and
+// messages that n has to route due to the DHT routing protocols"),
+// under the sending scope's Tag, and every hop adds a bounded random
+// delay on the virtual clock, realising the relaxed asynchronous model
+// with maximum delay δ. The paper's figures read traffic only as
+// network totals, so that is all the network keeps: MessagesSent and
+// its split ByTag.
 //
 // Everything the network keeps for one ring identifier lives in one
 // peer record — handler, scheduling shard, accounting lane, hop-delay
 // stream and (under Faults) fault stream and ack windows —
 // and every operation resolves the acting node's record once and counts
-// through its lane: traffic charges, the active traffic tag, the integer
-// totals and the lookup scratch buffers. Lane 0 is the aggregate itself
-// (its loads are the public Traffic and tagged counters, its totals the
-// public integer fields), and a serial network has no other; on a
-// parallel engine (sim.Engine with workers) every logical shard gets a
-// lane of its own, so concurrent handlers never share mutable state, and
-// Sync — which the core engine calls after every drain — folds them into
-// lane 0. There hop-delay draws also come from the acting node's private
-// counter-based stream instead of the engine's shared source, making the
-// draw sequence independent of scheduling interleave.
+// through its lane: the active traffic tag, the integer totals and the
+// lookup scratch buffers. Lane 0's totals are the public integer fields,
+// and a serial network has no other lane; on a parallel engine
+// (sim.Engine with workers) every logical shard gets a lane of its own,
+// so concurrent handlers never share mutable state, and Sync — which
+// the core engine calls after every drain — folds them into lane 0.
+// There hop-delay draws also come from the acting node's private
+// counter-based stream instead of the engine's shared source, making
+// the draw sequence independent of scheduling interleave.
 package overlay
 
 import (
@@ -34,7 +36,6 @@ import (
 
 	"rjoin/internal/chord"
 	"rjoin/internal/id"
-	"rjoin/internal/metrics"
 	"rjoin/internal/obs"
 	"rjoin/internal/sim"
 )
@@ -103,8 +104,10 @@ func DefaultConfig() Config {
 // write goes through the acting lane's pointer to its own instance.
 type totals struct {
 	// MessagesSent counts every point-to-point transmission, i.e. the
-	// network-wide total of the traffic metric.
+	// network-wide total of the traffic metric; ByTag splits it by the
+	// tag each transmission was charged under.
 	MessagesSent int64
+	ByTag        [numTags]int64
 	// Delivered counts end-to-end deliveries (one per Send/SendDirect,
 	// one per target for MultiSend).
 	Delivered int64
@@ -114,9 +117,9 @@ type totals struct {
 
 	// Unreliable-mode transport accounting (zero when Faults is nil).
 	// These count transport-level work and are deliberately kept out of
-	// MessagesSent and the Traffic metric, so application-traffic
-	// figures stay comparable across fault plans; FigLossy reports the
-	// overhead from these counters explicitly.
+	// MessagesSent, so application-traffic figures stay comparable
+	// across fault plans; the lossy tests read the overhead from these
+	// counters explicitly.
 	//
 	// Dropped counts transmissions lost to the fault plan — drop draws
 	// and partition windows.
@@ -137,6 +140,9 @@ type totals struct {
 // add accumulates o into t (the Sync merge; addition commutes).
 func (t *totals) add(o *totals) {
 	t.MessagesSent += o.MessagesSent
+	for i, n := range o.ByTag {
+		t.ByTag[i] += n
+	}
 	t.Delivered += o.Delivered
 	t.Bounced += o.Bounced
 	t.Dropped += o.Dropped
@@ -146,40 +152,43 @@ func (t *totals) add(o *totals) {
 	t.Abandoned += o.Abandoned
 }
 
+// Tag names the share of traffic a send is charged to. Every message
+// counts under exactly one tag — the acting lane's active one, TagApp
+// outside any WithTag scope — so the shares sum to MessagesSent.
+type Tag uint8
+
+const (
+	TagApp   Tag = iota // tuple and query routing, RIC piggybacks, answer delivery
+	TagRIC              // placement polling (Request-RIC walks)
+	TagAgg              // aggregation partials and group updates
+	TagChurn            // membership-change state transfer and crash recovery
+	TagRepl             // replica-group mirroring (ReplicateTo)
+	numTags
+)
+
+var tagNames = [numTags]string{"", "ric", "agg", "churn", "repl"}
+
+// String is the tag as obs records carry it: "" for TagApp.
+func (t Tag) String() string { return tagNames[t] }
+
 // lane is one accounting context. Every mutation the message layer
-// performs on behalf of an acting node — traffic charges, tag scoping,
-// integer totals, lookup and grouped-send scratch — goes to that node's
-// lane. Lane 0 aliases the network's aggregates and serves every node
-// of a serial network; a parallel network adds one lane per logical
-// shard, which the sub-round schedule guarantees is touched by at most
-// one worker at a time.
+// performs on behalf of an acting node — tag scoping, integer totals,
+// lookup and grouped-send scratch — goes to that node's lane. Lane 0
+// aliases the network's totals and serves every node of a serial
+// network; a parallel network adds one lane per logical shard, which
+// the sub-round schedule guarantees is touched by at most one worker
+// at a time.
 type lane struct {
-	traffic *metrics.Load
-	tagged  map[string]*metrics.Load
-	tot     *totals
-	tag     string
-	legs    []leg         // scratch for grouped multiSend, reused across calls
-	path    []*chord.Node // scratch for one lookup's hop path, consumed by chargePath
+	tot  *totals
+	tag  Tag
+	legs []leg         // scratch for grouped multiSend, reused across calls
+	path []*chord.Node // scratch for one lookup's hop path, consumed by chargePath
 }
 
-// tagLoad returns the lane's counter for a traffic tag, creating it on
-// first use.
-func (l *lane) tagLoad(tag string) *metrics.Load {
-	tl, ok := l.tagged[tag]
-	if !ok {
-		tl = metrics.NewLoad()
-		l.tagged[tag] = tl
-	}
-	return tl
-}
-
-// charge attributes n sent messages to a node, and to the lane's active
-// traffic tag if one is set.
-func (l *lane) charge(node id.ID, n int64) {
-	l.traffic.Add(node, n)
-	if l.tag != "" {
-		l.tagLoad(l.tag).Add(node, n)
-	}
+// sent counts n transmissions, under the lane's active tag.
+func (l *lane) sent(n int64) {
+	l.tot.MessagesSent += n
+	l.tot.ByTag[l.tag] += n
 }
 
 // peer is everything the network keeps for one ring identifier. shard,
@@ -201,9 +210,8 @@ type peer struct {
 // Network binds a Chord ring to the event engine and implements the
 // messaging API.
 type Network struct {
-	Ring    *chord.Ring
-	Engine  *sim.Engine
-	Traffic *metrics.Load
+	Ring   *chord.Ring
+	Engine *sim.Engine
 	totals
 	cfg Config
 
@@ -238,21 +246,20 @@ func NewNetwork(ring *chord.Ring, engine *sim.Engine, cfg Config) (*Network, err
 		}
 	}
 	nw := &Network{
-		Ring:    ring,
-		Engine:  engine,
-		Traffic: metrics.NewLoad(),
-		cfg:     cfg,
-		peers:   make(map[id.ID]*peer),
-		lanes:   make([]lane, 1),
-		obs:     cfg.Obs,
+		Ring:   ring,
+		Engine: engine,
+		cfg:    cfg,
+		peers:  make(map[id.ID]*peer),
+		lanes:  make([]lane, 1),
+		obs:    cfg.Obs,
 	}
 	nw.obs.Bind(engine)
 	if engine.Workers() > 0 {
 		nw.lanes = make([]lane, sim.ShardSlots)
 	}
-	nw.lanes[0] = lane{traffic: nw.Traffic, tagged: make(map[string]*metrics.Load), tot: &nw.totals}
+	nw.lanes[0].tot = &nw.totals
 	for i := range nw.lanes[1:] {
-		nw.lanes[1+i] = lane{traffic: metrics.NewLoad(), tagged: make(map[string]*metrics.Load), tot: new(totals)}
+		nw.lanes[1+i].tot = new(totals)
 	}
 	if f := cfg.Faults; f != nil {
 		// One full round trip at worst-case delay — outbound hop with a
@@ -328,36 +335,30 @@ func (nw *Network) hopDelay(rng *sim.RNG) int64 {
 	return nw.cfg.MinHopDelay + nw.Engine.Rand().Int63n(spread)
 }
 
-// chargePath charges one sent message to the origin and to every
+// chargePath counts one sent message for the origin and for every
 // intermediate router on the path (the final element of path is the
 // recipient, which receives rather than sends; an empty path is a local
 // delivery with no transmission), and returns the total virtual delay
-// of the walk.
-func (nw *Network) chargePath(p *peer, from *chord.Node, path []*chord.Node) int64 {
+// of the walk: one hop delay per message.
+func (nw *Network) chargePath(p *peer, path []*chord.Node) int64 {
 	senders := int64(len(path)) // origin + intermediates
-	p.l.tot.MessagesSent += senders
+	p.l.sent(senders)
 	if ob := nw.obs; ob != nil {
-		ob.Emit(p.shard, obs.Rec{At: nw.Engine.Now(), Kind: obs.KindRoute, Key: p.l.tag, Arg: senders})
+		ob.Emit(p.shard, obs.Rec{At: nw.Engine.Now(), Kind: obs.KindRoute, Key: p.l.tag.String(), Arg: senders})
 	}
 	var delay int64
-	if len(path) > 0 {
-		p.l.charge(from.ID(), 1)
+	for range path {
 		delay += nw.hopDelay(p.rng)
-		for _, hop := range path[:len(path)-1] {
-			p.l.charge(hop.ID(), 1)
-			delay += nw.hopDelay(p.rng)
-		}
 	}
 	return delay
 }
 
-// chargeHop charges one single-hop transmission to node, on behalf of
-// the acting peer.
-func (nw *Network) chargeHop(p *peer, node id.ID) {
-	p.l.charge(node, 1)
-	p.l.tot.MessagesSent++
+// chargeHop counts one single-hop transmission on behalf of the acting
+// peer.
+func (nw *Network) chargeHop(p *peer) {
+	p.l.sent(1)
 	if ob := nw.obs; ob != nil {
-		ob.Emit(p.shard, obs.Rec{At: nw.Engine.Now(), Kind: obs.KindHop, Key: p.l.tag})
+		ob.Emit(p.shard, obs.Rec{At: nw.Engine.Now(), Kind: obs.KindHop, Key: p.l.tag.String()})
 	}
 }
 
@@ -392,9 +393,9 @@ func (nw *Network) handOver(p *peer, owner *chord.Node, now sim.Time, msg Messag
 
 // bounce re-routes an undeliverable message to the node currently
 // responsible for its ring key — the departed recipient's next of kin
-// under the successor rule. The recovery hop is charged to the new
-// owner (it performs the fetch in a real deployment's key-handoff
-// repair) and takes one hop delay. If the new owner also dies before
+// under the successor rule. The recovery hop is one charged message (the
+// new owner's fetch in a real deployment's key-handoff repair) and
+// takes one hop delay. If the new owner also dies before
 // delivery, the bounce repeats against fresh ground truth, so the
 // message survives any churn that leaves the ring non-empty. The
 // acting peer is the context the failure was discovered in (the dead
@@ -413,7 +414,7 @@ func (nw *Network) bounce(p *peer, msg Message) {
 		return // ring is empty; nothing can take the message
 	}
 	p.l.tot.Bounced++
-	nw.chargeHop(p, tgt.ID())
+	nw.chargeHop(p)
 	if ob := nw.obs; ob != nil {
 		ob.Emit(p.shard, obs.Rec{At: nw.Engine.Now(), Kind: obs.KindBounce, Node: uint64(tgt.ID()), Key: rk.RingKey().String()})
 	}
@@ -443,15 +444,15 @@ func (nw *Network) deliverFrom(p *peer, from, owner *chord.Node, delay int64, ms
 }
 
 // WithTag runs fn with every message the given node sends inside it
-// additionally charged to the named traffic tag. The experiments use
-// the tag "ric" to report the Request-RIC share of total traffic
-// separately, as the figures do. The tag scopes to the acting node's
-// lane — on a serial network, where there is one lane, to every send.
-func (nw *Network) WithTag(n *chord.Node, tag string, fn func()) {
+// counted under tag instead of TagApp. The experiments read TagRIC to
+// report the Request-RIC share of total traffic separately, as the
+// figures do. The tag scopes to the acting node's lane — on a serial
+// network, where there is one lane, to every send.
+func (nw *Network) WithTag(n *chord.Node, tag Tag, fn func()) {
 	withTag(nw.peerFor(n.ID()).l, tag, fn)
 }
 
-func withTag(l *lane, tag string, fn func()) {
+func withTag(l *lane, tag Tag, fn func()) {
 	prev := l.tag
 	l.tag = tag
 	fn()
@@ -463,8 +464,8 @@ func withTag(l *lane, tag string, fn func()) {
 // from many different nodes; it must never run while workers do, since
 // it writes every shard's lane: its callers run between drains, with no
 // handler in flight.
-func (nw *Network) WithTagAll(tag string, fn func()) {
-	prevs := make([]string, len(nw.lanes))
+func (nw *Network) WithTagAll(tag Tag, fn func()) {
+	prevs := make([]Tag, len(nw.lanes))
 	for i := range nw.lanes {
 		prevs[i] = nw.lanes[i].tag
 		nw.lanes[i].tag = tag
@@ -475,40 +476,22 @@ func (nw *Network) WithTagAll(tag string, fn func()) {
 	}
 }
 
-// TaggedTraffic returns the per-node traffic charged under a tag (nil
-// Load semantics: an unused tag returns an empty counter).
-func (nw *Network) TaggedTraffic(tag string) *metrics.Load {
-	if l, ok := nw.lanes[0].tagged[tag]; ok {
-		return l
-	}
-	return metrics.NewLoad()
-}
-
-// Sync folds every shard lane's accounting deltas into lane 0, the
-// public aggregate. The core engine calls it after each drain; a serial
+// Sync folds every shard lane's totals into lane 0, the public
+// aggregate. The core engine calls it after each drain; a serial
 // network has no shard lanes, so there it does nothing. Coordinator
 // context only.
 func (nw *Network) Sync() {
-	agg := &nw.lanes[0]
 	for i := range nw.lanes[1:] {
 		l := &nw.lanes[1+i]
-		l.traffic.DrainInto(agg.traffic)
-		for tag, tl := range l.tagged {
-			tl.DrainInto(agg.tagLoad(tag))
-		}
-		agg.tot.add(l.tot)
+		nw.totals.add(l.tot)
 		*l.tot = totals{}
 	}
 }
 
-// ResetTraffic zeroes all traffic accounting (total and tagged). The
+// ResetTraffic zeroes all traffic accounting (total and per tag). The
 // experiment harness calls it after warmup so measurements start clean.
 func (nw *Network) ResetTraffic() {
 	nw.Sync()
-	nw.Traffic.Reset()
-	for _, l := range nw.lanes[0].tagged {
-		l.Reset()
-	}
 	nw.totals = totals{}
 }
 
@@ -528,7 +511,7 @@ func (nw *Network) Send(from *chord.Node, key id.ID, msg Message) *chord.Node {
 func (nw *Network) route(p *peer, from *chord.Node, key id.ID) (*chord.Node, int64) {
 	owner, path := from.LookupAppend(p.l.path[:0], key)
 	p.l.path = path
-	return owner, nw.chargePath(p, from, path)
+	return owner, nw.chargePath(p, path)
 }
 
 // SendDirect delivers msg to a node whose address is already known, in a
@@ -544,7 +527,7 @@ func (nw *Network) SendDirect(from *chord.Node, to id.ID, msg Message) {
 	}
 	var delay int64
 	if owner != from {
-		nw.chargeHop(p, from.ID())
+		nw.chargeHop(p)
 		delay = nw.hopDelay(p.rng)
 	}
 	nw.deliverFrom(p, from, owner, delay, msg)
@@ -558,13 +541,8 @@ func (nw *Network) SendDirect(from *chord.Node, to id.ID, msg Message) {
 // handoff is on the wire — counted in the traffic metric — it just
 // cannot be overtaken.
 func (nw *Network) Handoff(from *chord.Node) {
-	nw.chargeHop(nw.peerFor(from.ID()), from.ID())
+	nw.chargeHop(nw.peerFor(from.ID()))
 }
-
-// TagRepl is the traffic tag replica-update fan-out is charged under,
-// so the recovery experiment can report the durability overhead as its
-// own share of total traffic, like "ric" does for placement polling.
-const TagRepl = "repl"
 
 // ReplicateTo charges the fan-out of one batch of state mutations to a
 // replica group of n targets: one direct message per target, under
@@ -584,7 +562,7 @@ func (nw *Network) ReplicateTo(from *chord.Node, n int) {
 	}
 	withTag(p.l, TagRepl, func() {
 		for range n {
-			nw.chargeHop(p, from.ID())
+			nw.chargeHop(p)
 		}
 	})
 }

@@ -95,14 +95,14 @@ func TestSendChargesTrafficAlongPath(t *testing.T) {
 	from := f.nodes[0]
 	key := id.HashKey("some-key")
 	_, path := from.Lookup(key)
-	before := f.nw.Traffic.Total()
+	before := f.nw.MessagesSent
 	f.nw.Send(from, key, "x")
-	charged := f.nw.Traffic.Total() - before
+	charged := f.nw.MessagesSent - before
 	if int(charged) != len(path) {
 		t.Fatalf("charged %d messages for a %d-hop path", charged, len(path))
 	}
-	if f.nw.Traffic.Get(from.ID()) == 0 && len(path) > 0 {
-		t.Fatal("origin not charged")
+	if f.nw.ByTag[TagApp] != charged {
+		t.Fatalf("untagged send counted %d as TagApp, want %d", f.nw.ByTag[TagApp], charged)
 	}
 }
 
@@ -110,8 +110,8 @@ func TestSelfSendIsFree(t *testing.T) {
 	f := newFixture(t, 32, DefaultConfig())
 	from := f.nodes[5]
 	f.nw.Send(from, from.ID(), "self")
-	if f.nw.Traffic.Total() != 0 {
-		t.Fatalf("self delivery charged %d messages", f.nw.Traffic.Total())
+	if f.nw.MessagesSent != 0 {
+		t.Fatalf("self delivery charged %d messages", f.nw.MessagesSent)
 	}
 	f.engine.Run()
 	if len(f.received[from.ID()]) != 1 {
@@ -123,8 +123,8 @@ func TestSendDirectSingleMessage(t *testing.T) {
 	f := newFixture(t, 64, DefaultConfig())
 	from, to := f.nodes[0], f.nodes[10]
 	f.nw.SendDirect(from, to.ID(), "direct")
-	if f.nw.Traffic.Total() != 1 {
-		t.Fatalf("SendDirect cost %d messages, want 1", f.nw.Traffic.Total())
+	if f.nw.MessagesSent != 1 {
+		t.Fatalf("SendDirect cost %d messages, want 1", f.nw.MessagesSent)
 	}
 	f.engine.Run()
 	if len(f.received[to.ID()]) != 1 {
@@ -230,7 +230,7 @@ func TestHandoffOnlyCharges(t *testing.T) {
 	from, to := f.nodes[0], f.nodes[9]
 	got := 0
 	f.nw.Attach(to, HandlerFunc(func(sim.Time, Message) { got++ }))
-	f.nw.WithTag(from, "churn", func() { f.nw.Handoff(from) })
+	f.nw.WithTag(from, TagChurn, func() { f.nw.Handoff(from) })
 	if n := f.engine.PendingForeground(); n != 0 {
 		t.Fatalf("a handoff scheduled %d events", n)
 	}
@@ -238,9 +238,8 @@ func TestHandoffOnlyCharges(t *testing.T) {
 	if got != 0 || f.nw.Delivered != 0 {
 		t.Fatalf("a handoff delivered %d messages (Delivered = %d), want none", got, f.nw.Delivered)
 	}
-	if f.nw.Traffic.Get(from.ID()) != 1 || f.nw.MessagesSent != 1 || f.nw.TaggedTraffic("churn").Get(from.ID()) != 1 {
-		t.Fatalf("sender charged %d (churn %d, sent %d), want 1 each",
-			f.nw.Traffic.Get(from.ID()), f.nw.TaggedTraffic("churn").Get(from.ID()), f.nw.MessagesSent)
+	if f.nw.MessagesSent != 1 || f.nw.ByTag[TagChurn] != 1 {
+		t.Fatalf("sender charged %d (churn %d), want 1 each", f.nw.MessagesSent, f.nw.ByTag[TagChurn])
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // of every overlay operation runs once on a serial network (one lane,
 // aliasing the aggregates) and once on a parallel one (a lane per
 // shard, merged at Sync). Hop delays are unit, so no draw is taken and
-// the two must agree on every count.
+// the two must agree on every count, the per-tag split included.
 
 // scriptMsg is the script's payload. Its ring key lets it bounce; a
 // positive ttl makes the receiving handler forward it, under the tag it
@@ -22,7 +22,7 @@ import (
 type scriptMsg struct {
 	key id.ID
 	ttl int
-	tag string
+	tag Tag
 }
 
 func (m *scriptMsg) RingKey() id.ID { return m.key }
@@ -34,21 +34,13 @@ type scriptNode struct {
 	got  int64
 }
 
-// peerAccounts is everything the two runs must agree on.
-type peerAccounts struct {
-	totals  totals
-	traffic map[id.ID]int64
-	tagged  map[string]map[id.ID]int64
-	tagSum  int64
-}
-
-var scriptTags = []string{"", "ric", "agg", "churn", TagRepl}
+var scriptTags = []Tag{TagApp, TagRIC, TagAgg, TagChurn, TagRepl}
 
 // runPeerScript executes the seed's script on a fresh 48-node network
-// and returns the accounts after Run and Sync. Every decision depends
+// and returns the totals after Run and Sync. Every decision depends
 // only on the seeded source and on ring membership, which the script
 // itself drives, so equal seeds yield equal scripts on any engine.
-func runPeerScript(t *testing.T, seed int64, workers int) peerAccounts {
+func runPeerScript(t *testing.T, seed int64, workers int) totals {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	ring := chord.NewRing()
@@ -173,10 +165,6 @@ func runPeerScript(t *testing.T, seed int64, workers int) peerAccounts {
 	nw.Sync()
 
 	label := fmt.Sprintf("seed %d workers %d", seed, workers)
-	acc := peerAccounts{totals: nw.totals, traffic: map[id.ID]int64{}, tagged: map[string]map[id.ID]int64{}}
-	if nw.Traffic.Total() != nw.MessagesSent {
-		t.Fatalf("%s: Traffic.Total %d != MessagesSent %d", label, nw.Traffic.Total(), nw.MessagesSent)
-	}
 	var got, tagSum int64
 	for _, sn := range all {
 		got += sn.got
@@ -184,22 +172,13 @@ func runPeerScript(t *testing.T, seed int64, workers int) peerAccounts {
 	if got != nw.Delivered {
 		t.Fatalf("%s: handlers consumed %d messages, Delivered = %d", label, got, nw.Delivered)
 	}
-	for _, nid := range everID {
-		acc.traffic[nid] = nw.Traffic.Get(nid)
+	for _, n := range nw.ByTag {
+		tagSum += n
 	}
-	for _, tag := range scriptTags[1:] {
-		tl := nw.TaggedTraffic(tag)
-		tagSum += tl.Total()
-		acc.tagged[tag] = map[id.ID]int64{}
-		for _, nid := range everID {
-			acc.tagged[tag][nid] = tl.Get(nid)
-		}
+	if tagSum != nw.MessagesSent {
+		t.Fatalf("%s: ByTag %v sums to %d of %d messages", label, nw.ByTag, tagSum, nw.MessagesSent)
 	}
-	if tagSum > nw.MessagesSent {
-		t.Fatalf("%s: tagged loads sum to %d of %d messages", label, tagSum, nw.MessagesSent)
-	}
-	acc.tagSum = tagSum
-	return acc
+	return nw.totals
 }
 
 func TestPeerAccountingDifferential(t *testing.T) {
@@ -207,23 +186,11 @@ func TestPeerAccountingDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		serial := runPeerScript(t, seed, 0)
 		parallel := runPeerScript(t, seed, 2)
-		if serial.totals != parallel.totals {
-			t.Fatalf("seed %d: totals differ\nserial   %+v\nparallel %+v", seed, serial.totals, parallel.totals)
+		if serial != parallel {
+			t.Fatalf("seed %d: totals differ\nserial   %+v\nparallel %+v", seed, serial, parallel)
 		}
-		for nid, want := range serial.traffic {
-			if got := parallel.traffic[nid]; got != want {
-				t.Fatalf("seed %d: traffic of %s: serial %d, parallel %d", seed, nid, want, got)
-			}
-		}
-		for tag, loads := range serial.tagged {
-			for nid, want := range loads {
-				if got := parallel.tagged[tag][nid]; got != want {
-					t.Fatalf("seed %d: %q traffic of %s: serial %d, parallel %d", seed, tag, nid, want, got)
-				}
-			}
-		}
-		sent += serial.totals.MessagesSent
-		tagged += serial.tagSum
+		sent += serial.MessagesSent
+		tagged += serial.MessagesSent - serial.ByTag[TagApp]
 	}
 	if sent == 0 || tagged == 0 {
 		t.Fatalf("the scripts exercised too little: %d messages, %d tagged", sent, tagged)
@@ -247,18 +214,15 @@ func TestPeerUnattachedNodes(t *testing.T) {
 	from, to := nodes[0], nodes[5]
 	var got int
 	nw.Attach(to, HandlerFunc(func(sim.Time, Message) { got++ }))
-	nw.Send(from, to.ID(), "routed")                     // unattached sender
-	nw.SendDirect(from, to.ID(), "direct")               // unattached sender
-	nw.SendDirect(to, from.ID(), "lost")                 // unattached recipient: dropped
-	nw.WithTag(from, "ric", func() { nw.Handoff(from) }) // unattached sender, charge only
+	nw.Send(from, to.ID(), "routed")                      // unattached sender
+	nw.SendDirect(from, to.ID(), "direct")                // unattached sender
+	nw.SendDirect(to, from.ID(), "lost")                  // unattached recipient: dropped
+	nw.WithTag(from, TagRIC, func() { nw.Handoff(from) }) // unattached sender, charge only
 	engine.Run()
 	if got != 2 || nw.Delivered != 2 {
 		t.Fatalf("attached recipient got %d messages, Delivered = %d, want 2 and 2", got, nw.Delivered)
 	}
-	if nw.Traffic.Get(from.ID()) < 3 || nw.TaggedTraffic("ric").Get(from.ID()) != 1 {
-		t.Fatalf("unattached sender charged %d (ric %d)", nw.Traffic.Get(from.ID()), nw.TaggedTraffic("ric").Get(from.ID()))
-	}
-	if nw.Traffic.Total() != nw.MessagesSent {
-		t.Fatalf("Traffic.Total %d != MessagesSent %d", nw.Traffic.Total(), nw.MessagesSent)
+	if nw.MessagesSent < 3 || nw.ByTag[TagRIC] != 1 {
+		t.Fatalf("unattached sender charged %d (ric %d)", nw.MessagesSent, nw.ByTag[TagRIC])
 	}
 }

@@ -324,7 +324,10 @@ type Stats struct {
 	AggPartials  int64
 	AggUpdates   int64
 	AggStateLost int64
-	// MaxNodeQPL and ParticipatingNodes describe the QPL distribution.
+	// MaxNodeQPL and ParticipatingNodes describe the QPL distribution:
+	// the largest QPL of one ring identifier, and how many identifiers
+	// carry any. Both cover every identifier that has held a node,
+	// departed ones included.
 	MaxNodeQPL         int64
 	ParticipatingNodes int
 
@@ -396,9 +399,8 @@ type Stats struct {
 	TrafficByTag TagTraffic
 }
 
-// TagTraffic is the per-tag decomposition of total network traffic. The
-// tagged lanes are disjoint; App is the untagged remainder (tuple and
-// query routing, RIC piggybacks, answer delivery), so the five fields
+// TagTraffic is the per-tag decomposition of total network traffic.
+// Every message is counted under exactly one tag, so the five fields
 // sum to Stats.Messages.
 type TagTraffic struct {
 	// RIC is placement polling (Request-RIC walks); equals RICMessages.
@@ -411,7 +413,8 @@ type TagTraffic struct {
 	Churn int64
 	// Repl is replica-group mirroring; equals ReplicationMessages.
 	Repl int64
-	// App is everything untagged.
+	// App is everything sent outside those four scopes: tuple and query
+	// routing, RIC piggybacks and answer delivery.
 	App int64
 }
 
@@ -774,48 +777,54 @@ func (n *Network) nodeAt(index int, action string) (*chord.Node, error) {
 // Stats snapshots network-wide cost measures.
 func (n *Network) Stats() Stats {
 	n.eng.Sync() // fold any unmerged parallel shard deltas in first
-	total := n.eng.Net().Traffic.Total()
+	nw := n.eng.Net()
 	byTag := TagTraffic{
-		RIC:   n.eng.Net().TaggedTraffic(core.TagRIC).Total(),
-		Agg:   n.eng.Net().TaggedTraffic(core.TagAgg).Total(),
-		Churn: n.eng.Net().TaggedTraffic(core.TagChurn).Total(),
-		Repl:  n.eng.Net().TaggedTraffic(overlay.TagRepl).Total(),
+		RIC:   nw.ByTag[overlay.TagRIC],
+		Agg:   nw.ByTag[overlay.TagAgg],
+		Churn: nw.ByTag[overlay.TagChurn],
+		Repl:  nw.ByTag[overlay.TagRepl],
+		App:   nw.ByTag[overlay.TagApp],
 	}
-	byTag.App = total - byTag.RIC - byTag.Agg - byTag.Churn - byTag.Repl
+	qpl, sl := n.eng.Load()
+	ranked, _ := n.eng.RankedLoad()
+	var maxQPL int64
+	if len(ranked) > 0 {
+		maxQPL = ranked[0]
+	}
 	return Stats{
-		Messages:            total,
+		Messages:            nw.MessagesSent,
 		RICMessages:         byTag.RIC,
-		QueryProcessingLoad: n.eng.QPL.Total(),
-		StorageLoad:         n.eng.SL.Total(),
+		QueryProcessingLoad: qpl,
+		StorageLoad:         sl,
 		Answers:             n.eng.Counters.AnswersDelivered,
 		RewritesCreated:     n.eng.Counters.RewritesCreated,
 		AggPartials:         n.eng.Counters.AggPartials,
 		AggUpdates:          n.eng.Counters.AggUpdates,
 		AggStateLost:        n.eng.Counters.AggStateLost,
-		MaxNodeQPL:          n.eng.QPL.Max(),
-		ParticipatingNodes:  n.eng.QPL.Participants(),
+		MaxNodeQPL:          maxQPL,
+		ParticipatingNodes:  len(ranked),
 		Joins:               n.mgr.Stats.Joins,
 		Leaves:              n.mgr.Stats.Leaves,
 		Crashes:             n.mgr.Stats.Crashes,
 		HandoverMessages:    n.eng.Counters.HandoverMessages,
 		HandoverEntries:     n.eng.Counters.HandoverEntries,
 		MessagesRerouted:    n.eng.Counters.MessagesRerouted,
-		MessagesBounced:     n.eng.Net().Bounced,
+		MessagesBounced:     nw.Bounced,
 		QueriesRecovered:    n.eng.Counters.QueriesRecovered,
 		QueriesLost:         n.eng.Counters.QueriesLost,
 		RewritesLost:        n.eng.Counters.RewritesLost,
 		TuplesLost:          n.eng.Counters.TuplesLost,
-		ReplicationMessages: n.eng.Net().TaggedTraffic(overlay.TagRepl).Total(),
+		ReplicationMessages: byTag.Repl,
 		ReplUpdates:         n.eng.Counters.ReplUpdates,
 		ReplOps:             n.eng.Counters.ReplOps,
 		ReplSyncs:           n.eng.Counters.ReplSyncs,
 		ReplPromotions:      n.eng.Counters.ReplPromotions,
 		ReplEntriesPromoted: n.eng.Counters.ReplEntriesPromoted,
-		Dropped:             n.eng.Net().Dropped,
-		Duplicated:          n.eng.Net().Duplicated,
-		Retransmits:         n.eng.Net().Retransmits,
-		AckMessages:         n.eng.Net().AckMessages,
-		Abandoned:           n.eng.Net().Abandoned,
+		Dropped:             nw.Dropped,
+		Duplicated:          nw.Duplicated,
+		Retransmits:         nw.Retransmits,
+		AckMessages:         nw.AckMessages,
+		Abandoned:           nw.Abandoned,
 		QueriesShared:       n.eng.Counters.QueriesShared,
 		QueriesUnsubscribed: n.eng.Counters.QueriesUnsubscribed,
 		SharedFanoutRows:    n.eng.Counters.SharedFanoutRows,
