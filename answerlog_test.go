@@ -8,12 +8,12 @@ import (
 )
 
 // TestAnswersLogView pins the contract of the answer reads over the
-// owner's flat answer log. Answers, AnswersSince and Count are views
+// owner's answer log. Answers, AnswersSince and Count are views
 // built on demand, so the test holds them to what the engine delivered
 // — the rows, in delivery order, with their query, values, delivery
 // time and lineage, digested and pinned with and without Provenance,
-// serial and parallel, to the digests of the []Answer log the flat one
-// replaced — and to the rules a view must keep: a slice returned earlier is never
+// serial and parallel, to the digests of the []Answer log that the flat
+// value log and then the byte log replaced — and to the rules a view must keep: a slice returned earlier is never
 // changed by later deliveries, appending to a returned Row never writes
 // the next row, AnswersSince(c) is Answers()[c:], Count is
 // len(Answers()), an unsubscribed subscription reads empty everywhere,

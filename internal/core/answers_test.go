@@ -50,8 +50,8 @@ func TestRowKeyInjective(t *testing.T) {
 // TestAnswerRowAllocs: once warm, a completed row costs no allocation
 // on its way to where it is kept. On the plain path AppendComplete
 // writes it into the slot's scratch, newAnswerMsg copies it into the
-// pooled message's own buffer, recordAnswer appends its values to the
-// owner's flat log and the message is recycled; on the aggregate path
+// pooled message's own buffer, recordAnswer encodes it onto the owner's
+// byte log and the message is recycled; on the aggregate path
 // the partial's buffer carries it into aggFold on an existing group.
 // The log's amortized growth averages out below one allocation per row;
 // a row a DISTINCT owner drops allocates nothing at all.
@@ -98,7 +98,7 @@ func TestAnswerRowAllocs(t *testing.T) {
 		t.Fatalf("log holds %d rows, last %v: want 1001 of [2 4 5]", len(ans), ans[len(ans)-1].Row)
 	}
 
-	// A DISTINCT owner encodes each row into its own buffer and makes a
+	// A DISTINCT owner encodes each row onto its log's tail and makes a
 	// key string only for a row it keeps: a repeat costs nothing.
 	if n := testing.AllocsPerRun(1000, func() {
 		owner.HandleMessage(now, newAnswerMsg(distinctID, nodes[0].ID(), complete(distinct), 0, nil))
@@ -130,10 +130,10 @@ func TestAnswerRowAllocs(t *testing.T) {
 // whose key is interned builds the key's text in the slot's scratch and
 // finds it there; the aggregator folds it into its existing (group,
 // epoch) partial in place; and the flush of the dirty group finalizes
-// the view row into a pooled update, which the subscriber copies into
-// the view entry it already holds before the update is recycled. What
-// is left are the objects the network keeps: a new (group, epoch)'s
-// column array and a new view entry's row.
+// the view row into a pooled update, which the subscriber copies over
+// the view row it already holds before the update is recycled. What is
+// left are the objects the network keeps: a new (group, epoch)'s column
+// array and the growth of the view's row array.
 func TestAggPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops puts, so the pooled partials and updates allocate")
@@ -149,7 +149,7 @@ func TestAggPathAllocs(t *testing.T) {
 	row := []relation.Value{iv(4), iv(1), iv(5), iv(3), iv(3), iv(5)}
 	at := eng.procs[nodes[5].ID()]
 	emit := func() { at.emitTo(eng.sim.Now(), qid, owner, spec, completion{vals: row}) }
-	emit() // warm: the group, its epoch, the view entry, the candidate table
+	emit() // warm: the group, its epoch, the view row, the candidate table
 	eng.Run()
 	const runs = 100
 	if n := allocsOf(runs, eng.Run, emit); n != 0 {
@@ -165,7 +165,7 @@ func TestAggPathAllocs(t *testing.T) {
 	eng.Run()
 	updates := eng.Counters.AggUpdates
 	if n := allocsOf(runs, fold, eng.Run); n != 0 {
-		t.Errorf("flushing a dirty group into the view entry its subscriber holds: %d allocations, want 0", n)
+		t.Errorf("flushing a dirty group into the view row its subscriber holds: %d allocations, want 0", n)
 	}
 	eng.Run()
 	if got := eng.Counters.AggUpdates - updates; got != runs+1 {

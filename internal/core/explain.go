@@ -97,7 +97,7 @@ func (e *Engine) Explain(queryID string) (*profile.Report, error) {
 	}
 
 	sub.mu.Lock()
-	r.Answers = int64(len(sub.at))
+	r.Answers = int64(sub.rows)
 	r.AggUpdates = int64(len(sub.view))
 	sub.mu.Unlock()
 	return r, nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -32,9 +33,8 @@ import (
 type Answer struct {
 	// Query is the subscription's query ID.
 	Query string
-	// Row holds the select-list values: a capacity-capped view of the
-	// owner's answer log, so an append to it copies, but the values are
-	// the engine's and must not be written.
+	// Row holds the select-list values: the caller's own copy, decoded
+	// from the owner's answer log by the read that returned it.
 	Row []relation.Value
 	// At is the virtual time of delivery.
 	At int64
@@ -51,13 +51,16 @@ type viewKey struct {
 	epoch int64
 }
 
-// viewEntry is the latest version of one view row.
-type viewEntry struct {
-	row []relation.Value
-	ver int64
-	// lin is the row's provenance snapshot (see aggUpdateMsg.Lineage);
-	// nil unless Config.Provenance is set.
-	lin []query.LineageStep
+// markEvery is how many logged rows lie between two seek marks: a read
+// from a cursor decodes at most markEvery-1 rows it does not return.
+const markEvery = 64
+
+// logMark is where row i·markEvery of an answer log starts (i ≥ 1; row
+// 0 starts at offset 0 with base time 0): its byte offset, and the
+// delivery time of the row before it, which its delay counts from.
+type logMark struct {
+	off  int
+	base int64
 }
 
 // subscription is everything the engine keeps for one submitted query.
@@ -70,17 +73,28 @@ type subscription struct {
 	retired bool
 
 	mu sync.Mutex
-	// The answer log: the delivered rows in delivery order, one entry of
-	// at per row, the row's len(q.Select) values back to back in vals,
-	// and its lineage in lins (nil unless Config.Provenance is set).
-	// Answers builds the []Answer view of it on demand.
-	vals []relation.Value
-	at   []int64
-	lins [][]query.LineageStep
-	seen map[string]bool       // DISTINCT: canonical rows already delivered
-	key  []byte                // DISTINCT: the row being checked, encoded
-	view map[viewKey]viewEntry // aggregate view
-	lat  *obs.Histogram        // answer latency; nil unless Config.Obs has metrics
+	// The answer log: the delivered rows in delivery order, each the
+	// uvarint delay since the previous row's delivery (since time 0 for
+	// the first), then its len(q.Select) values encoded with
+	// relation.AppendCanonical. rows counts them, last is the latest
+	// row's delivery time, and marks holds the start of every
+	// markEvery-th row. lins holds each row's lineage (nil unless
+	// Config.Provenance is set). The reads decode the rows they return.
+	log   []byte
+	rows  int
+	last  int64
+	marks []logMark
+	lins  [][]query.LineageStep
+	seen  map[string]bool // DISTINCT: canonical rows already delivered
+	// The aggregate view: every (group, epoch)'s index into vrows, which
+	// holds its latest row (len(q.Select) values per row), vers, its
+	// version, and vlins, its lineage (nil unless Config.Provenance is
+	// set; see aggUpdateMsg.Lineage).
+	view  map[viewKey]int32
+	vrows []relation.Value
+	vers  []int64
+	vlins [][]query.LineageStep
+	lat   *obs.Histogram // answer latency; nil unless Config.Obs has metrics
 }
 
 // addSub opens the record of a freshly stamped query.
@@ -104,7 +118,8 @@ func (e *Engine) retireSub(qid string) {
 	}
 	s.mu.Lock()
 	s.retired = true
-	s.vals, s.at, s.lins, s.seen, s.key, s.view, s.lat = nil, nil, nil, nil, nil, nil, nil
+	s.log, s.rows, s.last, s.marks, s.lins, s.seen = nil, 0, 0, nil, nil, nil
+	s.view, s.vrows, s.vers, s.vlins, s.lat = nil, nil, nil, nil, nil
 	s.mu.Unlock()
 }
 
@@ -153,8 +168,8 @@ func (e *Engine) observe(now sim.Time, p *Proc, s *subscription, lat int64, kind
 
 // recordAnswer collects an answer at its owner, applying the owner-side
 // set-semantics filter for DISTINCT queries (a final local safety net on
-// top of the distributed projection rule), and appends the row's values
-// to the log — the message's row buffer goes back to the pool with it.
+// top of the distributed projection rule), and encodes the row onto the
+// log — the message's row buffer goes back to the pool with it.
 // Per-query delivery order is fixed by the owner's shard schedule, so
 // locking cannot perturb it.
 func (e *Engine) recordAnswer(now sim.Time, m *answerMsg, p *Proc) {
@@ -163,24 +178,41 @@ func (e *Engine) recordAnswer(now sim.Time, m *answerMsg, p *Proc) {
 		return
 	}
 	defer s.mu.Unlock()
+	if len(m.Values) != len(s.q.Select) {
+		panic(fmt.Sprintf("core: answer of %d values for %s, which selects %d", len(m.Values), m.QueryID, len(s.q.Select)))
+	}
+	if int64(now) < s.last {
+		panic(fmt.Sprintf("core: answer for %s delivered at %d, after one at %d", m.QueryID, now, s.last))
+	}
+	if cap(s.log)-len(s.log) < 64 {
+		// Past 256 bytes an append grows a byte slice by about a quarter;
+		// doubling keeps a row's share of the log's reallocations below
+		// what the value slices it replaced cost.
+		s.log = slices.Grow(s.log, len(s.log)+64)
+	}
+	start := len(s.log)
+	s.log = binary.AppendUvarint(s.log, uint64(int64(now)-s.last))
+	vals := len(s.log)
+	s.log = appendRowKey(s.log, m.Values)
 	if s.q.Distinct {
-		// The lookup reads the encoding in place; only a kept row's key
-		// becomes a string.
-		s.key = appendRowKey(s.key[:0], m.Values)
-		if s.seen[string(s.key)] {
+		// The row's encoding on the log's tail is its key: the lookup
+		// reads it in place, only a kept row's key becomes a string, and
+		// a repeat leaves the log as it was.
+		if s.seen[string(s.log[vals:])] {
+			s.log = s.log[:start]
 			return
 		}
 		if s.seen == nil {
 			s.seen = make(map[string]bool)
 		}
-		s.seen[string(s.key)] = true
+		s.seen[string(s.log[vals:])] = true
 	}
-	if len(m.Values) != len(s.q.Select) {
-		panic(fmt.Sprintf("core: answer of %d values for %s, which selects %d", len(m.Values), m.QueryID, len(s.q.Select)))
+	if s.rows > 0 && s.rows%markEvery == 0 {
+		s.marks = append(s.marks, logMark{off: start, base: s.last})
 	}
+	s.rows++
+	s.last = int64(now)
 	p.ctr.AnswersDelivered++
-	s.vals = append(s.vals, m.Values...)
-	s.at = append(s.at, int64(now))
 	if e.prov {
 		s.lins = append(s.lins, m.Lineage)
 	}
@@ -188,14 +220,15 @@ func (e *Engine) recordAnswer(now sim.Time, m *answerMsg, p *Proc) {
 	e.observe(now, p, s, lat, obs.KindAnswer, "", lat)
 }
 
-// appendRowKey canonicalizes a row for the DISTINCT filter using the
-// shared injective encoding (relation.AppendCanonical — kind tag plus
-// length-prefixed payload): no choice of values — strings containing
-// NUL, strings resembling a separator, or an integer rendering
-// identically to a string (Int64(12) vs String64("12")) — can make two
-// distinct rows collide, which a bare separator-joined rendering
-// allowed (rows differing only in where a NUL fell deduplicated
-// against each other, silently dropping a real answer).
+// appendRowKey encodes a row with the shared injective encoding
+// (relation.AppendCanonical — kind tag plus length-prefixed payload),
+// which is both the answer log's row format and the DISTINCT filter's
+// key: no choice of values — strings containing NUL, strings resembling
+// a separator, or an integer rendering identically to a string
+// (Int64(12) vs String64("12")) — can make two distinct rows collide,
+// which a bare separator-joined rendering allowed (rows differing only
+// in where a NUL fell deduplicated against each other, silently
+// dropping a real answer).
 func appendRowKey(dst []byte, vals []relation.Value) []byte {
 	for _, v := range vals {
 		dst = relation.AppendCanonical(dst, v)
@@ -214,23 +247,34 @@ func (e *Engine) recordAggUpdate(now sim.Time, m *aggUpdateMsg, p *Proc) {
 	defer s.mu.Unlock()
 	p.ctr.AggUpdates++
 	e.observe(now, p, s, int64(now)-m.PubAt, obs.KindAggUpdate, m.Group, m.Epoch)
-	if s.view == nil {
-		s.view = make(map[viewKey]viewEntry)
+	w := len(s.q.Select)
+	if len(m.Row) != w {
+		panic(fmt.Sprintf("core: view row of %d values for %s, which selects %d", len(m.Row), m.QueryID, w))
 	}
+	// The message's row is its own buffer, recycled on return: the view
+	// copies it into its row array.
 	k := viewKey{group: m.Group, epoch: m.Epoch}
-	cur, ok := s.view[k]
-	if ok && cur.ver > m.Ver {
+	i, ok := s.view[k]
+	if !ok {
+		if s.view == nil {
+			s.view = make(map[viewKey]int32)
+		}
+		s.view[k] = int32(len(s.vers))
+		s.vrows = append(s.vrows, m.Row...)
+		s.vers = append(s.vers, m.Ver)
+		if e.prov {
+			s.vlins = append(s.vlins, m.Lineage)
+		}
 		return
 	}
-	// The message's row is its own buffer, recycled on return: the entry
-	// keeps a copy in its own array, made once per (group, epoch).
-	if ok {
-		copy(cur.row, m.Row)
-	} else {
-		cur.row = slices.Clone(m.Row)
+	if s.vers[i] > m.Ver {
+		return
 	}
-	cur.ver, cur.lin = m.Ver, m.Lineage
-	s.view[k] = cur
+	copy(s.vrows[int(i)*w:], m.Row)
+	s.vers[i] = m.Ver
+	if e.prov {
+		s.vlins[i] = m.Lineage
+	}
 }
 
 // Answers returns the rows delivered so far for a query, in delivery
@@ -238,11 +282,12 @@ func (e *Engine) recordAggUpdate(now sim.Time, m *aggUpdateMsg, p *Proc) {
 func (e *Engine) Answers(queryID string) []Answer { return e.AnswersSince(queryID, 0) }
 
 // AnswersSince returns the rows delivered at or after position cursor
-// of the delivery order (clamped to it); nil when there are none. The
-// []Answer is built on every call, O(rows returned): a slice returned
-// earlier never changes. Each Row is a capacity-capped view of the
-// owner's log, so an append to it copies, but its values are shared
-// with the engine and must not be written.
+// of the delivery order (clamped to it); nil when there are none. It
+// decodes the rows from the answer log on every call, starting at the
+// last seek mark at or before cursor, so it costs O(rows returned +
+// markEvery). The []Answer and every Row in it are the caller's: each
+// Row is a capacity-capped slice of one fresh array, so an append to it
+// copies, and a slice returned earlier never changes.
 func (e *Engine) AnswersSince(queryID string, cursor int) []Answer {
 	s := e.subs[queryID]
 	if s == nil {
@@ -250,18 +295,38 @@ func (e *Engine) AnswersSince(queryID string, cursor int) []Answer {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := len(s.at)
+	n := s.rows
 	cursor = min(max(cursor, 0), n)
 	if cursor == n {
 		return nil
 	}
+	r, mk := cursor-cursor%markEvery, logMark{}
+	if r > 0 {
+		mk = s.marks[r/markEvery-1]
+	}
+	b, at := s.log[mk.off:], mk.base
 	w := len(s.q.Select)
 	out := make([]Answer, n-cursor)
-	for i := range out {
-		r := cursor + i
-		out[i] = Answer{Query: s.q.ID, Row: s.vals[r*w : (r+1)*w : (r+1)*w], At: s.at[r]}
-		if s.lins != nil {
-			out[i].Lineage = s.lins[r]
+	vals := make([]relation.Value, len(out)*w)
+	for ; r < n; r++ {
+		d, k := binary.Uvarint(b)
+		b, at = b[k:], at+int64(d)
+		var row []relation.Value // nil: a row before cursor, decoded and dropped
+		if i := r - cursor; i >= 0 {
+			row = vals[i*w : (i+1)*w : (i+1)*w]
+			out[i] = Answer{Query: s.q.ID, Row: row, At: at}
+			if s.lins != nil {
+				out[i].Lineage = s.lins[r]
+			}
+		}
+		for j := range w {
+			v, rest, err := relation.ReadCanonical(b)
+			if err != nil {
+				panic(fmt.Sprintf("core: answer log of %s, row %d: %v", queryID, r, err))
+			}
+			if b = rest; row != nil {
+				row[j] = v
+			}
 		}
 	}
 	return out
@@ -276,7 +341,7 @@ func (e *Engine) AnswerCount(queryID string) int {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.at)
+	return s.rows
 }
 
 // AggRows returns the current aggregate view of a query: the latest
@@ -284,7 +349,7 @@ func (e *Engine) AnswerCount(queryID string) int {
 // epoch. Aggregate views are complete as of the last Run() quiescence
 // flush. The rows are copied into one fresh array on every call, so a
 // slice returned earlier never changes, though a later update rewrites
-// the engine's entry in place.
+// the engine's row in place.
 func (e *Engine) AggRows(queryID string) []agg.ViewRow {
 	s := e.subs[queryID]
 	if s == nil {
@@ -294,10 +359,13 @@ func (e *Engine) AggRows(queryID string) []agg.ViewRow {
 	defer s.mu.Unlock()
 	w := len(s.q.Select)
 	out := make([]agg.ViewRow, 0, len(s.view))
-	vals := make([]relation.Value, 0, len(s.view)*w)
-	for k, ent := range s.view {
-		vals = append(vals, ent.row...)
-		out = append(out, agg.ViewRow{Group: k.group, Epoch: k.epoch, Row: vals[len(vals)-w : len(vals) : len(vals)], Lineage: ent.lin})
+	vals := slices.Clone(s.vrows)
+	for k, i := range s.view {
+		r := int(i) * w
+		out = append(out, agg.ViewRow{Group: k.group, Epoch: k.epoch, Row: vals[r : r+w : r+w]})
+		if s.vlins != nil {
+			out[len(out)-1].Lineage = s.vlins[i]
+		}
 	}
 	agg.SortViewRows(out)
 	return out
@@ -350,7 +418,7 @@ func (e *Engine) subsFootprint() (f subsFootprint) {
 		} else {
 			f.live++
 		}
-		f.rows += len(s.at) + len(s.view)
+		f.rows += s.rows + len(s.view)
 		f.aux += len(s.seen)
 		if s.lat != nil {
 			f.aux++

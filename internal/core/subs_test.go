@@ -2,8 +2,12 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"rjoin/internal/agg"
 	"rjoin/internal/chord"
@@ -11,6 +15,7 @@ import (
 	"rjoin/internal/overlay"
 	"rjoin/internal/refeval"
 	"rjoin/internal/relation"
+	"rjoin/internal/sim"
 	"rjoin/internal/sqlparse"
 )
 
@@ -203,3 +208,183 @@ func TestSubsReleaseOnUnsubscribe(t *testing.T) {
 		}
 	}
 }
+
+// TestAnswerLogSeek: reads decode the byte log from its seek marks.
+// Over 3 mark intervals and more of rows of mixed kinds, delivered 0, 1
+// and more than 2^14 ticks apart (a three-byte delay), AnswersSince(c)
+// is Answers()[c:] with the delivery times for every c, and still is
+// once the log before the last mark is overwritten — the read starts at
+// a mark. A DISTINCT log whose every row arrives twice keeps each row's
+// first delivery. Explain's Answers is Count, the footprint counts log
+// rows and view rows, and a retired subscription reads empty.
+func TestAnswerLogSeek(t *testing.T) {
+	eng, nodes := testNet(t, 8, 1, Config{}, overlay.DefaultConfig())
+	submit := func(sql string) string {
+		qid, err := eng.SubmitQuery(nodes[0], sqlparse.MustParse(sql, testCat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return qid
+	}
+	qid := submit("select R.B, S.B, S.C from R,S where R.A=S.A")
+	distinct := submit("select distinct R.B, S.C from R,S where R.A=S.A")
+	aggID := submit("select S.B, count(*) from R,S where R.A=S.A group by S.B")
+	eng.Run()
+	p := eng.procs[nodes[0].ID()]
+
+	const n = 3*markEvery + 17
+	gaps := []int64{0, 1, 1<<14 + 3, 0, 2}
+	now := int64(eng.sim.Now())
+	var want, wantDistinct []Answer
+	for r := range n {
+		now += gaps[r%len(gaps)]
+		row := []relation.Value{relation.Int64(int64(r*37 - 1000)), relation.String64(fmt.Sprint("s\x00", r%4)), relation.Int64(math.MinInt64 + int64(r))}
+		eng.recordAnswer(sim.Time(now), &answerMsg{QueryID: qid, Values: row}, p)
+		want = append(want, Answer{Query: qid, Row: row, At: now})
+		drow := []relation.Value{row[0], row[1]}
+		wantDistinct = append(wantDistinct, Answer{Query: distinct, Row: drow, At: now})
+		for range 2 { // the second delivery repeats the row
+			eng.recordAnswer(sim.Time(now), &answerMsg{QueryID: distinct, Values: drow}, p)
+			now += gaps[(r+1)%len(gaps)]
+		}
+	}
+	for i, g := range []string{"a", "b", "a"} {
+		eng.recordAggUpdate(sim.Time(now), &aggUpdateMsg{QueryID: aggID, Group: g, Epoch: int64(i), Ver: 1, Row: []relation.Value{relation.String64(g), relation.Int64(1)}}, p)
+	}
+
+	check := func(label, id string, want []Answer, from int) {
+		t.Helper()
+		if eng.AnswerCount(id) != len(want) || (from < 0 && !reflect.DeepEqual(eng.Answers(id), want)) {
+			t.Fatalf("%s: Answers() is not the %d rows delivered, or Count %d", label, len(want), eng.AnswerCount(id))
+		}
+		for c := from; c <= len(want)+1; c++ {
+			got, w := eng.AnswersSince(id, c), want[min(max(c, 0), len(want)):]
+			if len(got) != len(w) || (len(w) > 0 && !reflect.DeepEqual(got, w)) {
+				t.Fatalf("%s: AnswersSince(%d) is not Answers()[%d:]", label, c, c)
+			}
+		}
+	}
+	check("plain", qid, want, -1)
+	check("distinct", distinct, wantDistinct, -1)
+	s := eng.sub(qid)
+	if len(s.marks) != (n-1)/markEvery {
+		t.Fatalf("%d seek marks for %d rows, want %d", len(s.marks), n, (n-1)/markEvery)
+	}
+	if r, err := eng.Explain(qid); err != nil || r.Answers != int64(eng.AnswerCount(qid)) {
+		t.Fatalf("Explain reports %v answers (%v), Count %d", r.Answers, err, eng.AnswerCount(qid))
+	}
+	if r, err := eng.Explain(aggID); err != nil || r.AggUpdates != 3 {
+		t.Fatalf("Explain reports %v view rows (%v), want 3", r.AggUpdates, err)
+	}
+	if f := eng.subsFootprint(); f.rows != 2*n+3 {
+		t.Fatalf("footprint counts %d rows, want %d log rows and 3 view rows", f.rows, 2*n+3)
+	}
+
+	last := len(s.marks) * markEvery
+	for i := range s.marks[len(s.marks)-1].off {
+		s.log[i] = 0xff
+	}
+	check("past the last mark", qid, want, last)
+
+	if err := eng.Unsubscribe(qid); err != nil {
+		t.Fatal(err)
+	}
+	for c := -1; c <= n+1; c++ {
+		if got := eng.AnswersSince(qid, c); got != nil {
+			t.Fatalf("retired: AnswersSince(%d) holds %d rows", c, len(got))
+		}
+	}
+	if r, err := eng.Explain(qid); eng.Answers(qid) != nil || eng.AnswerCount(qid) != 0 || err != nil || r.Answers != 0 {
+		t.Fatalf("retired: Count %d, Explain %v answers (%v)", eng.AnswerCount(qid), r.Answers, err)
+	}
+	if f := eng.subsFootprint(); f.rows != n+3 {
+		t.Fatalf("footprint counts %d rows after the retirement, want %d", f.rows, n+3)
+	}
+}
+
+// TestSubscriberFootprint guards the subscriber's representation: a
+// logged row is its bytes, and a view row is its values in one array.
+// 10,000 two-int rows of one digit each hold 7 log bytes per row (one
+// delay byte and three per value) plus the seek marks — at most 8 — where
+// a row of relation.Values took 72. 1,000 new (group, epoch) view rows
+// allocate no more than the same appends to a fresh row array and
+// version slice and the same inserts into a fresh map, so nothing per
+// row, and rewriting them in place allocates nothing.
+func TestSubscriberFootprint(t *testing.T) {
+	eng, nodes := testNet(t, 8, 1, Config{}, overlay.DefaultConfig())
+	submit := func(sql string) string {
+		qid, err := eng.SubmitQuery(nodes[0], sqlparse.MustParse(sql, testCat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return qid
+	}
+	qid := submit("select R.B, S.B from R,S where R.A=S.A")
+	eng.Run()
+	p := eng.procs[nodes[0].ID()]
+	const n = 10000
+	now := int64(eng.sim.Now())
+	for r := range n {
+		now += int64(r % 3)
+		eng.recordAnswer(sim.Time(now), &answerMsg{QueryID: qid, Values: []relation.Value{relation.Int64(int64(r % 10)), relation.Int64(int64(r % 7))}}, p)
+	}
+	s := eng.sub(qid)
+	bytes := len(s.log) + len(s.marks)*int(unsafe.Sizeof(logMark{}))
+	if bytes > 8*n {
+		t.Errorf("%d two-int rows hold %d log bytes, %.2f per row: want at most 8", n, bytes, float64(bytes)/n)
+	}
+
+	const rows = 1000
+	msgs := make([]*aggUpdateMsg, rows)
+	for i := range msgs {
+		g := fmt.Sprint(i / 2)
+		msgs[i] = &aggUpdateMsg{Group: g, Epoch: int64(i % 2), Ver: 1, Row: []relation.Value{relation.String64(g), relation.Int64(int64(i))}}
+	}
+	measure := func(f func()) uint64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	var growth, view, rewrite uint64 = math.MaxUint64, math.MaxUint64, math.MaxUint64
+	for range 3 { // the least of three, against a stray allocation elsewhere in the process
+		growth = min(growth, measure(func() {
+			ref := &footprintRef // a record's fields live on the heap
+			ref.view, ref.vrows, ref.vers = make(map[viewKey]int32), nil, nil
+			for i, m := range msgs {
+				ref.view[viewKey{group: m.Group, epoch: m.Epoch}] = int32(i)
+				ref.vrows = append(ref.vrows, m.Row...)
+				ref.vers = append(ref.vers, m.Ver)
+			}
+		}))
+		aggID := submit("select S.B, count(*) from R,S where R.A=S.A group by S.B")
+		view = min(view, measure(func() {
+			for _, m := range msgs {
+				m.QueryID = aggID
+				eng.recordAggUpdate(sim.Time(now), m, p)
+			}
+		}))
+		rewrite = min(rewrite, measure(func() {
+			for _, m := range msgs {
+				m.Ver = 2
+				eng.recordAggUpdate(sim.Time(now), m, p)
+				m.Ver = 1
+			}
+		}))
+		if got := eng.AggRows(aggID); len(got) != rows {
+			t.Fatalf("the view holds %d rows, want %d", len(got), rows)
+		}
+	}
+	t.Logf("%.2f log bytes per row; %d allocations for %d new view rows, %d for the growth alone", float64(bytes)/n, view, rows, growth)
+	if view > growth {
+		t.Errorf("%d new view rows: %d allocations, want at most the %d of the row array's and the map's growth", rows, view, growth)
+	}
+	if rewrite != 0 {
+		t.Errorf("rewriting %d view rows in place: %d allocations, want 0", rows, rewrite)
+	}
+}
+
+// footprintRef is TestSubscriberFootprint's reference record.
+var footprintRef subscription

@@ -79,6 +79,40 @@ func AppendCanonical(b []byte, v Value) []byte {
 	return append(b, v.Str...)
 }
 
+// ReadCanonical is AppendCanonical's inverse: it decodes the value
+// encoded at the start of b and returns it with the rest of b. It
+// accepts exactly the bytes AppendCanonical writes — an unknown kind, a
+// truncated or overlong length, or an integer payload other than the
+// value's decimal rendering is an error — so a decoded value re-encodes
+// to the bytes it was read from.
+func ReadCanonical(b []byte) (Value, []byte, error) {
+	if len(b) == 0 {
+		return Value{}, nil, fmt.Errorf("relation: canonical value: empty input")
+	}
+	kind := Kind(b[0])
+	n, k := binary.Uvarint(b[1:])
+	if k <= 0 || (k > 1 && b[k] == 0) {
+		return Value{}, nil, fmt.Errorf("relation: canonical value: bad length")
+	}
+	b = b[1+k:]
+	if n > uint64(len(b)) {
+		return Value{}, nil, fmt.Errorf("relation: canonical value: %d-byte payload, %d left", n, len(b))
+	}
+	p, rest := b[:n], b[n:]
+	switch kind {
+	case KindInt:
+		i, err := strconv.ParseInt(string(p), 10, 64)
+		var digits [20]byte
+		if err != nil || string(strconv.AppendInt(digits[:0], i, 10)) != string(p) {
+			return Value{}, nil, fmt.Errorf("relation: canonical value: integer payload %q", p)
+		}
+		return Int64(i), rest, nil
+	case KindString:
+		return String64(string(p)), rest, nil
+	}
+	return Value{}, nil, fmt.Errorf("relation: canonical value: kind %d", kind)
+}
+
 // Schema describes one relation: its name and ordered attribute names.
 type Schema struct {
 	Relation string

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -273,6 +274,83 @@ func TestAppendCanonicalEncoding(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { AppendCanonical(buf[:0], Int64(-42)) }); n != 0 {
 		t.Fatalf("AppendCanonical of an int allocates %v times", n)
 	}
+}
+
+// TestCanonicalRoundTrip: ReadCanonical gives back every value
+// AppendCanonical encoded, alone and as a column of mixed kinds read in
+// sequence, keeps an integer and a string of the same rendering apart,
+// and errors on every proper prefix of an encoding.
+func TestCanonicalRoundTrip(t *testing.T) {
+	col := []Value{
+		Int64(math.MinInt64), Int64(math.MaxInt64), Int64(-1), Int64(0), Int64(127), Int64(128),
+		String64(""), String64("\x00"), String64("a\x00b\x00"), String64(strings.Repeat("x", 300)),
+		String64("\xff\xfe\xc0"), String64("ok\x80"),
+		Int64(12), String64("12"),
+	}
+	var all []byte
+	for _, v := range col {
+		enc := AppendCanonical(nil, v)
+		got, rest, err := ReadCanonical(enc)
+		if err != nil || got != v || len(rest) != 0 {
+			t.Fatalf("ReadCanonical(%q) = %#v, %q, %v; want %#v", enc, got, rest, err, v)
+		}
+		for n := range len(enc) {
+			if _, _, err := ReadCanonical(enc[:n]); err == nil {
+				t.Fatalf("%#v: the %d-byte prefix of its %d-byte encoding decodes", v, n, len(enc))
+			}
+		}
+		all = AppendCanonical(all, v)
+	}
+	for i, b := 0, all; i < len(col); i++ {
+		var v Value
+		var err error
+		if v, b, err = ReadCanonical(b); err != nil || v != col[i] {
+			t.Fatalf("column value %d: %#v, %v; want %#v", i, v, err, col[i])
+		}
+		if i == len(col)-1 && len(b) != 0 {
+			t.Fatalf("%d bytes left after the column", len(b))
+		}
+	}
+	for _, bad := range [][]byte{{2, 0}, {0, 2, '0', '1'}, {0, 2, '-', '0'}, {0, 1, '+'}, {1, 0x80, 0}, {0, 0}} {
+		if v, _, err := ReadCanonical(bad); err == nil {
+			t.Errorf("ReadCanonical(%q) = %#v, want an error: AppendCanonical writes no such bytes", bad, v)
+		}
+	}
+}
+
+// FuzzCanonicalRoundTrip: an integer and a string, encoded back to back,
+// decode to themselves with nothing left, and every proper prefix of the
+// pair errors. Arbitrary input never panics the decoder, and whatever it
+// accepts re-encodes to the bytes it consumed.
+func FuzzCanonicalRoundTrip(f *testing.F) {
+	f.Add(int64(0), "", []byte{})
+	f.Add(int64(math.MinInt64), "12", []byte{0, 2, '1', '2'})
+	f.Add(int64(128), "a\x00b", []byte{1, 0x80, 0x01})
+	f.Fuzz(func(t *testing.T, i int64, s string, raw []byte) {
+		enc := AppendCanonical(AppendCanonical(nil, Int64(i)), String64(s))
+		a, rest, err := ReadCanonical(enc)
+		if err != nil || a != Int64(i) {
+			t.Fatalf("integer %d: %#v, %v", i, a, err)
+		}
+		b, rest, err := ReadCanonical(rest)
+		if err != nil || b != String64(s) || len(rest) != 0 {
+			t.Fatalf("string %q: %#v, %v, %d bytes left", s, b, err, len(rest))
+		}
+		for n := range len(enc) {
+			v, rest, err := ReadCanonical(enc[:n])
+			if err == nil {
+				_, _, err = ReadCanonical(rest)
+			}
+			if err == nil {
+				t.Fatalf("the %d-byte prefix of a %d-byte pair decodes to two values, the first %#v", n, len(enc), v)
+			}
+		}
+		if v, rest, err := ReadCanonical(raw); err == nil {
+			if got := AppendCanonical(nil, v); !bytes.Equal(got, raw[:len(raw)-len(rest)]) {
+				t.Fatalf("%q decodes to %#v, which encodes as %q", raw, v, got)
+			}
+		}
+	})
 }
 
 func TestKeyBuilders(t *testing.T) {

@@ -955,13 +955,12 @@ func (n *Network) WriteProfileJSON(w io.Writer) error {
 func (n *Network) Engine() *core.Engine { return n.eng }
 
 // Answers returns the rows delivered so far for this subscription, in
-// delivery order; none once it is unsubscribed. Each call builds a new
+// delivery order; none once it is unsubscribed. Each call decodes a new
 // slice from the engine's answer log, in time linear in the rows
 // delivered, so a consumer polling a long-lived subscription uses
-// AnswersSince. A slice returned earlier is never changed by later
-// deliveries, and appending to an answer's Row copies it, but the
-// values a Row holds are shared with the engine: callers must not
-// write them.
+// AnswersSince. The slice and every answer's Row are the caller's: a
+// slice returned earlier is never changed by later deliveries, and
+// appending to a Row copies it.
 func (s *Subscription) Answers() []Answer { return s.net.eng.Answers(s.ID) }
 
 // AnswersSince returns the answers delivered at or after the given
@@ -969,8 +968,7 @@ func (s *Subscription) Answers() []Answer { return s.net.eng.Answers(s.ID) }
 // [0, Count()]). A consumer polls with its running total — typically
 // cursor += len(batch) after each call — and sees every answer exactly
 // once. It costs time linear in the answers returned, not in those
-// delivered. As with Answers, the slice is the caller's but the rows'
-// values are shared and must not be written.
+// delivered. As with Answers, the slice and its rows are the caller's.
 func (s *Subscription) AnswersSince(cursor int) []Answer {
 	return s.net.eng.AnswersSince(s.ID, cursor)
 }
