@@ -136,17 +136,12 @@ type Engine struct {
 	subs    map[string]*subscription
 	aggLive int
 
-	// Multi-query sharing state (see share.go). All three structures are
-	// written only from coordinator context (SubmitQuery, Unsubscribe);
-	// handlers read them lock-free, the same discipline subs follows.
-	// fanouts maps a shared pipeline's QID to the immutable completion
-	// fan-out snapshot — mutation replaces the snapshot wholesale.
-	// retiredQ marks torn-down pipeline QIDs (their in-flight rewrites are
-	// dropped instead of being re-indexed, including on the handover,
-	// promotion and crash-recovery resurrection paths).
-	reg      *share.Registry
-	fanouts  map[string]*share.Fanout
-	retiredQ map[string]bool
+	// reg is the sharing registry (see share.go): every submission's
+	// class, a class of one when nothing shares with it. Written only from
+	// coordinator context (SubmitQuery, Unsubscribe), like subs; each
+	// class's completion fan-out lives on the subscription record of the
+	// QID naming its pipeline, which handlers read lock-free.
+	reg *share.Registry
 
 	delta    int64
 	pubSeq   int64
@@ -215,17 +210,15 @@ type acctSlot struct {
 // supported afterwards via NodeJoined/NodeLeft).
 func NewEngine(ring *chord.Ring, se *sim.Engine, net *overlay.Network, cfg Config) *Engine {
 	e := &Engine{
-		Cfg:      cfg,
-		loads:    make(map[id.ID]*load),
-		ring:     ring,
-		sim:      se,
-		net:      net,
-		procs:    make(map[id.ID]*Proc),
-		subs:     make(map[string]*subscription),
-		reg:      share.NewRegistry(),
-		fanouts:  make(map[string]*share.Fanout),
-		retiredQ: make(map[string]bool),
-		slots:    make([]acctSlot, 1),
+		Cfg:   cfg,
+		loads: make(map[id.ID]*load),
+		ring:  ring,
+		sim:   se,
+		net:   net,
+		procs: make(map[id.ID]*Proc),
+		subs:  make(map[string]*subscription),
+		reg:   share.NewRegistry(),
+		slots: make([]acctSlot, 1),
 	}
 	e.delta = cfg.Delta
 	if cfg.Delta == 0 {
@@ -335,6 +328,7 @@ func (e *Engine) SubmitQuery(owner *chord.Node, q *query.Query) (string, error) 
 		if pq != q {
 			sq = entryOf(pq) // a canonical pipeline stands in for q
 		}
+		sq.pipe = e.sub(qid)
 		p.place(e.sim.Now(), sq)
 	}
 	// Submission runs in coordinator context, outside any handler, so
@@ -552,47 +546,14 @@ func (e *Engine) StoredState() (queries, tuples, altt int) {
 // DeadState counts the stored entries nothing still to come can reach,
 // by the horizon of the last quiescent Run: windowed rewrites past their
 // window, tuples past their reach, ALTT entries past Δ, candidate-table
-// entries past ctValidity and aggregate epochs whose views all closed.
+// entries past ctValidity and aggregate epochs whose views all closed and
+// were flushed — each node's state.dead, which is what its drain drops.
 // Every quiescent Run drops them, so it reads zero after one. A full
 // scan, for tests and censuses.
 func (e *Engine) DeadState() (d DeadCounts) {
-	h, reach := e.horizon, e.tupleReach()
 	for _, p := range e.procs {
-		for _, list := range p.st.queries {
-			for _, sq := range list {
-				if h.dead(sq.q) {
-					d.Rewrites++
-				}
-			}
-		}
-		for _, list := range p.st.tuples {
-			for _, t := range list {
-				if h.tupleDead(t, reach) {
-					d.Tuples++
-				}
-			}
-		}
-		for _, list := range p.st.altt {
-			for _, en := range list {
-				if int64(en.expireAt) < h[clockTime] {
-					d.ALTT++
-				}
-			}
-		}
-		for _, en := range p.st.ct.entries {
-			if h.ctDead(en.At) {
-				d.CT++
-			}
-		}
-		for _, g := range p.st.aggs {
-			if spec := e.aggSpec(g.qid); spec != nil {
-				for _, ep := range g.epochs {
-					if h.epochDead(spec.Window, ep.epoch) {
-						d.Epochs++
-					}
-				}
-			}
-		}
+		n := p.st.dead(e.horizon)
+		d = DeadCounts{d.Rewrites + n.Rewrites, d.Tuples + n.Tuples, d.ALTT + n.ALTT, d.CT + n.CT, d.Epochs + n.Epochs}
 	}
 	return d
 }

@@ -245,16 +245,16 @@ func (e *Engine) CrashNode(n *chord.Node) error {
 	var lost, rePlace []*storedQuery
 	if promotee == nil {
 		p.st.each(classAll, nil, func(op stateOp) {
-			q := op.query()
+			sq := op.stored()
 			switch {
 			case e.retiredOp(op) || e.expired(op, p):
 				// torn-down pipeline or dead entry: nothing to recover or count
-			case q == nil || q.Depth > 0 || q.OneTime:
+			case sq == nil || sq.q.Depth > 0 || sq.q.OneTime:
 				op.chargeLost(&e.Counters)
 			case op.kind == opAddQuery:
-				lost = append(lost, op.sq)
+				lost = append(lost, sq)
 			default:
-				rePlace = append(rePlace, op.pp.sq)
+				rePlace = append(rePlace, sq)
 			}
 		})
 	}
@@ -273,7 +273,9 @@ func (e *Engine) CrashNode(n *chord.Node) error {
 			e.Counters.QueriesRecovered++
 			// A fresh entry: the recovered query starts without the lost
 			// one's DISTINCT memory.
-			e.net.Send(home, lp.key.ID(), newEvalMsg(entryOf(lp.q), lp.key, lp.level))
+			sq := entryOf(lp.q)
+			sq.pipe = lp.pipe
+			e.net.Send(home, lp.key.ID(), newEvalMsg(sq, lp.key, lp.level))
 		}
 		// Placements that never completed restart from scratch.
 		for _, sq := range rePlace {

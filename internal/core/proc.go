@@ -1,7 +1,6 @@
 package core
 
 import (
-	"rjoin/internal/agg"
 	"rjoin/internal/chord"
 	"rjoin/internal/id"
 	"rjoin/internal/obs"
@@ -15,13 +14,16 @@ import (
 // rewritten, together with the key it is indexed under and — for
 // DISTINCT queries — the projection memory of Section 4's duplicate
 // elimination rule. It travels with its query from the moment the query
-// is made: placement carries it, onEval fills in key, level and agg.
+// is made: placement carries it, onEval fills in key and level. pipe is
+// the subscription record of the QID naming the query's pipeline, set
+// when the entry is made and shared by its rewrites; nil for a QID with
+// no record.
 type storedQuery struct {
 	q     *query.Query
 	key   relation.Key
 	level query.Level
-	agg   bool            // cached q.IsAggregate(), checked per trigger
 	seen  map[string]bool // trigger projections already used (DISTINCT)
+	pipe  *subscription
 }
 
 // entry is a query allocated together with the storedQuery that will
@@ -448,7 +450,7 @@ func (p *Proc) trigger(now sim.Time, sq *storedQuery, t *relation.Tuple, stored 
 		p.consume(sq, proj)
 		p.profTrigger(now, sq, 0)
 		p.countRewrite(q.Depth + 1)
-		p.complete(now, q, sq.agg, q.Depth+1, completion{
+		p.complete(now, sq, q.Depth+1, completion{
 			vals: vals, clock: max(clock, q.AggClock), minPub: min(t.PubTime, q.MinPub),
 			pubAt: t.PubTime, lin: p.lineage(q, t),
 		})
@@ -458,6 +460,7 @@ func (p *Proc) trigger(now sim.Time, sq *storedQuery, t *relation.Tuple, stored 
 	if !query.RewriteInto(sq2.q, q, t) {
 		return
 	}
+	sq2.pipe = sq.pipe
 	q2 := sq2.q
 	q2.Start = clock
 	if q.Depth > 0 {
@@ -495,31 +498,21 @@ type completion struct {
 
 // complete is what happens to a query whose WHERE clause has become
 // true, and the only place it happens: the chain's depth is observed and
-// traced, then a shared pipeline fans the row out to its subscribers, a
-// torn-down pipeline has nobody listening, and any other pipeline is its
-// own single subscriber, whose row goes into its aggregation pipeline or
-// directly to its owner. q names the pipeline (ID, Owner), isAgg is its
-// cached IsAggregate, depth the completed chain's length. Whether a
-// tuple met a stored query or a query met a stored tuple, the trace
-// event is the same, which keeps the trace multiset schedule-independent
-// when both reach a node on the same tick (they fire in engine-dependent
-// order, but exactly one fires either way).
-func (p *Proc) complete(now sim.Time, q *query.Query, isAgg bool, depth int, c completion) {
+// traced, then the row leaves through the fan-out on sq's pipeline
+// record — a query nothing shares with is a class of one, its own single
+// subscriber. A torn-down pipeline, or a QID with no record, has nobody
+// listening. depth is the completed chain's length. Whether a tuple met
+// a stored query or a query met a stored tuple, the trace event is the
+// same, which keeps the trace multiset schedule-independent when both
+// reach a node on the same tick (they fire in engine-dependent order,
+// but exactly one fires either way).
+func (p *Proc) complete(now sim.Time, sq *storedQuery, depth int, c completion) {
 	if ob := p.eng.obs; ob != nil {
-		ob.Emit(p.shard, obs.Rec{At: now, Kind: obs.KindComplete, Node: p.nid(), QID: q.ID, Arg: int64(depth)})
+		ob.Emit(p.shard, obs.Rec{At: now, Kind: obs.KindComplete, Node: p.nid(), QID: sq.q.ID, Arg: int64(depth)})
 	}
-	if fo := p.eng.fanoutOf(q.ID); fo != nil {
-		p.fanoutComplete(now, fo, c)
-		return
+	if sq.pipe != nil && sq.pipe.fo != nil {
+		p.fanoutComplete(now, sq.pipe.fo, c)
 	}
-	if p.eng.retiredPipeline(q.ID) {
-		return
-	}
-	var spec *agg.Spec
-	if isAgg {
-		spec = p.eng.aggSpec(q.ID)
-	}
-	p.emitTo(now, q.ID, id.ID(q.Owner), spec, c)
 }
 
 // countRewrite counts one rewriting step producing a query of the given
@@ -566,8 +559,8 @@ func (p *Proc) onEval(now sim.Time, m *evalMsg) {
 		p.st.ctMerge(info)
 	}
 	sq, q := m.SQ, m.SQ.q
-	if p.eng.retiredPipeline(q.ID) {
-		return // torn-down shared pipeline: never re-index stragglers
+	if sq.tornDown() {
+		return // torn-down pipeline: never re-index stragglers
 	}
 	if ob := p.eng.obs; ob != nil {
 		ob.Emit(p.shard, obs.Rec{
@@ -575,7 +568,7 @@ func (p *Proc) onEval(now sim.Time, m *evalMsg) {
 			QID: q.ID, Key: m.Key.String(), Arg: int64(q.Depth),
 		})
 	}
-	sq.key, sq.level, sq.agg = m.Key, m.Level, q.IsAggregate()
+	sq.key, sq.level = m.Key, m.Level
 	if q.OneTime {
 		// One-time queries keep no standing state: all qualifying
 		// tuples were published before submission, so scanning the
@@ -618,7 +611,7 @@ func (p *Proc) dispatch(now sim.Time, sq *storedQuery, pubAt int64) {
 	q2 := sq.q
 	p.countRewrite(q2.Depth)
 	if q2.IsComplete() {
-		p.complete(now, q2, q2.IsAggregate(), q2.Depth, completion{
+		p.complete(now, sq, q2.Depth, completion{
 			vals: q2.AnswerValues(), clock: q2.AggClock, minPub: q2.MinPub, pubAt: pubAt, lin: q2.Lineage,
 		})
 		return

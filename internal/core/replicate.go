@@ -104,7 +104,7 @@ func (e *Engine) promote(p *Proc, op stateOp) {
 		promoted = 0
 	}
 	p.ctr.ReplEntriesPromoted += promoted
-	if q := op.query(); q != nil && q.Depth == 0 && !q.OneTime {
+	if sq := op.stored(); sq != nil && sq.q.Depth == 0 && !sq.q.OneTime {
 		p.ctr.QueriesRecovered++
 	}
 }

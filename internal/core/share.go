@@ -3,13 +3,17 @@ package core
 // This file wires the multi-query sharing subsystem (internal/share)
 // into the engine: submission-time registration/attachment, the
 // completion-node fan-out, containment replay, and the unsubscribe /
-// teardown path. The registry, the fan-out tables and the retired-pipeline
-// tombstones are written only from coordinator context (SubmitQuery,
-// Unsubscribe run between drains); handlers read them lock-free, exactly
-// like the subscription records (subs.go). Fan-out tables are immutable
-// snapshots replaced wholesale on every membership change, so a handler
-// either sees the old table or the new one, never a partially updated
-// list.
+// teardown path. Every submission registers a class — a query nothing
+// shares with is a class of one — and publishes its fan-out on the
+// subscription record of the QID naming the pipeline (subs.go), which
+// every stored entry of the pipeline points at: every completed row
+// leaves through a fan-out, and a pipeline is live exactly while that
+// record holds one. The registry and the fan-outs are written
+// only from coordinator context (SubmitQuery, Unsubscribe run between
+// drains); handlers read them lock-free, exactly like the rest of the
+// record. A fan-out is an immutable snapshot replaced wholesale on every
+// membership change, so a handler either sees the old one or the new
+// one, never a partially updated list.
 
 import (
 	"fmt"
@@ -23,29 +27,23 @@ import (
 	"rjoin/internal/sim"
 )
 
-// fanoutOf returns the completion fan-out of a shared pipeline, nil for
-// pipelines that deliver to exactly their own QID (the legacy path —
-// byte-identical behaviour to the pre-sharing engine).
-func (e *Engine) fanoutOf(qid string) *share.Fanout { return e.fanouts[qid] }
-
-// retiredPipeline reports whether qid names a torn-down shared
-// pipeline: its straggler rewrites must be dropped, not re-indexed.
-func (e *Engine) retiredPipeline(qid string) bool { return e.retiredQ[qid] }
-
 // shareSubmit registers a freshly stamped input query with the sharing
 // registry and decides what to index: it returns the query to place
 // (the input itself, or a canonical full-row pipeline standing in for
 // it), or nil when the submission attached to an existing pipeline and
 // nothing new needs placing. Every submission is registered — even with
-// all sharing off the class bookkeeping is what makes Unsubscribe able
-// to find and tear down the pipeline later.
+// all sharing off its class's fan-out is what its completions leave
+// through, and what makes Unsubscribe able to find and tear down the
+// pipeline later.
 func (e *Engine) shareSubmit(q *query.Query) *query.Query {
-	sub := &share.Subscriber{QID: q.ID, Owner: q.Owner, InsertTime: q.InsertTime}
+	sub := &share.Subscriber{QID: q.ID, Owner: q.Owner, InsertTime: q.InsertTime, Spec: e.sub(q.ID).spec}
 	if q.OneTime {
 		// One-time snapshots never share: they keep no standing state to
 		// share, and an attacher's snapshot semantics would differ.
-		// Registered with no Exact key so nothing ever attaches.
-		e.reg.Register(&share.Class{QID: q.ID, Pipeline: q}, sub)
+		// Registered with no Exact key so nothing ever attaches. Its rows
+		// combine tuples published before it: no insertion-time cutoff.
+		sub.InsertTime = math.MinInt64
+		e.register(&share.Class{QID: q.ID, Pipeline: q}, sub)
 		return q
 	}
 	exact := q.String()
@@ -69,9 +67,20 @@ func (e *Engine) shareSubmit(q *query.Query) *query.Query {
 	}
 	// No sharing possible: the query is its own singleton class and its
 	// own pipeline.
-	e.reg.Register(&share.Class{QID: q.ID, Exact: exact, Pipeline: q}, sub)
+	e.register(&share.Class{QID: q.ID, Exact: exact, Pipeline: q}, sub)
 	return q
 }
+
+// register opens a class with its first subscriber and publishes its
+// fan-out.
+func (e *Engine) register(cls *share.Class, first *share.Subscriber) {
+	e.reg.Register(cls, first)
+	e.publish(cls)
+}
+
+// publish swaps the class's current fan-out onto the record of the QID
+// naming its pipeline.
+func (e *Engine) publish(cls *share.Class) { e.sub(cls.QID).fo = cls.Snapshot() }
 
 // canAttach reports whether a new subscriber may ride an existing
 // class's pipeline. Sharing must be enabled; mid-stream attachment is
@@ -81,12 +90,10 @@ func (e *Engine) shareSubmit(q *query.Query) *query.Query {
 // suppresses repeated trigger projections in-network, so a late
 // attacher would silently miss rows that are first-time answers for
 // it. Canonical pipelines carry no DISTINCT marker — set semantics are
-// enforced per-subscriber at the owner — so they are safe for anyone.
+// enforced per-subscriber at the owner — so they are safe for anyone. A
+// one-time class claims no SQL key, so it is never a candidate.
 func (e *Engine) canAttach(cls *share.Class, q *query.Query) bool {
 	if !e.Cfg.ShareExact && !e.Cfg.ShareQueries {
-		return false
-	}
-	if cls.Pipeline == nil || cls.Pipeline.OneTime {
 		return false
 	}
 	if q.Distinct && !cls.Canonical {
@@ -111,7 +118,7 @@ func (e *Engine) attach(cls *share.Class, sub *share.Subscriber, q *query.Query)
 		sub.Res = res
 	}
 	e.reg.Attach(cls, sub)
-	e.fanouts[cls.QID] = cls.Snapshot()
+	e.publish(cls)
 	e.Counters.QueriesShared++
 	return true
 }
@@ -138,7 +145,7 @@ func (e *Engine) registerCanonical(can *share.Canonical, sub *share.Subscriber, 
 	pipe.MinPub = math.MaxInt64
 	cls := &share.Class{
 		QID: q.ID, Exact: exact, Form: can.Form,
-		Canonical: true, Pipeline: pipe, Can: can,
+		Canonical: true, Shared: true, Pipeline: pipe, Can: can,
 	}
 	if parent := e.reg.FindParent(can); parent != nil {
 		cls.Parent = parent
@@ -146,24 +153,23 @@ func (e *Engine) registerCanonical(can *share.Canonical, sub *share.Subscriber, 
 			QID: q.ID, Pipeline: pipe, InsertTime: q.InsertTime,
 			Rels: parent.Can.RelSlices(),
 		})
-		e.reg.Register(cls, sub)
-		e.fanouts[q.ID] = cls.Snapshot()
-		e.fanouts[parent.QID] = parent.Snapshot()
+		e.register(cls, sub)
+		e.publish(parent)
 		e.Counters.QueriesShared++
 		return nil
 	}
-	e.reg.Register(cls, sub)
-	e.fanouts[q.ID] = cls.Snapshot()
+	e.register(cls, sub)
 	return pipe
 }
 
 // Unsubscribe removes a live subscription: the subscriber leaves its
 // class's fan-out, its owner-side answer and aggregate state is
-// released, and — when it was the class's last member — the shared
-// pipeline itself is torn down network-wide. Safe under churn and
-// replication: the retired marks make every resurrection path
-// (handover, replica promotion, crash recovery) skip retired state, and
-// in-flight messages for retired IDs are dropped at their destination.
+// released, and — when it was the class's last member — the pipeline
+// itself is torn down network-wide. Safe under churn and replication:
+// a retired record and a record without a fan-out make every
+// resurrection path (handover, replica promotion, crash recovery) skip
+// the state they name, and in-flight messages for them are dropped at
+// their destination.
 func (e *Engine) Unsubscribe(subQID string) error {
 	cls := e.reg.Detach(subQID)
 	if cls == nil {
@@ -172,35 +178,28 @@ func (e *Engine) Unsubscribe(subQID string) error {
 	e.retireSub(subQID)
 	e.Counters.QueriesUnsubscribed++
 	e.sweepState(classAggs, func(op stateOp) bool { return op.g.qid == subQID })
-	if cls.Empty() {
-		e.teardownClass(cls)
-	} else {
-		e.fanouts[cls.QID] = cls.Snapshot()
-	}
+	e.settle(cls)
 	return nil
 }
 
-// teardownClass retires a class nobody references any more: its
-// pipeline QID is tombstoned, its stored rewrites are swept off every
-// node, and a containment child detaches from its parent (cascading if
-// the parent thereby empties).
-func (e *Engine) teardownClass(cls *share.Class) {
-	e.retiredQ[cls.QID] = true
-	delete(e.fanouts, cls.QID)
-	e.reg.Drop(cls)
-	if cls.Parent != nil {
-		// Containment children place no pipeline: detaching from the
-		// parent's fan-out is the whole teardown.
-		e.reg.DetachKid(cls.Parent, cls.QID)
-		if cls.Parent.Empty() {
-			e.teardownClass(cls.Parent)
-		} else {
-			e.fanouts[cls.Parent.QID] = cls.Parent.Snapshot()
-		}
+// settle publishes the fan-out of a class a member left, or — when
+// nothing references it any more — tears it down: its pipeline's record
+// loses its fan-out, its stored rewrites are swept off every node, and a
+// containment child detaches from its parent, which settles in turn.
+func (e *Engine) settle(cls *share.Class) {
+	if !cls.Empty() {
+		e.publish(cls)
 		return
 	}
-	// The input query and all its rewrites share the pipeline's QID.
-	e.sweepState(classQueries|classPending, func(op stateOp) bool { return op.query().ID == cls.QID })
+	e.sub(cls.QID).fo = nil
+	e.reg.Drop(cls)
+	// The input query and all its rewrites share the pipeline's QID, and
+	// so do the rewrites a containment child's replays placed.
+	e.sweepState(classQueries|classPending, func(op stateOp) bool { return op.stored().q.ID == cls.QID })
+	if cls.Parent != nil {
+		e.reg.DetachKid(cls.Parent, cls.QID)
+		e.settle(cls.Parent)
+	}
 }
 
 // retiredOp reports whether a state entry belongs to a torn-down
@@ -209,8 +208,8 @@ func (e *Engine) teardownClass(cls *share.Class) {
 // path — handover, replica promotion, crash recovery — skips such
 // entries, and no loss counter charges them.
 func (e *Engine) retiredOp(op stateOp) bool {
-	if q := op.query(); q != nil {
-		return e.retiredQ[q.ID]
+	if sq := op.stored(); sq != nil {
+		return sq.tornDown()
 	}
 	return op.kind == opAggMerge && e.retiredSub(op.g.qid)
 }
@@ -218,7 +217,7 @@ func (e *Engine) retiredOp(op stateOp) bool {
 // sweepState removes the matching entries of the wanted classes from
 // every node in deterministic node/entry order, charging each removal
 // to the replica group. Stragglers still in flight are caught by the
-// retiredQ/retiredS guards when they arrive.
+// tornDown/retiredSub guards when they arrive.
 func (e *Engine) sweepState(want class, match func(stateOp) bool) {
 	for _, n := range e.ring.Nodes() { // identifier order: deterministic
 		if p := e.procs[n.ID()]; p != nil && p.st.sweep(want, match) {
@@ -233,8 +232,9 @@ func (e *Engine) sweepState(want class, match func(stateOp) bool) {
 // tuple was published at or after its own insertion — exactly the
 // reference semantics), each residual predicate is evaluated, the
 // subscriber-shaped projection is built, and the row ships to the
-// subscriber — or into its per-subscriber aggregation pipeline. Then
-// every containment child replays the row through its own pipeline.
+// subscriber — or into its per-subscriber aggregation pipeline. Only a
+// shared class's rows count as fan-out rows. Then every containment
+// child replays the row through its own pipeline.
 // lin is the completed row's provenance (nil unless Config.Provenance):
 // every subscriber's copy of the row shares it, and containment replays
 // inherit it — the child's rows are built from exactly the parent
@@ -253,11 +253,13 @@ func (p *Proc) fanoutComplete(now sim.Time, fo *share.Fanout, c completion) {
 			row.vals = s.Res.AppendProject(p.sc.fan[:0], c.vals)
 			p.sc.fan = row.vals
 		}
-		p.ctr.SharedFanoutRows++
-		if ob := p.eng.obs; ob != nil {
-			ob.Emit(p.shard, obs.Rec{At: now, Kind: obs.KindFanoutRow, QID: s.QID})
+		if fo.Shared {
+			p.ctr.SharedFanoutRows++
+			if ob := p.eng.obs; ob != nil {
+				ob.Emit(p.shard, obs.Rec{At: now, Kind: obs.KindFanoutRow, QID: s.QID})
+			}
 		}
-		p.emitTo(now, s.QID, id.ID(s.Owner), p.eng.aggSpec(s.QID), row)
+		p.emitTo(now, s.QID, id.ID(s.Owner), s.Spec, row)
 	}
 	for _, kid := range fo.Kids {
 		if c.minPub < kid.InsertTime {
@@ -279,6 +281,7 @@ func (p *Proc) fanoutComplete(now sim.Time, fo *share.Fanout, c completion) {
 // stays exact; they are never stored, only substituted.
 func (p *Proc) spawnContainment(now sim.Time, kid *share.Kid, c completion) {
 	sq := newEntry()
+	sq.pipe = p.eng.sub(kid.QID)
 	cur := kid.Pipeline
 	for i, rs := range kid.Rels {
 		t := relation.MustTuple(rs.Schema, c.vals[rs.Off:rs.Off+rs.Schema.Arity()]...)

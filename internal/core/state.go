@@ -22,9 +22,10 @@ import (
 // the clock — windowed rewrites, ALTT entries, stored tuples under
 // Config.TupleGC, candidate-table entries, windowed aggregate epochs —
 // is filed on a death wheel at its add mutator and dropped by expire()
-// (a dirty epoch at the flush that follows). Live replication is a
-// charge, not a copy: every mutator a backup would have to see adds one
-// to the state's op count, and replFlush bills it (see replicate.go).
+// (a dirty epoch at the flush that follows), which dead() counts. Live
+// replication is a charge, not a copy: every mutator a backup would
+// have to see adds one to the state's op count, and replFlush bills it
+// (see replicate.go).
 //
 // Aliasing rule. An op yielded by each() or handed to a mutator aliases
 // live objects (the stored query, the aggregator group, the pending
@@ -38,11 +39,10 @@ import (
 // each(), apply() and (if it can be lost) chargeLost(), and — if a
 // replica keeps it — its entries in stateCounts.mirrored() and a
 // replOps count in each of its mutators, plus one row in
-// state_test.go's charge table; if its entries die by the clock, its
-// add mutator files their deaths on a wheel of its own, earliest() reads
-// that wheel's head, expire() drops what the horizon passed,
-// Engine.expired keeps a dead entry from moving, Engine.DeadState
-// counts it, and deathsErr checks the filings.
+// state_test.go's charge table. If its entries die by the clock: one
+// row in mortals per clock they die on, a file() call in its add
+// mutator, one arm in expire()'s prune switch and one count in dead(),
+// and Engine.expired keeps a dead entry from moving.
 
 // class is a bit set over the state classes, in each()'s visiting order.
 type class uint8
@@ -101,16 +101,13 @@ type stateOp struct {
 	pp *pendingPlacement // opAddPending
 }
 
-// query returns the query a stored-query or pending-placement entry
-// carries, nil for every other kind.
-func (op stateOp) query() *query.Query {
-	switch {
-	case op.sq != nil:
-		return op.sq.q
-	case op.pp != nil:
-		return op.pp.sq.q
+// stored returns the stored query a stored-query or pending-placement
+// entry carries, nil for every other kind.
+func (op stateOp) stored() *storedQuery {
+	if op.pp != nil {
+		return op.pp.sq
 	}
-	return nil
+	return op.sq
 }
 
 // keyed reports whether the entry follows its key (true) or its node:
@@ -123,7 +120,7 @@ func (op stateOp) keyed() bool { return op.kind != opCT && op.kind != opAddPendi
 func (op stateOp) chargeLost(ctr *Counters) {
 	switch op.kind {
 	case opAddQuery, opAddPending:
-		if op.query().Depth == 0 {
+		if op.stored().q.Depth == 0 {
 			ctr.QueriesLost++
 		} else {
 			ctr.RewritesLost++
@@ -155,31 +152,25 @@ type state struct {
 	// by place.
 	waiting map[relation.Key][]int64
 
-	// deaths files every windowed rewrite under the value at which it
-	// dies on its clock (deathOf), alttDeaths the key of every ALTT entry
-	// under the first instant past its expiry, and tupleDeaths the key of
-	// every tuple stored under a reach under its death on the sequence
-	// clock (tupleDeath) — and, once a drain found that passed but not
-	// its death on time, under that one on the time clock. Derived state
-	// like waiting: only addQuery, addTuple, addALTT, expire and clear
-	// write it and no op names it, so apply rebuilds it. An item whose
-	// entry left another way — deleted by a trigger out of window, torn
-	// down, its key moved — stays filed, and its drain finds nothing to
-	// drop.
-	deaths      [numClocks]wheel[*storedQuery]
-	alttDeaths  wheel[relation.Key]
-	tupleDeaths [numClocks]wheel[relation.Key]
-
-	// ctDeaths files a candidate-table key under its entry's death on the
-	// time clock (ctDeath) when the key enters the table; a refresh moves
-	// the death later, and the drain that finds the filing passed files
-	// the key again at the entry's current death. aggDeaths files an
-	// aggregator group's key under the death of each of its epochs on the
-	// window's clock (epochDeath), when the epoch enters the state. Derived
-	// state like deaths: written by ctMerge, aggFold, aggMerge, expire and
-	// clear.
-	ctDeaths  wheel[relation.Key]
-	aggDeaths [numClocks]wheel[relation.Key]
+	// rewrites files every windowed rewrite by identity under the value
+	// at which it dies on its clock (deathOf), so its drain finds the dead
+	// without looking at the live rewrites of its key. wheels files the
+	// other mortal entries by key, one wheel per row of mortals: a tuple
+	// stored under a reach at its death on the sequence clock
+	// (tupleDeath) — and, once a drain found that passed but not its
+	// death on time, at that one on the time clock; an ALTT entry at the
+	// first instant past its expiry; a candidate-table key at its entry's
+	// death (ctDeath) when it enters the table — a refresh moves the death
+	// later, and the drain that finds the filing passed files the key
+	// again at the current one; an aggregator group's key at the death of
+	// each of its epochs on the window's clock (epochDeath) when the epoch
+	// enters the state. Derived state like waiting: only the add mutators,
+	// expire and clear write them and no op names them, so apply rebuilds
+	// them. An item whose entry left another way — deleted by a trigger
+	// out of window, torn down, its key moved — stays filed, and its drain
+	// finds nothing to drop.
+	rewrites [numClocks]wheel[*storedQuery]
+	wheels   [len(mortals)]wheel[relation.Key]
 
 	// hz is the horizon of the engine's last quiescent Run
 	// (Engine.horizon): which aggregate views are still open, and which
@@ -244,11 +235,8 @@ func (s *state) clear() {
 	s.ct = newCandidateTable()
 	s.pending = make(map[int64]*pendingPlacement)
 	s.waiting = make(map[relation.Key][]int64)
-	s.deaths = [numClocks]wheel[*storedQuery]{}
-	s.alttDeaths = wheel[relation.Key]{}
-	s.tupleDeaths = [numClocks]wheel[relation.Key]{}
-	s.ctDeaths = wheel[relation.Key]{}
-	s.aggDeaths = [numClocks]wheel[relation.Key]{}
+	s.rewrites = [numClocks]wheel[*storedQuery]{}
+	s.wheels = [len(mortals)]wheel[relation.Key]{}
 	s.dueAt = [numClocks]int64{notDue, notDue}
 	s.dirtyAggs = nil
 }
@@ -267,7 +255,7 @@ func (s *state) addQuery(sq *storedQuery) {
 	}
 	s.queries[sq.key] = append(list, sq)
 	if c, at, ok := deathOf(sq.q); ok {
-		s.deaths[c].add(at, sq)
+		s.rewrites[c].add(at, sq)
 		s.register(c, at)
 	}
 	s.replOps++
@@ -278,25 +266,36 @@ func (s *state) addQuery(sq *storedQuery) {
 // classes (a trigger cascades into placements); it must not touch the
 // query list of key.
 func (s *state) filterQueries(key relation.Key, keep func(*storedQuery) bool) {
-	list := s.queries[key]
-	if len(list) == 0 {
-		return
+	s.replOps += filterKey(s.queries, &s.spareQueries, key, keep)
+}
+
+// filterKey removes the entries of m[key] that keep rejects and returns
+// how many went. keep runs once per entry in list order; the kept
+// entries keep their order, and nothing is written before the first
+// entry removed. An emptied list leaves m, its array for sp.
+func filterKey[T any](m map[relation.Key][]T, sp *spares[T], key relation.Key, keep func(T) bool) int {
+	list := m[key]
+	i := 0
+	for i < len(list) && keep(list[i]) {
+		i++
 	}
-	kept := list[:0]
-	for _, sq := range list {
-		if keep(sq) {
-			kept = append(kept, sq)
-		} else {
-			s.replOps++
+	if i == len(list) {
+		return 0
+	}
+	kept := list[:i]
+	for _, x := range list[i+1:] {
+		if keep(x) {
+			kept = append(kept, x)
 		}
 	}
 	clear(list[len(kept):]) // the array must not keep the removed alive
 	if len(kept) == 0 {
-		delete(s.queries, key)
-		s.spareQueries.put(kept)
+		delete(m, key)
+		sp.put(kept)
 	} else {
-		s.queries[key] = kept
+		m[key] = kept
 	}
+	return len(list) - len(kept)
 }
 
 // removeQuery deletes sq from its key's list, uncounted, and reports
@@ -340,16 +339,9 @@ func (s *state) addTuple(key relation.Key, t *relation.Tuple) {
 	}
 	s.tuples[key] = append(list, t)
 	if r := s.tupleReach(); r > 0 {
-		s.fileTuple(clockSeq, key, t, r)
+		s.file(classTuples, clockSeq, tupleDeath(t, clockSeq, r), key)
 	}
 	s.replOps++
-}
-
-// fileTuple files a tuple's key at its death on clock c under reach r.
-func (s *state) fileTuple(c clock, key relation.Key, t *relation.Tuple, r int64) {
-	at := tupleDeath(t, c, r)
-	s.tupleDeaths[c].add(at, key)
-	s.register(c, at)
 }
 
 // tupleReach is reach's value, 0 without one.
@@ -358,31 +350,6 @@ func (s *state) tupleReach() int64 {
 		return 0
 	}
 	return s.reach()
-}
-
-// pruneTuples deletes the tuples under key that dead selects, uncounted
-// — the drain's local prune — and returns how many went. Arrival order
-// is not publication order, so it looks at the whole list; the kept
-// tuples keep their order.
-func (s *state) pruneTuples(key relation.Key, dead func(*relation.Tuple) bool) int {
-	list := s.tuples[key]
-	kept := list[:0]
-	for _, t := range list {
-		if !dead(t) {
-			kept = append(kept, t)
-		}
-	}
-	if len(kept) == len(list) {
-		return 0
-	}
-	clear(list[len(kept):]) // the array must not keep the collected alive
-	if len(kept) == 0 {
-		delete(s.tuples, key)
-		s.spareTuples.put(kept)
-	} else {
-		s.tuples[key] = kept
-	}
-	return len(list) - len(kept)
 }
 
 // addALTT splices an entry into the expiry-ordered list of its key, the
@@ -399,9 +366,7 @@ func (s *state) addALTT(key relation.Key, e alttEntry) {
 		i--
 	}
 	s.altt[key] = slices.Insert(list, i, e)
-	at := int64(e.expireAt) + 1
-	s.alttDeaths.add(at, key)
-	s.register(clockTime, at)
+	s.file(classALTT, clockTime, int64(e.expireAt)+1, key)
 	s.replOps++
 }
 
@@ -424,7 +389,8 @@ func lapsed(list []alttEntry, now sim.Time) int {
 }
 
 // pruneALTT deletes the entries of a key lapsed at now and returns how
-// many went. The live ones move to the front, so the array keeps its
+// many went: a prefix of the list, which a cut removes without looking
+// at the rest. The live ones move to the front, so the array keeps its
 // room for the entries still to come.
 func (s *state) pruneALTT(key relation.Key, now sim.Time) int {
 	list := s.altt[key]
@@ -479,7 +445,9 @@ func (s *state) aggFold(key relation.Key, qid string, owner id.ID, epoch int64, 
 	part := g.partial(epoch)
 	if part == nil {
 		part = g.addPartial(epoch, *agg.NewPartial(spec))
-		s.fileEpoch(key, spec.Window, epoch)
+		if c, at, ok := epochDeath(spec.Window, epoch); ok {
+			s.file(classAggs, c, at, key)
+		}
 	}
 	part.Add(spec, row)
 	g.pubAt = max(g.pubAt, pubAt)
@@ -501,7 +469,9 @@ func (s *state) aggMerge(key relation.Key, g *aggGroup) {
 	}
 	s.replOps++
 	for _, ep := range g.epochs {
-		s.fileEpoch(key, spec.Window, ep.epoch)
+		if c, at, ok := epochDeath(spec.Window, ep.epoch); ok {
+			s.file(classAggs, c, at, key)
+		}
 	}
 	if cur, ok := s.aggs[key]; ok {
 		g.mergeInto(spec.Window, s.horizon(), cur)
@@ -512,21 +482,11 @@ func (s *state) aggMerge(key relation.Key, g *aggGroup) {
 	s.noteDirty(key, g) // an un-flushed group moved in: handover, promotion
 }
 
-// fileEpoch files the group at key under the death of one of its epochs
-// on the window's clock; an unwindowed aggregate's epoch never dies.
-func (s *state) fileEpoch(key relation.Key, w query.WindowSpec, epoch int64) {
-	if c, at, ok := epochDeath(w, epoch); ok {
-		s.aggDeaths[c].add(at, key)
-		s.register(c, at)
-	}
-}
-
 // pruneEpochs drops the group's epochs that h passed and whose views are
-// flushed (aggGroup.prune), uncounted — the drain's local prune, like
-// pruneTuples — and returns how many went. The group itself stays, empty
-// or not, until its query is unsubscribed: it is what a partial of a
-// later epoch folds into, and a group made afresh would charge its
-// storage load again.
+// flushed (aggGroup.prune), uncounted — the drain's local prune — and
+// returns how many went. The group itself stays, empty or not, until its
+// query is unsubscribed: it is what a partial of a later epoch folds
+// into, and a group made afresh would charge its storage load again.
 func (s *state) pruneEpochs(g *aggGroup, h horizon) int {
 	spec := s.specOf(g.qid)
 	if spec == nil {
@@ -583,17 +543,9 @@ func (s *state) flushDirty(visit func(*aggGroup)) {
 // filed at its entry's death.
 func (s *state) ctMerge(info ricInfo) {
 	if s.ct.merge(info) {
-		s.fileCT(info.Key, info.At)
+		s.file(classCT, clockTime, ctDeath(info.At), info.Key)
 	}
 	s.replOps++
-}
-
-// fileCT files a candidate-table key under the death of an entry
-// learned at at.
-func (s *state) fileCT(key relation.Key, at sim.Time) {
-	d := ctDeath(at)
-	s.ctDeaths.add(d, key)
-	s.register(clockTime, d)
 }
 
 // addPending records a placement waiting for RIC reports — the one
@@ -618,14 +570,8 @@ func (s *state) addPending(reqID int64, pp *pendingPlacement) {
 func (s *state) removePending(reqID int64) {
 	if pp := s.pending[reqID]; pp != nil {
 		for _, sl := range pp.slots {
-			if sl.have {
-				continue
-			}
-			if ids := slices.DeleteFunc(s.waiting[sl.Key], func(x int64) bool { return x == reqID }); len(ids) > 0 {
-				s.waiting[sl.Key] = ids
-			} else {
-				delete(s.waiting, sl.Key)
-				s.spareWaiting.put(ids)
+			if !sl.have {
+				filterKey(s.waiting, &s.spareWaiting, sl.Key, func(x int64) bool { return x != reqID })
 			}
 		}
 	}
@@ -997,14 +943,36 @@ func (s *state) register(c clock, at int64) {
 	}
 }
 
+// mortal is one key wheel of a state: a class whose entries die by the
+// clock, and the clock the wheel files them on.
+type mortal struct {
+	cl class
+	c  clock
+}
+
+// mortals lists the key wheels, in expire's drain order. Stored tuples
+// and aggregate epochs die on either clock, ALTT and candidate-table
+// entries on time alone; a tuple's sequence wheel drains before its time
+// wheel, onto which it files what waits on time alone.
+var mortals = [...]mortal{
+	{classTuples, clockSeq}, {classTuples, clockTime},
+	{classALTT, clockTime}, {classCT, clockTime},
+	{classAggs, clockSeq}, {classAggs, clockTime},
+}
+
+// file files key under at on class cl's wheel of clock c.
+func (s *state) file(cl class, c clock, at int64, key relation.Key) {
+	s.wheels[slices.Index(mortals[:], mortal{cl, c})].add(at, key)
+	s.register(c, at)
+}
+
 // earliest returns the first death still filed on clock c.
 func (s *state) earliest(c clock) (at int64, ok bool) {
-	at, ok = sooner(&s.deaths[c], at, ok)
-	at, ok = sooner(&s.tupleDeaths[c], at, ok)
-	at, ok = sooner(&s.aggDeaths[c], at, ok)
-	if c == clockTime {
-		at, ok = sooner(&s.alttDeaths, at, ok)
-		at, ok = sooner(&s.ctDeaths, at, ok)
+	at, ok = sooner(&s.rewrites[c], at, ok)
+	for i, m := range mortals {
+		if m.c == c {
+			at, ok = sooner(&s.wheels[i], at, ok)
+		}
 	}
 	return at, ok
 }
@@ -1019,7 +987,7 @@ func sooner[T comparable](w *wheel[T], at int64, ok bool) (int64, bool) {
 
 // DeadCounts counts stored entries per class that nothing still to come
 // can reach: what a drain dropped (state.expire), or what a census found
-// (Engine.DeadState).
+// (state.dead).
 type DeadCounts struct {
 	Rewrites, Tuples, ALTT int // windowed rewrites past their window, tuples past their reach, ALTT entries past Δ
 	CT, Epochs             int // candidate-table entries past ctValidity, epochs whose views all closed
@@ -1040,8 +1008,8 @@ type DeadCounts struct {
 // (flushDirty). Like the Δ prune it replaced, the drain charges no
 // replica op: a replica files the same deaths and drops them itself.
 func (s *state) expire(h horizon, dropped func(*storedQuery)) (n DeadCounts) {
-	for c := range s.deaths {
-		s.deaths[c].drain(h[c], func(sq *storedQuery) {
+	for c := range s.rewrites {
+		s.rewrites[c].drain(h[c], func(sq *storedQuery) {
 			if s.removeQuery(sq) {
 				dropped(sq)
 				n.Rewrites++
@@ -1049,36 +1017,34 @@ func (s *state) expire(h horizon, dropped func(*storedQuery)) (n DeadCounts) {
 		})
 	}
 	r := s.tupleReach()
-	for c := range s.tupleDeaths {
-		s.tupleDeaths[c].drain(h[c], func(key relation.Key) {
-			n.Tuples += s.pruneTuples(key, func(t *relation.Tuple) bool {
-				switch {
-				case h.tupleDead(t, r):
+	for i, m := range mortals {
+		s.wheels[i].drain(h[m.c], func(key relation.Key) {
+			switch m.cl {
+			case classTuples:
+				n.Tuples += filterKey(s.tuples, &s.spareTuples, key, func(t *relation.Tuple) bool {
+					switch {
+					case h.tupleDead(t, r):
+						return false
+					case r > 0 && h[clockSeq] >= tupleDeath(t, clockSeq, r):
+						s.file(classTuples, clockTime, tupleDeath(t, clockTime, r), key) // it waits on time alone now
+					}
 					return true
-				case r > 0 && h[clockSeq] >= tupleDeath(t, clockSeq, r):
-					s.fileTuple(clockTime, key, t, r) // it waits on time alone now
+				})
+			case classALTT:
+				n.ALTT += s.pruneALTT(key, sim.Time(h[clockTime]))
+			case classCT:
+				switch e, ok := s.ct.entries[key]; {
+				case !ok:
+				case h.ctDead(e.At):
+					delete(s.ct.entries, key)
+					n.CT++
+				default:
+					s.file(classCT, clockTime, ctDeath(e.At), key) // refreshed since it was filed
 				}
-				return false
-			})
-		})
-	}
-	s.alttDeaths.drain(h[clockTime], func(key relation.Key) {
-		n.ALTT += s.pruneALTT(key, sim.Time(h[clockTime]))
-	})
-	s.ctDeaths.drain(h[clockTime], func(key relation.Key) {
-		switch e, ok := s.ct.entries[key]; {
-		case !ok:
-		case h.ctDead(e.At):
-			delete(s.ct.entries, key)
-			n.CT++
-		default:
-			s.fileCT(key, e.At) // refreshed since it was filed
-		}
-	})
-	for c := range s.aggDeaths {
-		s.aggDeaths[c].drain(h[c], func(key relation.Key) {
-			if g := s.aggs[key]; g != nil {
-				n.Epochs += s.pruneEpochs(g, h)
+			case classAggs:
+				if g := s.aggs[key]; g != nil {
+					n.Epochs += s.pruneEpochs(g, h)
+				}
 			}
 		})
 	}
@@ -1087,6 +1053,49 @@ func (s *state) expire(h horizon, dropped func(*storedQuery)) (n DeadCounts) {
 			s.dueAt[c] = notDue
 			if at, ok := s.earliest(clock(c)); ok {
 				s.register(clock(c), at)
+			}
+		}
+	}
+	return n
+}
+
+// dead counts the entries dead by h: what expire(h) drops. An aggregate
+// epoch a flush still owes a view of waits for that flush, and is not
+// counted. A full scan, for tests and censuses (Engine.DeadState).
+func (s *state) dead(h horizon) (n DeadCounts) {
+	for _, list := range s.queries {
+		for _, sq := range list {
+			if h.dead(sq.q) {
+				n.Rewrites++
+			}
+		}
+	}
+	r := s.tupleReach()
+	for _, list := range s.tuples {
+		for _, t := range list {
+			if h.tupleDead(t, r) {
+				n.Tuples++
+			}
+		}
+	}
+	for _, list := range s.altt {
+		for _, e := range list {
+			if int64(e.expireAt) < h[clockTime] {
+				n.ALTT++
+			}
+		}
+	}
+	for _, e := range s.ct.entries {
+		if h.ctDead(e.At) {
+			n.CT++
+		}
+	}
+	for _, g := range s.aggs {
+		if spec := s.specOf(g.qid); spec != nil {
+			for _, ep := range g.epochs {
+				if h.epochDead(spec.Window, ep.epoch) && !g.owes(ep.epoch, spec.Window) {
+					n.Epochs++
+				}
 			}
 		}
 	}

@@ -127,16 +127,25 @@ func (s *state) waitingErr() error {
 // ascending. An item whose entry left another way may stay filed.
 func (s *state) deathsErr() error {
 	var queries [numClocks]map[filing[*storedQuery]]bool
-	var tuples [numClocks]map[filing[relation.Key]]bool
-	for c := range s.deaths {
+	for c := range s.rewrites {
 		queries[c] = make(map[filing[*storedQuery]]bool)
-		if err := filed(&s.deaths[c], func(at int64, sq *storedQuery) { queries[c][filing[*storedQuery]{at, sq}] = true }); err != nil {
+		if err := filed(&s.rewrites[c], func(at int64, sq *storedQuery) { queries[c][filing[*storedQuery]{at, sq}] = true }); err != nil {
 			return fmt.Errorf("clock %d: %v", c, err)
 		}
-		tuples[c] = make(map[filing[relation.Key]]bool)
-		if err := filed(&s.tupleDeaths[c], func(at int64, key relation.Key) { tuples[c][filing[relation.Key]{at, key}] = true }); err != nil {
-			return fmt.Errorf("tuples, clock %d: %v", c, err)
+	}
+	// keys holds every key wheel's filings, by its row in mortals.
+	var keys [len(mortals)]map[filing[relation.Key]]bool
+	for i, m := range mortals {
+		keys[i] = make(map[filing[relation.Key]]bool)
+		if err := filed(&s.wheels[i], func(at int64, key relation.Key) { keys[i][filing[relation.Key]{at, key}] = true }); err != nil {
+			return fmt.Errorf("class %b, clock %d: %v", m.cl, m.c, err)
 		}
+	}
+	wheel := func(cl class, c clock) map[filing[relation.Key]]bool {
+		return keys[slices.Index(mortals[:], mortal{cl, c})]
+	}
+	on := func(cl class, c clock, at int64, key relation.Key) bool {
+		return wheel(cl, c)[filing[relation.Key]{at, key}]
 	}
 	// A tuple is filed at its sequence death, and once a drain found that
 	// passed, at its time death: the filing whose drain will find it dead.
@@ -144,15 +153,11 @@ func (s *state) deathsErr() error {
 		for key, list := range s.tuples {
 			for _, t := range list {
 				seq, time := tupleDeath(t, clockSeq, r), tupleDeath(t, clockTime, r)
-				if !tuples[clockSeq][filing[relation.Key]{seq, key}] && !tuples[clockTime][filing[relation.Key]{time, key}] {
+				if !on(classTuples, clockSeq, seq, key) && !on(classTuples, clockTime, time, key) {
 					return fmt.Errorf("key %s: a tuple dying at %d on the sequence clock and %d on time is filed on neither", key, seq, time)
 				}
 			}
 		}
-	}
-	altt := make(map[filing[relation.Key]]bool)
-	if err := filed(&s.alttDeaths, func(at int64, key relation.Key) { altt[filing[relation.Key]{at, key}] = true }); err != nil {
-		return fmt.Errorf("ALTT: %v", err)
 	}
 	for key, list := range s.queries {
 		for _, sq := range list {
@@ -163,29 +168,20 @@ func (s *state) deathsErr() error {
 	}
 	for key, list := range s.altt {
 		for _, e := range list {
-			if !altt[filing[relation.Key]{int64(e.expireAt) + 1, key}] {
+			if !on(classALTT, clockTime, int64(e.expireAt)+1, key) {
 				return fmt.Errorf("key %s: an ALTT entry expiring at %d is not filed", key, e.expireAt)
 			}
 		}
 	}
 	ct := make(map[relation.Key]int64) // the earliest filing of each key
-	if err := filed(&s.ctDeaths, func(at int64, key relation.Key) {
-		if cur, ok := ct[key]; !ok || at < cur {
-			ct[key] = at
+	for f := range wheel(classCT, clockTime) {
+		if cur, ok := ct[f.item]; !ok || f.at < cur {
+			ct[f.item] = f.at
 		}
-	}); err != nil {
-		return fmt.Errorf("candidate table: %v", err)
 	}
 	for key, e := range s.ct.entries {
 		if at, ok := ct[key]; !ok || at > ctDeath(e.At) {
 			return fmt.Errorf("key %s: a candidate-table entry dying at %d is not filed by then", key, ctDeath(e.At))
-		}
-	}
-	var epochs [numClocks]map[filing[relation.Key]]bool
-	for c := range s.aggDeaths {
-		epochs[c] = make(map[filing[relation.Key]]bool)
-		if err := filed(&s.aggDeaths[c], func(at int64, key relation.Key) { epochs[c][filing[relation.Key]{at, key}] = true }); err != nil {
-			return fmt.Errorf("aggregate epochs, clock %d: %v", c, err)
 		}
 	}
 	h := s.horizon()
@@ -199,7 +195,7 @@ func (s *state) deathsErr() error {
 				return fmt.Errorf("key %s: epochs %d and %d out of order", key, g.epochs[i-1].epoch, ep.epoch)
 			}
 			c, at, ok := epochDeath(spec.Window, ep.epoch)
-			if ok && !epochs[c][filing[relation.Key]{at, key}] && !(h.epochDead(spec.Window, ep.epoch) && g.owes(ep.epoch, spec.Window)) {
+			if ok && !on(classAggs, c, at, key) && !(h.epochDead(spec.Window, ep.epoch) && g.owes(ep.epoch, spec.Window)) {
 				return fmt.Errorf("key %s: aggregate epoch %d, dying at %d on clock %d, is not filed", key, ep.epoch, at, c)
 			}
 		}
@@ -218,48 +214,6 @@ func filed[T comparable](w *wheel[T], visit func(int64, T)) error {
 		visit(f.at, f.item)
 	}
 	return nil
-}
-
-// deadIn counts the entries of a state dead by h: what expire(h) must
-// drop. An aggregate epoch a flush still owes a view of waits for it, and
-// is not counted.
-func deadIn(s *state, h horizon) (n DeadCounts) {
-	for _, list := range s.queries {
-		for _, sq := range list {
-			if h.dead(sq.q) {
-				n.Rewrites++
-			}
-		}
-	}
-	for _, list := range s.tuples {
-		for _, t := range list {
-			if h.tupleDead(t, s.tupleReach()) {
-				n.Tuples++
-			}
-		}
-	}
-	for _, list := range s.altt {
-		for _, e := range list {
-			if int64(e.expireAt) < h[clockTime] {
-				n.ALTT++
-			}
-		}
-	}
-	for _, e := range s.ct.entries {
-		if h.ctDead(e.At) {
-			n.CT++
-		}
-	}
-	for _, g := range s.aggs {
-		if spec := s.specOf(g.qid); spec != nil {
-			for _, ep := range g.epochs {
-				if h.epochDead(spec.Window, ep.epoch) && !g.owes(ep.epoch, spec.Window) {
-					n.Epochs++
-				}
-			}
-		}
-	}
-	return n
 }
 
 // stateFixture supplies the immutable objects store-level tests build
@@ -318,7 +272,7 @@ func (f *stateFixture) specOf(qid string) *agg.Spec {
 }
 
 func (f *stateFixture) stored(q *query.Query, key relation.Key) *storedQuery {
-	return &storedQuery{q: q, key: key, level: query.ValueLevel, agg: q.IsAggregate()}
+	return &storedQuery{q: q, key: key, level: query.ValueLevel}
 }
 
 // placement builds a pending placement of q over the candidate keys
@@ -499,7 +453,7 @@ func stateCharges(f *stateFixture) []stateCharge {
 			s.addQuery(f.stored(f.distinct, k[0]))
 			s.addPending(3, placement(f.plain, nil))
 			s.aggFold(aggKeyOf("agg", "1"), "agg", 42, 0, f.row(1, 5), nil, 17)
-			s.sweep(classAll, func(op stateOp) bool { return op.query() == f.plain || op.kind == opAggMerge })
+			s.sweep(classAll, func(op stateOp) bool { return op.kind == opAggMerge || op.stored().q == f.plain })
 		}},
 	}
 }
@@ -542,7 +496,7 @@ func TestPruneTuplesReleasesCollected(t *testing.T) {
 		tu.PubSeq = seq
 		s.addTuple(key, tu)
 	}
-	if gone := s.pruneTuples(key, func(x *relation.Tuple) bool { return x.PubSeq != 3 }); gone != 3 {
+	if gone := filterKey(s.tuples, &s.spareTuples, key, func(x *relation.Tuple) bool { return x.PubSeq == 3 }); gone != 3 {
 		t.Fatalf("collected %d tuples, want 3", gone)
 	}
 	list := s.tuples[key]
@@ -555,7 +509,7 @@ func TestPruneTuplesReleasesCollected(t *testing.T) {
 		}
 	}
 	array := &list[0]
-	if gone := s.pruneTuples(key, func(*relation.Tuple) bool { return true }); gone != 1 || s.tuples[key] != nil {
+	if gone := filterKey(s.tuples, &s.spareTuples, key, func(*relation.Tuple) bool { return false }); gone != 1 || s.tuples[key] != nil {
 		t.Fatalf("collected %d of the last tuple, the key still lists %d", gone, len(s.tuples[key]))
 	}
 	s.addTuple(f.keys[2], mkTuple("R", 5, 5, 5))
@@ -611,7 +565,7 @@ func TestStateRandomSequences(t *testing.T) {
 		if s.hz != nil {
 			*s.hz = h
 		}
-		want := deadIn(s, h)
+		want := s.dead(h)
 		ops := s.replOps
 		got := s.expire(h, func(sq *storedQuery) {
 			if !h.dead(sq.q) {
@@ -621,7 +575,7 @@ func TestStateRandomSequences(t *testing.T) {
 		if got != want || s.replOps != ops {
 			t.Fatalf("%s: the drain dropped %+v charging %d ops; %+v were dead", label, got, s.replOps-ops, want)
 		}
-		if n := deadIn(s, h); n != (DeadCounts{}) {
+		if n := s.dead(h); n != (DeadCounts{}) {
 			t.Fatalf("%s: %+v dead by the horizon survived the drain", label, n)
 		}
 	}
@@ -689,7 +643,7 @@ func TestStateRandomSequences(t *testing.T) {
 				// log counted one op per tuple its charged filter collected
 				// here, and the pin still does.
 				k := key()
-				charged += a.pruneTuples(k, func(*relation.Tuple) bool { return rng.Intn(3) == 0 })
+				charged += filterKey(a.tuples, &a.spareTuples, k, func(*relation.Tuple) bool { return rng.Intn(3) != 0 })
 			case 7:
 				a.addALTT(key(), alttEntry{t: mkTuple("S", 1, 1, 1), expireAt: now + sim.Time(rng.Intn(6))})
 			case 8:
@@ -905,6 +859,49 @@ func TestStateDeathsOutliveNoEntry(t *testing.T) {
 	drainsTo("sweep", a, DeadCounts{Tuples: 1, ALTT: 1, CT: 1})
 }
 
+// TestExpireAllocatesNothing pins the drain at no allocation in steady
+// state: each round refills a state — reach 8, a sliding-window
+// aggregate — with four windowed rewrites under one key, a tuple, an
+// ALTT entry, a candidate-table entry and an aggregate epoch whose views
+// are flushed, and once the wheels, the lists and the group are warm,
+// expire at a horizon past all of them drops exactly those and allocates
+// nothing.
+func TestExpireAllocatesNothing(t *testing.T) {
+	f := newStateFixture()
+	f.windowAgg(query.WindowSpec{Kind: query.WindowTuples, Size: 4})
+	s := withReach(newState(f.specOf), 8)
+	k, group := f.keys, aggKeyOf("agg", "1")
+	var rewrites []*storedQuery
+	for start := range int64(4) {
+		rewrites = append(rewrites, f.stored(f.windowed(query.WindowTuples, false, start), k[1]))
+	}
+	tu := mkTuple("R", 1, 2, 3)
+	tu.PubSeq, tu.PubTime = 1, 1
+	refill := func() {
+		for _, sq := range rewrites {
+			s.addQuery(sq)
+		}
+		s.addTuple(k[2], tu)
+		s.addALTT(k[0], alttEntry{t: tu, expireAt: 5})
+		s.ctMerge(ricInfo{Key: k[3], At: 5})
+		s.aggFold(group, "agg", 42, 0, f.row(1, 5), nil, 1)
+		s.flushDirty(func(*aggGroup) {}) // no view of the epoch is owed
+	}
+	want := DeadCounts{Rewrites: 4, Tuples: 1, ALTT: 1, CT: 1, Epochs: 1}
+	drain := func() {
+		if n := s.expire(horizon{math.MaxInt64, math.MaxInt64}, func(*storedQuery) {}); n != want {
+			t.Fatalf("the drain dropped %+v, want %+v", n, want)
+		}
+	}
+	for range 3 { // warm
+		refill()
+		drain()
+	}
+	if n := allocsOf(100, refill, drain); n != 0 {
+		t.Errorf("a warm drain allocates %d times, want 0", n)
+	}
+}
+
 // TestStateSweepOrder: a sweep that matches nothing reports so and
 // charges nothing; one that matches removes exactly the matching
 // entries, one replica op each, whatever order its unordered first pass
@@ -922,14 +919,14 @@ func TestStateSweepOrder(t *testing.T) {
 			a.aggFold(aggKeyOf("agg", fmt.Sprint(g)), "agg", 42, 0, f.row(g, 1), nil, 0)
 		}
 		a.replOps = 0
-		if a.sweep(classQueries|classPending, func(op stateOp) bool { return op.query().ID == "nobody" }) || a.replOps != 0 {
+		if a.sweep(classQueries|classPending, func(op stateOp) bool { return op.stored().q.ID == "nobody" }) || a.replOps != 0 {
 			t.Fatalf("seed %d: a sweep matching nothing reported a hit or charged %d ops", seed, a.replOps)
 		}
 		for _, sw := range []struct {
 			want  class
 			match func(stateOp) bool
 		}{
-			{classQueries | classPending, func(op stateOp) bool { return op.query().ID == f.distinct.ID }},
+			{classQueries | classPending, func(op stateOp) bool { return op.stored().q.ID == f.distinct.ID }},
 			{classAggs, func(op stateOp) bool { return op.g.qid == "agg" }},
 		} {
 			matches := 0

@@ -11,6 +11,7 @@ import (
 	"rjoin/internal/obs"
 	"rjoin/internal/query"
 	"rjoin/internal/relation"
+	"rjoin/internal/share"
 	"rjoin/internal/sim"
 )
 
@@ -28,6 +29,9 @@ import (
 // up by QID, and Explain must keep answering for past queries, so one
 // immutable query + spec per departed subscription is what the engine
 // retains — and nothing else.
+//
+// A subscriber is live while its record is not retired, the pipeline
+// its QID names while the record holds a fan-out (share.go).
 
 // Answer is one result row delivered to a query owner.
 type Answer struct {
@@ -69,8 +73,13 @@ type subscription struct {
 	spec *agg.Spec    // nil for a plain query
 
 	// retired is written by Unsubscribe, in coordinator context, and
-	// read by handlers without the lock like the map itself.
+	// read by handlers without the lock like the map itself. fo, written
+	// by SubmitQuery and Unsubscribe and read the same way, is the
+	// completion fan-out of the pipeline this QID names: published when
+	// its class is registered, replaced on every change of the class,
+	// nil once the pipeline is torn down or if the QID rides another's.
 	retired bool
+	fo      *share.Fanout
 
 	mu sync.Mutex
 	// The answer log: the delivered rows in delivery order, each the
@@ -110,7 +119,7 @@ func (e *Engine) addSub(q *query.Query) {
 }
 
 // retireSub marks a record retired and drops everything but its
-// identity.
+// identity — and the fan-out of a pipeline others still ride.
 func (e *Engine) retireSub(qid string) {
 	s := e.subs[qid]
 	if s.spec != nil {
@@ -134,6 +143,11 @@ func (e *Engine) aggSpec(qid string) *agg.Spec {
 	}
 	return nil
 }
+
+// tornDown reports whether the entry's pipeline was torn down: its
+// record holds no fan-out. Its straggler rewrites and placements are
+// dropped, not re-indexed. An entry of a QID with no record is live.
+func (sq *storedQuery) tornDown() bool { return sq.pipe != nil && sq.pipe.fo == nil }
 
 // retiredSub reports whether qid names an unsubscribed subscriber: its
 // in-flight answers and aggregation partials must be dropped.

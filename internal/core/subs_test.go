@@ -15,6 +15,7 @@ import (
 	"rjoin/internal/overlay"
 	"rjoin/internal/refeval"
 	"rjoin/internal/relation"
+	"rjoin/internal/share"
 	"rjoin/internal/sim"
 	"rjoin/internal/sqlparse"
 )
@@ -85,14 +86,50 @@ func checkSubscription(t *testing.T, label string, eng *Engine, qid string, publ
 	}
 }
 
+// checkOneRecord asserts that the subscription records say which
+// pipelines live: a QID's record holds a fan-out exactly when the QID
+// names a live class — every class has a pipeline of its own, a
+// singleton's, a canonical first member's or a containment child's —
+// and then it is the class's current one; and no node stores a query or
+// placement whose QID's record holds none.
+func checkOneRecord(t *testing.T, label string, eng *Engine) {
+	t.Helper()
+	classes := make(map[string]*share.Class) // the live classes by pipeline QID
+	for qid, s := range eng.subs {
+		if !s.retired {
+			for cls := eng.reg.ClassOf(qid); cls != nil; cls = cls.Parent {
+				classes[cls.QID] = cls
+			}
+		}
+	}
+	for qid, s := range eng.subs {
+		cls := classes[qid]
+		if (s.fo != nil) != (cls != nil) {
+			t.Fatalf("%s: %s's record holds a fan-out: %v; it names a live class: %v", label, qid, s.fo != nil, cls != nil)
+		}
+		if cls != nil && !reflect.DeepEqual(s.fo, cls.Snapshot()) {
+			t.Fatalf("%s: %s's fan-out is not its class's current one", label, qid)
+		}
+	}
+	for _, p := range eng.procs {
+		p.st.each(classQueries|classPending, nil, func(op stateOp) {
+			if s := eng.sub(op.stored().q.ID); s == nil || s.fo == nil {
+				t.Fatalf("%s: a node stores a query or placement of %s, whose record holds no fan-out", label, op.stored().q.ID)
+			}
+		})
+	}
+}
+
 // TestSubsRandomScripts is the subscriber side's one property: whatever
 // script of subscribe / publish / Run / unsubscribe runs, every live
 // subscription holds exactly its reference answers, the delivery counter
 // accounts for every row held or discarded, the engine retains one
-// record per submission with contents only on the live ones, and a row
-// arriving for a retired query changes nothing.
+// record per submission with contents only on the live ones, each
+// record holds a fan-out exactly while its QID names a live pipeline
+// (checkOneRecord, after every Run), and a row arriving for a retired
+// query, or an Eval for a torn-down pipeline, changes nothing.
 func TestSubsRandomScripts(t *testing.T) {
-	var sumHeld, sumDiscarded, sumShared int64
+	var sumHeld, sumDiscarded, sumShared, sumStragglers int64
 	for _, workers := range []int{1, 2} {
 		for seed := int64(1); seed <= 40; seed++ {
 			sharing := seed%2 == 0
@@ -119,6 +156,7 @@ func TestSubsRandomScripts(t *testing.T) {
 				case r < 9:
 					eng.Run()
 					checkNothingWaits(t, eng)
+					checkOneRecord(t, fmt.Sprintf("%s step %d", label, step), eng)
 				case len(live) > 0:
 					i := rng.Intn(len(live))
 					discarded += int64(len(eng.Answers(live[i])))
@@ -131,6 +169,7 @@ func TestSubsRandomScripts(t *testing.T) {
 			}
 			eng.Run()
 			checkNothingWaits(t, eng)
+			checkOneRecord(t, label, eng)
 
 			var held int64
 			for _, qid := range live {
@@ -153,6 +192,20 @@ func TestSubsRandomScripts(t *testing.T) {
 				if len(eng.Answers(qid))+len(eng.AggRows(qid)) != 0 {
 					t.Fatalf("%s: retired %s serves rows", label, qid)
 				}
+				if s := eng.sub(qid); s.fo == nil {
+					// A straggling Eval of the torn-down pipeline is dropped
+					// at the key's owner, not stored.
+					sq, c := entryOf(s.q), s.q.Candidates()[0]
+					sq.pipe = s
+					owner := eng.procs[eng.ring.Owner(c.Key.ID()).ID()]
+					owner.HandleMessage(eng.sim.Now(), newEvalMsg(sq, c.Key, c.Level))
+					owner.st.each(classQueries, nil, func(op stateOp) {
+						if op.sq == sq {
+							t.Fatalf("%s: an Eval of torn-down %s was stored", label, qid)
+						}
+					})
+					sumStragglers++
+				}
 			}
 			eng.Sync()
 			if after := eng.subsFootprint(); after != before || eng.Counters != ctr {
@@ -161,8 +214,8 @@ func TestSubsRandomScripts(t *testing.T) {
 			sumHeld, sumDiscarded, sumShared = sumHeld+held, sumDiscarded+discarded, sumShared+ctr.QueriesShared
 		}
 	}
-	if sumHeld == 0 || sumDiscarded == 0 || sumShared == 0 {
-		t.Fatalf("scripts too weak: %d rows held, %d discarded, %d shared submissions", sumHeld, sumDiscarded, sumShared)
+	if sumHeld == 0 || sumDiscarded == 0 || sumShared == 0 || sumStragglers == 0 {
+		t.Fatalf("scripts too weak: %d rows held, %d discarded, %d shared submissions, %d stragglers of torn-down pipelines", sumHeld, sumDiscarded, sumShared, sumStragglers)
 	}
 }
 

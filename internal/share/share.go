@@ -8,19 +8,22 @@
 // completion node before emitting answer rows. A query whose join
 // graph strictly contains an existing class's attaches to that class's
 // completed rewrites (containment sharing) instead of starting from
-// scratch.
+// scratch. Every submitted query belongs to a class: one nothing
+// shares with is a class of one, whose fan-out holds one subscriber
+// with no residual.
 //
 // The package is pure bookkeeping: it never sends messages and never
 // touches the simulator. The registry is written only from the
 // engine's coordinator context (SubmitQuery / Unsubscribe); the
 // immutable Fanout snapshots it produces are read lock-free by the
-// message handlers, the same discipline the engine's aggregate-spec
-// table follows.
+// message handlers, which find them on the subscription record of the
+// QID naming the pipeline.
 package share
 
 import (
 	"sort"
 
+	"rjoin/internal/agg"
 	"rjoin/internal/query"
 	"rjoin/internal/relation"
 )
@@ -48,8 +51,8 @@ type ProjItem struct {
 
 // Residual is what remains of a subscriber's query after the canonical
 // pipeline shape is factored out: filter predicates over constants and
-// the projection list. DISTINCT memory and aggregate specs stay
-// per-subscriber on the owner side and are not represented here.
+// the projection list. DISTINCT memory stays per-subscriber on the
+// owner side, and the aggregate spec rides on the Subscriber.
 type Residual struct {
 	Preds []Pred
 	Items []ProjItem
@@ -377,16 +380,19 @@ func (c *Canonical) RelSlices() []RelSlice {
 // Arity is the width of the pipeline's full output row.
 func (c *Canonical) Arity() int { return c.arity }
 
-// Subscriber is one continuous query attached to a class: its own
-// query ID (answer identity), owner node, insertion time (rows whose
-// earliest tuple predates it are filtered out at the fan-out), and
-// residual. A nil Residual means the subscriber's query is
-// byte-identical to the pipeline and rows pass through unchanged.
+// Subscriber is one query attached to a class: its own query ID
+// (answer identity), owner node, insertion time (rows whose earliest
+// tuple predates it are filtered out at the fan-out; a one-time query
+// has no cutoff, math.MinInt64), residual and aggregation spec. A nil
+// Residual means the subscriber's query is byte-identical to the
+// pipeline and rows pass through unchanged; a nil Spec, that the
+// subscriber's rows go to its owner rather than into aggregation.
 type Subscriber struct {
 	QID        string
 	Owner      uint64
 	InsertTime int64
 	Res        *Residual
+	Spec       *agg.Spec
 }
 
 // Kid is a containment child attached to a parent class: a query
@@ -403,7 +409,8 @@ type Kid struct {
 
 // Class is one equivalence class in the registry: the shared pipeline
 // (identified by the first subscriber's query ID), its subscribers,
-// and any containment children feeding off its completions.
+// and any containment children feeding off its completions. A query
+// nothing shares with is a class of one.
 type Class struct {
 	// QID is the pipeline identity: the first subscriber's query ID.
 	QID string
@@ -416,6 +423,10 @@ type Class struct {
 	// Canonical marks classes whose pipeline is the canonical
 	// full-row shape (subscribers then carry projection residuals).
 	Canonical bool
+	// Shared marks a class whose pipeline has served more than its own
+	// query: a canonical one, or one a second subscriber joined at some
+	// point. It is never cleared; its fan-out rows are the shared ones.
+	Shared bool
 	// Pipeline is the class's pipeline query (for containment
 	// children, the unplaced query replayed over parent completions).
 	Pipeline *query.Query
@@ -435,38 +446,31 @@ func (c *Class) Empty() bool { return len(c.Subs) == 0 && len(c.Kids) == 0 }
 // fresh on every membership change and swapped in from coordinator
 // context, read lock-free by the message handlers.
 type Fanout struct {
-	Subs []FanSub
-	Kids []*Kid
-}
-
-// FanSub is one subscriber entry of a Fanout.
-type FanSub struct {
-	QID        string
-	Owner      uint64
-	InsertTime int64
-	Res        *Residual
+	Subs   []Subscriber
+	Kids   []*Kid
+	Shared bool // the class's Shared flag
 }
 
 // Snapshot builds the current Fanout of the class.
 func (c *Class) Snapshot() *Fanout {
 	fo := &Fanout{
-		Subs: make([]FanSub, len(c.Subs)),
-		Kids: append([]*Kid(nil), c.Kids...),
+		Subs:   make([]Subscriber, len(c.Subs)),
+		Kids:   append([]*Kid(nil), c.Kids...),
+		Shared: c.Shared,
 	}
 	for i, s := range c.Subs {
-		fo.Subs[i] = FanSub{QID: s.QID, Owner: s.Owner, InsertTime: s.InsertTime, Res: s.Res}
+		fo.Subs[i] = *s
 	}
 	return fo
 }
 
 // Registry holds every live equivalence class, keyed three ways: by
-// exact SQL rendering, by canonical form, and by pipeline/subscriber
-// query ID. It is written only from the engine's coordinator context.
+// exact SQL rendering, by canonical form, and by subscriber query ID.
+// It is written only from the engine's coordinator context.
 type Registry struct {
-	bySQL   map[string]*Class
-	byForm  map[string]*Class
-	classes map[string]*Class // pipeline QID -> class
-	subs    map[string]*Class // subscriber QID -> class
+	bySQL  map[string]*Class
+	byForm map[string]*Class
+	subs   map[string]*Class // subscriber QID -> class
 	// order lists classes in creation order: the deterministic
 	// iteration sequence for containment-parent search.
 	order []*Class
@@ -475,10 +479,9 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		bySQL:   make(map[string]*Class),
-		byForm:  make(map[string]*Class),
-		classes: make(map[string]*Class),
-		subs:    make(map[string]*Class),
+		bySQL:  make(map[string]*Class),
+		byForm: make(map[string]*Class),
+		subs:   make(map[string]*Class),
 	}
 }
 
@@ -491,16 +494,12 @@ func (r *Registry) LookupForm(form string) *Class { return r.byForm[form] }
 // ClassOf returns the class a subscriber query ID is attached to.
 func (r *Registry) ClassOf(subQID string) *Class { return r.subs[subQID] }
 
-// Get returns the class with the given pipeline QID.
-func (r *Registry) Get(qid string) *Class { return r.classes[qid] }
-
 // Register adds a new class and its first subscriber. The exact/form
 // keys are claimed only if free (a key can be occupied when sharing
 // declined to attach, e.g. a DISTINCT duplicate of a non-canonical
 // class).
 func (r *Registry) Register(cls *Class, first *Subscriber) {
 	cls.Subs = append(cls.Subs, first)
-	r.classes[cls.QID] = cls
 	r.subs[first.QID] = cls
 	if cls.Exact != "" {
 		if _, taken := r.bySQL[cls.Exact]; !taken {
@@ -515,9 +514,11 @@ func (r *Registry) Register(cls *Class, first *Subscriber) {
 	r.order = append(r.order, cls)
 }
 
-// Attach adds a further subscriber to an existing class.
+// Attach adds a further subscriber to an existing class, which is
+// shared from then on.
 func (r *Registry) Attach(cls *Class, sub *Subscriber) {
 	cls.Subs = append(cls.Subs, sub)
+	cls.Shared = true
 	r.subs[sub.QID] = cls
 }
 
@@ -551,7 +552,6 @@ func (r *Registry) DetachKid(parent *Class, kidQID string) {
 // Drop removes a class from every index. Keys are released only if
 // they still point at this class.
 func (r *Registry) Drop(cls *Class) {
-	delete(r.classes, cls.QID)
 	if r.bySQL[cls.Exact] == cls {
 		delete(r.bySQL, cls.Exact)
 	}
