@@ -272,48 +272,106 @@ func TestCrashCountsLostState(t *testing.T) {
 	}
 }
 
-// TestLeaveWithNoSuccessorCountsLoss: the last node leaves; there is
-// nobody to hand to, so everything it holds is charged to the loss
-// counters — except entries of a retired pipeline, which nobody is
-// waiting for and which CrashNode skips as well.
+// TestLeaveWithNoSuccessorCountsLoss: the last node leaves, or crashes;
+// there is nobody to hand to or recover to, so everything it holds is
+// charged to the loss counters — the same charges either way — except
+// entries of a retired pipeline, which nobody is waiting for.
 func TestLeaveWithNoSuccessorCountsLoss(t *testing.T) {
-	eng, nodes := testNet(t, 1, 3, Config{}, churnNetCfg())
-	var qids []string
-	for i := 0; i < 2; i++ {
-		qid, err := eng.SubmitQuery(nodes[0], sqlparse.MustParse(
-			"select R.B, S.B from R,S where R.A=S.A", testCat))
-		if err != nil {
-			t.Fatal(err)
+	var charged [2]Counters
+	for d, depart := range []func(*Engine, *chord.Node) error{(*Engine).LeaveNode, (*Engine).CrashNode} {
+		eng, nodes := testNet(t, 1, 3, Config{}, churnNetCfg())
+		var qids []string
+		for i := 0; i < 2; i++ {
+			qid, err := eng.SubmitQuery(nodes[0], sqlparse.MustParse(
+				"select R.B, S.B from R,S where R.A=S.A", testCat))
+			if err != nil {
+				t.Fatal(err)
+			}
+			qids = append(qids, qid)
 		}
-		qids = append(qids, qid)
-	}
-	eng.Run()
-	for i := 0; i < 4; i++ {
-		eng.PublishTuple(nodes[0], mkTuple("R", int64(i), int64(i), 0))
-	}
-	eng.Run()
-	st := eng.procs[nodes[0].ID()].st
-	c := st.counts()
-	retired := 0
-	eng.sub(qids[1]).fo = nil // torn down, its stored copies not yet swept
-	for _, list := range st.queries {
-		for _, sq := range list {
-			if sq.q.ID == qids[1] {
-				retired++
+		eng.Run()
+		for i := 0; i < 4; i++ {
+			eng.PublishTuple(nodes[0], mkTuple("R", int64(i), int64(i), 0))
+		}
+		eng.Run()
+		st := eng.procs[nodes[0].ID()].st
+		c := st.counts()
+		retired := 0
+		eng.sub(qids[1]).fo = nil // torn down, its stored copies not yet swept
+		for _, list := range st.queries {
+			for _, sq := range list {
+				if sq.q.ID == qids[1] {
+					retired++
+				}
 			}
 		}
+		if retired == 0 || retired == c.queries || c.tuples == 0 {
+			t.Fatalf("workload too weak: %d of %d stored queries retired, %d tuples", retired, c.queries, c.tuples)
+		}
+		if err := depart(eng, nodes[0]); err != nil {
+			t.Fatal(err)
+		}
+		if got := eng.Counters.QueriesLost + eng.Counters.RewritesLost; got != int64(c.queries-retired) {
+			t.Fatalf("departure %d with no successor charged %d queries, want %d (retired pipeline skipped)", d, got, c.queries-retired)
+		}
+		if got := eng.Counters.TuplesLost; got != int64(c.tuples+c.altt) {
+			t.Fatalf("departure %d with no successor charged %d tuples, want %d", d, got, c.tuples+c.altt)
+		}
+		charged[d] = Counters{
+			QueriesLost: eng.Counters.QueriesLost, RewritesLost: eng.Counters.RewritesLost,
+			TuplesLost: eng.Counters.TuplesLost, AggStateLost: eng.Counters.AggStateLost,
+			QueriesRecovered: eng.Counters.QueriesRecovered,
+		}
 	}
-	if retired == 0 || retired == c.queries || c.tuples == 0 {
-		t.Fatalf("workload too weak: %d of %d stored queries retired, %d tuples", retired, c.queries, c.tuples)
+	if charged[0] != charged[1] {
+		t.Fatalf("the last node's crash charged %+v, its leave %+v", charged[1], charged[0])
 	}
-	if err := eng.LeaveNode(nodes[0]); err != nil {
+}
+
+// TestEvalInFlightAcrossJoinRerouted: an input query's Eval is on the
+// wire to its candidate key's owner when a node joins at that key's
+// identifier. The old owner no longer owns the key on arrival, so the
+// ownership check forwards the Eval, unprocessed, to the joiner, and
+// the stream stays exact.
+func TestEvalInFlightAcrossJoinRerouted(t *testing.T) {
+	cfg := Config{}
+	cfg.Strategy = StrategyRandom
+	eng, nodes := testNet(t, 16, 5, cfg, churnNetCfg())
+	q := "select R.B, S.B from R,S where R.A=S.A"
+	parsed := sqlparse.MustParse(q, testCat)
+	qid, err := eng.SubmitQuery(nodes[2], parsed)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.Counters.QueriesLost + eng.Counters.RewritesLost; got != int64(c.queries-retired) {
-		t.Fatalf("leave with no successor charged %d queries, want %d (retired pipeline skipped)", got, c.queries-retired)
+	// No Run: the Eval is in flight. Whichever candidate it went to, a
+	// joiner now owns that key.
+	for _, c := range parsed.AppendCandidates(nil) {
+		if _, err := eng.JoinNode(c.Key.ID()); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := eng.Counters.TuplesLost; got != int64(c.tuples+c.altt) {
-		t.Fatalf("leave with no successor charged %d tuples, want %d", got, c.tuples+c.altt)
+	eng.Run()
+	if eng.Counters.MessagesRerouted < 1 {
+		t.Fatal("the in-flight Eval was not rerouted to the joiner")
+	}
+
+	var published []*relation.Tuple
+	for i := 0; i < 10; i++ {
+		r := mkTuple("R", int64(i%3), int64(i), 0)
+		s := mkTuple("S", int64(i%3), int64(40+i), 0)
+		published = append(published, r, s)
+		alive := eng.Ring().Nodes()
+		eng.PublishTuple(alive[i%len(alive)], r)
+		eng.PublishTuple(alive[(i+3)%len(alive)], s)
+		eng.Run()
+	}
+	want := expectedBag(t, q, published)
+	got := answerBag(eng, qid)
+	if len(want) == 0 {
+		t.Fatal("reference produced no answers")
+	}
+	if !bagsEqual(got, want) {
+		t.Fatalf("answers diverged across the rerouted Eval: got %d rows, want %d", len(got), len(want))
 	}
 }
 

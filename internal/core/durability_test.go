@@ -629,45 +629,52 @@ func mirrorsMatchAtEveryEvent(t *testing.T, settle bool) {
 
 // TestCrashDuringPlacementWalk: the submitting node crashes while the
 // input query's RIC placement walk is still in flight — before any
-// handler ran on it. The walk is replicated state, so promotion
-// restarts it and the stream stays exact.
+// handler ran on it. Under rf 2 the walk is replicated state, so
+// promotion restarts it; without replication recovery restarts it from
+// its owner's side. Either way the query is recovered once, nothing is
+// lost and the stream stays exact.
 func TestCrashDuringPlacementWalk(t *testing.T) {
-	eng, nodes := testNet(t, 48, 21, replCfg(2), churnNetCfg())
-	q := "select R.B, S.B from R,S where R.A=S.A"
-	qid, err := eng.SubmitQuery(nodes[0], sqlparse.MustParse(q, testCat))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// No Run: the walk is pending at nodes[0] when it crashes.
-	if len(eng.procs[nodes[0].ID()].st.pending) == 0 {
-		t.Fatal("submission left no pending walk; placement completed synchronously")
-	}
-	if err := eng.CrashNode(nodes[0]); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
+	for _, rf := range []int{1, 2} {
+		t.Run(fmt.Sprintf("rf%d", rf), func(t *testing.T) {
+			eng, nodes := testNet(t, 48, 21, replCfg(rf), churnNetCfg())
+			q := "select R.B, S.B from R,S where R.A=S.A"
+			qid, err := eng.SubmitQuery(nodes[0], sqlparse.MustParse(q, testCat))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// No Run: the walk is pending at nodes[0] when it crashes.
+			if len(eng.procs[nodes[0].ID()].st.pending) == 0 {
+				t.Fatal("submission left no pending walk; placement completed synchronously")
+			}
+			if err := eng.CrashNode(nodes[0]); err != nil {
+				t.Fatal(err)
+			}
+			eng.Run()
 
-	var published []*relation.Tuple
-	for i := 0; i < 10; i++ {
-		r := mkTuple("R", int64(i%3), int64(i), 0)
-		s := mkTuple("S", int64(i%3), int64(40+i), 0)
-		published = append(published, r, s)
-		alive := eng.Ring().Nodes()
-		eng.PublishTuple(alive[i%len(alive)], r)
-		eng.PublishTuple(alive[(i+3)%len(alive)], s)
-		eng.Run()
-	}
+			var published []*relation.Tuple
+			for i := 0; i < 10; i++ {
+				r := mkTuple("R", int64(i%3), int64(i), 0)
+				s := mkTuple("S", int64(i%3), int64(40+i), 0)
+				published = append(published, r, s)
+				alive := eng.Ring().Nodes()
+				eng.PublishTuple(alive[i%len(alive)], r)
+				eng.PublishTuple(alive[(i+3)%len(alive)], s)
+				eng.Run()
+			}
 
-	want := expectedBag(t, q, published)
-	got := answerBag(eng, qid)
-	if len(want) == 0 {
-		t.Fatal("reference produced no answers")
-	}
-	if !bagsEqual(got, want) {
-		t.Fatalf("crash during the placement walk lost the query: got %d rows, want %d", len(got), len(want))
-	}
-	if eng.Counters.QueriesLost != 0 {
-		t.Fatalf("replicated crash counted %d queries lost", eng.Counters.QueriesLost)
+			want := expectedBag(t, q, published)
+			got := answerBag(eng, qid)
+			if len(want) == 0 {
+				t.Fatal("reference produced no answers")
+			}
+			if !bagsEqual(got, want) {
+				t.Fatalf("crash during the placement walk lost the query: got %d rows, want %d", len(got), len(want))
+			}
+			if eng.Counters.QueriesLost != 0 || eng.Counters.QueriesRecovered != 1 {
+				t.Fatalf("crash counted %d queries lost and %d recovered, want 0 and 1",
+					eng.Counters.QueriesLost, eng.Counters.QueriesRecovered)
+			}
+		})
 	}
 }
 

@@ -13,12 +13,12 @@ import (
 )
 
 // This file implements runtime membership changes: graceful leave with
-// state handover, abrupt crash with engine-level recovery, and runtime
+// state handover, abrupt crash with promotion or recovery, and runtime
 // join with arc transfer. The policy deciding *when* nodes churn lives
 // in internal/churn; the mechanics of moving RJoin state live here,
-// next to the stores they drain and fill. All three moves are one call,
-// move, made inside the membership operation: what differs between them
-// is the bill.
+// next to the stores they drain and fill. Every move is one call, move,
+// made inside the membership operation, and leave and crash are one
+// departure (depart): what differs between them is the bill.
 
 // stateChunk bounds how many state entries ride in one handover or
 // replica-snapshot message, so the traffic charged for moving or
@@ -33,57 +33,98 @@ const (
 	// handover is the wire cost of a leave or a join: one overlay.TagChurn
 	// message per stateChunk entries, counted in the handover counters.
 	handover bill = iota
-	// promotion is the recovery a crash performs under replication:
-	// ReplPromotions once and promote's rule for every entry.
+	// promotion is a crash under replication: ReplPromotions once and
+	// promote's rule for every entry.
 	promotion
+	// recovery is a departure nobody inherits — a crash with no replica,
+	// or the last node's: recover's rule for every entry, and no heir.
+	recovery
 )
 
-// move installs the entries ops, taken from node from, at their
-// ground-truth owners: a keyed entry at ring.Owner(key), a node-bound
-// one at to, where every placement walk restarts — the walk died with
-// its origin, or its reply is addressed to an identifier that is gone.
-// Dead entries are neither billed nor installed (expired), and entries
-// of pipelines or subscriptions retired meanwhile are dropped. The
-// receivers count what they install, and to's replica group is charged
-// one batch per handover message — stateChunk entries — or one for a
-// whole promotion. It runs in coordinator context, after the replica
-// groups re-formed, so nothing in flight can observe a new owner before
-// its state.
+// move installs the entries ops, taken from node from, at the heir to:
+// the ring owner of every key they carry (invariant I3 — a keyed entry
+// sits at its key's ring owner — and every key a membership change
+// moves goes to one node), where every placement walk restarts too: the
+// walk died with its origin, or its reply is addressed to an identifier
+// that is gone. Under recovery to is nil and recover disposes of each
+// entry. Dead entries are neither billed nor installed (expired, counted
+// at from), and entries of pipelines or subscriptions retired meanwhile
+// are dropped. to counts what it installs, and its replica group is
+// charged one batch per handover message — stateChunk entries — or one
+// for a whole promotion. Every send a move makes is churn traffic,
+// whichever node makes it. It runs in coordinator context, after the
+// replica groups re-formed, so nothing in flight can observe a new
+// owner before its state.
 func (e *Engine) move(from, to *Proc, ops []stateOp, b bill) {
 	now := e.sim.Now()
-	ops = slices.DeleteFunc(ops, func(op stateOp) bool { return e.expired(op, to) })
-	if b == promotion {
-		to.ctr.ReplPromotions++
-	} else {
-		e.chargeHandover(from, len(ops))
-	}
-	for i, op := range ops {
-		retired := e.retiredOp(op)
-		if b == promotion && !retired {
-			e.promote(to, op)
+	ops = slices.DeleteFunc(ops, func(op stateOp) bool { return e.expired(op, from) })
+	e.net.WithTagAll(overlay.TagChurn, func() {
+		switch b {
+		case handover:
+			e.chargeHandover(from, len(ops))
+		case promotion:
+			to.ctr.ReplPromotions++
 		}
-		switch {
-		case retired:
-			// torn down meanwhile: nothing to install
-		case op.kind == opAddPending:
-			// Charged as churn traffic like the rest of membership: the
-			// walk is recovery work, not placement of new state.
-			e.net.WithTag(to.node, overlay.TagChurn, func() { to.place(now, op.pp.sq) })
-		default:
-			r := e.ownerOf(op, to)
-			r.st.apply(op)
-			if r != to {
-				r.replFlush()
+		for i, op := range ops {
+			retired := e.retiredOp(op)
+			if b == promotion && !retired {
+				e.promote(to, op)
+			}
+			switch {
+			case retired:
+				// torn down meanwhile: nothing to install
+			case b == recovery:
+				e.recover(now, op)
+			case op.kind == opAddPending:
+				to.place(now, op.pp.sq)
+			default:
+				to.st.apply(op)
+			}
+			if b == handover && (i+1)%stateChunk == 0 {
+				to.replFlush() // one replica batch per handover message
 			}
 		}
-		if b == handover && (i+1)%stateChunk == 0 {
-			to.replFlush() // one replica batch per handover message
+		if to != nil {
+			to.replFlush()
 		}
-	}
-	to.replFlush()
+	})
 }
 
-// expired reports whether an entry leaving a node is dead and, if so,
+// recover is recovery's rule for one live entry nobody inherits. An
+// input (Depth 0) continuous query the departed node was storing or
+// still placing is re-indexed from its owner's side, preserving
+// identity and insertion time so the stream picks up where the
+// departure cut it: a stored one at exactly the key it was stored
+// under, a placement from scratch. Everything else — rewritten queries,
+// tuples, aggregator partials, one-time queries, and input queries
+// whose owner's side is gone with the ring — is charged lost: answers
+// it would have produced are the departure's answer loss.
+func (e *Engine) recover(now sim.Time, op stateOp) {
+	sq := op.stored()
+	var home *Proc
+	if sq != nil && sq.q.Depth == 0 && !sq.q.OneTime {
+		if o := e.ring.Owner(id.ID(sq.q.Owner)); o != nil {
+			home = e.procs[o.ID()]
+		}
+	}
+	if home == nil {
+		op.chargeLost(&e.Counters)
+		return
+	}
+	e.Counters.QueriesRecovered++
+	if op.kind == opAddPending {
+		home.place(now, sq)
+		home.replFlush() // coordinator context: charge the walk's replica op now
+		return
+	}
+	// A fresh entry: the recovered query starts without the lost one's
+	// DISTINCT memory.
+	fresh := entryOf(sq.q)
+	fresh.pipe = sq.pipe
+	e.net.Send(home.node, sq.key.ID(), newEvalMsg(fresh, sq.key, sq.level))
+}
+
+// expired reports whether an entry leaving node p is dead and, if so,
 // counts it expired (a tuple: collected) at p: nothing still to come can
 // reach it, so it is neither moved nor lost. An ALTT entry is judged by
 // the clock, which is exact at any instant (every later scan skips it
@@ -116,34 +157,20 @@ func (e *Engine) expired(op stateOp, p *Proc) bool {
 	return true
 }
 
-// ownerOf resolves the processor a moved entry belongs to: the ring
-// owner of a keyed entry's key, to for a node-bound one (and for a key
-// whose owner runs no processor).
-func (e *Engine) ownerOf(op stateOp, to *Proc) *Proc {
-	if !op.keyed() {
-		return to
-	}
-	if o := e.ring.Owner(op.key.ID()); o != nil && e.procs[o.ID()] != nil {
-		return e.procs[o.ID()]
-	}
-	return to
-}
-
 // chargeHandover bills moving n entries off node from: one handoff
-// message per stateChunk of them under the churn traffic tag.
+// message per stateChunk of them, under the tag of the move that makes
+// it.
 func (e *Engine) chargeHandover(from *Proc, n int) {
-	e.net.WithTag(from.node, overlay.TagChurn, func() {
-		for ; n > 0; n -= stateChunk {
-			c := min(n, stateChunk)
-			e.Counters.HandoverMessages++
-			e.Counters.HandoverEntries += int64(c)
-			if ob := e.obs; ob != nil {
-				// Handover runs from churn-manager (coordinator) context.
-				ob.Emit(sim.NoShard, obs.Rec{At: e.sim.Now(), Kind: obs.KindHandover, Node: from.nid(), Arg: int64(c)})
-			}
-			e.net.Handoff(from.node)
+	for ; n > 0; n -= stateChunk {
+		c := min(n, stateChunk)
+		e.Counters.HandoverMessages++
+		e.Counters.HandoverEntries += int64(c)
+		if ob := e.obs; ob != nil {
+			// Handover runs from churn-manager (coordinator) context.
+			ob.Emit(sim.NoShard, obs.Rec{At: e.sim.Now(), Kind: obs.KindHandover, Node: from.nid(), Arg: int64(c)})
 		}
-	})
+		e.net.Handoff(from.node)
+	}
 }
 
 // JoinNode adds a node with the given identifier to a running network:
@@ -178,127 +205,66 @@ func (e *Engine) JoinNode(nid id.ID) (*chord.Node, error) {
 	return n, nil
 }
 
-// LeaveNode removes a node gracefully: it departs the ring and moves its
-// entire RJoin state to the node that owns its keys once it is gone —
-// ring ground truth, its successor — counted in the churn traffic
-// share. Messages already in flight to the departed node bounce to the
-// same successor and find the state there, so a graceful leave loses no
-// state and duplicates no answers. The
-// exception is the last node: there is nobody to hand to, and its live
-// state — pending placements included — is counted as lost.
-func (e *Engine) LeaveNode(n *chord.Node) error {
-	p, ok := e.procs[n.ID()]
-	if !ok {
-		return fmt.Errorf("core: node %s has no processor", n.ID())
-	}
-	e.ring.Leave(n)
-	e.NodeLeft(n)
-	// Every group the node belonged to lost a member.
-	e.regroup(n.ID(), false)
-	if o := e.ring.Owner(n.ID()); o != nil && e.procs[o.ID()] != nil {
-		e.move(p, e.procs[o.ID()], p.st.ops(classAll, nil), handover)
-	} else {
-		p.st.chargeLost(&e.Counters, func(op stateOp) bool { return e.retiredOp(op) || e.expired(op, p) })
-	}
-	return nil
-}
+// LeaveNode removes a node gracefully: it departs the ring and hands
+// its entire RJoin state to its heir — the node that owns its keys once
+// it is gone, ring ground truth, its successor — counted in the churn
+// traffic share. Messages already in flight to the departed node bounce
+// to the same successor and find the state there, so a graceful leave
+// loses no state and duplicates no answers. The exception is the last
+// node: there is nobody to hand to, and its state goes through
+// recovery, which finds no owner's side left and counts it lost.
+func (e *Engine) LeaveNode(n *chord.Node) error { return e.depart(n, false) }
 
 // CrashNode removes a node abruptly. Without replication its stored
-// state is gone: the engine re-indexes every input (Depth 0) continuous
-// query the dead node was storing or placing from its owner's side
-// (preserving identity and insertion time so the stream picks up where
-// the crash cut it), while rewritten queries, stored tuples and
-// aggregator partials are lost and counted — answers they would have
-// produced are the crash's answer loss.
+// state is gone, and recovery re-indexes every input (Depth 0)
+// continuous query the dead node was storing or placing from its
+// owner's side (preserving identity and insertion time so the stream
+// picks up where the crash cut it), while rewritten queries, stored
+// tuples and aggregator partials are lost and counted — answers they
+// would have produced are the crash's answer loss.
 //
 // With ReplicationFactor >= 2 and a surviving replica, nothing is
-// lost: the head of the dead node's replica group — the node the ring
-// now routes its keys to — promotes its copy, which is the dead node's
-// own replicated state, re-indexing it at its exact keys and
-// re-replicating it, before CrashNode returns: every message bounced off
-// the dead node finds the promoted state. In-flight placement walks are
-// replicated too (rewrites included — without a copy they exist only at
-// the walk's origin) and restart at the promotee.
-func (e *Engine) CrashNode(n *chord.Node) error {
+// lost: the head of the dead node's replica group — its heir, the node
+// the ring now routes its keys to — promotes its copy, which is the
+// dead node's own replicated state, re-indexing it at its exact keys
+// and re-replicating it, before CrashNode returns: every message
+// bounced off the dead node finds the promoted state. In-flight
+// placement walks are replicated too (rewrites included — without a
+// copy they exist only at the walk's origin) and restart at the heir.
+func (e *Engine) CrashNode(n *chord.Node) error { return e.depart(n, true) }
+
+// depart removes node n — by a leave, or by a crash — and moves its
+// state once: the ring forgets it, its processor detaches, every
+// replica group it belonged to re-forms (regroup), and move installs
+// its state at its heir under the bill the departure earns. A leave
+// with an heir hands everything over; a crash with an heir promotes
+// its mirrored state when a replica keeps any; anything else is
+// recovery. Regrouping first is safe for recovery: it runs only where
+// regroup changes nothing — rf < 2, an empty ring, or a node holding
+// nothing a replica keeps.
+func (e *Engine) depart(n *chord.Node, crash bool) error {
 	p, ok := e.procs[n.ID()]
 	if !ok {
 		return fmt.Errorf("core: node %s has no processor", n.ID())
 	}
-	e.ring.Fail(n)
+	if crash {
+		e.ring.Fail(n)
+	} else {
+		e.ring.Leave(n)
+	}
 	e.NodeLeft(n)
-
-	now := e.sim.Now()
-	// The promotee is the head of the dead node's replica group, when the
-	// node holds anything a replica keeps.
-	var promotee *Proc
-	if e.Cfg.ReplicationFactor >= 2 && p.st.counts().mirrored() > 0 {
-		if o := e.ring.Owner(n.ID()); o != nil {
-			promotee = e.procs[o.ID()]
-		}
-	}
-
-	// Without a promotion, input continuous queries the dead node was
-	// storing (lost) or still placing (rePlace) are recovered from their
-	// owner's side, in the state's deterministic order; everything else
-	// it held and still lives is counted lost. Under promotion the copy
-	// carries all of it — walks included, which restart at the promotee.
-	var lost, rePlace []*storedQuery
-	if promotee == nil {
-		p.st.each(classAll, nil, func(op stateOp) {
-			sq := op.stored()
-			switch {
-			case e.retiredOp(op) || e.expired(op, p):
-				// torn-down pipeline or dead entry: nothing to recover or count
-			case sq == nil || sq.q.Depth > 0 || sq.q.OneTime:
-				op.chargeLost(&e.Counters)
-			case op.kind == opAddQuery:
-				lost = append(lost, sq)
-			default:
-				rePlace = append(rePlace, sq)
-			}
-		})
-	}
-
-	// Coordinator-context section: crash recovery sends originate from
-	// many different recovery homes, so the tag scopes to every lane.
-	e.net.WithTagAll(overlay.TagChurn, func() {
-		// Re-index each lost input placement at exactly the key it was
-		// stored under.
-		for _, lp := range lost {
-			home := e.ring.Owner(id.ID(lp.q.Owner))
-			if home == nil {
-				e.Counters.QueriesLost++ // ring emptied out: nobody left to recover to
-				continue
-			}
-			e.Counters.QueriesRecovered++
-			// A fresh entry: the recovered query starts without the lost
-			// one's DISTINCT memory.
-			sq := entryOf(lp.q)
-			sq.pipe = lp.pipe
-			e.net.Send(home, lp.key.ID(), newEvalMsg(sq, lp.key, lp.level))
-		}
-		// Placements that never completed restart from scratch.
-		for _, sq := range rePlace {
-			home := e.ring.Owner(id.ID(sq.q.Owner))
-			if home == nil {
-				e.Counters.QueriesLost++
-				continue
-			}
-			hp := e.procs[home.ID()]
-			if hp == nil {
-				e.Counters.QueriesLost++
-				continue
-			}
-			e.Counters.QueriesRecovered++
-			hp.place(now, sq)
-			hp.replFlush() // coordinator context: charge the walk's replica op now
-		}
-	})
-	// Every group the dead node belonged to lost a member: re-form them,
-	// so what the promotee promotes is charged to its repaired group.
 	e.regroup(n.ID(), false)
-	if promotee != nil {
-		e.move(p, promotee, p.st.ops(classMirrored, nil), promotion)
+	var heir *Proc
+	if o := e.ring.Owner(n.ID()); o != nil {
+		heir = e.procs[o.ID()]
+	}
+	switch {
+	case heir == nil || crash && (e.Cfg.ReplicationFactor < 2 || p.st.counts().mirrored() == 0):
+		e.move(p, nil, p.st.ops(classAll, nil), recovery)
+	case crash:
+		e.move(p, heir, p.st.ops(classMirrored, nil), promotion)
+	default:
+		e.move(p, heir, p.st.ops(classAll, nil), handover)
 	}
 	return nil
 }

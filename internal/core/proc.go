@@ -474,7 +474,7 @@ func (p *Proc) trigger(now sim.Time, sq *storedQuery, t *relation.Tuple, stored 
 	q2.Lineage = p.lineage(q, t)
 	p.consume(sq, proj)
 	p.profTrigger(now, sq, len(q2.Relations))
-	p.dispatch(now, sq2, t.PubTime)
+	p.dispatch(now, sq2)
 }
 
 // lineage extends q's provenance by the step of consuming t here; nil
@@ -601,21 +601,15 @@ func (p *Proc) onEval(now sim.Time, m *evalMsg) {
 	}
 }
 
-// dispatch routes a freshly created rewrite: completed queries become
-// answers sent directly to the owner; contradictory queries are
+// dispatch routes a freshly created rewrite: contradictory queries are
 // discarded; everything else is indexed at the node the placement
-// strategy selects. pubAt is the publication vtime of the tuple that
-// triggered the rewrite, threaded to the answer path for the latency
-// measurement.
-func (p *Proc) dispatch(now sim.Time, sq *storedQuery, pubAt int64) {
+// strategy selects. A rewrite that reaches it still has a relation to
+// join — trigger completes a one-relation query through
+// query.AppendComplete, and a containment child's relations strictly
+// contain its parent's.
+func (p *Proc) dispatch(now sim.Time, sq *storedQuery) {
 	q2 := sq.q
 	p.countRewrite(q2.Depth)
-	if q2.IsComplete() {
-		p.complete(now, sq, q2.Depth, completion{
-			vals: q2.AnswerValues(), clock: q2.AggClock, minPub: q2.MinPub, pubAt: pubAt, lin: q2.Lineage,
-		})
-		return
-	}
 	if ob := p.eng.obs; ob != nil {
 		ob.Emit(p.shard, obs.Rec{At: now, Kind: obs.KindRewrite, Node: p.nid(), QID: q2.ID, Arg: int64(q2.Depth)})
 	}
@@ -802,18 +796,15 @@ func (p *Proc) onRICReply(now sim.Time, m *ricReplyMsg) {
 
 // decide picks the candidate with the lowest predicted rate (ties
 // resolve to clause order, which is deterministic) and sends the query
-// there — in one hop when the candidate's address is known.
+// there in one hop: it runs only once every slot holds its report, so
+// the candidate's address is known.
 func (p *Proc) decide(sq *storedQuery, slots []slot) {
 	best := &slots[0]
 	for i := range slots[1:] {
 		s := &slots[1+i]
-		if !s.have {
-			continue
-		}
 		// Strictly lower rate wins; ties prefer value level, which
 		// distributes load better (Section 3).
-		if !best.have || s.Rate < best.Rate ||
-			(s.Rate == best.Rate && best.level == query.AttrLevel && s.level == query.ValueLevel) {
+		if s.Rate < best.Rate || s.Rate == best.Rate && best.level == query.AttrLevel && s.level == query.ValueLevel {
 			best = s
 		}
 	}
@@ -825,11 +816,9 @@ func (p *Proc) decide(sq *storedQuery, slots []slot) {
 	// Receivers only merge it into their candidate tables, which is
 	// order-insensitive.
 	for i := range slots {
-		if slots[i].have {
-			msg.RIC = append(msg.RIC, slots[i].ricInfo)
-		}
+		msg.RIC = append(msg.RIC, slots[i].ricInfo)
 	}
-	p.sendEval(msg, best.have)
+	p.sendEval(msg, true)
 }
 
 // sendEval ships the Eval message: directly when the target's address

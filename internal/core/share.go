@@ -301,5 +301,5 @@ func (p *Proc) spawnContainment(now sim.Time, kid *share.Kid, c completion) {
 	// replayed rewrite's provenance is the parent row's, not new steps.
 	cur.Lineage = c.lin
 	p.ctr.ContainmentRewrites++
-	p.dispatch(now, sq, c.pubAt)
+	p.dispatch(now, sq)
 }

@@ -17,9 +17,10 @@ import (
 // seven state classes a processor holds, and the one vocabulary —
 // stateOp — every mechanism that moves, counts or deletes that state
 // speaks. A membership move — leave, join, crash promotion — feeds
-// each() over a filter to the new owners' apply() (Engine.move),
-// teardown is sweep(), loss accounting is chargeLost, and what dies by
-// the clock — windowed rewrites, ALTT entries, stored tuples under
+// each() over a filter to the heir's apply() (Engine.move); a departure
+// nobody inherits feeds it to recovery, which charges what it cannot
+// re-index through stateOp.chargeLost; teardown is sweep(); and what
+// dies by the clock — windowed rewrites, ALTT entries, stored tuples under
 // Config.TupleGC, candidate-table entries, windowed aggregate epochs —
 // is filed on a death wheel at its add mutator and dropped by expire()
 // (a dirty epoch at the flush that follows), which dead() counts. Live
@@ -110,13 +111,9 @@ func (op stateOp) stored() *storedQuery {
 	return op.sq
 }
 
-// keyed reports whether the entry follows its key (true) or its node:
-// candidate-table entries and placement walks are never forwarded.
-func (op stateOp) keyed() bool { return op.kind != opCT && op.kind != opAddPending }
-
-// chargeLost charges one entry that disappears without a successor to
-// the loss counters. Rate statistics and candidate-table entries are
-// soft state and are never lost.
+// chargeLost charges one entry that disappears with nobody to inherit
+// it (Engine.recover) to the loss counters. Rate statistics and
+// candidate-table entries are soft state and are never lost.
 func (op stateOp) chargeLost(ctr *Counters) {
 	switch op.kind {
 	case opAddQuery, opAddPending:
@@ -813,18 +810,6 @@ func (s *state) counts() (c stateCounts) {
 // each(classMirrored, nil, …) would yield.
 func (c stateCounts) mirrored() int {
 	return c.queries + c.tuples + c.altt + c.aggGroups + c.ct + c.pending
-}
-
-// chargeLost charges every entry of a state that disappears with no
-// successor to hand to and no replica to promote. retired selects
-// entries nobody is waiting for (torn-down pipelines, unsubscribed
-// aggregates), which are not losses.
-func (s *state) chargeLost(ctr *Counters, retired func(stateOp) bool) {
-	s.each(classAll, nil, func(op stateOp) {
-		if !retired(op) {
-			op.chargeLost(ctr)
-		}
-	})
 }
 
 // ---------------------------------------------------------------------

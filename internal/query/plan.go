@@ -277,33 +277,3 @@ func (n *node) grow(i int) *node {
 	}
 	return c
 }
-
-// match returns the edge t's relation takes out of n and whether t
-// triggers q there: its relation is still open, it carries the value of
-// every selection on it and satisfies every conjunct within it.
-func (n *node) match(q *Query, t *relation.Tuple) (int, bool) {
-	rel := t.Relation()
-	i := slices.Index(n.rels, rel)
-	if i < 0 {
-		return i, false
-	}
-	for _, s := range q.Selections {
-		if s.Col.Rel != rel {
-			continue
-		}
-		if v, ok := t.Value(s.Col.Attr); !ok || !v.Equal(s.Val) {
-			return i, false
-		}
-	}
-	for _, j := range n.joins {
-		if j.Left.Rel != rel || j.Right.Rel != rel {
-			continue
-		}
-		lv, lok := t.Value(j.Left.Attr)
-		rv, rok := t.Value(j.Right.Attr)
-		if !lok || !rok || !lv.Equal(rv) {
-			return i, false
-		}
-	}
-	return i, true
-}

@@ -488,8 +488,8 @@ func Rewrite(q *Query, t *relation.Tuple) (*Query, bool) {
 // otherwise.
 func RewriteInto(dst, q *Query, t *relation.Tuple) bool {
 	n := q.node()
-	i, ok := n.match(q, t)
-	if !ok {
+	i := slices.Index(n.rels, t.Relation())
+	if i < 0 || !q.Matches(t) {
 		return false
 	}
 	rel, c := n.rels[i], n.child(i)
@@ -518,7 +518,7 @@ func RewriteInto(dst, q *Query, t *relation.Tuple) bool {
 		}
 	}
 
-	// Selections on rel were checked by match and go; the surviving ones
+	// Selections on rel were checked by Matches and go; the surviving ones
 	// keep clause order, and the join conjuncts with one side on rel
 	// follow as selections on their other side, in join order.
 	onRel := func(s SelCond) bool { return s.Col.Rel == rel }
