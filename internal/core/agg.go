@@ -52,15 +52,14 @@ func (sc *scratch) aggKey(queryID string, spec *agg.Spec, row []relation.Value) 
 // makes it a first-class citizen of handover, replication and loss
 // accounting.
 type aggGroup struct {
-	qid   string
-	owner id.ID
+	sub   *subscription    // the aggregate query's record, retired or not
 	gkey  string           // canonical group key (agg.Spec.GroupKey)
 	group []relation.Value // grouping values, in group-position order
 
 	// epochs holds the partials ascending by epoch and dirty the epochs
 	// whose view rows changed since the last flush, ascending: a handful
 	// each, since a windowed epoch dies once its last view closed
-	// (state.pruneEpochs). Both keep their arrays when they empty, so a
+	// (aggGroup.prune). Both keep their arrays when they empty, so a
 	// group that lives on from epoch to epoch allocates nothing for them.
 	epochs []epochPartial
 	dirty  []int64
@@ -157,7 +156,8 @@ func (g *aggGroup) addPartial(epoch int64, part agg.Partial) *agg.Partial {
 // version, the number of rows folded into it, and its provenance. ver is
 // 0, and nothing appended, while the epoch holds no data (it was marked
 // dirty by a neighbour).
-func (g *aggGroup) viewRowInto(dst []relation.Value, spec *agg.Spec, epoch int64) (row []relation.Value, ver int64, lin []query.LineageStep) {
+func (g *aggGroup) viewRowInto(dst []relation.Value, epoch int64) (row []relation.Value, ver int64, lin []query.LineageStep) {
+	spec := g.sub.spec
 	parts, epochs := [2]*agg.Partial{g.partial(epoch)}, [2]int64{epoch}
 	n := 1
 	if spec.Sliding() {
@@ -175,7 +175,7 @@ func (g *aggGroup) viewRowInto(dst []relation.Value, spec *agg.Spec, epoch int64
 // state is independent of arrival interleaving. The still-open views of
 // every transferred epoch are marked dirty on dst, so the next flush
 // re-emits their rows, and so are the views g had not flushed yet.
-func (g *aggGroup) mergeInto(w query.WindowSpec, h horizon, dst *aggGroup) {
+func (g *aggGroup) mergeInto(h horizon, dst *aggGroup) {
 	if g.pubAt > dst.pubAt {
 		dst.pubAt = g.pubAt
 	}
@@ -199,7 +199,7 @@ func (g *aggGroup) mergeInto(w query.WindowSpec, h horizon, dst *aggGroup) {
 		} else {
 			dst.addPartial(ep.epoch, ep.part)
 		}
-		dst.markOpen(ep.epoch, w, h)
+		dst.markOpen(ep.epoch, h)
 	}
 	for _, v := range g.dirty {
 		dst.markView(v)
@@ -226,11 +226,12 @@ func (g *aggGroup) markView(v int64) {
 // markOpen flags for the next flush the views that merge an epoch's
 // partial and are still open at h (horizon.viewOpen): re-emitting a
 // closed one would only repeat the row its subscriber holds.
-func (g *aggGroup) markOpen(epoch int64, w query.WindowSpec, h horizon) {
-	if h.viewOpen(w, epoch) {
+func (g *aggGroup) markOpen(epoch int64, h horizon) {
+	spec := g.sub.spec
+	if h.viewOpen(spec.Window, epoch) {
 		g.markView(epoch)
 	}
-	if w.Enabled() && !w.Tumbling && h.viewOpen(w, epoch+1) {
+	if spec.Sliding() && h.viewOpen(spec.Window, epoch+1) {
 		g.markView(epoch + 1)
 	}
 }
@@ -238,19 +239,22 @@ func (g *aggGroup) markOpen(epoch int64, w query.WindowSpec, h horizon) {
 // owes reports whether a flush still owes the subscriber a view row
 // that merges the epoch's partial: its own, or the next epoch's sliding
 // one.
-func (g *aggGroup) owes(epoch int64, w query.WindowSpec) bool {
+func (g *aggGroup) owes(epoch int64) bool {
 	_, own := slices.BinarySearch(g.dirty, epoch)
 	_, next := slices.BinarySearch(g.dirty, epoch+1)
-	return own || w.Enabled() && !w.Tumbling && next
+	return own || g.sub.spec.Sliding() && next
 }
 
 // prune drops the epochs dead by h (horizon.epochDead) whose views are
 // all flushed — an epoch whose row a flush still owes its subscriber
-// waits for that flush — and returns how many went.
-func (g *aggGroup) prune(w query.WindowSpec, h horizon) int {
+// waits for that flush — and returns how many went, uncounted: the
+// drain's local prune. The group itself stays, empty or not, until its
+// query is unsubscribed: it is what a partial of a later epoch folds
+// into, and a group made afresh would charge its storage load again.
+func (g *aggGroup) prune(h horizon) int {
 	n := len(g.epochs)
 	g.epochs = slices.DeleteFunc(g.epochs, func(ep epochPartial) bool {
-		dead := h.epochDead(w, ep.epoch) && !g.owes(ep.epoch, w)
+		dead := h.epochDead(g.sub.spec.Window, ep.epoch) && !g.owes(ep.epoch)
 		if dead {
 			delete(g.lins, ep.epoch)
 		}
@@ -277,7 +281,7 @@ func (p *Proc) emitTo(now sim.Time, qid string, owner id.ID, spec *agg.Spec, c c
 		return
 	}
 	key := p.sc.aggKey(qid, spec, c.vals)
-	msg := newAggPartialMsg(qid, key, owner, spec.Window.EpochOf(c.clock), c.vals, c.pubAt, c.lin)
+	msg := newAggPartialMsg(qid, key, spec.Window.EpochOf(c.clock), c.vals, c.pubAt, c.lin)
 	p.eng.net.WithTag(p.node, overlay.TagAgg, func() {
 		// One-hop fast path: the candidate table remembers which node a
 		// previous partial for this group was routed to (the same trick
@@ -299,7 +303,8 @@ func (p *Proc) emitTo(now sim.Time, qid string, owner id.ID, spec *agg.Spec, c c
 // group. Aggregation work is query processing, so it is charged to the
 // QPL; a group's first partial also charges one unit of storage load.
 func (p *Proc) onAggPartial(now sim.Time, m *aggPartialMsg) {
-	if s := p.eng.sub(m.QueryID); s == nil || s.spec == nil || s.retired {
+	s := p.eng.sub(m.QueryID)
+	if s == nil || s.spec == nil || s.retired {
 		return // unsubscribed while the partial was in flight (an unknown query cannot happen in-run)
 	}
 	p.ld.qpl++
@@ -310,7 +315,7 @@ func (p *Proc) onAggPartial(now sim.Time, m *aggPartialMsg) {
 			QID: m.QueryID, Key: m.Key.String(), Arg: m.Epoch,
 		})
 	}
-	if p.st.aggFold(m.Key, m.QueryID, m.Owner, m.Epoch, m.Row, m.Lineage, m.PubAt) {
+	if p.st.aggFold(m.Key, s, m.Epoch, m.Row, m.Lineage, m.PubAt) {
 		p.ld.sl++
 	}
 }
@@ -338,14 +343,13 @@ func (e *Engine) flushAggregates() bool {
 	for _, nid := range ids {
 		p := e.procs[nid]
 		p.st.flushDirty(func(g *aggGroup) {
-			spec := e.aggSpec(g.qid)
 			for _, ep := range g.dirty { // ascending
-				msg := newAggUpdateMsg(g, spec, ep)
+				msg := newAggUpdateMsg(g, ep)
 				if msg == nil {
 					continue
 				}
 				e.net.WithTag(p.node, overlay.TagAgg, func() {
-					e.net.SendDirect(p.node, g.owner, msg)
+					e.net.SendDirect(p.node, msg.Owner, msg)
 				})
 				emitted = true
 			}

@@ -383,8 +383,8 @@ func scanFlushOrder(e *Engine) []flushRef {
 		for _, key := range sortedStateKeys(p.st.aggs) {
 			g := p.st.aggs[key]
 			for _, ep := range g.dirty {
-				if _, ver, _ := g.viewRowInto(nil, e.aggSpec(g.qid), ep); ver > 0 {
-					out = append(out, flushRef{nid, g.qid, g.gkey, ep, g.owner == nid})
+				if _, ver, _ := g.viewRowInto(nil, ep); ver > 0 {
+					out = append(out, flushRef{nid, g.sub.q.ID, g.gkey, ep, id.ID(g.sub.q.Owner) == nid})
 				}
 			}
 		}

@@ -109,11 +109,11 @@ func TestAnswerRowAllocs(t *testing.T) {
 		t.Fatalf("DISTINCT log holds %d rows, want 1", n)
 	}
 
-	spec := eng.aggSpec(aggID)
+	spec := eng.sub(aggID).spec
 	key := aggKeyOf(aggID, spec.GroupKey(complete(aggQ)))
 	aggr := eng.procs[eng.ring.Owner(key.ID()).ID()]
 	fold := func() {
-		aggr.HandleMessage(now, newAggPartialMsg(aggID, key, nodes[0].ID(), 0, complete(aggQ), 0, nil))
+		aggr.HandleMessage(now, newAggPartialMsg(aggID, key, 0, complete(aggQ), 0, nil))
 	}
 	fold() // the group and its epoch's partial are made once
 	if n := testing.AllocsPerRun(1000, fold); n != 0 {
@@ -144,7 +144,7 @@ func TestAggPathAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Run()
-	spec, owner := eng.aggSpec(qid), nodes[0].ID()
+	spec, owner := eng.sub(qid).spec, nodes[0].ID()
 	iv := relation.Int64
 	row := []relation.Value{iv(4), iv(1), iv(5), iv(3), iv(3), iv(5)}
 	at := eng.procs[nodes[5].ID()]
@@ -158,7 +158,7 @@ func TestAggPathAllocs(t *testing.T) {
 
 	key := at.sc.aggKey(qid, spec, row)
 	aggr := eng.procs[eng.ring.Owner(key.ID()).ID()]
-	fold := func() { aggr.st.aggFold(key, qid, owner, 0, row, nil, 0) }
+	fold := func() { aggr.st.aggFold(key, eng.sub(qid), 0, row, nil, 0) }
 	if n := testing.AllocsPerRun(runs, fold); n != 0 {
 		t.Errorf("aggFold into an existing (group, epoch): %v allocations, want 0", n)
 	}
@@ -195,18 +195,19 @@ func TestPooledMessagesKeepOnlyOwnedBuffers(t *testing.T) {
 	eval := newEvalMsg(newEntry(), key, query.ValueLevel)
 	eval.RIC = append(eval.RIC, info, info, info) // spills off the inline array
 	spec := agg.SpecOf(sqlparse.MustParse("select R.A, count(*), max(R.B) from R,S where R.A=S.A group by R.A", testCat))
-	g := &aggGroup{qid: "q", owner: 5, gkey: "held", group: row[:1], pubAt: 3}
+	sub := &subscription{q: &query.Query{ID: "q", Owner: 5}, spec: spec}
+	g := &aggGroup{sub: sub, gkey: "held", group: row[:1], pubAt: 3}
 	g.addPartial(2, *agg.NewPartial(spec)).Add(spec, row)
-	if newAggUpdateMsg(g, spec, 7) != nil {
+	if newAggUpdateMsg(g, 7) != nil {
 		t.Fatal("an epoch with no data made a group update")
 	}
-	update := newAggUpdateMsg(g, spec, 2)
+	update := newAggUpdateMsg(g, 2)
 	update.Lineage = lin
 	msgs := []interface{ recycle() }{
 		newTupleMsg(mkTuple("R", 1, 2, 3), key, query.ValueLevel, 5),
 		eval,
 		newAnswerMsg("q", 5, row, 3, lin),
-		newAggPartialMsg("q", key, 5, 2, row, 3, lin),
+		newAggPartialMsg("q", key, 2, row, 3, lin),
 		update,
 		newRICRequestMsg(5, []relation.Key{key, key, key}),
 		newRICReplyMsg(5, []ricInfo{info}),

@@ -393,3 +393,26 @@ func TestIdleRunAllocatesNothing(t *testing.T) {
 		pinIdle(t, eng)
 	})
 }
+
+// TestContradictoryRewriteIsNotPlaced: a tuple whose bound value
+// contradicts a selection its join carries over rewrites the query into
+// one no tuple can complete — R.A = 5 turns R.A = S.A into S.A = 5 next
+// to S.A = 3 — and dispatch drops it: the rewrite is counted as created
+// but never stored.
+func TestContradictoryRewriteIsNotPlaced(t *testing.T) {
+	eng, nodes := testNet(t, 16, 3, Config{Strategy: StrategyRandom}, churnNetCfg())
+	q := sqlparse.MustParse("select R.B from R,S where R.A=S.A and S.A=3", testCat)
+	if _, err := eng.SubmitQuery(nodes[0], q); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	created := eng.Counters.RewritesCreated
+	eng.PublishTuple(nodes[1], mkTuple("R", 5, 1, 0))
+	eng.Run()
+	if got := eng.Counters.RewritesCreated - created; got != 1 {
+		t.Fatalf("%d rewrites created by R(5, 1, 0), want 1", got)
+	}
+	if queries, _, _ := eng.StoredState(); queries != 1 {
+		t.Fatalf("%d queries stored, want the input alone: the contradictory rewrite was placed", queries)
+	}
+}

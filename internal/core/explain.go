@@ -49,9 +49,7 @@ func (e *Engine) Explain(queryID string) (*profile.Report, error) {
 	} else if cls := e.reg.ClassOf(queryID); cls != nil {
 		r.Pipeline = cls.QID
 		r.Subscribers = len(cls.Subs)
-		if cls.Pipeline != nil {
-			pipe = cls.Pipeline
-		}
+		pipe = cls.Pipeline
 		for _, s := range cls.Subs {
 			if s.QID == queryID && s.Res != nil {
 				r.Residual = residualText(s.Res)

@@ -129,11 +129,11 @@ func (e *Engine) recover(now sim.Time, op stateOp) {
 // reach it, so it is neither moved nor lost. An ALTT entry is judged by
 // the clock, which is exact at any instant (every later scan skips it
 // too); a windowed rewrite and a stored tuple only by the horizon, since
-// tuples in flight may carry clocks older than now; a candidate-table
-// entry by the horizon too, since a placement begun since may still hold
-// a report read from it (sendEval). An aggregator group is never dead —
-// it outlives its epochs (state.pruneEpochs) — but leaves without its
-// dead, flushed ones. Soft state counts nothing.
+// tuples in flight may carry clocks older than now. A candidate-table
+// entry is never dead here: the drain that moved the horizon removed
+// every entry it passed, and every entry merged since was learned at or
+// past it. An aggregator group is never dead either — it outlives its
+// epochs (aggGroup.prune) — but leaves without its dead, flushed ones.
 func (e *Engine) expired(op stateOp, p *Proc) bool {
 	switch {
 	case op.kind == opAddQuery && e.horizon.dead(op.sq.q):
@@ -143,13 +143,10 @@ func (e *Engine) expired(op stateOp, p *Proc) bool {
 		p.ctr.TuplesCollected++
 	case op.kind == opAddALTT && op.expireAt < e.sim.Now():
 		p.ctr.ALTTExpired++
-	case op.kind == opCT && e.horizon.ctDead(op.info.At):
 	case op.kind == opAggMerge:
 		// The group is the leaving node's own, which is discarded or has
 		// forgotten its key.
-		if spec := e.aggSpec(op.g.qid); spec != nil {
-			op.g.prune(spec.Window, e.horizon)
-		}
+		op.g.prune(e.horizon)
 		return false
 	default:
 		return false

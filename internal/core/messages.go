@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 
-	"rjoin/internal/agg"
 	"rjoin/internal/id"
 	"rjoin/internal/query"
 	"rjoin/internal/relation"
@@ -150,10 +149,10 @@ func (m *answerMsg) RingKey() id.ID { return m.Owner }
 // newAggPartialMsg returns a pooled partial carrying a copy of row in
 // the message's own row buffer: the caller's row may be scratch, or
 // the one row a shared pipeline's fan-out hands every subscriber.
-func newAggPartialMsg(queryID string, key relation.Key, owner id.ID, epoch int64, row []relation.Value, pubAt int64, lin []query.LineageStep) *aggPartialMsg {
+func newAggPartialMsg(queryID string, key relation.Key, epoch int64, row []relation.Value, pubAt int64, lin []query.LineageStep) *aggPartialMsg {
 	m := aggPartialMsgPool.Get().(*aggPartialMsg)
 	m.row = append(m.row[:0], row...)
-	m.QueryID, m.Key, m.Owner, m.Epoch, m.Row, m.PubAt, m.Lineage = queryID, key, owner, epoch, m.row, pubAt, lin
+	m.QueryID, m.Key, m.Epoch, m.Row, m.PubAt, m.Lineage = queryID, key, epoch, m.row, pubAt, lin
 	return m
 }
 
@@ -164,12 +163,11 @@ func (m *aggPartialMsg) recycle() {
 
 // aggPartialMsg carries one completed answer row of an aggregate query
 // from its completion node to the aggregator responsible for the row's
-// group: the node owning Key = Hash(agg + queryID + groupKey). Owner
-// rides along so the aggregator knows where group updates go.
+// group: the node owning Key = Hash(agg + queryID + groupKey). The
+// aggregator finds where group updates go on the query's record.
 type aggPartialMsg struct {
 	QueryID string
 	Key     relation.Key
-	Owner   id.ID
 	Epoch   int64
 	Row     []relation.Value // the message's row buffer
 	// PubAt is the triggering tuple's publication vtime (see
@@ -189,15 +187,15 @@ func (m *aggPartialMsg) RingKey() id.ID { return m.Key.ID() }
 // newAggUpdateMsg returns a pooled group update carrying the view row of
 // one epoch of g, finalized into the message's own row buffer
 // (aggGroup.viewRowInto); nil while the epoch holds no data.
-func newAggUpdateMsg(g *aggGroup, spec *agg.Spec, epoch int64) *aggUpdateMsg {
+func newAggUpdateMsg(g *aggGroup, epoch int64) *aggUpdateMsg {
 	m := aggUpdateMsgPool.Get().(*aggUpdateMsg)
-	row, ver, lin := g.viewRowInto(m.row[:0], spec, epoch)
+	row, ver, lin := g.viewRowInto(m.row[:0], epoch)
 	if ver == 0 {
 		aggUpdateMsgPool.Put(m)
 		return nil
 	}
 	m.row = row
-	m.QueryID, m.Owner, m.Group, m.Epoch, m.Ver, m.Row, m.PubAt, m.Lineage = g.qid, g.owner, g.gkey, epoch, ver, row, g.pubAt, lin
+	m.QueryID, m.Owner, m.Group, m.Epoch, m.Ver, m.Row, m.PubAt, m.Lineage = g.sub.q.ID, id.ID(g.sub.q.Owner), g.gkey, epoch, ver, row, g.pubAt, lin
 	return m
 }
 

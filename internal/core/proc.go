@@ -214,7 +214,7 @@ type scratch struct {
 // handle — a node that moves identifier leaves and joins, and the
 // joiner is a fresh Proc.
 func newProc(eng *Engine, node *chord.Node) *Proc {
-	p := &Proc{eng: eng, node: node, shard: eng.sim.ShardOf(uint64(node.ID())), st: newState(eng.aggSpec)}
+	p := &Proc{eng: eng, node: node, shard: eng.sim.ShardOf(uint64(node.ID())), st: newState()}
 	s := &eng.slots[p.shard+1]
 	p.ctr, p.sc = s.ctr, &s.scratch
 	p.ld = eng.loads[node.ID()]

@@ -94,10 +94,8 @@ func (e *Engine) promote(p *Proc, op stateOp) {
 	promoted := int64(1)
 	switch op.kind {
 	case opAggMerge:
-		if spec := e.aggSpec(op.g.qid); spec != nil {
-			for _, ep := range op.g.epochs {
-				op.g.markOpen(ep.epoch, spec.Window, e.horizon)
-			}
+		for _, ep := range op.g.epochs {
+			op.g.markOpen(ep.epoch, e.horizon)
 		}
 		promoted = op.g.epochCount()
 	case opCT:

@@ -48,21 +48,16 @@ func (e *Engine) shareSubmit(q *query.Query) *query.Query {
 	}
 	exact := q.String()
 	if cls := e.reg.LookupExact(exact); cls != nil && e.canAttach(cls, q) {
-		if e.attach(cls, sub, q) {
-			return nil
-		}
+		e.attach(cls, sub, q)
+		return nil
 	}
 	if e.Cfg.ShareQueries {
 		if can, ok := share.Canonicalize(q, e.Cfg.Catalog); ok {
-			if cls := e.reg.LookupForm(can.Form); cls != nil && cls.Canonical {
-				if e.attach(cls, sub, q) {
-					return nil
-				}
-			} else if pipe := e.registerCanonical(can, sub, q, exact); pipe != nil {
-				return pipe
-			} else if e.reg.ClassOf(q.ID) != nil {
-				return nil // containment child: registered, nothing placed
+			if cls := e.reg.LookupForm(can.Form); cls != nil {
+				e.attach(cls, sub, q)
+				return nil
 			}
+			return e.registerCanonical(can, sub, q, exact)
 		}
 	}
 	// No sharing possible: the query is its own singleton class and its
@@ -96,7 +91,7 @@ func (e *Engine) canAttach(cls *share.Class, q *query.Query) bool {
 	if !e.Cfg.ShareExact && !e.Cfg.ShareQueries {
 		return false
 	}
-	if q.Distinct && !cls.Canonical {
+	if q.Distinct && cls.Can == nil {
 		return false
 	}
 	return true
@@ -105,38 +100,26 @@ func (e *Engine) canAttach(cls *share.Class, q *query.Query) bool {
 // attach adds a subscriber to an existing class and publishes the
 // refreshed fan-out snapshot. For canonical classes the subscriber's
 // residual (predicates over constants, projection) is extracted
-// against the class form; for exact classes the residual is nil and
-// rows pass through unchanged. Returns false if the residual cannot be
-// built (a column outside the form — impossible for queries that
-// canonicalized to it, kept as a safe fallback).
-func (e *Engine) attach(cls *share.Class, sub *share.Subscriber, q *query.Query) bool {
-	if cls.Canonical {
-		res, ok := cls.Can.ResidualOf(q)
-		if !ok {
-			return false
-		}
-		sub.Res = res
+// against the class form, which q canonicalized to or whose SQL it
+// repeats; for exact classes the residual is nil and rows pass through
+// unchanged.
+func (e *Engine) attach(cls *share.Class, sub *share.Subscriber, q *query.Query) {
+	if cls.Can != nil {
+		sub.Res = cls.Can.ResidualOf(q)
 	}
 	e.reg.Attach(cls, sub)
 	e.publish(cls)
 	e.Counters.QueriesShared++
-	return true
 }
 
-// registerCanonical opens a new canonical equivalence class for q. If
-// an existing class's join graph is a strict prefix of can's, the new
-// class becomes a containment child: it places no pipeline of its own
-// (the parent's completions are replayed through it) and the function
-// returns nil. Otherwise the canonical full-row pipeline is returned
-// for placement. A nil return with no registered class means the
-// residual could not be built and the caller should fall back to a
-// singleton.
+// registerCanonical opens a new canonical equivalence class for q,
+// with q's residual against can. If an existing class's join graph is
+// a strict prefix of can's, the new class becomes a containment child:
+// it places no pipeline of its own (the parent's completions are
+// replayed through it) and the function returns nil. Otherwise the
+// canonical full-row pipeline is returned for placement.
 func (e *Engine) registerCanonical(can *share.Canonical, sub *share.Subscriber, q *query.Query, exact string) *query.Query {
-	res, ok := can.ResidualOf(q)
-	if !ok {
-		return nil
-	}
-	sub.Res = res
+	sub.Res = can.ResidualOf(q)
 	pipe := can.Pipeline()
 	pipe.ID = q.ID
 	pipe.Owner = q.Owner
@@ -145,7 +128,7 @@ func (e *Engine) registerCanonical(can *share.Canonical, sub *share.Subscriber, 
 	pipe.MinPub = math.MaxInt64
 	cls := &share.Class{
 		QID: q.ID, Exact: exact, Form: can.Form,
-		Canonical: true, Shared: true, Pipeline: pipe, Can: can,
+		Shared: true, Pipeline: pipe, Can: can,
 	}
 	if parent := e.reg.FindParent(can); parent != nil {
 		cls.Parent = parent
@@ -177,7 +160,8 @@ func (e *Engine) Unsubscribe(subQID string) error {
 	}
 	e.retireSub(subQID)
 	e.Counters.QueriesUnsubscribed++
-	e.sweepState(classAggs, func(op stateOp) bool { return op.g.qid == subQID })
+	s := e.sub(subQID)
+	e.sweepState(classAggs, func(op stateOp) bool { return op.g.sub == s })
 	e.settle(cls)
 	return nil
 }
@@ -211,13 +195,13 @@ func (e *Engine) retiredOp(op stateOp) bool {
 	if sq := op.stored(); sq != nil {
 		return sq.tornDown()
 	}
-	return op.kind == opAggMerge && e.retiredSub(op.g.qid)
+	return op.kind == opAggMerge && op.g.sub.retired
 }
 
 // sweepState removes the matching entries of the wanted classes from
 // every node in deterministic node/entry order, charging each removal
 // to the replica group. Stragglers still in flight are caught by the
-// tornDown/retiredSub guards when they arrive.
+// tornDown and retired checks when they arrive.
 func (e *Engine) sweepState(want class, match func(stateOp) bool) {
 	for _, n := range e.ring.Nodes() { // identifier order: deterministic
 		if p := e.procs[n.ID()]; p != nil && p.st.sweep(want, match) {

@@ -318,7 +318,7 @@ func TestForwardedReplyStopsAfterOneRound(t *testing.T) {
 // place instead, which indexes them afresh.)
 func TestWaitingIndexFollowsHandover(t *testing.T) {
 	f := newStateFixture()
-	src := newState(f.specOf)
+	src := newState()
 	cands := func(ks ...int) (out []relation.Key) {
 		for _, k := range ks {
 			out = append(out, f.keys[k])
@@ -331,7 +331,7 @@ func TestWaitingIndexFollowsHandover(t *testing.T) {
 	if ready := src.report(ricInfo{Key: f.keys[2]}); len(ready) != 0 {
 		t.Fatalf("a report released %v, every waiter still misses a key", ready)
 	}
-	dst := newState(f.specOf)
+	dst := newState()
 	src.each(classAll, nil, dst.apply)
 	if err := dst.waitingErr(); err != nil {
 		t.Fatal(err)

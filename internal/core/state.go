@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"rjoin/internal/agg"
-	"rjoin/internal/id"
 	"rjoin/internal/query"
 	"rjoin/internal/relation"
 	"rjoin/internal/sim"
@@ -206,8 +205,6 @@ type state struct {
 	dirtyAggs map[relation.Key]struct{}
 	flushKeys []relation.Key
 
-	specOf func(qid string) *agg.Spec
-
 	// replOps counts the mutations since the last replFlush that a replica
 	// would have to apply — the op stream a primary-backup protocol
 	// ships, which replFlush charges as ReplOps. The death drain, reports
@@ -215,8 +212,8 @@ type state struct {
 	replOps int
 }
 
-func newState(specOf func(string) *agg.Spec) *state {
-	s := &state{specOf: specOf}
+func newState() *state {
+	s := &state{}
 	s.clear()
 	return s
 }
@@ -429,14 +426,11 @@ func (s *state) mergeStat(key relation.Key, st rateStat) {
 
 // aggFold folds one answer row into the (group, epoch) partial at key
 // and reports whether the group is new.
-func (s *state) aggFold(key relation.Key, qid string, owner id.ID, epoch int64, row []relation.Value, lin []query.LineageStep, pubAt int64) (fresh bool) {
-	spec := s.specOf(qid)
-	if spec == nil {
-		return false
-	}
+func (s *state) aggFold(key relation.Key, sub *subscription, epoch int64, row []relation.Value, lin []query.LineageStep, pubAt int64) (fresh bool) {
+	spec := sub.spec
 	g, ok := s.aggs[key]
 	if !ok {
-		g = &aggGroup{qid: qid, owner: owner, gkey: spec.GroupKey(row), group: spec.GroupValues(row)}
+		g = &aggGroup{sub: sub, gkey: spec.GroupKey(row), group: spec.GroupValues(row)}
 		s.aggs[key] = g
 	}
 	part := g.partial(epoch)
@@ -460,36 +454,19 @@ func (s *state) aggFold(key relation.Key, qid string, owner id.ID, epoch int64, 
 // interleaving does not matter), or installs it, and files its epochs'
 // deaths. mergeInto moves g's partials into the destination.
 func (s *state) aggMerge(key relation.Key, g *aggGroup) {
-	spec := s.specOf(g.qid)
-	if spec == nil {
-		return
-	}
 	s.replOps++
 	for _, ep := range g.epochs {
-		if c, at, ok := epochDeath(spec.Window, ep.epoch); ok {
+		if c, at, ok := epochDeath(g.sub.spec.Window, ep.epoch); ok {
 			s.file(classAggs, c, at, key)
 		}
 	}
 	if cur, ok := s.aggs[key]; ok {
-		g.mergeInto(spec.Window, s.horizon(), cur)
+		g.mergeInto(s.horizon(), cur)
 		g = cur
 	} else {
 		s.aggs[key] = g
 	}
 	s.noteDirty(key, g) // an un-flushed group moved in: handover, promotion
-}
-
-// pruneEpochs drops the group's epochs that h passed and whose views are
-// flushed (aggGroup.prune), uncounted — the drain's local prune — and
-// returns how many went. The group itself stays, empty or not, until its
-// query is unsubscribed: it is what a partial of a later epoch folds
-// into, and a group made afresh would charge its storage load again.
-func (s *state) pruneEpochs(g *aggGroup, h horizon) int {
-	spec := s.specOf(g.qid)
-	if spec == nil {
-		return 0
-	}
-	return g.prune(spec.Window, h)
 }
 
 // horizon is hz's value, the zero horizon without one.
@@ -530,7 +507,7 @@ func (s *state) flushDirty(visit func(*aggGroup)) {
 		g := s.aggs[key]
 		visit(g)
 		g.dirty = g.dirty[:0]
-		s.pruneEpochs(g, h)
+		g.prune(h)
 	}
 	clear(s.dirtyAggs)
 	s.flushKeys = keys
@@ -1028,7 +1005,7 @@ func (s *state) expire(h horizon, dropped func(*storedQuery)) (n DeadCounts) {
 				}
 			case classAggs:
 				if g := s.aggs[key]; g != nil {
-					n.Epochs += s.pruneEpochs(g, h)
+					n.Epochs += g.prune(h)
 				}
 			}
 		})
@@ -1076,11 +1053,9 @@ func (s *state) dead(h horizon) (n DeadCounts) {
 		}
 	}
 	for _, g := range s.aggs {
-		if spec := s.specOf(g.qid); spec != nil {
-			for _, ep := range g.epochs {
-				if h.epochDead(spec.Window, ep.epoch) && !g.owes(ep.epoch, spec.Window) {
-					n.Epochs++
-				}
+		for _, ep := range g.epochs {
+			if h.epochDead(g.sub.spec.Window, ep.epoch) && !g.owes(ep.epoch) {
+				n.Epochs++
 			}
 		}
 	}

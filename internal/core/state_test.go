@@ -186,16 +186,13 @@ func (s *state) deathsErr() error {
 	}
 	h := s.horizon()
 	for key, g := range s.aggs {
-		spec := s.specOf(g.qid)
-		if spec == nil {
-			continue
-		}
+		spec := g.sub.spec
 		for i, ep := range g.epochs {
 			if i > 0 && g.epochs[i-1].epoch >= ep.epoch {
 				return fmt.Errorf("key %s: epochs %d and %d out of order", key, g.epochs[i-1].epoch, ep.epoch)
 			}
 			c, at, ok := epochDeath(spec.Window, ep.epoch)
-			if ok && !on(classAggs, c, at, key) && !(h.epochDead(spec.Window, ep.epoch) && g.owes(ep.epoch, spec.Window)) {
+			if ok && !on(classAggs, c, at, key) && !(h.epochDead(spec.Window, ep.epoch) && g.owes(ep.epoch)) {
 				return fmt.Errorf("key %s: aggregate epoch %d, dying at %d on clock %d, is not filed", key, ep.epoch, at, c)
 			}
 		}
@@ -218,18 +215,19 @@ func filed[T comparable](w *wheel[T], visit func(int64, T)) error {
 
 // stateFixture supplies the immutable objects store-level tests build
 // entries from: a plain, a DISTINCT and an aggregate query, the
-// aggregate's spec (unwindowed unless a test windows it), and a few keys.
+// aggregate's record, whose spec is unwindowed unless a test windows it,
+// and a few keys.
 type stateFixture struct {
 	plain, distinct, aggQ *query.Query
-	spec                  *agg.Spec
+	agg                   *subscription
 	keys                  []relation.Key
 }
 
 // windowAgg gives the aggregate query's groups a window from now on.
 func (f *stateFixture) windowAgg(w query.WindowSpec) {
-	spec := *f.spec
+	spec := *f.agg.spec
 	spec.Window = w
-	f.spec = &spec
+	f.agg.spec = &spec
 }
 
 func newStateFixture() *stateFixture {
@@ -240,7 +238,8 @@ func newStateFixture() *stateFixture {
 	}
 	f.plain.ID, f.distinct.ID, f.aggQ.ID = "plain", "distinct", "agg"
 	f.distinct.Depth = 1
-	f.spec = agg.SpecOf(f.aggQ)
+	f.aggQ.Owner = 42
+	f.agg = &subscription{q: f.aggQ, spec: agg.SpecOf(f.aggQ)}
 	for _, k := range []string{"R+A", "R+A+1", "S+A+2", "S+B"} {
 		f.keys = append(f.keys, relation.KeyOf(k))
 	}
@@ -262,13 +261,6 @@ func (f *stateFixture) windowed(kind query.WindowKind, tumbling bool, start int6
 func withReach(s *state, r int64) *state {
 	s.reach = func() int64 { return r }
 	return s
-}
-
-func (f *stateFixture) specOf(qid string) *agg.Spec {
-	if qid == f.aggQ.ID {
-		return f.spec
-	}
-	return nil
 }
 
 func (f *stateFixture) stored(q *query.Query, key relation.Key) *storedQuery {
@@ -301,7 +293,7 @@ func (f *stateFixture) lin(seq int64) []query.LineageStep {
 // empty state reproduces it: the path handover and promotion take.
 func checkRoundTrip(t *testing.T, f *stateFixture, a *state) {
 	t.Helper()
-	snap := newState(f.specOf)
+	snap := newState()
 	a.each(classAll, nil, snap.apply)
 	if err := a.equal(snap, classAll); err != nil {
 		t.Fatalf("each() replayed into an empty state: %v", err)
@@ -394,20 +386,14 @@ func stateCharges(f *stateFixture) []stateCharge {
 			s.mergeStat(k[3], rateStat{epoch: 3, countCur: 2, countPrev: 1})
 		}},
 		{"aggFold", 2, func(s *state) {
-			s.aggFold(aggKeyOf("agg", "1"), "agg", 42, 0, f.row(1, 5), f.lin(1), 17)
-			s.aggFold(aggKeyOf("agg", "1"), "agg", 42, 1, f.row(1, 8), f.lin(2), 12)
-		}},
-		{"aggFold of an unsubscribed query", 0, func(s *state) {
-			s.aggFold(aggKeyOf("plain", "1"), "plain", 42, 0, f.row(1, 5), nil, 17)
+			s.aggFold(aggKeyOf("agg", "1"), f.agg, 0, f.row(1, 5), f.lin(1), 17)
+			s.aggFold(aggKeyOf("agg", "1"), f.agg, 1, f.row(1, 8), f.lin(2), 12)
 		}},
 		{"aggMerge", 2, func(s *state) {
-			src := newState(f.specOf)
-			src.aggFold(aggKeyOf("agg", "2"), "agg", 42, 0, f.row(2, 3), f.lin(3), 21)
-			s.aggFold(aggKeyOf("agg", "2"), "agg", 42, 0, f.row(2, 9), f.lin(4), 20)
+			src := newState()
+			src.aggFold(aggKeyOf("agg", "2"), f.agg, 0, f.row(2, 3), f.lin(3), 21)
+			s.aggFold(aggKeyOf("agg", "2"), f.agg, 0, f.row(2, 9), f.lin(4), 20)
 			s.aggMerge(aggKeyOf("agg", "2"), src.aggs[aggKeyOf("agg", "2")])
-		}},
-		{"aggMerge of an unsubscribed query", 0, func(s *state) {
-			s.aggMerge(aggKeyOf("plain", "1"), &aggGroup{qid: "plain"})
 		}},
 		{"ctMerge, stale included", 2, func(s *state) {
 			s.ctMerge(ricInfo{Key: k[2], Rate: 2.5, Addr: 77, At: 6})
@@ -434,7 +420,7 @@ func stateCharges(f *stateFixture) []stateCharge {
 			s.dropKey(k[0])
 		}},
 		{"dropKey of an aggregator group", 2, func(s *state) {
-			s.aggFold(aggKeyOf("agg", "1"), "agg", 42, 0, f.row(1, 5), nil, 17)
+			s.aggFold(aggKeyOf("agg", "1"), f.agg, 0, f.row(1, 5), nil, 17)
 			s.dropKey(aggKeyOf("agg", "1"))
 		}},
 		{"dropKey of statistics alone", 0, func(s *state) {
@@ -452,7 +438,7 @@ func stateCharges(f *stateFixture) []stateCharge {
 			s.addQuery(f.stored(f.plain, k[0]))
 			s.addQuery(f.stored(f.distinct, k[0]))
 			s.addPending(3, placement(f.plain, nil))
-			s.aggFold(aggKeyOf("agg", "1"), "agg", 42, 0, f.row(1, 5), nil, 17)
+			s.aggFold(aggKeyOf("agg", "1"), f.agg, 0, f.row(1, 5), nil, 17)
 			s.sweep(classAll, func(op stateOp) bool { return op.kind == opAggMerge || op.stored().q == f.plain })
 		}},
 	}
@@ -466,7 +452,7 @@ func TestStateOpRoundTrips(t *testing.T) {
 	f := newStateFixture()
 	seen := make(map[opKind]bool)
 	for _, c := range stateCharges(f) {
-		a := newState(f.specOf)
+		a := newState()
 		c.do(a)
 		if a.replOps != c.ops {
 			t.Errorf("%s: charged %d replica ops, want %d", c.name, a.replOps, c.ops)
@@ -489,7 +475,7 @@ func TestStateOpRoundTrips(t *testing.T) {
 // its array to the next key that starts one.
 func TestPruneTuplesReleasesCollected(t *testing.T) {
 	f := newStateFixture()
-	s := newState(f.specOf)
+	s := newState()
 	key := f.keys[1]
 	for _, seq := range []int64{2, 4, 3, 1} {
 		tu := mkTuple("R", 1, seq, 0)
@@ -590,9 +576,9 @@ func TestStateRandomSequences(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		drng := rand.New(rand.NewSource(-seed))
 		f.windowAgg(windows[seed%int64(len(windows))])
-		a := withReach(newState(f.specOf), 7)
-		heir := withReach(newState(f.specOf), 7) // applies what take() hands over
-		heir.hz = new(horizon)                   // its drains' horizon; a is drained only at the end
+		a := withReach(newState(), 7)
+		heir := withReach(newState(), 7) // applies what take() hands over
+		heir.hz = new(horizon)           // its drains' horizon; a is drained only at the end
 		charged := 0
 		var now sim.Time
 		var live []*storedQuery
@@ -652,7 +638,7 @@ func TestStateRandomSequences(t *testing.T) {
 				a.recordArrival(key(), now, 8)
 			case 10, 11:
 				k, g := aggKey()
-				a.aggFold(k, "agg", 42, int64(rng.Intn(2)), f.row(g, int64(rng.Intn(9))), f.lin(int64(step)), int64(now))
+				a.aggFold(k, f.agg, int64(rng.Intn(2)), f.row(g, int64(rng.Intn(9))), f.lin(int64(step)), int64(now))
 			case 12:
 				info := ricInfo{Key: key(), Rate: float64(rng.Intn(5)), Addr: id.ID(rng.Intn(9)), At: now - sim.Time(rng.Intn(4))}
 				a.ctMerge(info)
@@ -712,8 +698,8 @@ func TestStateRandomSequences(t *testing.T) {
 				// A whole group arrives (handover, re-homing, promotion):
 				// un-flushed, or flushed at its previous home.
 				k, g := aggKey()
-				src := newState(f.specOf)
-				src.aggFold(k, "agg", 42, int64(rng.Intn(2)), f.row(g, int64(rng.Intn(9))), f.lin(int64(step)), int64(now))
+				src := newState()
+				src.aggFold(k, f.agg, int64(rng.Intn(2)), f.row(g, int64(rng.Intn(9))), f.lin(int64(step)), int64(now))
 				if rng.Intn(2) == 0 {
 					src.flushDirty(func(*aggGroup) {})
 				}
@@ -743,7 +729,7 @@ func TestStateRandomSequences(t *testing.T) {
 					heir.flushDirty(func(g *aggGroup) { flushed = append(flushed, g) })
 					for _, g := range flushed {
 						for _, ep := range g.epochs {
-							if heir.hz.epochDead(f.spec.Window, ep.epoch) {
+							if heir.hz.epochDead(f.agg.spec.Window, ep.epoch) {
 								t.Fatalf("seed %d step %d: a flushed heir group holds epoch %d, dead by %v", seed, step, ep.epoch, *heir.hz)
 							}
 						}
@@ -805,7 +791,7 @@ func TestStateDeathsOutliveNoEntry(t *testing.T) {
 	f.windowAgg(query.WindowSpec{Kind: query.WindowTuples, Size: 8, Tumbling: true})
 	k := f.keys
 	group := aggKeyOf("agg", "1")
-	empty := func() *state { return withReach(newState(f.specOf), 4) }
+	empty := func() *state { return withReach(newState(), 4) }
 	fill := func() *state {
 		s := empty()
 		s.addQuery(f.stored(f.windowed(query.WindowTuples, false, 3), k[1]))
@@ -814,7 +800,7 @@ func TestStateDeathsOutliveNoEntry(t *testing.T) {
 		s.addTuple(k[3], mkTuple("S", 1, 2, 3))
 		s.addALTT(k[0], alttEntry{t: mkTuple("R", 1, 2, 3), expireAt: 7})
 		s.ctMerge(ricInfo{Key: k[2], At: 4}) // node-bound: never taken
-		s.aggFold(group, "agg", 42, 0, f.row(1, 5), nil, 17)
+		s.aggFold(group, f.agg, 0, f.row(1, 5), nil, 17)
 		s.flushDirty(func(*aggGroup) {})
 		return s
 	}
@@ -869,7 +855,7 @@ func TestStateDeathsOutliveNoEntry(t *testing.T) {
 func TestExpireAllocatesNothing(t *testing.T) {
 	f := newStateFixture()
 	f.windowAgg(query.WindowSpec{Kind: query.WindowTuples, Size: 4})
-	s := withReach(newState(f.specOf), 8)
+	s := withReach(newState(), 8)
 	k, group := f.keys, aggKeyOf("agg", "1")
 	var rewrites []*storedQuery
 	for start := range int64(4) {
@@ -884,7 +870,7 @@ func TestExpireAllocatesNothing(t *testing.T) {
 		s.addTuple(k[2], tu)
 		s.addALTT(k[0], alttEntry{t: tu, expireAt: 5})
 		s.ctMerge(ricInfo{Key: k[3], At: 5})
-		s.aggFold(group, "agg", 42, 0, f.row(1, 5), nil, 1)
+		s.aggFold(group, f.agg, 0, f.row(1, 5), nil, 1)
 		s.flushDirty(func(*aggGroup) {}) // no view of the epoch is owed
 	}
 	want := DeadCounts{Rewrites: 4, Tuples: 1, ALTT: 1, CT: 1, Epochs: 1}
@@ -910,13 +896,13 @@ func TestStateSweepOrder(t *testing.T) {
 	f := newStateFixture()
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		a := newState(f.specOf)
+		a := newState()
 		for i := 0; i < 30; i++ {
 			q := []*query.Query{f.plain, f.distinct}[rng.Intn(2)]
 			a.addQuery(f.stored(q, relation.KeyOf(fmt.Sprintf("R+A+%d", rng.Intn(12)))))
 			a.addPending(int64(i+1), placement(q, nil))
 			g := int64(rng.Intn(12))
-			a.aggFold(aggKeyOf("agg", fmt.Sprint(g)), "agg", 42, 0, f.row(g, 1), nil, 0)
+			a.aggFold(aggKeyOf("agg", fmt.Sprint(g)), f.agg, 0, f.row(g, 1), nil, 0)
 		}
 		a.replOps = 0
 		if a.sweep(classQueries|classPending, func(op stateOp) bool { return op.stored().q.ID == "nobody" }) || a.replOps != 0 {
@@ -927,7 +913,7 @@ func TestStateSweepOrder(t *testing.T) {
 			match func(stateOp) bool
 		}{
 			{classQueries | classPending, func(op stateOp) bool { return op.stored().q.ID == f.distinct.ID }},
-			{classAggs, func(op stateOp) bool { return op.g.qid == "agg" }},
+			{classAggs, func(op stateOp) bool { return op.g.sub == f.agg }},
 		} {
 			matches := 0
 			a.each(sw.want, nil, func(op stateOp) {

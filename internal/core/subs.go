@@ -25,10 +25,11 @@ import (
 // the same tick.
 //
 // Unsubscribe retires a record: the contents go, the identity stays.
-// In-flight partials and replicated aggregator groups still look their spec
-// up by QID, and Explain must keep answering for past queries, so one
-// immutable query + spec per departed subscription is what the engine
-// retains — and nothing else.
+// In-flight partials still look their record up by QID, an aggregator
+// group points at its record and reads its spec and retired flag there,
+// and Explain must keep answering for past queries, so one immutable
+// query + spec per departed subscription is what the engine retains —
+// and nothing else.
 //
 // A subscriber is live while its record is not retired, the pipeline
 // its QID names while the record holds a fan-out (share.go).
@@ -135,26 +136,10 @@ func (e *Engine) retireSub(qid string) {
 // sub returns the record of a submitted query, nil for an unknown ID.
 func (e *Engine) sub(qid string) *subscription { return e.subs[qid] }
 
-// aggSpec returns the immutable aggregation spec of a query, live or
-// retired; nil for plain and unknown queries.
-func (e *Engine) aggSpec(qid string) *agg.Spec {
-	if s := e.subs[qid]; s != nil {
-		return s.spec
-	}
-	return nil
-}
-
 // tornDown reports whether the entry's pipeline was torn down: its
 // record holds no fan-out. Its straggler rewrites and placements are
 // dropped, not re-indexed. An entry of a QID with no record is live.
 func (sq *storedQuery) tornDown() bool { return sq.pipe != nil && sq.pipe.fo == nil }
-
-// retiredSub reports whether qid names an unsubscribed subscriber: its
-// in-flight answers and aggregation partials must be dropped.
-func (e *Engine) retiredSub(qid string) bool {
-	s := e.subs[qid]
-	return s != nil && s.retired
-}
 
 // open is the first half of every delivery: one lookup, the retired
 // check, the lock. It returns nil when the row has nobody to go to

@@ -148,21 +148,15 @@ func compareCols(a, b ColRef) int {
 	return cmp.Compare(a.Attr, b.Attr)
 }
 
-// build derives a node of src's tree from its FROM list, open joins and
-// selection columns.
-func build(rels []string, joins []JoinCond, selCols []ColRef, src *source) *node {
-	n := &node{rels: rels, joins: joins, src: src, next: make([]atomic.Pointer[node], len(rels))}
-
-	// Join classes: a union-find over the joined columns, sorted, each
-	// class named by its first column.
-	var cols []ColRef
+// joinClasses is the union-find over the columns the join conjuncts
+// name: cols, sorted by (Rel, Attr) without repeats, and find, which
+// names a column's class by its root, the class's smallest index — its
+// first column.
+func joinClasses(joins []JoinCond) (cols []ColRef, find func(int) int) {
 	for _, j := range joins {
 		for _, c := range [2]ColRef{j.Left, j.Right} {
 			if !slices.Contains(cols, c) {
 				cols = append(cols, c)
-			}
-			if key := relation.AttrKeyOf(c.Rel, c.Attr); !slices.ContainsFunc(n.attr, func(a attrCand) bool { return a.key == key }) {
-				n.attr = append(n.attr, attrCand{key: key, col: c})
 			}
 		}
 	}
@@ -171,7 +165,7 @@ func build(rels []string, joins []JoinCond, selCols []ColRef, src *source) *node
 	for i := range root {
 		root[i] = i
 	}
-	find := func(i int) int {
+	find = func(i int) int {
 		for root[i] != i {
 			i = root[i]
 		}
@@ -181,6 +175,41 @@ func build(rels []string, joins []JoinCond, selCols []ColRef, src *source) *node
 		a, b := find(slices.Index(cols, j.Left)), find(slices.Index(cols, j.Right))
 		root[max(a, b)] = min(a, b)
 	}
+	return cols, find
+}
+
+// JoinClasses returns the equivalence classes the join conjuncts make of
+// the columns they name: each class sorted by (Rel, Attr), the classes
+// ordered by their first column — a layout no permutation or flip of the
+// conjuncts changes. It is nil without joins.
+func (q *Query) JoinClasses() [][]ColRef {
+	cols, find := joinClasses(q.Joins)
+	var out [][]ColRef
+	at := make([]int, len(cols)) // a root's index in out
+	for i, c := range cols {
+		if r := find(i); r != i {
+			out[at[r]] = append(out[at[r]], c)
+		} else {
+			at[i] = len(out)
+			out = append(out, []ColRef{c})
+		}
+	}
+	return out
+}
+
+// build derives a node of src's tree from its FROM list, open joins and
+// selection columns.
+func build(rels []string, joins []JoinCond, selCols []ColRef, src *source) *node {
+	n := &node{rels: rels, joins: joins, src: src, next: make([]atomic.Pointer[node], len(rels))}
+
+	for _, j := range joins {
+		for _, c := range [2]ColRef{j.Left, j.Right} {
+			if key := relation.AttrKeyOf(c.Rel, c.Attr); !slices.ContainsFunc(n.attr, func(a attrCand) bool { return a.key == key }) {
+				n.attr = append(n.attr, attrCand{key: key, col: c})
+			}
+		}
+	}
+	cols, find := joinClasses(joins)
 
 	// A selection on a joined column is in that column's class; one on
 	// any other column is alone in its own, named past the join classes

@@ -317,6 +317,39 @@ func TestContradictory(t *testing.T) {
 	}
 }
 
+// TestJoinClasses: the join conjuncts' equivalence classes come out
+// with members sorted and classes ordered by their first member —
+// through a transitive merge, a conjunct within one relation and
+// flipped orientations — and nil without joins.
+func TestJoinClasses(t *testing.T) {
+	c := func(rel, attr string) ColRef { return ColRef{rel, attr} }
+	q := &Query{Joins: []JoinCond{
+		{c("S", "B"), c("J", "B")},
+		{c("R", "C"), c("R", "A")}, // within R
+		{c("J", "B"), c("M", "A")}, // S.B = J.B = M.A
+		{c("S", "A"), c("R", "A")}, // R.C = R.A = S.A, flipped
+		{c("M", "A"), c("S", "B")}, // closes the cycle
+	}}
+	want := [][]ColRef{
+		{c("J", "B"), c("M", "A"), c("S", "B")},
+		{c("R", "A"), c("R", "C"), c("S", "A")},
+	}
+	if got := q.JoinClasses(); !reflect.DeepEqual(got, want) {
+		t.Errorf("JoinClasses = %v, want %v", got, want)
+	}
+	flipped := &Query{Joins: slices.Clone(q.Joins)}
+	for i := range flipped.Joins {
+		flipped.Joins[i].Left, flipped.Joins[i].Right = flipped.Joins[i].Right, flipped.Joins[i].Left
+	}
+	slices.Reverse(flipped.Joins)
+	if got := flipped.JoinClasses(); !reflect.DeepEqual(got, want) {
+		t.Errorf("JoinClasses of the flipped, reversed conjuncts = %v, want %v", got, want)
+	}
+	if got := (&Query{Relations: []string{"R"}}).JoinClasses(); got != nil {
+		t.Errorf("JoinClasses without joins = %v, want nil", got)
+	}
+}
+
 func TestWindowValidSliding(t *testing.T) {
 	w := WindowSpec{Kind: WindowTuples, Size: 10}
 	if !w.Valid(5, 14) {
@@ -553,10 +586,12 @@ func TestStringRendersDistinctAndWindow(t *testing.T) {
 // ---------------------------------------------------------------------
 // The reference: Rewrite, RewriteComplete (now AppendComplete), Candidates, impliedSelections
 // and Contradictory as they were before the rewrite tree, verbatim but
-// for their names and one line — refRewrite copies the parent with
-// copyInto, since the plan's atomic pointer may not be copied (and the
-// reference must not carry a plan anyway). TestRewriteTreeMatchesReference
-// holds the tree to them.
+// for their names, their shared union-find (refFind) and one line —
+// refRewrite copies the parent with copyInto, since the plan's atomic
+// pointer may not be copied (and the reference must not carry a plan
+// anyway) — and the join classes the sharing layer derived on its own
+// (refJoinClasses). TestRewriteTreeMatchesReference holds the tree to
+// them.
 
 func refRewriteComplete(q *Query, t *relation.Tuple) ([]relation.Value, bool) {
 	if len(q.Relations) != 1 || !q.Matches(t) {
@@ -719,10 +754,10 @@ func refCandidates(q *Query) []Candidate {
 	return out
 }
 
-func refImpliedSelections(q *Query) []SelCond {
-	if len(q.Selections) == 0 || len(q.Joins) == 0 {
-		return nil
-	}
+// refFind is the references' union-find over the join conjuncts'
+// columns: find names a column's class by one of its members, and a
+// column no conjunct names by itself.
+func refFind(joins []JoinCond) func(ColRef) ColRef {
 	parent := make(map[ColRef]ColRef)
 	var find func(c ColRef) ColRef
 	find = func(c ColRef) ColRef {
@@ -734,15 +769,55 @@ func refImpliedSelections(q *Query) []SelCond {
 		parent[c] = root
 		return root
 	}
-	union := func(a, b ColRef) {
-		ra, rb := find(a), find(b)
+	for _, j := range joins {
+		ra, rb := find(j.Left), find(j.Right)
 		if ra != rb {
 			parent[ra] = rb
 		}
 	}
+	return find
+}
+
+// refJoinClasses is the sharing layer's join classes as it derived them
+// before it read the rewrite tree's: members sorted, classes ordered by
+// their first member, nil without joins.
+func refJoinClasses(q *Query) [][]ColRef {
+	if len(q.Joins) == 0 {
+		return nil
+	}
+	find := refFind(q.Joins)
+	less := func(a, b ColRef) bool { return a.Rel < b.Rel || a.Rel == b.Rel && a.Attr < b.Attr }
+	groups := make(map[ColRef][]ColRef)
+	var roots []ColRef
+	for _, j := range q.Joins {
+		for _, c := range [2]ColRef{j.Left, j.Right} {
+			root := find(c)
+			if slices.Contains(groups[root], c) {
+				continue
+			}
+			if groups[root] == nil {
+				roots = append(roots, root)
+			}
+			groups[root] = append(groups[root], c)
+		}
+	}
+	var out [][]ColRef
+	for _, root := range roots {
+		cls := groups[root]
+		sort.Slice(cls, func(i, j int) bool { return less(cls[i], cls[j]) })
+		out = append(out, cls)
+	}
+	sort.Slice(out, func(i, j int) bool { return less(out[i][0], out[j][0]) })
+	return out
+}
+
+func refImpliedSelections(q *Query) []SelCond {
+	if len(q.Selections) == 0 || len(q.Joins) == 0 {
+		return nil
+	}
+	find := refFind(q.Joins)
 	cols := make(map[ColRef]bool)
 	for _, j := range q.Joins {
-		union(j.Left, j.Right)
 		cols[j.Left] = true
 		cols[j.Right] = true
 	}
@@ -788,23 +863,7 @@ func refContradictory(q *Query) bool {
 		}
 		return false
 	}
-	parent := make(map[ColRef]ColRef)
-	var find func(c ColRef) ColRef
-	find = func(c ColRef) ColRef {
-		p, ok := parent[c]
-		if !ok || p == c {
-			return c
-		}
-		root := find(p)
-		parent[c] = root
-		return root
-	}
-	for _, j := range q.Joins {
-		ra, rb := find(j.Left), find(j.Right)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
+	find := refFind(q.Joins)
 	classValue := make(map[ColRef]relation.Value)
 	for _, s := range q.Selections {
 		root := find(s.Col)
@@ -948,6 +1007,8 @@ func diffState(rng *rand.Rand, q, r *Query) error {
 		return fmt.Errorf("Depth %d, reference %d", q.Depth, r.Depth)
 	case q.Contradictory() != refContradictory(r):
 		return fmt.Errorf("Contradictory %v, reference %v", q.Contradictory(), refContradictory(r))
+	case !reflect.DeepEqual(q.JoinClasses(), refJoinClasses(r)):
+		return fmt.Errorf("JoinClasses %v, reference %v", q.JoinClasses(), refJoinClasses(r))
 	}
 	want := refCandidates(r)
 	if got := q.Candidates(); !slices.Equal(got, want) {

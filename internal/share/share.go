@@ -1,11 +1,13 @@
 // Package share implements multi-query optimization for RJoin: it maps
 // each submitted query to a canonical form — relation set, join-graph
-// attribute equivalence classes and window clock — and keeps a registry
-// of equivalence classes so the engine stores and rewrites one shared
+// attribute equivalence classes (the rewrite tree's own,
+// query.Query.JoinClasses) and window clock — and keeps a registry of
+// equivalence classes so the engine stores and rewrites one shared
 // pipeline per class. Everything a query asks for beyond the class
 // shape (constants, filter predicates, projection lists) is split out
 // as a per-subscriber residual that a fan-out table applies at the
-// completion node before emitting answer rows. A query whose join
+// completion node before emitting answer rows; every query has a
+// residual against the form it canonicalized to. A query whose join
 // graph strictly contains an existing class's attaches to that class's
 // completed rewrites (containment sharing) instead of starting from
 // scratch. Every submitted query belongs to a class: one nothing
@@ -21,6 +23,7 @@
 package share
 
 import (
+	"fmt"
 	"sort"
 
 	"rjoin/internal/agg"
@@ -82,28 +85,6 @@ func (r *Residual) AppendProject(dst, row []relation.Value) []relation.Value {
 	return dst
 }
 
-// Key returns an injective encoding of the residual, used by tests to
-// check that (canonical form, residual) together never collide across
-// semantically different queries.
-func (r *Residual) Key() string {
-	b := relation.AppendCanonical(nil, relation.Int64(int64(len(r.Preds))))
-	for _, p := range r.Preds {
-		b = relation.AppendCanonical(b, relation.Int64(int64(p.Pos)))
-		b = relation.AppendCanonical(b, p.Val)
-	}
-	b = relation.AppendCanonical(b, relation.Int64(int64(len(r.Items))))
-	for _, it := range r.Items {
-		if it.IsConst {
-			b = relation.AppendCanonical(b, relation.Int64(1))
-			b = relation.AppendCanonical(b, it.Const)
-		} else {
-			b = relation.AppendCanonical(b, relation.Int64(0))
-			b = relation.AppendCanonical(b, relation.Int64(int64(it.Pos)))
-		}
-	}
-	return string(b)
-}
-
 // Canonical is the canonical form of a query: the part every member of
 // an equivalence class agrees on. Two queries share a pipeline exactly
 // when their Forms are byte-identical.
@@ -116,7 +97,8 @@ type Canonical struct {
 	// Rels is the relation set in sorted order; the pipeline's full
 	// output row concatenates their schema rows in this order.
 	Rels []string
-	// Classes are the equi-join equivalence classes: members sorted,
+	// Classes are the equi-join equivalence classes, as the rewrite
+	// tree derives them (query.Query.JoinClasses): members sorted,
 	// classes ordered by first member, so the layout is invariant
 	// under any permutation of the source query's clauses.
 	Classes [][]query.ColRef
@@ -183,7 +165,7 @@ func Canonicalize(q *query.Query, cat *relation.Catalog) (*Canonical, bool) {
 			return valueLess(a.Val, b.Val)
 		})
 	}
-	c.Classes = joinClasses(q.Joins)
+	c.Classes = q.JoinClasses()
 	c.Form = c.encode()
 	return c, true
 }
@@ -198,68 +180,6 @@ func valueLess(a, b relation.Value) bool {
 		return a.Int < b.Int
 	}
 	return a.Str < b.Str
-}
-
-func colLess(a, b query.ColRef) bool {
-	if a.Rel != b.Rel {
-		return a.Rel < b.Rel
-	}
-	return a.Attr < b.Attr
-}
-
-// joinClasses computes the equi-join equivalence classes of the join
-// conjuncts in a canonical layout: members sorted, classes ordered by
-// their first (smallest) member.
-func joinClasses(joins []query.JoinCond) [][]query.ColRef {
-	if len(joins) == 0 {
-		return nil
-	}
-	parent := make(map[query.ColRef]query.ColRef)
-	var find func(c query.ColRef) query.ColRef
-	find = func(c query.ColRef) query.ColRef {
-		p, ok := parent[c]
-		if !ok || p == c {
-			return c
-		}
-		root := find(p)
-		parent[c] = root
-		return root
-	}
-	var order []query.ColRef
-	seen := make(map[query.ColRef]bool)
-	note := func(c query.ColRef) {
-		if !seen[c] {
-			seen[c] = true
-			order = append(order, c)
-		}
-	}
-	for _, j := range joins {
-		note(j.Left)
-		note(j.Right)
-		ra, rb := find(j.Left), find(j.Right)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	groups := make(map[query.ColRef][]query.ColRef)
-	for _, c := range order {
-		root := find(c)
-		groups[root] = append(groups[root], c)
-	}
-	var out [][]query.ColRef
-	done := make(map[query.ColRef]bool)
-	for _, c := range order {
-		root := find(c)
-		if done[root] {
-			continue
-		}
-		done[root] = true
-		cls := append([]query.ColRef(nil), groups[root]...)
-		sort.Slice(cls, func(i, j int) bool { return colLess(cls[i], cls[j]) })
-		out = append(out, cls)
-	}
-	sort.Slice(out, func(i, j int) bool { return colLess(out[i][0], out[j][0]) })
-	return out
 }
 
 // encode builds the injective Form encoding. Every component rides
@@ -328,32 +248,33 @@ func (c *Canonical) Pipeline() *query.Query {
 // ResidualOf extracts q's residual against this canonical form: every
 // select item becomes a constant or a position in the pipeline's full
 // row, and (multi-relation forms) every selection conjunct becomes a
-// predicate over a row position. ok is false when q references a
-// column outside the form — callers only pair queries with the form
-// they canonicalized to, so that indicates a caller bug.
-func (c *Canonical) ResidualOf(q *query.Query) (*Residual, bool) {
+// predicate over a row position. q must be a query that canonicalized
+// to this form, whose every column has a position in the row: a column
+// outside the form is a caller's bug, and panics.
+func (c *Canonical) ResidualOf(q *query.Query) *Residual {
 	res := &Residual{Items: make([]ProjItem, 0, len(q.Select))}
 	for _, s := range q.Select {
 		if s.IsConst {
 			res.Items = append(res.Items, ProjItem{IsConst: true, Const: s.Const})
-			continue
+		} else {
+			res.Items = append(res.Items, ProjItem{Pos: c.posOf(s.Col)})
 		}
-		p, ok := c.pos[s.Col]
-		if !ok {
-			return nil, false
-		}
-		res.Items = append(res.Items, ProjItem{Pos: p})
 	}
 	if len(c.Rels) > 1 {
 		for _, s := range q.Selections {
-			p, ok := c.pos[s.Col]
-			if !ok {
-				return nil, false
-			}
-			res.Preds = append(res.Preds, Pred{Pos: p, Val: s.Val})
+			res.Preds = append(res.Preds, Pred{Pos: c.posOf(s.Col), Val: s.Val})
 		}
 	}
-	return res, true
+	return res
+}
+
+// posOf is col's position in the pipeline's full row.
+func (c *Canonical) posOf(col query.ColRef) int {
+	p, ok := c.pos[col]
+	if !ok {
+		panic(fmt.Sprintf("share: column %s.%s is outside the form over %v", col.Rel, col.Attr, c.Rels))
+	}
+	return p
 }
 
 // RelSlice locates one relation's row inside a pipeline's full output
@@ -420,9 +341,6 @@ type Class struct {
 	// Form is the canonical-form key ("" for exact-only classes whose
 	// pipeline is the subscriber's query verbatim).
 	Form string
-	// Canonical marks classes whose pipeline is the canonical
-	// full-row shape (subscribers then carry projection residuals).
-	Canonical bool
 	// Shared marks a class whose pipeline has served more than its own
 	// query: a canonical one, or one a second subscriber joined at some
 	// point. It is never cleared; its fan-out rows are the shared ones.
@@ -430,7 +348,9 @@ type Class struct {
 	// Pipeline is the class's pipeline query (for containment
 	// children, the unplaced query replayed over parent completions).
 	Pipeline *query.Query
-	// Can is the canonical form (nil for exact-only classes).
+	// Can is the canonical form, nil for exact-only classes. A class
+	// with one is canonical: its pipeline is the full-row shape and its
+	// subscribers carry projection residuals.
 	Can *Canonical
 	// Parent is the containment parent, nil when the class owns a
 	// placed pipeline.
@@ -592,7 +512,7 @@ func (r *Registry) FindParent(can *Canonical) *Class {
 // enforced when the parent row is re-played through the child
 // pipeline, so they do not block sharing.
 func containsParent(p *Class, can *Canonical) bool {
-	if !p.Canonical || p.Parent != nil || p.Can == nil {
+	if p.Can == nil || p.Parent != nil {
 		return false
 	}
 	pc := p.Can

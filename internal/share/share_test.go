@@ -3,6 +3,7 @@ package share
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rjoin/internal/query"
@@ -119,10 +120,7 @@ func TestResidual(t *testing.T) {
 	if !ok {
 		t.Fatal("Canonicalize declined")
 	}
-	res, ok := c.ResidualOf(q)
-	if !ok {
-		t.Fatal("ResidualOf declined")
-	}
+	res := c.ResidualOf(q)
 	// Full row layout: R0.A R0.B R0.C R1.A R1.B R1.C.
 	row := []relation.Value{
 		relation.Int64(1), relation.Int64(5), relation.Int64(3),
@@ -140,6 +138,14 @@ func TestResidual(t *testing.T) {
 	if res.Eval(row) {
 		t.Error("residual accepted a row with R0.B=6")
 	}
+	// A query paired with a form it did not canonicalize to is a
+	// caller's bug: the column outside the form is named.
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "R2.C") {
+			t.Errorf("ResidualOf of a column outside the form: recovered %q, want a panic naming R2.C", msg)
+		}
+	}()
+	c.ResidualOf(sqlparse.MustParse("select R2.C from R0,R2 where R0.A=R2.A", cat))
 }
 
 // TestRegistryLifecycle: register, attach, detach to empty, drop —
@@ -149,7 +155,7 @@ func TestRegistryLifecycle(t *testing.T) {
 	r := NewRegistry()
 	q := sqlparse.MustParse("select R0.A from R0,R1 where R0.A=R1.A", cat)
 	can, _ := Canonicalize(q, cat)
-	cls := &Class{QID: "q1", Exact: q.String(), Form: can.Form, Canonical: true, Can: can, Pipeline: can.Pipeline()}
+	cls := &Class{QID: "q1", Exact: q.String(), Form: can.Form, Can: can, Pipeline: can.Pipeline()}
 	r.Register(cls, &Subscriber{QID: "q1"})
 	if r.LookupExact(q.String()) != cls || r.LookupForm(can.Form) != cls {
 		t.Fatal("registered class not found by its keys")
@@ -181,7 +187,7 @@ func TestFindParent(t *testing.T) {
 	r := NewRegistry()
 	pq := sqlparse.MustParse("select R0.A from R0,R1 where R0.A=R1.A", cat)
 	pcan, _ := Canonicalize(pq, cat)
-	parent := &Class{QID: "p", Form: pcan.Form, Canonical: true, Can: pcan, Pipeline: pcan.Pipeline()}
+	parent := &Class{QID: "p", Form: pcan.Form, Can: pcan, Pipeline: pcan.Pipeline()}
 	r.Register(parent, &Subscriber{QID: "p"})
 
 	child := mustCanon(t, cat, "select R0.A from R0,R1,R2 where R0.A=R1.A and R1.B=R2.B")
@@ -316,10 +322,7 @@ func FuzzCanonicalize(f *testing.F) {
 			}
 			// The residual must reproduce the subscriber's projection on
 			// any full row.
-			res, ok := c.ResidualOf(q)
-			if !ok {
-				t.Fatalf("ResidualOf declined for %s", q.String())
-			}
+			res := c.ResidualOf(q)
 			row := make([]relation.Value, c.Arity())
 			for i := range row {
 				row[i] = relation.Int64(int64(rng.Intn(4)))
