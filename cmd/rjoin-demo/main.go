@@ -132,7 +132,7 @@ func main() {
 	}
 	st := net.Stats()
 	fmt.Printf("\nNetwork stats: %d messages (%d for RIC), %d rewrites, QPL=%d, SL=%d over %d nodes\n",
-		st.Messages, st.RICMessages, st.RewritesCreated,
+		st.Messages, st.TrafficByTag.RIC, st.RewritesCreated,
 		st.QueryProcessingLoad, st.StorageLoad, net.Nodes())
 	if *lossy {
 		fmt.Printf("Unreliable network: %d dropped, %d duplicated, masked by %d retransmits and %d acks (%d abandoned)\n",

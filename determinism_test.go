@@ -103,12 +103,12 @@ func TestGoldenDeterminism(t *testing.T) {
 		stats  Stats
 		digest uint64
 	}{
-		{Stats{Messages: 12573, RICMessages: 298, QueryProcessingLoad: 1862, StorageLoad: 1484, Answers: 8733, RewritesCreated: 9920, MaxNodeQPL: 220, ParticipatingNodes: 53,
+		{Stats{Messages: 12573, QueryProcessingLoad: 1862, StorageLoad: 1484, Answers: 8733, RewritesCreated: 9920, MaxNodeQPL: 220, ParticipatingNodes: 53,
 			TrafficByTag: TagTraffic{RIC: 298, App: 12275}}, 0x5bf8b10883f4a01a},
 		// Random hop delays in [0, 3], re-pinned once, after certify
 		// passed, when the batching, attribute-replication and migration
 		// extensions it also enabled were deleted.
-		{Stats{Messages: 12571, RICMessages: 298, QueryProcessingLoad: 1841, StorageLoad: 1462, Answers: 8747, RewritesCreated: 9913, MaxNodeQPL: 230, ParticipatingNodes: 53,
+		{Stats{Messages: 12571, QueryProcessingLoad: 1841, StorageLoad: 1462, Answers: 8747, RewritesCreated: 9913, MaxNodeQPL: 230, ParticipatingNodes: 53,
 			TrafficByTag: TagTraffic{RIC: 298, App: 12273}}, 0x7dc5f09f28447986},
 		// Churn-enabled: 19 joins, 22 graceful leaves and 10 crashes
 		// interleave the mixed workload; the digest pins the handover
@@ -120,7 +120,7 @@ func TestGoldenDeterminism(t *testing.T) {
 		// routing pointers became exact after every membership call
 		// (answers 8323 → 8218, losses r5/t16 → r6/t17: the counted-loss
 		// model under a shifted trajectory).
-		{Stats{Messages: 12341, RICMessages: 390, QueryProcessingLoad: 1573, StorageLoad: 1195, Answers: 8218, RewritesCreated: 9116, MaxNodeQPL: 156, ParticipatingNodes: 64, Joins: 19, Leaves: 22, Crashes: 10, HandoverMessages: 22, HandoverEntries: 252, MessagesBounced: 805, RewritesLost: 6, TuplesLost: 17,
+		{Stats{Messages: 12341, QueryProcessingLoad: 1573, StorageLoad: 1195, Answers: 8218, RewritesCreated: 9116, MaxNodeQPL: 156, ParticipatingNodes: 64, Joins: 19, Leaves: 22, Crashes: 10, HandoverMessages: 22, HandoverEntries: 252, MessagesBounced: 805, RewritesLost: 6, TuplesLost: 17,
 			TrafficByTag: TagTraffic{RIC: 390, Churn: 22, App: 11929}}, 0x91c9b01fae81a114},
 	}
 	for i, opts := range goldenConfigs() {
@@ -154,7 +154,7 @@ func TestGoldenDeterminism(t *testing.T) {
 	// mid-run Unsubscribe. The order-insensitive digest over every
 	// surviving subscriber's answer multiset — and the sharing counters —
 	// must be bit-identical across Workers ∈ {1, 2, 4, 8} and match the
-	// pinned baseline: class registration, fan-out snapshots, containment
+	// pinned baseline: opening and joining classes, the fan-out, containment
 	// walks and teardown may not depend on scheduling interleave. The
 	// serial run draws different RNG streams than the parallel barrier
 	// schedule (as with the other goldens, whose parallel stats are
@@ -358,17 +358,17 @@ func TestGoldenDeterminismParallel(t *testing.T) {
 		stats  Stats
 		digest uint64
 	}{
-		{Stats{Messages: 12573, RICMessages: 298, QueryProcessingLoad: 1862, StorageLoad: 1484, Answers: 8733, RewritesCreated: 9920, MaxNodeQPL: 220, ParticipatingNodes: 53,
+		{Stats{Messages: 12573, QueryProcessingLoad: 1862, StorageLoad: 1484, Answers: 8733, RewritesCreated: 9920, MaxNodeQPL: 220, ParticipatingNodes: 53,
 			TrafficByTag: TagTraffic{RIC: 298, App: 12275}}, 0x24a34293edd07748},
 		// Random hop delays, re-pinned with the serial config 1.
-		{Stats{Messages: 12544, RICMessages: 285, QueryProcessingLoad: 1841, StorageLoad: 1462, Answers: 8733, RewritesCreated: 9899, MaxNodeQPL: 216, ParticipatingNodes: 53,
+		{Stats{Messages: 12544, QueryProcessingLoad: 1841, StorageLoad: 1462, Answers: 8733, RewritesCreated: 9899, MaxNodeQPL: 216, ParticipatingNodes: 53,
 			TrafficByTag: TagTraffic{RIC: 285, App: 12259}}, 0x4bb680868647ed02},
 		// Churn under parallel execution: membership changes run as
 		// global events between sub-rounds, handovers land in worker
 		// context, and the whole history still replays bit-identically
 		// (handover counts, and the exact-routing trajectory, re-pinned
 		// with the serial ones).
-		{Stats{Messages: 12341, RICMessages: 390, QueryProcessingLoad: 1573, StorageLoad: 1195, Answers: 8218, RewritesCreated: 9116, MaxNodeQPL: 156, ParticipatingNodes: 64, Joins: 19, Leaves: 22, Crashes: 10, HandoverMessages: 22, HandoverEntries: 252, MessagesBounced: 805, RewritesLost: 6, TuplesLost: 17,
+		{Stats{Messages: 12341, QueryProcessingLoad: 1573, StorageLoad: 1195, Answers: 8218, RewritesCreated: 9116, MaxNodeQPL: 156, ParticipatingNodes: 64, Joins: 19, Leaves: 22, Crashes: 10, HandoverMessages: 22, HandoverEntries: 252, MessagesBounced: 805, RewritesLost: 6, TuplesLost: 17,
 			TrafficByTag: TagTraffic{RIC: 390, Churn: 22, App: 11929}}, 0xf02a0fe0aa31a266},
 	}
 	for i, base := range parallelConfigs() {
@@ -512,9 +512,9 @@ func TestGoldenDeterminismReplicated(t *testing.T) {
 			t.Fatalf("workers %d: replicated crashes lost state: rewrites %d, tuples %d, agg %d",
 				w, st.RewritesLost, st.TuplesLost, st.AggStateLost)
 		}
-		if st.ReplPromotions == 0 || st.ReplicationMessages == 0 {
+		if st.ReplPromotions == 0 || st.TrafficByTag.Repl == 0 {
 			t.Fatalf("workers %d: replication machinery unused (promotions %d, messages %d)",
-				w, st.ReplPromotions, st.ReplicationMessages)
+				w, st.ReplPromotions, st.TrafficByTag.Repl)
 		}
 		if wi == 0 {
 			pinned = st

@@ -21,7 +21,7 @@ func main() {
 	for _, strat := range []rjoin.Strategy{rjoin.StrategyWorst, rjoin.StrategyRandom, rjoin.StrategyRIC} {
 		st := runWorkload(strat)
 		fmt.Fprintf(w, "%v\t%d\t%d\t%d\t%d\t%d\n",
-			strat, st.Messages, st.RICMessages,
+			strat, st.Messages, st.TrafficByTag.RIC,
 			st.QueryProcessingLoad, st.StorageLoad, st.Answers)
 	}
 	w.Flush()

@@ -304,7 +304,7 @@ func (p *Proc) emitTo(now sim.Time, qid string, owner id.ID, spec *agg.Spec, c c
 // QPL; a group's first partial also charges one unit of storage load.
 func (p *Proc) onAggPartial(now sim.Time, m *aggPartialMsg) {
 	s := p.eng.sub(m.QueryID)
-	if s == nil || s.spec == nil || s.retired {
+	if s == nil || s.spec == nil || s.retired() {
 		return // unsubscribed while the partial was in flight (an unknown query cannot happen in-run)
 	}
 	p.ld.qpl++

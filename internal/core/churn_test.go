@@ -297,7 +297,7 @@ func TestLeaveWithNoSuccessorCountsLoss(t *testing.T) {
 		st := eng.procs[nodes[0].ID()].st
 		c := st.counts()
 		retired := 0
-		eng.sub(qids[1]).fo = nil // torn down, its stored copies not yet swept
+		eng.sub(qids[1]).cls = nil // torn down, its stored copies not yet swept
 		for _, list := range st.queries {
 			for _, sq := range list {
 				if sq.q.ID == qids[1] {

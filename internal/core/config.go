@@ -119,7 +119,7 @@ type Config struct {
 	// is set.
 	MaxWindowHint int64
 
-	// ShareExact enables the multi-query registry's byte-identical
+	// ShareExact enables the multi-query sharing layer's byte-identical
 	// duplicate detection (see share.go): a submitted query whose
 	// canonical SQL rendering matches an already-live query attaches to
 	// that query's pipeline instead of indexing a second copy, and the

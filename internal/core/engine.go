@@ -11,7 +11,6 @@ import (
 	"rjoin/internal/overlay"
 	"rjoin/internal/query"
 	"rjoin/internal/relation"
-	"rjoin/internal/share"
 	"rjoin/internal/sim"
 )
 
@@ -136,12 +135,12 @@ type Engine struct {
 	subs    map[string]*subscription
 	aggLive int
 
-	// reg is the sharing registry (see share.go): every submission's
-	// class, a class of one when nothing shares with it. Written only from
-	// coordinator context (SubmitQuery, Unsubscribe), like subs; each
-	// class's completion fan-out lives on the subscription record of the
-	// QID naming its pipeline, which handlers read lock-free.
-	reg *share.Registry
+	// The sharing classes' indexes (see share.go), written only from
+	// coordinator context like subs: the classes by the exact-SQL and
+	// canonical-form keys they claimed, and the placed canonical classes
+	// in creation order, which the containment-parent search scans.
+	bySQL, byForm map[string]*shareClass
+	parents       []*shareClass
 
 	delta    int64
 	pubSeq   int64
@@ -210,15 +209,16 @@ type acctSlot struct {
 // supported afterwards via NodeJoined/NodeLeft).
 func NewEngine(ring *chord.Ring, se *sim.Engine, net *overlay.Network, cfg Config) *Engine {
 	e := &Engine{
-		Cfg:   cfg,
-		loads: make(map[id.ID]*load),
-		ring:  ring,
-		sim:   se,
-		net:   net,
-		procs: make(map[id.ID]*Proc),
-		subs:  make(map[string]*subscription),
-		reg:   share.NewRegistry(),
-		slots: make([]acctSlot, 1),
+		Cfg:    cfg,
+		loads:  make(map[id.ID]*load),
+		ring:   ring,
+		sim:    se,
+		net:    net,
+		procs:  make(map[id.ID]*Proc),
+		subs:   make(map[string]*subscription),
+		bySQL:  make(map[string]*shareClass),
+		byForm: make(map[string]*shareClass),
+		slots:  make([]acctSlot, 1),
 	}
 	e.delta = cfg.Delta
 	if cfg.Delta == 0 {
@@ -313,22 +313,22 @@ func (e *Engine) SubmitQuery(owner *chord.Node, q *query.Query) (string, error) 
 	q.MinPub = math.MaxInt64
 	e.Counters.QueriesSubmitted++
 	qid := q.ID
-	e.addSub(q)
+	s := e.addSub(q)
 	if ob := e.obs; ob != nil {
 		ob.Emit(sim.NoShard, obs.Rec{
 			At: e.sim.Now(), Kind: obs.KindSubmit,
 			Node: uint64(owner.ID()), QID: qid, Arg: int64(len(q.Relations)),
 		})
 	}
-	// The sharing registry decides what actually gets indexed: the query
-	// itself (no sharing possible), a canonical full-row pipeline (first
-	// member of a new equivalence class), or nothing (attached to an
-	// existing pipeline's fan-out).
-	if pq := e.shareSubmit(q); pq != nil {
+	// The query's sharing class decides what actually gets indexed: the
+	// query itself (no sharing possible), a canonical full-row pipeline
+	// (first member of a new equivalence class), or nothing (attached to
+	// an existing pipeline's fan-out).
+	if pq := e.shareSubmit(s); pq != nil {
 		if pq != q {
 			sq = entryOf(pq) // a canonical pipeline stands in for q
 		}
-		sq.pipe = e.sub(qid)
+		sq.pipe = s
 		p.place(e.sim.Now(), sq)
 	}
 	// Submission runs in coordinator context, outside any handler, so

@@ -3,11 +3,11 @@ package core
 // Engine.Explain assembles the per-query introspection report: the
 // static placement plan (the pipeline's index candidates in clause
 // order), the per-placement counters the profiler attributed to them,
-// sharing attribution from the multi-query registry, the state
-// footprint series and the subscriber-side delivery totals. It runs
-// from driver context between drains — the same contexts Answers and
-// Stats are read from — so reading the merged profiler maps and the
-// registry is race-free. Everything it reads is either static plan
+// sharing attribution from the query's class, the state footprint
+// series and the subscriber-side delivery totals. It runs from driver
+// context between drains — the same contexts Answers and Stats are read
+// from — so reading the merged profiler maps and the class is
+// race-free. Everything it reads is either static plan
 // structure or a Sync-merged deterministic counter, so a report taken
 // at a drained virtual time is bit-identical across worker counts.
 
@@ -44,16 +44,14 @@ func (e *Engine) Explain(queryID string) (*profile.Report, error) {
 	// in-network work, how many subscribers ride it, and what residual
 	// this subscriber applies at the completion node.
 	pipe := q
-	if sub.retired {
+	if cls := sub.rides; cls == nil {
 		r.Subscribers = 0 // unsubscribed: what follows is the query's own plan, as history
-	} else if cls := e.reg.ClassOf(queryID); cls != nil {
-		r.Pipeline = cls.QID
-		r.Subscribers = len(cls.Subs)
-		pipe = cls.Pipeline
-		for _, s := range cls.Subs {
-			if s.QID == queryID && s.Res != nil {
-				r.Residual = residualText(s.Res)
-			}
+	} else {
+		r.Pipeline = cls.pipe.q.ID
+		r.Subscribers = len(cls.members)
+		pipe = cls.query
+		if sub.res != nil {
+			r.Residual = residualText(sub.res)
 		}
 	}
 

@@ -67,15 +67,18 @@ func memAlphabet(n int, withMove bool) []memOp {
 }
 
 // memWorld builds the checker's world: a converged 5-node ring, a plain,
-// a GROUP BY and a windowed join, and 12 tuples, drained. No tuple is
-// published after it, so the windowed rewrites outlive every script,
-// while the ALTT entries lapse as the scripts' drains move the clock.
+// a GROUP BY and a windowed join, a sliding and a tumbling windowed
+// GROUP BY, and 12 tuples, drained. No tuple is published after it, so
+// the windowed rewrites and aggregate epochs outlive every script, while
+// the ALTT entries lapse as the scripts' drains move the clock.
 func memWorld(t *testing.T, rf int) *Engine {
 	eng, nodes := testNet(t, 5, 11, replCfg(rf), churnNetCfg())
 	for i, sql := range []string{
 		"select R.B, S.B from R,S where R.A=S.A",
 		"select R.A, count(*) from R,S where R.A=S.A group by R.A",
 		"select R.C, S.C from R,S where R.A=S.A within 8 tuples",
+		"select R.A, sum(S.B) from R,S where R.A=S.A group by R.A within 4 tuples",
+		"select R.A, sum(S.B) from R,S where R.A=S.A group by R.A within 4 tuples tumbling",
 	} {
 		if _, err := eng.SubmitQuery(nodes[i], sqlparse.MustParse(sql, testCat)); err != nil {
 			t.Fatal(err)

@@ -510,8 +510,8 @@ func (p *Proc) complete(now sim.Time, sq *storedQuery, depth int, c completion) 
 	if ob := p.eng.obs; ob != nil {
 		ob.Emit(p.shard, obs.Rec{At: now, Kind: obs.KindComplete, Node: p.nid(), QID: sq.q.ID, Arg: int64(depth)})
 	}
-	if sq.pipe != nil && sq.pipe.fo != nil {
-		p.fanoutComplete(now, sq.pipe.fo, c)
+	if sq.pipe != nil && sq.pipe.cls != nil {
+		p.fanoutComplete(now, sq.pipe.cls, c)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -18,21 +19,24 @@ import (
 // This file is the subscriber side of the engine: one subscription
 // record per submitted query, and the only code that indexes Engine.subs.
 // Engine.subs is written in coordinator context only (SubmitQuery adds a
-// record, nothing ever removes one) and read lock-free by handlers — the
-// discipline the sharing registry follows. A record's identity (query,
-// spec) is immutable; its contents are guarded by its own mutex, because
-// mid-churn two nodes on different shards can deliver for one query in
-// the same tick.
+// record, nothing ever removes one) and read lock-free by handlers. A
+// record's identity (query, spec) is immutable; its sharing fields
+// change only in coordinator context too; its contents are guarded by
+// its own mutex, because mid-churn two nodes on different shards can
+// deliver for one query in the same tick.
+//
+// The record is also where the query's sharing class lives (share.go):
+// the record of a QID naming a pipeline names its class, and every
+// live subscriber's record points at the class it rides and holds its
+// residual. A subscriber is live while it rides a class, the pipeline
+// its QID names while its record names one.
 //
 // Unsubscribe retires a record: the contents go, the identity stays.
 // In-flight partials still look their record up by QID, an aggregator
-// group points at its record and reads its spec and retired flag there,
-// and Explain must keep answering for past queries, so one immutable
-// query + spec per departed subscription is what the engine retains —
-// and nothing else.
-//
-// A subscriber is live while its record is not retired, the pipeline
-// its QID names while the record holds a fan-out (share.go).
+// group points at its record and reads its spec and retired state
+// there, and Explain must keep answering for past queries, so one
+// immutable query + spec per departed subscription is what the engine
+// retains — and the class of a pipeline others still ride.
 
 // Answer is one result row delivered to a query owner.
 type Answer struct {
@@ -73,14 +77,16 @@ type subscription struct {
 	q    *query.Query // as stamped at submission
 	spec *agg.Spec    // nil for a plain query
 
-	// retired is written by Unsubscribe, in coordinator context, and
-	// read by handlers without the lock like the map itself. fo, written
-	// by SubmitQuery and Unsubscribe and read the same way, is the
-	// completion fan-out of the pipeline this QID names: published when
-	// its class is registered, replaced on every change of the class,
-	// nil once the pipeline is torn down or if the QID rides another's.
-	retired bool
-	fo      *share.Fanout
+	// The sharing fields (share.go), written in coordinator context only
+	// and read by handlers without the lock, like the map itself. cls is
+	// the class whose pipeline this QID names: set when the class opens,
+	// nil once it is torn down or if the QID rides another's pipeline.
+	// rides is the class this subscriber rides and res its residual
+	// against the class's form (nil: rows pass through unchanged); both
+	// are nil once it is unsubscribed.
+	cls   *shareClass
+	rides *shareClass
+	res   *share.Residual
 
 	mu sync.Mutex
 	// The answer log: the delivered rows in delivery order, each the
@@ -108,7 +114,7 @@ type subscription struct {
 }
 
 // addSub opens the record of a freshly stamped query.
-func (e *Engine) addSub(q *query.Query) {
+func (e *Engine) addSub(q *query.Query) *subscription {
 	s := &subscription{q: q, spec: agg.SpecOf(q)}
 	if e.obs.Views().Metrics != nil {
 		s.lat = &obs.Histogram{}
@@ -117,17 +123,30 @@ func (e *Engine) addSub(q *query.Query) {
 		e.aggLive++
 	}
 	e.subs[q.ID] = s
+	return s
 }
 
-// retireSub marks a record retired and drops everything but its
-// identity — and the fan-out of a pipeline others still ride.
-func (e *Engine) retireSub(qid string) {
-	s := e.subs[qid]
+// retired reports whether the subscriber has been unsubscribed.
+func (s *subscription) retired() bool { return s.rides == nil }
+
+// since is the earliest publication time a row's tuples may have for
+// the row to reach the subscriber: its insertion time, or none for a
+// one-time snapshot, whose rows combine tuples published before it.
+func (s *subscription) since() int64 {
+	if s.q.OneTime {
+		return math.MinInt64
+	}
+	return s.q.InsertTime
+}
+
+// retireSub retires a record: it drops everything but its identity —
+// and the class of a pipeline others still ride.
+func (e *Engine) retireSub(s *subscription) {
 	if s.spec != nil {
 		e.aggLive--
 	}
 	s.mu.Lock()
-	s.retired = true
+	s.rides, s.res = nil, nil
 	s.log, s.rows, s.last, s.marks, s.lins, s.seen = nil, 0, 0, nil, nil, nil
 	s.view, s.vrows, s.vers, s.vlins, s.lat = nil, nil, nil, nil, nil
 	s.mu.Unlock()
@@ -137,16 +156,16 @@ func (e *Engine) retireSub(qid string) {
 func (e *Engine) sub(qid string) *subscription { return e.subs[qid] }
 
 // tornDown reports whether the entry's pipeline was torn down: its
-// record holds no fan-out. Its straggler rewrites and placements are
+// record names no class. Its straggler rewrites and placements are
 // dropped, not re-indexed. An entry of a QID with no record is live.
-func (sq *storedQuery) tornDown() bool { return sq.pipe != nil && sq.pipe.fo == nil }
+func (sq *storedQuery) tornDown() bool { return sq.pipe != nil && sq.pipe.cls == nil }
 
 // open is the first half of every delivery: one lookup, the retired
 // check, the lock. It returns nil when the row has nobody to go to
 // (unsubscribed while it was in flight); otherwise the caller unlocks.
 func (e *Engine) open(qid string) *subscription {
 	s := e.subs[qid]
-	if s == nil || s.retired {
+	if s == nil || s.retired() {
 		return nil
 	}
 	s.mu.Lock()
@@ -384,7 +403,7 @@ func (e *Engine) QueryLatency(queryID string) obs.LatencySummary {
 func (e *Engine) LiveSubscriptions() []string {
 	ids := make([]string, 0, len(e.subs))
 	for qid, s := range e.subs {
-		if !s.retired {
+		if !s.retired() {
 			ids = append(ids, qid)
 		}
 	}
@@ -412,7 +431,7 @@ type subsFootprint struct {
 
 func (e *Engine) subsFootprint() (f subsFootprint) {
 	for _, s := range e.subs {
-		if s.retired {
+		if s.retired() {
 			f.retired++
 		} else {
 			f.live++

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -15,7 +16,6 @@ import (
 	"rjoin/internal/overlay"
 	"rjoin/internal/refeval"
 	"rjoin/internal/relation"
-	"rjoin/internal/share"
 	"rjoin/internal/sim"
 	"rjoin/internal/sqlparse"
 )
@@ -87,34 +87,28 @@ func checkSubscription(t *testing.T, label string, eng *Engine, qid string, publ
 }
 
 // checkOneRecord asserts that the subscription records say which
-// pipelines live: a QID's record holds a fan-out exactly when the QID
+// pipelines live: a QID's record names a class exactly when the QID
 // names a live class — every class has a pipeline of its own, a
 // singleton's, a canonical first member's or a containment child's —
-// and then it is the class's current one; and no node stores a query or
-// placement whose QID's record holds none.
+// and then it is that class; and no node stores a query or placement
+// whose QID's record names none.
 func checkOneRecord(t *testing.T, label string, eng *Engine) {
 	t.Helper()
-	classes := make(map[string]*share.Class) // the live classes by pipeline QID
-	for qid, s := range eng.subs {
-		if !s.retired {
-			for cls := eng.reg.ClassOf(qid); cls != nil; cls = cls.Parent {
-				classes[cls.QID] = cls
-			}
+	classes := make(map[string]*shareClass) // the live classes by pipeline QID
+	for _, s := range eng.subs {
+		for cls := s.rides; cls != nil; cls = cls.parent {
+			classes[cls.pipe.q.ID] = cls
 		}
 	}
 	for qid, s := range eng.subs {
-		cls := classes[qid]
-		if (s.fo != nil) != (cls != nil) {
-			t.Fatalf("%s: %s's record holds a fan-out: %v; it names a live class: %v", label, qid, s.fo != nil, cls != nil)
-		}
-		if cls != nil && !reflect.DeepEqual(s.fo, cls.Snapshot()) {
-			t.Fatalf("%s: %s's fan-out is not its class's current one", label, qid)
+		if cls := classes[qid]; s.cls != cls {
+			t.Fatalf("%s: %s's record names class %p; the live class its QID names is %p", label, qid, s.cls, cls)
 		}
 	}
 	for _, p := range eng.procs {
 		p.st.each(classQueries|classPending, nil, func(op stateOp) {
-			if s := eng.sub(op.stored().q.ID); s == nil || s.fo == nil {
-				t.Fatalf("%s: a node stores a query or placement of %s, whose record holds no fan-out", label, op.stored().q.ID)
+			if s := eng.sub(op.stored().q.ID); s == nil || s.cls == nil {
+				t.Fatalf("%s: a node stores a query or placement of %s, whose record names no class", label, op.stored().q.ID)
 			}
 		})
 	}
@@ -192,7 +186,7 @@ func TestSubsRandomScripts(t *testing.T) {
 				if len(eng.Answers(qid))+len(eng.AggRows(qid)) != 0 {
 					t.Fatalf("%s: retired %s serves rows", label, qid)
 				}
-				if s := eng.sub(qid); s.fo == nil {
+				if s := eng.sub(qid); s.cls == nil {
 					// A straggling Eval of the torn-down pipeline is dropped
 					// at the key's owner, not stored.
 					sq, c := entryOf(s.q), s.q.Candidates()[0]
@@ -216,6 +210,75 @@ func TestSubsRandomScripts(t *testing.T) {
 	}
 	if sumHeld == 0 || sumDiscarded == 0 || sumShared == 0 || sumStragglers == 0 {
 		t.Fatalf("scripts too weak: %d rows held, %d discarded, %d shared submissions, %d stragglers of torn-down pipelines", sumHeld, sumDiscarded, sumShared, sumStragglers)
+	}
+}
+
+// TestClassLifecycle: a duplicate attaches to the first submission's
+// class, which outlives its first member; the last departure tears the
+// pipeline down and releases both of the class's keys, so a
+// resubmission opens a fresh class under its own QID; a second
+// Unsubscribe errors.
+func TestClassLifecycle(t *testing.T) {
+	eng, nodes := subsEngine(t, 3, 1, true, false)
+	submit := func() (string, *subscription) {
+		t.Helper()
+		qid, err := eng.SubmitQuery(nodes[0], sqlparse.MustParse("select R.B, S.B from R,S where R.A=S.A", testCat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return qid, eng.sub(qid)
+	}
+	stored := func(qid string) (n int) {
+		for _, p := range eng.procs {
+			p.st.each(classQueries|classPending, nil, func(op stateOp) {
+				if op.stored().q.ID == qid {
+					n++
+				}
+			})
+		}
+		return n
+	}
+	claims := func(cls *shareClass) bool {
+		return eng.bySQL[cls.sql] == cls && eng.byForm[cls.form] == cls
+	}
+
+	q1, s1 := submit()
+	cls := s1.cls
+	if cls == nil || s1.rides != cls || cls.pipe != s1 || cls.form == "" || !claims(cls) {
+		t.Fatal("the first submission does not open a canonical class under its own QID claiming both keys")
+	}
+	q2, s2 := submit()
+	if s2.rides != cls || s2.cls != nil || s2.res == nil || eng.Counters.QueriesShared != 1 {
+		t.Fatal("a duplicate did not attach to the first submission's class")
+	}
+	eng.Run()
+
+	if err := eng.Unsubscribe(q1); err != nil {
+		t.Fatal(err)
+	}
+	if s1.cls != cls || s1.rides != nil || !slices.Equal(cls.members, []*subscription{s2}) || !claims(cls) || stored(q1) == 0 {
+		t.Fatal("the class did not outlive its first member")
+	}
+	eng.PublishTuple(nodes[1], mkTuple("R", 1, 2, 0))
+	eng.PublishTuple(nodes[2], mkTuple("S", 1, 5, 0))
+	eng.Run()
+	if got := eng.Answers(q2); len(got) != 1 || len(eng.Answers(q1)) != 0 {
+		t.Fatalf("after its first member left, the class delivered %v to the second", got)
+	}
+
+	if err := eng.Unsubscribe(q2); err != nil {
+		t.Fatal(err)
+	}
+	if s1.cls != nil || eng.bySQL[cls.sql] != nil || eng.byForm[cls.form] != nil || stored(q1) != 0 || len(eng.parents) != 0 {
+		t.Fatal("the last departure left the pipeline, a key or its stored entries behind")
+	}
+	q3, s3 := submit()
+	eng.Run()
+	if s3.cls == nil || s3.cls == cls || s3.cls.pipe != s3 || !claims(s3.cls) || stored(q3) == 0 {
+		t.Fatal("a resubmission did not open a fresh class under its own QID")
+	}
+	if err := eng.Unsubscribe(q2); err == nil {
+		t.Fatal("a second Unsubscribe succeeded")
 	}
 }
 

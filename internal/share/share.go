@@ -1,32 +1,27 @@
-// Package share implements multi-query optimization for RJoin: it maps
-// each submitted query to a canonical form — relation set, join-graph
-// attribute equivalence classes (the rewrite tree's own,
-// query.Query.JoinClasses) and window clock — and keeps a registry of
-// equivalence classes so the engine stores and rewrites one shared
-// pipeline per class. Everything a query asks for beyond the class
-// shape (constants, filter predicates, projection lists) is split out
-// as a per-subscriber residual that a fan-out table applies at the
-// completion node before emitting answer rows; every query has a
-// residual against the form it canonicalized to. A query whose join
-// graph strictly contains an existing class's attaches to that class's
-// completed rewrites (containment sharing) instead of starting from
-// scratch. Every submitted query belongs to a class: one nothing
-// shares with is a class of one, whose fan-out holds one subscriber
-// with no residual.
+// Package share is the form algebra of RJoin's multi-query
+// optimization: it maps each submitted query to a canonical form —
+// relation set, join-graph attribute equivalence classes (the rewrite
+// tree's own, query.Query.JoinClasses) and window clock — such that two
+// queries may share one stored and rewritten pipeline exactly when
+// their forms are byte-identical. Everything a query asks for beyond
+// the form (constants, filter predicates, projection lists) is split
+// out as a Residual that the completion node applies to each pipeline
+// row before emitting the query's answer. Pipeline builds a form's
+// full-row pipeline query, RelSlices lays out its rows, and Contains
+// is the containment test: a query whose join graph strictly contains
+// a placed form's attaches to that pipeline's completed rows instead
+// of starting from scratch.
 //
-// The package is pure bookkeeping: it never sends messages and never
-// touches the simulator. The registry is written only from the
-// engine's coordinator context (SubmitQuery / Unsubscribe); the
-// immutable Fanout snapshots it produces are read lock-free by the
-// message handlers, which find them on the subscription record of the
-// QID naming the pipeline.
+// The package is pure, immutable computation over queries: it never
+// sends messages, touches the simulator or keeps any state between
+// calls. The classes themselves — which queries ride which pipeline —
+// live in the engine (internal/core/share.go).
 package share
 
 import (
 	"fmt"
 	"sort"
 
-	"rjoin/internal/agg"
 	"rjoin/internal/query"
 	"rjoin/internal/relation"
 )
@@ -54,8 +49,8 @@ type ProjItem struct {
 
 // Residual is what remains of a subscriber's query after the canonical
 // pipeline shape is factored out: filter predicates over constants and
-// the projection list. DISTINCT memory stays per-subscriber on the
-// owner side, and the aggregate spec rides on the Subscriber.
+// the projection list. DISTINCT memory and the aggregate spec stay
+// with the subscriber, on the owner side.
 type Residual struct {
 	Preds []Pred
 	Items []ProjItem
@@ -298,249 +293,40 @@ func (c *Canonical) RelSlices() []RelSlice {
 	return out
 }
 
-// Arity is the width of the pipeline's full output row.
-func (c *Canonical) Arity() int { return c.arity }
-
-// Subscriber is one query attached to a class: its own query ID
-// (answer identity), owner node, insertion time (rows whose earliest
-// tuple predates it are filtered out at the fan-out; a one-time query
-// has no cutoff, math.MinInt64), residual and aggregation spec. A nil
-// Residual means the subscriber's query is byte-identical to the
-// pipeline and rows pass through unchanged; a nil Spec, that the
-// subscriber's rows go to its owner rather than into aggregation.
-type Subscriber struct {
-	QID        string
-	Owner      uint64
-	InsertTime int64
-	Res        *Residual
-	Spec       *agg.Spec
-}
-
-// Kid is a containment child attached to a parent class: a query
-// whose join graph strictly contains the parent's. The child places
-// no pipeline of its own; every completed parent row is re-played
-// through the child's pipeline as pseudo-tuples, and the resulting
-// partial rewrite is dispatched from the completion node.
-type Kid struct {
-	QID        string
-	Pipeline   *query.Query
-	InsertTime int64
-	Rels       []RelSlice
-}
-
-// Class is one equivalence class in the registry: the shared pipeline
-// (identified by the first subscriber's query ID), its subscribers,
-// and any containment children feeding off its completions. A query
-// nothing shares with is a class of one.
-type Class struct {
-	// QID is the pipeline identity: the first subscriber's query ID.
-	QID string
-	// Exact is the canonical SQL rendering used for byte-identical
-	// duplicate detection.
-	Exact string
-	// Form is the canonical-form key ("" for exact-only classes whose
-	// pipeline is the subscriber's query verbatim).
-	Form string
-	// Shared marks a class whose pipeline has served more than its own
-	// query: a canonical one, or one a second subscriber joined at some
-	// point. It is never cleared; its fan-out rows are the shared ones.
-	Shared bool
-	// Pipeline is the class's pipeline query (for containment
-	// children, the unplaced query replayed over parent completions).
-	Pipeline *query.Query
-	// Can is the canonical form, nil for exact-only classes. A class
-	// with one is canonical: its pipeline is the full-row shape and its
-	// subscribers carry projection residuals.
-	Can *Canonical
-	// Parent is the containment parent, nil when the class owns a
-	// placed pipeline.
-	Parent *Class
-	Kids   []*Kid
-	Subs   []*Subscriber
-}
-
-// Empty reports whether nothing references the class any more.
-func (c *Class) Empty() bool { return len(c.Subs) == 0 && len(c.Kids) == 0 }
-
-// Fanout is the immutable completion-node snapshot of a class: built
-// fresh on every membership change and swapped in from coordinator
-// context, read lock-free by the message handlers.
-type Fanout struct {
-	Subs   []Subscriber
-	Kids   []*Kid
-	Shared bool // the class's Shared flag
-}
-
-// Snapshot builds the current Fanout of the class.
-func (c *Class) Snapshot() *Fanout {
-	fo := &Fanout{
-		Subs:   make([]Subscriber, len(c.Subs)),
-		Kids:   append([]*Kid(nil), c.Kids...),
-		Shared: c.Shared,
-	}
-	for i, s := range c.Subs {
-		fo.Subs[i] = *s
-	}
-	return fo
-}
-
-// Registry holds every live equivalence class, keyed three ways: by
-// exact SQL rendering, by canonical form, and by subscriber query ID.
-// It is written only from the engine's coordinator context.
-type Registry struct {
-	bySQL  map[string]*Class
-	byForm map[string]*Class
-	subs   map[string]*Class // subscriber QID -> class
-	// order lists classes in creation order: the deterministic
-	// iteration sequence for containment-parent search.
-	order []*Class
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		bySQL:  make(map[string]*Class),
-		byForm: make(map[string]*Class),
-		subs:   make(map[string]*Class),
-	}
-}
-
-// LookupExact returns the class registered under the SQL rendering.
-func (r *Registry) LookupExact(sql string) *Class { return r.bySQL[sql] }
-
-// LookupForm returns the class registered under the canonical form.
-func (r *Registry) LookupForm(form string) *Class { return r.byForm[form] }
-
-// ClassOf returns the class a subscriber query ID is attached to.
-func (r *Registry) ClassOf(subQID string) *Class { return r.subs[subQID] }
-
-// Register adds a new class and its first subscriber. The exact/form
-// keys are claimed only if free (a key can be occupied when sharing
-// declined to attach, e.g. a DISTINCT duplicate of a non-canonical
-// class).
-func (r *Registry) Register(cls *Class, first *Subscriber) {
-	cls.Subs = append(cls.Subs, first)
-	r.subs[first.QID] = cls
-	if cls.Exact != "" {
-		if _, taken := r.bySQL[cls.Exact]; !taken {
-			r.bySQL[cls.Exact] = cls
-		}
-	}
-	if cls.Form != "" {
-		if _, taken := r.byForm[cls.Form]; !taken {
-			r.byForm[cls.Form] = cls
-		}
-	}
-	r.order = append(r.order, cls)
-}
-
-// Attach adds a further subscriber to an existing class, which is
-// shared from then on.
-func (r *Registry) Attach(cls *Class, sub *Subscriber) {
-	cls.Subs = append(cls.Subs, sub)
-	cls.Shared = true
-	r.subs[sub.QID] = cls
-}
-
-// Detach removes a subscriber from its class and returns the class,
-// or nil if the QID is unknown.
-func (r *Registry) Detach(subQID string) *Class {
-	cls := r.subs[subQID]
-	if cls == nil {
-		return nil
-	}
-	delete(r.subs, subQID)
-	for i, s := range cls.Subs {
-		if s.QID == subQID {
-			cls.Subs = append(cls.Subs[:i], cls.Subs[i+1:]...)
-			break
-		}
-	}
-	return cls
-}
-
-// DetachKid removes a containment child entry from its parent.
-func (r *Registry) DetachKid(parent *Class, kidQID string) {
-	for i, k := range parent.Kids {
-		if k.QID == kidQID {
-			parent.Kids = append(parent.Kids[:i], parent.Kids[i+1:]...)
-			return
-		}
-	}
-}
-
-// Drop removes a class from every index. Keys are released only if
-// they still point at this class.
-func (r *Registry) Drop(cls *Class) {
-	if r.bySQL[cls.Exact] == cls {
-		delete(r.bySQL, cls.Exact)
-	}
-	if cls.Form != "" && r.byForm[cls.Form] == cls {
-		delete(r.byForm, cls.Form)
-	}
-	for i, c := range r.order {
-		if c == cls {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
-}
-
-// FindParent searches for a containment parent of the canonical form:
-// an existing class whose join graph is a strict prefix of can's. Of
-// the eligible classes the one covering the most relations wins, ties
-// broken by creation order, so the choice is deterministic.
-func (r *Registry) FindParent(can *Canonical) *Class {
-	var best *Class
-	for _, cls := range r.order {
-		if !containsParent(cls, can) {
-			continue
-		}
-		if best == nil || len(cls.Can.Rels) > len(best.Can.Rels) {
-			best = cls
-		}
-	}
-	return best
-}
-
-// containsParent reports whether p's join graph is a strict prefix of
-// can's: p owns a placed canonical pipeline over at least two
-// relations, both forms are unwindowed and selection-free, p's
-// relation set is a strict subset of can's, and every equivalence
-// class of p lies inside a single equivalence class of can. Conjuncts
-// can is stricter about (classes it merges that p keeps apart) are
-// enforced when the parent row is re-played through the child
-// pipeline, so they do not block sharing.
-func containsParent(p *Class, can *Canonical) bool {
-	if p.Can == nil || p.Parent != nil {
+// Contains reports whether c's join graph strictly contains p's, so
+// that a class with p's placed pipeline can serve as c's containment
+// parent: p is over at least two relations, both forms are unwindowed,
+// p is selection-free, p's relation set is a strict subset of c's, and
+// every equivalence class of p lies inside a single equivalence class
+// of c. Conjuncts c is stricter about (classes it merges that p keeps
+// apart) are enforced when the parent row is re-played through the
+// child pipeline, so they do not block sharing.
+func (c *Canonical) Contains(p *Canonical) bool {
+	if p.Window.Enabled() || c.Window.Enabled() {
 		return false
 	}
-	pc := p.Can
-	if pc.Window.Enabled() || can.Window.Enabled() {
+	if len(p.Selections) != 0 {
 		return false
 	}
-	if len(pc.Selections) != 0 {
+	if len(p.Rels) < 2 || len(p.Rels) >= len(c.Rels) {
 		return false
 	}
-	if len(pc.Rels) < 2 || len(pc.Rels) >= len(can.Rels) {
-		return false
-	}
-	relSet := make(map[string]bool, len(can.Rels))
-	for _, r := range can.Rels {
+	relSet := make(map[string]bool, len(c.Rels))
+	for _, r := range c.Rels {
 		relSet[r] = true
 	}
-	for _, r := range pc.Rels {
+	for _, r := range p.Rels {
 		if !relSet[r] {
 			return false
 		}
 	}
 	colClass := make(map[query.ColRef]int)
-	for i, cls := range can.Classes {
+	for i, cls := range c.Classes {
 		for _, col := range cls {
 			colClass[col] = i
 		}
 	}
-	for _, cls := range pc.Classes {
+	for _, cls := range p.Classes {
 		idx, ok := colClass[cls[0]]
 		if !ok {
 			return false

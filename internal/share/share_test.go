@@ -148,59 +148,25 @@ func TestResidual(t *testing.T) {
 	c.ResidualOf(sqlparse.MustParse("select R2.C from R0,R2 where R0.A=R2.A", cat))
 }
 
-// TestRegistryLifecycle: register, attach, detach to empty, drop —
-// every index released.
-func TestRegistryLifecycle(t *testing.T) {
+// TestContains: a three-way join's form strictly contains the two-way
+// form it extends, and non-containments are rejected.
+func TestContains(t *testing.T) {
 	cat := testCatalog(t)
-	r := NewRegistry()
-	q := sqlparse.MustParse("select R0.A from R0,R1 where R0.A=R1.A", cat)
-	can, _ := Canonicalize(q, cat)
-	cls := &Class{QID: "q1", Exact: q.String(), Form: can.Form, Can: can, Pipeline: can.Pipeline()}
-	r.Register(cls, &Subscriber{QID: "q1"})
-	if r.LookupExact(q.String()) != cls || r.LookupForm(can.Form) != cls {
-		t.Fatal("registered class not found by its keys")
-	}
-	r.Attach(cls, &Subscriber{QID: "q2"})
-	if got := r.ClassOf("q2"); got != cls {
-		t.Fatalf("ClassOf(q2) = %v", got)
-	}
-	if c := r.Detach("q2"); c != cls || cls.Empty() {
-		t.Fatal("detach of second subscriber emptied the class")
-	}
-	if c := r.Detach("q1"); c != cls || !cls.Empty() {
-		t.Fatal("detach of last subscriber did not empty the class")
-	}
-	r.Drop(cls)
-	if r.LookupExact(q.String()) != nil || r.LookupForm(can.Form) != nil {
-		t.Fatal("Drop left stale index entries")
-	}
-	if r.Detach("q1") != nil {
-		t.Fatal("double detach returned a class")
-	}
-}
-
-// TestFindParent: a three-way join attaches to the registered two-way
-// class its join graph strictly contains, and non-containments are
-// rejected.
-func TestFindParent(t *testing.T) {
-	cat := testCatalog(t)
-	r := NewRegistry()
-	pq := sqlparse.MustParse("select R0.A from R0,R1 where R0.A=R1.A", cat)
-	pcan, _ := Canonicalize(pq, cat)
-	parent := &Class{QID: "p", Form: pcan.Form, Can: pcan, Pipeline: pcan.Pipeline()}
-	r.Register(parent, &Subscriber{QID: "p"})
-
+	parent := mustCanon(t, cat, "select R0.A from R0,R1 where R0.A=R1.A")
 	child := mustCanon(t, cat, "select R0.A from R0,R1,R2 where R0.A=R1.A and R1.B=R2.B")
-	if got := r.FindParent(child); got != parent {
-		t.Fatalf("FindParent = %v, want the two-way class", got)
+	if !child.Contains(parent) {
+		t.Fatal("the three-way form does not contain the two-way one it extends")
+	}
+	if parent.Contains(child) {
+		t.Error("the two-way form contains the three-way one")
 	}
 	for _, sql := range []string{
 		"select R0.A from R0,R1,R2 where R0.A=R2.A and R1.B=R2.B",                // R0.A=R1.A not implied
 		"select R0.A from R0,R1,R2 where R0.A=R1.A and R1.B=R2.B within 4 ticks", // windowed child
 		"select R0.A from R0,R1 where R0.A=R1.A and R0.B=R1.B",                   // same rel set, not strict superset
 	} {
-		if got := r.FindParent(mustCanon(t, cat, sql)); got != nil {
-			t.Errorf("FindParent(%q) = %v, want nil", sql, got)
+		if mustCanon(t, cat, sql).Contains(parent) {
+			t.Errorf("%q contains the two-way form", sql)
 		}
 	}
 }
@@ -323,7 +289,7 @@ func FuzzCanonicalize(f *testing.F) {
 			// The residual must reproduce the subscriber's projection on
 			// any full row.
 			res := c.ResidualOf(q)
-			row := make([]relation.Value, c.Arity())
+			row := make([]relation.Value, len(c.Pipeline().Select))
 			for i := range row {
 				row[i] = relation.Int64(int64(rng.Intn(4)))
 			}

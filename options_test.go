@@ -262,9 +262,9 @@ func TestReplicatedCrashKeepsStream(t *testing.T) {
 		t.Fatalf("replicated crashes lost state: %d rewrites, %d tuples, %d agg partials",
 			repl.RewritesLost, repl.TuplesLost, repl.AggStateLost)
 	}
-	if repl.ReplPromotions == 0 || repl.ReplicationMessages == 0 {
+	if repl.ReplPromotions == 0 || repl.TrafficByTag.Repl == 0 {
 		t.Fatalf("replication machinery unused: promotions %d, messages %d",
-			repl.ReplPromotions, repl.ReplicationMessages)
+			repl.ReplPromotions, repl.TrafficByTag.Repl)
 	}
 	if repl.Answers < plain.Answers {
 		t.Fatalf("replicated run delivered fewer answers (%d) than the lossy one (%d)",

@@ -109,7 +109,7 @@ type Options struct {
 	// surviving replica the ring routes to promotes its copy
 	// (Stats.RewritesLost/TuplesLost/AggStateLost stay zero) and the
 	// factor is restored by re-replication. Mutations fan out as batched
-	// replica-update messages counted in Stats.ReplicationMessages. The
+	// replica-update messages counted in Stats.TrafficByTag.Repl. The
 	// simulator charges the copies without keeping them — a copy always
 	// equals its primary, so promotion reads the crashed node's own
 	// state — and k changes the charge, not the outcome. Membership
@@ -304,8 +304,6 @@ type Stats struct {
 	// Messages is total network traffic (messages sent, including DHT
 	// routing).
 	Messages int64
-	// RICMessages is the share of Messages spent requesting RIC info.
-	RICMessages int64
 	// QueryProcessingLoad is the paper's QPL: rewritten queries plus
 	// tuples received by nodes.
 	QueryProcessingLoad int64
@@ -352,16 +350,15 @@ type Stats struct {
 	RewritesLost     int64
 	TuplesLost       int64
 
-	// Durable-state replication accounting (Options.ReplicationFactor).
-	// ReplicationMessages is the share of Messages spent replicating
-	// state to replica groups; ReplUpdates/ReplOps count the update
-	// batches charged and the state operations they carry (one per
-	// state mutation per group member, plus each snapshot entry);
-	// ReplSyncs counts full-state snapshots billed to the members a
-	// membership change adds to replica groups; ReplPromotions/ReplEntriesPromoted count crashed nodes
-	// whose state a surviving replica promoted and the state entries
-	// recovered that way. All zero with replication off.
-	ReplicationMessages int64
+	// Durable-state replication accounting (Options.ReplicationFactor);
+	// the messages it costs are TrafficByTag.Repl. ReplUpdates/ReplOps
+	// count the update batches charged and the state operations they
+	// carry (one per state mutation per group member, plus each snapshot
+	// entry); ReplSyncs counts full-state snapshots billed to the members
+	// a membership change adds to replica groups;
+	// ReplPromotions/ReplEntriesPromoted count crashed nodes whose state
+	// a surviving replica promoted and the state entries recovered that
+	// way. All zero with replication off.
 	ReplUpdates         int64
 	ReplOps             int64
 	ReplSyncs           int64
@@ -403,7 +400,7 @@ type Stats struct {
 // Every message is counted under exactly one tag, so the five fields
 // sum to Stats.Messages.
 type TagTraffic struct {
-	// RIC is placement polling (Request-RIC walks); equals RICMessages.
+	// RIC is placement polling (Request-RIC walks).
 	RIC int64
 	// Agg is in-network aggregation traffic: partial shipping and
 	// finalized group updates.
@@ -411,7 +408,7 @@ type TagTraffic struct {
 	// Churn is membership-change state transfer: handovers, arc
 	// transfers and crash-recovery re-indexing.
 	Churn int64
-	// Repl is replica-group mirroring; equals ReplicationMessages.
+	// Repl is replica-group mirroring (Options.ReplicationFactor).
 	Repl int64
 	// App is everything sent outside those four scopes: tuple and query
 	// routing, RIC piggybacks and answer delivery.
@@ -793,7 +790,6 @@ func (n *Network) Stats() Stats {
 	}
 	return Stats{
 		Messages:            nw.MessagesSent,
-		RICMessages:         byTag.RIC,
 		QueryProcessingLoad: qpl,
 		StorageLoad:         sl,
 		Answers:             n.eng.Counters.AnswersDelivered,
@@ -814,7 +810,6 @@ func (n *Network) Stats() Stats {
 		QueriesLost:         n.eng.Counters.QueriesLost,
 		RewritesLost:        n.eng.Counters.RewritesLost,
 		TuplesLost:          n.eng.Counters.TuplesLost,
-		ReplicationMessages: byTag.Repl,
 		ReplUpdates:         n.eng.Counters.ReplUpdates,
 		ReplOps:             n.eng.Counters.ReplOps,
 		ReplSyncs:           n.eng.Counters.ReplSyncs,

@@ -4,8 +4,7 @@ import "testing"
 
 // TestTrafficByTagSumsToMessages: every message is counted under
 // exactly one traffic tag, so the five TrafficByTag fields add up to
-// Messages, and the two tags Stats also reports on their own agree with
-// them. One run charges every tag — RIC placement, an aggregate query,
+// Messages. One run charges every tag — RIC placement, an aggregate query,
 // rf 2, a crash and a leave — serially and at Workers 2.
 func TestTrafficByTagSumsToMessages(t *testing.T) {
 	for _, workers := range []int{0, 2} {
@@ -37,10 +36,6 @@ func TestTrafficByTagSumsToMessages(t *testing.T) {
 		}
 		if tags.App == 0 || tags.RIC == 0 || tags.Agg == 0 || tags.Churn == 0 || tags.Repl == 0 {
 			t.Fatalf("workers %d: a tag went uncharged: %+v", workers, tags)
-		}
-		if tags.RIC != st.RICMessages || tags.Repl != st.ReplicationMessages {
-			t.Fatalf("workers %d: TrafficByTag %+v disagrees with RICMessages %d / ReplicationMessages %d",
-				workers, tags, st.RICMessages, st.ReplicationMessages)
 		}
 	}
 }
