@@ -1,6 +1,7 @@
 package rjoin
 
 import (
+	"slices"
 	"sort"
 	"testing"
 )
@@ -143,6 +144,44 @@ func TestOptionsChurnRates(t *testing.T) {
 	}
 	if count1 != count2 || st1 != st2 {
 		t.Fatalf("same seed diverged under churn:\n%+v (%d answers)\n%+v (%d answers)", st1, count1, st2, count2)
+	}
+}
+
+// tick advances the clock between churnWorkload's waves, so
+// Options.Churn's background trials get to fire.
+func tick(net *Network, _ int) { net.RunFor(24) }
+
+// Rate mode draws every event class.
+func TestRateModeProducesChurn(t *testing.T) {
+	_, st := churnWorkload(t, Options{Churn: ChurnOptions{JoinRate: 40, LeaveRate: 30, CrashRate: 15, Interval: 8}}, tick)
+	if st.Joins == 0 || st.Leaves == 0 || st.Crashes == 0 {
+		t.Fatalf("rate mode left an event class undrawn: %d joins, %d leaves, %d crashes", st.Joins, st.Leaves, st.Crashes)
+	}
+}
+
+// Graceful-leave-only churn must preserve exactly-once delivery: the
+// answer bag under churn equals the static run's.
+func TestLeaveOnlyChurnStaysExact(t *testing.T) {
+	want, _ := churnWorkload(t, Options{}, tick)
+	got, st := churnWorkload(t, Options{Churn: ChurnOptions{LeaveRate: 40, Interval: 8, MinNodes: 16}}, tick)
+	if st.Leaves == 0 {
+		t.Fatal("no leaves happened; the completeness check is vacuous")
+	}
+	if len(want) == 0 {
+		t.Fatal("static run produced no answers; workload too weak")
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("answer bag under leave churn: %d rows, want %d (loss, duplication or divergence)", len(got), len(want))
+	}
+}
+
+// Leaves and crashes are drawn only above the MinNodes floor: with both
+// certain on every trial and the floor at the ring's size, nobody goes.
+func TestMinNodesFloor(t *testing.T) {
+	net := MustNetwork(Options{Nodes: 8, Seed: 3, Churn: ChurnOptions{LeaveRate: 1000, CrashRate: 1000, Interval: 8, MinNodes: 8}})
+	net.RunFor(800)
+	if st := net.Stats(); st.Leaves != 0 || st.Crashes != 0 || net.Nodes() != 8 {
+		t.Fatalf("%d leaves and %d crashes at the MinNodes floor; %d nodes remain", st.Leaves, st.Crashes, net.Nodes())
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"path"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -20,8 +21,10 @@ import (
 // fact; DESIGN.md "Determinism invariants" lists the violations seeded
 // into the engine to learn which of them those tests catch. The rules
 // below hold the classes they do not catch, over the source of the
-// packages under the replay contract.
-var engineScope = []string{"agg", "chord", "churn", "core", "obs", "obs/profile", "overlay", "query", "reliable", "share", "sim"}
+// packages under the replay contract: the engine's, and the root
+// package, whose Options.Churn trials draw membership changes.
+var engineScope = []string{".", "internal/agg", "internal/chord", "internal/core", "internal/obs", "internal/obs/profile",
+	"internal/overlay", "internal/query", "internal/reliable", "internal/share", "internal/sim"}
 
 // checkedFile is one type-checked non-test source file.
 type checkedFile struct {
@@ -30,15 +33,16 @@ type checkedFile struct {
 	info *types.Info
 }
 
-// engineFiles type-checks every non-test file of engineScope once per
-// test binary; the source importer compiles their imports from source,
-// so nothing outside the standard library is needed.
+// engineFiles type-checks every non-test file of engineScope (module
+// directories, each checked as package rjoin/<dir>) once per test
+// binary; the source importer compiles their imports from source, so
+// nothing outside the standard library is needed.
 var engineFiles = sync.OnceValues(func() ([]checkedFile, error) {
 	fset := token.NewFileSet()
 	imp := importer.ForCompiler(fset, "source", nil)
 	var out []checkedFile
 	for _, pkg := range engineScope {
-		dir := filepath.Join("internal", filepath.FromSlash(pkg))
+		dir := filepath.FromSlash(pkg)
 		bp, err := build.ImportDir(dir, 0)
 		if err != nil {
 			return nil, err
@@ -51,7 +55,7 @@ var engineFiles = sync.OnceValues(func() ([]checkedFile, error) {
 			}
 			files = append(files, f)
 		}
-		checked, err := typeCheck(fset, imp, "rjoin/internal/"+pkg, files)
+		checked, err := typeCheck(fset, imp, path.Join("rjoin", pkg), files)
 		if err != nil {
 			return nil, err
 		}

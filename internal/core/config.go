@@ -132,19 +132,16 @@ type Config struct {
 	// one-pipeline-per-submission behaviour.
 	ShareExact bool
 
-	// ShareQueries enables full canonical-form sharing: queries that
-	// differ only in constants, filter predicates or projection lists
-	// share one canonical full-row pipeline per join-graph equivalence
-	// class, with per-subscriber residuals applied at the completion
-	// node, and a query whose join graph strictly contains an existing
-	// class's attaches to that class's completions (containment
-	// sharing). Requires Catalog and implies the ShareExact timing
-	// constraint (MinHopDelay >= 1).
-	ShareQueries bool
-
-	// Catalog supplies relation schemas to the canonicalizer; required
-	// by ShareQueries (a canonical pipeline selects every attribute of
-	// every relation, which needs the schemas). A nil Catalog disables
+	// Catalog, when non-nil, enables full canonical-form sharing and
+	// supplies the relation schemas the canonicalizer needs (a
+	// canonical pipeline selects every attribute of every relation):
+	// queries that differ only in constants, filter predicates or
+	// projection lists share one canonical full-row pipeline per
+	// join-graph equivalence class, with per-subscriber residuals
+	// applied at the completion node, and a query whose join graph
+	// strictly contains an existing class's attaches to that class's
+	// completions (containment sharing). It implies the ShareExact
+	// timing constraint (MinHopDelay >= 1). A nil Catalog disables
 	// canonical sharing but leaves exact-duplicate sharing intact.
 	Catalog *relation.Catalog
 

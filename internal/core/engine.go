@@ -43,6 +43,9 @@ type Counters struct {
 	AggStateLost int64
 
 	// Churn bookkeeping (see handover.go).
+	Joins            int64 // nodes JoinNode added
+	Leaves           int64 // nodes LeaveNode removed
+	Crashes          int64 // nodes CrashNode removed
 	HandoverMessages int64 // handover chunks charged between nodes
 	HandoverEntries  int64 // state entries those chunks carried
 	MessagesRerouted int64 // deliveries corrected by the ownership check
@@ -98,6 +101,9 @@ func (c *Counters) add(o *Counters) {
 	c.QueriesUnsubscribed += o.QueriesUnsubscribed
 	c.SharedFanoutRows += o.SharedFanoutRows
 	c.ContainmentRewrites += o.ContainmentRewrites
+	c.Joins += o.Joins
+	c.Leaves += o.Leaves
+	c.Crashes += o.Crashes
 	c.HandoverMessages += o.HandoverMessages
 	c.HandoverEntries += o.HandoverEntries
 	c.MessagesRerouted += o.MessagesRerouted
@@ -193,7 +199,6 @@ type load struct{ qpl, sl int64 }
 // acctSlot is one accounting context of the engine.
 type acctSlot struct {
 	ctr *Counters
-	req int64 // pending-placement ids issued from this slot (see Proc.nextReqID)
 
 	// due names, per clock, the slot's nodes with a death filed, each under
 	// a value no later than its earliest (state.register): written by the
@@ -267,8 +272,8 @@ func (e *Engine) NodeLeft(n *chord.Node) {
 	delete(e.procs, n.ID())
 }
 
-// Proc returns the processor of a node (tests and the load balancer
-// introspect node state through it).
+// Proc returns the processor of a node (tests introspect node state
+// through it).
 func (e *Engine) Proc(n *chord.Node) *Proc { return e.procs[n.ID()] }
 
 // oracleRate is the simulator-level ground truth used by

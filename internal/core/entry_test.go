@@ -53,7 +53,10 @@ func TestNoQueryStoredTwice(t *testing.T) {
 			for _, workers := range []int{0, 4} {
 				t.Run(fmt.Sprintf("rf%d/sharing=%v/workers%d", rf, sharing, workers), func(t *testing.T) {
 					cfg := replCfg(rf)
-					cfg.ShareExact, cfg.ShareQueries, cfg.Catalog = true, sharing, testCat
+					cfg.ShareExact = true
+					if sharing {
+						cfg.Catalog = testCat
+					}
 					eng, nodes := lossyNet(t, 24, 11, workers, cfg, lossyNetCfg(nil))
 					for i, sql := range subsQueries {
 						if _, err := eng.SubmitQuery(nodes[i%3], sqlparse.MustParse(sql, testCat)); err != nil {

@@ -15,10 +15,11 @@ import (
 // This file implements runtime membership changes: graceful leave with
 // state handover, abrupt crash with promotion or recovery, and runtime
 // join with arc transfer. The policy deciding *when* nodes churn lives
-// in internal/churn; the mechanics of moving RJoin state live here,
-// next to the stores they drain and fill. Every move is one call, move,
-// made inside the membership operation, and leave and crash are one
-// departure (depart): what differs between them is the bill.
+// in the rjoin package (Options.Churn, AddNode, RemoveNode, Crash); the
+// mechanics of moving RJoin state live here, next to the stores they
+// drain and fill. Every move is one call, move, made inside the
+// membership operation, and leave and crash are one departure (depart):
+// what differs between them is the bill.
 
 // stateChunk bounds how many state entries ride in one handover or
 // replica-snapshot message, so the traffic charged for moving or
@@ -163,7 +164,7 @@ func (e *Engine) chargeHandover(from *Proc, n int) {
 		e.Counters.HandoverMessages++
 		e.Counters.HandoverEntries += int64(c)
 		if ob := e.obs; ob != nil {
-			// Handover runs from churn-manager (coordinator) context.
+			// Handover runs from membership-call (coordinator) context.
 			ob.Emit(sim.NoShard, obs.Rec{At: e.sim.Now(), Kind: obs.KindHandover, Node: from.nid(), Arg: int64(c)})
 		}
 		e.net.Handoff(from.node)
@@ -182,6 +183,7 @@ func (e *Engine) JoinNode(nid id.ID) (*chord.Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	e.Counters.Joins++
 	np := e.NodeJoined(n)
 	// The join shifts the replica groups of the new node's k−1
 	// predecessors: each gains it.
@@ -245,8 +247,10 @@ func (e *Engine) depart(n *chord.Node, crash bool) error {
 		return fmt.Errorf("core: node %s has no processor", n.ID())
 	}
 	if crash {
+		e.Counters.Crashes++
 		e.ring.Fail(n)
 	} else {
+		e.Counters.Leaves++
 		e.ring.Leave(n)
 	}
 	e.NodeLeft(n)

@@ -203,7 +203,7 @@ const (
 	// the next one lands with the previous one's messages part-delivered.
 	memUndrained memMode = "undrained"
 	// memBare issues the operations back to back with nothing in between,
-	// what churn.Manager.step() does when two draws hit one tick.
+	// what the Options.Churn trial loop does when two draws hit one tick.
 	memBare memMode = "bare"
 )
 

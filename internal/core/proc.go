@@ -231,20 +231,6 @@ func newProc(eng *Engine, node *chord.Node) *Proc {
 	return p
 }
 
-// nextReqID names a pending placement: the issuing slot's counter folded
-// with the shard index — slot 0 and sim.NoShard on a serial engine.
-// That is globally unique yet deterministic, because a shard's events
-// execute sequentially no matter how many workers run. On a serial engine the
-// ids are strictly increasing in issue order, which is all state.each's
-// by-request-id order relies on. The id never travels: a walk's reply is
-// resolved by the keys it reports, and the trace omits it (request
-// numbering differs between the serial and parallel engines).
-func (p *Proc) nextReqID() int64 {
-	s := &p.eng.slots[p.shard+1]
-	s.req++
-	return s.req*sim.Shards + int64(p.shard)
-}
-
 // HandleMessage dispatches overlay deliveries. The pooled message
 // kinds are recycled once their handler returns (each type's recycle
 // method, messages.go) — handlers copy out everything they retain.
@@ -718,7 +704,8 @@ func (p *Proc) placeRIC(now sim.Time, sq *storedQuery, cands []query.Candidate) 
 		p.decide(sq, slots)
 		return
 	}
-	p.st.addPending(p.nextReqID(), newPending(sq, slots, missing))
+	p.st.lastReq++
+	p.st.addPending(p.st.lastReq, newPending(sq, slots, missing))
 	if len(walk) == 0 {
 		if ob != nil {
 			ob.Emit(p.shard, obs.Rec{

@@ -83,14 +83,12 @@ func (e *Engine) shareSubmit(s *subscription) *query.Query {
 		e.attach(cls, s)
 		return nil
 	}
-	if e.Cfg.ShareQueries {
-		if can, ok := share.Canonicalize(q, e.Cfg.Catalog); ok {
-			if cls := e.byForm[can.Form]; cls != nil {
-				e.attach(cls, s)
-				return nil
-			}
-			return e.openCanonical(can, s, sql)
+	if can, ok := share.Canonicalize(q, e.Cfg.Catalog); ok {
+		if cls := e.byForm[can.Form]; cls != nil {
+			e.attach(cls, s)
+			return nil
 		}
+		return e.openCanonical(can, s, sql)
 	}
 	// No sharing possible: the query is its own singleton class and its
 	// own pipeline.
@@ -128,7 +126,7 @@ func (e *Engine) openClass(cls *shareClass, first *subscription) {
 // enforced per-subscriber at the owner — so they are safe for anyone. A
 // one-time class claims no SQL key, so it is never a candidate.
 func (e *Engine) canAttach(cls *shareClass, q *query.Query) bool {
-	if !e.Cfg.ShareExact && !e.Cfg.ShareQueries {
+	if !e.Cfg.ShareExact && e.Cfg.Catalog == nil {
 		return false
 	}
 	if q.Distinct && cls.can == nil {

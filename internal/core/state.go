@@ -137,6 +137,11 @@ type state struct {
 	aggs    map[relation.Key]*aggGroup // aggregator state by group key
 	ct      *candidateTable
 	pending map[int64]*pendingPlacement
+	// lastReq is the id of the last placement this node began: ids rise
+	// in issue order, which is all each's pending order relies on, and
+	// never leave the node (a reply is resolved by key, a move restarts
+	// the walk under a fresh id).
+	lastReq int64
 
 	// waiting is pending inverted: under every candidate key some pending
 	// placement still has no report for, the ids of those placements in

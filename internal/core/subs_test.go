@@ -40,8 +40,9 @@ var subsQueries = []string{
 func subsEngine(t *testing.T, seed int64, workers int, sharing bool, metrics bool) (*Engine, []*chord.Node) {
 	cfg := Config{}
 	cfg.ShareExact = true
-	cfg.ShareQueries = sharing
-	cfg.Catalog = testCat
+	if sharing {
+		cfg.Catalog = testCat
+	}
 	netCfg := overlay.DefaultConfig()
 	if metrics {
 		cfg.Obs = obs.NewRecorder(obs.Views{Metrics: obs.NewMetrics(0)})

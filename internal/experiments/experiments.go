@@ -443,9 +443,8 @@ func Fig9(p Params) []*Table {
 		r := newRunNet(p, core.Config{}, workload.PaperConfig(), netCfg)
 		r.warmup(p.scaled(400))
 		r.submitQueries(p.scaled(p.Queries), query.WindowSpec{})
-		bal := loadbalance.New()
 		if withBalance {
-			bal.Rebalance(r.eng) // balance the indexed queries first
+			loadbalance.Rebalance(r.eng) // balance the indexed queries first
 		}
 		step := tuples / 10
 		if step == 0 {
@@ -460,7 +459,7 @@ func Fig9(p Params) []*Table {
 			r.publish(n)
 			published += n
 			if withBalance {
-				bal.Rebalance(r.eng)
+				loadbalance.Rebalance(r.eng)
 			}
 		}
 		name := "Without"

@@ -65,17 +65,16 @@ func maxOccupancy(eng *core.Engine) int {
 }
 
 // TestRebalanceReducesMaxOccupancy also holds the rounds to moving
-// state, not losing it: sixteen moves back to back put handover chunks
-// in flight to nodes that move next, and the totals must come out equal.
+// state, not losing it: a round moves four of its 64 nodes back to
+// back, putting handover chunks in flight to nodes that move next, and
+// the totals must come out equal.
 func TestRebalanceReducesMaxOccupancy(t *testing.T) {
 	eng, _, _ := loadedEngine(t, 1, 200, 60)
 	before := maxOccupancy(eng)
 	q, tu, altt := eng.StoredState()
-	b := New()
-	b.MovesPerRound = 16
 	moved := 0
 	for i := 0; i < 4; i++ {
-		moved += b.Rebalance(eng)
+		moved += Rebalance(eng)
 		eng.Run() // the next round reads occupancies: let the handovers land
 	}
 	if moved == 0 {
@@ -107,8 +106,6 @@ func TestRebalancePreservesCorrectness(t *testing.T) {
 	}
 	eng.Run()
 	q.InsertTime = 0
-	b := New()
-	b.MovesPerRound = 2
 	var tuples []*relation.Tuple
 	for i := 0; i < 50; i++ {
 		tu := gen.Tuple()
@@ -118,7 +115,7 @@ func TestRebalancePreservesCorrectness(t *testing.T) {
 		if i%10 == 9 {
 			// The balancer moves light nodes and may pick the owner;
 			// answers then go astray, which voids the scenario.
-			b.Rebalance(eng)
+			Rebalance(eng)
 			if eng.Ring().Node(owner.ID()) == nil {
 				t.Skip("owner moved; scenario void for this seed")
 			}
@@ -136,7 +133,7 @@ func TestRebalancePreservesCorrectness(t *testing.T) {
 
 func TestRebalanceNoOpOnTinyRing(t *testing.T) {
 	eng, _ := buildEngine(t, 3, 9)
-	if New().Rebalance(eng) != 0 {
+	if Rebalance(eng) != 0 {
 		t.Fatal("rebalanced a 3-node ring")
 	}
 }
@@ -144,7 +141,7 @@ func TestRebalanceNoOpOnTinyRing(t *testing.T) {
 func TestRebalanceSkipsBalancedNetwork(t *testing.T) {
 	eng, _ := buildEngine(t, 32, 10)
 	// No load at all: nothing to move.
-	if n := New().Rebalance(eng); n != 0 {
+	if n := Rebalance(eng); n != 0 {
 		t.Fatalf("moved %d nodes in an idle network", n)
 	}
 }

@@ -30,7 +30,6 @@ import (
 	"math/rand"
 
 	"rjoin/internal/chord"
-	"rjoin/internal/churn"
 	"rjoin/internal/core"
 	"rjoin/internal/id"
 	"rjoin/internal/obs"
@@ -40,7 +39,6 @@ import (
 	"rjoin/internal/relation"
 	"rjoin/internal/sim"
 	"rjoin/internal/sqlparse"
-	"rjoin/internal/workload"
 )
 
 // Value is one attribute value: an integer or a string.
@@ -329,9 +327,12 @@ type Stats struct {
 	MaxNodeQPL         int64
 	ParticipatingNodes int
 
-	// Membership churn accounting. Joins/Leaves/Crashes count events
-	// (spontaneous and explicit); HandoverMessages/HandoverEntries
-	// measure graceful-leave and join state transfer;
+	// Membership churn accounting. Joins/Leaves/Crashes count the
+	// membership changes made, spontaneous (Options.Churn) and explicit;
+	// they are engine counters like the handover, reroute and loss
+	// counts, so core.Engine.ResetMetrics zeroes them.
+	// HandoverMessages/HandoverEntries measure graceful-leave and join
+	// state transfer;
 	// MessagesRerouted counts keyed messages that reached a live node
 	// after a membership change had moved their key, and were forwarded
 	// to the key's owner without being processed; MessagesBounced
@@ -423,9 +424,12 @@ type TagTraffic struct {
 type Network struct {
 	eng *core.Engine
 	cat *relation.Catalog
-	mgr *churn.Manager
 	rng *rand.Rand
-	obs *obs.Recorder // nil unless Options.Trace, Metrics or Profile was set
+	// churn draws the membership changes' joining identifiers, trials
+	// and victims, apart from rng so that churn leaves the choice of
+	// subscribing and publishing nodes alone.
+	churn *rand.Rand
+	obs   *obs.Recorder // nil unless Options.Trace, Metrics or Profile was set
 }
 
 // Subscription is a live continuous query.
@@ -461,17 +465,8 @@ func NewNetwork(opts Options) (*Network, error) {
 	if opts.Sharing && opts.MinHopDelay < 1 {
 		return nil, fmt.Errorf("rjoin: Sharing requires MinHopDelay >= 1 (attach-time cutoff needs a strict completion delay)")
 	}
-	churnRates := workload.ChurnConfig{
-		JoinRate:  opts.Churn.JoinRate,
-		LeaveRate: opts.Churn.LeaveRate,
-		CrashRate: opts.Churn.CrashRate,
-	}
-	if err := churnRates.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.Churn.Interval < 0 || opts.Churn.MinNodes < 0 {
-		return nil, fmt.Errorf("rjoin: negative churn tuning (interval %d, min nodes %d)",
-			opts.Churn.Interval, opts.Churn.MinNodes)
+	if c := opts.Churn; c.JoinRate < 0 || c.LeaveRate < 0 || c.CrashRate < 0 || c.Interval < 0 || c.MinNodes < 0 {
+		return nil, fmt.Errorf("rjoin: negative churn option %+v", c)
 	}
 	if opts.Strategy > StrategyWorst {
 		return nil, fmt.Errorf("rjoin: unknown Strategy %d (want StrategyRIC, StrategyRandom or StrategyWorst)", opts.Strategy)
@@ -583,6 +578,10 @@ func NewNetwork(opts Options) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
+	var shareCat *relation.Catalog // full canonical-form sharing is opt-in
+	if opts.Sharing {
+		shareCat = cat
+	}
 	eng := core.NewEngine(ring, se, nw, core.Config{
 		Strategy:          opts.Strategy,
 		Delta:             opts.Delta,
@@ -592,26 +591,71 @@ func NewNetwork(opts Options) (*Network, error) {
 		// Exact-duplicate dedup is sound whenever completions are
 		// strictly delayed past the attach tick; with the defaulted 1/1
 		// delay model that is always the case, so byte-identical
-		// resubmissions share unconditionally. Full canonical-form
-		// sharing is opt-in.
-		ShareExact:   opts.MinHopDelay >= 1,
-		ShareQueries: opts.Sharing,
-		Catalog:      cat,
+		// resubmissions share unconditionally.
+		ShareExact: opts.MinHopDelay >= 1,
+		Catalog:    shareCat,
 	})
-	mgr := churn.New(eng, churn.Config{
-		Rates:    churnRates,
-		Interval: opts.Churn.Interval,
-		MinNodes: opts.Churn.MinNodes,
-		Seed:     opts.Seed + 2,
+	n := &Network{
+		eng:   eng,
+		cat:   cat,
+		rng:   rand.New(rand.NewSource(opts.Seed + 1)),
+		churn: rand.New(rand.NewSource(opts.Seed + 2)),
+		obs:   rec,
+	}
+	if c := opts.Churn; c.JoinRate > 0 || c.LeaveRate > 0 || c.CrashRate > 0 {
+		n.startChurn(c)
+	}
+	return n, nil
+}
+
+// startChurn registers the membership trials of c as periodic
+// background work, for the life of the simulation: every Interval
+// ticks (default 32) one draw per class, in the order join, leave,
+// crash, each firing with probability min(rate·Interval/1000, 1). A
+// leave or a crash takes a random live node, and is drawn only while
+// the ring is above the MinNodes floor (default 2). The three draws
+// happen in a fixed order on n.churn, so a seed fixes the whole churn
+// history.
+//
+// Background events never keep Run from reaching quiescence: churn
+// happens whenever foreground traffic, or an explicit RunFor, advances
+// the virtual clock. They are also what makes churn safe and
+// deterministic under the parallel engine, which runs shard-less
+// events serially between worker sub-rounds: every membership change
+// runs at a barrier with no handler in flight, and the messages it
+// emits enter the sharded queues through the same deterministic merge
+// as any other send.
+func (n *Network) startChurn(c ChurnOptions) {
+	if c.Interval == 0 {
+		c.Interval = 32
+	}
+	floor := max(c.MinNodes, 2)
+	fires := func(rate float64) bool {
+		return n.churn.Float64() < min(rate*float64(c.Interval)/1000, 1)
+	}
+	victim := func() *chord.Node {
+		nodes := n.eng.Ring().Nodes()
+		if len(nodes) <= floor {
+			return nil
+		}
+		return nodes[n.churn.Intn(len(nodes))]
+	}
+	n.eng.Sim().EveryBg(c.Interval, func(sim.Time) bool {
+		if fires(c.JoinRate) {
+			n.AddNode() // 64 occupied draws in a row leave the ring as it is
+		}
+		if fires(c.LeaveRate) {
+			if v := victim(); v != nil {
+				n.eng.LeaveNode(v)
+			}
+		}
+		if fires(c.CrashRate) {
+			if v := victim(); v != nil {
+				n.eng.CrashNode(v)
+			}
+		}
+		return true
 	})
-	mgr.Start() // registers the churn trials when a rate is configured
-	return &Network{
-		eng: eng,
-		cat: cat,
-		mgr: mgr,
-		rng: rand.New(rand.NewSource(opts.Seed + 1)),
-		obs: rec,
-	}, nil
 }
 
 // MustNetwork is NewNetwork that panics on error.
@@ -727,8 +771,12 @@ func (n *Network) Nodes() int { return n.eng.Ring().Size() }
 // node takes over its arc of the key space, receiving the stored state
 // that falls in it from its successor.
 func (n *Network) AddNode() error {
-	_, err := n.mgr.Join()
-	return err
+	for attempt := 0; attempt < 64; attempt++ {
+		if _, err := n.eng.JoinNode(id.ID(n.churn.Uint64())); err == nil {
+			return nil
+		}
+	}
+	return fmt.Errorf("rjoin: could not find a free identifier")
 }
 
 // RemoveNode removes the node at the given position of the current
@@ -741,7 +789,7 @@ func (n *Network) RemoveNode(index int) error {
 	if err != nil {
 		return err
 	}
-	return n.mgr.Leave(node)
+	return n.eng.LeaveNode(node)
 }
 
 // Crash abruptly removes the node at the given position of the current
@@ -754,7 +802,7 @@ func (n *Network) Crash(index int) error {
 	if err != nil {
 		return err
 	}
-	return n.mgr.Crash(node)
+	return n.eng.CrashNode(node)
 }
 
 // nodeAt resolves a position in the identifier-ordered node list;
@@ -799,9 +847,9 @@ func (n *Network) Stats() Stats {
 		AggStateLost:        n.eng.Counters.AggStateLost,
 		MaxNodeQPL:          maxQPL,
 		ParticipatingNodes:  len(ranked),
-		Joins:               n.mgr.Stats.Joins,
-		Leaves:              n.mgr.Stats.Leaves,
-		Crashes:             n.mgr.Stats.Crashes,
+		Joins:               n.eng.Counters.Joins,
+		Leaves:              n.eng.Counters.Leaves,
+		Crashes:             n.eng.Counters.Crashes,
 		HandoverMessages:    n.eng.Counters.HandoverMessages,
 		HandoverEntries:     n.eng.Counters.HandoverEntries,
 		MessagesRerouted:    n.eng.Counters.MessagesRerouted,
