@@ -38,7 +38,7 @@ import (
 func main() {
 	nodes := flag.Int("nodes", 64, "overlay size")
 	seed := flag.Int64("seed", 1, "random seed")
-	workers := flag.Int("workers", 0, "event-engine worker threads (0/1 serial, >=2 deterministic parallel)")
+	workers := flag.Int("workers", 0, "goroutines that run a sub-round of the event engine (0/1 inline; every value replays the same)")
 	lossy := flag.Bool("lossy", false, "run the Figure 1 scenario on an unreliable overlay (20% drop, duplication, spikes)")
 	traceFile := flag.String("trace", "", "write the walkthrough's Chrome/Perfetto trace to FILE")
 	metricsFile := flag.String("metrics-csv", "", "write the walkthrough's rate-series CSV to FILE")

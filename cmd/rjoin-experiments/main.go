@@ -11,11 +11,11 @@
 // 1000-node overlay) so the whole suite completes on a laptop in
 // minutes; pass -scale 1 for the paper's exact workload sizes. A scale
 // outside (0, 1], or fewer than one node or query, is refused with exit
-// status 2. With -workers >= 2 experiments run on the deterministic
-// parallel event engine (runs needing StrategyWorst's cross-shard
-// oracle stay serial). With -csv, every table is additionally written
-// to DIR as one CSV file named after its title, plottable without
-// scraping the text output.
+// status 2. -workers sets how many goroutines run a sub-round of the
+// event engine; the tables are the same for every value (runs needing
+// StrategyWorst's cross-shard oracle use one). With -csv, every table
+// is additionally written to DIR as one CSV file named after its title,
+// plottable without scraping the text output.
 package main
 
 import (
@@ -35,7 +35,7 @@ func main() {
 	nodes := flag.Int("nodes", 1000, "overlay size")
 	queries := flag.Int("queries", 20000, "continuous queries before scaling")
 	seed := flag.Int64("seed", 1, "random seed (runs are deterministic per seed)")
-	workers := flag.Int("workers", 0, "event-engine worker threads (0/1 serial, >=2 deterministic parallel)")
+	workers := flag.Int("workers", 0, "goroutines that run a sub-round of the event engine (0/1 inline; every value replays the same)")
 	csvDir := flag.String("csv", "", "directory to additionally write each table to as CSV")
 	flag.Parse()
 

@@ -17,7 +17,7 @@ import (
 )
 
 // A run is a pure function of (seed, workload, options). The goldens
-// and the serial-vs-parallel differential tests certify that after the
+// and the worker-count differential tests certify that after the
 // fact; DESIGN.md "Determinism invariants" lists the violations seeded
 // into the engine to learn which of them those tests catch. The rules
 // below hold the classes they do not catch, over the source of the
@@ -156,8 +156,7 @@ var seededRand = []string{"New", "NewSource", "NewZipf", "NewPCG", "NewChaCha8"}
 // clock) and any draw from the global math/rand source, which Go seeds
 // at random per process. Seeded *rand.Rand values and sim.RNG streams
 // are the sanctioned randomness. The goldens catch such a draw on a
-// path they run, but not on one they do not — Random placement on a
-// parallel engine, for one.
+// path they run, but not on one they do not.
 func ambientInputs(cf checkedFile) []string {
 	var out []string
 	for _, imp := range cf.file.Imports {

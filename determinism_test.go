@@ -77,7 +77,7 @@ func goldenWorkload(t testing.TB, opts Options) (Stats, uint64) {
 
 // goldenConfigs are the configurations the golden test pins down: the
 // paper-default engine; random hop delays in [0, 3], the only golden
-// whose schedule draws delays and delivers zero-delay hops; and a
+// whose schedule delivers zero-delay hops, and in [1, 3]; and a
 // churn-enabled run whose joins, graceful leaves and crashes must replay
 // bit-identically — handover ordering, bounce paths, ownership re-routes
 // and crash recovery included.
@@ -85,64 +85,82 @@ func goldenConfigs() []Options {
 	return []Options{
 		{Nodes: 96, Seed: 42},
 		{Nodes: 96, Seed: 42, MaxHopDelay: 3},
+		{Nodes: 96, Seed: 42, MinHopDelay: 1, MaxHopDelay: 3},
 		{Nodes: 96, Seed: 42, Churn: ChurnOptions{
 			JoinRate: 25, LeaveRate: 25, CrashRate: 10, Interval: 8, MinNodes: 48,
 		}},
 	}
 }
 
-// TestGoldenDeterminism asserts the replay guarantee twice over: two
-// runs with the same seed are bit-identical, and both match the golden
-// values recorded from the pre-refactor baseline (commit adding go.mod),
-// so the interned-key / copy-on-write / typed-heap hot-path work cannot
-// silently change behaviour.
-func TestGoldenDeterminism(t *testing.T) {
-	// Golden values captured on the seed implementation (SHA-1 string
-	// keys, deep-clone rewrites, container/heap scheduler).
-	golden := []struct {
-		stats  Stats
-		digest uint64
-	}{
-		{Stats{Messages: 12573, QueryProcessingLoad: 1862, StorageLoad: 1484, Answers: 8733, RewritesCreated: 9920, MaxNodeQPL: 220, ParticipatingNodes: 53,
-			TrafficByTag: TagTraffic{RIC: 298, App: 12275}}, 0x5bf8b10883f4a01a},
-		// Random hop delays in [0, 3], re-pinned once, after certify
-		// passed, when the batching, attribute-replication and migration
-		// extensions it also enabled were deleted.
-		{Stats{Messages: 12571, QueryProcessingLoad: 1841, StorageLoad: 1462, Answers: 8747, RewritesCreated: 9913, MaxNodeQPL: 230, ParticipatingNodes: 53,
-			TrafficByTag: TagTraffic{RIC: 298, App: 12273}}, 0x7dc5f09f28447986},
-		// Churn-enabled: 19 joins, 22 graceful leaves and 10 crashes
-		// interleave the mixed workload; the digest pins the handover
-		// ordering, bounce paths, ownership re-routes and crash
-		// recovery to an exact replay. The handover counts were
-		// re-pinned (23/316 → 22/251) when dead windowed rewrites and
-		// lapsed ALTT entries stopped being handed over; the digest did
-		// not move. Re-pinned once, after certify passed, when the ring's
-		// routing pointers became exact after every membership call
-		// (answers 8323 → 8218, losses r5/t16 → r6/t17: the counted-loss
-		// model under a shifted trajectory).
-		{Stats{Messages: 12341, QueryProcessingLoad: 1573, StorageLoad: 1195, Answers: 8218, RewritesCreated: 9116, MaxNodeQPL: 156, ParticipatingNodes: 64, Joins: 19, Leaves: 22, Crashes: 10, HandoverMessages: 22, HandoverEntries: 252, MessagesBounced: 805, RewritesLost: 6, TuplesLost: 17,
-			TrafficByTag: TagTraffic{RIC: 390, Churn: 22, App: 11929}}, 0x91c9b01fae81a114},
+// goldenWorkers returns the worker counts a golden is pinned across: the
+// engine has one schedule, so one value holds for all of them. Zero-delay
+// hops run on at most one worker.
+func goldenWorkers(opts Options) []int {
+	if opts.MinHopDelay == 0 && opts.MaxHopDelay != 0 {
+		return []int{0, 1}
 	}
+	return []int{0, 1, 2, 4, 8}
+}
+
+// goldenValues are the pinned Stats and answer-stream digest of each
+// goldenConfigs entry. Each value was re-pinned once, after certify
+// passed, when the engine's serial heap was replaced by the one sub-round
+// schedule.
+var goldenValues = []struct {
+	stats  Stats
+	digest uint64
+}{
+	{Stats{Messages: 12573, QueryProcessingLoad: 1862, StorageLoad: 1484, Answers: 8733, RewritesCreated: 9920, MaxNodeQPL: 220, ParticipatingNodes: 53,
+		TrafficByTag: TagTraffic{RIC: 298, App: 12275}}, 0x24a34293edd07748},
+	// Random hop delays in [0, 3]: zero-delay hops land in the next
+	// sub-round of their tick.
+	{Stats{Messages: 12593, QueryProcessingLoad: 1864, StorageLoad: 1484, Answers: 8751, RewritesCreated: 9940, MaxNodeQPL: 252, ParticipatingNodes: 53,
+		TrafficByTag: TagTraffic{RIC: 298, App: 12295}}, 0x60f25fdd971711d1},
+	{Stats{Messages: 12544, QueryProcessingLoad: 1841, StorageLoad: 1462, Answers: 8733, RewritesCreated: 9899, MaxNodeQPL: 216, ParticipatingNodes: 53,
+		TrafficByTag: TagTraffic{RIC: 285, App: 12259}}, 0x4bb680868647ed02},
+	// Churn-enabled: 19 joins, 22 graceful leaves and 10 crashes
+	// interleave the mixed workload; the digest pins the handover
+	// ordering, bounce paths, ownership re-routes and crash
+	// recovery to an exact replay.
+	{Stats{Messages: 12341, QueryProcessingLoad: 1573, StorageLoad: 1195, Answers: 8218, RewritesCreated: 9116, MaxNodeQPL: 156, ParticipatingNodes: 64, Joins: 19, Leaves: 22, Crashes: 10, HandoverMessages: 22, HandoverEntries: 252, MessagesBounced: 805, RewritesLost: 6, TuplesLost: 17,
+		TrafficByTag: TagTraffic{RIC: 390, Churn: 22, App: 11929}}, 0xf02a0fe0aa31a266},
+}
+
+// checkGoldenWorkload runs every golden configuration at each of its
+// worker counts for which keep is true and fails on the first run that drifts
+// from goldenValues.
+func checkGoldenWorkload(t *testing.T, keep func(workers int) bool) {
 	for i, opts := range goldenConfigs() {
-		st1, d1 := goldenWorkload(t, opts)
-		st2, d2 := goldenWorkload(t, opts)
-		if st1 != st2 || d1 != d2 {
-			t.Fatalf("config %d: same seed diverged:\nrun1 %+v digest %x\nrun2 %+v digest %x", i, st1, d1, st2, d2)
-		}
-		if st1 != golden[i].stats || d1 != golden[i].digest {
-			t.Fatalf("config %d: replay drifted from golden baseline:\ngot  %+v digest %x\nwant %+v digest %x",
-				i, st1, d1, golden[i].stats, golden[i].digest)
+		for _, w := range goldenWorkers(opts) {
+			if !keep(w) {
+				continue
+			}
+			opts.Workers = w
+			st, d := goldenWorkload(t, opts)
+			if st != goldenValues[i].stats || d != goldenValues[i].digest {
+				t.Fatalf("config %d, workers %d: replay drifted from golden baseline:\ngot  %+v digest %#x\nwant %+v digest %#x",
+					i, w, st, d, goldenValues[i].stats, goldenValues[i].digest)
+			}
 		}
 	}
+}
+
+// TestGoldenDeterminism asserts the replay guarantee: every run of a
+// configuration is bit-identical to the golden values, so hot-path work
+// cannot silently change behaviour. The mixed workload is pinned here at
+// Workers 0 and 1; TestGoldenDeterminismParallel pins it at the larger
+// worker counts. The aggregation and sharing goldens are pinned at every
+// worker count.
+func TestGoldenDeterminism(t *testing.T) {
+	checkGoldenWorkload(t, func(w int) bool { return w <= 1 })
 
 	// Aggregation-enabled config: the digest over every subscription's
 	// final aggregate view (and a plain subscription's answer multiset)
-	// must be bit-identical across Workers ∈ {1, 2, 4, 8} and match the
-	// pinned baseline — the distributed fold, partial routing and
-	// quiescence flushing may not depend on scheduling interleave in any
-	// way that reaches final state.
+	// must match the pinned baseline at every worker count — the
+	// distributed fold, partial routing and quiescence flushing may not
+	// depend on scheduling interleave in any way that reaches final state.
 	const goldenAgg = uint64(0xdeb53ae175c3b7e3)
-	for _, w := range []int{1, 2, 4, 8} {
+	for _, w := range goldenWorkers(Options{}) {
 		if d := goldenAggWorkload(t, Options{Nodes: 96, Seed: 42, Workers: w}); d != goldenAgg {
 			t.Fatalf("aggregation config, workers %d: digest %x diverged from golden %x", w, d, goldenAgg)
 		}
@@ -153,19 +171,13 @@ func TestGoldenDeterminism(t *testing.T) {
 	// a containment child) under churn with ReplicationFactor 2, plus a
 	// mid-run Unsubscribe. The order-insensitive digest over every
 	// surviving subscriber's answer multiset — and the sharing counters —
-	// must be bit-identical across Workers ∈ {1, 2, 4, 8} and match the
-	// pinned baseline: opening and joining classes, the fan-out, containment
-	// walks and teardown may not depend on scheduling interleave. The
-	// serial run draws different RNG streams than the parallel barrier
-	// schedule (as with the other goldens, whose parallel stats are
-	// pinned separately), so full Stats equality is asserted across the
-	// parallel trio only; the digest and counters hold across all four.
-	// Re-pinned once, after certify passed, when the ring's routing
-	// pointers became exact after every membership call: the same 16280
-	// rows, 11 fewer messages, so some rows arrive at other ticks.
+	// and the full Stats must be bit-identical at every worker count and
+	// match the pinned baseline: opening and joining classes, the
+	// fan-out, containment walks and teardown may not depend on
+	// scheduling interleave.
 	const goldenSharing = uint64(0x67610e40a2b6b9ed)
 	var sharedPinned Stats
-	for wi, w := range []int{1, 2, 4, 8} {
+	for wi, w := range goldenWorkers(Options{}) {
 		st, d := goldenSharingWorkload(t, Options{
 			Nodes: 96, Seed: 42, Sharing: true, ReplicationFactor: 2, Workers: w,
 			Churn: ChurnOptions{JoinRate: 10, CrashRate: 30, Interval: 8, MinNodes: 48},
@@ -179,14 +191,21 @@ func TestGoldenDeterminism(t *testing.T) {
 		if d != goldenSharing {
 			t.Fatalf("sharing config, workers %d: digest %#x diverged from golden %#x (stats %+v)", w, d, goldenSharing, st)
 		}
-		if wi <= 1 {
-			sharedPinned = st // w=1 is overwritten by the parallel pin at w=2
-			continue
-		}
-		if st != sharedPinned {
+		if wi == 0 {
+			sharedPinned = st
+		} else if st != sharedPinned {
 			t.Fatalf("sharing config, workers %d: stats depend on worker count:\ngot  %+v\nwant %+v", w, st, sharedPinned)
 		}
 	}
+}
+
+// TestGoldenDeterminismParallel proves worker-count invariance of the
+// mixed workload: at Workers 2, 4 and 8 every configuration that may run
+// on more than one worker replays to the same golden values as the
+// single-worker run, because the sub-round schedule is keyed by the fixed
+// logical-shard space, never by the worker count.
+func TestGoldenDeterminismParallel(t *testing.T) {
+	checkGoldenWorkload(t, func(w int) bool { return w > 1 })
 }
 
 // goldenSharingWorkload drives the sharing golden: seven subscriptions
@@ -328,69 +347,9 @@ func goldenAggWorkload(t testing.TB, opts Options) uint64 {
 	return h.Sum64()
 }
 
-// parallelConfigs returns the golden configurations adapted to
-// parallel mode: the random-delay config's implicit MinHopDelay 0
-// becomes the smallest valid lookahead window.
-func parallelConfigs() []Options {
-	cfgs := goldenConfigs()
-	for i := range cfgs {
-		if cfgs[i].MinHopDelay == 0 && cfgs[i].MaxHopDelay != 0 {
-			cfgs[i].MinHopDelay = 1
-		}
-	}
-	return cfgs
-}
-
-// TestGoldenDeterminismParallel pins the parallel engine's replay the
-// same way TestGoldenDeterminism pins the serial one, and additionally
-// proves worker-count invariance: for each configuration the stats and
-// the order-sensitive answer digest must be bit-identical across
-// Workers ∈ {2, 4, 8}, because the barrier schedule is keyed by the
-// fixed logical-shard space, never by the worker count. The parallel
-// digests differ from the serial ones by construction — sub-round
-// ordering and per-node RNG streams — which is why they are pinned
-// separately. Config 0 (unit delays, RIC placement) draws no random
-// numbers at all, so its parallel Stats equal the serial golden values
-// exactly and only the answer-order digest moves.
-func TestGoldenDeterminismParallel(t *testing.T) {
-	// Golden values captured when parallel execution was introduced.
-	golden := []struct {
-		stats  Stats
-		digest uint64
-	}{
-		{Stats{Messages: 12573, QueryProcessingLoad: 1862, StorageLoad: 1484, Answers: 8733, RewritesCreated: 9920, MaxNodeQPL: 220, ParticipatingNodes: 53,
-			TrafficByTag: TagTraffic{RIC: 298, App: 12275}}, 0x24a34293edd07748},
-		// Random hop delays, re-pinned with the serial config 1.
-		{Stats{Messages: 12544, QueryProcessingLoad: 1841, StorageLoad: 1462, Answers: 8733, RewritesCreated: 9899, MaxNodeQPL: 216, ParticipatingNodes: 53,
-			TrafficByTag: TagTraffic{RIC: 285, App: 12259}}, 0x4bb680868647ed02},
-		// Churn under parallel execution: membership changes run as
-		// global events between sub-rounds, handovers land in worker
-		// context, and the whole history still replays bit-identically
-		// (handover counts, and the exact-routing trajectory, re-pinned
-		// with the serial ones).
-		{Stats{Messages: 12341, QueryProcessingLoad: 1573, StorageLoad: 1195, Answers: 8218, RewritesCreated: 9116, MaxNodeQPL: 156, ParticipatingNodes: 64, Joins: 19, Leaves: 22, Crashes: 10, HandoverMessages: 22, HandoverEntries: 252, MessagesBounced: 805, RewritesLost: 6, TuplesLost: 17,
-			TrafficByTag: TagTraffic{RIC: 390, Churn: 22, App: 11929}}, 0xf02a0fe0aa31a266},
-	}
-	for i, base := range parallelConfigs() {
-		for wi, w := range []int{2, 4, 8} {
-			opts := base
-			opts.Workers = w
-			st, d := goldenWorkload(t, opts)
-			if st != golden[i].stats || d != golden[i].digest {
-				if wi == 0 {
-					t.Fatalf("config %d workers %d: replay drifted from parallel golden baseline:\ngot  %+v digest %x\nwant %+v digest %x",
-						i, w, st, d, golden[i].stats, golden[i].digest)
-				}
-				t.Fatalf("config %d: digest depends on worker count: workers=%d gave %+v digest %x, want the workers=2 result %+v digest %x",
-					i, w, st, d, golden[i].stats, golden[i].digest)
-			}
-		}
-	}
-}
-
 // replicatedGoldenOpts is the crash-heavy replicated configuration the
-// golden suite pins: unit hop delays (so serial and parallel runs share
-// one event timeline), spontaneous churn tilted towards crashes, and
+// golden suite pins: unit hop delays, spontaneous churn tilted towards
+// crashes, and
 // ReplicationFactor 2 so every crash promotes instead of losing state.
 func replicatedGoldenOpts(workers int) Options {
 	return Options{
@@ -406,10 +365,7 @@ func replicatedGoldenOpts(workers int) Options {
 // order-insensitively: per subscription, the sorted multiset of
 // (time, row) answer strings, plus the stats fields replication
 // guarantees — the loss counters (which must stay zero) and the
-// replication machinery's own counts. Intra-tick delivery order is the
-// only thing that differs between the serial engine and the parallel
-// barrier schedule here (unit delays, RIC placement: no random draws),
-// so the digest is pinned once across Workers ∈ {1, 2, 4, 8}.
+// replication machinery's own counts.
 func goldenReplWorkload(t testing.TB, opts Options) (Stats, uint64) {
 	net := MustNetwork(opts)
 	rec := &recorder{net: net}
@@ -480,18 +436,15 @@ func goldenReplWorkload(t testing.TB, opts Options) (Stats, uint64) {
 }
 
 // TestGoldenDeterminismReplicated pins the crash-heavy replicated
-// configuration: the digest and stats must be bit-identical across the
-// serial engine and every parallel worker count, every crash must
-// promote rather than lose state (the durability acceptance criterion:
-// RewritesLost == TuplesLost == AggStateLost == 0 with crashes > 0),
-// and the whole history must replay identically run over run.
+// configuration: the digest and stats must be bit-identical at every
+// worker count, and every crash must promote rather than lose state (the
+// durability acceptance criterion: RewritesLost == TuplesLost ==
+// AggStateLost == 0 with crashes > 0).
 //
-// That equality leans on internal/sim's one intra-tick rule (a tick's
-// global events — the churn draws — fire before its deliveries on both
-// engines, TestGlobalEventsFireBeforeEntityEvents): this schedule has a
-// tick, t=448, on which a tuple is stored at a node whose replica target
-// crashes, and the update batch goes to the old target or to the new one
-// according to which of the two runs first.
+// The schedule has a tick, t=448, on which a tuple is stored at a node
+// whose replica target crashes: the update batch goes to the new target
+// because a tick's global events — the churn draws — fire before its
+// deliveries (TestGlobalEventsFireBeforeEntityEvents).
 func TestGoldenDeterminismReplicated(t *testing.T) {
 	// Golden value captured when durable replication was introduced
 	// (and recaptured when pending placement walks joined the mirrored
@@ -503,7 +456,7 @@ func TestGoldenDeterminismReplicated(t *testing.T) {
 	// routing pointers became exact after every membership call).
 	const goldenDigest = uint64(0x4fd85e03eb1384c6)
 	var pinned Stats
-	for wi, w := range []int{1, 2, 4, 8} {
+	for wi, w := range goldenWorkers(Options{}) {
 		st, d := goldenReplWorkload(t, replicatedGoldenOpts(w))
 		if st.Crashes == 0 {
 			t.Fatal("replicated golden drove no crashes; churn config too weak")

@@ -527,7 +527,7 @@ func TestRejectedJoinLeavesNoTrace(t *testing.T) {
 }
 
 // TestMirrorsMatchAtEveryEvent is the replica bookkeeping as a step
-// invariant: on a serial engine, after every single event and every
+// invariant: on a stepped engine, after every single event and every
 // membership call — tuples, rewrites and aggregate partials in flight —
 // no replica op is left uncharged, every keyed entry sits at its ring
 // owner, and nothing is counted lost. Nothing runs between a membership

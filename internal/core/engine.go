@@ -75,7 +75,7 @@ type Counters struct {
 }
 
 // add accumulates every count of o into c — the barrier merge of the
-// parallel engine's per-shard accumulators. Addition commutes, so the
+// per-shard accumulators. Addition commutes, so the
 // merged totals are deterministic no matter which worker ran which
 // shard.
 func (c *Counters) add(o *Counters) {
@@ -178,13 +178,10 @@ type Engine struct {
 	obs  *obs.Recorder
 	prov bool
 
-	// Accounting slots, laid out like the overlay's lanes: slots[0]
-	// aliases the public Counters and is all a serial engine has;
-	// a parallel engine (par) adds slots[s+1] for every logical shard s.
+	// Accounting slots, one per logical shard like the overlay's lanes.
 	// Handlers count into the slot newProc resolved for their node, and
-	// Sync folds the shard slots into slot 0.
-	par   bool
-	slots []acctSlot
+	// Sync folds the slots into the public Counters.
+	slots [sim.Shards]acctSlot
 }
 
 // load is one ring identifier's share of the paper's query-processing
@@ -198,7 +195,7 @@ type load struct{ qpl, sl int64 }
 
 // acctSlot is one accounting context of the engine.
 type acctSlot struct {
-	ctr *Counters
+	ctr Counters
 
 	// due names, per clock, the slot's nodes with a death filed, each under
 	// a value no later than its earliest (state.register): written by the
@@ -223,7 +220,6 @@ func NewEngine(ring *chord.Ring, se *sim.Engine, net *overlay.Network, cfg Confi
 		subs:   make(map[string]*subscription),
 		bySQL:  make(map[string]*shareClass),
 		byForm: make(map[string]*shareClass),
-		slots:  make([]acctSlot, 1),
 	}
 	e.delta = cfg.Delta
 	if cfg.Delta == 0 {
@@ -231,14 +227,6 @@ func NewEngine(ring *chord.Ring, se *sim.Engine, net *overlay.Network, cfg Confi
 	}
 	e.obs = cfg.Obs
 	e.prov = cfg.Provenance
-	if se.Workers() > 0 {
-		e.par = true
-		e.slots = make([]acctSlot, sim.ShardSlots)
-	}
-	e.slots[0].ctr = &e.Counters
-	for i := range e.slots[1:] {
-		e.slots[1+i].ctr = new(Counters)
-	}
 	for _, n := range ring.Nodes() {
 		e.NodeJoined(n)
 	}
@@ -279,8 +267,8 @@ func (e *Engine) Proc(n *chord.Node) *Proc { return e.procs[n.ID()] }
 // oracleRate is the simulator-level ground truth used by
 // StrategyWorst: the actual current rate at the node responsible for a
 // key. RJoin proper never calls this. It reads another processor's
-// rate table, which is why StrategyWorst is rejected in parallel mode:
-// a worker peeking across shards mid-round would race the owner.
+// rate table, which is why StrategyWorst is rejected with several
+// workers: a worker peeking across shards mid-round would race the owner.
 func (e *Engine) oracleRate(key relation.Key, now sim.Time) float64 {
 	owner := e.ring.Owner(key.ID())
 	if owner == nil {
@@ -410,26 +398,22 @@ func (e *Engine) PublishTuple(publisher *chord.Node, t *relation.Tuple) {
 	e.pub.keys, e.pub.msgs, e.pub.ids = valueKeys, msgs[:0], ids
 }
 
-// Sync merges the parallel engine's per-shard accumulators — counters
-// and the overlay's traffic lanes — into the public aggregates.
-// It runs after every drain and before metric reads; a serial engine
-// has no shard slots and leaves early. Must be called from coordinator
-// context only.
+// Sync merges the per-shard accumulators — counters and the overlay's
+// traffic lanes — into the public aggregates. It runs after every drain
+// and before metric reads. Must be called from coordinator context
+// only.
 func (e *Engine) Sync() {
 	// The observability fold belongs to sync barriers: Sync runs from
 	// driver context only (no handlers executing), at virtual times that
 	// are a pure function of the driving program — identical for every
 	// worker count — so flush batches, and with them the canonicalized
-	// trace order, line up bit-for-bit across serial and parallel runs,
+	// trace order, line up bit-for-bit across worker counts,
 	// and every report is a pure function of the event timeline.
 	e.obs.Flush()
-	if !e.par {
-		return // nothing to merge; every idle Run() comes through here
-	}
-	for i := range e.slots[1:] {
-		s := &e.slots[1+i]
-		e.Counters.add(s.ctr)
-		*s.ctr = Counters{}
+	for i := range e.slots {
+		s := &e.slots[i]
+		e.Counters.add(&s.ctr)
+		s.ctr = Counters{}
 	}
 	e.net.Sync()
 }

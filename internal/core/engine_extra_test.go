@@ -128,8 +128,8 @@ func TestMoveNodeTransfersState(t *testing.T) {
 	}
 }
 
-// TestMoveNodeRebindsShard: on a parallel engine a moved processor must
-// run and count where its new identifier lives. The mover joins as a
+// TestMoveNodeRebindsShard: a moved processor must run and count where
+// its new identifier lives. The mover joins as a
 // fresh Proc, and newProc derives every shard-dependent field.
 func TestMoveNodeRebindsShard(t *testing.T) {
 	eng, nodes := lossyNet(t, 48, 131, 2, Config{}, overlay.DefaultConfig())
@@ -141,11 +141,11 @@ func TestMoveNodeRebindsShard(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := eng.Proc(nn)
-		want := eng.Sim().ShardOf(uint64(nn.ID()))
-		if want != eng.Sim().ShardOf(uint64(old.ID())) {
+		want := sim.ShardOfID(uint64(nn.ID()))
+		if want != sim.ShardOfID(uint64(old.ID())) {
 			changed++
 		}
-		if slot := &eng.slots[want+1]; p.node != nn || p.shard != want || p.ctr != slot.ctr || p.ld != eng.loads[nn.ID()] {
+		if slot := &eng.slots[want]; p.node != nn || p.shard != want || p.ctr != &slot.ctr || p.ld != eng.loads[nn.ID()] {
 			t.Fatalf("move %d: proc of %s still bound to shard %d, its identifier lives on %d", i, nn.ID(), p.shard, want)
 		}
 	}
@@ -400,7 +400,9 @@ func TestIdleRunAllocatesNothing(t *testing.T) {
 // to S.A = 3 — and dispatch drops it: the rewrite is counted as created
 // but never stored.
 func TestContradictoryRewriteIsNotPlaced(t *testing.T) {
-	eng, nodes := testNet(t, 16, 3, Config{Strategy: StrategyRandom}, churnNetCfg())
+	// Seed 1's placement draw indexes the input query under R, so the R
+	// tuple is the one that triggers it.
+	eng, nodes := testNet(t, 16, 1, Config{Strategy: StrategyRandom}, churnNetCfg())
 	q := sqlparse.MustParse("select R.B from R,S where R.A=S.A and S.A=3", testCat)
 	if _, err := eng.SubmitQuery(nodes[0], q); err != nil {
 		t.Fatal(err)

@@ -24,7 +24,7 @@ func storedOnce(eng *Engine) error {
 		eng.procs[n.ID()].st.each(classQueries|classPending, nil, func(op stateOp) {
 			sq, where := op.sq, fmt.Sprintf("stored at %s under %s", n.ID(), op.key)
 			if op.pp != nil {
-				sq, where = op.pp.sq, fmt.Sprintf("waiting at %s as placement %d", n.ID(), op.id)
+				sq, where = op.pp.sq, fmt.Sprintf("waiting at %s as a placement", n.ID())
 			}
 			if prev, dup := sqs[sq]; dup && err == nil {
 				err = fmt.Errorf("one entry of %s is %s and %s", sq.q.ID, prev, where)
@@ -44,7 +44,7 @@ func storedOnce(eng *Engine) error {
 // hands over an entry nothing else holds. The subscriber-side query mix
 // (duplicates, a containment child, DISTINCT, aggregates) runs with and
 // without sharing, without replication (crashes re-index inputs) and at
-// rf 2 (they promote), serial and at four workers, while nodes join,
+// rf 2 (they promote), at one worker and at four, while nodes join,
 // leave and crash with walks in flight; after every drain every stored
 // entry and waiting placement is held once.
 func TestNoQueryStoredTwice(t *testing.T) {
@@ -188,23 +188,23 @@ func TestPlacementAllocs(t *testing.T) {
 	eng.Run()
 
 	const runs = 200
-	walks, stored := p.ctr.RICRequests, eng.Counters.RewritesStored
+	walks, stored := eng.Counters.RICRequests, eng.Counters.RewritesStored
 	if n := allocsOf(runs, eng.Run, trigger); n != 1 {
 		t.Errorf("a rewrite placed on a candidate-table hit: %d allocations, want 1 (its entry)", n)
 	}
-	if p.ctr.RICRequests != walks || eng.Counters.RewritesStored != stored+runs {
+	if eng.Counters.RICRequests != walks || eng.Counters.RewritesStored != stored+runs {
 		t.Fatalf("hits walked %d times and stored %d rewrites, want 0 and %d",
-			p.ctr.RICRequests-walks, eng.Counters.RewritesStored-stored, runs)
+			eng.Counters.RICRequests-walks, eng.Counters.RewritesStored-stored, runs)
 	}
 
-	walks, stored = p.ctr.RICRequests, eng.Counters.RewritesStored
+	walks, stored = eng.Counters.RICRequests, eng.Counters.RewritesStored
 	forget := func() { eng.Run(); delete(p.st.ct.entries, key) }
 	if n := allocsOf(runs, forget, trigger); n != 1 {
 		t.Errorf("a rewrite whose placement waits for a walk: %d allocations, want 1 (its entry)", n)
 	}
-	if p.ctr.RICRequests != walks+runs || eng.Counters.RewritesStored != stored+runs {
+	if eng.Counters.RICRequests != walks+runs || eng.Counters.RewritesStored != stored+runs {
 		t.Fatalf("misses walked %d times and stored %d rewrites, want %d each",
-			p.ctr.RICRequests-walks, eng.Counters.RewritesStored-stored, runs)
+			eng.Counters.RICRequests-walks, eng.Counters.RewritesStored-stored, runs)
 	}
 
 	// Each counted reply reports key to a placement that waits for it,
@@ -224,14 +224,14 @@ func TestPlacementAllocs(t *testing.T) {
 		p.onRICReply(eng.sim.Now(), reply)
 		reply.recycle()
 	}
-	walks, stored = p.ctr.RICRequests, eng.Counters.RewritesStored
+	walks, stored = eng.Counters.RICRequests, eng.Counters.RewritesStored
 	if n := allocsOf(runs, waiting, release); n != 0 {
 		t.Errorf("a reply releasing a waiting placement: %d allocations, want 0", n)
 	}
 	eng.Run() // the last waiting placement's own walk places it
-	if p.ctr.RICRequests != walks+runs+1 || eng.Counters.RewritesStored != stored+runs+1 || len(p.st.pending) != 0 {
+	if eng.Counters.RICRequests != walks+runs+1 || eng.Counters.RewritesStored != stored+runs+1 || len(p.st.pending) != 0 {
 		t.Fatalf("replies: %d walks, %d rewrites stored, %d still waiting; want %d, %d and 0",
-			p.ctr.RICRequests-walks, eng.Counters.RewritesStored-stored, len(p.st.pending), runs+1, runs+1)
+			eng.Counters.RICRequests-walks, eng.Counters.RewritesStored-stored, len(p.st.pending), runs+1, runs+1)
 	}
 }
 

@@ -284,7 +284,7 @@ func TestLoadFollowsIdentifier(t *testing.T) {
 			if workers == 0 {
 				want = got
 			} else if !got.equal(want) {
-				t.Fatalf("workers %d: load %+v, serial %+v", workers, got, want)
+				t.Fatalf("workers %d: load %+v, workers 0 %+v", workers, got, want)
 			}
 		}
 	})

@@ -250,7 +250,7 @@ func TestLossyAggViews(t *testing.T) {
 }
 
 // TestLossyExactlyOnceParallel runs the drop-and-partition exactness
-// check on the parallel engine: the barrier schedule and per-node fault
+// check on several workers: the barrier schedule and per-node fault
 // streams drawn from worker context must compose, and the final
 // bag must be exact for every worker count.
 func TestLossyExactlyOnceParallel(t *testing.T) {
@@ -297,7 +297,7 @@ func TestLossyExactlyOnceParallel(t *testing.T) {
 // follow anybody: what is in flight to the vacated identifier is found
 // dead on arrival and bounced to the key's new owner, and what it had
 // already received travels with its state. The moves leave the run
-// exact with nothing abandoned, serial and on four workers.
+// exact with nothing abandoned, on one worker and on four.
 func TestLossyMoveNodeExact(t *testing.T) {
 	const q = "select R.B, S.B from R,S where R.A=S.A"
 	for _, workers := range []int{0, 4} {

@@ -14,7 +14,7 @@ import (
 // from its new successor. The move is therefore on the wire — charged
 // to overlay.TagChurn and counted in the handover counters — and
 // inherits what leave and join guarantee under replication, faults and
-// parallel execution. It returns the node's new ring handle.
+// every worker count. It returns the node's new ring handle.
 //
 // An occupied newID, or a ring with no other node to hold the mover's
 // state in between, is refused before anything changes (as LeaveNode

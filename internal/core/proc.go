@@ -156,20 +156,19 @@ func (pp *pendingPlacement) fill(info ricInfo) bool {
 // the message handlers of Procedures 2 and 3.
 //
 // shard, ctr, ld and sc are where the processor's handlers run, count
-// and build, all derived from the node's identifier by newProc. On a
-// serial engine ctr aliases the engine's public Counters; on a parallel
-// engine it points at the node's shard accumulator, which only the
-// worker currently executing that shard touches, and which Engine.Sync
-// merges at the next barrier. ld is the identifier's own load record,
+// and build, all derived from the node's identifier by newProc. ctr
+// points at the node's shard accumulator, which only the worker
+// currently executing that shard touches, and which Engine.Sync merges
+// at the next barrier. ld is the identifier's own load record,
 // which nothing but this node's handlers and coordinator context writes.
 type Proc struct {
 	eng  *Engine
 	node *chord.Node
 
-	shard int       // logical shard (sim.NoShard on a serial engine)
+	shard int       // logical shard
 	ctr   *Counters // event-count slot
 	ld    *load     // the identifier's QPL and SL
-	rng   *sim.RNG  // placement draws (nil: use the engine source)
+	rng   *sim.RNG  // placement draws
 
 	// st is every piece of state the node keeps on behalf of the keys it
 	// owns and the placements it has in flight (see state.go); handlers
@@ -214,9 +213,10 @@ type scratch struct {
 // handle — a node that moves identifier leaves and joins, and the
 // joiner is a fresh Proc.
 func newProc(eng *Engine, node *chord.Node) *Proc {
-	p := &Proc{eng: eng, node: node, shard: eng.sim.ShardOf(uint64(node.ID())), st: newState()}
-	s := &eng.slots[p.shard+1]
-	p.ctr, p.sc = s.ctr, &s.scratch
+	p := &Proc{eng: eng, node: node, shard: sim.ShardOfID(uint64(node.ID())), st: newState()}
+	p.rng = sim.NewRNG(eng.sim.Seed(), uint64(node.ID()), 0x91ac)
+	s := &eng.slots[p.shard]
+	p.ctr, p.sc = &s.ctr, &s.scratch
 	p.ld = eng.loads[node.ID()]
 	if p.ld == nil {
 		p.ld = new(load)
@@ -225,9 +225,6 @@ func newProc(eng *Engine, node *chord.Node) *Proc {
 	p.st.due = func(c clock, at int64) { s.due[c].add(at, p) }
 	p.st.reach = eng.tupleReach
 	p.st.hz = &eng.horizon
-	if eng.par {
-		p.rng = sim.NewRNG(eng.sim.Seed(), uint64(node.ID()), 0x91ac)
-	}
 	return p
 }
 
@@ -638,12 +635,7 @@ func (p *Proc) place(now sim.Time, sq *storedQuery) {
 	}
 	switch p.eng.Cfg.Strategy {
 	case StrategyRandom:
-		var c query.Candidate
-		if p.rng != nil {
-			c = cands[p.rng.Intn(len(cands))]
-		} else {
-			c = cands[p.eng.sim.Rand().Intn(len(cands))]
-		}
+		c := cands[p.rng.Intn(len(cands))]
 		p.sendEval(newEvalMsg(sq, c.Key, c.Level), false)
 	case StrategyWorst:
 		best := cands[0]

@@ -31,8 +31,8 @@ var sfQueries = []string{
 	"select S.B, R.C from S,R where S.A=R.A",
 }
 
-// sfModes are the engines the liveness tests run on: serial and four
-// workers, each on a clean network, under a zero-rate fault plan (the
+// sfModes are the engines the liveness tests run on: one worker
+// ("serial") and four, each on a clean network, under a zero-rate fault plan (the
 // reliable machinery on, nothing injected) and under real loss.
 var sfModes = []struct {
 	name    string
@@ -312,10 +312,10 @@ func TestForwardedReplyStopsAfterOneRound(t *testing.T) {
 	}
 }
 
-// TestWaitingIndexFollowsHandover: the index is derived state. Applying
-// a state's each() sequence to a live state rebuilds it, request ids in
-// order under every key. (A membership move restarts walks through
-// place instead, which indexes them afresh.)
+// TestWaitingIndexFollowsHandover: the index is derived state. A
+// membership move restarts each() sequence's walks through place, under
+// fresh request ids in visiting order; indexing them afresh rebuilds it,
+// request ids in order under every key.
 func TestWaitingIndexFollowsHandover(t *testing.T) {
 	f := newStateFixture()
 	src := newState()
@@ -332,15 +332,15 @@ func TestWaitingIndexFollowsHandover(t *testing.T) {
 		t.Fatalf("a report released %v, every waiter still misses a key", ready)
 	}
 	dst := newState()
-	src.each(classAll, nil, dst.apply)
+	src.each(classPending, nil, func(op stateOp) { dst.lastReq++; dst.addPending(dst.lastReq, op.pp) })
 	if err := dst.waitingErr(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := fmt.Sprint(dst.waiting[f.keys[1]]), "[4 6 9]"; got != want || len(dst.waiting) != 2 {
+	if got, want := fmt.Sprint(dst.waiting[f.keys[1]]), "[1 2 3]"; got != want || len(dst.waiting) != 2 {
 		t.Fatalf("rebuilt index: %d keys, %s under the shared key; want 2 keys and %s", len(dst.waiting), got, want)
 	}
-	if ready := dst.report(ricInfo{Key: f.keys[1]}); fmt.Sprint(ready) != "[4 6]" {
-		t.Fatalf("the shared key's report released %v, want [4 6] in waiting order", ready)
+	if ready := dst.report(ricInfo{Key: f.keys[1]}); fmt.Sprint(ready) != "[1 2]" {
+		t.Fatalf("the shared key's report released %v, want [1 2] in waiting order", ready)
 	}
 }
 

@@ -85,7 +85,6 @@ const (
 type stateOp struct {
 	kind opKind
 	key  relation.Key
-	id   int64 // request id (opAddPending)
 
 	sq *storedQuery // opAddQuery
 
@@ -601,7 +600,8 @@ func (s *state) dropKey(key relation.Key) {
 	delete(s.dirtyAggs, key)
 }
 
-// apply installs one entry through the mutator of its kind.
+// apply installs one entry through the mutator of its kind. A placement
+// walk is not installed but restarted, through Proc.place (handover.go).
 func (s *state) apply(op stateOp) {
 	switch op.kind {
 	case opAddQuery:
@@ -616,8 +616,6 @@ func (s *state) apply(op stateOp) {
 		s.aggMerge(op.key, op.g)
 	case opCT:
 		s.ctMerge(op.info)
-	case opAddPending:
-		s.addPending(op.id, op.pp)
 	}
 }
 
@@ -703,7 +701,7 @@ func (s *state) each(want class, keyOK func(relation.Key) bool, visit func(state
 		}
 		slices.Sort(reqIDs)
 		for _, reqID := range reqIDs {
-			visit(stateOp{kind: opAddPending, id: reqID, pp: s.pending[reqID]})
+			visit(stateOp{kind: opAddPending, pp: s.pending[reqID]})
 		}
 	}
 }
@@ -744,7 +742,7 @@ func (s *state) sweep(want class, match func(stateOp) bool) (hit bool) {
 	}
 	if want&classPending != 0 {
 		for reqID, pp := range s.pending {
-			if match(stateOp{kind: opAddPending, id: reqID, pp: pp}) {
+			if match(stateOp{kind: opAddPending, pp: pp}) {
 				s.removePending(reqID)
 				pp.recycle()
 				hit = true

@@ -37,7 +37,7 @@ func deadErr(eng *Engine) error {
 				continue
 			}
 			at := p.st.dueAt[c]
-			found := slices.Contains(eng.slots[p.shard+1].due[c].pending(), filing[*Proc]{at, p})
+			found := slices.Contains(eng.slots[p.shard].due[c].pending(), filing[*Proc]{at, p})
 			if at > earliest || !found {
 				return fmt.Errorf("%s: its earliest death on clock %d is %d, and its slot names it under %d (listed %v)", n.ID(), c, earliest, at, found)
 			}
@@ -372,13 +372,12 @@ func TestRewriteDiesWithoutItsKeyBeingTouched(t *testing.T) {
 	}
 }
 
-// TestDeathDrainWorkerInvariant: on a parallel engine each shard's
-// handlers file their nodes in their own accounting slot's due wheel and
-// the drain reads every slot. It must drop exactly what the serial drain
-// drops — windowed rewrites on both clocks, stored tuples under TupleGC
-// and ALTT entries, with bursts racing inside each drain — leave nothing
-// dead after any Run, and deliver the same answers, at 4 workers as
-// serially.
+// TestDeathDrainWorkerInvariant: each shard's handlers file their nodes
+// in their own accounting slot's due wheel and the drain reads every
+// slot. With the handlers on four workers it must drop exactly what it
+// drops on one — windowed rewrites on both clocks, stored tuples under
+// TupleGC and ALTT entries, with bursts racing inside each drain — leave
+// nothing dead after any Run, and deliver the same answers.
 func TestDeathDrainWorkerInvariant(t *testing.T) {
 	run := func(workers int) (Counters, [][]string) {
 		cfg := Config{}
@@ -413,18 +412,18 @@ func TestDeathDrainWorkerInvariant(t *testing.T) {
 		}
 		return eng.Counters, bags
 	}
-	serialCtr, serialBags := run(0)
+	oneCtr, oneBags := run(0)
 	parCtr, parBags := run(4)
-	if serialCtr.QueriesExpired == 0 || serialCtr.TuplesCollected == 0 || serialCtr.ALTTExpired == 0 || serialCtr.AnswersDelivered == 0 {
+	if oneCtr.QueriesExpired == 0 || oneCtr.TuplesCollected == 0 || oneCtr.ALTTExpired == 0 || oneCtr.AnswersDelivered == 0 {
 		t.Fatalf("workload too weak: %d rewrites, %d tuples and %d ALTT entries expired, %d answers",
-			serialCtr.QueriesExpired, serialCtr.TuplesCollected, serialCtr.ALTTExpired, serialCtr.AnswersDelivered)
+			oneCtr.QueriesExpired, oneCtr.TuplesCollected, oneCtr.ALTTExpired, oneCtr.AnswersDelivered)
 	}
-	if parCtr != serialCtr {
-		t.Fatalf("4 workers counted %+v, serially %+v", parCtr, serialCtr)
+	if parCtr != oneCtr {
+		t.Fatalf("4 workers counted %+v, one worker %+v", parCtr, oneCtr)
 	}
-	for i := range serialBags {
-		if !bagsEqual(parBags[i], serialBags[i]) {
-			t.Fatalf("query %d: 4 workers delivered %d rows, serially %d", i, len(parBags[i]), len(serialBags[i]))
+	for i := range oneBags {
+		if !bagsEqual(parBags[i], oneBags[i]) {
+			t.Fatalf("query %d: 4 workers delivered %d rows, one worker %d", i, len(parBags[i]), len(oneBags[i]))
 		}
 	}
 }
@@ -481,6 +480,7 @@ func TestDeadRewritesAreNeitherMovedNorLost(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			eng.Sync()
 			ctr := eng.Counters
 			if ctr.RewritesLost != 0 || ctr.QueriesLost != 0 || ctr.TuplesLost != 0 ||
 				ctr.QueriesExpired != int64(held.queries) || ctr.TuplesCollected != int64(held.tuples) {

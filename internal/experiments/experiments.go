@@ -37,11 +37,11 @@ type Params struct {
 	Seed int64
 	// Scale in (0, 1] multiplies query and tuple counts.
 	Scale float64
-	// Workers >= 2 runs each experiment on the deterministic parallel
-	// event engine with that many OS threads; 0/1 keeps the serial
-	// engine. Runs whose engine configuration is incompatible with
-	// parallel execution (StrategyWorst's cross-shard oracle) fall back
-	// to serial.
+	// Workers is how many goroutines run each sub-round of the event
+	// engine; the figures are the same for every value. Runs whose
+	// configuration cannot run a sub-round concurrently
+	// (StrategyWorst's cross-shard oracle, zero-delay hops) run it on
+	// one.
 	Workers int
 }
 
@@ -98,7 +98,7 @@ func newRunNet(p Params, cfg core.Config, wcfg workload.Config, netCfg overlay.C
 	}
 	ring.BuildPerfect()
 	se := sim.NewEngine(p.Seed)
-	if p.Workers > 1 && cfg.Strategy != core.StrategyWorst && netCfg.MinHopDelay >= 1 {
+	if cfg.Strategy != core.StrategyWorst && netCfg.MinHopDelay >= 1 {
 		se.SetWorkers(p.Workers)
 	}
 	nw := overlay.MustNetwork(ring, se, netCfg)

@@ -7,8 +7,7 @@
 // causal Tracer, the Metrics histograms and rate series, and the
 // per-placement profile.Profiler. The disabled path is free — a nil
 // *Recorder is what every hook site's one nil check tests — and the
-// enabled path stays deterministic across the serial engine and every
-// parallel worker count.
+// enabled path stays deterministic across every worker count.
 //
 // # Determinism
 //
@@ -18,8 +17,8 @@
 // assigned in coordinator context and are bit-identical across worker
 // counts.
 //
-// Event ORDER, however, is schedule-dependent: the parallel engine
-// executes same-timestamp events shard-concurrently. Records therefore
+// Event ORDER, however, is schedule-dependent: with several workers the
+// engine executes same-timestamp events shard-concurrently. Records therefore
 // buffer per logical shard (no lock is ever taken on the hot path) and
 // the tracer canonicalizes at merge points: every Flush sorts the batch
 // of traced records it folded by (At, Kind, Node, Trace, Key, Arg).
@@ -32,14 +31,9 @@
 //
 // The resulting guarantee mirrors the engine's own replay model
 // exactly: a trace replays bit-identically run over run, and is
-// bit-identical across every parallel worker count (Workers ∈ {2, 4,
-// 8, ...}), because the barrier schedule is keyed by the fixed
-// logical-shard space, never the worker count. Serial traces are
-// pinned separately — the serial heap interleaves same-tick deliveries
-// in a different (equally deterministic) order, which moves
-// schedule-sensitive intermediate state such as candidate-table
-// hit/miss outcomes, exactly as the repo's separate serial and
-// parallel golden Stats digests already document.
+// bit-identical across every worker count (Workers ∈ {0, 1, 2, 4, 8,
+// ...}), because the barrier schedule is keyed by the fixed
+// logical-shard space, never the worker count.
 package obs
 
 import (

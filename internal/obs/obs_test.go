@@ -9,15 +9,15 @@ import (
 	"rjoin/internal/sim"
 )
 
-// parallelEngine is an event engine whose recorder gets the full
-// per-shard cell layout.
+// parallelEngine is a two-worker event engine: the events of a sub-round
+// with several shards run on its worker goroutines.
 func parallelEngine() *sim.Engine {
 	se := sim.NewEngine(1)
 	se.SetWorkers(2)
 	return se
 }
 
-// tracing returns a serial-layout recorder with only the trace on.
+// tracing returns a recorder with only the trace on.
 func tracing(maxEvents int64) (*Recorder, *Tracer) {
 	tr := NewTracer(maxEvents)
 	return NewRecorder(Views{Trace: tr}), tr
@@ -34,7 +34,6 @@ func TestTracerCanonicalOrder(t *testing.T) {
 		{At: 1, Kind: KindSubmit, Node: 5, QID: "q1", Arg: 2},
 	}
 	ra, a := tracing(0)
-	ra.Bind(parallelEngine())
 	for i, rec := range recs {
 		ra.Emit(i%sim.Shards, rec) // scatter across shards
 	}
@@ -92,7 +91,6 @@ func TestTracerLimit(t *testing.T) {
 
 func TestTracerNilSafe(t *testing.T) {
 	var rec *Recorder
-	rec.Bind(parallelEngine())
 	rec.Emit(0, Rec{})
 	rec.Flush()
 	rec.Reset()
@@ -224,7 +222,6 @@ func TestHistogramNilSafe(t *testing.T) {
 func TestMetricsWindows(t *testing.T) {
 	m := NewMetrics(10)
 	rec := NewRecorder(Views{Metrics: m})
-	rec.Bind(parallelEngine())
 	rec.Emit(0, Rec{At: 3, Kind: KindDeliver, Node: 0xa})
 	rec.Emit(1, Rec{At: 7, Kind: KindDeliver, Node: 0xa}) // same node, different shard, same window
 	rec.Emit(0, Rec{At: 12, Kind: KindRoute, Key: "ric", Arg: 2})

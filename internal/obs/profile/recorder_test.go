@@ -9,16 +9,11 @@ import (
 	"rjoin/internal/sim"
 )
 
-// recording returns a profiler behind a recorder with the per-shard cell
-// layout of a parallel engine: the profiler is written by the recorder's
-// fold and by nothing else.
+// recording returns a profiler behind a recorder: the profiler is
+// written by the recorder's fold and by nothing else.
 func recording(interval int64) (*obs.Recorder, *profile.Profiler) {
 	p := profile.New(interval)
-	rec := obs.NewRecorder(obs.Views{Profile: p})
-	se := sim.NewEngine(1)
-	se.SetWorkers(2)
-	rec.Bind(se)
-	return rec, p
+	return obs.NewRecorder(obs.Views{Profile: p}), p
 }
 
 // TestCounterMerge: records emitted from different shards for the same

@@ -64,14 +64,13 @@ type Recorder struct {
 	// want is the set of kinds an enabled view reads.
 	want uint32
 
-	// cells are the per-context append buffers, laid out like the core
-	// engine's accounting slots and the overlay's lanes: cell 0 serves
-	// coordinator context and is all a serial engine has; Bind adds
-	// cells[s+1] for every logical shard s of a parallel engine. A
-	// shard's handlers run single-threaded within a sub-round and touch
-	// only their own cell, so no lock is needed. Flush empties the cells
-	// but keeps their capacity, so what they hold is bounded by the
-	// records of one drain — the work between two sync barriers.
+	// cells are the per-context append buffers: cell 0 serves
+	// coordinator context and cells[s+1] the handlers of logical shard
+	// s (sim.ShardSlots). A shard's handlers run single-threaded within
+	// a sub-round and touch only their own cell, so no lock is needed.
+	// Flush empties the cells but keeps their capacity, so what they
+	// hold is bounded by the records of one drain — the work between
+	// two sync barriers.
 	cells [][]Rec
 }
 
@@ -81,7 +80,7 @@ func NewRecorder(v Views) *Recorder {
 	if v == (Views{}) {
 		return nil
 	}
-	r := &Recorder{v: v, cells: make([][]Rec, 1)}
+	r := &Recorder{v: v, cells: make([][]Rec, sim.ShardSlots)}
 	if v.Trace != nil {
 		r.want |= tracedKinds
 	}
@@ -94,15 +93,6 @@ func NewRecorder(v Views) *Recorder {
 	return r
 }
 
-// Bind sizes the cells for the event engine the recorder will be used
-// under; the overlay does this when it is built. Safe on a nil receiver.
-func (r *Recorder) Bind(se *sim.Engine) {
-	if r == nil || se.Workers() == 0 {
-		return
-	}
-	r.cells = make([][]Rec, sim.ShardSlots)
-}
-
 // Views returns the read sides the recorder feeds; all nil on a nil
 // receiver.
 func (r *Recorder) Views() Views {
@@ -113,7 +103,7 @@ func (r *Recorder) Views() Views {
 }
 
 // Emit records one fact from the given execution shard (sim.NoShard for
-// coordinator context, and always on a serial engine). Safe on a nil
+// coordinator context). Safe on a nil
 // receiver, though hook sites nil-check first so that the disabled path
 // does not even build the record.
 func (r *Recorder) Emit(shard int, rec Rec) {

@@ -12,14 +12,14 @@ import (
 )
 
 // emitter drives records into a recorder the way an engine does. The
-// serial one has the single cell of a serial engine, whose every handler
-// runs in coordinator context. The parallel one is bound to a two-worker
-// event engine and emits each sharded record from that shard's worker:
+// direct one emits every record from coordinator context, into cell 0.
+// The parallel one runs on a two-worker event engine and emits each
+// sharded record from that shard's worker:
 // the records of one step are scheduled on one tick, so shards run
 // concurrently and the race detector checks that a cell has one writer.
 type emitter struct {
 	rec     *Recorder
-	se      *sim.Engine // nil: serial layout
+	se      *sim.Engine // nil: every record from coordinator context
 	pending bool
 }
 
@@ -27,7 +27,6 @@ func newEmitter(parallel bool, tr *Tracer, m *Metrics, pf *profile.Profiler) *em
 	em := &emitter{rec: NewRecorder(Views{tr, m, pf})}
 	if parallel {
 		em.se = parallelEngine()
-		em.rec.Bind(em.se)
 	}
 	return em
 }
@@ -343,9 +342,9 @@ func runScript(seed int64, parallel bool, mutate func(rec *Rec)) string {
 }
 
 // TestRecorderMatchesOracle: 40 seeded scripts of every record kind from
-// every shard, interleaved with flushes and resets, on the one-cell
-// layout of a serial engine and on the 65-cell layout of a parallel one
-// (emitting from worker context): trace stream, histogram summaries,
+// every shard, interleaved with flushes and resets, emitted into one
+// cell from coordinator context and into all 65 from worker context:
+// trace stream, histogram summaries,
 // rate series and every profile counter and state series equal the
 // oracle's recomputation from the flat log.
 func TestRecorderMatchesOracle(t *testing.T) {

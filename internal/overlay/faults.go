@@ -33,7 +33,7 @@
 // faults-off delivery would, as the same event, so its schedule is the
 // faults-off schedule under churn too.
 //
-// Shard discipline (parallel engine): everything here is the sender's
+// Shard discipline: everything here is the sender's
 // — its fault stream and the end of its open ack window per receiver —
 // and is touched only at send time, from the sender's shard. The
 // partition list is read-only while events run.
@@ -199,7 +199,7 @@ func (nw *Network) sendReliable(p *peer, from, owner *chord.Node, delay int64, m
 			ob.Emit(p.shard, obs.Rec{At: now, Kind: obs.KindAck, Node: uint64(dst)})
 		}
 	}
-	nw.Engine.AtCtxShard(arrive, deliverEvent, sim.Ctx{A: nw, B: owner, C: msg}, p.shard, nw.shardOf(owner))
+	nw.Engine.AtCtxShard(arrive, deliverEvent, sim.Ctx{A: nw, B: owner, C: msg}, p.shard, sim.ShardOfID(uint64(owner.ID())))
 }
 
 // NextRetransmit reports that no retransmission needs the clock driven

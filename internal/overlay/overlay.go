@@ -21,14 +21,12 @@
 // stream and (under Faults) fault stream and ack windows —
 // and every operation resolves the acting node's record once and counts
 // through its lane: the active traffic tag, the integer totals and the
-// lookup scratch buffers. Lane 0's totals are the public integer fields,
-// and a serial network has no other lane; on a parallel engine
-// (sim.Engine with workers) every logical shard gets a lane of its own,
-// so concurrent handlers never share mutable state, and Sync — which
-// the core engine calls after every drain — folds them into lane 0.
-// There hop-delay draws also come from the acting node's private
-// counter-based stream instead of the engine's shared source, making
-// the draw sequence independent of scheduling interleave.
+// lookup scratch buffers. Every logical shard of the event engine has a
+// lane of its own, so handlers running concurrently never share mutable
+// state, and Sync — which the core engine calls after every drain —
+// folds the lanes' totals into the public integer fields. Hop-delay
+// draws come from the acting node's private counter-based stream, so
+// the draw sequence does not depend on scheduling interleave.
 package overlay
 
 import (
@@ -173,13 +171,11 @@ func (t Tag) String() string { return tagNames[t] }
 
 // lane is one accounting context. Every mutation the message layer
 // performs on behalf of an acting node — tag scoping, integer totals,
-// lookup and grouped-send scratch — goes to that node's lane. Lane 0
-// aliases the network's totals and serves every node of a serial
-// network; a parallel network adds one lane per logical shard, which
-// the sub-round schedule guarantees is touched by at most one worker
-// at a time.
+// lookup and grouped-send scratch — goes to the lane of that node's
+// logical shard, which the sub-round schedule guarantees is touched by
+// at most one worker at a time.
 type lane struct {
-	tot  *totals
+	tot  totals
 	tag  Tag
 	legs []leg         // scratch for grouped multiSend, reused across calls
 	path []*chord.Node // scratch for one lookup's hop path, consumed by chargePath
@@ -198,9 +194,9 @@ func (l *lane) sent(n int64) {
 // drawing from its stream and counting in its lane.
 type peer struct {
 	h     Handler  // nil while detached
-	shard int      // scheduling shard; sim.NoShard on a serial engine
+	shard int      // scheduling shard
 	l     *lane    // accounting lane of that shard
-	rng   *sim.RNG // hop-delay stream; nil on a serial network (the engine's shared source draws)
+	rng   *sim.RNG // hop-delay stream
 	frng  *sim.RNG // fault stream; nil unless Config.Faults
 	// ackEnd is, per receiver, the end of the open ack-coalescing window
 	// of this node's deliveries there; nil unless Config.Faults.
@@ -216,7 +212,7 @@ type Network struct {
 	cfg Config
 
 	peers map[id.ID]*peer
-	lanes []lane // lanes[0] is the aggregate; lanes[s+1] belongs to shard s
+	lanes [sim.Shards]lane // lanes[s] belongs to shard s
 
 	rto int64 // base retransmit timeout (faults.go); 0 when Faults is nil
 
@@ -250,16 +246,7 @@ func NewNetwork(ring *chord.Ring, engine *sim.Engine, cfg Config) (*Network, err
 		Engine: engine,
 		cfg:    cfg,
 		peers:  make(map[id.ID]*peer),
-		lanes:  make([]lane, 1),
 		obs:    cfg.Obs,
-	}
-	nw.obs.Bind(engine)
-	if engine.Workers() > 0 {
-		nw.lanes = make([]lane, sim.ShardSlots)
-	}
-	nw.lanes[0].tot = &nw.totals
-	for i := range nw.lanes[1:] {
-		nw.lanes[1+i].tot = new(totals)
 	}
 	if f := cfg.Faults; f != nil {
 		// One full round trip at worst-case delay — outbound hop with a
@@ -282,7 +269,7 @@ func MustNetwork(ring *chord.Ring, engine *sim.Engine, cfg Config) *Network {
 // peerFor resolves the record of the node an operation acts as or
 // delivers to. A node that was never Attached gets a handler-less record
 // on first use (tests inject failures that way); that write is safe only
-// from coordinator context, so on a parallel network every node must be
+// from coordinator context, so with several workers every node must be
 // Attached before it sends or receives — every ring node is.
 func (nw *Network) peerFor(n id.ID) *peer {
 	if p, ok := nw.peers[n]; ok {
@@ -294,11 +281,8 @@ func (nw *Network) peerFor(n id.ID) *peer {
 // newPeer creates the record of an identifier: its shard and lane, and
 // the streams that derive from (seed, identifier).
 func (nw *Network) newPeer(n id.ID) *peer {
-	p := &peer{shard: nw.Engine.ShardOf(uint64(n))}
-	p.l = &nw.lanes[p.shard+1]
-	if nw.Engine.Workers() > 0 {
-		p.rng = sim.NewRNG(nw.Engine.Seed(), uint64(n), 0x0e7a)
-	}
+	p := &peer{shard: sim.ShardOfID(uint64(n)), rng: sim.NewRNG(nw.Engine.Seed(), uint64(n), 0x0e7a)}
+	p.l = &nw.lanes[p.shard]
 	if nw.cfg.Faults != nil {
 		p.frng = sim.NewRNG(nw.Engine.Seed(), uint64(n), faultSalt)
 		p.ackEnd = make(map[id.ID]sim.Time)
@@ -322,17 +306,12 @@ func (nw *Network) Detach(n *chord.Node) {
 	}
 }
 
-// hopDelay draws one hop's delay: from the acting node's private stream
-// on a parallel network, from the engine's shared source otherwise.
+// hopDelay draws one hop's delay from the acting node's private stream.
 func (nw *Network) hopDelay(rng *sim.RNG) int64 {
 	if nw.cfg.MaxHopDelay == nw.cfg.MinHopDelay {
 		return nw.cfg.MinHopDelay
 	}
-	spread := nw.cfg.MaxHopDelay - nw.cfg.MinHopDelay + 1
-	if rng != nil {
-		return nw.cfg.MinHopDelay + rng.Int63n(spread)
-	}
-	return nw.cfg.MinHopDelay + nw.Engine.Rand().Int63n(spread)
+	return nw.cfg.MinHopDelay + rng.Int63n(nw.cfg.MaxHopDelay-nw.cfg.MinHopDelay+1)
 }
 
 // chargePath counts one sent message for the origin and for every
@@ -421,14 +400,11 @@ func (nw *Network) bounce(p *peer, msg Message) {
 	nw.deliver(p, tgt, nw.hopDelay(p.rng), msg)
 }
 
-// shardOf resolves the shard a node's events are scheduled on.
-func (nw *Network) shardOf(n *chord.Node) int { return nw.Engine.ShardOf(uint64(n.ID())) }
-
 // deliver schedules the completion of one delivery. The event is bound
 // to the recipient's shard; the acting peer supplies the source shard
 // the barrier merge orders by.
 func (nw *Network) deliver(p *peer, owner *chord.Node, delay int64, msg Message) {
-	nw.Engine.AfterCtxShard(delay, deliverEvent, sim.Ctx{A: nw, B: owner, C: msg}, p.shard, nw.shardOf(owner))
+	nw.Engine.AfterCtxShard(delay, deliverEvent, sim.Ctx{A: nw, B: owner, C: msg}, p.shard, sim.ShardOfID(uint64(owner.ID())))
 }
 
 // deliverFrom is deliver with a known sender: in unreliable mode a
@@ -446,8 +422,7 @@ func (nw *Network) deliverFrom(p *peer, from, owner *chord.Node, delay int64, ms
 // WithTag runs fn with every message the given node sends inside it
 // counted under tag instead of TagApp. The experiments read TagRIC to
 // report the Request-RIC share of total traffic separately, as the
-// figures do. The tag scopes to the acting node's lane — on a serial
-// network, where there is one lane, to every send.
+// figures do. The tag scopes to the acting node's lane.
 func (nw *Network) WithTag(n *chord.Node, tag Tag, fn func()) {
 	withTag(nw.peerFor(n.ID()).l, tag, fn)
 }
@@ -465,7 +440,7 @@ func withTag(l *lane, tag Tag, fn func()) {
 // it writes every shard's lane: its callers run between drains, with no
 // handler in flight.
 func (nw *Network) WithTagAll(tag Tag, fn func()) {
-	prevs := make([]Tag, len(nw.lanes))
+	var prevs [sim.Shards]Tag
 	for i := range nw.lanes {
 		prevs[i] = nw.lanes[i].tag
 		nw.lanes[i].tag = tag
@@ -476,15 +451,13 @@ func (nw *Network) WithTagAll(tag Tag, fn func()) {
 	}
 }
 
-// Sync folds every shard lane's totals into lane 0, the public
-// aggregate. The core engine calls it after each drain; a serial
-// network has no shard lanes, so there it does nothing. Coordinator
-// context only.
+// Sync folds every lane's totals into the public aggregate. The core
+// engine calls it after each drain. Coordinator context only.
 func (nw *Network) Sync() {
-	for i := range nw.lanes[1:] {
-		l := &nw.lanes[1+i]
-		nw.totals.add(l.tot)
-		*l.tot = totals{}
+	for i := range nw.lanes {
+		l := &nw.lanes[i]
+		nw.totals.add(&l.tot)
+		l.tot = totals{}
 	}
 }
 

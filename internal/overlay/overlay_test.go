@@ -97,6 +97,7 @@ func TestSendChargesTrafficAlongPath(t *testing.T) {
 	_, path := from.Lookup(key)
 	before := f.nw.MessagesSent
 	f.nw.Send(from, key, "x")
+	f.nw.Sync()
 	charged := f.nw.MessagesSent - before
 	if int(charged) != len(path) {
 		t.Fatalf("charged %d messages for a %d-hop path", charged, len(path))
@@ -110,6 +111,7 @@ func TestSelfSendIsFree(t *testing.T) {
 	f := newFixture(t, 32, DefaultConfig())
 	from := f.nodes[5]
 	f.nw.Send(from, from.ID(), "self")
+	f.nw.Sync()
 	if f.nw.MessagesSent != 0 {
 		t.Fatalf("self delivery charged %d messages", f.nw.MessagesSent)
 	}
@@ -123,6 +125,7 @@ func TestSendDirectSingleMessage(t *testing.T) {
 	f := newFixture(t, 64, DefaultConfig())
 	from, to := f.nodes[0], f.nodes[10]
 	f.nw.SendDirect(from, to.ID(), "direct")
+	f.nw.Sync()
 	if f.nw.MessagesSent != 1 {
 		t.Fatalf("SendDirect cost %d messages, want 1", f.nw.MessagesSent)
 	}
@@ -162,6 +165,7 @@ func TestBounceInFlightToNewOwner(t *testing.T) {
 	f.nw.Send(f.nodes[0], key, keyedMsg{key: key, body: "survive"})
 	f.ring.Fail(victim) // dies while the message is in flight
 	f.engine.Run()
+	f.nw.Sync()
 	heir := f.ring.Owner(key)
 	if heir == victim {
 		t.Fatal("fixture broken: owner unchanged after failure")
@@ -184,6 +188,7 @@ func TestNoBounceByDefault(t *testing.T) {
 	f.nw.Send(f.nodes[0], key, keyedMsg{key: key, body: "lost"})
 	f.ring.Fail(victim)
 	f.engine.Run()
+	f.nw.Sync()
 	heir := f.ring.Owner(key)
 	if len(f.received[heir.ID()]) != 0 || f.nw.Bounced != 0 {
 		t.Fatal("message must drop when bouncing is disabled")
@@ -217,6 +222,7 @@ func TestBounceRequiresRingKey(t *testing.T) {
 	f.ring.Fail(victim)
 	f.nw.SendDirect(f.nodes[0], victim.ID(), "opaque")
 	f.engine.Run()
+	f.nw.Sync()
 	if f.nw.Bounced != 0 {
 		t.Fatal("opaque message must not bounce")
 	}
@@ -235,6 +241,7 @@ func TestHandoffOnlyCharges(t *testing.T) {
 		t.Fatalf("a handoff scheduled %d events", n)
 	}
 	f.engine.Run()
+	f.nw.Sync()
 	if got != 0 || f.nw.Delivered != 0 {
 		t.Fatalf("a handoff delivered %d messages (Delivered = %d), want none", got, f.nw.Delivered)
 	}
@@ -272,6 +279,7 @@ func TestMultiSendAllocs(t *testing.T) {
 		send := func() { f.nw.MultiSend(f.nodes[5], msgs[:legs], keys[:legs]) }
 		drain := func() {
 			f.engine.Run()
+			f.nw.Sync()
 			for nid := range f.received {
 				f.received[nid] = f.received[nid][:0]
 			}
@@ -385,6 +393,7 @@ func TestDeliveredCounter(t *testing.T) {
 	f.nw.Send(f.nodes[0], id.HashKey("k1"), "a")
 	f.nw.SendDirect(f.nodes[0], f.nodes[1].ID(), "b")
 	f.engine.Run()
+	f.nw.Sync()
 	if f.nw.Delivered != 2 {
 		t.Fatalf("Delivered = %d, want 2", f.nw.Delivered)
 	}

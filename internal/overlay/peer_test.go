@@ -11,10 +11,10 @@ import (
 )
 
 // The differential oracle for the one accounting path: a random script
-// of every overlay operation runs once on a serial network (one lane,
-// aliasing the aggregates) and once on a parallel one (a lane per
-// shard, merged at Sync). Hop delays are unit, so no draw is taken and
-// the two must agree on every count, the per-tag split included.
+// of every overlay operation runs once with sub-rounds run inline and
+// once on two workers, whose handlers send from worker goroutines into
+// their shards' lanes. The two must agree on every count, the per-tag
+// split included.
 
 // scriptMsg is the script's payload. Its ring key lets it bounce; a
 // positive ttl makes the receiving handler forward it, under the tag it
@@ -184,13 +184,13 @@ func runPeerScript(t *testing.T, seed int64, workers int) totals {
 func TestPeerAccountingDifferential(t *testing.T) {
 	var sent, tagged int64
 	for seed := int64(1); seed <= 40; seed++ {
-		serial := runPeerScript(t, seed, 0)
+		inline := runPeerScript(t, seed, 0)
 		parallel := runPeerScript(t, seed, 2)
-		if serial != parallel {
-			t.Fatalf("seed %d: totals differ\nserial   %+v\nparallel %+v", seed, serial, parallel)
+		if inline != parallel {
+			t.Fatalf("seed %d: totals differ\ninline   %+v\nparallel %+v", seed, inline, parallel)
 		}
-		sent += serial.MessagesSent
-		tagged += serial.MessagesSent - serial.ByTag[TagApp]
+		sent += inline.MessagesSent
+		tagged += inline.MessagesSent - inline.ByTag[TagApp]
 	}
 	if sent == 0 || tagged == 0 {
 		t.Fatalf("the scripts exercised too little: %d messages, %d tagged", sent, tagged)
@@ -198,7 +198,7 @@ func TestPeerAccountingDifferential(t *testing.T) {
 }
 
 // TestPeerUnattachedNodes: the failure-injection idiom — a node that was
-// never Attached — keeps working on a serial network: it can send, its
+// never Attached — keeps working: it can send, its
 // sends are charged, and deliveries to it are dropped without a trace.
 func TestPeerUnattachedNodes(t *testing.T) {
 	ring := chord.NewRing()
@@ -219,6 +219,7 @@ func TestPeerUnattachedNodes(t *testing.T) {
 	nw.SendDirect(to, from.ID(), "lost")                  // unattached recipient: dropped
 	nw.WithTag(from, TagRIC, func() { nw.Handoff(from) }) // unattached sender, charge only
 	engine.Run()
+	nw.Sync()
 	if got != 2 || nw.Delivered != 2 {
 		t.Fatalf("attached recipient got %d messages, Delivered = %d, want 2 and 2", got, nw.Delivered)
 	}

@@ -21,7 +21,7 @@ import (
 // A node's content is a pure function of the clauses the root was
 // compiled from and the path to the node, so the first rewrite to cross
 // an edge publishes the child with a compare-and-swap and a loser uses
-// the winner's node: serial and parallel engines build identical trees.
+// the winner's node: every worker count builds identical trees.
 //
 // Staleness. A plan is tied to the clauses it was compiled from, and a
 // query that does not carry them compiles afresh: at every node the

@@ -1,15 +1,12 @@
 package sim
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "math/bits"
 
-// Deterministic parallel event execution.
+// The schedule: deterministic sub-rounds.
 //
-// The engine optionally executes events on N workers while preserving
-// bit-identical replay for a given seed, independent of N. The schedule
-// is conservative and time-stepped:
+// The engine has one event order, and it executes it on any number of
+// goroutines while preserving bit-identical replay for a given seed.
+// The schedule is conservative and time-stepped:
 //
 //   - Every stateful entity (a simulated node) is assigned one of
 //     Shards fixed logical shards by its 64-bit identifier. The shard
@@ -21,7 +18,8 @@ import (
 //     serially, in (T, seq) order — they may mutate any state, and no
 //     worker is running while they do. Then every shard with events at
 //     T executes them in (T, seq) order; distinct shards run
-//     concurrently, claimed by workers from a shared work queue.
+//     concurrently, claimed by workers from a shared work queue, or one
+//     after another in ascending shard order on the coordinator.
 //   - A handler running on shard s may touch only shard-s state and
 //     must route cross-shard effects through scheduling. Schedules made
 //     during a sub-round are buffered per *source* shard and merged at
@@ -49,23 +47,10 @@ const NoShard = -1
 // ShardOfID maps a 64-bit entity identifier to its logical shard.
 func ShardOfID(u uint64) int { return int(u % Shards) }
 
-// ShardOf maps an entity identifier to the shard this engine schedules
-// its events on: ShardOfID under SetWorkers, NoShard on a serial engine,
-// where every event lives on the one global heap. Layers above ask here
-// instead of branching on the engine's mode themselves.
-func (e *Engine) ShardOf(u uint64) int {
-	if e.par.workers == 0 {
-		return NoShard
-	}
-	return ShardOfID(u)
-}
-
 // ShardSlots sizes a per-execution-context accumulation array: slot 0
 // for driver/global (NoShard) context plus one slot per logical shard,
-// so that a context's slot is shard+1. The components that collect
-// state from handler context without locks — the overlay's lanes, the
-// core engine's accounting slots, the observability recorder's cells —
-// all lay their arrays out this way.
+// so that a context's slot is shard+1. The observability recorder's
+// cells are laid out this way.
 const ShardSlots = Shards + 1
 
 // bufEv is one schedule deferred during a sub-round: the event plus its
@@ -75,74 +60,30 @@ type bufEv struct {
 	dst int32
 }
 
-// parState is the engine's parallel-mode state; zero and inert on a
-// serial engine.
-type parState struct {
-	workers int         // 0 = serial engine
-	heaps   []eventHeap // one per logical shard
-	bufs    [][]bufEv   // deferred schedules, indexed by source shard
-	firedSh []uint64    // events executed per shard this sub-round
-	inRound bool        // workers are (possibly) running
-
-	roundTime   Time
-	roundShards []int32
-	roundIdx    atomic.Int64
-}
-
-// SetWorkers switches the engine to deterministic parallel execution
-// on n workers (n >= 1), or back to the serial engine (n = 0). The
-// event order — and therefore every digest — is identical for every
-// n >= 1; n only sets the degree of hardware parallelism. It must be
-// called before any event is scheduled or executed.
+// SetWorkers sets how many goroutines run a sub-round: n <= 1 runs
+// each one inline on the calling goroutine. The event order — and
+// therefore every digest — is identical for every n; n only sets the
+// degree of hardware parallelism. It must be called before any event
+// is scheduled or executed.
 func (e *Engine) SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	if n == e.par.workers {
+	n = max(n, 1)
+	if n == e.workers {
 		return
 	}
 	if e.fired > 0 || e.Pending() > 0 {
 		panic("sim: SetWorkers must be called on a fresh engine")
 	}
-	e.par.workers = n
-	if n > 0 && e.par.heaps == nil {
-		e.par.heaps = make([]eventHeap, Shards)
-		e.par.bufs = make([][]bufEv, Shards)
-		e.par.firedSh = make([]uint64, Shards)
-	}
+	e.workers = n
 }
 
-// Workers returns the configured worker count (0 = serial engine).
-func (e *Engine) Workers() int { return e.par.workers }
-
-// scheduleShard routes a sharded event. From worker context (inside a
-// sub-round) the event is buffered on its source shard and receives its
-// sequence number at the barrier merge; from coordinator context it is
-// pushed directly, exactly like a serial schedule. Events addressed to
-// an entity are always foreground.
-func (e *Engine) scheduleShard(t Time, ev event, src, dst int) {
-	if t < e.now {
-		t = e.now
-	}
-	ev.at = t
-	if e.par.inRound {
-		// Only the worker currently executing shard src can make this
-		// call, so the buffer needs no lock.
-		e.par.bufs[src] = append(e.par.bufs[src], bufEv{ev: ev, dst: int32(dst)})
+// pushTo pushes a sequenced event onto its destination's heap.
+func (e *Engine) pushTo(dst int, ev event) {
+	if dst < 0 {
+		e.events.push(ev)
 		return
 	}
-	e.seq++
-	ev.seq = e.seq
-	e.fg++
-	e.heapFor(dst).push(ev)
-}
-
-// heapFor returns the heap a destination shard's events live in.
-func (e *Engine) heapFor(dst int) *eventHeap {
-	if dst < 0 {
-		return &e.events
-	}
-	return &e.par.heaps[dst]
+	e.heaps[dst].push(ev)
+	e.busy |= 1 << dst
 }
 
 // nextTime returns the earliest pending timestamp across all heaps.
@@ -152,163 +93,168 @@ func (e *Engine) nextTime() (Time, bool) {
 	if len(e.events) > 0 {
 		best, ok = e.events[0].at, true
 	}
-	for s := range e.par.heaps {
-		if h := e.par.heaps[s]; len(h) > 0 && (!ok || h[0].at < best) {
-			best, ok = h[0].at, true
+	for m := e.busy; m != 0; m &= m - 1 {
+		if at := e.heaps[bits.TrailingZeros64(m)][0].at; !ok || at < best {
+			best, ok = at, true
 		}
 	}
 	return best, ok
+}
+
+// fireGlobal executes the earliest global event.
+func (e *Engine) fireGlobal() {
+	ev := e.events.pop()
+	if !ev.bg {
+		e.fg--
+	}
+	e.fired++
+	ev.cb(e.now, ev.ctx)
+}
+
+// openRound lists the shards whose earliest event is at t, in
+// ascending order: the sub-round at t. It reports whether there is one.
+func (e *Engine) openRound(t Time) bool {
+	e.round = e.round[:0]
+	for m := e.busy; m != 0; m &= m - 1 {
+		if s := bits.TrailingZeros64(m); e.heaps[s][0].at == t {
+			e.round = append(e.round, int32(s))
+		}
+	}
+	return len(e.round) > 0
 }
 
 // execShard executes every event of shard s with timestamp t, in seq
 // order. Called either by a worker (which owns the shard for the
 // duration of the sub-round) or inline by the coordinator.
 func (e *Engine) execShard(s int, t Time) {
-	h := &e.par.heaps[s]
+	h := &e.heaps[s]
 	var n uint64
 	for len(*h) > 0 && (*h)[0].at == t {
 		ev := h.pop()
 		n++
 		ev.cb(t, ev.ctx)
 	}
-	e.par.firedSh[s] += n
+	e.firedSh[s] += n
 }
 
 // mergeRound folds the sub-round's results back into the engine at the
 // barrier: executed-event accounting, then the deferred schedules in
 // deterministic order (ascending source shard, creation order within a
-// shard), each receiving the next global sequence number.
+// shard), each receiving the next global sequence number. Only a shard
+// of the round can have run a handler, so only its buffer can hold
+// anything.
 func (e *Engine) mergeRound() {
-	p := &e.par
-	var executed uint64
-	for s := 0; s < Shards; s++ {
-		executed += p.firedSh[s]
-		p.firedSh[s] = 0
-		buf := p.bufs[s]
+	for _, s := range e.round {
+		e.fired += e.firedSh[s]
+		e.fg -= int(e.firedSh[s])
+		e.firedSh[s] = 0
+		if len(e.heaps[s]) == 0 {
+			e.busy &^= 1 << s
+		}
+		buf := e.bufs[s]
 		for i := range buf {
 			ev := buf[i].ev
 			e.seq++
 			ev.seq = e.seq
 			e.fg++
-			e.heapFor(int(buf[i].dst)).push(ev)
-			buf[i] = bufEv{} // release payload references
+			e.pushTo(int(buf[i].dst), ev)
 		}
-		p.bufs[s] = buf[:0]
+		clear(buf) // release payload references
+		e.bufs[s] = buf[:0]
 	}
-	e.fired += executed
-	e.fg -= int(executed)
 }
 
-// runParallel is the parallel drain loop behind Run (untilFg=true) and
-// RunUntil (untilFg=false, bounded by deadline).
-func (e *Engine) runParallel(deadline Time, untilFg bool) {
-	p := &e.par
-	nWorkers := p.workers
-
-	// Workers are spawned lazily on the first multi-shard sub-round and
-	// live until this drain returns — deliberately not a persistent
-	// per-engine pool: the engine has no Close, so parked goroutines
-	// would pin every abandoned engine (tests and benchmarks create
-	// hundreds) and leak. Spawn cost is per drain, not per sub-round,
-	// and a drain runs thousands of events. Single-shard sub-rounds run
-	// inline on the coordinator: the result is identical (determinism
-	// never depends on who executes a shard) and the barrier overhead
-	// drops to zero for sparse phases.
-	var (
-		tokens  chan struct{}
-		quit    chan struct{}
-		wg      sync.WaitGroup
-		spawned bool
-	)
-	defer func() {
-		if spawned {
-			close(quit)
-		}
-	}()
-	spawn := func() {
-		tokens = make(chan struct{}, nWorkers)
-		quit = make(chan struct{})
-		for i := 0; i < nWorkers; i++ {
-			go func() {
-				for {
-					select {
-					case <-quit:
-						return
-					case <-tokens:
-						for {
-							i := p.roundIdx.Add(1) - 1
-							if int(i) >= len(p.roundShards) {
-								break
-							}
-							e.execShard(int(p.roundShards[i]), p.roundTime)
-						}
-						wg.Done()
-					}
-				}
-			}()
-		}
-		spawned = true
+// drain is the loop behind Run (untilFg=true) and RunUntil
+// (untilFg=false, bounded by deadline).
+func (e *Engine) drain(deadline Time, untilFg bool) {
+	defer e.stopWorkers()
+	for e.step >= 0 { // finish the sub-round a Step opened
+		e.Step()
 	}
-
-	for {
-		if untilFg && e.fg == 0 {
-			break
-		}
+	for !untilFg || e.fg > 0 {
 		t, ok := e.nextTime()
-		if !ok {
-			break
-		}
-		if !untilFg && t > deadline {
+		if !ok || !untilFg && t > deadline {
 			break
 		}
 		e.now = t
 		for { // sub-rounds at time t
-			progress := false
 			// Global events first: serial, free to mutate anything.
 			for len(e.events) > 0 && e.events[0].at == t {
-				ev := e.pop()
-				if !ev.bg {
-					e.fg--
-				}
-				e.fired++
-				ev.cb(t, ev.ctx)
-				progress = true
+				e.fireGlobal()
 			}
-			// Then every shard with events at t, concurrently.
-			p.roundShards = p.roundShards[:0]
-			for s := 0; s < Shards; s++ {
-				if h := p.heaps[s]; len(h) > 0 && h[0].at == t {
-					p.roundShards = append(p.roundShards, int32(s))
-				}
-			}
-			if len(p.roundShards) > 0 {
-				progress = true
-				p.roundTime = t
-				p.inRound = true
-				if nWorkers > 1 && len(p.roundShards) > 1 {
-					if !spawned {
-						spawn()
-					}
-					p.roundIdx.Store(0)
-					wg.Add(nWorkers)
-					for i := 0; i < nWorkers; i++ {
-						tokens <- struct{}{}
-					}
-					wg.Wait()
-				} else {
-					for _, s := range p.roundShards {
-						e.execShard(int(s), t)
-					}
-				}
-				p.inRound = false
-				e.mergeRound()
-			}
-			if !progress {
+			if !e.openRound(t) {
 				break
 			}
+			e.runRound(t)
 		}
 	}
 	if !untilFg && e.now < deadline {
 		e.now = deadline
+	}
+}
+
+// runRound executes the open sub-round at t and merges it. A round of
+// one shard, or an engine of one worker, runs inline on the
+// coordinator: the result is identical (determinism never depends on
+// who executes a shard) and the barrier costs nothing.
+func (e *Engine) runRound(t Time) {
+	e.inRound = true
+	if e.workers > 1 && len(e.round) > 1 {
+		if e.tokens == nil {
+			e.spawnWorkers()
+		}
+		e.roundIdx.Store(0)
+		e.wg.Add(e.workers)
+		for i := 0; i < e.workers; i++ {
+			e.tokens <- struct{}{}
+		}
+		e.wg.Wait()
+	} else {
+		for _, s := range e.round {
+			e.execShard(int(s), t)
+		}
+	}
+	e.inRound = false
+	e.mergeRound()
+}
+
+// spawnWorkers starts the pool on the first multi-shard sub-round of a
+// drain. It lives until the drain returns — deliberately not a
+// persistent per-engine pool: the engine has no Close, so parked
+// goroutines would pin every abandoned engine (tests and benchmarks
+// create hundreds) and leak. Spawn cost is per drain, not per
+// sub-round, and a drain runs thousands of events.
+func (e *Engine) spawnWorkers() {
+	e.tokens, e.quit = make(chan struct{}, e.workers), make(chan struct{})
+	for i := 0; i < e.workers; i++ {
+		go e.work(e.tokens, e.quit)
+	}
+}
+
+// work is one pool goroutine: per token, it claims shards of the
+// current sub-round until none is left.
+func (e *Engine) work(tokens, quit chan struct{}) {
+	for {
+		select {
+		case <-quit:
+			return
+		case <-tokens:
+			for {
+				i := e.roundIdx.Add(1) - 1
+				if int(i) >= len(e.round) {
+					break
+				}
+				e.execShard(int(e.round[i]), e.now)
+			}
+			e.wg.Done()
+		}
+	}
+}
+
+// stopWorkers ends the drain's pool, if it spawned one.
+func (e *Engine) stopWorkers() {
+	if e.quit != nil {
+		close(e.quit)
+		e.tokens, e.quit = nil, nil
 	}
 }

@@ -15,11 +15,15 @@ type pnode struct {
 	rng   *RNG
 	eng   *Engine
 	nodes []*pnode
+	fired *[]Time // when set, every node also logs into this one list
 }
 
 func pTick(now Time, c Ctx) {
 	n := c.A.(*pnode)
 	n.log = append(n.log, now)
+	if n.fired != nil {
+		*n.fired = append(*n.fired, now*10000+Time(n.id))
+	}
 	if now >= 40 {
 		return
 	}
@@ -67,8 +71,8 @@ func TestParallelOrderInvariantAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestParallelRunSemantics mirrors the serial engine's Run/RunUntil
-// contract on a parallel engine: Run drains foreground work (firing
+// TestParallelRunSemantics holds the Run/RunUntil contract on two
+// workers: Run drains foreground work (firing
 // background ticks it passes), leaves pending background series
 // queued, and RunUntil advances them explicitly.
 func TestParallelRunSemantics(t *testing.T) {
@@ -119,24 +123,19 @@ func TestParallelZeroDelaySameInstant(t *testing.T) {
 	}
 }
 
-// TestGlobalEventsFireBeforeEntityEvents pins the one intra-tick rule the
-// two engines share: at a tick, a global event (a churn draw, a driver
-// callback) fires before an event addressed to an entity (a delivery),
-// whichever was scheduled first — on the serial heap exactly as in a
-// parallel sub-round. Within a kind, scheduling order holds. Before the
-// serial heap had the rule, a delivery scheduled ahead of a same-tick
-// membership change ran first on it and second under workers, and
-// counters that depend on that order (replication ops, bounces) came out
-// one apart.
+// TestGlobalEventsFireBeforeEntityEvents pins the intra-tick rule: at a
+// tick, a global event (a churn draw, a driver callback) fires before an
+// event addressed to an entity (a delivery), whichever was scheduled
+// first, at every worker count. Within a kind, scheduling order holds.
 func TestGlobalEventsFireBeforeEntityEvents(t *testing.T) {
 	for _, workers := range []int{0, 1, 2} {
 		e := NewEngine(1)
 		e.SetWorkers(workers)
 		var order []string
 		deliver := func(_ Time, c Ctx) { order = append(order, c.A.(string)) }
-		e.AtCtxShard(5, deliver, Ctx{A: "delivery-1"}, NoShard, e.ShardOf(3))
+		e.AtCtxShard(5, deliver, Ctx{A: "delivery-1"}, NoShard, ShardOfID(3))
 		e.EveryBg(5, func(Time) bool { order = append(order, "churn"); return false })
-		e.AtCtxShard(5, deliver, Ctx{A: "delivery-2"}, NoShard, e.ShardOf(3))
+		e.AtCtxShard(5, deliver, Ctx{A: "delivery-2"}, NoShard, ShardOfID(3))
 		e.AtCtx(5, deliver, Ctx{A: "driver"})
 		e.AtCtx(4, deliver, Ctx{A: "earlier"})
 		e.Run()
@@ -157,15 +156,60 @@ func TestSetWorkersRejectsUsedEngine(t *testing.T) {
 	e.SetWorkers(2)
 }
 
-func TestStepUnsupportedOnParallelEngine(t *testing.T) {
-	e := NewEngine(1)
-	e.SetWorkers(2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Step on a parallel engine must panic")
+// TestStepMatchesRun: stepping an engine one event at a time fires the
+// same events, at the same times and in the same order, as Run does.
+func TestStepMatchesRun(t *testing.T) {
+	order := func(step bool) []Time {
+		e := NewEngine(7)
+		nodes := make([]*pnode, 16)
+		for i := range nodes {
+			nodes[i] = &pnode{id: uint64(i * 1047), rng: NewRNG(7, uint64(i*1047), 1), eng: e}
 		}
-	}()
-	e.Step()
+		var fired []Time
+		for _, n := range nodes {
+			n.nodes, n.fired = nodes, &fired
+			e.AtCtxShard(1, pTick, Ctx{A: n}, NoShard, ShardOfID(n.id))
+		}
+		e.EveryBg(3, func(now Time) bool { fired = append(fired, -now); return now < 30 })
+		if !step {
+			e.Run()
+			return fired
+		}
+		for e.PendingForeground() > 0 {
+			if !e.Step() {
+				t.Fatal("Step found nothing with foreground work queued")
+			}
+		}
+		return fired
+	}
+	run, stepped := order(false), order(true)
+	if len(run) < 50 || fmt.Sprint(run) != fmt.Sprint(stepped) {
+		t.Fatalf("stepped order differs from Run:\nrun     %v\nstepped %v", run, stepped)
+	}
+}
+
+// Run over sub-rounds of one shard allocates nothing once the heap and
+// its buffers have grown: no worker pool is spawned for them.
+func TestRunSingleShardAllocs(t *testing.T) {
+	e := NewEngine(1)
+	e.SetWorkers(4)
+	var chain func(Time, Ctx)
+	chain = func(_ Time, c Ctx) {
+		if n := c.A.(*pnode); n.id > 0 {
+			n.id--
+			e.AfterCtxShard(1, chain, c, 5, 5)
+		}
+	}
+	n := &pnode{}
+	run := func() {
+		n.id = 8
+		e.AtCtxShard(e.Now()+1, chain, Ctx{A: n}, NoShard, 5)
+		e.Run()
+	}
+	run()
+	if a := testing.AllocsPerRun(100, run); a != 0 {
+		t.Fatalf("Run allocated %.1f times per call, want 0", a)
+	}
 }
 
 // TestRNGStreams pins the stream contract: equal keys replay, and any

@@ -1,10 +1,9 @@
 package sim
 
-// RNG is a counter-based splitmix64 random stream. Parallel execution
-// cannot share math/rand the way the serial engine does: the order in
-// which concurrent handlers draw from a shared source depends on the
-// interleaving, which would make delays — and therefore the whole
-// replay — racy. Instead every node owns private streams keyed by
+// RNG is a counter-based splitmix64 random stream. Handlers cannot share
+// one source: the order in which concurrent handlers draw from it
+// depends on the interleaving, which would make delays — and therefore
+// the whole replay — racy. Instead every node owns private streams keyed by
 // (engine seed, node identifier, salt); a stream's output depends only
 // on its key and on how many draws *that node* has made, both of which
 // are deterministic under the barrier schedule regardless of how many

@@ -2,15 +2,14 @@
 // overlay network runs on. The paper assumes a "relaxed asynchronous
 // model" with a known upper bound δ on message delay; here virtual time
 // is an integer tick counter, every scheduled event carries a virtual
-// timestamp, and events fire in (time, sequence) order so that a given
-// seed reproduces an experiment exactly. Within one tick the events
-// addressed to an entity (AtCtxShard and AfterCtxShard: deliveries,
-// flushes) fire after the tick's global ones (AtCtx and EveryBg:
-// driver callbacks, churn draws) — the order the parallel
-// schedule's sub-round has always had, so a membership change and a
-// delivery that fall on one tick run the same way round on both engines.
+// timestamp, and events fire in one total order — the sub-round
+// schedule of parallel.go — so that a given seed reproduces an
+// experiment exactly, whatever the number of goroutines that run it.
+// Within one tick the events addressed to an entity (AtCtxShard and
+// AfterCtxShard: deliveries, flushes) fire after the tick's global ones
+// (AtCtx and EveryBg: driver callbacks, churn draws).
 //
-// The event queue is a typed 4-ary min-heap storing events inline: no
+// The event queues are typed 4-ary min-heaps storing events inline: no
 // container/heap interface boxing, no per-push pointer allocation. The
 // (time, sequence) ordering key is a total order (sequence numbers are
 // unique), so the firing order is independent of heap shape and
@@ -19,7 +18,9 @@
 package sim
 
 import (
-	"math/rand"
+	"math/bits"
+	"sync"
+	"sync/atomic"
 )
 
 // Time is a point in virtual time, in ticks. The unit is arbitrary; the
@@ -56,13 +57,6 @@ type event struct {
 	bg  bool
 }
 
-// entity is the bit the serial engine sets in the sequence number of an
-// event addressed to an entity, which orders it behind every global event
-// of its tick (see the package comment) without widening the event or its
-// comparison. The parallel engine needs no mark: it keeps the two kinds
-// in different heaps.
-const entity = 1 << 63
-
 // before reports whether e fires before o: (time, sequence) order.
 func (e *event) before(o *event) bool {
 	if e.at != o.at {
@@ -71,45 +65,51 @@ func (e *event) before(o *event) bool {
 	return e.seq < o.seq
 }
 
-// Engine is a deterministic event loop over virtual time. By default
-// it executes serially; SetWorkers switches it to the deterministic
-// parallel schedule described in parallel.go.
+// Engine is a deterministic event loop over virtual time, running the
+// sub-round schedule described in parallel.go.
 type Engine struct {
 	now    Time
 	seq    uint64
 	events eventHeap // global events: 4-ary min-heap ordered by (at, seq)
 	fg     int       // queued events that are not background
-	rng    *rand.Rand
 	seed   int64
 	fired  uint64
 
-	par parState // parallel execution state; inert while par.workers == 0
+	workers int // goroutines that run a sub-round; 1 runs it inline
+	heaps   [Shards]eventHeap
+	busy    uint64          // bit s set: heaps[s] is non-empty
+	bufs    [Shards][]bufEv // deferred schedules, indexed by source shard
+	firedSh [Shards]uint64  // events executed per shard this sub-round
+	inRound bool            // a shard handler is (possibly) running
+
+	round    []int32 // the shards of the current sub-round, ascending
+	step     int     // Step's position in round; -1 between sub-rounds
+	roundIdx atomic.Int64
+
+	// The worker pool of one drain; nil channels when none is spawned.
+	tokens, quit chan struct{}
+	wg           sync.WaitGroup
 }
 
 // NewEngine returns an engine whose randomness derives entirely from
 // the given seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed)), seed: seed}
+	return &Engine{seed: seed, workers: 1, step: -1}
 }
 
-// Seed returns the seed the engine was built with. Per-node RNG
-// streams (see RNG) derive from it so one seed still fixes an entire
-// experiment in parallel mode.
+// Seed returns the seed the engine was built with. Every random draw
+// comes from a per-node stream (see RNG) keyed by it, so one seed fixes
+// an entire experiment.
 func (e *Engine) Seed() int64 { return e.seed }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Rand exposes the engine's deterministic random source. All layers
-// share it so one seed fixes an entire experiment.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
-
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // eventHeap is a typed 4-ary min-heap of inline events ordered by
-// (at, seq). The serial engine owns one; the parallel engine owns one
-// per logical shard plus the global one.
+// (at, seq). The engine owns one per logical shard plus the global one.
 type eventHeap []event
 
 // push inserts an event into the 4-ary heap.
@@ -166,22 +166,18 @@ func (hp *eventHeap) pop() event {
 	return root
 }
 
-// push and pop on the engine operate on the global heap.
-func (e *Engine) push(ev event) { e.events.push(ev) }
-func (e *Engine) pop() event    { return e.events.pop() }
-
-// schedule clamps t to now and pushes the event.
+// schedule clamps t to now and pushes a global event.
 func (e *Engine) schedule(t Time, ev event) {
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
 	ev.at = t
-	ev.seq |= e.seq // keeps the entity bit a caller set
+	ev.seq = e.seq
 	if !ev.bg {
 		e.fg++
 	}
-	e.push(ev)
+	e.events.push(ev)
 }
 
 // AtCtx schedules cb(t, c) at absolute virtual time t without
@@ -192,18 +188,26 @@ func (e *Engine) AtCtx(t Time, cb CtxFunc, c Ctx) {
 	e.schedule(t, event{cb: cb, ctx: c})
 }
 
-// AtCtxShard is AtCtx with shard routing for parallel mode: dst is the
-// logical shard whose worker must execute the event (the destination
-// node's shard), src is the logical shard of the acting node making the
-// call, or NoShard from driver or global-event context. On a serial
-// engine both are ignored; what remains of the call there is that the
-// event is an entity's, and fires after its tick's global events.
+// AtCtxShard schedules an event addressed to an entity: dst is the
+// logical shard whose heap holds it (the destination node's shard, or
+// NoShard for a global event), src is the logical shard of the acting
+// node making the call — the buffer a call from inside a sub-round goes
+// to. From driver or global-event context src is not read.
 func (e *Engine) AtCtxShard(t Time, cb CtxFunc, c Ctx, src, dst int) {
-	if e.par.workers == 0 {
-		e.schedule(t, event{cb: cb, ctx: c, seq: entity})
+	if t < e.now {
+		t = e.now
+	}
+	ev := event{at: t, cb: cb, ctx: c}
+	if e.inRound {
+		// Only the handler running on shard src can make this call, so
+		// the buffer needs no lock.
+		e.bufs[src] = append(e.bufs[src], bufEv{ev: ev, dst: int32(dst)})
 		return
 	}
-	e.scheduleShard(t, event{cb: cb, ctx: c}, src, dst)
+	e.seq++
+	ev.seq = e.seq
+	e.fg++
+	e.pushTo(dst, ev)
 }
 
 // AfterCtxShard schedules cb d ticks from now; see AtCtxShard.
@@ -211,66 +215,61 @@ func (e *Engine) AfterCtxShard(d Duration, cb CtxFunc, c Ctx, src, dst int) {
 	e.AtCtxShard(e.now+Time(d), cb, c, src, dst)
 }
 
-// Step executes the single next event, if any, and reports whether one
-// was executed. Step is a serial-engine primitive: a parallel engine
-// defines order only at sub-round granularity, so it must be driven
-// through Run/RunUntil.
+// Step executes the single next event of the schedule, if any, and
+// reports whether one was executed: the events Run would fire, one at a
+// time and in the same order, on the calling goroutine. A sub-round's
+// buffered schedules merge when its last event has fired. Driver calls
+// made between two Steps act from coordinator context, as between two
+// drains.
 func (e *Engine) Step() bool {
-	if e.par.workers > 0 {
-		panic("sim: Step is not supported on a parallel engine; use Run or RunUntil")
+	if e.step < 0 {
+		t, ok := e.nextTime()
+		if !ok {
+			return false
+		}
+		e.now = t
+		if len(e.events) > 0 && e.events[0].at == t {
+			e.fireGlobal()
+			return true
+		}
+		e.openRound(t)
+		e.step = 0
 	}
-	if len(e.events) == 0 {
-		return false
-	}
-	ev := e.pop()
-	if !ev.bg {
-		e.fg--
-	}
-	e.now = ev.at
+	h := &e.heaps[e.round[e.step]]
+	ev := h.pop()
+	e.fg--
 	e.fired++
+	e.inRound = true
 	ev.cb(e.now, ev.ctx)
+	e.inRound = false
+	for e.step < len(e.round) {
+		if h := e.heaps[e.round[e.step]]; len(h) > 0 && h[0].at == e.now {
+			return true
+		}
+		e.step++
+	}
+	e.step = -1
+	e.mergeRound()
 	return true
 }
 
 // Run drains all pending foreground work. Events may schedule further
-// events; Run returns when only background events (EveryBg series)
-// remain queued. Background events whose timestamps fall before
-// remaining foreground work still fire in order along the way.
-//
-// On a parallel engine the drain proceeds in barrier-synchronized time
-// steps (see parallel.go) and stops at the first time-step boundary
-// with no foreground work left.
-func (e *Engine) Run() {
-	if e.par.workers > 0 {
-		e.runParallel(0, true)
-		return
-	}
-	for e.fg > 0 {
-		e.Step()
-	}
-}
+// events; Run returns at the first time-step boundary with only
+// background events (EveryBg series) queued. Background events whose
+// timestamps fall before remaining foreground work still fire in order
+// along the way.
+func (e *Engine) Run() { e.drain(0, true) }
 
 // RunUntil executes events with timestamp <= deadline — background
 // included — and then advances the clock to the deadline. Later events
 // remain queued.
-func (e *Engine) RunUntil(deadline Time) {
-	if e.par.workers > 0 {
-		e.runParallel(deadline, false)
-		return
-	}
-	for len(e.events) > 0 && e.events[0].at <= deadline {
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-}
+func (e *Engine) RunUntil(deadline Time) { e.drain(deadline, false) }
 
 // Pending returns the number of queued events.
 func (e *Engine) Pending() int {
 	n := len(e.events)
-	for i := range e.par.heaps {
-		n += len(e.par.heaps[i])
+	for m := e.busy; m != 0; m &= m - 1 {
+		n += len(e.heaps[bits.TrailingZeros64(m)])
 	}
 	return n
 }

@@ -93,10 +93,10 @@ func TestRunUntilLeavesLaterEventsQueued(t *testing.T) {
 }
 
 func TestDeterministicRand(t *testing.T) {
-	a := NewEngine(42)
-	b := NewEngine(42)
+	a := NewRNG(NewEngine(42).Seed(), 3, 1)
+	b := NewRNG(NewEngine(42).Seed(), 3, 1)
 	for i := 0; i < 100; i++ {
-		if a.Rand().Uint64() != b.Rand().Uint64() {
+		if a.Uint64() != b.Uint64() {
 			t.Fatal("same seed must give same stream")
 		}
 	}

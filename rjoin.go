@@ -121,21 +121,18 @@ type Options struct {
 	// counted-loss crash model. Must not exceed Nodes. Replicas serve no
 	// traffic until promoted.
 	ReplicationFactor int
-	// Workers selects the execution mode of the event engine. 0 or 1
-	// (the default) runs the serial engine, bit-identical to previous
-	// releases. N >= 2 executes same-timestamp events in parallel on N
-	// OS threads under a conservative barrier schedule: nodes hash into
-	// a fixed set of logical shards, shards execute concurrently, and
-	// cross-shard effects merge at barriers in a deterministic order —
-	// so a seed still replays bit-identically, and the digests are the
-	// same for every N >= 2. They differ from serial digests: parallel
-	// mode draws delays and random placements from per-node
-	// counter-based streams instead of one shared source (a shared
-	// source's draw order would depend on thread interleaving).
-	// Parallel mode requires MinHopDelay >= 1 (the lookahead window
-	// that makes one virtual tick a safe barrier interval) and is
-	// incompatible with StrategyWorst (whose oracle reads rate state
-	// across shards).
+	// Workers is how many goroutines execute a sub-round of the event
+	// engine's one schedule: nodes hash into a fixed set of logical
+	// shards, the shards with events at the current tick form a
+	// sub-round, and cross-shard effects merge at its barrier in a
+	// deterministic order. Delays and random placements come from
+	// per-node counter-based streams. A seed therefore replays
+	// bit-identically, and every digest is the same for every value:
+	// 0 or 1 (the default) runs each sub-round inline, N >= 2 runs its
+	// shards concurrently on N goroutines. N >= 2 requires MinHopDelay
+	// >= 1 (the lookahead window that makes one virtual tick a safe
+	// barrier interval) and is incompatible with StrategyWorst (whose
+	// oracle reads rate state across shards).
 	Workers int
 	// Churn drives runtime membership changes — joins, graceful leaves
 	// and crashes — while queries are live. The zero value keeps the
@@ -164,9 +161,7 @@ type Options struct {
 	// virtual clock. Trace identity derives from (publisher, publish
 	// sequence) and query IDs — no wall clock, no extra randomness — so
 	// a run's trace is bit-identical for a given seed across every
-	// Workers >= 2; the serial engine pins its own digest (it orders
-	// same-tick deliveries differently, which moves candidate-table
-	// outcomes). nil (the default) disables tracing; the hot paths then
+	// Workers value. nil (the default) disables tracing; the hot paths then
 	// pay one nil check and allocate nothing.
 	Trace *TraceOptions
 	// Metrics enables the virtual-time metrics registry: allocation-free
@@ -543,9 +538,7 @@ func NewNetwork(opts Options) (*Network, error) {
 		}
 	}
 	se := sim.NewEngine(opts.Seed)
-	if opts.Workers > 1 {
-		se.SetWorkers(opts.Workers)
-	}
+	se.SetWorkers(opts.Workers)
 	var tracer *obs.Tracer
 	if opts.Trace != nil {
 		tracer = obs.NewTracer(traceCap)
@@ -620,8 +613,8 @@ func NewNetwork(opts Options) (*Network, error) {
 // Background events never keep Run from reaching quiescence: churn
 // happens whenever foreground traffic, or an explicit RunFor, advances
 // the virtual clock. They are also what makes churn safe and
-// deterministic under the parallel engine, which runs shard-less
-// events serially between worker sub-rounds: every membership change
+// deterministic at every worker count: the engine runs shard-less
+// events serially between sub-rounds, so every membership change
 // runs at a barrier with no handler in flight, and the messages it
 // emits enter the sharded queues through the same deterministic merge
 // as any other send.
@@ -898,9 +891,8 @@ func (n *Network) LatencyStats() LatencySummary {
 }
 
 // TraceDigest folds the trace recorded so far into one 64-bit value.
-// Equal seeds and workloads digest identically across every Workers >=
-// 2; the serial engine pins its own digest. The golden-trace tests pin
-// both. Zero when tracing is off.
+// Equal seeds and workloads digest identically across every Workers
+// value; the golden-trace test pins it. Zero when tracing is off.
 func (n *Network) TraceDigest() uint64 {
 	n.eng.Sync()
 	return n.obs.Views().Trace.Digest()

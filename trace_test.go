@@ -10,9 +10,7 @@ import (
 
 // tracedWorkload drives a fixed mixed workload — multi-way joins, an
 // aggregate, racing tuples — with tracing and metrics enabled, and
-// returns the network for trace/metrics inspection. Unit hop delays and
-// RIC placement draw no random numbers, so the serial engine and every
-// parallel worker count share one event timeline.
+// returns the network for trace/metrics inspection.
 func tracedWorkload(t testing.TB, workers int) *Network {
 	net := MustNetwork(Options{
 		Nodes: 64, Seed: 7, Workers: workers,
@@ -45,47 +43,35 @@ func tracedWorkload(t testing.TB, workers int) *Network {
 	return net
 }
 
-// Golden trace digests for tracedWorkload, pinned exactly the way the
-// repo pins its replay digests: one value for the serial engine and one
-// for parallel execution at every worker count. The two differ for the
-// same documented reasons the golden Stats digests do — the parallel
-// barrier schedule orders same-tick deliveries by sub-round rather than
-// heap position, which moves schedule-sensitive intermediate state
+// goldenTrace is tracedWorkload's trace digest, pinned exactly the way
+// the repo pins its replay digests: one value at every worker count,
+// because the barrier schedule is keyed by the fixed logical-shard
+// space, never by the worker count. Recapture (and justify) whenever the
+// traced workload legitimately changes — last when the serial heap gave
+// way to the one sub-round schedule, which orders same-tick deliveries
+// by sub-round and so moves schedule-sensitive intermediate state
 // (candidate-table hits, walk contents, quiescence-flush timing) while
-// leaving final answers untouched. Within a mode the trace is
-// bit-identical run over run, and across Workers ∈ {2, 4, 8} it is
-// bit-identical because the barrier schedule is keyed by the fixed
-// logical-shard space, never by the worker count. Recapture (and
-// justify) whenever the traced workload legitimately changes — last when
-// RIC walks became single-flight (a placement that joins a walk shows as
-// ric.join where it showed as ric.walk, and what follows lands earlier);
-// tracedWorkload certifies its bags against refeval first.
-const (
-	goldenTraceSerial   = uint64(0x808ad19fb7085c01)
-	goldenTraceParallel = uint64(0x7929f603017dadc2)
-)
+// leaving final answers untouched; tracedWorkload certifies its bags
+// against refeval first.
+const goldenTrace = uint64(0x7929f603017dadc2)
 
 // TestTraceGoldenDeterminism is the tentpole guarantee of the tracer:
 // the full causal trace — publishes, index placements, lookups, rewrite
 // hops, completions, aggregation, answer deliveries — replays
 // bit-identically for a given seed, and is invariant across every
-// parallel worker count, because trace IDs derive from (publisher,
+// worker count, because trace IDs derive from (publisher,
 // pubSeq)/query IDs, per-shard buffers merge in canonical order at
 // driver barriers, and no event carries schedule-dependent identifiers.
 func TestTraceGoldenDeterminism(t *testing.T) {
-	for _, w := range []int{1, 2, 4, 8} {
-		want := goldenTraceParallel
-		if w == 1 {
-			want = goldenTraceSerial
-		}
+	for _, w := range goldenWorkers(Options{}) {
 		net := tracedWorkload(t, w)
-		if d := net.TraceDigest(); d != want {
-			t.Fatalf("workers %d: trace digest %#x, want %#x", w, d, want)
+		if d := net.TraceDigest(); d != goldenTrace {
+			t.Fatalf("workers %d: trace digest %#x, want %#x", w, d, goldenTrace)
 		}
 		if net.TraceDropped() != 0 {
 			t.Fatalf("workers %d: trace truncated (%d dropped)", w, net.TraceDropped())
 		}
-		if w == 1 {
+		if w == 0 {
 			// The trace must actually cover the lifecycle, not vacuously
 			// match an empty stream.
 			kinds := map[string]bool{}
@@ -216,31 +202,22 @@ func TestLatencyAndMetricsSurface(t *testing.T) {
 	}
 }
 
-// Golden digests of WriteMetricsCSV for tracedWorkload: FNV-64a over the
-// CSV bytes, one value for the serial engine and one for every parallel
-// worker count, for the reasons given above goldenTraceSerial. First
+// goldenMetricsCSV is WriteMetricsCSV's digest for tracedWorkload:
+// FNV-64a over the CSV bytes, one value at every worker count. First
 // captured on the direct-count registry that preceded obs.Recorder (so
-// they pinned the record fold against the path it replaced); recaptured
+// it pinned the record fold against the path it replaced); recaptured
 // once, with the workload certified by the refeval oracle, when RIC
 // walks became single-flight: fewer RIC messages per window, 4991 →
-// 4989 bytes. Since then the two modes happen to write the same bytes —
-// the series sums per 32-tick window, and the walks the two schedules
-// compose differently cost the same here; the trace digests still
-// differ.
-const (
-	goldenMetricsCSVSerial   = uint64(0xb93c0f3fc6a8409c)
-	goldenMetricsCSVParallel = uint64(0xb93c0f3fc6a8409c)
-)
+// 4989 bytes. The serial heap's schedule wrote the same bytes: the
+// series sums per 32-tick window.
+const goldenMetricsCSV = uint64(0xb93c0f3fc6a8409c)
 
 // TestMetricsCSVGolden pins the rate series byte for byte — window
 // attribution, scope and name rendering, row order — and with it the
 // global latency histogram the same records feed.
 func TestMetricsCSVGolden(t *testing.T) {
-	for _, w := range []int{1, 2, 4, 8} {
-		want := goldenMetricsCSVParallel
-		if w == 1 {
-			want = goldenMetricsCSVSerial
-		}
+	for _, w := range goldenWorkers(Options{}) {
+		want := goldenMetricsCSV
 		net := tracedWorkload(t, w)
 		var csv bytes.Buffer
 		if err := net.WriteMetricsCSV(&csv); err != nil {

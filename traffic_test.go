@@ -5,7 +5,7 @@ import "testing"
 // TestTrafficByTagSumsToMessages: every message is counted under
 // exactly one traffic tag, so the five TrafficByTag fields add up to
 // Messages. One run charges every tag — RIC placement, an aggregate query,
-// rf 2, a crash and a leave — serially and at Workers 2.
+// rf 2, a crash and a leave — inline and at Workers 2.
 func TestTrafficByTagSumsToMessages(t *testing.T) {
 	for _, workers := range []int{0, 2} {
 		net := MustNetwork(Options{Nodes: 40, Seed: 23, ReplicationFactor: 2, Workers: workers})
