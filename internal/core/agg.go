@@ -53,6 +53,8 @@ func (sc *scratch) aggKey(queryID string, spec *agg.Spec, row []relation.Value) 
 // accounting.
 type aggGroup struct {
 	sub   *subscription    // the aggregate query's record, retired or not
+	key   relation.Key     // its aggregator key
+	pos   int32            // its place in sub's list (roster)
 	gkey  string           // canonical group key (agg.Spec.GroupKey)
 	group []relation.Value // grouping values, in group-position order
 
@@ -315,8 +317,9 @@ func (p *Proc) onAggPartial(now sim.Time, m *aggPartialMsg) {
 			QID: m.QueryID, Key: m.Key.String(), Arg: m.Epoch,
 		})
 	}
-	if p.st.aggFold(m.Key, s, m.Epoch, m.Row, m.Lineage, m.PubAt) {
+	if g := p.st.aggFold(m.Key, s, m.Epoch, m.Row, m.Lineage, m.PubAt); g != nil {
 		p.ld.sl++
+		s.enlist(g)
 	}
 }
 

@@ -213,7 +213,7 @@ func TestPooledMessagesKeepOnlyOwnedBuffers(t *testing.T) {
 		newRICReplyMsg(5, []ricInfo{info}),
 	}
 	slots := []slot{{ricInfo: info}, {ricInfo: info, have: true}, {ricInfo: info}}
-	fits, spills := newPending(newEntry(), slots, 2), newPending(newEntry(), append(slots, slot{ricInfo: info}), 3)
+	fits, spills := newPending(nil, newEntry(), slots, 2), newPending(nil, newEntry(), append(slots, slot{ricInfo: info}), 3)
 	if &fits.slots[0] != &fits.inline[0] || &spills.slots[0] == &spills.inline[0] {
 		t.Fatal("three slots do not lie in the placement's inline array, or four do")
 	}

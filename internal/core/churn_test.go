@@ -275,7 +275,7 @@ func TestCrashCountsLostState(t *testing.T) {
 // TestLeaveWithNoSuccessorCountsLoss: the last node leaves, or crashes;
 // there is nobody to hand to or recover to, so everything it holds is
 // charged to the loss counters — the same charges either way — except
-// entries of a retired pipeline, which nobody is waiting for.
+// entries of a torn-down pipeline, which teardown already removed.
 func TestLeaveWithNoSuccessorCountsLoss(t *testing.T) {
 	var charged [2]Counters
 	for d, depart := range []func(*Engine, *chord.Node) error{(*Engine).LeaveNode, (*Engine).CrashNode} {
@@ -297,13 +297,15 @@ func TestLeaveWithNoSuccessorCountsLoss(t *testing.T) {
 		st := eng.procs[nodes[0].ID()].st
 		c := st.counts()
 		retired := 0
-		eng.sub(qids[1]).cls = nil // torn down, its stored copies not yet swept
 		for _, list := range st.queries {
 			for _, sq := range list {
 				if sq.q.ID == qids[1] {
 					retired++
 				}
 			}
+		}
+		if err := eng.Unsubscribe(qids[1]); err != nil {
+			t.Fatal(err)
 		}
 		if retired == 0 || retired == c.queries || c.tuples == 0 {
 			t.Fatalf("workload too weak: %d of %d stored queries retired, %d tuples", retired, c.queries, c.tuples)

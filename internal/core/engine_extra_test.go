@@ -400,14 +400,19 @@ func TestIdleRunAllocatesNothing(t *testing.T) {
 // to S.A = 3 — and dispatch drops it: the rewrite is counted as created
 // but never stored.
 func TestContradictoryRewriteIsNotPlaced(t *testing.T) {
-	// Seed 1's placement draw indexes the input query under R, so the R
-	// tuple is the one that triggers it.
-	eng, nodes := testNet(t, 16, 1, Config{Strategy: StrategyRandom}, churnNetCfg())
+	// With no traffic yet, StrategyWorst's rates all read zero and it
+	// places the input at its first candidate, the attribute key R+A, so
+	// the R tuple is the one that triggers it, whatever the seed.
+	eng, nodes := testNet(t, 16, 1, Config{Strategy: StrategyWorst}, churnNetCfg())
 	q := sqlparse.MustParse("select R.B from R,S where R.A=S.A and S.A=3", testCat)
 	if _, err := eng.SubmitQuery(nodes[0], q); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
+	key := relation.AttrKeyOf("R", "A")
+	if st := eng.procs[eng.ring.Owner(key.ID()).ID()].st; len(st.queries[key]) != 1 {
+		t.Fatalf("the input query is not indexed under %s", key)
+	}
 	created := eng.Counters.RewritesCreated
 	eng.PublishTuple(nodes[1], mkTuple("R", 5, 1, 0))
 	eng.Run()

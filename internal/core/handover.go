@@ -49,8 +49,11 @@ const (
 // walk died with its origin, or its reply is addressed to an identifier
 // that is gone. Under recovery to is nil and recover disposes of each
 // entry. Dead entries are neither billed nor installed (expired, counted
-// at from), and entries of pipelines or subscriptions retired meanwhile
-// are dropped. to counts what it installs, and its replica group is
+// at from). Teardown is synchronous, so no entry of a torn-down pipeline
+// or a retired subscriber is left to move. An installed entry stays
+// listed on its record; one that leaves for good — dead, lost, merged
+// into a group the heir holds, or a walk restarted as a new placement —
+// is delisted. to counts what it installs, and its replica group is
 // charged one batch per handover message — stateChunk entries — or one
 // for a whole promotion. Every send a move makes is churn traffic,
 // whichever node makes it. It runs in coordinator context, after the
@@ -67,18 +70,20 @@ func (e *Engine) move(from, to *Proc, ops []stateOp, b bill) {
 			to.ctr.ReplPromotions++
 		}
 		for i, op := range ops {
-			retired := e.retiredOp(op)
-			if b == promotion && !retired {
+			if b == promotion {
 				e.promote(to, op)
 			}
 			switch {
-			case retired:
-				// torn down meanwhile: nothing to install
 			case b == recovery:
+				op.delist()
 				e.recover(now, op)
 			case op.kind == opAddPending:
+				op.delist()
 				to.place(now, op.pp.sq)
 			default:
+				if op.kind == opAggMerge && to.st.aggs[op.key] != nil {
+					op.delist() // it merges into the heir's group
+				}
 				to.st.apply(op)
 			}
 			if b == handover && (i+1)%stateChunk == 0 {
@@ -140,6 +145,7 @@ func (e *Engine) expired(op stateOp, p *Proc) bool {
 	case op.kind == opAddQuery && e.horizon.dead(op.sq.q):
 		p.ctr.QueriesExpired++
 		p.profStateDrop(e.sim.Now(), op.sq)
+		op.delist()
 	case op.kind == opAddTuple && e.horizon.tupleDead(op.t, e.tupleReach()):
 		p.ctr.TuplesCollected++
 	case op.kind == opAddALTT && op.expireAt < e.sim.Now():

@@ -111,18 +111,19 @@ func memLost(eng *Engine) int64 {
 	return c.QueriesLost + c.RewritesLost + c.TuplesLost + c.AggStateLost
 }
 
-// memInvariants names the checker's four invariants, in the order
+// memInvariants names the checker's five invariants, in the order
 // memCheck reports them.
-var memInvariants = [4]string{
+var memInvariants = [5]string{
 	"I1 nothing counted lost",
 	"I2 no replica op left uncharged",
 	"I3 every keyed entry at its ring owner",
 	"I4 stored-entry totals conserved, nothing left waiting or dead",
+	"I5 the records list exactly the entries the states hold",
 }
 
-// memCheck evaluates the four invariants on a drained engine: nil where
+// memCheck evaluates the five invariants on a drained engine: nil where
 // one holds.
-func memCheck(eng *Engine, base stateCounts) (errs [4]error) {
+func memCheck(eng *Engine, base stateCounts) (errs [5]error) {
 	if lost := memLost(eng); lost != 0 {
 		c := &eng.Counters
 		errs[0] = fmt.Errorf("%d queries, %d rewrites, %d tuples, %d aggregate epochs counted lost",
@@ -144,6 +145,7 @@ func memCheck(eng *Engine, base stateCounts) (errs [4]error) {
 	if errs[3] == nil {
 		errs[3] = deadErr(eng)
 	}
+	errs[4] = ownershipErr(eng)
 	return errs
 }
 
@@ -157,9 +159,9 @@ type memSweep struct {
 	mode  memMode // what runs between two operations
 
 	scripts  int
-	failed   [4]int     // scripts violating each invariant
-	why      [4]error   // what the first shortest of them violated
-	shortest [4][]memOp // and its script
+	failed   [5]int     // scripts violating each invariant
+	why      [5]error   // what the first shortest of them violated
+	shortest [5][]memOp // and its script
 }
 
 func (s *memSweep) explore(script []memOp, moved, crashOnly bool) {
@@ -208,15 +210,15 @@ const (
 )
 
 // run replays a script on a fresh world and returns the violated
-// invariants and the ring size it ends with; crashOnly asks for I1
-// alone.
+// invariants and the ring size it ends with; crashOnly asks for I1 and
+// I5 alone.
 //
-// Every mode asserts all four invariants on every script: replica
+// Every mode asserts all five invariants on every script: replica
 // updates are charged where their primary mutates, and every membership
 // operation installs the state it moves at its ground-truth owner, and
 // leaves every routing pointer exact, before returning, so none can find
 // another's move half done.
-func (s *memSweep) run(script []memOp, crashOnly bool) ([4]error, int) {
+func (s *memSweep) run(script []memOp, crashOnly bool) ([5]error, int) {
 	eng := memWorld(s.t, s.rf)
 	base := memCounts(eng)
 	for _, o := range script {
@@ -241,8 +243,8 @@ func (s *memSweep) run(script []memOp, crashOnly bool) ([4]error, int) {
 }
 
 func (s *memSweep) report() {
-	s.t.Logf("%s rf=%d: %d scripts; failing I1 %d, I2 %d, I3 %d, I4 %d",
-		s.mode, s.rf, s.scripts, s.failed[0], s.failed[1], s.failed[2], s.failed[3])
+	s.t.Logf("%s rf=%d: %d scripts; failing I1 %d, I2 %d, I3 %d, I4 %d, I5 %d",
+		s.mode, s.rf, s.scripts, s.failed[0], s.failed[1], s.failed[2], s.failed[3], s.failed[4])
 	for i, err := range s.why {
 		if err != nil {
 			s.t.Errorf("%s rf=%d: %s: shortest failing script %v: %v", s.mode, s.rf, memInvariants[i], s.shortest[i], err)

@@ -17,11 +17,13 @@ import (
 // is made: placement carries it, onEval fills in key and level. pipe is
 // the subscription record of the QID naming the query's pipeline, set
 // when the entry is made and shared by its rewrites; nil for a QID with
-// no record.
+// no record. pos is the entry's place in that record's list while a
+// state holds it (roster), in what would be level's padding.
 type storedQuery struct {
 	q     *query.Query
 	key   relation.Key
 	level query.Level
+	pos   int32
 	seen  map[string]bool // trigger projections already used (DISTINCT)
 	pipe  *subscription
 }
@@ -100,21 +102,26 @@ type slot struct {
 // (messages.go): it owns its inline slot array and nothing else, and
 // slots lies in that array when the candidates fit, so a waiting
 // placement allocates nothing once the pool is warm. onRICReply recycles
-// it once its Eval is sent, a teardown sweep once it removes it; one
-// that handover, promotion or crash recovery re-places falls to the
-// garbage collector, as an undeliverable message does.
+// it once its Eval is sent, teardown once it removes it; one that
+// handover, promotion or crash recovery re-places falls to the garbage
+// collector, as an undeliverable message does. origin is the processor
+// whose state holds it under id, and pos its place in its pipeline's
+// list (roster).
 type pendingPlacement struct {
 	sq      *storedQuery
 	slots   []slot
 	missing int
 	inline  [3]slot
+	origin  *Proc
+	id      int64
+	pos     int32
 }
 
-// newPending returns a pooled placement of sq waiting on missing of
-// slots, which it copies: they are the processor's scratch.
-func newPending(sq *storedQuery, slots []slot, missing int) *pendingPlacement {
+// newPending returns a pooled placement of sq at origin, waiting on
+// missing of slots, which it copies: they are the processor's scratch.
+func newPending(origin *Proc, sq *storedQuery, slots []slot, missing int) *pendingPlacement {
 	pp := pendingPool.Get().(*pendingPlacement)
-	pp.sq, pp.missing = sq, missing
+	pp.origin, pp.sq, pp.missing = origin, sq, missing
 	pp.slots = append(pp.inline[:0], slots...)
 	return pp
 }
@@ -362,6 +369,7 @@ func (p *Proc) onTuple(now sim.Time, m *tupleMsg) {
 		if sq.q.Depth > 0 && sq.q.Window.Enabled() && !sq.q.Window.Valid(sq.q.Start, sq.q.Window.Clock(m.T)) {
 			p.ctr.QueriesExpired++
 			p.profStateDrop(now, sq)
+			sq.pipe.delist(sq)
 			return false
 		}
 		p.trigger(now, sq, m.T, false)
@@ -526,7 +534,10 @@ func (p *Proc) storeTuple(key relation.Key, t *relation.Tuple) {
 // expire is this node's share of the death drain (state.expire).
 func (p *Proc) expire(h horizon) {
 	now := p.eng.sim.Now()
-	n := p.st.expire(h, func(sq *storedQuery) { p.profStateDrop(now, sq) })
+	n := p.st.expire(h, func(sq *storedQuery) {
+		p.profStateDrop(now, sq)
+		sq.pipe.delist(sq)
+	})
 	p.ctr.QueriesExpired += int64(n.Rewrites)
 	p.ctr.TuplesCollected += int64(n.Tuples)
 	p.ctr.ALTTExpired += int64(n.ALTT)
@@ -561,6 +572,7 @@ func (p *Proc) onEval(now sim.Time, m *evalMsg) {
 		}
 	} else {
 		p.st.addQuery(sq)
+		sq.pipe.enlist(sq)
 		if ob := p.eng.obs; ob != nil {
 			ob.Emit(p.shard, obs.Rec{At: now, Kind: obs.KindStateStore, QID: q.ID, Key: m.Key.String(), N: stateSizeOf(q)})
 		}
@@ -697,7 +709,9 @@ func (p *Proc) placeRIC(now sim.Time, sq *storedQuery, cands []query.Candidate) 
 		return
 	}
 	p.st.lastReq++
-	p.st.addPending(p.st.lastReq, newPending(sq, slots, missing))
+	pp := newPending(p, sq, slots, missing)
+	p.st.addPending(p.st.lastReq, pp)
+	sq.pipe.enlist(pp)
 	if len(walk) == 0 {
 		if ob != nil {
 			ob.Emit(p.shard, obs.Rec{
@@ -767,6 +781,7 @@ func (p *Proc) onRICReply(now sim.Time, m *ricReplyMsg) {
 		for _, reqID := range p.st.report(info) {
 			pp := p.st.pending[reqID]
 			p.st.removePending(reqID)
+			pp.sq.pipe.delist(pp)
 			p.decide(pp.sq, pp.slots)
 			pp.recycle()
 		}

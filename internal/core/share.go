@@ -20,6 +20,7 @@ package core
 // for the records themselves.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -192,13 +193,13 @@ func (e *Engine) findParent(can *share.Canonical) *shareClass {
 }
 
 // Unsubscribe removes a live subscription: the subscriber leaves its
-// class, its owner-side answer and aggregate state is released, and —
-// when it was the class's last member — the pipeline itself is torn
-// down network-wide. Safe under churn and replication: a retired record
-// and a pipeline record naming no class make every resurrection path
-// (handover, replica promotion, crash recovery) skip the state they
-// name, and in-flight messages for them are dropped at their
-// destination.
+// class, its owner-side answer state is released, its aggregator groups
+// are removed from the nodes holding them, and — when it was the
+// class's last member — the pipeline itself is torn down. Both removals
+// visit only the entries the records list, and leave no state holding
+// an entry of a retired subscriber or a torn-down pipeline, so no
+// membership move meets one; a message still in flight for them is
+// dropped at its destination.
 func (e *Engine) Unsubscribe(subQID string) error {
 	s := e.sub(subQID)
 	if s == nil || s.retired() {
@@ -208,15 +209,17 @@ func (e *Engine) Unsubscribe(subQID string) error {
 	cls.members = remove(cls.members, s)
 	e.retireSub(s)
 	e.Counters.QueriesUnsubscribed++
-	e.sweepState(classAggs, func(op stateOp) bool { return op.g.sub == s })
+	e.release(s)
 	e.settle(cls)
 	return nil
 }
 
 // settle tears down a class a member or kid left once nothing rides it
 // any more: its pipeline's record stops naming it, its keys are
-// released, its stored rewrites are swept off every node, and a
-// containment child detaches from its parent, which settles in turn.
+// released, the stored queries and placement walks its record lists are
+// removed — the input query, its rewrites and those a containment
+// child's replays placed — and a containment child detaches from its
+// parent, which settles in turn.
 func (e *Engine) settle(cls *shareClass) {
 	if len(cls.members) > 0 || len(cls.kids) > 0 {
 		return
@@ -228,10 +231,7 @@ func (e *Engine) settle(cls *shareClass) {
 	if e.byForm[cls.form] == cls {
 		delete(e.byForm, cls.form)
 	}
-	// The input query and all its rewrites share the pipeline's QID, and
-	// so do the rewrites a containment child's replays placed.
-	qid := cls.pipe.q.ID
-	e.sweepState(classQueries|classPending, func(op stateOp) bool { return op.stored().q.ID == qid })
+	e.release(cls.pipe)
 	if cls.parent == nil {
 		e.parents = remove(e.parents, cls)
 		return
@@ -248,27 +248,38 @@ func remove[T comparable](list []T, x T) []T {
 	return list
 }
 
-// retiredOp reports whether a state entry belongs to a torn-down
-// pipeline (stored queries and placement walks carry its QID) or an
-// unsubscribed aggregate (its aggregator groups): every resurrection
-// path — handover, replica promotion, crash recovery — skips such
-// entries, and no loss counter charges them.
-func (e *Engine) retiredOp(op stateOp) bool {
-	if sq := op.stored(); sq != nil {
-		return sq.tornDown()
+// release removes what s lists that no state may hold any more — a
+// retired subscriber's aggregator groups, a torn-down pipeline's stored
+// queries and placement walks — from the nodes that hold them: a keyed
+// entry from its key's ring owner (invariant I3), a placement from its
+// origin, one replica op each (state.drop). Then every node it touched
+// ships its removals in one batch, in identifier order, as a handler's
+// trailing flush would.
+func (e *Engine) release(s *subscription) {
+	var touched []*Proc
+	drop := func(p *Proc, op stateOp) {
+		p.st.drop(op)
+		touched = append(touched, p)
 	}
-	return op.kind == opAggMerge && op.g.sub.retired()
-}
-
-// sweepState removes the matching entries of the wanted classes from
-// every node in deterministic node/entry order, charging each removal
-// to the replica group. Stragglers still in flight are caught by the
-// tornDown and retired checks when they arrive.
-func (e *Engine) sweepState(want class, match func(stateOp) bool) {
-	for _, n := range e.ring.Nodes() { // identifier order: deterministic
-		if p := e.procs[n.ID()]; p != nil && p.st.sweep(want, match) {
-			p.replFlush() // coordinator context: ship the removals now
+	owner := func(key relation.Key) *Proc { return e.procs[e.ring.Owner(key.ID()).ID()] }
+	if s.retired() {
+		for _, g := range s.groups {
+			drop(owner(g.key), stateOp{kind: opAggMerge, key: g.key, g: g})
 		}
+		s.groups = nil
+	}
+	if s.cls == nil {
+		for _, sq := range s.queries {
+			drop(owner(sq.key), stateOp{kind: opAddQuery, key: sq.key, sq: sq})
+		}
+		for _, pp := range s.pending {
+			drop(pp.origin, stateOp{kind: opAddPending, pp: pp})
+		}
+		s.queries, s.pending = nil, nil
+	}
+	slices.SortFunc(touched, func(a, b *Proc) int { return cmp.Compare(a.node.ID(), b.node.ID()) })
+	for _, p := range touched {
+		p.replFlush() // coordinator context: a second call for a node finds nothing
 	}
 }
 

@@ -80,7 +80,8 @@ func sfPublish(eng *Engine, n int) []*relation.Tuple {
 }
 
 // checkNothingWaits is the quiescence invariant of the pending class:
-// after a Run no placement is waiting anywhere and no key is indexed.
+// after a Run no placement is waiting anywhere and no key is indexed —
+// and none is still listed on its record (ownershipErr).
 func checkNothingWaits(t *testing.T, eng *Engine) {
 	t.Helper()
 	for nid, p := range eng.procs {
@@ -90,6 +91,9 @@ func checkNothingWaits(t *testing.T, eng *Engine) {
 		if err := p.st.waitingErr(); err != nil {
 			t.Fatalf("node %s: %v", nid, err)
 		}
+	}
+	if err := ownershipErr(eng); err != nil {
+		t.Fatal(err)
 	}
 }
 

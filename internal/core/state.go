@@ -18,11 +18,12 @@ import (
 // speaks. A membership move — leave, join, crash promotion — feeds
 // each() over a filter to the heir's apply() (Engine.move); a departure
 // nobody inherits feeds it to recovery, which charges what it cannot
-// re-index through stateOp.chargeLost; teardown is sweep(); and what
-// dies by the clock — windowed rewrites, ALTT entries, stored tuples under
-// Config.TupleGC, candidate-table entries, windowed aggregate epochs —
-// is filed on a death wheel at its add mutator and dropped by expire()
-// (a dirty epoch at the flush that follows), which dead() counts. Live
+// re-index through stateOp.chargeLost; teardown hands drop() each entry
+// a record lists (Engine.release); and what dies by the clock —
+// windowed rewrites, ALTT entries, stored tuples under Config.TupleGC,
+// candidate-table entries, windowed aggregate epochs — is filed on a
+// death wheel at its add mutator and dropped by expire() (a dirty epoch
+// at the flush that follows), which dead() counts. Live
 // replication is a charge, not a copy: every mutator a backup would
 // have to see adds one to the state's op count, and replFlush bills it
 // (see replicate.go).
@@ -34,6 +35,13 @@ import (
 // Nothing copies state, so nothing has to own a second copy of a
 // mutable part. Queries and tuples themselves are immutable once stored
 // and are always shared.
+//
+// Ownership rule. Every stored query, placement walk and aggregator
+// group is listed on its record (subscription.enlist) while a state
+// holds it. The mutators here write the maps alone: the code that
+// decides an entry's fate — the handlers, move, teardown — writes the
+// lists, and a move, which installs the same object at the heir,
+// leaves them as they are.
 //
 // Adding a state class: one class bit, one op kind, one arm each in
 // each(), apply() and (if it can be lost) chargeLost(), and — if a
@@ -107,6 +115,18 @@ func (op stateOp) stored() *storedQuery {
 		return op.pp.sq
 	}
 	return op.sq
+}
+
+// delist takes the entry off its record's list: it leaves every state.
+func (op stateOp) delist() {
+	switch op.kind {
+	case opAddQuery:
+		op.sq.pipe.delist(op.sq)
+	case opAddPending:
+		op.pp.sq.pipe.delist(op.pp)
+	case opAggMerge:
+		op.g.sub.delist(op.g)
+	}
 }
 
 // chargeLost charges one entry that disappears with nobody to inherit
@@ -429,13 +449,13 @@ func (s *state) mergeStat(key relation.Key, st rateStat) {
 }
 
 // aggFold folds one answer row into the (group, epoch) partial at key
-// and reports whether the group is new.
-func (s *state) aggFold(key relation.Key, sub *subscription, epoch int64, row []relation.Value, lin []query.LineageStep, pubAt int64) (fresh bool) {
+// and returns the group if the fold made it, nil otherwise.
+func (s *state) aggFold(key relation.Key, sub *subscription, epoch int64, row []relation.Value, lin []query.LineageStep, pubAt int64) (fresh *aggGroup) {
 	spec := sub.spec
 	g, ok := s.aggs[key]
 	if !ok {
-		g = &aggGroup{sub: sub, gkey: spec.GroupKey(row), group: spec.GroupValues(row)}
-		s.aggs[key] = g
+		g = &aggGroup{sub: sub, key: key, gkey: spec.GroupKey(row), group: spec.GroupValues(row)}
+		s.aggs[key], fresh = g, g
 	}
 	part := g.partial(epoch)
 	if part == nil {
@@ -450,7 +470,7 @@ func (s *state) aggFold(key relation.Key, sub *subscription, epoch int64, row []
 	g.markDirty(epoch, spec.Sliding())
 	s.noteDirty(key, g)
 	s.replOps++
-	return !ok
+	return fresh
 }
 
 // aggMerge merges a whole group into the one at key (partials for it
@@ -532,7 +552,7 @@ func (s *state) ctMerge(info ricInfo) {
 // routed. The placement enters the waiting list of every candidate key
 // it misses.
 func (s *state) addPending(reqID int64, pp *pendingPlacement) {
-	s.pending[reqID] = pp
+	s.pending[reqID], pp.id = pp, reqID
 	for _, sl := range pp.slots {
 		if !sl.have {
 			ids := s.waiting[sl.Key]
@@ -725,39 +745,22 @@ func (s *state) take(keyOK func(relation.Key) bool) []stateOp {
 	return out
 }
 
-// sweep removes every entry of the wanted classes (stored queries,
-// placement walks, aggregator groups) that match selects, and reports
-// whether anything went. One unordered pass per class: each removal
-// charges one replica op and the counts commute, so no order is needed.
-// A removed placement goes back to its pool: nothing else holds it.
-func (s *state) sweep(want class, match func(stateOp) bool) (hit bool) {
-	if want&classQueries != 0 {
-		for key := range s.queries {
-			s.filterQueries(key, func(sq *storedQuery) bool {
-				m := match(stateOp{kind: opAddQuery, key: key, sq: sq})
-				hit = hit || m
-				return !m
-			})
-		}
+// drop removes one entry a torn-down pipeline or a retired subscriber
+// listed — a stored query, a placement walk or an aggregator group —
+// charging one replica op; a placement goes back to its pool, since
+// nothing else holds it. The removals commute: each keeps the order of
+// what stays.
+func (s *state) drop(op stateOp) {
+	switch op.kind {
+	case opAddQuery:
+		s.removeQuery(op.sq)
+		s.replOps++
+	case opAddPending:
+		s.removePending(op.pp.id)
+		op.pp.recycle()
+	case opAggMerge:
+		s.dropKey(op.key)
 	}
-	if want&classPending != 0 {
-		for reqID, pp := range s.pending {
-			if match(stateOp{kind: opAddPending, pp: pp}) {
-				s.removePending(reqID)
-				pp.recycle()
-				hit = true
-			}
-		}
-	}
-	if want&classAggs != 0 {
-		for key, g := range s.aggs {
-			if match(stateOp{kind: opAggMerge, key: key, g: g}) {
-				s.dropKey(key)
-				hit = true
-			}
-		}
-	}
-	return hit
 }
 
 // stateCounts is the instantaneous occupancy of a state, per class in

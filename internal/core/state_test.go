@@ -436,12 +436,15 @@ func stateCharges(f *stateFixture) []stateCharge {
 			s.recordArrival(k[2], 1, 10)
 			s.take(func(relation.Key) bool { return true })
 		}},
-		{"sweep", 7, func(s *state) {
-			s.addQuery(f.stored(f.plain, k[0]))
+		{"drop", 7, func(s *state) {
+			sq, pp := f.stored(f.plain, k[0]), placement(f.plain, nil)
+			s.addQuery(sq)
 			s.addQuery(f.stored(f.distinct, k[0]))
-			s.addPending(3, placement(f.plain, nil))
-			s.aggFold(aggKeyOf("agg", "1"), f.agg, 0, f.row(1, 5), nil, 17)
-			s.sweep(classAll, func(op stateOp) bool { return op.kind == opAggMerge || op.stored().q == f.plain })
+			s.addPending(3, pp)
+			g := s.aggFold(aggKeyOf("agg", "1"), f.agg, 0, f.row(1, 5), nil, 17)
+			s.drop(stateOp{kind: opAddQuery, key: sq.key, sq: sq})
+			s.drop(stateOp{kind: opAddPending, pp: pp})
+			s.drop(stateOp{kind: opAggMerge, key: g.key, g: g})
 		}},
 	}
 }
@@ -781,7 +784,7 @@ var randomSequenceCharges = [40]int{
 }
 
 // TestStateDeathsOutliveNoEntry: an entry that leaves a state another way
-// — taken to a new owner, dropped with its key, swept by teardown —
+// — taken to a new owner, dropped with its key, dropped by teardown —
 // leaves its death filed, and the filing neither resurrects nor recounts
 // it: the drain finds nothing dead under the key. apply files a moved
 // entry's death afresh, so it dies at its new owner, once; and one that
@@ -842,9 +845,12 @@ func TestStateDeathsOutliveNoEntry(t *testing.T) {
 	drainsTo("dropKey", a, DeadCounts{Rewrites: 1, CT: 1})
 
 	a = fill()
-	a.sweep(classQueries, func(op stateOp) bool { return op.sq.q.ID == "windowed" })
-	a.sweep(classAggs, func(stateOp) bool { return true })
-	drainsTo("sweep", a, DeadCounts{Tuples: 1, ALTT: 1, CT: 1})
+	for _, op := range a.ops(classQueries|classAggs, nil) {
+		if op.kind == opAggMerge || op.sq.q.ID == "windowed" {
+			a.drop(op)
+		}
+	}
+	drainsTo("drop", a, DeadCounts{Tuples: 1, ALTT: 1, CT: 1})
 }
 
 // TestExpireAllocatesNothing pins the drain at no allocation in steady
@@ -890,11 +896,12 @@ func TestExpireAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestStateSweepOrder: a sweep that matches nothing reports so and
-// charges nothing; one that matches removes exactly the matching
-// entries, one replica op each, whatever order its unordered first pass
-// happened to meet them in.
-func TestStateSweepOrder(t *testing.T) {
+// TestStateDropOrder: teardown removes a pipeline's or a subscriber's
+// entries from a state in whatever order its record happens to list
+// them; each removal charges one replica op, a removed entry is gone
+// from each(), a removed placement is back in its pool (recycled: zero),
+// and what stays keeps its order.
+func TestStateDropOrder(t *testing.T) {
 	f := newStateFixture()
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -907,34 +914,31 @@ func TestStateSweepOrder(t *testing.T) {
 			a.aggFold(aggKeyOf("agg", fmt.Sprint(g)), f.agg, 0, f.row(g, 1), nil, 0)
 		}
 		a.replOps = 0
-		if a.sweep(classQueries|classPending, func(op stateOp) bool { return op.stored().q.ID == "nobody" }) || a.replOps != 0 {
-			t.Fatalf("seed %d: a sweep matching nothing reported a hit or charged %d ops", seed, a.replOps)
+		var gone, kept []stateOp
+		for _, op := range a.ops(classQueries|classPending|classAggs, nil) {
+			if op.kind == opAggMerge || op.stored().q == f.distinct {
+				gone = append(gone, op)
+			} else {
+				kept = append(kept, op)
+			}
 		}
-		for _, sw := range []struct {
-			want  class
-			match func(stateOp) bool
-		}{
-			{classQueries | classPending, func(op stateOp) bool { return op.stored().q.ID == f.distinct.ID }},
-			{classAggs, func(op stateOp) bool { return op.g.sub == f.agg }},
-		} {
-			matches := 0
-			a.each(sw.want, nil, func(op stateOp) {
-				if sw.match(op) {
-					matches++
-				}
-			})
-			a.replOps = 0
-			if !a.sweep(sw.want, sw.match) || matches == 0 {
-				t.Fatalf("seed %d: sweep over classes %b found nothing", seed, sw.want)
+		rng.Shuffle(len(gone), func(i, j int) { gone[i], gone[j] = gone[j], gone[i] })
+		for _, op := range gone {
+			a.drop(op)
+		}
+		if a.replOps != len(gone) {
+			t.Fatalf("seed %d: %d removals charged %d ops", seed, len(gone), a.replOps)
+		}
+		if left := a.ops(classQueries|classPending|classAggs, nil); !slices.EqualFunc(left, kept, func(x, y stateOp) bool { return x.sq == y.sq && x.pp == y.pp }) {
+			t.Fatalf("seed %d: %d entries left, want the %d not dropped in their order", seed, len(left), len(kept))
+		}
+		for _, op := range gone {
+			if op.pp != nil && (op.pp.sq != nil || len(op.pp.slots) != 0) {
+				t.Fatalf("seed %d: a dropped placement was not recycled", seed)
 			}
-			if a.replOps != matches {
-				t.Fatalf("seed %d: sweep over classes %b charged %d ops for %d removals", seed, sw.want, a.replOps, matches)
-			}
-			a.each(sw.want, nil, func(op stateOp) {
-				if sw.match(op) {
-					t.Fatalf("seed %d: a matching entry of kind %d survived the sweep", seed, op.kind)
-				}
-			})
+		}
+		if err := a.waitingErr(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 }

@@ -32,11 +32,11 @@ import (
 // its QID names while its record names one.
 //
 // Unsubscribe retires a record: the contents go, the identity stays.
-// In-flight partials still look their record up by QID, an aggregator
-// group points at its record and reads its spec and retired state
-// there, and Explain must keep answering for past queries, so one
-// immutable query + spec per departed subscription is what the engine
-// retains — and the class of a pipeline others still ride.
+// In-flight partials and Evals still look their record up, and Explain
+// must keep answering for past queries, so one immutable query + spec
+// per departed subscription is what the engine retains — and the class
+// of a pipeline others still ride. The entries the nodes hold for it go
+// with the retirement or the teardown (Engine.release).
 
 // Answer is one result row delivered to a query owner.
 type Answer struct {
@@ -87,6 +87,16 @@ type subscription struct {
 	cls   *shareClass
 	rides *shareClass
 	res   *share.Residual
+
+	// What the nodes' states hold for the record, each entry listed
+	// while one does: its pipeline's stored queries and placement walks,
+	// its subscriber's aggregator groups. Teardown removes what they
+	// list. Handlers of several shards write one pipeline's lists in the
+	// same sub-round, so every write holds own.
+	own     sync.Mutex
+	queries roster[*storedQuery]
+	pending roster[*pendingPlacement]
+	groups  roster[*aggGroup]
 
 	mu sync.Mutex
 	// The answer log: the delivered rows in delivery order, each the
@@ -154,6 +164,60 @@ func (e *Engine) retireSub(s *subscription) {
 
 // sub returns the record of a submitted query, nil for an unknown ID.
 func (e *Engine) sub(qid string) *subscription { return e.subs[qid] }
+
+// enlist lists an entry that enters a state on the record, and delist
+// takes off one that leaves every state: it died, was triggered out of
+// its window, decided, was merged into another, lost or restarted
+// afresh. A move installs the same object at the heir and touches
+// neither. A nil record — a QID with no record — lists nothing.
+func (s *subscription) enlist(x any) { s.list(x, true) }
+func (s *subscription) delist(x any) { s.list(x, false) }
+
+func (s *subscription) list(x any, on bool) {
+	if s == nil {
+		return
+	}
+	s.own.Lock()
+	switch x := x.(type) {
+	case *storedQuery:
+		s.queries.set(x, on)
+	case *pendingPlacement:
+		s.pending.set(x, on)
+	case *aggGroup:
+		s.groups.set(x, on)
+	}
+	s.own.Unlock()
+}
+
+// roster is a record's list of the entries of one kind it owns, in no
+// order. Each entry keeps its index there (at), so adding and removing
+// one costs the same whatever the list's length.
+type roster[T interface {
+	comparable
+	at() *int32
+}] []T
+
+// set adds x, or with on unset removes it.
+func (r *roster[T]) set(x T, on bool) {
+	l := *r
+	if on {
+		*x.at() = int32(len(l))
+		*r = append(l, x)
+		return
+	}
+	i, last := *x.at(), l[len(l)-1]
+	if l[i] != x {
+		panic("core: delisting an entry its record does not list")
+	}
+	l[i], *last.at() = last, i
+	var none T
+	l[len(l)-1] = none
+	*r = l[:len(l)-1]
+}
+
+func (sq *storedQuery) at() *int32      { return &sq.pos }
+func (pp *pendingPlacement) at() *int32 { return &pp.pos }
+func (g *aggGroup) at() *int32          { return &g.pos }
 
 // tornDown reports whether the entry's pipeline was torn down: its
 // record names no class. Its straggler rewrites and placements are

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -91,8 +92,8 @@ func checkSubscription(t *testing.T, label string, eng *Engine, qid string, publ
 // pipelines live: a QID's record names a class exactly when the QID
 // names a live class — every class has a pipeline of its own, a
 // singleton's, a canonical first member's or a containment child's —
-// and then it is that class; and no node stores a query or placement
-// whose QID's record names none.
+// and then it is that class; and that the records list exactly what the
+// nodes hold, none of it of a torn-down pipeline (ownershipErr).
 func checkOneRecord(t *testing.T, label string, eng *Engine) {
 	t.Helper()
 	classes := make(map[string]*shareClass) // the live classes by pipeline QID
@@ -106,13 +107,67 @@ func checkOneRecord(t *testing.T, label string, eng *Engine) {
 			t.Fatalf("%s: %s's record names class %p; the live class its QID names is %p", label, qid, s.cls, cls)
 		}
 	}
-	for _, p := range eng.procs {
-		p.st.each(classQueries|classPending, nil, func(op stateOp) {
-			if s := eng.sub(op.stored().q.ID); s == nil || s.cls == nil {
-				t.Fatalf("%s: a node stores a query or placement of %s, whose record names no class", label, op.stored().q.ID)
+	if err := ownershipErr(eng); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+}
+
+// ownershipErr checks the records' lists against the nodes' states:
+// every stored query, placement walk and aggregator group a live node
+// holds is listed on its record, at the position it keeps, and belongs
+// to no torn-down pipeline or retired subscriber; their lists are
+// empty; and the lists hold no more than the states do, so an entry
+// that left a state without being delisted shows up as a leak. An
+// entry of a QID with no record is listed nowhere.
+func ownershipErr(eng *Engine) error {
+	held, listed := 0, 0
+	var err error
+	for _, n := range eng.ring.Nodes() {
+		eng.procs[n.ID()].st.each(classQueries|classPending|classAggs, nil, func(op stateOp) {
+			var s *subscription
+			var ok bool
+			switch op.kind {
+			case opAddQuery:
+				s = op.sq.pipe
+				ok = s != nil && inRoster(s.queries, op.sq)
+			case opAddPending:
+				s = op.pp.sq.pipe
+				ok = s != nil && inRoster(s.pending, op.pp) && op.pp.origin.node == n
+			default:
+				s = op.g.sub
+				ok = inRoster(s.groups, op.g) && op.g.key == op.key
+			}
+			switch {
+			case s == nil:
+			case op.kind == opAggMerge && s.retired() || op.kind != opAggMerge && s.cls == nil:
+				err = fmt.Errorf("node %s holds an entry of kind %d of %s, retired or torn down", n.ID(), op.kind, s.q.ID)
+			case !ok && err == nil:
+				err = fmt.Errorf("node %s holds an entry of kind %d of %s its record does not list", n.ID(), op.kind, s.q.ID)
+			default:
+				held++
 			}
 		})
 	}
+	for _, qid := range slices.Sorted(maps.Keys(eng.subs)) {
+		s := eng.subs[qid]
+		if err == nil && (s.cls == nil && len(s.queries)+len(s.pending) > 0 || s.retired() && len(s.groups) > 0) {
+			err = fmt.Errorf("%s, torn down or retired, lists %d queries, %d placements, %d groups", qid, len(s.queries), len(s.pending), len(s.groups))
+		}
+		listed += len(s.queries) + len(s.pending) + len(s.groups)
+	}
+	if err == nil && listed != held {
+		err = fmt.Errorf("the records list %d entries, the states hold %d", listed, held)
+	}
+	return err
+}
+
+// inRoster reports whether x is listed in r at the position it keeps.
+func inRoster[T interface {
+	comparable
+	at() *int32
+}](r roster[T], x T) bool {
+	i := int(*x.at())
+	return i < len(r) && r[i] == x
 }
 
 // TestSubsRandomScripts is the subscriber side's one property: whatever
@@ -121,11 +176,13 @@ func checkOneRecord(t *testing.T, label string, eng *Engine) {
 // accounts for every row held or discarded, the engine retains one
 // record per submission with contents only on the live ones, each
 // record holds a fan-out exactly while its QID names a live pipeline
-// (checkOneRecord, after every Run), and a row arriving for a retired
-// query, or an Eval for a torn-down pipeline, changes nothing.
+// (checkOneRecord, after every Run) and the records list exactly the
+// entries the states hold (ownershipErr, after every Run and every
+// Unsubscribe), and a row arriving for a retired query, or an Eval for
+// a torn-down pipeline, changes nothing.
 func TestSubsRandomScripts(t *testing.T) {
 	var sumHeld, sumDiscarded, sumShared, sumStragglers int64
-	for _, workers := range []int{1, 2} {
+	for _, workers := range []int{1, 2, 4} {
 		for seed := int64(1); seed <= 40; seed++ {
 			sharing := seed%2 == 0
 			label := fmt.Sprintf("workers %d seed %d sharing %v", workers, seed, sharing)
@@ -157,6 +214,9 @@ func TestSubsRandomScripts(t *testing.T) {
 					discarded += int64(len(eng.Answers(live[i])))
 					if err := eng.Unsubscribe(live[i]); err != nil {
 						t.Fatal(err)
+					}
+					if err := ownershipErr(eng); err != nil {
+						t.Fatalf("%s step %d: unsubscribing %s: %v", label, step, live[i], err)
 					}
 					gone = append(gone, live[i])
 					live = append(live[:i], live[i+1:]...)
@@ -211,6 +271,94 @@ func TestSubsRandomScripts(t *testing.T) {
 	}
 	if sumHeld == 0 || sumDiscarded == 0 || sumShared == 0 || sumStragglers == 0 {
 		t.Fatalf("scripts too weak: %d rows held, %d discarded, %d shared submissions, %d stragglers of torn-down pipelines", sumHeld, sumDiscarded, sumShared, sumStragglers)
+	}
+}
+
+// TestTeardownChargesWhatItRemoves: at rf 2, an unsubscribe that ends
+// nothing a node holds — a member leaving a class another still rides —
+// charges no replica op, and the one that tears the pipeline down
+// charges one per entry its record listed, to one replica each, and
+// leaves none of them in any state.
+func TestTeardownChargesWhatItRemoves(t *testing.T) {
+	cfg := replCfg(2)
+	cfg.ShareExact = true
+	eng, nodes := testNet(t, 16, 5, cfg, overlay.DefaultConfig())
+	var qids []string
+	for i := range 2 {
+		qid, err := eng.SubmitQuery(nodes[i], sqlparse.MustParse("select R.B, S.B, J.B from R,S,J where R.A=S.A and S.B=J.B", testCat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		qids = append(qids, qid)
+	}
+	eng.Run()
+	for i := range 12 {
+		eng.PublishTuple(nodes[i%len(nodes)], mkTuple([]string{"R", "S"}[i%2], int64(i%3), int64(i%4), 0))
+	}
+	eng.Run()
+	pipe := eng.sub(qids[0])
+	listed := len(pipe.queries) + len(pipe.pending)
+	if listed < 2 || len(pipe.pending) != 0 {
+		t.Fatalf("workload too weak: the pipeline lists %d stored queries and %d walks", len(pipe.queries), len(pipe.pending))
+	}
+	var stored []*storedQuery
+	stored = append(stored, pipe.queries...)
+	for i, qid := range []string{qids[1], qids[0]} {
+		eng.Sync()
+		before := eng.Counters.ReplOps
+		if err := eng.Unsubscribe(qid); err != nil {
+			t.Fatal(err)
+		}
+		eng.Sync()
+		if got, want := eng.Counters.ReplOps-before, int64(i*listed); got != want {
+			t.Fatalf("unsubscribing %s charged %d replica ops, want %d", qid, got, want)
+		}
+	}
+	for _, n := range eng.ring.Nodes() {
+		eng.procs[n.ID()].st.each(classQueries, nil, func(op stateOp) {
+			if slices.Contains(stored, op.sq) {
+				t.Fatalf("node %s still holds a stored query of the torn-down pipeline", n.ID())
+			}
+		})
+	}
+	if err := ownershipErr(eng); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkUnsubscribe times tearing down one pipeline, its input query
+// on J and S, beside unrelated stored state — plain joins of R and S and
+// the rewrites their tuples spawned — at 1× and 16× the size. Teardown
+// visits only the entries the pipeline's record lists, so the two sizes
+// read alike.
+func BenchmarkUnsubscribe(b *testing.B) {
+	for _, scale := range []int{1, 16} {
+		b.Run(fmt.Sprintf("state=%dx", scale), func(b *testing.B) {
+			eng, nodes := testNet(b, 32, 1, Config{}, overlay.DefaultConfig())
+			for i := range 20 * scale {
+				q := sqlparse.MustParse(fmt.Sprintf("select R.B, S.B from R,S where R.A=S.A and R.C=%d", i), testCat)
+				if _, err := eng.SubmitQuery(nodes[i%len(nodes)], q); err != nil {
+					b.Fatal(err)
+				}
+				eng.PublishTuple(nodes[(i+1)%len(nodes)], mkTuple("R", int64(i%5), int64(i), int64(i)))
+				eng.PublishTuple(nodes[(i+2)%len(nodes)], mkTuple("S", int64(i%5), int64(i), 0))
+			}
+			eng.Run()
+			pipe := sqlparse.MustParse("select J.B, S.C from J,S where J.A=S.A", testCat)
+			b.ResetTimer()
+			for range b.N {
+				b.StopTimer()
+				qid, err := eng.SubmitQuery(nodes[0], pipe)
+				if err != nil {
+					b.Fatal(err)
+				}
+				eng.Run()
+				b.StartTimer()
+				if err := eng.Unsubscribe(qid); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -46,9 +46,14 @@ func deadErr(eng *Engine) error {
 	return nil
 }
 
+// checkNothingDead asserts after a Run that no node stores a dead entry
+// and that the records list exactly the entries the nodes hold.
 func checkNothingDead(t testing.TB, eng *Engine) {
 	t.Helper()
 	if err := deadErr(eng); err != nil {
+		t.Fatal(err)
+	}
+	if err := ownershipErr(eng); err != nil {
 		t.Fatal(err)
 	}
 }
