@@ -171,43 +171,6 @@ func (g *aggGroup) viewRowInto(dst []relation.Value, epoch int64) (row []relatio
 	return spec.AppendRow(dst, g.group, parts[:n]...), ver, g.lineageOf(epochs[:n]...)
 }
 
-// mergeInto folds g into dst (the handover-collision path: partials for
-// the same group arrived at the new owner before the handed-over state
-// did). Per-epoch merges are commutative and associative, so the final
-// state is independent of arrival interleaving. The still-open views of
-// every transferred epoch are marked dirty on dst, so the next flush
-// re-emits their rows, and so are the views g had not flushed yet.
-func (g *aggGroup) mergeInto(h horizon, dst *aggGroup) {
-	if g.pubAt > dst.pubAt {
-		dst.pubAt = g.pubAt
-	}
-	for e, set := range g.lins {
-		if dst.lins == nil {
-			dst.lins = make(map[int64]map[query.LineageStep]struct{})
-		}
-		dstSet, ok := dst.lins[e]
-		if !ok {
-			dstSet = make(map[query.LineageStep]struct{}, len(set))
-			dst.lins[e] = dstSet
-		}
-		for s := range set {
-			dstSet[s] = struct{}{}
-		}
-	}
-	for i := range g.epochs {
-		ep := &g.epochs[i]
-		if cur := dst.partial(ep.epoch); cur != nil {
-			cur.Merge(&ep.part)
-		} else {
-			dst.addPartial(ep.epoch, ep.part)
-		}
-		dst.markOpen(ep.epoch, h)
-	}
-	for _, v := range g.dirty {
-		dst.markView(v)
-	}
-}
-
 // markDirty flags an epoch's view row for the next flush. The next
 // epoch's sliding view merges this epoch's partial, so its row changed
 // too.

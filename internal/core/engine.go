@@ -207,8 +207,9 @@ type acctSlot struct {
 }
 
 // NewEngine attaches an RJoin processor to every node of the ring. The
-// ring must already contain its nodes (changes in membership are
-// supported afterwards via NodeJoined/NodeLeft).
+// ring must already contain its nodes; afterwards JoinNode, LeaveNode,
+// CrashNode and MoveNode are the only ways a processor is attached or
+// detached, and each moves the state whose keys change owner.
 func NewEngine(ring *chord.Ring, se *sim.Engine, net *overlay.Network, cfg Config) *Engine {
 	e := &Engine{
 		Cfg:    cfg,
@@ -228,7 +229,7 @@ func NewEngine(ring *chord.Ring, se *sim.Engine, net *overlay.Network, cfg Confi
 	e.obs = cfg.Obs
 	e.prov = cfg.Provenance
 	for _, n := range ring.Nodes() {
-		e.NodeJoined(n)
+		e.nodeJoined(n)
 	}
 	return e
 }
@@ -245,17 +246,17 @@ func (e *Engine) Sim() *sim.Engine { return e.sim }
 // Delta returns the effective ALTT retention.
 func (e *Engine) Delta() int64 { return e.delta }
 
-// NodeJoined attaches a processor to a node that joined the overlay.
-func (e *Engine) NodeJoined(n *chord.Node) *Proc {
+// nodeJoined gives a node that joined the ring a processor, with no state.
+func (e *Engine) nodeJoined(n *chord.Node) *Proc {
 	p := newProc(e, n)
 	e.procs[n.ID()] = p
 	e.net.Attach(n, p)
 	return p
 }
 
-// NodeLeft detaches a node's processor; its stored state is lost, as in
-// a real failure.
-func (e *Engine) NodeLeft(n *chord.Node) {
+// nodeLeft takes a departed node's processor off the overlay; its state
+// is still to move (depart).
+func (e *Engine) nodeLeft(n *chord.Node) {
 	e.net.Detach(n)
 	delete(e.procs, n.ID())
 }

@@ -50,10 +50,11 @@ const (
 // that is gone. Under recovery to is nil and recover disposes of each
 // entry. Dead entries are neither billed nor installed (expired, counted
 // at from). Teardown is synchronous, so no entry of a torn-down pipeline
-// or a retired subscriber is left to move. An installed entry stays
-// listed on its record; one that leaves for good — dead, lost, merged
-// into a group the heir holds, or a walk restarted as a new placement —
-// is delisted. to counts what it installs, and its replica group is
+// or a retired subscriber is left to move. The heir holds none of the
+// keys it receives (I3 held before the change), so every entry is
+// installed, never merged, and stays listed on its record; one that
+// leaves for good — dead, lost, or a walk restarted as a new placement
+// — is delisted. to counts what it installs, and its replica group is
 // charged one batch per handover message — stateChunk entries — or one
 // for a whole promotion. Every send a move makes is churn traffic,
 // whichever node makes it. It runs in coordinator context, after the
@@ -81,9 +82,6 @@ func (e *Engine) move(from, to *Proc, ops []stateOp, b bill) {
 				op.delist()
 				to.place(now, op.pp.sq)
 			default:
-				if op.kind == opAggMerge && to.st.aggs[op.key] != nil {
-					op.delist() // it merges into the heir's group
-				}
 				to.st.apply(op)
 			}
 			if b == handover && (i+1)%stateChunk == 0 {
@@ -150,7 +148,7 @@ func (e *Engine) expired(op stateOp, p *Proc) bool {
 		p.ctr.TuplesCollected++
 	case op.kind == opAddALTT && op.expireAt < e.sim.Now():
 		p.ctr.ALTTExpired++
-	case op.kind == opAggMerge:
+	case op.kind == opAddAgg:
 		// The group is the leaving node's own, which is discarded or has
 		// forgotten its key.
 		op.g.prune(e.horizon)
@@ -190,7 +188,7 @@ func (e *Engine) JoinNode(nid id.ID) (*chord.Node, error) {
 		return nil, err
 	}
 	e.Counters.Joins++
-	np := e.NodeJoined(n)
+	np := e.nodeJoined(n)
 	// The join shifts the replica groups of the new node's k−1
 	// predecessors: each gains it.
 	e.regroup(nid, true)
@@ -259,7 +257,7 @@ func (e *Engine) depart(n *chord.Node, crash bool) error {
 		e.Counters.Leaves++
 		e.ring.Leave(n)
 	}
-	e.NodeLeft(n)
+	e.nodeLeft(n)
 	e.regroup(n.ID(), false)
 	var heir *Proc
 	if o := e.ring.Owner(n.ID()); o != nil {

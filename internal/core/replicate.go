@@ -93,7 +93,7 @@ func (e *Engine) replSnapshot(p *Proc) {
 func (e *Engine) promote(p *Proc, op stateOp) {
 	promoted := int64(1)
 	switch op.kind {
-	case opAggMerge:
+	case opAddAgg:
 		for _, ep := range op.g.epochs {
 			op.g.markOpen(ep.epoch, e.horizon)
 		}

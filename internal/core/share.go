@@ -264,7 +264,7 @@ func (e *Engine) release(s *subscription) {
 	owner := func(key relation.Key) *Proc { return e.procs[e.ring.Owner(key.ID()).ID()] }
 	if s.retired() {
 		for _, g := range s.groups {
-			drop(owner(g.key), stateOp{kind: opAggMerge, key: g.key, g: g})
+			drop(owner(g.key), stateOp{kind: opAddAgg, key: g.key, g: g})
 		}
 		s.groups = nil
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -16,10 +17,12 @@ import (
 // seven state classes a processor holds, and the one vocabulary —
 // stateOp — every mechanism that moves, counts or deletes that state
 // speaks. A membership move — leave, join, crash promotion — feeds
-// each() over a filter to the heir's apply() (Engine.move); a departure
-// nobody inherits feeds it to recovery, which charges what it cannot
-// re-index through stateOp.chargeLost; teardown hands drop() each entry
-// a record lists (Engine.release); and what dies by the clock —
+// each() over a filter to the heir's apply() (Engine.move), which
+// installs every entry: the heir holds none of the keys it receives
+// (I3), so nothing is merged, and an install at a held key panics. A
+// departure nobody inherits feeds it to recovery, which charges what it
+// cannot re-index through stateOp.chargeLost; teardown hands drop() each
+// entry a record lists (Engine.release); and what dies by the clock —
 // windowed rewrites, ALTT entries, stored tuples under Config.TupleGC,
 // candidate-table entries, windowed aggregate epochs — is filed on a
 // death wheel at its add mutator and dropped by expire() (a dirty epoch
@@ -81,8 +84,8 @@ const (
 	opAddQuery opKind = iota
 	opAddTuple
 	opAddALTT
-	opStat
-	opAggMerge
+	opAddStat
+	opAddAgg
 	opCT
 	opAddPending
 	numOpKinds
@@ -99,9 +102,9 @@ type stateOp struct {
 	t        *relation.Tuple // opAddTuple, opAddALTT
 	expireAt sim.Time        // opAddALTT
 
-	stat rateStat // opStat
+	stat rateStat // opAddStat
 
-	g *aggGroup // opAggMerge: a whole group, merged into or installed at key
+	g *aggGroup // opAddAgg: a whole group
 
 	info ricInfo // opCT
 
@@ -124,7 +127,7 @@ func (op stateOp) delist() {
 		op.sq.pipe.delist(op.sq)
 	case opAddPending:
 		op.pp.sq.pipe.delist(op.pp)
-	case opAggMerge:
+	case opAddAgg:
 		op.g.sub.delist(op.g)
 	}
 }
@@ -142,7 +145,7 @@ func (op stateOp) chargeLost(ctr *Counters) {
 		}
 	case opAddTuple, opAddALTT:
 		ctr.TuplesLost++
-	case opAggMerge:
+	case opAddAgg:
 		ctr.AggStateLost += op.g.epochCount()
 	}
 }
@@ -167,9 +170,8 @@ type state struct {
 	// the order they began to wait. It is what makes a walk single-flight
 	// (a placement that misses a key found here waits for the walk already
 	// fetching it) and what a reply is resolved by. Derived state: only
-	// addPending, removePending, report and clear write it and no op
-	// names it, so apply rebuilds it, and a move, which restarts walks,
-	// by place.
+	// addPending, removePending and report write it and no op names it,
+	// so apply rebuilds it, and a move, which restarts walks, by place.
 	waiting map[relation.Key][]int64
 
 	// rewrites files every windowed rewrite by identity under the value
@@ -184,11 +186,11 @@ type state struct {
 	// later, and the drain that finds the filing passed files the key
 	// again at the current one; an aggregator group's key at the death of
 	// each of its epochs on the window's clock (epochDeath) when the epoch
-	// enters the state. Derived state like waiting: only the add mutators,
-	// expire and clear write them and no op names them, so apply rebuilds
-	// them. An item whose entry left another way — deleted by a trigger
-	// out of window, torn down, its key moved — stays filed, and its drain
-	// finds nothing to drop.
+	// enters the state. Derived state like waiting: only the add mutators
+	// and expire write them and no op names them, so apply rebuilds them.
+	// An item whose entry left another way — deleted by a trigger out of
+	// window, torn down, its key moved — stays filed, and its drain finds
+	// nothing to drop.
 	rewrites [numClocks]wheel[*storedQuery]
 	wheels   [len(mortals)]wheel[relation.Key]
 
@@ -237,26 +239,17 @@ type state struct {
 }
 
 func newState() *state {
-	s := &state{}
-	s.clear()
-	return s
-}
-
-// clear empties every class without counting: the state moved away
-// wholesale.
-func (s *state) clear() {
-	s.queries = make(map[relation.Key][]*storedQuery)
-	s.tuples = make(map[relation.Key][]*relation.Tuple)
-	s.altt = make(map[relation.Key][]alttEntry)
-	s.stats = make(map[relation.Key]*rateStat)
-	s.aggs = make(map[relation.Key]*aggGroup)
-	s.ct = newCandidateTable()
-	s.pending = make(map[int64]*pendingPlacement)
-	s.waiting = make(map[relation.Key][]int64)
-	s.rewrites = [numClocks]wheel[*storedQuery]{}
-	s.wheels = [len(mortals)]wheel[relation.Key]{}
-	s.dueAt = [numClocks]int64{notDue, notDue}
-	s.dirtyAggs = nil
+	return &state{
+		queries: make(map[relation.Key][]*storedQuery),
+		tuples:  make(map[relation.Key][]*relation.Tuple),
+		altt:    make(map[relation.Key][]alttEntry),
+		stats:   make(map[relation.Key]*rateStat),
+		aggs:    make(map[relation.Key]*aggGroup),
+		ct:      newCandidateTable(),
+		pending: make(map[int64]*pendingPlacement),
+		waiting: make(map[relation.Key][]int64),
+		dueAt:   [numClocks]int64{notDue, notDue},
+	}
 }
 
 // ---------------------------------------------------------------------
@@ -370,20 +363,18 @@ func (s *state) tupleReach() int64 {
 	return s.reach()
 }
 
-// addALTT splices an entry into the expiry-ordered list of its key, the
+// addALTT appends an entry to the expiry-ordered list of its key, the
 // invariant alttScan and pruneALTT rely on (the lapsed prefix is
 // contiguous), and files its death: the first instant past expireAt. A
-// fresh admission lands at the tail; a moved entry may not.
+// fresh admission expires at now+Δ, later than every entry before it,
+// and a moved list arrives in order onto a key its heir does not hold
+// (I3), so an append keeps the order.
 func (s *state) addALTT(key relation.Key, e alttEntry) {
 	list := s.altt[key]
 	if list == nil {
 		list = s.spareALTT.get()
 	}
-	i := len(list)
-	for i > 0 && list[i-1].expireAt > e.expireAt {
-		i--
-	}
-	s.altt[key] = slices.Insert(list, i, e)
+	s.altt[key] = append(list, e)
 	s.file(classALTT, clockTime, int64(e.expireAt)+1, key)
 	s.replOps++
 }
@@ -437,15 +428,13 @@ func (s *state) recordArrival(key relation.Key, now sim.Time, window int64) {
 	st.record(now, window)
 }
 
-// mergeStat installs a moved rate statistic, keeping whichever estimate
-// saw traffic more recently.
-func (s *state) mergeStat(key relation.Key, st rateStat) {
-	if cur, ok := s.stats[key]; !ok {
-		cp := st // only this branch allocates
-		s.stats[key] = &cp
-	} else if st.epoch > cur.epoch {
-		*cur = st
+// addStat installs a moved rate statistic at a key the state holds none
+// of (I3: a key moves only to a node that did not own it).
+func (s *state) addStat(key relation.Key, st rateStat) {
+	if s.stats[key] != nil {
+		panic(fmt.Sprintf("core: rate statistic installed at %q, which holds one", key))
 	}
+	s.stats[key] = &st
 }
 
 // aggFold folds one answer row into the (group, epoch) partial at key
@@ -473,24 +462,21 @@ func (s *state) aggFold(key relation.Key, sub *subscription, epoch int64, row []
 	return fresh
 }
 
-// aggMerge merges a whole group into the one at key (partials for it
-// arrived before the moved state did — per-epoch merges commute, so the
-// interleaving does not matter), or installs it, and files its epochs'
-// deaths. mergeInto moves g's partials into the destination.
-func (s *state) aggMerge(key relation.Key, g *aggGroup) {
-	s.replOps++
+// addAgg installs a whole group at a key the state holds none of (I3: a
+// key moves only to a node that did not own it) and files its epochs'
+// deaths.
+func (s *state) addAgg(key relation.Key, g *aggGroup) {
+	if s.aggs[key] != nil {
+		panic(fmt.Sprintf("core: aggregator group installed at %q, which holds one", key))
+	}
+	s.aggs[key] = g
 	for _, ep := range g.epochs {
 		if c, at, ok := epochDeath(g.sub.spec.Window, ep.epoch); ok {
 			s.file(classAggs, c, at, key)
 		}
 	}
-	if cur, ok := s.aggs[key]; ok {
-		g.mergeInto(s.horizon(), cur)
-		g = cur
-	} else {
-		s.aggs[key] = g
-	}
 	s.noteDirty(key, g) // an un-flushed group moved in: handover, promotion
+	s.replOps++
 }
 
 // horizon is hz's value, the zero horizon without one.
@@ -630,10 +616,10 @@ func (s *state) apply(op stateOp) {
 		s.addTuple(op.key, op.t)
 	case opAddALTT:
 		s.addALTT(op.key, alttEntry{t: op.t, expireAt: op.expireAt})
-	case opStat:
-		s.mergeStat(op.key, op.stat)
-	case opAggMerge:
-		s.aggMerge(op.key, op.g)
+	case opAddStat:
+		s.addStat(op.key, op.stat)
+	case opAddAgg:
+		s.addAgg(op.key, op.g)
 	case opCT:
 		s.ctMerge(op.info)
 	}
@@ -697,14 +683,14 @@ func (s *state) each(want class, keyOK func(relation.Key) bool, visit func(state
 	if want&classStats != 0 {
 		for _, key := range sortedStateKeys(s.stats) {
 			if ok(key) {
-				visit(stateOp{kind: opStat, key: key, stat: *s.stats[key]})
+				visit(stateOp{kind: opAddStat, key: key, stat: *s.stats[key]})
 			}
 		}
 	}
 	if want&classAggs != 0 {
 		for _, key := range sortedStateKeys(s.aggs) {
 			if ok(key) {
-				visit(stateOp{kind: opAggMerge, key: key, g: s.aggs[key]})
+				visit(stateOp{kind: opAddAgg, key: key, g: s.aggs[key]})
 			}
 		}
 	}
@@ -749,16 +735,19 @@ func (s *state) take(keyOK func(relation.Key) bool) []stateOp {
 // listed — a stored query, a placement walk or an aggregator group —
 // charging one replica op; a placement goes back to its pool, since
 // nothing else holds it. The removals commute: each keeps the order of
-// what stays.
+// what stays. A listed stored query the state does not hold is a broken
+// record (the ownership rule), and panics.
 func (s *state) drop(op stateOp) {
 	switch op.kind {
 	case opAddQuery:
-		s.removeQuery(op.sq)
+		if !s.removeQuery(op.sq) {
+			panic(fmt.Sprintf("core: dropping a stored query its key %q does not list", op.sq.key))
+		}
 		s.replOps++
 	case opAddPending:
 		s.removePending(op.pp.id)
 		op.pp.recycle()
-	case opAggMerge:
+	case opAddAgg:
 		s.dropKey(op.key)
 	}
 }

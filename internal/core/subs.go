@@ -167,8 +167,7 @@ func (e *Engine) sub(qid string) *subscription { return e.subs[qid] }
 
 // enlist lists an entry that enters a state on the record, and delist
 // takes off one that leaves every state: it died, was triggered out of
-// its window, decided, was merged into another, lost or restarted
-// afresh. A move installs the same object at the heir and touches
+// its window, decided, lost or restarted afresh. A move installs the same object at the heir and touches
 // neither. A nil record — a QID with no record — lists nothing.
 func (s *subscription) enlist(x any) { s.list(x, true) }
 func (s *subscription) delist(x any) { s.list(x, false) }

@@ -139,7 +139,7 @@ func ownershipErr(eng *Engine) error {
 			}
 			switch {
 			case s == nil:
-			case op.kind == opAggMerge && s.retired() || op.kind != opAggMerge && s.cls == nil:
+			case op.kind == opAddAgg && s.retired() || op.kind != opAddAgg && s.cls == nil:
 				err = fmt.Errorf("node %s holds an entry of kind %d of %s, retired or torn down", n.ID(), op.kind, s.q.ID)
 			case !ok && err == nil:
 				err = fmt.Errorf("node %s holds an entry of kind %d of %s its record does not list", n.ID(), op.kind, s.q.ID)

@@ -97,7 +97,9 @@ type Options struct {
 	// completion fan-out. Requires MinHopDelay >= 1 (the default), so a
 	// query attaching to a live pipeline at tick T observes only
 	// completions after T. Byte-identical resubmissions of the same SQL
-	// are always deduplicated, with or without this option.
+	// are deduplicated with or without this option, but only at
+	// MinHopDelay >= 1: with zero-delay hops allowed, each resubmission
+	// places a pipeline of its own.
 	Sharing bool
 	// ReplicationFactor k keeps every keyed state entry — stored
 	// queries with their DISTINCT memory, indexed tuples, ALTT and
@@ -254,10 +256,12 @@ type FaultPartition struct {
 // ChurnOptions configures spontaneous membership churn. Rates are
 // expected events per 1000 virtual ticks; an event class with rate
 // zero never fires spontaneously. Graceful leaves hand the departing
-// node's state to its successor (no answers are lost or duplicated);
-// crashes drop state, with the engine re-indexing the input queries
-// that died and counting everything else as loss. Joins take their arc
-// from their successor. Each event leaves every routing pointer exact
+// node's state to its successor (no answers are lost or duplicated).
+// Crashes follow Crash: with ReplicationFactor >= 2 the successor
+// promotes the crashed node's state and nothing is lost; below it the
+// state is dropped, the engine re-indexes the input queries that died
+// and counts everything else as loss. Joins take their arc from their
+// successor. Each event leaves every routing pointer exact
 // before the next one, so nothing here tunes route repair.
 type ChurnOptions struct {
 	JoinRate  float64
@@ -774,9 +778,11 @@ func (n *Network) AddNode() error {
 
 // RemoveNode removes the node at the given position of the current
 // identifier-ordered node list, gracefully: its stored queries,
-// tuples, candidate-table entries and RIC state transfer to its
-// successor — in place before RemoveNode returns, charged as counted
-// handover messages — so no answer is lost or duplicated. The last node of a network cannot be removed.
+// tuples, ALTT entries, aggregator groups, candidate-table entries and
+// RIC state transfer to its successor, where its placement walks
+// restart — in place before RemoveNode returns, charged as counted
+// handover messages — so no answer is lost or duplicated. The last
+// node of a network cannot be removed.
 func (n *Network) RemoveNode(index int) error {
 	node, err := n.nodeAt(index, "remove")
 	if err != nil {
@@ -786,10 +792,12 @@ func (n *Network) RemoveNode(index int) error {
 }
 
 // Crash abruptly removes the node at the given position of the current
-// identifier-ordered node list. Its state is lost; the engine
-// re-indexes the input queries that died with it (preserving their
-// identity and insertion time), and Stats counts the rewritten queries
-// and tuples that could not be saved. The last node cannot be crashed.
+// identifier-ordered node list. With ReplicationFactor >= 2 its
+// successor promotes the state a replica of it holds, and nothing is
+// lost. Below that its state is lost: the engine re-indexes the input
+// queries that died with it (preserving their identity and insertion
+// time), and Stats counts the rewritten queries, tuples and aggregate
+// partials that could not be saved. The last node cannot be crashed.
 func (n *Network) Crash(index int) error {
 	node, err := n.nodeAt(index, "crash")
 	if err != nil {

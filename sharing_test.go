@@ -52,7 +52,9 @@ func publishShareWorkload(net *Network) {
 // TestDuplicateSubmitShares is the regression test for the silent
 // duplicate-submit hole: a byte-identical resubmission must attach to
 // the existing pipeline — stored-query state stays flat — while both
-// subscriptions keep receiving the full answer stream.
+// subscriptions keep receiving the full answer stream. The dedup holds
+// only at MinHopDelay >= 1: with zero-delay hops a completion can land
+// in its attach tick, so a resubmission places a pipeline of its own.
 func TestDuplicateSubmitShares(t *testing.T) {
 	net := quickNet(t, Options{Seed: 11})
 	defineShareRels(net)
@@ -76,6 +78,18 @@ func TestDuplicateSubmitShares(t *testing.T) {
 	b1, b2 := answerBag(s1), answerBag(s2)
 	if len(b1) == 0 || !bagsEqual(b1, b2) {
 		t.Fatalf("duplicate subscribers diverge: %d vs %d answers", len(b1), len(b2))
+	}
+
+	zero := quickNet(t, Options{Seed: 11, MinHopDelay: 0, MaxHopDelay: 3})
+	defineShareRels(zero)
+	zero.MustSubscribe(sql)
+	zero.Run()
+	q0, _, _ = zero.Engine().StoredState()
+	zero.MustSubscribe(sql)
+	zero.Run()
+	q1, _, _ = zero.Engine().StoredState()
+	if got := zero.Stats().QueriesShared; got != 0 || q1 <= q0 {
+		t.Fatalf("at MinHopDelay 0 a duplicate submit shared %d queries and took stored queries %d -> %d; want its own pipeline", got, q0, q1)
 	}
 }
 
