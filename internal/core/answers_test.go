@@ -186,13 +186,18 @@ func TestAggPathAllocs(t *testing.T) {
 // for its own buffers — the unexported slice fields — which are kept
 // empty, their arrays cleared, so a recycled message references nothing
 // it was handed. A placement's one buffer is its inline slot array, also
-// after its slots spilled off it.
+// after its slots spilled off it. A rewrite's entry on the engine's free
+// list is held to the same rule: every field zero but its generation,
+// one past its dead life's, and its query's select list and selections,
+// empty slices over the entry's own arrays — no DISTINCT memory, lineage,
+// record, key or plan survives.
 func TestPooledMessagesKeepOnlyOwnedBuffers(t *testing.T) {
 	key := relation.KeyOf("R+A+1")
 	row := []relation.Value{relation.String64("held"), relation.Int64(1), relation.String64("too")}
 	lin := []query.LineageStep{{Pub: 1, Seq: 2, Node: 3}}
 	info := ricInfo{Key: key, Rate: 1, Addr: 7, At: 9}
-	eval := newEvalMsg(newEntry(), key, query.ValueLevel)
+	var free freeEntries
+	eval := newEvalMsg(free.newEntry(), key, query.ValueLevel)
 	eval.RIC = append(eval.RIC, info, info, info) // spills off the inline array
 	spec := agg.SpecOf(sqlparse.MustParse("select R.A, count(*), max(R.B) from R,S where R.A=S.A group by R.A", testCat))
 	sub := &subscription{q: &query.Query{ID: "q", Owner: 5}, spec: spec}
@@ -213,7 +218,7 @@ func TestPooledMessagesKeepOnlyOwnedBuffers(t *testing.T) {
 		newRICReplyMsg(5, []ricInfo{info}),
 	}
 	slots := []slot{{ricInfo: info}, {ricInfo: info, have: true}, {ricInfo: info}}
-	fits, spills := newPending(nil, newEntry(), slots, 2), newPending(nil, newEntry(), append(slots, slot{ricInfo: info}), 3)
+	fits, spills := newPending(nil, free.newEntry(), slots, 2), newPending(nil, free.newEntry(), append(slots, slot{ricInfo: info}), 3)
 	if &fits.slots[0] != &fits.inline[0] || &spills.slots[0] == &spills.inline[0] {
 		t.Fatal("three slots do not lie in the placement's inline array, or four do")
 	}
@@ -242,6 +247,48 @@ func TestPooledMessagesKeepOnlyOwnedBuffers(t *testing.T) {
 	for _, pp := range []*pendingPlacement{fits, spills} {
 		if cap(pp.slots) != len(pp.inline) || &pp.slots[:1][0] != &pp.inline[0] {
 			t.Errorf("a recycled placement's slots lie off its inline array")
+		}
+	}
+
+	parent := free.entryOf(sqlparse.MustParse("select distinct R.B, S.B from R,S,J where R.A=S.A and S.B=J.B and S.C=4 within 9 tuples", testCat))
+	sq := free.newEntry()
+	if !query.RewriteInto(sq.q, parent.q, mkTuple("R", 1, 2, 3)) {
+		t.Fatal("the rewrite failed")
+	}
+	sq.q.Lineage = lin
+	sq.key, sq.level, sq.seen, sq.pipe = key, query.ValueLevel, map[string]bool{"held": true}, sub
+	sub.enlist(sq)
+	sub.delist(sq)
+	sq.gen = 7
+	if len(sq.q.Select) == 0 || len(sq.q.Selections) == 0 {
+		t.Fatal("the rewrite left its entry's lists empty: nothing to clear")
+	}
+	free.put(sq)
+	if len(free.spare) != 1 || &free.spare[0].storedQuery != sq {
+		t.Fatalf("the free list holds %d entries, want the dead rewrite's", len(free.spare))
+	}
+	e := free.spare[0]
+	if e.gen != 8 || e.q != &e.body {
+		t.Errorf("a recycled entry is at generation %d with its query at %p, want 8 and its own %p", e.gen, e.q, &e.body)
+	}
+	own := map[string]reflect.Value{ // the fields that keep an owned buffer
+		"Select":     reflect.ValueOf(e.sel[:0]),
+		"Selections": reflect.ValueOf(e.sels[:0]),
+	}
+	for _, v := range []reflect.Value{reflect.ValueOf(&e.storedQuery).Elem(), reflect.ValueOf(&e.body).Elem(), reflect.ValueOf(e).Elem()} {
+		for i := 0; i < v.NumField(); i++ {
+			f, name := v.Field(i), v.Type().Name()+"."+v.Type().Field(i).Name
+			switch buf, ok := own[v.Type().Field(i).Name]; {
+			case v.Type() == reflect.TypeOf(storedQuery{}) && (name == "storedQuery.gen" || name == "storedQuery.q"),
+				v.Type() == reflect.TypeOf(entry{}) && (name == "entry.storedQuery" || name == "entry.body"):
+				// checked above, or field by field
+			case ok:
+				if f.Len() != 0 || f.Cap() != buf.Cap() || f.Pointer() != buf.Pointer() {
+					t.Errorf("%s: len %d, cap %d off the entry's array; want its emptied own buffer", name, f.Len(), f.Cap())
+				}
+			case !f.IsZero():
+				t.Errorf("%s survives recycling", name)
+			}
 		}
 	}
 }

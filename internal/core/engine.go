@@ -178,6 +178,10 @@ type Engine struct {
 	obs  *obs.Recorder
 	prov bool
 
+	// free holds dead rewrites' entries for the next rewrites to reuse
+	// (freeEntries, proc.go).
+	free freeEntries
+
 	// Accounting slots, one per logical shard like the overlay's lanes.
 	// Handlers count into the slot newProc resolved for their node, and
 	// Sync folds the slots into the public Counters.
@@ -298,7 +302,7 @@ func (e *Engine) SubmitQuery(owner *chord.Node, q *query.Query) (string, error) 
 		return "", err
 	}
 	e.queryCnt++
-	sq := entryOf(q)
+	sq := e.free.entryOf(q)
 	q = sq.q
 	q.ID = fmt.Sprintf("%s#%d", owner.ID(), e.queryCnt)
 	q.Owner = uint64(owner.ID())
@@ -320,7 +324,7 @@ func (e *Engine) SubmitQuery(owner *chord.Node, q *query.Query) (string, error) 
 	// an existing pipeline's fan-out).
 	if pq := e.shareSubmit(s); pq != nil {
 		if pq != q {
-			sq = entryOf(pq) // a canonical pipeline stands in for q
+			sq = e.free.entryOf(pq) // a canonical pipeline stands in for q
 		}
 		sq.pipe = s
 		p.place(e.sim.Now(), sq)
@@ -449,7 +453,7 @@ func (e *Engine) drainExpired() {
 	for i := range e.slots {
 		due := &e.slots[i].due
 		for c := range due {
-			due[c].drain(e.horizon[c], func(p *Proc) {
+			due[c].drain(e.horizon[c], func(_ int64, p *Proc) {
 				if p.node.Alive() { // a departed node stays filed
 					p.expire(e.horizon)
 				}

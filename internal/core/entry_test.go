@@ -3,20 +3,24 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"unsafe"
 
+	"rjoin/internal/chord"
 	"rjoin/internal/id"
 	"rjoin/internal/overlay"
 	"rjoin/internal/query"
 	"rjoin/internal/relation"
+	"rjoin/internal/sim"
 	"rjoin/internal/sqlparse"
 )
 
-// TestEntrySizeClass pins a rewrite's one allocation, its entry (the
-// stored query, the query and their arrays), in the 576-byte size class,
-// where it is 568 bytes: one more word moves every rewrite into the
-// 640-byte class. storedQuery.pos sits in the padding after level.
+// TestEntrySizeClass pins a rewrite's one object, its entry (the stored
+// query, the query and their arrays), in the 576-byte size class, where
+// it is 568 bytes: two more words move every rewrite, and every spare
+// on the free list, into the 640-byte class. storedQuery.gen and pos sit
+// in the padding after level.
 func TestEntrySizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(entry{}); n > 576 {
 		t.Fatalf("an entry is %d bytes, past the 576-byte size class", n)
@@ -24,26 +28,40 @@ func TestEntrySizeClass(t *testing.T) {
 }
 
 // storedOnce checks the premise of allocating a query together with its
-// stored entry: across the network no two stored entries or waiting
-// placements share a storedQuery, nor two of them a query.
+// stored entry, and of reusing a dead rewrite's entry: across the
+// network no two holders of an entry — stored entries, waiting
+// placements, Evals in flight and the engine's free list — share a
+// storedQuery, nor two of them a query. So no spare entry is stored,
+// waiting or on the wire, and none is spare twice.
 func storedOnce(eng *Engine) error {
 	sqs := make(map[*storedQuery]string)
 	qs := make(map[*query.Query]string)
 	var err error
+	hold := func(sq *storedQuery, where string) {
+		if prev, dup := sqs[sq]; dup && err == nil {
+			err = fmt.Errorf("one entry of %q is %s and %s", sq.q.ID, prev, where)
+		}
+		if prev, dup := qs[sq.q]; dup && err == nil {
+			err = fmt.Errorf("one query %q is %s and %s", sq.q.ID, prev, where)
+		}
+		sqs[sq], qs[sq.q] = where, where
+	}
 	for _, n := range eng.Ring().Nodes() {
 		eng.procs[n.ID()].st.each(classQueries|classPending, nil, func(op stateOp) {
-			sq, where := op.sq, fmt.Sprintf("stored at %s under %s", n.ID(), op.key)
 			if op.pp != nil {
-				sq, where = op.pp.sq, fmt.Sprintf("waiting at %s as a placement", n.ID())
+				hold(op.pp.sq, fmt.Sprintf("waiting at %s as a placement", n.ID()))
+				return
 			}
-			if prev, dup := sqs[sq]; dup && err == nil {
-				err = fmt.Errorf("one entry of %s is %s and %s", sq.q.ID, prev, where)
-			}
-			if prev, dup := qs[sq.q]; dup && err == nil {
-				err = fmt.Errorf("one query %s is %s and %s", sq.q.ID, prev, where)
-			}
-			sqs[sq], qs[sq.q] = where, where
+			hold(op.sq, fmt.Sprintf("stored at %s under %s", n.ID(), op.key))
 		})
+	}
+	eng.sim.EachPending(func(c sim.Ctx) {
+		if m, ok := c.C.(*evalMsg); ok {
+			hold(m.SQ, fmt.Sprintf("carried by an Eval in flight to %s", m.Key))
+		}
+	})
+	for i, e := range eng.free.spare {
+		hold(&e.storedQuery, fmt.Sprintf("spare entry %d", i))
 	}
 	return err
 }
@@ -105,6 +123,182 @@ func TestNoQueryStoredTwice(t *testing.T) {
 							c.RewritesStored, c.ContainmentRewrites)
 					}
 				})
+			}
+		}
+	}
+}
+
+// TestFreeEntriesAcrossGoroutines: goroutines that take entries from one
+// free list and return them at once never hold one entry together; and
+// the list keeps no more than spareCap spares.
+func TestFreeEntriesAcrossGoroutines(t *testing.T) {
+	var free freeEntries
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mine := fmt.Sprint(g)
+			var held []*storedQuery
+			for i := range 3000 {
+				sq := free.newEntry()
+				if sq.q.ID != "" {
+					t.Errorf("goroutine %d took an entry %s still holds", g, sq.q.ID)
+					return
+				}
+				sq.q.ID, sq.q.Depth = mine, 1
+				held = append(held, sq)
+				if i%3 == 2 { // return all but the newest
+					for _, sq := range held[:len(held)-1] {
+						if sq.q.ID != mine {
+							t.Errorf("goroutine %d's entry was taken by %s", g, sq.q.ID)
+							return
+						}
+						free.put(sq)
+					}
+					held = held[len(held)-1:]
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	var dead []*storedQuery
+	for range spareCap + 1 {
+		sq := free.newEntry()
+		sq.q.Depth = 1
+		dead = append(dead, sq)
+	}
+	for _, sq := range dead {
+		free.put(sq)
+	}
+	if n := len(free.spare); n != spareCap {
+		t.Fatalf("%d dead entries put, the list keeps %d; want its cap, %d", len(dead), n, spareCap)
+	}
+}
+
+// recycleQueries are windowed queries on both clocks, so that rewrites
+// die all the time: at drains, triggered out of window between them,
+// at departures and with their pipeline's teardown.
+var recycleQueries = []string{
+	"select R.B, S.B from R,S where R.A=S.A within 6 tuples",
+	"select R.B, J.C from R,S,J where R.A=S.A and S.B=J.B within 9 tuples",
+	"select distinct R.A, S.B from R,S where R.A=S.A within 5 tuples",
+	"select S.B, J.C from R,S,J where R.A=S.A and S.B=J.B within 7 ticks tumbling",
+	"select R.A, count(*), sum(S.B) from R,S where R.A=S.A group by R.A within 8 tuples",
+}
+
+// TestSpareEntriesHeldByNothing: a dead rewrite's entry goes to the
+// engine's free list only once nothing holds it, and leaves it only as
+// a new rewrite. Windowed queries run on the paths a rewrite dies on —
+// the drain, a trigger out of window between drains (tuples in flight
+// across RunUntil steps), joins, leaves and crashes at rf 1 and 2 with
+// walks in flight (restarted or lost, rewrites lost with them) and
+// teardown with a walk waiting and with an Eval in flight — and after
+// every step no entry on the list is stored, waiting, on the wire,
+// listed on a record or on the list twice (storedOnce, ownershipErr).
+// The list is used both ways, and four workers, which take and return
+// spares in no fixed order, deliver the same answers and counts as one.
+func TestSpareEntriesHeldByNothing(t *testing.T) {
+	for _, rf := range []int{1, 2} {
+		var ref string
+		for _, workers := range []int{1, 4} {
+			label := fmt.Sprintf("rf %d, %d workers", rf, workers)
+			eng, nodes := lossyNet(t, 24, 17, workers, replCfg(rf), lossyNetCfg(nil))
+			check := func(when string) {
+				t.Helper()
+				if err := storedOnce(eng); err != nil {
+					t.Fatalf("%s, %s: %v", label, when, err)
+				}
+				if err := ownershipErr(eng); err != nil {
+					t.Fatalf("%s, %s: %v", label, when, err)
+				}
+			}
+			var qids []string
+			for i, sql := range recycleQueries {
+				qid, err := eng.SubmitQuery(nodes[i%3], sqlparse.MustParse(sql, testCat))
+				if err != nil {
+					t.Fatal(err)
+				}
+				qids = append(qids, qid)
+			}
+			eng.Run()
+			grew, shrank, prev, departures, downs := false, false, 0, 0, 0
+			for i := 0; i < 80; i++ {
+				alive := eng.Ring().Nodes()
+				eng.PublishTuple(alive[i%len(alive)], mkTuple("R", int64(i%13), int64(i%4), int64(i)))
+				eng.PublishTuple(alive[(i+5)%len(alive)], mkTuple("S", int64(i%13), int64(i%5), int64(i)))
+				eng.PublishTuple(alive[(i+9)%len(alive)], mkTuple("J", int64(i), int64(i%5), int64(i%5)))
+				eng.RunUntil(eng.Sim().Now() + sim.Time(1+i%7)) // Evals, walks and tuples in flight
+				check(fmt.Sprintf("step %d, mid-drain", i))
+				// Every fifth step a node joins, and every tenth one leaves
+				// and another crashes; a node with walks in flight departs
+				// at once, by a leave or a crash in turn, which restarts or
+				// loses them, while the ring keeps more than 20 nodes.
+				var busy *chord.Node
+				for _, n := range alive {
+					if k := len(eng.procs[n.ID()].st.pending); k > 0 && (busy == nil || k > len(eng.procs[busy.ID()].st.pending)) {
+						busy = n
+					}
+				}
+				leaving := alive[(2*i)%len(alive)]
+				if busy != nil {
+					leaving = busy
+				}
+				var err error
+				switch {
+				case i%5 == 3:
+					_, err = eng.JoinNode(alive[i%len(alive)].ID() + id.ID(1+i))
+				case i%10 == 6 || busy != nil && len(alive) > 20 && departures%2 == 0:
+					err = eng.LeaveNode(leaving)
+					departures++
+				case i%10 == 9 || busy != nil && len(alive) > 20:
+					err = eng.CrashNode(leaving)
+					departures++
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("step %d, after churn", i))
+				// From step 30 on, the first pipeline that lists a waiting
+				// walk is torn down, and then the first with an Eval in
+				// flight, which arrives as a straggler.
+				for _, qid := range qids {
+					s, flying := eng.sub(qid), false
+					eng.sim.EachPending(func(c sim.Ctx) {
+						if m, ok := c.C.(*evalMsg); ok && m.SQ.pipe == s {
+							flying = true
+						}
+					})
+					if i >= 30 && s.cls != nil && (downs == 0 && len(s.pending) > 0 || downs == 1 && flying) {
+						if err := eng.Unsubscribe(qid); err != nil {
+							t.Fatal(err)
+						}
+						downs++
+						check(fmt.Sprintf("step %d, after tearing %s down", i, qid))
+					}
+				}
+				if i%3 == 2 {
+					eng.Run()
+					check(fmt.Sprintf("step %d", i))
+					checkNothingWaits(t, eng)
+				}
+				n := len(eng.free.spare)
+				grew, shrank, prev = grew || n > prev, shrank || n < prev, n
+			}
+			eng.Run()
+			check("at the end")
+			if !grew || !shrank || downs != 2 {
+				t.Fatalf("%s: the free list grew %v and shrank %v, and %d pipelines were torn down; want both, and 2", label, grew, shrank, downs)
+			}
+			eng.Sync()
+			got := fmt.Sprintf("%+v", eng.Counters)
+			for _, qid := range qids {
+				got += fmt.Sprint(answerBag(eng, qid), eng.AggRows(qid))
+			}
+			if ref == "" {
+				ref = got
+			} else if got != ref {
+				t.Fatalf("%s: counters and answers differ from one worker's:\n%s\n%s", label, got, ref)
 			}
 		}
 	}
@@ -179,18 +373,20 @@ func TestRewriteOwnsItsLists(t *testing.T) {
 
 // TestPlacementAllocs pins what one trigger allocates once warm, from
 // the stored query it meets to its rewrite's placement, and what the
-// reply that releases a waiting placement allocates. A rewrite placed
-// on a candidate-table hit is its entry alone (the Eval message is
-// pooled and its report rides in the message's own array); so is one
-// whose placement waits for a walk (the pendingPlacement is pooled,
-// its slots inline, and the walk request is pooled, its keys in its own
-// array); and the reply — onRICReply merging the report, decide, the
-// Eval send and the placement's return to its pool — allocates nothing.
-// Delivery runs between the measured calls, outside the count.
+// reply that releases a waiting placement allocates. While no rewrite
+// has died, so the engine's free list is empty, a rewrite placed on a
+// candidate-table hit is its entry alone (the Eval message is pooled
+// and its report rides in the message's own array); so is one whose
+// placement waits for a walk (the pendingPlacement is pooled, its slots
+// inline, and the walk request is pooled, its keys in its own array).
+// Once a rewrite died in a drain, the next one reuses its entry and
+// allocates nothing. The reply — onRICReply merging the report, decide,
+// the Eval send and the placement's return to its pool — allocates
+// nothing. Delivery runs between the measured calls, outside the count.
 func TestPlacementAllocs(t *testing.T) {
 	eng, nodes := testNet(t, 16, 1, Config{}, overlay.DefaultConfig())
 	p := eng.procs[nodes[0].ID()]
-	sq := entryOf(sqlparse.MustParse("select R.B, S.B from R,S,J where R.A=S.A and S.B=J.B", testCat))
+	sq := eng.free.entryOf(sqlparse.MustParse("select R.B, S.B from R,S,J where R.A=S.A and S.B=J.B", testCat))
 	tu := mkTuple("R", 1, 2, 3)
 	key := relation.ValueKeyOf("S", "A", relation.Int64(1)) // the rewrite's one candidate
 	trigger := func() { p.trigger(eng.sim.Now(), sq, tu, false) }
@@ -242,6 +438,22 @@ func TestPlacementAllocs(t *testing.T) {
 	if eng.Counters.RICRequests != walks+runs+1 || eng.Counters.RewritesStored != stored+runs+1 || len(p.st.pending) != 0 {
 		t.Fatalf("replies: %d walks, %d rewrites stored, %d still waiting; want %d, %d and 0",
 			eng.Counters.RICRequests-walks, eng.Counters.RewritesStored-stored, len(p.st.pending), runs+1, runs+1)
+	}
+
+	// A one-tuple window: the rewrite starts at the tuple's sequence, 0,
+	// and dies at 1, which the horizon of the Run that stores it has
+	// passed, so that Run's drain hands its entry to the free list.
+	wq := eng.free.entryOf(sqlparse.MustParse("select R.B, S.B from R,S,J where R.A=S.A and S.B=J.B within 1 tuples", testCat))
+	windowed := func() { p.trigger(eng.sim.Now(), wq, tu, false) }
+	windowed()
+	eng.Run()
+	stored, expired := eng.Counters.RewritesStored, eng.Counters.QueriesExpired
+	if n := allocsOf(runs, eng.Run, windowed); n != 0 {
+		t.Errorf("a rewrite made after one died: %d allocations, want 0 (a dead rewrite's entry)", n)
+	}
+	if eng.Counters.RewritesStored != stored+runs || eng.Counters.QueriesExpired != expired+runs {
+		t.Fatalf("windowed: %d rewrites stored and %d expired, want %d each",
+			eng.Counters.RewritesStored-stored, eng.Counters.QueriesExpired-expired, runs)
 	}
 }
 

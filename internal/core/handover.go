@@ -54,12 +54,13 @@ const (
 // keys it receives (I3 held before the change), so every entry is
 // installed, never merged, and stays listed on its record; one that
 // leaves for good — dead, lost, or a walk restarted as a new placement
-// — is delisted. to counts what it installs, and its replica group is
-// charged one batch per handover message — stateChunk entries — or one
-// for a whole promotion. Every send a move makes is churn traffic,
-// whichever node makes it. It runs in coordinator context, after the
-// replica groups re-formed, so nothing in flight can observe a new
-// owner before its state.
+// — is delisted, a dead or lost rewrite's entry goes to the free list
+// and a walk's pendingPlacement to its pool. to counts what it
+// installs, and its replica group is charged one batch per handover
+// message — stateChunk entries — or one for a whole promotion. Every
+// send a move makes is churn traffic, whichever node makes it. It runs
+// in coordinator context, after the replica groups re-formed, so
+// nothing in flight can observe a new owner before its state.
 func (e *Engine) move(from, to *Proc, ops []stateOp, b bill) {
 	now := e.sim.Now()
 	ops = slices.DeleteFunc(ops, func(op stateOp) bool { return e.expired(op, from) })
@@ -84,6 +85,9 @@ func (e *Engine) move(from, to *Proc, ops []stateOp, b bill) {
 			default:
 				to.st.apply(op)
 			}
+			if op.kind == opAddPending {
+				op.pp.recycle() // the walk restarted, or was lost
+			}
 			if b == handover && (i+1)%stateChunk == 0 {
 				to.replFlush() // one replica batch per handover message
 			}
@@ -102,7 +106,8 @@ func (e *Engine) move(from, to *Proc, ops []stateOp, b bill) {
 // under, a placement from scratch. Everything else — rewritten queries,
 // tuples, aggregator partials, one-time queries, and input queries
 // whose owner's side is gone with the ring — is charged lost: answers
-// it would have produced are the departure's answer loss.
+// it would have produced are the departure's answer loss, and a lost
+// rewrite's entry goes to the free list.
 func (e *Engine) recover(now sim.Time, op stateOp) {
 	sq := op.stored()
 	var home *Proc
@@ -113,6 +118,7 @@ func (e *Engine) recover(now sim.Time, op stateOp) {
 	}
 	if home == nil {
 		op.chargeLost(&e.Counters)
+		e.free.put(sq)
 		return
 	}
 	e.Counters.QueriesRecovered++
@@ -123,7 +129,7 @@ func (e *Engine) recover(now sim.Time, op stateOp) {
 	}
 	// A fresh entry: the recovered query starts without the lost one's
 	// DISTINCT memory.
-	fresh := entryOf(sq.q)
+	fresh := e.free.entryOf(sq.q)
 	fresh.pipe = sq.pipe
 	e.net.Send(home.node, sq.key.ID(), newEvalMsg(fresh, sq.key, sq.level))
 }
@@ -144,6 +150,7 @@ func (e *Engine) expired(op stateOp, p *Proc) bool {
 		p.ctr.QueriesExpired++
 		p.profStateDrop(e.sim.Now(), op.sq)
 		op.delist()
+		e.free.put(op.sq)
 	case op.kind == opAddTuple && e.horizon.tupleDead(op.t, e.tupleReach()):
 		p.ctr.TuplesCollected++
 	case op.kind == opAddALTT && op.expireAt < e.sim.Now():

@@ -118,7 +118,7 @@ var memInvariants = [5]string{
 	"I2 no replica op left uncharged",
 	"I3 every keyed entry at its ring owner",
 	"I4 stored-entry totals conserved, nothing left waiting or dead",
-	"I5 the records list exactly the entries the states hold",
+	"I5 the records list exactly the entries the states hold, each held once",
 }
 
 // memCheck evaluates the five invariants on a drained engine: nil where
@@ -145,7 +145,9 @@ func memCheck(eng *Engine, base stateCounts) (errs [5]error) {
 	if errs[3] == nil {
 		errs[3] = deadErr(eng)
 	}
-	errs[4] = ownershipErr(eng)
+	if errs[4] = ownershipErr(eng); errs[4] == nil {
+		errs[4] = storedOnce(eng)
+	}
 	return errs
 }
 

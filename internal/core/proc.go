@@ -1,6 +1,9 @@
 package core
 
 import (
+	"sync"
+	"unsafe"
+
 	"rjoin/internal/chord"
 	"rjoin/internal/id"
 	"rjoin/internal/obs"
@@ -18,11 +21,13 @@ import (
 // the subscription record of the QID naming the query's pipeline, set
 // when the entry is made and shared by its rewrites; nil for a QID with
 // no record. pos is the entry's place in that record's list while a
-// state holds it (roster), in what would be level's padding.
+// state holds it (roster), and gen counts the entry's past lives
+// (freeEntries.put), both in what would be level's padding.
 type storedQuery struct {
 	q     *query.Query
 	key   relation.Key
 	level query.Level
+	gen   uint16
 	pos   int32
 	seen  map[string]bool // trigger projections already used (DISTINCT)
 	pipe  *subscription
@@ -30,14 +35,17 @@ type storedQuery struct {
 
 // entry is a query allocated together with the storedQuery that will
 // hold it, and with room for the query's select list and selections, so
-// a rewrite and its stored entry are one allocation. The arrays fit the
+// a rewrite and its stored entry are one object. The arrays fit the
 // paper workload's rewrites (two select items, at most two selections);
-// query.RewriteInto allocates a list that does not fit.
+// query.RewriteInto allocates a list that does not fit. A dead rewrite's
+// entry is reused by a later rewrite (freeEntries), so most rewrites
+// allocate nothing.
 //
 // Ownership rule: a rewrite's Select and Selections lie in its own entry
 // or are shared with its depth-0 input query, never in another
 // rewrite's entry, where a live child would pin a dead parent's whole
-// entry. RewriteInto keeps it by copying into the entry's arrays even a
+// entry — and, once the parent's entry is reused, read its successor's
+// lists. RewriteInto keeps it by copying into the entry's arrays even a
 // list the substitution leaves untouched.
 type entry struct {
 	storedQuery
@@ -46,25 +54,84 @@ type entry struct {
 	sels [2]query.SelCond
 }
 
-// newEntry returns the storedQuery of a fresh entry, its q pointing at
-// the entry's empty query, whose select list and selections are empty
-// slices over the entry's arrays: the one constructor of what gets
-// placed — rewrites fill the query with query.RewriteInto, everything
-// else with entryOf.
-func newEntry() *storedQuery {
-	e := new(entry)
-	e.q = &e.body
+// empty makes e a spare of its gen-th life: every field zero but the
+// generation, q pointing at the entry's query, and the query's select
+// list and selections empty slices over the entry's arrays.
+func (e *entry) empty(gen uint16) {
+	*e = entry{}
+	e.gen, e.q = gen, &e.body
 	e.body.Select, e.body.Selections = e.sel[:0], e.sels[:0]
+}
+
+// spareCap bounds the dead entries an engine keeps for reuse, so the
+// spares cost at most spareCap × 576 bytes of heap (0.9 MB). Births and
+// deaths come in bursts of their own — a rewrite is born at its
+// parent's node and dies at its own key's, at the drain after its window
+// — so the list must bridge a burst, not the average: zipf3way (seed 1)
+// births up to 737 rewrites in one operation while its live rewrites
+// swing by 9.8k. There 1536 spares take allocs_per_tuple from 167.7 to
+// 28.1 for +4 % of live heap (+5.4 % at seed 7); a larger cap saves
+// more allocations but costs over 6 % of heap at seed 7. DESIGN.md
+// ("An entry's life") has the caps measured.
+const spareCap = 1536
+
+// freeEntries is an engine's list of dead rewrites' entries, where
+// newEntry looks before it allocates. It is locked: rewrites are born
+// and die on every goroutine that runs a sub-round.
+type freeEntries struct {
+	mu    sync.Mutex
+	spare []*entry
+}
+
+// newEntry returns the storedQuery of a spare or a fresh entry (entry's
+// empty state): the one constructor of what gets placed — rewrites
+// fill the query with query.RewriteInto, everything else with entryOf.
+func (f *freeEntries) newEntry() *storedQuery {
+	var e *entry
+	f.mu.Lock()
+	if n := len(f.spare); n > 0 {
+		e, f.spare[n-1] = f.spare[n-1], nil
+		f.spare = f.spare[:n-1]
+	}
+	f.mu.Unlock()
+	if e == nil {
+		e = new(entry)
+		e.empty(0)
+	}
 	return &e.storedQuery
 }
 
-// entryOf returns a fresh entry holding a deep copy of q: input queries,
+// entryOf returns an entry holding a deep copy of q: input queries,
 // canonical pipelines and crash-recovered placements enter the placement
 // path through it.
-func entryOf(q *query.Query) *storedQuery {
-	sq := newEntry()
+func (f *freeEntries) entryOf(q *query.Query) *storedQuery {
+	sq := f.newEntry()
 	q.CloneInto(sq.q)
 	return sq
+}
+
+// put hands the entry of a rewrite nothing holds any more to the next
+// newEntry: it left its last state, walk or message, and its record
+// no longer lists it. The entry is emptied into its next life, so it
+// keeps no query, map or lineage alive, and a death filed in an earlier
+// life no longer matches it (state.expire). An input query's entry
+// (Depth 0) is never reused — the subscription record of a query
+// nothing shares with holds its query as its own — nor is one put once
+// the list holds spareCap. nil puts nothing.
+func (f *freeEntries) put(sq *storedQuery) {
+	if sq == nil || sq.q.Depth == 0 {
+		return
+	}
+	e := (*entry)(unsafe.Pointer(sq)) // every storedQuery heads an entry (newEntry)
+	if sq.q != &e.body {
+		panic("core: recycling a storedQuery that heads no entry")
+	}
+	e.empty(sq.gen + 1)
+	f.mu.Lock()
+	if len(f.spare) < spareCap {
+		f.spare = append(f.spare, e)
+	}
+	f.mu.Unlock()
 }
 
 // pubQualifies implements the publication-time predicate of Definition
@@ -102,11 +169,10 @@ type slot struct {
 // (messages.go): it owns its inline slot array and nothing else, and
 // slots lies in that array when the candidates fit, so a waiting
 // placement allocates nothing once the pool is warm. onRICReply recycles
-// it once its Eval is sent, teardown once it removes it; one that
-// handover, promotion or crash recovery re-places falls to the garbage
-// collector, as an undeliverable message does. origin is the processor
-// whose state holds it under id, and pos its place in its pipeline's
-// list (roster).
+// it once its Eval is sent, teardown once it removes it, and a move once
+// it restarted the walk or charged it lost (Engine.move). origin is the
+// processor whose state holds it under id, and pos its place in its
+// pipeline's list (roster).
 type pendingPlacement struct {
 	sq      *storedQuery
 	slots   []slot
@@ -197,6 +263,9 @@ type Proc struct {
 // reports, an answer or partial row (copied into its message's own
 // buffer), an aggregator key (interned) — is copied out of it.
 //
+// dead collects the rewrites a tuple found out of window, which go to
+// the engine's free list once the filter that deleted them returned.
+//
 // row is held for longer than one call: a completion's vals alias it
 // through the whole of complete, the shared fan-out and its containment
 // replays included. Nothing reached from there may call trigger, which
@@ -211,6 +280,7 @@ type scratch struct {
 	row   []relation.Value
 	fan   []relation.Value
 	akey  []byte
+	dead  []*storedQuery
 }
 
 // newProc builds the processor of a ring handle: the node it acts as,
@@ -360,6 +430,7 @@ func (p *Proc) onTuple(now sim.Time, m *tupleMsg) {
 		})
 	}
 
+	dead := p.sc.dead[:0]
 	p.st.filterQueries(m.Key, func(sq *storedQuery) bool {
 		// Section 5 rule: a rewritten query found outside its window
 		// when triggered is deleted. Every quiescent Run drops those
@@ -370,11 +441,17 @@ func (p *Proc) onTuple(now sim.Time, m *tupleMsg) {
 			p.ctr.QueriesExpired++
 			p.profStateDrop(now, sq)
 			sq.pipe.delist(sq)
+			dead = append(dead, sq)
 			return false
 		}
 		p.trigger(now, sq, m.T, false)
 		return true
 	})
+	for _, sq := range dead { // the filter is done with them
+		p.eng.free.put(sq)
+	}
+	clear(dead)
+	p.sc.dead = dead[:0]
 
 	if m.Level == query.ValueLevel {
 		p.storeTuple(m.Key, m.T)
@@ -447,7 +524,7 @@ func (p *Proc) trigger(now sim.Time, sq *storedQuery, t *relation.Tuple, stored 
 		})
 		return
 	}
-	sq2 := newEntry()
+	sq2 := p.eng.free.newEntry()
 	if !query.RewriteInto(sq2.q, q, t) {
 		return
 	}
@@ -537,6 +614,7 @@ func (p *Proc) expire(h horizon) {
 	n := p.st.expire(h, func(sq *storedQuery) {
 		p.profStateDrop(now, sq)
 		sq.pipe.delist(sq)
+		p.eng.free.put(sq)
 	})
 	p.ctr.QueriesExpired += int64(n.Rewrites)
 	p.ctr.TuplesCollected += int64(n.Tuples)
@@ -554,7 +632,8 @@ func (p *Proc) onEval(now sim.Time, m *evalMsg) {
 	}
 	sq, q := m.SQ, m.SQ.q
 	if sq.tornDown() {
-		return // torn-down pipeline: never re-index stragglers
+		p.eng.free.put(sq) // torn-down pipeline: never re-index stragglers
+		return
 	}
 	if ob := p.eng.obs; ob != nil {
 		ob.Emit(p.shard, obs.Rec{

@@ -252,13 +252,16 @@ func remove[T comparable](list []T, x T) []T {
 // retired subscriber's aggregator groups, a torn-down pipeline's stored
 // queries and placement walks — from the nodes that hold them: a keyed
 // entry from its key's ring owner (invariant I3), a placement from its
-// origin, one replica op each (state.drop). Then every node it touched
-// ships its removals in one batch, in identifier order, as a handler's
-// trailing flush would.
+// origin, one replica op each (state.drop), and a rewrite's entry to
+// the engine's free list. Then every node it touched ships its removals
+// in one batch, in identifier order, as a handler's trailing flush
+// would.
 func (e *Engine) release(s *subscription) {
 	var touched []*Proc
 	drop := func(p *Proc, op stateOp) {
+		sq := op.stored()
 		p.st.drop(op)
+		e.free.put(sq)
 		touched = append(touched, p)
 	}
 	owner := func(key relation.Key) *Proc { return e.procs[e.ring.Owner(key.ID()).ID()] }
@@ -336,7 +339,7 @@ func (p *Proc) fanoutComplete(now sim.Time, cls *shareClass, c completion) {
 // row's minimum publication time so downstream subscriber filtering
 // stays exact; they are never stored, only substituted.
 func (p *Proc) spawnContainment(now sim.Time, kid *shareClass, c completion) {
-	sq := newEntry()
+	sq := p.eng.free.newEntry()
 	sq.pipe = kid.pipe
 	cur := kid.query
 	for i, rs := range kid.rels {

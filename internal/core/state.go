@@ -37,7 +37,8 @@ import (
 // forgets it (dropKey, or being discarded) before it is touched again.
 // Nothing copies state, so nothing has to own a second copy of a
 // mutable part. Queries and tuples themselves are immutable once stored
-// and are always shared.
+// and are always shared; a rewrite's entry, its query with it, is reused
+// only once no state, walk, message or record holds it (freeEntries).
 //
 // Ownership rule. Every stored query, placement walk and aggregator
 // group is listed on its record (subscription.enlist) while a state
@@ -190,8 +191,10 @@ type state struct {
 	// and expire write them and no op names them, so apply rebuilds them.
 	// An item whose entry left another way — deleted by a trigger out of
 	// window, torn down, its key moved — stays filed, and its drain finds
-	// nothing to drop.
-	rewrites [numClocks]wheel[*storedQuery]
+	// nothing to drop: a rewrite's entry may be alive again by then as
+	// another rewrite (freeEntries), even here, so its filing names the
+	// life it was filed in (filedRewrite).
+	rewrites [numClocks]wheel[filedRewrite]
 	wheels   [len(mortals)]wheel[relation.Key]
 
 	// hz is the horizon of the engine's last quiescent Run
@@ -266,7 +269,7 @@ func (s *state) addQuery(sq *storedQuery) {
 	}
 	s.queries[sq.key] = append(list, sq)
 	if c, at, ok := deathOf(sq.q); ok {
-		s.rewrites[c].add(at, sq)
+		s.rewrites[c].add(at, filedRewrite{sq, sq.gen})
 		s.register(c, at)
 	}
 	s.replOps++
@@ -966,16 +969,16 @@ type DeadCounts struct {
 // replica op: a replica files the same deaths and drops them itself.
 func (s *state) expire(h horizon, dropped func(*storedQuery)) (n DeadCounts) {
 	for c := range s.rewrites {
-		s.rewrites[c].drain(h[c], func(sq *storedQuery) {
-			if s.removeQuery(sq) {
-				dropped(sq)
+		s.rewrites[c].drain(h[c], func(at int64, f filedRewrite) {
+			if f.current(clock(c), at) && s.removeQuery(f.sq) {
+				dropped(f.sq)
 				n.Rewrites++
 			}
 		})
 	}
 	r := s.tupleReach()
 	for i, m := range mortals {
-		s.wheels[i].drain(h[m.c], func(key relation.Key) {
+		s.wheels[i].drain(h[m.c], func(_ int64, key relation.Key) {
 			switch m.cl {
 			case classTuples:
 				n.Tuples += filterKey(s.tuples, &s.spareTuples, key, func(t *relation.Tuple) bool {
@@ -1072,6 +1075,26 @@ type filing[T comparable] struct {
 	item T
 }
 
+// filedRewrite is a rewrite's death as its wheel files it: the entry,
+// and which of its lives (storedQuery.gen) died.
+type filedRewrite struct {
+	sq  *storedQuery
+	gen uint16
+}
+
+// current reports whether a filing under at on clock c is the death of
+// its entry's present life. Once the entry went to the free list it is
+// not: the generation moved on. Should the 16-bit count come round to
+// it again, the present life's own death (deathOf) must also be the
+// filed one — and if it is, dropping the entry is right anyway.
+func (f filedRewrite) current(c clock, at int64) bool {
+	if f.sq.gen != f.gen {
+		return false
+	}
+	dc, dat, ok := deathOf(f.sq.q)
+	return ok && dc == c && dat == at
+}
+
 // add files item at at. An item equal to the last one filed at at is not
 // filed twice.
 func (w *wheel[T]) add(at int64, item T) {
@@ -1102,14 +1125,15 @@ func (w *wheel[T]) add(at int64, item T) {
 	w.filings = slices.Insert(w.filings, w.head+i, f)
 }
 
-// drain visits, in ascending order, every item filed at or before h and
-// forgets it. visit may file into w, but only past h.
-func (w *wheel[T]) drain(h int64, visit func(T)) {
+// drain visits, in ascending order, every item filed at or before h,
+// with the value it was filed under, and forgets it. visit may file into
+// w, but only past h.
+func (w *wheel[T]) drain(h int64, visit func(at int64, item T)) {
 	for w.head < len(w.filings) && w.filings[w.head].at <= h {
-		it := w.filings[w.head].item
+		f := w.filings[w.head]
 		w.filings[w.head] = filing[T]{}
 		w.head++
-		visit(it)
+		visit(f.at, f.item)
 	}
 	if w.head == len(w.filings) {
 		w.filings, w.head = w.filings[:0], 0

@@ -116,10 +116,10 @@ func (s *state) waitingErr() error {
 // and a flush still owes one of its views — and the filings are
 // ascending. An item whose entry left another way may stay filed.
 func (s *state) deathsErr() error {
-	var queries [numClocks]map[filing[*storedQuery]]bool
+	var queries [numClocks]map[filing[filedRewrite]]bool
 	for c := range s.rewrites {
-		queries[c] = make(map[filing[*storedQuery]]bool)
-		if err := filed(&s.rewrites[c], func(at int64, sq *storedQuery) { queries[c][filing[*storedQuery]{at, sq}] = true }); err != nil {
+		queries[c] = make(map[filing[filedRewrite]]bool)
+		if err := filed(&s.rewrites[c], func(at int64, f filedRewrite) { queries[c][filing[filedRewrite]{at, f}] = true }); err != nil {
 			return fmt.Errorf("clock %d: %v", c, err)
 		}
 	}
@@ -151,7 +151,7 @@ func (s *state) deathsErr() error {
 	}
 	for key, list := range s.queries {
 		for _, sq := range list {
-			if c, at, ok := deathOf(sq.q); ok && !queries[c][filing[*storedQuery]{at, sq}] {
+			if c, at, ok := deathOf(sq.q); ok && !queries[c][filing[filedRewrite]{at, filedRewrite{sq, sq.gen}}] {
 				return fmt.Errorf("key %s: a rewrite dying at %d on clock %d is not filed", key, at, c)
 			}
 		}
@@ -214,6 +214,7 @@ type stateFixture struct {
 	plain, distinct, aggQ *query.Query
 	agg                   *subscription
 	keys                  []relation.Key
+	free                  freeEntries // where stored takes its entries
 }
 
 // windowAgg gives the aggregate query's groups a window from now on.
@@ -256,14 +257,19 @@ func withReach(s *state, r int64) *state {
 	return s
 }
 
+// stored returns an entry holding a copy of q, stored under key at value
+// level: every storedQuery heads an entry (newEntry), which the free
+// list relies on.
 func (f *stateFixture) stored(q *query.Query, key relation.Key) *storedQuery {
-	return &storedQuery{q: q, key: key, level: query.ValueLevel}
+	sq := f.free.entryOf(q)
+	sq.key, sq.level = key, query.ValueLevel
+	return sq
 }
 
-// placement builds a pending placement of q over the candidate keys
-// cands, those among known already reported.
+// placement builds a pending placement of a copy of q over the
+// candidate keys cands, those among known already reported.
 func placement(q *query.Query, cands []relation.Key, known ...relation.Key) *pendingPlacement {
-	pp := &pendingPlacement{sq: &storedQuery{q: q}}
+	pp := &pendingPlacement{sq: new(freeEntries).entryOf(q)}
 	for _, k := range cands {
 		s := slot{ricInfo: ricInfo{Key: k}, have: slices.Contains(known, k)}
 		if !s.have {
@@ -839,7 +845,10 @@ var randomSequenceCharges = [40]int{
 // entry's death afresh, so it dies at its new owner, once; and one that
 // moves back to a node still filing its old death dies there once too.
 // A candidate-table entry follows its node, never a key: it stays, and
-// dies, where it was learned.
+// dies, where it was learned. A rewrite's entry that left by a trigger
+// deletion, by teardown or by a move, went to the free list and is
+// reborn at the same node under the same key with a later death is not
+// dropped or counted by its old life's filing: it dies at its own, once.
 func TestStateDeathsOutliveNoEntry(t *testing.T) {
 	f := newStateFixture()
 	f.windowAgg(query.WindowSpec{Kind: query.WindowTuples, Size: 8, Tumbling: true})
@@ -900,6 +909,44 @@ func TestStateDeathsOutliveNoEntry(t *testing.T) {
 		}
 	}
 	drainsTo("drop", a, DeadCounts{Tuples: 1, ALTT: 1, CT: 1})
+
+	for _, leave := range []struct {
+		how string
+		out func(s *state, sq *storedQuery) // takes sq out of s and ends its life
+	}{
+		{"a trigger deletion", func(s *state, sq *storedQuery) {
+			s.filterQueries(sq.key, func(x *storedQuery) bool { return x != sq })
+			f.free.put(sq)
+		}},
+		{"teardown", func(s *state, sq *storedQuery) {
+			s.drop(stateOp{kind: opAddQuery, key: sq.key, sq: sq})
+			f.free.put(sq)
+		}},
+		{"a move", func(s *state, sq *storedQuery) {
+			heir := empty()
+			moveAll(s, heir)
+			heir.expire(horizon{math.MaxInt64, math.MaxInt64}, f.free.put) // it dies at the heir
+		}},
+	} {
+		a := empty()
+		old := f.stored(f.windowed(query.WindowTuples, false, 3), k[1]) // dies at 11
+		a.addQuery(old)
+		leave.out(a, old)
+		sq := f.free.newEntry()
+		if sq != old {
+			t.Fatalf("%s: the free list did not hand back the dead entry", leave.how)
+		}
+		f.windowed(query.WindowTuples, false, 20).CloneInto(sq.q) // dies at 28
+		sq.key, sq.level = k[1], query.ValueLevel
+		a.addQuery(sq)
+		if err := a.deathsErr(); err != nil {
+			t.Fatalf("%s, reborn: %v", leave.how, err)
+		}
+		if got := a.expire(horizon{27, 27}, func(*storedQuery) {}); got != (DeadCounts{}) || len(a.queries[k[1]]) != 1 {
+			t.Fatalf("%s: the old life's filing dropped %+v and left %d queries under the key, want nothing and 1", leave.how, got, len(a.queries[k[1]]))
+		}
+		drainsTo(leave.how+", reborn", a, DeadCounts{Rewrites: 1})
+	}
 }
 
 // TestExpireAllocatesNothing pins the drain at no allocation in steady

@@ -116,9 +116,10 @@ func checkOneRecord(t *testing.T, label string, eng *Engine) {
 // every stored query, placement walk and aggregator group a live node
 // holds is listed on its record, at the position it keeps, and belongs
 // to no torn-down pipeline or retired subscriber; their lists are
-// empty; and the lists hold no more than the states do, so an entry
-// that left a state without being delisted shows up as a leak. An
-// entry of a QID with no record is listed nowhere.
+// empty; the lists hold no more than the states do, so an entry that
+// left a state without being delisted shows up as a leak; and no list
+// names an entry on the engine's free list. An entry of a QID with no
+// record is listed nowhere.
 func ownershipErr(eng *Engine) error {
 	held, listed := 0, 0
 	var err error
@@ -148,10 +149,24 @@ func ownershipErr(eng *Engine) error {
 			}
 		})
 	}
+	spare := make(map[*storedQuery]bool)
+	for _, e := range eng.free.spare {
+		spare[&e.storedQuery] = true
+	}
 	for _, qid := range slices.Sorted(maps.Keys(eng.subs)) {
 		s := eng.subs[qid]
 		if err == nil && (s.cls == nil && len(s.queries)+len(s.pending) > 0 || s.retired() && len(s.groups) > 0) {
 			err = fmt.Errorf("%s, torn down or retired, lists %d queries, %d placements, %d groups", qid, len(s.queries), len(s.pending), len(s.groups))
+		}
+		for _, sq := range s.queries {
+			if spare[sq] && err == nil {
+				err = fmt.Errorf("%s lists a stored query whose entry is spare", qid)
+			}
+		}
+		for _, pp := range s.pending {
+			if spare[pp.sq] && err == nil {
+				err = fmt.Errorf("%s lists a placement whose entry is spare", qid)
+			}
 		}
 		listed += len(s.queries) + len(s.pending) + len(s.groups)
 	}
@@ -209,6 +224,9 @@ func TestSubsRandomScripts(t *testing.T) {
 					eng.Run()
 					checkNothingWaits(t, eng)
 					checkOneRecord(t, fmt.Sprintf("%s step %d", label, step), eng)
+					if err := storedOnce(eng); err != nil {
+						t.Fatalf("%s step %d: %v", label, step, err)
+					}
 				case len(live) > 0:
 					i := rng.Intn(len(live))
 					discarded += int64(len(eng.Answers(live[i])))
@@ -216,6 +234,9 @@ func TestSubsRandomScripts(t *testing.T) {
 						t.Fatal(err)
 					}
 					if err := ownershipErr(eng); err != nil {
+						t.Fatalf("%s step %d: unsubscribing %s: %v", label, step, live[i], err)
+					}
+					if err := storedOnce(eng); err != nil {
 						t.Fatalf("%s step %d: unsubscribing %s: %v", label, step, live[i], err)
 					}
 					gone = append(gone, live[i])
@@ -250,7 +271,7 @@ func TestSubsRandomScripts(t *testing.T) {
 				if s := eng.sub(qid); s.cls == nil {
 					// A straggling Eval of the torn-down pipeline is dropped
 					// at the key's owner, not stored.
-					sq, c := entryOf(s.q), s.q.Candidates()[0]
+					sq, c := eng.free.entryOf(s.q), s.q.Candidates()[0]
 					sq.pipe = s
 					owner := eng.procs[eng.ring.Owner(c.Key.ID()).ID()]
 					owner.HandleMessage(eng.sim.Now(), newEvalMsg(sq, c.Key, c.Level))

@@ -274,6 +274,20 @@ func (e *Engine) Pending() int {
 	return n
 }
 
+// EachPending hands visit the context of every queued event, in no
+// particular order: a census of what is in flight, for checks made
+// between drains (never while one runs).
+func (e *Engine) EachPending(visit func(Ctx)) {
+	for i := range e.events {
+		visit(e.events[i].ctx)
+	}
+	for m := e.busy; m != 0; m &= m - 1 {
+		for _, ev := range e.heaps[bits.TrailingZeros64(m)] {
+			visit(ev.ctx)
+		}
+	}
+}
+
 // PendingForeground returns the number of queued non-background events
 // (the count Run drains to zero).
 func (e *Engine) PendingForeground() int { return e.fg }

@@ -92,6 +92,30 @@ func TestRunUntilLeavesLaterEventsQueued(t *testing.T) {
 	}
 }
 
+// TestEachPendingVisitsEveryQueuedEvent: the census hands over the
+// context of every queued event, global or addressed to a shard, and of
+// none that fired.
+func TestEachPendingVisitsEveryQueuedEvent(t *testing.T) {
+	e := NewEngine(1)
+	nop := func(Time, Ctx) {}
+	e.AtCtx(10, nop, Ctx{A: "global"})
+	e.AtCtxShard(20, nop, Ctx{A: "shard 3"}, NoShard, 3)
+	e.AtCtxShard(30, nop, Ctx{A: "shard 3, later"}, NoShard, 3)
+	e.AtCtxShard(40, nop, Ctx{A: "shard 60"}, NoShard, 60)
+	census := func() map[any]bool {
+		seen := map[any]bool{}
+		e.EachPending(func(c Ctx) { seen[c.A] = true })
+		return seen
+	}
+	if got := census(); len(got) != 4 || e.Pending() != 4 {
+		t.Fatalf("census %v of %d queued events, want all 4", got, e.Pending())
+	}
+	e.RunUntil(20)
+	if got := census(); len(got) != 2 || !got["shard 3, later"] || !got["shard 60"] {
+		t.Fatalf("after the first two fired: census %v, want the last two", got)
+	}
+}
+
 func TestDeterministicRand(t *testing.T) {
 	a := NewRNG(NewEngine(42).Seed(), 3, 1)
 	b := NewRNG(NewEngine(42).Seed(), 3, 1)
