@@ -13,23 +13,25 @@ import (
 // rows, in delivery order, with their query, values, delivery time and
 // lineage, digested and pinned with and without Provenance, at every
 // worker count, to the digests of the []Answer log that the flat value
-// log and then the byte log replaced (re-pinned once, when the serial
-// heap gave way to the one sub-round schedule) — and to the rules a view
+// log and then the byte log replaced (re-pinned twice: when the serial
+// heap gave way to the one sub-round schedule, and when the 3-way join
+// stopped riding the 2-way class, with every bag unchanged) — and to
+// the rules a view
 // must keep: a slice returned earlier is never changed by later
 // deliveries, appending to a returned Row never writes the next row,
 // AnswersSince(c) is Answers()[c:], Count is len(Answers()), an
 // unsubscribed subscription reads empty everywhere, and DISTINCT still
 // drops repeat rows. The workload shares pipelines (a permuted
-// duplicate, a residual filter and a containment child), so the rows
-// reach the log through the fan-out's per-slot scratch too, from worker
-// context when several workers run.
+// duplicate and a residual filter, beside a 3-way join on its own
+// pipeline), so the rows reach the log through the fan-out's per-slot
+// scratch too, from worker context when several workers run.
 func TestAnswersLogView(t *testing.T) {
 	for _, tc := range []struct {
 		prov   bool
 		digest string
 	}{
-		{false, "80a35b49958a2ffc"},
-		{true, "2427402ff0891a53"},
+		{false, "d7aa57c09498d2fe"},
+		{true, "f28e5de1c7a54197"},
 	} {
 		for _, w := range goldenWorkers(Options{}) {
 			t.Run(fmt.Sprintf("provenance=%v/workers=%d", tc.prov, w), func(t *testing.T) {

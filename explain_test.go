@@ -84,11 +84,10 @@ func (r *recorder) lineageTuples(t *testing.T, lin []LineageStep) []*relation.Tu
 // certifyAnswers replays every answer row's lineage through the
 // centralized reference evaluator: feeding exactly the base tuples the
 // lineage names back into the subscriber's own query must reproduce the
-// delivered row. strict additionally requires the lineage to name
-// exactly one base tuple per FROM relation and the replay to produce
-// exactly one row — the plain-join shape; sharing fan-out and
-// containment replays may legitimately carry wider lineage.
-func certifyAnswers(t *testing.T, rec *recorder, sub *Subscription, strict bool) {
+// delivered row, and the lineage must name exactly one base tuple per
+// FROM relation and replay to exactly one row — the plain-join shape,
+// which a shared pipeline's fan-out keeps too.
+func certifyAnswers(t *testing.T, rec *recorder, sub *Subscription) {
 	t.Helper()
 	q, err := sqlparse.Parse(sub.SQL, rec.net.cat)
 	if err != nil {
@@ -104,26 +103,16 @@ func certifyAnswers(t *testing.T, rec *recorder, sub *Subscription, strict bool)
 		}
 		tuples := rec.lineageTuples(t, a.Lineage)
 		rows := refeval.Evaluate(q, tuples)
-		if strict {
-			if len(tuples) != len(q.Relations) {
-				t.Fatalf("%s: answer %d lineage names %d base tuples, want one per relation (%d)",
-					sub.SQL, i, len(tuples), len(q.Relations))
-			}
-			if len(rows) != 1 {
-				t.Fatalf("%s: answer %d lineage replay produced %d rows, want exactly 1", sub.SQL, i, len(rows))
-			}
+		if len(tuples) != len(q.Relations) {
+			t.Fatalf("%s: answer %d lineage names %d base tuples, want one per relation (%d)",
+				sub.SQL, i, len(tuples), len(q.Relations))
 		}
-		want := refeval.Row(a.Row).Key()
-		found := false
-		for _, row := range rows {
-			if row.Key() == want {
-				found = true
-				break
-			}
+		if len(rows) != 1 {
+			t.Fatalf("%s: answer %d lineage replay produced %d rows, want exactly 1", sub.SQL, i, len(rows))
 		}
-		if !found {
-			t.Fatalf("%s: answer %d %v not reproduced by replaying its lineage %v (replay gave %d rows)",
-				sub.SQL, i, a.Row, a.Lineage, len(rows))
+		if rows[0].Key() != refeval.Row(a.Row).Key() {
+			t.Fatalf("%s: answer %d %v not reproduced by replaying its lineage %v (replay gave %v)",
+				sub.SQL, i, a.Row, a.Lineage, rows[0])
 		}
 	}
 }
@@ -326,20 +315,21 @@ func TestProvenanceCertified(t *testing.T) {
 		net.Run()
 	}
 	for _, sub := range subs {
-		certifyAnswers(t, rec, sub, true)
+		certifyAnswers(t, rec, sub)
 	}
 	// DISTINCT suppresses duplicate rows but each survivor still carries
 	// the lineage of the combination that produced it.
-	certifyAnswers(t, rec, distinct, true)
+	certifyAnswers(t, rec, distinct)
 }
 
 // TestProvenanceSharingCertified certifies lineage through the
 // multi-query sharing machinery under churn with replication: exact
 // duplicates, a clause-permuted variant and a residual-filter variant
-// riding one shared pipeline, plus a containment child extending
-// another pipeline's completions — every subscriber's every row must
-// replay through its own query, crashes included (ReplicationFactor 2
-// keeps the answer stream and its lineage lossless).
+// riding one shared pipeline, beside a 3-way join whose graph contains
+// it and which places its own — every subscriber's every row must
+// replay through its own query to exactly that row, one base tuple per
+// relation, crashes included (ReplicationFactor 2 keeps the answer
+// stream and its lineage lossless).
 func TestProvenanceSharingCertified(t *testing.T) {
 	net := MustNetwork(Options{
 		Nodes: 96, Seed: 42, Provenance: true, Sharing: true, ReplicationFactor: 2,
@@ -354,7 +344,7 @@ func TestProvenanceSharingCertified(t *testing.T) {
 		net.MustSubscribe("select R.B, S.B from R,S where R.A=S.A"),
 		net.MustSubscribe("select S.B, R.B from S,R where S.A=R.A"),               // permuted duplicate
 		net.MustSubscribe("select S.B from S,R where R.A=S.A and 3=R.A"),          // residual filter
-		net.MustSubscribe("select R.B, T.B from R,S,T where R.A=S.A and S.B=T.B"), // contains the 2-way class
+		net.MustSubscribe("select R.B, T.B from R,S,T where R.A=S.A and S.B=T.B"), // contains the 2-way graph
 	}
 	net.Run()
 	skew := []int{0, 0, 3, 1, 1, 2, 3, 4}
@@ -377,10 +367,7 @@ func TestProvenanceSharingCertified(t *testing.T) {
 		t.Fatalf("replication failed to mask crashes: %d rewrites / %d tuples lost", st.RewritesLost, st.TuplesLost)
 	}
 	for _, sub := range subs {
-		// Fan-out subscribers and containment children inherit pipeline
-		// lineage; replay must reproduce each row, but the one-tuple-per-
-		// relation shape only holds for the subscriber's own join width.
-		certifyAnswers(t, rec, sub, false)
+		certifyAnswers(t, rec, sub)
 	}
 }
 

@@ -135,11 +135,6 @@ func NewPartial(s *Spec) *Partial {
 	return &Partial{cols: make([]colPartial, s.Width)}
 }
 
-// Rows returns how many answer rows this partial has folded in — the
-// monotone version stamp aggregate-update messages carry so reordered
-// deliveries cannot regress the subscriber's view.
-func (p *Partial) Rows() int64 { return p.rows }
-
 // Add folds one answer row into the partial.
 func (p *Partial) Add(s *Spec, row []relation.Value) {
 	p.rows++

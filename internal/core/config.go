@@ -138,11 +138,11 @@ type Config struct {
 	// queries that differ only in constants, filter predicates or
 	// projection lists share one canonical full-row pipeline per
 	// join-graph equivalence class, with per-subscriber residuals
-	// applied at the completion node, and a query whose join graph
-	// strictly contains an existing class's attaches to that class's
-	// completions (containment sharing). It implies the ShareExact
-	// timing constraint (MinHopDelay >= 1). A nil Catalog disables
-	// canonical sharing but leaves exact-duplicate sharing intact.
+	// applied at the completion node. A query with no equivalent class
+	// places its own pipeline, whatever class its join graph contains.
+	// It implies the ShareExact timing constraint (MinHopDelay >= 1). A
+	// nil Catalog disables canonical sharing but leaves exact-duplicate
+	// sharing intact.
 	Catalog *relation.Catalog
 
 	// Obs, when non-nil, receives one record per step of the tuple and

@@ -58,13 +58,10 @@ type Counters struct {
 	// submissions that attached to an existing pipeline instead of
 	// placing their own; QueriesUnsubscribed counts Unsubscribe calls;
 	// SharedFanoutRows counts answer rows emitted through completion
-	// fan-out tables; ContainmentRewrites counts partial rewrites
-	// spawned by replaying a parent class's completed row through a
-	// containment child's pipeline.
+	// fan-out tables.
 	QueriesShared       int64
 	QueriesUnsubscribed int64
 	SharedFanoutRows    int64
-	ContainmentRewrites int64
 
 	// Replication bookkeeping (see replicate.go).
 	ReplUpdates         int64 // replica-update messages charged (batches × group members)
@@ -100,7 +97,6 @@ func (c *Counters) add(o *Counters) {
 	c.QueriesShared += o.QueriesShared
 	c.QueriesUnsubscribed += o.QueriesUnsubscribed
 	c.SharedFanoutRows += o.SharedFanoutRows
-	c.ContainmentRewrites += o.ContainmentRewrites
 	c.Joins += o.Joins
 	c.Leaves += o.Leaves
 	c.Crashes += o.Crashes
@@ -143,10 +139,8 @@ type Engine struct {
 
 	// The sharing classes' indexes (see share.go), written only from
 	// coordinator context like subs: the classes by the exact-SQL and
-	// canonical-form keys they claimed, and the placed canonical classes
-	// in creation order, which the containment-parent search scans.
+	// canonical-form keys they claimed.
 	bySQL, byForm map[string]*shareClass
-	parents       []*shareClass
 
 	delta    int64
 	pubSeq   int64

@@ -67,14 +67,14 @@ func storedOnce(eng *Engine) error {
 }
 
 // TestNoQueryStoredTwice: every path that places a query — submission,
-// a canonical pipeline, a rewrite, a containment replay, a walk
-// restarted by a leave or a crash, an input re-indexed after a crash —
-// hands over an entry nothing else holds. The subscriber-side query mix
-// (duplicates, a containment child, DISTINCT, aggregates) runs with and
-// without sharing, without replication (crashes re-index inputs) and at
-// rf 2 (they promote), at one worker and at four, while nodes join,
-// leave and crash with walks in flight; after every drain every stored
-// entry and waiting placement is held once.
+// a canonical pipeline, a rewrite, a walk restarted by a leave or a
+// crash, an input re-indexed after a crash — hands over an entry
+// nothing else holds. The subscriber-side query mix (duplicates, a
+// permuted form, DISTINCT, aggregates) runs with and without sharing,
+// without replication (crashes re-index inputs) and at rf 2 (they
+// promote), at one worker and at four, while nodes join, leave and
+// crash with walks in flight; after every drain every stored entry and
+// waiting placement is held once.
 func TestNoQueryStoredTwice(t *testing.T) {
 	for _, rf := range []int{1, 2} {
 		for _, sharing := range []bool{false, true} {
@@ -118,9 +118,9 @@ func TestNoQueryStoredTwice(t *testing.T) {
 						}
 						checkNothingWaits(t, eng)
 					}
-					if c := eng.Counters; sharing && c.ContainmentRewrites == 0 || c.RewritesStored == 0 {
-						t.Fatalf("the run stored %d rewrites and replayed %d containment rows: a path went unexercised",
-							c.RewritesStored, c.ContainmentRewrites)
+					if c := eng.Counters; sharing && c.QueriesShared == 0 || c.RewritesStored == 0 {
+						t.Fatalf("the run stored %d rewrites and shared %d queries: a path went unexercised",
+							c.RewritesStored, c.QueriesShared)
 					}
 				})
 			}

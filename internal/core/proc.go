@@ -267,11 +267,9 @@ type Proc struct {
 // the engine's free list once the filter that deleted them returned.
 //
 // row is held for longer than one call: a completion's vals alias it
-// through the whole of complete, the shared fan-out and its containment
-// replays included. Nothing reached from there may call trigger, which
-// writes row, or keep vals after returning. fan is written only by the
-// fan-out's subscriber loop, which a containment replay's own fan-out
-// may reenter only after the outer loop is done with it.
+// through the whole of complete, the shared fan-out included. Nothing
+// reached from there may call trigger, which writes row, or keep vals
+// after returning. fan is written only by the fan-out's subscriber loop.
 type scratch struct {
 	cands []query.Candidate
 	slots []slot
@@ -678,9 +676,8 @@ func (p *Proc) onEval(now sim.Time, m *evalMsg) {
 // dispatch routes a freshly created rewrite: contradictory queries are
 // discarded; everything else is indexed at the node the placement
 // strategy selects. A rewrite that reaches it still has a relation to
-// join — trigger completes a one-relation query through
-// query.AppendComplete, and a containment child's relations strictly
-// contain its parent's.
+// join: trigger completes a one-relation query through
+// query.AppendComplete.
 func (p *Proc) dispatch(now sim.Time, sq *storedQuery) {
 	q2 := sq.q
 	p.countRewrite(q2.Depth)

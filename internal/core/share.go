@@ -8,10 +8,8 @@ package core
 // and the pipeline is live exactly while the record names a class.
 // Every member's record points at the class it rides and holds its own
 // residual (internal/share computes it against the class's canonical
-// form); a containment child is a class with a parent, fed by replaying
-// the parent's completed rows through its own unplaced pipeline. Every
-// completed row leaves through the class's fan-out to its members and
-// kids (fanoutComplete).
+// form). Every completed row leaves through the class's fan-out to its
+// members (fanoutComplete).
 //
 // Classes are written only in coordinator context — SubmitQuery and
 // Unsubscribe run between drains, never beside a handler — and handlers
@@ -37,8 +35,7 @@ import (
 type shareClass struct {
 	// pipe is the record of the QID naming the pipeline: its first
 	// member's. query is the pipeline query — the member's own, or a
-	// canonical full-row one; a containment child's is never placed,
-	// only replayed over its parent's rows.
+	// canonical full-row one.
 	pipe  *subscription
 	query *query.Query
 	// sql and form are the exact-SQL and canonical-form keys the class
@@ -52,15 +49,9 @@ type shareClass struct {
 	// query: a canonical one, or one a second member joined at some
 	// point. It is never cleared; its fan-out rows are the shared ones.
 	shared bool
-	// parent is a containment child's parent, and rels the parent's row
-	// layout its replays carve pseudo-tuples from; nil for a class that
-	// owns a placed pipeline.
-	parent *shareClass
-	rels   []share.RelSlice
-	// members and kids, in attach order: the records of the queries
-	// riding the pipeline and the containment children fed by it.
+	// members, in attach order, are the records of the queries riding
+	// the pipeline.
 	members []*subscription
-	kids    []*shareClass
 }
 
 // shareSubmit puts a freshly stamped query's record into a class and
@@ -84,24 +75,32 @@ func (e *Engine) shareSubmit(s *subscription) *query.Query {
 		e.attach(cls, s)
 		return nil
 	}
-	if can, ok := share.Canonicalize(q, e.Cfg.Catalog); ok {
-		if cls := e.byForm[can.Form]; cls != nil {
-			e.attach(cls, s)
-			return nil
-		}
-		return e.openCanonical(can, s, sql)
+	can, ok := share.Canonicalize(q, e.Cfg.Catalog)
+	if !ok {
+		// No sharing possible: the query is its own singleton class and
+		// its own pipeline.
+		e.openClass(&shareClass{sql: sql, query: q}, s)
+		return q
 	}
-	// No sharing possible: the query is its own singleton class and its
-	// own pipeline.
-	e.openClass(&shareClass{sql: sql, query: q}, s)
-	return q
+	if cls := e.byForm[can.Form]; cls != nil {
+		e.attach(cls, s)
+		return nil
+	}
+	// The first member of a canonical class: its residual is taken
+	// against the form, and the form's full-row pipeline is placed in
+	// its stead.
+	s.res = can.ResidualOf(q)
+	pipe := can.Pipeline()
+	pipe.ID, pipe.Owner, pipe.InsertTime = q.ID, q.Owner, q.InsertTime
+	pipe.MinPub = math.MaxInt64
+	e.openClass(&shareClass{sql: sql, form: can.Form, can: can, shared: true, query: pipe}, s)
+	return pipe
 }
 
 // openClass opens a class with its first member, whose QID names the
 // pipeline, and claims the class's keys where they are free (a key can
 // be taken when sharing declined to attach, e.g. a DISTINCT duplicate
-// of a non-canonical class). A placed canonical class becomes a
-// candidate containment parent.
+// of a non-canonical class).
 func (e *Engine) openClass(cls *shareClass, first *subscription) {
 	cls.pipe, cls.members = first, []*subscription{first}
 	first.cls, first.rides = cls, cls
@@ -110,9 +109,6 @@ func (e *Engine) openClass(cls *shareClass, first *subscription) {
 	}
 	if cls.form != "" && e.byForm[cls.form] == nil {
 		e.byForm[cls.form] = cls
-	}
-	if cls.can != nil && cls.parent == nil {
-		e.parents = append(e.parents, cls)
 	}
 }
 
@@ -151,47 +147,6 @@ func (e *Engine) attach(cls *shareClass, s *subscription) {
 	e.Counters.QueriesShared++
 }
 
-// openCanonical opens a new canonical class for s, with its residual
-// against can. If a placed class's form can strictly contains, the new
-// class becomes a containment child: it places no pipeline of its own
-// (the parent's completions are replayed through it) and the function
-// returns nil. Otherwise the canonical full-row pipeline is returned
-// for placement.
-func (e *Engine) openCanonical(can *share.Canonical, s *subscription, sql string) *query.Query {
-	q := s.q
-	s.res = can.ResidualOf(q)
-	pipe := can.Pipeline()
-	pipe.ID = q.ID
-	pipe.Owner = q.Owner
-	pipe.InsertTime = q.InsertTime
-	pipe.Depth = 0
-	pipe.MinPub = math.MaxInt64
-	cls := &shareClass{sql: sql, form: can.Form, can: can, shared: true, query: pipe}
-	if parent := e.findParent(can); parent != nil {
-		cls.parent, cls.rels = parent, parent.can.RelSlices()
-		parent.kids = append(parent.kids, cls)
-		e.openClass(cls, s)
-		e.Counters.QueriesShared++
-		return nil
-	}
-	e.openClass(cls, s)
-	return pipe
-}
-
-// findParent returns the containment parent of a new canonical form:
-// of the placed classes whose form can strictly contains, the one
-// covering the most relations, ties broken by creation order, so the
-// choice is deterministic.
-func (e *Engine) findParent(can *share.Canonical) *shareClass {
-	var best *shareClass
-	for _, cls := range e.parents {
-		if can.Contains(cls.can) && (best == nil || len(cls.can.Rels) > len(best.can.Rels)) {
-			best = cls
-		}
-	}
-	return best
-}
-
 // Unsubscribe removes a live subscription: the subscriber leaves its
 // class, its owner-side answer state is released, its aggregator groups
 // are removed from the nodes holding them, and — when it was the
@@ -206,7 +161,7 @@ func (e *Engine) Unsubscribe(subQID string) error {
 		return fmt.Errorf("core: unknown or already-removed subscription %s", subQID)
 	}
 	cls := s.rides
-	cls.members = remove(cls.members, s)
+	cls.members = slices.DeleteFunc(cls.members, func(m *subscription) bool { return m == s })
 	e.retireSub(s)
 	e.Counters.QueriesUnsubscribed++
 	e.release(s)
@@ -214,14 +169,12 @@ func (e *Engine) Unsubscribe(subQID string) error {
 	return nil
 }
 
-// settle tears down a class a member or kid left once nothing rides it
-// any more: its pipeline's record stops naming it, its keys are
-// released, the stored queries and placement walks its record lists are
-// removed — the input query, its rewrites and those a containment
-// child's replays placed — and a containment child detaches from its
-// parent, which settles in turn.
+// settle tears down a class a member left once nothing rides it any
+// more: its pipeline's record stops naming it, its keys are released,
+// and the stored queries and placement walks its record lists — the
+// input query and its rewrites — are removed.
 func (e *Engine) settle(cls *shareClass) {
-	if len(cls.members) > 0 || len(cls.kids) > 0 {
+	if len(cls.members) > 0 {
 		return
 	}
 	cls.pipe.cls = nil
@@ -232,20 +185,6 @@ func (e *Engine) settle(cls *shareClass) {
 		delete(e.byForm, cls.form)
 	}
 	e.release(cls.pipe)
-	if cls.parent == nil {
-		e.parents = remove(e.parents, cls)
-		return
-	}
-	cls.parent.kids = remove(cls.parent.kids, cls)
-	e.settle(cls.parent)
-}
-
-// remove deletes x's first occurrence from list, keeping the order.
-func remove[T comparable](list []T, x T) []T {
-	if i := slices.Index(list, x); i >= 0 {
-		return slices.Delete(list, i, i+1)
-	}
-	return list
 }
 
 // release removes what s lists that no state may hold any more — a
@@ -293,12 +232,9 @@ func (e *Engine) release(s *subscription) {
 // reference semantics), each residual predicate is evaluated, the
 // subscriber-shaped projection is built, and the row ships to the
 // subscriber — or into its per-subscriber aggregation pipeline. Only a
-// shared class's rows count as fan-out rows. Then every containment
-// child replays the row through its own pipeline.
-// lin is the completed row's provenance (nil unless Config.Provenance):
-// every subscriber's copy of the row shares it, and containment replays
-// inherit it — the child's rows are built from exactly the parent
-// row's base tuples.
+// shared class's rows count as fan-out rows. lin is the completed row's
+// provenance (nil unless Config.Provenance): every subscriber's copy of
+// the row shares it.
 func (p *Proc) fanoutComplete(now sim.Time, cls *shareClass, c completion) {
 	for _, s := range cls.members {
 		if c.minPub < s.since() {
@@ -320,45 +256,4 @@ func (p *Proc) fanoutComplete(now sim.Time, cls *shareClass, c completion) {
 		}
 		p.emitTo(now, s.q.ID, id.ID(s.q.Owner), s.spec, row)
 	}
-	for _, kid := range cls.kids {
-		if c.minPub < kid.pipe.q.InsertTime {
-			continue
-		}
-		p.spawnContainment(now, kid, c)
-	}
-}
-
-// spawnContainment replays a completed parent-class row through a
-// containment child's pipeline: one pseudo-tuple per parent relation
-// (carved out of the full row by the parent's layout) is substituted
-// in sequence, enforcing along the way any conjunct the child is
-// stricter about, and the resulting partial rewrite — depth equal to
-// the parent's relation count, with the child's remaining relations
-// still open — is dispatched from the completion node exactly as a
-// locally triggered rewrite would be. The pseudo-tuples carry the
-// row's minimum publication time so downstream subscriber filtering
-// stays exact; they are never stored, only substituted.
-func (p *Proc) spawnContainment(now sim.Time, kid *shareClass, c completion) {
-	sq := p.eng.free.newEntry()
-	sq.pipe = kid.pipe
-	cur := kid.query
-	for i, rs := range kid.rels {
-		t := relation.MustTuple(rs.Schema, c.vals[rs.Off:rs.Off+rs.Schema.Arity()]...)
-		t.PubTime = c.minPub
-		next := sq.q // the last substitution writes the entry's query
-		if i+1 < len(kid.rels) {
-			next = new(query.Query)
-		}
-		if !query.RewriteInto(next, cur, t) {
-			return // a child-stricter conjunct rejected the row
-		}
-		cur = next
-	}
-	cur.MinPub = c.minPub
-	cur.AggClock = c.clock
-	// The pseudo-tuples are carved out of the parent row, so the
-	// replayed rewrite's provenance is the parent row's, not new steps.
-	cur.Lineage = c.lin
-	p.ctr.ContainmentRewrites++
-	p.dispatch(now, sq)
 }

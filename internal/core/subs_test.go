@@ -24,8 +24,9 @@ import (
 // subsQueries is the pool the subscriber-side tests draw from: plain,
 // DISTINCT and GROUP BY queries, several per join graph so that a
 // sharing engine attaches most of them to a pipeline it already runs —
-// exact duplicates, a permuted form, a selection residual and a
-// containment child included.
+// exact duplicates, a permuted form and a selection residual included,
+// beside a 3-way join that contains the 2-way graph and so places its
+// own pipeline.
 var subsQueries = []string{
 	"select R.B, S.B from R,S where R.A=S.A",
 	"select S.C, R.C from S,R where S.A=R.A",
@@ -91,14 +92,14 @@ func checkSubscription(t *testing.T, label string, eng *Engine, qid string, publ
 // checkOneRecord asserts that the subscription records say which
 // pipelines live: a QID's record names a class exactly when the QID
 // names a live class — every class has a pipeline of its own, a
-// singleton's, a canonical first member's or a containment child's —
-// and then it is that class; and that the records list exactly what the
-// nodes hold, none of it of a torn-down pipeline (ownershipErr).
+// singleton's or a canonical first member's — and then it is that
+// class; and that the records list exactly what the nodes hold, none
+// of it of a torn-down pipeline (ownershipErr).
 func checkOneRecord(t *testing.T, label string, eng *Engine) {
 	t.Helper()
 	classes := make(map[string]*shareClass) // the live classes by pipeline QID
 	for _, s := range eng.subs {
-		for cls := s.rides; cls != nil; cls = cls.parent {
+		if cls := s.rides; cls != nil {
 			classes[cls.pipe.q.ID] = cls
 		}
 	}
@@ -439,7 +440,7 @@ func TestClassLifecycle(t *testing.T) {
 	if err := eng.Unsubscribe(q2); err != nil {
 		t.Fatal(err)
 	}
-	if s1.cls != nil || eng.bySQL[cls.sql] != nil || eng.byForm[cls.form] != nil || stored(q1) != 0 || len(eng.parents) != 0 {
+	if s1.cls != nil || eng.bySQL[cls.sql] != nil || eng.byForm[cls.form] != nil || stored(q1) != 0 {
 		t.Fatal("the last departure left the pipeline, a key or its stored entries behind")
 	}
 	q3, s3 := submit()

@@ -416,10 +416,10 @@ func (q *Query) Matches(t *relation.Tuple) bool {
 
 // Release does nothing. It used to return a dropped rewrite to a free
 // list that Rewrite drew from, but since the AppendComplete fast path
-// only contradictory, unplaceable and containment-intermediate rewrites
-// were ever released, which is none on the benchmark's workloads, so the
-// pool recycled nothing and is gone. The function stays only because the
-// frozen perfbench/layers.go calls it; delete it with that call.
+// only contradictory and unplaceable rewrites were ever released, which
+// is none on the benchmark's workloads, so the pool recycled nothing and
+// is gone. The function stays only because the frozen
+// perfbench/layers.go calls it; delete it with that call.
 func Release(*Query) {}
 
 // AppendComplete performs the final rewriting step for a query whose

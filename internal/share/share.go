@@ -7,10 +7,7 @@
 // the form (constants, filter predicates, projection lists) is split
 // out as a Residual that the completion node applies to each pipeline
 // row before emitting the query's answer. Pipeline builds a form's
-// full-row pipeline query, RelSlices lays out its rows, and Contains
-// is the containment test: a query whose join graph strictly contains
-// a placed form's attaches to that pipeline's completed rows instead
-// of starting from scratch.
+// full-row pipeline query. Forms are only ever compared for equality.
 //
 // The package is pure, immutable computation over queries: it never
 // sends messages, touches the simulator or keeps any state between
@@ -270,72 +267,4 @@ func (c *Canonical) posOf(col query.ColRef) int {
 		panic(fmt.Sprintf("share: column %s.%s is outside the form over %v", col.Rel, col.Attr, c.Rels))
 	}
 	return p
-}
-
-// RelSlice locates one relation's row inside a pipeline's full output
-// row: the completed row's values [Off, Off+Schema.Arity()) are that
-// relation's attributes in schema order.
-type RelSlice struct {
-	Schema *relation.Schema
-	Off    int
-}
-
-// RelSlices returns the per-relation layout of the pipeline's full
-// output row, used to synthesize pseudo-tuples for containment
-// sharing.
-func (c *Canonical) RelSlices() []RelSlice {
-	out := make([]RelSlice, len(c.Rels))
-	off := 0
-	for i := range c.Rels {
-		out[i] = RelSlice{Schema: c.schemas[i], Off: off}
-		off += c.schemas[i].Arity()
-	}
-	return out
-}
-
-// Contains reports whether c's join graph strictly contains p's, so
-// that a class with p's placed pipeline can serve as c's containment
-// parent: p is over at least two relations, both forms are unwindowed,
-// p is selection-free, p's relation set is a strict subset of c's, and
-// every equivalence class of p lies inside a single equivalence class
-// of c. Conjuncts c is stricter about (classes it merges that p keeps
-// apart) are enforced when the parent row is re-played through the
-// child pipeline, so they do not block sharing.
-func (c *Canonical) Contains(p *Canonical) bool {
-	if p.Window.Enabled() || c.Window.Enabled() {
-		return false
-	}
-	if len(p.Selections) != 0 {
-		return false
-	}
-	if len(p.Rels) < 2 || len(p.Rels) >= len(c.Rels) {
-		return false
-	}
-	relSet := make(map[string]bool, len(c.Rels))
-	for _, r := range c.Rels {
-		relSet[r] = true
-	}
-	for _, r := range p.Rels {
-		if !relSet[r] {
-			return false
-		}
-	}
-	colClass := make(map[query.ColRef]int)
-	for i, cls := range c.Classes {
-		for _, col := range cls {
-			colClass[col] = i
-		}
-	}
-	for _, cls := range p.Classes {
-		idx, ok := colClass[cls[0]]
-		if !ok {
-			return false
-		}
-		for _, col := range cls[1:] {
-			if j, ok := colClass[col]; !ok || j != idx {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -148,29 +148,6 @@ func TestResidual(t *testing.T) {
 	c.ResidualOf(sqlparse.MustParse("select R2.C from R0,R2 where R0.A=R2.A", cat))
 }
 
-// TestContains: a three-way join's form strictly contains the two-way
-// form it extends, and non-containments are rejected.
-func TestContains(t *testing.T) {
-	cat := testCatalog(t)
-	parent := mustCanon(t, cat, "select R0.A from R0,R1 where R0.A=R1.A")
-	child := mustCanon(t, cat, "select R0.A from R0,R1,R2 where R0.A=R1.A and R1.B=R2.B")
-	if !child.Contains(parent) {
-		t.Fatal("the three-way form does not contain the two-way one it extends")
-	}
-	if parent.Contains(child) {
-		t.Error("the two-way form contains the three-way one")
-	}
-	for _, sql := range []string{
-		"select R0.A from R0,R1,R2 where R0.A=R2.A and R1.B=R2.B",                // R0.A=R1.A not implied
-		"select R0.A from R0,R1,R2 where R0.A=R1.A and R1.B=R2.B within 4 ticks", // windowed child
-		"select R0.A from R0,R1 where R0.A=R1.A and R0.B=R1.B",                   // same rel set, not strict superset
-	} {
-		if mustCanon(t, cat, sql).Contains(parent) {
-			t.Errorf("%q contains the two-way form", sql)
-		}
-	}
-}
-
 // fuzzQuery builds a random shareable query over the test catalog from
 // a seeded stream, returning the query plus an independent semantic
 // fingerprint of (relation set, join classes, window) used by the

@@ -47,9 +47,6 @@ func (z *Zipf) Next(rng *rand.Rand) int {
 	return sort.SearchFloat64s(z.cdf, u)
 }
 
-// N returns the domain size.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Config describes a workload in the paper's terms.
 type Config struct {
 	Relations  int     // number of relations in the schema
@@ -124,10 +121,6 @@ func MustGenerator(cfg Config, seed int64) *Generator {
 
 // Catalog returns the generated schema catalog.
 func (g *Generator) Catalog() *relation.Catalog { return g.catalog }
-
-// Rand exposes the generator's random source (the experiment harness
-// also draws publisher/owner nodes from it for determinism).
-func (g *Generator) Rand() *rand.Rand { return g.rng }
 
 // Tuple draws one tuple: the relation by Zipf rank, then every
 // attribute value by an independent Zipf draw over the value domain.

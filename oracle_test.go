@@ -46,15 +46,15 @@ type subRec struct {
 // bag for tumbling windows, the agg.Reference view for aggregates). A
 // pinned digest says "the same as last time"; this says "right", which
 // is what lets a digest be re-pinned by the oracle rather than by eye.
-// Three kinds of bag are held to containment in the reference instead
-// of equality: a sliding window's, whose content Section 5 defines by
+// Three kinds of bag are held to inclusion in the reference instead of
+// equality: a sliding window's, whose content Section 5 defines by
 // arrival order — the workloads publish bursts that race each other, and
 // a rewrite deleted by a later tuple arriving first is not a defect; a
 // one-time query's, whose snapshot reaches back only the Δ ticks the
 // attribute-level tables retain; and, when lossy is set, every bag of a
 // configuration that loses state by design (crashes without
 // replication). An aggregate view in one of those three positions is
-// not checked: a view has no containment order.
+// not checked: a view has no inclusion order.
 func (r *recorder) certify(t testing.TB, label string, lossy bool) {
 	t.Helper()
 	published := make([]*relation.Tuple, len(r.pubs))

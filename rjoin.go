@@ -89,17 +89,16 @@ type Options struct {
 	// Sharing enables multi-query optimization: queries whose join
 	// graphs are equivalent up to relation/predicate ordering, constant
 	// selections and projections collapse onto one shared in-network
-	// rewrite pipeline, and a query whose join graph strictly contains
-	// an existing shared pipeline's attaches to its completions instead
-	// of re-joining from scratch. Each subscriber still receives exactly
-	// the answer bag its own query defines — per-subscriber selections,
-	// projections and insertion-time cutoffs are applied at the
-	// completion fan-out. Requires MinHopDelay >= 1 (the default), so a
-	// query attaching to a live pipeline at tick T observes only
-	// completions after T. Byte-identical resubmissions of the same SQL
-	// are deduplicated with or without this option, but only at
-	// MinHopDelay >= 1: with zero-delay hops allowed, each resubmission
-	// places a pipeline of its own.
+	// rewrite pipeline; a query with no equivalent pipeline places its
+	// own. Each subscriber still receives exactly the answer bag its own
+	// query defines — per-subscriber selections, projections and
+	// insertion-time cutoffs are applied at the completion fan-out.
+	// Requires MinHopDelay >= 1 (the default), so a query attaching to a
+	// live pipeline at tick T observes only completions after T.
+	// Byte-identical resubmissions of the same SQL are deduplicated with
+	// or without this option, but only at MinHopDelay >= 1: with
+	// zero-delay hops allowed, each resubmission places a pipeline of
+	// its own.
 	Sharing bool
 	// ReplicationFactor k keeps every keyed state entry — stored
 	// queries with their DISTINCT memory, indexed tuples, ALTT and
@@ -187,10 +186,10 @@ type Options struct {
 	// delivered row (and aggregate view row) carries the base tuples it
 	// joins — by (publisher, publish sequence) — together with the node
 	// each rewrite hop executed on, in consumption order. Lineage
-	// survives shared-pipeline fan-out, containment replay, in-network
-	// aggregation (a view row's lineage is the union over its
-	// contributing rows) and replica promotion. Off (the default), rows
-	// carry no lineage and the rewrite path allocates nothing extra.
+	// survives shared-pipeline fan-out, in-network aggregation (a view
+	// row's lineage is the union over its contributing rows) and replica
+	// promotion. Off (the default), rows carry no lineage and the
+	// rewrite path allocates nothing extra.
 	Provenance bool
 }
 
@@ -385,12 +384,10 @@ type Stats struct {
 	// existing shared pipeline instead of placing their own;
 	// QueriesUnsubscribed counts Unsubscribe calls; SharedFanoutRows
 	// counts per-subscriber rows produced at shared-pipeline completion
-	// fan-outs; ContainmentRewrites counts rewrite steps spent extending
-	// a contained pipeline's completions into a containing query.
+	// fan-outs.
 	QueriesShared       int64
 	QueriesUnsubscribed int64
 	SharedFanoutRows    int64
-	ContainmentRewrites int64
 
 	// TrafficByTag breaks Messages down by the overlay's traffic tags.
 	TrafficByTag TagTraffic
@@ -872,7 +869,6 @@ func (n *Network) Stats() Stats {
 		QueriesShared:       n.eng.Counters.QueriesShared,
 		QueriesUnsubscribed: n.eng.Counters.QueriesUnsubscribed,
 		SharedFanoutRows:    n.eng.Counters.SharedFanoutRows,
-		ContainmentRewrites: n.eng.Counters.ContainmentRewrites,
 		TrafficByTag:        byTag,
 	}
 }

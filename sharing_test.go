@@ -143,39 +143,40 @@ func TestSharingEquivalentForms(t *testing.T) {
 	}
 }
 
-// TestContainmentSharing: a three-way join whose graph strictly
-// contains a live two-way class attaches to its completions instead of
-// placing a pipeline, and still receives exactly the unshared bag.
-func TestContainmentSharing(t *testing.T) {
-	const parent = "select Trades.Px, Quotes.Bid from Trades,Quotes where Trades.Sym=Quotes.Sym"
-	const child = "select Trades.Px, News.Score from Trades,Quotes,News where Trades.Sym=Quotes.Sym and Quotes.Sym=News.Sym"
+// TestContainingQueryPlacesOwnPipeline: a three-way join whose graph
+// strictly contains a live two-way class's shares nothing with it — no
+// submission attaches, and it stores exactly the queries the unshared
+// network stores — and both still receive exactly the unshared bags.
+func TestContainingQueryPlacesOwnPipeline(t *testing.T) {
+	const inner = "select Trades.Px, Quotes.Bid from Trades,Quotes where Trades.Sym=Quotes.Sym"
+	const outer = "select Trades.Px, News.Score from Trades,Quotes,News where Trades.Sym=Quotes.Sym and Quotes.Sym=News.Sym"
 	run := func(sharing bool) ([]string, []string, Stats, int) {
 		net := quickNet(t, Options{Seed: 13, Sharing: sharing})
 		defineShareRels(net)
-		ps := net.MustSubscribe(parent)
+		small := net.MustSubscribe(inner)
 		net.Run()
-		cs := net.MustSubscribe(child)
+		big := net.MustSubscribe(outer)
 		net.Run()
 		q, _, _ := net.Engine().StoredState()
 		publishShareWorkload(net)
-		return answerBag(ps), answerBag(cs), net.Stats(), q
+		return answerBag(small), answerBag(big), net.Stats(), q
 	}
-	sp, sc, sst, sq := run(true)
-	pp, pc, _, pq := run(false)
-	if len(sc) == 0 {
-		t.Fatal("containment child delivered nothing")
+	si, so, sst, sq := run(true)
+	pi, po, _, pq := run(false)
+	if len(so) == 0 {
+		t.Fatal("the containing query delivered nothing")
 	}
-	if !bagsEqual(sp, pp) {
-		t.Fatalf("parent bags diverge: %d vs %d rows", len(sp), len(pp))
+	if !bagsEqual(si, pi) {
+		t.Fatalf("two-way bags diverge: %d vs %d rows", len(si), len(pi))
 	}
-	if !bagsEqual(sc, pc) {
-		t.Fatalf("child bags diverge: %d vs %d rows", len(sc), len(pc))
+	if !bagsEqual(so, po) {
+		t.Fatalf("three-way bags diverge: %d vs %d rows", len(so), len(po))
 	}
-	if sst.ContainmentRewrites == 0 {
-		t.Fatal("containment child never used the parent's completions")
+	if sst.QueriesShared != 0 {
+		t.Fatalf("QueriesShared = %d, want 0: the containing query rode another class", sst.QueriesShared)
 	}
-	if sq >= pq {
-		t.Fatalf("containment stored %d queries, unshared %d — no saving", sq, pq)
+	if sq != pq {
+		t.Fatalf("sharing stored %d queries, the unshared network %d", sq, pq)
 	}
 }
 
