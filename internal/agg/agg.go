@@ -46,6 +46,13 @@ type Spec struct {
 	// Window is the query's window parameter block, which fixes the
 	// epoch length and the sliding/tumbling finalization rule.
 	Window query.WindowSpec
+
+	// cols maps each select position to its column in a partial, -1 for
+	// a position that keeps no state: a grouping position or a plain
+	// COUNT, which reads the partial's row count. ncols is the number of
+	// columns, one per SUM, AVG, MIN, MAX or COUNT(DISTINCT) position.
+	cols  []int
+	ncols int
 }
 
 // SpecOf derives the aggregation spec of a validated aggregate query.
@@ -59,12 +66,18 @@ func SpecOf(q *query.Query) *Spec {
 		Fns:      make([]query.AggFunc, len(q.Select)),
 		Distinct: make([]bool, len(q.Select)),
 		Window:   q.Window,
+		cols:     make([]int, len(q.Select)),
 	}
 	for i, it := range q.Select {
 		s.Fns[i] = it.Agg
 		s.Distinct[i] = it.AggDistinct
-		if it.Agg == query.AggNone {
+		s.cols[i] = -1
+		switch {
+		case it.Agg == query.AggNone:
 			s.GroupPos = append(s.GroupPos, i)
+		case it.Agg != query.AggCount || it.AggDistinct:
+			s.cols[i] = s.ncols
+			s.ncols++
 		}
 	}
 	return s
@@ -73,15 +86,10 @@ func SpecOf(q *query.Query) *Spec {
 // Sliding reports whether view rows merge adjacent epoch partials.
 func (s *Spec) Sliding() bool { return s.Window.Enabled() && !s.Window.Tumbling }
 
-// GroupKey renders the group identity of an answer row: the values at
-// the grouping positions under the shared injective encoding
+// AppendGroupKey appends the group identity of an answer row to b: the
+// values at the grouping positions under the shared injective encoding
 // (relation.AppendCanonical), so no choice of values can make two
 // distinct groups collide.
-func (s *Spec) GroupKey(row []relation.Value) string {
-	return string(s.AppendGroupKey(nil, row))
-}
-
-// AppendGroupKey appends GroupKey's encoding of row's group to b.
 func (s *Spec) AppendGroupKey(b []byte, row []relation.Value) []byte {
 	for _, i := range s.GroupPos {
 		b = relation.AppendCanonical(b, row[i])
@@ -92,11 +100,15 @@ func (s *Spec) AppendGroupKey(b []byte, row []relation.Value) []byte {
 // GroupValues extracts (copies of) the grouping values of a row, in
 // group-position order.
 func (s *Spec) GroupValues(row []relation.Value) []relation.Value {
-	out := make([]relation.Value, len(s.GroupPos))
-	for k, i := range s.GroupPos {
-		out[k] = row[i]
+	return s.AppendGroupValues(make([]relation.Value, 0, len(s.GroupPos)), row)
+}
+
+// AppendGroupValues appends GroupValues' values of row to dst.
+func (s *Spec) AppendGroupValues(dst, row []relation.Value) []relation.Value {
+	for _, i := range s.GroupPos {
+		dst = append(dst, row[i])
 	}
-	return out
+	return dst
 }
 
 // Less is the total order MIN/MAX aggregate under: integers before
@@ -121,10 +133,10 @@ type colPartial struct {
 }
 
 // Partial is the mergeable aggregate state of one (group, epoch): a row
-// count plus per-position column state. Partials move between nodes on
-// membership handover and merge associatively, so any partition of an
-// answer stream across aggregator incarnations folds to the same final
-// values.
+// count plus the column state of each position that keeps some
+// (Spec.cols). Partials move between nodes on membership handover and
+// merge associatively, so any partition of an answer stream across
+// aggregator incarnations folds to the same final values.
 type Partial struct {
 	rows int64
 	cols []colPartial
@@ -132,27 +144,50 @@ type Partial struct {
 
 // NewPartial returns the empty state for a spec.
 func NewPartial(s *Spec) *Partial {
-	return &Partial{cols: make([]colPartial, s.Width)}
+	return &Partial{cols: make([]colPartial, s.ncols)}
+}
+
+// Reset empties p for another (group, epoch) to reuse (Spec.Fit): its
+// rows and column values go, its column array stays, and so do its
+// COUNT(DISTINCT) sets, cleared. Every column up to the array's capacity
+// is then empty.
+func (p *Partial) Reset() {
+	p.rows = 0
+	for i := range p.cols {
+		set := p.cols[i].distinct
+		clear(set)
+		p.cols[i] = colPartial{distinct: set}
+	}
+}
+
+// Fit sizes an emptied partial (Reset) for s in place and reports
+// whether its column array had room; a partial without room is left as
+// it was. A column may keep an empty DISTINCT set from an earlier spec:
+// s fills it if the column is a COUNT(DISTINCT) of its own, and never
+// reads it otherwise.
+func (s *Spec) Fit(p *Partial) bool {
+	if cap(p.cols) < s.ncols {
+		return false
+	}
+	p.cols = p.cols[:s.ncols]
+	return true
 }
 
 // Add folds one answer row into the partial.
 func (p *Partial) Add(s *Spec, row []relation.Value) {
 	p.rows++
-	for i := range s.Fns {
-		fn := s.Fns[i]
-		if fn == query.AggNone {
+	for i, k := range s.cols {
+		if k < 0 {
 			continue
 		}
-		c := &p.cols[i]
+		c := &p.cols[k]
 		v := row[i]
-		switch fn {
-		case query.AggCount:
-			if s.Distinct[i] {
-				if c.distinct == nil {
-					c.distinct = make(map[relation.Value]struct{})
-				}
-				c.distinct[v] = struct{}{}
+		switch s.Fns[i] {
+		case query.AggCount: // COUNT(DISTINCT): a plain COUNT keeps no column
+			if c.distinct == nil {
+				c.distinct = make(map[relation.Value]struct{})
 			}
+			c.distinct[v] = struct{}{}
 		case query.AggSum, query.AggAvg:
 			if v.Kind == relation.KindInt {
 				c.sum += v.Int
@@ -224,11 +259,12 @@ func (s *Spec) AppendRow(dst, group []relation.Value, parts ...*Partial) []relat
 		var sum, ints int64
 		var lo, hi relation.Value
 		have := false
+		k := s.cols[i]
 		for _, p := range parts {
-			if p == nil {
+			if p == nil || k < 0 {
 				continue
 			}
-			c := &p.cols[i]
+			c := &p.cols[k]
 			sum += c.sum
 			ints += c.ints
 			if c.have {
@@ -248,7 +284,7 @@ func (s *Spec) AppendRow(dst, group []relation.Value, parts ...*Partial) []relat
 			gi++
 		case query.AggCount:
 			if s.Distinct[i] {
-				v = relation.Int64(distinctUnion(i, parts))
+				v = relation.Int64(distinctUnion(k, parts))
 			} else {
 				v = relation.Int64(rows)
 			}
@@ -276,8 +312,8 @@ func (s *Spec) AppendRow(dst, group []relation.Value, parts ...*Partial) []relat
 	return dst
 }
 
-// distinctUnion counts the union of the parts' COUNT(DISTINCT) sets at
-// position i: each value is counted in the first part that holds it.
+// distinctUnion counts the union of the parts' COUNT(DISTINCT) sets in
+// column i: each value is counted in the first part that holds it.
 func distinctUnion(i int, parts []*Partial) int64 {
 	var n int64
 	for k, p := range parts {

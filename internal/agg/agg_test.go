@@ -3,6 +3,7 @@ package agg
 import (
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"rjoin/internal/query"
@@ -87,13 +88,14 @@ func TestPartialMergeAssociativity(t *testing.T) {
 func TestGroupKeyInjective(t *testing.T) {
 	q := parse(t, "select R.A, R.B, count(*) from R,S where R.A=S.A group by R.A, R.B")
 	s := SpecOf(q)
-	a := s.GroupKey([]relation.Value{sv("x\x00y"), sv("z"), iv(1)})
-	b := s.GroupKey([]relation.Value{sv("x"), sv("\x00yz"), iv(1)})
+	key := func(row []relation.Value) string { return string(s.AppendGroupKey(nil, row)) }
+	a := key([]relation.Value{sv("x\x00y"), sv("z"), iv(1)})
+	b := key([]relation.Value{sv("x"), sv("\x00yz"), iv(1)})
 	if a == b {
 		t.Fatal("NUL-straddling groups collided")
 	}
-	c := s.GroupKey([]relation.Value{iv(12), sv("z"), iv(1)})
-	d := s.GroupKey([]relation.Value{sv("12"), sv("z"), iv(1)})
+	c := key([]relation.Value{iv(12), sv("z"), iv(1)})
+	d := key([]relation.Value{sv("12"), sv("z"), iv(1)})
 	if c == d {
 		t.Fatal("int 12 and string \"12\" groups collided")
 	}
@@ -201,5 +203,195 @@ func TestAppendRowMatchesMerge(t *testing.T) {
 	}
 	if want := []relation.Value{sv("g"), iv(16), iv(12), iv(28 + 60), iv(0), iv(11)}; !reflect.DeepEqual(room, want) {
 		t.Fatalf("AppendRow = %v, want %v", room, want)
+	}
+}
+
+// naiveView computes the aggregate view of rows from first principles,
+// position by position, with no partial at all: the rows of a group
+// whose epoch a view row covers (its own, and a sliding view's previous
+// one), each aggregate taken over them directly.
+func naiveView(s *Spec, rows [][]relation.Value, clocks []int64) []ViewRow {
+	type cell struct {
+		group string
+		epoch int64
+	}
+	members := map[cell][]int{}
+	for i, row := range rows {
+		g, e := string(s.AppendGroupKey(nil, row)), s.Window.EpochOf(clocks[i])
+		members[cell{g, e}] = append(members[cell{g, e}], i)
+		if s.Sliding() {
+			members[cell{g, e + 1}] = append(members[cell{g, e + 1}], i)
+		}
+	}
+	var out []ViewRow
+	for c, idx := range members {
+		row := make([]relation.Value, s.Width)
+		for i, fn := range s.Fns {
+			var sum, ints int64
+			var lo, hi relation.Value
+			set := map[relation.Value]bool{}
+			for k, r := range idx {
+				v := rows[r][i]
+				set[v] = true
+				if v.Kind == relation.KindInt {
+					sum += v.Int
+					ints++
+				}
+				if k == 0 || Less(v, lo) {
+					lo = v
+				}
+				if k == 0 || Less(hi, v) {
+					hi = v
+				}
+			}
+			switch fn {
+			case query.AggNone:
+				row[i] = rows[idx[0]][i]
+			case query.AggCount:
+				row[i] = iv(int64(len(idx)))
+				if s.Distinct[i] {
+					row[i] = iv(int64(len(set)))
+				}
+			case query.AggSum:
+				row[i] = iv(sum)
+			case query.AggMin:
+				row[i] = lo
+			case query.AggMax:
+				row[i] = hi
+			case query.AggAvg:
+				row[i] = sv("-")
+				if ints > 0 {
+					row[i] = sv(strconv.FormatFloat(float64(sum)/float64(ints), 'g', -1, 64))
+				}
+			}
+		}
+		out = append(out, ViewRow{Group: c.group, Epoch: c.epoch, Row: row})
+	}
+	SortViewRows(out)
+	return out
+}
+
+// TestReusedPartialsMatchReference: under a tumbling and a sliding
+// window, with every aggregate function — COUNT(*), COUNT(col),
+// COUNT(DISTINCT), SUM, AVG, MIN and MAX — over mixed-kind values, the
+// view folded into partials that were Reset and refitted (Spec.Fit) from
+// a wider and a narrower spec's, into fresh ones, and into merges of
+// partials folding a random split of each (group, epoch)'s rows, equals
+// Reference, and both equal the aggregates taken over the rows directly
+// (naiveView). A partial keeps one column per SUM, AVG, MIN, MAX and
+// COUNT(DISTINCT) position and none for a grouping position or a COUNT.
+func TestReusedPartialsMatchReference(t *testing.T) {
+	other := []*Spec{
+		SpecOf(parse(t, "select R.A, sum(S.B), min(S.B), max(S.B), avg(S.B), count(distinct S.B), count(distinct R.B), min(R.B), max(R.B), sum(R.B) from R,S where R.A=S.A group by R.A")),
+		SpecOf(parse(t, "select R.A, count(distinct S.B) from R,S where R.A=S.A group by R.A")),
+	}
+	for _, window := range []string{"within 4 tuples tumbling", "within 4 tuples"} {
+		q := parse(t, "select R.A, count(*), count(S.B), count(distinct S.B), sum(S.B), avg(S.B), min(S.B), max(S.B), R.B from R,S where R.A=S.A group by R.A, R.B "+window)
+		s := SpecOf(q)
+		if p := NewPartial(s); len(p.cols) != 5 {
+			t.Fatalf("%s: a partial of %d columns, want 5", window, len(p.cols))
+		}
+		rng := rand.New(rand.NewSource(int64(len(window))))
+		value := func() relation.Value {
+			if rng.Intn(5) == 0 {
+				return sv(string(rune('a' + rng.Intn(3))))
+			}
+			return iv(int64(rng.Intn(10) - 3))
+		}
+		var pool []Partial // reset partials of other specs, and of s
+		for i := range 60 {
+			o := other[i%2]
+			if i%3 == 0 {
+				o = s
+			}
+			p := NewPartial(o)
+			for range rng.Intn(5) {
+				row := make([]relation.Value, o.Width)
+				for j := range row {
+					row[j] = value()
+				}
+				p.Add(o, row)
+			}
+			p.Reset()
+			pool = append(pool, *p)
+		}
+		reused := func() *Partial {
+			for len(pool) > 0 {
+				p := pool[len(pool)-1]
+				pool = pool[:len(pool)-1]
+				if s.Fit(&p) {
+					return &p
+				}
+			}
+			t.Fatal("the pool ran dry")
+			return nil
+		}
+		for round := range 20 {
+			var rows [][]relation.Value
+			var clocks []int64
+			for range 1 + rng.Intn(40) {
+				row := make([]relation.Value, s.Width)
+				for j := range row {
+					row[j] = value()
+				}
+				row[0], row[8] = iv(int64(rng.Intn(3))), iv(int64(rng.Intn(2)))
+				rows, clocks = append(rows, row), append(clocks, int64(rng.Intn(16)))
+			}
+			want := naiveView(s, rows, clocks)
+			if ref := Reference(q, rows, clocks); !reflect.DeepEqual(ref, want) {
+				t.Fatalf("%s round %d: Reference %v, the rows' own aggregates %v", window, round, ref, want)
+			}
+
+			type cell struct {
+				group string
+				epoch int64
+			}
+			type parts struct{ pooled, fresh, a, b *Partial }
+			cells, groups := map[cell]*parts{}, map[string][]relation.Value{}
+			for i, row := range rows {
+				c := cell{string(s.AppendGroupKey(nil, row)), s.Window.EpochOf(clocks[i])}
+				ps := cells[c]
+				if ps == nil {
+					ps = &parts{reused(), NewPartial(s), reused(), NewPartial(s)}
+					cells[c], groups[c.group] = ps, s.GroupValues(row)
+				}
+				ps.pooled.Add(s, row)
+				ps.fresh.Add(s, row)
+				if rng.Intn(2) == 0 {
+					ps.a.Add(s, row)
+				} else {
+					ps.b.Add(s, row)
+				}
+			}
+			for _, ps := range cells {
+				ps.a.Merge(ps.b)
+			}
+			for _, pick := range []func(*parts) *Partial{
+				func(ps *parts) *Partial { return ps.pooled },
+				func(ps *parts) *Partial { return ps.fresh },
+				func(ps *parts) *Partial { return ps.a },
+			} {
+				var got []ViewRow
+				for _, w := range want {
+					ps := []*Partial{nil, nil}
+					if c := cells[cell{w.Group, w.Epoch}]; c != nil {
+						ps[0] = pick(c)
+					}
+					if c := cells[cell{w.Group, w.Epoch - 1}]; c != nil && s.Sliding() {
+						ps[1] = pick(c)
+					}
+					got = append(got, ViewRow{Group: w.Group, Epoch: w.Epoch, Row: s.FinalizeRow(groups[w.Group], ps...)})
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s round %d: partials finalize to %v, want %v", window, round, got, want)
+				}
+			}
+			for _, ps := range cells {
+				for _, p := range []*Partial{ps.pooled, ps.a, ps.b} {
+					p.Reset()
+					pool = append(pool, *p)
+				}
+			}
+		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 // ViewRow is one entry of a query's aggregate view: the latest
 // finalized aggregates of one group in one epoch. Group is the
-// injective group-key encoding (GroupKey), so view rows sort and
+// injective group-key encoding (Spec.AppendGroupKey), so view rows sort and
 // compare deterministically.
 type ViewRow struct {
 	Group string
@@ -48,7 +48,7 @@ func Reference(q *query.Query, rows [][]relation.Value, clocks []int64) []ViewRo
 	}
 	groups := make(map[string]*bucket)
 	for i, row := range rows {
-		gk := s.GroupKey(row)
+		gk := string(s.AppendGroupKey(nil, row))
 		b, ok := groups[gk]
 		if !ok {
 			b = &bucket{group: s.GroupValues(row), parts: make(map[int64]*Partial)}

@@ -50,12 +50,13 @@ func (sc *scratch) aggKey(queryID string, spec *agg.Spec, row []relation.Value) 
 // epochs whose view rows changed since the last flush. It is keyed
 // under its aggregator key in the node's state (see state.go), which
 // makes it a first-class citizen of handover, replication and loss
-// accounting.
+// accounting. A group of one grouping value whose epochs and marks fit
+// their inline arrays is one object (newAggGroup): its partials come
+// from the node's spares once it pruned some (state.newPartial).
 type aggGroup struct {
 	sub   *subscription    // the aggregate query's record, retired or not
 	key   relation.Key     // its aggregator key
 	pos   int32            // its place in sub's list (roster)
-	gkey  string           // canonical group key (agg.Spec.GroupKey)
 	group []relation.Value // grouping values, in group-position order
 
 	// epochs holds the partials ascending by epoch and dirty the epochs
@@ -79,6 +80,28 @@ type aggGroup struct {
 	// under any fold order; flushes snapshot it sorted. Nil unless
 	// Config.Provenance is set.
 	lins map[int64]map[query.LineageStep]struct{}
+
+	// The arrays group, epochs and dirty start on: one grouping value,
+	// the two epochs a tumbling window keeps at a time and their marks.
+	inGroup  [1]relation.Value
+	inEpochs [2]epochPartial
+	inDirty  [2]int64
+}
+
+// newAggGroup returns the empty group of row under sub at key, its
+// lists on its inline arrays.
+func newAggGroup(sub *subscription, key relation.Key, row []relation.Value) *aggGroup {
+	g := &aggGroup{sub: sub, key: key}
+	g.group = sub.spec.AppendGroupValues(g.inGroup[:0], row)
+	g.epochs, g.dirty = g.inEpochs[:0], g.inDirty[:0]
+	return g
+}
+
+// gkey returns the group's canonical key (agg.Spec.AppendGroupKey): the
+// tail of its interned aggregator key's text, past appendAggQuery's part,
+// so it costs nothing.
+func (g *aggGroup) gkey() string {
+	return g.key.String()[len(aggKeyPrefix)+len(g.sub.q.ID)+1:]
 }
 
 // foldLineage unions one row's lineage into an epoch's provenance set.
@@ -126,8 +149,10 @@ func (g *aggGroup) lineageOf(epochs ...int64) []query.LineageStep {
 	return out
 }
 
-// epochPartial is one epoch's partial, stored by value: a new epoch
-// costs one allocation, its partial's column array.
+// epochPartial is one epoch's partial, stored by value. Its column
+// array is the one allocation an epoch can cost, and it costs none once
+// its node pruned an epoch: a pruned partial's array goes to the node's
+// spares (state.spareParts) for the next epoch to reuse.
 type epochPartial struct {
 	epoch int64
 	part  agg.Partial
@@ -213,15 +238,20 @@ func (g *aggGroup) owes(epoch int64) bool {
 // prune drops the epochs dead by h (horizon.epochDead) whose views are
 // all flushed — an epoch whose row a flush still owes its subscriber
 // waits for that flush — and returns how many went, uncounted: the
-// drain's local prune. The group itself stays, empty or not, until its
-// query is unsubscribed: it is what a partial of a later epoch folds
-// into, and a group made afresh would charge its storage load again.
-func (g *aggGroup) prune(h horizon) int {
+// drain's local prune. Their partials, emptied, go to spares unless it
+// is nil. The group itself stays, empty or not, until its query is
+// unsubscribed: it is what a partial of a later epoch folds into, and a
+// group made afresh would charge its storage load again.
+func (g *aggGroup) prune(h horizon, spares *[]agg.Partial) int {
 	n := len(g.epochs)
 	g.epochs = slices.DeleteFunc(g.epochs, func(ep epochPartial) bool {
 		dead := h.epochDead(g.sub.spec.Window, ep.epoch) && !g.owes(ep.epoch)
 		if dead {
 			delete(g.lins, ep.epoch)
+			if spares != nil {
+				ep.part.Reset()
+				*spares = append(*spares, ep.part)
+			}
 		}
 		return dead
 	})

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"maps"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"rjoin/internal/chord"
 	"rjoin/internal/id"
 	"rjoin/internal/overlay"
+	"rjoin/internal/query"
 	"rjoin/internal/refeval"
 	"rjoin/internal/relation"
 	"rjoin/internal/sim"
@@ -27,7 +29,8 @@ func aggKeyOf(queryID, groupKey string) relation.Key {
 // slot's scratch is the Key aggKeyOf derives from the group key text,
 // and its text is aggKeyPrefix, the query ID, a NUL and the group key,
 // byte for byte — for string and integer groups, several grouping
-// columns and a global aggregate.
+// columns and a global aggregate. A group at that key reads its group
+// key back off the key's text.
 func TestAggKeyOneDerivation(t *testing.T) {
 	var sc scratch
 	iv, sv := relation.Int64, relation.String64
@@ -42,10 +45,14 @@ func TestAggKeyOneDerivation(t *testing.T) {
 	} {
 		spec := agg.SpecOf(sqlparse.MustParse(c.sql, testCat))
 		for _, qid := range []string{"n1#1", "node-4096-long-owner#123456"} {
-			gkey := spec.GroupKey(c.row)
+			gkey := string(spec.AppendGroupKey(nil, c.row))
 			got := sc.aggKey(qid, spec, c.row)
 			if want := aggKeyPrefix + qid + "\x00" + gkey; got != aggKeyOf(qid, gkey) || got.String() != want {
 				t.Fatalf("%s, %s, %v: emitTo's key %q, aggKeyOf's %q, want %q", c.sql, qid, c.row, got, aggKeyOf(qid, gkey), want)
+			}
+			sub := &subscription{q: &query.Query{ID: qid}, spec: spec}
+			if g := newAggGroup(sub, got, c.row); g.gkey() != gkey {
+				t.Fatalf("%s, %s, %v: the group's key %q, want %q", c.sql, qid, c.row, g.gkey(), gkey)
 			}
 		}
 	}
@@ -384,7 +391,7 @@ func scanFlushOrder(e *Engine) []flushRef {
 			g := p.st.aggs[key]
 			for _, ep := range g.dirty {
 				if _, ver, _ := g.viewRowInto(nil, ep); ver > 0 {
-					out = append(out, flushRef{nid, g.sub.q.ID, g.gkey, ep, id.ID(g.sub.q.Owner) == nid})
+					out = append(out, flushRef{nid, g.sub.q.ID, g.gkey(), ep, id.ID(g.sub.q.Owner) == nid})
 				}
 			}
 		}
@@ -703,5 +710,91 @@ func aggEpochDeaths(t *testing.T, rf, joinAt int) {
 	}
 	if 4*live > int64(rows) {
 		t.Fatalf("rf %d: %d epochs are stored for %d view rows; too few died", rf, live, rows)
+	}
+}
+
+// TestSparePartialsBound holds a node's spare partials to their bound
+// (state.spareParts): through random scripts of folds into the groups of
+// a tumbling and a sliding window, flushes and drains at rising
+// horizons, groups leaving the node (handover's prune, Engine.expired)
+// and retired keys, the spares are exactly the epochs this state's own
+// flushes and drains pruned less those its folds took back. A fold that
+// opens an epoch takes a spare whenever one is held (the two specs keep
+// equal column counts), and the views match a fold of fresh partials.
+func TestSparePartialsBound(t *testing.T) {
+	var specs []*subscription
+	for i, sql := range []string{
+		"select R.A, count(*), sum(S.B), count(distinct S.B) from R,S where R.A=S.A group by R.A within 4 tuples tumbling",
+		"select R.A, max(S.B), count(S.B), min(S.B) from R,S where R.A=S.A group by R.A within 4 tuples",
+	} {
+		q := sqlparse.MustParse(sql, testCat)
+		q.ID = fmt.Sprint("q", i)
+		specs = append(specs, &subscription{q: q, spec: agg.SpecOf(q)})
+	}
+	live := func(s *state) (n int) {
+		for _, g := range s.aggs {
+			n += len(g.epochs)
+		}
+		return n
+	}
+	var sc scratch
+	for seed := range int64(20) {
+		rng := rand.New(rand.NewSource(seed))
+		st, clk, pruned, taken := newState(), int64(0), 0, 0
+		want := map[relation.Key]map[int64]*agg.Partial{} // every live epoch, folded into fresh partials
+		for range 400 {
+			spares, epochs := len(st.spareParts), live(st)
+			switch op := rng.Intn(10); {
+			case op < 6: // a row of a random group, completed at or past the horizon
+				sub := specs[rng.Intn(len(specs))]
+				row := []relation.Value{relation.Int64(int64(rng.Intn(6))), relation.Int64(int64(rng.Intn(9))), relation.Int64(int64(rng.Intn(9))), relation.Int64(int64(rng.Intn(9)))}
+				key := sc.aggKey(sub.q.ID, sub.spec, row)
+				epoch := sub.spec.Window.EpochOf(clk + int64(rng.Intn(3)))
+				st.aggFold(key, sub, epoch, row, nil, 0)
+				if want[key] == nil {
+					want[key] = map[int64]*agg.Partial{}
+				}
+				if want[key][epoch] == nil {
+					want[key][epoch] = agg.NewPartial(sub.spec)
+				}
+				want[key][epoch].Add(sub.spec, row)
+				opened := live(st) - epochs
+				if got := spares - len(st.spareParts); got != min(opened, spares) {
+					t.Fatalf("seed %d: a fold opening %d epochs took %d of %d spares", seed, opened, got, spares)
+				}
+				taken += spares - len(st.spareParts)
+			case op < 8: // the quiescent point: drain, then flush
+				clk += int64(rng.Intn(4))
+				h := horizon{clockSeq: clk}
+				st.hz = &h
+				st.expire(h, func(*storedQuery) {})
+				st.flushDirty(func(*aggGroup) {})
+				pruned += epochs - live(st)
+			case op < 9 && len(st.aggs) > 0: // a group leaves with its node
+				key := sortedStateKeys(st.aggs)[rng.Intn(len(st.aggs))]
+				g := st.aggs[key]
+				st.dropKey(key)
+				(&Engine{horizon: st.horizon()}).expired(stateOp{kind: opAddAgg, key: key, g: g}, nil)
+				delete(want, key)
+			case len(st.aggs) > 0: // a retired group
+				key := sortedStateKeys(st.aggs)[rng.Intn(len(st.aggs))]
+				st.dropKey(key)
+				delete(want, key)
+			}
+			if len(st.spareParts) != pruned-taken {
+				t.Fatalf("seed %d: %d spares, want %d pruned less %d taken", seed, len(st.spareParts), pruned, taken)
+			}
+			for key, g := range st.aggs {
+				for _, ep := range g.epochs {
+					w := want[key][ep.epoch]
+					if got, exp := g.sub.spec.FinalizeRow(g.group, &ep.part), g.sub.spec.FinalizeRow(g.group, w); !slices.Equal(got, exp) {
+						t.Fatalf("seed %d: %s epoch %d: %v, fresh partials fold to %v", seed, key, ep.epoch, got, exp)
+					}
+				}
+			}
+		}
+		if pruned == 0 || taken == 0 {
+			t.Fatalf("seed %d: %d epochs pruned, %d spares taken: the script reuses nothing", seed, pruned, taken)
+		}
 	}
 }

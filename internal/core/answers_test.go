@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -110,7 +111,7 @@ func TestAnswerRowAllocs(t *testing.T) {
 	}
 
 	spec := eng.sub(aggID).spec
-	key := aggKeyOf(aggID, spec.GroupKey(complete(aggQ)))
+	key := aggKeyOf(aggID, string(spec.AppendGroupKey(nil, complete(aggQ))))
 	aggr := eng.procs[eng.ring.Owner(key.ID()).ID()]
 	fold := func() {
 		aggr.HandleMessage(now, newAggPartialMsg(aggID, key, 0, complete(aggQ), 0, nil))
@@ -131,9 +132,13 @@ func TestAnswerRowAllocs(t *testing.T) {
 // finds it there; the aggregator folds it into its existing (group,
 // epoch) partial in place; and the flush of the dirty group finalizes
 // the view row into a pooled update, which the subscriber copies over
-// the view row it already holds before the update is recycled. What is
-// left are the objects the network keeps: a new (group, epoch)'s column
-// array and the growth of the view's row array.
+// the view row it already holds before the update is recycled. A row
+// that opens a new (group, epoch) on a node that pruned an epoch before
+// allocates nothing either: the pruned partial's column array waits in
+// the node's spares. What is left are the objects the network keeps: a
+// new group, one object while its grouping value, epochs and marks fit
+// its inline arrays; a (group, epoch)'s column array while its node has
+// no spare; and the growth of the view's row array.
 func TestAggPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops puts, so the pooled partials and updates allocate")
@@ -178,6 +183,53 @@ func TestAggPathAllocs(t *testing.T) {
 	if rows := eng.AggRows(qid); len(rows) != 1 || !slices.Equal(rows[0].Row, want) {
 		t.Fatalf("view %v: want one row %v", rows, want)
 	}
+
+	// One node's state under a tumbling window of 4 tuples: every group
+	// of runs+1 folds one row per epoch, and the flush and the drain at
+	// the epoch's end prune it (the first epoch's partials are the only
+	// ones made).
+	tq := sqlparse.MustParse("select S.B, count(*), sum(S.C), min(R.C), max(R.C), count(distinct S.C) from R,S where R.A=S.A group by S.B within 4 tuples tumbling", testCat)
+	tq.ID = "tumbling"
+	tsub, st := &subscription{q: tq, spec: agg.SpecOf(tq)}, newState()
+	keys, rows := make([]relation.Key, runs+1), make([][]relation.Value, runs+1)
+	for i := range keys {
+		rows[i] = []relation.Value{iv(int64(i)), iv(1), iv(5), iv(3), iv(3), iv(5)}
+		keys[i] = at.sc.aggKey(tq.ID, tsub.spec, rows[i])
+	}
+	epoch, next := int64(0), 0
+	open := func() { // the next group's row in the current epoch
+		st.aggFold(keys[next], tsub, epoch, rows[next], nil, 0)
+		next++
+	}
+	closeEpoch := func() {
+		epoch, next = epoch+1, 0
+		h := horizon{clockSeq: 4 * epoch}
+		st.hz = &h
+		st.flushDirty(func(*aggGroup) {})
+		st.expire(h, func(*storedQuery) {})
+	}
+	for range 2 {
+		for range keys {
+			open()
+		}
+		closeEpoch()
+	}
+	if len(st.spareParts) != len(keys) {
+		t.Fatalf("%d spare partials after an epoch of %d groups died, want %d", len(st.spareParts), len(keys), len(keys))
+	}
+	if n := testing.AllocsPerRun(runs, open); n != 0 {
+		t.Errorf("a row opening a (group, epoch) on a node holding spares: %v allocations, want 0", n)
+	}
+	closeEpoch()
+	for _, k := range keys {
+		st.dropKey(k)
+	}
+	if n := testing.AllocsPerRun(runs, open); n != 1 {
+		t.Errorf("a row opening a new group on a node holding spares: %v allocations, want 1, the group", n)
+	}
+	if len(st.spareParts) != 0 || len(st.aggs) != len(keys) {
+		t.Fatalf("%d spares and %d groups left, want 0 and %d", len(st.spareParts), len(st.aggs), len(keys))
+	}
 }
 
 // TestPooledMessagesKeepOnlyOwnedBuffers holds every pooled message
@@ -190,7 +242,10 @@ func TestAggPathAllocs(t *testing.T) {
 // list is held to the same rule: every field zero but its generation,
 // one past its dead life's, and its query's select list and selections,
 // empty slices over the entry's own arrays — no DISTINCT memory, lineage,
-// record, key or plan survives.
+// record, key or plan survives. So is a partial a flush prunes into its
+// node's spares: it keeps its column array, every column empty but for
+// its COUNT(DISTINCT) set, cleared, and the group keeps no reference to
+// it.
 func TestPooledMessagesKeepOnlyOwnedBuffers(t *testing.T) {
 	key := relation.KeyOf("R+A+1")
 	row := []relation.Value{relation.String64("held"), relation.Int64(1), relation.String64("too")}
@@ -201,7 +256,8 @@ func TestPooledMessagesKeepOnlyOwnedBuffers(t *testing.T) {
 	eval.RIC = append(eval.RIC, info, info, info) // spills off the inline array
 	spec := agg.SpecOf(sqlparse.MustParse("select R.A, count(*), max(R.B) from R,S where R.A=S.A group by R.A", testCat))
 	sub := &subscription{q: &query.Query{ID: "q", Owner: 5}, spec: spec}
-	g := &aggGroup{sub: sub, gkey: "held", group: row[:1], pubAt: 3}
+	g := newAggGroup(sub, aggKeyOf("q", "held"), row)
+	g.pubAt = 3
 	g.addPartial(2, *agg.NewPartial(spec)).Add(spec, row)
 	if newAggUpdateMsg(g, 7) != nil {
 		t.Fatal("an epoch with no data made a group update")
@@ -288,6 +344,43 @@ func TestPooledMessagesKeepOnlyOwnedBuffers(t *testing.T) {
 				}
 			case !f.IsZero():
 				t.Errorf("%s survives recycling", name)
+			}
+		}
+	}
+
+	dq := sqlparse.MustParse("select R.A, count(*), sum(R.B), min(R.B), count(distinct R.B) from R,S where R.A=S.A group by R.A within 4 tuples tumbling", testCat)
+	dq.ID = "dq"
+	st, dsub := newState(), &subscription{q: dq, spec: agg.SpecOf(dq)}
+	dg := st.aggFold(aggKeyOf("dq", "held"), dsub, 0, []relation.Value{row[0], relation.Int64(1), relation.Int64(5), relation.Int64(5), relation.Int64(5)}, lin, 3)
+	st.aggFold(dg.key, dsub, 0, []relation.Value{row[0], relation.Int64(1), relation.Int64(6), relation.Int64(6), relation.Int64(6)}, lin, 3)
+	cols := dg.epochs[0].part
+	st.hz = &horizon{clockSeq: 4} // epoch 0 of 4 tuples closed
+	st.flushDirty(func(*aggGroup) {})
+	if len(dg.epochs) != 0 || len(st.spareParts) != 1 {
+		t.Fatalf("the flush left %d epochs and %d spare partials, want 0 and 1", len(dg.epochs), len(st.spareParts))
+	}
+	if !reflect.ValueOf(dg.inEpochs).IsZero() {
+		t.Error("a pruned epoch's partial survives in its group's inline array")
+	}
+	spare := reflect.ValueOf(st.spareParts[0])
+	if !spare.FieldByName("rows").IsZero() {
+		t.Error("a spare partial keeps its row count")
+	}
+	all := spare.FieldByName("cols")
+	if all.Len() != 3 || all.Pointer() != reflect.ValueOf(cols).FieldByName("cols").Pointer() {
+		t.Fatalf("a spare partial holds %d columns off its epoch's array; want that array's 3", all.Len())
+	}
+	for j := 0; j < all.Cap(); j++ {
+		c := all.Slice(0, all.Cap()).Index(j)
+		for i := 0; i < c.NumField(); i++ {
+			f, name := c.Field(i), fmt.Sprintf("column %d's %s", j, c.Type().Field(i).Name)
+			switch {
+			case name == "column 2's distinct":
+				if f.IsNil() || f.Len() != 0 {
+					t.Errorf("%s: nil %v, %d values; want its set kept, cleared", name, f.IsNil(), f.Len())
+				}
+			case !f.IsZero():
+				t.Errorf("%s survives in a spare partial", name)
 			}
 		}
 	}

@@ -157,8 +157,9 @@ func (e *Engine) expired(op stateOp, p *Proc) bool {
 		p.ctr.ALTTExpired++
 	case op.kind == opAddAgg:
 		// The group is the leaving node's own, which is discarded or has
-		// forgotten its key.
-		op.g.prune(e.horizon)
+		// forgotten its key: its dead partials go to the collector, not
+		// to the heir's spares.
+		op.g.prune(e.horizon, nil)
 		return false
 	default:
 		return false

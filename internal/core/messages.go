@@ -195,7 +195,7 @@ func newAggUpdateMsg(g *aggGroup, epoch int64) *aggUpdateMsg {
 		return nil
 	}
 	m.row = row
-	m.QueryID, m.Owner, m.Group, m.Epoch, m.Ver, m.Row, m.PubAt, m.Lineage = g.sub.q.ID, id.ID(g.sub.q.Owner), g.gkey, epoch, ver, row, g.pubAt, lin
+	m.QueryID, m.Owner, m.Group, m.Epoch, m.Ver, m.Row, m.PubAt, m.Lineage = g.sub.q.ID, id.ID(g.sub.q.Owner), g.gkey(), epoch, ver, row, g.pubAt, lin
 	return m
 }
 

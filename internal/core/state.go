@@ -227,6 +227,16 @@ type state struct {
 	spareWaiting spares[int64]
 	ready        []int64
 
+	// spareParts holds emptied aggregate partials (agg.Partial.Reset) for
+	// the next (group, epoch) to start one (newPartial): a tumbling epoch
+	// dies and the next one opens every window. Only this state's own
+	// prunes feed it — the flush's (flushDirty) and the drain's (expire);
+	// the groups of a departing node are pruned without it — so it never
+	// holds more partials than this node pruned and has not reused since.
+	// The node's state is written only by its own shard's sub-round and by
+	// the coordinator between sub-rounds, so it needs no lock.
+	spareParts []agg.Partial
+
 	// dirtyAggs is the set of aggregator keys whose group holds epochs
 	// marked since its last flush: {k : len(aggs[k].dirty) > 0}, so a
 	// flush visits what changed instead of every group. flushKeys is the
@@ -446,12 +456,12 @@ func (s *state) aggFold(key relation.Key, sub *subscription, epoch int64, row []
 	spec := sub.spec
 	g, ok := s.aggs[key]
 	if !ok {
-		g = &aggGroup{sub: sub, key: key, gkey: spec.GroupKey(row), group: spec.GroupValues(row)}
+		g = newAggGroup(sub, key, row)
 		s.aggs[key], fresh = g, g
 	}
 	part := g.partial(epoch)
 	if part == nil {
-		part = g.addPartial(epoch, *agg.NewPartial(spec))
+		part = g.addPartial(epoch, s.newPartial(spec))
 		if c, at, ok := epochDeath(spec.Window, epoch); ok {
 			s.file(classAggs, c, at, key)
 		}
@@ -463,6 +473,19 @@ func (s *state) aggFold(key relation.Key, sub *subscription, epoch int64, row []
 	s.noteDirty(key, g)
 	s.replOps++
 	return fresh
+}
+
+// newPartial returns an empty partial for spec: the last spare when its
+// column array has room, a new one otherwise.
+func (s *state) newPartial(spec *agg.Spec) agg.Partial {
+	n := len(s.spareParts)
+	if n == 0 || !spec.Fit(&s.spareParts[n-1]) {
+		return *agg.NewPartial(spec)
+	}
+	part := s.spareParts[n-1]
+	s.spareParts[n-1] = agg.Partial{}
+	s.spareParts = s.spareParts[:n-1]
+	return part
 }
 
 // addAgg installs a whole group at a key the state holds none of (I3: a
@@ -520,7 +543,7 @@ func (s *state) flushDirty(visit func(*aggGroup)) {
 		g := s.aggs[key]
 		visit(g)
 		g.dirty = g.dirty[:0]
-		g.prune(h)
+		g.prune(h, &s.spareParts)
 	}
 	clear(s.dirtyAggs)
 	s.flushKeys = keys
@@ -1003,7 +1026,7 @@ func (s *state) expire(h horizon, dropped func(*storedQuery)) (n DeadCounts) {
 				}
 			case classAggs:
 				if g := s.aggs[key]; g != nil {
-					n.Epochs += g.prune(h)
+					n.Epochs += g.prune(h, &s.spareParts)
 				}
 			}
 		})

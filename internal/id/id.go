@@ -31,12 +31,6 @@ func HashKey(key string) ID {
 	return ID(binary.BigEndian.Uint64(sum[:8]))
 }
 
-// HashBytes is HashKey for raw byte keys.
-func HashBytes(key []byte) ID {
-	sum := sha1.Sum(key)
-	return ID(binary.BigEndian.Uint64(sum[:8]))
-}
-
 // String renders the identifier as fixed-width hex, convenient for logs
 // and deterministic test output.
 func (x ID) String() string { return fmt.Sprintf("%016x", uint64(x)) }

@@ -18,12 +18,6 @@ func TestHashKeyDeterministic(t *testing.T) {
 	}
 }
 
-func TestHashBytesMatchesHashKey(t *testing.T) {
-	if HashKey("hello") != HashBytes([]byte("hello")) {
-		t.Fatal("HashKey and HashBytes disagree")
-	}
-}
-
 func TestBetweenSimple(t *testing.T) {
 	cases := []struct {
 		z, x, y ID

@@ -50,16 +50,6 @@ func (v Value) String() string {
 // Equal reports value equality (kind and payload).
 func (v Value) Equal(o Value) bool { return v == o }
 
-// ParseValue interprets a literal token: integers parse as KindInt,
-// anything else (including quoted strings already unquoted by the lexer)
-// is a KindString.
-func ParseValue(tok string) Value {
-	if n, err := strconv.ParseInt(tok, 10, 64); err == nil {
-		return Int64(n)
-	}
-	return String64(tok)
-}
-
 // AppendCanonical appends an injective binary encoding of the value —
 // kind tag, uvarint length, payload — so concatenated encodings of
 // value sequences collide only for equal sequences. It is the one
@@ -391,6 +381,3 @@ func (c *Catalog) Schema(name string) (*Schema, bool) {
 	s, ok := c.byName[name]
 	return s, ok
 }
-
-// Relations returns the number of relations in the catalog.
-func (c *Catalog) Relations() int { return len(c.byName) }

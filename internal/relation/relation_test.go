@@ -27,18 +27,6 @@ func TestValueString(t *testing.T) {
 	}
 }
 
-func TestParseValue(t *testing.T) {
-	if v := ParseValue("123"); v.Kind != KindInt || v.Int != 123 {
-		t.Fatalf("ParseValue(123) = %+v", v)
-	}
-	if v := ParseValue("hello"); v.Kind != KindString || v.Str != "hello" {
-		t.Fatalf("ParseValue(hello) = %+v", v)
-	}
-	if v := ParseValue("12x"); v.Kind != KindString {
-		t.Fatalf("ParseValue(12x) = %+v", v)
-	}
-}
-
 func TestValueEqualityAndMapKey(t *testing.T) {
 	m := map[Value]int{}
 	m[Int64(5)] = 1
@@ -372,9 +360,6 @@ func TestCatalog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Relations() != 2 {
-		t.Fatal("relation count")
-	}
 	if got, ok := c.Schema("R"); !ok || got != r {
 		t.Fatal("catalog lookup")
 	}
@@ -383,17 +368,6 @@ func TestCatalog(t *testing.T) {
 	}
 	if err := c.Add(MustSchema("R", "X")); err == nil {
 		t.Fatal("duplicate relation accepted")
-	}
-}
-
-// Property: ParseValue(Int64(n).String()) round-trips every int64.
-func TestParseValueRoundTripProperty(t *testing.T) {
-	f := func(n int64) bool {
-		v := ParseValue(Int64(n).String())
-		return v.Kind == KindInt && v.Int == n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
 	}
 }
 
