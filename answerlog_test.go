@@ -33,7 +33,7 @@ func TestAnswersLogView(t *testing.T) {
 		{false, "d7aa57c09498d2fe"},
 		{true, "f28e5de1c7a54197"},
 	} {
-		for _, w := range goldenWorkers(Options{}) {
+		for _, w := range goldenWorkers {
 			t.Run(fmt.Sprintf("provenance=%v/workers=%d", tc.prov, w), func(t *testing.T) {
 				testAnswersLogView(t, Options{Nodes: 48, Seed: 23, Sharing: true, Provenance: tc.prov, Workers: w}, tc.digest)
 			})

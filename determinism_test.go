@@ -92,15 +92,10 @@ func goldenConfigs() []Options {
 	}
 }
 
-// goldenWorkers returns the worker counts a golden is pinned across: the
-// engine has one schedule, so one value holds for all of them. Zero-delay
-// hops run on at most one worker.
-func goldenWorkers(opts Options) []int {
-	if opts.MinHopDelay == 0 && opts.MaxHopDelay != 0 {
-		return []int{0, 1}
-	}
-	return []int{0, 1, 2, 4, 8}
-}
+// goldenWorkers are the worker counts a golden is pinned across: the
+// engine has one schedule, so one value holds for all of them, zero-delay
+// hops included.
+var goldenWorkers = []int{0, 1, 2, 4, 8}
 
 // goldenValues are the pinned Stats and answer-stream digest of each
 // goldenConfigs entry. Each value was re-pinned once, after certify
@@ -127,20 +122,22 @@ var goldenValues = []struct {
 }
 
 // checkGoldenWorkload runs every golden configuration at each of its
-// worker counts for which keep is true and fails on the first run that drifts
-// from goldenValues.
+// worker counts for which keep is true, one subtest "configI/workersW"
+// each, and fails every run that drifts from goldenValues.
 func checkGoldenWorkload(t *testing.T, keep func(workers int) bool) {
 	for i, opts := range goldenConfigs() {
-		for _, w := range goldenWorkers(opts) {
+		for _, w := range goldenWorkers {
 			if !keep(w) {
 				continue
 			}
 			opts.Workers = w
-			st, d := goldenWorkload(t, opts)
-			if st != goldenValues[i].stats || d != goldenValues[i].digest {
-				t.Fatalf("config %d, workers %d: replay drifted from golden baseline:\ngot  %+v digest %#x\nwant %+v digest %#x",
-					i, w, st, d, goldenValues[i].stats, goldenValues[i].digest)
-			}
+			t.Run(fmt.Sprintf("config%d/workers%d", i, w), func(t *testing.T) {
+				st, d := goldenWorkload(t, opts)
+				if st != goldenValues[i].stats || d != goldenValues[i].digest {
+					t.Fatalf("replay drifted from golden baseline:\ngot  %+v digest %#x\nwant %+v digest %#x",
+						st, d, goldenValues[i].stats, goldenValues[i].digest)
+				}
+			})
 		}
 	}
 }
@@ -160,7 +157,7 @@ func TestGoldenDeterminism(t *testing.T) {
 	// distributed fold, partial routing and quiescence flushing may not
 	// depend on scheduling interleave in any way that reaches final state.
 	const goldenAgg = uint64(0xdeb53ae175c3b7e3)
-	for _, w := range goldenWorkers(Options{}) {
+	for _, w := range goldenWorkers {
 		if d := goldenAggWorkload(t, Options{Nodes: 96, Seed: 42, Workers: w}); d != goldenAgg {
 			t.Fatalf("aggregation config, workers %d: digest %x diverged from golden %x", w, d, goldenAgg)
 		}
@@ -176,7 +173,7 @@ func TestGoldenDeterminism(t *testing.T) {
 	// may not depend on scheduling interleave.
 	const goldenSharing = uint64(0x0c1d1548774f5b77)
 	var sharedPinned Stats
-	for wi, w := range goldenWorkers(Options{}) {
+	for wi, w := range goldenWorkers {
 		st, d := goldenSharingWorkload(t, Options{
 			Nodes: 96, Seed: 42, Sharing: true, ReplicationFactor: 2, Workers: w,
 			Churn: ChurnOptions{JoinRate: 10, CrashRate: 30, Interval: 8, MinNodes: 48},
@@ -199,10 +196,10 @@ func TestGoldenDeterminism(t *testing.T) {
 }
 
 // TestGoldenDeterminismParallel proves worker-count invariance of the
-// mixed workload: at Workers 2, 4 and 8 every configuration that may run
-// on more than one worker replays to the same golden values as the
-// single-worker run, because the sub-round schedule is keyed by the fixed
-// logical-shard space, never by the worker count.
+// mixed workload: at Workers 2, 4 and 8 every configuration, zero-delay
+// hops included, replays to the same golden values as the single-worker
+// run, because the sub-round schedule is keyed by the fixed logical-shard
+// space, never by the worker count.
 func TestGoldenDeterminismParallel(t *testing.T) {
 	checkGoldenWorkload(t, func(w int) bool { return w > 1 })
 }
@@ -454,7 +451,7 @@ func TestGoldenDeterminismReplicated(t *testing.T) {
 	// routing pointers became exact after every membership call).
 	const goldenDigest = uint64(0x4fd85e03eb1384c6)
 	var pinned Stats
-	for wi, w := range goldenWorkers(Options{}) {
+	for wi, w := range goldenWorkers {
 		st, d := goldenReplWorkload(t, replicatedGoldenOpts(w))
 		if st.Crashes == 0 {
 			t.Fatal("replicated golden drove no crashes; churn config too weak")

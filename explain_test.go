@@ -179,7 +179,7 @@ func TestExplainDigestWorkerInvariant(t *testing.T) {
 	// figures moved.
 	const goldenExplain = uint64(0x8af051f6fb0e9b64)
 	var pinned uint64
-	for wi, w := range goldenWorkers(Options{}) {
+	for wi, w := range goldenWorkers {
 		d, reports := explainWorkload(t, Options{Nodes: 96, Seed: 42, Workers: w})
 		for _, rep := range reports {
 			if !rep.Profiled || !rep.Provenance {

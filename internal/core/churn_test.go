@@ -275,15 +275,17 @@ func TestCrashCountsLostState(t *testing.T) {
 // TestLeaveWithNoSuccessorCountsLoss: the last node leaves, or crashes;
 // there is nobody to hand to or recover to, so everything it holds is
 // charged to the loss counters — the same charges either way — except
-// entries of a torn-down pipeline, which teardown already removed.
+// entries of a torn-down pipeline, which teardown already removed. The
+// two queries differ only in their FROM order, so each places its own
+// pipeline.
 func TestLeaveWithNoSuccessorCountsLoss(t *testing.T) {
 	var charged [2]Counters
 	for d, depart := range []func(*Engine, *chord.Node) error{(*Engine).LeaveNode, (*Engine).CrashNode} {
 		eng, nodes := testNet(t, 1, 3, Config{}, churnNetCfg())
 		var qids []string
-		for i := 0; i < 2; i++ {
+		for _, from := range []string{"R,S", "S,R"} {
 			qid, err := eng.SubmitQuery(nodes[0], sqlparse.MustParse(
-				"select R.B, S.B from R,S where R.A=S.A", testCat))
+				"select R.B, S.B from "+from+" where R.A=S.A", testCat))
 			if err != nil {
 				t.Fatal(err)
 			}

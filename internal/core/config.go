@@ -119,19 +119,6 @@ type Config struct {
 	// is set.
 	MaxWindowHint int64
 
-	// ShareExact enables the multi-query sharing layer's byte-identical
-	// duplicate detection (see share.go): a submitted query whose
-	// canonical SQL rendering matches an already-live query attaches to
-	// that query's pipeline instead of indexing a second copy, and the
-	// completion node fans answer rows out to every subscriber.
-	// Attaching mid-stream is only sound when completions of tuples
-	// published at the attach tick happen strictly later (the fan-out
-	// table must be visible first), so ShareExact requires every message
-	// to take at least one tick — the rjoin layer enables it exactly
-	// when MinHopDelay >= 1. Off by default: the bare engine keeps the
-	// one-pipeline-per-submission behaviour.
-	ShareExact bool
-
 	// Catalog, when non-nil, enables full canonical-form sharing and
 	// supplies the relation schemas the canonicalizer needs (a
 	// canonical pipeline selects every attribute of every relation):
@@ -140,9 +127,8 @@ type Config struct {
 	// join-graph equivalence class, with per-subscriber residuals
 	// applied at the completion node. A query with no equivalent class
 	// places its own pipeline, whatever class its join graph contains.
-	// It implies the ShareExact timing constraint (MinHopDelay >= 1). A
-	// nil Catalog disables canonical sharing but leaves exact-duplicate
-	// sharing intact.
+	// A nil Catalog disables canonical sharing; byte-identical
+	// resubmissions share a pipeline either way (share.go).
 	Catalog *relation.Catalog
 
 	// Obs, when non-nil, receives one record per step of the tuple and

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -81,7 +82,6 @@ func TestNoQueryStoredTwice(t *testing.T) {
 			for _, workers := range []int{0, 4} {
 				t.Run(fmt.Sprintf("rf%d/sharing=%v/workers%d", rf, sharing, workers), func(t *testing.T) {
 					cfg := replCfg(rf)
-					cfg.ShareExact = true
 					if sharing {
 						cfg.Catalog = testCat
 					}
@@ -311,13 +311,19 @@ func TestSpareEntriesHeldByNothing(t *testing.T) {
 // consumption order; its select list names no column of S, so when S is
 // consumed in the middle the step binds nothing and a shortcut that
 // shared the parent's list would leave the child in its parent's entry.
+// The twelve submissions permute the FROM list and the conjuncts, so
+// no two are byte-identical and each places a pipeline of its own.
 func TestRewriteOwnsItsLists(t *testing.T) {
-	const sql = "select R.B, J.C from R,S,J where R.A=S.A and S.A=J.A"
 	perms := [][]string{{"R", "S", "J"}, {"R", "J", "S"}, {"S", "R", "J"}, {"S", "J", "R"}, {"J", "R", "S"}, {"J", "S", "R"}}
 	orders := make(map[string]bool)
 	for _, strat := range []Strategy{StrategyRIC, StrategyRandom} {
 		eng, nodes := testNet(t, 16, 3, Config{Strategy: strat, Provenance: true}, overlay.DefaultConfig())
 		for i := range 12 {
+			where := []string{"R.A=S.A", "S.A=J.A"}
+			if i >= len(perms) {
+				where[0], where[1] = where[1], where[0]
+			}
+			sql := "select R.B, J.C from " + strings.Join(perms[i%len(perms)], ",") + " where " + strings.Join(where, " and ")
 			if _, err := eng.SubmitQuery(nodes[i%len(nodes)], sqlparse.MustParse(sql, testCat)); err != nil {
 				t.Fatal(err)
 			}

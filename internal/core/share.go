@@ -15,13 +15,15 @@ package core
 // Unsubscribe run between drains, never beside a handler — and handlers
 // read them without a lock and without a copy: the drain barrier orders
 // every write before the next handler that reads it, exactly as it does
-// for the records themselves.
+// for the records themselves. The one field a handler writes is a
+// class's same-tick mark (shareClass.fresh), an atomic store.
 
 import (
 	"cmp"
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"rjoin/internal/id"
 	"rjoin/internal/obs"
@@ -52,6 +54,12 @@ type shareClass struct {
 	// members, in attach order, are the records of the queries riding
 	// the pipeline.
 	members []*subscription
+	// fresh is one past the last tick on which the fan-out delivered a
+	// row whose every tuple was published on that tick (0: none yet). A
+	// subscriber inserted on that tick would have been owed the row, so
+	// canAttach refuses the class until the clock moves on. Handlers of
+	// several shards may store it in one sub-round.
+	fresh atomic.Int64
 }
 
 // shareSubmit puts a freshly stamped query's record into a class and
@@ -71,7 +79,7 @@ func (e *Engine) shareSubmit(s *subscription) *query.Query {
 		return q
 	}
 	sql := q.String()
-	if cls := e.bySQL[sql]; cls != nil && e.canAttach(cls, q) {
+	if cls := e.bySQL[sql]; e.canAttach(cls, q) {
 		e.attach(cls, s)
 		return nil
 	}
@@ -82,7 +90,7 @@ func (e *Engine) shareSubmit(s *subscription) *query.Query {
 		e.openClass(&shareClass{sql: sql, query: q}, s)
 		return q
 	}
-	if cls := e.byForm[can.Form]; cls != nil {
+	if cls := e.byForm[can.Form]; e.canAttach(cls, q) {
 		e.attach(cls, s)
 		return nil
 	}
@@ -112,24 +120,24 @@ func (e *Engine) openClass(cls *shareClass, first *subscription) {
 	}
 }
 
-// canAttach reports whether a new subscriber may ride an existing
-// class's pipeline. Sharing must be enabled; mid-stream attachment is
-// only sound when completions cannot happen on the attach tick itself
-// (ShareExact is gated on MinHopDelay >= 1 by the caller). DISTINCT
+// canAttach reports whether a new subscriber may ride a live class's
+// pipeline (nil: none under the key). A member sees exactly the rows
+// fanned out after it attached whose every tuple was published at or
+// after its insertion tick (fanoutComplete's since filter), so an
+// attach is exact unless the class already fanned out such a row on
+// this very tick, which a node-local delivery, taking zero ticks, makes
+// possible; then the subscriber places its own pipeline. DISTINCT
 // queries may not attach to a non-canonical pipeline: that pipeline
 // suppresses repeated trigger projections in-network, so a late
 // attacher would silently miss rows that are first-time answers for
 // it. Canonical pipelines carry no DISTINCT marker — set semantics are
 // enforced per-subscriber at the owner — so they are safe for anyone. A
-// one-time class claims no SQL key, so it is never a candidate.
+// one-time class claims no key, so it is never a candidate.
 func (e *Engine) canAttach(cls *shareClass, q *query.Query) bool {
-	if !e.Cfg.ShareExact && e.Cfg.Catalog == nil {
+	if cls == nil || cls.fresh.Load() == int64(e.sim.Now())+1 {
 		return false
 	}
-	if q.Distinct && cls.can == nil {
-		return false
-	}
-	return true
+	return !q.Distinct || cls.can != nil
 }
 
 // attach adds a member to an existing class, which is shared from then
@@ -234,8 +242,13 @@ func (e *Engine) release(s *subscription) {
 // subscriber — or into its per-subscriber aggregation pipeline. Only a
 // shared class's rows count as fan-out rows. lin is the completed row's
 // provenance (nil unless Config.Provenance): every subscriber's copy of
-// the row shares it.
+// the row shares it. A row whose every tuple was published on this tick
+// first marks the class fresh, which closes it to attaches until the
+// clock moves on (canAttach).
 func (p *Proc) fanoutComplete(now sim.Time, cls *shareClass, c completion) {
+	if c.minPub >= int64(now) {
+		cls.fresh.Store(int64(now) + 1)
+	}
 	for _, s := range cls.members {
 		if c.minPub < s.since() {
 			continue

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -41,7 +42,6 @@ var subsQueries = []string{
 // subsEngine builds a small engine for the subscriber-side tests.
 func subsEngine(t *testing.T, seed int64, workers int, sharing bool, metrics bool) (*Engine, []*chord.Node) {
 	cfg := Config{}
-	cfg.ShareExact = true
 	if sharing {
 		cfg.Catalog = testCat
 	}
@@ -303,7 +303,6 @@ func TestSubsRandomScripts(t *testing.T) {
 // leaves none of them in any state.
 func TestTeardownChargesWhatItRemoves(t *testing.T) {
 	cfg := replCfg(2)
-	cfg.ShareExact = true
 	eng, nodes := testNet(t, 16, 5, cfg, overlay.DefaultConfig())
 	var qids []string
 	for i := range 2 {
@@ -450,6 +449,39 @@ func TestClassLifecycle(t *testing.T) {
 	}
 	if err := eng.Unsubscribe(q2); err == nil {
 		t.Fatal("a second Unsubscribe succeeded")
+	}
+}
+
+// TestFreshClassRefusesAttach: a class that fanned out a row of this
+// tick's tuples on this tick takes no subscriber until the clock moves
+// on, and a row holding an older tuple closes nothing. Fan-outs of
+// eight goroutines mark the class at once, as the handlers of several
+// shards can in one sub-round (run it with -race).
+func TestFreshClassRefusesAttach(t *testing.T) {
+	eng, _ := testNet(t, 4, 1, Config{}, overlay.DefaultConfig())
+	q := sqlparse.MustParse("select R.B, S.B from R,S where R.A=S.A", testCat)
+	cls := &shareClass{}
+	eng.RunUntil(5)
+	now := eng.Sim().Now()
+	(&Proc{}).fanoutComplete(now, cls, completion{minPub: int64(now) - 1})
+	if !eng.canAttach(cls, q) {
+		t.Fatal("a row holding an older tuple closed the class")
+	}
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			(&Proc{}).fanoutComplete(now, cls, completion{minPub: int64(now)})
+		}()
+	}
+	wg.Wait()
+	if eng.canAttach(cls, q) {
+		t.Fatal("a class that delivered a row of this tick's tuples on this tick took a subscriber")
+	}
+	eng.RunUntil(now + 1)
+	if !eng.canAttach(cls, q) {
+		t.Fatal("the class stayed closed after the clock moved on")
 	}
 }
 

@@ -38,10 +38,9 @@ type Params struct {
 	// Scale in (0, 1] multiplies query and tuple counts.
 	Scale float64
 	// Workers is how many goroutines run each sub-round of the event
-	// engine; the figures are the same for every value. Runs whose
-	// configuration cannot run a sub-round concurrently
-	// (StrategyWorst's cross-shard oracle, zero-delay hops) run it on
-	// one.
+	// engine; the figures are the same for every value. Runs of
+	// StrategyWorst, whose oracle reads other shards' rate tables, run
+	// it on one.
 	Workers int
 }
 
@@ -98,7 +97,7 @@ func newRunNet(p Params, cfg core.Config, wcfg workload.Config, netCfg overlay.C
 	}
 	ring.BuildPerfect()
 	se := sim.NewEngine(p.Seed)
-	if cfg.Strategy != core.StrategyWorst && netCfg.MinHopDelay >= 1 {
+	if cfg.Strategy != core.StrategyWorst {
 		se.SetWorkers(p.Workers)
 	}
 	nw := overlay.MustNetwork(ring, se, netCfg)

@@ -40,7 +40,6 @@ type Inbox struct {
 	gen     int64
 	applied int64 // ops applied in the current generation
 	open    bool
-	killed  bool
 	pending []pendingBatch
 
 	// Stale counts batches dropped as replays or superseded
@@ -51,41 +50,14 @@ type Inbox struct {
 // NewInbox returns an inbox that accepts the first generation offered.
 func NewInbox() *Inbox { return &Inbox{} }
 
-// Applied returns the number of operations applied in the current
-// generation.
-func (b *Inbox) Applied() int64 { return b.applied }
-
-// Open reports whether the inbox currently tracks a live stream.
-func (b *Inbox) Open() bool { return b.open && !b.killed }
-
-// Drop discards buffered batches and closes the current stream. A later
-// snapshot batch with a higher generation reopens the inbox (the link
-// was re-established); batches of the dropped generation are ignored.
-func (b *Inbox) Drop() {
-	b.open = false
-	b.pending = nil
-}
-
-// Kill closes the inbox permanently: the origin is gone and no future
-// stream from it can be valid. All subsequent offers are dropped.
-func (b *Inbox) Kill() {
-	b.killed = true
-	b.open = false
-	b.pending = nil
-}
-
 // Offer hands the inbox one received batch: generation gen, snapshot
 // head if reset, operations [first, first+count). It returns the
 // batches this makes applicable, in application order — usually just
 // the offered one, but a batch that fills a buffered gap releases its
 // followers too, and a stale or replayed batch releases nothing.
 func (b *Inbox) Offer(gen int64, reset bool, first int64, count int, payload any) []Delivery {
-	if b.killed {
-		b.Stale++
-		return nil
-	}
 	if gen < b.gen || (gen == b.gen && !b.open) {
-		b.Stale++ // superseded generation, or remnant of a dropped stream
+		b.Stale++ // superseded generation, or a batch before any snapshot
 		return nil
 	}
 	if gen == b.gen && b.open && first+int64(count) <= b.applied+1 {

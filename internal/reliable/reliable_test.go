@@ -26,8 +26,8 @@ func TestInboxInOrder(t *testing.T) {
 	if got := b.Offer(1, false, 4, 3, "b"); !reflect.DeepEqual(payloads(got), []any{"b"}) {
 		t.Fatalf("second increment: %v", got)
 	}
-	if b.Applied() != 6 {
-		t.Fatalf("applied %d, want 6", b.Applied())
+	if got := b.Offer(1, false, 7, 1, "c"); !reflect.DeepEqual(payloads(got), []any{"c"}) {
+		t.Fatalf("the batch after six applied ops: %v", got)
 	}
 }
 
@@ -48,8 +48,8 @@ func TestInboxReplayIdempotent(t *testing.T) {
 	if b.Stale != 6 {
 		t.Fatalf("stale count %d, want 6", b.Stale)
 	}
-	if b.Applied() != 3 {
-		t.Fatalf("applied %d, want 3", b.Applied())
+	if got := b.Offer(1, false, 4, 1, "b"); !reflect.DeepEqual(payloads(got), []any{"b"}) {
+		t.Fatalf("the batch after three applied ops: %v", got)
 	}
 }
 
@@ -97,26 +97,5 @@ func TestInboxGenerationSupersedes(t *testing.T) {
 	}
 	if got := b2.Offer(1, false, 2, 3, "fill"); len(got) != 0 {
 		t.Fatalf("filling a purged gap released %v", got)
-	}
-}
-
-// TestInboxDropAndKill: Drop closes the stream but a higher generation
-// reopens it; Kill is terminal.
-func TestInboxDropAndKill(t *testing.T) {
-	b := NewInbox()
-	b.Offer(1, true, 1, 1, "s")
-	b.Drop()
-	if b.Open() {
-		t.Fatal("open after Drop")
-	}
-	if got := b.Offer(1, false, 2, 1, "tail"); len(got) != 0 {
-		t.Fatalf("dropped stream accepted %v", got)
-	}
-	if got := b.Offer(2, true, 1, 1, "s2"); len(got) != 1 || !b.Open() {
-		t.Fatalf("re-established stream rejected: %v open=%v", got, b.Open())
-	}
-	b.Kill()
-	if got := b.Offer(3, true, 1, 1, "s3"); len(got) != 0 || b.Open() {
-		t.Fatalf("killed inbox accepted %v", got)
 	}
 }

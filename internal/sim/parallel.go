@@ -30,9 +30,10 @@ import "math/bits"
 //     (zero-delay self-deliveries land in the next sub-round), then the
 //     clock advances to the next pending timestamp.
 //
-// Workers only parallelize *within* a sub-round, so any MinHopDelay >=
-// 1 network has at least one full hop of lookahead per time step and
-// the barrier frequency stays at O(virtual ticks), not O(events).
+// Workers only parallelize *within* a sub-round, and a zero-delay send
+// lands in the next sub-round of its tick, so any hop delays run on any
+// worker count; the barrier frequency is O(sub-rounds), one per tick
+// when no send takes zero ticks.
 
 // Shards is the fixed number of logical shards entities hash into.
 // It bounds usable parallelism and is deliberately a constant: the

@@ -144,7 +144,7 @@ func TestGoldenDeterminismLossy(t *testing.T) {
 	// Golden value captured when unreliable-network mode was introduced.
 	const goldenDigest = uint64(0xec96ed785f6fb3a8)
 	var pinned Stats
-	for wi, w := range goldenWorkers(Options{}) {
+	for wi, w := range goldenWorkers {
 		st, d := goldenLossyWorkload(t, lossyGoldenOpts(w))
 		if d != goldenDigest {
 			t.Fatalf("workers %d: lossy golden digest %#x, want %#x (stats %+v)", w, d, goldenDigest, st)

@@ -37,17 +37,16 @@ func TestInvertedDelayBoundsRejected(t *testing.T) {
 	}
 }
 
-// TestOptionPairsRejectedByName is the rejected half of the option
-// compatibility table: each pair NewNetwork refuses, it refuses with an
-// error that names both knobs, so the caller learns which two settings
-// collide rather than that "something" is invalid.
+// TestOptionPairsRejectedByName is the option compatibility table.
+// The one pair NewNetwork refuses, it refuses with an error that names
+// both knobs, so the caller learns which two settings collide rather
+// than that "something" is invalid. Hop delays constrain no option:
+// zero-delay hops compose with Sharing and with several workers.
 func TestOptionPairsRejectedByName(t *testing.T) {
 	for _, row := range []struct {
 		opts  Options
 		names [2]string
 	}{
-		{Options{Nodes: 8, Sharing: true, MaxHopDelay: 3}, [2]string{"Sharing", "MinHopDelay"}},
-		{Options{Nodes: 8, Workers: 2, MaxHopDelay: 3}, [2]string{"Workers", "MinHopDelay"}},
 		{Options{Nodes: 8, Workers: 2, Strategy: StrategyWorst}, [2]string{"Workers", "StrategyWorst"}},
 	} {
 		_, err := NewNetwork(row.opts)
@@ -55,6 +54,14 @@ func TestOptionPairsRejectedByName(t *testing.T) {
 			t.Errorf("%s with %s accepted", row.names[0], row.names[1])
 		} else if !strings.Contains(err.Error(), row.names[0]) || !strings.Contains(err.Error(), row.names[1]) {
 			t.Errorf("rejection of %s with %s does not name both: %v", row.names[0], row.names[1], err)
+		}
+	}
+	for _, opts := range []Options{
+		{Nodes: 8, Sharing: true, MaxHopDelay: 3},
+		{Nodes: 8, Workers: 2, MaxHopDelay: 3},
+	} {
+		if _, err := NewNetwork(opts); err != nil {
+			t.Errorf("%+v does not compose: %v", opts, err)
 		}
 	}
 }

@@ -93,12 +93,8 @@ type Options struct {
 	// own. Each subscriber still receives exactly the answer bag its own
 	// query defines — per-subscriber selections, projections and
 	// insertion-time cutoffs are applied at the completion fan-out.
-	// Requires MinHopDelay >= 1 (the default), so a query attaching to a
-	// live pipeline at tick T observes only completions after T.
 	// Byte-identical resubmissions of the same SQL are deduplicated with
-	// or without this option, but only at MinHopDelay >= 1: with
-	// zero-delay hops allowed, each resubmission places a pipeline of
-	// its own.
+	// or without this option.
 	Sharing bool
 	// ReplicationFactor k keeps every keyed state entry — stored
 	// queries with their DISTINCT memory, indexed tuples, ALTT and
@@ -130,10 +126,8 @@ type Options struct {
 	// per-node counter-based streams. A seed therefore replays
 	// bit-identically, and every digest is the same for every value:
 	// 0 or 1 (the default) runs each sub-round inline, N >= 2 runs its
-	// shards concurrently on N goroutines. N >= 2 requires MinHopDelay
-	// >= 1 (the lookahead window that makes one virtual tick a safe
-	// barrier interval) and is incompatible with StrategyWorst (whose
-	// oracle reads rate state across shards).
+	// shards concurrently on N goroutines. N >= 2 is incompatible with
+	// StrategyWorst (whose oracle reads rate state across shards).
 	Workers int
 	// Churn drives runtime membership changes — joins, graceful leaves
 	// and crashes — while queries are live. The zero value keeps the
@@ -458,9 +452,6 @@ func NewNetwork(opts Options) (*Network, error) {
 		return nil, fmt.Errorf("rjoin: MinHopDelay %d exceeds MaxHopDelay %d",
 			opts.MinHopDelay, opts.MaxHopDelay)
 	}
-	if opts.Sharing && opts.MinHopDelay < 1 {
-		return nil, fmt.Errorf("rjoin: Sharing requires MinHopDelay >= 1 (attach-time cutoff needs a strict completion delay)")
-	}
 	if c := opts.Churn; c.JoinRate < 0 || c.LeaveRate < 0 || c.CrashRate < 0 || c.Interval < 0 || c.MinNodes < 0 {
 		return nil, fmt.Errorf("rjoin: negative churn option %+v", c)
 	}
@@ -483,13 +474,8 @@ func NewNetwork(opts Options) (*Network, error) {
 		return nil, fmt.Errorf("rjoin: ReplicationFactor %d exceeds node count %d (a key cannot have more replicas than nodes)",
 			opts.ReplicationFactor, opts.Nodes)
 	}
-	if opts.Workers > 1 {
-		if opts.MinHopDelay < 1 {
-			return nil, fmt.Errorf("rjoin: Workers %d requires MinHopDelay >= 1 (the parallel lookahead window)", opts.Workers)
-		}
-		if opts.Strategy == StrategyWorst {
-			return nil, fmt.Errorf("rjoin: Workers %d is incompatible with StrategyWorst (its oracle reads cross-shard state)", opts.Workers)
-		}
+	if opts.Workers > 1 && opts.Strategy == StrategyWorst {
+		return nil, fmt.Errorf("rjoin: Workers %d is incompatible with StrategyWorst (its oracle reads cross-shard state)", opts.Workers)
 	}
 	if opts.Faults != nil {
 		// The plan's own ranges are the overlay's to validate; only the
@@ -582,12 +568,7 @@ func NewNetwork(opts Options) (*Network, error) {
 		ReplicationFactor: opts.ReplicationFactor,
 		Obs:               rec,
 		Provenance:        opts.Provenance,
-		// Exact-duplicate dedup is sound whenever completions are
-		// strictly delayed past the attach tick; with the defaulted 1/1
-		// delay model that is always the case, so byte-identical
-		// resubmissions share unconditionally.
-		ShareExact: opts.MinHopDelay >= 1,
-		Catalog:    shareCat,
+		Catalog:           shareCat,
 	})
 	n := &Network{
 		eng:   eng,

@@ -178,15 +178,19 @@ func TestLastNodeMembershipErrors(t *testing.T) {
 }
 
 // TestWorkersOptionValidation pins the Workers contract at the public
-// API: negative counts are rejected (the missing lookahead window and
-// the cross-shard oracle strategy are rows of
-// TestOptionPairsRejectedByName, and neither applies at one worker).
+// API: negative counts are rejected, any hop delays run on several
+// workers (a zero-delay send lands in the next sub-round at every worker
+// count), and the cross-shard oracle strategy, a row of
+// TestOptionPairsRejectedByName, runs on one.
 func TestWorkersOptionValidation(t *testing.T) {
 	if _, err := NewNetwork(Options{Nodes: 8, Workers: -1}); err == nil {
 		t.Fatal("negative Workers accepted")
 	}
 	if _, err := NewNetwork(Options{Nodes: 8, Workers: 2}); err != nil {
-		t.Fatalf("defaulted hop delays (1,1) must satisfy the lookahead requirement: %v", err)
+		t.Fatalf("defaulted hop delays (1,1) on two workers rejected: %v", err)
+	}
+	if _, err := NewNetwork(Options{Nodes: 8, Workers: 2, MaxHopDelay: 3}); err != nil {
+		t.Fatalf("zero-delay hops on two workers rejected: %v", err)
 	}
 	if _, err := NewNetwork(Options{Nodes: 8, Workers: 1, MaxHopDelay: 3, Strategy: StrategyWorst}); err != nil {
 		t.Fatalf("zero-delay hops and StrategyWorst must run on one worker: %v", err)

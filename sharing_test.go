@@ -52,44 +52,94 @@ func publishShareWorkload(net *Network) {
 // TestDuplicateSubmitShares is the regression test for the silent
 // duplicate-submit hole: a byte-identical resubmission must attach to
 // the existing pipeline — stored-query state stays flat — while both
-// subscriptions keep receiving the full answer stream. The dedup holds
-// only at MinHopDelay >= 1: with zero-delay hops a completion can land
-// in its attach tick, so a resubmission places a pipeline of its own.
+// subscriptions keep receiving the full answer stream, at unit hop
+// delays and with zero-delay hops alike.
 func TestDuplicateSubmitShares(t *testing.T) {
-	net := quickNet(t, Options{Seed: 11})
-	defineShareRels(net)
 	const sql = "select Trades.Px, Quotes.Bid from Trades,Quotes where Trades.Sym=Quotes.Sym"
-	s1 := net.MustSubscribe(sql)
-	net.Run()
-	q0, _, _ := net.Engine().StoredState()
-	s2 := net.MustSubscribe(sql)
-	net.Run()
-	q1, _, _ := net.Engine().StoredState()
-	if q1 != q0 {
-		t.Fatalf("duplicate submit grew stored queries: %d -> %d", q0, q1)
+	for _, opts := range []Options{{Seed: 11}, {Seed: 11, MaxHopDelay: 3}} {
+		net := quickNet(t, opts)
+		defineShareRels(net)
+		s1 := net.MustSubscribe(sql)
+		net.Run()
+		q0, _, _ := net.Engine().StoredState()
+		s2 := net.MustSubscribe(sql)
+		net.Run()
+		q1, _, _ := net.Engine().StoredState()
+		if q1 != q0 {
+			t.Fatalf("hops [%d, %d]: duplicate submit grew stored queries: %d -> %d", opts.MinHopDelay, opts.MaxHopDelay, q0, q1)
+		}
+		if got := net.Stats().QueriesShared; got != 1 {
+			t.Fatalf("hops [%d, %d]: QueriesShared = %d, want 1", opts.MinHopDelay, opts.MaxHopDelay, got)
+		}
+		if s1.ID == s2.ID {
+			t.Fatal("duplicate subscriptions share an ID")
+		}
+		publishShareWorkload(net)
+		b1, b2 := answerBag(s1), answerBag(s2)
+		if len(b1) == 0 || !bagsEqual(b1, b2) {
+			t.Fatalf("hops [%d, %d]: duplicate subscribers diverge: %d vs %d answers", opts.MinHopDelay, opts.MaxHopDelay, len(b1), len(b2))
+		}
 	}
-	if got := net.Stats().QueriesShared; got != 1 {
-		t.Fatalf("QueriesShared = %d, want 1", got)
-	}
-	if s1.ID == s2.ID {
-		t.Fatal("duplicate subscriptions share an ID")
-	}
-	publishShareWorkload(net)
-	b1, b2 := answerBag(s1), answerBag(s2)
-	if len(b1) == 0 || !bagsEqual(b1, b2) {
-		t.Fatalf("duplicate subscribers diverge: %d vs %d answers", len(b1), len(b2))
-	}
+}
 
-	zero := quickNet(t, Options{Seed: 11, MinHopDelay: 0, MaxHopDelay: 3})
-	defineShareRels(zero)
-	zero.MustSubscribe(sql)
-	zero.Run()
-	q0, _, _ = zero.Engine().StoredState()
-	zero.MustSubscribe(sql)
-	zero.Run()
-	q1, _, _ = zero.Engine().StoredState()
-	if got := zero.Stats().QueriesShared; got != 0 || q1 <= q0 {
-		t.Fatalf("at MinHopDelay 0 a duplicate submit shared %d queries and took stored queries %d -> %d; want its own pipeline", got, q0, q1)
+// TestAttachOnCompletionTickIsExact: a subscriber submitted right after
+// the Run in which its class completed a row must still receive the
+// reference bag for its insertion time, at every hop delay. A node-local
+// delivery takes zero ticks, so with both of a row's tuples published on
+// the submit tick the row can complete — and fan out — on that very tick:
+// an attach then would miss a row the subscriber's own pipeline delivers.
+// The matrix crosses one and two nodes, Sharing off and on, a
+// byte-identical and a clause-reordered second query, and hop delays
+// (1,1), (0,2) and (0,3); each cell runs enough seeds that some second
+// subscriber is submitted on a tick a row of its class completed.
+func TestAttachOnCompletionTickIsExact(t *testing.T) {
+	const first = "select R.B, S.C from R,S where R.A=S.A"
+	seconds := []string{first, "select R.B, S.C from S,R where S.A=R.A"}
+	seeds := 40
+	if testing.Short() {
+		seeds = 10
+	}
+	sameTick := 0
+	for _, nodes := range []int{1, 2} {
+		for _, sharing := range []bool{false, true} {
+			for _, second := range seconds {
+				for _, hop := range [][2]int64{{1, 1}, {0, 2}, {0, 3}} {
+					for seed := int64(1); seed <= int64(seeds); seed++ {
+						net := quickNet(t, Options{Nodes: nodes, Seed: seed, Sharing: sharing, MinHopDelay: hop[0], MaxHopDelay: hop[1]})
+						net.MustDefineRelation("R", "A", "B")
+						net.MustDefineRelation("S", "A", "C")
+						r := &recorder{net: net}
+						s1 := r.subscribe(first)
+						net.Run()
+						// Publish joining pairs until the first subscriber holds
+						// a row, then submit the second on the tick that Run
+						// left the clock at.
+						for i := 0; s1.Count() == 0; i++ {
+							at := net.Now()
+							r.publish("R", i%3, i)
+							r.publish("S", i%3, 100+i)
+							net.Run()
+							if net.Now() == at {
+								sameTick++
+							}
+						}
+						r.subscribe(second)
+						for i := 0; i < 6; i++ {
+							r.publish("R", i%3, 10+i)
+							r.publish("S", i%3, 200+i)
+							if i%2 == 1 {
+								net.Run()
+							}
+						}
+						net.Run()
+						r.certify(t, fmt.Sprintf("nodes %d sharing %v hops %v seed %d: %s", nodes, sharing, hop, seed, second), false)
+					}
+				}
+			}
+		}
+	}
+	if sameTick == 0 {
+		t.Fatal("no first row completed on the tick its tuples were published: the matrix tests nothing")
 	}
 }
 

@@ -63,7 +63,7 @@ const goldenTrace = uint64(0x7929f603017dadc2)
 // pubSeq)/query IDs, per-shard buffers merge in canonical order at
 // driver barriers, and no event carries schedule-dependent identifiers.
 func TestTraceGoldenDeterminism(t *testing.T) {
-	for _, w := range goldenWorkers(Options{}) {
+	for _, w := range goldenWorkers {
 		net := tracedWorkload(t, w)
 		if d := net.TraceDigest(); d != goldenTrace {
 			t.Fatalf("workers %d: trace digest %#x, want %#x", w, d, goldenTrace)
@@ -216,7 +216,7 @@ const goldenMetricsCSV = uint64(0xb93c0f3fc6a8409c)
 // attribution, scope and name rendering, row order — and with it the
 // global latency histogram the same records feed.
 func TestMetricsCSVGolden(t *testing.T) {
-	for _, w := range goldenWorkers(Options{}) {
+	for _, w := range goldenWorkers {
 		want := goldenMetricsCSV
 		net := tracedWorkload(t, w)
 		var csv bytes.Buffer
